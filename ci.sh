@@ -60,6 +60,14 @@ cargo bench -p omen-bench --bench serve -- --smoke
 OMEN_SIMD=0 cargo run --release -p omen-bench --bin bench-gate -- --smoke
 OMEN_SIMD=1 cargo run --release -p omen-bench --bin bench-gate -- --smoke
 
+# The repo benchmark (BENCHMARK.json) is a package of its own that compiles
+# against the public API of crates/*: build, test and smoke-run it here so
+# an API change that breaks it fails CI, not the benchmark pipeline. The
+# smoke run also holds the benchmark's own checks (seed-0 reference
+# currents, replay = driver and dynamic = static bit for bit, failed = 0).
+cargo test -q --offline --manifest-path benchmark/Cargo.toml
+cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- --smoke
+
 # Domain lints clippy cannot express: SPMD collective-schedule hygiene
 # (lexical and interprocedural via the workspace call-graph pass),
 # protocol early-exit and tag-conflict checks, float equality in the

@@ -207,8 +207,12 @@ pub fn classify(rel: &Path) -> FileClass {
 }
 
 /// Recursively collects the workspace's `.rs` files, skipping `target`,
-/// VCS internals, and the analyzer's own lint fixtures (which deliberately
-/// violate every rule). Results are sorted for deterministic output.
+/// VCS internals, the analyzer's own lint fixtures (which deliberately
+/// violate every rule), and nested workspace roots — a subdirectory whose
+/// `Cargo.toml` opens its own `[workspace]` (the standalone `benchmark/`
+/// package) is not part of this workspace, and its path layout would be
+/// misread as library code of the umbrella crate. Results are sorted for
+/// deterministic output.
 ///
 /// # Errors
 ///
@@ -224,6 +228,10 @@ pub fn walk_workspace(root: &Path) -> std::io::Result<Vec<PathBuf>> {
             let name = name.to_string_lossy();
             if entry.file_type()?.is_dir() {
                 if name == "target" || name == "fixtures" || name.starts_with('.') {
+                    continue;
+                }
+                let manifest = std::fs::read_to_string(path.join("Cargo.toml"));
+                if manifest.is_ok_and(|m| m.lines().any(|l| l.trim() == "[workspace]")) {
                     continue;
                 }
                 stack.push(path);

@@ -287,6 +287,18 @@ fn path_classification() {
 }
 
 #[test]
+fn walk_stops_at_nested_workspace_roots() {
+    // The standalone `benchmark/` package opens its own `[workspace]`: it
+    // is not this workspace's code, so the default walk must not lint it.
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let files = omen_analyze::walk_workspace(&root).expect("workspace walks");
+    let rel = |f: &std::path::PathBuf| f.strip_prefix(&root).expect("under root").to_path_buf();
+    assert!(files.iter().any(|f| rel(f) == Path::new("src/lib.rs")));
+    assert!(root.join("benchmark/src/main.rs").is_file());
+    assert!(!files.iter().any(|f| rel(f).starts_with("benchmark")));
+}
+
+#[test]
 fn rule_table_is_complete() {
     let names: Vec<&str> = RULES.iter().map(|r| r.name).collect();
     assert_eq!(

@@ -14,7 +14,7 @@
 //!   production `DEFAULT_ETA = 2e-6` balances the two.
 
 use omen_bench::print_table;
-use omen_core::{self_consistent, Bias, Engine, ScfOptions, Schedule, TransistorSpec};
+use omen_core::{self_consistent, Bias, Engine, ScfOptions, TransistorSpec};
 use omen_lattice::{Crystal, Device};
 use omen_linalg::ZMat;
 use omen_num::{c64, linspace, A_SI};
@@ -45,7 +45,6 @@ fn ablation_a_predictor() {
             mixing,
             predictor,
             n_k: 1,
-            schedule: Schedule::Static,
         };
         let r = self_consistent(&mut tr, &bias, &opts, None);
         rows.push(vec![

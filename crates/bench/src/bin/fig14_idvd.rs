@@ -8,7 +8,7 @@
 
 use omen_bench::print_table;
 use omen_core::iv::drain_sweep;
-use omen_core::{Engine, ScfOptions, Schedule, TransistorSpec};
+use omen_core::{Engine, ScfOptions, TransistorSpec};
 use omen_num::linspace;
 use omen_tb::Material;
 
@@ -24,9 +24,6 @@ fn main() {
         mixing: 0.8,
         predictor: true,
         n_k: 1,
-        // Cost-model-ordered energy sweeps: bit-identical to Static, but
-        // each SCF iteration fronts the points the last one measured slow.
-        schedule: Schedule::Dynamic(omen_core::SchedOptions::default()),
     };
     let mu_source = -3.4;
     let v_gate = 0.3; // on-state

@@ -12,7 +12,7 @@
 
 use omen_bench::{print_table, timed};
 use omen_core::iv::{gate_sweep, on_off_ratio, subthreshold_swing};
-use omen_core::{Engine, ScfOptions, Schedule, TransistorSpec};
+use omen_core::{Engine, ScfOptions, TransistorSpec};
 use omen_num::linspace;
 use omen_tb::Material;
 
@@ -47,7 +47,6 @@ fn main() {
         mixing: 0.8,
         predictor: true,
         n_k: 1,
-        schedule: Schedule::Static,
     };
     let v_ds = 0.2;
 

@@ -10,7 +10,6 @@ use crate::spec::{Bias, NanoTransistor};
 use omen_linalg::ZMat;
 use omen_negf::transport::EnergyPointData;
 use omen_num::{fermi, trapezoid, OmenResult, SweepReport, I0_UA_PER_EV};
-use omen_sched::{CostModel, ModelBank};
 use omen_sparse::BlockTridiag;
 
 /// Which transport engine evaluates each energy point.
@@ -72,14 +71,11 @@ struct TransportSetup {
 /// levels (electron side above the device midgap, hole side below).
 fn prepare_transport(tr: &NanoTransistor, v_atoms: &[f64], bias: &Bias, ky: f64) -> TransportSetup {
     assert_eq!(v_atoms.len(), tr.device.num_atoms());
-    let ham = tr.hamiltonian();
-    // Electron potential energy is −qV.
-    let pot: Vec<f64> = v_atoms.iter().map(|&v| -v).collect();
-    let h = ham.assemble(&pot, ky);
-    let v_src = tr.slab_mean_potential(v_atoms, 0);
+    // Device and source lead as every frozen-potential driver builds them;
+    // the drain lead is pinned to its own terminal slab.
+    let (h, h00_l, h01_l) = crate::parallel::frozen_system(tr, v_atoms, ky);
     let v_drn = tr.slab_mean_potential(v_atoms, tr.device.num_slabs - 1);
-    let (h00_l, h01_l) = ham.lead_blocks(-v_src, ky);
-    let (h00_r, h01_r) = ham.lead_blocks(-v_drn, ky);
+    let (h00_r, h01_r) = tr.hamiltonian().lead_blocks(-v_drn, ky);
 
     let mus = [bias.mu_source, bias.mu_drain()];
     // Focus windows around the (potential-shifted) band structure: electron
@@ -132,33 +128,6 @@ pub fn ballistic_solve(
     integrate(tr, bias, v_atoms, &energies, points, &s.window, report)
 }
 
-/// [`ballistic_solve`] with the energy sweep ordered by a [`CostModel`]:
-/// expensive points (per the model's seed or its measurements from earlier
-/// SCF/I–V iterations) are solved first, and each point's measured solve
-/// time is folded back into the model. Results are merged in canonical
-/// energy order, so the output is bit-identical to the static variant —
-/// the model only changes *when* each point runs, never what it returns.
-pub fn ballistic_solve_scheduled(
-    tr: &NanoTransistor,
-    v_atoms: &[f64],
-    bias: &Bias,
-    engine: Engine,
-    n_energy: usize,
-    ky: f64,
-    model: &mut CostModel,
-) -> BallisticResult {
-    let s = prepare_transport(tr, v_atoms, bias, ky);
-    let (energies, points, report) = solve_sweep_scheduled(
-        &s.window.grid(n_energy),
-        &s.h,
-        (&s.h00_l, &s.h01_l),
-        (&s.h00_r, &s.h01_r),
-        engine,
-        model,
-    );
-    integrate(tr, bias, v_atoms, &energies, points, &s.window, report)
-}
-
 /// Solves every energy of a grid with per-point failure isolation: a point
 /// whose engines exhaust their recovery policies is dropped and recorded in
 /// the [`SweepReport`]; the surviving `(energies, points)` stay aligned.
@@ -174,55 +143,6 @@ pub fn solve_sweep(
     let mut points = Vec::with_capacity(energies.len());
     for &e in energies {
         match solve_point(e, h, lead_l, lead_r, engine) {
-            Ok(p) => {
-                report.record_solved(p.retries);
-                kept.push(e);
-                points.push(p);
-            }
-            Err(err) => report.record_failed(e, err),
-        }
-    }
-    (kept, points, report)
-}
-
-/// [`solve_sweep`] visiting energies most-expensive-first per `model`
-/// (LPT order) and feeding measured solve seconds back into it, so that
-/// a model persisted across SCF/I–V iterations fronts the slow points of
-/// the *next* sweep. Outputs are merged back into ascending (canonical)
-/// energy order: the sweep is bit-identical to [`solve_sweep`], including
-/// the order of failed entries in the [`SweepReport`].
-pub fn solve_sweep_scheduled(
-    energies: &[f64],
-    h: &BlockTridiag,
-    lead_l: (&ZMat, &ZMat),
-    lead_r: (&ZMat, &ZMat),
-    engine: Engine,
-    model: &mut CostModel,
-) -> (Vec<f64>, Vec<EnergyPointData>, SweepReport) {
-    let n = energies.len();
-    if model.len() != n {
-        // Grid changed shape (fresh model, or adaptive/window resize):
-        // reseed with the band-edge prior the sweep-level scheduler uses.
-        *model = CostModel::band_edge(n.max(1), 2.0);
-    }
-    let mut slots: Vec<Option<OmenResult<EnergyPointData>>> = (0..n).map(|_| None).collect();
-    for id in model.descending_order(0..n) {
-        let t0 = std::time::Instant::now();
-        let r = solve_point(energies[id], h, lead_l, lead_r, engine);
-        // Instant-derived seconds are always finite, so the ledger cannot
-        // reject them; a (hypothetical) rejection would only cost
-        // prediction quality, never correctness.
-        let _ = model.observe(id, t0.elapsed().as_secs_f64());
-        slots[id] = Some(r);
-    }
-    // Canonical-order merge: identical accounting to the static sweep.
-    let mut report = SweepReport::default();
-    let mut kept = Vec::with_capacity(n);
-    let mut points = Vec::with_capacity(n);
-    for (slot, &e) in slots.into_iter().zip(energies) {
-        match slot.unwrap_or(Err(omen_num::OmenError::Deserialize {
-            context: "scheduled sweep left a slot unsolved",
-        })) {
             Ok(p) => {
                 report.record_solved(p.retries);
                 kept.push(e);
@@ -253,28 +173,17 @@ pub fn ballistic_solve_adaptive(
     ky: f64,
 ) -> BallisticResult {
     assert!(n_init >= 5 && max_points >= n_init);
-    let TransportSetup {
-        h,
-        h00_l,
-        h01_l,
-        h00_r,
-        h01_r,
-        window,
-    } = prepare_transport(tr, v_atoms, bias, ky);
+    let s = prepare_transport(tr, v_atoms, bias, ky);
+    let (lead_l, lead_r) = ((&s.h00_l, &s.h01_l), (&s.h00_r, &s.h01_r));
 
     // Initial grid with failed energies dropped before the adaptive grid is
     // built, so refinement only ever works on solved intervals.
-    let (seed_energies, mut points, mut report) = solve_sweep(
-        &window.grid(n_init),
-        &h,
-        (&h00_l, &h01_l),
-        (&h00_r, &h01_r),
-        engine,
-    );
+    let (seed_energies, mut points, mut report) =
+        solve_sweep(&s.window.grid(n_init), &s.h, lead_l, lead_r, engine);
     if seed_energies.len() < 2 {
         // Not enough surviving points to define intervals; integrate what
         // is left (possibly nothing) without refinement.
-        return integrate(tr, bias, v_atoms, &seed_energies, points, &window, report);
+        return integrate(tr, bias, v_atoms, &seed_energies, points, &s.window, report);
     }
     let mut grid = omen_num::grid::AdaptiveGrid::from_points(seed_energies);
     let (mu_s, mu_d) = (bias.mu_source, bias.mu_drain());
@@ -303,7 +212,7 @@ pub fn ballistic_solve_adaptive(
         for (idx, &e) in grid.points().iter().enumerate() {
             if pending.peek() == Some(&&idx) {
                 pending.next();
-                match solve_point(e, &h, (&h00_l, &h01_l), (&h00_r, &h01_r), engine) {
+                match solve_point(e, &s.h, lead_l, lead_r, engine) {
                     Ok(p) => {
                         report.record_solved(p.retries);
                         kept.push(e);
@@ -331,7 +240,7 @@ pub fn ballistic_solve_adaptive(
         }
     }
     let energies = grid.points().to_vec();
-    integrate(tr, bias, v_atoms, &energies, points, &window, report)
+    integrate(tr, bias, v_atoms, &energies, points, &s.window, report)
 }
 
 /// Transverse momentum samples `(k_y, weight)` for a periodic device:
@@ -363,123 +272,39 @@ pub fn ballistic_solve_k(
     n_energy: usize,
     n_k: usize,
 ) -> BallisticResult {
-    let grid = momentum_grid(tr, n_k);
-    accumulate_k(&grid, |_, ky| {
-        ballistic_solve(tr, v_atoms, bias, engine, n_energy, ky)
-    })
-}
-
-/// [`ballistic_solve_k`] with a persistent per-k [`CostModel`] driving the
-/// energy-sweep order (see [`ballistic_solve_scheduled`]). `models` is
-/// resized to the momentum grid when it does not match — pass the same
-/// vector across SCF outer iterations (or bias points on one grid) so the
-/// measured costs of iteration *i* schedule iteration *i + 1*. Observables
-/// are bit-identical to the static variant.
-pub fn ballistic_solve_k_scheduled(
-    tr: &NanoTransistor,
-    v_atoms: &[f64],
-    bias: &Bias,
-    engine: Engine,
-    n_energy: usize,
-    n_k: usize,
-    models: &mut Vec<CostModel>,
-) -> BallisticResult {
-    let grid = momentum_grid(tr, n_k);
-    if models.len() != grid.len() {
-        *models = (0..grid.len())
-            .map(|_| CostModel::band_edge(n_energy.max(1), 2.0))
-            .collect();
+    // Canonical k order keeps the weighted accumulation deterministic.
+    let mut solves = momentum_grid(tr, n_k)
+        .into_iter()
+        .map(|(ky, w)| (w, ballistic_solve(tr, v_atoms, bias, engine, n_energy, ky)));
+    let (w0, mut acc) = solves.next().expect("momentum grid is never empty");
+    acc.current_ua *= w0;
+    for v in acc
+        .electron_density
+        .iter_mut()
+        .chain(acc.hole_density.iter_mut())
+        .chain(acc.transmission.iter_mut())
+    {
+        *v *= w0;
     }
-    let r = accumulate_k(&grid, |ik, ky| {
-        ballistic_solve_scheduled(tr, v_atoms, bias, engine, n_energy, ky, &mut models[ik])
-    });
-    crate::log::emit(&format!(
-        "sched serial sweep: {} k-points × {} energies, {} cost observations banked",
-        grid.len(),
-        n_energy,
-        models.iter().map(CostModel::observations).sum::<usize>(),
-    ));
-    r
-}
-
-/// [`ballistic_solve_k_scheduled`] backed by a sweep-lifetime
-/// [`ModelBank`] instead of a caller-held vector: each k-point's
-/// [`CostModel`] is checked out of the bank under key
-/// `(bias_step, ik)` — exact hit first, then a warm clone from the
-/// nearest earlier bias on the same k, then a band-edge seed — and the
-/// measured ledger is committed back after the sweep. Pass the same bank
-/// across SCF outer iterations *and* bias points (with `bias_step` the
-/// I–V point index) so from the second bias point onward no sweep starts
-/// from seeds. Observables stay bit-identical to the static variant.
-#[allow(clippy::too_many_arguments)]
-pub fn ballistic_solve_k_banked(
-    tr: &NanoTransistor,
-    v_atoms: &[f64],
-    bias: &Bias,
-    engine: Engine,
-    n_energy: usize,
-    n_k: usize,
-    bank: &mut ModelBank,
-    bias_step: usize,
-) -> BallisticResult {
-    let grid = momentum_grid(tr, n_k);
-    let n_e = n_energy.max(1);
-    accumulate_k(&grid, |ik, ky| {
-        let mut model = bank.checkout(bias_step, ik, n_e, || CostModel::band_edge(n_e, 2.0));
-        let r = ballistic_solve_scheduled(tr, v_atoms, bias, engine, n_energy, ky, &mut model);
-        bank.commit(bias_step, ik, model);
-        r
-    })
-}
-
-/// Weighted accumulation of per-k solves over a momentum grid. `solve`
-/// receives the canonical k index and `k_y`; k-points are visited in
-/// canonical order so the accumulation is deterministic.
-fn accumulate_k(
-    grid: &[(f64, f64)],
-    mut solve: impl FnMut(usize, f64) -> BallisticResult,
-) -> BallisticResult {
-    let mut acc: Option<BallisticResult> = None;
-    for (ik, &(ky, w)) in grid.iter().enumerate() {
-        let r = solve(ik, ky);
-        match &mut acc {
-            None => {
-                let mut r0 = r;
-                r0.current_ua *= w;
-                for v in r0
-                    .electron_density
-                    .iter_mut()
-                    .chain(r0.hole_density.iter_mut())
-                {
-                    *v *= w;
-                }
-                for t in r0.transmission.iter_mut() {
-                    *t *= w;
-                }
-                acc = Some(r0);
-            }
-            Some(a) => {
-                a.report.merge(&r.report);
-                a.current_ua += w * r.current_ua;
-                for (x, y) in a.electron_density.iter_mut().zip(&r.electron_density) {
-                    *x += w * y;
-                }
-                for (x, y) in a.hole_density.iter_mut().zip(&r.hole_density) {
-                    *x += w * y;
-                }
-                // Energy grids can differ slightly per k (window follows the
-                // k-resolved subbands); keep the first grid's transmission as
-                // the representative trace and only accumulate when the grids
-                // coincide.
-                if a.energies.len() == r.energies.len() {
-                    for (t, u) in a.transmission.iter_mut().zip(&r.transmission) {
-                        *t += w * u;
-                    }
-                }
+    for (w, r) in solves {
+        acc.report.merge(&r.report);
+        acc.current_ua += w * r.current_ua;
+        for (x, y) in acc.electron_density.iter_mut().zip(&r.electron_density) {
+            *x += w * y;
+        }
+        for (x, y) in acc.hole_density.iter_mut().zip(&r.hole_density) {
+            *x += w * y;
+        }
+        // Energy grids can differ slightly per k (window follows the
+        // k-resolved subbands); keep the first grid's transmission as the
+        // representative trace and only accumulate when the grids coincide.
+        if acc.energies.len() == r.energies.len() {
+            for (t, u) in acc.transmission.iter_mut().zip(&r.transmission) {
+                *t += w * u;
             }
         }
     }
-    acc.expect("momentum grid is never empty")
+    acc
 }
 
 /// Evaluates one energy point with the chosen engine. Recovery (lead
@@ -511,7 +336,9 @@ pub fn solve_point(
     }
 }
 
-/// Integrates current and charge from solved energy points.
+/// Integrates current and charge from solved energy points. `_window` is
+/// unused (the surviving `energies` carry the grid); it stays because the
+/// `benchmark/` replay calls this signature.
 pub fn integrate(
     tr: &NanoTransistor,
     bias: &Bias,
@@ -577,6 +404,32 @@ pub fn integrate(
         hole_density,
         report,
     }
+}
+
+/// Test fixture shared by the fault-isolation tests of this crate: an
+/// `n`-site 1×1-block chain (hopping −1, leads alike) with the hops in
+/// `cut` severed and, per `(site, level)`, an on-site term `level + iη`
+/// that absorbs the broadening the engines add — so a site cut off on the
+/// side(s) its elimination order reaches it from has the pivot `E − level`,
+/// *exactly* zero at the grid energy `E = level`.
+#[cfg(test)]
+pub(crate) fn severed_chain(
+    n: usize,
+    levels: &[(usize, f64)],
+    cut: &[usize],
+) -> (BlockTridiag, ZMat, ZMat) {
+    use omen_num::c64;
+    let z = || ZMat::zeros(1, 1);
+    let t = || ZMat::from_vec(1, 1, vec![c64::real(-1.0)]);
+    let mut diag = vec![z(); n];
+    for &(site, level) in levels {
+        let onsite = c64::new(level, omen_negf::transport::DEFAULT_ETA);
+        diag[site] = ZMat::from_vec(1, 1, vec![onsite]);
+    }
+    let hop: Vec<ZMat> = (0..n - 1)
+        .map(|i| if cut.contains(&i) { z() } else { t() })
+        .collect();
+    (BlockTridiag::new(diag, hop.clone(), hop), z(), t())
 }
 
 #[cfg(test)]
@@ -775,25 +628,11 @@ mod tests {
 
     #[test]
     fn sweep_isolates_provably_singular_point() {
-        use omen_linalg::ZMat;
-        use omen_negf::transport::DEFAULT_ETA;
-        use omen_num::{c64, OmenError};
-        // 1×1-block chain whose middle site (block 2) is decoupled from its
-        // left neighbor, so the forward elimination reaches it un-updated.
-        // Its on-site term absorbs the iη broadening the engines add, making
-        // the effective pivot (E + iη) − (0 + iη) = E *exactly* zero at the
-        // E = 0 grid point — a provably singular energy inside the sweep.
-        let n = 5;
-        let z = || ZMat::zeros(1, 1);
-        let t = || ZMat::from_vec(1, 1, vec![c64::real(-1.0)]);
-        let mut diag = vec![z(); n];
-        diag[2] = ZMat::from_vec(1, 1, vec![c64::new(0.0, DEFAULT_ETA)]);
-        let mut lower: Vec<ZMat> = (0..n - 1).map(|_| t()).collect();
-        let mut upper: Vec<ZMat> = (0..n - 1).map(|_| t()).collect();
-        lower[1] = z();
-        upper[1] = z();
-        let h = BlockTridiag::new(diag, lower, upper);
-        let (h00, h01) = (z(), t());
+        use omen_num::OmenError;
+        // Middle site (block 2) decoupled from its *left* neighbor only, so
+        // the forward elimination reaches it un-updated: E = 0 is a
+        // provably singular energy inside the sweep.
+        let (h, h00, h01) = severed_chain(5, &[(2, 0.0)], &[1]);
         // −0.5, −0.25, 0, 0.25, 0.5: all inside the lead band, the middle
         // one exactly on the decoupled level.
         let energies = omen_num::linspace(-0.5, 0.5, 5);
@@ -838,26 +677,12 @@ mod tests {
 
     #[test]
     fn sweep_isolation_is_engine_uniform_on_fully_decoupled_block() {
-        use omen_linalg::ZMat;
-        use omen_negf::transport::DEFAULT_ETA;
-        use omen_num::{c64, OmenError};
+        use omen_num::OmenError;
         // Decouple block 2 from BOTH neighbors: its Schur pivot degenerates
         // to the bare on-site term under *any* elimination order, so RGF
         // (chain order) and SelInv (tree order) face the identical singular
         // pivot at E = 0 and must produce the same SweepReport isolation.
-        let n = 5;
-        let z = || ZMat::zeros(1, 1);
-        let t = || ZMat::from_vec(1, 1, vec![c64::real(-1.0)]);
-        let mut diag = vec![z(); n];
-        diag[2] = ZMat::from_vec(1, 1, vec![c64::new(0.0, DEFAULT_ETA)]);
-        let mut lower: Vec<ZMat> = (0..n - 1).map(|_| t()).collect();
-        let mut upper: Vec<ZMat> = (0..n - 1).map(|_| t()).collect();
-        for i in [1usize, 2] {
-            lower[i] = z();
-            upper[i] = z();
-        }
-        let h = BlockTridiag::new(diag, lower, upper);
-        let (h00, h01) = (z(), t());
+        let (h, h00, h01) = severed_chain(5, &[(2, 0.0)], &[1, 2]);
         let energies = omen_num::linspace(-0.5, 0.5, 5);
 
         // The direct WF solver has no pivot recovery: the singular point is
@@ -891,64 +716,6 @@ mod tests {
         // regularizations), the tree factors its Schur pivot exactly once.
         assert_eq!(rep_rgf.retried, 2 * rep_si.retried);
         assert!(rep_si.retried >= 1);
-    }
-
-    #[test]
-    fn scheduled_sweep_is_bit_identical_to_static() {
-        let tr = flat_device();
-        let v = vec![0.0; tr.device.num_atoms()];
-        let bias = Bias {
-            v_gate: 0.0,
-            v_ds: 0.2,
-            mu_source: -2.9,
-        };
-        let stat = ballistic_solve(&tr, &v, &bias, Engine::WfThomas, 25, 0.0);
-        let mut model = CostModel::band_edge(25, 2.0);
-        // Two sweeps on the same model: the second runs in measured-EWMA
-        // order instead of seed order and must still match bitwise.
-        for pass in 0..2 {
-            let sched =
-                ballistic_solve_scheduled(&tr, &v, &bias, Engine::WfThomas, 25, 0.0, &mut model);
-            assert_eq!(
-                sched.current_ua.to_bits(),
-                stat.current_ua.to_bits(),
-                "pass {pass}: current must be bit-identical"
-            );
-            assert_eq!(sched.energies, stat.energies);
-            for (a, b) in sched.transmission.iter().zip(&stat.transmission) {
-                assert_eq!(a.to_bits(), b.to_bits(), "pass {pass}");
-            }
-            for (a, b) in sched.electron_density.iter().zip(&stat.electron_density) {
-                assert_eq!(a.to_bits(), b.to_bits(), "pass {pass}");
-            }
-            assert_eq!(sched.report, stat.report);
-        }
-        assert_eq!(model.observations(), 50, "every point observed each pass");
-    }
-
-    #[test]
-    fn scheduled_k_average_matches_static_bitwise() {
-        let mut spec =
-            TransistorSpec::si_nanowire_nmos(Material::SingleBand { t_mev: 1000 }, 1.0, 6);
-        spec.geometry = crate::spec::Geometry::Utb { cells: 1, h: 1.0 };
-        spec.doping_sd = 0.0;
-        let tr = spec.build();
-        let v = vec![0.0; tr.device.num_atoms()];
-        let bias = Bias {
-            v_gate: 0.0,
-            v_ds: 0.2,
-            mu_source: -3.2,
-        };
-        let stat = ballistic_solve_k(&tr, &v, &bias, Engine::WfThomas, 21, 2);
-        let mut models = Vec::new();
-        let sched =
-            ballistic_solve_k_scheduled(&tr, &v, &bias, Engine::WfThomas, 21, 2, &mut models);
-        assert_eq!(models.len(), 2, "one cost model per k-point");
-        assert_eq!(sched.current_ua.to_bits(), stat.current_ua.to_bits());
-        for (a, b) in sched.electron_density.iter().zip(&stat.electron_density) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-        assert!(models.iter().all(|m| m.observations() == 21));
     }
 
     #[test]

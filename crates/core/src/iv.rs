@@ -1,11 +1,10 @@
 //! Voltage sweeps and figure-of-merit extraction.
 
-use crate::ballistic::Engine;
+use crate::ballistic::{ballistic_solve, Engine};
 use crate::log::SweepSeq;
-use crate::scf::{self_consistent_banked, ScfOptions};
+use crate::scf::{self_consistent, ScfOptions};
 use crate::spec::{Bias, NanoTransistor};
 use omen_num::SweepReport;
-use omen_sched::{CostModel, ModelBank};
 
 /// One point of an I–V characteristic.
 #[derive(Debug, Clone, Copy)]
@@ -64,12 +63,45 @@ fn point_line(kind: &str, prog: &PointProgress<'_>) -> String {
     )
 }
 
+/// The SCF bias loop behind the gate and drain sweeps: solves `biases` in
+/// order, warm-starting each point from the previous one's potential, and
+/// logs every point before handing it to the observer.
+fn scf_sweep(
+    kind: &str,
+    tr: &mut NanoTransistor,
+    biases: &[Bias],
+    opts: &ScfOptions,
+    observer: &mut dyn FnMut(PointProgress<'_>),
+) -> Vec<IvPoint> {
+    let mut out = Vec::with_capacity(biases.len());
+    let mut warm: Option<Vec<f64>> = None;
+    let mut seq = SweepSeq::new();
+    for (index, bias) in biases.iter().enumerate() {
+        let r = self_consistent(tr, bias, opts, warm.as_deref());
+        let point = IvPoint {
+            v_gate: bias.v_gate,
+            v_ds: bias.v_ds,
+            current_ua: r.transport.current_ua,
+            scf_iterations: r.iterations,
+            converged: r.converged,
+        };
+        let prog = PointProgress {
+            seq: seq.draw(),
+            index,
+            total: biases.len(),
+            point: &point,
+            report: &r.transport.report,
+        };
+        crate::log::emit(&point_line(kind, &prog));
+        observer(prog);
+        out.push(point);
+        warm = Some(r.v_grid);
+    }
+    out
+}
+
 /// Sweeps the gate at fixed `v_ds`, warm-starting each point from the
-/// previous one (the standard way a full Id–Vg is produced). Under
-/// [`crate::parallel::Schedule::Dynamic`] the scheduler's cost models are
-/// warm-started across bias points the same way: one [`ModelBank`] spans
-/// the sweep, so from the second gate step onward every SCF call opens
-/// with an LPT schedule over measured costs instead of band-edge seeds.
+/// previous one (the standard way a full Id–Vg is produced).
 pub fn gate_sweep(
     tr: &mut NanoTransistor,
     v_gates: &[f64],
@@ -92,37 +124,15 @@ pub fn gate_sweep_observed(
     opts: &ScfOptions,
     observer: &mut dyn FnMut(PointProgress<'_>),
 ) -> Vec<IvPoint> {
-    let mut out = Vec::with_capacity(v_gates.len());
-    let mut warm: Option<Vec<f64>> = None;
-    let mut bank = ModelBank::new();
-    let mut seq = SweepSeq::new();
-    for (index, &vg) in v_gates.iter().enumerate() {
-        let bias = Bias {
-            v_gate: vg,
+    let biases: Vec<Bias> = v_gates
+        .iter()
+        .map(|&v_gate| Bias {
+            v_gate,
             v_ds,
             mu_source,
-        };
-        let r = self_consistent_banked(tr, &bias, opts, warm.as_deref(), &mut bank, index);
-        let point = IvPoint {
-            v_gate: vg,
-            v_ds,
-            current_ua: r.transport.current_ua,
-            scf_iterations: r.iterations,
-            converged: r.converged,
-        };
-        let prog = PointProgress {
-            seq: seq.draw(),
-            index,
-            total: v_gates.len(),
-            point: &point,
-            report: &r.transport.report,
-        };
-        crate::log::emit(&point_line("gate", &prog));
-        observer(prog);
-        out.push(point);
-        warm = Some(r.v_grid);
-    }
-    out
+        })
+        .collect();
+    scf_sweep("gate", tr, &biases, opts, observer)
 }
 
 /// Sweeps the drain at fixed `v_gate` (output characteristic).
@@ -133,38 +143,15 @@ pub fn drain_sweep(
     mu_source: f64,
     opts: &ScfOptions,
 ) -> Vec<IvPoint> {
-    let mut out = Vec::with_capacity(v_dss.len());
-    let mut warm: Option<Vec<f64>> = None;
-    let mut bank = ModelBank::new();
-    let mut seq = SweepSeq::new();
-    for (index, &vds) in v_dss.iter().enumerate() {
-        let bias = Bias {
+    let biases: Vec<Bias> = v_dss
+        .iter()
+        .map(|&v_ds| Bias {
             v_gate,
-            v_ds: vds,
+            v_ds,
             mu_source,
-        };
-        let r = self_consistent_banked(tr, &bias, opts, warm.as_deref(), &mut bank, index);
-        let point = IvPoint {
-            v_gate,
-            v_ds: vds,
-            current_ua: r.transport.current_ua,
-            scf_iterations: r.iterations,
-            converged: r.converged,
-        };
-        crate::log::emit(&point_line(
-            "drain",
-            &PointProgress {
-                seq: seq.draw(),
-                index,
-                total: v_dss.len(),
-                point: &point,
-                report: &r.transport.report,
-            },
-        ));
-        out.push(point);
-        warm = Some(r.v_grid);
-    }
-    out
+        })
+        .collect();
+    scf_sweep("drain", tr, &biases, opts, &mut |_| {})
 }
 
 /// Minimum subthreshold swing (mV/dec) over a transfer curve: the smallest
@@ -204,6 +191,24 @@ pub fn on_off_ratio(points: &[IvPoint]) -> Option<f64> {
     Some(hi / lo)
 }
 
+/// The frozen-field potential: the gate value on the channel atoms, zero on
+/// the source/drain extensions.
+fn frozen_potential(tr: &NanoTransistor, v_gate: f64) -> Vec<f64> {
+    let lg_lo = tr.spec.source_slabs;
+    let lg_hi = tr.spec.num_slabs - tr.spec.drain_slabs;
+    tr.device
+        .atoms
+        .iter()
+        .map(|a| {
+            if a.slab >= lg_lo && a.slab < lg_hi {
+                v_gate
+            } else {
+                0.0
+            }
+        })
+        .collect()
+}
+
 /// A cheap non-self-consistent transfer sweep: the gate directly shifts the
 /// channel potential (frozen electrostatics). Used by unit tests and as a
 /// fast preview mode.
@@ -232,38 +237,16 @@ pub fn frozen_field_sweep_observed(
     n_energy: usize,
     observer: &mut dyn FnMut(PointProgress<'_>),
 ) -> Vec<IvPoint> {
-    let lg_lo = tr.spec.source_slabs;
-    let lg_hi = tr.spec.num_slabs - tr.spec.drain_slabs;
     let mut seq = SweepSeq::new();
     let mut out = Vec::with_capacity(v_gates.len());
-    // Frozen sweeps have no SCF loop, but the cost-model bank still warm
-    // starts each bias point's energy order from the previous one (the
-    // model only reorders execution, never what a point returns).
-    let mut bank = ModelBank::new();
-    let n_e = n_energy.max(1);
     for (index, &vg) in v_gates.iter().enumerate() {
-        let v_atoms: Vec<f64> = tr
-            .device
-            .atoms
-            .iter()
-            .map(|a| {
-                if a.slab >= lg_lo && a.slab < lg_hi {
-                    vg
-                } else {
-                    0.0
-                }
-            })
-            .collect();
+        let v_atoms = frozen_potential(tr, vg);
         let bias = Bias {
             v_gate: vg,
             v_ds,
             mu_source,
         };
-        let mut model = bank.checkout(index, 0, n_e, || CostModel::band_edge(n_e, 2.0));
-        let r = crate::ballistic::ballistic_solve_scheduled(
-            tr, &v_atoms, &bias, engine, n_energy, 0.0, &mut model,
-        );
-        bank.commit(index, 0, model);
+        let r = ballistic_solve(tr, &v_atoms, &bias, engine, n_energy, 0.0);
         let point = IvPoint {
             v_gate: vg,
             v_ds,
@@ -349,6 +332,97 @@ mod tests {
         // failed point would show in the ledger, not as a missing seq.
         assert!(attempted >= vgs.len() * 21);
         assert_eq!(failed, 0);
+    }
+
+    #[test]
+    fn frozen_sweep_points_are_the_ballistic_solves() {
+        let mut spec =
+            TransistorSpec::si_nanowire_nmos(Material::SingleBand { t_mev: 1000 }, 1.0, 8);
+        spec.doping_sd = 0.0;
+        let tr = spec.build();
+        let vgs = linspace(-0.1, 0.1, 3);
+        let mut reports = Vec::new();
+        let pts =
+            frozen_field_sweep_observed(&tr, &vgs, 0.15, -3.45, Engine::Rgf, 21, &mut |prog| {
+                reports.push(prog.report.clone())
+            });
+        for ((p, report), &vg) in pts.iter().zip(&reports).zip(&vgs) {
+            let bias = Bias {
+                v_gate: vg,
+                v_ds: 0.15,
+                mu_source: -3.45,
+            };
+            let want =
+                ballistic_solve(&tr, &frozen_potential(&tr, vg), &bias, Engine::Rgf, 21, 0.0);
+            assert_eq!(p.current_ua.to_bits(), want.current_ua.to_bits());
+            assert_eq!(report, &want.report);
+        }
+
+        // The report a point carries is `solve_sweep`'s, untouched. A
+        // transistor's Hermitian H + iη is never exactly singular, so the
+        // failed-entry order is pinned one level down, on a chain with two
+        // provably singular grid energies: sites 2 and 4 are cut off from
+        // both neighbours with levels ∓0.25.
+        let (h, h00, h01) =
+            crate::ballistic::severed_chain(7, &[(2, -0.25), (4, 0.25)], &[1, 2, 3, 4]);
+        let energies = linspace(-0.5, 0.5, 5);
+        let (kept, _, report) = crate::ballistic::solve_sweep(
+            &energies,
+            &h,
+            (&h00, &h01),
+            (&h00, &h01),
+            Engine::WfThomas,
+        );
+        assert_eq!(kept, vec![-0.5, 0.0, 0.5]);
+        let failed: Vec<f64> = report.failed.iter().map(|f| f.energy).collect();
+        assert_eq!(failed, vec![-0.25, 0.25], "failures in grid order");
+    }
+
+    #[test]
+    fn drain_sweep_on_the_flat_wire() {
+        let mut spec =
+            TransistorSpec::si_nanowire_nmos(Material::SingleBand { t_mev: 1000 }, 1.0, 6);
+        spec.doping_sd = 0.0;
+        let opts = ScfOptions {
+            n_energy: 15,
+            tol_v: 5e-3,
+            ..ScfOptions::default()
+        };
+        let v_dss = [0.0, 0.1, 0.2];
+        let pts = drain_sweep(&mut spec.clone().build(), 0.0, &v_dss, -3.2, &opts);
+        assert_eq!(pts.len(), v_dss.len());
+        assert!(pts.iter().all(|p| p.converged), "{pts:?}");
+        assert!(pts[0].current_ua.abs() < 1e-10, "I(V_DS = 0) = {pts:?}");
+        assert!(
+            pts.windows(2).all(|w| w[1].current_ua >= w[0].current_ua),
+            "current must not fall with V_DS: {pts:?}"
+        );
+
+        // The drain sweep is the gate sweep's loop on other biases: the
+        // same points (checked on a prefix, which warm-starts identically)
+        // and log lines numbered `seq=0/N`, `seq=1/N`, … without a gap.
+        let biases: Vec<Bias> = v_dss[..2]
+            .iter()
+            .map(|&v_ds| Bias {
+                v_gate: 0.0,
+                v_ds,
+                mu_source: -3.2,
+            })
+            .collect();
+        let mut lines = Vec::new();
+        let again = scf_sweep("drain", &mut spec.build(), &biases, &opts, &mut |prog| {
+            lines.push(point_line("drain", &prog))
+        });
+        assert_eq!(lines.len(), 2);
+        for (i, line) in lines.iter().enumerate() {
+            assert!(
+                line.starts_with(&format!("iv drain point seq={i}/2 ")),
+                "{line}"
+            );
+        }
+        for (a, b) in pts.iter().zip(&again) {
+            assert_eq!(a.current_ua.to_bits(), b.current_ua.to_bits());
+        }
     }
 
     #[test]

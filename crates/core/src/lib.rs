@@ -10,17 +10,23 @@
 //!   into geometry + Hamiltonian + doping + Poisson problem;
 //! * [`energy`] — transport energy windows from lead subband edges and the
 //!   contact Fermi levels;
-//! * [`ballistic`] — the per-bias transport solve: energy sweep with either
-//!   engine (RGF or wave-function), Landauer current, quantum electron and
-//!   hole densities;
+//! * [`ballistic`] — the per-bias transport solve, one body per level:
+//!   `solve_sweep` (energy loop with per-point fault isolation, any
+//!   [`Engine`]) → `ballistic_solve` (one k) → `ballistic_solve_k`
+//!   (momentum average), plus the adaptive-grid variant; Landauer current,
+//!   quantum electron and hole densities;
 //! * [`scf`] — the Schrödinger–Poisson loop with the exponential charge
 //!   predictor (Gummel-accelerated);
-//! * [`iv`] — gate/drain voltage sweeps and figure-of-merit extraction
-//!   (subthreshold swing, on/off currents);
+//! * [`iv`] — gate/drain voltage sweeps (one SCF bias loop) and the
+//!   frozen-field preview sweep, with per-point observers, and
+//!   figure-of-merit extraction (subthreshold swing, on/off currents);
 //! * [`log`] — the env-gated (`OMEN_LOG`) driver progress sink, reporting
 //!   per-bias-point convergence and energy-sweep fault-recovery counts;
 //! * [`parallel`] — hierarchical rank decomposition over `omen-parsim`,
-//!   mirroring the paper's communicator layout.
+//!   mirroring the paper's communicator layout. Work scheduling
+//!   ([`Schedule`], `omen-sched` cost models) exists only here, where there
+//!   are ranks to balance; the serial drivers above visit energies in grid
+//!   order.
 
 pub mod ballistic;
 pub mod energy;
@@ -31,13 +37,13 @@ pub mod scf;
 pub mod spec;
 
 pub use ballistic::{
-    ballistic_solve, ballistic_solve_adaptive, ballistic_solve_k, ballistic_solve_k_scheduled,
-    ballistic_solve_scheduled, momentum_grid, BallisticResult, Engine,
+    ballistic_solve, ballistic_solve_adaptive, ballistic_solve_k, momentum_grid, BallisticResult,
+    Engine,
 };
 pub use iv::{
     drain_sweep, frozen_field_sweep, gate_sweep, on_off_ratio, subthreshold_swing, IvPoint,
 };
-pub use omen_sched::{CostModel, SchedOptions, SchedStats};
+pub use omen_sched::{SchedOptions, SchedStats};
 pub use parallel::Schedule;
 pub use scf::{self_consistent, ScfOptions, ScfResult};
 pub use spec::{Bias, Geometry, NanoTransistor, TransistorSpec};

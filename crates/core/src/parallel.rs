@@ -13,7 +13,9 @@ use crate::spec::NanoTransistor;
 use omen_linalg::ZMat;
 use omen_num::{FailedPoint, OmenError, OmenResult, SweepReport};
 use omen_parsim::{Comm, RankCtx};
-use omen_sched::{dynamic_sweep, proto, CostModel, ModelBank, SchedOptions, SchedStats};
+use omen_sched::{
+    dynamic_sweep, proto, CostModel, ModelBank, SchedOptions, SchedStats, SweepOutcome,
+};
 use omen_sparse::BlockTridiag;
 
 /// Rank counts per parallel level; the product must equal the world size.
@@ -143,8 +145,8 @@ fn exchange_failures(
     comm: &Comm<'_>,
     contribute: bool,
     local: &[FailedPoint],
-    origin: usize,
 ) -> OmenResult<Vec<FailedPoint>> {
+    let origin = comm.global_rank(comm.rank());
     let payload = if contribute {
         proto::encode_failures(local, origin)
     } else {
@@ -162,6 +164,75 @@ fn exchange_failures(
         None => Vec::new(),
     };
     proto::decode_failures(&comm.bcast(0, merged_blob)?)
+}
+
+/// Reduces one level's partial sweep over `comm` so every member returns
+/// the identical result. One allreduce carries the transmission and the
+/// integer counters; only `contribute` members add their values (the rest
+/// add exact zeros), so each point is counted exactly once and the sum is
+/// exact — with a single contributor per point the reduced vector is
+/// bit-identical to the serial sweep. The failure ledgers follow through
+/// [`exchange_failures`].
+fn reduce_level(
+    comm: &Comm<'_>,
+    contribute: bool,
+    partial: Vec<f64>,
+    local: &SweepReport,
+    sched: Option<SchedStats>,
+) -> OmenResult<TransmissionSweep> {
+    let n = partial.len();
+    let mut v = if contribute { partial } else { vec![0.0; n] };
+    for c in [local.solved, local.retried, local.recovered] {
+        v.push(if contribute { c as f64 } else { 0.0 });
+    }
+    let red = comm.allreduce_sum(&v)?;
+    let failed = exchange_failures(comm, contribute, &local.failed)?;
+    let mut report = SweepReport {
+        solved: red[n].round() as usize,
+        retried: red[n + 1].round() as usize,
+        recovered: red[n + 2].round() as usize,
+        failed: Vec::new(),
+    };
+    for f in failed {
+        report.record_failed(f.energy, f.error);
+    }
+    Ok(TransmissionSweep {
+        transmission: red[..n].to_vec(),
+        report,
+        sched,
+    })
+}
+
+/// Rebuilds the static-schedule view of the contiguous unit range `units`
+/// from a dynamic outcome. Payloads are `[T, solver retries]`, so the
+/// report counts solver retries like the static leg (the scheduler's own
+/// report counts *re-issues*); an unresolved unit takes its typed ledger
+/// entry, which the scheduler records in ascending unit order.
+fn sweep_from_outcome(outcome: &SweepOutcome, units: std::ops::Range<usize>) -> TransmissionSweep {
+    let mut next_fail = outcome.values[..units.start]
+        .iter()
+        .filter(|slot| slot.is_none())
+        .count();
+    let mut transmission = vec![0.0; units.len()];
+    let mut report = SweepReport::default();
+    for (t, slot) in transmission.iter_mut().zip(&outcome.values[units]) {
+        match slot {
+            Some(p) => {
+                *t = p[0];
+                report.record_solved(p[1] as usize);
+            }
+            None => {
+                let f = &outcome.report.failed[next_fail];
+                report.record_failed(f.energy, f.error.clone());
+                next_fail += 1;
+            }
+        }
+    }
+    TransmissionSweep {
+        transmission,
+        report,
+        sched: None,
+    }
 }
 
 /// Distributed transmission sweep over one bias point: the energy groups of
@@ -197,20 +268,17 @@ pub fn parallel_transmission(
     energies: &[f64],
     schedule: Schedule,
 ) -> OmenResult<TransmissionSweep> {
-    match schedule {
-        Schedule::Dynamic(opts) if cfg.spatial == 1 => {
-            dynamic_transmission(comms, h, lead_l, lead_r, energies, &opts)
+    if let Schedule::Dynamic(opts) = schedule {
+        if cfg.spatial == 1 {
+            return dynamic_transmission(comms, h, lead_l, lead_r, energies, &opts);
         }
-        Schedule::Dynamic(_) => {
-            crate::log::emit(&format!(
-                "sched: dynamic schedule requires spatial == 1 (got {}), \
-                 falling back to static",
-                cfg.spatial
-            ));
-            static_transmission(comms, cfg, h, lead_l, lead_r, energies)
-        }
-        Schedule::Static => static_transmission(comms, cfg, h, lead_l, lead_r, energies),
+        crate::log::emit(&format!(
+            "sched: dynamic schedule requires spatial == 1 (got {}), \
+             falling back to static",
+            cfg.spatial
+        ));
     }
+    static_transmission(comms, cfg, h, lead_l, lead_r, energies)
 }
 
 fn static_transmission(
@@ -241,39 +309,24 @@ fn static_transmission(
             Err(e) => local.record_failed(energies[ie], e),
         }
     }
-    // One reduction carries the transmission and the integer counters.
-    // Only the spatial root of each energy group contributes its values
-    // (the other spatial ranks add exact zeros), so the sum is exact —
-    // no 1/spatial scaling error — and with `energy == 1` the reduced
-    // vector is bit-identical to the serial sweep.
+    // Only the spatial root of each energy group contributes, so there is
+    // no 1/spatial scaling error.
     let sroot = comms.spatial_group.rank() == 0;
-    let mut v = if sroot { partial } else { vec![0.0; n] };
-    for c in [local.solved, local.retried, local.recovered] {
-        v.push(if sroot { c as f64 } else { 0.0 });
-    }
-    let red = comms.momentum_group.allreduce_sum(&v)?;
-    let failed = exchange_failures(
-        &comms.momentum_group,
-        sroot,
-        &local.failed,
-        comms
-            .momentum_group
-            .global_rank(comms.momentum_group.rank()),
-    )?;
-    let mut report = SweepReport {
-        solved: red[n].round() as usize,
-        retried: red[n + 1].round() as usize,
-        recovered: red[n + 2].round() as usize,
-        failed: Vec::new(),
-    };
-    for f in failed {
-        report.record_failed(f.energy, f.error);
-    }
-    Ok(TransmissionSweep {
-        transmission: red[..n].to_vec(),
-        report,
-        sched: None,
-    })
+    reduce_level(&comms.momentum_group, sroot, partial, &local, None)
+}
+
+/// One scheduler unit: the SplitSolve point the static leg runs, as the
+/// `[T, solver retries]` payload [`sweep_from_outcome`] reads back.
+fn solve_unit(
+    comms: &LevelComms<'_>,
+    e: f64,
+    h: &BlockTridiag,
+    lead_l: (&ZMat, &ZMat),
+    lead_r: (&ZMat, &ZMat),
+) -> OmenResult<Vec<f64>> {
+    let d =
+        omen_wf::transport::wf_transport_splitsolve(&comms.spatial_group, e, h, lead_l, lead_r)?;
+    Ok(vec![d.transmission, d.retries as f64])
 }
 
 fn dynamic_transmission(
@@ -287,30 +340,8 @@ fn dynamic_transmission(
     let comm = &comms.momentum_group;
     let mut model = CostModel::band_edge(energies.len().max(1), 2.0);
     let outcome = dynamic_sweep(comm, energies, &mut model, opts, |id| {
-        let d = omen_wf::transport::wf_transport_splitsolve(
-            &comms.spatial_group,
-            energies[id],
-            h,
-            lead_l,
-            lead_r,
-        )?;
-        Ok(vec![d.transmission, d.retries as f64])
+        solve_unit(comms, energies[id], h, lead_l, lead_r)
     })?;
-    let n = energies.len();
-    let mut transmission = vec![0.0; n];
-    let mut report = SweepReport::default();
-    for (id, slot) in outcome.values.iter().enumerate() {
-        if let Some(p) = slot {
-            transmission[id] = p[0];
-            // Rebuild solver-retry accounting from the payload so the
-            // report matches the static schedule's (the scheduler's own
-            // report counts *re-issues*, not solver retries).
-            report.record_solved(p[1] as usize);
-        }
-    }
-    for f in &outcome.report.failed {
-        report.record_failed(f.energy, f.error.clone());
-    }
     if comm.rank() == 0 {
         crate::log::emit(&format!(
             "sched dynamic sweep: {} units in {} chunks, reissued {}+{} \
@@ -323,11 +354,9 @@ fn dynamic_transmission(
             outcome.stats.imbalance(),
         ));
     }
-    Ok(TransmissionSweep {
-        transmission,
-        report,
-        sched: Some(outcome.stats),
-    })
+    let mut sweep = sweep_from_outcome(&outcome, 0..energies.len());
+    sweep.sched = Some(outcome.stats);
+    Ok(sweep)
 }
 
 /// One unified dynamic dataflow across every momentum group of a bias
@@ -374,56 +403,17 @@ fn whole_curve_dynamic(
             cached = Some((ik, system_of(kys[ik].0)));
         }
         let (_, (h, h00, h01)) = cached.as_ref().expect("cached above");
-        let d = omen_wf::transport::wf_transport_splitsolve(
-            &comms.spatial_group,
-            energies[id % n_e],
-            h,
-            (h00, h01),
-            (h00, h01),
-        )?;
-        Ok(vec![d.transmission, d.retries as f64])
+        solve_unit(comms, energies[id % n_e], h, (h00, h01), (h00, h01))
     })?;
     for (ik, part) in model.split(n_e).into_iter().enumerate() {
         bank.commit(bias_step, ik, part);
     }
-    // Map each unresolved unit to its typed ledger entry (the scheduler
-    // records failures in ascending unit order).
-    let mut fail_idx = vec![usize::MAX; nk * n_e];
-    let mut next_fail = 0usize;
-    for (id, slot) in outcome.values.iter().enumerate() {
-        if slot.is_none() {
-            fail_idx[id] = next_fail;
-            next_fail += 1;
-        }
-    }
     // Rebuild the per-k sweeps my momentum group owns, exactly as the
     // static leg's momentum-level reduction would have produced them.
-    let mut sweeps = Vec::with_capacity(mine.len());
-    for &ik in mine {
-        let mut transmission = vec![0.0; n_e];
-        let mut report = SweepReport::default();
-        for (ie, t) in transmission.iter_mut().enumerate() {
-            let id = ik * n_e + ie;
-            match &outcome.values[id] {
-                Some(p) => {
-                    *t = p[0];
-                    // Payload carries solver retries so the report matches
-                    // the static schedule's (the scheduler's own report
-                    // counts *re-issues*, not solver retries).
-                    report.record_solved(p[1] as usize);
-                }
-                None => {
-                    let f = &outcome.report.failed[fail_idx[id]];
-                    report.record_failed(f.energy, f.error.clone());
-                }
-            }
-        }
-        sweeps.push(TransmissionSweep {
-            transmission,
-            report,
-            sched: None,
-        });
-    }
+    let sweeps = mine
+        .iter()
+        .map(|&ik| sweep_from_outcome(&outcome, ik * n_e..(ik + 1) * n_e))
+        .collect();
     if comms.bias_group.rank() == 0 {
         crate::log::emit(&format!(
             "sched iv sweep: {} k × {} E units in {} chunks, coordinator solved {}, \
@@ -456,35 +446,19 @@ fn whole_curve_dynamic(
 /// reduction; partially failed k-points keep their per-energy entries.
 /// Neither case fails the bias group.
 ///
+/// **Cost-model persistence**: the dynamic dataflow checks its per-(bias,
+/// k) cost models out of `bank` before the sweep and commits the measured
+/// ledgers back afterwards. Pass the same bank across SCF outer iterations
+/// and bias points (`bias_step` is the bank's bias key, e.g. the I–V point
+/// index) so from the second step onward every sweep is LPT-scheduled over
+/// *measured* costs instead of band-edge seeds; a one-off sweep passes a
+/// fresh bank. The bank never changes values — only execution order.
+///
 /// # Errors
 ///
 /// Returns communicator faults from the collectives or the scheduler
 /// protocol; per-point and per-k solver failures are isolated into the
 /// report instead.
-pub fn parallel_transmission_k(
-    comms: &LevelComms<'_>,
-    cfg: &LevelConfig,
-    system_of: impl Fn(f64) -> (BlockTridiag, ZMat, ZMat),
-    kys: &[(f64, f64)],
-    energies: &[f64],
-    schedule: Schedule,
-) -> OmenResult<TransmissionSweep> {
-    let mut bank = ModelBank::new();
-    parallel_transmission_k_banked(comms, cfg, system_of, kys, energies, schedule, &mut bank, 0)
-}
-
-/// [`parallel_transmission_k`] with a sweep-lifetime [`ModelBank`]: the
-/// dynamic dataflow checks its per-(bias, k) cost models out of `bank`
-/// before the sweep and commits the measured ledgers back afterwards. Pass
-/// the same bank across SCF outer iterations and bias points (`bias_step`
-/// is the bank's bias key, e.g. the I–V point index) so from the second
-/// step onward every sweep is LPT-scheduled over *measured* costs instead
-/// of band-edge seeds. The bank never changes values — only execution
-/// order — so results stay bit-identical to [`Schedule::Static`].
-///
-/// # Errors
-///
-/// Same contract as [`parallel_transmission_k`].
 #[allow(clippy::too_many_arguments)]
 pub fn parallel_transmission_k_banked(
     comms: &LevelComms<'_>,
@@ -551,31 +525,7 @@ pub fn parallel_transmission_k_banked(
     // contributes its group's weighted sum (everyone else adds exact
     // zeros), so each k-point is counted exactly once.
     let mroot = comms.momentum_group.rank() == 0;
-    let mut v = if mroot { t_acc } else { vec![0.0; n] };
-    for c in [local.solved, local.retried, local.recovered] {
-        v.push(if mroot { c as f64 } else { 0.0 });
-    }
-    let red = comms.bias_group.allreduce_sum(&v)?;
-    let failed = exchange_failures(
-        &comms.bias_group,
-        mroot,
-        &local.failed,
-        comms.bias_group.global_rank(comms.bias_group.rank()),
-    )?;
-    let mut report = SweepReport {
-        solved: red[n].round() as usize,
-        retried: red[n + 1].round() as usize,
-        recovered: red[n + 2].round() as usize,
-        failed: Vec::new(),
-    };
-    for f in failed {
-        report.record_failed(f.energy, f.error);
-    }
-    Ok(TransmissionSweep {
-        transmission: red[..n].to_vec(),
-        report,
-        sched,
-    })
+    reduce_level(&comms.bias_group, mroot, t_acc, &local, sched)
 }
 
 /// Sequential reference used by the equivalence tests and benches.
@@ -805,40 +755,15 @@ mod tests {
         }
     }
 
-    /// A 1×1-block chain whose middle site is decoupled from *both*
-    /// neighbors and absorbs the iη broadening: its whole matrix row is
-    /// exactly zero at E = 0, so every direct solver — any elimination
-    /// order — hits a provably singular pivot at that one energy.
+    /// Middle site cut off from *both* neighbors: every direct solver —
+    /// any elimination order — hits a provably singular pivot at E = 0.
     fn singular_at_zero_system() -> (BlockTridiag, ZMat, ZMat) {
-        use omen_negf::transport::DEFAULT_ETA;
-        use omen_num::c64;
-        let n = 5;
-        let z = || ZMat::zeros(1, 1);
-        let t = || ZMat::from_vec(1, 1, vec![c64::real(-1.0)]);
-        let mut diag = vec![z(); n];
-        diag[2] = ZMat::from_vec(1, 1, vec![c64::new(0.0, DEFAULT_ETA)]);
-        let mut lower: Vec<ZMat> = (0..n - 1).map(|_| t()).collect();
-        let mut upper: Vec<ZMat> = (0..n - 1).map(|_| t()).collect();
-        for i in [1, 2] {
-            lower[i] = z();
-            upper[i] = z();
-        }
-        (BlockTridiag::new(diag, lower, upper), z(), t())
+        crate::ballistic::severed_chain(5, &[(2, 0.0)], &[1, 2])
     }
 
     /// A uniform healthy 1×1-block chain: every energy solves.
     fn healthy_chain() -> (BlockTridiag, ZMat, ZMat) {
-        use omen_num::c64;
-        let n = 5;
-        let t = || ZMat::from_vec(1, 1, vec![c64::real(-1.0)]);
-        let diag = vec![ZMat::zeros(1, 1); n];
-        let lower: Vec<ZMat> = (0..n - 1).map(|_| t()).collect();
-        let upper: Vec<ZMat> = (0..n - 1).map(|_| t()).collect();
-        (
-            BlockTridiag::new(diag, lower, upper),
-            ZMat::zeros(1, 1),
-            t(),
-        )
+        crate::ballistic::severed_chain(5, &[], &[])
     }
 
     #[test]
@@ -911,7 +836,7 @@ mod tests {
         for schedule in [Schedule::Static, Schedule::Dynamic(SchedOptions::default())] {
             let out = run_ranks(2, |ctx| {
                 let comms = split_levels(ctx, &cfg)?;
-                parallel_transmission_k(
+                parallel_transmission_k_banked(
                     &comms,
                     &cfg,
                     |ky| {
@@ -924,6 +849,8 @@ mod tests {
                     &kys,
                     &energies,
                     schedule,
+                    &mut ModelBank::new(),
+                    0,
                 )
             })
             .flattened();
@@ -981,7 +908,16 @@ mod tests {
             let run = |schedule: Schedule| {
                 run_ranks(ranks, |ctx| {
                     let comms = split_levels(ctx, &cfg)?;
-                    parallel_transmission_k(&comms, &cfg, system, &kys, &energies, schedule)
+                    parallel_transmission_k_banked(
+                        &comms,
+                        &cfg,
+                        system,
+                        &kys,
+                        &energies,
+                        schedule,
+                        &mut ModelBank::new(),
+                        0,
+                    )
                 })
                 .flattened()
                 .unwrap_all()

@@ -9,10 +9,8 @@
 //! same device-simulation trick the original code relies on to converge
 //! I–V points in a handful of outer iterations.
 
-use crate::ballistic::{ballistic_solve_k, ballistic_solve_k_banked, BallisticResult, Engine};
-use crate::parallel::Schedule;
+use crate::ballistic::{ballistic_solve_k, BallisticResult, Engine};
 use crate::spec::{Bias, NanoTransistor};
-use omen_sched::{BankCounts, ModelBank};
 
 /// SCF control parameters.
 #[derive(Debug, Clone, Copy)]
@@ -33,11 +31,6 @@ pub struct ScfOptions {
     pub predictor: bool,
     /// Transverse k-points per transport solve (UTB devices; 1 elsewhere).
     pub n_k: usize,
-    /// Energy-sweep scheduling policy. [`Schedule::Dynamic`] orders each
-    /// sweep by a per-k cost model persisted across outer iterations, so
-    /// the measured costs of iteration *i* front-load iteration *i + 1*;
-    /// observables are bit-identical to [`Schedule::Static`].
-    pub schedule: Schedule,
 }
 
 impl Default for ScfOptions {
@@ -50,7 +43,6 @@ impl Default for ScfOptions {
             mixing: 0.8,
             predictor: true,
             n_k: 1,
-            schedule: Schedule::Static,
         }
     }
 }
@@ -69,11 +61,6 @@ pub struct ScfResult {
     pub residual: f64,
     /// Whether `tol_v` was met.
     pub converged: bool,
-    /// Scheduler cost-model provenance for this SCF call: how many energy
-    /// sweeps resumed their own measured ledger (*hits*), warm-started
-    /// from an earlier bias point (*warmed*), or fell back to band-edge
-    /// seeds (*seeded*). All zero under [`Schedule::Static`].
-    pub sched_counts: BankCounts,
 }
 
 /// Runs the Schrödinger–Poisson loop at one bias point.
@@ -85,27 +72,6 @@ pub fn self_consistent(
     bias: &Bias,
     opts: &ScfOptions,
     v_init: Option<&[f64]>,
-) -> ScfResult {
-    let mut bank = ModelBank::new();
-    self_consistent_banked(tr, bias, opts, v_init, &mut bank, 0)
-}
-
-/// [`self_consistent`] with a sweep-lifetime [`ModelBank`]: under
-/// [`Schedule::Dynamic`] every transport solve checks its per-(bias, k)
-/// cost models out of `bank` and commits the measured ledgers back, so
-/// the bank warm-starts later outer iterations *and* — when the caller
-/// passes the same bank across bias points (with `bias_step` the I–V
-/// point index, exactly like the warm-started potential) — the first
-/// schedule of every subsequent SCF call is LPT over measured costs
-/// instead of band-edge seeds. The bank only reorders execution;
-/// observables are bit-identical to a cold bank.
-pub fn self_consistent_banked(
-    tr: &mut NanoTransistor,
-    bias: &Bias,
-    opts: &ScfOptions,
-    v_init: Option<&[f64]>,
-    bank: &mut ModelBank,
-    bias_step: usize,
 ) -> ScfResult {
     // First log line of a run names the kernel dispatch (once per process),
     // so every convergence trace is attributable to a SIMD path.
@@ -133,23 +99,8 @@ pub fn self_consistent_banked(
         }
     };
 
-    // Per-(bias, k) cost models for the scheduled path live in the bank:
-    // the measured sweep of outer iteration i orders iteration i + 1, and
-    // a caller-shared bank carries the ledgers across bias points too.
-    let solve = |tr: &NanoTransistor, v_atoms: &[f64], bank: &mut ModelBank| match opts.schedule {
-        Schedule::Static => {
-            ballistic_solve_k(tr, v_atoms, bias, opts.engine, opts.n_energy, opts.n_k)
-        }
-        Schedule::Dynamic(_) => ballistic_solve_k_banked(
-            tr,
-            v_atoms,
-            bias,
-            opts.engine,
-            opts.n_energy,
-            opts.n_k,
-            bank,
-            bias_step,
-        ),
+    let solve = |tr: &NanoTransistor, v_atoms: &[f64]| {
+        ballistic_solve_k(tr, v_atoms, bias, opts.engine, opts.n_energy, opts.n_k)
     };
 
     let mut last_transport: Option<BallisticResult> = None;
@@ -158,7 +109,7 @@ pub fn self_consistent_banked(
     for outer in 1..=opts.max_iter {
         iters = outer;
         let v_atoms = tr.poisson.grid.sample(&v_grid, &tr.atom_positions);
-        let result = solve(tr, &v_atoms, bank);
+        let result = solve(tr, &v_atoms);
 
         // Deposit quantum carrier densities (per atom, in e) on the grid.
         let rho_n = tr
@@ -215,21 +166,8 @@ pub fn self_consistent_banked(
     let transport = if residual < opts.tol_v {
         last_transport.expect("at least one transport solve")
     } else {
-        solve(tr, &v_atoms, bank)
+        solve(tr, &v_atoms)
     };
-    let sched_counts = bank.take_counts();
-    if matches!(opts.schedule, Schedule::Dynamic(_)) {
-        crate::log::emit(&format!(
-            "sched scf V_G={:+.3} V_DS={:+.3}: cost models {} hit / {} warmed / {} seeded \
-             (bank holds {})",
-            bias.v_gate,
-            bias.v_ds,
-            sched_counts.hits,
-            sched_counts.warmed,
-            sched_counts.seeded,
-            bank.len(),
-        ));
-    }
     crate::log::emit(&format!(
         "scf V_G={:+.3} V_DS={:+.3}: {} in {iters} iters (residual {residual:.2e}), \
          I={:.4e} µA, energies: {}",
@@ -250,7 +188,6 @@ pub fn self_consistent_banked(
         iterations: iters,
         residual,
         converged: residual < opts.tol_v,
-        sched_counts,
     }
 }
 
@@ -269,100 +206,6 @@ mod tests {
             mixing: 0.8,
             predictor: true,
             n_k: 1,
-            schedule: Schedule::Static,
-        }
-    }
-
-    #[test]
-    fn scf_schedule_does_not_change_the_answer() {
-        let mut spec =
-            TransistorSpec::si_nanowire_nmos(Material::SingleBand { t_mev: 1000 }, 1.0, 8);
-        spec.doping_sd = 2e-3;
-        let bias = Bias {
-            v_gate: 0.1,
-            v_ds: 0.1,
-            mu_source: -3.2,
-        };
-        let stat = self_consistent(&mut spec.clone().build(), &bias, &quick_opts(), None);
-        let opts = ScfOptions {
-            schedule: Schedule::Dynamic(omen_sched::SchedOptions::default()),
-            ..quick_opts()
-        };
-        let dynr = self_consistent(&mut spec.build(), &bias, &opts, None);
-        assert!(stat.converged && dynr.converged);
-        assert_eq!(dynr.iterations, stat.iterations);
-        assert_eq!(
-            dynr.transport.current_ua.to_bits(),
-            stat.transport.current_ua.to_bits(),
-            "scheduled SCF must be bit-identical: {} vs {}",
-            dynr.transport.current_ua,
-            stat.transport.current_ua
-        );
-        for (a, b) in dynr.v_grid.iter().zip(&stat.v_grid) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-    }
-
-    #[test]
-    fn banked_scf_warm_starts_across_bias_points_and_stays_bit_identical() {
-        let mut spec =
-            TransistorSpec::si_nanowire_nmos(Material::SingleBand { t_mev: 1000 }, 1.0, 8);
-        spec.doping_sd = 2e-3;
-        let opts = ScfOptions {
-            schedule: Schedule::Dynamic(omen_sched::SchedOptions::default()),
-            ..quick_opts()
-        };
-        let bias1 = Bias {
-            v_gate: 0.10,
-            v_ds: 0.1,
-            mu_source: -3.2,
-        };
-        let bias2 = Bias {
-            v_gate: 0.12,
-            v_ds: 0.1,
-            mu_source: -3.2,
-        };
-        let mut bank = ModelBank::new();
-        let r1 =
-            self_consistent_banked(&mut spec.clone().build(), &bias1, &opts, None, &mut bank, 0);
-        assert!(r1.converged);
-        assert_eq!(
-            r1.sched_counts.seeded, 1,
-            "first bias point seeds its ledger"
-        );
-        assert_eq!(r1.sched_counts.warmed, 0);
-        assert_eq!(
-            r1.sched_counts.hits,
-            r1.iterations - 1,
-            "every later outer iteration resumes the measured ledger"
-        );
-        let r2 = self_consistent_banked(
-            &mut spec.clone().build(),
-            &bias2,
-            &opts,
-            Some(&r1.v_grid),
-            &mut bank,
-            1,
-        );
-        assert!(r2.converged);
-        assert_eq!(
-            r2.sched_counts.seeded, 0,
-            "from the second bias point onward no sweep starts from seeds"
-        );
-        assert_eq!(
-            r2.sched_counts.warmed, 1,
-            "the first solve warm-starts from the previous bias point"
-        );
-        assert_eq!(r2.sched_counts.hits, r2.iterations - 1);
-        // The bank only reorders execution: a cold-bank dynamic run at the
-        // same point must agree bit for bit.
-        let cold = self_consistent(&mut spec.build(), &bias2, &opts, Some(&r1.v_grid));
-        assert_eq!(
-            r2.transport.current_ua.to_bits(),
-            cold.transport.current_ua.to_bits()
-        );
-        for (a, b) in r2.v_grid.iter().zip(&cold.v_grid) {
-            assert_eq!(a.to_bits(), b.to_bits());
         }
     }
 

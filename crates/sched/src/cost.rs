@@ -254,9 +254,9 @@ fn measured_pairs(seed: &[f64], ewma: &[f64]) -> (f64, f64) {
     (secs, sd)
 }
 
-/// Counters of how [`ModelBank::checkout`] satisfied its requests since the
-/// last [`ModelBank::take_counts`]: the observable witness that cost models
-/// persist across SCF calls and warm-start across bias points.
+/// Counters of how [`ModelBank::checkout`] satisfied its requests over the
+/// bank's lifetime: the observable witness that cost models persist across
+/// SCF calls and warm-start across bias points.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BankCounts {
     /// Checkouts served by the exact (bias, k) model from an earlier call.
@@ -283,7 +283,6 @@ pub struct BankCounts {
 #[derive(Debug, Default)]
 pub struct ModelBank {
     models: BTreeMap<(usize, usize), CostModel>,
-    counts: BankCounts,
     lifetime: BankCounts,
 }
 
@@ -317,7 +316,6 @@ impl ModelBank {
     ) -> CostModel {
         if let Some(m) = self.models.get(&(bias, k)) {
             if m.len() == n {
-                self.counts.hits += 1;
                 self.lifetime.hits += 1;
                 return m.clone();
             }
@@ -325,7 +323,6 @@ impl ModelBank {
         for b in (0..bias).rev() {
             if let Some(m) = self.models.get(&(b, k)) {
                 if m.len() == n {
-                    self.counts.warmed += 1;
                     self.lifetime.warmed += 1;
                     return m.clone();
                 }
@@ -334,7 +331,6 @@ impl ModelBank {
                 break;
             }
         }
-        self.counts.seeded += 1;
         self.lifetime.seeded += 1;
         let m = seed();
         assert!(m.len() == n, "seeded cost model must cover {n} units");
@@ -344,13 +340,6 @@ impl ModelBank {
     /// Stores the (measured) model back under `(bias, k)`.
     pub fn commit(&mut self, bias: usize, k: usize, model: CostModel) {
         self.models.insert((bias, k), model);
-    }
-
-    /// Drains the per-call counters (for one OMEN_LOG `sched` line per SCF
-    /// call) and returns them; [`ModelBank::lifetime_counts`] keeps
-    /// accumulating.
-    pub fn take_counts(&mut self) -> BankCounts {
-        std::mem::take(&mut self.counts)
     }
 
     /// Counters over the bank's whole lifetime (never reset).
@@ -473,7 +462,7 @@ mod tests {
         m.observe(3, 0.75).unwrap();
         bank.commit(0, 0, m);
         assert_eq!(
-            bank.take_counts(),
+            bank.lifetime_counts(),
             BankCounts {
                 hits: 0,
                 warmed: 0,
@@ -492,16 +481,6 @@ mod tests {
         // A different k at bias 1 has no earlier model anywhere: seeded.
         let m = bank.checkout(1, 1, 4, || CostModel::band_edge(4, 2.0));
         bank.commit(1, 1, m);
-        assert_eq!(
-            bank.take_counts(),
-            BankCounts {
-                hits: 1,
-                warmed: 1,
-                seeded: 1
-            }
-        );
-        // Per-call counters drained; lifetime keeps the full history.
-        assert_eq!(bank.take_counts(), BankCounts::default());
         assert_eq!(
             bank.lifetime_counts(),
             BankCounts {
@@ -525,7 +504,7 @@ mod tests {
         let m2 = bank.checkout(1, 0, 6, || CostModel::uniform(6));
         assert_eq!(m2.len(), 6);
         assert_eq!(
-            bank.take_counts(),
+            bank.lifetime_counts(),
             BankCounts {
                 hits: 0,
                 warmed: 0,

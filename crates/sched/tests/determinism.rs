@@ -474,15 +474,15 @@ fn warm_cost_models_keep_merged_sweeps_bit_identical() {
         })
         .unwrap();
         bank.commit(0, 0, cold);
-        let cold_counts = bank.take_counts();
+        let cold_counts = bank.lifetime_counts();
         // Next bias point, same k: warm-started from bias 0's ledger.
         let mut warm = bank.checkout(1, 0, N_UNITS, seed);
         let second = dynamic_sweep(&world, &es, &mut warm, &opts, |id| Ok(payload(id))).unwrap();
         bank.commit(1, 0, warm);
-        (first, second, cold_counts, bank.take_counts())
+        (first, second, cold_counts, bank.lifetime_counts())
     });
     for r in out.results {
-        let (first, second, cold_counts, warm_counts) = r.unwrap();
+        let (first, second, cold_counts, total_counts) = r.unwrap();
         assert_eq!(
             cold_counts,
             BankCounts {
@@ -492,12 +492,13 @@ fn warm_cost_models_keep_merged_sweeps_bit_identical() {
             }
         );
         assert_eq!(
-            warm_counts,
+            total_counts,
             BankCounts {
                 hits: 0,
                 warmed: 1,
-                seeded: 0
-            }
+                seeded: 1
+            },
+            "the second sweep warmed, it did not seed again"
         );
         assert_eq!(first.report.solved, N_UNITS);
         assert_eq!(second.report.solved, N_UNITS);

@@ -12,7 +12,7 @@
 //! produces a different key.
 
 use crate::hash::Fnv128;
-use omen_core::{Engine, Geometry, TransistorSpec};
+use omen_core::{Engine, Geometry, ScfOptions, TransistorSpec};
 use omen_num::{linspace, OmenError, OmenResult};
 use omen_tb::Material;
 use std::collections::BTreeMap;
@@ -134,7 +134,7 @@ pin        = false              # true -> p-i-n junction (TFET)
 mode       = frozen             # scf | frozen
 engine     = wf                 # wf | rgf | selinv
 n_energy   = 31                 # energy points per transport solve
-n_k        = 1                  # transverse k-points
+n_k        = 1                  # transverse k-points (utb, mode = scf only)
 vds        = 0.2                # drain bias (V)
 mu_source  = -3.4               # source Fermi level (eV)
 vg_start   = -0.4
@@ -152,6 +152,16 @@ vg_points  = 9
     /// unparsable or non-finite numbers, out-of-range sizes, or unknown
     /// material/geometry/engine/mode tokens.
     pub fn parse(text: &str) -> OmenResult<SweepRequest> {
+        SweepRequest::parse_with_default_mode(text, Mode::Frozen)
+    }
+
+    /// [`SweepRequest::parse`] for a front end whose unset `mode` key means
+    /// something other than the wire default (`omen_cli` runs `scf`).
+    ///
+    /// # Errors
+    ///
+    /// Same contract as [`SweepRequest::parse`].
+    pub fn parse_with_default_mode(text: &str, default_mode: Mode) -> OmenResult<SweepRequest> {
         let defaults = parse_pairs(SweepRequest::default_text())?;
         let user = parse_pairs(text)?;
         for k in user.keys() {
@@ -188,10 +198,11 @@ vg_points  = 9
         if !matches!(geometry.as_str(), "nanowire" | "utb" | "ribbon") {
             return Err(bad(format!("unknown geometry `{geometry}`")));
         }
-        let mode = match get("mode") {
-            "frozen" => Mode::Frozen,
-            "scf" => Mode::Scf,
-            m => return Err(bad(format!("unknown mode `{m}`"))),
+        let mode = match user.get("mode").map(String::as_str) {
+            None => default_mode,
+            Some("frozen") => Mode::Frozen,
+            Some("scf") => Mode::Scf,
+            Some(m) => return Err(bad(format!("unknown mode `{m}`"))),
         };
         let engine = get("engine").to_string();
         engine_of(&engine)?;
@@ -243,6 +254,12 @@ vg_points  = 9
         check(
             self.n_k <= 4096,
             "key `n_k`: more than 4096 k-points refused",
+        )?;
+        // The frozen-field driver is Γ-only by construction; dropping the
+        // key would cache identical results under different addresses.
+        check(
+            self.n_k == 1 || self.mode == Mode::Scf,
+            "key `n_k`: mode = frozen solves the Γ point only, use mode = scf for a k-average",
         )?;
         check(
             self.vg_points >= 1,
@@ -322,6 +339,21 @@ vg_points  = 9
     /// (cannot happen for a request that came out of [`SweepRequest::parse`]).
     pub fn engine_kind(&self) -> OmenResult<Engine> {
         engine_of(&self.engine)
+    }
+
+    /// The SCF controls this request selects (`mode = scf` jobs): engine,
+    /// energy and momentum grids from the request, the rest defaults.
+    ///
+    /// # Errors
+    ///
+    /// Same contract as [`SweepRequest::engine_kind`].
+    pub fn scf_options(&self) -> OmenResult<ScfOptions> {
+        Ok(ScfOptions {
+            engine: self.engine_kind()?,
+            n_energy: self.n_energy,
+            n_k: self.n_k,
+            ..ScfOptions::default()
+        })
     }
 
     /// Builds the device spec this request describes.
@@ -457,6 +489,8 @@ mod tests {
             "slabs = 1\n",
             "n_energy = 0\n",
             "n_k = 0\n",
+            "mode = frozen\nn_k = 2\n",
+            "n_k = 2\n",
             "width = -1.0\n",
             "no equals sign",
         ] {
@@ -465,6 +499,16 @@ mod tests {
                 other => panic!("`{text}` should be a Protocol error, got {other:?}"),
             }
         }
+    }
+
+    #[test]
+    fn default_mode_applies_only_when_the_key_is_unset() {
+        let scf = SweepRequest::parse_with_default_mode("n_k = 2\n", Mode::Scf).expect("parses");
+        assert_eq!(scf.mode, Mode::Scf);
+        assert_eq!(scf.scf_options().expect("options").n_k, 2);
+        let frozen = SweepRequest::parse_with_default_mode("mode = frozen\n", Mode::Scf);
+        assert_eq!(frozen.expect("parses").mode, Mode::Frozen);
+        assert_eq!(SweepRequest::parse("").expect("parses").mode, Mode::Frozen);
     }
 
     #[test]

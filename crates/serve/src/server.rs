@@ -25,7 +25,6 @@
 use crate::protocol::{Disposition, Frame, Progress, StatsSnapshot};
 use crate::request::{Mode, SweepRequest};
 use omen_core::iv::{frozen_field_sweep_observed, gate_sweep_observed, PointProgress};
-use omen_core::ScfOptions;
 use omen_num::{OmenError, OmenResult, SweepReport};
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::io::Write;
@@ -446,17 +445,12 @@ pub fn solver_executor() -> Executor {
                 }
                 Mode::Scf => {
                     let mut tr = spec.build();
-                    let opts = ScfOptions {
-                        engine,
-                        n_energy: req.n_energy,
-                        ..ScfOptions::default()
-                    };
                     gate_sweep_observed(
                         &mut tr,
                         &v_gates,
                         req.vds,
                         req.mu_source,
-                        &opts,
+                        &req.scf_options()?,
                         &mut observe,
                     )
                 }
@@ -707,6 +701,7 @@ fn frame_name(f: &Frame) -> &'static str {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use omen_core::ScfOptions;
 
     fn job(id: u64) -> Arc<Job> {
         Arc::new(Job {
@@ -792,5 +787,41 @@ mod tests {
         assert_eq!(first, Some(50));
         let second = Shared::pick_next(&mut st).map(|j| j.id);
         assert_eq!(second, Some(10));
+    }
+
+    #[test]
+    fn scf_request_k_grid_reaches_the_solver() {
+        // `n_k` is hashed into the cache key, so it must change the solve:
+        // the executor's currents are the k-averaged `gate_sweep` ones.
+        let text = |n_k: usize| {
+            format!(
+                "geometry = utb\nmode = scf\nslabs = 6\nn_energy = 11\nn_k = {n_k}\n\
+                 vg_points = 2\nvg_start = 0.0\nvg_stop = 0.1\nmu_source = -3.2\n"
+            )
+        };
+        let currents = |n_k: usize| -> Vec<u64> {
+            let req = SweepRequest::parse(&text(n_k)).expect("parses");
+            let payload = solver_executor()(&req, &mut |_| {}).expect("solves");
+            let result = crate::protocol::decode_result(&payload).expect("decodes");
+            result.points.iter().map(|p| p.2.to_bits()).collect()
+        };
+        let req = SweepRequest::parse(&text(2)).expect("parses");
+        let want: Vec<u64> = omen_core::gate_sweep(
+            &mut req.device_spec().expect("spec").build(),
+            &req.v_gates(),
+            req.vds,
+            req.mu_source,
+            &ScfOptions {
+                engine: omen_core::Engine::WfThomas,
+                n_energy: 11,
+                n_k: 2,
+                ..ScfOptions::default()
+            },
+        )
+        .iter()
+        .map(|p| p.current_ua.to_bits())
+        .collect();
+        assert_eq!(currents(2), want, "n_k = 2 runs the two-point k-average");
+        assert_ne!(currents(1), want, "n_k = 1 is a different (Γ-only) curve");
     }
 }

@@ -12,7 +12,7 @@
 //! path, more minutes).
 
 use omen::core::iv::{gate_sweep, on_off_ratio, subthreshold_swing};
-use omen::core::{Engine, ScfOptions, Schedule, TransistorSpec};
+use omen::core::{Engine, ScfOptions, TransistorSpec};
 use omen::num::linspace;
 use omen::tb::Material;
 
@@ -37,7 +37,6 @@ fn main() {
         mixing: 0.8,
         predictor: true,
         n_k: 1,
-        schedule: Schedule::Static,
     };
     let v_ds = 0.2;
     // The 1 nm wire's lowest subband sits at −3.53 eV; μ = −3.4 places the

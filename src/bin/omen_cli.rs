@@ -5,135 +5,49 @@
 //! cargo run --release --bin omen_cli -- --print-default > my_device.omen
 //! ```
 //!
-//! The spec format is deliberately dependency-free: one `key = value` pair
-//! per line, `#` comments. Unknown keys are an error (typos should not be
-//! silently ignored in a physics tool). See `default_spec()` for every key
-//! and its default.
+//! The spec format is the `omen-serve` request format (one `key = value`
+//! pair per line, `#` comments, unknown keys are an error), read by the
+//! same [`SweepRequest`] parser and validator the daemon uses. The only
+//! difference is the default of an unset `mode` key: the CLI runs the
+//! self-consistent sweep. See `--print-default` for every key.
 
 use omen::core::iv::{frozen_field_sweep, gate_sweep, on_off_ratio, subthreshold_swing};
-use omen::core::{Engine, Geometry, ScfOptions, TransistorSpec};
-use omen::num::linspace;
-use omen::tb::Material;
-use std::collections::BTreeMap;
+use omen::num::OmenError;
+use omen::serve::{Mode, SweepRequest};
 
-/// Parses the `key = value` spec format.
-fn parse_spec(text: &str) -> Result<BTreeMap<String, String>, String> {
-    let mut map = BTreeMap::new();
-    for (lineno, raw) in text.lines().enumerate() {
-        let line = raw.split('#').next().unwrap_or("").trim();
-        if line.is_empty() {
-            continue;
-        }
-        let (k, v) = line
-            .split_once('=')
-            .ok_or_else(|| format!("line {}: expected `key = value`, got `{raw}`", lineno + 1))?;
-        map.insert(k.trim().to_string(), v.trim().to_string());
-    }
-    Ok(map)
+/// The request defaults with the CLI's `mode = scf`.
+fn default_spec() -> String {
+    SweepRequest::default_text().replace("mode       = frozen", "mode       = scf   ")
 }
 
-fn default_spec() -> &'static str {
-    "\
-# omen-cli device specification
-material   = single_band_1000   # single_band_<t_meV> | si_sp3s | si_sp3d5s | gaas_sp3s | graphene_pz
-geometry   = nanowire           # nanowire | utb | ribbon
-width      = 1.0                # nm (nanowire side / utb thickness); dimer count for ribbon
-slabs      = 8                  # device length in principal layers
-doping_sd  = 2e-3               # source/drain doping, e/nm^3
-pin        = false              # true → p-i-n junction (TFET)
-mode       = scf                # scf | frozen
-engine     = wf                 # wf | rgf | selinv
-n_energy   = 31                 # energy points per transport solve
-n_k        = 1                  # transverse k-points (utb only)
-vds        = 0.2                # drain bias (V)
-mu_source  = -3.4               # source Fermi level (eV)
-vg_start   = -0.4
-vg_stop    = 0.4
-vg_points  = 9
-"
+/// Request-level rejections carry their own wording; drop the wire prefix.
+fn message(e: OmenError) -> String {
+    match e {
+        OmenError::Protocol { detail, .. } => detail,
+        e => e.to_string(),
+    }
 }
 
 fn run(spec_text: &str) -> Result<(), String> {
-    let defaults = parse_spec(default_spec()).expect("default spec parses");
-    let user = parse_spec(spec_text)?;
-    for k in user.keys() {
-        if !defaults.contains_key(k) {
-            return Err(format!(
-                "unknown key `{k}` (see --print-default for valid keys)"
-            ));
-        }
-    }
-    let get = |k: &str| user.get(k).unwrap_or_else(|| &defaults[k]).clone();
-    let getf = |k: &str| -> Result<f64, String> {
-        get(k)
-            .parse()
-            .map_err(|_| format!("key `{k}`: expected a number, got `{}`", get(k)))
-    };
-    let getu = |k: &str| -> Result<usize, String> {
-        get(k)
-            .parse()
-            .map_err(|_| format!("key `{k}`: expected an integer, got `{}`", get(k)))
-    };
-
-    let material = match get("material").as_str() {
-        "si_sp3s" => Material::SiSp3s,
-        "si_sp3d5s" => Material::SiSp3d5s,
-        "gaas_sp3s" => Material::GaAsSp3s,
-        "graphene_pz" => Material::GraphenePz,
-        m if m.starts_with("single_band_") => {
-            let t: i32 = m["single_band_".len()..]
-                .parse()
-                .map_err(|_| format!("bad single_band hopping in `{m}`"))?;
-            Material::SingleBand { t_mev: t }
-        }
-        m => return Err(format!("unknown material `{m}`")),
-    };
-    let slabs = getu("slabs")?;
-    let width = getf("width")?;
-    let mut spec = TransistorSpec::si_nanowire_nmos(material, width.max(0.5), slabs);
-    spec.geometry = match get("geometry").as_str() {
-        "nanowire" => Geometry::Nanowire { w: width, h: width },
-        "utb" => Geometry::Utb { cells: 1, h: width },
-        "ribbon" => Geometry::Ribbon {
-            n_dimer: width as usize,
-        },
-        g => return Err(format!("unknown geometry `{g}`")),
-    };
-    spec.material = material;
-    spec.doping_sd = getf("doping_sd")?;
-    spec.pin_junction = get("pin") == "true";
-    let engine = match get("engine").as_str() {
-        "wf" => Engine::WfThomas,
-        "rgf" => Engine::Rgf,
-        "selinv" => Engine::SelInv,
-        e => return Err(format!("unknown engine `{e}`")),
-    };
-    let n_energy = getu("n_energy")?;
-    let vgs = linspace(getf("vg_start")?, getf("vg_stop")?, getu("vg_points")?);
-    let v_ds = getf("vds")?;
-    let mu = getf("mu_source")?;
-
-    let mut tr = spec.build();
+    let req = SweepRequest::parse_with_default_mode(spec_text, Mode::Scf).map_err(message)?;
+    let engine = req.engine_kind().map_err(message)?;
+    let vgs = req.v_gates();
+    let mut tr = req.device_spec().map_err(message)?.build();
     println!(
         "# device: {} atoms, {} slabs, {} ({}), engine {:?}",
         tr.device.num_atoms(),
         tr.device.num_slabs,
-        get("material"),
-        get("geometry"),
+        req.material,
+        req.geometry,
         engine,
     );
 
-    let points = match get("mode").as_str() {
-        "frozen" => frozen_field_sweep(&tr, &vgs, v_ds, mu, engine, n_energy),
-        "scf" => {
-            let opts = ScfOptions {
-                engine,
-                n_energy,
-                ..ScfOptions::default()
-            };
-            gate_sweep(&mut tr, &vgs, v_ds, mu, &opts)
+    let points = match req.mode {
+        Mode::Frozen => frozen_field_sweep(&tr, &vgs, req.vds, req.mu_source, engine, req.n_energy),
+        Mode::Scf => {
+            let opts = req.scf_options().map_err(message)?;
+            gate_sweep(&mut tr, &vgs, req.vds, req.mu_source, &opts)
         }
-        m => return Err(format!("unknown mode `{m}`")),
     };
 
     println!("# V_G(V)      I_D(µA)        SCF_iters  converged");
@@ -177,22 +91,13 @@ mod tests {
 
     #[test]
     fn default_spec_is_self_consistent() {
-        let d = parse_spec(default_spec()).unwrap();
-        assert!(d.contains_key("material"));
-        assert!(d.contains_key("vg_points"));
-        assert_eq!(d["engine"], "wf");
-    }
-
-    #[test]
-    fn parser_handles_comments_and_blank_lines() {
-        let m = parse_spec("a = 1\n\n# comment\nb = two # trailing\n").unwrap();
-        assert_eq!(m["a"], "1");
-        assert_eq!(m["b"], "two");
-    }
-
-    #[test]
-    fn parser_rejects_garbage() {
-        assert!(parse_spec("no equals sign here").is_err());
+        // What `--print-default` shows is what an empty spec runs.
+        let d = SweepRequest::parse(&default_spec()).expect("printed default parses");
+        assert_eq!(d.mode, Mode::Scf);
+        assert_eq!(
+            d,
+            SweepRequest::parse_with_default_mode("", Mode::Scf).unwrap()
+        );
     }
 
     #[test]

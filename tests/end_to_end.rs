@@ -4,7 +4,7 @@
 //! distributed + self-consistent observables).
 
 use omen::core::iv::{frozen_field_sweep, gate_sweep, on_off_ratio};
-use omen::core::{Bias, Engine, ScfOptions, Schedule, TransistorSpec};
+use omen::core::{Bias, Engine, ScfOptions, TransistorSpec};
 use omen::lattice::{Crystal, Device};
 use omen::num::tolerance::test_bound;
 use omen::num::{linspace, BoundKind, A_SI};
@@ -26,7 +26,6 @@ fn quick_opts() -> ScfOptions {
         mixing: 0.8,
         predictor: true,
         n_k: 1,
-        schedule: Schedule::Static,
     }
 }
 
