@@ -27,6 +27,11 @@ cargo clippy --no-deps -p omen-linalg -p omen-sparse -p omen-wf -p omen-negf -p 
 OMEN_SIMD=0 cargo test -q --release -p omen-linalg
 OMEN_SIMD=0 cargo test -q --release --test kernel_conformance
 OMEN_SIMD=0 cargo test -q --release --test selinv_properties --test engine_equivalence
+# Smoke runs merge into their ledger, so a record left in a cached target/
+# by an earlier run would satisfy bench-gate's "fresh record for this leg"
+# check: start every CI run from no smoke ledgers (both legs still coexist,
+# they are written after this line).
+rm -f target/BENCH_*.smoke.json
 OMEN_SIMD=0 cargo bench -p omen-bench --bench kernels -- --smoke
 if grep -q avx2 /proc/cpuinfo 2>/dev/null && grep -q fma /proc/cpuinfo 2>/dev/null; then
     OMEN_SIMD=1 cargo test -q --release -p omen-linalg

@@ -6,20 +6,20 @@
 //! median and minimum per-iteration times are reported, and the dense
 //! kernel measurements (GEMM/LU across sizes and thread counts) are merged
 //! into the repo-root `BENCH_kernels.json` baseline (schema:
-//! `omen_bench::kernel_json`). Run with `cargo bench -p omen-bench`.
+//! `omen_bench::records`). Run with `cargo bench -p omen-bench`.
 //!
-//! `--smoke` runs tiny sizes with a single sample and writes the JSON to
-//! `target/BENCH_kernels.smoke.json` instead, round-tripping it through
-//! the parser — the CI gate uses this to exercise the parallel kernels and
-//! the emitter on every run without touching the committed baseline.
+//! `--smoke` runs tiny sizes with a single sample and publishes to the
+//! ledger's smoke twin under `target/` instead (`records::publish`),
+//! round-tripping it through the parser — the CI gate uses this to
+//! exercise the parallel kernels and the emitter on every run without
+//! touching the committed baseline.
 
-use omen_bench::kernel_json::{self, KernelRecord};
+use omen_bench::records::{publish, KernelRecord};
 use omen_bench::sample_secs;
 use omen_lattice::{Crystal, Device};
 use omen_linalg::{eigh, flops, gemm_threaded, lu::Lu, threads, Op, ZMat};
 use omen_num::{c64, A_SI};
 use omen_tb::{DeviceHamiltonian, Material, TbParams};
-use std::path::PathBuf;
 
 fn randmat(n: usize, seed: u64) -> ZMat {
     let mut s = seed.wrapping_mul(0x9E3779B97F4A7C15).wrapping_add(11);
@@ -264,21 +264,7 @@ fn main() {
         bench_transport();
     }
 
-    let path: PathBuf = if smoke {
-        std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-            .join("../../target/BENCH_kernels.smoke.json")
-    } else {
-        kernel_json::default_path()
-    };
-    kernel_json::merge_records(&path, &records).expect("write benchmark baseline");
-    let back = kernel_json::read_records(&path).expect("re-read benchmark baseline");
-    assert!(
-        records.iter().all(|r| back.iter().any(|b| {
-            (b.kernel.as_str(), b.n, b.threads, b.simd)
-                == (r.kernel.as_str(), r.n, r.threads, r.simd)
-        })),
-        "baseline round-trip lost records"
-    );
+    let path = publish(smoke, &records).expect("publish kernel records");
     println!(
         "wrote {} kernel records -> {}",
         records.len(),

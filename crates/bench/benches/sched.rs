@@ -26,16 +26,15 @@
 //! `omen_core::parallel::parallel_transmission_k_banked`: from the second
 //! bias point onward the first hand-out is LPT over measured costs.
 //!
-//! `--smoke` shrinks the sleeps and writes to
-//! `target/BENCH_sched.smoke.json` instead — the CI gate uses it to
+//! `--smoke` shrinks the sleeps and publishes to the ledger's smoke twin
+//! under `target/` instead (`records::publish`) — the CI gate uses it to
 //! exercise the full protocol and the JSON emitter on every run without
 //! touching the committed baseline.
 
-use omen_bench::sched_json::{self, SchedRecord};
+use omen_bench::records::{publish, SchedRecord};
 use omen_core::parallel::assign;
 use omen_parsim::{run_ranks, Comm};
 use omen_sched::{dynamic_sweep, imbalance_ratio, CostModel, ModelBank, SchedOptions, SchedStats};
-use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
 /// The skewed workload: every `stride`-th unit costs `spike`, the rest
@@ -365,25 +364,7 @@ fn main() {
         reissued: iv_reissued,
     });
 
-    let path: PathBuf = if smoke {
-        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../target/BENCH_sched.smoke.json")
-    } else {
-        sched_json::default_path()
-    };
-    sched_json::merge_records(&path, &records).expect("write scheduler baseline");
-    let back = sched_json::read_records(&path).expect("re-read scheduler baseline");
-    assert!(
-        records.iter().all(|r| back.iter().any(|b| (
-            b.case.as_str(),
-            b.schedule.as_str(),
-            b.ranks
-        ) == (
-            r.case.as_str(),
-            r.schedule.as_str(),
-            r.ranks
-        ))),
-        "baseline round-trip lost records"
-    );
+    let path = publish(smoke, &records).expect("publish scheduler records");
     println!(
         "wrote {} sched records -> {}",
         records.len(),

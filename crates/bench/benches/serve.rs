@@ -15,14 +15,13 @@
 //!   if the sharing machinery stops working even when throughput looks
 //!   healthy.
 //!
-//! `--smoke` shrinks the job counts and writes to
-//! `target/BENCH_serve.smoke.json` instead — the CI gate uses it to
-//! exercise the daemon, the protocol, and the JSON emitter on every run
+//! `--smoke` shrinks the job counts and publishes to the ledger's smoke
+//! twin under `target/` instead (`records::publish`) — the CI gate uses it
+//! to exercise the daemon, the protocol, and the JSON emitter on every run
 //! without touching the committed baseline.
 
-use omen_bench::serve_json::{self, ServeRecord};
+use omen_bench::records::{publish, ServeRecord};
 use omen_serve::{Client, Executor, Server, ServerConfig, SweepRequest};
-use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -143,19 +142,7 @@ fn main() {
     );
 
     let records = vec![unique, storm];
-    let path: PathBuf = if smoke {
-        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../target/BENCH_serve.smoke.json")
-    } else {
-        serve_json::default_path()
-    };
-    serve_json::merge_records(&path, &records).expect("write service baseline");
-    let back = serve_json::read_records(&path).expect("re-read service baseline");
-    assert!(
-        records.iter().all(|r| back
-            .iter()
-            .any(|b| (b.case.as_str(), b.clients) == (r.case.as_str(), r.clients))),
-        "baseline round-trip lost records"
-    );
+    let path = publish(smoke, &records).expect("publish service records");
     println!(
         "wrote {} serve records -> {}",
         records.len(),

@@ -6,7 +6,8 @@
 //! `TOLERANCES.toml`. `--smoke` additionally checks the **fresh**
 //! `target/BENCH_*.smoke.json` records written by
 //! `cargo bench -p omen-bench -- --smoke` earlier in the same CI run:
-//! structural presence per dispatch leg plus catastrophic-only floors.
+//! structural presence (`gemm`, `lu` and `selinv` on the current dispatch
+//! leg, both schedules, both service cases) plus catastrophic-only floors.
 //!
 //! Exit codes: `0` gate green (or a printed self-skip NOTICE when
 //! `OMEN_SIMD=1` demands a leg this CPU cannot run), `1` guardband
@@ -15,16 +16,11 @@
 //! bugs, not perf regressions.
 
 use omen_bench::gate::{self, GateReport};
-use omen_bench::{kernel_json, sched_json, serve_json};
+use omen_bench::records::{self, KernelRecord, SchedRecord, ServeRecord};
 use omen_linalg::threads;
 use omen_num::tolerance::TolerancePolicy;
 use omen_num::OmenResult;
-use std::path::{Path, PathBuf};
 use std::process::ExitCode;
-
-fn smoke_path(name: &str) -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR")).join(format!("../../target/{name}"))
-}
 
 /// Runs every requested check, folding all failures into one report.
 ///
@@ -36,19 +32,19 @@ fn smoke_path(name: &str) -> PathBuf {
 fn run(policy: &TolerancePolicy, smoke: bool, simd_leg: bool) -> OmenResult<GateReport> {
     let mut report = GateReport::default();
 
-    let kernels = kernel_json::read_records(&kernel_json::default_path())?;
+    let kernels = records::read_records(&records::path::<KernelRecord>(false))?;
     report.merge(gate::check_committed_kernels(policy, &kernels));
-    let sched = sched_json::read_records(&sched_json::default_path())?;
+    let sched = records::read_records(&records::path::<SchedRecord>(false))?;
     report.merge(gate::check_committed_sched(policy, &sched));
-    let serve = serve_json::read_records(&serve_json::default_path())?;
+    let serve = records::read_records(&records::path::<ServeRecord>(false))?;
     report.merge(gate::check_committed_serve(policy, &serve));
 
     if smoke {
-        let fresh_k = kernel_json::read_records(&smoke_path("BENCH_kernels.smoke.json"))?;
+        let fresh_k = records::read_records(&records::path::<KernelRecord>(true))?;
         report.merge(gate::check_smoke_kernels(policy, &fresh_k, simd_leg));
-        let fresh_s = sched_json::read_records(&smoke_path("BENCH_sched.smoke.json"))?;
+        let fresh_s = records::read_records(&records::path::<SchedRecord>(true))?;
         report.merge(gate::check_smoke_sched(policy, &fresh_s));
-        let fresh_v = serve_json::read_records(&smoke_path("BENCH_serve.smoke.json"))?;
+        let fresh_v = records::read_records(&records::path::<ServeRecord>(true))?;
         report.merge(gate::check_smoke_serve(policy, &fresh_v));
     }
     Ok(report)

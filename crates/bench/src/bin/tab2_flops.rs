@@ -17,7 +17,7 @@
 //! `BENCH_kernels.json` baseline; `--smoke` restricts the sweep to the
 //! smallest device so CI can exercise the emitter cheaply.
 
-use omen_bench::kernel_json::{self, KernelRecord};
+use omen_bench::records::{publish, KernelRecord};
 use omen_bench::{print_table, timed};
 use omen_lattice::{Crystal, Device};
 use omen_linalg::{flop_count, reset_flops, threads};
@@ -137,13 +137,7 @@ fn main() {
          the wave-function algorithm wins, as the paper claims."
     );
     if json {
-        let path = if smoke {
-            std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-                .join("../../target/BENCH_kernels.smoke.json")
-        } else {
-            kernel_json::default_path()
-        };
-        kernel_json::merge_records(&path, &records).expect("write benchmark baseline");
+        let path = publish(smoke, &records).expect("publish transport records");
         println!(
             "wrote {} transport records -> {}",
             records.len(),

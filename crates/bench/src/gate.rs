@@ -16,7 +16,7 @@
 //!    policy with a rationale instead of letting the drift land unremarked.
 //! 2. **Smoke validation** (`--smoke`): fresh `target/BENCH_*.smoke.json`
 //!    records from this very CI run must exist for the current dispatch
-//!    leg (both `gemm` and `lu`), clear the catastrophic
+//!    leg (`gemm`, `lu` and `selinv`), clear the catastrophic
 //!    `[[kernel_smoke_floor]]` throughput floors, stay under the
 //!    `[[sched_smoke_floor]]` imbalance ceilings, and clear the
 //!    `[[serve_smoke_floor]]` service throughputs. Smoke floors are set an
@@ -31,10 +31,9 @@
 //! [`OmenError::InvalidBaseline`](omen_num::OmenError) instead — those are
 //! harness bugs, not perf regressions, and exit with a different code.
 
-use crate::kernel_json::KernelRecord;
-use crate::sched_json::SchedRecord;
-use crate::serve_json::ServeRecord;
+use crate::records::{BenchRecord, KernelRecord, SchedRecord, ServeRecord};
 use omen_num::tolerance::TolerancePolicy;
+use omen_num::OmenResult;
 
 /// Outcome of one gate pass: how many records were checked and one line
 /// per violated guardband. An empty `failures` list means the gate is
@@ -59,24 +58,44 @@ impl GateReport {
         self.checked += other.checked;
         self.failures.extend(other.failures);
     }
+
+    /// Unwraps a policy lookup for the record `label tag`; a miss becomes
+    /// that record's failure line.
+    fn resolve<T>(&mut self, label: &str, tag: &str, found: OmenResult<T>) -> Option<T> {
+        found
+            .map_err(|e| self.failures.push(format!("{label} {tag}: {e}")))
+            .ok()
+    }
+}
+
+/// Runs `check` over every record of a committed ledger. An empty ledger
+/// is itself a failure — the gate exists to stop silent drift, and "no
+/// records" is the silentest drift of all.
+fn committed<R: BenchRecord>(
+    what: &str,
+    records: &[R],
+    mut check: impl FnMut(&R, &mut GateReport),
+) -> GateReport {
+    let mut report = GateReport::default();
+    if records.is_empty() {
+        let file = R::NAME;
+        report.failures.push(format!(
+            "committed {what} baseline has no records (BENCH_{file}.json)"
+        ));
+    }
+    for r in records {
+        report.checked += 1;
+        check(r, &mut report);
+    }
+    report
 }
 
 /// Validates the committed kernel baseline: every record must have a
 /// `[[kernel_guardband]]` group for its `(kernel, simd)` leg and clear
 /// the group's floor `reference_gflops · (1 − guardband)`; timings must
-/// be finite and positive. An empty baseline is itself a failure — the
-/// gate exists to stop silent drift, and "no records" is the silentest
-/// drift of all.
+/// be finite and positive.
 pub fn check_committed_kernels(policy: &TolerancePolicy, records: &[KernelRecord]) -> GateReport {
-    let mut report = GateReport::default();
-    if records.is_empty() {
-        report
-            .failures
-            .push("committed kernel baseline has no records (BENCH_kernels.json)".into());
-        return report;
-    }
-    for r in records {
-        report.checked += 1;
+    committed("kernel", records, |r, report| {
         let tag = format!("{}/n{}/t{}/simd={}", r.kernel, r.n, r.threads, r.simd);
         let finite_positive = |v: f64| v.is_finite() && v > 0.0;
         if !(finite_positive(r.gflops) && finite_positive(r.median_s) && finite_positive(r.min_s)) {
@@ -85,26 +104,24 @@ pub fn check_committed_kernels(policy: &TolerancePolicy, records: &[KernelRecord
                  (gflops {}, median_s {}, min_s {})",
                 r.gflops, r.median_s, r.min_s
             ));
-            continue;
+            return;
         }
-        match policy.kernel_guardband(&r.kernel, r.simd) {
-            Err(e) => report.failures.push(format!("kernel record {tag}: {e}")),
-            Ok(g) => {
-                let floor = g.reference_gflops * (1.0 - g.guardband);
-                if r.gflops < floor {
-                    report.failures.push(format!(
-                        "kernel record {tag}: {:.3} Gflop/s is below the guardband floor \
-                         {floor:.3} (reference {:.3}, band {:.0}%) — re-baseline with a \
-                         rationale in TOLERANCES.toml or fix the regression",
-                        r.gflops,
-                        g.reference_gflops,
-                        g.guardband * 100.0
-                    ));
-                }
-            }
+        let found = policy.kernel_guardband(&r.kernel, r.simd);
+        let Some(g) = report.resolve("kernel record", &tag, found) else {
+            return;
+        };
+        let floor = g.reference_gflops * (1.0 - g.guardband);
+        if r.gflops < floor {
+            report.failures.push(format!(
+                "kernel record {tag}: {:.3} Gflop/s is below the guardband floor \
+                 {floor:.3} (reference {:.3}, band {:.0}%) — re-baseline with a \
+                 rationale in TOLERANCES.toml or fix the regression",
+                r.gflops,
+                g.reference_gflops,
+                g.guardband * 100.0
+            ));
         }
-    }
-    report
+    })
 }
 
 /// Validates the committed scheduler baseline: every record must have a
@@ -115,15 +132,7 @@ pub fn check_committed_kernels(policy: &TolerancePolicy, records: &[KernelRecord
 /// `static wall / this wall >= min_speedup` — the dynamic scheduler must
 /// actually buy wall clock, not merely balance busy time.
 pub fn check_committed_sched(policy: &TolerancePolicy, records: &[SchedRecord]) -> GateReport {
-    let mut report = GateReport::default();
-    if records.is_empty() {
-        report
-            .failures
-            .push("committed scheduler baseline has no records (BENCH_sched.json)".into());
-        return report;
-    }
-    for r in records {
-        report.checked += 1;
+    committed("scheduler", records, |r, report| {
         let tag = format!("{}/{}/r{}", r.case, r.schedule, r.ranks);
         if !(r.wall_s.is_finite() && r.wall_s > 0.0 && r.imbalance.is_finite()) {
             report.failures.push(format!(
@@ -131,49 +140,46 @@ pub fn check_committed_sched(policy: &TolerancePolicy, records: &[SchedRecord]) 
                  (wall_s {}, imbalance {})",
                 r.wall_s, r.imbalance
             ));
-            continue;
+            return;
         }
-        match policy.sched_guardband(&r.case, &r.schedule) {
-            Err(e) => report.failures.push(format!("sched record {tag}: {e}")),
-            Ok(g) => {
-                if r.imbalance > g.max_imbalance {
+        let found = policy.sched_guardband(&r.case, &r.schedule);
+        let Some(g) = report.resolve("sched record", &tag, found) else {
+            return;
+        };
+        if r.imbalance > g.max_imbalance {
+            report.failures.push(format!(
+                "sched record {tag}: imbalance {:.3} exceeds the guardband ceiling \
+                 {:.3} — re-baseline with a rationale in TOLERANCES.toml or fix the \
+                 regression",
+                r.imbalance, g.max_imbalance
+            ));
+        }
+        let Some(min) = g.min_speedup else { return };
+        let partner = records
+            .iter()
+            .find(|o| o.case == r.case && o.ranks == r.ranks && o.schedule == "static");
+        match partner {
+            None => report.failures.push(format!(
+                "sched record {tag}: guardband requires min_speedup {min:.2} but \
+                 the baseline has no static record for ({}, r{}) to compare \
+                 against",
+                r.case, r.ranks
+            )),
+            Some(st) => {
+                // Both walls already passed the finite/positive
+                // screen above, so the ratio is well-defined.
+                let speedup = st.wall_s / r.wall_s;
+                if speedup < min {
                     report.failures.push(format!(
-                        "sched record {tag}: imbalance {:.3} exceeds the guardband ceiling \
-                         {:.3} — re-baseline with a rationale in TOLERANCES.toml or fix the \
-                         regression",
-                        r.imbalance, g.max_imbalance
+                        "sched record {tag}: wall {:.3e} s is only {speedup:.3}× \
+                         faster than static's {:.3e} s (floor {min:.2}×) — the \
+                         dynamic schedule stopped paying for itself",
+                        r.wall_s, st.wall_s
                     ));
-                }
-                if let Some(min) = g.min_speedup {
-                    let partner = records
-                        .iter()
-                        .find(|o| o.case == r.case && o.ranks == r.ranks && o.schedule == "static");
-                    match partner {
-                        None => report.failures.push(format!(
-                            "sched record {tag}: guardband requires min_speedup {min:.2} but \
-                             the baseline has no static record for ({}, r{}) to compare \
-                             against",
-                            r.case, r.ranks
-                        )),
-                        Some(st) => {
-                            // Both walls already passed the finite/positive
-                            // screen above, so the ratio is well-defined.
-                            let speedup = st.wall_s / r.wall_s;
-                            if speedup < min {
-                                report.failures.push(format!(
-                                    "sched record {tag}: wall {:.3e} s is only {speedup:.3}× \
-                                     faster than static's {:.3e} s (floor {min:.2}×) — the \
-                                     dynamic schedule stopped paying for itself",
-                                    r.wall_s, st.wall_s
-                                ));
-                            }
-                        }
-                    }
                 }
             }
         }
-    }
-    report
+    })
 }
 
 /// Validates fresh `--smoke` kernel records for the current dispatch leg
@@ -200,17 +206,16 @@ pub fn check_smoke_kernels(
     for r in leg {
         report.checked += 1;
         let tag = format!("{}/n{}/t{}/simd={}", r.kernel, r.n, r.threads, r.simd);
-        match policy.kernel_smoke_floor(&r.kernel) {
-            Err(e) => report.failures.push(format!("smoke record {tag}: {e}")),
-            Ok(f) => {
-                if !(r.gflops.is_finite() && r.gflops >= f.min_gflops) {
-                    report.failures.push(format!(
-                        "smoke record {tag}: {:.3} Gflop/s is below the catastrophic floor \
-                         {:.3} — the kernel path is broken, not merely slow",
-                        r.gflops, f.min_gflops
-                    ));
-                }
-            }
+        let found = policy.kernel_smoke_floor(&r.kernel);
+        let Some(f) = report.resolve("smoke record", &tag, found) else {
+            continue;
+        };
+        if !(r.gflops.is_finite() && r.gflops >= f.min_gflops) {
+            report.failures.push(format!(
+                "smoke record {tag}: {:.3} Gflop/s is below the catastrophic floor \
+                 {:.3} — the kernel path is broken, not merely slow",
+                r.gflops, f.min_gflops
+            ));
         }
     }
     report
@@ -232,17 +237,16 @@ pub fn check_smoke_sched(policy: &TolerancePolicy, records: &[SchedRecord]) -> G
     for r in records {
         report.checked += 1;
         let tag = format!("{}/{}/r{}", r.case, r.schedule, r.ranks);
-        match policy.sched_smoke_floor(&r.case, &r.schedule) {
-            Err(e) => report.failures.push(format!("smoke record {tag}: {e}")),
-            Ok(f) => {
-                if !(r.imbalance.is_finite() && r.imbalance <= f.max_imbalance) {
-                    report.failures.push(format!(
-                        "smoke record {tag}: imbalance {:.3} exceeds the catastrophic \
-                         ceiling {:.3} — the scheduler is serializing work, not merely noisy",
-                        r.imbalance, f.max_imbalance
-                    ));
-                }
-            }
+        let found = policy.sched_smoke_floor(&r.case, &r.schedule);
+        let Some(f) = report.resolve("smoke record", &tag, found) else {
+            continue;
+        };
+        if !(r.imbalance.is_finite() && r.imbalance <= f.max_imbalance) {
+            report.failures.push(format!(
+                "smoke record {tag}: imbalance {:.3} exceeds the catastrophic \
+                 ceiling {:.3} — the scheduler is serializing work, not merely noisy",
+                r.imbalance, f.max_imbalance
+            ));
         }
     }
     report
@@ -254,15 +258,7 @@ pub fn check_smoke_sched(policy: &TolerancePolicy, records: &[SchedRecord]) -> G
 /// `reference_jobs_per_s · (1 − guardband)`, and meet the entry's
 /// minimum dedupe hit rate; latencies must be finite and positive.
 pub fn check_committed_serve(policy: &TolerancePolicy, records: &[ServeRecord]) -> GateReport {
-    let mut report = GateReport::default();
-    if records.is_empty() {
-        report
-            .failures
-            .push("committed service baseline has no records (BENCH_serve.json)".into());
-        return report;
-    }
-    for r in records {
-        report.checked += 1;
+    committed("service", records, |r, report| {
         let tag = format!("{}/c{}", r.case, r.clients);
         let finite_positive = |v: f64| v.is_finite() && v > 0.0;
         if !(finite_positive(r.jobs_per_s)
@@ -276,33 +272,31 @@ pub fn check_committed_serve(policy: &TolerancePolicy, records: &[ServeRecord]) 
                  (jobs_per_s {}, p50_ms {}, p99_ms {}, dedupe_hit_rate {})",
                 r.jobs_per_s, r.p50_ms, r.p99_ms, r.dedupe_hit_rate
             ));
-            continue;
+            return;
         }
-        match policy.serve_guardband(&r.case, r.clients) {
-            Err(e) => report.failures.push(format!("serve record {tag}: {e}")),
-            Ok(g) => {
-                let floor = g.reference_jobs_per_s * (1.0 - g.guardband);
-                if r.jobs_per_s < floor {
-                    report.failures.push(format!(
-                        "serve record {tag}: {:.3} jobs/s is below the guardband floor \
-                         {floor:.3} (reference {:.3}, band {:.0}%) — re-baseline with a \
-                         rationale in TOLERANCES.toml or fix the regression",
-                        r.jobs_per_s,
-                        g.reference_jobs_per_s,
-                        g.guardband * 100.0
-                    ));
-                }
-                if r.dedupe_hit_rate < g.min_dedupe_hit_rate {
-                    report.failures.push(format!(
-                        "serve record {tag}: dedupe hit rate {:.3} is below the policy \
-                         minimum {:.3} — the dedupe/cache machinery stopped sharing work",
-                        r.dedupe_hit_rate, g.min_dedupe_hit_rate
-                    ));
-                }
-            }
+        let found = policy.serve_guardband(&r.case, r.clients);
+        let Some(g) = report.resolve("serve record", &tag, found) else {
+            return;
+        };
+        let floor = g.reference_jobs_per_s * (1.0 - g.guardband);
+        if r.jobs_per_s < floor {
+            report.failures.push(format!(
+                "serve record {tag}: {:.3} jobs/s is below the guardband floor \
+                 {floor:.3} (reference {:.3}, band {:.0}%) — re-baseline with a \
+                 rationale in TOLERANCES.toml or fix the regression",
+                r.jobs_per_s,
+                g.reference_jobs_per_s,
+                g.guardband * 100.0
+            ));
         }
-    }
-    report
+        if r.dedupe_hit_rate < g.min_dedupe_hit_rate {
+            report.failures.push(format!(
+                "serve record {tag}: dedupe hit rate {:.3} is below the policy \
+                 minimum {:.3} — the dedupe/cache machinery stopped sharing work",
+                r.dedupe_hit_rate, g.min_dedupe_hit_rate
+            ));
+        }
+    })
 }
 
 /// Validates fresh `--smoke` service records: both canonical cases
@@ -322,17 +316,16 @@ pub fn check_smoke_serve(policy: &TolerancePolicy, records: &[ServeRecord]) -> G
     for r in records {
         report.checked += 1;
         let tag = format!("{}/c{}", r.case, r.clients);
-        match policy.serve_smoke_floor(&r.case) {
-            Err(e) => report.failures.push(format!("smoke record {tag}: {e}")),
-            Ok(f) => {
-                if !(r.jobs_per_s.is_finite() && r.jobs_per_s >= f.min_jobs_per_s) {
-                    report.failures.push(format!(
-                        "smoke record {tag}: {:.3} jobs/s is below the catastrophic floor \
-                         {:.3} — the service path is broken, not merely slow",
-                        r.jobs_per_s, f.min_jobs_per_s
-                    ));
-                }
-            }
+        let found = policy.serve_smoke_floor(&r.case);
+        let Some(f) = report.resolve("smoke record", &tag, found) else {
+            continue;
+        };
+        if !(r.jobs_per_s.is_finite() && r.jobs_per_s >= f.min_jobs_per_s) {
+            report.failures.push(format!(
+                "smoke record {tag}: {:.3} jobs/s is below the catastrophic floor \
+                 {:.3} — the service path is broken, not merely slow",
+                r.jobs_per_s, f.min_jobs_per_s
+            ));
         }
     }
     report
@@ -341,7 +334,7 @@ pub fn check_smoke_serve(policy: &TolerancePolicy, records: &[ServeRecord]) -> G
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{kernel_json, sched_json, serve_json};
+    use crate::records::{path, read_records};
 
     /// A minimal but complete policy for the gate tests: one guardband per
     /// leg with easy round numbers (gemm scalar floor = 10·(1−0.2) = 8).
@@ -694,9 +687,9 @@ rationale = "catastrophic only"
     #[test]
     fn shipped_policy_gates_the_shipped_baselines() {
         let policy = TolerancePolicy::load_default().expect("shipped TOLERANCES.toml loads");
-        let kernels =
-            kernel_json::read_records(&kernel_json::default_path()).expect("committed kernels");
-        let sched = sched_json::read_records(&sched_json::default_path()).expect("committed sched");
+        let kernels: Vec<KernelRecord> =
+            read_records(&path::<KernelRecord>(false)).expect("committed kernels");
+        let sched = read_records(&path::<SchedRecord>(false)).expect("committed sched");
         let kreport = check_committed_kernels(&policy, &kernels);
         assert!(
             kreport.is_clean(),
@@ -709,7 +702,7 @@ rationale = "catastrophic only"
             "shipped sched baseline violates its own policy: {:?}",
             sreport.failures
         );
-        let serve = serve_json::read_records(&serve_json::default_path()).expect("committed serve");
+        let serve = read_records(&path::<ServeRecord>(false)).expect("committed serve");
         let vreport = check_committed_serve(&policy, &serve);
         assert!(
             vreport.is_clean(),

@@ -25,14 +25,14 @@
 //! | `fig14_idvd` | output characteristic Id–V_DS (extension) |
 //! | `ablations` | SCF predictor / passivation / η / strain studies |
 //!
-//! Microbenches for the dense/transport kernels live in `benches/`; they
-//! and `tab2_flops --json` persist machine-readable throughput records to
-//! the repo-root `BENCH_kernels.json` baseline via [`kernel_json`].
+//! Microbenches for the kernels, the scheduler and the service live in
+//! `benches/`; they and `tab2_flops --json` persist machine-readable
+//! records to the repo-root `BENCH_*.json` ledgers through [`records`] —
+//! the one reader/writer of those files — and [`gate`] holds the ledgers
+//! to the guardbands in `TOLERANCES.toml`.
 
 pub mod gate;
-pub mod kernel_json;
-pub mod sched_json;
-pub mod serve_json;
+pub mod records;
 
 use std::time::Instant;
 

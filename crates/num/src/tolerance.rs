@@ -285,6 +285,7 @@ pub struct TolerancePolicy {
 }
 
 /// Raw scalar value on the right of a `key = value` line.
+#[derive(Debug, Clone, PartialEq)]
 enum Raw {
     Str(String),
     Num(f64),
@@ -301,12 +302,128 @@ impl Raw {
     }
 }
 
-/// One raw `[[section]]` block before typed validation.
-struct RawEntry {
-    section: String,
-    line: usize,
-    keys: Vec<(String, Raw, usize)>,
+/// What a section key must hold: its TOML type and, for numbers, the range.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Rule {
+    Str,
+    Bool,
+    /// Finite and `> 0`.
+    Positive,
+    /// A fractional drop in `(0, 1)`.
+    Fraction,
+    /// A ratio `>= 1`.
+    Ratio,
+    /// A share in `[0, 1]` (zero is meaningful: unique jobs never dedupe).
+    Share,
+    /// A positive integer.
+    Count,
 }
+
+impl Rule {
+    fn type_name(self) -> &'static str {
+        match self {
+            Rule::Str => "string",
+            Rule::Bool => "boolean",
+            _ => "number",
+        }
+    }
+
+    /// The requirement `v` breaks, if any.
+    fn broken_by(self, v: f64) -> Option<&'static str> {
+        let positive = v.is_finite() && v > 0.0;
+        // analyze: allow(float-eq, exact integrality guard — a client count of 2.5 must be rejected, not rounded)
+        let count = positive && v.fract() == 0.0 && v <= 1e6;
+        match self {
+            Rule::Str | Rule::Bool => None,
+            Rule::Share => (!(0.0..=1.0).contains(&v)).then_some("must be in [0, 1]"),
+            Rule::Count => (!count).then_some("must be a positive integer"),
+            _ if !positive => Some("must be finite and positive"),
+            Rule::Fraction if v >= 1.0 => Some("must be < 1 (a fractional drop)"),
+            Rule::Ratio if v < 1.0 => Some("must be >= 1 (a ratio)"),
+            _ => None,
+        }
+    }
+}
+
+/// How a key takes part in its section.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Need {
+    /// Required, and part of the identity no two entries may share.
+    Id,
+    Req,
+    Opt,
+}
+
+/// One key of a `[[section]]`.
+type Field = (&'static str, Rule, Need);
+
+use Need::{Id, Opt, Req};
+use Rule::{Bool, Count, Fraction, Positive, Ratio, Share, Str};
+
+/// Every section carries a non-empty rationale on top of its own keys.
+static RATIONALE: Field = ("rationale", Str, Req);
+
+/// The policy schema: every `[[section]]` the document may hold and the
+/// keys of each. This table is *the* place a new ledger section is
+/// declared — [`TolerancePolicy::parse`] walks it for the type, range,
+/// missing-key, unknown-key, rationale and duplicate-identity checks, so a
+/// section cannot skip validation; only its typed struct, builder arm and
+/// lookup are written by hand.
+static SECTIONS: &[(&str, &[Field])] = &[
+    (
+        "tolerance",
+        &[
+            ("op", Str, Id),
+            ("path", Str, Id),
+            ("kind", Str, Req),
+            ("bound", Positive, Req),
+        ],
+    ),
+    (
+        "kernel_guardband",
+        &[
+            ("kernel", Str, Id),
+            ("simd", Bool, Id),
+            ("reference_gflops", Positive, Req),
+            ("guardband", Fraction, Req),
+        ],
+    ),
+    (
+        "sched_guardband",
+        &[
+            ("case", Str, Id),
+            ("schedule", Str, Id),
+            ("max_imbalance", Ratio, Req),
+            ("min_speedup", Ratio, Opt),
+        ],
+    ),
+    (
+        "kernel_smoke_floor",
+        &[("kernel", Str, Id), ("min_gflops", Positive, Req)],
+    ),
+    (
+        "sched_smoke_floor",
+        &[
+            ("case", Str, Id),
+            ("schedule", Str, Id),
+            ("max_imbalance", Positive, Req),
+        ],
+    ),
+    (
+        "serve_guardband",
+        &[
+            ("case", Str, Id),
+            ("clients", Count, Id),
+            ("reference_jobs_per_s", Positive, Req),
+            ("guardband", Fraction, Req),
+            ("min_dedupe_hit_rate", Share, Req),
+        ],
+    ),
+    (
+        "serve_smoke_floor",
+        &[("case", Str, Id), ("min_jobs_per_s", Positive, Req)],
+    ),
+];
 
 fn perr(source: &str, line: usize, detail: impl Into<String>) -> OmenError {
     OmenError::InvalidPolicy {
@@ -347,131 +464,155 @@ fn parse_value(source: &str, line: usize, raw: &str) -> OmenResult<Raw> {
     }
 }
 
-/// Typed key extraction from a raw entry.
-struct Keys<'a> {
+/// One `[[section]]` block: its raw keys, checked against [`SECTIONS`] by
+/// [`Entry::validate`] before anything reads them.
+struct Entry<'a> {
     source: &'a str,
-    entry: &'a RawEntry,
-    used: Vec<bool>,
+    section: String,
+    line: usize,
+    keys: Vec<(String, Raw, usize)>,
 }
 
-impl<'a> Keys<'a> {
-    fn new(source: &'a str, entry: &'a RawEntry) -> Keys<'a> {
-        Keys {
-            source,
-            entry,
-            used: vec![false; entry.keys.len()],
-        }
+impl Entry<'_> {
+    fn get(&self, key: &str) -> Option<(&Raw, usize)> {
+        let hit = self.keys.iter().find(|(k, _, _)| k == key);
+        hit.map(|(_, v, line)| (v, *line))
     }
 
-    fn find(&mut self, key: &str) -> OmenResult<(&'a Raw, usize)> {
-        for (i, (k, v, line)) in self.entry.keys.iter().enumerate() {
-            if k == key {
-                self.used[i] = true;
-                return Ok((v, *line));
+    fn value(&self, key: &str) -> Option<&Raw> {
+        self.get(key).map(|(v, _)| v)
+    }
+
+    fn err(&self, line: usize, detail: String) -> OmenError {
+        perr(self.source, line, format!("[[{}]] {detail}", self.section))
+    }
+
+    /// Checks this entry against its row of [`SECTIONS`]: known section,
+    /// no unknown keys, every key typed and in range, required keys and a
+    /// non-empty rationale present, identity distinct from every entry in
+    /// `earlier`.
+    fn validate(&self, earlier: &[Entry]) -> OmenResult<()> {
+        let Some((_, fields)) = SECTIONS.iter().find(|(name, _)| *name == self.section) else {
+            let detail = format!("unknown section [[{}]]", self.section);
+            return Err(perr(self.source, self.line, detail));
+        };
+        let fields = || fields.iter().chain([&RATIONALE]);
+        for (key, _, line) in &self.keys {
+            if !fields().any(|f| f.0 == key) {
+                return Err(self.err(*line, format!("entry has an unknown key {key:?}")));
             }
         }
-        Err(perr(
-            self.source,
-            self.entry.line,
-            format!("[[{}]] entry is missing key {key:?}", self.entry.section),
-        ))
-    }
-
-    fn str(&mut self, key: &str) -> OmenResult<String> {
-        match self.find(key)? {
-            (Raw::Str(s), _) => Ok(s.clone()),
-            (other, line) => Err(perr(
-                self.source,
-                line,
-                format!("key {key:?} must be a string, got {}", other.type_name()),
-            )),
-        }
-    }
-
-    fn num(&mut self, key: &str) -> OmenResult<(f64, usize)> {
-        match self.find(key)? {
-            (Raw::Num(v), line) => Ok((*v, line)),
-            (other, line) => Err(perr(
-                self.source,
-                line,
-                format!("key {key:?} must be a number, got {}", other.type_name()),
-            )),
-        }
-    }
-
-    /// Optional numeric key: `None` when the entry simply omits it. A
-    /// present key of the wrong type is still a hard error.
-    fn num_if_present(&mut self, key: &str) -> OmenResult<Option<(f64, usize)>> {
-        if self.entry.keys.iter().any(|(k, _, _)| k == key) {
-            self.num(key).map(Some)
-        } else {
-            Ok(None)
-        }
-    }
-
-    fn bool(&mut self, key: &str) -> OmenResult<bool> {
-        match self.find(key)? {
-            (Raw::Bool(v), _) => Ok(*v),
-            (other, line) => Err(perr(
-                self.source,
-                line,
-                format!("key {key:?} must be a boolean, got {}", other.type_name()),
-            )),
-        }
-    }
-
-    /// Non-empty rationale string — every policy entry must carry one.
-    fn rationale(&mut self) -> OmenResult<String> {
-        let r = self.str("rationale")?;
-        if r.trim().is_empty() {
-            return Err(perr(
-                self.source,
-                self.entry.line,
-                format!("[[{}]] entry has an empty rationale", self.entry.section),
-            ));
-        }
-        Ok(r)
-    }
-
-    /// Rejects keys the schema does not define (typo guard).
-    fn finish(self) -> OmenResult<()> {
-        for (i, (k, _, line)) in self.entry.keys.iter().enumerate() {
-            if !self.used[i] {
-                return Err(perr(
-                    self.source,
-                    *line,
-                    format!("unknown key {k:?} in [[{}]] entry", self.entry.section),
-                ));
+        for &(key, rule, need) in fields() {
+            let Some((value, line)) = self.get(key) else {
+                if need != Opt {
+                    return Err(self.err(self.line, format!("entry is missing key {key:?}")));
+                }
+                continue;
+            };
+            let (want, got) = (rule.type_name(), value.type_name());
+            let broken = match value {
+                _ if want != got => Some(format!("key {key:?} must be a {want}, got {got}")),
+                Raw::Num(v) => rule.broken_by(*v).map(|why| format!("{key} = {v} {why}")),
+                _ => None,
+            };
+            if let Some(detail) = broken {
+                return Err(self.err(line, detail));
             }
+        }
+        if self.str("rationale")?.trim().is_empty() {
+            return Err(self.err(self.line, "entry has an empty rationale".into()));
+        }
+        let identity = || fields().filter(|f| f.2 == Id).map(|f| f.0);
+        let same = |other: &&Entry| {
+            other.section == self.section && identity().all(|k| other.value(k) == self.value(k))
+        };
+        if let Some(first) = earlier.iter().find(same) {
+            let detail = format!(
+                "duplicate {} for the same ({}) as the entry at line {}",
+                self.section,
+                identity().collect::<Vec<_>>().join(", "),
+                first.line
+            );
+            return Err(perr(self.source, self.line, detail));
         }
         Ok(())
     }
+
+    /// A builder asked for a key its [`SECTIONS`] row does not guarantee.
+    fn undeclared(&self, key: &str, want: &str) -> OmenError {
+        self.err(
+            self.line,
+            format!("builder reads {key:?} as a {want} the section table does not declare"),
+        )
+    }
+
+    fn str(&self, key: &str) -> OmenResult<String> {
+        match self.get(key) {
+            Some((Raw::Str(s), _)) => Ok(s.clone()),
+            _ => Err(self.undeclared(key, "string")),
+        }
+    }
+
+    fn bool(&self, key: &str) -> OmenResult<bool> {
+        match self.get(key) {
+            Some((Raw::Bool(b), _)) => Ok(*b),
+            _ => Err(self.undeclared(key, "boolean")),
+        }
+    }
+
+    /// An optional numeric key: `None` when the entry omits it.
+    fn opt_num(&self, key: &str) -> OmenResult<Option<f64>> {
+        match self.get(key) {
+            None => Ok(None),
+            Some((Raw::Num(v), _)) => Ok(Some(*v)),
+            Some(_) => Err(self.undeclared(key, "number")),
+        }
+    }
+
+    fn num(&self, key: &str) -> OmenResult<f64> {
+        self.opt_num(key)?
+            .ok_or_else(|| self.undeclared(key, "number"))
+    }
+
+    /// The cross-field rules of a `[[tolerance]]` entry, which no single
+    /// [`Field`] can state: closed-set membership of `op`/`path`/`kind`
+    /// and the integrality of `ulp` bounds.
+    fn tolerance(&self) -> OmenResult<ToleranceEntry> {
+        let op = self.str("op")?;
+        if !KNOWN_OPS.contains(&op.as_str()) {
+            let detail = format!("unknown op {op:?} (not in the KNOWN_OPS registry)");
+            return Err(perr(self.source, self.line, detail));
+        }
+        let path_s = self.str("path")?;
+        let Some(path) = DispatchLeg::parse(&path_s) else {
+            let detail = format!("unknown path {path_s:?} (expected scalar|avx2fma|any|cross)");
+            return Err(perr(self.source, self.line, detail));
+        };
+        let kind_s = self.str("kind")?;
+        let Some(kind) = BoundKind::parse(&kind_s) else {
+            let detail =
+                format!("unknown kind {kind_s:?} (expected relative|absolute|termwise|ulp)");
+            return Err(perr(self.source, self.line, detail));
+        };
+        let bound = self.num("bound")?;
+        if kind == BoundKind::Ulp && (bound < 1.0 || (bound - bound.round()).abs() > 0.0) {
+            let line = self.get("bound").map_or(self.line, |(_, line)| line);
+            let detail = format!("ulp bound {bound} must be an integer >= 1");
+            return Err(perr(self.source, line, detail));
+        }
+        Ok(ToleranceEntry {
+            op,
+            path,
+            kind,
+            bound,
+            rationale: self.str("rationale")?,
+            line: self.line,
+        })
+    }
 }
 
-/// A client count arrives as a policy number; it must be an exact
-/// positive integer to key a `(case, clients)` group.
-fn parse_client_count(source: &str, line: usize, v: f64) -> OmenResult<usize> {
-    // analyze: allow(float-eq, exact integrality guard — a client count of 2.5 must be rejected, not rounded)
-    if !v.is_finite() || v < 1.0 || v.fract() != 0.0 || v > 1e6 {
-        return Err(perr(
-            source,
-            line,
-            format!("clients = {v} must be a positive integer"),
-        ));
-    }
-    Ok(v as usize)
-}
-
-fn finite_positive(source: &str, line: usize, key: &str, v: f64) -> OmenResult<f64> {
-    if !v.is_finite() || v <= 0.0 {
-        return Err(perr(
-            source,
-            line,
-            format!("{key} = {v} must be finite and positive"),
-        ));
-    }
-    Ok(v)
-}
+/// Why a miss in a committed-baseline guardband lookup is a policy error.
+const EVERY_RECORD: &str = " — every committed bench record needs one";
 
 impl TolerancePolicy {
     /// Parses and validates a policy document.
@@ -483,7 +624,7 @@ impl TolerancePolicy {
     /// non-positive bounds, empty rationales, and duplicate entries.
     pub fn parse(source: &str, text: &str) -> OmenResult<TolerancePolicy> {
         let mut schema: Option<String> = None;
-        let mut raws: Vec<RawEntry> = Vec::new();
+        let mut raws: Vec<Entry> = Vec::new();
         for (idx, full) in text.lines().enumerate() {
             let line_no = idx + 1;
             let line = full.trim();
@@ -494,7 +635,8 @@ impl TolerancePolicy {
                 let Some(name) = header.strip_suffix("]]") else {
                     return Err(perr(source, line_no, format!("malformed header {line:?}")));
                 };
-                raws.push(RawEntry {
+                raws.push(Entry {
+                    source,
                     section: name.trim().to_string(),
                     line: line_no,
                     keys: Vec::new(),
@@ -517,54 +659,35 @@ impl TolerancePolicy {
             };
             let key = key.trim().to_string();
             let value = parse_value(source, line_no, value)?;
-            match raws.last_mut() {
-                Some(entry) => {
-                    if entry.keys.iter().any(|(k, _, _)| *k == key) {
-                        return Err(perr(
-                            source,
-                            line_no,
-                            format!("duplicate key {key:?} in [[{}]] entry", entry.section),
-                        ));
+            match (raws.last_mut(), value) {
+                (Some(entry), value) => {
+                    if entry.get(&key).is_some() {
+                        return Err(
+                            entry.err(line_no, format!("entry has a duplicate key {key:?}"))
+                        );
                     }
                     entry.keys.push((key, value, line_no));
                 }
-                None => {
-                    if key == "schema" {
-                        match value {
-                            Raw::Str(s) => schema = Some(s),
-                            other => {
-                                return Err(perr(
-                                    source,
-                                    line_no,
-                                    format!("schema must be a string, got {}", other.type_name()),
-                                ))
-                            }
-                        }
-                    } else {
-                        return Err(perr(
-                            source,
-                            line_no,
-                            format!("unexpected top-level key {key:?} (only \"schema\")"),
-                        ));
-                    }
+                (None, Raw::Str(s)) if key == "schema" => schema = Some(s),
+                (None, other) if key == "schema" => {
+                    let detail = format!("schema must be a string, got {}", other.type_name());
+                    return Err(perr(source, line_no, detail));
+                }
+                (None, _) => {
+                    let detail = format!("unexpected top-level key {key:?} (only \"schema\")");
+                    return Err(perr(source, line_no, detail));
                 }
             }
         }
         match schema.as_deref() {
             Some(POLICY_SCHEMA) => {}
             Some(other) => {
-                return Err(perr(
-                    source,
-                    0,
-                    format!("schema {other:?} (expected {POLICY_SCHEMA:?})"),
-                ))
+                let detail = format!("schema {other:?} (expected {POLICY_SCHEMA:?})");
+                return Err(perr(source, 0, detail));
             }
             None => {
-                return Err(perr(
-                    source,
-                    0,
-                    format!("missing schema tag (expected schema = {POLICY_SCHEMA:?})"),
-                ))
+                let detail = format!("missing schema tag (expected schema = {POLICY_SCHEMA:?})");
+                return Err(perr(source, 0, detail));
             }
         }
 
@@ -578,291 +701,61 @@ impl TolerancePolicy {
             serve_guardbands: Vec::new(),
             serve_smoke_floors: Vec::new(),
         };
-        for raw in &raws {
-            let mut keys = Keys::new(source, raw);
-            match raw.section.as_str() {
-                "tolerance" => {
-                    let op = keys.str("op")?;
-                    if !KNOWN_OPS.contains(&op.as_str()) {
-                        return Err(perr(
-                            source,
-                            raw.line,
-                            format!("unknown op {op:?} (not in the KNOWN_OPS registry)"),
-                        ));
-                    }
-                    let path_s = keys.str("path")?;
-                    let Some(path) = DispatchLeg::parse(&path_s) else {
-                        return Err(perr(
-                            source,
-                            raw.line,
-                            format!("unknown path {path_s:?} (expected scalar|avx2fma|any|cross)"),
-                        ));
-                    };
-                    let kind_s = keys.str("kind")?;
-                    let Some(kind) = BoundKind::parse(&kind_s) else {
-                        return Err(perr(
-                            source,
-                            raw.line,
-                            format!(
-                                "unknown kind {kind_s:?} (expected relative|absolute|termwise|ulp)"
-                            ),
-                        ));
-                    };
-                    let (bound, bline) = keys.num("bound")?;
-                    let bound = finite_positive(source, bline, "bound", bound)?;
-                    if kind == BoundKind::Ulp
-                        && (bound < 1.0 || (bound - bound.round()).abs() > 0.0)
-                    {
-                        return Err(perr(
-                            source,
-                            bline,
-                            format!("ulp bound {bound} must be an integer >= 1"),
-                        ));
-                    }
-                    let rationale = keys.rationale()?;
-                    keys.finish()?;
-                    if policy.entries.iter().any(|e| e.op == op && e.path == path) {
-                        return Err(perr(
-                            source,
-                            raw.line,
-                            format!("duplicate tolerance for op {op:?} path {:?}", path.as_str()),
-                        ));
-                    }
-                    policy.entries.push(ToleranceEntry {
-                        op,
-                        path,
-                        kind,
-                        bound,
-                        rationale,
-                        line: raw.line,
-                    });
-                }
-                "kernel_guardband" => {
-                    let kernel = keys.str("kernel")?;
-                    let simd = keys.bool("simd")?;
-                    let (reference_gflops, rline) = keys.num("reference_gflops")?;
-                    let reference_gflops =
-                        finite_positive(source, rline, "reference_gflops", reference_gflops)?;
-                    let (guardband, gline) = keys.num("guardband")?;
-                    let guardband = finite_positive(source, gline, "guardband", guardband)?;
-                    if guardband >= 1.0 {
-                        return Err(perr(
-                            source,
-                            gline,
-                            format!("guardband {guardband} must be < 1 (a fractional drop)"),
-                        ));
-                    }
-                    let rationale = keys.rationale()?;
-                    keys.finish()?;
-                    if policy
-                        .kernel_guardbands
-                        .iter()
-                        .any(|g| g.kernel == kernel && g.simd == simd)
-                    {
-                        return Err(perr(
-                            source,
-                            raw.line,
-                            format!("duplicate kernel_guardband for ({kernel:?}, simd={simd})"),
-                        ));
-                    }
-                    policy.kernel_guardbands.push(KernelGuardband {
-                        kernel,
-                        simd,
-                        reference_gflops,
-                        guardband,
-                        rationale,
-                    });
-                }
+        for (i, e) in raws.iter().enumerate() {
+            e.validate(&raws[..i])?;
+            let rationale = e.str("rationale")?;
+            match e.section.as_str() {
+                "tolerance" => policy.entries.push(e.tolerance()?),
+                "kernel_guardband" => policy.kernel_guardbands.push(KernelGuardband {
+                    kernel: e.str("kernel")?,
+                    simd: e.bool("simd")?,
+                    reference_gflops: e.num("reference_gflops")?,
+                    guardband: e.num("guardband")?,
+                    rationale,
+                }),
                 "sched_guardband" => {
-                    let case = keys.str("case")?;
-                    let schedule = keys.str("schedule")?;
-                    let (max_imbalance, iline) = keys.num("max_imbalance")?;
-                    let max_imbalance =
-                        finite_positive(source, iline, "max_imbalance", max_imbalance)?;
-                    if max_imbalance < 1.0 {
-                        return Err(perr(
-                            source,
-                            iline,
-                            format!("max_imbalance {max_imbalance} must be >= 1 (max/mean ratio)"),
-                        ));
-                    }
-                    let min_speedup = match keys.num_if_present("min_speedup")? {
-                        None => None,
-                        Some((v, sline)) => {
-                            let v = finite_positive(source, sline, "min_speedup", v)?;
-                            if v < 1.0 {
-                                return Err(perr(
-                                    source,
-                                    sline,
-                                    format!(
-                                        "min_speedup {v} must be >= 1 \
-                                         (static wall / scheduled wall)"
-                                    ),
-                                ));
-                            }
-                            if schedule == "static" {
-                                return Err(perr(
-                                    source,
-                                    sline,
-                                    "min_speedup compares against the static record and \
-                                     cannot appear on the static schedule itself"
-                                        .to_string(),
-                                ));
-                            }
-                            Some(v)
-                        }
-                    };
-                    let rationale = keys.rationale()?;
-                    keys.finish()?;
-                    if policy
-                        .sched_guardbands
-                        .iter()
-                        .any(|g| g.case == case && g.schedule == schedule)
-                    {
-                        return Err(perr(
-                            source,
-                            raw.line,
-                            format!("duplicate sched_guardband for ({case:?}, {schedule:?})"),
-                        ));
+                    let schedule = e.str("schedule")?;
+                    let min_speedup = e.opt_num("min_speedup")?;
+                    if min_speedup.is_some() && schedule == "static" {
+                        let line = e.get("min_speedup").map_or(e.line, |(_, line)| line);
+                        let detail = "min_speedup compares against the static record and \
+                                      cannot appear on the static schedule itself";
+                        return Err(perr(source, line, detail));
                     }
                     policy.sched_guardbands.push(SchedGuardband {
-                        case,
+                        case: e.str("case")?,
                         schedule,
-                        max_imbalance,
+                        max_imbalance: e.num("max_imbalance")?,
                         min_speedup,
                         rationale,
                     });
                 }
-                "kernel_smoke_floor" => {
-                    let kernel = keys.str("kernel")?;
-                    let (min_gflops, mline) = keys.num("min_gflops")?;
-                    let min_gflops = finite_positive(source, mline, "min_gflops", min_gflops)?;
-                    let rationale = keys.rationale()?;
-                    keys.finish()?;
-                    if policy
-                        .kernel_smoke_floors
-                        .iter()
-                        .any(|g| g.kernel == kernel)
-                    {
-                        return Err(perr(
-                            source,
-                            raw.line,
-                            format!("duplicate kernel_smoke_floor for {kernel:?}"),
-                        ));
-                    }
-                    policy.kernel_smoke_floors.push(KernelSmokeFloor {
-                        kernel,
-                        min_gflops,
-                        rationale,
-                    });
-                }
-                "sched_smoke_floor" => {
-                    let case = keys.str("case")?;
-                    let schedule = keys.str("schedule")?;
-                    let (max_imbalance, iline) = keys.num("max_imbalance")?;
-                    let max_imbalance =
-                        finite_positive(source, iline, "max_imbalance", max_imbalance)?;
-                    let rationale = keys.rationale()?;
-                    keys.finish()?;
-                    if policy
-                        .sched_smoke_floors
-                        .iter()
-                        .any(|g| g.case == case && g.schedule == schedule)
-                    {
-                        return Err(perr(
-                            source,
-                            raw.line,
-                            format!("duplicate sched_smoke_floor for ({case:?}, {schedule:?})"),
-                        ));
-                    }
-                    policy.sched_smoke_floors.push(SchedSmokeFloor {
-                        case,
-                        schedule,
-                        max_imbalance,
-                        rationale,
-                    });
-                }
-                "serve_guardband" => {
-                    let case = keys.str("case")?;
-                    let (clients_f, cline) = keys.num("clients")?;
-                    let clients = parse_client_count(source, cline, clients_f)?;
-                    let (reference_jobs_per_s, rline) = keys.num("reference_jobs_per_s")?;
-                    let reference_jobs_per_s = finite_positive(
-                        source,
-                        rline,
-                        "reference_jobs_per_s",
-                        reference_jobs_per_s,
-                    )?;
-                    let (guardband, gline) = keys.num("guardband")?;
-                    let guardband = finite_positive(source, gline, "guardband", guardband)?;
-                    if guardband >= 1.0 {
-                        return Err(perr(
-                            source,
-                            gline,
-                            format!("guardband {guardband} must be < 1 (a fractional drop)"),
-                        ));
-                    }
-                    let (min_dedupe_hit_rate, dline) = keys.num("min_dedupe_hit_rate")?;
-                    // Zero is meaningful here (unique-job workloads never
-                    // dedupe), so the positivity helper does not apply.
-                    if !min_dedupe_hit_rate.is_finite()
-                        || !(0.0..=1.0).contains(&min_dedupe_hit_rate)
-                    {
-                        return Err(perr(
-                            source,
-                            dline,
-                            format!("min_dedupe_hit_rate {min_dedupe_hit_rate} must be in [0, 1]"),
-                        ));
-                    }
-                    let rationale = keys.rationale()?;
-                    keys.finish()?;
-                    if policy
-                        .serve_guardbands
-                        .iter()
-                        .any(|g| g.case == case && g.clients == clients)
-                    {
-                        return Err(perr(
-                            source,
-                            raw.line,
-                            format!("duplicate serve_guardband for ({case:?}, clients={clients})"),
-                        ));
-                    }
-                    policy.serve_guardbands.push(ServeGuardband {
-                        case,
-                        clients,
-                        reference_jobs_per_s,
-                        guardband,
-                        min_dedupe_hit_rate,
-                        rationale,
-                    });
-                }
-                "serve_smoke_floor" => {
-                    let case = keys.str("case")?;
-                    let (min_jobs_per_s, mline) = keys.num("min_jobs_per_s")?;
-                    let min_jobs_per_s =
-                        finite_positive(source, mline, "min_jobs_per_s", min_jobs_per_s)?;
-                    let rationale = keys.rationale()?;
-                    keys.finish()?;
-                    if policy.serve_smoke_floors.iter().any(|g| g.case == case) {
-                        return Err(perr(
-                            source,
-                            raw.line,
-                            format!("duplicate serve_smoke_floor for {case:?}"),
-                        ));
-                    }
-                    policy.serve_smoke_floors.push(ServeSmokeFloor {
-                        case,
-                        min_jobs_per_s,
-                        rationale,
-                    });
-                }
-                other => {
-                    return Err(perr(
-                        source,
-                        raw.line,
-                        format!("unknown section [[{other}]]"),
-                    ));
-                }
+                "kernel_smoke_floor" => policy.kernel_smoke_floors.push(KernelSmokeFloor {
+                    kernel: e.str("kernel")?,
+                    min_gflops: e.num("min_gflops")?,
+                    rationale,
+                }),
+                "sched_smoke_floor" => policy.sched_smoke_floors.push(SchedSmokeFloor {
+                    case: e.str("case")?,
+                    schedule: e.str("schedule")?,
+                    max_imbalance: e.num("max_imbalance")?,
+                    rationale,
+                }),
+                "serve_guardband" => policy.serve_guardbands.push(ServeGuardband {
+                    case: e.str("case")?,
+                    // `Rule::Count` admitted only exact integers <= 1e6.
+                    clients: e.num("clients")? as usize,
+                    reference_jobs_per_s: e.num("reference_jobs_per_s")?,
+                    guardband: e.num("guardband")?,
+                    min_dedupe_hit_rate: e.num("min_dedupe_hit_rate")?,
+                    rationale,
+                }),
+                "serve_smoke_floor" => policy.serve_smoke_floors.push(ServeSmokeFloor {
+                    case: e.str("case")?,
+                    min_jobs_per_s: e.num("min_jobs_per_s")?,
+                    rationale,
+                }),
+                _ => return Err(e.err(e.line, "is in the section table but has no builder".into())),
             }
         }
         Ok(policy)
@@ -906,22 +799,11 @@ impl TolerancePolicy {
     /// Returns [`OmenError::InvalidPolicy`] when no entry covers
     /// `(op, leg)` or the covering entry's kind differs from `kind`.
     pub fn bound(&self, op: &str, leg: DispatchLeg, kind: BoundKind) -> OmenResult<f64> {
-        let entry = self
-            .entries
-            .iter()
-            .find(|e| e.op == op && e.path == leg)
-            .or_else(|| {
-                self.entries
-                    .iter()
-                    .find(|e| e.op == op && e.path == DispatchLeg::Any)
-            })
-            .ok_or_else(|| {
-                perr(
-                    &self.source,
-                    0,
-                    format!("no tolerance entry for op {op:?} on leg {:?}", leg.as_str()),
-                )
-            })?;
+        let on = |leg| self.entries.iter().find(|e| e.op == op && e.path == leg);
+        let entry = on(leg).or_else(|| on(DispatchLeg::Any)).ok_or_else(|| {
+            let detail = format!("no tolerance entry for op {op:?} on leg {:?}", leg.as_str());
+            perr(&self.source, 0, detail)
+        })?;
         if entry.kind != kind {
             return Err(perr(
                 &self.source,
@@ -936,25 +818,30 @@ impl TolerancePolicy {
         Ok(entry.bound)
     }
 
+    /// The one finder behind the guardband/floor lookups: the first of
+    /// `items` that `hit` accepts, or a typed miss naming `what` (section
+    /// and identity).
+    fn find<'a, T>(
+        &self,
+        items: &'a [T],
+        what: String,
+        hit: impl Fn(&T) -> bool,
+    ) -> OmenResult<&'a T> {
+        items
+            .iter()
+            .find(|&g| hit(g))
+            .ok_or_else(|| perr(&self.source, 0, format!("no {what}")))
+    }
+
     /// The committed-baseline guardband for a `(kernel, simd)` group.
     ///
     /// # Errors
     ///
     /// Returns [`OmenError::InvalidPolicy`] when the group has no entry.
     pub fn kernel_guardband(&self, kernel: &str, simd: bool) -> OmenResult<&KernelGuardband> {
-        self.kernel_guardbands
-            .iter()
-            .find(|g| g.kernel == kernel && g.simd == simd)
-            .ok_or_else(|| {
-                perr(
-                    &self.source,
-                    0,
-                    format!(
-                        "no kernel_guardband for ({kernel:?}, simd={simd}) — every committed \
-                         bench record needs one"
-                    ),
-                )
-            })
+        let what = format!("kernel_guardband for ({kernel:?}, simd={simd}){EVERY_RECORD}");
+        let hit = |g: &KernelGuardband| g.kernel == kernel && g.simd == simd;
+        self.find(&self.kernel_guardbands, what, hit)
     }
 
     /// The committed-baseline imbalance ceiling for `(case, schedule)`.
@@ -963,19 +850,9 @@ impl TolerancePolicy {
     ///
     /// Returns [`OmenError::InvalidPolicy`] when the pair has no entry.
     pub fn sched_guardband(&self, case: &str, schedule: &str) -> OmenResult<&SchedGuardband> {
-        self.sched_guardbands
-            .iter()
-            .find(|g| g.case == case && g.schedule == schedule)
-            .ok_or_else(|| {
-                perr(
-                    &self.source,
-                    0,
-                    format!(
-                        "no sched_guardband for ({case:?}, {schedule:?}) — every committed \
-                         bench record needs one"
-                    ),
-                )
-            })
+        let what = format!("sched_guardband for ({case:?}, {schedule:?}){EVERY_RECORD}");
+        let hit = |g: &SchedGuardband| g.case == case && g.schedule == schedule;
+        self.find(&self.sched_guardbands, what, hit)
     }
 
     /// The fresh-smoke floor for `kernel`.
@@ -984,16 +861,8 @@ impl TolerancePolicy {
     ///
     /// Returns [`OmenError::InvalidPolicy`] when the kernel has no entry.
     pub fn kernel_smoke_floor(&self, kernel: &str) -> OmenResult<&KernelSmokeFloor> {
-        self.kernel_smoke_floors
-            .iter()
-            .find(|g| g.kernel == kernel)
-            .ok_or_else(|| {
-                perr(
-                    &self.source,
-                    0,
-                    format!("no kernel_smoke_floor for {kernel:?}"),
-                )
-            })
+        let what = format!("kernel_smoke_floor for {kernel:?}");
+        self.find(&self.kernel_smoke_floors, what, |g| g.kernel == kernel)
     }
 
     /// The fresh-smoke imbalance ceiling for `(case, schedule)`.
@@ -1002,16 +871,9 @@ impl TolerancePolicy {
     ///
     /// Returns [`OmenError::InvalidPolicy`] when the pair has no entry.
     pub fn sched_smoke_floor(&self, case: &str, schedule: &str) -> OmenResult<&SchedSmokeFloor> {
-        self.sched_smoke_floors
-            .iter()
-            .find(|g| g.case == case && g.schedule == schedule)
-            .ok_or_else(|| {
-                perr(
-                    &self.source,
-                    0,
-                    format!("no sched_smoke_floor for ({case:?}, {schedule:?})"),
-                )
-            })
+        let what = format!("sched_smoke_floor for ({case:?}, {schedule:?})");
+        let hit = |g: &SchedSmokeFloor| g.case == case && g.schedule == schedule;
+        self.find(&self.sched_smoke_floors, what, hit)
     }
 
     /// The committed-baseline service guardband for `(case, clients)`.
@@ -1020,19 +882,9 @@ impl TolerancePolicy {
     ///
     /// Returns [`OmenError::InvalidPolicy`] when the pair has no entry.
     pub fn serve_guardband(&self, case: &str, clients: usize) -> OmenResult<&ServeGuardband> {
-        self.serve_guardbands
-            .iter()
-            .find(|g| g.case == case && g.clients == clients)
-            .ok_or_else(|| {
-                perr(
-                    &self.source,
-                    0,
-                    format!(
-                        "no serve_guardband for ({case:?}, clients={clients}) — every committed \
-                         bench record needs one"
-                    ),
-                )
-            })
+        let what = format!("serve_guardband for ({case:?}, clients={clients}){EVERY_RECORD}");
+        let hit = |g: &ServeGuardband| g.case == case && g.clients == clients;
+        self.find(&self.serve_guardbands, what, hit)
     }
 
     /// The fresh-smoke throughput floor for a service `case`.
@@ -1041,16 +893,8 @@ impl TolerancePolicy {
     ///
     /// Returns [`OmenError::InvalidPolicy`] when the case has no entry.
     pub fn serve_smoke_floor(&self, case: &str) -> OmenResult<&ServeSmokeFloor> {
-        self.serve_smoke_floors
-            .iter()
-            .find(|g| g.case == case)
-            .ok_or_else(|| {
-                perr(
-                    &self.source,
-                    0,
-                    format!("no serve_smoke_floor for {case:?}"),
-                )
-            })
+        let what = format!("serve_smoke_floor for {case:?}");
+        self.find(&self.serve_smoke_floors, what, |g| g.case == case)
     }
 }
 
@@ -1317,6 +1161,78 @@ mod tests {
              rationale = \"x\"\n",
         );
         expect_policy_err(&dup, "duplicate serve_smoke_floor");
+    }
+
+    /// One `[[section]]` block holding a valid value for every key of
+    /// `fields` plus the rationale, except that `swap` replaces one key's
+    /// value or (`None`) drops the key.
+    fn block(section: &str, fields: &[Field], swap: Option<(&str, Option<&str>)>) -> String {
+        let mut out = format!("[[{section}]]\n");
+        for &(key, rule, _) in fields.iter().chain([&RATIONALE]) {
+            let valid = match (key, rule) {
+                ("op", _) => "\"gemm.vs_oracle\"",
+                ("path", _) => "\"any\"",
+                ("kind", _) => "\"relative\"",
+                (_, Str) => "\"x\"",
+                (_, Bool) => "true",
+                (_, Fraction | Share) => "0.5",
+                _ => "2",
+            };
+            match swap {
+                Some((k, None)) if k == key => {}
+                Some((k, Some(v))) if k == key => out += &format!("{key} = {v}\n"),
+                _ => out += &format!("{key} = {valid}\n"),
+            }
+        }
+        out
+    }
+
+    /// Generated from [`SECTIONS`], so a section or key added to the table
+    /// is covered the moment it is declared: every way a key can be wrong
+    /// is an `InvalidPolicy` naming the section and key at the right line.
+    #[test]
+    fn every_section_table_row_is_validated() {
+        let rejects =
+            |body: String, section: &str, key: &str, line: usize| match TolerancePolicy::parse(
+                "t",
+                &doc(&body),
+            ) {
+                Err(OmenError::InvalidPolicy {
+                    detail, line: at, ..
+                }) => {
+                    assert!(detail.contains(section) && detail.contains(key), "{detail}");
+                    assert_eq!(at, line, "{section}.{key}: {detail}");
+                }
+                other => panic!("{section}.{key}: expected InvalidPolicy, got {other:?}\n{body}"),
+            };
+        for &(section, fields) in SECTIONS {
+            let valid = block(section, fields, None);
+            TolerancePolicy::parse("t", &doc(&valid)).expect("the generated entry is valid");
+            // Line 1 is the schema tag, line 2 the header, keys follow.
+            let after = 3 + fields.len() + 1;
+            rejects(format!("{valid}{valid}"), section, fields[0].0, after);
+            rejects(format!("{valid}flavor = 1\n"), section, "flavor", after);
+            let blank = Some(("rationale", Some("\"  \"")));
+            rejects(block(section, fields, blank), section, "rationale", 2);
+            for (i, &(key, rule, need)) in fields.iter().chain([&RATIONALE]).enumerate() {
+                if need != Opt {
+                    rejects(block(section, fields, Some((key, None))), section, key, 2);
+                }
+                let mistyped = if rule == Str { "1" } else { "\"x\"" };
+                let out_of_range = match rule {
+                    Str | Bool => vec![],
+                    Positive => vec!["0", "-1", "nan", "inf"],
+                    Fraction => vec!["0", "1", "nan"],
+                    Ratio => vec!["0.5", "nan"],
+                    Share => vec!["-0.1", "1.5", "nan"],
+                    Count => vec!["0", "2.5", "1e7"],
+                };
+                for bad in out_of_range.into_iter().chain([mistyped]) {
+                    let body = block(section, fields, Some((key, Some(bad))));
+                    rejects(body, section, key, 3 + i);
+                }
+            }
+        }
     }
 
     #[test]
