@@ -18,7 +18,7 @@
 //!
 //! | rule | what it catches |
 //! |------|-----------------|
-//! | `spmd-divergence` | collectives (`allreduce_sum`, `bcast`, `gather`, `barrier`, `split`) lexically inside `rank()`-conditioned branches — the classic deadlock/divergence seed in SPMD code |
+//! | `spmd-divergence` | collectives (`allreduce_sum`, `bcast`, `gather`, `allgather`, `agree`, `barrier`, `split`) lexically inside `rank()`-conditioned branches — the classic deadlock/divergence seed in SPMD code |
 //! | `spmd-divergence-interproc` | a collective *transitively reachable through calls* from inside a rank()-conditioned branch — closes the helper-one-call-deep gap the lexical rule cannot see |
 //! | `protocol-early-exit` | `?` / `return` between a send and its matching recv, or between epoch-open and epoch-close — the typed-error-era deadlock seed: the peer blocks until timeout |
 //! | `tag-conflict` | two concurrently-live call paths using the same reserved parsim tag in the same direction — concurrent rounds on one tag can cross-match messages |
@@ -172,7 +172,15 @@ const PANIC_CRATES: &[&str] = &[
 ];
 
 /// Collective operations whose call schedule must be rank-uniform.
-const COLLECTIVES: &[&str] = &["allreduce_sum", "bcast", "gather", "barrier", "split"];
+const COLLECTIVES: &[&str] = &[
+    "allreduce_sum",
+    "bcast",
+    "gather",
+    "allgather",
+    "agree",
+    "barrier",
+    "split",
+];
 
 /// Classifies a workspace-relative path (`crates/negf/src/rgf.rs`,
 /// `src/bin/omen_cli.rs`, `examples/iv_curve.rs`, …).

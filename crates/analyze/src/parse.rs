@@ -34,6 +34,8 @@ pub const COLLECTIVE_ARITY: &[(&str, usize)] = &[
     ("allreduce_sum", 1),
     ("bcast", 2),
     ("gather", 2),
+    ("allgather", 1),
+    ("agree", 1),
     ("barrier", 0),
     ("split", 2),
 ];
@@ -676,6 +678,8 @@ const PROTOCOL_NAMES: &[&str] = &[
     "allreduce_sum",
     "bcast",
     "gather",
+    "allgather",
+    "agree",
     "barrier",
     "split",
     "send",

@@ -62,6 +62,43 @@ fn interproc_clean_twin_is_silent() {
 }
 
 #[test]
+fn allgather_and_agree_are_collectives_to_both_rules() {
+    let f = run_one(
+        "crates/negf/src/trip.rs",
+        include_str!("fixtures/allgather_trip.rs"),
+        "negf",
+        TargetKind::Lib,
+    );
+    let lexical = by_rule(&f, "spmd-divergence");
+    assert_eq!(lexical.len(), 2, "findings: {f:?}");
+    assert!(lexical[0].message.contains("`allgather`"), "{lexical:?}");
+    assert!(lexical[1].message.contains("`agree`"), "{lexical:?}");
+    let hidden = by_rule(&f, "spmd-divergence-interproc");
+    assert_eq!(hidden.len(), 1, "findings: {f:?}");
+    assert!(
+        hidden[0].message.contains("`agree`"),
+        "{}",
+        hidden[0].message
+    );
+    assert!(
+        hidden[0].message.contains("phase_health()"),
+        "{}",
+        hidden[0].message
+    );
+
+    let f = run_one(
+        "crates/negf/src/clean.rs",
+        include_str!("fixtures/allgather_clean.rs"),
+        "negf",
+        TargetKind::Lib,
+    );
+    assert!(
+        f.iter().all(|x| !x.rule.starts_with("spmd-divergence")),
+        "unexpected: {f:?}"
+    );
+}
+
+#[test]
 fn interproc_resolves_helpers_across_files_in_the_same_crate() {
     let helper = "pub struct Comm;\n\
          impl Comm {\n\

@@ -3,6 +3,8 @@
 //! every record type, and adversarial bytes (ROADMAP aim 3) against both
 //! the `BENCH_*.json` reader and the `TOLERANCES.toml` reader.
 
+mod common;
+
 use omen_bench::records::{
     from_json, merge_records, path, read_records, to_json, BenchRecord, KernelRecord, SchedRecord,
     ServeRecord,
@@ -228,26 +230,10 @@ fn pre_simd_kernel_records_parse_as_scalar() {
     assert_eq!(parsed, vec![krec("gemm", 64, false, 2.0)]);
 }
 
-/// Mutants per document: seeded and bounded, four documents keep the
-/// battery at 2 000. Each must parse or fail with the decoder's typed
-/// error; a panic anywhere in a reader fails the test by itself.
-const BUDGET: usize = 500;
-
-/// `BUDGET` mutants of `text`: byte-prefix truncations at an even stride
-/// (every prefix when the text is short enough) and single-byte
-/// substitutions drawn from a fixed-seed LCG.
+/// [`common::mutants`] of a text document, as the (lossily decoded) strings
+/// its reader takes.
 fn mutants(text: &[u8]) -> impl Iterator<Item = String> + '_ {
-    let stride = (2 * text.len()).div_ceil(BUDGET);
-    let cuts = (0..text.len()).step_by(stride).map(|n| text[..n].to_vec());
-    let mut seed = 0x9E37_79B9_7F4A_7C15_u64;
-    let subs = (0..BUDGET / 2).map(move |_| {
-        seed = seed.wrapping_mul(6364136223846793005).wrapping_add(1);
-        let mut mutant = text.to_vec();
-        mutant[(seed >> 33) as usize % text.len()] = (seed >> 24) as u8;
-        mutant
-    });
-    cuts.chain(subs)
-        .map(|m| String::from_utf8_lossy(&m).into_owned())
+    common::mutants(text).map(|m| String::from_utf8_lossy(&m).into_owned())
 }
 
 fn ledger_survives<R: BenchRecord>() {

@@ -137,33 +137,26 @@ fn is_comm_fault(e: &OmenError) -> bool {
 }
 
 /// Exchanges per-group failure lists over `comm` so every member returns
-/// the identical ledger: contributors' blobs gather at local rank 0, merge
-/// sorted by energy, and broadcast back. The collectives run
-/// unconditionally on every member — only the *payload* depends on
-/// `contribute` — so the SPMD schedule never diverges.
+/// the identical ledger: one allgather of the contributors' blobs, merged
+/// in rank order and sorted by energy on every member. The collective runs
+/// unconditionally — only the *payload* depends on `contribute` — so the
+/// SPMD schedule never diverges.
 fn exchange_failures(
     comm: &Comm<'_>,
     contribute: bool,
     local: &[FailedPoint],
 ) -> OmenResult<Vec<FailedPoint>> {
-    let origin = comm.global_rank(comm.rank());
     let payload = if contribute {
-        proto::encode_failures(local, origin)
+        proto::encode_failures(local, comm.global_rank(comm.rank()))
     } else {
         Vec::new()
     };
-    let merged_blob = match comm.gather(0, payload)? {
-        Some(blobs) => {
-            let mut all = Vec::new();
-            for b in blobs.iter().filter(|b| !b.is_empty()) {
-                all.extend(proto::decode_failures(b)?);
-            }
-            all.sort_by(|a, b| a.energy.total_cmp(&b.energy));
-            proto::encode_failures(&all, origin)
-        }
-        None => Vec::new(),
-    };
-    proto::decode_failures(&comm.bcast(0, merged_blob)?)
+    let mut all = Vec::new();
+    for blob in comm.allgather(payload)?.iter().filter(|b| !b.is_empty()) {
+        all.extend(proto::decode_failures(blob)?);
+    }
+    all.sort_by(|a, b| a.energy.total_cmp(&b.energy));
+    Ok(all)
 }
 
 /// Reduces one level's partial sweep over `comm` so every member returns

@@ -1,4 +1,5 @@
-//! Distributed Sancho–Rubio contact decimation.
+//! Contact self-energies for one (E, k) point: locally, or decimated
+//! once across a communicator.
 //!
 //! In every rank-parallel per-point solve the two lead self-energies used
 //! to be decimated redundantly on every rank — pure wasted flops at scale
@@ -8,54 +9,91 @@
 //! per (E, k) point each lead is decimated exactly once.
 //!
 //! The broadcast payloads double as the health barrier: a failed lead
-//! solve is encoded with [`crate::serialize::error_to_bytes`] and decoded
+//! solve travels in the error format of [`omen_num::wire`] (the one place
+//! the primitive layout and the error encoding are declared) and decodes
 //! into the *same* typed error on every rank, so the SPMD schedule never
 //! diverges on a lead failure.
 
 use crate::sancho::{ContactSelfEnergy, Side};
-use crate::serialize::{bytes_to_error, bytes_to_mats, error_to_bytes, mats_to_bytes};
+use crate::serialize::{bytes_to_mat_array, mats_to_bytes};
 use omen_linalg::ZMat;
-use omen_num::{OmenError, OmenResult};
+use omen_num::wire::{Dec, Enc};
+use omen_num::OmenResult;
 use omen_parsim::Comm;
 
 const CONTACT_OK: u8 = 0;
 const CONTACT_ERR: u8 = 1;
 
-fn encode_contact(rank: usize, r: &OmenResult<ContactSelfEnergy>) -> Vec<u8> {
-    let mut v = Vec::new();
-    match r {
-        Ok(se) => {
-            v.push(CONTACT_OK);
-            v.extend_from_slice(&(se.retries as u64).to_le_bytes());
-            v.extend_from_slice(&mats_to_bytes(&[&se.sigma, &se.gamma]));
-        }
-        Err(e) => {
-            v.push(CONTACT_ERR);
-            v.extend_from_slice(&error_to_bytes(rank, e));
-        }
-    }
-    v
+/// One lead's self-energy, a failure stamped with the energy.
+///
+/// # Errors
+///
+/// The Sancho–Rubio solve's typed failure
+/// ([`omen_num::OmenError::LeadNotConverged`] /
+/// [`omen_num::OmenError::SingularBlock`]) once its recovery policy is
+/// exhausted.
+pub fn lead_self_energy(
+    e: f64,
+    eta: f64,
+    lead: (&ZMat, &ZMat),
+    side: Side,
+) -> OmenResult<ContactSelfEnergy> {
+    ContactSelfEnergy::compute(e, eta, lead.0, lead.1, side).map_err(|err| err.with_energy(e))
 }
 
-fn decode_contact(b: &[u8], side: Side) -> OmenResult<ContactSelfEnergy> {
+/// Both contact self-energies, decimated on this rank — the prologue of
+/// every serial per-energy engine and the single-rank case of
+/// [`distributed_contacts`].
+///
+/// # Errors
+///
+/// The first failing lead's [`lead_self_energy`] error.
+pub fn local_contacts(
+    e: f64,
+    eta: f64,
+    lead_l: (&ZMat, &ZMat),
+    lead_r: (&ZMat, &ZMat),
+) -> OmenResult<(ContactSelfEnergy, ContactSelfEnergy)> {
+    Ok((
+        lead_self_energy(e, eta, lead_l, Side::Left)?,
+        lead_self_energy(e, eta, lead_r, Side::Right)?,
+    ))
+}
+
+/// Serializes one lead's outcome for the broadcast: `[0][retries][Σ, Γ
+/// bundle]`, or `[1]` and the typed error attributed to global rank
+/// `origin_rank`.
+pub fn encode_contact(origin_rank: usize, r: &OmenResult<ContactSelfEnergy>) -> Vec<u8> {
+    let mut e = Enc::new();
+    match r {
+        Ok(se) => {
+            e.u8(CONTACT_OK);
+            e.usize(se.retries);
+            e.raw(&mats_to_bytes(&[&se.sigma, &se.gamma]));
+        }
+        Err(err) => {
+            e.u8(CONTACT_ERR);
+            e.error(err, origin_rank);
+        }
+    }
+    e.finish()
+}
+
+/// Inverse of [`encode_contact`]: the decimating rank's self-energy, or
+/// its typed failure as this call's error.
+///
+/// # Errors
+///
+/// The transported lead failure;
+/// [`OmenError::Deserialize`](omen_num::OmenError) when the payload is
+/// malformed.
+pub fn decode_contact(b: &[u8], side: Side) -> OmenResult<ContactSelfEnergy> {
     const CTX: &str = "contact payload";
-    match b.first() {
-        Some(&CONTACT_OK) => {
-            let retries = b
-                .get(1..9)
-                .map(|s| {
-                    let mut raw = [0u8; 8];
-                    raw.copy_from_slice(s);
-                    u64::from_le_bytes(raw) as usize
-                })
-                .ok_or(OmenError::Deserialize { context: CTX })?;
-            let mats = bytes_to_mats(&b[9..])?;
-            if mats.len() != 2 {
-                return Err(OmenError::Deserialize { context: CTX });
-            }
-            let mut it = mats.into_iter();
-            let sigma = it.next().ok_or(OmenError::Deserialize { context: CTX })?;
-            let gamma = it.next().ok_or(OmenError::Deserialize { context: CTX })?;
+    let mut d = Dec::new(b, CTX);
+    match d.u8()? {
+        CONTACT_OK => {
+            let retries = d.usize()?;
+            let [sigma, gamma] = bytes_to_mat_array(d.rest(), CTX)?;
             Ok(ContactSelfEnergy {
                 side,
                 sigma,
@@ -63,8 +101,12 @@ fn decode_contact(b: &[u8], side: Side) -> OmenResult<ContactSelfEnergy> {
                 retries,
             })
         }
-        Some(&CONTACT_ERR) => Err(bytes_to_error(&b[1..])?),
-        _ => Err(OmenError::Deserialize { context: CTX }),
+        CONTACT_ERR => {
+            let err = d.error()?;
+            d.finish()?;
+            Err(err)
+        }
+        kind => Err(d.invalid(format_args!("unknown contact kind {kind}"))),
     }
 }
 
@@ -72,7 +114,7 @@ fn decode_contact(b: &[u8], side: Side) -> OmenResult<ContactSelfEnergy> {
 /// communicator: rank 0 decimates the left lead, rank `size−1` the right
 /// lead, and two broadcasts deliver `(Σ_L, Σ_R)` (with their Γ and retry
 /// counts) to every rank. On a single-rank communicator both leads are
-/// computed locally with no collective traffic.
+/// computed locally ([`local_contacts`]) with no collective traffic.
 ///
 /// All members must call collectively with identical arguments; every
 /// rank returns the same value (bit-identical blocks — the broadcast
@@ -81,10 +123,12 @@ fn decode_contact(b: &[u8], side: Side) -> OmenResult<ContactSelfEnergy> {
 /// # Errors
 ///
 /// A failed lead solve returns the decimating rank's typed
-/// [`OmenError::LeadNotConverged`] / [`OmenError::SingularBlock`]
-/// (stamped with `e`) identically on every rank; communicator faults
-/// surface as [`OmenError::RecvTimeout`] / [`OmenError::ChannelClosed`] /
-/// [`OmenError::ScheduleDivergence`].
+/// [`OmenError::LeadNotConverged`](omen_num::OmenError) /
+/// [`OmenError::SingularBlock`](omen_num::OmenError) (stamped with `e`)
+/// identically on every rank; communicator faults surface as
+/// [`OmenError::RecvTimeout`](omen_num::OmenError) /
+/// [`OmenError::ChannelClosed`](omen_num::OmenError) /
+/// [`OmenError::ScheduleDivergence`](omen_num::OmenError).
 pub fn distributed_contacts(
     comm: &Comm,
     e: f64,
@@ -92,27 +136,21 @@ pub fn distributed_contacts(
     lead_l: (&ZMat, &ZMat),
     lead_r: (&ZMat, &ZMat),
 ) -> OmenResult<(ContactSelfEnergy, ContactSelfEnergy)> {
-    let stamp = |err: OmenError| err.with_energy(e);
     if comm.size() == 1 {
-        let sl =
-            ContactSelfEnergy::compute(e, eta, lead_l.0, lead_l.1, Side::Left).map_err(stamp)?;
-        let sr =
-            ContactSelfEnergy::compute(e, eta, lead_r.0, lead_r.1, Side::Right).map_err(stamp)?;
-        return Ok((sl, sr));
+        return local_contacts(e, eta, lead_l, lead_r);
     }
     let me = comm.rank();
     let last = comm.size() - 1;
+    let origin = comm.global_rank(me);
     // Decimate before any traffic: each root rank computes its lead, the
     // others contribute empty payloads the broadcast ignores.
     let left_payload = if me == 0 {
-        let r = ContactSelfEnergy::compute(e, eta, lead_l.0, lead_l.1, Side::Left);
-        encode_contact(me, &r)
+        encode_contact(origin, &lead_self_energy(e, eta, lead_l, Side::Left))
     } else {
         Vec::new()
     };
     let right_payload = if me == last {
-        let r = ContactSelfEnergy::compute(e, eta, lead_r.0, lead_r.1, Side::Right);
-        encode_contact(me, &r)
+        encode_contact(origin, &lead_self_energy(e, eta, lead_r, Side::Right))
     } else {
         Vec::new()
     };
@@ -121,8 +159,8 @@ pub fn distributed_contacts(
     // solve failed — the failure rides inside the payload.
     let left_bytes = comm.bcast(0, left_payload)?;
     let right_bytes = comm.bcast(last, right_payload)?;
-    let sl = decode_contact(&left_bytes, Side::Left).map_err(stamp)?;
-    let sr = decode_contact(&right_bytes, Side::Right).map_err(stamp)?;
+    let sl = decode_contact(&left_bytes, Side::Left)?;
+    let sr = decode_contact(&right_bytes, Side::Right)?;
     Ok((sl, sr))
 }
 
@@ -130,6 +168,7 @@ pub fn distributed_contacts(
 mod tests {
     use super::*;
     use omen_num::c64;
+    use omen_num::OmenError;
     use omen_parsim::{run_ranks, Comm};
 
     fn lead() -> (ZMat, ZMat) {

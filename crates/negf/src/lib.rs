@@ -17,8 +17,9 @@
 //!   rank-parallel drivers, bit-identical across worker counts;
 //! * [`transport`] — one-call per-energy transport solve plus a dense-matrix
 //!   reference implementation used for cross-validation;
-//! * [`serialize`] — the rank-message wire format shared with the
-//!   wave-function SplitSolve engine.
+//! * [`serialize`] — the matrix-bundle rank-message format shared with the
+//!   wave-function SplitSolve engine (primitives and the error format come
+//!   from `omen_num::wire`).
 //!
 //! The RGF and selected-inversion paths are per-(energy, momentum) point:
 //! the embarrassing parallelism over those axes is orchestrated by
@@ -34,8 +35,5 @@ pub mod transport;
 pub use contacts::distributed_contacts;
 pub use rgf::{rgf_solve, RgfResult};
 pub use sancho::{surface_green_function, ContactSelfEnergy, Side};
-pub use selinv::{
-    selinv_solve, selinv_solve_parallel, selinv_transport_at_energy, selinv_transport_parallel,
-    TreeShape,
-};
+pub use selinv::{selinv_solve, selinv_solve_parallel, selinv_transport_at_energy, TreeShape};
 pub use transport::{transmission_dense_reference, transport_at_energy, EnergyPointData};

@@ -38,9 +38,10 @@
 //! (`engine.selinv_*` in TOLERANCES.toml). See DESIGN.md §13.
 
 use crate::rgf::{build_a_matrix, RgfResult, REGULARIZATION_ETA};
-use crate::serialize::{bytes_to_error, bytes_to_mats, error_to_bytes, mats_to_bytes};
+use crate::serialize::{bytes_to_mat_array, bytes_to_mats, mats_to_bytes};
 use crate::transport::{package, EnergyPointData, DEFAULT_ETA};
 use omen_linalg::{gemm, lu, matmul, Op, ZMat};
+use omen_num::wire::{Dec, Enc};
 use omen_num::{c64, OmenError, OmenResult};
 use omen_parsim::Comm;
 use omen_sparse::BlockTridiag;
@@ -653,19 +654,8 @@ fn encode_corners(c: &Corners) -> Vec<u8> {
 }
 
 fn decode_corners(b: &[u8]) -> OmenResult<Corners> {
-    let mats = bytes_to_mats(b)?;
-    let mut it = mats.into_iter();
-    let mut next = || {
-        it.next().ok_or(OmenError::Deserialize {
-            context: "selinv corner bundle",
-        })
-    };
-    Ok(Corners {
-        gll: next()?,
-        glh: next()?,
-        ghl: next()?,
-        ghh: next()?,
-    })
+    let [gll, glh, ghl, ghh] = bytes_to_mat_array(b, "selinv corner bundle")?;
+    Ok(Corners { gll, glh, ghl, ghh })
 }
 
 /// Wire format: one presence byte (bit0 = lo, bit1 = hi, bit2 = crosses)
@@ -692,8 +682,9 @@ fn encode_payload(p: &DownPayload) -> Vec<u8> {
 
 fn decode_payload(b: &[u8]) -> OmenResult<DownPayload> {
     const CTX: &str = "selinv downward payload";
-    let flags = *b.first().ok_or(OmenError::Deserialize { context: CTX })?;
-    let mats = bytes_to_mats(&b[1..])?;
+    let mut d = Dec::new(b, CTX);
+    let flags = d.u8()?;
+    let mats = bytes_to_mats(d.rest())?;
     let mut it = mats.into_iter();
     let mut next = || it.next().ok_or(OmenError::Deserialize { context: CTX });
     let mut take_ext = |on: bool| -> OmenResult<Option<ExtPoint>> {
@@ -719,35 +710,6 @@ fn decode_payload(b: &[u8]) -> OmenResult<DownPayload> {
         lo_hi,
         hi_lo,
     })
-}
-
-/// Two-phase health barrier, one per upward wave: every rank gathers its
-/// local verdict to rank 0 and receives the lowest failing rank's typed
-/// error back (empty = healthy). Identical to the SplitSolve per-level
-/// status exchange, so the SPMD schedule stays aligned across a pivot
-/// failure.
-fn sync_status(comm: &Comm, local: Option<&OmenError>) -> OmenResult<()> {
-    let payload = match local {
-        Some(e) => error_to_bytes(comm.rank(), e),
-        None => Vec::new(),
-    };
-    let verdict = match comm.gather(0, payload)? {
-        Some(parts) => {
-            let first = parts
-                .into_iter()
-                .find(|p| !p.is_empty())
-                .unwrap_or_default();
-            // analyze: allow(spmd-divergence, arms split on the gather root verdict but BOTH issue this bcast, so the health-barrier schedule stays rank-uniform)
-            comm.bcast(0, first)?
-        }
-        // analyze: allow(spmd-divergence, non-root arm of the same two-phase health barrier; every rank issues exactly one bcast)
-        None => comm.bcast(0, Vec::new())?,
-    };
-    if verdict.is_empty() {
-        Ok(())
-    } else {
-        Err(bytes_to_error(&verdict)?)
-    }
 }
 
 /// Rank-parallel selected inversion. All members of `comm` must call
@@ -809,7 +771,7 @@ pub fn selinv_solve_parallel(
                 Err(e) => local_err = Some(e),
             }
         }
-        sync_status(comm, local_err.as_ref())?;
+        comm.agree(local_err.as_ref())?;
         for &s in wave {
             if own[s] != me {
                 continue;
@@ -828,7 +790,6 @@ pub fn selinv_solve_parallel(
     // communicator error.
     let mut payloads: Vec<Option<DownPayload>> = (0..nb).map(|_| None).collect();
     let mut results: Vec<Option<NodeResult>> = (0..nb).map(|_| None).collect();
-    let mut retries = 0usize;
     for wave in wave_list.iter().rev() {
         for &s in wave {
             if own[s] != me {
@@ -848,7 +809,6 @@ pub fn selinv_solve_parallel(
             let u = up[s].as_ref().ok_or(OmenError::Deserialize {
                 context: "selinv upward node missing",
             })?;
-            retries += u.retries;
             let (res, pl, pr) = descend(a, nb, n, u, &pay);
             results[s] = Some(res);
             for (child, cp) in [(n.left, pl), (n.right, pr)] {
@@ -863,9 +823,10 @@ pub fn selinv_solve_parallel(
         }
     }
 
-    // Allgather the per-separator results: gather to rank 0, concatenate
-    // in rank order, broadcast; every rank assembles the same bits.
-    let mut my_payload = Vec::new();
+    // Allgather the per-separator results; every rank assembles the same
+    // bits from the same rank-ordered records.
+    const CTX: &str = "selinv result record";
+    let mut mine = Enc::new();
     for s in 0..nb {
         if own[s] != me {
             continue;
@@ -873,60 +834,24 @@ pub fn selinv_solve_parallel(
         let r = results[s].take().ok_or(OmenError::Deserialize {
             context: "selinv owned result missing",
         })?;
-        let u_retries = up[s].as_ref().map_or(0, |u| u.retries);
-        my_payload.extend_from_slice(&(s as u64).to_le_bytes());
-        my_payload.extend_from_slice(&(u_retries as u64).to_le_bytes());
-        let bundle = mats_to_bytes(&[&r.diag, &r.col0, &r.coln]);
-        my_payload.extend_from_slice(&(bundle.len() as u64).to_le_bytes());
-        my_payload.extend_from_slice(&bundle);
+        mine.usize(s);
+        mine.usize(up[s].as_ref().map_or(0, |u| u.retries));
+        mine.bytes(&mats_to_bytes(&[&r.diag, &r.col0, &r.coln]));
     }
-    let merged = match comm.gather(0, my_payload)? {
-        Some(parts) => {
-            let all: Vec<u8> = parts.concat();
-            // analyze: allow(spmd-divergence, arms split on the gather root verdict but BOTH issue this bcast, so the result allgather stays rank-uniform)
-            comm.bcast(0, all)?
-        }
-        // analyze: allow(spmd-divergence, non-root arm of the same gather+bcast allgather; every rank issues exactly one bcast)
-        None => comm.bcast(0, Vec::new())?,
-    };
-
-    const CTX: &str = "selinv result record";
-    let read_u64 = |off: usize| -> OmenResult<u64> {
-        merged
-            .get(off..off + 8)
-            .map(|s| {
-                let mut raw = [0u8; 8];
-                raw.copy_from_slice(s);
-                u64::from_le_bytes(raw)
-            })
-            .ok_or(OmenError::Deserialize { context: CTX })
-    };
     let mut all_results: Vec<Option<NodeResult>> = (0..nb).map(|_| None).collect();
     let mut total_retries = 0usize;
-    let mut off = 0usize;
-    while off < merged.len() {
-        let sep = read_u64(off)? as usize;
-        let r = read_u64(off + 8)? as usize;
-        let len = read_u64(off + 16)? as usize;
-        off += 24;
-        let chunk = merged
-            .get(off..off + len)
-            .ok_or(OmenError::Deserialize { context: CTX })?;
-        off += len;
-        let mats = bytes_to_mats(chunk)?;
-        let mut it = mats.into_iter();
-        let mut next = || it.next().ok_or(OmenError::Deserialize { context: CTX });
-        if sep >= nb {
-            return Err(OmenError::Deserialize { context: CTX });
+    for part in comm.allgather(mine.finish())? {
+        let mut d = Dec::new(&part, CTX);
+        while d.remaining() > 0 {
+            let sep = d.usize()?;
+            total_retries = total_retries.saturating_add(d.usize()?);
+            let [diag, col0, coln] = bytes_to_mat_array(d.bytes()?, CTX)?;
+            let slot = all_results
+                .get_mut(sep)
+                .ok_or(OmenError::Deserialize { context: CTX })?;
+            *slot = Some(NodeResult { diag, col0, coln });
         }
-        all_results[sep] = Some(NodeResult {
-            diag: next()?,
-            col0: next()?,
-            coln: next()?,
-        });
-        total_retries += r;
     }
-    let _ = retries; // per-rank share; the merged records carry the total
     debug_assert_eq!(comm.pending_p2p_messages(), 0);
     assemble(all_results, total_retries, gamma_l, gamma_r)
 }
@@ -947,42 +872,9 @@ pub fn selinv_transport_at_energy(
     lead_l: (&ZMat, &ZMat),
     lead_r: (&ZMat, &ZMat),
 ) -> OmenResult<EnergyPointData> {
-    use crate::sancho::{ContactSelfEnergy, Side};
-    let sl = ContactSelfEnergy::compute(e, DEFAULT_ETA, lead_l.0, lead_l.1, Side::Left)
-        .map_err(|err| err.with_energy(e))?;
-    let sr = ContactSelfEnergy::compute(e, DEFAULT_ETA, lead_r.0, lead_r.1, Side::Right)
-        .map_err(|err| err.with_energy(e))?;
+    let (sl, sr) = crate::contacts::local_contacts(e, DEFAULT_ETA, lead_l, lead_r)?;
     let a = build_a_matrix(e, DEFAULT_ETA, h, &sl, &sr);
     let r = selinv_solve(&a, &sl.gamma, &sr.gamma).map_err(|err| err.with_energy(e))?;
-    let mut point = package(e, h, &r, &sl.gamma, &sr.gamma);
-    point.retries += sl.retries + sr.retries;
-    Ok(point)
-}
-
-/// Rank-parallel per-energy transport: the contacts are decimated once
-/// across the communicator ([`crate::contacts::distributed_contacts`] —
-/// left lead on rank 0, right lead on the last rank) and the selected
-/// inversion is distributed over the elimination tree. All ranks return
-/// the same [`EnergyPointData`].
-///
-/// # Errors
-///
-/// Same surface as [`selinv_transport_at_energy`] plus the typed
-/// communicator faults of the distributed tree
-/// ([`omen_num::OmenError::RecvTimeout`] /
-/// [`omen_num::OmenError::ScheduleDivergence`]) — identical on every rank.
-pub fn selinv_transport_parallel(
-    comm: &Comm,
-    e: f64,
-    h: &BlockTridiag,
-    lead_l: (&ZMat, &ZMat),
-    lead_r: (&ZMat, &ZMat),
-    shape: TreeShape,
-) -> OmenResult<EnergyPointData> {
-    let (sl, sr) = crate::contacts::distributed_contacts(comm, e, DEFAULT_ETA, lead_l, lead_r)?;
-    let a = build_a_matrix(e, DEFAULT_ETA, h, &sl, &sr);
-    let r = selinv_solve_parallel(comm, &a, &sl.gamma, &sr.gamma, shape)
-        .map_err(|err| err.with_energy(e))?;
     let mut point = package(e, h, &r, &sl.gamma, &sr.gamma);
     point.retries += sl.retries + sr.retries;
     Ok(point)

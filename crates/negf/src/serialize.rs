@@ -1,44 +1,32 @@
-//! Byte (de)serialization of dense blocks and errors for rank messages.
+//! Byte (de)serialization of dense blocks for rank messages.
 //!
-//! Shared wire format of the distributed solvers: the wave-function
-//! SplitSolve, the tree-parallel selected inversion ([`crate::selinv`])
-//! and the distributed contact decimation ([`crate::contacts`]) all move
-//! blocks and typed errors between ranks through these helpers
-//! (`omen_wf::serialize` re-exports them for source compatibility).
+//! Shared matrix wire format of the distributed solvers: the
+//! wave-function SplitSolve, the tree-parallel selected inversion
+//! ([`crate::selinv`]) and the distributed contact decimation
+//! ([`crate::contacts`]) all move blocks between ranks through these
+//! helpers. The primitive layout (little-endian integers, `f64` bit
+//! patterns, length prefixes) and the typed-error format that travels
+//! beside the blocks are declared once, in [`omen_num::wire`].
 //!
 //! Decoding is fallible: a malformed payload surfaces as
-//! [`OmenError::Deserialize`] instead of a panic, so a corrupted rank
-//! message poisons one energy point rather than the whole run.
+//! [`OmenError::Deserialize`](omen_num::OmenError) instead of a panic, so
+//! a corrupted rank message poisons one energy point rather than the
+//! whole run.
 
 use omen_linalg::ZMat;
+use omen_num::wire::{Dec, Enc};
 use omen_num::{c64, OmenError, OmenResult};
 
-fn read_u64(b: &[u8], off: usize, context: &'static str) -> OmenResult<u64> {
-    match b.get(off..off + 8) {
-        Some(s) => {
-            let mut raw = [0u8; 8];
-            raw.copy_from_slice(s);
-            Ok(u64::from_le_bytes(raw))
-        }
-        None => Err(OmenError::Deserialize { context }),
-    }
-}
-
-fn read_f64(b: &[u8], off: usize, context: &'static str) -> OmenResult<f64> {
-    read_u64(b, off, context).map(f64::from_bits)
-}
-
-/// Serializes a matrix as `[nrows u64][ncols u64][re, im f64 pairs…]`,
-/// little endian.
+/// Serializes a matrix as `[nrows u64][ncols u64][re, im f64 pairs…]`.
 pub fn mat_to_bytes(m: &ZMat) -> Vec<u8> {
-    let mut v = Vec::with_capacity(16 + m.data().len() * 16);
-    v.extend_from_slice(&(m.nrows() as u64).to_le_bytes());
-    v.extend_from_slice(&(m.ncols() as u64).to_le_bytes());
+    let mut e = Enc::with_capacity(16 + 16 * m.data().len());
+    e.usize(m.nrows());
+    e.usize(m.ncols());
     for z in m.data() {
-        v.extend_from_slice(&z.re.to_le_bytes());
-        v.extend_from_slice(&z.im.to_le_bytes());
+        e.f64(z.re);
+        e.f64(z.im);
     }
-    v
+    e.finish()
 }
 
 /// Inverse of [`mat_to_bytes`].
@@ -48,34 +36,27 @@ pub fn mat_to_bytes(m: &ZMat) -> Vec<u8> {
 /// Returns [`OmenError::Deserialize`](omen_num::OmenError) when the buffer
 /// is truncated or its header disagrees with the payload length.
 pub fn bytes_to_mat(b: &[u8]) -> OmenResult<ZMat> {
-    const CTX: &str = "matrix payload";
-    let nrows = read_u64(b, 0, CTX)? as usize;
-    let ncols = read_u64(b, 8, CTX)? as usize;
-    let need = 16 + nrows.wrapping_mul(ncols).wrapping_mul(16);
-    if b.len() != need {
-        return Err(OmenError::Deserialize { context: CTX });
-    }
-    let mut data = Vec::with_capacity(nrows * ncols);
-    for c in b[16..].chunks_exact(16) {
-        let mut re = [0u8; 8];
-        let mut im = [0u8; 8];
-        re.copy_from_slice(&c[0..8]);
-        im.copy_from_slice(&c[8..16]);
-        data.push(c64::new(f64::from_le_bytes(re), f64::from_le_bytes(im)));
-    }
+    let mut d = Dec::new(b, "matrix payload");
+    let (nrows, ncols) = (d.usize()?, d.usize()?);
+    let n = nrows
+        .checked_mul(ncols)
+        .filter(|n| n.checked_mul(16) == Some(d.remaining()))
+        .ok_or_else(|| d.invalid("header disagrees with payload length"))?;
+    let data = (0..n)
+        .map(|_| Ok(c64::new(d.f64()?, d.f64()?)))
+        .collect::<OmenResult<Vec<_>>>()?;
     Ok(ZMat::from_vec(nrows, ncols, data))
 }
 
-/// Serializes several matrices back-to-back with a count prefix.
+/// Serializes several matrices back-to-back: a count, then each matrix
+/// behind its byte length.
 pub fn mats_to_bytes(ms: &[&ZMat]) -> Vec<u8> {
-    let mut v = Vec::new();
-    v.extend_from_slice(&(ms.len() as u64).to_le_bytes());
+    let mut e = Enc::new();
+    e.usize(ms.len());
     for m in ms {
-        let b = mat_to_bytes(m);
-        v.extend_from_slice(&(b.len() as u64).to_le_bytes());
-        v.extend_from_slice(&b);
+        e.bytes(&mat_to_bytes(m));
     }
-    v
+    e.finish()
 }
 
 /// Inverse of [`mats_to_bytes`].
@@ -85,90 +66,29 @@ pub fn mats_to_bytes(ms: &[&ZMat]) -> Vec<u8> {
 /// Returns [`OmenError::Deserialize`](omen_num::OmenError) when the bundle
 /// header or any contained matrix is malformed.
 pub fn bytes_to_mats(b: &[u8]) -> OmenResult<Vec<ZMat>> {
-    const CTX: &str = "matrix bundle";
-    let count = read_u64(b, 0, CTX)? as usize;
-    let mut out = Vec::with_capacity(count);
-    let mut off = 8;
-    for _ in 0..count {
-        let len = read_u64(b, off, CTX)? as usize;
-        off += 8;
-        let chunk = b
-            .get(off..off + len)
-            .ok_or(OmenError::Deserialize { context: CTX })?;
-        out.push(bytes_to_mat(chunk)?);
-        off += len;
-    }
-    if off != b.len() {
-        return Err(OmenError::Deserialize { context: CTX });
-    }
+    let mut d = Dec::new(b, "matrix bundle");
+    // Each entry is at least a length prefix and an empty matrix header.
+    let count = d.count(8 + 16)?;
+    let out = (0..count)
+        .map(|_| bytes_to_mat(d.bytes()?))
+        .collect::<OmenResult<Vec<_>>>()?;
+    d.finish()?;
     Ok(out)
 }
 
-const ERR_SINGULAR: u8 = 0;
-const ERR_LEAD: u8 = 1;
-const ERR_OTHER: u8 = 2;
-
-/// Encodes an error for the SPMD status exchange of the distributed
-/// solvers. Numeric variants ([`OmenError::SingularBlock`],
-/// [`OmenError::LeadNotConverged`]) round-trip exactly; everything else is
-/// carried as its display string and decodes to [`OmenError::RankFailed`]
-/// attributed to `rank`.
-pub fn error_to_bytes(rank: usize, e: &OmenError) -> Vec<u8> {
-    let mut v = Vec::new();
-    v.extend_from_slice(&(rank as u64).to_le_bytes());
-    match e {
-        OmenError::SingularBlock {
-            block,
-            energy,
-            pivot,
-            magnitude,
-        } => {
-            v.push(ERR_SINGULAR);
-            v.extend_from_slice(&(*block as u64).to_le_bytes());
-            v.extend_from_slice(&energy.to_le_bytes());
-            v.extend_from_slice(&(*pivot as u64).to_le_bytes());
-            v.extend_from_slice(&magnitude.to_le_bytes());
-        }
-        OmenError::LeadNotConverged { energy, iters } => {
-            v.push(ERR_LEAD);
-            v.extend_from_slice(&energy.to_le_bytes());
-            v.extend_from_slice(&(*iters as u64).to_le_bytes());
-        }
-        other => {
-            v.push(ERR_OTHER);
-            v.extend_from_slice(other.to_string().as_bytes());
-        }
-    }
-    v
-}
-
-/// Inverse of [`error_to_bytes`].
+/// [`bytes_to_mats`] for a bundle that must hold exactly `N` matrices.
 ///
 /// # Errors
 ///
-/// Returns [`OmenError::Deserialize`] when the encoded error payload is
-/// truncated or has an unknown discriminant.
-pub fn bytes_to_error(b: &[u8]) -> OmenResult<OmenError> {
-    const CTX: &str = "error payload";
-    let rank = read_u64(b, 0, CTX)? as usize;
-    let kind = *b.get(8).ok_or(OmenError::Deserialize { context: CTX })?;
-    match kind {
-        ERR_SINGULAR => Ok(OmenError::SingularBlock {
-            block: read_u64(b, 9, CTX)? as usize,
-            energy: read_f64(b, 17, CTX)?,
-            pivot: read_u64(b, 25, CTX)? as usize,
-            magnitude: read_f64(b, 33, CTX)?,
-        }),
-        ERR_LEAD => Ok(OmenError::LeadNotConverged {
-            energy: read_f64(b, 9, CTX)?,
-            iters: read_u64(b, 17, CTX)? as usize,
-        }),
-        ERR_OTHER => Ok(OmenError::RankFailed {
-            rank,
-            detail: String::from_utf8_lossy(&b[9..]).into_owned(),
-        }),
-        _ => Err(OmenError::Deserialize { context: CTX }),
-    }
+/// [`OmenError::Deserialize`](omen_num::OmenError) — from the bundle
+/// decoder, or naming `context` when the count is not `N`.
+pub fn bytes_to_mat_array<const N: usize>(
+    b: &[u8],
+    context: &'static str,
+) -> OmenResult<[ZMat; N]> {
+    bytes_to_mats(b)?
+        .try_into()
+        .map_err(|_| OmenError::Deserialize { context })
 }
 
 #[cfg(test)]
@@ -219,32 +139,45 @@ mod tests {
         ));
     }
 
-    #[test]
-    fn error_roundtrip() {
-        let singular = OmenError::SingularBlock {
-            block: 7,
-            energy: 0.25,
-            pivot: 2,
-            magnitude: 1e-300,
-        };
-        assert_eq!(
-            bytes_to_error(&error_to_bytes(3, &singular)).unwrap(),
-            singular
-        );
-        let lead = OmenError::LeadNotConverged {
-            energy: -0.5,
-            iters: 200,
-        };
-        assert_eq!(bytes_to_error(&error_to_bytes(0, &lead)).unwrap(), lead);
-        let other = OmenError::Deserialize {
-            context: "matrix payload",
-        };
-        match bytes_to_error(&error_to_bytes(5, &other)).unwrap() {
-            OmenError::RankFailed { rank, detail } => {
-                assert_eq!(rank, 5);
-                assert!(detail.contains("malformed"));
-            }
-            e => panic!("expected RankFailed, got {e:?}"),
+    fn assert_deserialize<T: std::fmt::Debug>(r: OmenResult<T>) {
+        match r {
+            Err(OmenError::Deserialize { .. }) => {}
+            other => panic!("expected Deserialize error, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn hostile_matrix_header_is_a_typed_error() {
+        // 2^63 x 2 "fits" the 16-byte buffer only if the size arithmetic
+        // wraps.
+        let mut e = Enc::new();
+        e.u64(1 << 63);
+        e.u64(2);
+        assert_deserialize(bytes_to_mat(&e.finish()));
+    }
+
+    #[test]
+    fn hostile_bundle_count_is_a_typed_error() {
+        let mut e = Enc::new();
+        e.u64(1 << 60);
+        assert_deserialize(bytes_to_mats(&e.finish()));
+        // An inner length that wraps `offset + len`.
+        let mut e = Enc::new();
+        e.u64(1);
+        e.u64(u64::MAX - 7);
+        e.raw(&[0; 16]);
+        assert_deserialize(bytes_to_mats(&e.finish()));
+    }
+
+    #[test]
+    fn exact_bundles_reject_a_wrong_count() {
+        let m = ZMat::eye(2);
+        let bytes = mats_to_bytes(&[&m, &m]);
+        let [a, b] = bytes_to_mat_array(&bytes, "pair").unwrap();
+        assert_eq!((a, b), (m.clone(), m));
+        assert_eq!(
+            bytes_to_mat_array::<3>(&bytes, "triple").unwrap_err(),
+            OmenError::Deserialize { context: "triple" }
+        );
     }
 }

@@ -1,7 +1,7 @@
 //! Per-energy transport driver and the dense reference implementation.
 
+use crate::contacts::local_contacts;
 use crate::rgf::{build_a_matrix, rgf_solve, RgfResult};
-use crate::sancho::{ContactSelfEnergy, Side};
 use omen_linalg::{lu, ZMat};
 use omen_num::{c64, OmenResult};
 use omen_sparse::BlockTridiag;
@@ -44,10 +44,7 @@ pub fn transport_at_energy(
     lead_l: (&ZMat, &ZMat),
     lead_r: (&ZMat, &ZMat),
 ) -> OmenResult<EnergyPointData> {
-    let sl = ContactSelfEnergy::compute(e, DEFAULT_ETA, lead_l.0, lead_l.1, Side::Left)
-        .map_err(|err| err.with_energy(e))?;
-    let sr = ContactSelfEnergy::compute(e, DEFAULT_ETA, lead_r.0, lead_r.1, Side::Right)
-        .map_err(|err| err.with_energy(e))?;
+    let (sl, sr) = local_contacts(e, DEFAULT_ETA, lead_l, lead_r)?;
     let a = build_a_matrix(e, DEFAULT_ETA, h, &sl, &sr);
     let r = rgf_solve(&a, &sl.gamma, &sr.gamma).map_err(|err| err.with_energy(e))?;
     let mut point = package(e, h, &r, &sl.gamma, &sr.gamma);
@@ -100,10 +97,7 @@ pub fn transmission_dense_reference(
     lead_l: (&ZMat, &ZMat),
     lead_r: (&ZMat, &ZMat),
 ) -> OmenResult<f64> {
-    let sl = ContactSelfEnergy::compute(e, DEFAULT_ETA, lead_l.0, lead_l.1, Side::Left)
-        .map_err(|err| err.with_energy(e))?;
-    let sr = ContactSelfEnergy::compute(e, DEFAULT_ETA, lead_r.0, lead_r.1, Side::Right)
-        .map_err(|err| err.with_energy(e))?;
+    let (sl, sr) = local_contacts(e, DEFAULT_ETA, lead_l, lead_r)?;
     let n = h.dim();
     let nb = h.num_blocks();
     let mut a = ZMat::from_diag(&vec![c64::new(e, DEFAULT_ETA); n]);

@@ -17,6 +17,7 @@ pub mod fermi;
 pub mod grid;
 pub mod quad;
 pub mod tolerance;
+pub mod wire;
 
 pub use complex::c64;
 pub use constants::*;

@@ -17,6 +17,7 @@
 use crate::runtime::{
     decode_f64s, encode_f64s, sum_contributions, CollectiveKind, RankCtx, LEN_UNCHECKED,
 };
+use omen_num::wire::{Dec, Enc};
 use omen_num::{OmenError, OmenResult};
 use std::cell::RefCell;
 
@@ -223,52 +224,120 @@ impl<'a> Comm<'a> {
         Ok(parts)
     }
 
+    /// Allgather: every member contributes one payload and receives all of
+    /// them, ordered by local rank (empty contributions keep their slot).
+    /// One verified round — contributions travel up to local rank 0, the
+    /// length-prefixed concatenation travels back down.
+    ///
+    /// # Errors
+    ///
+    /// [`OmenError::ScheduleDivergence`] when a member entered a different
+    /// collective this round; receive failures propagate as
+    /// [`OmenError::RecvTimeout`] / [`OmenError::ChannelClosed`];
+    /// [`OmenError::Deserialize`] when the downward table is malformed.
+    pub fn allgather(&self, data: Vec<u8>) -> OmenResult<Vec<Vec<u8>>> {
+        let op = self.next_op();
+        let (parts, down) = self.ctx.collective_round(
+            &self.members,
+            self.my_index,
+            0,
+            self.comm_id,
+            op,
+            CollectiveKind::Allgather,
+            LEN_UNCHECKED,
+            data,
+            |parts| {
+                let mut e = Enc::new();
+                for p in parts {
+                    e.bytes(p);
+                }
+                e.finish()
+            },
+        )?;
+        if let Some(parts) = parts {
+            return Ok(parts);
+        }
+        let mut d = Dec::new(&down, "allgather table");
+        let parts = (0..self.size())
+            .map(|_| d.bytes().map(<[u8]>::to_vec))
+            .collect::<OmenResult<Vec<_>>>()?;
+        d.finish()?;
+        Ok(parts)
+    }
+
+    /// Health barrier: every member reports its local verdict for a
+    /// protocol phase and all of them return the same one — `Ok` when
+    /// every member is healthy, otherwise the lowest failing local rank's
+    /// error as it crosses the wire ([`omen_num::wire`]: solver and
+    /// communicator failures exactly, anything else as
+    /// [`OmenError::RankFailed`] naming that member's global rank). One
+    /// [`Self::allgather`] round, entered unconditionally, so a failure on
+    /// one rank never diverges the collective schedule.
+    ///
+    /// # Errors
+    ///
+    /// The agreed failure, identical on every member; or the communicator
+    /// faults of [`Self::allgather`].
+    pub fn agree(&self, local: Option<&OmenError>) -> OmenResult<()> {
+        let mut e = Enc::new();
+        if let Some(err) = local {
+            e.error(err, self.ctx.rank());
+        }
+        let verdicts = self.allgather(e.finish())?;
+        match verdicts.iter().find(|v| !v.is_empty()) {
+            None => Ok(()),
+            Some(v) => {
+                let mut d = Dec::new(v, "health-barrier verdict");
+                let err = d.error()?;
+                d.finish()?;
+                Err(err)
+            }
+        }
+    }
+
     /// Splits this communicator by `color`; members with the same color end
     /// up in the same sub-communicator, ordered by `key` (ties by current
     /// local rank).
     ///
     /// # Errors
     ///
-    /// Propagates the underlying gather/bcast failures
+    /// Propagates the underlying [`Self::allgather`] failures
     /// ([`OmenError::ScheduleDivergence`], [`OmenError::RecvTimeout`],
     /// [`OmenError::ChannelClosed`]); [`OmenError::Deserialize`] when the
-    /// exchanged membership table does not contain this rank.
+    /// exchanged membership table is malformed or does not contain this
+    /// rank.
     pub fn split(&self, color: u64, key: u64) -> OmenResult<Comm<'a>> {
-        // Allgather (color, key, global_rank) over this comm.
-        let mine = encode_f64s(&[color as f64, key as f64, self.ctx.rank() as f64]);
-        let gathered = match self.gather(0, mine)? {
-            Some(g) => {
-                let flat: Vec<u8> = g.into_iter().flatten().collect();
-                // analyze: allow(spmd-divergence, two-phase allgather: the arms split on the gather root verdict but BOTH issue this bcast, so the schedule stays rank-uniform)
-                self.bcast(0, flat)?
-            }
-            // analyze: allow(spmd-divergence, non-root arm of the same two-phase allgather; every rank issues exactly one bcast)
-            None => self.bcast(0, Vec::new())?,
-        };
-        let vals = decode_f64s(&gathered);
-        let mut triples: Vec<(u64, u64, usize)> = vals
-            .chunks_exact(3)
-            .map(|c| (c[0] as u64, c[1] as u64, c[2] as usize))
-            .collect();
-        triples.sort_by_key(|&(c, k, g)| (c, k, g));
+        const CTX: &str = "comm split membership";
+        let mut mine = Enc::new();
+        mine.u64(color);
+        mine.u64(key);
+        mine.usize(self.ctx.rank());
+        let mut triples = self
+            .allgather(mine.finish())?
+            .iter()
+            .map(|part| {
+                let mut d = Dec::new(part, CTX);
+                let triple = (d.u64()?, d.u64()?, d.usize()?);
+                d.finish()?;
+                Ok(triple)
+            })
+            .collect::<OmenResult<Vec<(u64, u64, usize)>>>()?;
+        triples.sort_unstable();
 
         let members: Vec<usize> = triples
             .iter()
             .filter(|&&(c, _, _)| c == color)
             .map(|&(_, _, g)| g)
             .collect();
-        let my_index =
-            members
-                .iter()
-                .position(|&g| g == self.ctx.rank())
-                .ok_or(OmenError::Deserialize {
-                    context: "comm split membership (splitting rank missing from its color group)",
-                })?;
+        let my_index = members
+            .iter()
+            .position(|&g| g == self.ctx.rank())
+            .ok_or(OmenError::Deserialize { context: CTX })?;
         // Deterministic child id derived from parent id and color.
         let comm_id = (self
             .comm_id
             .wrapping_mul(0x9E3779B97F4A7C15)
-            .wrapping_add(color.wrapping_add(1) * 0x85EB_CA6B))
+            .wrapping_add(color.wrapping_add(1).wrapping_mul(0x85EB_CA6B)))
             & 0x7FFF_FFFF;
         Ok(Comm {
             ctx: self.ctx,
@@ -405,8 +474,146 @@ mod tests {
     }
 
     #[test]
+    fn allgather_orders_parts_by_local_rank_in_one_round() {
+        // Rank r contributes r bytes of value r; rank 0 contributes nothing
+        // and must still keep its (empty) slot.
+        for n in [1usize, 2, 5] {
+            let out = run_ranks(n, |ctx| {
+                Comm::world(ctx)
+                    .allgather(vec![ctx.rank() as u8; ctx.rank()])
+                    .unwrap()
+            });
+            // One verified round: a message up and one down per non-root
+            // member, none at all on a communicator of one.
+            let total = out.total_stats();
+            assert_eq!(total.collectives, n as u64);
+            assert_eq!(total.messages_sent, 2 * (n as u64 - 1));
+            let expect: Vec<Vec<u8>> = (0..n).map(|r| vec![r as u8; r]).collect();
+            for parts in out.unwrap_all() {
+                assert_eq!(parts, expect, "n={n}");
+            }
+        }
+    }
+
+    #[test]
+    fn allgather_and_agree_on_sub_communicators() {
+        let failure = |rank: usize| OmenError::SingularBlock {
+            block: rank,
+            energy: 0.25,
+            pivot: 0,
+            magnitude: 1e-300,
+        };
+        // Pairs {0,1} and {2,3}; the second pair fails on both members, the
+        // first is healthy. split = 1 round, allgather = 1, agree = 1.
+        let out = run_ranks(4, |ctx| {
+            let w = Comm::world(ctx);
+            let sub = w.split((ctx.rank() / 2) as u64, 0).unwrap();
+            let parts = sub.allgather(vec![ctx.rank() as u8]).unwrap();
+            let mine = failure(ctx.rank());
+            let verdict = sub.agree((ctx.rank() >= 2).then_some(&mine));
+            (parts, verdict, ctx.stats().collectives)
+        });
+        for (rank, (parts, verdict, collectives)) in out.unwrap_all().into_iter().enumerate() {
+            let base = (rank / 2 * 2) as u8;
+            assert_eq!(parts, vec![vec![base], vec![base + 1]]);
+            // The lowest failing member's error, bit for bit, on both.
+            let expect = if rank < 2 { Ok(()) } else { Err(failure(2)) };
+            assert_eq!(verdict, expect, "rank {rank}");
+            assert_eq!(collectives, 3);
+        }
+    }
+
+    #[test]
+    fn agree_degrades_untransportable_errors_identically_everywhere() {
+        // `Deserialize` holds a `&'static str` and cannot cross the wire:
+        // every member — the failing one included — gets the same
+        // `RankFailed` naming the failing member's *global* rank.
+        let out = run_ranks(4, |ctx| {
+            let w = Comm::world(ctx);
+            let sub = w.split(u64::from(ctx.rank() >= 1), 0).unwrap();
+            let mine = OmenError::Deserialize { context: "probe" };
+            sub.agree((ctx.rank() == 3).then_some(&mine))
+        });
+        let results = out.unwrap_all();
+        assert_eq!(results[0], Ok(()));
+        for r in &results[1..] {
+            assert_eq!(
+                r,
+                &Err(OmenError::RankFailed {
+                    rank: 3,
+                    detail: OmenError::Deserialize { context: "probe" }.to_string(),
+                })
+            );
+        }
+    }
+
+    #[test]
+    fn split_keeps_colours_apart_above_2_pow_53() {
+        // Adjacent colours that collapse to one value as `f64`.
+        let out = run_ranks(4, |ctx| {
+            let w = Comm::world(ctx);
+            let sub = w.split((1u64 << 53) + (ctx.rank() % 2) as u64, 0).unwrap();
+            (
+                sub.size(),
+                sub.allreduce_sum(&[ctx.rank() as f64]).unwrap()[0],
+            )
+        });
+        assert_eq!(
+            out.unwrap_all(),
+            vec![(2, 2.0), (2, 4.0), (2, 2.0), (2, 4.0)]
+        );
+    }
+
+    #[test]
+    fn gather_against_allgather_is_one_round_divergence_on_all_ranks() {
+        let t0 = std::time::Instant::now();
+        // What each rank enters as its first collective on the world comm.
+        let entered: [fn(&Comm) -> OmenResult<()>; 3] = [
+            |w| w.allgather(vec![1]).map(drop),
+            |w| w.allgather(vec![1]).map(drop),
+            |w| w.gather(0, vec![1]).map(drop),
+        ];
+        let out = run_ranks(3, |ctx| entered[ctx.rank()](&Comm::world(ctx))).flattened();
+        assert!(t0.elapsed() < std::time::Duration::from_secs(5));
+        for r in &out.results {
+            match r {
+                Err(OmenError::ScheduleDivergence {
+                    rank,
+                    expected,
+                    got,
+                }) => {
+                    assert_eq!(*rank, 2);
+                    assert!(expected.contains("allgather#1"), "expected fp: {expected}");
+                    assert!(got.starts_with("gather#1"), "got fp: {got}");
+                }
+                other => panic!("expected ScheduleDivergence, got {other:?}"),
+            }
+        }
+        assert_eq!(out.total_stats().collectives, 3, "one round per member");
+    }
+
+    #[test]
+    fn absent_member_turns_allgather_into_a_typed_timeout() {
+        use crate::runtime::run_ranks_with_timeout;
+        let out = run_ranks_with_timeout(3, std::time::Duration::from_millis(100), |ctx| {
+            if ctx.rank() == 1 {
+                return Ok(Vec::new());
+            }
+            Comm::world(ctx).allgather(vec![7])
+        })
+        .flattened();
+        assert_eq!(out.results[1], Ok(Vec::new()));
+        for rank in [0, 2] {
+            assert!(
+                matches!(out.results[rank], Err(OmenError::RecvTimeout { .. })),
+                "rank {rank}: {:?}",
+                out.results[rank]
+            );
+        }
+    }
+
+    #[test]
     fn sub_comm_skipped_bcast_is_schedule_divergence() {
-        use omen_num::{OmenError, OmenResult};
         // Four ranks split into two pairs; local rank 1 of the second pair
         // skips a bcast on its sub-communicator and goes straight to the
         // pair's allreduce. Both members of that pair must fail with the

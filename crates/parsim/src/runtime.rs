@@ -26,6 +26,7 @@
 //! would-be deadlock into a typed, attributable [`OmenError::RecvTimeout`]
 //! that also reports the out-of-order buffer state.
 
+use omen_num::wire::{Dec, Enc};
 use omen_num::{OmenError, OmenResult};
 use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
@@ -58,7 +59,8 @@ pub struct CommStats {
     pub bytes_sent: u64,
     /// Barriers participated in.
     pub barriers: u64,
-    /// Collective operations (allreduce/bcast/gather) participated in.
+    /// Collective operations (allreduce/bcast/gather/allgather)
+    /// participated in.
     pub collectives: u64,
     /// Dynamic-scheduler work-unit re-issues (failure retries plus
     /// speculative straggler copies) coordinated by this rank.
@@ -94,6 +96,8 @@ pub(crate) enum CollectiveKind {
     Bcast = 2,
     /// All-to-one gather at a root.
     Gather = 3,
+    /// All-to-all gather: every member receives every contribution.
+    Allgather = 4,
 }
 
 impl CollectiveKind {
@@ -102,6 +106,7 @@ impl CollectiveKind {
             1 => Some(CollectiveKind::AllreduceSum),
             2 => Some(CollectiveKind::Bcast),
             3 => Some(CollectiveKind::Gather),
+            4 => Some(CollectiveKind::Allgather),
             _ => None,
         }
     }
@@ -111,12 +116,14 @@ impl CollectiveKind {
             CollectiveKind::AllreduceSum => "allreduce_sum",
             CollectiveKind::Bcast => "bcast",
             CollectiveKind::Gather => "gather",
+            CollectiveKind::Allgather => "allgather",
         }
     }
 }
 
 /// Sentinel length meaning "payload length not checked for this op" (used
-/// by gather, whose per-rank contributions may legitimately differ).
+/// by gather and allgather, whose per-rank contributions may legitimately
+/// differ).
 pub(crate) const LEN_UNCHECKED: u64 = u64::MAX;
 
 /// The schedule fingerprint prepended to every collective's first (upward)
@@ -130,9 +137,6 @@ pub(crate) struct Fingerprint {
     len: u64,
 }
 
-/// Encoded size of a [`Fingerprint`].
-const FINGERPRINT_LEN: usize = 25;
-
 impl Fingerprint {
     fn new(kind: CollectiveKind, comm: u64, op: u64, len: u64) -> Fingerprint {
         Fingerprint {
@@ -143,29 +147,20 @@ impl Fingerprint {
         }
     }
 
-    fn encode(&self) -> [u8; FINGERPRINT_LEN] {
-        let mut out = [0u8; FINGERPRINT_LEN];
-        out[0] = self.kind;
-        out[1..9].copy_from_slice(&self.comm.to_le_bytes());
-        out[9..17].copy_from_slice(&self.op.to_le_bytes());
-        out[17..25].copy_from_slice(&self.len.to_le_bytes());
-        out
+    fn put(&self, e: &mut Enc) {
+        e.u8(self.kind);
+        e.u64(self.comm);
+        e.u64(self.op);
+        e.u64(self.len);
     }
 
-    fn decode(b: &[u8]) -> Option<Fingerprint> {
-        if b.len() < FINGERPRINT_LEN {
-            return None;
-        }
-        let word = |lo: usize| {
-            let mut raw = [0u8; 8];
-            raw.copy_from_slice(&b[lo..lo + 8]);
-            u64::from_le_bytes(raw)
-        };
-        Some(Fingerprint {
-            kind: b[0],
-            comm: word(1),
-            op: word(9),
-            len: word(17),
+    /// Reads one fingerprint off the front of `d`.
+    fn decode(d: &mut Dec<'_>) -> OmenResult<Fingerprint> {
+        Ok(Fingerprint {
+            kind: d.u8()?,
+            comm: d.u64()?,
+            op: d.u64()?,
+            len: d.u64()?,
         })
     }
 
@@ -209,17 +204,11 @@ pub struct RankCtx {
     // Out-of-order buffer: messages that arrived before being asked for.
     pending: RefCell<PendingMsgs>,
     stats: RefCell<CommStats>,
-    // Monotone counter namespacing world-collective fingerprints.
-    op_counter: RefCell<u64>,
 }
 
 /// Tag namespace split: user tags occupy the low half, internal collective
 /// tags the high half.
 pub(crate) const COLLECTIVE_TAG_BASE: u64 = 1 << 63;
-
-/// Communicator id of the implicit world communicator every [`RankCtx`]
-/// collective runs on (sub-communicators derive nonzero ids).
-const WORLD_COMM_ID: u64 = 0;
 
 impl RankCtx {
     /// This rank's id in `0..size`.
@@ -462,20 +451,20 @@ impl RankCtx {
                     continue;
                 }
                 let data = self.recv_internal(peer, tag)?;
-                let fp = Fingerprint::decode(&data).ok_or(OmenError::Deserialize {
-                    context: "collective fingerprint header",
-                })?;
+                let mut d = Dec::new(&data, "collective fingerprint header");
+                let fp = Fingerprint::decode(&mut d)?;
                 if divergence.is_none() && !my_fp.matches(&fp) {
                     divergence = Some((peer, fp));
                 }
-                contributions[i] = data[FINGERPRINT_LEN..].to_vec();
+                contributions[i] = d.rest().to_vec();
             }
             if let Some((peer, fp)) = divergence {
-                let mut verdict = Vec::with_capacity(1 + 8 + 2 * FINGERPRINT_LEN);
-                verdict.push(DOWN_DIVERGED);
-                verdict.extend_from_slice(&(peer as u64).to_le_bytes());
-                verdict.extend_from_slice(&my_fp.encode());
-                verdict.extend_from_slice(&fp.encode());
+                let mut verdict = Enc::new();
+                verdict.u8(DOWN_DIVERGED);
+                verdict.usize(peer);
+                my_fp.put(&mut verdict);
+                fp.put(&mut verdict);
+                let verdict = verdict.finish();
                 for (i, &other) in members.iter().enumerate() {
                     if i != root_index {
                         self.send_internal(other, tag, verdict.clone());
@@ -491,136 +480,37 @@ impl RankCtx {
             let down = down_of(&contributions);
             for (i, &other) in members.iter().enumerate() {
                 if i != root_index {
-                    let mut msg = Vec::with_capacity(1 + down.len());
-                    msg.push(DOWN_OK);
-                    msg.extend_from_slice(&down);
-                    self.send_internal(other, tag, msg);
+                    let mut msg = Enc::new();
+                    msg.u8(DOWN_OK);
+                    msg.raw(&down);
+                    self.send_internal(other, tag, msg.finish());
                 }
             }
             Ok((Some(contributions), down))
         } else {
             let root = members[root_index];
-            let mut up = Vec::with_capacity(FINGERPRINT_LEN + up_payload.len());
-            up.extend_from_slice(&my_fp.encode());
-            up.extend_from_slice(&up_payload);
-            self.send_internal(root, tag, up);
+            let mut up = Enc::new();
+            my_fp.put(&mut up);
+            up.raw(&up_payload);
+            self.send_internal(root, tag, up.finish());
             let down = self.recv_internal(root, tag)?;
-            match down.first() {
-                Some(&DOWN_OK) => Ok((None, down[1..].to_vec())),
-                Some(&DOWN_DIVERGED) => {
-                    let rest = &down[1..];
-                    if rest.len() != 8 + 2 * FINGERPRINT_LEN {
-                        return Err(OmenError::Deserialize {
-                            context: "collective divergence verdict",
-                        });
-                    }
-                    let mut raw = [0u8; 8];
-                    raw.copy_from_slice(&rest[..8]);
-                    let rank = u64::from_le_bytes(raw) as usize;
-                    let expected = Fingerprint::decode(&rest[8..8 + FINGERPRINT_LEN]);
-                    let got = Fingerprint::decode(&rest[8 + FINGERPRINT_LEN..]);
-                    match (expected, got) {
-                        (Some(e), Some(g)) => Err(OmenError::ScheduleDivergence {
-                            rank,
-                            expected: e.describe(),
-                            got: g.describe(),
-                        }),
-                        _ => Err(OmenError::Deserialize {
-                            context: "collective divergence verdict",
-                        }),
-                    }
+            let mut d = Dec::new(&down, "collective verdict");
+            match d.u8()? {
+                DOWN_OK => Ok((None, d.rest().to_vec())),
+                DOWN_DIVERGED => {
+                    let rank = d.usize()?;
+                    let expected = Fingerprint::decode(&mut d)?;
+                    let got = Fingerprint::decode(&mut d)?;
+                    d.finish()?;
+                    Err(OmenError::ScheduleDivergence {
+                        rank,
+                        expected: expected.describe(),
+                        got: got.describe(),
+                    })
                 }
-                _ => Err(OmenError::Deserialize {
-                    context: "collective verdict byte",
-                }),
+                byte => Err(d.invalid(format_args!("unknown verdict byte {byte}"))),
             }
         }
-    }
-
-    /// World-scope allreduce (sum) of an `f64` vector. All ranks must call
-    /// in the same order (MPI semantics, verified by the fingerprint
-    /// protocol). Linear gather to rank 0 + bcast; the traffic is really
-    /// executed and counted.
-    ///
-    /// # Errors
-    ///
-    /// [`OmenError::ScheduleDivergence`] when another rank entered a
-    /// different collective (or an allreduce of a different vector length)
-    /// this round; receive failures propagate as
-    /// [`OmenError::RecvTimeout`] / [`OmenError::ChannelClosed`].
-    pub fn allreduce_sum(&self, x: &[f64]) -> OmenResult<Vec<f64>> {
-        let op = self.next_op();
-        let members: Vec<usize> = (0..self.size).collect();
-        let up = encode_f64s(x);
-        let len = up.len() as u64;
-        let (_, down) = self.collective_round(
-            &members,
-            self.rank,
-            0,
-            WORLD_COMM_ID,
-            op,
-            CollectiveKind::AllreduceSum,
-            len,
-            up,
-            sum_contributions,
-        )?;
-        Ok(decode_f64s(&down))
-    }
-
-    /// World-scope broadcast from `root`.
-    ///
-    /// # Errors
-    ///
-    /// [`OmenError::ScheduleDivergence`] when another rank entered a
-    /// different collective this round; receive failures propagate as
-    /// [`OmenError::RecvTimeout`] / [`OmenError::ChannelClosed`].
-    pub fn bcast(&self, root: usize, data: Vec<u8>) -> OmenResult<Vec<u8>> {
-        let op = self.next_op();
-        let members: Vec<usize> = (0..self.size).collect();
-        let (_, down) = self.collective_round(
-            &members,
-            self.rank,
-            root,
-            WORLD_COMM_ID,
-            op,
-            CollectiveKind::Bcast,
-            0,
-            Vec::new(),
-            move |_| data,
-        )?;
-        Ok(down)
-    }
-
-    /// World-scope gather to `root`; returns `Some(per-rank payloads)` on
-    /// the root and `None` elsewhere.
-    ///
-    /// # Errors
-    ///
-    /// [`OmenError::ScheduleDivergence`] when another rank entered a
-    /// different collective this round; receive failures propagate as
-    /// [`OmenError::RecvTimeout`] / [`OmenError::ChannelClosed`].
-    pub fn gather(&self, root: usize, data: Vec<u8>) -> OmenResult<Option<Vec<Vec<u8>>>> {
-        let op = self.next_op();
-        let members: Vec<usize> = (0..self.size).collect();
-        let (parts, _) = self.collective_round(
-            &members,
-            self.rank,
-            root,
-            WORLD_COMM_ID,
-            op,
-            CollectiveKind::Gather,
-            LEN_UNCHECKED,
-            data,
-            |_| Vec::new(),
-        )?;
-        Ok(parts)
-    }
-
-    fn next_op(&self) -> u64 {
-        let mut c = self.op_counter.borrow_mut();
-        *c += 1;
-        assert!(*c < 1 << 31, "collective counter overflow");
-        *c
     }
 }
 
@@ -763,7 +653,6 @@ where
                     recv_timeout,
                     pending: RefCell::new(HashMap::new()),
                     stats: RefCell::new(CommStats::default()),
-                    op_counter: RefCell::new(0),
                 };
                 match catch_unwind(AssertUnwindSafe(|| f(&ctx))) {
                     Ok(r) => (Ok(r), ctx.stats()),
@@ -835,6 +724,7 @@ pub fn decode_f64s(b: &[u8]) -> Vec<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::comm::Comm;
 
     #[test]
     fn ring_pass() {
@@ -860,7 +750,7 @@ mod tests {
         let n = 5;
         let out = run_ranks(n, |ctx| {
             let mine = vec![ctx.rank() as f64, 1.0, -(ctx.rank() as f64) * 0.5];
-            ctx.allreduce_sum(&mine).unwrap()
+            Comm::world(ctx).allreduce_sum(&mine).unwrap()
         });
         let expect = [10.0, 5.0, -5.0];
         for r in out.unwrap_all() {
@@ -873,7 +763,8 @@ mod tests {
     #[test]
     fn bcast_and_gather() {
         let out = run_ranks(4, |ctx| {
-            let data = ctx
+            let w = Comm::world(ctx);
+            let data = w
                 .bcast(
                     2,
                     if ctx.rank() == 2 {
@@ -884,7 +775,7 @@ mod tests {
                 )
                 .unwrap();
             assert_eq!(data, vec![42, 43]);
-            let g = ctx.gather(0, vec![ctx.rank() as u8]).unwrap();
+            let g = w.gather(0, vec![ctx.rank() as u8]).unwrap();
             if ctx.rank() == 0 {
                 let g = g.unwrap();
                 assert_eq!(g, vec![vec![0], vec![1], vec![2], vec![3]]);
@@ -998,9 +889,10 @@ mod tests {
     fn single_rank_degenerate() {
         let out = run_ranks(1, |ctx| {
             assert_eq!(ctx.size(), 1);
-            let r = ctx.allreduce_sum(&[3.0]).unwrap();
+            let w = Comm::world(ctx);
+            let r = w.allreduce_sum(&[3.0]).unwrap();
             assert_eq!(r, vec![3.0]);
-            let b = ctx.bcast(0, vec![9]).unwrap();
+            let b = w.bcast(0, vec![9]).unwrap();
             assert_eq!(b, vec![9]);
             7u8
         });
@@ -1016,9 +908,14 @@ mod tests {
     #[test]
     fn fingerprint_wire_roundtrip() {
         let fp = Fingerprint::new(CollectiveKind::Gather, 0x7FFF_0001, 42, LEN_UNCHECKED);
-        let enc = fp.encode();
-        assert_eq!(enc.len(), FINGERPRINT_LEN);
-        assert_eq!(Fingerprint::decode(&enc), Some(fp));
+        let mut enc = Enc::new();
+        fp.put(&mut enc);
+        let enc = enc.finish();
+        assert_eq!(enc.len(), 25);
+        assert_eq!(
+            Fingerprint::decode(&mut Dec::new(&enc, "fingerprint")),
+            Ok(fp)
+        );
         assert!(fp.describe().contains("gather#42"));
         assert!(fp.describe().contains("len=?"));
         let a = Fingerprint::new(CollectiveKind::AllreduceSum, 1, 2, 16);
@@ -1026,7 +923,7 @@ mod tests {
         assert!(!a.matches(&b), "allreduce length mismatch must not match");
         let w = Fingerprint::new(CollectiveKind::AllreduceSum, 1, 2, LEN_UNCHECKED);
         assert!(a.matches(&w) && w.matches(&b), "wildcard length matches");
-        assert!(Fingerprint::decode(&enc[..10]).is_none());
+        assert!(Fingerprint::decode(&mut Dec::new(&enc[..10], "fingerprint")).is_err());
     }
 
     #[test]
@@ -1081,12 +978,13 @@ mod tests {
         // detection does not rely on it.
         let t0 = std::time::Instant::now();
         let out = run_ranks(3, |ctx| -> OmenResult<()> {
-            ctx.bcast(0, vec![ctx.rank() as u8])?;
+            let w = Comm::world(ctx);
+            w.bcast(0, vec![ctx.rank() as u8])?;
             if ctx.rank() != 1 {
                 // analyze: allow(spmd-divergence, deliberately divergent schedule under test)
-                ctx.bcast(0, vec![7])?;
+                w.bcast(0, vec![7])?;
             }
-            ctx.allreduce_sum(&[1.0])?;
+            w.allreduce_sum(&[1.0])?;
             Ok(())
         })
         .flattened();
@@ -1114,7 +1012,7 @@ mod tests {
     fn allreduce_length_mismatch_is_divergence() {
         let out = run_ranks(2, |ctx| -> OmenResult<()> {
             let mine: Vec<f64> = vec![1.0; 2 + ctx.rank()];
-            ctx.allreduce_sum(&mine)?;
+            Comm::world(ctx).allreduce_sum(&mine)?;
             Ok(())
         })
         .flattened();

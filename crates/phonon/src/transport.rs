@@ -16,8 +16,8 @@
 //! quantitative test below.
 
 use crate::dynmat::PhononSystem;
+use omen_negf::contacts::local_contacts;
 use omen_negf::rgf::{build_a_matrix, rgf_solve};
-use omen_negf::sancho::{ContactSelfEnergy, Side};
 use omen_num::{OmenResult, KB};
 
 /// Universal thermal conductance quantum per branch, `π²k_B²/3h` (W/K²).
@@ -38,10 +38,8 @@ pub fn phonon_transmission(sys: &PhononSystem, omega: f64) -> OmenResult<f64> {
     // η scales with ω² near the acoustic limit so the branch point stays
     // resolved, with an absolute floor for mid-band frequencies.
     let eta = (1e-4 * e).max(PHONON_ETA);
-    let sl = ContactSelfEnergy::compute(e, eta, &sys.d00, &sys.d01, Side::Left)
-        .map_err(|err| err.with_energy(e))?;
-    let sr = ContactSelfEnergy::compute(e, eta, &sys.d00, &sys.d01, Side::Right)
-        .map_err(|err| err.with_energy(e))?;
+    let lead = (&sys.d00, &sys.d01);
+    let (sl, sr) = local_contacts(e, eta, lead, lead)?;
     let a = build_a_matrix(e, eta, &sys.d, &sl, &sr);
     let r = rgf_solve(&a, &sl.gamma, &sr.gamma).map_err(|err| err.with_energy(e))?;
     Ok(r.transmission)

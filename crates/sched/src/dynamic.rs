@@ -40,9 +40,10 @@
 
 use crate::cost::CostModel;
 use crate::proto::{
-    decode_coord, decode_error_from, decode_worker, encode_coord, encode_error, encode_worker,
-    put_f64, put_u64, CoordMsg, Reader, WorkerMsg, TAG_CTRL, TAG_WORK,
+    decode_coord, decode_worker, encode_coord, encode_worker, put_failures, take_failures,
+    CoordMsg, WorkerMsg, TAG_CTRL, TAG_WORK,
 };
+use omen_num::wire::{Dec, Enc};
 use omen_num::{OmenError, OmenResult, SweepReport};
 use omen_parsim::Comm;
 use std::collections::VecDeque;
@@ -921,28 +922,21 @@ fn work(
 
 /// Serializes a merged outcome for the terminal fan-out.
 pub fn encode_outcome(o: &SweepOutcome) -> Vec<u8> {
-    let mut out = Vec::new();
-    put_u64(&mut out, o.values.len() as u64);
+    let mut e = Enc::new();
+    e.usize(o.values.len());
     for v in &o.values {
         match v {
             Some(vals) => {
-                out.push(1);
-                put_u64(&mut out, vals.len() as u64);
-                for &x in vals {
-                    put_f64(&mut out, x);
-                }
+                e.u8(1);
+                e.f64s(vals);
             }
-            None => out.push(0),
+            None => e.u8(0),
         }
     }
-    put_u64(&mut out, o.report.solved as u64);
-    put_u64(&mut out, o.report.retried as u64);
-    put_u64(&mut out, o.report.recovered as u64);
-    put_u64(&mut out, o.report.failed.len() as u64);
-    for f in &o.report.failed {
-        put_f64(&mut out, f.energy);
-        out.extend_from_slice(&encode_error(&f.error, 0));
-    }
+    e.usize(o.report.solved);
+    e.usize(o.report.retried);
+    e.usize(o.report.recovered);
+    put_failures(&mut e, &o.report.failed, 0);
     for v in [
         o.stats.units,
         o.stats.chunks,
@@ -952,14 +946,11 @@ pub fn encode_outcome(o: &SweepOutcome) -> Vec<u8> {
         o.stats.workers_dead,
         o.stats.stale_msgs,
         o.stats.coordinator_units,
-        o.stats.worker_busy_s.len(),
     ] {
-        put_u64(&mut out, v as u64);
+        e.usize(v);
     }
-    for &b in &o.stats.worker_busy_s {
-        put_f64(&mut out, b);
-    }
-    out
+    e.f64s(&o.stats.worker_busy_s);
+    e.finish()
 }
 
 /// Decodes a merged outcome.
@@ -968,65 +959,38 @@ pub fn encode_outcome(o: &SweepOutcome) -> Vec<u8> {
 ///
 /// [`OmenError::Deserialize`] when the payload is truncated or malformed.
 pub fn decode_outcome(b: &[u8]) -> OmenResult<SweepOutcome> {
-    let bad = OmenError::Deserialize {
-        context: "sched merged-outcome payload",
-    };
-    let mut r = Reader::new(b);
-    let inner = (|| {
-        let n = r.usize()?;
-        let mut values = Vec::with_capacity(n.min(1 << 20));
-        for _ in 0..n {
-            values.push(match r.u8()? {
-                1 => {
-                    let len = r.usize()?;
-                    Some(r.f64s(len)?)
-                }
-                0 => None,
-                _ => return None,
-            });
-        }
-        let mut report = SweepReport {
-            solved: r.usize()?,
-            retried: r.usize()?,
-            recovered: r.usize()?,
-            failed: Vec::new(),
-        };
-        let nf = r.usize()?;
-        for _ in 0..nf {
-            let energy = r.f64()?;
-            let error = decode_error_from(&mut r)?;
-            report.failed.push(omen_num::FailedPoint { energy, error });
-        }
-        let units = r.usize()?;
-        let chunks = r.usize()?;
-        let reissued_failed = r.usize()?;
-        let reissued_straggler = r.usize()?;
-        let duplicate_results = r.usize()?;
-        let workers_dead = r.usize()?;
-        let stale_msgs = r.usize()?;
-        let coordinator_units = r.usize()?;
-        let nb = r.usize()?;
-        let worker_busy_s = r.f64s(nb)?;
-        if !r.done() {
-            return None;
-        }
-        Some(SweepOutcome {
-            values,
-            report,
-            stats: SchedStats {
-                units,
-                chunks,
-                reissued_failed,
-                reissued_straggler,
-                duplicate_results,
-                workers_dead,
-                stale_msgs,
-                coordinator_units,
-                worker_busy_s,
-            },
+    let mut d = Dec::new(b, "sched merged-outcome payload");
+    // Each slot is at least its presence byte.
+    let n = d.count(1)?;
+    let values = (0..n)
+        .map(|_| match d.u8()? {
+            1 => Ok(Some(d.f64s()?)),
+            0 => Ok(None),
+            flag => Err(d.invalid(format_args!("unknown slot flag {flag}"))),
         })
-    })();
-    inner.ok_or(bad)
+        .collect::<OmenResult<_>>()?;
+    let out = SweepOutcome {
+        values,
+        report: SweepReport {
+            solved: d.usize()?,
+            retried: d.usize()?,
+            recovered: d.usize()?,
+            failed: take_failures(&mut d)?,
+        },
+        stats: SchedStats {
+            units: d.usize()?,
+            chunks: d.usize()?,
+            reissued_failed: d.usize()?,
+            reissued_straggler: d.usize()?,
+            duplicate_results: d.usize()?,
+            workers_dead: d.usize()?,
+            stale_msgs: d.usize()?,
+            coordinator_units: d.usize()?,
+            worker_busy_s: d.f64s()?,
+        },
+    };
+    d.finish()?;
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -1062,6 +1026,21 @@ mod tests {
         };
         assert_eq!(decode_outcome(&encode_outcome(&o)).unwrap(), o);
         assert!(decode_outcome(&[1, 2, 3]).is_err());
+    }
+
+    #[test]
+    fn hostile_outcome_value_count_is_a_typed_error() {
+        // One slot whose value list claims 2^61 entries.
+        let mut e = Enc::new();
+        e.u64(1);
+        e.u8(1);
+        e.u64(1 << 61);
+        assert_eq!(
+            decode_outcome(&e.finish()),
+            Err(OmenError::Deserialize {
+                context: "sched merged-outcome payload"
+            })
+        );
     }
 
     #[test]

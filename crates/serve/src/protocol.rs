@@ -11,6 +11,11 @@
 //!              IEEE-754 bit patterns)
 //! ```
 //!
+//! Payloads are written with [`omen_num::wire::Enc`] and read through
+//! [`omen_num::wire::Dec`] — the one place the primitive layout is
+//! declared; this module owns only the frame header and the field order
+//! of each kind.
+//!
 //! The decoder is total: truncated headers, bad magic, unsupported
 //! versions, unknown kinds, oversized lengths, short payloads, and
 //! trailing payload bytes all come back as typed
@@ -19,6 +24,7 @@
 //! end-of-stream (`Ok(None)`); closing *inside* a frame is a protocol
 //! error, because the peer died mid-sentence.
 
+use omen_num::wire::{Dec, Enc};
 use omen_num::{OmenError, OmenResult, SweepReport};
 use std::io::Read;
 
@@ -169,31 +175,6 @@ fn perr(context: &'static str, detail: String) -> OmenError {
 
 // ---------------------------------------------------------------- encode
 
-struct Enc {
-    buf: Vec<u8>,
-}
-
-impl Enc {
-    fn new() -> Enc {
-        Enc { buf: Vec::new() }
-    }
-    fn u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-    fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    fn u128(&mut self, v: u128) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    fn f64(&mut self, v: f64) {
-        self.buf.extend_from_slice(&v.to_bits().to_le_bytes());
-    }
-    fn bytes(&mut self, v: &[u8]) {
-        self.buf.extend_from_slice(v);
-    }
-}
-
 impl Frame {
     fn kind(&self) -> u8 {
         match self {
@@ -217,8 +198,9 @@ impl Frame {
     pub fn encode(&self) -> Vec<u8> {
         let mut e = Enc::new();
         match self {
-            Frame::Submit(text) => e.bytes(text.as_bytes()),
-            Frame::Reject(msg) | Frame::JobFailed(msg) => e.bytes(msg.as_bytes()),
+            Frame::Submit(text) | Frame::Reject(text) | Frame::JobFailed(text) => {
+                e.raw(text.as_bytes());
+            }
             Frame::Ping | Frame::Stats | Frame::Shutdown | Frame::Pong | Frame::ShutdownAck => {}
             Frame::Accepted {
                 job_id,
@@ -256,7 +238,7 @@ impl Frame {
             }
             Frame::Done { cache_hit, payload } => {
                 e.u8(u8::from(*cache_hit));
-                e.bytes(payload);
+                e.raw(payload);
             }
             Frame::StatsReply(s) => {
                 e.u64(s.jobs_accepted);
@@ -269,96 +251,23 @@ impl Frame {
                 e.u64(s.running);
             }
         }
-        let payload = e.buf;
-        let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
-        out.extend_from_slice(&MAGIC);
-        out.extend_from_slice(&VERSION.to_le_bytes());
-        out.push(self.kind());
-        out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        out.extend_from_slice(&payload);
-        out
+        let payload = e.finish();
+        let mut out = Enc::new();
+        out.raw(&MAGIC);
+        out.u16(VERSION);
+        out.u8(self.kind());
+        out.u32(payload.len() as u32);
+        out.raw(&payload);
+        out.finish()
     }
 }
 
 // ---------------------------------------------------------------- decode
 
-/// Strict little-endian payload reader: short reads and leftover bytes
-/// are protocol errors.
-struct Dec<'a> {
-    buf: &'a [u8],
-    pos: usize,
-    context: &'static str,
-}
-
-impl<'a> Dec<'a> {
-    fn new(buf: &'a [u8], context: &'static str) -> Dec<'a> {
-        Dec {
-            buf,
-            pos: 0,
-            context,
-        }
-    }
-    fn take(&mut self, n: usize) -> OmenResult<&'a [u8]> {
-        let end = self.pos.checked_add(n).filter(|&e| e <= self.buf.len());
-        match end {
-            Some(end) => {
-                let s = &self.buf[self.pos..end];
-                self.pos = end;
-                Ok(s)
-            }
-            None => Err(perr(
-                self.context,
-                format!(
-                    "payload truncated: wanted {n} bytes at offset {}, have {}",
-                    self.pos,
-                    self.buf.len()
-                ),
-            )),
-        }
-    }
-    fn u8(&mut self) -> OmenResult<u8> {
-        Ok(self.take(1)?[0])
-    }
-    fn u64(&mut self) -> OmenResult<u64> {
-        let mut b = [0u8; 8];
-        b.copy_from_slice(self.take(8)?);
-        Ok(u64::from_le_bytes(b))
-    }
-    fn u128(&mut self) -> OmenResult<u128> {
-        let mut b = [0u8; 16];
-        b.copy_from_slice(self.take(16)?);
-        Ok(u128::from_le_bytes(b))
-    }
-    fn f64(&mut self) -> OmenResult<f64> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-    fn rest(&mut self) -> &'a [u8] {
-        let s = &self.buf[self.pos..];
-        self.pos = self.buf.len();
-        s
-    }
-    fn finish(self) -> OmenResult<()> {
-        if self.pos == self.buf.len() {
-            Ok(())
-        } else {
-            Err(perr(
-                self.context,
-                format!("{} trailing payload bytes", self.buf.len() - self.pos),
-            ))
-        }
-    }
-}
-
-fn utf8(bytes: &[u8], context: &'static str) -> OmenResult<String> {
-    String::from_utf8(bytes.to_vec())
-        .map_err(|_| perr(context, "payload is not valid UTF-8".to_string()))
-}
-
 fn decode_payload(kind: u8, payload: &[u8]) -> OmenResult<Frame> {
-    let ctx: &'static str = "frame payload";
-    let mut d = Dec::new(payload, ctx);
+    let mut d = Dec::protocol(payload, "frame payload");
     let frame = match kind {
-        K_SUBMIT => Frame::Submit(utf8(d.rest(), ctx)?),
+        K_SUBMIT => Frame::Submit(d.rest_str()?),
         K_PING => Frame::Ping,
         K_STATS => Frame::Stats,
         K_SHUTDOWN => Frame::Shutdown,
@@ -369,7 +278,7 @@ fn decode_payload(kind: u8, payload: &[u8]) -> OmenResult<Frame> {
                 0 => Disposition::Fresh,
                 1 => Disposition::Joined,
                 2 => Disposition::Cached,
-                b => return Err(perr(ctx, format!("unknown disposition byte {b}"))),
+                b => return Err(d.invalid(format_args!("unknown disposition byte {b}"))),
             };
             Frame::Accepted {
                 job_id,
@@ -381,7 +290,7 @@ fn decode_payload(kind: u8, payload: &[u8]) -> OmenResult<Frame> {
             queue_depth: d.u64()?,
             capacity: d.u64()?,
         },
-        K_REJECT => Frame::Reject(utf8(d.rest(), ctx)?),
+        K_REJECT => Frame::Reject(d.rest_str()?),
         K_PROGRESS => Frame::Progress(Progress {
             seq: d.u64()?,
             index: d.u64()?,
@@ -401,7 +310,7 @@ fn decode_payload(kind: u8, payload: &[u8]) -> OmenResult<Frame> {
             let payload = d.rest().to_vec();
             Frame::Done { cache_hit, payload }
         }
-        K_JOB_FAILED => Frame::JobFailed(utf8(d.rest(), ctx)?),
+        K_JOB_FAILED => Frame::JobFailed(d.rest_str()?),
         K_STATS_REPLY => Frame::StatsReply(StatsSnapshot {
             jobs_accepted: d.u64()?,
             busy_rejections: d.u64()?,
@@ -461,24 +370,22 @@ pub fn read_frame(r: &mut impl Read) -> OmenResult<Option<Frame>> {
     if !read_exact_or_eof(r, &mut header, "frame header")? {
         return Ok(None);
     }
-    if header[0..4] != MAGIC {
-        return Err(perr(
-            "frame header",
-            format!(
-                "bad magic 0x{:02x}{:02x}{:02x}{:02x} (want \"OMSV\")",
-                header[0], header[1], header[2], header[3]
-            ),
-        ));
+    let mut d = Dec::protocol(&header, "frame header");
+    let magic = d.take(4)?;
+    if magic != MAGIC {
+        return Err(d.invalid(format_args!(
+            "bad magic 0x{:02x}{:02x}{:02x}{:02x} (want \"OMSV\")",
+            magic[0], magic[1], magic[2], magic[3]
+        )));
     }
-    let version = u16::from_le_bytes([header[4], header[5]]);
+    let version = d.u16()?;
     if version != VERSION {
-        return Err(perr(
-            "frame header",
-            format!("unsupported protocol version {version} (this build speaks {VERSION})"),
-        ));
+        return Err(d.invalid(format_args!(
+            "unsupported protocol version {version} (this build speaks {VERSION})"
+        )));
     }
-    let kind = header[6];
-    let len = u32::from_le_bytes([header[7], header[8], header[9], header[10]]);
+    let kind = d.u8()?;
+    let len = d.u32()?;
     if len > MAX_FRAME {
         return Err(perr(
             "frame header",
@@ -518,19 +425,19 @@ pub struct SweepResult {
 /// so a cache hit is bit-identical to the original solve's payload.
 pub fn encode_result(points: &[omen_core::iv::IvPoint], report: &SweepReport) -> Vec<u8> {
     let mut e = Enc::new();
-    e.u64(points.len() as u64);
+    e.usize(points.len());
     for p in points {
         e.f64(p.v_gate);
         e.f64(p.v_ds);
         e.f64(p.current_ua);
-        e.u64(p.scf_iterations as u64);
+        e.usize(p.scf_iterations);
         e.u8(u8::from(p.converged));
     }
-    e.u64(report.solved as u64);
-    e.u64(report.retried as u64);
-    e.u64(report.recovered as u64);
-    e.u64(report.failed.len() as u64);
-    e.buf
+    e.usize(report.solved);
+    e.usize(report.retried);
+    e.usize(report.recovered);
+    e.usize(report.failed.len());
+    e.finish()
 }
 
 /// Decodes a `Done` payload.
@@ -539,13 +446,10 @@ pub fn encode_result(points: &[omen_core::iv::IvPoint], report: &SweepReport) ->
 ///
 /// [`OmenError::Protocol`] on truncation or trailing bytes.
 pub fn decode_result(payload: &[u8]) -> OmenResult<SweepResult> {
-    let ctx: &'static str = "result payload";
-    let mut d = Dec::new(payload, ctx);
-    let n = d.u64()?;
-    if n > u64::from(MAX_FRAME) / 33 {
-        return Err(perr(ctx, format!("implausible point count {n}")));
-    }
-    let mut points = Vec::with_capacity(n as usize);
+    let mut d = Dec::protocol(payload, "result payload");
+    // Each point is four 8-byte fields and a flag byte.
+    let n = d.count(33)?;
+    let mut points = Vec::with_capacity(n);
     for _ in 0..n {
         let v_gate = d.f64()?;
         let v_ds = d.f64()?;
@@ -629,6 +533,42 @@ mod tests {
             Frame::Pong,
             Frame::ShutdownAck,
         ]
+    }
+
+    fn hex(b: &[u8]) -> String {
+        b.iter().map(|x| format!("{x:02x}")).collect()
+    }
+
+    /// Wire bytes of `all_frames()`, pinned: result caches, committed bench
+    /// records and `benchmark/` hold these bytes, so no codec change may
+    /// move them.
+    const FRAME_BYTES: [&str; 13] = [
+        "4f4d53560200010a000000766473203d20302e320a",
+        "4f4d535602000200000000",
+        "4f4d535602000300000000",
+        "4f4d535602000400000000",
+        "4f4d5356020010190000002a00000000000000efbeaddeefbeaddeefbeaddeefbeadde01",
+        "4f4d53560200111000000040000000000000004000000000000000",
+        "4f4d535602001217000000756e6b6e6f776e206b657920606d6174657269616c6c60",
+        "4f4d535602001359000000030000000000000003000000000000000900000000000000\
+         000000000000d0bf9a9999999999c93f7b14ae47e17a543f0700000000000000017c00\
+         000000000000020000000000000001000000000000000100000000000000",
+        "4f4d535602001406000000010102030405",
+        "4f4d53560200151800000073696e67756c617220626c6f636b20617420736c61622033",
+        "4f4d5356020016400000000a0000000000000002000000000000000400000000000000\
+         0300000000000000030000000000000005000000000000000100000000000000020000\
+         0000000000",
+        "4f4d535602001700000000",
+        "4f4d535602001800000000",
+    ];
+
+    #[test]
+    fn frame_bytes_are_unchanged() {
+        let frames = all_frames();
+        assert_eq!(frames.len(), FRAME_BYTES.len());
+        for (f, want) in frames.iter().zip(FRAME_BYTES) {
+            assert_eq!(hex(&f.encode()), want, "{f:?}");
+        }
     }
 
     #[test]
@@ -760,6 +700,14 @@ mod tests {
         let a = encode_result(&pts, &report);
         let b = encode_result(&pts, &report);
         assert_eq!(a, b, "encoding is canonical");
+        assert_eq!(
+            hex(&a),
+            "02000000000000009a9999999999b9bf9a9999999999c93fec51b81e85eba13f04000000\
+             00000000019a9999999999b93f9a9999999999c93fb81e85eb51b8e63f060000000000\
+             0000000d000000000000000000000000000000000000000000000000000000000000\
+             00",
+            "result bytes are unchanged"
+        );
         let dec = decode_result(&a).expect("decodes");
         assert_eq!(dec.points.len(), 2);
         assert_eq!(dec.solved, 13);

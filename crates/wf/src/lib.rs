@@ -20,7 +20,6 @@
 //!   enabling the WF-vs-RGF equivalence and time-to-solution experiments.
 
 pub mod injection;
-pub mod serialize;
 pub mod solver;
 pub mod splitsolve;
 pub mod transport;

@@ -18,15 +18,14 @@
 //! A singular pivot on one rank must not leave its peers blocked in `recv`.
 //! Each elimination level therefore factors all owned odd blocks *before*
 //! any point-to-point traffic and agrees on collective health with one
-//! gather + broadcast round (an error payload from the lowest failing
-//! rank, empty on success). Only an all-clear level exchanges bundles, so
-//! the SPMD communication schedule stays aligned and every rank returns
-//! the same typed [`OmenError`].
+//! [`Comm::agree`] round (the lowest failing rank's typed error on every
+//! member). Only an all-clear level exchanges bundles, so the SPMD
+//! communication schedule stays aligned and every rank returns the same
+//! typed [`OmenError`].
 
-use crate::serialize::{
-    bytes_to_error, bytes_to_mat, bytes_to_mats, error_to_bytes, mat_to_bytes, mats_to_bytes,
-};
 use omen_linalg::{gemm, lu::Lu, matmul, Op, ZMat};
+use omen_negf::serialize::{bytes_to_mat, bytes_to_mat_array, mat_to_bytes, mats_to_bytes};
+use omen_num::wire::{Dec, Enc};
 use omen_num::{c64, OmenError, OmenResult};
 use omen_parsim::Comm;
 use omen_sparse::BlockTridiag;
@@ -51,36 +50,6 @@ type ElimStep = (usize, Option<usize>, Option<usize>);
 /// ranges.
 fn owner(g: usize, n: usize, r: usize) -> usize {
     ((g * r) / n).min(r - 1)
-}
-
-/// One gather + broadcast round agreeing on the health of a solver phase:
-/// every rank contributes its local error (or an empty payload), rank 0
-/// rebroadcasts the lowest failing rank's encoding, and every member
-/// returns the same verdict. `phase` disambiguates the collective's tag
-/// space across levels.
-fn sync_status(comm: &Comm, phase: usize, local: Option<&OmenError>) -> OmenResult<()> {
-    let payload = match local {
-        Some(e) => error_to_bytes(comm.rank(), e),
-        None => Vec::new(),
-    };
-    let _ = phase; // collectives carry their own ordered tag space
-    let verdict = match comm.gather(0, payload)? {
-        Some(parts) => {
-            let first = parts
-                .into_iter()
-                .find(|p| !p.is_empty())
-                .unwrap_or_default();
-            // analyze: allow(spmd-divergence, arms split on the gather root verdict but BOTH issue this bcast, so the health-barrier schedule stays rank-uniform)
-            comm.bcast(0, first)?
-        }
-        // analyze: allow(spmd-divergence, non-root arm of the same two-phase health barrier; every rank issues exactly one bcast)
-        None => comm.bcast(0, Vec::new())?,
-    };
-    if verdict.is_empty() {
-        Ok(())
-    } else {
-        Err(bytes_to_error(&verdict)?)
-    }
 }
 
 /// Solves `A X = B` with rank-distributed block cyclic reduction. All
@@ -164,7 +133,7 @@ pub fn splitsolve_parallel(comm: &Comm, a: &BlockTridiag, b: &[ZMat]) -> OmenRes
 
         // 1b. Health barrier: every rank learns of any singular pivot and
         // returns the same error before any bundle is sent.
-        sync_status(comm, level, local_err.as_ref())?;
+        comm.agree(local_err.as_ref())?;
 
         // 1c. Ship bundles to even neighbors on other ranks; when one rank
         // owns both neighbors it receives (and caches) the bundle once.
@@ -206,20 +175,9 @@ pub fn splitsolve_parallel(comm: &Comm, a: &BlockTridiag, b: &[ZMat]) -> OmenRes
             }
             let o = own(active[k]);
             let data = comm.recv(o, tag(level, k, KIND_BUNDLE))?;
-            let mats = bytes_to_mats(&data)?;
-            if mats.len() != 3 {
-                return Err(OmenError::Deserialize {
-                    context: "elimination bundle",
-                });
-            }
-            let opt = |m_: &ZMat| {
-                if m_.nrows() == 0 {
-                    None
-                } else {
-                    Some(m_.clone())
-                }
-            };
-            let f = (mats[0].clone(), opt(&mats[1]), opt(&mats[2]));
+            let [dib, dil, diu] = bytes_to_mat_array(&data, "elimination bundle")?;
+            let opt = |m_: ZMat| (m_.nrows() != 0).then_some(m_);
+            let f = (dib, opt(dil), opt(diu));
             received[k] = Some(f.clone());
             Ok(f)
         };
@@ -305,7 +263,7 @@ pub fn splitsolve_parallel(comm: &Comm, a: &BlockTridiag, b: &[ZMat]) -> OmenRes
             Err(s) => root_err = Some(s.at_block(root)),
         }
     }
-    sync_status(comm, level, root_err.as_ref())?;
+    comm.agree(root_err.as_ref())?;
 
     // 5. Back substitution down the tree, with x-block exchanges. Each
     // solved even block travels to a given rank at most once: the receiver
@@ -367,54 +325,29 @@ pub fn splitsolve_parallel(comm: &Comm, a: &BlockTridiag, b: &[ZMat]) -> OmenRes
     );
 
     // 6. Allgather: everyone ends up with the complete block solution.
-    let mut mine_payload = Vec::new();
+    const CTX: &str = "solution allgather";
+    let mut mine = Enc::new();
     let my_blocks: Vec<usize> = (0..nb).filter(|&g| own(g) == me).collect();
-    mine_payload.extend_from_slice(&(my_blocks.len() as u64).to_le_bytes());
+    mine.usize(my_blocks.len());
     for &g in &my_blocks {
         let xb = x[g].as_ref().ok_or(OmenError::Deserialize {
             context: "owned block unsolved after back substitution",
         })?;
-        let bb = mat_to_bytes(xb);
-        mine_payload.extend_from_slice(&(g as u64).to_le_bytes());
-        mine_payload.extend_from_slice(&(bb.len() as u64).to_le_bytes());
-        mine_payload.extend_from_slice(&bb);
+        mine.usize(g);
+        mine.bytes(&mat_to_bytes(xb));
     }
-    let all = match comm.gather(0, mine_payload)? {
-        Some(parts) => {
-            let flat: Vec<u8> = parts.into_iter().flatten().collect();
-            comm.bcast(0, flat)?
-        }
-        None => comm.bcast(0, Vec::new())?,
-    };
-    // Decode the concatenated per-rank payloads.
-    const CTX: &str = "solution allgather";
-    let read = |off: usize| -> OmenResult<u64> {
-        let s = all
-            .get(off..off + 8)
-            .ok_or(OmenError::Deserialize { context: CTX })?;
-        let mut raw = [0u8; 8];
-        raw.copy_from_slice(s);
-        Ok(u64::from_le_bytes(raw))
-    };
     let mut out: Vec<Option<ZMat>> = vec![None; nb];
-    let mut off = 0usize;
-    while off < all.len() {
-        let count = read(off)? as usize;
-        off += 8;
-        for _ in 0..count {
-            let g = read(off)? as usize;
-            off += 8;
-            let len = read(off)? as usize;
-            off += 8;
-            let chunk = all
-                .get(off..off + len)
+    for part in comm.allgather(mine.finish())? {
+        let mut d = Dec::new(&part, CTX);
+        // Each record is a block index and a length-prefixed matrix.
+        for _ in 0..d.count(8 + 8 + 16)? {
+            let g = d.usize()?;
+            let slot = out
+                .get_mut(g)
                 .ok_or(OmenError::Deserialize { context: CTX })?;
-            if g >= nb {
-                return Err(OmenError::Deserialize { context: CTX });
-            }
-            out[g] = Some(bytes_to_mat(chunk)?);
-            off += len;
+            *slot = Some(bytes_to_mat(d.bytes()?)?);
         }
+        d.finish()?;
     }
     let blocks = out
         .into_iter()

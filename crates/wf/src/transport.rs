@@ -12,6 +12,7 @@ use crate::injection::injection_bundle;
 use crate::solver::{bcr_solve, thomas_solve};
 use crate::splitsolve::splitsolve_parallel;
 use omen_linalg::{matmul, matmul_h_n, ZMat};
+use omen_negf::contacts::{lead_self_energy, local_contacts};
 use omen_negf::rgf::build_a_matrix;
 use omen_negf::sancho::{ContactSelfEnergy, Side};
 use omen_negf::transport::{EnergyPointData, DEFAULT_ETA};
@@ -45,10 +46,7 @@ pub fn wf_transport_at_energy(
     lead_r: (&ZMat, &ZMat),
     solver: SolverKind,
 ) -> OmenResult<EnergyPointData> {
-    let sl = ContactSelfEnergy::compute(e, DEFAULT_ETA, lead_l.0, lead_l.1, Side::Left)
-        .map_err(|err| err.with_energy(e))?;
-    let sr = ContactSelfEnergy::compute(e, DEFAULT_ETA, lead_r.0, lead_r.1, Side::Right)
-        .map_err(|err| err.with_energy(e))?;
+    let (sl, sr) = local_contacts(e, DEFAULT_ETA, lead_l, lead_r)?;
     let (a, b, ml) = assemble(e, h, &sl, &sr);
     let psi = match solver {
         SolverKind::Thomas => thomas_solve(&a, &b),
@@ -168,8 +166,7 @@ fn observables(
 /// Propagates the contact self-energy solve's typed failure once its
 /// recovery policy is exhausted.
 pub fn open_channels(e: f64, h00: &ZMat, h01: &ZMat, side: Side) -> OmenResult<usize> {
-    let se = ContactSelfEnergy::compute(e, DEFAULT_ETA, h00, h01, side)
-        .map_err(|err| err.with_energy(e))?;
+    let se = lead_self_energy(e, DEFAULT_ETA, (h00, h01), side)?;
     Ok(injection_bundle(&se.gamma, MODE_TOL).num_modes())
 }
 
