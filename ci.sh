@@ -19,8 +19,10 @@ cargo clippy --no-deps -p omen-linalg -p omen-sparse -p omen-wf -p omen-negf -p 
 # resolved once per process from OMEN_SIMD, so the linalg suite, the
 # conformance battery, the selected-inversion oracle/equivalence battery,
 # and the kernel bench smoke each run once per leg —
-# tiny sizes, one sample, exercising the tiled GEMM and blocked LU at
-# 1/2/4 threads plus the BENCH_kernels.json emitter and parser
+# tiny sizes, one sample, exercising the tiled GEMM, the blocked LU and
+# its blocked solve / inverse at 1/2/4 threads (gemm, lu, trsm, inverse
+# and selinv records, all required per leg by bench-gate --smoke) plus
+# the BENCH_kernels.json emitter and parser
 # round-trip, writing to target/ so the committed baseline at the repo
 # root is never touched (see DESIGN.md §10). The scalar leg is what keeps
 # the reference path from rotting on machines that auto-dispatch SIMD.

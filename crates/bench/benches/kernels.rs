@@ -4,7 +4,8 @@
 //! Self-contained timing harness (`harness = false`): each kernel runs a
 //! warm-up pass, then is sampled repeatedly with `std::time::Instant`; the
 //! median and minimum per-iteration times are reported, and the dense
-//! kernel measurements (GEMM/LU across sizes and thread counts) are merged
+//! kernel measurements (GEMM and the LU family — factor, multi-RHS solve,
+//! inverse — across sizes and thread counts) are merged
 //! into the repo-root `BENCH_kernels.json` baseline (schema:
 //! `omen_bench::records`). Run with `cargo bench -p omen-bench`.
 //!
@@ -81,6 +82,27 @@ fn simd_flag() -> bool {
     threads::simd_path() == threads::SimdPath::Avx2Fma
 }
 
+/// Prints one timing and appends its ledger record; `work` is the counted
+/// flops of one call.
+fn record(
+    out: &mut Vec<KernelRecord>,
+    (kernel, label): (&str, &str),
+    (n, threads): (usize, usize),
+    work: u64,
+    (median, min): (f64, f64),
+) {
+    report(label, (median, min));
+    out.push(KernelRecord {
+        kernel: kernel.into(),
+        n,
+        threads,
+        simd: simd_flag(),
+        median_s: median,
+        min_s: min,
+        gflops: work as f64 / median / 1e9,
+    });
+}
+
 fn bench_gemm(sizes: &[usize], flagship: usize, smoke: bool, out: &mut Vec<KernelRecord>) {
     for &n in sizes {
         let a = randmat(n, 1);
@@ -88,50 +110,65 @@ fn bench_gemm(sizes: &[usize], flagship: usize, smoke: bool, out: &mut Vec<Kerne
         let mut c = ZMat::zeros(n, n);
         let (samples, target) = plan(n, smoke);
         for t in thread_counts(n, flagship) {
-            let (median, min) = sample_secs(samples, target, || {
+            let timing = sample_secs(samples, target, || {
                 gemm_threaded(c64::ONE, &a, Op::N, &b, Op::N, c64::ZERO, &mut c, t);
             });
-            let gflops = flops::gemm_flops(n, n, n) as f64 / median / 1e9;
-            report(&format!("zgemm/{n}/t{t}"), (median, min));
-            out.push(KernelRecord {
-                kernel: "gemm".into(),
-                n,
-                threads: t,
-                simd: simd_flag(),
-                median_s: median,
-                min_s: min,
-                gflops,
-            });
+            record(
+                out,
+                ("gemm", "zgemm"),
+                (n, t),
+                flops::gemm_flops(n, n, n),
+                timing,
+            );
         }
     }
 }
 
+/// The LU family at one size: the factorization (`lu`), the multi-RHS
+/// triangular solve with `n` right-hand sides (`trsm`) and the explicit
+/// inverse (`inverse`) — the three calls a contact decimation, a Thomas
+/// elimination and an RGF slab make per block.
 fn bench_lu(sizes: &[usize], flagship: usize, smoke: bool, out: &mut Vec<KernelRecord>) {
     for &n in sizes {
         let mut a = randmat(n, 3);
         for i in 0..n {
             a[(i, i)] += c64::real(n as f64);
         }
+        let b = randmat(n, 4);
+        let f = Lu::factor(&a).expect("bench matrix is diagonally dominant");
         let (samples, target) = plan(n, smoke);
-        // The LU trailing update picks its width from the ambient policy,
-        // so pin it through OMEN_THREADS for the measurement.
+        // The trailing and off-diagonal updates pick their width from the
+        // ambient policy, so pin it through OMEN_THREADS for the measurement.
         let saved = std::env::var(threads::THREADS_ENV).ok();
         for t in thread_counts(n, flagship) {
             std::env::set_var(threads::THREADS_ENV, t.to_string());
-            let (median, min) = sample_secs(samples, target, || {
+            let solve_work = flops::trsm_flops(n, n);
+            let timing = sample_secs(samples, target, || {
                 Lu::factor(&a).expect("bench matrix is diagonally dominant")
             });
-            let gflops = flops::lu_flops(n) as f64 / median / 1e9;
-            report(&format!("zgetrf/{n}/t{t}"), (median, min));
-            out.push(KernelRecord {
-                kernel: "lu".into(),
-                n,
-                threads: t,
-                simd: simd_flag(),
-                median_s: median,
-                min_s: min,
-                gflops,
-            });
+            record(
+                out,
+                ("lu", &format!("zgetrf/{n}/t{t}")),
+                (n, t),
+                flops::lu_flops(n),
+                timing,
+            );
+            let timing = sample_secs(samples, target, || f.solve_mat(&b));
+            record(
+                out,
+                ("trsm", &format!("zgetrs/{n}/t{t}")),
+                (n, t),
+                solve_work,
+                timing,
+            );
+            let timing = sample_secs(samples, target, || f.inverse());
+            record(
+                out,
+                ("inverse", &format!("zgetri/{n}/t{t}")),
+                (n, t),
+                solve_work,
+                timing,
+            );
         }
         match saved {
             Some(v) => std::env::set_var(threads::THREADS_ENV, v),
@@ -169,20 +206,16 @@ fn bench_selinv(smoke: bool, out: &mut Vec<KernelRecord>) {
     omen_negf::selinv_solve(&a, &gl, &gr).expect("dominant bench system is regular");
     let work = flops::reset_flops();
 
-    let (median, min) = sample_secs(samples, target, || {
+    let timing = sample_secs(samples, target, || {
         omen_negf::selinv_solve(&a, &gl, &gr).expect("dominant bench system is regular")
     });
-    let gflops = work as f64 / median / 1e9;
-    report(&format!("selinv/{nb}x{bs}"), (median, min));
-    out.push(KernelRecord {
-        kernel: "selinv".into(),
-        n: nb * bs,
-        threads: 1,
-        simd: simd_flag(),
-        median_s: median,
-        min_s: min,
-        gflops,
-    });
+    record(
+        out,
+        ("selinv", &format!("selinv/{nb}x{bs}")),
+        (nb * bs, 1),
+        work,
+        timing,
+    );
 }
 
 fn bench_eigh() {
@@ -257,8 +290,10 @@ fn main() {
         bench_lu(&[24, 60], 60, true, &mut records);
         bench_selinv(true, &mut records);
     } else {
-        bench_gemm(&[64, 128, 256, 512], 512, false, &mut records);
-        bench_lu(&[64, 128, 256, 512], 512, false, &mut records);
+        // 32 and 90 are the block sizes the benchmark workloads run
+        // (single-band 1 nm wire, sp3s* 0.8 nm wire).
+        bench_gemm(&[32, 64, 90, 128, 256, 512], 512, false, &mut records);
+        bench_lu(&[32, 64, 90, 128, 256, 512], 512, false, &mut records);
         bench_selinv(false, &mut records);
         bench_eigh();
         bench_transport();

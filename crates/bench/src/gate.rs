@@ -6,7 +6,9 @@
 //!
 //! 1. **Committed-baseline validation** (always): every record in the
 //!    committed `BENCH_kernels.json` must clear its `[[kernel_guardband]]`
-//!    floor — `reference_gflops · (1 − guardband)` — every record in
+//!    floor — `reference_gflops · (1 − guardband)` — and a SIMD record may
+//!    not be slower than the scalar record of the same
+//!    `(kernel, n, threads)`; every record in
 //!    `BENCH_sched.json` must stay under its `[[sched_guardband]]`
 //!    imbalance ceiling, and every record in `BENCH_serve.json` must
 //!    clear its `[[serve_guardband]]` throughput floor and minimum
@@ -16,8 +18,8 @@
 //!    policy with a rationale instead of letting the drift land unremarked.
 //! 2. **Smoke validation** (`--smoke`): fresh `target/BENCH_*.smoke.json`
 //!    records from this very CI run must exist for the current dispatch
-//!    leg (`gemm`, `lu` and `selinv`), clear the catastrophic
-//!    `[[kernel_smoke_floor]]` throughput floors, stay under the
+//!    leg (`gemm`, `lu`, `trsm`, `inverse` and `selinv`), clear the
+//!    catastrophic `[[kernel_smoke_floor]]` throughput floors, stay under the
 //!    `[[sched_smoke_floor]]` imbalance ceilings, and clear the
 //!    `[[serve_smoke_floor]]` service throughputs. Smoke floors are set an
 //!    order of magnitude below any believable machine so they only trip on
@@ -93,7 +95,9 @@ fn committed<R: BenchRecord>(
 /// Validates the committed kernel baseline: every record must have a
 /// `[[kernel_guardband]]` group for its `(kernel, simd)` leg and clear
 /// the group's floor `reference_gflops · (1 − guardband)`; timings must
-/// be finite and positive.
+/// be finite and positive; and wherever a `(kernel, n, threads)` is
+/// recorded on both legs, the SIMD record must be at least as fast as the
+/// scalar one — the dispatched path may never lose to the reference.
 pub fn check_committed_kernels(policy: &TolerancePolicy, records: &[KernelRecord]) -> GateReport {
     committed("kernel", records, |r, report| {
         let tag = format!("{}/n{}/t{}/simd={}", r.kernel, r.n, r.threads, r.simd);
@@ -119,6 +123,16 @@ pub fn check_committed_kernels(policy: &TolerancePolicy, records: &[KernelRecord
                 r.gflops,
                 g.reference_gflops,
                 g.guardband * 100.0
+            ));
+        }
+        let scalar = records.iter().find(|o| {
+            r.simd && !o.simd && (&o.kernel, o.n, o.threads) == (&r.kernel, r.n, r.threads)
+        });
+        if let Some(s) = scalar.filter(|s| r.gflops < s.gflops) {
+            report.failures.push(format!(
+                "kernel record {tag}: {:.3} Gflop/s loses to the scalar leg's {:.3} — \
+                 the dispatched path must never be slower than the reference",
+                r.gflops, s.gflops
             ));
         }
     })
@@ -182,9 +196,13 @@ pub fn check_committed_sched(policy: &TolerancePolicy, records: &[SchedRecord]) 
     })
 }
 
+/// The kernels a `--smoke` run of the kernels bench must record per leg.
+const SMOKE_KERNELS: [&str; 5] = ["gemm", "lu", "trsm", "inverse", "selinv"];
+
 /// Validates fresh `--smoke` kernel records for the current dispatch leg
 /// (`simd_leg` is the `simd` flag the running process stamps into
-/// records): `gemm`, `lu` and `selinv` must all be present for that leg —
+/// records): `gemm`, `lu`, `trsm`, `inverse` and `selinv` must all be
+/// present for that leg —
 /// a missing kernel means the smoke bench silently skipped a code path —
 /// and every leg record must clear its catastrophic
 /// `[[kernel_smoke_floor]]`.
@@ -195,7 +213,7 @@ pub fn check_smoke_kernels(
 ) -> GateReport {
     let mut report = GateReport::default();
     let leg: Vec<&KernelRecord> = records.iter().filter(|r| r.simd == simd_leg).collect();
-    for required in ["gemm", "lu", "selinv"] {
+    for required in SMOKE_KERNELS {
         if !leg.iter().any(|r| r.kernel == required) {
             report.failures.push(format!(
                 "no fresh {required} smoke record for the simd={simd_leg} leg — run \
@@ -358,6 +376,13 @@ reference_gflops = 5.0
 guardband = 0.2
 rationale = "test floor 4.0"
 
+[[kernel_guardband]]
+kernel = "lu"
+simd = true
+reference_gflops = 5.0
+guardband = 0.2
+rationale = "test floor 4.0"
+
 [[sched_guardband]]
 case = "resonance-comb"
 schedule = "dynamic"
@@ -384,6 +409,16 @@ rationale = "catastrophic only"
 
 [[kernel_smoke_floor]]
 kernel = "lu"
+min_gflops = 0.05
+rationale = "catastrophic only"
+
+[[kernel_smoke_floor]]
+kernel = "trsm"
+min_gflops = 0.05
+rationale = "catastrophic only"
+
+[[kernel_smoke_floor]]
+kernel = "inverse"
 min_gflops = 0.05
 rationale = "catastrophic only"
 
@@ -526,6 +561,34 @@ rationale = "catastrophic only"
         assert!(report.failures[0].contains("no kernel_guardband"));
     }
 
+    /// A SIMD record hand-degraded below the scalar record of the same
+    /// `(kernel, n, threads)` trips the gate even though it clears its own
+    /// guardband floor; restoring it passes, and records at another size
+    /// or thread count are no partner.
+    #[test]
+    fn simd_record_slower_than_its_scalar_partner_fails() {
+        let policy = test_policy();
+        let healthy = vec![krec("lu", false, 16.0), krec("lu", true, 19.0)];
+        assert!(check_committed_kernels(&policy, &healthy).is_clean());
+
+        let mut degraded = healthy.clone();
+        degraded[1].gflops = 11.3; // above the 4.0 floor, below scalar
+        let report = check_committed_kernels(&policy, &degraded);
+        assert_eq!(report.failures.len(), 1, "{:?}", report.failures);
+        assert!(report.failures[0].contains("lu/n64/t1/simd=true"));
+        assert!(report.failures[0].contains("loses to the scalar leg's 16.000"));
+
+        degraded[1].gflops = healthy[1].gflops; // revert — green again
+        assert!(check_committed_kernels(&policy, &degraded).is_clean());
+
+        let mut other_size = krec("lu", false, 50.0);
+        other_size.n = 128;
+        let mut other_width = krec("lu", false, 50.0);
+        other_width.threads = 2;
+        let unpaired = vec![other_size, other_width, krec("lu", true, 19.0)];
+        assert!(check_committed_kernels(&policy, &unpaired).is_clean());
+    }
+
     #[test]
     fn non_finite_committed_measurements_fail() {
         let policy = test_policy();
@@ -560,32 +623,32 @@ rationale = "catastrophic only"
     #[test]
     fn smoke_requires_every_kernel_on_the_current_leg() {
         let policy = test_policy();
-        let all = vec![
-            krec("gemm", false, 0.2),
-            krec("lu", false, 0.2),
-            krec("selinv", false, 0.2),
-        ];
+        let all: Vec<KernelRecord> = SMOKE_KERNELS.iter().map(|k| krec(k, false, 0.2)).collect();
         assert!(check_smoke_kernels(&policy, &all, false).is_clean());
 
-        // lu missing on the leg: the missing kernel is named.
-        let no_lu = vec![krec("gemm", false, 0.2), krec("selinv", false, 0.2)];
-        let report = check_smoke_kernels(&policy, &no_lu, false);
-        assert_eq!(report.failures.len(), 1);
-        assert!(report.failures[0].contains("no fresh lu smoke record"));
+        // One kernel missing on the leg: the missing kernel is named.
+        for missing in SMOKE_KERNELS {
+            let rest: Vec<KernelRecord> = all
+                .iter()
+                .filter(|r| r.kernel != missing)
+                .cloned()
+                .collect();
+            let report = check_smoke_kernels(&policy, &rest, false);
+            assert_eq!(report.failures.len(), 1);
+            assert!(report.failures[0].contains(&format!("no fresh {missing} smoke record")));
+        }
 
-        // Records exist but for the *other* leg: all three kernels are missing.
+        // Records exist but for the *other* leg: every kernel is missing.
         let report = check_smoke_kernels(&policy, &all, true);
-        assert_eq!(report.failures.len(), 3);
+        assert_eq!(report.failures.len(), SMOKE_KERNELS.len());
     }
 
     #[test]
     fn smoke_floor_catches_catastrophic_kernel_regression() {
         let policy = test_policy();
-        let slow = vec![
-            krec("gemm", false, 0.01),
-            krec("lu", false, 0.2),
-            krec("selinv", false, 0.2),
-        ];
+        let mut slow: Vec<KernelRecord> =
+            SMOKE_KERNELS.iter().map(|k| krec(k, false, 0.2)).collect();
+        slow[0].gflops = 0.01;
         let report = check_smoke_kernels(&policy, &slow, false);
         assert_eq!(report.failures.len(), 1);
         assert!(report.failures[0].contains("catastrophic floor"));

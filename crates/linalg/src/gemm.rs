@@ -9,7 +9,10 @@
 //! `MC`-high output stripe the A tile into `MR`-interleaved row panels
 //! with α folded in — then walks `MR×NR` output blocks with an
 //! outer-product microkernel that keeps all `MR·NR` complex accumulators
-//! in registers across the k-loop.
+//! in registers across the k-loop. Both packs go into per-thread buffers
+//! that are reused from call to call (`PackBufs`), so at the block sizes
+//! the transport engines run (n = 32…90) the driver around the
+//! microkernel allocates and zero-fills nothing.
 //!
 //! ## Dispatch
 //!
@@ -40,6 +43,7 @@ use crate::flops;
 use crate::matrix::ZMat;
 use crate::threads::{self, SimdPath};
 use omen_num::c64;
+use std::cell::RefCell;
 
 /// Operand transformation for [`gemm`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -82,15 +86,37 @@ pub(crate) const MR: usize = 4;
 /// Microkernel register-block width (C columns per B column-panel).
 pub(crate) const NR: usize = 4;
 
-/// Packs op(B) (effective shape `k×n`) into the microkernel layout: per
-/// `KC`-deep k-block in ascending-k order, `NR`-wide column panels, each
-/// holding `kc·NR` contiguous values `op(B)[kk+p, j0+jj]` at `p·NR + jj`,
-/// zero-padded to `NR` when `n` is ragged. The transpose/conjugate of
-/// `Op::T`/`Op::H` is folded into this single pass, replacing the old
-/// full-matrix materialization (one O(k·n) allocation and pass, not two).
-fn pack_b(b: &ZMat, opb: Op, k: usize, n: usize) -> Vec<c64> {
+/// The calling thread's packing buffers, kept across calls so the GEMM
+/// driver allocates only when a call needs more than any before it on
+/// this thread: `a` holds one stripe's A tile (at most `MC·KC` values),
+/// `b` the whole packed op(B). Stale contents are harmless — both packing
+/// passes write every slot the kernels read, zero padding included.
+#[derive(Default)]
+struct PackBufs {
+    a: Vec<c64>,
+    b: Vec<c64>,
+}
+
+thread_local! {
+    static PACK: RefCell<PackBufs> = RefCell::default();
+}
+
+/// Grows `buf` to at least `len` values and returns its first `len`.
+fn reserve(buf: &mut Vec<c64>, len: usize) -> &mut [c64] {
+    if buf.len() < len {
+        buf.resize(len, c64::ZERO);
+    }
+    &mut buf[..len]
+}
+
+/// Packs op(B) (effective shape `k×n`) into `out` in the microkernel
+/// layout: per `KC`-deep k-block in ascending-k order, `NR`-wide column
+/// panels, each holding `kc·NR` contiguous values `op(B)[kk+p, j0+jj]` at
+/// `p·NR + jj`, zero-padded to `NR` when `n` is ragged. The
+/// transpose/conjugate of `Op::T`/`Op::H` is folded into this single
+/// pass, so op(B) is never materialized.
+fn pack_b(out: &mut [c64], b: &ZMat, opb: Op, k: usize, n: usize) {
     let padded_n = n.div_ceil(NR) * NR;
-    let mut out = vec![c64::ZERO; k * padded_n];
     for kk in (0..k).step_by(KC) {
         let k_hi = (kk + KC).min(k);
         let kc = k_hi - kk;
@@ -101,7 +127,9 @@ fn pack_b(b: &ZMat, opb: Op, k: usize, n: usize) -> Vec<c64> {
                     let row = b.row(kk + p);
                     for (jp, j0) in (0..n).step_by(NR).enumerate() {
                         let nr = (n - j0).min(NR);
-                        block[jp * kc * NR + p * NR..][..nr].copy_from_slice(&row[j0..j0 + nr]);
+                        let dst = &mut block[jp * kc * NR + p * NR..][..NR];
+                        dst[..nr].copy_from_slice(&row[j0..j0 + nr]);
+                        dst[nr..].fill(c64::ZERO);
                     }
                 }
             }
@@ -124,11 +152,15 @@ fn pack_b(b: &ZMat, opb: Op, k: usize, n: usize) -> Vec<c64> {
                             }
                         }
                     }
+                    for jj in nr..NR {
+                        for p in 0..kc {
+                            panel[p * NR + jj] = c64::ZERO;
+                        }
+                    }
                 }
             }
         }
     }
-    out
 }
 
 /// Portable scalar `MR×NR` microkernel — the reference arithmetic order:
@@ -182,15 +214,17 @@ fn run_microkernel(path: SimdPath, kc: usize, ap: &[c64], bp: &[c64], acc: &mut 
 /// Runs the stripe kernel over rows `row0..row0 + nrows` of C, whose
 /// storage is the disjoint slice `cdata` (row-major, width `n`). `a` is
 /// the effective (already materialized) left operand; `bpack` is the
-/// packed op(B) built by [`pack_b`]. `row0` is always a multiple of `MR`
-/// (the thread split guarantees it), so row-panel membership — and with
-/// it every element's rounding sequence — is thread-count invariant.
+/// packed op(B) built by [`pack_b`]; `abuf` is this thread's A-tile
+/// buffer. `row0` is always a multiple of `MR` (the thread split
+/// guarantees it), so row-panel membership — and with it every element's
+/// rounding sequence — is thread-count invariant.
 #[allow(clippy::too_many_arguments)]
 fn stripe_kernel(
     cdata: &mut [c64],
     row0: usize,
     nrows: usize,
     a: &ZMat,
+    abuf: &mut Vec<c64>,
     bpack: &[c64],
     alpha: c64,
     k: usize,
@@ -198,7 +232,7 @@ fn stripe_kernel(
     path: SimdPath,
 ) {
     let padded_n = n.div_ceil(NR) * NR;
-    let mut apack = [c64::ZERO; MC * KC];
+    let apack = reserve(abuf, nrows.min(MC).div_ceil(MR) * MR * k.min(KC));
     let mut acc = [c64::ZERO; MR * NR];
     for s0 in (0..nrows).step_by(MC) {
         let s_hi = (s0 + MC).min(nrows);
@@ -207,18 +241,26 @@ fn stripe_kernel(
         for kk in (0..k).step_by(KC) {
             let k_hi = (kk + KC).min(k);
             let kc = k_hi - kk;
-            // Pack the A tile MR-interleaved with α folded in: panel rp
-            // stores α·A[row0+s0+rp·MR+ii, kk+p] at rp·kc·MR + p·MR + ii,
-            // zero-padded when the stripe's rows run out. Row fragments of
-            // A are strided `k` apart in memory; the packed panel keeps
-            // the whole tile in cache across the stripe's column panels.
+            // Pack the A tile MR-interleaved with α folded in (a plain
+            // copy when α = 1): panel rp stores α·A[row0+s0+rp·MR+ii, kk+p]
+            // at rp·kc·MR + p·MR + ii, zero-padded when the stripe's rows
+            // run out. Row fragments of A are strided `k` apart in memory;
+            // the packed panel keeps the whole tile in cache across the
+            // stripe's column panels.
             for rp in 0..rpanels {
                 let base = rp * kc * MR;
                 for ii in 0..MR {
                     let r = s0 + rp * MR + ii;
                     if r < s_hi {
-                        for (p, &v) in a.row(row0 + r)[kk..k_hi].iter().enumerate() {
-                            apack[base + p * MR + ii] = alpha * v;
+                        let src = &a.row(row0 + r)[kk..k_hi];
+                        if alpha == c64::ONE {
+                            for (p, &v) in src.iter().enumerate() {
+                                apack[base + p * MR + ii] = v;
+                            }
+                        } else {
+                            for (p, &v) in src.iter().enumerate() {
+                                apack[base + p * MR + ii] = alpha * v;
+                            }
                         }
                     } else {
                         for p in 0..kc {
@@ -290,33 +332,42 @@ pub(crate) fn gemm_core(
         ae = opa.apply(a);
         &ae
     };
-    let bpack = pack_b(b, opb, k, n);
-
     let blocks = m.div_ceil(MR);
     let t = threads.clamp(1, blocks);
-    if t == 1 {
-        stripe_kernel(c.data_mut(), 0, m, a_eff, &bpack, alpha, k, n, path);
-        return;
-    }
-
-    // Contiguous row chunks, one per worker, split at multiples of MR so
-    // every row keeps its microkernel row-panel regardless of the thread
-    // count (see module docs); balanced to ±MR rows.
-    let base = blocks / t;
-    let rem = blocks % t;
-    std::thread::scope(|scope| {
-        let mut rest = c.data_mut();
-        let mut row0 = 0usize;
-        let bpack = &bpack;
-        for ti in 0..t {
-            let nblocks = base + usize::from(ti < rem);
-            let rows = (nblocks * MR).min(m - row0);
-            let (chunk, tail) = rest.split_at_mut(rows * n);
-            rest = tail;
-            let start = row0;
-            scope.spawn(move || stripe_kernel(chunk, start, rows, a_eff, bpack, alpha, k, n, path));
-            row0 += rows;
+    PACK.with_borrow_mut(|pack| {
+        let PackBufs { a: abuf, b: bbuf } = pack;
+        let bpack = reserve(bbuf, k * n.div_ceil(NR) * NR);
+        pack_b(bpack, b, opb, k, n);
+        let bpack = &*bpack;
+        if t == 1 {
+            stripe_kernel(c.data_mut(), 0, m, a_eff, abuf, bpack, alpha, k, n, path);
+            return;
         }
+
+        // Contiguous row chunks, one per worker, split at multiples of MR
+        // so every row keeps its microkernel row-panel regardless of the
+        // thread count (see module docs); balanced to ±MR rows. Each
+        // worker packs its A tiles into its own thread's buffer.
+        let base = blocks / t;
+        let rem = blocks % t;
+        std::thread::scope(|scope| {
+            let mut rest = c.data_mut();
+            let mut row0 = 0usize;
+            for ti in 0..t {
+                let nblocks = base + usize::from(ti < rem);
+                let rows = (nblocks * MR).min(m - row0);
+                let (chunk, tail) = rest.split_at_mut(rows * n);
+                rest = tail;
+                let start = row0;
+                scope.spawn(move || {
+                    PACK.with_borrow_mut(|mine| {
+                        let abuf = &mut mine.a;
+                        stripe_kernel(chunk, start, rows, a_eff, abuf, bpack, alpha, k, n, path)
+                    })
+                });
+                row0 += rows;
+            }
+        });
     });
 }
 

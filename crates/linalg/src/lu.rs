@@ -9,23 +9,33 @@
 //! and immediate full-width row swaps, (2) unit-lower triangular solve for
 //! the `U₁₂` block row, (3) trailing-matrix update
 //! `A₂₂ ← A₂₂ − L₂₁·U₁₂` through the tiled multi-threaded GEMM — which is
-//! where ~`1 − 1/NB` of the O(n³) work lands, at full kernel throughput.
-//! The trailing update therefore inherits the register-blocked microkernel
-//! and its SIMD dispatch (`crate::gemm`, `OMEN_SIMD`) for free. Pivot
-//! selection is untouched by that dispatch: the panel factor and
-//! triangular solve below run their own scalar arithmetic, so the pivot
-//! sequence is identical on both microkernel paths (asserted against an
-//! independent oracle by the conformance battery), while the factor
-//! *values* downstream of a trailing update agree across paths only to
-//! rounding (DESIGN.md §10). The panel and triangular-solve phases are
-//! serial and the GEMM is bit-identical across thread counts for a fixed
-//! path, so the whole factorization is too.
+//! where ~`1 − 1/NB` of the O(n³) work lands. The solves are blocked the
+//! same way ([`Lu::solve_mat`]): a row-wise substitution inside each
+//! `NB`-row diagonal block, one GEMM update between blocks.
+//!
+//! Every O(n³) step runs on the dispatched kernel path
+//! (`crate::threads::simd_path`, `OMEN_SIMD`): the GEMM updates through
+//! the register-blocked microkernel, and every row update
+//! `row ← row − m·pivot_row` of the panel factor, of the `U₁₂` solve and
+//! of the substitutions through the one AXPY entry
+//! `crate::vec_ops::axpy_on`. Pivot candidates on the SIMD path are
+//! therefore produced by FMA arithmetic: what holds is **per-path
+//! determinism** — the panel and substitution phases are serial and
+//! lane-local, the GEMM is bit-identical across thread counts for a fixed
+//! path, so factors, pivots and solutions are too — **pivot equality
+//! against an independent oracle on the conformance battery's matrices**
+//! under both paths, and **cross-path agreement to rounding** of factors
+//! and solutions (DESIGN.md §10). The scalar arm of the AXPY entry is the
+//! plain loop, so the reference path's factors are unchanged by the
+//! dispatch.
 
 use crate::flops;
 use crate::gemm::{gemm_core, Op};
 use crate::matrix::ZMat;
-use crate::threads;
+use crate::threads::{self, SimdPath};
+use crate::vec_ops::axpy_on;
 use omen_num::c64;
+use std::ops::Range;
 
 /// Panel width of the blocked right-looking factorization; matrices up to
 /// this size use the unblocked Doolittle path.
@@ -84,7 +94,8 @@ impl Singular {
 /// columns `kk..upd_hi` (the panel in the blocked path, the whole trailing
 /// matrix in the unblocked path). Pivots are searched over full columns
 /// `j..n` and rows are swapped across the full width, so the permutation
-/// matches the unblocked algorithm exactly.
+/// matches the unblocked algorithm exactly. Each row update is one AXPY
+/// on `path`.
 fn panel_factor(
     lu: &mut ZMat,
     perm: &mut [usize],
@@ -92,6 +103,7 @@ fn panel_factor(
     kk: usize,
     k_hi: usize,
     upd_hi: usize,
+    path: SimdPath,
 ) -> Result<(), Singular> {
     let n = lu.nrows();
     for j in kk..k_hi {
@@ -121,20 +133,45 @@ fn panel_factor(
         let inv_p = lu[(j, j)].inv();
         // Split rows j.. so we can read row j while updating rows below.
         let (upper, lower) = lu.data_mut().split_at_mut((j + 1) * n);
-        let urow = &upper[j * n..(j + 1) * n];
-        for i in j + 1..n {
-            let row = &mut lower[(i - j - 1) * n..(i - j) * n];
+        let urow = &upper[j * n + j + 1..j * n + upd_hi];
+        for row in lower.chunks_exact_mut(n) {
             let m = row[j] * inv_p;
             row[j] = m;
             if m == c64::ZERO {
                 continue;
             }
-            for c in j + 1..upd_hi {
-                row[c] -= m * urow[c];
-            }
+            axpy_on(path, -m, urow, &mut row[j + 1..upd_hi]);
         }
     }
     Ok(())
+}
+
+/// `c ← c − a·b` through the tiled, multi-threaded GEMM core — uncounted:
+/// the caller reported `lu_flops` / `trsm_flops` for the whole kernel.
+fn subtract_product(c: &mut ZMat, a: &ZMat, b: &ZMat) {
+    let work = a.nrows() as u64 * b.ncols() as u64 * a.ncols() as u64;
+    gemm_core(
+        -c64::ONE,
+        a,
+        Op::N,
+        b,
+        Op::N,
+        c64::ONE,
+        c,
+        threads::auto_threads(work),
+    );
+}
+
+/// `x[rows] ← x[rows] − lu[rows, cols]·x[cols]` for two disjoint row
+/// ranges of the right-hand-side matrix `x`. The copy-out/copy-in is
+/// O(n·nrhs) against the O(n·NB·nrhs) update it feeds.
+fn sub_product(lu: &ZMat, x: &mut ZMat, rows: Range<usize>, cols: Range<usize>) {
+    let nrhs = x.ncols();
+    let a = lu.block(rows.start, cols.start, rows.len(), cols.len());
+    let b = x.block(cols.start, 0, cols.len(), nrhs);
+    let mut c = x.block(rows.start, 0, rows.len(), nrhs);
+    subtract_product(&mut c, &a, &b);
+    x.set_block(rows.start, 0, &c);
 }
 
 impl Lu {
@@ -151,16 +188,13 @@ impl Lu {
         // the total stays exactly `lu_flops(n)` per factorization.
         flops::add_flops(flops::lu_flops(n));
 
-        if n <= NB {
-            panel_factor(&mut lu, &mut perm, &mut sign, 0, n, n)?;
-            return Ok(Lu { lu, perm, sign });
-        }
-
+        let path = threads::simd_path();
+        // Up to `NB` columns this is one panel: the unblocked Doolittle.
         for kk in (0..n).step_by(NB) {
             let k_hi = (kk + NB).min(n);
             // 1. Panel factor (updates within the panel only; the trailing
             //    columns were brought up to date by previous GEMM updates).
-            panel_factor(&mut lu, &mut perm, &mut sign, kk, k_hi, k_hi)?;
+            panel_factor(&mut lu, &mut perm, &mut sign, kk, k_hi, k_hi, path)?;
             if k_hi == n {
                 break;
             }
@@ -175,9 +209,7 @@ impl Lu {
                         continue;
                     }
                     let prow = &above[p * n + k_hi..(p + 1) * n];
-                    for (x, &u) in irow[k_hi..].iter_mut().zip(prow) {
-                        *x -= lip * u;
-                    }
+                    axpy_on(path, -lip, prow, &mut irow[k_hi..]);
                 }
             }
             // 3. Trailing update A22 ← A22 − L21·U12 through the tiled,
@@ -188,17 +220,7 @@ impl Lu {
             let l21 = lu.block(k_hi, kk, nt, nb);
             let u12 = lu.block(kk, k_hi, nb, nt);
             let mut a22 = lu.block(k_hi, k_hi, nt, nt);
-            let work = nt as u64 * nt as u64 * nb as u64;
-            gemm_core(
-                -c64::ONE,
-                &l21,
-                Op::N,
-                &u12,
-                Op::N,
-                c64::ONE,
-                &mut a22,
-                threads::auto_threads(work),
-            );
+            subtract_product(&mut a22, &l21, &u12);
             lu.set_block(k_hi, k_hi, &a22);
         }
         Ok(Lu { lu, perm, sign })
@@ -233,26 +255,9 @@ impl Lu {
 
     /// Solves `A x = b` for a single right-hand side.
     pub fn solve_vec(&self, b: &[c64]) -> Vec<c64> {
-        let n = self.n();
-        assert_eq!(b.len(), n, "rhs length mismatch");
-        flops::add_flops(flops::trsm_flops(n, 1));
-        // Apply permutation then forward/back substitution.
-        let mut x: Vec<c64> = self.perm.iter().map(|&p| b[p]).collect();
-        for i in 1..n {
-            let mut acc = x[i];
-            for (j, &xj) in x.iter().enumerate().take(i) {
-                acc -= self.lu[(i, j)] * xj;
-            }
-            x[i] = acc;
-        }
-        for i in (0..n).rev() {
-            let mut acc = x[i];
-            for (j, &xj) in x.iter().enumerate().take(n).skip(i + 1) {
-                acc -= self.lu[(i, j)] * xj;
-            }
-            x[i] = acc / self.lu[(i, i)];
-        }
-        x
+        assert_eq!(b.len(), self.n(), "rhs length mismatch");
+        let x = self.solve_mat(&ZMat::from_vec(b.len(), 1, b.to_vec()));
+        x.data().to_vec()
     }
 
     /// Solves `A X = B` for a matrix of right-hand sides.
@@ -266,47 +271,74 @@ impl Lu {
         for i in 0..n {
             x.row_mut(i).copy_from_slice(b.row(self.perm[i]));
         }
-        // Forward substitution L y = P b (unit diagonal).
-        for i in 1..n {
-            let (done, rest) = x.data_mut().split_at_mut(i * nrhs);
-            let xi = &mut rest[..nrhs];
-            for j in 0..i {
-                let lij = self.lu[(i, j)];
-                if lij == c64::ZERO {
-                    continue;
-                }
-                let xj = &done[j * nrhs..(j + 1) * nrhs];
-                for (a, &b) in xi.iter_mut().zip(xj) {
-                    *a -= lij * b;
-                }
-            }
-        }
-        // Back substitution U x = y.
-        for i in (0..n).rev() {
-            let nc = nrhs;
-            let (head, tail) = x.data_mut().split_at_mut((i + 1) * nc);
-            let xi = &mut head[i * nc..];
-            for j in i + 1..n {
-                let uij = self.lu[(i, j)];
-                if uij == c64::ZERO {
-                    continue;
-                }
-                let xj = &tail[(j - i - 1) * nc..(j - i) * nc];
-                for (a, &b) in xi.iter_mut().zip(xj) {
-                    *a -= uij * b;
-                }
-            }
-            let d = self.lu[(i, i)].inv();
-            for a in xi.iter_mut() {
-                *a *= d;
-            }
-        }
+        self.substitute(&mut x);
         x
     }
 
     /// Explicit inverse `A⁻¹` (solves against the identity).
     pub fn inverse(&self) -> ZMat {
-        self.solve_mat(&ZMat::eye(self.n()))
+        let n = self.n();
+        flops::add_flops(flops::trsm_flops(n, n));
+        // P·I written in place of a materialized identity.
+        let mut x = ZMat::zeros(n, n);
+        for (i, &p) in self.perm.iter().enumerate() {
+            x[(i, p)] = c64::ONE;
+        }
+        self.substitute(&mut x);
+        x
+    }
+
+    /// `x ← U⁻¹ L⁻¹ x` for an already row-permuted right-hand side.
+    ///
+    /// Blocked like [`Lu::factor`]: per `NB`-row diagonal block a
+    /// row-wise triangular solve (one AXPY per eliminated entry), and
+    /// between blocks one off-diagonal update through the tiled GEMM.
+    /// Matrices up to `NB` are a single block, i.e. the plain
+    /// substitution.
+    fn substitute(&self, x: &mut ZMat) {
+        let n = self.n();
+        let nrhs = x.ncols();
+        let path = threads::simd_path();
+        // Forward substitution L y = P b (unit diagonal), blocks ascending.
+        for kk in (0..n).step_by(NB) {
+            let k_hi = (kk + NB).min(n);
+            for i in kk + 1..k_hi {
+                let (done, rest) = x.data_mut().split_at_mut(i * nrhs);
+                let xi = &mut rest[..nrhs];
+                for j in kk..i {
+                    let lij = self.lu[(i, j)];
+                    if lij == c64::ZERO {
+                        continue;
+                    }
+                    axpy_on(path, -lij, &done[j * nrhs..(j + 1) * nrhs], xi);
+                }
+            }
+            if k_hi < n {
+                sub_product(&self.lu, x, k_hi..n, kk..k_hi);
+            }
+        }
+        // Back substitution U x = y, blocks descending.
+        for kk in (0..n).step_by(NB).rev() {
+            let k_hi = (kk + NB).min(n);
+            if k_hi < n {
+                sub_product(&self.lu, x, kk..k_hi, k_hi..n);
+            }
+            for i in (kk..k_hi).rev() {
+                let (head, tail) = x.data_mut().split_at_mut((i + 1) * nrhs);
+                let xi = &mut head[i * nrhs..];
+                for j in i + 1..k_hi {
+                    let uij = self.lu[(i, j)];
+                    if uij == c64::ZERO {
+                        continue;
+                    }
+                    axpy_on(path, -uij, &tail[(j - i - 1) * nrhs..(j - i) * nrhs], xi);
+                }
+                let d = self.lu[(i, i)].inv();
+                for a in xi.iter_mut() {
+                    *a *= d;
+                }
+            }
+        }
     }
 }
 

@@ -38,16 +38,27 @@ pub fn nrm2(x: &[c64]) -> f64 {
 
 /// `y ← y + α x`.
 pub fn axpy(alpha: c64, x: &[c64], y: &mut [c64]) {
-    assert_eq!(x.len(), y.len(), "axpy length mismatch");
     add_flops(8 * x.len() as u64);
-    match threads::simd_path() {
+    axpy_on(threads::simd_path(), alpha, x, y);
+}
+
+/// [`axpy`] on an already-resolved dispatch path, reporting **no** flops:
+/// the row update of the LU panel factor and of the triangular solves in
+/// `crate::lu`, which account their work once per call through
+/// `lu_flops` / `trsm_flops`. The scalar arm is the plain loop those
+/// kernels ran inline before they shared this entry.
+#[inline]
+pub(crate) fn axpy_on(path: SimdPath, alpha: c64, x: &[c64], y: &mut [c64]) {
+    assert_eq!(x.len(), y.len(), "axpy length mismatch");
+    match path {
         SimdPath::Scalar => {
             for (yi, &xi) in y.iter_mut().zip(x) {
                 *yi += alpha * xi;
             }
         }
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: `Avx2Fma` is only selected after feature detection.
+        // SAFETY: every caller passes the path `threads::simd_path`
+        // resolved, which is `Avx2Fma` only after feature detection.
         SimdPath::Avx2Fma => unsafe { crate::simd::axpy(alpha, x, y) },
         #[cfg(not(target_arch = "x86_64"))]
         SimdPath::Avx2Fma => {

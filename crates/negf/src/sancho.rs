@@ -52,6 +52,20 @@ pub const MAX_DECIMATION_ITERS: usize = 200;
 /// non-converged lead before surfacing the error.
 pub const MAX_LEAD_RETRIES: usize = 3;
 
+/// `m.max_abs() < tol` without a `hypot` per element: the squared
+/// magnitude settles every entry except one within rounding distance of
+/// the threshold, which alone pays for the exact magnitude. A NaN entry
+/// compares below, as it does in `max_abs` (whose `f64::max` fold drops
+/// it) — the finite-surface-GF gate at the exit of [`decimate`] is what
+/// catches a poisoned lead.
+fn contracted(m: &ZMat, tol: f64) -> bool {
+    let (lo, hi) = (tol * tol * (1.0 - 1e-9), tol * tol * (1.0 + 1e-9));
+    m.data().iter().all(|z| {
+        let q = z.norm_sqr();
+        q.is_nan() || q < lo || (q < hi && z.abs() < tol)
+    })
+}
+
 /// Core decimation loop with an explicit iteration bound. Returns the
 /// surface GF and the iterations consumed.
 fn decimate(
@@ -74,29 +88,44 @@ fn decimate(
     let mut eps_s = h00.clone();
     let mut eps = h00.clone();
 
+    // Work matrices held across iterations: the resolvent argument, the
+    // four products of one step and the next coupling.
+    let mut a = ZMat::zeros(n, n);
+    let [mut ag, mut bg, mut agb, mut bga, mut next] = [(); 5].map(|()| ZMat::zeros(n, n));
+    let mul =
+        |x: &ZMat, y: &ZMat, out: &mut ZMat| gemm(c64::ONE, x, Op::N, y, Op::N, c64::ZERO, out);
+    // out ← (E + iη)·I − m
+    let resolvent_arg = |m: &ZMat, out: &mut ZMat| {
+        out.data_mut().fill(c64::ZERO);
+        for i in 0..n {
+            out[(i, i)] = ec;
+        }
+        *out -= m;
+    };
+
     for it in 0..max_iters {
         // g = (E − ε)⁻¹
-        let mut a = ZMat::from_diag(&vec![ec; n]);
-        a -= &eps;
+        resolvent_arg(&eps, &mut a);
         let g = match lu::Lu::factor(&a) {
             Ok(f) => f.inverse(),
             Err(s) => return Err(s.at_block(0).with_energy(e)),
         };
 
         // ε_s += α g β ;  ε += α g β + β g α ;  α ← α g α ;  β ← β g β
-        let ag = omen_linalg::matmul(&alpha, &g);
-        let bg = omen_linalg::matmul(&beta, &g);
-        let agb = omen_linalg::matmul(&ag, &beta);
-        let bga = omen_linalg::matmul(&bg, &alpha);
+        mul(&alpha, &g, &mut ag);
+        mul(&beta, &g, &mut bg);
+        mul(&ag, &beta, &mut agb);
+        mul(&bg, &alpha, &mut bga);
         eps_s += &agb;
         eps += &agb;
         eps += &bga;
-        alpha = omen_linalg::matmul(&ag, &alpha);
-        beta = omen_linalg::matmul(&bg, &beta);
+        mul(&ag, &alpha, &mut next);
+        std::mem::swap(&mut alpha, &mut next);
+        mul(&bg, &beta, &mut next);
+        std::mem::swap(&mut beta, &mut next);
 
-        if alpha.max_abs() < 1e-14 && beta.max_abs() < 1e-14 {
-            let mut a = ZMat::from_diag(&vec![ec; n]);
-            a -= &eps_s;
+        if contracted(&alpha, 1e-14) && contracted(&beta, 1e-14) {
+            resolvent_arg(&eps_s, &mut a);
             return match lu::Lu::factor(&a) {
                 // A NaN-poisoned lead slips through the contraction test
                 // (`max_abs` folds with `f64::max`, which drops NaN), so

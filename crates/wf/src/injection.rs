@@ -9,6 +9,7 @@
 //! observables therefore match NEGF channel by channel.
 
 use omen_linalg::{eigh, ZMat};
+use omen_num::c64;
 
 /// The open-channel bundle of one contact at one energy.
 pub struct InjectionBundle {
@@ -34,10 +35,21 @@ pub const GAMMA_FLOOR: f64 = 1e-4;
 
 /// Extracts the open channels of a broadening matrix. Eigenvalues below
 /// `max(tol · λ_max, GAMMA_FLOOR)` are closed channels and are discarded.
+///
+/// `Γ = i(Σ − Σ†)` is identically zero on every orbital the lead coupling
+/// does not touch (`Σ = H01† g H01` inherits the zero rows and columns of
+/// `H01`), so the Hermitian eigenproblem is solved on the support of `Γ`
+/// — its rows that are not identically zero — and the vectors scattered
+/// back. The dropped rows are exact zero eigenpairs, closed channels
+/// under any floor.
 pub fn injection_bundle(gamma: &ZMat, tol: f64) -> InjectionBundle {
     assert!(gamma.is_square());
     let n = gamma.nrows();
-    let r = eigh(gamma);
+    let support: Vec<usize> = (0..n)
+        .filter(|&i| gamma.row(i).iter().any(|&v| v != c64::ZERO))
+        .collect();
+    let s = support.len();
+    let r = eigh(&ZMat::from_fn(s, s, |i, j| gamma[(support[i], support[j])]));
     let lmax = r.values.iter().fold(0.0_f64, |m, &v| m.max(v));
     if lmax <= GAMMA_FLOOR {
         return InjectionBundle {
@@ -47,14 +59,14 @@ pub fn injection_bundle(gamma: &ZMat, tol: f64) -> InjectionBundle {
     }
     let cut = (tol * lmax).max(GAMMA_FLOOR);
     // eigh returns ascending; open channels sit at the top.
-    let open: Vec<usize> = (0..n).rev().filter(|&k| r.values[k] > cut).collect();
+    let open: Vec<usize> = (0..s).rev().filter(|&k| r.values[k] > cut).collect();
     let mut w = ZMat::zeros(n, open.len());
     let mut strengths = Vec::with_capacity(open.len());
     for (col, &k) in open.iter().enumerate() {
-        let s = r.values[k].max(0.0).sqrt();
+        let scale = r.values[k].max(0.0).sqrt();
         strengths.push(r.values[k]);
-        for row in 0..n {
-            w[(row, col)] = r.vectors[(row, k)].scale(s);
+        for (row, &orbital) in support.iter().enumerate() {
+            w[(orbital, col)] = r.vectors[(row, k)].scale(scale);
         }
     }
     InjectionBundle { w, strengths }

@@ -58,18 +58,28 @@ fn gemm_total_is_exact_at_every_thread_count() {
 #[test]
 fn lu_total_is_exact_for_unblocked_and_blocked_paths() {
     let _guard = COUNTER_LOCK.lock().unwrap();
-    // The blocked path routes its trailing updates through the *uncounted*
-    // GEMM core; a regression that switched it to the public entry point
-    // would double-count and fail this exact equality.
-    for &n in &[5usize, 48, 60, 97] {
+    // The blocked paths route their trailing and off-diagonal updates
+    // through the *uncounted* GEMM core, and every row update of the panel
+    // factor and the triangular solves through the *uncounted* AXPY entry;
+    // a regression that switched either to the public, counting entry
+    // point would double-count and fail these exact equalities.
+    for &n in &[5usize, 32, 48, 60, 90, 97] {
         let a = dd_mat(n, 11 + n as u64);
         let scope = FlopScope::new();
         let f = Lu::factor(&a).expect("diagonally dominant");
         assert_eq!(scope.take(), lu_flops(n), "factor n={n}");
-        let b = randmat(n, 3, 5);
+        for nrhs in [1usize, 3, n] {
+            let b = randmat(n, nrhs, 5);
+            let scope = FlopScope::new();
+            let _ = f.solve_mat(&b);
+            assert_eq!(scope.take(), trsm_flops(n, nrhs), "solve n={n} nrhs={nrhs}");
+        }
         let scope = FlopScope::new();
-        let _ = f.solve_mat(&b);
-        assert_eq!(scope.take(), trsm_flops(n, 3), "solve n={n}");
+        let _ = f.solve_vec(&randmat(n, 1, 6).col(0));
+        assert_eq!(scope.take(), trsm_flops(n, 1), "solve_vec n={n}");
+        let scope = FlopScope::new();
+        let _ = f.inverse();
+        assert_eq!(scope.take(), trsm_flops(n, n), "inverse n={n}");
     }
 }
 

@@ -1,29 +1,33 @@
-//! Kernel conformance battery: the tiled, multi-threaded GEMM and the
-//! blocked LU are checked against independent naive O(n³) oracles.
+//! Kernel conformance battery: the tiled, multi-threaded GEMM, the
+//! blocked LU and its triangular solves are checked against independent
+//! naive O(n³) oracles.
 //!
 //! The oracles here deliberately share no code with `omen-linalg`: GEMM is
 //! evaluated index-by-index with the operand ops applied through index
-//! swaps and explicit conjugation (no materialization, no tiling), and LU
-//! is a textbook unblocked Doolittle with partial pivoting. Agreement is
-//! elementwise within the relative bounds declared in the repo-root
-//! `TOLERANCES.toml` (`gemm.vs_oracle`, `lu.vs_oracle` — see DESIGN.md
-//! §12); on top of that the parallel kernels
-//! must be **bit-identical** to their serial runs at every thread count —
-//! that is the contract the transport engines rely on when `OMEN_THREADS`
-//! varies between runs.
+//! swaps and explicit conjugation (no materialization, no tiling), LU
+//! is a textbook unblocked Doolittle with partial pivoting, and the solves
+//! are element-by-element substitutions. Agreement is
+//! elementwise within the bounds declared in the repo-root
+//! `TOLERANCES.toml` (`gemm.vs_oracle`, `lu.vs_oracle`,
+//! `lu.solve_residual` — see DESIGN.md §12); on top of that the parallel
+//! kernels must be **bit-identical** to their serial runs at every thread
+//! count — that is the contract the transport engines rely on when
+//! `OMEN_THREADS` varies between runs.
 //!
 //! ## Dispatch paths
 //!
-//! The microkernel dispatch (`OMEN_SIMD`, scalar vs AVX2+FMA) is resolved
+//! The kernel dispatch (`OMEN_SIMD`, scalar vs AVX2+FMA) is resolved
 //! once per process, so one test binary exercises exactly one path; `ci.sh`
 //! runs this battery under **both** `OMEN_SIMD=0` and `OMEN_SIMD=1` (the
 //! SIMD leg self-skips without AVX2). Every oracle comparison here is
 //! dispatch-independent test code, so passing under both legs proves the
 //! cross-path tolerance contract, and the pivot-sequence assertions —
-//! exact equalities against the same oracle — prove LU pivot equality
-//! *across* paths by transitivity. Bit-identity across thread counts is
-//! asserted per path, never across paths: FMA and split accumulators
-//! legitimately change the rounding sequence (DESIGN.md §10).
+//! exact equalities against the same oracle — show LU pivot equality
+//! *across* paths on these matrices by transitivity (the LU row updates
+//! are dispatched too, so that is a tested fact, not a construction).
+//! Bit-identity across thread counts is asserted per path, never across
+//! paths: FMA and split accumulators legitimately change the rounding
+//! sequence (DESIGN.md §10).
 
 use omen::linalg::{gemm_threaded, lu::Lu, threads, Op, ZMat};
 use omen::num::c64;
@@ -350,10 +354,11 @@ fn lu_matches_oracle_including_blocked_sizes() {
     // 60/97/130 exceed the panel width, so the blocked right-looking path
     // (panel + forward solve + tiled trailing GEMM through the dispatched
     // microkernel) runs; 1/5/13 stay on the unblocked path. Pivot choices
-    // must match the oracle exactly — panel arithmetic is untouched by the
-    // microkernel, and since the oracle is dispatch-independent, passing
-    // this under both OMEN_SIMD legs proves the pivot sequence is equal
-    // across dispatch paths too.
+    // must match the oracle exactly on these matrices, and since the oracle
+    // is dispatch-independent, passing this under both OMEN_SIMD legs shows
+    // the pivot sequence equal across dispatch paths here too: the panel's
+    // row updates are dispatched AXPYs, but no two pivot candidates of
+    // these inputs sit within a rounding error of each other.
     let rel = tol("lu.vs_oracle", BoundKind::Relative);
     for &n in &[1usize, 5, 13, 60, 97, 130] {
         let a = randmat(n, n, 900 + n as u64);
@@ -406,20 +411,119 @@ fn lu_reconstructs_permuted_matrix() {
     }
 }
 
+/// Naive substitution oracle for `A X = B` from the oracle factorization:
+/// permute, forward-substitute the unit-lower factor, back-substitute the
+/// upper one — element by element, no blocking, no row kernels.
+fn oracle_solve(packed: &ZMat, perm: &[usize], b: &ZMat) -> ZMat {
+    let n = packed.nrows();
+    let mut x = ZMat::from_fn(n, b.ncols(), |i, c| b[(perm[i], c)]);
+    for c in 0..b.ncols() {
+        for i in 0..n {
+            for j in 0..i {
+                let sub = packed[(i, j)] * x[(j, c)];
+                x[(i, c)] -= sub;
+            }
+        }
+        for i in (0..n).rev() {
+            for j in i + 1..n {
+                let sub = packed[(i, j)] * x[(j, c)];
+                x[(i, c)] -= sub;
+            }
+            let q = x[(i, c)] / packed[(i, i)];
+            x[(i, c)] = q;
+        }
+    }
+    x
+}
+
+/// Sizes for the triangular-solve battery: below, at and just past the
+/// `NB = 48` block width (49 leaves a one-row second block), the block
+/// sizes the benchmark workloads run (32, 90), and a three-block case.
+const SOLVE_SIZES: [usize; 8] = [1, 3, 31, 32, 48, 49, 90, 130];
+
+/// Right-hand sides `n × nrhs` for nrhs ∈ {1, 4, n}.
+fn solve_rhs(n: usize) -> Vec<ZMat> {
+    [1, 4, n]
+        .iter()
+        .map(|&nrhs| randmat(n, nrhs, 1500 + (n * 7 + nrhs) as u64))
+        .collect()
+}
+
+/// Every solve surface of one factorization: `solve_mat` per right-hand
+/// side of [`solve_rhs`], `solve_vec` on the single-column one (as an
+/// `n × 1` matrix) and `inverse`, in that order.
+fn solve_suite(f: &Lu, rhs: &[ZMat]) -> Vec<ZMat> {
+    let n = f.n();
+    let mut out: Vec<ZMat> = rhs.iter().map(|b| f.solve_mat(b)).collect();
+    out.push(ZMat::from_vec(n, 1, f.solve_vec(&rhs[0].col(0))));
+    out.push(f.inverse());
+    out
+}
+
+#[test]
+fn triangular_solves_match_oracle() {
+    // `solve_mat` / `solve_vec` / `inverse` against the substitution
+    // oracle, across the unblocked (n ≤ 48) and blocked shapes and from a
+    // single column to a full square of right-hand sides. Passing on both
+    // OMEN_SIMD legs is the cross-path tolerance contract for the solves;
+    // the pivot sequence is pinned against the oracle on the way.
+    let bound = tol("lu.solve_residual", BoundKind::Absolute);
+    let close = |got: &ZMat, want: &ZMat, ctx: &str| {
+        assert_eq!(
+            (got.nrows(), got.ncols()),
+            (want.nrows(), want.ncols()),
+            "{ctx}: shape"
+        );
+        for (g, w) in got.data().iter().zip(want.data()) {
+            assert!((*g - *w).abs() <= bound, "{ctx}: got {g:?} want {w:?}");
+        }
+    };
+    for &n in &SOLVE_SIZES {
+        let a = randmat(n, n, 1400 + n as u64);
+        let f = Lu::factor(&a).expect("random complex matrix is regular");
+        let (packed, perm) = oracle_lu(&a).expect("oracle agrees it is regular");
+        assert_eq!(f.perm(), &perm[..], "n={n}: pivot sequence");
+        let rhs = solve_rhs(n);
+        let mut want: Vec<ZMat> = rhs
+            .iter()
+            .map(|b| oracle_solve(&packed, &perm, b))
+            .collect();
+        want.push(want[0].clone());
+        want.push(oracle_solve(&packed, &perm, &ZMat::eye(n)));
+        let got = solve_suite(&f, &rhs);
+        for (k, (g, w)) in got.iter().zip(&want).enumerate() {
+            close(g, w, &format!("n={n} surface {k}"));
+        }
+        // A·A⁻¹ = I through the oracle multiply.
+        let inv = &got[got.len() - 1];
+        let zero = ZMat::zeros(n, n);
+        let prod = oracle_gemm(c64::ONE, &a, Op::N, inv, Op::N, c64::ZERO, &zero);
+        close(&prod, &ZMat::eye(n), &format!("n={n} A·A⁻¹"));
+    }
+}
+
 #[test]
 fn lu_bit_identical_across_thread_counts() {
-    // The trailing update reads its width from OMEN_THREADS; pin it to
-    // 1, 2 and 8 and demand bit-identical factors and identical pivots.
-    let n = 97;
-    let a = randmat(n, n, 4242);
+    // The trailing update of the factorization and the off-diagonal
+    // updates of the blocked solves read their width from OMEN_THREADS;
+    // pin it to 1, 2 and 8 and demand bit-identical factors, identical
+    // pivots and bit-identical solutions on every solve surface.
     let saved = std::env::var(threads::THREADS_ENV).ok();
-    std::env::set_var(threads::THREADS_ENV, "1");
-    let base = Lu::factor(&a).expect("regular");
-    for t in ["2", "8"] {
-        std::env::set_var(threads::THREADS_ENV, t);
-        let f = Lu::factor(&a).expect("regular");
-        assert_eq!(f.perm(), base.perm(), "t={t}: pivots");
-        assert_bits_equal(f.packed(), base.packed(), &format!("lu t={t}"));
+    for n in SOLVE_SIZES.into_iter().chain([97]) {
+        let a = randmat(n, n, 4242 + n as u64);
+        let rhs = solve_rhs(n);
+        std::env::set_var(threads::THREADS_ENV, "1");
+        let base = Lu::factor(&a).expect("regular");
+        let base_solves = solve_suite(&base, &rhs);
+        for t in ["2", "8"] {
+            std::env::set_var(threads::THREADS_ENV, t);
+            let f = Lu::factor(&a).expect("regular");
+            assert_eq!(f.perm(), base.perm(), "n={n} t={t}: pivots");
+            assert_bits_equal(f.packed(), base.packed(), &format!("lu n={n} t={t}"));
+            for (k, (x, y)) in solve_suite(&f, &rhs).iter().zip(&base_solves).enumerate() {
+                assert_bits_equal(x, y, &format!("solve n={n} t={t} surface {k}"));
+            }
+        }
     }
     match saved {
         Some(v) => std::env::set_var(threads::THREADS_ENV, v),

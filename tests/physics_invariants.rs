@@ -188,6 +188,81 @@ fn wf_rgf_agree_on_random_chains() {
     }
 }
 
+/// The open channels of `gamma` from a full-size eigendecomposition: the
+/// reference the support-sized `injection_bundle` is held against. Returns
+/// the strengths (descending) and the projector-weighted sum `W W†`, which
+/// unlike `W` itself does not depend on eigenvector phases.
+fn dense_channels(gamma: &ZMat, tol: f64) -> (Vec<f64>, ZMat) {
+    let n = gamma.nrows();
+    let r = omen::linalg::eigh(gamma);
+    let lmax = r.values.iter().fold(0.0_f64, |m, &v| m.max(v));
+    let cut = (tol * lmax).max(omen::wf::injection::GAMMA_FLOOR);
+    let open: Vec<usize> = (0..n).rev().filter(|&k| r.values[k] > cut).collect();
+    let w = ZMat::from_fn(n, open.len(), |row, col| {
+        r.vectors[(row, open[col])].scale(r.values[open[col]].sqrt())
+    });
+    let strengths = open.iter().map(|&k| r.values[k]).collect();
+    (strengths, omen::linalg::matmul_n_h(&w, &w))
+}
+
+#[test]
+fn injection_on_the_support_is_the_dense_injection() {
+    // `injection_bundle` diagonalises Γ on its non-zero rows. Three shapes
+    // of support: (a) the README wire, whose lead coupling touches 7 (left)
+    // and 8 (right) of the 32 slab orbitals; (b) a Γ with full support;
+    // (c) an all-zero Γ (contact out of band).
+    let rel = tol("physics.wf_vs_rgf", BoundKind::Relative);
+    let mode_tol = omen::wf::transport::MODE_TOL;
+
+    let p = TbParams::of(Material::SingleBand { t_mev: 1000 });
+    let dev = Device::nanowire(Crystal::Zincblende { a: A_SI }, 8, 1.0, 1.0);
+    let ham = DeviceHamiltonian::new(&dev, p, false);
+    let (h00, h01) = ham.lead_blocks(0.0, 0.0);
+    assert_eq!(h00.nrows(), 32, "README wire block size");
+    let mut cases: Vec<(String, ZMat, usize)> = Vec::new();
+    for (side, touched) in [(omen::negf::Side::Left, 7), (omen::negf::Side::Right, 8)] {
+        for e in [-3.3, -3.0, -2.4] {
+            let se = omen::negf::ContactSelfEnergy::compute(e, 1e-6, &h00, &h01, side).unwrap();
+            cases.push((format!("wire {side:?} E={e}"), se.gamma, touched));
+        }
+    }
+    let mut rng = Rng::new(0x6A);
+    let b = ZMat::from_fn(12, 12, |_, _| c64::new(rng.f64(), rng.f64()));
+    cases.push(("full support".into(), omen::linalg::matmul_n_h(&b, &b), 12));
+    cases.push(("all zero".into(), ZMat::zeros(9, 9), 0));
+
+    for (name, gamma, support) in &cases {
+        let n = gamma.nrows();
+        let rows = (0..n)
+            .filter(|&i| gamma.row(i).iter().any(|&v| v != c64::ZERO))
+            .count();
+        assert_eq!(rows, *support, "{name}: support size");
+        let bundle = omen::wf::injection_bundle(gamma, mode_tol);
+        let (strengths, wwh) = dense_channels(gamma, mode_tol);
+        assert_eq!(bundle.num_modes(), strengths.len(), "{name}: mode count");
+        assert_eq!(strengths.is_empty(), *support == 0, "{name}: open channels");
+        assert_eq!((bundle.w.nrows(), bundle.w.ncols()), (n, strengths.len()));
+        let scale = strengths.first().copied().unwrap_or(1.0);
+        for (got, want) in bundle.strengths.iter().zip(&strengths) {
+            assert!(
+                (got - want).abs() <= rel * scale,
+                "{name}: λ {got} vs {want}"
+            );
+        }
+        let rec = omen::linalg::matmul_n_h(&bundle.w, &bundle.w);
+        let gap = (&rec - &wwh).max_abs();
+        assert!(
+            gap <= rel * scale,
+            "{name}: W W† off the dense path by {gap}"
+        );
+        // Every kept channel is in W, so W W† rebuilds Γ up to the closed
+        // channels, each weaker than the cut.
+        let cut = (mode_tol * scale).max(omen::wf::injection::GAMMA_FLOOR);
+        let lost = (&rec - gamma).max_abs();
+        assert!(lost <= cut + rel * scale, "{name}: W W† misses Γ by {lost}");
+    }
+}
+
 #[test]
 fn selinv_reciprocity() {
     // Same law as `reciprocity`, exercised through the selected-inversion
