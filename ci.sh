@@ -44,11 +44,13 @@ else
     echo "ci: NOTICE — CPU lacks AVX2+FMA, skipping the OMEN_SIMD=1 leg (scalar leg still ran)"
 fi
 
-# Scheduler bench smoke: a skewed synthetic sweep swept both statically and
-# dynamically on threads-as-ranks — exercises the full coordinator/worker
-# protocol, asserts the dynamic imbalance is no worse than static, and
-# round-trips the BENCH_sched.json emitter, writing to target/ (see
-# DESIGN.md §11).
+# Scheduler bench smoke: two skewed synthetic sweeps (sleeps for solves) and
+# one real one (`utb-k3`: the repo benchmark's UTB film through
+# parallel_transmission_k_banked on 2 ranks, dynamic asserted bit-identical
+# to static) swept both statically and dynamically on threads-as-ranks —
+# exercises the full coordinator/worker protocol, asserts the dynamic
+# imbalance is no worse than static, and round-trips the BENCH_sched.json
+# emitter, writing to target/ (see DESIGN.md §11).
 cargo bench -p omen-bench --bench sched -- --smoke
 
 # Service bench smoke: a loopback omen-serve daemon under 4 concurrent

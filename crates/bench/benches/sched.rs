@@ -26,15 +26,30 @@
 //! `omen_core::parallel::parallel_transmission_k_banked`: from the second
 //! bias point onward the first hand-out is LPT over measured costs.
 //!
+//! A third case, `utb-k3`, replaces the sleeps with the solver: the repo
+//! benchmark's `ranks2-utb-k3` film (block n = 32, 3 k-points over 2
+//! momentum groups — a built-in 2:1 static split) swept through
+//! `parallel_transmission_k_banked` on 2 ranks under both schedules, so
+//! the ledger holds what the benchmark's workload measures: units that
+//! cost compute, a coordinator that solves, and the per-unit brokering
+//! cost set against a ~4 ms solve instead of hidden under a sleep.
+//!
 //! `--smoke` shrinks the sleeps and publishes to the ledger's smoke twin
 //! under `target/` instead (`records::publish`) — the CI gate uses it to
 //! exercise the full protocol and the JSON emitter on every run without
 //! touching the committed baseline.
 
 use omen_bench::records::{publish, SchedRecord};
-use omen_core::parallel::assign;
+use omen_core::ballistic::momentum_grid;
+use omen_core::parallel::{
+    assign, frozen_system, parallel_transmission_k_banked, split_levels, LevelConfig, Schedule,
+    TransmissionSweep,
+};
+use omen_core::{Geometry, NanoTransistor, TransistorSpec};
+use omen_linalg::threads::THREADS_ENV;
 use omen_parsim::{run_ranks, Comm};
 use omen_sched::{dynamic_sweep, imbalance_ratio, CostModel, ModelBank, SchedOptions, SchedStats};
+use omen_tb::Material;
 use std::time::{Duration, Instant};
 
 /// The skewed workload: every `stride`-th unit costs `spike`, the rest
@@ -182,12 +197,8 @@ fn run_iv_static(w: &IvWorkload, ranks: usize) -> (f64, f64) {
 /// commit, the `parallel_transmission_k_banked` lifecycle). Returns
 /// `(wall_s, imbalance, reissued)` aggregated over the whole curve.
 fn run_iv_dynamic(w: &IvWorkload, ranks: usize) -> (f64, f64, usize) {
-    // A non-blocking poll keeps the solving coordinator competitive: it
-    // only picks up a unit once its mailbox drains, and with three workers
-    // streaming results the default 5 ms window almost never does.
     let opts = SchedOptions {
         chunk_max: 2,
-        poll_ms: 0,
         ..SchedOptions::default()
     };
     let es = w.energies();
@@ -228,6 +239,165 @@ fn run_iv_dynamic(w: &IvWorkload, ranks: usize) -> (f64, f64, usize) {
     assert_eq!(counts.warmed, w.n_k * (w.bias - 1));
     let reissued = agg.reissued_failed + agg.reissued_straggler;
     (wall, agg.imbalance(), reissued)
+}
+
+/// The real-solve workload: a frozen-field UTB film, `n_k` k-points ×
+/// `energies` per bias point, two ranks split by momentum.
+struct UtbWorkload {
+    tr: NanoTransistor,
+    kys: Vec<(f64, f64)>,
+    energies: Vec<f64>,
+    /// Per bias point, the potential on every atom.
+    biases: Vec<Vec<f64>>,
+}
+
+const UTB_RANKS: usize = 2;
+const UTB_LAYOUT: LevelConfig = LevelConfig {
+    bias: 1,
+    momentum: UTB_RANKS,
+    energy: 1,
+    spatial: 1,
+};
+
+impl UtbWorkload {
+    /// The `ranks2-utb-k3` device and grid (seed 0) at half its energy
+    /// count; smoke shrinks channel, grid and bias count.
+    fn new(smoke: bool) -> UtbWorkload {
+        let (slabs, n_e, n_bias) = if smoke { (6, 6, 1) } else { (16, 16, 2) };
+        let mut spec =
+            TransistorSpec::si_nanowire_nmos(Material::SingleBand { t_mev: 1000 }, 1.0, slabs);
+        spec.geometry = Geometry::Utb { cells: 2, h: 1.0 };
+        spec.doping_sd = 0.0;
+        let tr = spec.build();
+        let (lo, hi) = (spec.source_slabs, spec.num_slabs - spec.drain_slabs);
+        let biases = (0..n_bias)
+            .map(|i| {
+                let v_gate = -0.1 + 0.1 * i as f64;
+                let on_channel = |slab| {
+                    if (lo..hi).contains(&slab) {
+                        v_gate
+                    } else {
+                        0.0
+                    }
+                };
+                tr.device.atoms.iter().map(|a| on_channel(a.slab)).collect()
+            })
+            .collect();
+        UtbWorkload {
+            kys: momentum_grid(&tr, 3),
+            energies: omen_num::linspace(-3.75, -2.95, n_e),
+            biases,
+            tr,
+        }
+    }
+
+    fn units(&self) -> usize {
+        self.biases.len() * self.kys.len() * self.energies.len()
+    }
+
+    /// One pass over every bias point under `schedule`, one `ModelBank`
+    /// per rank for the whole pass. Returns the wall and rank 0's sweeps.
+    fn run(&self, schedule: Schedule) -> (f64, Vec<TransmissionSweep>) {
+        let t0 = Instant::now();
+        let out = run_ranks(UTB_RANKS, |ctx| {
+            let comms = split_levels(ctx, &UTB_LAYOUT)?;
+            let mut bank = ModelBank::new();
+            let mut sweeps = Vec::with_capacity(self.biases.len());
+            for (ib, v_atoms) in self.biases.iter().enumerate() {
+                sweeps.push(parallel_transmission_k_banked(
+                    &comms,
+                    &UTB_LAYOUT,
+                    |ky| frozen_system(&self.tr, v_atoms, ky),
+                    &self.kys,
+                    &self.energies,
+                    schedule,
+                    &mut bank,
+                    ib,
+                )?);
+            }
+            Ok(sweeps)
+        })
+        .flattened();
+        let wall = t0.elapsed().as_secs_f64();
+        let sweeps = out.unwrap_all().swap_remove(0);
+        (wall, sweeps)
+    }
+}
+
+/// Static vs dynamic on the real solver, `runs` alternating passes each,
+/// fastest kept — one sample apiece would put the host's noise straight
+/// into their ratio.
+fn bench_utb(smoke: bool, records: &mut Vec<SchedRecord>) {
+    let w = UtbWorkload::new(smoke);
+    let runs = if smoke { 1 } else { 6 };
+    println!(
+        "omen-bench sched utb-k3 ({}): {} bias × {} k × {} E = {} units, block n = 32, \
+         {UTB_RANKS} ranks, fastest of {runs}",
+        if smoke { "smoke" } else { "full" },
+        w.biases.len(),
+        w.kys.len(),
+        w.energies.len(),
+        w.units(),
+    );
+    // One kernel thread per rank, as a multi-rank deployment runs.
+    let saved = std::env::var(THREADS_ENV).ok();
+    std::env::set_var(THREADS_ENV, "1");
+    let dynamic = Schedule::Dynamic(SchedOptions::default());
+    let (mut wall_s, mut wall_d) = (f64::INFINITY, f64::INFINITY);
+    let mut sched = SchedStats::default();
+    for _ in 0..runs {
+        let (ws, stat) = w.run(Schedule::Static);
+        let (wd, dynr) = w.run(dynamic);
+        for (a, b) in stat.iter().zip(&dynr) {
+            assert!(a.report.is_clean() && b.report.is_clean());
+            let same = a.transmission.iter().zip(&b.transmission);
+            assert!(
+                same.clone().all(|(x, y)| x.to_bits() == y.to_bits()),
+                "dynamic schedule is not bit-identical to static"
+            );
+        }
+        wall_s = wall_s.min(ws);
+        if wd < wall_d {
+            wall_d = wd;
+            sched = SchedStats::default();
+            for s in dynr.iter().filter_map(|s| s.sched.as_ref()) {
+                sched.absorb(s);
+            }
+        }
+    }
+    match saved {
+        Some(v) => std::env::set_var(THREADS_ENV, v),
+        None => std::env::remove_var(THREADS_ENV),
+    }
+    // The static split's balance is its k-point count per rank: units
+    // cost alike, and what a rank waits for inside the reduction cannot
+    // be told from outside it.
+    let share = |r| assign(w.kys.len(), UTB_RANKS, r).len() as f64;
+    let imb_s = imbalance_ratio(&[share(0), share(1)]);
+    let (imb_d, reissued) = (
+        sched.imbalance(),
+        sched.reissued_failed + sched.reissued_straggler,
+    );
+    println!("static   wall {wall_s:.3} s  imbalance {imb_s:.3}");
+    println!(
+        "dynamic  wall {wall_d:.3} s  imbalance {imb_d:.3}  reissued {reissued}  \
+         coordinator solved {} of {}",
+        sched.coordinator_units, sched.units
+    );
+    for (schedule, wall_s, imbalance, reissued) in [
+        ("static", wall_s, imb_s, 0),
+        ("dynamic", wall_d, imb_d, reissued),
+    ] {
+        records.push(SchedRecord {
+            case: "utb-k3".into(),
+            schedule: schedule.into(),
+            ranks: UTB_RANKS,
+            units: w.units(),
+            wall_s,
+            imbalance,
+            reissued,
+        });
+    }
 }
 
 fn main() {
@@ -363,6 +533,8 @@ fn main() {
         imbalance: iv_imb_d,
         reissued: iv_reissued,
     });
+
+    bench_utb(smoke, &mut records);
 
     let path = publish(smoke, &records).expect("publish scheduler records");
     println!(

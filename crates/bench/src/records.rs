@@ -129,8 +129,8 @@ pub struct SchedRecord {
     /// Wall-clock seconds for the whole sweep.
     pub wall_s: f64,
     /// Max/mean busy-seconds ratio over the ranks that solved units (1.0
-    /// is perfect; the dynamic coordinator only brokers work and is
-    /// excluded).
+    /// is perfect; a dynamic coordinator that only brokered is excluded).
+    /// The static `utb-k3` record holds the split's unit-count ratio.
     pub imbalance: f64,
     /// Units re-issued by the dynamic scheduler (0 for static).
     pub reissued: usize,

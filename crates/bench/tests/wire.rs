@@ -94,10 +94,7 @@ fn mutated_rank_payloads_decode_or_fail_as_deserialize() {
     }
 
     let worker = [
-        WorkerMsg::Request {
-            epoch: 3,
-            busy_s: 1.25,
-        },
+        WorkerMsg::Request { epoch: 3 },
         WorkerMsg::Result {
             epoch: 3,
             unit: 7,

@@ -2,20 +2,26 @@
 //!
 //! One communicator member (local rank 0) acts as the coordinator: it owns
 //! the work queue, hands out chunks to workers that *pull* (send a
-//! [`crate::proto::WorkerMsg::Request`] whenever idle), folds measured solve
-//! times back into the [`CostModel`], re-issues failed or straggling units a
-//! bounded number of times, and finally distributes one merged
-//! [`SweepOutcome`] to every worker. All other members are workers running
-//! the caller's solve closure.
+//! [`crate::proto::WorkerMsg::Request`]), folds measured solve times back
+//! into the [`CostModel`], re-issues failed or straggling units a bounded
+//! number of times, and finally distributes one merged [`SweepOutcome`] to
+//! every worker. All other members are workers running the caller's solve
+//! closure.
 //!
-//! The coordinator is not idle between brokering rounds: whenever its
-//! mailbox drains (one poll window with no worker traffic) it pops the
-//! *cheapest* queued unit and solves it inline — the solving coordinator
-//! recovers 1/N of the machine that a broker-only rank would waste, and
-//! picking from the cheap end of the LPT queue bounds the blind window
-//! during which worker messages queue up unserved. Worker liveness clocks
-//! are credited with each blind window so a heartbeat that sat in the
-//! mailbox during a local solve can never read as worker silence.
+//! No rank waits while a unit is queued. The coordinator alternates
+//! *drain the mailbox* (zero timeout) with *solve one unit*, popping the
+//! *cheapest* queued unit — the solving coordinator recovers 1/N of the
+//! machine that a broker-only rank would waste, and picking from the cheap
+//! end of the LPT queue keeps the stretches during which worker messages
+//! wait unserved short. It blocks for traffic only with nothing to solve,
+//! and the first message ends the wait. Workers *request ahead*: the
+//! request for the next chunk leaves before the last unit of the current
+//! chunk starts, so the answer crosses that solve instead of following it.
+//! A request the queue cannot serve is *parked* at the coordinator and
+//! answered the moment a unit is re-queued or the sweep resolves; the
+//! worker meanwhile blocks in its receive. `poll_ms` paces housekeeping
+//! only (the liveness and straggler scan, which always follows a full
+//! drain so that a message waiting in the mailbox never reads as silence).
 //!
 //! # Determinism
 //!
@@ -31,12 +37,17 @@
 //! A unit that fails with a typed solver error is re-queued up to
 //! `max_reissue` times, then recorded in the outcome's
 //! [`SweepReport::failed`] — the sweep continues. A worker silent past
-//! `dead_after_ms` is declared dead: its in-flight units are re-issued (or
-//! failed once re-issue is exhausted) and it receives no further work. The
-//! terminal broadcast is point-to-point per worker rather than a collective
-//! precisely so a dead member cannot wedge the fan-out. `dead_after_ms`
-//! must comfortably exceed the slowest single unit, or a merely-slow worker
-//! is mistaken for a dead one and later fails itself on a receive timeout.
+//! `dead_after_ms` is declared dead: everything it holds — the unit it was
+//! solving, the rest of its chunk and the chunk prefetched behind it — is
+//! re-issued (or failed once re-issue is exhausted) and its parked request
+//! is dropped. A worker whose request is parked and which holds nothing is
+//! silent by protocol, not by fault: at half of `dead_after_ms` the
+//! coordinator voids the request with an empty assignment and the worker
+//! proves itself with a fresh one. The terminal broadcast is point-to-point
+//! per worker rather than a collective precisely so a dead member cannot
+//! wedge the fan-out. `dead_after_ms` must comfortably exceed the slowest
+//! single unit, or a merely-slow worker is mistaken for a dead one and
+//! later fails itself on a receive timeout.
 
 use crate::cost::CostModel;
 use crate::proto::{
@@ -53,12 +64,17 @@ use std::time::{Duration, Instant};
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SchedOptions {
     /// Upper bound on units per hand-out. Actual chunks shrink guided-style
-    /// as the queue drains: `min(chunk_max, max(1, remaining / (2·W)))`.
+    /// as the queue drains: `min(chunk_max, max(1, remaining / (2·C)))`
+    /// over the `C` members that pop from the queue (live workers, plus
+    /// the coordinator when it solves).
     pub chunk_max: usize,
     /// How many times one unit may be re-issued (failure or straggle)
     /// before it is abandoned into [`SweepReport::failed`].
     pub max_reissue: usize,
-    /// Coordinator poll window and idle-worker backoff, in milliseconds.
+    /// Cadence of the coordinator's liveness and straggler scan, and the
+    /// pause before a worker repeats a request answered with an empty
+    /// assignment, in milliseconds. Nothing on the fault-free path waits
+    /// for it.
     pub poll_ms: u64,
     /// A unit is a straggler once in flight longer than
     /// `straggler_min_ms + straggler_factor × predicted seconds`.
@@ -68,8 +84,8 @@ pub struct SchedOptions {
     /// A worker silent this long is declared dead. Must exceed the
     /// slowest single unit's solve time.
     pub dead_after_ms: u64,
-    /// Whether the coordinator solves queued units itself between
-    /// brokering rounds (cheapest-first, so the blind window stays short).
+    /// Whether the coordinator solves queued units itself between mailbox
+    /// drains (cheapest-first, so worker messages never wait long).
     /// On by default; turned off only by tests that pin exact scheduling
     /// behavior.
     pub coordinator_solves: bool,
@@ -293,15 +309,17 @@ pub fn dynamic_sweep(
 // Coordinator
 // ---------------------------------------------------------------------------
 
-/// One in-flight copy of a unit: who holds it and when it (last) started.
-/// Tracking copies individually — instead of a single `inflight` count plus
-/// one `assigned_to` rank — is what makes dead-worker reclamation exact: a
-/// worker's death removes *its* copies only, and a unit is re-issued only
-/// when no live copy remains, so a late heartbeat can never re-attribute a
-/// straggler copy to the wrong holder and double-count the re-issue.
+/// One copy of a unit held by a worker — in progress, or handed out and
+/// waiting behind the units ahead of it. Tracking copies individually —
+/// instead of a single `inflight` count plus one `assigned_to` rank — is
+/// what makes dead-worker reclamation exact: a worker's death removes
+/// *its* copies only, and a unit is re-issued only when no live copy
+/// remains, so a late heartbeat can never re-attribute a straggler copy to
+/// the wrong holder and double-count the re-issue.
 #[derive(Debug, Clone)]
-struct InflightCopy {
-    /// Local rank holding this copy (0 = the solving coordinator).
+struct HeldCopy {
+    /// Local rank of the worker holding this copy (never the coordinator:
+    /// its own solves are synchronous and need no bookkeeping).
     holder: usize,
     /// Hand-out time, refreshed when the holder's heartbeat lands.
     started: Instant,
@@ -314,8 +332,8 @@ struct UnitState {
     resolved: bool,
     /// Sitting in the queue awaiting (re-)hand-out.
     queued: bool,
-    /// Copies currently in flight, one entry per holder.
-    copies: Vec<InflightCopy>,
+    /// Copies held by workers, one entry per holder.
+    copies: Vec<HeldCopy>,
     /// Re-issues spent (failures, stragglers, dead workers combined).
     reissues: usize,
     /// Local rank of the most recent holder (stamps dead-worker errors).
@@ -327,6 +345,28 @@ struct WorkerState {
     busy_s: f64,
     dead: bool,
     finned: bool,
+    /// This worker's `Request` could not be served and waits here; the
+    /// worker blocks in its receive until a unit is re-queued or the sweep
+    /// resolves.
+    parked: bool,
+}
+
+/// One sweep in progress, as the coordinator sees it.
+struct Coordinator<'a, 'c> {
+    comm: &'a Comm<'c>,
+    epoch: u64,
+    opts: &'a SchedOptions,
+    model: &'a mut CostModel,
+    /// LPT order: workers pop the expensive front, the coordinator the
+    /// cheap back. May hold entries of units resolved or re-popped since.
+    queue: VecDeque<usize>,
+    state: Vec<UnitState>,
+    values: Vec<Option<Vec<f64>>>,
+    last_err: Vec<Option<OmenError>>,
+    /// Index = local rank − 1.
+    workers: Vec<WorkerState>,
+    stats: SchedStats,
+    unresolved: usize,
 }
 
 fn coordinate(
@@ -337,508 +377,521 @@ fn coordinate(
     opts: &SchedOptions,
     mut solve: impl FnMut(usize) -> OmenResult<Vec<f64>>,
 ) -> OmenResult<SweepOutcome> {
-    let n = energies.len();
     let poll = Duration::from_millis(opts.poll_ms.max(1));
-    let dead_after = Duration::from_millis(opts.dead_after_ms.max(1));
-    let now = Instant::now();
+    let mut c = Coordinator::new(comm, epoch, energies.len(), model, opts);
+    let mut last_scan = Instant::now();
+    while c.unresolved > 0 {
+        // Serve everything already in the mailbox, without waiting.
+        while let Some((from, data)) = comm.try_recv_any(TAG_CTRL, Duration::ZERO)? {
+            let msg = c.check_message(from, &data)?;
+            c.on_message(from, msg);
+        }
+        // Only after a full drain is a worker's silence really silence.
+        if last_scan.elapsed() >= poll {
+            c.scan_liveness();
+            last_scan = Instant::now();
+        }
+        c.serve_parked();
+        if c.unresolved == 0 {
+            break;
+        }
+        // Solve the cheapest queued unit; wait for traffic only with
+        // nothing to solve (the first message ends the wait).
+        if let Some(unit) = c.pop_cheapest() {
+            let t0 = Instant::now();
+            let outcome = solve(unit);
+            let elapsed_s = t0.elapsed().as_secs_f64();
+            c.stats.coordinator_units += 1;
+            c.stats.worker_busy_s[0] += elapsed_s;
+            c.fold_outcome(unit, elapsed_s, outcome);
+        } else if let Some((from, data)) = comm.try_recv_any(TAG_CTRL, poll)? {
+            let msg = c.check_message(from, &data)?;
+            c.on_message(from, msg);
+        }
+    }
+    c.terminate(energies, poll)
+}
 
-    let mut queue: VecDeque<usize> = model.descending_order(0..n).into_iter().collect();
-    let mut state: Vec<UnitState> = (0..n)
-        .map(|_| UnitState {
-            resolved: false,
-            queued: true,
-            copies: Vec::new(),
-            reissues: 0,
-            last_holder: 0,
-        })
-        .collect();
-    let mut values: Vec<Option<Vec<f64>>> = (0..n).map(|_| None).collect();
-    let mut last_err: Vec<Option<OmenError>> = vec![None; n];
-    let mut workers: Vec<WorkerState> = (1..comm.size())
-        .map(|_| WorkerState {
-            last_seen: now,
-            busy_s: 0.0,
-            dead: false,
-            finned: false,
-        })
-        .collect();
-    let mut stats = SchedStats {
-        units: n,
-        worker_busy_s: vec![0.0; comm.size()],
-        ..SchedStats::default()
-    };
-    let mut unresolved = n;
-
-    while unresolved > 0 {
-        match comm.try_recv_any(TAG_CTRL, poll)? {
-            Some((from, data)) => {
-                if from == 0 {
-                    return Err(OmenError::Deserialize {
-                        context: "sched control message from the coordinator itself",
-                    });
-                }
-                let msg = decode_worker(&data)?;
-                workers[from - 1].last_seen = Instant::now();
-                if filter_epoch(comm, epoch, from, &msg, &mut stats) {
-                    continue;
-                }
-                match msg {
-                    WorkerMsg::Request { .. } => {
-                        let chunk = pop_chunk(&mut queue, &mut state, &workers, opts, from);
-                        if !chunk.is_empty() {
-                            stats.chunks += 1;
-                        }
-                        comm.send(
-                            from,
-                            TAG_WORK,
-                            encode_coord(&CoordMsg::Assign {
-                                epoch,
-                                units: chunk,
-                            }),
-                        );
-                    }
-                    WorkerMsg::Heartbeat { unit, .. } => {
-                        // Only the heartbeat of a rank actually holding a
-                        // copy refreshes the straggler clock: a late or
-                        // spurious heartbeat from a non-holder must not
-                        // re-attribute the copy (see [`InflightCopy`]).
-                        if unit < n && !state[unit].resolved {
-                            let st = &mut state[unit];
-                            if let Some(c) = st.copies.iter_mut().find(|c| c.holder == from) {
-                                c.started = Instant::now();
-                                st.last_holder = from;
-                            }
-                        }
-                    }
-                    WorkerMsg::Result {
-                        unit,
-                        elapsed_s,
-                        outcome,
-                        ..
-                    } => {
-                        if unit >= n {
-                            // analyze: allow(protocol-early-exit, coordinator fault path: workers block at most one heartbeat interval and surface a typed RecvTimeout — a corrupt wire result must not be merged)
-                            return Err(OmenError::Deserialize {
-                                context: "sched result for out-of-range unit",
-                            });
-                        }
-                        // `elapsed_s` arrived off the wire and can be
-                        // corrupt: keep non-finite/negative timings out of
-                        // the busy ledger (they would poison the imbalance
-                        // stats) and let the cost model's typed rejection
-                        // drop them from the EWMA. The unit's *result* is
-                        // still valid either way.
-                        if elapsed_s.is_finite() && elapsed_s >= 0.0 {
-                            workers[from - 1].busy_s += elapsed_s;
-                        }
-                        let st = &mut state[unit];
-                        if let Some(pos) = st.copies.iter().position(|c| c.holder == from) {
-                            st.copies.swap_remove(pos);
-                        }
-                        fold_outcome(
-                            unit,
-                            elapsed_s,
-                            outcome,
-                            model,
-                            &mut state,
-                            &mut values,
-                            &mut last_err,
-                            &mut queue,
-                            &mut stats,
-                            &mut unresolved,
-                            opts,
-                        );
-                    }
-                }
-            }
-            None => {
-                // Mailbox drained: instead of idling a whole poll window,
-                // the coordinator solves the cheapest queued unit itself.
-                if opts.coordinator_solves {
-                    if let Some(unit) = pop_back_live(&mut queue, &state) {
-                        let t0 = Instant::now();
-                        {
-                            let st = &mut state[unit];
-                            st.queued = false;
-                            st.copies.push(InflightCopy {
-                                holder: 0,
-                                started: t0,
-                            });
-                            st.last_holder = 0;
-                        }
-                        stats.coordinator_units += 1;
-                        let outcome = solve(unit);
-                        let blind = t0.elapsed();
-                        let elapsed_s = blind.as_secs_f64();
-                        stats.worker_busy_s[0] += elapsed_s;
-                        // The coordinator was blind while solving: credit
-                        // every live worker the blind window (capped at
-                        // now) so a heartbeat that queued up meanwhile is
-                        // never mistaken for silence.
-                        let t1 = Instant::now();
-                        for w in workers.iter_mut() {
-                            if !w.dead {
-                                w.last_seen = (w.last_seen + blind).min(t1);
-                            }
-                        }
-                        let st = &mut state[unit];
-                        if let Some(pos) = st.copies.iter().position(|c| c.holder == 0) {
-                            st.copies.swap_remove(pos);
-                        }
-                        fold_outcome(
-                            unit,
-                            elapsed_s,
-                            outcome,
-                            model,
-                            &mut state,
-                            &mut values,
-                            &mut last_err,
-                            &mut queue,
-                            &mut stats,
-                            &mut unresolved,
-                            opts,
-                        );
-                        // Serve the mail that piled up before any liveness
-                        // judgement.
-                        continue;
-                    }
-                }
-                scan_liveness(
-                    comm,
-                    energies,
-                    model,
-                    opts,
-                    &mut queue,
-                    &mut state,
-                    &mut workers,
-                    &mut stats,
-                    &mut last_err,
-                    &mut unresolved,
-                    dead_after,
-                );
-            }
+impl<'a, 'c> Coordinator<'a, 'c> {
+    fn new(
+        comm: &'a Comm<'c>,
+        epoch: u64,
+        n: usize,
+        model: &'a mut CostModel,
+        opts: &'a SchedOptions,
+    ) -> Self {
+        let now = Instant::now();
+        Coordinator {
+            comm,
+            epoch,
+            opts,
+            queue: model.descending_order(0..n).into_iter().collect(),
+            model,
+            state: (0..n)
+                .map(|_| UnitState {
+                    resolved: false,
+                    queued: true,
+                    copies: Vec::new(),
+                    reissues: 0,
+                    last_holder: 0,
+                })
+                .collect(),
+            values: (0..n).map(|_| None).collect(),
+            last_err: vec![None; n],
+            workers: (1..comm.size())
+                .map(|_| WorkerState {
+                    last_seen: now,
+                    busy_s: 0.0,
+                    dead: false,
+                    finned: false,
+                    parked: false,
+                })
+                .collect(),
+            stats: SchedStats {
+                units: n,
+                worker_busy_s: vec![0.0; comm.size()],
+                ..SchedStats::default()
+            },
+            unresolved: n,
         }
     }
 
-    // Build the canonical merge and the fault ledger in unit order.
-    let mut report = SweepReport::default();
-    for id in 0..n {
-        if values[id].is_some() {
-            report.record_solved(state[id].reissues);
-        } else {
-            let err = last_err[id].take().unwrap_or(OmenError::RankFailed {
-                rank: comm.global_rank(state[id].last_holder),
-                detail: "unit lost to a dead worker with re-issue exhausted".to_string(),
+    /// Decodes and validates an arriving message, before anything is sent
+    /// on its behalf: a corrupt or misrouted one fails the sweep typed and
+    /// is never merged.
+    fn check_message(&self, from: usize, data: &[u8]) -> OmenResult<WorkerMsg> {
+        if from == 0 {
+            return Err(OmenError::Deserialize {
+                context: "sched control message from the coordinator itself",
             });
-            report.record_failed(energies[id], err);
+        }
+        let msg = decode_worker(data)?;
+        match msg {
+            WorkerMsg::Result { epoch, unit, .. }
+                if epoch == self.epoch && unit >= self.state.len() =>
+            {
+                Err(OmenError::Deserialize {
+                    context: "sched result for out-of-range unit",
+                })
+            }
+            _ => Ok(msg),
         }
     }
-    for (i, w) in workers.iter().enumerate() {
-        stats.worker_busy_s[i + 1] = w.busy_s;
-    }
-    let outcome = SweepOutcome {
-        values,
-        report,
-        stats,
-    };
-    let fin = encode_coord(&CoordMsg::Fin {
-        epoch,
-        payload: encode_outcome(&outcome),
-    });
-    // Stale traffic past this point cannot be folded into `outcome.stats`:
-    // the FIN payload is already encoded, and every member must return the
-    // exact same outcome. Count it into a throwaway ledger instead.
-    let mut fin_stats = SchedStats::default();
 
-    // Terminal fan-out: point-to-point FIN on each worker's next request,
-    // never a collective, so dead workers cannot wedge termination.
-    while workers.iter().any(|w| !w.dead && !w.finned) {
-        match comm.try_recv_any(TAG_CTRL, poll)? {
-            Some((from, data)) => {
-                if from == 0 {
-                    return Err(OmenError::Deserialize {
-                        context: "sched control message from the coordinator itself",
-                    });
+    /// What both phases do first with a checked message: stamp the
+    /// sender's liveness clock and apply the epoch gate. `None` when the
+    /// gate consumed the message.
+    fn accept(&mut self, from: usize, msg: WorkerMsg) -> Option<WorkerMsg> {
+        self.workers[from - 1].last_seen = Instant::now();
+        (!self.filter_epoch(from, &msg)).then_some(msg)
+    }
+
+    /// Epoch gate on an incoming worker message. A message from the
+    /// *current* sweep passes (returns false). A request from a superseded
+    /// sweep is refused with [`CoordMsg::Stale`] — that worker was declared
+    /// dead, its sweep finished without it, and it must abandon rather than
+    /// wait forever. A request from a *future* sweep (the worker already
+    /// received FIN and re-entered while this coordinator still drains its
+    /// termination phase) gets an empty assignment so it retries shortly.
+    /// Stale results and heartbeats are simply dropped. Returns true when
+    /// consumed here.
+    fn filter_epoch(&mut self, from: usize, msg: &WorkerMsg) -> bool {
+        let e = match msg {
+            WorkerMsg::Request { epoch }
+            | WorkerMsg::Heartbeat { epoch, .. }
+            | WorkerMsg::Result { epoch, .. } => *epoch,
+        };
+        if e == self.epoch {
+            return false;
+        }
+        let is_request = matches!(msg, WorkerMsg::Request { .. });
+        if e < self.epoch {
+            self.stats.stale_msgs += 1;
+            if is_request {
+                self.tell(from, &CoordMsg::Stale { epoch: e });
+            }
+        } else if is_request {
+            self.void_request(from, e);
+        }
+        true
+    }
+
+    /// The coordinator's one way to talk to a worker.
+    fn tell(&self, to: usize, msg: &CoordMsg) {
+        self.comm.send(to, TAG_WORK, encode_coord(msg));
+    }
+
+    /// The empty assignment: "that request is void, send another after a
+    /// pause".
+    fn void_request(&self, to: usize, epoch: u64) {
+        let units = Vec::new();
+        self.tell(to, &CoordMsg::Assign { epoch, units });
+    }
+
+    /// Main-phase message service.
+    fn on_message(&mut self, from: usize, msg: WorkerMsg) {
+        match self.accept(from, msg) {
+            None => {}
+            Some(WorkerMsg::Request { .. }) => self.assign_or_park(from),
+            Some(WorkerMsg::Heartbeat { unit, .. }) => {
+                // Only the heartbeat of a rank actually holding a copy
+                // refreshes the straggler clock: a late or spurious
+                // heartbeat from a non-holder must not re-attribute the
+                // copy (see [`HeldCopy`]).
+                if let Some(st) = self.state.get_mut(unit).filter(|st| !st.resolved) {
+                    if let Some(c) = st.copies.iter_mut().find(|c| c.holder == from) {
+                        c.started = Instant::now();
+                        st.last_holder = from;
+                    }
                 }
-                let msg = decode_worker(&data)?;
-                workers[from - 1].last_seen = Instant::now();
-                if filter_epoch(comm, epoch, from, &msg, &mut fin_stats) {
+            }
+            Some(WorkerMsg::Result {
+                unit,
+                elapsed_s,
+                outcome,
+                ..
+            }) => {
+                self.state[unit].copies.retain(|c| c.holder != from);
+                // `elapsed_s` arrived off the wire and can be corrupt:
+                // keep non-finite/negative timings out of the busy ledger
+                // (they would poison the imbalance stats) and let the cost
+                // model's typed rejection drop them from the EWMA. The
+                // unit's *result* is still valid either way.
+                if elapsed_s.is_finite() && elapsed_s >= 0.0 {
+                    self.workers[from - 1].busy_s += elapsed_s;
+                }
+                self.fold_outcome(unit, elapsed_s, outcome);
+            }
+        }
+    }
+
+    /// Answers `to`'s request with the next chunk, or parks it when the
+    /// queue holds nothing live.
+    fn assign_or_park(&mut self, to: usize) {
+        let units = self.pop_chunk(to);
+        self.workers[to - 1].parked = units.is_empty();
+        if !units.is_empty() {
+            self.stats.chunks += 1;
+            let epoch = self.epoch;
+            self.tell(to, &CoordMsg::Assign { epoch, units });
+        }
+    }
+
+    /// Answers parked requests as soon as something was (re-)queued.
+    fn serve_parked(&mut self) {
+        for to in 1..=self.workers.len() {
+            if self.queue.is_empty() {
+                return;
+            }
+            if self.workers[to - 1].parked {
+                self.assign_or_park(to);
+            }
+        }
+    }
+
+    fn is_live(&self, unit: usize) -> bool {
+        self.state[unit].queued && !self.state[unit].resolved
+    }
+
+    /// Pops the next guided-size chunk for `to` off the expensive end:
+    /// skips stale queue entries, marks popped units held.
+    fn pop_chunk(&mut self, to: usize) -> Vec<usize> {
+        // Everyone who pops from this queue at full rate.
+        let consumers = self.workers.iter().filter(|w| !w.dead).count()
+            + usize::from(self.opts.coordinator_solves);
+        let mut live_queued = self.queue.iter().filter(|&&u| self.is_live(u)).count();
+        // Near the end — fewer units than consumers — nothing is handed
+        // out ahead: a requester still busy would sit on a unit that a
+        // rank running dry could start now.
+        if live_queued < consumers && self.holds_copy(to) {
+            live_queued = 0;
+        }
+        let want = self
+            .opts
+            .chunk_max
+            .min(live_queued.div_ceil(2 * consumers.max(1)))
+            .max(usize::from(live_queued > 0));
+        let mut chunk = Vec::with_capacity(want);
+        while chunk.len() < want {
+            let Some(u) = self.queue.pop_front() else {
+                break;
+            };
+            if !self.is_live(u) {
+                continue; // resolved by a straggler copy, or already re-popped
+            }
+            let st = &mut self.state[u];
+            st.queued = false;
+            st.copies.push(HeldCopy {
+                holder: to,
+                started: Instant::now(),
+            });
+            st.last_holder = to;
+            chunk.push(u);
+        }
+        chunk
+    }
+
+    /// Pops the cheapest live unit off the back of the LPT queue for the
+    /// coordinator itself — short units keep the stretches during which
+    /// worker messages wait unserved short.
+    fn pop_cheapest(&mut self) -> Option<usize> {
+        if !self.opts.coordinator_solves {
+            return None;
+        }
+        while let Some(u) = self.queue.pop_back() {
+            if self.is_live(u) {
+                self.state[u].queued = false;
+                self.state[u].last_holder = 0;
+                return Some(u);
+            }
+        }
+        None
+    }
+
+    /// Folds one copy's outcome into the merge: first result wins, typed
+    /// failures are re-queued up to `max_reissue` times, and a unit is
+    /// abandoned only when no copy remains held or queued. Shared by the
+    /// wire path (worker results) and the solving coordinator's local path
+    /// so both honor the exact same lifecycle.
+    fn fold_outcome(&mut self, unit: usize, elapsed_s: f64, outcome: Result<Vec<f64>, OmenError>) {
+        let st = &mut self.state[unit];
+        // A wire-decoded timing may be corrupt; the ledger's typed
+        // rejection drops it, which costs prediction quality only.
+        if st.resolved {
+            self.stats.duplicate_results += 1;
+            let _ = self.model.observe(unit, elapsed_s);
+            return;
+        }
+        match outcome {
+            Ok(v) => {
+                let _ = self.model.observe(unit, elapsed_s);
+                self.values[unit] = Some(v);
+                st.resolved = true;
+                st.queued = false;
+                self.unresolved -= 1;
+            }
+            Err(e) => {
+                self.last_err[unit] = Some(e);
+                if st.reissues < self.opts.max_reissue {
+                    st.reissues += 1;
+                    st.queued = true;
+                    self.queue.push_front(unit);
+                    self.stats.reissued_failed += 1;
+                } else if st.copies.is_empty() && !st.queued {
+                    st.resolved = true;
+                    self.unresolved -= 1;
+                }
+                // else: a straggler copy is still held or queued; it
+                // decides.
+            }
+        }
+    }
+
+    fn holds_copy(&self, local: usize) -> bool {
+        self.state
+            .iter()
+            .any(|st| st.copies.iter().any(|c| c.holder == local))
+    }
+
+    /// Housekeeping on the `poll_ms` cadence, always right after a full
+    /// mailbox drain: declare silent workers dead (re-issuing what they
+    /// held), re-issue stragglers, and fail everything left if nobody
+    /// remains to solve it.
+    fn scan_liveness(&mut self) {
+        let now = Instant::now();
+        let dead_after = Duration::from_millis(self.opts.dead_after_ms.max(1));
+        for i in 0..self.workers.len() {
+            let local = i + 1;
+            let w = &self.workers[i];
+            if w.dead {
+                continue;
+            }
+            let silent = now.duration_since(w.last_seen);
+            if w.parked && silent > dead_after / 2 && !self.holds_copy(local) {
+                // Silent by protocol, not by fault: it waits on a parked
+                // request with nothing to solve. Void the request so the
+                // worker proves itself with a fresh one, and its blocking
+                // receive never nears the runtime's receive bound.
+                self.void_request(local, self.epoch);
+                let w = &mut self.workers[i];
+                w.parked = false;
+                w.last_seen = now;
+                continue;
+            }
+            if silent <= dead_after {
+                continue;
+            }
+            let w = &mut self.workers[i];
+            w.dead = true;
+            w.parked = false;
+            self.stats.workers_dead += 1;
+            for (u, st) in self.state.iter_mut().enumerate() {
+                if st.resolved {
                     continue;
                 }
-                match msg {
-                    WorkerMsg::Request { .. } => {
-                        comm.send(from, TAG_WORK, fin.clone());
-                        workers[from - 1].finned = true;
+                // Reclaim exactly the dead worker's copies — the unit it
+                // was solving and every unit prefetched behind it.
+                // Re-issue only when that leaves the unit with no live
+                // copy and no queue entry — a straggler copy on a live
+                // rank already covers it, and counting a second re-issue
+                // for a covered unit is the double-count race this
+                // structure exists to prevent.
+                let before = st.copies.len();
+                st.copies.retain(|c| c.holder != local);
+                if st.copies.len() == before || st.queued || !st.copies.is_empty() {
+                    continue;
+                }
+                if st.reissues < self.opts.max_reissue {
+                    st.reissues += 1;
+                    st.queued = true;
+                    self.queue.push_back(u);
+                    self.stats.reissued_failed += 1;
+                } else {
+                    st.resolved = true;
+                    self.unresolved -= 1;
+                    if self.last_err[u].is_none() {
+                        self.last_err[u] = Some(OmenError::RankFailed {
+                            rank: self.comm.global_rank(local),
+                            detail: format!(
+                                "worker silent past {} ms with unit in flight",
+                                self.opts.dead_after_ms
+                            ),
+                        });
                     }
-                    WorkerMsg::Result {
-                        unit, elapsed_s, ..
-                    } => {
-                        // Straggler copy racing termination: keep the
-                        // ledger warm for the next sweep, nothing else.
-                        // The wire-decoded timing may be corrupt; a
-                        // rejected observation is simply dropped.
-                        if unit < n {
-                            let _ = model.observe(unit, elapsed_s);
-                        }
-                    }
-                    WorkerMsg::Heartbeat { .. } => {}
                 }
             }
-            None => {
-                let t = Instant::now();
-                for w in workers.iter_mut() {
-                    if !w.dead && !w.finned && t.duration_since(w.last_seen) > dead_after {
-                        w.dead = true;
-                    }
-                }
-            }
         }
-    }
-    comm.record_sched(
-        (outcome.stats.reissued_failed + outcome.stats.reissued_straggler) as u64,
-        (outcome.stats.stale_msgs + fin_stats.stale_msgs) as u64,
-    );
-    Ok(outcome)
-}
 
-/// Epoch gate on an incoming worker message. A message from the *current*
-/// sweep passes (returns false). A request from a superseded sweep is
-/// refused with [`CoordMsg::Stale`] — that worker was declared dead, its
-/// sweep finished without it, and it must abandon rather than wait
-/// forever. A request from a *future* sweep (the worker already received
-/// FIN and re-entered while this coordinator still drains its termination
-/// phase) gets an empty assignment so it retries shortly. Stale results
-/// and heartbeats are simply dropped. Returns true when consumed here.
-fn filter_epoch(
-    comm: &Comm<'_>,
-    current: u64,
-    from: usize,
-    msg: &WorkerMsg,
-    stats: &mut SchedStats,
-) -> bool {
-    let e = match msg {
-        WorkerMsg::Request { epoch, .. }
-        | WorkerMsg::Heartbeat { epoch, .. }
-        | WorkerMsg::Result { epoch, .. } => *epoch,
-    };
-    if e == current {
-        return false;
-    }
-    if e < current {
-        stats.stale_msgs += 1;
-        if matches!(msg, WorkerMsg::Request { .. }) {
-            comm.send(from, TAG_WORK, encode_coord(&CoordMsg::Stale { epoch: e }));
-        }
-    } else if matches!(msg, WorkerMsg::Request { .. }) {
-        comm.send(
-            from,
-            TAG_WORK,
-            encode_coord(&CoordMsg::Assign {
-                epoch: e,
-                units: Vec::new(),
-            }),
-        );
-    }
-    true
-}
-
-/// Pops the next guided-size chunk for `to`: skips stale queue entries,
-/// marks popped units in flight.
-fn pop_chunk(
-    queue: &mut VecDeque<usize>,
-    state: &mut [UnitState],
-    workers: &[WorkerState],
-    opts: &SchedOptions,
-    to: usize,
-) -> Vec<usize> {
-    let alive = workers.iter().filter(|w| !w.dead).count().max(1);
-    let live_queued = queue
-        .iter()
-        .filter(|&&u| state[u].queued && !state[u].resolved)
-        .count();
-    let want = opts
-        .chunk_max
-        .min(live_queued.div_ceil(2 * alive))
-        .max(usize::from(live_queued > 0));
-    let mut chunk = Vec::with_capacity(want);
-    while chunk.len() < want {
-        let Some(u) = queue.pop_front() else { break };
-        if state[u].resolved || !state[u].queued {
-            continue; // resolved by a straggler copy, or already re-popped
-        }
-        let st = &mut state[u];
-        st.queued = false;
-        st.copies.push(InflightCopy {
-            holder: to,
-            started: Instant::now(),
-        });
-        st.last_holder = to;
-        chunk.push(u);
-    }
-    chunk
-}
-
-/// Pops the cheapest live unit off the back of the LPT queue (the
-/// solving coordinator's end — short units keep its blind windows short),
-/// discarding stale entries along the way.
-fn pop_back_live(queue: &mut VecDeque<usize>, state: &[UnitState]) -> Option<usize> {
-    while let Some(u) = queue.pop_back() {
-        if !state[u].resolved && state[u].queued {
-            return Some(u);
-        }
-    }
-    None
-}
-
-/// Folds one copy's outcome into the merge: first result wins, typed
-/// failures are re-queued up to `max_reissue` times, and a unit is
-/// abandoned only when no copy remains in flight or queued. Shared by the
-/// wire path (worker results) and the solving coordinator's local path so
-/// both honor the exact same lifecycle.
-#[allow(clippy::too_many_arguments)]
-fn fold_outcome(
-    unit: usize,
-    elapsed_s: f64,
-    outcome: Result<Vec<f64>, OmenError>,
-    model: &mut CostModel,
-    state: &mut [UnitState],
-    values: &mut [Option<Vec<f64>>],
-    last_err: &mut [Option<OmenError>],
-    queue: &mut VecDeque<usize>,
-    stats: &mut SchedStats,
-    unresolved: &mut usize,
-    opts: &SchedOptions,
-) {
-    let st = &mut state[unit];
-    if st.resolved {
-        stats.duplicate_results += 1;
-        let _ = model.observe(unit, elapsed_s);
-        return;
-    }
-    match outcome {
-        Ok(v) => {
-            let _ = model.observe(unit, elapsed_s);
-            values[unit] = Some(v);
-            st.resolved = true;
-            st.queued = false;
-            *unresolved -= 1;
-        }
-        Err(e) => {
-            last_err[unit] = Some(e);
-            if st.reissues < opts.max_reissue {
-                st.reissues += 1;
-                st.queued = true;
-                queue.push_front(unit);
-                stats.reissued_failed += 1;
-            } else if st.copies.is_empty() && !st.queued {
-                st.resolved = true;
-                *unresolved -= 1;
-            }
-            // else: a straggler copy is still in flight or queued; it
-            // decides.
-        }
-    }
-}
-
-/// Poll-timeout housekeeping: declare silent workers dead (re-issuing their
-/// in-flight units), re-issue stragglers, and fail everything left if no
-/// worker survives.
-#[allow(clippy::too_many_arguments)]
-fn scan_liveness(
-    comm: &Comm<'_>,
-    energies: &[f64],
-    model: &CostModel,
-    opts: &SchedOptions,
-    queue: &mut VecDeque<usize>,
-    state: &mut [UnitState],
-    workers: &mut [WorkerState],
-    stats: &mut SchedStats,
-    last_err: &mut [Option<OmenError>],
-    unresolved: &mut usize,
-    dead_after: Duration,
-) {
-    let now = Instant::now();
-    let n = state.len();
-    for (i, w) in workers.iter_mut().enumerate() {
-        if w.dead || now.duration_since(w.last_seen) <= dead_after {
-            continue;
-        }
-        w.dead = true;
-        stats.workers_dead += 1;
-        let local = i + 1;
-        for u in 0..n {
-            let st = &mut state[u];
-            if st.resolved {
+        // Stragglers: a unit held far past its predicted time is
+        // speculatively re-queued; whichever copy lands first wins. A
+        // copy's clock starts at hand-out or at the last word from its
+        // holder, whichever is later — a prefetched copy waiting behind
+        // the holder's current unit is *held*, not late, for as long as
+        // the holder keeps reporting — and the unit's clock is its
+        // *youngest* copy: only when every holder has gone quiet past the
+        // bound is another copy worth paying for.
+        let workers = &self.workers;
+        for (u, st) in self.state.iter_mut().enumerate() {
+            if st.resolved || st.queued || st.reissues >= self.opts.max_reissue {
                 continue;
             }
-            // Reclaim exactly the dead worker's copies. Re-issue only when
-            // that leaves the unit with no live copy and no queue entry —
-            // a straggler copy on a live rank already covers it, and
-            // counting a second re-issue for a covered unit is the
-            // double-count race this structure exists to prevent.
-            let before = st.copies.len();
-            st.copies.retain(|c| c.holder != local);
-            if st.copies.len() == before || st.queued || !st.copies.is_empty() {
+            let youngest = st
+                .copies
+                .iter()
+                .map(|c| c.started.max(workers[c.holder - 1].last_seen))
+                .max();
+            let (Some(started), Some(pred)) = (youngest, self.model.predict_secs(u)) else {
                 continue;
-            }
-            if st.reissues < opts.max_reissue {
+            };
+            let bound = Duration::from_millis(self.opts.straggler_min_ms).as_secs_f64()
+                + self.opts.straggler_factor * pred;
+            if now.duration_since(started).as_secs_f64() > bound {
                 st.reissues += 1;
                 st.queued = true;
-                queue.push_back(u);
-                stats.reissued_failed += 1;
-            } else {
-                st.resolved = true;
-                *unresolved -= 1;
-                if last_err[u].is_none() {
-                    last_err[u] = Some(OmenError::RankFailed {
-                        rank: comm.global_rank(local),
-                        detail: format!(
-                            "worker silent past {} ms with unit in flight",
-                            opts.dead_after_ms
-                        ),
-                    });
-                }
+                self.queue.push_back(u);
+                self.stats.reissued_straggler += 1;
             }
         }
-    }
 
-    // Stragglers: a unit in flight far past its predicted time is
-    // speculatively re-queued; whichever copy lands first wins. The clock
-    // is the *youngest* copy — only when every holder has gone quiet past
-    // the bound is another copy worth paying for.
-    for (u, st) in state.iter_mut().enumerate() {
-        if st.resolved || st.queued || st.copies.is_empty() || st.reissues >= opts.max_reissue {
-            continue;
-        }
-        let started = st.copies.iter().map(|c| c.started).max().unwrap_or(now);
-        let Some(pred) = model.predict_secs(u) else {
-            continue;
-        };
-        let bound = Duration::from_millis(opts.straggler_min_ms).as_secs_f64()
-            + opts.straggler_factor * pred;
-        if now.duration_since(started).as_secs_f64() > bound {
-            st.reissues += 1;
-            st.queued = true;
-            queue.push_back(u);
-            stats.reissued_straggler += 1;
-        }
-    }
-
-    if workers.iter().all(|w| w.dead) && *unresolved > 0 {
-        for u in 0..n {
-            let st = &mut state[u];
-            if !st.resolved {
+        // A solving coordinator finishes the sweep alone; a brokering one
+        // without workers cannot.
+        if !self.opts.coordinator_solves && self.workers.iter().all(|w| w.dead) {
+            for (u, st) in self.state.iter_mut().enumerate() {
+                if st.resolved {
+                    continue;
+                }
                 st.resolved = true;
-                if last_err[u].is_none() {
-                    last_err[u] = Some(OmenError::RankFailed {
-                        rank: comm.global_rank(0),
+                if self.last_err[u].is_none() {
+                    self.last_err[u] = Some(OmenError::RankFailed {
+                        rank: self.comm.global_rank(0),
                         detail: "every scheduler worker died before this unit resolved".to_string(),
                     });
                 }
             }
+            self.unresolved = 0;
         }
-        let _ = energies; // energies stamp the report later, in unit order
-        *unresolved = 0;
+    }
+
+    /// Builds the canonical merge and hands it to every worker.
+    fn terminate(mut self, energies: &[f64], poll: Duration) -> OmenResult<SweepOutcome> {
+        let comm = self.comm;
+        let values = std::mem::take(&mut self.values);
+        // The fault ledger, in unit order.
+        let mut report = SweepReport::default();
+        for (id, v) in values.iter().enumerate() {
+            if v.is_some() {
+                report.record_solved(self.state[id].reissues);
+            } else {
+                let err = self.last_err[id].take().unwrap_or(OmenError::RankFailed {
+                    rank: comm.global_rank(self.state[id].last_holder),
+                    detail: "unit lost to a dead worker with re-issue exhausted".to_string(),
+                });
+                report.record_failed(energies[id], err);
+            }
+        }
+        for (i, w) in self.workers.iter().enumerate() {
+            self.stats.worker_busy_s[i + 1] = w.busy_s;
+        }
+        // Every member must return this exact outcome, so stale traffic
+        // past this point is counted in `self.stats` only.
+        let outcome = SweepOutcome {
+            values,
+            report,
+            stats: self.stats.clone(),
+        };
+        let fin = CoordMsg::Fin {
+            epoch: self.epoch,
+            payload: encode_outcome(&outcome),
+        };
+
+        // Terminal fan-out: point-to-point FIN in answer to each worker's
+        // request, never a collective, so dead workers cannot wedge
+        // termination. A request parked while its worker still holds a
+        // copy (a duplicate racing the resolution) is answered once that
+        // copy reported, so no result is left behind in the mailbox.
+        let dead_after = Duration::from_millis(self.opts.dead_after_ms.max(1));
+        loop {
+            for to in 1..=self.workers.len() {
+                if self.workers[to - 1].parked && !self.holds_copy(to) {
+                    self.tell(to, &fin);
+                    self.workers[to - 1].parked = false;
+                    self.workers[to - 1].finned = true;
+                }
+            }
+            if self.workers.iter().all(|w| w.dead || w.finned) {
+                break;
+            }
+            match comm.try_recv_any(TAG_CTRL, poll)? {
+                Some((from, data)) => {
+                    let msg = self.check_message(from, &data)?;
+                    match self.accept(from, msg) {
+                        Some(WorkerMsg::Request { .. }) => self.workers[from - 1].parked = true,
+                        Some(WorkerMsg::Result {
+                            unit, elapsed_s, ..
+                        }) => {
+                            // Straggler copy racing termination: keep the
+                            // ledger warm for the next sweep, nothing else.
+                            self.state[unit].copies.retain(|c| c.holder != from);
+                            let _ = self.model.observe(unit, elapsed_s);
+                        }
+                        Some(WorkerMsg::Heartbeat { .. }) | None => {}
+                    }
+                }
+                None => {
+                    let t = Instant::now();
+                    for w in self.workers.iter_mut() {
+                        if !w.finned && t.duration_since(w.last_seen) > dead_after {
+                            w.dead = true;
+                        }
+                    }
+                }
+            }
+        }
+        comm.record_sched(
+            (outcome.stats.reissued_failed + outcome.stats.reissued_straggler) as u64,
+            self.stats.stale_msgs as u64,
+        );
+        Ok(outcome)
     }
 }
 
@@ -853,17 +906,15 @@ fn work(
     mut solve: impl FnMut(usize) -> OmenResult<Vec<f64>>,
 ) -> OmenResult<SweepOutcome> {
     let me = comm.global_rank(comm.rank());
-    let mut busy_s = 0.0;
+    let send = |msg: WorkerMsg| comm.send(0, TAG_CTRL, encode_worker(&msg, me));
+    send(WorkerMsg::Request { epoch });
     loop {
-        comm.send(
-            0,
-            TAG_CTRL,
-            encode_worker(&WorkerMsg::Request { epoch, busy_s }, me),
-        );
+        // Exactly one request is outstanding here.
         let data = comm.recv(0, TAG_WORK)?;
         match decode_coord(&data)? {
             CoordMsg::Assign { units, .. } if units.is_empty() => {
                 std::thread::sleep(Duration::from_millis(opts.poll_ms.max(1)));
+                send(WorkerMsg::Request { epoch });
             }
             CoordMsg::Assign { epoch: e, units } => {
                 if e != epoch {
@@ -871,29 +922,23 @@ fn work(
                         context: "sched assignment for a different sweep epoch",
                     });
                 }
-                for unit in units {
-                    comm.send(
-                        0,
-                        TAG_CTRL,
-                        encode_worker(&WorkerMsg::Heartbeat { epoch, unit }, me),
-                    );
+                let last = units.len() - 1;
+                for (i, unit) in units.into_iter().enumerate() {
+                    if i == last {
+                        // Request ahead: the next chunk's hand-out crosses
+                        // this chunk's last solve instead of following it.
+                        send(WorkerMsg::Request { epoch });
+                    }
+                    send(WorkerMsg::Heartbeat { epoch, unit });
                     let t0 = Instant::now();
                     let outcome = solve(unit);
                     let elapsed_s = t0.elapsed().as_secs_f64();
-                    busy_s += elapsed_s;
-                    comm.send(
-                        0,
-                        TAG_CTRL,
-                        encode_worker(
-                            &WorkerMsg::Result {
-                                epoch,
-                                unit,
-                                elapsed_s,
-                                outcome,
-                            },
-                            me,
-                        ),
-                    );
+                    send(WorkerMsg::Result {
+                        epoch,
+                        unit,
+                        elapsed_s,
+                        outcome,
+                    });
                 }
             }
             CoordMsg::Fin { epoch: e, payload } => {

@@ -27,8 +27,9 @@ pub const TAG_WORK: u64 = 0x5C1;
 const MAGIC: u8 = 0xC5;
 /// Protocol version carried in the second header byte. Version 2 added the
 /// solving coordinator's `coordinator_units` counter to the FIN-payload
-/// stats block, so a v1 peer must reject rather than misparse it.
-const VERSION: u8 = 2;
+/// stats block; version 3 dropped the request's unused busy-seconds
+/// field. An older peer must reject rather than misparse either.
+const VERSION: u8 = 3;
 
 const KIND_REQUEST: u8 = 1;
 const KIND_HEARTBEAT: u8 = 2;
@@ -40,13 +41,13 @@ const KIND_STALE: u8 = 6;
 /// A message a worker sends the coordinator.
 #[derive(Debug, Clone, PartialEq)]
 pub enum WorkerMsg {
-    /// Pull request for a chunk of work; carries the worker's cumulative
-    /// busy seconds (its side of the cost ledger).
+    /// Pull request for a chunk of work. A worker keeps exactly one
+    /// outstanding; the coordinator answers it with [`CoordMsg::Assign`] or
+    /// [`CoordMsg::Fin`], at once or — when nothing is queued — as soon as
+    /// there is something to say.
     Request {
         /// Sweep epoch this worker is participating in.
         epoch: u64,
-        /// Seconds this worker has spent solving units so far.
-        busy_s: f64,
     },
     /// Sent immediately before starting a unit: doubles as a liveness
     /// signal and starts the coordinator's straggler countdown at the
@@ -75,8 +76,10 @@ pub enum WorkerMsg {
 /// A message the coordinator sends a worker.
 #[derive(Debug, Clone, PartialEq)]
 pub enum CoordMsg {
-    /// A chunk of unit ids to solve; empty means "no work right now,
-    /// re-request after a short pause".
+    /// A chunk of unit ids to solve; empty means "this request is void,
+    /// send another after a short pause" — the answer to a request from a
+    /// sweep this coordinator has not reached yet, and the liveness probe
+    /// of a request parked for long.
     Assign {
         /// Echo of the requester's sweep epoch.
         epoch: u64,
@@ -175,10 +178,9 @@ pub fn decode_failures(b: &[u8]) -> OmenResult<Vec<FailedPoint>> {
 /// fallbacks with the failing worker's global rank.
 pub fn encode_worker(msg: &WorkerMsg, origin_rank: usize) -> Vec<u8> {
     let e = match msg {
-        WorkerMsg::Request { epoch, busy_s } => {
+        WorkerMsg::Request { epoch } => {
             let mut e = header(KIND_REQUEST);
             e.u64(*epoch);
-            e.f64(*busy_s);
             e
         }
         WorkerMsg::Heartbeat { epoch, unit } => {
@@ -222,10 +224,7 @@ pub fn encode_worker(msg: &WorkerMsg, origin_rank: usize) -> Vec<u8> {
 pub fn decode_worker(b: &[u8]) -> OmenResult<WorkerMsg> {
     let (kind, mut d) = open(b, "sched worker message")?;
     let msg = match kind {
-        KIND_REQUEST => WorkerMsg::Request {
-            epoch: d.u64()?,
-            busy_s: d.f64()?,
-        },
+        KIND_REQUEST => WorkerMsg::Request { epoch: d.u64()? },
         KIND_HEARTBEAT => WorkerMsg::Heartbeat {
             epoch: d.u64()?,
             unit: d.usize()?,
@@ -306,10 +305,7 @@ mod tests {
     #[test]
     fn worker_messages_roundtrip() {
         let msgs = [
-            WorkerMsg::Request {
-                epoch: 3,
-                busy_s: 1.25,
-            },
+            WorkerMsg::Request { epoch: 3 },
             WorkerMsg::Heartbeat { epoch: 3, unit: 42 },
             WorkerMsg::Result {
                 epoch: 3,
@@ -399,13 +395,7 @@ mod tests {
         assert!(decode_worker(&[0xAA, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0]).is_err());
         assert!(decode_coord(&[0xC5, 9, 4]).is_err(), "wrong version");
         // Trailing bytes after a well-formed request are a framing error.
-        let mut ok = encode_worker(
-            &WorkerMsg::Request {
-                epoch: 0,
-                busy_s: 0.0,
-            },
-            0,
-        );
+        let mut ok = encode_worker(&WorkerMsg::Request { epoch: 0 }, 0);
         ok.push(0);
         assert!(decode_worker(&ok).is_err());
     }

@@ -13,7 +13,7 @@ use omen_sched::{
     dynamic_sweep, local_sweep, BankCounts, CostModel, ModelBank, SchedOptions, SweepOutcome,
 };
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 const N_UNITS: usize = 24;
 
@@ -30,6 +30,18 @@ fn energies() -> Vec<f64> {
 fn payload(id: usize) -> Vec<f64> {
     let e = energy(id);
     vec![e.sin() * (id as f64).sqrt(), 1.0 / (1.0 + e * e), e.exp()]
+}
+
+/// Every unit solved, to the bits of [`payload`].
+fn assert_payload_bits(o: &SweepOutcome) {
+    for (id, got) in o.values.iter().enumerate() {
+        let got = got.as_deref().unwrap();
+        let want = payload(id);
+        assert_eq!(got.len(), want.len());
+        for (a, b) in got.iter().zip(&want) {
+            assert_eq!(a.to_bits(), b.to_bits(), "unit {id} not bit-identical");
+        }
+    }
 }
 
 fn opts_fast() -> SchedOptions {
@@ -355,7 +367,13 @@ fn dead_worker_heartbeat_race_does_not_double_count_reissues() {
     // kept a single `assigned_to` rank per unit, so the spurious heartbeat
     // re-attributed the covered unit to the dying rank and its death
     // double-counted the re-issue (and spawned a duplicate copy).
-    const N: usize = 8;
+    //
+    // Workers request ahead, and with one-unit chunks that means before
+    // every unit: a rank that wedges holds the unit it started *and* the
+    // one-unit chunk prefetched behind it. Twelve units keep the queue
+    // non-empty at the wedge under any interleaving (at most ten hand-outs
+    // precede it), so the prefetched unit is always there.
+    const N: usize = 12;
     let es: Vec<f64> = (0..N).map(|i| i as f64 * 0.1).collect();
     let opts = SchedOptions {
         chunk_max: 1,
@@ -429,11 +447,12 @@ fn dead_worker_heartbeat_race_does_not_double_count_reissues() {
                 assert_eq!(o.report.solved, N, "rank {rank}: all units solve");
                 assert!(o.report.failed.is_empty());
                 assert_eq!(o.stats.workers_dead, 1);
-                // Exactly two re-issues: the failed first copy of unit 0
-                // plus the dead worker's own in-flight unit. The spurious
-                // heartbeat must not add a third, and no duplicate copy of
-                // unit 0 may ever be spawned.
-                assert_eq!(o.stats.reissued_failed, 2, "rank {rank}: {:?}", o.stats);
+                // Exactly three re-issues: the failed first copy of unit 0
+                // plus what the dead worker held — its in-progress unit
+                // and the unit prefetched behind it, once each. The
+                // spurious heartbeat must not add a fourth, and no
+                // duplicate copy of unit 0 may ever be spawned.
+                assert_eq!(o.stats.reissued_failed, 3, "rank {rank}: {:?}", o.stats);
                 assert_eq!(o.stats.reissued_straggler, 0, "rank {rank}: {:?}", o.stats);
                 assert_eq!(o.stats.duplicate_results, 0, "rank {rank}: {:?}", o.stats);
                 for id in 0..N {
@@ -453,6 +472,168 @@ fn dead_worker_heartbeat_race_does_not_double_count_reissues() {
         }
     }
     assert!(healthy >= 2, "coordinator and the true holder both finish");
+}
+
+#[test]
+fn dead_worker_prefetched_chunk_is_reclaimed_and_solved_elsewhere() {
+    // Rank 2 wedges in the first unit it starts. With one-unit chunks its
+    // request for the next chunk left before that unit began, and the
+    // coordinator answers a rank's messages in order, so by the wedge it
+    // holds a second, prefetched unit it never starts. Its death must
+    // reclaim both — each exactly once — and rank 1, parked on an empty
+    // queue since it ran out of work, must be handed them at once and
+    // solve them to the same bits.
+    let es = energies();
+    let opts = SchedOptions {
+        chunk_max: 1,
+        max_reissue: 2,
+        poll_ms: 2,
+        straggler_factor: 1_000.0,
+        straggler_min_ms: 60_000, // keep straggler logic out of this test
+        dead_after_ms: 150,
+        coordinator_solves: false, // pin exact re-issue accounting
+    };
+    let started: Vec<[AtomicUsize; 3]> = (0..N_UNITS).map(|_| Default::default()).collect();
+    let out = run_ranks_with_timeout(3, Duration::from_millis(400), |ctx| {
+        let world = Comm::world(ctx);
+        let mut model = CostModel::uniform(N_UNITS);
+        dynamic_sweep(&world, &es, &mut model, &opts, |id| {
+            started[id][ctx.rank()].fetch_add(1, Ordering::SeqCst);
+            // The healthy worker is slow enough that rank 2 pulls its
+            // chunk before the queue is gone.
+            std::thread::sleep(if ctx.rank() == 2 {
+                Duration::from_secs(1)
+            } else {
+                Duration::from_millis(2)
+            });
+            Ok(payload(id))
+        })
+    });
+    let starts = |rank: usize| -> usize {
+        let per_unit = started.iter().map(|s| s[rank].load(Ordering::SeqCst));
+        per_unit.sum()
+    };
+    for rank in 0..2 {
+        let o = out.results[rank].as_ref().unwrap().as_ref().unwrap();
+        assert_eq!(o.report.solved, N_UNITS);
+        assert!(o.report.failed.is_empty());
+        assert_eq!(o.stats.workers_dead, 1);
+        assert_eq!(o.stats.reissued_failed, 2, "in-progress + prefetched");
+        assert_eq!(o.stats.reissued_straggler, 0);
+        assert_eq!(o.stats.duplicate_results, 0);
+        assert_payload_bits(o);
+    }
+    // Rank 1 solved every unit, the two stranded ones included; the sweep
+    // was over long before rank 2 woke up to start its prefetched unit.
+    assert_eq!(starts(1), N_UNITS);
+    assert!(starts(2) >= 1);
+    assert!(out.results[2].as_ref().is_ok_and(|r| r.is_err()));
+}
+
+#[test]
+fn solving_coordinator_finishes_alone_when_every_worker_dies() {
+    // Two ranks, and the only worker wedges in its first unit. A
+    // coordinator that solves needs no worker: it drains the queue, then
+    // reclaims what the dead worker held and solves that too. Nothing is
+    // failed for want of a worker.
+    let es = energies();
+    let opts = SchedOptions {
+        dead_after_ms: 100,
+        ..opts_fast()
+    };
+    let wedged = AtomicUsize::new(0);
+    let out = run_ranks_with_timeout(2, Duration::from_millis(300), |ctx| {
+        let world = Comm::world(ctx);
+        let mut model = CostModel::uniform(N_UNITS);
+        dynamic_sweep(&world, &es, &mut model, &opts, |id| {
+            if ctx.rank() == 0 {
+                // Slow enough that the worker pulls a chunk before the
+                // queue is gone.
+                std::thread::sleep(Duration::from_millis(2));
+            } else if wedged.fetch_add(1, Ordering::SeqCst) == 0 {
+                std::thread::sleep(Duration::from_millis(600));
+            }
+            Ok(payload(id))
+        })
+    });
+    let o = out.results[0].as_ref().unwrap().as_ref().unwrap();
+    assert_eq!(o.report.solved, N_UNITS);
+    assert!(o.report.failed.is_empty());
+    assert_eq!(o.stats.workers_dead, 1);
+    assert!(o.stats.reissued_failed >= 1, "{:?}", o.stats);
+    assert_eq!(o.stats.coordinator_units, N_UNITS);
+    assert_payload_bits(o);
+}
+
+/// Spins the CPU for `d` — a unit that costs compute, not a sleep.
+fn spin(d: Duration) {
+    let t0 = Instant::now();
+    while t0.elapsed() < d {
+        std::hint::spin_loop();
+    }
+}
+
+#[test]
+fn coordinator_keeps_pace_with_one_worker() {
+    // Two ranks, 64 equal 2 ms units, a 50 ms poll window: the worker's
+    // traffic arrives every 2 ms, so a coordinator that solves only after
+    // a whole window of silence solves nothing. It must instead solve
+    // whenever a unit is queued and take close to half of the sweep.
+    const N: usize = 64;
+    let es: Vec<f64> = (0..N).map(|i| i as f64).collect();
+    let opts = SchedOptions {
+        poll_ms: 50,
+        ..SchedOptions::default()
+    };
+    let out = run_ranks(2, |ctx| {
+        let world = Comm::world(ctx);
+        let mut model = CostModel::uniform(N);
+        dynamic_sweep(&world, &es, &mut model, &opts, |id| {
+            spin(Duration::from_millis(2));
+            Ok(payload(id))
+        })
+        .unwrap()
+    });
+    for r in out.results {
+        let o = r.unwrap();
+        assert!(o.report.is_clean());
+        assert!(o.stats.coordinator_units >= 24, "{:?}", o.stats);
+        assert!(o.stats.imbalance() <= 1.25, "{:?}", o.stats);
+        assert_payload_bits(&o);
+    }
+}
+
+#[test]
+fn fault_free_wall_is_independent_of_poll_ms() {
+    // `poll_ms` paces housekeeping only: with no fault, no rank may wait
+    // out a window — not a worker whose request found the queue empty, not
+    // the coordinator's FIN. Eleven 1 ms units and one of 20 ms leave one
+    // worker without work while the other still solves; the sweep must
+    // end with the long unit however long the window.
+    const N: usize = 12;
+    let es: Vec<f64> = (0..N).map(|i| i as f64).collect();
+    let opts = SchedOptions {
+        poll_ms: 250,
+        ..SchedOptions::default()
+    };
+    let t0 = Instant::now();
+    let out = run_ranks(3, |ctx| {
+        let world = Comm::world(ctx);
+        let mut model = CostModel::uniform(N);
+        dynamic_sweep(&world, &es, &mut model, &opts, |id| {
+            spin(Duration::from_millis(if id == 0 { 20 } else { 1 }));
+            Ok(payload(id))
+        })
+        .unwrap()
+    });
+    let wall = t0.elapsed();
+    assert!(wall < Duration::from_millis(150), "sweep took {wall:?}");
+    for r in out.results {
+        let o = r.unwrap();
+        assert!(o.report.is_clean());
+        let s = &o.stats;
+        assert_eq!(s.reissued_failed + s.reissued_straggler + s.stale_msgs, 0);
+    }
 }
 
 #[test]
