@@ -18,7 +18,9 @@ cargo clippy --no-deps -p omen-linalg -p omen-sparse -p omen-wf -p omen-negf -p 
 # Kernel dispatch legs: the microkernel path (scalar vs AVX2+FMA) is
 # resolved once per process from OMEN_SIMD, so the linalg suite, the
 # conformance battery, the selected-inversion oracle/equivalence battery,
-# and the kernel bench smoke each run once per leg —
+# the physics invariants (sum rule, reciprocity, current conservation ride
+# on the RGF recursion's thin column products), and the kernel bench smoke
+# each run once per leg —
 # tiny sizes, one sample, exercising the tiled GEMM, the blocked LU and
 # its blocked solve / inverse at 1/2/4 threads (gemm, lu, trsm, inverse
 # and selinv records, all required per leg by bench-gate --smoke) plus
@@ -28,7 +30,7 @@ cargo clippy --no-deps -p omen-linalg -p omen-sparse -p omen-wf -p omen-negf -p 
 # the reference path from rotting on machines that auto-dispatch SIMD.
 OMEN_SIMD=0 cargo test -q --release -p omen-linalg
 OMEN_SIMD=0 cargo test -q --release --test kernel_conformance
-OMEN_SIMD=0 cargo test -q --release --test selinv_properties --test engine_equivalence
+OMEN_SIMD=0 cargo test -q --release --test selinv_properties --test engine_equivalence --test physics_invariants
 # Smoke runs merge into their ledger, so a record left in a cached target/
 # by an earlier run would satisfy bench-gate's "fresh record for this leg"
 # check: start every CI run from no smoke ledgers (both legs still coexist,
@@ -38,7 +40,7 @@ OMEN_SIMD=0 cargo bench -p omen-bench --bench kernels -- --smoke
 if grep -q avx2 /proc/cpuinfo 2>/dev/null && grep -q fma /proc/cpuinfo 2>/dev/null; then
     OMEN_SIMD=1 cargo test -q --release -p omen-linalg
     OMEN_SIMD=1 cargo test -q --release --test kernel_conformance
-    OMEN_SIMD=1 cargo test -q --release --test selinv_properties --test engine_equivalence
+    OMEN_SIMD=1 cargo test -q --release --test selinv_properties --test engine_equivalence --test physics_invariants
     OMEN_SIMD=1 cargo bench -p omen-bench --bench kernels -- --smoke
 else
     echo "ci: NOTICE — CPU lacks AVX2+FMA, skipping the OMEN_SIMD=1 leg (scalar leg still ran)"

@@ -5,11 +5,12 @@
 //! evaluation, recursive Green's function vs wave-function, as the device
 //! cross-section (block size n) and length (slab count N) grow.
 //!
-//! Expected shape: both scale as N·n³, but the WF constant is several times
+//! Expected shape: both scale as N·n³, but the WF constant is 2–3 times
 //! smaller because it factorizes each slab block once (LU + a thin solve
-//! against the injected modes) where RGF performs repeated block inversions
-//! and multiplications; the advantage grows with block size since the mode
-//! count stays well below n.
+//! against the injected modes) where RGF — which already factors each slab
+//! once and keeps its boundary columns on the contact supports — still
+//! needs the explicit block inverse and five n³ products per slab for the
+//! diagonal of G; the mode count stays well below n.
 //!
 //! `--json` additionally times each engine's solve and merges
 //! `rgf_energy_point` / `wf_energy_point` throughput records (counted
@@ -133,8 +134,8 @@ fn main() {
         &rows,
     );
     println!(
-        "\nexpected shape: RGF/WF ratio > 1 everywhere and growing with block size — \
-         the wave-function algorithm wins, as the paper claims."
+        "\nexpected shape: RGF/WF ratio > 2 everywhere — the wave-function algorithm \
+         wins, as the paper claims."
     );
     if json {
         let path = publish(smoke, &records).expect("publish transport records");

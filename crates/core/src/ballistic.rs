@@ -711,10 +711,11 @@ mod tests {
             rep_si.recovered, rep_rgf.recovered,
             "identical pivot, identical set of recovered points"
         );
-        // Raw retry tallies differ structurally: RGF factors the singular
-        // block in both its forward and backward sweeps (two
-        // regularizations), the tree factors its Schur pivot exactly once.
-        assert_eq!(rep_rgf.retried, 2 * rep_si.retried);
+        // Raw retry tallies agree too: RGF factors every slab exactly once
+        // (one forward sweep, no right-connected second factorization) and
+        // the tree factors its Schur pivot exactly once, so the identical
+        // pivot costs the identical regularizations.
+        assert_eq!(rep_rgf.retried, rep_si.retried);
         assert!(rep_si.retried >= 1);
     }
 

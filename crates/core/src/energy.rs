@@ -43,7 +43,14 @@ pub fn transport_window(
     // Collect subband intervals of all leads restricted to the focus range.
     let mut lo = f64::INFINITY;
     let mut hi = f64::NEG_INFINITY;
-    for (h00, h01) in leads {
+    for (i, (h00, h01)) in leads.iter().enumerate() {
+        // `lo`/`hi` are a min/max over the band union, and the union over
+        // identical lead blocks is the one set: a lead equal to an earlier
+        // one (source and drain extensions at the same potential) cannot
+        // move either edge, so its eigenproblems are skipped.
+        if leads[..i].iter().any(|(p00, p01)| p00 == h00 && p01 == h01) {
+            continue;
+        }
         let bands = wire_bands(h00, h01, &thetas);
         let mins = subband_edges(&bands);
         let n = bands[0].len();
@@ -133,6 +140,26 @@ mod tests {
         assert_eq!(g.len(), 21);
         assert!(g[0] > -1.0 && *g.last().unwrap() < 1.0);
         assert!(g.windows(2).all(|p| p[0] < p[1]));
+    }
+
+    #[test]
+    fn equal_leads_count_once_and_different_leads_both_count() {
+        // Bands [-2, 2] and [-1.5, 2.5]; Fermi levels near both outer
+        // edges so each lead alone and their union give three windows.
+        let (a0, a1) = chain_lead(0.0, -1.0);
+        let (b0, b1) = chain_lead(0.5, -1.0);
+        let window = |leads: &[(&ZMat, &ZMat)]| {
+            let w = transport_window(leads, &[-1.8, 2.3], 0.025, 10.0, (-5.0, 5.0));
+            (w.e_min.to_bits(), w.e_max.to_bits())
+        };
+        let (a0_copy, a1_copy) = (a0.clone(), a1.clone());
+        let a = window(&[(&a0, &a1)]);
+        assert_eq!(window(&[(&a0, &a1), (&a0_copy, &a1_copy)]), a);
+        let ab = window(&[(&a0, &a1), (&b0, &b1)]);
+        assert_ne!(ab, a);
+        assert_ne!(ab, window(&[(&b0, &b1)]));
+        assert_eq!(window(&[(&a0, &a1), (&b0, &b1), (&a0_copy, &a1_copy)]), ab);
+        assert_eq!(window(&[(&b0, &b1), (&a0, &a1)]), ab);
     }
 
     #[test]

@@ -137,6 +137,49 @@ impl ZMat {
         out
     }
 
+    /// Copies the listed rows, in list order, into a `rows.len() × ncols`
+    /// matrix.
+    pub fn select_rows(&self, rows: &[usize]) -> ZMat {
+        let mut out = ZMat::zeros(rows.len(), self.ncols);
+        for (k, &i) in rows.iter().enumerate() {
+            out.row_mut(k).copy_from_slice(self.row(i));
+        }
+        out
+    }
+
+    /// Copies the listed columns, in list order, into an
+    /// `nrows × cols.len()` matrix.
+    pub fn select_cols(&self, cols: &[usize]) -> ZMat {
+        let mut out = ZMat::zeros(self.nrows, cols.len());
+        for i in 0..self.nrows {
+            let src = self.row(i);
+            for (d, &j) in out.row_mut(i).iter_mut().zip(cols) {
+                *d = src[j];
+            }
+        }
+        out
+    }
+
+    /// The principal submatrix `M[idx, idx]`.
+    pub fn principal(&self, idx: &[usize]) -> ZMat {
+        self.select_rows(idx).select_cols(idx)
+    }
+
+    /// Support of a square matrix: the ascending indices `i` whose row or
+    /// column is not identically zero. With `S` the support,
+    /// `M = P·M[S,S]·Pᵀ` holds exactly ([`Self::principal`]), so a product
+    /// against `M` only ever needs the `S` columns (rows) of its other
+    /// factor.
+    pub fn support(&self) -> Vec<usize> {
+        assert!(self.is_square(), "support of a non-square matrix");
+        (0..self.nrows)
+            .filter(|&i| {
+                self.row(i).iter().any(|&v| v != c64::ZERO)
+                    || (0..self.nrows).any(|k| self[(k, i)] != c64::ZERO)
+            })
+            .collect()
+    }
+
     /// Writes `b` into the block whose top-left corner is `(r0, c0)`.
     pub fn set_block(&mut self, r0: usize, c0: usize, b: &ZMat) {
         assert!(
@@ -404,6 +447,31 @@ mod tests {
         assert_eq!(a[(1, 2)], c64::new(1.0, 2.0));
         let e = ZMat::eye(3);
         assert_eq!(e.trace(), c64::real(3.0));
+    }
+
+    #[test]
+    fn support_and_selection() {
+        // Row 1 and column 3 carry the only nonzeros: the support is the
+        // union, and the matrix is its principal submatrix scattered back.
+        let a = m(&[
+            &[0.0, 0.0, 0.0, 0.0],
+            &[2.0, 0.0, 0.0, 5.0],
+            &[0.0, 0.0, 0.0, 0.0],
+            &[0.0, 0.0, 0.0, 7.0],
+        ]);
+        assert_eq!(a.support(), vec![0, 1, 3]);
+        let s = a.support();
+        let sub = a.principal(&s);
+        assert_eq!(
+            sub,
+            m(&[&[0.0, 0.0, 0.0], &[2.0, 0.0, 5.0], &[0.0, 0.0, 7.0]])
+        );
+        assert_eq!(a.select_cols(&[3, 0]).col(0), a.col(3));
+        assert_eq!(a.select_rows(&[3, 1]).row(1), a.row(1));
+        // Empty selections and the zero matrix are n × 0 / empty, not errors.
+        assert!(ZMat::zeros(3, 3).support().is_empty());
+        let none = a.select_cols(&[]);
+        assert_eq!((none.nrows(), none.ncols()), (4, 0));
     }
 
     #[test]

@@ -1,20 +1,41 @@
 //! Recursive Green's function over a block-tridiagonal device.
 //!
 //! Given `A(E) = (E + iη)·I − H − Σ_L − Σ_R` in block-tridiagonal form, the
-//! solver performs one forward (left-connected) and one backward
-//! (right-connected) sweep and assembles:
+//! solver computes exactly what the observables read and nothing wider:
 //!
 //! * all diagonal blocks `G_{i,i}` of the retarded Green's function —
 //!   LDOS and charge;
-//! * the first block column `G_{i,0}` and last block column `G_{i,N-1}` —
-//!   contact spectral functions `A_L = G Γ_L G†`, `A_R = G Γ_R G†`;
-//! * the Caroli transmission `T = Tr[Γ_L G_{0,N-1} Γ_R G_{0,N-1}†]`.
+//! * the first block column `G_{i,0}` and last block column `G_{i,N-1}`
+//!   **on the support of the contact broadening** — `Γ_L`, `Γ_R` are
+//!   identically zero outside the `s` orbitals the lead coupling touches,
+//!   so `A_L = G Γ_L G†` and `A_R = G Γ_R G†` only ever read those `s`
+//!   columns (`n × s` blocks, [`RgfResult::support_left`] /
+//!   [`RgfResult::support_right`]);
+//! * the Caroli transmission `T = Tr[Γ_L G_{0,N-1} Γ_R G_{0,N-1}†]`,
+//!   evaluated on the `S_L × S_R` corner of `G_{0,N-1}`.
 //!
-//! Cost: `7 N` block LU/GEMM operations of the slab size — the `O(N·n³)`
-//! scaling the paper contrasts against its wave-function algorithm.
+//! **Forward sweep** (one factorization per slab): the left-connected
+//! `gL_i = (A_ii − u_{i−1}·A_{i−1,i})⁻¹`, the product
+//! `u_i = A_{i+1,i}·gL_i` it needs for the next slab anyway, and the
+//! left-connected column `Z_{i+1} = A_{i+1,i}·gL_{i,0}[:,S_L] = −u_i·Z_i`
+//! (`Z_1 = u_0[:,S_L]`).
+//!
+//! **Backward pass**: `t1 = gL_i·A_{i,i+1}` is formed once and serves both
+//! `G_ii = gL_i + (t1·G_{i+1,i+1})·u_i` (accumulated over `gL_i` in place)
+//! and the right column `G_{i,N−1}[:,S_R] = −t1·G_{i+1,N−1}[:,S_R]`; the
+//! left column comes from the Dyson form `G_{i,0}[:,S_L] = −G_ii·Z_i`,
+//! which needs the full `G_ii` the pass has just finished instead of a
+//! second, right-connected factorization sweep.
+//!
+//! Cost per slab of size `n`: one LU + inverse (`16/3 n³ + 8 n³` flops) and
+//! five `n³` GEMMs (`8 n³` each) — 6.67 GEMM equivalents — plus three
+//! `n × n × s` column products and the `O(n·s²)` spectral diagonals of
+//! [`crate::transport::package`]: `6.67 + 3·s/n + 2·(s/n)²`. This is the
+//! `O(N·n³)` scaling the paper contrasts against its wave-function
+//! algorithm; `tests/flop_counter_props.rs` pins the count to the flop.
 
 use crate::sancho::ContactSelfEnergy;
-use omen_linalg::{gemm, lu, Op, ZMat};
+use omen_linalg::{gemm, lu, matmul, matmul_n_h, Op, ZMat};
 use omen_num::{c64, OmenResult};
 use omen_sparse::BlockTridiag;
 
@@ -29,13 +50,19 @@ pub const REGULARIZATION_ETA: f64 = 1e-6;
 pub struct RgfResult {
     /// Retarded diagonal blocks `G_{i,i}`.
     pub g_diag: Vec<ZMat>,
-    /// First block column `G_{i,0}` (left-contact spectral pathway).
+    /// First block column on `Γ_L`'s support, `G_{i,0}[:, S_L]`
+    /// (`n_i × s_L`; left-contact spectral pathway).
     pub g_col_left: Vec<ZMat>,
-    /// Last block column `G_{i,N-1}`.
+    /// Last block column on `Γ_R`'s support, `G_{i,N-1}[:, S_R]`.
     pub g_col_right: Vec<ZMat>,
+    /// `S_L`: the orbitals of slab 0 that `Γ_L` touches, ascending — the
+    /// columns [`Self::g_col_left`] carries.
+    pub support_left: Vec<usize>,
+    /// `S_R`: the orbitals of slab `N−1` that `Γ_R` touches.
+    pub support_right: Vec<usize>,
     /// Caroli transmission at this energy.
     pub transmission: f64,
-    /// Pivot-regularization retries spent across both sweeps
+    /// Pivot-regularization retries spent factoring the slabs
     /// (0 = every block factored cleanly).
     pub retries: usize,
 }
@@ -43,20 +70,43 @@ pub struct RgfResult {
 impl RgfResult {
     /// Left-contact spectral function block `A_L,i = G_{i,0} Γ_L G_{i,0}†`.
     pub fn spectral_left(&self, gamma_l: &ZMat, i: usize) -> ZMat {
-        let t = omen_linalg::matmul(&self.g_col_left[i], gamma_l);
-        omen_linalg::matmul_n_h(&t, &self.g_col_left[i])
+        let c = &self.g_col_left[i];
+        matmul_n_h(&matmul(c, &gamma_l.principal(&self.support_left)), c)
     }
 
     /// Right-contact spectral function block `A_R,i = G_{i,N-1} Γ_R G_{i,N-1}†`.
     pub fn spectral_right(&self, gamma_r: &ZMat, i: usize) -> ZMat {
-        let t = omen_linalg::matmul(&self.g_col_right[i], gamma_r);
-        omen_linalg::matmul_n_h(&t, &self.g_col_right[i])
+        let c = &self.g_col_right[i];
+        matmul_n_h(&matmul(c, &gamma_r.principal(&self.support_right)), c)
     }
 
     /// Local density of states of slab `i`: `−Im Tr G_{i,i} / π`.
     pub fn ldos(&self, i: usize) -> f64 {
         -self.g_diag[i].trace().im / std::f64::consts::PI
     }
+}
+
+/// Caroli transmission `Tr[Γ_L G_{0,N−1} Γ_R G_{0,N−1}†]` from the
+/// support-restricted right column block `x0 = G_{0,N−1}[:, S_R]`: only
+/// its `S_L` rows meet `Γ_L`, so the trace runs on the `s_L × s_R` corner.
+pub(crate) fn caroli(
+    gamma_l: &ZMat,
+    gamma_r: &ZMat,
+    support_l: &[usize],
+    support_r: &[usize],
+    x0: &ZMat,
+) -> f64 {
+    let corner = x0.select_rows(support_l);
+    let t = matmul(&gamma_l.principal(support_l), &corner);
+    let t = matmul(&t, &gamma_r.principal(support_r));
+    matmul_n_h(&t, &corner).trace().re
+}
+
+/// `−a·b`.
+fn neg_product(a: &ZMat, b: &ZMat) -> ZMat {
+    let mut out = ZMat::zeros(a.nrows(), b.ncols());
+    gemm(-c64::ONE, a, Op::N, b, Op::N, c64::ZERO, &mut out);
+    out
 }
 
 /// Builds `A = (E + iη) I − H − Σ_L − Σ_R` from the device Hamiltonian.
@@ -87,8 +137,9 @@ pub fn build_a_matrix(
     BlockTridiag::new(diag, lower, upper)
 }
 
-/// Runs the RGF sweeps on a prebuilt `A` matrix with the contact
-/// broadenings `Γ_L`, `Γ_R`.
+/// Runs the RGF recursion on a prebuilt `A` matrix with the contact
+/// broadenings `Γ_L`, `Γ_R` (see the module docs for what is kept and
+/// what is never formed).
 ///
 /// A singular pivot block is first retried with the `i·eta` shift of
 /// [`REGULARIZATION_ETA`] (recorded in [`RgfResult::retries`]).
@@ -100,19 +151,23 @@ pub fn build_a_matrix(
 /// index.
 pub fn rgf_solve(a: &BlockTridiag, gamma_l: &ZMat, gamma_r: &ZMat) -> OmenResult<RgfResult> {
     let nb = a.num_blocks();
+    let support_left = gamma_l.support();
+    let support_right = gamma_r.support();
     let mut retries = 0usize;
 
-    // Forward sweep: left-connected gL_i.
-    let mut g_left: Vec<ZMat> = Vec::with_capacity(nb);
+    // Forward sweep. `g[i]` = gL_i, `u[i]` = A_{i+1,i}·gL_i and
+    // `z[i]` = Z_{i+1}, the left-connected column entering slab i+1.
+    let mut g: Vec<ZMat> = Vec::with_capacity(nb);
+    let mut u: Vec<ZMat> = Vec::with_capacity(nb);
+    let mut z: Vec<ZMat> = Vec::with_capacity(nb);
     for i in 0..nb {
         let mut m = a.diag[i].clone();
-        if i > 0 {
-            // m -= A[i,i-1] gL[i-1] A[i-1,i], the second product fused
-            // into the accumulation (no temporary, one pass over m).
-            let t = omen_linalg::matmul(&a.lower[i - 1], &g_left[i - 1]);
+        if let Some(u_prev) = u.last() {
+            // m -= (A[i,i-1] gL[i-1]) A[i-1,i], fused into the
+            // accumulation (no temporary, one pass over m).
             gemm(
                 -c64::ONE,
-                &t,
+                u_prev,
                 Op::N,
                 &a.upper[i - 1],
                 Op::N,
@@ -122,83 +177,51 @@ pub fn rgf_solve(a: &BlockTridiag, gamma_l: &ZMat, gamma_r: &ZMat) -> OmenResult
         }
         let (f, r) = lu::factor_regularized(&m, REGULARIZATION_ETA).map_err(|s| s.at_block(i))?;
         retries += r;
-        g_left.push(f.inverse());
-    }
-
-    // Backward sweep: right-connected gR_i.
-    let mut g_right: Vec<ZMat> = vec![ZMat::zeros(0, 0); nb];
-    for i in (0..nb).rev() {
-        let mut m = a.diag[i].clone();
+        let gl = f.inverse();
         if i + 1 < nb {
-            let t = omen_linalg::matmul(&a.upper[i], &g_right[i + 1]);
-            gemm(-c64::ONE, &t, Op::N, &a.lower[i], Op::N, c64::ONE, &mut m);
+            let ui = matmul(&a.lower[i], &gl);
+            z.push(match z.last() {
+                None => ui.select_cols(&support_left),
+                Some(zi) => neg_product(&ui, zi),
+            });
+            u.push(ui);
         }
-        let (f, r) = lu::factor_regularized(&m, REGULARIZATION_ETA).map_err(|s| s.at_block(i))?;
-        retries += r;
-        g_right[i] = f.inverse();
+        g.push(gl);
     }
 
-    // Full diagonal blocks via backward recursion from G_{N-1,N-1} = gL_{N-1}.
-    let mut g_diag: Vec<ZMat> = vec![ZMat::zeros(0, 0); nb];
-    g_diag[nb - 1] = g_left[nb - 1].clone();
-    for i in (0..nb - 1).rev() {
-        // G_ii = gL_i + gL_i A_{i,i+1} G_{i+1,i+1} A_{i+1,i} gL_i, the
-        // final product fused into the accumulation onto gL_i.
-        let t1 = omen_linalg::matmul(&g_left[i], &a.upper[i]);
-        let t2 = omen_linalg::matmul(&t1, &g_diag[i + 1]);
-        let t3 = omen_linalg::matmul(&t2, &a.lower[i]);
-        let mut g = g_left[i].clone();
-        gemm(c64::ONE, &t3, Op::N, &g_left[i], Op::N, c64::ONE, &mut g);
-        g_diag[i] = g;
-    }
-
-    // First block column: G_{0,0} is full; G_{i,0} = −gR_i A_{i,i-1} G_{i-1,0}.
+    // Backward pass from G_{N-1,N-1} = gL_{N-1}, slab i+1 finished before
+    // slab i; both columns are collected last slab first.
+    let mut x = g[nb - 1].select_cols(&support_right);
     let mut g_col_left: Vec<ZMat> = Vec::with_capacity(nb);
-    g_col_left.push(g_diag[0].clone());
-    for i in 1..nb {
-        let t = omen_linalg::matmul(&g_right[i], &a.lower[i - 1]);
-        let mut g = ZMat::zeros(t.nrows(), g_col_left[i - 1].ncols());
-        gemm(
-            -c64::ONE,
-            &t,
-            Op::N,
-            &g_col_left[i - 1],
-            Op::N,
-            c64::ZERO,
-            &mut g,
-        );
-        g_col_left.push(g);
+    let mut g_col_right: Vec<ZMat> = Vec::with_capacity(nb);
+    for (i, (ui, z_next)) in u.into_iter().zip(z).enumerate().rev() {
+        g_col_left.push(neg_product(&g[i + 1], &z_next));
+        let t1 = matmul(&g[i], &a.upper[i]);
+        let t2 = matmul(&t1, &g[i + 1]);
+        // G_ii over gL_i in place: nothing later reads gL_i.
+        gemm(c64::ONE, &t2, Op::N, &ui, Op::N, c64::ONE, &mut g[i]);
+        let xi = neg_product(&t1, &x);
+        g_col_right.push(std::mem::replace(&mut x, xi));
     }
+    g_col_left.push(g[0].select_cols(&support_left));
+    g_col_right.push(x);
+    g_col_left.reverse();
+    g_col_right.reverse();
 
-    // Last block column: G_{N-1,N-1} full; G_{i,N-1} = −gL_i A_{i,i+1} G_{i+1,N-1}.
-    let mut g_col_right: Vec<ZMat> = vec![ZMat::zeros(0, 0); nb];
-    g_col_right[nb - 1] = g_diag[nb - 1].clone();
-    for i in (0..nb - 1).rev() {
-        let t = omen_linalg::matmul(&g_left[i], &a.upper[i]);
-        let mut g = ZMat::zeros(t.nrows(), g_col_right[i + 1].ncols());
-        gemm(
-            -c64::ONE,
-            &t,
-            Op::N,
-            &g_col_right[i + 1],
-            Op::N,
-            c64::ZERO,
-            &mut g,
-        );
-        g_col_right[i] = g;
-    }
-
-    // Caroli transmission via G_{0,N-1}.
-    let g0n = &g_col_right[0];
-    let t1 = omen_linalg::matmul(gamma_l, g0n);
-    let t2 = omen_linalg::matmul(&t1, gamma_r);
-    let t3 = omen_linalg::matmul_n_h(&t2, g0n);
-    let transmission = t3.trace().re;
+    let transmission = caroli(
+        gamma_l,
+        gamma_r,
+        &support_left,
+        &support_right,
+        &g_col_right[0],
+    );
 
     Ok(RgfResult {
-        g_diag,
+        g_diag: g,
         g_col_left,
         g_col_right,
+        support_left,
+        support_right,
         transmission,
         retries,
     })
@@ -350,5 +373,97 @@ mod tests {
             "{} vs {t_rl}",
             r.transmission
         );
+    }
+
+    /// Deterministic uniform samples in [-1, 1).
+    fn rng(seed: u64) -> impl FnMut() -> f64 {
+        let mut s = seed.wrapping_mul(0x9E3779B97F4A7C15).wrapping_add(11);
+        move || {
+            s = s.wrapping_mul(0x9E3779B97F4A7C15).wrapping_add(11);
+            ((s >> 11) as f64 / (1u64 << 53) as f64) * 2.0 - 1.0
+        }
+    }
+
+    /// Random non-Hermitian block-tridiagonal system, diagonally dominant
+    /// so the dense oracle is well conditioned.
+    fn random_system(nb: usize, bs: usize, seed: u64) -> BlockTridiag {
+        let mut next = rng(seed);
+        let mut block = |shift: f64| {
+            let mut m = ZMat::from_fn(bs, bs, |_, _| c64::new(next(), next()));
+            for k in 0..bs {
+                m[(k, k)] += c64::real(shift);
+            }
+            m
+        };
+        let diag: Vec<ZMat> = (0..nb).map(|_| block(4.0 * bs as f64)).collect();
+        let lower: Vec<ZMat> = (1..nb).map(|_| block(0.0)).collect();
+        let upper: Vec<ZMat> = (1..nb).map(|_| block(0.0)).collect();
+        BlockTridiag::new(diag, lower, upper)
+    }
+
+    /// Hermitian PSD broadening `W W†` that touches exactly `support`.
+    fn gamma_on(bs: usize, support: &[usize], seed: u64) -> ZMat {
+        let mut next = rng(seed);
+        let mut w = ZMat::zeros(bs, bs);
+        for &i in support {
+            for j in 0..bs {
+                w[(i, j)] = c64::new(next(), next());
+            }
+        }
+        matmul_n_h(&w, &w)
+    }
+
+    #[test]
+    fn matches_dense_inverse_on_sparse_and_full_supports() {
+        use omen_num::tolerance::test_bound;
+        use omen_num::BoundKind;
+        let tol = test_bound("selinv.vs_dense", BoundKind::Relative).unwrap();
+        let bs = 5;
+        let all: Vec<usize> = (0..bs).collect();
+        // nb = 1 is the single-block device: both columns come from G_00.
+        for nb in [1usize, 2, 3, 8] {
+            for (sup_l, sup_r) in [(vec![1, 3], vec![0, 2, 4]), (all.clone(), vec![2])] {
+                let a = random_system(nb, bs, 0x5EED ^ nb as u64);
+                let gl = gamma_on(bs, &sup_l, 0xA ^ nb as u64);
+                let gr = gamma_on(bs, &sup_r, 0xB ^ nb as u64);
+                let r = rgf_solve(&a, &gl, &gr).unwrap();
+                assert_eq!(r.support_left, sup_l, "nb={nb}");
+                assert_eq!(r.support_right, sup_r, "nb={nb}");
+
+                let dense = lu::inverse(&a.to_dense()).unwrap();
+                let scale = dense.max_abs();
+                let last = a.offset(nb - 1);
+                for i in 0..nb {
+                    let off = a.offset(i);
+                    let close = |got: &ZMat, want: ZMat, what: &str| {
+                        assert_eq!((got.nrows(), got.ncols()), (want.nrows(), want.ncols()));
+                        assert!(
+                            (got - &want).max_abs() < tol * scale,
+                            "nb={nb} block {i}: {what}"
+                        );
+                    };
+                    close(&r.g_diag[i], dense.block(off, off, bs, bs), "diagonal");
+                    close(
+                        &r.g_col_left[i],
+                        dense.block(off, 0, bs, bs).select_cols(&sup_l),
+                        "left column",
+                    );
+                    close(
+                        &r.g_col_right[i],
+                        dense.block(off, last, bs, bs).select_cols(&sup_r),
+                        "right column",
+                    );
+                }
+                let g0n = dense.block(0, last, bs, bs);
+                let t_dense = matmul_n_h(&matmul(&matmul(&gl, &g0n), &gr), &g0n)
+                    .trace()
+                    .re;
+                assert!(
+                    (r.transmission - t_dense).abs() < tol * (1.0 + t_dense.abs()),
+                    "nb={nb}: T {} vs dense {t_dense}",
+                    r.transmission
+                );
+            }
+        }
     }
 }

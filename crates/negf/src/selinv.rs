@@ -23,9 +23,11 @@
 //! `G_II = Ĝ + Ĝ·C·G_EE·Cᵀ·Ĝ` with `G_EE` the exact Green's blocks over
 //! the two exterior neighbor points — a 2×2 block payload handed from
 //! parent to child. The same identity restricted to global columns `0`
-//! and `N−1` propagates the first/last block columns, so one tree
+//! and `N−1` propagates the first/last block columns — on the orbitals
+//! `Γ_L` / `Γ_R` touch only, as [`crate::rgf`] keeps them — so one tree
 //! traversal recovers exactly the [`RgfResult`] surface: every diagonal
-//! block, both contact columns, and the Caroli transmission.
+//! block, both contact columns on their supports, and the Caroli
+//! transmission.
 //!
 //! **Determinism contract.** The numeric elimination DAG is *canonical*:
 //! balanced bisection over the block range, a pure function of the block
@@ -37,7 +39,7 @@
 //! while agreement with RGF/WF is a cross-engine tolerance statement
 //! (`engine.selinv_*` in TOLERANCES.toml). See DESIGN.md §13.
 
-use crate::rgf::{build_a_matrix, RgfResult, REGULARIZATION_ETA};
+use crate::rgf::{build_a_matrix, caroli, RgfResult, REGULARIZATION_ETA};
 use crate::serialize::{bytes_to_mat_array, bytes_to_mats, mats_to_bytes};
 use crate::transport::{package, EnergyPointData, DEFAULT_ETA};
 use omen_linalg::{gemm, lu, matmul, Op, ZMat};
@@ -354,7 +356,7 @@ fn eliminate(
 
 /// Exact Green's blocks of one exterior neighbor point `p` of an
 /// interval: `G_{p,p}` plus the global contact columns `G_{p,0}` and
-/// `G_{p,N−1}`.
+/// `G_{p,N−1}`, each carried on its contact's [`Supports`] columns only.
 #[derive(Debug, Clone)]
 struct ExtPoint {
     diag: ZMat,
@@ -377,23 +379,41 @@ struct DownPayload {
     hi_lo: Option<ZMat>,
 }
 
-/// Exact per-separator output of the downward pass: `G_{m,m}`, `G_{m,0}`,
-/// `G_{m,N−1}`.
+/// Exact per-separator output of the downward pass: `G_{m,m}`,
+/// `G_{m,0}[:, S_L]`, `G_{m,N−1}[:, S_R]`.
 struct NodeResult {
     diag: ZMat,
     col0: ZMat,
     coln: ZMat,
 }
 
+/// The orbitals `Γ_L` touches in slab 0 and `Γ_R` in slab `N−1`: the only
+/// columns of `G_{·,0}` / `G_{·,N−1}` the observables read, so the only
+/// ones the downward pass carries (as in [`crate::rgf`]).
+struct Supports {
+    left: Vec<usize>,
+    right: Vec<usize>,
+}
+
+impl Supports {
+    fn of(gamma_l: &ZMat, gamma_r: &ZMat) -> Self {
+        Supports {
+            left: gamma_l.support(),
+            right: gamma_r.support(),
+        }
+    }
+}
+
 /// Applies the exterior correction `G_II = Ĝ + Ĝ·C·G_EE·Cᵀ·Ĝ` at one
 /// node and assembles the payloads for its children.
 fn descend(
     a: &BlockTridiag,
-    nb: usize,
+    sup: &Supports,
     node: &Node,
     u: &UpNode,
     p: &DownPayload,
 ) -> (NodeResult, Option<DownPayload>, Option<DownPayload>) {
+    let nb = a.num_blocks();
     let (lo, hi) = (node.lo, node.hi);
     let neg = -c64::ONE;
     // Row wings W = Ĝ_{m,∂p}·A_{∂p,p} and column wings V = A_{p,∂p}·Ĝ_{∂p,m}
@@ -426,7 +446,7 @@ fn descend(
     // lo-corner (corrected through hi+1 only); otherwise the exterior
     // column relation −Σ_p W_p·G_{p,0}.
     let col0 = if lo == 0 {
-        let mut g = u.ms_lo.clone();
+        let mut g = u.ms_lo.select_cols(&sup.left);
         if let (Some(w), Some(ext)) = (&wm_h, &p.hi) {
             let t = matmul(w, &ext.diag);
             let t2 = matmul(&t, &a.lower[hi]);
@@ -434,7 +454,7 @@ fn descend(
                 c64::ONE,
                 &t2,
                 Op::N,
-                &u.corners.ghl,
+                &u.corners.ghl.select_cols(&sup.left),
                 Op::N,
                 c64::ONE,
                 &mut g,
@@ -442,8 +462,7 @@ fn descend(
         }
         g
     } else {
-        let n0 = a.diag[0].nrows();
-        let mut g = ZMat::zeros(u.gmm.nrows(), n0);
+        let mut g = ZMat::zeros(u.gmm.nrows(), sup.left.len());
         if let (Some(w), Some(ext)) = (&wm_l, &p.lo) {
             gemm(neg, w, Op::N, &ext.col0, Op::N, c64::ONE, &mut g);
         }
@@ -455,7 +474,7 @@ fn descend(
 
     // Exact G_{m,N−1}, mirrored.
     let coln = if hi == nb - 1 {
-        let mut g = u.ms_hi.clone();
+        let mut g = u.ms_hi.select_cols(&sup.right);
         if let (Some(w), Some(ext)) = (&wm_l, &p.lo) {
             let t = matmul(w, &ext.diag);
             let t2 = matmul(&t, &a.upper[lo - 1]);
@@ -463,7 +482,7 @@ fn descend(
                 c64::ONE,
                 &t2,
                 Op::N,
-                &u.corners.glh,
+                &u.corners.glh.select_cols(&sup.right),
                 Op::N,
                 c64::ONE,
                 &mut g,
@@ -471,8 +490,7 @@ fn descend(
         }
         g
     } else {
-        let nn = a.diag[nb - 1].nrows();
-        let mut g = ZMat::zeros(u.gmm.nrows(), nn);
+        let mut g = ZMat::zeros(u.gmm.nrows(), sup.right.len());
         if let (Some(w), Some(ext)) = (&wm_l, &p.lo) {
             gemm(neg, w, Op::N, &ext.coln, Op::N, c64::ONE, &mut g);
         }
@@ -563,6 +581,7 @@ fn assemble(
     retries: usize,
     gamma_l: &ZMat,
     gamma_r: &ZMat,
+    sup: Supports,
 ) -> OmenResult<RgfResult> {
     let mut g_diag = Vec::with_capacity(results.len());
     let mut g_col_left = Vec::with_capacity(results.len());
@@ -575,15 +594,13 @@ fn assemble(
         g_col_left.push(r.col0);
         g_col_right.push(r.coln);
     }
-    let g0n = &g_col_right[0];
-    let t1 = matmul(gamma_l, g0n);
-    let t2 = matmul(&t1, gamma_r);
-    let t3 = omen_linalg::matmul_n_h(&t2, g0n);
-    let transmission = t3.trace().re;
+    let transmission = caroli(gamma_l, gamma_r, &sup.left, &sup.right, &g_col_right[0]);
     Ok(RgfResult {
         g_diag,
         g_col_left,
         g_col_right,
+        support_left: sup.left,
+        support_right: sup.right,
         transmission,
         retries,
     })
@@ -601,6 +618,7 @@ fn assemble(
 /// failure surface as RGF.
 pub fn selinv_solve(a: &BlockTridiag, gamma_l: &ZMat, gamma_r: &ZMat) -> OmenResult<RgfResult> {
     let nb = a.num_blocks();
+    let sup = Supports::of(gamma_l, gamma_r);
     let nodes = build_tree(nb);
     let order = postorder(&nodes);
 
@@ -625,7 +643,7 @@ pub fn selinv_solve(a: &BlockTridiag, gamma_l: &ZMat, gamma_r: &ZMat) -> OmenRes
         let u = up[s].as_ref().ok_or(OmenError::Deserialize {
             context: "selinv upward pass skipped a node",
         })?;
-        let (res, pl, pr) = descend(a, nb, n, u, &pay);
+        let (res, pl, pr) = descend(a, &sup, n, u, &pay);
         results[s] = Some(res);
         if let Some(c) = n.left {
             payloads[c] = pl;
@@ -634,7 +652,7 @@ pub fn selinv_solve(a: &BlockTridiag, gamma_l: &ZMat, gamma_r: &ZMat) -> OmenRes
             payloads[c] = pr;
         }
     }
-    assemble(results, retries, gamma_l, gamma_r)
+    assemble(results, retries, gamma_l, gamma_r, sup)
 }
 
 // ---------------------------------------------------------------------------
@@ -734,6 +752,7 @@ pub fn selinv_solve_parallel(
     shape: TreeShape,
 ) -> OmenResult<RgfResult> {
     let nb = a.num_blocks();
+    let sup = Supports::of(gamma_l, gamma_r);
     let nodes = build_tree(nb);
     let wave_list = waves(&nodes, shape);
     let own = owners(&nodes, shape, comm.size());
@@ -809,7 +828,7 @@ pub fn selinv_solve_parallel(
             let u = up[s].as_ref().ok_or(OmenError::Deserialize {
                 context: "selinv upward node missing",
             })?;
-            let (res, pl, pr) = descend(a, nb, n, u, &pay);
+            let (res, pl, pr) = descend(a, &sup, n, u, &pay);
             results[s] = Some(res);
             for (child, cp) in [(n.left, pl), (n.right, pr)] {
                 if let (Some(c), Some(cp)) = (child, cp) {
@@ -853,7 +872,7 @@ pub fn selinv_solve_parallel(
         }
     }
     debug_assert_eq!(comm.pending_p2p_messages(), 0);
-    assemble(all_results, total_retries, gamma_l, gamma_r)
+    assemble(all_results, total_retries, gamma_l, gamma_r, sup)
 }
 
 /// Per-energy transport with the serial selected-inversion engine — the

@@ -2,7 +2,7 @@
 
 use crate::contacts::local_contacts;
 use crate::rgf::{build_a_matrix, rgf_solve, RgfResult};
-use omen_linalg::{lu, ZMat};
+use omen_linalg::{dot, lu, matmul, ZMat};
 use omen_num::{c64, OmenResult};
 use omen_sparse::BlockTridiag;
 
@@ -53,7 +53,10 @@ pub fn transport_at_energy(
 }
 
 /// Packages an [`RgfResult`] into the flat per-orbital data the density
-/// integrator consumes.
+/// integrator consumes. Only the *diagonals* of the contact spectral
+/// functions are read downstream, so they are taken as row dots of
+/// `C·Γ[S,S]` with `C` on the support-restricted column blocks —
+/// `O(n·s²)` per slab, never the `n × n` product `G Γ G†`.
 pub fn package(
     e: f64,
     h: &BlockTridiag,
@@ -62,17 +65,15 @@ pub fn package(
     gamma_r: &ZMat,
 ) -> EnergyPointData {
     let nb = h.num_blocks();
+    let gl = gamma_l.principal(&r.support_left);
+    let gr = gamma_r.principal(&r.support_right);
     let mut ldos = Vec::with_capacity(nb);
     let mut al = Vec::with_capacity(h.dim());
     let mut ar = Vec::with_capacity(h.dim());
     for i in 0..nb {
         ldos.push(r.ldos(i));
-        let sal = r.spectral_left(gamma_l, i);
-        let sar = r.spectral_right(gamma_r, i);
-        for k in 0..sal.nrows() {
-            al.push(sal[(k, k)].re);
-            ar.push(sar[(k, k)].re);
-        }
+        push_spectral_diag(&mut al, &r.g_col_left[i], &gl);
+        push_spectral_diag(&mut ar, &r.g_col_right[i], &gr);
     }
     EnergyPointData {
         energy: e,
@@ -82,6 +83,13 @@ pub fn package(
         spectral_right_diag: ar,
         retries: r.retries,
     }
+}
+
+/// Appends `diag(C·γ·C†)`: entry `k` is row `k` of `C·γ` against the
+/// conjugate of row `k` of `C`.
+fn push_spectral_diag(out: &mut Vec<f64>, c: &ZMat, gamma_s: &ZMat) {
+    let t = matmul(c, gamma_s);
+    out.extend((0..c.nrows()).map(|k| dot(c.row(k), t.row(k)).re));
 }
 
 /// Dense reference: inverts the full `A` matrix and evaluates the Caroli
@@ -208,5 +216,42 @@ mod tests {
             .unwrap()
             .transmission;
         assert!(t.abs() < 1e-6, "mid-gap transmission {t}");
+    }
+
+    #[test]
+    fn decoupled_lead_has_empty_support_and_injects_nothing() {
+        // A lead with H01 = 0 has Σ = 0 and Γ = 0 exactly: the support is
+        // empty, the column blocks are n × 0, and every observable that
+        // lead feeds is an exact zero rather than a panic.
+        let (bt, h00, h01) = si_wire_system(Material::SingleBand { t_mev: 800 }, 3, 0.8);
+        let dead = ZMat::zeros(h01.nrows(), h01.ncols());
+        let n = bt.block_size(0);
+        let e = -0.51;
+
+        let (sl, sr) = local_contacts(e, DEFAULT_ETA, (&h00, &dead), (&h00, &h01)).unwrap();
+        let a = build_a_matrix(e, DEFAULT_ETA, &bt, &sl, &sr);
+        let r = rgf_solve(&a, &sl.gamma, &sr.gamma).unwrap();
+        assert!(r.support_left.is_empty() && !r.support_right.is_empty());
+        for c in &r.g_col_left {
+            assert_eq!((c.nrows(), c.ncols()), (n, 0));
+        }
+        assert_eq!(r.spectral_left(&sl.gamma, 1), ZMat::zeros(n, n));
+
+        let one_dead = transport_at_energy(e, &bt, (&h00, &dead), (&h00, &h01)).unwrap();
+        assert_eq!(one_dead.transmission, 0.0);
+        assert_eq!(one_dead.spectral_left_diag, vec![0.0; bt.dim()]);
+        assert!(one_dead.spectral_right_diag.iter().any(|&v| v > 0.0));
+
+        // The tree engine carries the same n × 0 columns into `package`.
+        let si =
+            crate::selinv::selinv_transport_at_energy(e, &bt, (&h00, &dead), (&h00, &h01)).unwrap();
+        assert_eq!(si.transmission, 0.0);
+        assert_eq!(si.spectral_left_diag, vec![0.0; bt.dim()]);
+
+        let both_dead = transport_at_energy(e, &bt, (&h00, &dead), (&h00, &dead)).unwrap();
+        assert_eq!(both_dead.transmission, 0.0);
+        assert_eq!(both_dead.spectral_left_diag, vec![0.0; bt.dim()]);
+        assert_eq!(both_dead.spectral_right_diag, vec![0.0; bt.dim()]);
+        assert!(both_dead.ldos.iter().all(|v| v.is_finite()));
     }
 }

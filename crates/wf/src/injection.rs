@@ -9,7 +9,6 @@
 //! observables therefore match NEGF channel by channel.
 
 use omen_linalg::{eigh, ZMat};
-use omen_num::c64;
 
 /// The open-channel bundle of one contact at one energy.
 pub struct InjectionBundle {
@@ -45,11 +44,9 @@ pub const GAMMA_FLOOR: f64 = 1e-4;
 pub fn injection_bundle(gamma: &ZMat, tol: f64) -> InjectionBundle {
     assert!(gamma.is_square());
     let n = gamma.nrows();
-    let support: Vec<usize> = (0..n)
-        .filter(|&i| gamma.row(i).iter().any(|&v| v != c64::ZERO))
-        .collect();
+    let support = gamma.support();
     let s = support.len();
-    let r = eigh(&ZMat::from_fn(s, s, |i, j| gamma[(support[i], support[j])]));
+    let r = eigh(&gamma.principal(&support));
     let lmax = r.values.iter().fold(0.0_f64, |m, &v| m.max(v));
     if lmax <= GAMMA_FLOOR {
         return InjectionBundle {

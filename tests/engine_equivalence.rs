@@ -187,9 +187,9 @@ fn utb_with_transverse_momentum() {
 #[test]
 fn silicon_wire_invariant_under_omen_threads() {
     // The dense kernels promise bit-identical output for every thread
-    // count, so running a full device under OMEN_THREADS=4 must leave the
-    // transmission exactly unchanged — not just within tolerance — and
-    // every engine pair must still agree at the usual tolerances.
+    // count, so running a full device under OMEN_THREADS=2/4/8 must leave
+    // every observable exactly unchanged — not just within tolerance —
+    // and every engine pair must still agree at the usual tolerances.
     let p = TbParams::of(Material::SiSp3s);
     let dev = Device::nanowire(Crystal::Zincblende { a: A_SI }, 4, 0.8, 0.8);
     let ham = DeviceHamiltonian::new(&dev, p, false);
@@ -198,53 +198,51 @@ fn silicon_wire_invariant_under_omen_threads() {
     let lead = ham.lead_blocks(0.0, 0.0);
     let energies = linspace(1.8, 2.2, 3);
 
+    // Every bit the integrator consumes, per engine: T, LDOS and both
+    // spectral diagonals. RGF's boundary columns are thin n × s blocks
+    // (s = 20 of n = 90 here), so this also pins the thin-GEMM shapes.
+    let bits = |p: omen::negf::EnergyPointData| -> Vec<u64> {
+        std::iter::once(p.transmission)
+            .chain(p.ldos)
+            .chain(p.spectral_left_diag)
+            .chain(p.spectral_right_diag)
+            .map(f64::to_bits)
+            .collect()
+    };
+    let lead = (&lead.0, &lead.1);
+    let rgf_bits = |e: f64| bits(omen::negf::transport_at_energy(e, &h, lead, lead).expect("RGF"));
+    let selinv_bits =
+        |e: f64| bits(omen::negf::selinv_transport_at_energy(e, &h, lead, lead).expect("SelInv"));
+
     let env = omen::linalg::threads::THREADS_ENV;
     let saved = std::env::var(env).ok();
     std::env::set_var(env, "1");
-    let serial: Vec<f64> = energies
-        .iter()
-        .map(|&e| {
-            omen::negf::transport_at_energy(e, &h, (&lead.0, &lead.1), (&lead.0, &lead.1))
-                .expect("serial RGF")
-                .transmission
-        })
-        .collect();
-    let serial_si: Vec<f64> = energies
-        .iter()
-        .map(|&e| {
-            omen::negf::selinv_transport_at_energy(e, &h, (&lead.0, &lead.1), (&lead.0, &lead.1))
-                .expect("serial SelInv")
-                .transmission
-        })
-        .collect();
+    let serial: Vec<Vec<u64>> = energies.iter().map(|&e| rgf_bits(e)).collect();
+    let serial_si: Vec<Vec<u64>> = energies.iter().map(|&e| selinv_bits(e)).collect();
 
+    for threads in ["2", "4", "8"] {
+        std::env::set_var(env, threads);
+        for ((&e, r1), s1) in energies.iter().zip(&serial).zip(&serial_si) {
+            assert!(
+                rgf_bits(e) == *r1,
+                "E={e}: RGF point changed under OMEN_THREADS={threads}"
+            );
+            assert!(
+                selinv_bits(e) == *s1,
+                "E={e}: SelInv point changed under OMEN_THREADS={threads}"
+            );
+        }
+    }
     std::env::set_var(env, "4");
     check_equivalence(
         "Si wire, OMEN_THREADS=4",
         &h,
-        (&lead.0, &lead.1),
-        (&lead.0, &lead.1),
+        lead,
+        lead,
         &energies,
         tol("engine.si_wire"),
         tol("engine.selinv_si_wire"),
     );
-    for ((&e, &t1), &s1) in energies.iter().zip(&serial).zip(&serial_si) {
-        let t4 = omen::negf::transport_at_energy(e, &h, (&lead.0, &lead.1), (&lead.0, &lead.1))
-            .expect("threaded RGF")
-            .transmission;
-        assert!(
-            t4.to_bits() == t1.to_bits(),
-            "E={e}: transmission changed under OMEN_THREADS=4: {t4} vs {t1}"
-        );
-        let s4 =
-            omen::negf::selinv_transport_at_energy(e, &h, (&lead.0, &lead.1), (&lead.0, &lead.1))
-                .expect("threaded SelInv")
-                .transmission;
-        assert!(
-            s4.to_bits() == s1.to_bits(),
-            "E={e}: SelInv transmission changed under OMEN_THREADS=4: {s4} vs {s1}"
-        );
-    }
     match saved {
         Some(v) => std::env::set_var(env, v),
         None => std::env::remove_var(env),

@@ -83,6 +83,84 @@ fn lu_total_is_exact_for_unblocked_and_blocked_paths() {
     }
 }
 
+/// Counted flops of one RGF energy point after its contacts, for `nb`
+/// slabs of size `n` whose broadenings touch `sl` / `sr` orbitals — the
+/// operation list of `omen::negf::rgf` and `transport::package`, term by
+/// term.
+fn rgf_point_flops(nb: usize, n: usize, sl: usize, sr: usize) -> u64 {
+    let links = nb as u64 - 1;
+    // Per slab: one LU and its explicit inverse.
+    nb as u64 * (lu_flops(n) + trsm_flops(n, n))
+        // Per link: u_i, the Schur update u_i·A_{i,i+1}, t1, t1·G, (t1·G)·u_i.
+        + links * 5 * gemm_flops(n, n, n)
+        // Per link: the left (Dyson) and right column blocks on the supports.
+        + links * (gemm_flops(n, sl, n) + gemm_flops(n, sr, n))
+        // Z_{i+1} = −u_i·Z_i from the second link on (Z_1 is a column copy).
+        + links.saturating_sub(1) * gemm_flops(n, sl, n)
+        // Caroli trace on the s_L × s_R corner.
+        + gemm_flops(sl, sr, sl)
+        + gemm_flops(sl, sr, sr)
+        + gemm_flops(sl, sl, sr)
+        // Spectral diagonals: C·Γ[S,S] and one row dot per orbital.
+        + nb as u64 * (gemm_flops(n, sl, sl) + gemm_flops(n, sr, sr) + 8 * (n * (sl + sr)) as u64)
+}
+
+#[test]
+fn rgf_energy_point_count_is_the_closed_form() {
+    use omen::negf::contacts::local_contacts;
+    use omen::negf::transport::DEFAULT_ETA;
+    use omen::sparse::BlockTridiag;
+    let _guard = COUNTER_LOCK.lock().unwrap();
+    // A redundant product — a second factorization sweep, a full-width
+    // column, a full G·Γ·G† — shows up here as an exact surplus.
+    let n = 6usize;
+    let hermitian = |seed: u64| {
+        let m = randmat(n, n, seed);
+        &m + &m.adjoint()
+    };
+    // The lead coupling touches rows {0, 1, 2, 4} and columns {3, 5} only:
+    // Γ_L = i(Σ_L − Σ_L†) with Σ_L = H01†·g·H01 lives on the 2 columns,
+    // Γ_R (Σ_R = H01·g·H01†) on the 4 rows.
+    let (rows, cols) = ([0usize, 1, 2, 4], [3usize, 5]);
+    let mut h01 = ZMat::zeros(n, n);
+    let coupling = randmat(n, n, 31);
+    for &i in &rows {
+        for &j in &cols {
+            h01[(i, j)] = coupling[(i, j)].scale(0.3);
+        }
+    }
+    let h00 = hermitian(30);
+    let lead = (&h00, &h01);
+    let touched = |gamma: &ZMat| {
+        (0..n)
+            .filter(|&i| gamma.row(i).iter().any(|&v| v != c64::ZERO))
+            .count()
+    };
+    for nb in [1usize, 2, 5] {
+        let diag: Vec<ZMat> = (0..nb).map(|i| hermitian(40 + i as u64)).collect();
+        let upper: Vec<ZMat> = (1..nb).map(|i| randmat(n, n, 50 + i as u64)).collect();
+        let lower: Vec<ZMat> = upper.iter().map(ZMat::adjoint).collect();
+        let h = BlockTridiag::new(diag, lower, upper);
+        let e = 0.1;
+
+        // The decimation is deterministic, so its count (which depends on
+        // the iteration count) is measured by running it alone.
+        let scope = FlopScope::new();
+        let (sl, sr) = local_contacts(e, DEFAULT_ETA, lead, lead).expect("contacts");
+        let contacts = scope.take();
+        let (s_l, s_r) = (touched(&sl.gamma), touched(&sr.gamma));
+        assert_eq!((s_l, s_r), (cols.len(), rows.len()));
+
+        let scope = FlopScope::new();
+        omen::negf::transport_at_energy(e, &h, lead, lead).expect("RGF point");
+        assert_eq!(
+            scope.take() - contacts,
+            rgf_point_flops(nb, n, s_l, s_r),
+            "nb={nb}"
+        );
+    }
+}
+
 #[test]
 fn counter_is_race_free_under_concurrent_kernels() {
     let _guard = COUNTER_LOCK.lock().unwrap();

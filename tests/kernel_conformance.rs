@@ -209,8 +209,15 @@ fn gemm_alpha_beta_grid() {
 fn gemm_parallel_bit_identical_across_ops_and_threads() {
     // The determinism contract: for every op pair and thread count the
     // parallel result equals the serial result bit for bit. Shapes leave
-    // ragged stripe remainders and more rows than any sane chunk split.
-    let shapes = [(67usize, 97usize, 66usize), (130, 65, 64)];
+    // ragged stripe remainders and more rows than any sane chunk split;
+    // the last two are RGF's thin boundary-column products (n = 90 slab,
+    // s = 20 support orbitals).
+    let shapes = [
+        (67usize, 97usize, 66usize),
+        (130, 65, 64),
+        (90, 90, 20),
+        (90, 20, 20),
+    ];
     let mut next = rng(0xD0D0);
     for &(m, k, n) in &shapes {
         for &opa in &OPS {
