@@ -5,18 +5,12 @@
 //! cargo run --release -p omen-analyze -- --deny-all  # CI gate: exit 1 on findings
 //! cargo run --release -p omen-analyze -- --list-rules
 //! cargo run --release -p omen-analyze -- --rule float-eq crates/linalg
-//! cargo run --release -p omen-analyze -- --json                      # machine output
-//! cargo run --release -p omen-analyze -- --baseline ANALYZE_BASELINE.json --deny-all
-//! cargo run --release -p omen-analyze -- --write-baseline ANALYZE_BASELINE.json
 //! ```
 //!
 //! Exit codes: 0 clean (or findings in warn mode), 1 findings under
-//! `--deny-all` or any ratchet violation under `--baseline`, 2 usage or
-//! I/O error (including a malformed baseline).
+//! `--deny-all`, 2 usage or I/O error.
 
-use omen_analyze::{
-    analyze_sources, baseline, classify, walk_workspace, FileClass, Finding, RULES,
-};
+use omen_analyze::{analyze_sources, classify, walk_workspace, FileClass, Finding, RULES};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::time::Instant;
@@ -24,9 +18,6 @@ use std::time::Instant;
 struct Args {
     deny_all: bool,
     list_rules: bool,
-    json: bool,
-    baseline: Option<PathBuf>,
-    write_baseline: Option<PathBuf>,
     budget_ms: Option<u128>,
     rules: Vec<String>,
     paths: Vec<PathBuf>,
@@ -36,9 +27,6 @@ fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         deny_all: false,
         list_rules: false,
-        json: false,
-        baseline: None,
-        write_baseline: None,
         budget_ms: None,
         rules: Vec::new(),
         paths: Vec::new(),
@@ -48,15 +36,6 @@ fn parse_args() -> Result<Args, String> {
         match a.as_str() {
             "--deny-all" => args.deny_all = true,
             "--list-rules" => args.list_rules = true,
-            "--json" => args.json = true,
-            "--baseline" => {
-                let p = it.next().ok_or("--baseline requires a file path")?;
-                args.baseline = Some(PathBuf::from(p));
-            }
-            "--write-baseline" => {
-                let p = it.next().ok_or("--write-baseline requires a file path")?;
-                args.write_baseline = Some(PathBuf::from(p));
-            }
             "--budget-ms" => {
                 let n = it.next().ok_or("--budget-ms requires a number")?;
                 let n: u128 = n
@@ -73,8 +52,7 @@ fn parse_args() -> Result<Args, String> {
             }
             "--help" | "-h" => {
                 println!(
-                    "usage: omen-analyze [--deny-all] [--list-rules] [--json] \
-                     [--baseline FILE] [--write-baseline FILE] [--budget-ms N] \
+                    "usage: omen-analyze [--deny-all] [--list-rules] [--budget-ms N] \
                      [--rule NAME]... [PATH]..."
                 );
                 std::process::exit(0);
@@ -184,48 +162,31 @@ fn main() -> ExitCode {
         .collect();
     let wall_ms = started.elapsed().as_millis();
 
-    if let Some(path) = &args.write_baseline {
-        let text = baseline::baseline_json(&findings);
-        if let Err(e) = std::fs::write(path, text) {
-            eprintln!("omen-analyze: writing {}: {e}", path.display());
-            return ExitCode::from(2);
-        }
-        println!(
-            "omen-analyze: wrote baseline ({} finding(s)) to {}",
-            findings.len(),
-            path.display()
-        );
+    for fd in &findings {
+        println!("{}:{}: [{}] {}", fd.path, fd.line, fd.rule, fd.message);
     }
-
-    if args.json {
-        print!("{}", baseline::findings_json(&findings, scanned, wall_ms));
+    // Per-rule counts, findings first, then silent rules — CI surfaces
+    // this as the analyzer scoreboard.
+    let mut counts: Vec<(usize, &str)> = RULES
+        .iter()
+        .map(|r| (findings.iter().filter(|f| f.rule == r.name).count(), r.name))
+        .collect();
+    counts.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(b.1)));
+    let line = counts
+        .iter()
+        .map(|(n, name)| format!("{name}={n}"))
+        .collect::<Vec<_>>()
+        .join(" ");
+    println!("omen-analyze: per-rule {line}");
+    let verdict = if findings.is_empty() {
+        "clean"
     } else {
-        for fd in &findings {
-            println!("{}:{}: [{}] {}", fd.path, fd.line, fd.rule, fd.message);
-        }
-        // Per-rule counts, findings first, then silent rules — CI surfaces
-        // this as the analyzer scoreboard.
-        let mut counts: Vec<(usize, &str)> = RULES
-            .iter()
-            .map(|r| (findings.iter().filter(|f| f.rule == r.name).count(), r.name))
-            .collect();
-        counts.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(b.1)));
-        let line = counts
-            .iter()
-            .map(|(n, name)| format!("{name}={n}"))
-            .collect::<Vec<_>>()
-            .join(" ");
-        println!("omen-analyze: per-rule {line}");
-        let verdict = if findings.is_empty() {
-            "clean"
-        } else {
-            "dirty"
-        };
-        println!(
-            "omen-analyze: {} finding(s) in {scanned} file(s) in {wall_ms} ms — {verdict}",
-            findings.len()
-        );
-    }
+        "dirty"
+    };
+    println!(
+        "omen-analyze: {} finding(s) in {scanned} file(s) in {wall_ms} ms — {verdict}",
+        findings.len()
+    );
 
     if let Some(budget) = args.budget_ms {
         if wall_ms > budget {
@@ -238,43 +199,7 @@ fn main() -> ExitCode {
         }
     }
 
-    let mut failed = false;
-    if let Some(path) = &args.baseline {
-        let text = match std::fs::read_to_string(path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("omen-analyze: reading baseline {}: {e}", path.display());
-                return ExitCode::from(2);
-            }
-        };
-        let entries = match baseline::parse_baseline(&text) {
-            Ok(e) => e,
-            Err(e) => {
-                eprintln!("omen-analyze: baseline {}: {e}", path.display());
-                return ExitCode::from(2);
-            }
-        };
-        let violations = baseline::ratchet(&findings, &entries);
-        for v in &violations {
-            if v.stale {
-                eprintln!(
-                    "omen-analyze: STALE baseline entry [{}] {} accepts {} but only {} fire — \
-                     shrink the baseline (the ratchet only goes down)",
-                    v.rule, v.path, v.accepted, v.actual
-                );
-            } else {
-                eprintln!(
-                    "omen-analyze: NEW finding(s) [{}] {}: {} > baseline {} — fix them or \
-                     annotate with a reasoned allow",
-                    v.rule, v.path, v.actual, v.accepted
-                );
-            }
-        }
-        failed |= !violations.is_empty();
-    } else if args.deny_all && !findings.is_empty() {
-        failed = true;
-    }
-    if failed {
+    if args.deny_all && !findings.is_empty() {
         return ExitCode::FAILURE;
     }
     ExitCode::SUCCESS

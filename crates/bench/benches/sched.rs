@@ -21,9 +21,9 @@
 //! k point with a resonance comb pins its whole group while the flat
 //! k point's group drains early — an imbalance no per-group balancer can
 //! fix. The dynamic leg runs one `dynamic_sweep` over the unified grid
-//! per bias point, warm-starting its cost models across bias points
-//! through a [`ModelBank`] exactly like
-//! `omen_core::parallel::parallel_transmission_k_banked`: from the second
+//! per bias point, warm-starting its cost model across bias points
+//! through a [`ModelBank`] (checkout → sweep → commit, the lifecycle of
+//! `omen_core::parallel::parallel_transmission_k_banked`): from the second
 //! bias point onward the first hand-out is LPT over measured costs.
 //!
 //! A third case, `utb-k3`, replaces the sleeps with the solver: the repo
@@ -192,9 +192,9 @@ fn run_iv_static(w: &IvWorkload, ranks: usize) -> (f64, f64) {
 }
 
 /// Whole-curve dynamic sweep: one `dynamic_sweep` over the unified
-/// `k × E` grid per bias point, per-(bias, k) cost models carried across
-/// bias points in a [`ModelBank`] (checkout → concat → sweep → split →
-/// commit, the `parallel_transmission_k_banked` lifecycle). Returns
+/// `k × E` grid per bias point, its cost model carried across bias points
+/// in a [`ModelBank`] (checkout → sweep → commit, the
+/// `parallel_transmission_k_banked` lifecycle). Returns
 /// `(wall_s, imbalance, reissued)` aggregated over the whole curve.
 fn run_iv_dynamic(w: &IvWorkload, ranks: usize) -> (f64, f64, usize) {
     let opts = SchedOptions {
@@ -208,10 +208,9 @@ fn run_iv_dynamic(w: &IvWorkload, ranks: usize) -> (f64, f64, usize) {
         let mut bank = ModelBank::new();
         let mut agg = SchedStats::default();
         for bias in 0..w.bias {
-            let parts: Vec<CostModel> = (0..w.n_k)
-                .map(|ik| bank.checkout(bias, ik, w.n_e, || CostModel::band_edge(w.n_e, 2.0)))
-                .collect();
-            let mut model = CostModel::concat(&parts);
+            let mut model = bank.checkout(bias, w.grid(), || {
+                CostModel::band_edge_grid(w.n_k, w.n_e, 2.0)
+            });
             let outcome = dynamic_sweep(&world, &es, &mut model, &opts, |id| {
                 std::thread::sleep(w.cost(id));
                 Ok(vec![id as f64])
@@ -219,9 +218,7 @@ fn run_iv_dynamic(w: &IvWorkload, ranks: usize) -> (f64, f64, usize) {
             .unwrap();
             assert!(outcome.report.is_clean(), "synthetic solve never fails");
             assert_eq!(outcome.report.solved, w.grid());
-            for (ik, part) in model.split(w.n_e).into_iter().enumerate() {
-                bank.commit(bias, ik, part);
-            }
+            bank.commit(bias, model);
             agg.absorb(&outcome.stats);
         }
         (agg, bank.lifetime_counts())
@@ -235,8 +232,8 @@ fn run_iv_dynamic(w: &IvWorkload, ranks: usize) -> (f64, f64, usize) {
         .unwrap();
     // The bank must seed only on the first bias point and warm-start every
     // later one — the whole point of sweep-lifetime cost models.
-    assert_eq!(counts.seeded, w.n_k, "only the first bias point may seed");
-    assert_eq!(counts.warmed, w.n_k * (w.bias - 1));
+    assert_eq!(counts.seeded, 1, "only the first bias point may seed");
+    assert_eq!(counts.warmed, w.bias - 1);
     let reissued = agg.reissued_failed + agg.reissued_straggler;
     (wall, agg.imbalance(), reissued)
 }

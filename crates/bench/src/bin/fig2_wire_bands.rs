@@ -1,6 +1,6 @@
 //! fig2_wire_bands — nanowire electronic structure vs cross-section.
 //!
-//! Regenerates the confinement figure: subband gap of square [100] Si
+//! Regenerates the confinement figure: subband gap of square \[100\] Si
 //! nanowires against cross-section size, plus the lowest subband edges for
 //! the 1 nm wire. Expected shape: the gap grows monotonically as the wire
 //! shrinks (quantum confinement) and approaches the bulk value from above.

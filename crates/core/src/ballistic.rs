@@ -1,7 +1,7 @@
 //! Per-bias ballistic transport: energy sweep, current and quantum charge.
 //!
 //! Energy sweeps isolate failures per point: an energy whose solve returns
-//! a typed [`OmenError`] (after the lower-level recovery policies are
+//! a typed [`omen_num::OmenError`] (after the lower-level recovery policies are
 //! exhausted) is dropped from the grid and recorded in the result's
 //! [`SweepReport`] instead of aborting the bias point.
 
@@ -41,17 +41,6 @@ pub struct BallisticResult {
     pub hole_density: Vec<f64>,
     /// Per-point solve/retry/failure accounting for the sweep.
     pub report: SweepReport,
-}
-
-impl BallisticResult {
-    /// Net mobile charge per atom `p − n` (e).
-    pub fn net_mobile_charge(&self) -> Vec<f64> {
-        self.hole_density
-            .iter()
-            .zip(&self.electron_density)
-            .map(|(p, n)| p - n)
-            .collect()
-    }
 }
 
 /// Assembled device Hamiltonian, lead blocks and transport window for one

@@ -379,13 +379,12 @@ fn whole_curve_dynamic(
 ) -> OmenResult<(Vec<TransmissionSweep>, Option<SchedStats>)> {
     let n_e = energies.len();
     let nk = kys.len();
-    // Sweep-lifetime cost models: one ledger per k-point, checked out of
-    // the bank (hit → warm → band-edge seed) and concatenated into the
-    // unit-grid order `id = ik * n_e + ie`.
-    let parts: Vec<CostModel> = (0..nk)
-        .map(|ik| bank.checkout(bias_step, ik, n_e, || CostModel::band_edge(n_e, 2.0)))
-        .collect();
-    let mut model = CostModel::concat(&parts);
+    // Sweep-lifetime cost model: one ledger over the unit grid
+    // `id = ik * n_e + ie`, checked out of the bank (hit → warm →
+    // band-edge seed).
+    let mut model = bank.checkout(bias_step, nk * n_e, || {
+        CostModel::band_edge_grid(nk, n_e, 2.0)
+    });
     let stamps: Vec<f64> = (0..nk * n_e).map(|id| energies[id % n_e]).collect();
     // Lazily build each k-point's system on first use; units for one k
     // arrive chunked, so in practice each worker factorizes few systems.
@@ -398,9 +397,7 @@ fn whole_curve_dynamic(
         let (_, (h, h00, h01)) = cached.as_ref().expect("cached above");
         solve_unit(comms, energies[id % n_e], h, (h00, h01), (h00, h01))
     })?;
-    for (ik, part) in model.split(n_e).into_iter().enumerate() {
-        bank.commit(bias_step, ik, part);
-    }
+    bank.commit(bias_step, model);
     // Rebuild the per-k sweeps my momentum group owns, exactly as the
     // static leg's momentum-level reduction would have produced them.
     let sweeps = mine
@@ -429,7 +426,7 @@ fn whole_curve_dynamic(
 /// [`Schedule::Static`] (or whenever `cfg.spatial > 1`) each group runs a
 /// per-k [`parallel_transmission`] energy sweep; under
 /// [`Schedule::Dynamic`] with `cfg.spatial == 1` the whole `k × E` grid
-/// becomes one bias-group-wide dataflow ([`whole_curve_dynamic`]) with
+/// becomes one bias-group-wide dataflow (`whole_curve_dynamic`) with
 /// cross-momentum work stealing and a solving coordinator, bit-identical
 /// to the static nested split.
 ///
@@ -439,9 +436,9 @@ fn whole_curve_dynamic(
 /// reduction; partially failed k-points keep their per-energy entries.
 /// Neither case fails the bias group.
 ///
-/// **Cost-model persistence**: the dynamic dataflow checks its per-(bias,
-/// k) cost models out of `bank` before the sweep and commits the measured
-/// ledgers back afterwards. Pass the same bank across SCF outer iterations
+/// **Cost-model persistence**: the dynamic dataflow checks the bias step's
+/// cost model out of `bank` before the sweep and commits the measured
+/// ledger back afterwards. Pass the same bank across SCF outer iterations
 /// and bias points (`bias_step` is the bank's bias key, e.g. the I–V point
 /// index) so from the second step onward every sweep is LPT-scheduled over
 /// *measured* costs instead of band-edge seeds; a one-off sweep passes a
@@ -557,6 +554,7 @@ mod tests {
     use crate::spec::TransistorSpec;
     use omen_num::linspace;
     use omen_parsim::run_ranks;
+    use omen_sched::BankCounts;
     use omen_tb::Material;
 
     #[test]
@@ -937,6 +935,60 @@ mod tests {
                 // The unified grid spans every momentum group's units.
                 let stats = d.sched.as_ref().expect("dynamic stats");
                 assert_eq!(stats.units, kys.len() * energies.len(), "{at}");
+            }
+        }
+    }
+
+    #[test]
+    fn bank_is_consulted_once_per_sweep_and_never_changes_values() {
+        // One bank across bias steps 0, 1 and 1 again (the SCF re-solve):
+        // the first sweep seeds, the next warms from it, the repeat hits —
+        // one checkout per sweep however many k-points it brokers — and
+        // every sweep stays bit-identical to the static split.
+        let energies = linspace(-0.5, 0.5, 5);
+        let kys = [(0.0, 0.5), (1.0, 0.5)];
+        let cfg = LevelConfig {
+            bias: 1,
+            momentum: 2,
+            energy: 1,
+            spatial: 1,
+        };
+        let run = |schedule: Schedule| {
+            run_ranks(2, |ctx| {
+                let comms = split_levels(ctx, &cfg)?;
+                let mut bank = ModelBank::new();
+                let mut steps = Vec::new();
+                for bias_step in [0, 1, 1] {
+                    let sweep = parallel_transmission_k_banked(
+                        &comms,
+                        &cfg,
+                        |_| healthy_chain(),
+                        &kys,
+                        &energies,
+                        schedule,
+                        &mut bank,
+                        bias_step,
+                    )?;
+                    steps.push((sweep.transmission, bank.lifetime_counts()));
+                }
+                Ok(steps)
+            })
+            .flattened()
+            .unwrap_all()
+        };
+        let stat = run(Schedule::Static);
+        let dynr = run(Schedule::Dynamic(SchedOptions::default()));
+        let counts = |hits, warmed, seeded| BankCounts {
+            hits,
+            warmed,
+            seeded,
+        };
+        let bits = |t: &[f64]| t.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for (s, d) in stat.iter().zip(&dynr) {
+            let seen: Vec<BankCounts> = d.iter().map(|step| step.1).collect();
+            assert_eq!(seen, [counts(0, 0, 1), counts(0, 1, 1), counts(1, 1, 1)]);
+            for ((ts, _), (td, _)) in s.iter().zip(d) {
+                assert_eq!(bits(ts), bits(td));
             }
         }
     }

@@ -19,7 +19,7 @@ pub enum Sublattice {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Crystal {
     /// Diamond or zincblende with conventional-cell lattice constant `a`
-    /// (nm); transport axis x is [100].
+    /// (nm); transport axis x is \[100\].
     Zincblende {
         /// Conventional cubic lattice constant in nm.
         a: f64,

@@ -19,7 +19,7 @@
 //! The microkernel has two implementations behind the single dispatch
 //! point [`crate::threads::simd_path`] (`OMEN_SIMD`, resolved once per
 //! process): the portable scalar reference below and the `x86_64`
-//! AVX2+FMA variant in [`crate::simd`]. Both consume the same packed
+//! AVX2+FMA variant in `crate::simd`. Both consume the same packed
 //! panels; zero padding at ragged edges lets one kernel shape serve every
 //! block, with the store loop masking the padded rows/columns.
 //!
@@ -430,18 +430,6 @@ pub fn matmul_n_h(a: &ZMat, b: &ZMat) -> ZMat {
     c
 }
 
-/// Triple product `A · B · C`, associating to minimize work.
-pub fn matmul3(a: &ZMat, b: &ZMat, c: &ZMat) -> ZMat {
-    // Cost of (AB)C vs A(BC)
-    let left = a.nrows() * b.ncols() * (a.ncols() + c.ncols());
-    let right = b.nrows() * c.ncols() * (b.ncols() + a.nrows());
-    if left <= right {
-        matmul(&matmul(a, b), c)
-    } else {
-        matmul(a, &matmul(b, c))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -546,16 +534,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn matmul3_associativity() {
-        let a = randmat(4, 6, 21);
-        let b = randmat(6, 3, 22);
-        let c = randmat(3, 5, 23);
-        let p1 = matmul3(&a, &b, &c);
-        let p2 = matmul(&matmul(&a, &b), &c);
-        assert!((&p1 - &p2).max_abs() < 1e-11);
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! transport needs:
 //!
 //! * [`ZMat`] — dense, row-major, double-precision complex matrices;
-//! * [`gemm`] — tiled, packed, multi-threaded general matrix multiply with
+//! * [`gemm()`] — tiled, packed, multi-threaded general matrix multiply with
 //!   `N`/`T`/`H` operand ops, running a register-blocked `MR×NR` complex
 //!   microkernel with scalar and `x86_64` AVX2+FMA implementations behind
 //!   one per-process dispatch point; for a fixed dispatch path, parallel

@@ -10,7 +10,7 @@ use std::ops::{Add, AddAssign, Index, IndexMut, Mul, Neg, Sub, SubAssign};
 /// blocks, Green's function blocks, self-energies, mode matrices. Blocks in
 /// nanoelectronic devices are typically 40–4000 rows, so the storage is a
 /// single contiguous `Vec<c64>` with row-major layout (friendly to the `ikj`
-/// GEMM loop order used in [`crate::gemm`]).
+/// GEMM loop order used in [`mod@crate::gemm`]).
 #[derive(Clone, PartialEq)]
 pub struct ZMat {
     nrows: usize,
@@ -188,20 +188,6 @@ impl ZMat {
         );
         for i in 0..b.nrows {
             self.row_mut(r0 + i)[c0..c0 + b.ncols].copy_from_slice(b.row(i));
-        }
-    }
-
-    /// Adds `b` into the block at `(r0, c0)`.
-    pub fn add_block(&mut self, r0: usize, c0: usize, b: &ZMat) {
-        assert!(
-            r0 + b.nrows <= self.nrows && c0 + b.ncols <= self.ncols,
-            "block out of range"
-        );
-        for i in 0..b.nrows {
-            let dst = &mut self.row_mut(r0 + i)[c0..c0 + b.ncols];
-            for (d, &s) in dst.iter_mut().zip(b.row(i)) {
-                *d += s;
-            }
         }
     }
 
@@ -484,8 +470,6 @@ mod tests {
         c.set_block(1, 2, &b);
         assert_eq!(c[(3, 3)], a[(3, 3)]);
         assert_eq!(c[(0, 0)], c64::ZERO);
-        c.add_block(1, 2, &b);
-        assert_eq!(c[(1, 2)], a[(1, 2)] * 2.0);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! `axpy` and `dot` sit under the block-tridiagonal matvec and the QR
 //! orthogonalization, so they get the same per-process SIMD dispatch as
 //! the GEMM microkernel ([`crate::threads::simd_path`], `OMEN_SIMD`): a
-//! scalar reference loop and an AVX2+FMA variant in [`crate::simd`]. The
+//! scalar reference loop and an AVX2+FMA variant in `crate::simd`. The
 //! SIMD `axpy` is lane-local (element order unchanged); the SIMD `dot`
 //! accumulates two interleaved partial sums, so like the GEMM microkernel
 //! it matches the scalar path only to rounding, never bit-for-bit — the

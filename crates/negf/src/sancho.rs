@@ -22,10 +22,10 @@
 //!
 //! **Failure policy**: the iteration is bounded ([`MAX_DECIMATION_ITERS`]);
 //! non-convergence or a singular intermediate yields a typed
-//! [`OmenError`]. [`surface_green_function_recovering`] additionally
-//! retries with the energy nudged by a few η (off any pathological
-//! resonance of the decimated chain) before giving up, reporting the retry
-//! count so sweeps can account the recovery.
+//! [`OmenError`]. [`surface_green_function`] retries with the energy
+//! nudged by a few η (off any pathological resonance of the decimated
+//! chain) before giving up, reporting the retry count so sweeps can
+//! account the recovery.
 //!
 //! Device coupling: the left contact touches slab 0 through `H_{0,-1} = H01†`
 //! giving `Σ_L = H01† g_L H01`; the right contact touches slab N−1 through
@@ -48,7 +48,7 @@ pub enum Side {
 /// means the energy sits on a pathological resonance.
 pub const MAX_DECIMATION_ITERS: usize = 200;
 
-/// Energy-nudge retries [`surface_green_function_recovering`] spends on a
+/// Energy-nudge retries [`surface_green_function`] spends on a
 /// non-converged lead before surfacing the error.
 pub const MAX_LEAD_RETRIES: usize = 3;
 
@@ -66,8 +66,8 @@ fn contracted(m: &ZMat, tol: f64) -> bool {
     })
 }
 
-/// Core decimation loop with an explicit iteration bound. Returns the
-/// surface GF and the iterations consumed.
+/// Core decimation loop with an explicit iteration bound: the surface GF
+/// at exactly `e`, no recovery.
 fn decimate(
     e: f64,
     eta: f64,
@@ -75,7 +75,7 @@ fn decimate(
     h01: &ZMat,
     side: Side,
     max_iters: usize,
-) -> OmenResult<(ZMat, usize)> {
+) -> OmenResult<ZMat> {
     assert!(eta > 0.0, "Sancho-Rubio needs a positive broadening");
     let n = h00.nrows();
     let ec = c64::new(e, eta);
@@ -134,7 +134,7 @@ fn decimate(
                 Ok(f) => {
                     let g = f.inverse();
                     if g.norm_fro().is_finite() {
-                        Ok((g, it + 1))
+                        Ok(g)
                     } else {
                         Err(OmenError::LeadNotConverged {
                             energy: e,
@@ -152,106 +152,64 @@ fn decimate(
     })
 }
 
-/// [`surface_green_function`] with a caller-chosen iteration bound.
-///
-/// # Errors
-///
-/// Same contract as [`surface_green_function`], with `max_iters` as the
-/// decimation bound.
-pub fn surface_green_function_bounded(
+/// Absolute floor of the recovery nudge step (eV): even with η below
+/// rounding, the retry moves far enough to escape a band-edge or resonance
+/// stall, while staying well below thermal broadening (~26 meV).
+pub const LEAD_NUDGE_FLOOR: f64 = 1e-7;
+
+/// [`decimate`] with the energy-nudge recovery policy: on non-convergence,
+/// retry at `E ± k·step` (alternating sides, growing `k`,
+/// `step = max(4η, LEAD_NUDGE_FLOOR)`) up to [`MAX_LEAD_RETRIES`] times.
+/// Returns the surface GF and the retries spent.
+fn decimate_recovering(
     e: f64,
     eta: f64,
     h00: &ZMat,
     h01: &ZMat,
     side: Side,
     max_iters: usize,
-) -> OmenResult<ZMat> {
-    decimate(e, eta, h00, h01, side, max_iters).map(|(g, _)| g)
+) -> OmenResult<(ZMat, usize)> {
+    let first = match decimate(e, eta, h00, h01, side, max_iters) {
+        Ok(g) => return Ok((g, 0)),
+        Err(first) => first,
+    };
+    let step = (4.0 * eta).max(LEAD_NUDGE_FLOOR);
+    for retry in 1..=MAX_LEAD_RETRIES {
+        let k = retry.div_ceil(2) as f64;
+        let sign = if retry % 2 == 1 { 1.0 } else { -1.0 };
+        let nudged = e + sign * k * step;
+        if let Ok(g) = decimate(nudged, eta, h00, h01, side, max_iters) {
+            return Ok((g, retry));
+        }
+    }
+    Err(first)
 }
 
 /// Surface Green's function of a semi-infinite lead at complex energy
-/// `E + iη`.
+/// `E + iη`, and the number of recovery retries spent (`0` = converged at
+/// the requested energy).
 ///
 /// `h00`/`h01` follow the convention above; `side` selects the recursion
-/// orientation.
+/// orientation. A decimation that does not contract within
+/// [`MAX_DECIMATION_ITERS`] iterations, or hits an intermediate resolvent
+/// singular to working precision (both practically unreachable for η > 0
+/// off resonances and band edges), is retried up to [`MAX_LEAD_RETRIES`]
+/// times with the energy nudged off the stall — by multiples of
+/// `max(4η, LEAD_NUDGE_FLOOR)`, inside the broadening-limited energy
+/// resolution.
 ///
 /// # Errors
 ///
-/// Returns [`OmenError::LeadNotConverged`] when the decimation does not
-/// contract within [`MAX_DECIMATION_ITERS`] iterations, and
-/// [`OmenError::SingularBlock`] when an intermediate resolvent is singular
-/// to working precision (both practically unreachable for η > 0 off
-/// resonances and band edges).
+/// Returns the *original* energy's [`OmenError::LeadNotConverged`] /
+/// [`OmenError::SingularBlock`] when every nudge also fails.
 pub fn surface_green_function(
     e: f64,
     eta: f64,
     h00: &ZMat,
     h01: &ZMat,
     side: Side,
-) -> OmenResult<ZMat> {
-    surface_green_function_bounded(e, eta, h00, h01, side, MAX_DECIMATION_ITERS)
-}
-
-/// Absolute floor of the recovery nudge step (eV): even with η below
-/// rounding, the retry moves far enough to escape a band-edge or resonance
-/// stall, while staying well below thermal broadening (~26 meV).
-pub const LEAD_NUDGE_FLOOR: f64 = 1e-7;
-
-/// [`surface_green_function_bounded`] with the energy-nudge recovery
-/// policy: on non-convergence, retry at `E ± k·step` (alternating sides,
-/// growing `k`, `step = max(4η, LEAD_NUDGE_FLOOR)`) up to
-/// [`MAX_LEAD_RETRIES`] times. The nudge moves the evaluation off a
-/// discrete resonance or band-edge stall of the decimated chain while
-/// staying inside the broadening-limited energy resolution. Returns the
-/// surface GF and the number of retries spent (`0` = converged at the
-/// requested energy).
-///
-/// # Errors
-///
-/// Returns the *original* energy's [`OmenError::LeadNotConverged`] /
-/// [`OmenError::SingularBlock`] when every nudge up to
-/// [`MAX_LEAD_RETRIES`] also fails.
-pub fn surface_green_function_recovering_bounded(
-    e: f64,
-    eta: f64,
-    h00: &ZMat,
-    h01: &ZMat,
-    side: Side,
-    max_iters: usize,
 ) -> OmenResult<(ZMat, usize)> {
-    match surface_green_function_bounded(e, eta, h00, h01, side, max_iters) {
-        Ok(g) => Ok((g, 0)),
-        Err(first) => {
-            let step = (4.0 * eta).max(LEAD_NUDGE_FLOOR);
-            for retry in 1..=MAX_LEAD_RETRIES {
-                let k = retry.div_ceil(2) as f64;
-                let sign = if retry % 2 == 1 { 1.0 } else { -1.0 };
-                let nudged = e + sign * k * step;
-                if let Ok(g) =
-                    surface_green_function_bounded(nudged, eta, h00, h01, side, max_iters)
-                {
-                    return Ok((g, retry));
-                }
-            }
-            Err(first)
-        }
-    }
-}
-
-/// [`surface_green_function_recovering_bounded`] at the default
-/// [`MAX_DECIMATION_ITERS`] bound.
-///
-/// # Errors
-///
-/// Same contract as [`surface_green_function_recovering_bounded`].
-pub fn surface_green_function_recovering(
-    e: f64,
-    eta: f64,
-    h00: &ZMat,
-    h01: &ZMat,
-    side: Side,
-) -> OmenResult<(ZMat, usize)> {
-    surface_green_function_recovering_bounded(e, eta, h00, h01, side, MAX_DECIMATION_ITERS)
+    decimate_recovering(e, eta, h00, h01, side, MAX_DECIMATION_ITERS)
 }
 
 /// A contact self-energy `Σ` with its broadening `Γ = i(Σ − Σ†)`.
@@ -277,7 +235,7 @@ impl ContactSelfEnergy {
     /// Propagates the lead solve's [`OmenError::LeadNotConverged`] /
     /// [`OmenError::SingularBlock`] once the nudge recovery is exhausted.
     pub fn compute(e: f64, eta: f64, h00: &ZMat, h01: &ZMat, side: Side) -> OmenResult<Self> {
-        let (g, retries) = surface_green_function_recovering(e, eta, h00, h01, side)?;
+        let (g, retries) = surface_green_function(e, eta, h00, h01, side)?;
         let sigma = match side {
             // Σ_L = H01† g_L H01
             Side::Left => {
@@ -321,7 +279,7 @@ mod tests {
         let (e0, t) = (0.0, -1.0);
         let (h00, h01) = chain_blocks(e0, t);
         for &e in &[-1.5, -0.5, 0.05, 0.7, 1.9] {
-            let g = surface_green_function(e, 1e-6, &h00, &h01, Side::Right).unwrap();
+            let (g, _) = surface_green_function(e, 1e-6, &h00, &h01, Side::Right).unwrap();
             let x = e - e0;
             let disc = 4.0 * t * t - x * x;
             assert!(disc > 0.0, "test energies must lie inside the band");
@@ -338,7 +296,7 @@ mod tests {
     #[test]
     fn outside_band_gf_is_real() {
         let (h00, h01) = chain_blocks(0.0, -1.0);
-        let g = surface_green_function(3.0, 1e-6, &h00, &h01, Side::Left).unwrap();
+        let (g, _) = surface_green_function(3.0, 1e-6, &h00, &h01, Side::Left).unwrap();
         assert!(
             g[(0, 0)].im.abs() < 1e-4,
             "no DOS outside the band: {}",
@@ -364,8 +322,8 @@ mod tests {
         // For a symmetric (Hermitian h00, h01 = h01ᵀ real) chain both sides
         // give the same surface GF.
         let (h00, h01) = chain_blocks(0.5, -0.8);
-        let gl = surface_green_function(0.9, 1e-6, &h00, &h01, Side::Left).unwrap();
-        let gr = surface_green_function(0.9, 1e-6, &h00, &h01, Side::Right).unwrap();
+        let (gl, _) = surface_green_function(0.9, 1e-6, &h00, &h01, Side::Left).unwrap();
+        let (gr, _) = surface_green_function(0.9, 1e-6, &h00, &h01, Side::Right).unwrap();
         assert!((gl[(0, 0)] - gr[(0, 0)]).abs() < 1e-6);
     }
 
@@ -397,7 +355,7 @@ mod tests {
         // insufficient and must surface as a typed non-convergence, not a
         // panic or a garbage surface GF.
         let (h00, h01) = chain_blocks(0.0, -1.0);
-        let r = surface_green_function_bounded(2.0, 1e-18, &h00, &h01, Side::Left, 30);
+        let r = decimate(2.0, 1e-18, &h00, &h01, Side::Left, 30);
         match r {
             Err(OmenError::LeadNotConverged { energy, iters }) => {
                 assert_eq!(energy, 2.0);
@@ -418,12 +376,10 @@ mod tests {
         let (h00, h01) = chain_blocks(0.0, -1.0);
         let eta = 1e-9;
         assert!(
-            surface_green_function_bounded(2.0, eta, &h00, &h01, Side::Left, 18).is_err(),
+            decimate(2.0, eta, &h00, &h01, Side::Left, 18).is_err(),
             "the edge itself must stall under the tight bound"
         );
-        let (g, retries) =
-            surface_green_function_recovering_bounded(2.0, eta, &h00, &h01, Side::Left, 18)
-                .unwrap();
+        let (g, retries) = decimate_recovering(2.0, eta, &h00, &h01, Side::Left, 18).unwrap();
         assert_eq!(retries, 1, "recovery must record the single nudge");
         // The recovered surface GF is still retarded: Im g ≤ 0.
         assert!(g[(0, 0)].im <= 0.0, "recovered GF must stay retarded");

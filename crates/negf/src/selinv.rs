@@ -876,7 +876,7 @@ pub fn selinv_solve_parallel(
 }
 
 /// Per-energy transport with the serial selected-inversion engine — the
-/// [`Engine::SelInv`]-equivalent of
+/// `Engine::SelInv`-equivalent of
 /// [`transport_at_energy`](crate::transport::transport_at_energy): contact
 /// self-energies from Sancho–Rubio, then one tree-structured solve.
 ///

@@ -133,12 +133,6 @@ impl c64 {
         acc
     }
 
-    /// Returns `a*b + c` (no FMA contract — just a convenience).
-    #[inline(always)]
-    pub fn mul_add(self, b: c64, c: c64) -> Self {
-        self * b + c
-    }
-
     /// True when either component is NaN.
     #[inline]
     pub fn is_nan(self) -> bool {

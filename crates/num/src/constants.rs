@@ -12,12 +12,6 @@ pub const KB: f64 = 8.617_333_262e-5;
 /// `ħ²/(2 m₀)` in eV·nm² (free electron mass).
 pub const HBAR2_OVER_2M0: f64 = 0.038_099_821;
 
-/// Reduced Planck constant in eV·s.
-pub const HBAR_EV_S: f64 = 6.582_119_569e-16;
-
-/// Planck constant in eV·s.
-pub const H_EV_S: f64 = 4.135_667_696e-15;
-
 /// Elementary charge in C.
 pub const Q_E: f64 = 1.602_176_634e-19;
 

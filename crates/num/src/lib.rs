@@ -26,16 +26,3 @@ pub use fermi::{dfermi_de, fermi, log1p_exp};
 pub use grid::linspace;
 pub use quad::{adaptive_simpson, trapezoid};
 pub use tolerance::{BoundKind, DispatchLeg, TolerancePolicy};
-
-/// Approximate equality for floats with absolute tolerance.
-#[inline]
-pub fn approx_eq(a: f64, b: f64, tol: f64) -> bool {
-    (a - b).abs() <= tol
-}
-
-/// Relative-or-absolute approximate equality:
-/// true when `|a-b| <= tol * max(1, |a|, |b|)`.
-#[inline]
-pub fn rel_eq(a: f64, b: f64, tol: f64) -> bool {
-    (a - b).abs() <= tol * 1.0_f64.max(a.abs()).max(b.abs())
-}

@@ -56,46 +56,6 @@ fn simpson_rec<F: FnMut(f64) -> f64>(
     }
 }
 
-/// Gauss–Legendre nodes and weights on `[-1, 1]` for `n` points, computed by
-/// Newton iteration on the Legendre recurrence. Used for transverse-momentum
-/// integration where endpoint clustering is undesirable.
-pub fn gauss_legendre(n: usize) -> (Vec<f64>, Vec<f64>) {
-    assert!(n >= 1);
-    let mut nodes = vec![0.0; n];
-    let mut weights = vec![0.0; n];
-    let m = n.div_ceil(2);
-    for i in 0..m {
-        // Initial guess (Chebyshev-like).
-        let mut x = (std::f64::consts::PI * (i as f64 + 0.75) / (n as f64 + 0.5)).cos();
-        let mut dp = 0.0;
-        for _ in 0..100 {
-            // Legendre P_n(x) and derivative via recurrence.
-            let mut p0 = 1.0;
-            let mut p1 = x;
-            for k in 2..=n {
-                let p2 = ((2 * k - 1) as f64 * x * p1 - (k - 1) as f64 * p0) / k as f64;
-                p0 = p1;
-                p1 = p2;
-            }
-            dp = n as f64 * (x * p1 - p0) / (x * x - 1.0);
-            let dx = p1 / dp;
-            x -= dx;
-            if dx.abs() < 1e-15 {
-                break;
-            }
-        }
-        nodes[i] = -x;
-        nodes[n - 1 - i] = x;
-        let w = 2.0 / ((1.0 - x * x) * dp * dp);
-        weights[i] = w;
-        weights[n - 1 - i] = w;
-    }
-    if n % 2 == 1 {
-        nodes[n / 2] = 0.0;
-    }
-    (nodes, weights)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -141,21 +101,5 @@ mod tests {
         );
         // Integral of the window equals mu_L - mu_R = 0.2 at any temperature.
         assert!((v - 0.2).abs() < 1e-7, "window integral {v}");
-    }
-
-    #[test]
-    fn gauss_legendre_orders() {
-        for n in [1usize, 2, 3, 5, 8, 16] {
-            let (x, w) = gauss_legendre(n);
-            // Weights sum to 2, nodes symmetric, integrates x^2 exactly for n>=2.
-            assert!((w.iter().sum::<f64>() - 2.0).abs() < 1e-12, "n={n}");
-            for i in 0..n {
-                assert!((x[i] + x[n - 1 - i]).abs() < 1e-12);
-            }
-            if n >= 2 {
-                let int_x2: f64 = x.iter().zip(&w).map(|(&xi, &wi)| wi * xi * xi).sum();
-                assert!((int_x2 - 2.0 / 3.0).abs() < 1e-12, "n={n}");
-            }
-        }
     }
 }

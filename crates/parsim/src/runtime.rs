@@ -12,7 +12,7 @@
 //! Every rank of a communicator must enter the same collectives in the same
 //! order (the SPMD contract). Instead of trusting a doc comment, each
 //! collective runs a verified round: every non-root member prepends a
-//! [`Fingerprint`] header — op kind, communicator id, op counter, payload
+//! `Fingerprint` header — op kind, communicator id, op counter, payload
 //! length — to its first message, the root compares each header against its
 //! own fingerprint, and a mismatch is broadcast back down as a typed
 //! [`OmenError::ScheduleDivergence`] on *every* member within that one

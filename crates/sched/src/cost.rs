@@ -15,8 +15,8 @@
 use omen_num::{OmenError, OmenResult};
 use std::collections::BTreeMap;
 
-/// EWMA smoothing factor: weight of the newest measurement.
-const DEFAULT_ALPHA: f64 = 0.4;
+/// EWMA smoothing factor in `(0, 1]`: weight of the newest measurement.
+const EWMA_ALPHA: f64 = 0.4;
 
 /// Per-unit cost predictions, indexed by canonical unit id.
 #[derive(Debug, Clone)]
@@ -25,8 +25,6 @@ pub struct CostModel {
     seed: Vec<f64>,
     /// Measured EWMA seconds per unit, `NaN` until first observed.
     ewma: Vec<f64>,
-    /// EWMA smoothing factor in `(0, 1]`.
-    alpha: f64,
     /// Sum of first-observation seconds and of the matching seeds, for the
     /// seed→seconds calibration.
     cal_secs: f64,
@@ -53,7 +51,6 @@ impl CostModel {
         CostModel {
             seed,
             ewma: vec![f64::NAN; n],
-            alpha: DEFAULT_ALPHA,
             cal_secs: 0.0,
             cal_seed: 0.0,
             observations: 0,
@@ -72,6 +69,14 @@ impl CostModel {
                 .map(|i| 1.0 + skew * (1.0 - i as f64 / denom))
                 .collect(),
         )
+    }
+
+    /// The cold prior of a brokered `k × E` grid whose unit id is
+    /// `ik · n_energy + ie`: the [`CostModel::band_edge`] weights repeated
+    /// for each of the `n_k` momentum points.
+    pub fn band_edge_grid(n_k: usize, n_energy: usize, skew: f64) -> CostModel {
+        let per_k = CostModel::band_edge(n_energy, skew).seed;
+        CostModel::from_seed(per_k.repeat(n_k))
     }
 
     /// Number of units the model covers.
@@ -110,7 +115,7 @@ impl CostModel {
             self.cal_secs += secs;
             self.cal_seed += self.seed[id];
         } else {
-            self.ewma[id] = self.alpha * secs + (1.0 - self.alpha) * prev;
+            self.ewma[id] = EWMA_ALPHA * secs + (1.0 - EWMA_ALPHA) * prev;
         }
         self.observations += 1;
         Ok(())
@@ -181,77 +186,6 @@ impl CostModel {
     fn inject_ewma(&mut self, id: usize, value: f64) {
         self.ewma[id] = value;
     }
-
-    /// Concatenates per-segment models into one model over the combined
-    /// unit range; segment order is id order, so a whole-curve grid whose
-    /// unit id is `k · n_energy + e` is assembled from per-k models in k
-    /// order. Measured EWMA values carry over verbatim; the seed→seconds
-    /// calibration is recomputed from the measured (seed, ewma) pairs of
-    /// the combined range, so mixed measured/unmeasured comparisons stay
-    /// meaningful across segment boundaries.
-    pub fn concat(parts: &[CostModel]) -> CostModel {
-        let mut seed = Vec::new();
-        let mut ewma = Vec::new();
-        let mut observations = 0;
-        for p in parts {
-            seed.extend_from_slice(&p.seed);
-            ewma.extend_from_slice(&p.ewma);
-            observations += p.observations;
-        }
-        let (cal_secs, cal_seed) = measured_pairs(&seed, &ewma);
-        CostModel {
-            seed,
-            ewma,
-            alpha: DEFAULT_ALPHA,
-            cal_secs,
-            cal_seed,
-            observations,
-        }
-    }
-
-    /// Splits this model into consecutive segments of `chunk` units each —
-    /// the inverse of [`CostModel::concat`] for equal-length parts, used to
-    /// fold a whole-curve sweep's measurements back into the per-(bias, k)
-    /// bank. Each part recomputes its calibration from its own measured
-    /// pairs; `observations` is re-attributed as the count of measured
-    /// units per part (per-repeat counts are not tracked per unit).
-    pub fn split(&self, chunk: usize) -> Vec<CostModel> {
-        assert!(
-            chunk > 0 && self.seed.len().is_multiple_of(chunk),
-            "split chunk {} must evenly divide the {}-unit model",
-            chunk,
-            self.seed.len()
-        );
-        self.seed
-            .chunks(chunk)
-            .zip(self.ewma.chunks(chunk))
-            .map(|(s, e)| {
-                let (cal_secs, cal_seed) = measured_pairs(s, e);
-                CostModel {
-                    seed: s.to_vec(),
-                    ewma: e.to_vec(),
-                    alpha: self.alpha,
-                    cal_secs,
-                    cal_seed,
-                    observations: e.iter().filter(|v| !v.is_nan()).count(),
-                }
-            })
-            .collect()
-    }
-}
-
-/// Sums the measured EWMA seconds and their matching seeds — the
-/// calibration basis recomputed when models are concatenated or split.
-fn measured_pairs(seed: &[f64], ewma: &[f64]) -> (f64, f64) {
-    let mut secs = 0.0;
-    let mut sd = 0.0;
-    for (s, e) in seed.iter().zip(ewma) {
-        if !e.is_nan() {
-            secs += e;
-            sd += s;
-        }
-    }
-    (secs, sd)
 }
 
 /// Counters of how [`ModelBank::checkout`] satisfied its requests over the
@@ -259,30 +193,28 @@ fn measured_pairs(seed: &[f64], ewma: &[f64]) -> (f64, f64) {
 /// SCF calls and warm-start across bias points.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BankCounts {
-    /// Checkouts served by the exact (bias, k) model from an earlier call.
+    /// Checkouts served by the same bias step's model from an earlier call.
     pub hits: usize,
-    /// Checkouts warm-started from the nearest earlier bias at the same k.
+    /// Checkouts warm-started from the nearest earlier bias step.
     pub warmed: usize,
     /// Checkouts that had to fall back to a fresh seed.
     pub seeded: usize,
 }
 
-/// Sweep-lifetime bank of per-(bias, k) cost models.
+/// Sweep-lifetime bank of cost models, one per bias step.
 ///
 /// The scheduler's EWMA ledgers are only useful if they outlive one
-/// schedule: SCF outer iterations re-solve the same (bias, k) grid many
-/// times, and neighbouring bias points of an I–V sweep have nearly the
-/// same cost structure. The bank keys models by `(bias index, k index)` so
-/// a later SCF call at the same bias resumes its own measured ledger (a
-/// *hit*), and the first call at a new bias clones the nearest earlier
-/// bias at the same k (a *warm* start — the cost analogue of the potential
-/// warm start in `gate_sweep`). Only when neither exists does a checkout
-/// fall back to the caller's seed. Checkout/commit round-trips keep
-/// borrows simple across distributed assembly ([`CostModel::concat`] /
-/// [`CostModel::split`]).
+/// schedule: SCF outer iterations re-solve the same grid many times, and
+/// neighbouring bias points of an I–V sweep have nearly the same cost
+/// structure. The bank keys one flat model — over whatever unit grid the
+/// sweep brokers — by bias step, so a later SCF call at the same bias
+/// resumes its own measured ledger (a *hit*), and the first call at a new
+/// bias clones the nearest earlier one (a *warm* start — the cost analogue
+/// of the potential warm start in `gate_sweep`). Only when neither exists
+/// does a checkout fall back to the caller's seed.
 #[derive(Debug, Default)]
 pub struct ModelBank {
-    models: BTreeMap<(usize, usize), CostModel>,
+    models: BTreeMap<usize, CostModel>,
     lifetime: BankCounts,
 }
 
@@ -292,54 +224,42 @@ impl ModelBank {
         ModelBank::default()
     }
 
-    /// Number of (bias, k) models stored.
-    pub fn len(&self) -> usize {
-        self.models.len()
-    }
-
-    /// Whether the bank stores no models.
-    pub fn is_empty(&self) -> bool {
-        self.models.is_empty()
-    }
-
-    /// Checks out the model for `(bias, k)` over `n` units: the stored
-    /// model when one exists with a matching unit count (*hit*), else a
-    /// clone of the nearest earlier bias at the same k (*warm*), else
+    /// Checks out the model of bias step `bias` over `n_units` units: the
+    /// stored model when one exists with a matching unit count (*hit*),
+    /// else a clone of the nearest earlier bias step's (*warm*), else
     /// `seed()` (*seeded*). A stored model whose unit count no longer
-    /// matches — the energy grid changed — is discarded and reseeded.
+    /// matches — the grid changed — is passed over and the checkout
+    /// reseeded.
     pub fn checkout(
         &mut self,
         bias: usize,
-        k: usize,
-        n: usize,
+        n_units: usize,
         seed: impl FnOnce() -> CostModel,
     ) -> CostModel {
-        if let Some(m) = self.models.get(&(bias, k)) {
-            if m.len() == n {
-                self.lifetime.hits += 1;
-                return m.clone();
-            }
+        let fits = |m: &&CostModel| m.len() == n_units;
+        if let Some(m) = self.models.get(&bias).filter(fits) {
+            self.lifetime.hits += 1;
+            return m.clone();
         }
-        for b in (0..bias).rev() {
-            if let Some(m) = self.models.get(&(b, k)) {
-                if m.len() == n {
-                    self.lifetime.warmed += 1;
-                    return m.clone();
-                }
-                // The nearest earlier bias ran a different grid; anything
-                // older is staler still — reseed.
-                break;
-            }
+        // If the nearest earlier step ran a different grid, anything older
+        // is staler still — reseed.
+        let earlier = self.models.range(..bias).next_back().map(|(_, m)| m);
+        if let Some(m) = earlier.filter(fits) {
+            self.lifetime.warmed += 1;
+            return m.clone();
         }
         self.lifetime.seeded += 1;
         let m = seed();
-        assert!(m.len() == n, "seeded cost model must cover {n} units");
+        assert!(
+            m.len() == n_units,
+            "seeded cost model must cover {n_units} units"
+        );
         m
     }
 
-    /// Stores the (measured) model back under `(bias, k)`.
-    pub fn commit(&mut self, bias: usize, k: usize, model: CostModel) {
-        self.models.insert((bias, k), model);
+    /// Stores the (measured) model back under `bias`.
+    pub fn commit(&mut self, bias: usize, model: CostModel) {
+        self.models.insert(bias, model);
     }
 
     /// Counters over the bank's whole lifetime (never reset).
@@ -433,34 +353,22 @@ mod tests {
     }
 
     #[test]
-    fn concat_then_split_round_trips_predictions() {
-        let mut a = CostModel::band_edge(3, 2.0);
-        let mut b = CostModel::uniform(3);
-        a.observe(0, 0.5).unwrap();
-        a.observe(2, 0.1).unwrap();
-        b.observe(1, 0.25).unwrap();
-        let joined = CostModel::concat(&[a.clone(), b.clone()]);
-        assert_eq!(joined.len(), 6);
-        // Measured units keep their EWMA verbatim across the seam.
-        assert_eq!(joined.predict(0).to_bits(), a.predict(0).to_bits());
-        assert_eq!(joined.predict(4).to_bits(), b.predict(1).to_bits());
-        let parts = joined.split(3);
-        assert_eq!(parts.len(), 2);
-        for id in 0..3 {
-            assert!(parts[0].predict_secs(id).is_some(), "calibrated");
-            assert_eq!(parts[1].ewma[id].to_bits(), b.ewma[id].to_bits());
-        }
-        assert_eq!(parts[0].observations(), 2, "two measured units");
-        assert_eq!(parts[1].observations(), 1);
+    fn grid_seed_repeats_the_band_edge_per_k() {
+        // n_k = 2, n_e = 3: seeds [3, 2, 1, 3, 2, 1], ties by ascending id —
+        // the first sweep's hand-out order of a cold k × E grid.
+        let m = CostModel::band_edge_grid(2, 3, 2.0);
+        assert_eq!(m.len(), 6);
+        assert_eq!(m.descending_order(0..6), vec![0, 3, 1, 4, 2, 5]);
     }
 
     #[test]
     fn bank_hits_then_warms_then_seeds() {
         let mut bank = ModelBank::new();
+        let seed = || CostModel::band_edge_grid(2, 2, 2.0);
         // First checkout at bias 0: nothing stored, must seed.
-        let mut m = bank.checkout(0, 0, 4, || CostModel::band_edge(4, 2.0));
+        let mut m = bank.checkout(0, 4, seed);
         m.observe(3, 0.75).unwrap();
-        bank.commit(0, 0, m);
+        bank.commit(0, m);
         assert_eq!(
             bank.lifetime_counts(),
             BankCounts {
@@ -469,39 +377,41 @@ mod tests {
                 seeded: 1
             }
         );
-        // Same (bias, k) again — the SCF re-solve path — is a hit carrying
-        // the measured ledger.
-        let m = bank.checkout(0, 0, 4, || CostModel::band_edge(4, 2.0));
+        // Same bias again — the SCF re-solve path — is a hit carrying the
+        // measured ledger.
+        let m = bank.checkout(0, 4, seed);
         assert!((m.predict(3) - 0.75).abs() < 1e-12, "ledger persisted");
-        bank.commit(0, 0, m);
-        // Next bias point, same k: warm-started from bias 0.
-        let m = bank.checkout(1, 0, 4, || CostModel::band_edge(4, 2.0));
+        bank.commit(0, m);
+        // Bias 2 warm-starts from the nearest earlier step, bias 0.
+        let m = bank.checkout(2, 4, seed);
         assert!((m.predict(3) - 0.75).abs() < 1e-12, "warm start");
-        bank.commit(1, 0, m);
-        // A different k at bias 1 has no earlier model anywhere: seeded.
-        let m = bank.checkout(1, 1, 4, || CostModel::band_edge(4, 2.0));
-        bank.commit(1, 1, m);
+        bank.commit(2, m);
         assert_eq!(
             bank.lifetime_counts(),
             BankCounts {
                 hits: 1,
                 warmed: 1,
-                seeded: 2
+                seeded: 1
             }
         );
-        assert_eq!(bank.len(), 3);
+        // The grid grew: bias 2's stored 4-unit model must not leak into a
+        // 6-unit schedule, neither as a hit nor warm-started from bias 0.
+        let m = bank.checkout(2, 6, || CostModel::band_edge_grid(2, 3, 2.0));
+        assert_eq!(m.len(), 6);
+        assert_eq!(m.observations(), 0, "reseeded, not resized");
+        assert_eq!(bank.lifetime_counts().seeded, 2);
     }
 
     #[test]
     fn bank_reseeds_on_grid_change() {
         let mut bank = ModelBank::new();
-        let m = bank.checkout(0, 0, 4, || CostModel::uniform(4));
-        bank.commit(0, 0, m);
+        let m = bank.checkout(0, 4, || CostModel::uniform(4));
+        bank.commit(0, m);
         // The energy grid grew: the stored 4-unit model must not leak into
         // a 6-unit schedule, at the same bias or warm-started from it.
-        let m = bank.checkout(0, 0, 6, || CostModel::uniform(6));
+        let m = bank.checkout(0, 6, || CostModel::uniform(6));
         assert_eq!(m.len(), 6);
-        let m2 = bank.checkout(1, 0, 6, || CostModel::uniform(6));
+        let m2 = bank.checkout(1, 6, || CostModel::uniform(6));
         assert_eq!(m2.len(), 6);
         assert_eq!(
             bank.lifetime_counts(),
@@ -529,15 +439,15 @@ mod tests {
         for trial in 0..50 {
             let n = 3 + (trial % 13);
             let mut bank = ModelBank::new();
-            let mut m = bank.checkout(0, 0, n, || CostModel::band_edge(n, 2.0));
+            let mut m = bank.checkout(0, n, || CostModel::band_edge(n, 2.0));
             let mut costs = Vec::with_capacity(n);
             for id in 0..n {
                 let c = rand();
                 m.observe(id, c).unwrap();
                 costs.push(c);
             }
-            bank.commit(0, 0, m);
-            let warm = bank.checkout(1, 0, n, || CostModel::band_edge(n, 2.0));
+            bank.commit(0, m);
+            let warm = bank.checkout(1, n, || CostModel::band_edge(n, 2.0));
             let mut want: Vec<usize> = (0..n).collect();
             want.sort_by(|&a, &b| costs[b].total_cmp(&costs[a]).then(a.cmp(&b)));
             assert_eq!(
@@ -551,10 +461,10 @@ mod tests {
     #[test]
     fn warm_checkout_still_rejects_non_finite_costs_typed() {
         let mut bank = ModelBank::new();
-        let mut m = bank.checkout(0, 0, 2, || CostModel::uniform(2));
+        let mut m = bank.checkout(0, 2, || CostModel::uniform(2));
         m.observe(0, 0.5).unwrap();
-        bank.commit(0, 0, m);
-        let mut warm = bank.checkout(1, 0, 2, || CostModel::uniform(2));
+        bank.commit(0, m);
+        let mut warm = bank.checkout(1, 2, || CostModel::uniform(2));
         match warm.observe(1, f64::NAN) {
             Err(OmenError::NonFiniteCost { unit: 1, .. }) => {}
             other => panic!("warm model must keep typed rejection, got {other:?}"),

@@ -195,30 +195,18 @@ pub struct SweepOutcome {
     pub stats: SchedStats,
 }
 
-/// The outcome of a process-local sweep (no communicator): payloads of any
-/// type, executed most-expensive-predicted-first, merged canonically.
-#[derive(Debug)]
-pub struct LocalOutcome<T> {
-    /// Per-unit payloads in canonical unit order; `None` for failed units.
-    pub values: Vec<Option<T>>,
-    /// Fault ledger, failures in canonical unit order.
-    pub report: SweepReport,
-    /// Total solve seconds spent.
-    pub busy_s: f64,
-}
-
-/// Runs a sweep on the calling thread in cost-descending order, feeding
-/// measured times back into `model`. The serial analogue of
-/// [`dynamic_sweep`]: same canonical merge, same per-unit fault isolation,
-/// no re-issue (a deterministic solve that failed once would fail again).
-/// `energies[id]` stamps failed units in the report.
-pub fn local_sweep<T>(
+/// The single-member arm of [`dynamic_sweep`]: runs the sweep on the
+/// calling thread in cost-descending order, feeding measured times back
+/// into `model`. Same canonical merge and per-unit fault isolation as the
+/// brokered arms, no re-issue (a deterministic solve that failed once
+/// would fail again).
+fn local_sweep(
     energies: &[f64],
     model: &mut CostModel,
-    mut solve: impl FnMut(usize) -> OmenResult<T>,
-) -> LocalOutcome<T> {
-    let n = energies.len().min(model.len());
-    let mut values: Vec<Option<T>> = (0..n).map(|_| None).collect();
+    mut solve: impl FnMut(usize) -> OmenResult<Vec<f64>>,
+) -> SweepOutcome {
+    let n = energies.len();
+    let mut values: Vec<Option<Vec<f64>>> = vec![None; n];
     let mut errors: Vec<Option<OmenError>> = vec![None; n];
     let mut busy_s = 0.0;
     for id in model.descending_order(0..n) {
@@ -245,10 +233,14 @@ pub fn local_sweep<T>(
             None => report.record_solved(0),
         }
     }
-    LocalOutcome {
+    SweepOutcome {
         values,
         report,
-        busy_s,
+        stats: SchedStats {
+            units: n,
+            worker_busy_s: vec![busy_s],
+            ..SchedStats::default()
+        },
     }
 }
 
@@ -286,17 +278,7 @@ pub fn dynamic_sweep(
         });
     }
     if comm.size() == 1 {
-        let local = local_sweep(energies, model, solve);
-        let units = local.values.len();
-        return Ok(SweepOutcome {
-            values: local.values,
-            report: local.report,
-            stats: SchedStats {
-                units,
-                worker_busy_s: vec![local.busy_s],
-                ..SchedStats::default()
-            },
-        });
+        return Ok(local_sweep(energies, model, solve));
     }
     if comm.rank() == 0 {
         coordinate(comm, epoch, energies, model, opts, solve)
@@ -1108,31 +1090,5 @@ mod tests {
             ..SchedStats::default()
         };
         assert!((s.imbalance() - 4.0 / 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn local_sweep_merges_canonically_and_isolates_failures() {
-        let energies = [0.0, 0.1, 0.2, 0.3];
-        let mut model = CostModel::band_edge(4, 2.0);
-        let mut seen = Vec::new();
-        let out = local_sweep(&energies, &mut model, |id| {
-            seen.push(id);
-            if id == 2 {
-                Err(OmenError::LeadNotConverged {
-                    energy: energies[id],
-                    iters: 7,
-                })
-            } else {
-                Ok(vec![id as f64])
-            }
-        });
-        // Band-edge seed: execution order is most-expensive-first …
-        assert_eq!(seen, vec![0, 1, 2, 3]);
-        // … but the merge is canonical with the failure isolated.
-        assert_eq!(out.values[0].as_deref(), Some(&[0.0][..]));
-        assert_eq!(out.values[2], None);
-        assert_eq!(out.report.solved, 3);
-        assert_eq!(out.report.failed.len(), 1);
-        assert_eq!(out.report.failed[0].energy, 0.2);
     }
 }

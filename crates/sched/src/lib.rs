@@ -5,28 +5,29 @@
 //! varies by orders of magnitude (Sancho–Rubio iteration counts explode
 //! near subband edges), so any static partition strands whole groups
 //! behind one slow point. This crate supplies that layer for the
-//! threads-as-ranks runtime of `omen-parsim`:
+//! threads-as-ranks runtime of `omen-parsim`. Units are dense ids `0..n`
+//! in the caller's canonical grid order (the one brokered dataflow,
+//! `omen_core::parallel`'s whole-curve sweep, spells `id = ik · n_e + ie`);
+//! every merge is indexed by that id.
 //!
-//! * [`WorkUnit`] / [`UnitGrid`] — the canonical index space of a sweep;
-//!   the fixed bias-major/k/energy linear order every merge respects.
 //! * [`CostModel`] — per-unit predictions: a grid-position seed (e.g.
-//!   [`CostModel::band_edge`]) refined by an EWMA ledger of measured solve
-//!   seconds, with a seed→seconds calibration that gates straggler
+//!   [`CostModel::band_edge_grid`]) refined by an EWMA ledger of measured
+//!   solve seconds, with a seed→seconds calibration that gates straggler
 //!   detection.
-//! * [`ModelBank`] — sweep-lifetime persistence of those ledgers, keyed by
-//!   (bias, k): SCF re-solves resume their own measurements (*hits*), new
-//!   bias points warm-start from the nearest earlier bias (*warmed*), and
-//!   only a cold grid falls back to seeds ([`BankCounts`] is the witness).
+//! * [`ModelBank`] — sweep-lifetime persistence of those ledgers, one flat
+//!   model per bias step: SCF re-solves resume their own measurements
+//!   (*hits*), new bias points warm-start from the nearest earlier bias
+//!   (*warmed*), and only a cold grid falls back to seeds ([`BankCounts`]
+//!   is the witness).
 //! * [`dynamic_sweep`] — the pull-based coordinator/worker engine: chunked
 //!   hand-out over typed, fingerprinted messages ([`proto`]),
 //!   heartbeat-based liveness, bounded re-issue of failed or straggling
 //!   units, dead-worker isolation, and a deterministic canonical-order
 //!   merge distributed point-to-point so every member returns the same
 //!   [`SweepOutcome`] — bit-identical values to a static schedule of the
-//!   same pure solve.
-//! * [`local_sweep`] — the serial analogue used by the single-process
-//!   drivers: cost-descending execution, canonical merge, per-unit fault
-//!   isolation into a [`omen_num::SweepReport`].
+//!   same pure solve. A single-member communicator runs the same sweep on
+//!   the caller: cost-descending execution, canonical merge, per-unit
+//!   fault isolation, no messages.
 //!
 //! Failed units never abort a sweep: after `max_reissue` attempts they are
 //! recorded as typed entries in the outcome's report (`values[id] = None`)
@@ -36,11 +37,6 @@
 pub mod cost;
 pub mod dynamic;
 pub mod proto;
-pub mod unit;
 
 pub use cost::{BankCounts, CostModel, ModelBank};
-pub use dynamic::{
-    dynamic_sweep, imbalance_ratio, local_sweep, LocalOutcome, SchedOptions, SchedStats,
-    SweepOutcome,
-};
-pub use unit::{UnitGrid, WorkUnit};
+pub use dynamic::{dynamic_sweep, imbalance_ratio, SchedOptions, SchedStats, SweepOutcome};

@@ -91,7 +91,7 @@ pub enum CoordMsg {
     Fin {
         /// Sweep epoch being terminated.
         epoch: u64,
-        /// Encoded [`crate::SweepOutcome`] (see [`encode_outcome`]).
+        /// Encoded [`crate::SweepOutcome`] (see [`crate::dynamic::encode_outcome`]).
         payload: Vec<u8>,
     },
     /// The requester's sweep epoch was superseded (it was declared dead and

@@ -9,9 +9,7 @@
 
 use omen_parsim::{run_ranks, run_ranks_with_timeout, Comm};
 use omen_sched::proto::{encode_worker, WorkerMsg, TAG_CTRL};
-use omen_sched::{
-    dynamic_sweep, local_sweep, BankCounts, CostModel, ModelBank, SchedOptions, SweepOutcome,
-};
+use omen_sched::{dynamic_sweep, BankCounts, CostModel, ModelBank, SchedOptions, SweepOutcome};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
@@ -78,11 +76,44 @@ fn run_dynamic(
 
 #[test]
 fn dynamic_matches_serial_bit_for_bit_across_worker_counts() {
-    // Serial reference (also exercises the single-member fast path).
+    // The reference is the pure payload map. A single member runs the
+    // sweep alone on the caller: cost-descending execution, canonical
+    // merge, and a failing unit isolated without re-issue.
+    const BAD: usize = 2;
     let es = energies();
-    let mut model = CostModel::band_edge(N_UNITS, 2.0);
-    let serial = local_sweep(&es, &mut model, |id| Ok(payload(id)));
-    assert!(serial.report.is_clean());
+    let out = run_ranks(1, |ctx| {
+        let mut model = CostModel::band_edge(N_UNITS, 2.0);
+        let mut seen = Vec::new();
+        let o = dynamic_sweep(&Comm::world(ctx), &es, &mut model, &opts_fast(), |id| {
+            seen.push(id);
+            if id == BAD {
+                Err(omen_num::OmenError::LeadNotConverged {
+                    energy: energy(id),
+                    iters: 7,
+                })
+            } else {
+                Ok(payload(id))
+            }
+        })
+        .unwrap();
+        (o, seen)
+    });
+    let (o, seen) = out.results.into_iter().next().unwrap().unwrap();
+    // Band-edge seed: execution order is most-expensive-first …
+    assert_eq!(seen, (0..N_UNITS).collect::<Vec<_>>());
+    // … and the merge is in grid order with the failure isolated.
+    for (id, v) in o.values.iter().enumerate() {
+        let want = (id != BAD).then(|| payload(id));
+        assert_eq!(*v, want, "unit {id}");
+    }
+    assert_eq!(o.report.solved, N_UNITS - 1);
+    assert_eq!(o.stats.reissued_failed, 0);
+    assert_eq!(o.report.failed.len(), 1);
+    assert_eq!(o.report.failed[0].energy, energy(BAD));
+    assert!(matches!(
+        o.report.failed[0].error,
+        omen_num::OmenError::LeadNotConverged { iters: 7, .. }
+    ));
 
     // 2 ranks = coordinator + 1 worker; 5 ranks = 4 workers with skewed
     // injected delays (worker- and unit-dependent, so arrival order is
@@ -95,14 +126,7 @@ fn dynamic_matches_serial_bit_for_bit_across_worker_counts() {
     for outcome in one_worker.iter().chain(many.iter()) {
         assert_eq!(outcome.report.solved, N_UNITS);
         assert!(outcome.report.failed.is_empty());
-        for id in 0..N_UNITS {
-            let got = outcome.values[id].as_deref().unwrap();
-            let want = &serial.values[id].as_deref().unwrap();
-            assert_eq!(got.len(), want.len());
-            for (a, b) in got.iter().zip(want.iter()) {
-                assert_eq!(a.to_bits(), b.to_bits(), "unit {id} not bit-identical");
-            }
-        }
+        assert_payload_bits(outcome);
     }
 
     // Every member of one run returns the same merged outcome.
@@ -116,7 +140,7 @@ fn repeated_sweeps_on_one_comm_stay_isolated_by_epoch() {
     // fresh epoch so straggling traffic from a finished sweep can never be
     // merged into the next one. Run three back-to-back sweeps with skewed
     // delays and a persistent cost model, checking every sweep bit-matches
-    // the serial reference.
+    // the pure payload map.
     const SWEEPS: usize = 3;
     let es = energies();
     let opts = opts_fast();
@@ -136,23 +160,13 @@ fn repeated_sweeps_on_one_comm_stay_isolated_by_epoch() {
         }
         (sweeps, model.observations())
     });
-    let serial = {
-        let mut model = CostModel::band_edge(N_UNITS, 2.0);
-        local_sweep(&es, &mut model, |id| Ok(payload(id)))
-    };
     for r in out.results {
         let (sweeps, observations) = r.unwrap();
         assert_eq!(sweeps.len(), SWEEPS);
         for o in &sweeps {
             assert_eq!(o.report.solved, N_UNITS);
             assert!(o.report.failed.is_empty());
-            for id in 0..N_UNITS {
-                let got = o.values[id].as_deref().unwrap();
-                let want = serial.values[id].as_deref().unwrap();
-                for (a, b) in got.iter().zip(want.iter()) {
-                    assert_eq!(a.to_bits(), b.to_bits());
-                }
-            }
+            assert_payload_bits(o);
         }
         // The coordinator's ledger keeps warming across sweeps.
         let coord_obs = sweeps.iter().map(|o| o.stats.units).sum::<usize>();
@@ -318,13 +332,8 @@ fn straggler_copy_is_speculatively_reissued_first_result_wins() {
 fn solving_coordinator_executes_units_and_stays_bit_identical() {
     // With `coordinator_solves` on and slow workers, the coordinator's idle
     // poll windows pick units off the cheap end of the queue. The merged
-    // values must stay bit-identical to the serial reference, and the
+    // values must stay bit-identical to the pure payload map, and the
     // stats must witness the coordinator's own work.
-    let es = energies();
-    let serial = {
-        let mut model = CostModel::band_edge(N_UNITS, 2.0);
-        local_sweep(&es, &mut model, |id| Ok(payload(id)))
-    };
     for ranks in [2usize, 4] {
         let outs = run_dynamic(ranks, opts_fast(), |rank, _| {
             if rank == 0 {
@@ -346,13 +355,7 @@ fn solving_coordinator_executes_units_and_stays_bit_identical() {
                 );
                 assert!(o.stats.worker_busy_s[0] > 0.0);
             }
-            for id in 0..N_UNITS {
-                let got = o.values[id].as_deref().unwrap();
-                let want = serial.values[id].as_deref().unwrap();
-                for (a, b) in got.iter().zip(want.iter()) {
-                    assert_eq!(a.to_bits(), b.to_bits(), "unit {id} not bit-identical");
-                }
-            }
+            assert_payload_bits(o);
         }
         assert!(outs.windows(2).all(|w| w[0] == w[1]));
     }
@@ -648,18 +651,18 @@ fn warm_cost_models_keep_merged_sweeps_bit_identical() {
         let world = Comm::world(ctx);
         let mut bank = ModelBank::new();
         let seed = || CostModel::band_edge(N_UNITS, 2.0);
-        let mut cold = bank.checkout(0, 0, N_UNITS, seed);
+        let mut cold = bank.checkout(0, N_UNITS, seed);
         let first = dynamic_sweep(&world, &es, &mut cold, &opts, |id| {
             std::thread::sleep(Duration::from_micros(((id * 37) % 11) as u64 * 120));
             Ok(payload(id))
         })
         .unwrap();
-        bank.commit(0, 0, cold);
+        bank.commit(0, cold);
         let cold_counts = bank.lifetime_counts();
-        // Next bias point, same k: warm-started from bias 0's ledger.
-        let mut warm = bank.checkout(1, 0, N_UNITS, seed);
+        // Next bias point: warm-started from bias 0's ledger.
+        let mut warm = bank.checkout(1, N_UNITS, seed);
         let second = dynamic_sweep(&world, &es, &mut warm, &opts, |id| Ok(payload(id))).unwrap();
-        bank.commit(1, 0, warm);
+        bank.commit(1, warm);
         (first, second, cold_counts, bank.lifetime_counts())
     });
     for r in out.results {

@@ -34,26 +34,12 @@ impl Coo {
         self.ncols
     }
 
-    /// Number of stored (possibly duplicate) triplets.
-    pub fn nnz_stored(&self) -> usize {
-        self.entries.len()
-    }
-
     /// Accumulates `v` at `(i, j)`.
     #[inline]
     pub fn push(&mut self, i: usize, j: usize, v: c64) {
         debug_assert!(i < self.nrows && j < self.ncols, "coo index out of range");
         if v != c64::ZERO {
             self.entries.push((i, j, v));
-        }
-    }
-
-    /// Accumulates a dense block with top-left corner `(r0, c0)`.
-    pub fn push_block(&mut self, r0: usize, c0: usize, block: &omen_linalg::ZMat) {
-        for i in 0..block.nrows() {
-            for j in 0..block.ncols() {
-                self.push(r0 + i, c0 + j, block[(i, j)]);
-            }
         }
     }
 
@@ -113,7 +99,7 @@ mod tests {
         let mut c = Coo::new(2, 2);
         c.push(0, 1, c64::ZERO);
         c.push(1, 0, c64::ONE);
-        assert_eq!(c.nnz_stored(), 1);
+        assert_eq!(c.entries.len(), 1);
         assert_eq!(c.to_csr().nnz(), 1);
     }
 
@@ -129,17 +115,5 @@ mod tests {
         let y = m.matvec(&x);
         assert_eq!(y[0], c64::ZERO);
         assert_eq!(y[4], c64::ONE);
-    }
-
-    #[test]
-    fn push_block_accumulates() {
-        use omen_linalg::ZMat;
-        let mut c = Coo::new(4, 4);
-        let b = ZMat::from_fn(2, 2, |i, j| c64::real((i * 2 + j + 1) as f64));
-        c.push_block(1, 1, &b);
-        c.push_block(1, 1, &b);
-        let m = c.to_csr();
-        assert_eq!(m.get(1, 1), c64::real(2.0));
-        assert_eq!(m.get(2, 2), c64::real(8.0));
     }
 }

@@ -233,18 +233,6 @@ impl CsrR {
             .map(|i| self.get(i, i))
             .collect()
     }
-
-    /// Maximum symmetry defect.
-    pub fn symmetry_defect(&self) -> f64 {
-        assert_eq!(self.nrows, self.ncols);
-        let mut d = 0.0f64;
-        for i in 0..self.nrows {
-            for (j, v) in self.row_iter(i) {
-                d = d.max((v - self.get(j, i)).abs());
-            }
-        }
-        d
-    }
 }
 
 #[cfg(test)]
@@ -325,7 +313,6 @@ mod tests {
             ],
         );
         assert_eq!(m.get(0, 0), 2.5);
-        assert_eq!(m.symmetry_defect(), 0.0);
         assert_eq!(m.diagonal(), vec![2.5, 2.0, 1.0]);
         let y = m.matvec(&[1.0, 2.0, 3.0]);
         assert_eq!(y, vec![0.5, 3.0, 3.0]);

@@ -12,9 +12,9 @@ use crate::injection::injection_bundle;
 use crate::solver::{bcr_solve, thomas_solve};
 use crate::splitsolve::splitsolve_parallel;
 use omen_linalg::{matmul, matmul_h_n, ZMat};
-use omen_negf::contacts::{lead_self_energy, local_contacts};
+use omen_negf::contacts::local_contacts;
 use omen_negf::rgf::build_a_matrix;
-use omen_negf::sancho::{ContactSelfEnergy, Side};
+use omen_negf::sancho::ContactSelfEnergy;
 use omen_negf::transport::{EnergyPointData, DEFAULT_ETA};
 use omen_num::OmenResult;
 use omen_parsim::Comm;
@@ -158,18 +158,6 @@ fn observables(
     }
 }
 
-/// Number of open channels of a lead at energy `e` (for mode-resolved
-/// analyses and the clean-wire conductance-step experiment).
-///
-/// # Errors
-///
-/// Propagates the contact self-energy solve's typed failure once its
-/// recovery policy is exhausted.
-pub fn open_channels(e: f64, h00: &ZMat, h01: &ZMat, side: Side) -> OmenResult<usize> {
-    let se = lead_self_energy(e, DEFAULT_ETA, (h00, h01), side)?;
-    Ok(injection_bundle(&se.gamma, MODE_TOL).num_modes())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -282,18 +270,6 @@ mod tests {
                 ng.transmission
             );
         }
-    }
-
-    #[test]
-    fn open_channel_count_matches_transmission_steps() {
-        let (h, h00, h01) = chain(5, 0.0, -1.0, &[]);
-        let inside = open_channels(0.5, &h00, &h01, Side::Left).unwrap();
-        assert_eq!(inside, 1);
-        let outside = open_channels(2.5, &h00, &h01, Side::Left).unwrap();
-        assert_eq!(outside, 0);
-        let d = wf_transport_at_energy(0.5, &h, (&h00, &h01), (&h00, &h01), SolverKind::Thomas)
-            .unwrap();
-        assert!((d.transmission - inside as f64).abs() < 1e-4);
     }
 
     #[test]

@@ -66,14 +66,18 @@ fn run(spec_text: &str) -> Result<(), String> {
     Ok(())
 }
 
+fn run_file(path: &str) -> Result<(), String> {
+    let text =
+        std::fs::read_to_string(path).map_err(|e| format!("cannot read spec `{path}`: {e}"))?;
+    run(&text)
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(|s| s.as_str()) {
         Some("--print-default") => print!("{}", default_spec()),
         Some(path) => {
-            let text = std::fs::read_to_string(path)
-                .unwrap_or_else(|e| panic!("cannot read spec `{path}`: {e}"));
-            if let Err(e) = run(&text) {
+            if let Err(e) = run_file(path) {
                 eprintln!("error: {e}");
                 std::process::exit(1);
             }
@@ -98,6 +102,12 @@ mod tests {
             d,
             SweepRequest::parse_with_default_mode("", Mode::Scf).unwrap()
         );
+    }
+
+    #[test]
+    fn unreadable_spec_file_is_an_error_not_a_panic() {
+        let e = run_file("no/such/dir/device.omen").unwrap_err();
+        assert!(e.contains("cannot read spec"), "{e}");
     }
 
     #[test]
