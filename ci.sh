@@ -22,29 +22,35 @@ cargo clippy --no-deps -p omen-linalg -p omen-sparse -p omen-wf -p omen-negf -p 
 # resolved once per process from OMEN_SIMD, so the linalg suite, the
 # conformance battery, the selected-inversion oracle/equivalence battery,
 # the physics invariants (sum rule, reciprocity, current conservation ride
-# on the RGF recursion's thin column products), and the kernel bench smoke
+# on the RGF recursion's thin column products; the pair decimation's
+# bit-identity to the two single ones), the exact flop counts (the pair's
+# count must not depend on the dispatch path), and the kernel bench smoke
 # each run once per leg —
 # tiny sizes, one sample, exercising the tiled GEMM, the blocked LU and
 # its blocked solve / inverse at 1/2/4 threads (gemm, lu, trsm, inverse
 # and selinv records, all required per leg by bench-gate --smoke) plus
 # the BENCH_kernels.json emitter and parser
-# round-trip, writing to target/ so the committed baseline at the repo
+# round-trip, then tab2_flops on its smallest device (contacts_point,
+# required per leg too, beside the RGF and WF energy-point records),
+# writing to target/ so the committed baseline at the repo
 # root is never touched (see DESIGN.md §10). The scalar leg is what keeps
 # the reference path from rotting on machines that auto-dispatch SIMD.
 OMEN_SIMD=0 cargo test -q --release -p omen-linalg
 OMEN_SIMD=0 cargo test -q --release --test kernel_conformance
-OMEN_SIMD=0 cargo test -q --release --test selinv_properties --test engine_equivalence --test physics_invariants
+OMEN_SIMD=0 cargo test -q --release --test selinv_properties --test engine_equivalence --test physics_invariants --test flop_counter_props
 # Smoke runs merge into their ledger, so a record left in a cached target/
 # by an earlier run would satisfy bench-gate's "fresh record for this leg"
 # check: start every CI run from no smoke ledgers (both legs still coexist,
 # they are written after this line).
 rm -f target/BENCH_*.smoke.json
 OMEN_SIMD=0 cargo bench -p omen-bench --bench kernels -- --smoke
+OMEN_SIMD=0 cargo run --release -p omen-bench --bin tab2_flops -- --json --smoke
 if grep -q avx2 /proc/cpuinfo 2>/dev/null && grep -q fma /proc/cpuinfo 2>/dev/null; then
     OMEN_SIMD=1 cargo test -q --release -p omen-linalg
     OMEN_SIMD=1 cargo test -q --release --test kernel_conformance
-    OMEN_SIMD=1 cargo test -q --release --test selinv_properties --test engine_equivalence --test physics_invariants
+    OMEN_SIMD=1 cargo test -q --release --test selinv_properties --test engine_equivalence --test physics_invariants --test flop_counter_props
     OMEN_SIMD=1 cargo bench -p omen-bench --bench kernels -- --smoke
+    OMEN_SIMD=1 cargo run --release -p omen-bench --bin tab2_flops -- --json --smoke
 else
     echo "ci: NOTICE — CPU lacks AVX2+FMA, skipping the OMEN_SIMD=1 leg (scalar leg still ran)"
 fi

@@ -122,22 +122,9 @@ fn ablation_c_eta() {
     for eta in [1e-9, 1e-8, 1e-7, 1e-6, 1e-5, 1e-4, 1e-3] {
         let mut worst = 0.0f64;
         for &e in &[-1.3f64, -0.6, 0.05, 0.9, 1.55] {
-            let sl = omen_negf::sancho::ContactSelfEnergy::compute(
-                e,
-                eta,
-                &h00,
-                &h01,
-                omen_negf::sancho::Side::Left,
-            )
-            .expect("left lead failed");
-            let sr = omen_negf::sancho::ContactSelfEnergy::compute(
-                e,
-                eta,
-                &h00,
-                &h01,
-                omen_negf::sancho::Side::Right,
-            )
-            .expect("right lead failed");
+            let lead = (&h00, &h01);
+            let (sl, sr) = omen_negf::contacts::local_contacts(e, eta, lead, lead)
+                .expect("lead decimation failed");
             let a = omen_negf::rgf::build_a_matrix(e, eta, &h, &sl, &sr);
             let r = omen_negf::rgf::rgf_solve(&a, &sl.gamma, &sr.gamma).expect("RGF solve failed");
             worst = worst.max((r.transmission - 1.0).abs());

@@ -5,10 +5,10 @@
 //! guardbands in the repo-root
 //! `TOLERANCES.toml`. `--smoke` additionally checks the **fresh**
 //! `target/BENCH_*.smoke.json` records written by
-//! `cargo bench -p omen-bench -- --smoke` earlier in the same CI run:
-//! structural presence (`gemm`, `lu`, `trsm`, `inverse` and `selinv` on the
-//! current dispatch leg, both schedules, both service cases) plus
-//! catastrophic-only floors.
+//! `cargo bench -p omen-bench -- --smoke` and `tab2_flops --json --smoke`
+//! earlier in the same CI run: structural presence (`gemm`, `lu`, `trsm`,
+//! `inverse`, `selinv` and `contacts_point` on the current dispatch leg,
+//! both schedules, both service cases) plus catastrophic-only floors.
 //!
 //! Exit codes: `0` gate green (or a printed self-skip NOTICE when
 //! `OMEN_SIMD=1` demands a leg this CPU cannot run), `1` guardband

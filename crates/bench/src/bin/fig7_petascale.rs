@@ -35,22 +35,9 @@ fn measure_alpha(w: f64, slabs: usize) -> (f64, usize, usize) {
     let lead = ham.lead_blocks(0.0, 0.0);
     let n = h.block_size(1);
     let e = -3.2;
-    let sl = omen_negf::sancho::ContactSelfEnergy::compute(
-        e,
-        2e-6,
-        &lead.0,
-        &lead.1,
-        omen_negf::sancho::Side::Left,
-    )
-    .expect("left lead failed");
-    let sr = omen_negf::sancho::ContactSelfEnergy::compute(
-        e,
-        2e-6,
-        &lead.0,
-        &lead.1,
-        omen_negf::sancho::Side::Right,
-    )
-    .expect("right lead failed");
+    let lead = (&lead.0, &lead.1);
+    let (sl, sr) =
+        omen_negf::contacts::local_contacts(e, 2e-6, lead, lead).expect("lead decimation failed");
     let a = omen_negf::rgf::build_a_matrix(e, 2e-6, &h, &sl, &sr);
     // Solver-only measurement: injected-mode solve on the prebuilt system.
     let wl = omen_wf::injection_bundle(&sl.gamma, 1e-9);

@@ -12,16 +12,18 @@
 //! needs the explicit block inverse and five n³ products per slab for the
 //! diagonal of G; the mode count stays well below n.
 //!
-//! `--json` additionally times each engine's solve and merges
-//! `rgf_energy_point` / `wf_energy_point` throughput records (counted
-//! Gflop/s at the slab-block size) into the repo-root
-//! `BENCH_kernels.json` baseline; `--smoke` restricts the sweep to the
-//! smallest device so CI can exercise the emitter cheaply.
+//! `--json` additionally times the contacts prologue and each engine's
+//! solve and merges `contacts_point` / `rgf_energy_point` /
+//! `wf_energy_point` throughput records (counted Gflop/s at the slab-block
+//! size; the WF record divides WF-only flops by a wall that includes its
+//! contacts) into the repo-root `BENCH_kernels.json` baseline; `--smoke`
+//! restricts the sweep to the smallest device and writes the ledger's
+//! smoke twin, which `ci.sh` runs on both dispatch legs.
 
 use omen_bench::records::{publish, KernelRecord};
 use omen_bench::{print_table, timed};
 use omen_lattice::{Crystal, Device};
-use omen_linalg::{flop_count, reset_flops, threads};
+use omen_linalg::{flop_count, reset_flops, threads, FlopScope};
 use omen_num::A_SI;
 use omen_tb::{DeviceHamiltonian, Material, TbParams};
 
@@ -47,26 +49,18 @@ fn main() {
         let block = h.block_size(1);
         let e = -3.2; // inside the band
 
-        // Warm, then measure. Self-energy cost is shared by both engines —
-        // exclude it by measuring it separately.
-        reset_flops();
-        let sl = omen_negf::sancho::ContactSelfEnergy::compute(
-            e,
-            2e-6,
-            &lead.0,
-            &lead.1,
-            omen_negf::sancho::Side::Left,
-        )
-        .expect("left lead failed");
-        let sr = omen_negf::sancho::ContactSelfEnergy::compute(
-            e,
-            2e-6,
-            &lead.0,
-            &lead.1,
-            omen_negf::sancho::Side::Right,
-        )
-        .expect("right lead failed");
-        let sigma_flops = flop_count();
+        // Self-energy cost is shared by both engines — exclude it by
+        // measuring it separately, through the prologue the engines call
+        // (equal leads: one pair decimation, not two). Warm, then measure.
+        let lead_ref = (&lead.0, &lead.1);
+        let contacts = || {
+            omen_negf::contacts::local_contacts(e, 2e-6, lead_ref, lead_ref)
+                .expect("lead decimation failed")
+        };
+        contacts();
+        let scope = FlopScope::new();
+        let ((sl, sr), sigma_s) = timed(contacts);
+        let sigma_flops = scope.take();
 
         reset_flops();
         let a = omen_negf::rgf::build_a_matrix(e, 2e-6, &h, &sl, &sr);
@@ -91,24 +85,21 @@ fn main() {
         assert!((r.transmission - wf.transmission).abs() < 1e-4 * (1.0 + r.transmission));
         if json {
             let t = threads::configured_threads();
-            records.push(KernelRecord {
-                kernel: "rgf_energy_point".into(),
-                n: block,
-                threads: t,
-                simd,
-                median_s: rgf_s,
-                min_s: rgf_s,
-                gflops: rgf_flops as f64 / rgf_s / 1e9,
-            });
-            records.push(KernelRecord {
-                kernel: "wf_energy_point".into(),
-                n: block,
-                threads: t,
-                simd,
-                median_s: wf_s,
-                min_s: wf_s,
-                gflops: wf_flops as f64 / wf_s / 1e9,
-            });
+            for (kernel, flops, secs) in [
+                ("contacts_point", sigma_flops, sigma_s),
+                ("rgf_energy_point", rgf_flops, rgf_s),
+                ("wf_energy_point", wf_flops, wf_s),
+            ] {
+                records.push(KernelRecord {
+                    kernel: kernel.into(),
+                    n: block,
+                    threads: t,
+                    simd,
+                    median_s: secs,
+                    min_s: secs,
+                    gflops: flops as f64 / secs / 1e9,
+                });
+            }
         }
         rows.push(vec![
             format!("{w:.1}×{w:.1}"),

@@ -18,7 +18,8 @@
 //!    policy with a rationale instead of letting the drift land unremarked.
 //! 2. **Smoke validation** (`--smoke`): fresh `target/BENCH_*.smoke.json`
 //!    records from this very CI run must exist for the current dispatch
-//!    leg (`gemm`, `lu`, `trsm`, `inverse` and `selinv`), clear the
+//!    leg (`gemm`, `lu`, `trsm`, `inverse`, `selinv` and `contacts_point`),
+//!    clear the
 //!    catastrophic `[[kernel_smoke_floor]]` throughput floors, stay under the
 //!    `[[sched_smoke_floor]]` imbalance ceilings, and clear the
 //!    `[[serve_smoke_floor]]` service throughputs. Smoke floors are set an
@@ -197,13 +198,14 @@ pub fn check_committed_sched(policy: &TolerancePolicy, records: &[SchedRecord]) 
 }
 
 /// The kernels a `--smoke` run of the kernels bench must record per leg.
-const SMOKE_KERNELS: [&str; 5] = ["gemm", "lu", "trsm", "inverse", "selinv"];
+const SMOKE_KERNELS: [&str; 6] = ["gemm", "lu", "trsm", "inverse", "selinv", "contacts_point"];
 
 /// Validates fresh `--smoke` kernel records for the current dispatch leg
 /// (`simd_leg` is the `simd` flag the running process stamps into
-/// records): `gemm`, `lu`, `trsm`, `inverse` and `selinv` must all be
-/// present for that leg —
-/// a missing kernel means the smoke bench silently skipped a code path —
+/// records): `gemm`, `lu`, `trsm`, `inverse` and `selinv` (kernels bench)
+/// and `contacts_point` (`tab2_flops --json --smoke`) must all be present
+/// for that leg —
+/// a missing kernel means a smoke bench silently skipped a code path —
 /// and every leg record must clear its catastrophic
 /// `[[kernel_smoke_floor]]`.
 pub fn check_smoke_kernels(
@@ -217,7 +219,8 @@ pub fn check_smoke_kernels(
         if !leg.iter().any(|r| r.kernel == required) {
             report.failures.push(format!(
                 "no fresh {required} smoke record for the simd={simd_leg} leg — run \
-                 `cargo bench -p omen-bench --bench kernels -- --smoke` on this leg first"
+                 `cargo bench -p omen-bench --bench kernels -- --smoke` and \
+                 `tab2_flops --json --smoke` on this leg first"
             ));
         }
     }
@@ -424,6 +427,11 @@ rationale = "catastrophic only"
 
 [[kernel_smoke_floor]]
 kernel = "selinv"
+min_gflops = 0.05
+rationale = "catastrophic only"
+
+[[kernel_smoke_floor]]
+kernel = "contacts_point"
 min_gflops = 0.05
 rationale = "catastrophic only"
 

@@ -8,7 +8,9 @@ mod common;
 
 use common::mutants;
 use omen_linalg::ZMat;
-use omen_negf::contacts::{decode_contact, encode_contact};
+use omen_negf::contacts::{
+    decode_contact, decode_contact_pair, encode_contact, encode_contact_pair,
+};
 use omen_negf::serialize::{bytes_to_mats, mats_to_bytes};
 use omen_negf::{ContactSelfEnergy, Side};
 use omen_num::{c64, FailedPoint, OmenError, OmenResult, SweepReport};
@@ -79,18 +81,23 @@ fn mutated_rank_payloads_decode_or_fail_as_deserialize() {
     );
 
     // A contact payload carries either the self-energy or the decimating
-    // rank's own failure, so a mutant may also decode *to* a lead error.
+    // rank's own failure, so a mutant may also decode *to* a lead error —
+    // one lead's contact, or both contacts of an equal-lead device.
     let contact = |b: &[u8]| decode_contact(b, Side::Left);
-    let se = ContactSelfEnergy {
-        side: Side::Left,
+    let lead_error =
+        |e: &OmenError| deserialize(e) || matches!(e, OmenError::LeadNotConverged { .. });
+    let se = |side| ContactSelfEnergy {
+        side,
         sigma: block.clone(),
         gamma: ZMat::eye(3),
         retries: 1,
     };
-    for outcome in [Ok(se), Err(lead_failure())] {
-        tried += survives(&encode_contact(3, &outcome), contact, |e| {
-            deserialize(e) || matches!(e, OmenError::LeadNotConverged { .. })
-        });
+    for outcome in [Ok(se(Side::Left)), Err(lead_failure())] {
+        tried += survives(&encode_contact(3, &outcome), contact, lead_error);
+    }
+    for outcome in [Ok((se(Side::Left), se(Side::Right))), Err(lead_failure())] {
+        let sample = encode_contact_pair(3, &outcome);
+        tried += survives(&sample, decode_contact_pair, lead_error);
     }
 
     let worker = [

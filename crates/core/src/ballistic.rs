@@ -5,7 +5,7 @@
 //! exhausted) is dropped from the grid and recorded in the result's
 //! [`SweepReport`] instead of aborting the bias point.
 
-use crate::energy::{transport_window, EnergyWindow};
+use crate::energy::{EnergyWindow, LeadBandsMemo};
 use crate::spec::{Bias, NanoTransistor};
 use omen_linalg::ZMat;
 use omen_negf::transport::EnergyPointData;
@@ -57,8 +57,15 @@ struct TransportSetup {
 
 /// Assembles the device and lead operators at a potential and derives the
 /// transport energy window from the lead subbands around the contact Fermi
-/// levels (electron side above the device midgap, hole side below).
-fn prepare_transport(tr: &NanoTransistor, v_atoms: &[f64], bias: &Bias, ky: f64) -> TransportSetup {
+/// levels (electron side above the device midgap, hole side below). The
+/// subbands of a lead `bands` remembers are not diagonalised again.
+fn prepare_transport(
+    tr: &NanoTransistor,
+    v_atoms: &[f64],
+    bias: &Bias,
+    ky: f64,
+    bands: &mut LeadBandsMemo,
+) -> TransportSetup {
     assert_eq!(v_atoms.len(), tr.device.num_atoms());
     // Device and source lead as every frozen-potential driver builds them;
     // the drain lead is pinned to its own terminal slab.
@@ -72,7 +79,7 @@ fn prepare_transport(tr: &NanoTransistor, v_atoms: &[f64], bias: &Bias, ky: f64)
     let mid_lo = tr.e_midgap - v_atoms.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
     let mid_hi = tr.e_midgap - v_atoms.iter().cloned().fold(f64::INFINITY, f64::min);
     let span = 30.0 * tr.kt;
-    let window = transport_window(
+    let window = bands.window(
         &[(&h00_l, &h01_l), (&h00_r, &h01_r)],
         &mus,
         tr.kt,
@@ -106,7 +113,24 @@ pub fn ballistic_solve(
     n_energy: usize,
     ky: f64,
 ) -> BallisticResult {
-    let s = prepare_transport(tr, v_atoms, bias, ky);
+    let mut bands = LeadBandsMemo::default();
+    ballistic_solve_remembering(tr, v_atoms, bias, engine, n_energy, ky, &mut bands)
+}
+
+/// [`ballistic_solve`] for a sweep loop that owns a [`LeadBandsMemo`]:
+/// bias points whose lead blocks repeat exactly (the gate points of a
+/// frozen sweep) diagonalise the lead bands once. The result is
+/// [`ballistic_solve`]'s bit for bit.
+pub(crate) fn ballistic_solve_remembering(
+    tr: &NanoTransistor,
+    v_atoms: &[f64],
+    bias: &Bias,
+    engine: Engine,
+    n_energy: usize,
+    ky: f64,
+    bands: &mut LeadBandsMemo,
+) -> BallisticResult {
+    let s = prepare_transport(tr, v_atoms, bias, ky, bands);
     let (energies, points, report) = solve_sweep(
         &s.window.grid(n_energy),
         &s.h,
@@ -162,7 +186,7 @@ pub fn ballistic_solve_adaptive(
     ky: f64,
 ) -> BallisticResult {
     assert!(n_init >= 5 && max_points >= n_init);
-    let s = prepare_transport(tr, v_atoms, bias, ky);
+    let s = prepare_transport(tr, v_atoms, bias, ky, &mut LeadBandsMemo::default());
     let (lead_l, lead_r) = ((&s.h00_l, &s.h01_l), (&s.h00_r, &s.h01_r));
 
     // Initial grid with failed energies dropped before the adaptive grid is

@@ -1,6 +1,7 @@
 //! Voltage sweeps and figure-of-merit extraction.
 
-use crate::ballistic::{ballistic_solve, Engine};
+use crate::ballistic::{ballistic_solve_remembering, Engine};
+use crate::energy::LeadBandsMemo;
 use crate::log::SweepSeq;
 use crate::scf::{self_consistent, ScfOptions};
 use crate::spec::{Bias, NanoTransistor};
@@ -239,6 +240,9 @@ pub fn frozen_field_sweep_observed(
 ) -> Vec<IvPoint> {
     let mut seq = SweepSeq::new();
     let mut out = Vec::with_capacity(v_gates.len());
+    // The source/drain extensions sit at zero potential at every gate
+    // point: one set of lead blocks, one band diagonalisation per sweep.
+    let mut bands = LeadBandsMemo::default();
     for (index, &vg) in v_gates.iter().enumerate() {
         let v_atoms = frozen_potential(tr, vg);
         let bias = Bias {
@@ -246,7 +250,7 @@ pub fn frozen_field_sweep_observed(
             v_ds,
             mu_source,
         };
-        let r = ballistic_solve(tr, &v_atoms, &bias, engine, n_energy, 0.0);
+        let r = ballistic_solve_remembering(tr, &v_atoms, &bias, engine, n_energy, 0.0, &mut bands);
         let point = IvPoint {
             v_gate: vg,
             v_ds,
@@ -271,6 +275,7 @@ pub fn frozen_field_sweep_observed(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ballistic::ballistic_solve;
     use crate::spec::TransistorSpec;
     use omen_num::linspace;
     use omen_tb::Material;

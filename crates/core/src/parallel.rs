@@ -386,8 +386,10 @@ fn whole_curve_dynamic(
         CostModel::band_edge_grid(nk, n_e, 2.0)
     });
     let stamps: Vec<f64> = (0..nk * n_e).map(|id| energies[id % n_e]).collect();
-    // Lazily build each k-point's system on first use; units for one k
-    // arrive chunked, so in practice each worker factorizes few systems.
+    // One k-point system per rank, rebuilt whenever the next unit belongs
+    // to another k. LPT order interleaves k, so that is most units (76–82
+    // rebuilds per 96-unit sweep on 2 ranks); k-coherent hand-outs are
+    // ROADMAP item 3(e).
     let mut cached: Option<(usize, (BlockTridiag, ZMat, ZMat))> = None;
     let outcome = dynamic_sweep(&comms.bias_group, &stamps, &mut model, opts, |id| {
         let ik = id / n_e;

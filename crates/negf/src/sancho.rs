@@ -27,6 +27,25 @@
 //! chain) before giving up, reporting the retry count so sweeps can
 //! account the recovery.
 //!
+//! **One decimation, both surfaces**: the left recursion is the right one
+//! with the couplings swapped (`α_L = H01† = β_R`, `β_L = H01 = α_R`), so
+//! at every iteration both orientations hold the same `g`, the same
+//! products `αgβ` / `βgα` and the same contraction test, and differ only
+//! in which product feeds the surface ε: `ε_s += αgβ` on one side,
+//! `ε_s' += βgα` on the mirror. A lead that terminates *both* ends of a
+//! device therefore needs one loop carrying two surface accumulators and
+//! one extra inverse at the exit ([`surface_green_function_pair`]) instead
+//! of two decimations. The pair runs in the right-lead orientation, so its
+//! right GF is the single right decimation bit for bit. Its left GF would
+//! have had its bulk ε built as `βgα + αgβ` — the same two terms added in
+//! the other order — so on a dense lead it agrees with the single left
+//! decimation to rounding only (`contacts.pair_vs_single` in
+//! `TOLERANCES.toml`). A tight-binding lead couples the surface atoms of
+//! one cell to the facing atoms of the next: the rows and columns `H01`
+//! touches are disjoint, `αgβ` and `βgα` never write the same entry, the
+//! order of the two adds cannot matter, and both GFs are bit-identical to
+//! the two single decimations.
+//!
 //! Device coupling: the left contact touches slab 0 through `H_{0,-1} = H01†`
 //! giving `Σ_L = H01† g_L H01`; the right contact touches slab N−1 through
 //! `H_{N-1,N} = H01` giving `Σ_R = H01 g_R H01†`.
@@ -52,12 +71,11 @@ pub const MAX_DECIMATION_ITERS: usize = 200;
 /// non-converged lead before surfacing the error.
 pub const MAX_LEAD_RETRIES: usize = 3;
 
-/// `m.max_abs() < tol` without a `hypot` per element: the squared
-/// magnitude settles every entry except one within rounding distance of
-/// the threshold, which alone pays for the exact magnitude. A NaN entry
-/// compares below, as it does in `max_abs` (whose `f64::max` fold drops
-/// it) — the finite-surface-GF gate at the exit of [`decimate`] is what
-/// catches a poisoned lead.
+/// Every entry of `m` is below `tol` in magnitude, without a `hypot` per
+/// element: the squared magnitude settles every entry except one within
+/// rounding distance of the threshold, which alone pays for the exact
+/// magnitude. A NaN entry counts as contracted — the finite-surface-GF
+/// gate at the exit of [`decimate`] is what catches a poisoned lead.
 fn contracted(m: &ZMat, tol: f64) -> bool {
     let (lo, hi) = (tol * tol * (1.0 - 1e-9), tol * tol * (1.0 + 1e-9));
     m.data().iter().all(|z| {
@@ -67,13 +85,17 @@ fn contracted(m: &ZMat, tol: f64) -> bool {
 }
 
 /// Core decimation loop with an explicit iteration bound: the surface GF
-/// at exactly `e`, no recovery.
+/// of `side` at exactly `e`, no recovery. A `mirror` slot makes the same
+/// iterations carry the opposite side's surface ε as well (see the module
+/// doc) and receives that side's surface GF; its content is unspecified
+/// when the decimation fails.
 fn decimate(
     e: f64,
     eta: f64,
     h00: &ZMat,
     h01: &ZMat,
     side: Side,
+    mut mirror: Option<&mut ZMat>,
     max_iters: usize,
 ) -> OmenResult<ZMat> {
     assert!(eta > 0.0, "Sancho-Rubio needs a positive broadening");
@@ -87,6 +109,10 @@ fn decimate(
     };
     let mut eps_s = h00.clone();
     let mut eps = h00.clone();
+    // The slot accumulates the mirror surface ε until the exit inverts it.
+    if let Some(eps_m) = mirror.as_deref_mut() {
+        eps_m.clone_from(h00);
+    }
 
     // Work matrices held across iterations: the resolvent argument, the
     // four products of one step and the next coupling.
@@ -112,11 +138,15 @@ fn decimate(
         };
 
         // ε_s += α g β ;  ε += α g β + β g α ;  α ← α g α ;  β ← β g β
+        // (mirror: ε_s' += β g α — its α is this β)
         mul(&alpha, &g, &mut ag);
         mul(&beta, &g, &mut bg);
         mul(&ag, &beta, &mut agb);
         mul(&bg, &alpha, &mut bga);
         eps_s += &agb;
+        if let Some(eps_m) = mirror.as_deref_mut() {
+            *eps_m += &bga;
+        }
         eps += &agb;
         eps += &bga;
         mul(&ag, &alpha, &mut next);
@@ -125,25 +155,27 @@ fn decimate(
         std::mem::swap(&mut beta, &mut next);
 
         if contracted(&alpha, 1e-14) && contracted(&beta, 1e-14) {
-            resolvent_arg(&eps_s, &mut a);
-            return match lu::Lu::factor(&a) {
-                // A NaN-poisoned lead slips through the contraction test
-                // (`max_abs` folds with `f64::max`, which drops NaN), so
-                // gate the exit on a finite surface GF: non-finite means
-                // the decimation never actually converged.
-                Ok(f) => {
-                    let g = f.inverse();
-                    if g.norm_fro().is_finite() {
-                        Ok(g)
-                    } else {
-                        Err(OmenError::LeadNotConverged {
-                            energy: e,
-                            iters: it + 1,
-                        })
-                    }
+            // (E − ε_s)⁻¹. A NaN-poisoned lead slips through the
+            // contraction test, so gate the exit on a finite surface GF:
+            // non-finite means the decimation never actually converged.
+            let mut surface = |eps_s: &ZMat| {
+                resolvent_arg(eps_s, &mut a);
+                let f = lu::Lu::factor(&a).map_err(|s| s.at_block(0).with_energy(e))?;
+                let g = f.inverse();
+                if g.norm_fro().is_finite() {
+                    Ok(g)
+                } else {
+                    Err(OmenError::LeadNotConverged {
+                        energy: e,
+                        iters: it + 1,
+                    })
                 }
-                Err(s) => Err(s.at_block(0).with_energy(e)),
             };
+            let g = surface(&eps_s)?;
+            if let Some(slot) = mirror {
+                *slot = surface(slot)?;
+            }
+            return Ok(g);
         }
     }
     Err(OmenError::LeadNotConverged {
@@ -160,16 +192,18 @@ pub const LEAD_NUDGE_FLOOR: f64 = 1e-7;
 /// [`decimate`] with the energy-nudge recovery policy: on non-convergence,
 /// retry at `E ± k·step` (alternating sides, growing `k`,
 /// `step = max(4η, LEAD_NUDGE_FLOOR)`) up to [`MAX_LEAD_RETRIES`] times.
-/// Returns the surface GF and the retries spent.
+/// Returns the surface GF and the retries spent; a `mirror` GF comes from
+/// the same (possibly nudged) energy as the returned one.
 fn decimate_recovering(
     e: f64,
     eta: f64,
     h00: &ZMat,
     h01: &ZMat,
     side: Side,
+    mut mirror: Option<&mut ZMat>,
     max_iters: usize,
 ) -> OmenResult<(ZMat, usize)> {
-    let first = match decimate(e, eta, h00, h01, side, max_iters) {
+    let first = match decimate(e, eta, h00, h01, side, mirror.as_deref_mut(), max_iters) {
         Ok(g) => return Ok((g, 0)),
         Err(first) => first,
     };
@@ -178,7 +212,15 @@ fn decimate_recovering(
         let k = retry.div_ceil(2) as f64;
         let sign = if retry % 2 == 1 { 1.0 } else { -1.0 };
         let nudged = e + sign * k * step;
-        if let Ok(g) = decimate(nudged, eta, h00, h01, side, max_iters) {
+        if let Ok(g) = decimate(
+            nudged,
+            eta,
+            h00,
+            h01,
+            side,
+            mirror.as_deref_mut(),
+            max_iters,
+        ) {
             return Ok((g, retry));
         }
     }
@@ -209,7 +251,38 @@ pub fn surface_green_function(
     h01: &ZMat,
     side: Side,
 ) -> OmenResult<(ZMat, usize)> {
-    decimate_recovering(e, eta, h00, h01, side, MAX_DECIMATION_ITERS)
+    decimate_recovering(e, eta, h00, h01, side, None, MAX_DECIMATION_ITERS)
+}
+
+/// Both surface Green's functions of one lead, `(g_left, g_right, retries)`,
+/// from a single decimation in the right-lead orientation (module doc,
+/// "One decimation, both surfaces"): `g_right` is
+/// [`surface_green_function`]`(.., Side::Right)` bit for bit, `g_left` is
+/// the `Side::Left` result to rounding — exactly, when `h01` touches
+/// disjoint rows and columns — and both belong to the same (possibly
+/// nudged) energy.
+///
+/// # Errors
+///
+/// As [`surface_green_function`]; a failure of either final inverse fails
+/// the pair.
+pub fn surface_green_function_pair(
+    e: f64,
+    eta: f64,
+    h00: &ZMat,
+    h01: &ZMat,
+) -> OmenResult<(ZMat, ZMat, usize)> {
+    let mut g_left = ZMat::zeros(0, 0);
+    let (g_right, retries) = decimate_recovering(
+        e,
+        eta,
+        h00,
+        h01,
+        Side::Right,
+        Some(&mut g_left),
+        MAX_DECIMATION_ITERS,
+    )?;
+    Ok((g_left, g_right, retries))
 }
 
 /// A contact self-energy `Σ` with its broadening `Γ = i(Σ − Σ†)`.
@@ -236,28 +309,50 @@ impl ContactSelfEnergy {
     /// [`OmenError::SingularBlock`] once the nudge recovery is exhausted.
     pub fn compute(e: f64, eta: f64, h00: &ZMat, h01: &ZMat, side: Side) -> OmenResult<Self> {
         let (g, retries) = surface_green_function(e, eta, h00, h01, side)?;
+        Ok(Self::from_surface_gf(&g, h01, side, retries))
+    }
+
+    /// `(Σ_L, Σ_R)` of a device whose two contacts are the same lead, from
+    /// one decimation ([`surface_green_function_pair`]): `Σ_R` is
+    /// [`Self::compute`]`(.., Side::Right)` bit for bit, `Σ_L` the
+    /// `Side::Left` result to rounding (exactly, on tight-binding leads),
+    /// and both carry the same `retries`.
+    ///
+    /// # Errors
+    ///
+    /// As [`Self::compute`].
+    pub fn compute_pair(e: f64, eta: f64, h00: &ZMat, h01: &ZMat) -> OmenResult<(Self, Self)> {
+        let (g_left, g_right, retries) = surface_green_function_pair(e, eta, h00, h01)?;
+        Ok((
+            Self::from_surface_gf(&g_left, h01, Side::Left, retries),
+            Self::from_surface_gf(&g_right, h01, Side::Right, retries),
+        ))
+    }
+
+    /// Dresses the surface GF `g` of `side` with the device coupling.
+    fn from_surface_gf(g: &ZMat, h01: &ZMat, side: Side, retries: usize) -> Self {
         let sigma = match side {
             // Σ_L = H01† g_L H01
             Side::Left => {
                 let mut t = ZMat::zeros(h01.ncols(), g.ncols());
-                gemm(c64::ONE, h01, Op::H, &g, Op::N, c64::ZERO, &mut t);
+                gemm(c64::ONE, h01, Op::H, g, Op::N, c64::ZERO, &mut t);
                 omen_linalg::matmul(&t, h01)
             }
             // Σ_R = H01 g_R H01†
             Side::Right => {
-                let t = omen_linalg::matmul(h01, &g);
+                let t = omen_linalg::matmul(h01, g);
                 let mut s = ZMat::zeros(t.nrows(), h01.nrows());
                 gemm(c64::ONE, &t, Op::N, h01, Op::H, c64::ZERO, &mut s);
                 s
             }
         };
         let gamma = sigma.gamma_of();
-        Ok(ContactSelfEnergy {
+        ContactSelfEnergy {
             side,
             sigma,
             gamma,
             retries,
-        })
+        }
     }
 }
 
@@ -353,16 +448,19 @@ mod tests {
         // E = 2|t| (the 1-D band edge) with η = 1e-18 the chain needs 35
         // doublings. A bound of 30 is therefore deterministically
         // insufficient and must surface as a typed non-convergence, not a
-        // panic or a garbage surface GF.
+        // panic or a garbage surface GF — from the single decimation and
+        // from the pair alike.
         let (h00, h01) = chain_blocks(0.0, -1.0);
-        let r = decimate(2.0, 1e-18, &h00, &h01, Side::Left, 30);
-        match r {
-            Err(OmenError::LeadNotConverged { energy, iters }) => {
-                assert_eq!(energy, 2.0);
-                assert_eq!(iters, 30);
+        let mut slot = ZMat::zeros(0, 0);
+        for mirror in [None, Some(&mut slot)] {
+            match decimate(2.0, 1e-18, &h00, &h01, Side::Left, mirror, 30) {
+                Err(OmenError::LeadNotConverged { energy, iters }) => {
+                    assert_eq!(energy, 2.0);
+                    assert_eq!(iters, 30);
+                }
+                Err(other) => panic!("expected LeadNotConverged, got {other}"),
+                Ok(_) => panic!("band edge under an insufficient bound must not converge"),
             }
-            Err(other) => panic!("expected LeadNotConverged, got {other}"),
-            Ok(_) => panic!("band edge under an insufficient bound must not converge"),
         }
     }
 
@@ -376,12 +474,78 @@ mod tests {
         let (h00, h01) = chain_blocks(0.0, -1.0);
         let eta = 1e-9;
         assert!(
-            decimate(2.0, eta, &h00, &h01, Side::Left, 18).is_err(),
+            decimate(2.0, eta, &h00, &h01, Side::Left, None, 18).is_err(),
             "the edge itself must stall under the tight bound"
         );
-        let (g, retries) = decimate_recovering(2.0, eta, &h00, &h01, Side::Left, 18).unwrap();
+        let (g, retries) = decimate_recovering(2.0, eta, &h00, &h01, Side::Left, None, 18).unwrap();
         assert_eq!(retries, 1, "recovery must record the single nudge");
         // The recovered surface GF is still retarded: Im g ≤ 0.
         assert!(g[(0, 0)].im <= 0.0, "recovered GF must stay retarded");
+
+        // The pair climbs the same ladder once for both sides: the mirror
+        // GF belongs to the nudged energy the returned one converged at
+        // (on this symmetric 1 × 1 chain, where αgβ = βgα exactly, the
+        // two are the same number), under the one retry count.
+        let mut g_mirror = ZMat::zeros(0, 0);
+        let (g_pair, retries_pair) =
+            decimate_recovering(2.0, eta, &h00, &h01, Side::Left, Some(&mut g_mirror), 18).unwrap();
+        assert_eq!(retries_pair, 1);
+        assert_eq!(g_pair, g);
+        assert_eq!(g_mirror, g);
+    }
+
+    /// Dense Hermitian `h00` and dense `h01` — every row and column of
+    /// the coupling is populated, so `αgβ` and `βgα` overlap everywhere.
+    fn dense_lead(n: usize) -> (ZMat, ZMat) {
+        let mut s = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move || {
+            s = s
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            ((s >> 11) as f64 / (1u64 << 53) as f64) * 2.0 - 1.0
+        };
+        let a = ZMat::from_fn(n, n, |_, _| c64::new(next(), next()));
+        let h00 = (&a + &a.adjoint()).scaled(c64::real(0.5));
+        let h01 = ZMat::from_fn(n, n, |_, _| c64::new(next(), next()).scale(0.5));
+        (h00, h01)
+    }
+
+    #[test]
+    fn pair_matches_the_two_single_decimations_on_a_dense_lead() {
+        use omen_num::tolerance::test_bound;
+        use omen_num::BoundKind;
+        let tol = test_bound("contacts.pair_vs_single", BoundKind::Relative).unwrap();
+        let (h00, h01) = dense_lead(6);
+        for e in [-0.7, 0.1, 1.3] {
+            let (gl, rl) = surface_green_function(e, 1e-6, &h00, &h01, Side::Left).unwrap();
+            let (gr, rr) = surface_green_function(e, 1e-6, &h00, &h01, Side::Right).unwrap();
+            let (pl, pr, retries) = surface_green_function_pair(e, 1e-6, &h00, &h01).unwrap();
+            // The pair *is* the right decimation; the left GF's bulk ε
+            // summed its two products in the other order.
+            assert_eq!(pr, gr, "E={e}: right GF must be bit-identical");
+            assert_eq!((retries, retries), (rl, rr), "E={e}");
+            let err = (&pl - &gl).max_abs();
+            assert!(
+                err <= tol * gl.max_abs(),
+                "E={e}: left GF off by {err:e} on |g| = {:e}",
+                gl.max_abs()
+            );
+
+            let (sl, sr) = ContactSelfEnergy::compute_pair(e, 1e-6, &h00, &h01).unwrap();
+            let want = ContactSelfEnergy::compute(e, 1e-6, &h00, &h01, Side::Right).unwrap();
+            assert_eq!((sr.side, sl.side), (Side::Right, Side::Left));
+            assert_eq!((&sr.sigma, &sr.gamma), (&want.sigma, &want.gamma), "E={e}");
+            assert_eq!((sl.retries, sr.retries), (retries, retries));
+        }
+    }
+
+    #[test]
+    fn poisoned_lead_fails_the_pair_with_a_typed_error() {
+        let h00 = ZMat::from_diag(&[c64::new(f64::NAN, 0.0)]);
+        let h01 = ZMat::from_diag(&[c64::real(-1.0)]);
+        match surface_green_function_pair(0.2, 1e-6, &h00, &h01) {
+            Err(OmenError::LeadNotConverged { energy, .. }) => assert_eq!(energy, 0.2),
+            other => panic!("expected LeadNotConverged, got {other:?}"),
+        }
     }
 }

@@ -66,6 +66,8 @@ pub const KNOWN_OPS: &[&str] = &[
     "engine.selinv_spin_orbit",
     // tests/selinv_properties.rs
     "selinv.vs_dense",
+    // crates/negf/src/sancho.rs
+    "contacts.pair_vs_single",
     // tests/physics_invariants.rs
     "physics.unitarity_slack",
     "physics.reciprocity",

@@ -146,12 +146,23 @@ impl<'d> DeviceHamiltonian<'d> {
     /// toward +x. Both contacts share these blocks by slab congruence; the
     /// left lead uses them directly and the right lead uses the adjoint
     /// coupling.
+    ///
+    /// These are the first diagonal and super-diagonal blocks of
+    /// [`Self::assemble`] at a uniform potential, bit for bit, assembled
+    /// from the first two slabs alone.
     pub fn lead_blocks(&self, contact_potential: f64, ky: f64) -> (ZMat, ZMat) {
-        let pot = vec![contact_potential; self.device.num_atoms()];
-        let bt = self.assemble(&pot, ky);
-        (bt.diag[0].clone(), bt.upper[0].clone())
+        let offsets = &self.slab_orbital_offsets()[..3];
+        let pot = vec![contact_potential; offsets[2] / self.orbitals_per_atom()];
+        let csr = self.assemble_coo(&pot, ky).to_csr();
+        let mut bt = BlockTridiag::from_csr(&csr, offsets)
+            .expect("nearest-neighbor TB assembly stays inside the slab partition");
+        (bt.diag.swap_remove(0), bt.upper.swap_remove(0))
     }
 
+    /// Triplets of the leading `potential.len()` atoms (atoms are stored
+    /// slab by slab): their onsite terms and the bonds with both ends
+    /// among them, pushed in device order — so a slab prefix holds, for
+    /// its own entries, the pushes of the whole device in the same order.
     fn assemble_coo(&self, potential: &[f64], ky: f64) -> Coo {
         let dev = self.device;
         let p = &self.params;
@@ -159,7 +170,8 @@ impl<'d> DeviceHamiltonian<'d> {
         let norb = basis.count();
         let spin = self.spin_factor();
         let per = norb * spin;
-        let dim = self.dim();
+        let n_atoms = potential.len();
+        let dim = n_atoms * per;
         let mut coo = Coo::new(dim, dim);
 
         let period_y = match dev.kind {
@@ -168,7 +180,7 @@ impl<'d> DeviceHamiltonian<'d> {
         };
 
         // --- Onsite terms -------------------------------------------------
-        for (ai, atom) in dev.atoms.iter().enumerate() {
+        for (ai, atom) in dev.atoms[..n_atoms].iter().enumerate() {
             let p = self.params_for(ai);
             let sp = p.species(atom.sub);
             let base = ai * per;
@@ -242,6 +254,9 @@ impl<'d> DeviceHamiltonian<'d> {
         // --- Hopping terms ------------------------------------------------
         for bond in &dev.bonds {
             let (ai, aj) = (bond.i, bond.j);
+            if ai >= n_atoms || aj >= n_atoms {
+                continue;
+            }
             let (tc, d0) = match &self.alloy {
                 Some(m) => (
                     m.bond_two_center(ai, aj, dev.atoms[ai].sub, dev.atoms[aj].sub),
@@ -392,6 +407,41 @@ mod tests {
         // Time reversal without SO: H(-ky) = H(ky)*.
         let btm = h.assemble(&pot, -ky);
         assert!((&btm.diag[0] - &bt.diag[0].conj()).max_abs() < 1e-12);
+    }
+
+    #[test]
+    fn lead_blocks_are_the_first_blocks_of_the_uniform_device_bit_for_bit() {
+        // The two-slab assembly must make the pushes of the whole-device
+        // assembly, for its own entries, in the same order: the blocks
+        // are equal as bit patterns, not to a tolerance. Slab 1 of the
+        // alloy wire holds species-B atoms, so mixed bonds are covered.
+        let zb = Crystal::Zincblende { a: A_SI };
+        let wire = si_wire(4, 1.0);
+        let utb = Device::utb(zb, 3, 1, 1.0);
+        let si = TbParams::of(Material::SiSp3s);
+        let alloy = AlloyModel::random_channel(&wire, si, TbParams::of(Material::GeSp3s), 0.5, 7);
+        assert!(
+            alloy.is_b.iter().any(|&b| b),
+            "the alloy case needs species B"
+        );
+        let cases = [
+            ("nanowire", DeviceHamiltonian::new(&wire, si, false), 0.0),
+            ("utb", DeviceHamiltonian::new(&utb, si, false), 1.3),
+            ("spin-orbit", DeviceHamiltonian::new(&wire, si, true), 0.0),
+            (
+                "alloy",
+                DeviceHamiltonian::new_alloy(&wire, alloy, false),
+                0.0,
+            ),
+        ];
+        for (what, h, ky) in &cases {
+            for v in [0.0, -0.137] {
+                let whole = h.assemble(&vec![v; h.device().num_atoms()], *ky);
+                let (h00, h01) = h.lead_blocks(v, *ky);
+                assert_eq!(h00, whole.diag[0], "{what}: H00 at v = {v}");
+                assert_eq!(h01, whole.upper[0], "{what}: H01 at v = {v}");
+            }
+        }
     }
 
     #[test]

@@ -162,6 +162,54 @@ fn rgf_energy_point_count_is_the_closed_form() {
 }
 
 #[test]
+fn pair_decimation_counts_one_decimation_and_one_inverse() {
+    use omen::lattice::{Crystal, Device};
+    use omen::negf::contacts::local_contacts;
+    use omen::negf::sancho::surface_green_function_pair;
+    use omen::negf::{surface_green_function, ContactSelfEnergy, Side};
+    use omen::tb::{DeviceHamiltonian, Material, TbParams};
+    let _guard = COUNTER_LOCK.lock().unwrap();
+    // The README wire's lead. The pair runs the single decimation's loop
+    // (the mirror surface ε costs uncounted adds) plus one LU and one
+    // explicit inverse at the exit — exactly, on either dispatch path.
+    let dev = Device::nanowire(Crystal::Zincblende { a: omen::num::A_SI }, 4, 1.0, 1.0);
+    let p = TbParams::of(Material::SingleBand { t_mev: 1000 });
+    let (h00, h01) = DeviceHamiltonian::new(&dev, p, false).lead_blocks(0.0, 0.0);
+    let n = h00.nrows();
+    assert_eq!(n, 32);
+    let eta = omen::negf::transport::DEFAULT_ETA;
+    for e in [-3.3, -3.0, -2.4] {
+        let counted = |f: &dyn Fn()| {
+            let scope = FlopScope::new();
+            f();
+            scope.take()
+        };
+        let single = counted(&|| {
+            surface_green_function(e, eta, &h00, &h01, Side::Right).expect("right lead");
+        });
+        let pair = counted(&|| {
+            surface_green_function_pair(e, eta, &h00, &h01).expect("lead pair");
+        });
+        assert_eq!(pair, single + lu_flops(n) + trsm_flops(n, n), "E={e}");
+
+        // What the engines call: both contacts of an equal-lead device for
+        // barely more than one of the two standalone computations.
+        let two_singles = counted(&|| {
+            for side in [Side::Left, Side::Right] {
+                ContactSelfEnergy::compute(e, eta, &h00, &h01, side).expect("one lead");
+            }
+        });
+        let contacts = counted(&|| {
+            local_contacts(e, eta, (&h00, &h01), (&h00, &h01)).expect("contacts");
+        });
+        assert!(
+            100 * contacts <= 52 * two_singles,
+            "E={e}: pair {contacts} flops vs two singles {two_singles}"
+        );
+    }
+}
+
+#[test]
 fn counter_is_race_free_under_concurrent_kernels() {
     let _guard = COUNTER_LOCK.lock().unwrap();
     // 8 threads hammer the counter with interleaved GEMMs and LUs; the

@@ -206,6 +206,90 @@ fn dense_channels(gamma: &ZMat, tol: f64) -> (Vec<f64>, ZMat) {
 }
 
 #[test]
+fn equal_tight_binding_leads_share_one_decimation_bit_for_bit() {
+    // The engines decimate a lead that terminates both ends of the device
+    // once, carrying both surface ε through the same iterations. On a
+    // tight-binding lead the coupling's rows and columns are disjoint, so
+    // the pair's two products never add into the same entry and *both*
+    // contacts equal the two single decimations as bit patterns — the fact
+    // the benchmark's bit-identical currents rest on. Checked on the
+    // benchmark's three leads: the README wire, the UTB film at its three
+    // momenta, the sp3s* wire.
+    use omen::negf::contacts::local_contacts;
+    use omen::negf::transport::DEFAULT_ETA;
+    use omen::negf::{ContactSelfEnergy, Side};
+    let zb = Crystal::Zincblende { a: A_SI };
+    let single_band = TbParams::of(Material::SingleBand { t_mev: 1000 });
+    let wire = Device::nanowire(zb, 8, 1.0, 1.0);
+    let film = Device::utb(zb, 6, 2, 1.0);
+    let full_band = Device::nanowire(zb, 4, 0.8, 0.8);
+    let k_max = match film.kind {
+        omen::lattice::DeviceKind::Utb { period_y } => std::f64::consts::PI / period_y,
+        _ => unreachable!(),
+    };
+    let wire_ham = DeviceHamiltonian::new(&wire, single_band, false);
+    let film_ham = DeviceHamiltonian::new(&film, single_band, false);
+    let full_ham = DeviceHamiltonian::new(&full_band, TbParams::of(Material::SiSp3s), false);
+    let mut leads = vec![(
+        "README wire".to_string(),
+        wire_ham.lead_blocks(0.0, 0.0),
+        32,
+    )];
+    for j in 0..3 {
+        let ky = (j as f64 + 0.5) * k_max / 3.0;
+        leads.push((format!("UTB film k{j}"), film_ham.lead_blocks(0.0, ky), 32));
+    }
+    leads.push(("sp3s* wire".to_string(), full_ham.lead_blocks(0.0, 0.0), 90));
+
+    let same = |got: &ContactSelfEnergy, want: &ContactSelfEnergy, what: &str| {
+        assert_eq!(got.side, want.side, "{what}");
+        assert_eq!(got.sigma, want.sigma, "{what}: Σ");
+        assert_eq!(got.gamma, want.gamma, "{what}: Γ");
+        assert_eq!(got.retries, want.retries, "{what}: retries");
+    };
+    for (name, (h00, h01), n) in &leads {
+        assert_eq!(h00.nrows(), *n, "{name}: block size");
+        let lead = (h00, h01);
+        // Below, across and above the lowest subbands of every lead.
+        for e in [-3.9, -3.4, -3.1, -2.6, 1.2, 1.7] {
+            let what = format!("{name}, E = {e}");
+            let (sl, sr) = local_contacts(e, DEFAULT_ETA, lead, lead).unwrap();
+            same(
+                &sl,
+                &ContactSelfEnergy::compute(e, DEFAULT_ETA, h00, h01, Side::Left).unwrap(),
+                &what,
+            );
+            same(
+                &sr,
+                &ContactSelfEnergy::compute(e, DEFAULT_ETA, h00, h01, Side::Right).unwrap(),
+                &what,
+            );
+            // Blocks that are merely equal, not aliased, are one lead too.
+            let (cl, cr) = local_contacts(e, DEFAULT_ETA, lead, (&h00.clone(), h01)).unwrap();
+            same(&cl, &sl, &what);
+            same(&cr, &sr, &what);
+        }
+    }
+
+    // Unequal leads keep the two single decimations: a source cut off from
+    // its lead beside an attached drain.
+    let (_, (h00, h01), _) = &leads[0];
+    let dead = ZMat::zeros(h01.nrows(), h01.ncols());
+    let e = -3.1;
+    let (sl, sr) = local_contacts(e, DEFAULT_ETA, (h00, &dead), (h00, h01)).unwrap();
+    same(
+        &sl,
+        &ContactSelfEnergy::compute(e, DEFAULT_ETA, h00, &dead, Side::Left).unwrap(),
+        "dead source",
+    );
+    same(
+        &sr,
+        &ContactSelfEnergy::compute(e, DEFAULT_ETA, h00, h01, Side::Right).unwrap(),
+        "attached drain",
+    );
+}
+
+#[test]
 fn injection_on_the_support_is_the_dense_injection() {
     // `injection_bundle` diagonalises Γ on its non-zero rows. Three shapes
     // of support: (a) the README wire, whose lead coupling touches 7 (left)
