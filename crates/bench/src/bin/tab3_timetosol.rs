@@ -4,13 +4,14 @@
 //! sweep + current + charge) with the RGF and wave-function engines on the
 //! same device and identical energy grids, for growing cross-sections.
 //!
-//! Expected shape: WF ahead of RGF everywhere — by 10–20 % — the
-//! justification for the paper's wave-function production mode. The
-//! shared Sancho–Rubio contacts (one pair decimation per point: source
-//! and drain are the same lead here) still dominate these 8-slab devices,
-//! and RGF factors each slab once and keeps its boundary columns on the
-//! contact supports, so the engines' 2.4–2.6× arithmetic gap (tab2) shows
-//! as a small wall gap here.
+//! Expected shape: the two engines within ±15 % of each other. The shared
+//! Sancho–Rubio contacts (one pair decimation per point: source and
+//! drain are the same lead here) dominate these 8-slab devices, and what
+//! is left favours neither engine clearly: RGF pays LU + inverse per slab
+//! but multiplies by each coupling on its support, block-Thomas pays one
+//! LU but still multiplies by the dense blocks (tab2: RGF/WF 0.74–0.86 in
+//! flops). WF was ahead by 10–20 % until RGF took the couplings on their
+//! supports, and should be again once Thomas does.
 
 use omen_bench::{print_table, timed};
 use omen_core::ballistic::{ballistic_solve, Engine};
@@ -62,8 +63,9 @@ fn main() {
         &rows,
     );
     println!(
-        "\nexpected shape: RGF/WF ≈ 1.1–1.2 (shared contacts dominate these 8-slab \
-         devices); BCR carries its ~2× arithmetic premium over Thomas \
-         sequentially (it buys parallelism, not serial speed)."
+        "\nexpected shape: RGF/WF ≈ 0.85–1.15 (shared contacts dominate these 8-slab \
+         devices; RGF takes the slab couplings on their supports, block-Thomas does not \
+         yet); BCR carries its ~2× arithmetic premium over Thomas sequentially (it buys \
+         parallelism, not serial speed)."
     );
 }

@@ -160,23 +160,59 @@ impl ZMat {
         out
     }
 
+    /// The submatrix `M[rows, cols]`, in list order.
+    pub fn submatrix(&self, rows: &[usize], cols: &[usize]) -> ZMat {
+        let mut out = ZMat::zeros(rows.len(), cols.len());
+        for (k, &i) in rows.iter().enumerate() {
+            let src = self.row(i);
+            for (d, &j) in out.row_mut(k).iter_mut().zip(cols) {
+                *d = src[j];
+            }
+        }
+        out
+    }
+
     /// The principal submatrix `M[idx, idx]`.
     pub fn principal(&self, idx: &[usize]) -> ZMat {
-        self.select_rows(idx).select_cols(idx)
+        self.submatrix(idx, idx)
+    }
+
+    /// Which rows and which columns hold a non-zero entry (`−0.0` is a
+    /// zero), from one row-major pass over the data.
+    fn hits(&self) -> (Vec<bool>, Vec<bool>) {
+        let mut row_hit = vec![false; self.nrows];
+        let mut col_hit = vec![false; self.ncols];
+        for (i, row_hit) in row_hit.iter_mut().enumerate() {
+            for (col_hit, &v) in col_hit.iter_mut().zip(self.row(i)) {
+                if v != c64::ZERO {
+                    *row_hit = true;
+                    *col_hit = true;
+                }
+            }
+        }
+        (row_hit, col_hit)
+    }
+
+    /// Row and column supports: the ascending indices of the rows, and of
+    /// the columns, that are not identically zero. With `(R, C)` the pair,
+    /// `M = P_R·M[R,C]·P_Cᵀ` holds exactly ([`Self::submatrix`]), so a
+    /// product against `M` only ever needs the `R` columns of its left
+    /// factor and the `C` rows of its right one.
+    pub fn supports(&self) -> (Vec<usize>, Vec<usize>) {
+        let (row_hit, col_hit) = self.hits();
+        let indices = |hit: &[bool]| (0..hit.len()).filter(|&i| hit[i]).collect();
+        (indices(&row_hit), indices(&col_hit))
     }
 
     /// Support of a square matrix: the ascending indices `i` whose row or
-    /// column is not identically zero. With `S` the support,
-    /// `M = P·M[S,S]·Pᵀ` holds exactly ([`Self::principal`]), so a product
-    /// against `M` only ever needs the `S` columns (rows) of its other
-    /// factor.
+    /// column is not identically zero — the union of [`Self::supports`].
+    /// With `S` the support, `M = P·M[S,S]·Pᵀ` holds exactly
+    /// ([`Self::principal`]).
     pub fn support(&self) -> Vec<usize> {
         assert!(self.is_square(), "support of a non-square matrix");
+        let (row_hit, col_hit) = self.hits();
         (0..self.nrows)
-            .filter(|&i| {
-                self.row(i).iter().any(|&v| v != c64::ZERO)
-                    || (0..self.nrows).any(|k| self[(k, i)] != c64::ZERO)
-            })
+            .filter(|&i| row_hit[i] || col_hit[i])
             .collect()
     }
 
@@ -458,6 +494,36 @@ mod tests {
         assert!(ZMat::zeros(3, 3).support().is_empty());
         let none = a.select_cols(&[]);
         assert_eq!((none.nrows(), none.ncols()), (4, 0));
+
+        // Rows and columns separately, on rectangular input; a `−0.0` of
+        // either part is a zero. The matrix is its submatrix scattered back.
+        assert_eq!(a.supports(), (vec![1, 3], vec![0, 3]));
+        let mut r = ZMat::zeros(3, 5);
+        r[(0, 4)] = c64::real(1.5);
+        r[(2, 1)] = c64::new(0.0, -2.0);
+        r[(1, 2)] = c64::new(-0.0, -0.0);
+        r[(2, 3)] = c64::real(-0.0);
+        let (rows, cols) = r.supports();
+        assert_eq!((rows.clone(), cols.clone()), (vec![0, 2], vec![1, 4]));
+        let core = r.submatrix(&rows, &cols);
+        assert_eq!(
+            core,
+            ZMat::from_rows(&[
+                vec![c64::ZERO, c64::real(1.5)],
+                vec![c64::new(0.0, -2.0), c64::ZERO],
+            ])
+        );
+        let mut back = ZMat::zeros(3, 5);
+        for (k, &i) in rows.iter().enumerate() {
+            for (l, &j) in cols.iter().enumerate() {
+                back[(i, j)] = core[(k, l)];
+            }
+        }
+        assert_eq!(back, r);
+        assert_eq!(ZMat::zeros(2, 7).supports(), (vec![], vec![]));
+        let mut z = ZMat::zeros(3, 3);
+        z[(1, 2)] = c64::real(-0.0);
+        assert!(z.support().is_empty());
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Per-energy transport driver and the dense reference implementation.
 
 use crate::contacts::local_contacts;
-use crate::rgf::{build_a_matrix, rgf_solve, RgfResult};
+use crate::rgf::{rgf_solve_device, RgfResult};
 use omen_linalg::{dot, lu, matmul, ZMat};
 use omen_num::{c64, OmenResult};
 use omen_sparse::BlockTridiag;
@@ -45,8 +45,7 @@ pub fn transport_at_energy(
     lead_r: (&ZMat, &ZMat),
 ) -> OmenResult<EnergyPointData> {
     let (sl, sr) = local_contacts(e, DEFAULT_ETA, lead_l, lead_r)?;
-    let a = build_a_matrix(e, DEFAULT_ETA, h, &sl, &sr);
-    let r = rgf_solve(&a, &sl.gamma, &sr.gamma).map_err(|err| err.with_energy(e))?;
+    let r = rgf_solve_device(e, DEFAULT_ETA, h, &sl, &sr).map_err(|err| err.with_energy(e))?;
     let mut point = package(e, h, &r, &sl.gamma, &sr.gamma);
     point.retries += sl.retries + sr.retries;
     Ok(point)
@@ -138,6 +137,7 @@ pub fn transmission_dense_reference(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rgf::{build_a_matrix, rgf_solve};
     use omen_lattice::{Crystal, Device};
     use omen_num::A_SI;
     use omen_tb::{DeviceHamiltonian, Material, TbParams};

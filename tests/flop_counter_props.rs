@@ -84,19 +84,30 @@ fn lu_total_is_exact_for_unblocked_and_blocked_paths() {
 }
 
 /// Counted flops of one RGF energy point after its contacts, for `nb`
-/// slabs of size `n` whose broadenings touch `sl` / `sr` orbitals — the
-/// operation list of `omen::negf::rgf` and `transport::package`, term by
-/// term.
-fn rgf_point_flops(nb: usize, n: usize, sl: usize, sr: usize) -> u64 {
+/// slabs of size `n` whose broadenings touch `sl` / `sr` orbitals and
+/// whose couplings `A_{i,i+1}` / `A_{i+1,i}` are non-zero on `upper` /
+/// `lower` = (rows, columns) — the operation list of `omen::negf::rgf` and
+/// `transport::package`, term by term.
+fn rgf_point_flops(
+    nb: usize,
+    n: usize,
+    (sl, sr): (usize, usize),
+    (ru, cu): (usize, usize),
+    (rl, cl): (usize, usize),
+) -> u64 {
     let links = nb as u64 - 1;
     // Per slab: one LU and its explicit inverse.
     nb as u64 * (lu_flops(n) + trsm_flops(n, n))
-        // Per link: u_i, the Schur update u_i·A_{i,i+1}, t1, t1·G, (t1·G)·u_i.
-        + links * 5 * gemm_flops(n, n, n)
+        // Per link, forward: u_i = L_i·gL_i[C′,:] and the Schur update
+        // u_i[:,R]·U_i on m[R′,C].
+        + links * (gemm_flops(rl, n, cl) + gemm_flops(rl, cu, ru))
+        // Per link, backward: t1 = gL_i[:,R]·U_i, t1·G_{i+1}[C,R′], and
+        // (t1·G)·u_i accumulated into G_ii.
+        + links * (gemm_flops(n, cu, ru) + gemm_flops(n, rl, cu) + gemm_flops(n, n, rl))
         // Per link: the left (Dyson) and right column blocks on the supports.
-        + links * (gemm_flops(n, sl, n) + gemm_flops(n, sr, n))
-        // Z_{i+1} = −u_i·Z_i from the second link on (Z_1 is a column copy).
-        + links.saturating_sub(1) * gemm_flops(n, sl, n)
+        + links * (gemm_flops(n, sl, rl) + gemm_flops(n, sr, cu))
+        // Z_{i+1} = −u_i[:,R′]·Z_i from the second link on (Z_1 is a column copy).
+        + links.saturating_sub(1) * gemm_flops(rl, sl, rl)
         // Caroli trace on the s_L × s_R corner.
         + gemm_flops(sl, sr, sl)
         + gemm_flops(sl, sr, sr)
@@ -112,23 +123,28 @@ fn rgf_energy_point_count_is_the_closed_form() {
     use omen::sparse::BlockTridiag;
     let _guard = COUNTER_LOCK.lock().unwrap();
     // A redundant product — a second factorization sweep, a full-width
-    // column, a full G·Γ·G† — shows up here as an exact surplus.
+    // column, a full G·Γ·G†, a product against a coupling's zeros — shows
+    // up here as an exact surplus.
     let n = 6usize;
     let hermitian = |seed: u64| {
         let m = randmat(n, n, seed);
         &m + &m.adjoint()
     };
-    // The lead coupling touches rows {0, 1, 2, 4} and columns {3, 5} only:
-    // Γ_L = i(Σ_L − Σ_L†) with Σ_L = H01†·g·H01 lives on the 2 columns,
-    // Γ_R (Σ_R = H01·g·H01†) on the 4 rows.
+    // A tight-binding coupling: rows {0, 1, 2, 4} × columns {3, 5} only.
     let (rows, cols) = ([0usize, 1, 2, 4], [3usize, 5]);
-    let mut h01 = ZMat::zeros(n, n);
-    let coupling = randmat(n, n, 31);
-    for &i in &rows {
-        for &j in &cols {
-            h01[(i, j)] = coupling[(i, j)].scale(0.3);
+    let on_pattern = |seed: u64| {
+        let full = randmat(n, n, seed);
+        let mut m = ZMat::zeros(n, n);
+        for &i in &rows {
+            for &j in &cols {
+                m[(i, j)] = full[(i, j)];
+            }
         }
-    }
+        m
+    };
+    // As the lead coupling it puts Γ_L = i(Σ_L − Σ_L†), Σ_L = H01†·g·H01,
+    // on the 2 columns and Γ_R (Σ_R = H01·g·H01†) on the 4 rows.
+    let h01 = on_pattern(31).scaled(c64::real(0.3));
     let h00 = hermitian(30);
     let lead = (&h00, &h01);
     let touched = |gamma: &ZMat| {
@@ -136,28 +152,45 @@ fn rgf_energy_point_count_is_the_closed_form() {
             .filter(|&i| gamma.row(i).iter().any(|&v| v != c64::ZERO))
             .count()
     };
-    for nb in [1usize, 2, 5] {
-        let diag: Vec<ZMat> = (0..nb).map(|i| hermitian(40 + i as u64)).collect();
-        let upper: Vec<ZMat> = (1..nb).map(|i| randmat(n, n, 50 + i as u64)).collect();
-        let lower: Vec<ZMat> = upper.iter().map(ZMat::adjoint).collect();
-        let h = BlockTridiag::new(diag, lower, upper);
-        let e = 0.1;
+    // Device couplings: dense (every product at full width — the count the
+    // recursion had before it read supports) and on the pattern (the
+    // lower block is the adjoint: 2 rows × 4 columns).
+    let regimes = [
+        (false, (n, n), (n, n)),
+        (true, (rows.len(), cols.len()), (cols.len(), rows.len())),
+    ];
+    for (on_support, upper_rc, lower_rc) in regimes {
+        for nb in [1usize, 2, 5] {
+            let diag: Vec<ZMat> = (0..nb).map(|i| hermitian(40 + i as u64)).collect();
+            let upper: Vec<ZMat> = (1..nb)
+                .map(|i| {
+                    if on_support {
+                        on_pattern(50 + i as u64)
+                    } else {
+                        randmat(n, n, 50 + i as u64)
+                    }
+                })
+                .collect();
+            let lower: Vec<ZMat> = upper.iter().map(ZMat::adjoint).collect();
+            let h = BlockTridiag::new(diag, lower, upper);
+            let e = 0.1;
 
-        // The decimation is deterministic, so its count (which depends on
-        // the iteration count) is measured by running it alone.
-        let scope = FlopScope::new();
-        let (sl, sr) = local_contacts(e, DEFAULT_ETA, lead, lead).expect("contacts");
-        let contacts = scope.take();
-        let (s_l, s_r) = (touched(&sl.gamma), touched(&sr.gamma));
-        assert_eq!((s_l, s_r), (cols.len(), rows.len()));
+            // The decimation is deterministic, so its count (which depends on
+            // the iteration count) is measured by running it alone.
+            let scope = FlopScope::new();
+            let (sl, sr) = local_contacts(e, DEFAULT_ETA, lead, lead).expect("contacts");
+            let contacts = scope.take();
+            let (s_l, s_r) = (touched(&sl.gamma), touched(&sr.gamma));
+            assert_eq!((s_l, s_r), (cols.len(), rows.len()));
 
-        let scope = FlopScope::new();
-        omen::negf::transport_at_energy(e, &h, lead, lead).expect("RGF point");
-        assert_eq!(
-            scope.take() - contacts,
-            rgf_point_flops(nb, n, s_l, s_r),
-            "nb={nb}"
-        );
+            let scope = FlopScope::new();
+            omen::negf::transport_at_energy(e, &h, lead, lead).expect("RGF point");
+            assert_eq!(
+                scope.take() - contacts,
+                rgf_point_flops(nb, n, (s_l, s_r), upper_rc, lower_rc),
+                "couplings on their support: {on_support}, nb={nb}"
+            );
+        }
     }
 }
 

@@ -210,13 +210,17 @@ fn gemm_parallel_bit_identical_across_ops_and_threads() {
     // The determinism contract: for every op pair and thread count the
     // parallel result equals the serial result bit for bit. Shapes leave
     // ragged stripe remainders and more rows than any sane chunk split;
-    // the last two are RGF's thin boundary-column products (n = 90 slab,
-    // s = 20 support orbitals).
+    // the last four are the thin products the RGF recursion leans on
+    // (n = 90 slab, s = 20 support orbitals): a full block against a
+    // boundary column, `gL[:,R]·core` and the column updates, `core·gL[R′,:]`,
+    // and the rank-s accumulation into `G_ii`.
     let shapes = [
         (67usize, 97usize, 66usize),
         (130, 65, 64),
         (90, 90, 20),
         (90, 20, 20),
+        (20, 20, 90),
+        (90, 20, 90),
     ];
     let mut next = rng(0xD0D0);
     for &(m, k, n) in &shapes {
