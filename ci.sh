@@ -23,10 +23,12 @@ cargo clippy --no-deps -p omen-linalg -p omen-sparse -p omen-wf -p omen-negf -p 
 # conformance battery, the selected-inversion oracle/equivalence battery,
 # the physics invariants (sum rule, reciprocity, current conservation ride
 # on the RGF recursion's thin products; the pair decimation's
-# bit-identity to the two single ones), the omen-negf unit suite (the RGF
-# recursion against the dense inverse on every coupling-support shape),
-# the exact flop counts (the pair's and the recursion's counts must not
-# depend on the dispatch path), and the kernel bench smoke
+# bit-identity to the two single ones), the omen-negf and omen-wf unit
+# suites (the RGF recursion against the dense inverse on every
+# coupling-support shape; the three WF solvers behind `wf_point`,
+# SplitSolve at 1/2/3 ranks bit-identical per rank),
+# the exact flop counts (the pair's, the recursion's and the WF point's
+# counts must not depend on the dispatch path), and the kernel bench smoke
 # each run once per leg —
 # tiny sizes, one sample, exercising the tiled GEMM, the blocked LU and
 # its blocked solve / inverse at 1/2/4 threads (gemm, lu, trsm, inverse
@@ -37,7 +39,7 @@ cargo clippy --no-deps -p omen-linalg -p omen-sparse -p omen-wf -p omen-negf -p 
 # writing to target/ so the committed baseline at the repo
 # root is never touched (see DESIGN.md §10). The scalar leg is what keeps
 # the reference path from rotting on machines that auto-dispatch SIMD.
-OMEN_SIMD=0 cargo test -q --release -p omen-linalg -p omen-negf
+OMEN_SIMD=0 cargo test -q --release -p omen-linalg -p omen-negf -p omen-wf
 OMEN_SIMD=0 cargo test -q --release --test kernel_conformance
 OMEN_SIMD=0 cargo test -q --release --test selinv_properties --test engine_equivalence --test physics_invariants --test flop_counter_props
 # Smoke runs merge into their ledger, so a record left in a cached target/
@@ -48,7 +50,7 @@ rm -f target/BENCH_*.smoke.json
 OMEN_SIMD=0 cargo bench -p omen-bench --bench kernels -- --smoke
 OMEN_SIMD=0 cargo run --release -p omen-bench --bin tab2_flops -- --json --smoke
 if grep -q avx2 /proc/cpuinfo 2>/dev/null && grep -q fma /proc/cpuinfo 2>/dev/null; then
-    OMEN_SIMD=1 cargo test -q --release -p omen-linalg -p omen-negf
+    OMEN_SIMD=1 cargo test -q --release -p omen-linalg -p omen-negf -p omen-wf
     OMEN_SIMD=1 cargo test -q --release --test kernel_conformance
     OMEN_SIMD=1 cargo test -q --release --test selinv_properties --test engine_equivalence --test physics_invariants --test flop_counter_props
     OMEN_SIMD=1 cargo bench -p omen-bench --bench kernels -- --smoke

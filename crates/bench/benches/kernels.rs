@@ -17,6 +17,7 @@
 
 use omen_bench::records::{publish, KernelRecord};
 use omen_bench::sample_secs;
+use omen_core::{solve_point, Engine};
 use omen_lattice::{Crystal, Device};
 use omen_linalg::{eigh, flops, gemm_threaded, lu::Lu, threads, Op, ZMat};
 use omen_num::{c64, A_SI};
@@ -237,31 +238,19 @@ fn bench_transport() {
     report(
         "transport_point/rgf",
         sample_secs(11, 0.02, || {
-            omen_negf::transport_at_energy(e, &h, (&h00, &h01), (&h00, &h01))
+            solve_point(e, &h, (&h00, &h01), (&h00, &h01), Engine::Rgf)
         }),
     );
     report(
         "transport_point/wf_thomas",
         sample_secs(11, 0.02, || {
-            omen_wf::wf_transport_at_energy(
-                e,
-                &h,
-                (&h00, &h01),
-                (&h00, &h01),
-                omen_wf::SolverKind::Thomas,
-            )
+            solve_point(e, &h, (&h00, &h01), (&h00, &h01), Engine::WfThomas)
         }),
     );
     report(
         "transport_point/wf_bcr",
         sample_secs(11, 0.02, || {
-            omen_wf::wf_transport_at_energy(
-                e,
-                &h,
-                (&h00, &h01),
-                (&h00, &h01),
-                omen_wf::SolverKind::Bcr,
-            )
+            solve_point(e, &h, (&h00, &h01), (&h00, &h01), Engine::WfBcr)
         }),
     );
 }

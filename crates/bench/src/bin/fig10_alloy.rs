@@ -11,6 +11,7 @@
 //! VCA simulator cannot capture at all.
 
 use omen_bench::print_table;
+use omen_core::{solve_point, Engine};
 use omen_lattice::{Crystal, Device};
 use omen_num::linspace;
 use omen_tb::{virtual_crystal, AlloyModel, DeviceHamiltonian, Material, TbParams};
@@ -25,7 +26,7 @@ fn mean_transmission(
     energies
         .iter()
         .map(|&e| {
-            omen_wf::wf_transport_at_energy(e, &h, lead, lead, omen_wf::SolverKind::Thomas)
+            solve_point(e, &h, lead, lead, Engine::WfThomas)
                 .expect("transport point failed")
                 .transmission
         })

@@ -38,16 +38,8 @@ fn measure_alpha(w: f64, slabs: usize) -> (f64, usize, usize) {
     let lead = (&lead.0, &lead.1);
     let (sl, sr) =
         omen_negf::contacts::local_contacts(e, 2e-6, lead, lead).expect("lead decimation failed");
-    let a = omen_negf::rgf::build_a_matrix(e, 2e-6, &h, &sl, &sr);
     // Solver-only measurement: injected-mode solve on the prebuilt system.
-    let wl = omen_wf::injection_bundle(&sl.gamma, 1e-9);
-    let wr = omen_wf::injection_bundle(&sr.gamma, 1e-9);
-    let nb = h.num_blocks();
-    let mut b: Vec<omen_linalg::ZMat> = (0..nb)
-        .map(|i| omen_linalg::ZMat::zeros(h.block_size(i), wl.w.ncols() + wr.w.ncols()))
-        .collect();
-    b[0].set_block(0, 0, &wl.w);
-    b[nb - 1].set_block(0, wl.w.ncols(), &wr.w);
+    let (a, b, _) = omen_wf::transport::assemble(e, 2e-6, &h, &sl, &sr);
     reset_flops();
     let _ = omen_wf::thomas_solve(&a, &b).expect("Thomas solve failed");
     let flops = flop_count();

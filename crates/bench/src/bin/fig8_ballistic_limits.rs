@@ -7,6 +7,7 @@
 //!    against the exact scattering formula `T = 1/(1 + (U/2t sin k)²)`.
 
 use omen_bench::print_table;
+use omen_core::{solve_point, Engine};
 use omen_lattice::{Crystal, Device};
 use omen_num::{c64, linspace, A_SI};
 use omen_sparse::BlockTridiag;
@@ -38,7 +39,7 @@ fn main() {
                     .count()
             })
             .sum();
-        let t = omen_negf::transport_at_energy(e, &h, (&h00, &h01), (&h00, &h01))
+        let t = solve_point(e, &h, (&h00, &h01), (&h00, &h01), Engine::Rgf)
             .expect("transport point failed")
             .transmission;
         worst = worst.max((t - modes as f64).abs());
@@ -75,7 +76,7 @@ fn main() {
         let cosk = (e - e0) / (2.0 * t_hop);
         let sink = (1.0 - cosk * cosk).max(0.0).sqrt();
         let exact = 1.0 / (1.0 + (u / (2.0 * t_hop.abs() * sink)).powi(2));
-        let t = omen_negf::transport_at_energy(e, &chain, (&h00c, &h01c), (&h00c, &h01c))
+        let t = solve_point(e, &chain, (&h00c, &h01c), (&h00c, &h01c), Engine::Rgf)
             .expect("transport point failed")
             .transmission;
         worst = worst.max((t - exact).abs());

@@ -7,6 +7,7 @@
 //! silicon wire. Expected shape: all deviations at numerical-noise level.
 
 use omen_bench::print_table;
+use omen_core::{solve_point, Engine};
 use omen_lattice::{Crystal, Device};
 use omen_num::{c64, linspace, A_SI};
 use omen_sparse::BlockTridiag;
@@ -80,22 +81,15 @@ fn main() {
         let mut dev_dense: f64 = 0.0;
         let mut t_max: f64 = 0.0;
         for &e in &case.energies {
-            let rgf = omen_negf::transport_at_energy(e, &case.h, lead, lead)
+            let rgf = solve_point(e, &case.h, lead, lead, Engine::Rgf)
                 .expect("RGF point failed")
                 .transmission;
-            let wf = omen_wf::wf_transport_at_energy(
-                e,
-                &case.h,
-                lead,
-                lead,
-                omen_wf::SolverKind::Thomas,
-            )
-            .expect("WF point failed")
-            .transmission;
-            let bcr =
-                omen_wf::wf_transport_at_energy(e, &case.h, lead, lead, omen_wf::SolverKind::Bcr)
-                    .expect("BCR point failed")
-                    .transmission;
+            let wf = solve_point(e, &case.h, lead, lead, Engine::WfThomas)
+                .expect("WF point failed")
+                .transmission;
+            let bcr = solve_point(e, &case.h, lead, lead, Engine::WfBcr)
+                .expect("BCR point failed")
+                .transmission;
             let dense = omen_negf::transmission_dense_reference(e, &case.h, lead, lead)
                 .expect("dense reference failed");
             dev_wf = dev_wf.max((wf - rgf).abs());

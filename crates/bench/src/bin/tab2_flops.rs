@@ -16,18 +16,18 @@
 //! treatment (≈ 7.5 n³ estimated; ROADMAP item 8), at which point WF's
 //! structural advantage — no explicit inverse — shows again.
 //!
-//! `--json` additionally times the contacts prologue and each engine's
-//! solve and merges `contacts_point` / `rgf_energy_point` /
+//! `--json` additionally times the two stages of a point as the library
+//! runs them — `local_contacts`, then `rgf_point` / `wf_point` on its
+//! output — and merges `contacts_point` / `rgf_energy_point` /
 //! `wf_energy_point` throughput records (counted Gflop/s at the slab-block
-//! size; the WF record divides WF-only flops by a wall that includes its
-//! contacts) into the repo-root `BENCH_kernels.json` baseline; `--smoke`
+//! size) into the repo-root `BENCH_kernels.json` baseline; `--smoke`
 //! restricts the sweep to the smallest device and writes the ledger's
 //! smoke twin, which `ci.sh` runs on both dispatch legs.
 
 use omen_bench::records::{publish, KernelRecord};
 use omen_bench::{print_table, timed};
 use omen_lattice::{Crystal, Device};
-use omen_linalg::{flop_count, reset_flops, threads, FlopScope};
+use omen_linalg::{threads, FlopScope};
 use omen_num::A_SI;
 use omen_tb::{DeviceHamiltonian, Material, TbParams};
 
@@ -54,9 +54,8 @@ fn main() {
         let block = h.block_size(1);
         let e = -3.2; // inside the band
 
-        // Self-energy cost is shared by both engines — exclude it by
-        // measuring it separately, through the prologue the engines call
-        // (equal leads: one pair decimation, not two). Warm, then measure.
+        // The contacts are one stage, shared by both engines (equal
+        // leads: one pair decimation, not two). Warm, then measure.
         let lead_ref = (&lead.0, &lead.1);
         let contacts = || {
             omen_negf::contacts::local_contacts(e, 2e-6, lead_ref, lead_ref)
@@ -67,25 +66,18 @@ fn main() {
         let ((sl, sr), sigma_s) = timed(contacts);
         let sigma_flops = scope.take();
 
-        reset_flops();
-        let a = omen_negf::rgf::build_a_matrix(e, 2e-6, &h, &sl, &sr);
-        let (r, rgf_s) = timed(|| {
-            omen_negf::rgf::rgf_solve(&a, &sl.gamma, &sr.gamma).expect("RGF solve failed")
-        });
-        let rgf_flops = flop_count();
+        // Each engine on those contacts, as `solve_point` runs it.
+        let scope = FlopScope::new();
+        let (r, rgf_s) =
+            timed(|| omen_negf::rgf_point(e, 2e-6, &h, &sl, &sr).expect("RGF solve failed"));
+        let rgf_flops = scope.take();
 
-        reset_flops();
+        let scope = FlopScope::new();
         let (wf, wf_s) = timed(|| {
-            omen_wf::wf_transport_at_energy(
-                e,
-                &h,
-                (&lead.0, &lead.1),
-                (&lead.0, &lead.1),
-                omen_wf::SolverKind::Thomas,
-            )
-            .expect("WF solve failed")
+            omen_wf::wf_point(e, 2e-6, &h, &sl, &sr, omen_wf::Solver::Thomas)
+                .expect("WF solve failed")
         });
-        let wf_flops = flop_count().saturating_sub(sigma_flops);
+        let wf_flops = scope.take();
 
         assert!((r.transmission - wf.transmission).abs() < 1e-4 * (1.0 + r.transmission));
         if json {

@@ -9,7 +9,7 @@
 //! drain are the same lead here) dominate these 8-slab devices, and what
 //! is left favours neither engine clearly: RGF pays LU + inverse per slab
 //! but multiplies by each coupling on its support, block-Thomas pays one
-//! LU but still multiplies by the dense blocks (tab2: RGF/WF 0.74–0.86 in
+//! LU but still multiplies by the dense blocks (tab2: RGF/WF 0.79–0.90 in
 //! flops). WF was ahead by 10–20 % until RGF took the couplings on their
 //! supports, and should be again once Thomas does.
 

@@ -8,9 +8,11 @@
 use crate::energy::{EnergyWindow, LeadBandsMemo};
 use crate::spec::{Bias, NanoTransistor};
 use omen_linalg::ZMat;
-use omen_negf::transport::EnergyPointData;
+use omen_negf::transport::{EnergyPointData, DEFAULT_ETA};
+use omen_negf::ContactSelfEnergy;
 use omen_num::{fermi, trapezoid, OmenResult, SweepReport, I0_UA_PER_EV};
 use omen_sparse::BlockTridiag;
+use omen_wf::Solver;
 
 /// Which transport engine evaluates each energy point.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -320,13 +322,15 @@ pub fn ballistic_solve_k(
     acc
 }
 
-/// Evaluates one energy point with the chosen engine. Recovery (lead
-/// nudges, pivot regularization) happens inside the engines; an `Err` here
-/// means the point is lost for good and the sweep should isolate it.
+/// Evaluates one energy point: the contacts
+/// ([`omen_negf::local_contacts`]), then the chosen engine on them
+/// ([`engine_point`]). Recovery (lead nudges, pivot regularization)
+/// happens inside the two stages; an `Err` here means the point is lost
+/// for good and the sweep should isolate it.
 ///
 /// # Errors
 ///
-/// Propagates the engine's typed failure — a non-converged lead
+/// Propagates either stage's typed failure — a non-converged lead
 /// ([`omen_num::OmenError::LeadNotConverged`]) or an unrecoverable singular
 /// slab ([`omen_num::OmenError::SingularBlock`]), both stamped with the
 /// energy.
@@ -337,15 +341,29 @@ pub fn solve_point(
     lead_r: (&omen_linalg::ZMat, &omen_linalg::ZMat),
     engine: Engine,
 ) -> OmenResult<EnergyPointData> {
+    let (sigma_l, sigma_r) = omen_negf::local_contacts(e, DEFAULT_ETA, lead_l, lead_r)?;
+    engine_point(e, h, &sigma_l, &sigma_r, engine)
+}
+
+/// The second stage of [`solve_point`]: one energy point on contacts the
+/// caller already holds — the one place an [`Engine`] is dispatched.
+///
+/// # Errors
+///
+/// The engine's [`omen_num::OmenError::SingularBlock`], stamped with the
+/// energy.
+pub fn engine_point(
+    e: f64,
+    h: &BlockTridiag,
+    sigma_l: &ContactSelfEnergy,
+    sigma_r: &ContactSelfEnergy,
+    engine: Engine,
+) -> OmenResult<EnergyPointData> {
     match engine {
-        Engine::Rgf => omen_negf::transport_at_energy(e, h, lead_l, lead_r),
-        Engine::WfThomas => {
-            omen_wf::wf_transport_at_energy(e, h, lead_l, lead_r, omen_wf::SolverKind::Thomas)
-        }
-        Engine::WfBcr => {
-            omen_wf::wf_transport_at_energy(e, h, lead_l, lead_r, omen_wf::SolverKind::Bcr)
-        }
-        Engine::SelInv => omen_negf::selinv_transport_at_energy(e, h, lead_l, lead_r),
+        Engine::Rgf => omen_negf::rgf_point(e, DEFAULT_ETA, h, sigma_l, sigma_r),
+        Engine::WfThomas => omen_wf::wf_point(e, DEFAULT_ETA, h, sigma_l, sigma_r, Solver::Thomas),
+        Engine::WfBcr => omen_wf::wf_point(e, DEFAULT_ETA, h, sigma_l, sigma_r, Solver::Bcr),
+        Engine::SelInv => omen_negf::selinv_point(e, DEFAULT_ETA, h, sigma_l, sigma_r),
     }
 }
 
@@ -436,7 +454,7 @@ pub(crate) fn severed_chain(
     let t = || ZMat::from_vec(1, 1, vec![c64::real(-1.0)]);
     let mut diag = vec![z(); n];
     for &(site, level) in levels {
-        let onsite = c64::new(level, omen_negf::transport::DEFAULT_ETA);
+        let onsite = c64::new(level, DEFAULT_ETA);
         diag[site] = ZMat::from_vec(1, 1, vec![onsite]);
     }
     let hop: Vec<ZMat> = (0..n - 1)
@@ -730,6 +748,50 @@ mod tests {
         // pivot costs the identical regularizations.
         assert_eq!(rep_rgf.retried, rep_si.retried);
         assert!(rep_si.retried >= 1);
+    }
+
+    #[test]
+    fn frozen_sweep_contacts_are_reusable_across_gate_points() {
+        use std::collections::HashMap;
+        // The README wire at two gate points, contacts looked up by energy
+        // and decimated only on a miss: the sweep's currents bit for bit.
+        let tr = flat_device();
+        let (vgs, v_ds, mu_source, n_energy) = ([-0.1, 0.1], 0.15, -3.45, 21);
+        let want = crate::iv::frozen_field_sweep(&tr, &vgs, v_ds, mu_source, Engine::Rgf, n_energy);
+
+        let mut contacts: HashMap<u64, (ContactSelfEnergy, ContactSelfEnergy)> = HashMap::new();
+        let mut bands = LeadBandsMemo::default();
+        let mut leads = None;
+        for (&v_gate, want) in vgs.iter().zip(&want) {
+            let v_atoms = crate::iv::frozen_potential(&tr, v_gate);
+            let bias = Bias {
+                v_gate,
+                v_ds,
+                mu_source,
+            };
+            let s = prepare_transport(&tr, &v_atoms, &bias, 0.0, &mut bands);
+            // The energy alone is the key because the leads never move:
+            // the extensions sit at zero potential at every gate point.
+            let here = [&s.h00_l, &s.h01_l, &s.h00_r, &s.h01_r].map(ZMat::clone);
+            assert_eq!(leads.get_or_insert(here.clone()), &here);
+
+            let energies = s.window.grid(n_energy);
+            let mut report = SweepReport::default();
+            let mut points = Vec::with_capacity(n_energy);
+            for &e in &energies {
+                let (sigma_l, sigma_r) = contacts.entry(e.to_bits()).or_insert_with(|| {
+                    let (lead_l, lead_r) = ((&s.h00_l, &s.h01_l), (&s.h00_r, &s.h01_r));
+                    omen_negf::local_contacts(e, DEFAULT_ETA, lead_l, lead_r).unwrap()
+                });
+                let p = engine_point(e, &s.h, sigma_l, sigma_r, Engine::Rgf).unwrap();
+                report.record_solved(p.retries);
+                points.push(p);
+            }
+            let got = integrate(&tr, &bias, &v_atoms, &energies, points, &s.window, report);
+            assert_eq!(got.current_ua.to_bits(), want.current_ua.to_bits());
+        }
+        // One grid for both gate points: the second decimates nothing.
+        assert_eq!(contacts.len(), n_energy);
     }
 
     #[test]

@@ -194,7 +194,7 @@ pub fn on_off_ratio(points: &[IvPoint]) -> Option<f64> {
 
 /// The frozen-field potential: the gate value on the channel atoms, zero on
 /// the source/drain extensions.
-fn frozen_potential(tr: &NanoTransistor, v_gate: f64) -> Vec<f64> {
+pub(crate) fn frozen_potential(tr: &NanoTransistor, v_gate: f64) -> Vec<f64> {
     let lg_lo = tr.spec.source_slabs;
     let lg_hi = tr.spec.num_slabs - tr.spec.drain_slabs;
     tr.device

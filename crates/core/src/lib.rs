@@ -37,8 +37,8 @@ pub mod scf;
 pub mod spec;
 
 pub use ballistic::{
-    ballistic_solve, ballistic_solve_adaptive, ballistic_solve_k, momentum_grid, BallisticResult,
-    Engine,
+    ballistic_solve, ballistic_solve_adaptive, ballistic_solve_k, engine_point, momentum_grid,
+    solve_point, BallisticResult, Engine,
 };
 pub use iv::{
     drain_sweep, frozen_field_sweep, gate_sweep, on_off_ratio, subthreshold_swing, IvPoint,

@@ -11,12 +11,15 @@
 use crate::ballistic::Engine;
 use crate::spec::NanoTransistor;
 use omen_linalg::ZMat;
+use omen_negf::distributed_contacts;
+use omen_negf::transport::{EnergyPointData, DEFAULT_ETA};
 use omen_num::{FailedPoint, OmenError, OmenResult, SweepReport};
 use omen_parsim::{Comm, RankCtx};
 use omen_sched::{
     dynamic_sweep, proto, CostModel, ModelBank, SchedOptions, SchedStats, SweepOutcome,
 };
 use omen_sparse::BlockTridiag;
+use omen_wf::Solver;
 
 /// Rank counts per parallel level; the product must equal the world size.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -287,13 +290,7 @@ fn static_transmission(
     let mut partial = vec![0.0; n];
     let mut local = SweepReport::default();
     for &ie in &mine {
-        match omen_wf::transport::wf_transport_splitsolve(
-            &comms.spatial_group,
-            energies[ie],
-            h,
-            lead_l,
-            lead_r,
-        ) {
+        match rank_point(comms, energies[ie], h, lead_l, lead_r) {
             Ok(d) => {
                 local.record_solved(d.retries);
                 partial[ie] = d.transmission;
@@ -308,7 +305,24 @@ fn static_transmission(
     reduce_level(&comms.momentum_group, sroot, partial, &local, None)
 }
 
-/// One scheduler unit: the SplitSolve point the static leg runs, as the
+/// One energy point on this rank's spatial group — the rank-parallel twin
+/// of [`crate::ballistic::solve_point`]: each distinct lead decimated once
+/// across the group, then the wave-function engine over SplitSolve. All
+/// members of the group call collectively and return the same value.
+fn rank_point(
+    comms: &LevelComms<'_>,
+    e: f64,
+    h: &BlockTridiag,
+    lead_l: (&ZMat, &ZMat),
+    lead_r: (&ZMat, &ZMat),
+) -> OmenResult<EnergyPointData> {
+    let group = &comms.spatial_group;
+    let (sigma_l, sigma_r) = distributed_contacts(group, e, DEFAULT_ETA, lead_l, lead_r)?;
+    let solver = Solver::SplitSolve(group);
+    omen_wf::wf_point(e, DEFAULT_ETA, h, &sigma_l, &sigma_r, solver)
+}
+
+/// One scheduler unit: the point the static leg runs, as the
 /// `[T, solver retries]` payload [`sweep_from_outcome`] reads back.
 fn solve_unit(
     comms: &LevelComms<'_>,
@@ -317,8 +331,7 @@ fn solve_unit(
     lead_l: (&ZMat, &ZMat),
     lead_r: (&ZMat, &ZMat),
 ) -> OmenResult<Vec<f64>> {
-    let d =
-        omen_wf::transport::wf_transport_splitsolve(&comms.spatial_group, e, h, lead_l, lead_r)?;
+    let d = rank_point(comms, e, h, lead_l, lead_r)?;
     Ok(vec![d.transmission, d.retries as f64])
 }
 
@@ -389,7 +402,7 @@ fn whole_curve_dynamic(
     // One k-point system per rank, rebuilt whenever the next unit belongs
     // to another k. LPT order interleaves k, so that is most units (76–82
     // rebuilds per 96-unit sweep on 2 ranks); k-coherent hand-outs are
-    // ROADMAP item 3(e).
+    // ROADMAP item 6(c).
     let mut cached: Option<(usize, (BlockTridiag, ZMat, ZMat))> = None;
     let outcome = dynamic_sweep(&comms.bias_group, &stamps, &mut model, opts, |id| {
         let ik = id / n_e;

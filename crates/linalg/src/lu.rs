@@ -342,6 +342,20 @@ impl Lu {
     }
 }
 
+/// The first row of `a` holding a non-finite entry, as the failure a
+/// factorization should have reported: [`Lu::factor`]'s pivot search
+/// compares magnitudes, a NaN compares false, and so any pivot is silently
+/// accepted and the NaN propagates through the solve. Callers that take
+/// blocks from outside check here first.
+pub fn non_finite(a: &ZMat) -> Option<Singular> {
+    (0..a.nrows())
+        .find(|&i| !a.row(i).iter().all(|z| z.is_finite()))
+        .map(|at| Singular {
+            at,
+            pivot: f64::NAN,
+        })
+}
+
 /// Maximum escalation steps [`factor_regularized`] attempts before giving
 /// up: shifts of `i·eta`, `i·10·eta`, `i·100·eta`.
 pub const MAX_REGULARIZE_RETRIES: usize = 3;
@@ -358,15 +372,9 @@ pub const MAX_REGULARIZE_RETRIES: usize = 3;
 /// so callers can account recoveries in their sweep reports.
 pub fn factor_regularized(a: &ZMat, eta: f64) -> Result<(Lu, usize), Singular> {
     debug_assert!(eta > 0.0, "regularization shift must be positive");
-    // A non-finite entry defeats both the factorization (NaN magnitude
-    // comparisons silently accept any pivot) and the shift recovery (the
-    // shift keeps the NaN): fail typed up front instead of propagating
-    // NaN through the solve.
-    if let Some(at) = (0..a.nrows()).find(|&i| (0..a.ncols()).any(|j| !a[(i, j)].is_finite())) {
-        return Err(Singular {
-            at,
-            pivot: f64::NAN,
-        });
+    // The shift recovery keeps a NaN: fail typed up front.
+    if let Some(poisoned) = non_finite(a) {
+        return Err(poisoned);
     }
     match Lu::factor(a) {
         Ok(f) => Ok((f, 0)),

@@ -1,23 +1,22 @@
-//! Contact self-energies for one (E, k) point: locally, or decimated
-//! once across a communicator.
+//! Contact self-energies for one (E, k) point — the first stage of every
+//! point solve, with an output the engines take as an argument: decimated
+//! locally, or once across a communicator.
 //!
 //! **One decimation per distinct lead.** Source and drain of a frozen
-//! sweep, of every `frozen_system` caller and of the phonon path hand the
-//! engines the *same* `(h00, h01)`; for those [`local_contacts`] runs one
+//! sweep, of every `frozen_system` caller and of the phonon path are the
+//! *same* `(h00, h01)`; for those [`local_contacts`] runs one
 //! Sancho–Rubio decimation that yields both surface GFs
 //! ([`ContactSelfEnergy::compute_pair`]) instead of two. Leads that differ
 //! (the drain shifted by the bias inside an SCF loop) are decimated one by
-//! one, as ever.
+//! one.
 //!
-//! In every rank-parallel per-point solve the lead self-energies used to
-//! be decimated redundantly on every rank — pure wasted flops at scale
-//! (the ROADMAP's standing item). Here the first rank of the communicator
-//! decimates the left lead, the last rank the right lead, and two
-//! broadcasts ship the results (or the typed failure) to everyone; when
-//! the two leads are one, rank 0 decimates the pair and one broadcast
-//! ships both contacts. Per (E, k) point each distinct lead is decimated
-//! exactly once, and the distributed path does the arithmetic of the
-//! serial one.
+//! **Once per communicator.** In a rank-parallel point solve
+//! ([`distributed_contacts`]) the first rank of the communicator decimates
+//! the left lead, the last rank the right lead, and two broadcasts ship
+//! the results (or the typed failure) to everyone; when the two leads are
+//! one, rank 0 decimates the pair and one broadcast ships both contacts.
+//! Per (E, k) point each distinct lead is decimated exactly once, and the
+//! distributed path does the arithmetic of the serial one.
 //!
 //! The broadcast payloads double as the health barrier: a failed lead
 //! solve travels in the error format of [`omen_num::wire`] (the one place
@@ -55,12 +54,12 @@ fn same_lead(lead_l: (&ZMat, &ZMat), lead_r: (&ZMat, &ZMat)) -> bool {
     same(lead_l.0, lead_r.0) && same(lead_l.1, lead_r.1)
 }
 
-/// Both contact self-energies, decimated on this rank — the prologue of
-/// every serial per-energy engine and the single-rank case of
-/// [`distributed_contacts`]. Equal leads share one pair decimation in the
-/// right-lead orientation: `Σ_R` is then the single right decimation bit
-/// for bit and `Σ_L` the single left one to rounding — exactly, on a
-/// tight-binding lead (see [`crate::sancho`]).
+/// Both contact self-energies, decimated on this rank — what
+/// `omen_core::ballistic::solve_point` hands its engine, and the
+/// single-rank case of [`distributed_contacts`]. Equal leads share one
+/// pair decimation in the right-lead orientation: `Σ_R` is then the single
+/// right decimation bit for bit and `Σ_L` the single left one to rounding
+/// — exactly, on a tight-binding lead (see [`crate::sancho`]).
 ///
 /// # Errors
 ///

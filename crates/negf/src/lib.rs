@@ -7,16 +7,20 @@
 //!
 //! * [`sancho`] — Sancho–Rubio decimation for lead surface Green's
 //!   functions and the contact self-energies/broadenings `Σ`, `Γ`;
-//! * [`contacts`] — distributed contact decimation: each lead computed
-//!   once per communicator and broadcast, never redundantly per rank;
+//! * [`contacts`] — the first stage of a point: both contacts decimated
+//!   locally ([`local_contacts`]) or once per communicator and broadcast
+//!   ([`distributed_contacts`]), never redundantly per rank;
 //! * [`rgf`] — the forward/backward recursive Green's function returning
 //!   diagonal blocks (density/LDOS), first/last block columns (contact
-//!   spectral functions) and the Caroli transmission;
+//!   spectral functions) and the Caroli transmission; [`rgf_point`] is the
+//!   engine on a `(Σ_L, Σ_R)` pair;
 //! * [`selinv`] — tree-structured selected inversion recovering exactly
 //!   the same result surface with an `O(log N)` critical path, serial and
 //!   rank-parallel drivers, bit-identical across worker counts;
-//! * [`transport`] — one-call per-energy transport solve plus a dense-matrix
-//!   reference implementation used for cross-validation;
+//!   [`selinv_point`] is the engine on a `(Σ_L, Σ_R)` pair;
+//! * [`transport`] — the per-point result type every engine returns
+//!   ([`EnergyPointData`]), the packaging the two Green's-function engines
+//!   share, and a dense-matrix reference used for cross-validation;
 //! * [`serialize`] — the matrix-bundle rank-message format shared with the
 //!   wave-function SplitSolve engine (primitives and the error format come
 //!   from `omen_num::wire`).
@@ -32,8 +36,8 @@ pub mod selinv;
 pub mod serialize;
 pub mod transport;
 
-pub use contacts::distributed_contacts;
-pub use rgf::{rgf_solve, RgfResult};
+pub use contacts::{distributed_contacts, local_contacts};
+pub use rgf::{rgf_point, rgf_solve, RgfResult};
 pub use sancho::{surface_green_function, ContactSelfEnergy, Side};
-pub use selinv::{selinv_solve, selinv_solve_parallel, selinv_transport_at_energy, TreeShape};
-pub use transport::{transmission_dense_reference, transport_at_energy, EnergyPointData};
+pub use selinv::{selinv_point, selinv_solve, selinv_solve_parallel, TreeShape};
+pub use transport::{transmission_dense_reference, EnergyPointData};

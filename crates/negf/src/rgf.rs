@@ -54,6 +54,7 @@
 //! regimes.
 
 use crate::sancho::ContactSelfEnergy;
+use crate::transport::{package, EnergyPointData};
 use omen_linalg::{gemm, lu, matmul, matmul_n_h, Op, ZMat};
 use omen_num::{c64, OmenResult};
 use omen_sparse::BlockTridiag;
@@ -225,24 +226,32 @@ pub fn rgf_solve(a: &BlockTridiag, gamma_l: &ZMat, gamma_r: &ZMat) -> OmenResult
     )
 }
 
-/// [`rgf_solve`] on `A = (E + iη) I − H − Σ_L − Σ_R` without forming `A`:
-/// each diagonal block is built as the sweep reaches it and consumed there;
-/// the couplings are read from `H`'s off-diagonal blocks, negated on their
-/// cores.
-pub(crate) fn rgf_solve_device(
+/// One energy point with RGF, from the contacts on: [`rgf_solve`] on
+/// `A = (E + iη) I − H − Σ_L − Σ_R` without forming `A` — each diagonal
+/// block is built as the sweep reaches it and consumed there, the
+/// couplings are read from `H`'s off-diagonal blocks, negated on their
+/// cores — packaged into the flat per-orbital data the integrator reads.
+///
+/// # Errors
+///
+/// [`rgf_solve`]'s [`OmenError::SingularBlock`](omen_num::OmenError),
+/// stamped with the energy.
+pub fn rgf_point(
     e: f64,
     eta: f64,
     h: &BlockTridiag,
     sigma_l: &ContactSelfEnergy,
     sigma_r: &ContactSelfEnergy,
-) -> OmenResult<RgfResult> {
-    recursion(
+) -> OmenResult<EnergyPointData> {
+    let r = recursion(
         a_diagonal(e, eta, h, sigma_l, sigma_r),
         &Coupling::all(&h.lower, true),
         &Coupling::all(&h.upper, true),
         &sigma_l.gamma,
         &sigma_r.gamma,
     )
+    .map_err(|err| err.with_energy(e))?;
+    Ok(package(e, h, &r, sigma_l, sigma_r))
 }
 
 /// The recursion of the module docs over `A`'s diagonal blocks (owned, in

@@ -40,8 +40,9 @@
 //! (`engine.selinv_*` in TOLERANCES.toml). See DESIGN.md §13.
 
 use crate::rgf::{build_a_matrix, caroli, RgfResult, REGULARIZATION_ETA};
+use crate::sancho::ContactSelfEnergy;
 use crate::serialize::{bytes_to_mat_array, bytes_to_mats, mats_to_bytes};
-use crate::transport::{package, EnergyPointData, DEFAULT_ETA};
+use crate::transport::{package, EnergyPointData};
 use omen_linalg::{gemm, lu, matmul, Op, ZMat};
 use omen_num::wire::{Dec, Enc};
 use omen_num::{c64, OmenError, OmenResult};
@@ -875,35 +876,31 @@ pub fn selinv_solve_parallel(
     assemble(all_results, total_retries, gamma_l, gamma_r, sup)
 }
 
-/// Per-energy transport with the serial selected-inversion engine — the
-/// `Engine::SelInv`-equivalent of
-/// [`transport_at_energy`](crate::transport::transport_at_energy): contact
-/// self-energies from Sancho–Rubio, then one tree-structured solve.
+/// One energy point with the serial selected-inversion engine, from the
+/// contacts on — the tree-structured twin of
+/// [`rgf_point`](crate::rgf::rgf_point), same result surface.
 ///
 /// # Errors
 ///
-/// Same typed failure surface as the RGF driver
-/// ([`omen_num::OmenError::LeadNotConverged`],
-/// [`omen_num::OmenError::SingularBlock`]), stamped with the energy.
-pub fn selinv_transport_at_energy(
+/// [`selinv_solve`]'s [`omen_num::OmenError::SingularBlock`], stamped with
+/// the energy.
+pub fn selinv_point(
     e: f64,
+    eta: f64,
     h: &BlockTridiag,
-    lead_l: (&ZMat, &ZMat),
-    lead_r: (&ZMat, &ZMat),
+    sigma_l: &ContactSelfEnergy,
+    sigma_r: &ContactSelfEnergy,
 ) -> OmenResult<EnergyPointData> {
-    let (sl, sr) = crate::contacts::local_contacts(e, DEFAULT_ETA, lead_l, lead_r)?;
-    let a = build_a_matrix(e, DEFAULT_ETA, h, &sl, &sr);
-    let r = selinv_solve(&a, &sl.gamma, &sr.gamma).map_err(|err| err.with_energy(e))?;
-    let mut point = package(e, h, &r, &sl.gamma, &sr.gamma);
-    point.retries += sl.retries + sr.retries;
-    Ok(point)
+    let a = build_a_matrix(e, eta, h, sigma_l, sigma_r);
+    let r = selinv_solve(&a, &sigma_l.gamma, &sigma_r.gamma).map_err(|err| err.with_energy(e))?;
+    Ok(package(e, h, &r, sigma_l, sigma_r))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::rgf::rgf_solve;
-    use crate::sancho::{ContactSelfEnergy, Side};
+    use crate::sancho::Side;
 
     fn chain(nb: usize, e0: f64, t: f64, barrier: &[f64]) -> BlockTridiag {
         let diag: Vec<ZMat> = (0..nb)

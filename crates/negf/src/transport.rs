@@ -1,7 +1,15 @@
-//! Per-energy transport driver and the dense reference implementation.
+//! What one (E, k) point hands the upper layers, and the dense reference.
+//!
+//! A point is contacts, then an engine. The contacts come from
+//! [`crate::contacts`] (`local_contacts`, or `distributed_contacts` on a
+//! communicator); the engines — [`crate::rgf::rgf_point`],
+//! [`crate::selinv::selinv_point`] and `omen_wf::wf_point` — take the
+//! `(Σ_L, Σ_R)` pair and return an [`EnergyPointData`].
+//! `omen_core::ballistic::solve_point` is the composition.
 
 use crate::contacts::local_contacts;
-use crate::rgf::{rgf_solve_device, RgfResult};
+use crate::rgf::RgfResult;
+use crate::sancho::ContactSelfEnergy;
 use omen_linalg::{dot, lu, matmul, ZMat};
 use omen_num::{c64, OmenResult};
 use omen_sparse::BlockTridiag;
@@ -26,46 +34,22 @@ pub struct EnergyPointData {
 /// Default numerical broadening (eV) used by the transport engines.
 pub const DEFAULT_ETA: f64 = 2e-6;
 
-/// Solves one energy point with RGF: self-energies from Sancho–Rubio on the
-/// supplied lead blocks, then the recursive sweeps.
-///
-/// `lead_l`/`lead_r` are `(H00, H01)` principal-layer blocks for each
-/// contact (H01 oriented toward +x for both).
-///
-/// # Errors
-///
-/// Returns the lead solve's or RGF sweep's typed failure
-/// ([`omen_num::OmenError::LeadNotConverged`],
-/// [`omen_num::OmenError::SingularBlock`]) once the built-in recovery
-/// policies are exhausted, stamped with the energy.
-pub fn transport_at_energy(
-    e: f64,
-    h: &BlockTridiag,
-    lead_l: (&ZMat, &ZMat),
-    lead_r: (&ZMat, &ZMat),
-) -> OmenResult<EnergyPointData> {
-    let (sl, sr) = local_contacts(e, DEFAULT_ETA, lead_l, lead_r)?;
-    let r = rgf_solve_device(e, DEFAULT_ETA, h, &sl, &sr).map_err(|err| err.with_energy(e))?;
-    let mut point = package(e, h, &r, &sl.gamma, &sr.gamma);
-    point.retries += sl.retries + sr.retries;
-    Ok(point)
-}
-
 /// Packages an [`RgfResult`] into the flat per-orbital data the density
-/// integrator consumes. Only the *diagonals* of the contact spectral
-/// functions are read downstream, so they are taken as row dots of
-/// `C·Γ[S,S]` with `C` on the support-restricted column blocks —
+/// integrator consumes; `retries` adds the contacts' lead nudges to the
+/// solve's pivot regularizations. Only the *diagonals* of the contact
+/// spectral functions are read downstream, so they are taken as row dots
+/// of `C·Γ[S,S]` with `C` on the support-restricted column blocks —
 /// `O(n·s²)` per slab, never the `n × n` product `G Γ G†`.
 pub fn package(
     e: f64,
     h: &BlockTridiag,
     r: &RgfResult,
-    gamma_l: &ZMat,
-    gamma_r: &ZMat,
+    sigma_l: &ContactSelfEnergy,
+    sigma_r: &ContactSelfEnergy,
 ) -> EnergyPointData {
     let nb = h.num_blocks();
-    let gl = gamma_l.principal(&r.support_left);
-    let gr = gamma_r.principal(&r.support_right);
+    let gl = sigma_l.gamma.principal(&r.support_left);
+    let gr = sigma_r.gamma.principal(&r.support_right);
     let mut ldos = Vec::with_capacity(nb);
     let mut al = Vec::with_capacity(h.dim());
     let mut ar = Vec::with_capacity(h.dim());
@@ -80,7 +64,7 @@ pub fn package(
         ldos,
         spectral_left_diag: al,
         spectral_right_diag: ar,
-        retries: r.retries,
+        retries: r.retries + sigma_l.retries + sigma_r.retries,
     }
 }
 
@@ -96,8 +80,9 @@ fn push_spectral_diag(out: &mut Vec<f64>, c: &ZMat, gamma_s: &ZMat) {
 ///
 /// # Errors
 ///
-/// Same failure modes as [`transport_at_energy`]: a non-converged lead or
-/// a singular `A` matrix.
+/// A non-converged lead ([`omen_num::OmenError::LeadNotConverged`]) or a
+/// singular `A` matrix ([`omen_num::OmenError::SingularBlock`]), stamped
+/// with the energy.
 pub fn transmission_dense_reference(
     e: f64,
     h: &BlockTridiag,
@@ -137,7 +122,8 @@ pub fn transmission_dense_reference(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rgf::{build_a_matrix, rgf_solve};
+    use crate::rgf::{build_a_matrix, rgf_point, rgf_solve};
+    use crate::selinv::selinv_point;
     use omen_lattice::{Crystal, Device};
     use omen_num::A_SI;
     use omen_tb::{DeviceHamiltonian, Material, TbParams};
@@ -152,13 +138,22 @@ mod tests {
         (bt, h00, h01)
     }
 
+    /// The RGF point as `omen_core::ballistic::solve_point` composes it.
+    fn rgf_at(
+        e: f64,
+        h: &BlockTridiag,
+        lead_l: (&ZMat, &ZMat),
+        lead_r: (&ZMat, &ZMat),
+    ) -> EnergyPointData {
+        let (sl, sr) = local_contacts(e, DEFAULT_ETA, lead_l, lead_r).unwrap();
+        rgf_point(e, DEFAULT_ETA, h, &sl, &sr).unwrap()
+    }
+
     #[test]
     fn rgf_matches_dense_reference_single_band_wire() {
         let (bt, h00, h01) = si_wire_system(Material::SingleBand { t_mev: 800 }, 4, 0.8);
         for &e in &[-2.03_f64, -0.51, 0.33, 1.48] {
-            let t_rgf = transport_at_energy(e, &bt, (&h00, &h01), (&h00, &h01))
-                .unwrap()
-                .transmission;
+            let t_rgf = rgf_at(e, &bt, (&h00, &h01), (&h00, &h01)).transmission;
             let t_ref = transmission_dense_reference(e, &bt, (&h00, &h01), (&h00, &h01)).unwrap();
             assert!(
                 (t_rgf - t_ref).abs() < 1e-6 * (1.0 + t_ref.abs()),
@@ -182,9 +177,7 @@ mod tests {
                     lo < e && e < hi
                 })
                 .count();
-            let t = transport_at_energy(e, &bt, (&h00, &h01), (&h00, &h01))
-                .unwrap()
-                .transmission;
+            let t = rgf_at(e, &bt, (&h00, &h01), (&h00, &h01)).transmission;
             assert!(
                 (t - count as f64).abs() < 1e-3,
                 "E={e}: T={t} vs band count {count}"
@@ -197,9 +190,7 @@ mod tests {
         // Full 5-orbital Si wire: engines must agree to numerical precision.
         let (bt, h00, h01) = si_wire_system(Material::SiSp3s, 3, 0.8);
         for &e in &[1.6_f64, 2.2] {
-            let t_rgf = transport_at_energy(e, &bt, (&h00, &h01), (&h00, &h01))
-                .unwrap()
-                .transmission;
+            let t_rgf = rgf_at(e, &bt, (&h00, &h01), (&h00, &h01)).transmission;
             let t_ref = transmission_dense_reference(e, &bt, (&h00, &h01), (&h00, &h01)).unwrap();
             assert!(
                 (t_rgf - t_ref).abs() < 1e-6 * (1.0 + t_ref.abs()),
@@ -212,9 +203,7 @@ mod tests {
     fn transmission_zero_in_gap() {
         let (bt, h00, h01) = si_wire_system(Material::SiSp3s, 3, 0.8);
         // Mid-gap of the confined wire (bulk gap ~1.1, confined larger).
-        let t = transport_at_energy(0.6, &bt, (&h00, &h01), (&h00, &h01))
-            .unwrap()
-            .transmission;
+        let t = rgf_at(0.6, &bt, (&h00, &h01), (&h00, &h01)).transmission;
         assert!(t.abs() < 1e-6, "mid-gap transmission {t}");
     }
 
@@ -237,18 +226,17 @@ mod tests {
         }
         assert_eq!(r.spectral_left(&sl.gamma, 1), ZMat::zeros(n, n));
 
-        let one_dead = transport_at_energy(e, &bt, (&h00, &dead), (&h00, &h01)).unwrap();
+        let one_dead = rgf_point(e, DEFAULT_ETA, &bt, &sl, &sr).unwrap();
         assert_eq!(one_dead.transmission, 0.0);
         assert_eq!(one_dead.spectral_left_diag, vec![0.0; bt.dim()]);
         assert!(one_dead.spectral_right_diag.iter().any(|&v| v > 0.0));
 
         // The tree engine carries the same n × 0 columns into `package`.
-        let si =
-            crate::selinv::selinv_transport_at_energy(e, &bt, (&h00, &dead), (&h00, &h01)).unwrap();
+        let si = selinv_point(e, DEFAULT_ETA, &bt, &sl, &sr).unwrap();
         assert_eq!(si.transmission, 0.0);
         assert_eq!(si.spectral_left_diag, vec![0.0; bt.dim()]);
 
-        let both_dead = transport_at_energy(e, &bt, (&h00, &dead), (&h00, &dead)).unwrap();
+        let both_dead = rgf_at(e, &bt, (&h00, &dead), (&h00, &dead));
         assert_eq!(both_dead.transmission, 0.0);
         assert_eq!(both_dead.spectral_left_diag, vec![0.0; bt.dim()]);
         assert_eq!(both_dead.spectral_right_diag, vec![0.0; bt.dim()]);

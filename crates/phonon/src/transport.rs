@@ -16,8 +16,7 @@
 //! quantitative test below.
 
 use crate::dynmat::PhononSystem;
-use omen_negf::contacts::local_contacts;
-use omen_negf::rgf::{build_a_matrix, rgf_solve};
+use omen_negf::{local_contacts, rgf_point};
 use omen_num::{OmenResult, KB};
 
 /// Universal thermal conductance quantum per branch, `π²k_B²/3h` (W/K²).
@@ -40,9 +39,7 @@ pub fn phonon_transmission(sys: &PhononSystem, omega: f64) -> OmenResult<f64> {
     let eta = (1e-4 * e).max(PHONON_ETA);
     let lead = (&sys.d00, &sys.d01);
     let (sl, sr) = local_contacts(e, eta, lead, lead)?;
-    let a = build_a_matrix(e, eta, &sys.d, &sl, &sr);
-    let r = rgf_solve(&a, &sl.gamma, &sr.gamma).map_err(|err| err.with_energy(e))?;
-    Ok(r.transmission)
+    Ok(rgf_point(e, eta, &sys.d, &sl, &sr)?.transmission)
 }
 
 /// Landauer thermal conductance at temperature `t_kelvin` (W/K), with

@@ -10,18 +10,14 @@
 //! * [`BlockTridiag`] — the slab-ordered block view every transport kernel
 //!   (RGF, wave-function, SplitSolve) consumes;
 //! * [`CsrR`]/[`cg`] — real symmetric storage and a preconditioned conjugate
-//!   gradient solver for the Poisson substrate;
-//! * [`rcm`] — reverse Cuthill–McKee ordering, used to verify and produce
-//!   bandwidth-minimizing atom orders.
+//!   gradient solver for the Poisson substrate.
 
 pub mod block;
 pub mod cg;
 pub mod coo;
 pub mod csr;
-pub mod rcm;
 
 pub use block::BlockTridiag;
 pub use cg::{cg_solve, CgReport};
 pub use coo::Coo;
 pub use csr::{CsrC, CsrR};
-pub use rcm::rcm_order;

@@ -15,9 +15,11 @@
 //! * [`splitsolve`] — block cyclic reduction distributed over `omen-parsim`
 //!   ranks: log₂(N) reduction levels with nearest-neighbor block exchanges,
 //!   the communication pattern of the paper's spatial-domain parallel level;
-//! * [`transport`] — per-energy wave-function transport returning the same
-//!   observables as `omen-negf` (transmission, LDOS, spectral densities),
-//!   enabling the WF-vs-RGF equivalence and time-to-solution experiments.
+//! * [`transport`] — [`wf_point`]: per-energy wave-function transport on
+//!   the `(Σ_L, Σ_R)` pair the NEGF engines take, over any of the three
+//!   solvers ([`Solver`]), returning the same observables as `omen-negf`
+//!   (transmission, LDOS, spectral densities) — which enables the
+//!   WF-vs-RGF equivalence and time-to-solution experiments.
 
 pub mod injection;
 pub mod solver;
@@ -27,4 +29,4 @@ pub mod transport;
 pub use injection::{injection_bundle, InjectionBundle};
 pub use solver::{bcr_solve, thomas_solve};
 pub use splitsolve::splitsolve_parallel;
-pub use transport::{wf_transport_at_energy, SolverKind};
+pub use transport::{wf_point, Solver};

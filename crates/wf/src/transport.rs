@@ -1,96 +1,89 @@
 //! Per-energy wave-function transport.
 //!
-//! Builds the open-boundary system `A·Ψ = B` with the same contact
-//! self-energies as the NEGF engine, injects the open channels of both
-//! contacts as right-hand sides, solves one block-tridiagonal system, and
-//! evaluates transmission and spectral densities from the scattering
-//! states. Observables are bit-compatible with `omen-negf`'s
-//! [`EnergyPointData`], which is what makes the WF-vs-RGF experiments
-//! (tab1/tab3) apples-to-apples.
+//! [`wf_point`] takes the contact self-energies the NEGF engines take,
+//! builds the open-boundary system `A·Ψ = B` ([`assemble`]: the open
+//! channels of both contacts injected as right-hand sides), solves that one
+//! block-tridiagonal system with the chosen [`Solver`], and evaluates
+//! transmission and spectral densities from the scattering states.
+//! Observables are bit-compatible with `omen-negf`'s [`EnergyPointData`],
+//! which is what makes the WF-vs-RGF experiments (tab1/tab3)
+//! apples-to-apples.
 
 use crate::injection::injection_bundle;
 use crate::solver::{bcr_solve, thomas_solve};
 use crate::splitsolve::splitsolve_parallel;
-use omen_linalg::{matmul, matmul_h_n, ZMat};
-use omen_negf::contacts::local_contacts;
+use omen_linalg::{lu, matmul, matmul_h_n, ZMat};
 use omen_negf::rgf::build_a_matrix;
 use omen_negf::sancho::ContactSelfEnergy;
-use omen_negf::transport::{EnergyPointData, DEFAULT_ETA};
+use omen_negf::transport::EnergyPointData;
 use omen_num::OmenResult;
 use omen_parsim::Comm;
 use omen_sparse::BlockTridiag;
 
 /// Which linear solver backs the wave-function engine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SolverKind {
+#[derive(Clone, Copy)]
+pub enum Solver<'a> {
     /// Sequential block Thomas elimination (minimal flops).
     Thomas,
     /// Sequential block cyclic reduction (the SplitSolve elimination tree).
     Bcr,
+    /// Block cyclic reduction distributed over the communicator's ranks
+    /// ([`splitsolve_parallel`]): all members call collectively with
+    /// identical contacts (`omen_negf::distributed_contacts` delivers
+    /// them) and receive the same result.
+    SplitSolve(&'a Comm<'a>),
 }
 
 /// Relative eigenvalue cutoff below which a Γ channel counts as closed.
 pub const MODE_TOL: f64 = 1e-9;
 
-/// Wave-function transport at one energy using a sequential solver.
+/// Wave-function transport at one energy, from the contacts on.
 ///
 /// # Errors
 ///
-/// Returns the lead solve's or block solve's typed failure
-/// ([`omen_num::OmenError::LeadNotConverged`],
-/// [`omen_num::OmenError::SingularBlock`]), stamped with the energy.
-pub fn wf_transport_at_energy(
+/// The block solve's [`omen_num::OmenError::SingularBlock`], stamped with
+/// the energy; under [`Solver::SplitSolve`] also the communicator faults
+/// of the distributed elimination
+/// ([`omen_num::OmenError::ScheduleDivergence`],
+/// [`omen_num::OmenError::RecvTimeout`]) — identical on every rank.
+pub fn wf_point(
     e: f64,
+    eta: f64,
     h: &BlockTridiag,
-    lead_l: (&ZMat, &ZMat),
-    lead_r: (&ZMat, &ZMat),
-    solver: SolverKind,
+    sigma_l: &ContactSelfEnergy,
+    sigma_r: &ContactSelfEnergy,
+    solver: Solver<'_>,
 ) -> OmenResult<EnergyPointData> {
-    let (sl, sr) = local_contacts(e, DEFAULT_ETA, lead_l, lead_r)?;
-    let (a, b, ml) = assemble(e, h, &sl, &sr);
+    let (a, b, ml) = assemble(e, eta, h, sigma_l, sigma_r);
+    // The direct solvers have no regularization pass to reject a poisoned
+    // pivot block, and the contacts are the caller's: a NaN in `Σ` fails
+    // typed here (alike on every rank, before any collective) instead of
+    // reaching the transmission.
+    for (i, d) in a.diag.iter().enumerate() {
+        if let Some(poisoned) = lu::non_finite(d) {
+            return Err(poisoned.at_block(i).with_energy(e));
+        }
+    }
     let psi = match solver {
-        SolverKind::Thomas => thomas_solve(&a, &b),
-        SolverKind::Bcr => bcr_solve(&a, &b),
+        Solver::Thomas => thomas_solve(&a, &b),
+        Solver::Bcr => bcr_solve(&a, &b),
+        Solver::SplitSolve(comm) => splitsolve_parallel(comm, &a, &b),
     }
     .map_err(|err| err.with_energy(e))?;
-    Ok(observables(e, h, &sl, &sr, &psi, ml))
-}
-
-/// Wave-function transport at one energy with the rank-parallel SplitSolve
-/// backend; all comm members call collectively and receive the same result.
-/// The contact self-energies are decimated once across the communicator
-/// ([`omen_negf::contacts::distributed_contacts`]) instead of redundantly
-/// on every rank.
-///
-/// # Errors
-///
-/// Same failure modes as [`wf_transport_at_energy`], plus the
-/// communicator faults of the [`crate::splitsolve`]-distributed
-/// elimination ([`omen_num::OmenError::ScheduleDivergence`],
-/// [`omen_num::OmenError::RecvTimeout`]) — identical on every rank.
-pub fn wf_transport_splitsolve(
-    comm: &Comm,
-    e: f64,
-    h: &BlockTridiag,
-    lead_l: (&ZMat, &ZMat),
-    lead_r: (&ZMat, &ZMat),
-) -> OmenResult<EnergyPointData> {
-    let (sl, sr) = omen_negf::contacts::distributed_contacts(comm, e, DEFAULT_ETA, lead_l, lead_r)?;
-    let (a, b, ml) = assemble(e, h, &sl, &sr);
-    let psi = splitsolve_parallel(comm, &a, &b).map_err(|err| err.with_energy(e))?;
-    Ok(observables(e, h, &sl, &sr, &psi, ml))
+    Ok(observables(e, h, sigma_l, sigma_r, &psi, ml))
 }
 
 /// Assembles `A` and the injected right-hand side `B = [W_L at slab 0 |
 /// W_R at slab N−1]` from precomputed self-energies; returns the
 /// left-mode count alongside.
-fn assemble(
+pub fn assemble(
     e: f64,
+    eta: f64,
     h: &BlockTridiag,
     sl: &ContactSelfEnergy,
     sr: &ContactSelfEnergy,
 ) -> (BlockTridiag, Vec<ZMat>, usize) {
-    let a = build_a_matrix(e, DEFAULT_ETA, h, sl, sr);
+    let a = build_a_matrix(e, eta, h, sl, sr);
     let wl = injection_bundle(&sl.gamma, MODE_TOL);
     let wr = injection_bundle(&sr.gamma, MODE_TOL);
     let (ml, mr) = (wl.w.ncols(), wr.w.ncols());
@@ -162,6 +155,8 @@ fn observables(
 mod tests {
     use super::*;
     use omen_lattice::{Crystal, Device};
+    use omen_negf::transport::DEFAULT_ETA;
+    use omen_negf::{distributed_contacts, local_contacts, rgf_point};
     use omen_num::{c64, A_SI};
     use omen_tb::{DeviceHamiltonian, Material, TbParams};
 
@@ -178,12 +173,24 @@ mod tests {
         (h, h00, h01)
     }
 
+    /// The sequential WF point as `omen_core::ballistic::solve_point`
+    /// composes it.
+    fn wf_at(
+        e: f64,
+        h: &BlockTridiag,
+        lead_l: (&ZMat, &ZMat),
+        lead_r: (&ZMat, &ZMat),
+        solver: Solver<'_>,
+    ) -> EnergyPointData {
+        let (sl, sr) = local_contacts(e, DEFAULT_ETA, lead_l, lead_r).unwrap();
+        wf_point(e, DEFAULT_ETA, h, &sl, &sr, solver).unwrap()
+    }
+
     #[test]
     fn clean_chain_unit_transmission() {
         let (h, h00, h01) = chain(6, 0.0, -1.0, &[]);
         for &e in &[-1.6, -0.8, 0.05, 0.9, 1.7] {
-            let d = wf_transport_at_energy(e, &h, (&h00, &h01), (&h00, &h01), SolverKind::Thomas)
-                .unwrap();
+            let d = wf_at(e, &h, (&h00, &h01), (&h00, &h01), Solver::Thomas);
             assert!(
                 (d.transmission - 1.0).abs() < 1e-4,
                 "E={e}: T={}",
@@ -199,9 +206,9 @@ mod tests {
         barrier[4] = 0.6;
         let (h, h00, h01) = chain(8, 0.0, -1.0, &barrier);
         for &e in &[-1.3_f64, -0.2, 0.45, 1.2] {
-            let wf = wf_transport_at_energy(e, &h, (&h00, &h01), (&h00, &h01), SolverKind::Thomas)
-                .unwrap();
-            let ng = omen_negf::transport_at_energy(e, &h, (&h00, &h01), (&h00, &h01)).unwrap();
+            let (sl, sr) = local_contacts(e, DEFAULT_ETA, (&h00, &h01), (&h00, &h01)).unwrap();
+            let wf = wf_point(e, DEFAULT_ETA, &h, &sl, &sr, Solver::Thomas).unwrap();
+            let ng = rgf_point(e, DEFAULT_ETA, &h, &sl, &sr).unwrap();
             assert!(
                 (wf.transmission - ng.transmission).abs() < 1e-6 * (1.0 + ng.transmission),
                 "E={e}: WF {} vs RGF {}",
@@ -236,10 +243,8 @@ mod tests {
         barrier[4] = 0.5;
         let (h, h00, h01) = chain(9, 0.0, -1.0, &barrier);
         for &e in &[-0.9, 0.35, 1.1] {
-            let a = wf_transport_at_energy(e, &h, (&h00, &h01), (&h00, &h01), SolverKind::Thomas)
-                .unwrap();
-            let b =
-                wf_transport_at_energy(e, &h, (&h00, &h01), (&h00, &h01), SolverKind::Bcr).unwrap();
+            let a = wf_at(e, &h, (&h00, &h01), (&h00, &h01), Solver::Thomas);
+            let b = wf_at(e, &h, (&h00, &h01), (&h00, &h01), Solver::Bcr);
             assert!((a.transmission - b.transmission).abs() < 1e-9);
         }
     }
@@ -259,10 +264,9 @@ mod tests {
         let (h00, h01) = ham.lead_blocks(0.0, 0.0);
         let (h00r, h01r) = ham.lead_blocks(0.05, 0.0);
         for &e in &[1.7_f64, 2.1] {
-            let wf =
-                wf_transport_at_energy(e, &h, (&h00, &h01), (&h00r, &h01r), SolverKind::Thomas)
-                    .unwrap();
-            let ng = omen_negf::transport_at_energy(e, &h, (&h00, &h01), (&h00r, &h01r)).unwrap();
+            let (sl, sr) = local_contacts(e, DEFAULT_ETA, (&h00, &h01), (&h00r, &h01r)).unwrap();
+            let wf = wf_point(e, DEFAULT_ETA, &h, &sl, &sr, Solver::Thomas).unwrap();
+            let ng = rgf_point(e, DEFAULT_ETA, &h, &sl, &sr).unwrap();
             assert!(
                 (wf.transmission - ng.transmission).abs() < 1e-5 * (1.0 + ng.transmission),
                 "E={e}: WF {} vs RGF {}",
@@ -278,20 +282,34 @@ mod tests {
         barrier[2] = 0.4;
         let (h, h00, h01) = chain(8, 0.0, -1.0, &barrier);
         let e = 0.6;
-        let seq =
-            wf_transport_at_energy(e, &h, (&h00, &h01), (&h00, &h01), SolverKind::Thomas).unwrap();
-        let out = omen_parsim::run_ranks(3, |ctx| {
-            let comm = Comm::world(ctx);
-            wf_transport_splitsolve(&comm, e, &h, (&h00, &h01), (&h00, &h01))
-                .map(|d| d.transmission)
-        })
-        .flattened();
-        for t in out.unwrap_all() {
-            assert!(
-                (t - seq.transmission).abs() < 1e-8,
-                "{t} vs {}",
-                seq.transmission
-            );
+        let seq = wf_at(e, &h, (&h00, &h01), (&h00, &h01), Solver::Thomas);
+        for nranks in [1, 2, 3] {
+            let out = omen_parsim::run_ranks(nranks, |ctx| {
+                let comm = Comm::world(ctx);
+                let (sl, sr) =
+                    distributed_contacts(&comm, e, DEFAULT_ETA, (&h00, &h01), (&h00, &h01))?;
+                wf_point(e, DEFAULT_ETA, &h, &sl, &sr, Solver::SplitSolve(&comm))
+            })
+            .flattened()
+            .unwrap_all();
+            let bits = |d: &EnergyPointData| -> Vec<u64> {
+                std::iter::once(d.transmission)
+                    .chain(d.ldos.iter().copied())
+                    .chain(d.spectral_left_diag.iter().copied())
+                    .chain(d.spectral_right_diag.iter().copied())
+                    .map(f64::to_bits)
+                    .collect()
+            };
+            for d in &out {
+                assert_eq!(bits(d), bits(&out[0]), "{nranks} ranks disagree");
+                assert_eq!(d.retries, seq.retries);
+                assert!(
+                    (d.transmission - seq.transmission).abs() < 1e-8,
+                    "{nranks} ranks: {} vs {}",
+                    d.transmission,
+                    seq.transmission
+                );
+            }
         }
     }
 }

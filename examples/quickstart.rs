@@ -10,12 +10,11 @@
 //! 3. compute the ballistic transmission through it with both transport
 //!    engines and check they agree.
 
+use omen::core::{solve_point, Engine};
 use omen::lattice::Vec3;
-use omen::negf;
 use omen::num::linspace;
 use omen::tb::bulk::{band_gap, bulk_bands, path_l_gamma_x};
 use omen::tb::{bands, DeviceHamiltonian, Material, TbParams};
-use omen::wf;
 
 fn main() {
     // --- 1. Bulk silicon bandstructure ---------------------------------
@@ -68,13 +67,12 @@ fn main() {
     let h = ham.assemble(&pot, 0.0);
     println!("\n   E (eV)    T_RGF      T_WF");
     for e in linspace(wcbm + 0.03, wcbm + 0.63, 7) {
-        let t_rgf = negf::transport_at_energy(e, &h, (&h00, &h01), (&h00, &h01))
+        let t_rgf = solve_point(e, &h, (&h00, &h01), (&h00, &h01), Engine::Rgf)
             .expect("RGF point failed")
             .transmission;
-        let t_wf =
-            wf::wf_transport_at_energy(e, &h, (&h00, &h01), (&h00, &h01), wf::SolverKind::Thomas)
-                .expect("WF point failed")
-                .transmission;
+        let t_wf = solve_point(e, &h, (&h00, &h01), (&h00, &h01), Engine::WfThomas)
+            .expect("WF point failed")
+            .transmission;
         println!("  {e:+.3}   {t_rgf:8.5}  {t_wf:8.5}");
         assert!(
             (t_rgf - t_wf).abs() < 1e-4 * (1.0 + t_rgf),

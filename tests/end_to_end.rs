@@ -4,7 +4,7 @@
 //! distributed + self-consistent observables).
 
 use omen::core::iv::{frozen_field_sweep, gate_sweep, on_off_ratio};
-use omen::core::{Bias, Engine, ScfOptions, TransistorSpec};
+use omen::core::{solve_point, Bias, Engine, ScfOptions, TransistorSpec};
 use omen::lattice::{Crystal, Device};
 use omen::num::tolerance::test_bound;
 use omen::num::{linspace, BoundKind, A_SI};
@@ -70,7 +70,7 @@ fn alloy_channel_transports_and_scatters() {
         energies
             .iter()
             .map(|&e| {
-                omen::negf::transport_at_energy(e, h, (&lead.0, &lead.1), (&lead.0, &lead.1))
+                solve_point(e, h, (&lead.0, &lead.1), (&lead.0, &lead.1), Engine::Rgf)
                     .unwrap()
                     .transmission
             })
@@ -86,14 +86,20 @@ fn alloy_channel_transports_and_scatters() {
     );
     // Engines still agree on the disordered device.
     let e = 2.0;
-    let rgf = omen::negf::transport_at_energy(e, &h_alloy, (&lead.0, &lead.1), (&lead.0, &lead.1))
-        .unwrap();
-    let wf = omen::wf::wf_transport_at_energy(
+    let rgf = solve_point(
         e,
         &h_alloy,
         (&lead.0, &lead.1),
         (&lead.0, &lead.1),
-        omen::wf::SolverKind::Thomas,
+        Engine::Rgf,
+    )
+    .unwrap();
+    let wf = solve_point(
+        e,
+        &h_alloy,
+        (&lead.0, &lead.1),
+        (&lead.0, &lead.1),
+        Engine::WfThomas,
     )
     .unwrap();
     let bound = tol("e2e.rgf_vs_wf", BoundKind::Relative);
@@ -115,9 +121,15 @@ fn strained_device_transport_shifts_band_edge() {
         let ham = DeviceHamiltonian::new(dev, p, false);
         let h = ham.assemble(&pot, 0.0);
         let lead = ham.lead_blocks(0.0, 0.0);
-        omen::negf::transport_at_energy(e_probe, &h, (&lead.0, &lead.1), (&lead.0, &lead.1))
-            .unwrap()
-            .transmission
+        solve_point(
+            e_probe,
+            &h,
+            (&lead.0, &lead.1),
+            (&lead.0, &lead.1),
+            Engine::Rgf,
+        )
+        .unwrap()
+        .transmission
     };
     let t0 = t(&dev0);
     let t1 = t(&dev1);

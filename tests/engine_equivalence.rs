@@ -3,8 +3,11 @@
 //! produce identical observables on every device family the simulator
 //! supports.
 
+use omen::core::{engine_point, solve_point, Engine};
 use omen::lattice::{Crystal, Device};
 use omen::linalg::ZMat;
+use omen::negf::local_contacts;
+use omen::negf::transport::{EnergyPointData, DEFAULT_ETA};
 use omen::num::tolerance::test_bound;
 use omen::num::{c64, linspace, BoundKind, A_SI};
 use omen::sparse::BlockTridiag;
@@ -26,65 +29,66 @@ fn check_equivalence(
     tol: f64,
     selinv_tol: f64,
 ) {
+    for &e in energies {
+        let points = ENGINES.map(|engine| {
+            solve_point(e, h, lead_l, lead_r, engine)
+                .unwrap_or_else(|err| panic!("{name} E={e}: {engine:?} failed: {err}"))
+        });
+        assert_agree(&format!("{name} E={e}"), &points, tol, selinv_tol);
+    }
+}
+
+/// The order [`assert_agree`] reads its points in.
+const ENGINES: [Engine; 4] = [Engine::Rgf, Engine::WfThomas, Engine::WfBcr, Engine::SelInv];
+
+/// Holds one energy's four points ([`ENGINES`] order) against each other.
+fn assert_agree(at: &str, points: &[EnergyPointData; 4], tol: f64, selinv_tol: f64) {
     let backend_tol = test_bound("engine.thomas_vs_bcr", BoundKind::Relative)
         .expect("TOLERANCES.toml covers the WF backend comparison");
-    for &e in energies {
-        let rgf = omen::negf::transport_at_energy(e, h, lead_l, lead_r)
-            .unwrap_or_else(|err| panic!("{name} E={e}: RGF failed: {err}"));
-        let wf =
-            omen::wf::wf_transport_at_energy(e, h, lead_l, lead_r, omen::wf::SolverKind::Thomas)
-                .unwrap_or_else(|err| panic!("{name} E={e}: WF Thomas failed: {err}"));
-        let bcr = omen::wf::wf_transport_at_energy(e, h, lead_l, lead_r, omen::wf::SolverKind::Bcr)
-            .unwrap_or_else(|err| panic!("{name} E={e}: WF BCR failed: {err}"));
-        let si = omen::negf::selinv_transport_at_energy(e, h, lead_l, lead_r)
-            .unwrap_or_else(|err| panic!("{name} E={e}: SelInv failed: {err}"));
-        let scale = 1.0 + rgf.transmission.abs();
+    let [rgf, wf, bcr, si] = points;
+    let scale = 1.0 + rgf.transmission.abs();
+    assert!(
+        (rgf.transmission - wf.transmission).abs() < tol * scale,
+        "{at}: RGF {} vs WF {}",
+        rgf.transmission,
+        wf.transmission
+    );
+    assert!(
+        (wf.transmission - bcr.transmission).abs() < backend_tol * scale,
+        "{at}: Thomas vs BCR backend"
+    );
+    assert!(
+        (rgf.transmission - si.transmission).abs() < selinv_tol * scale,
+        "{at}: RGF {} vs SelInv {}",
+        rgf.transmission,
+        si.transmission
+    );
+    // Spectral densities agree orbital-by-orbital: WF within the
+    // cross-formulation budget, SelInv within its elimination-order
+    // budget (both engines share the same NEGF observable packaging).
+    for (i, ((a, b), c)) in wf
+        .spectral_left_diag
+        .iter()
+        .zip(&rgf.spectral_left_diag)
+        .zip(&si.spectral_left_diag)
+        .enumerate()
+    {
         assert!(
-            (rgf.transmission - wf.transmission).abs() < tol * scale,
-            "{name} E={e}: RGF {} vs WF {}",
-            rgf.transmission,
-            wf.transmission
+            (a - b).abs() < 100.0 * tol * (1.0 + b.abs()),
+            "{at} A_L[{i}]: {a} vs {b}"
         );
         assert!(
-            (wf.transmission - bcr.transmission).abs() < backend_tol * scale,
-            "{name} E={e}: Thomas vs BCR backend"
+            (c - b).abs() < 100.0 * selinv_tol * (1.0 + b.abs()),
+            "{at} SelInv A_L[{i}]: {c} vs {b}"
         );
+    }
+    // LDOS agrees.
+    for ((a, b), c) in wf.ldos.iter().zip(&rgf.ldos).zip(&si.ldos) {
+        assert!((a - b).abs() < 100.0 * tol * (1.0 + b.abs()), "{at} LDOS");
         assert!(
-            (rgf.transmission - si.transmission).abs() < selinv_tol * scale,
-            "{name} E={e}: RGF {} vs SelInv {}",
-            rgf.transmission,
-            si.transmission
+            (c - b).abs() < 100.0 * selinv_tol * (1.0 + b.abs()),
+            "{at} SelInv LDOS"
         );
-        // Spectral densities agree orbital-by-orbital: WF within the
-        // cross-formulation budget, SelInv within its elimination-order
-        // budget (both engines share the same NEGF observable packaging).
-        for (i, ((a, b), c)) in wf
-            .spectral_left_diag
-            .iter()
-            .zip(&rgf.spectral_left_diag)
-            .zip(&si.spectral_left_diag)
-            .enumerate()
-        {
-            assert!(
-                (a - b).abs() < 100.0 * tol * (1.0 + b.abs()),
-                "{name} E={e} A_L[{i}]: {a} vs {b}"
-            );
-            assert!(
-                (c - b).abs() < 100.0 * selinv_tol * (1.0 + b.abs()),
-                "{name} E={e} SelInv A_L[{i}]: {c} vs {b}"
-            );
-        }
-        // LDOS agrees.
-        for ((a, b), c) in wf.ldos.iter().zip(&rgf.ldos).zip(&si.ldos) {
-            assert!(
-                (a - b).abs() < 100.0 * tol * (1.0 + b.abs()),
-                "{name} E={e} LDOS"
-            );
-            assert!(
-                (c - b).abs() < 100.0 * selinv_tol * (1.0 + b.abs()),
-                "{name} E={e} SelInv LDOS"
-            );
-        }
     }
 }
 
@@ -116,8 +120,9 @@ fn chain_with_disorder() {
     );
 }
 
-#[test]
-fn silicon_wire_with_potential_step() {
+/// Si sp3s* wire under a potential step, with the `(H00, H01)` of its two
+/// (unequal) leads.
+fn stepped_si_wire() -> (BlockTridiag, (ZMat, ZMat), (ZMat, ZMat)) {
     let p = TbParams::of(Material::SiSp3s);
     let dev = Device::nanowire(Crystal::Zincblende { a: A_SI }, 4, 0.8, 0.8);
     let ham = DeviceHamiltonian::new(&dev, p, false);
@@ -127,14 +132,50 @@ fn silicon_wire_with_potential_step() {
         .map(|a| 0.08 * (a.pos.x / dev.length()))
         .collect();
     let h = ham.assemble(&pot, 0.0);
-    let ll = ham.lead_blocks(0.0, 0.0);
-    let lr = ham.lead_blocks(0.08, 0.0);
+    (h, ham.lead_blocks(0.0, 0.0), ham.lead_blocks(0.08, 0.0))
+}
+
+#[test]
+fn silicon_wire_with_potential_step() {
+    let (h, ll, lr) = stepped_si_wire();
     check_equivalence(
         "Si sp3s* wire",
         &h,
         (&ll.0, &ll.1),
         (&lr.0, &lr.1),
         &linspace(1.7, 2.3, 5),
+        tol("engine.si_wire"),
+        tol("engine.selinv_si_wire"),
+    );
+}
+
+#[test]
+fn one_contact_pair_feeds_all_four_engines() {
+    let (h, ll, lr) = stepped_si_wire();
+    let (lead_l, lead_r) = ((&ll.0, &ll.1), (&lr.0, &lr.1));
+    let e = 2.0;
+    let (mut sl, mut sr) = local_contacts(e, DEFAULT_ETA, lead_l, lead_r).expect("contacts");
+
+    // The composition is exactly its two stages.
+    let whole = solve_point(e, &h, lead_l, lead_r, Engine::Rgf).expect("point");
+    let staged = engine_point(e, &h, &sl, &sr, Engine::Rgf).expect("engine");
+    assert_eq!(whole.transmission.to_bits(), staged.transmission.to_bits());
+    assert_eq!(whole.retries, staged.retries);
+
+    // Mark the pair: an engine that decimated leads of its own would report
+    // a clean 0 instead of the share it was handed.
+    (sl.retries, sr.retries) = (2, 5);
+    let points = ENGINES.map(|engine| {
+        engine_point(e, &h, &sl, &sr, engine)
+            .unwrap_or_else(|err| panic!("{engine:?} failed: {err}"))
+    });
+    for (engine, p) in ENGINES.iter().zip(&points) {
+        assert_eq!(p.retries, 7, "{engine:?}");
+        assert_eq!(p.energy, e, "{engine:?}");
+    }
+    assert_agree(
+        "one pair",
+        &points,
         tol("engine.si_wire"),
         tol("engine.selinv_si_wire"),
     );
@@ -210,9 +251,9 @@ fn silicon_wire_invariant_under_omen_threads() {
             .collect()
     };
     let lead = (&lead.0, &lead.1);
-    let rgf_bits = |e: f64| bits(omen::negf::transport_at_energy(e, &h, lead, lead).expect("RGF"));
+    let rgf_bits = |e: f64| bits(solve_point(e, &h, lead, lead, Engine::Rgf).expect("RGF"));
     let selinv_bits =
-        |e: f64| bits(omen::negf::selinv_transport_at_energy(e, &h, lead, lead).expect("SelInv"));
+        |e: f64| bits(solve_point(e, &h, lead, lead, Engine::SelInv).expect("SelInv"));
 
     let env = omen::linalg::threads::THREADS_ENV;
     let saved = std::env::var(env).ok();
@@ -266,4 +307,45 @@ fn spin_orbit_device() {
         tol("engine.spin_orbit"),
         tol("engine.selinv_spin_orbit"),
     );
+}
+
+#[test]
+fn poisoned_contact_fails_typed_in_every_engine() {
+    use omen::negf::{rgf_point, selinv_point};
+    use omen::num::OmenError;
+    use omen::parsim::{run_ranks, Comm};
+    use omen::wf::{wf_point, Solver};
+    // A NaN in Σ_L lands in A's first pivot block: every engine must end
+    // in the typed SingularBlock stamped with the energy — a NaN that
+    // reached the transmission would be integrated as a current.
+    let (h, ll, lr) = stepped_si_wire();
+    let e = 2.0;
+    let (mut sl, sr) =
+        local_contacts(e, DEFAULT_ETA, (&ll.0, &ll.1), (&lr.0, &lr.1)).expect("contacts");
+    sl.sigma[(1, 2)] = c64::new(f64::NAN, 0.0);
+    let eta = DEFAULT_ETA;
+    let mut outcomes = vec![
+        ("rgf", rgf_point(e, eta, &h, &sl, &sr)),
+        ("selinv", selinv_point(e, eta, &h, &sl, &sr)),
+        ("wf thomas", wf_point(e, eta, &h, &sl, &sr, Solver::Thomas)),
+        ("wf bcr", wf_point(e, eta, &h, &sl, &sr, Solver::Bcr)),
+    ];
+    let per_rank = run_ranks(2, |ctx| {
+        wf_point(e, eta, &h, &sl, &sr, Solver::SplitSolve(&Comm::world(ctx)))
+    });
+    outcomes.extend(
+        per_rank
+            .unwrap_all()
+            .into_iter()
+            .map(|r| ("wf splitsolve", r)),
+    );
+    for (engine, outcome) in outcomes {
+        match outcome {
+            Err(err @ OmenError::SingularBlock { .. }) => {
+                assert_eq!(err.energy(), Some(e), "{engine}: unstamped failure")
+            }
+            Err(other) => panic!("{engine}: {other:?}"),
+            Ok(p) => panic!("{engine}: solved, T = {}", p.transmission),
+        }
+    }
 }

@@ -175,23 +175,52 @@ fn rgf_energy_point_count_is_the_closed_form() {
             let h = BlockTridiag::new(diag, lower, upper);
             let e = 0.1;
 
-            // The decimation is deterministic, so its count (which depends on
-            // the iteration count) is measured by running it alone.
-            let scope = FlopScope::new();
             let (sl, sr) = local_contacts(e, DEFAULT_ETA, lead, lead).expect("contacts");
-            let contacts = scope.take();
             let (s_l, s_r) = (touched(&sl.gamma), touched(&sr.gamma));
             assert_eq!((s_l, s_r), (cols.len(), rows.len()));
 
+            // The engine alone: one that decimates a lead again fails this.
             let scope = FlopScope::new();
-            omen::negf::transport_at_energy(e, &h, lead, lead).expect("RGF point");
+            omen::negf::rgf_point(e, DEFAULT_ETA, &h, &sl, &sr).expect("RGF point");
             assert_eq!(
-                scope.take() - contacts,
+                scope.take(),
                 rgf_point_flops(nb, n, (s_l, s_r), upper_rc, lower_rc),
                 "couplings on their support: {on_support}, nb={nb}"
             );
         }
     }
+}
+
+#[test]
+fn wf_energy_point_is_the_point_less_its_contacts() {
+    use omen::core::{solve_point, Engine};
+    use omen::lattice::{Crystal, Device};
+    use omen::negf::contacts::local_contacts;
+    use omen::negf::transport::DEFAULT_ETA;
+    use omen::tb::{DeviceHamiltonian, Material, TbParams};
+    use omen::wf::{wf_point, Solver};
+    let _guard = COUNTER_LOCK.lock().unwrap();
+    // The README wire: the two stages of a point add up to the point, so
+    // neither the WF engine nor the composition runs a decimation twice.
+    let dev = Device::nanowire(Crystal::Zincblende { a: omen::num::A_SI }, 4, 1.0, 1.0);
+    let ham = DeviceHamiltonian::new(
+        &dev,
+        TbParams::of(Material::SingleBand { t_mev: 1000 }),
+        false,
+    );
+    let h = ham.assemble(&vec![0.0; dev.num_atoms()], 0.0);
+    let (h00, h01) = ham.lead_blocks(0.0, 0.0);
+    let (lead, e) = ((&h00, &h01), -3.0);
+
+    let scope = FlopScope::new();
+    solve_point(e, &h, lead, lead, Engine::WfThomas).expect("WF point");
+    let point = scope.take();
+    let scope = FlopScope::new();
+    let (sl, sr) = local_contacts(e, DEFAULT_ETA, lead, lead).expect("contacts");
+    let contacts = scope.take();
+    let scope = FlopScope::new();
+    wf_point(e, DEFAULT_ETA, &h, &sl, &sr, Solver::Thomas).expect("WF engine");
+    assert_eq!(scope.take(), point - contacts);
 }
 
 #[test]

@@ -10,6 +10,7 @@
 //! * `i(G − G†) = A_L + A_R` (ballistic spectral sum rule);
 //! * Hamiltonian Hermiticity for arbitrary potentials and k-points.
 
+use omen::core::{solve_point, Engine};
 use omen::lattice::{Crystal, Device};
 use omen::linalg::ZMat;
 use omen::num::tolerance::test_bound;
@@ -69,7 +70,7 @@ fn transmission_bounded_by_modes() {
         let onsite: Vec<f64> = (0..8).map(|_| rng.uniform(-0.8, 0.8)).collect();
         let e = rng.uniform(-1.8, 1.8);
         let (h, h00, h01) = chain(8, &onsite);
-        let t = omen::negf::transport_at_energy(e, &h, (&h00, &h01), (&h00, &h01))
+        let t = solve_point(e, &h, (&h00, &h01), (&h00, &h01), Engine::Rgf)
             .unwrap()
             .transmission;
         // Single-mode chain: 0 ≤ T ≤ 1 (small numerical slack).
@@ -92,10 +93,10 @@ fn reciprocity() {
         // Forward device vs spatially reversed device.
         let rev: Vec<f64> = onsite.iter().rev().cloned().collect();
         let (hr, _, _) = chain(7, &rev);
-        let tf = omen::negf::transport_at_energy(e, &h, (&h00, &h01), (&h00, &h01))
+        let tf = solve_point(e, &h, (&h00, &h01), (&h00, &h01), Engine::Rgf)
             .unwrap()
             .transmission;
-        let tb = omen::negf::transport_at_energy(e, &hr, (&h00, &h01), (&h00, &h01))
+        let tb = solve_point(e, &hr, (&h00, &h01), (&h00, &h01), Engine::Rgf)
             .unwrap()
             .transmission;
         assert!(
@@ -169,18 +170,12 @@ fn wf_rgf_agree_on_random_chains() {
         let onsite: Vec<f64> = (0..9).map(|_| rng.uniform(-0.7, 0.7)).collect();
         let e = rng.uniform(-1.6, 1.6);
         let (h, h00, h01) = chain(9, &onsite);
-        let t1 = omen::negf::transport_at_energy(e, &h, (&h00, &h01), (&h00, &h01))
+        let t1 = solve_point(e, &h, (&h00, &h01), (&h00, &h01), Engine::Rgf)
             .unwrap()
             .transmission;
-        let t2 = omen::wf::wf_transport_at_energy(
-            e,
-            &h,
-            (&h00, &h01),
-            (&h00, &h01),
-            omen::wf::SolverKind::Thomas,
-        )
-        .unwrap()
-        .transmission;
+        let t2 = solve_point(e, &h, (&h00, &h01), (&h00, &h01), Engine::WfThomas)
+            .unwrap()
+            .transmission;
         assert!(
             (t1 - t2).abs() < bound * (1.0 + t1),
             "case {case}: RGF {t1} vs WF {t2} at E={e}"
@@ -359,10 +354,10 @@ fn selinv_reciprocity() {
         let (h, h00, h01) = chain(7, &onsite);
         let rev: Vec<f64> = onsite.iter().rev().cloned().collect();
         let (hr, _, _) = chain(7, &rev);
-        let tf = omen::negf::selinv_transport_at_energy(e, &h, (&h00, &h01), (&h00, &h01))
+        let tf = solve_point(e, &h, (&h00, &h01), (&h00, &h01), Engine::SelInv)
             .unwrap()
             .transmission;
-        let tb = omen::negf::selinv_transport_at_energy(e, &hr, (&h00, &h01), (&h00, &h01))
+        let tb = solve_point(e, &hr, (&h00, &h01), (&h00, &h01), Engine::SelInv)
             .unwrap()
             .transmission;
         assert!(
@@ -441,7 +436,7 @@ fn selinv_zero_bias_carries_no_current() {
         v_ds: 0.0,
         mu_source: -3.1,
     };
-    let r = omen::core::ballistic_solve(&tr, &v, &bias, omen::core::Engine::SelInv, 25, 0.0);
+    let r = omen::core::ballistic_solve(&tr, &v, &bias, Engine::SelInv, 25, 0.0);
     assert!(
         r.report.failed.is_empty(),
         "zero-bias sweep must solve cleanly"
