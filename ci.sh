@@ -26,7 +26,9 @@ cargo clippy --no-deps -p omen-linalg -p omen-sparse -p omen-wf -p omen-negf -p 
 # bit-identity to the two single ones), the omen-negf and omen-wf unit
 # suites (the RGF recursion against the dense inverse on every
 # coupling-support shape; the three WF solvers behind `wf_point`,
-# SplitSolve at 1/2/3 ranks bit-identical per rank),
+# SplitSolve bit-identical across rank counts and to the serial cyclic
+# reduction — blocks past the GEMM depth tile, ragged blocks, more ranks
+# than blocks),
 # the exact flop counts (the pair's, the recursion's and the WF point's
 # counts must not depend on the dispatch path), and the kernel bench smoke
 # each run once per leg —
@@ -57,6 +59,14 @@ if grep -q avx2 /proc/cpuinfo 2>/dev/null && grep -q fma /proc/cpuinfo 2>/dev/nu
     OMEN_SIMD=1 cargo run --release -p omen-bench --bin tab2_flops -- --json --smoke
 else
     echo "ci: NOTICE — CPU lacks AVX2+FMA, skipping the OMEN_SIMD=1 leg (scalar leg still ran)"
+fi
+
+# SplitSolve is a schedule over the serial cyclic reduction
+# (crates/wf/src/solver.rs): no factorisation or product of its own
+# outside its tests, so the two cannot drift apart again.
+if sed '/#\[cfg(test)\]/,$d' crates/wf/src/splitsolve.rs | grep -nE 'Lu::factor|gemm\(|matmul\('; then
+    echo "ci: crates/wf/src/splitsolve.rs must call the block functions of solver.rs, not the kernels"
+    exit 1
 fi
 
 # Scheduler bench smoke: two skewed synthetic sweeps (sleeps for solves) and

@@ -11,8 +11,9 @@
 //!
 //! Expected shape: near-linear projected speedup while slabs/ranks ≫ 1,
 //! bending over as the log₂(N) reduction tree serializes the tail; the
-//! 1-rank column carries the classic ~2–2.7× cyclic-reduction arithmetic
-//! premium over block-Thomas.
+//! 1-rank column carries the cyclic-reduction arithmetic premium over
+//! block-Thomas (counted flops: 2.26× at these 64 slabs; 1.8–2.0× at the
+//! 8–16 slabs of `tab2_flops`' BCR/Thomas column).
 
 use omen_bench::{print_table, timed};
 use omen_linalg::{flop_count, reset_flops, ZMat};

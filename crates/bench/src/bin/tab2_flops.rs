@@ -40,6 +40,7 @@ fn main() {
     let mut rows = Vec::new();
     let mut records: Vec<KernelRecord> = Vec::new();
     let (mut ratio_lo, mut ratio_hi) = (f64::INFINITY, 0.0f64);
+    let (mut premium_lo, mut premium_hi) = (f64::INFINITY, 0.0f64);
     let configs: &[(f64, usize)] = if smoke {
         &[(0.8, 8)]
     } else {
@@ -80,6 +81,18 @@ fn main() {
         let wf_flops = scope.take();
 
         assert!((r.transmission - wf.transmission).abs() < 1e-4 * (1.0 + r.transmission));
+
+        // What cyclic reduction — serial, or SplitSolve's schedule of it —
+        // pays over Thomas for its log-depth tree: the block solve alone.
+        let (a, b, _) = omen_wf::transport::assemble(e, 2e-6, &h, &sl, &sr);
+        let scope = FlopScope::new();
+        omen_wf::thomas_solve(&a, &b).expect("Thomas solve failed");
+        let thomas_flops = scope.take();
+        let scope = FlopScope::new();
+        omen_wf::bcr_solve(&a, &b).expect("BCR solve failed");
+        let premium = scope.take() as f64 / thomas_flops as f64;
+        premium_lo = premium_lo.min(premium);
+        premium_hi = premium_hi.max(premium);
         if json {
             let t = threads::configured_threads();
             for (kernel, flops, secs) in [
@@ -108,6 +121,7 @@ fn main() {
             format!("{:.3e}", rgf_flops as f64),
             format!("{:.3e}", wf_flops as f64),
             format!("{ratio:.2}"),
+            format!("{premium:.2}"),
             format!("{:.3e}", sigma_flops as f64),
         ]);
     }
@@ -120,6 +134,7 @@ fn main() {
             "RGF",
             "WF",
             "RGF/WF",
+            "BCR/Thomas",
             "Σ (shared)",
         ],
         &rows,
@@ -129,7 +144,9 @@ fn main() {
          RGF multiplies by each coupling's s × s core and pays LU + inverse (≈ 17 n³ per slab \
          at s/n = 0.22), block-Thomas still multiplies by the dense blocks (≈ 21 n³ + \
          right-hand sides); the paper's WF advantage returns when Thomas takes the couplings \
-         the same way (≈ 7.5 n³ estimated)."
+         the same way (≈ 7.5 n³ estimated). BCR/Thomas {premium_lo:.2}–{premium_hi:.2}: the \
+         block solve alone, what the cyclic-reduction tree (serial or SplitSolve) costs over \
+         Thomas."
     );
     if json {
         let path = publish(smoke, &records).expect("publish transport records");

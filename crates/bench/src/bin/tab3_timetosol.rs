@@ -65,7 +65,7 @@ fn main() {
     println!(
         "\nexpected shape: RGF/WF ≈ 0.85–1.15 (shared contacts dominate these 8-slab \
          devices; RGF takes the slab couplings on their supports, block-Thomas does not \
-         yet); BCR carries its ~2× arithmetic premium over Thomas sequentially (it buys \
-         parallelism, not serial speed)."
+         yet); BCR carries its 1.8× counted solve-only premium over Thomas (tab2_flops) \
+         sequentially (it buys parallelism, not serial speed)."
     );
 }

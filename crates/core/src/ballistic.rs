@@ -292,6 +292,8 @@ pub fn ballistic_solve_k(
         .into_iter()
         .map(|(ky, w)| (w, ballistic_solve(tr, v_atoms, bias, engine, n_energy, ky)));
     let (w0, mut acc) = solves.next().expect("momentum grid is never empty");
+    let first_trace = acc.transmission.clone();
+    let mut shared_grid = true;
     acc.current_ua *= w0;
     for v in acc
         .electron_density
@@ -310,14 +312,18 @@ pub fn ballistic_solve_k(
         for (x, y) in acc.hole_density.iter_mut().zip(&r.hole_density) {
             *x += w * y;
         }
-        // Energy grids can differ slightly per k (window follows the
-        // k-resolved subbands); keep the first grid's transmission as the
-        // representative trace and only accumulate when the grids coincide.
-        if acc.energies.len() == r.energies.len() {
+        // Energy grids can differ per k (the window follows the k-resolved
+        // subbands): T(E) averages only over one shared grid; otherwise the
+        // first k-point's trace stands as the representative, unweighted.
+        shared_grid &= acc.energies == r.energies;
+        if shared_grid {
             for (t, u) in acc.transmission.iter_mut().zip(&r.transmission) {
                 *t += w * u;
             }
         }
+    }
+    if !shared_grid {
+        acc.transmission = first_trace;
     }
     acc
 }
@@ -655,6 +661,15 @@ mod tests {
             avg.current_ua
         );
         assert!(avg.current_ua > 0.0);
+        // The windows follow the k-resolved subbands, so the two grids
+        // differ at equal length: T(E) must be the first k-point's trace on
+        // its own grid, not an index-wise blend across mismatched energies.
+        let first = ballistic_solve(&tr, &v, &bias, Engine::WfThomas, 21, grid[0].0);
+        let second = ballistic_solve(&tr, &v, &bias, Engine::WfThomas, 21, grid[1].0);
+        assert_eq!(first.energies.len(), second.energies.len());
+        assert_ne!(first.energies, second.energies);
+        assert_eq!(avg.energies, first.energies);
+        assert_eq!(avg.transmission, first.transmission);
     }
 
     #[test]

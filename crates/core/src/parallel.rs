@@ -308,7 +308,8 @@ fn static_transmission(
 /// One energy point on this rank's spatial group — the rank-parallel twin
 /// of [`crate::ballistic::solve_point`]: each distinct lead decimated once
 /// across the group, then the wave-function engine over SplitSolve. All
-/// members of the group call collectively and return the same value.
+/// members of the group call collectively and return the same value, which
+/// is `solve_point(.., Engine::WfBcr)` bit for bit at every group size.
 fn rank_point(
     comms: &LevelComms<'_>,
     e: f64,
@@ -668,43 +669,54 @@ mod tests {
         let v = vec![0.0; tr.device.num_atoms()];
         let (h, h00, h01) = frozen_system(&tr, &v, 0.0);
         let energies = linspace(-3.4, -2.6, 7);
-        let reference =
-            sequential_transmission(&h, (&h00, &h01), (&h00, &h01), &energies, Engine::WfThomas)
-                .unwrap();
-
-        let cfg = LevelConfig {
-            bias: 1,
-            momentum: 1,
-            energy: 2,
-            spatial: 2,
+        let sequential = |engine| {
+            sequential_transmission(&h, (&h00, &h01), (&h00, &h01), &energies, engine).unwrap()
         };
-        let out = run_ranks(4, |ctx| {
-            let comms = split_levels(ctx, &cfg)?;
-            parallel_transmission(
-                &comms,
-                &cfg,
-                &h,
-                (&h00, &h01),
-                (&h00, &h01),
-                &energies,
-                Schedule::Static,
-            )
-        })
-        .flattened();
-        let stats = out.total_stats();
-        let results = out.unwrap_all();
-        for (rank, res) in results.iter().enumerate() {
-            assert!(res.report.is_clean(), "rank {rank}: {:?}", res.report);
-            assert!(res.sched.is_none());
-            for (i, (a, b)) in res.transmission.iter().zip(&reference).enumerate() {
-                assert!(
-                    (a - b).abs() < 1e-8 * (1.0 + b.abs()),
-                    "rank {rank} energy {i}: {a} vs {b}"
-                );
+        // The serial cyclic reduction is the rank path's bit reference;
+        // Thomas differs from both by its elimination order.
+        let reference: Vec<u64> = sequential(Engine::WfBcr)
+            .into_iter()
+            .map(f64::to_bits)
+            .collect();
+        let thomas = sequential(Engine::WfThomas);
+
+        for spatial in [1, 2] {
+            let cfg = LevelConfig {
+                bias: 1,
+                momentum: 1,
+                energy: 2,
+                spatial,
+            };
+            let out = run_ranks(2 * spatial, |ctx| {
+                let comms = split_levels(ctx, &cfg)?;
+                parallel_transmission(
+                    &comms,
+                    &cfg,
+                    &h,
+                    (&h00, &h01),
+                    (&h00, &h01),
+                    &energies,
+                    Schedule::Static,
+                )
+            })
+            .flattened();
+            let stats = out.total_stats();
+            let results = out.unwrap_all();
+            for (rank, res) in results.iter().enumerate() {
+                assert!(res.report.is_clean(), "rank {rank}: {:?}", res.report);
+                assert!(res.sched.is_none());
+                let bits: Vec<u64> = res.transmission.iter().map(|t| t.to_bits()).collect();
+                assert_eq!(bits, reference, "spatial {spatial}, rank {rank}");
+                for (i, (a, b)) in res.transmission.iter().zip(&thomas).enumerate() {
+                    assert!(
+                        (a - b).abs() < 1e-8 * (1.0 + b.abs()),
+                        "rank {rank} energy {i}: {a} vs {b}"
+                    );
+                }
             }
+            // The distributed run must actually communicate.
+            assert!(stats.messages_sent > 0);
         }
-        // The distributed run must actually communicate.
-        assert!(stats.messages_sent > 0);
     }
 
     #[test]

@@ -41,7 +41,7 @@
 
 use crate::rgf::{build_a_matrix, caroli, RgfResult, REGULARIZATION_ETA};
 use crate::sancho::ContactSelfEnergy;
-use crate::serialize::{bytes_to_mat_array, bytes_to_mats, mats_to_bytes};
+use crate::serialize::{allgather_block_records, bytes_to_mat_array, bytes_to_mats, mats_to_bytes};
 use crate::transport::{package, EnergyPointData};
 use omen_linalg::{gemm, lu, matmul, Op, ZMat};
 use omen_num::wire::{Dec, Enc};
@@ -844,34 +844,29 @@ pub fn selinv_solve_parallel(
     }
 
     // Allgather the per-separator results; every rank assembles the same
-    // bits from the same rank-ordered records.
+    // bits from the same records. A record body is the separator's
+    // regularization retries, then its three result blocks.
     const CTX: &str = "selinv result record";
-    let mut mine = Enc::new();
-    for s in 0..nb {
-        if own[s] != me {
-            continue;
-        }
+    let mut mine = Vec::new();
+    for s in (0..nb).filter(|&s| own[s] == me) {
         let r = results[s].take().ok_or(OmenError::Deserialize {
             context: "selinv owned result missing",
         })?;
-        mine.usize(s);
-        mine.usize(up[s].as_ref().map_or(0, |u| u.retries));
-        mine.bytes(&mats_to_bytes(&[&r.diag, &r.col0, &r.coln]));
+        let mut body = Enc::new();
+        body.usize(up[s].as_ref().map_or(0, |u| u.retries));
+        body.raw(&mats_to_bytes(&[&r.diag, &r.col0, &r.coln]));
+        mine.push((s, body.finish()));
     }
-    let mut all_results: Vec<Option<NodeResult>> = (0..nb).map(|_| None).collect();
-    let mut total_retries = 0usize;
-    for part in comm.allgather(mine.finish())? {
-        let mut d = Dec::new(&part, CTX);
-        while d.remaining() > 0 {
-            let sep = d.usize()?;
-            total_retries = total_retries.saturating_add(d.usize()?);
-            let [diag, col0, coln] = bytes_to_mat_array(d.bytes()?, CTX)?;
-            let slot = all_results
-                .get_mut(sep)
-                .ok_or(OmenError::Deserialize { context: CTX })?;
-            *slot = Some(NodeResult { diag, col0, coln });
-        }
-    }
+    let gathered = allgather_block_records(comm, nb, &mine, CTX, |body| {
+        let mut d = Dec::new(body, CTX);
+        let retries = d.usize()?;
+        let [diag, col0, coln] = bytes_to_mat_array(d.rest(), CTX)?;
+        Ok((retries, NodeResult { diag, col0, coln }))
+    })?;
+    let total_retries = gathered
+        .iter()
+        .fold(0usize, |total, (retries, _)| total.saturating_add(*retries));
+    let all_results = gathered.into_iter().map(|(_, r)| Some(r)).collect();
     debug_assert_eq!(comm.pending_p2p_messages(), 0);
     assemble(all_results, total_retries, gamma_l, gamma_r, sup)
 }

@@ -16,6 +16,7 @@
 use omen_linalg::ZMat;
 use omen_num::wire::{Dec, Enc};
 use omen_num::{c64, OmenError, OmenResult};
+use omen_parsim::Comm;
 
 /// Serializes a matrix as `[nrows u64][ncols u64][re, im f64 pairs…]`.
 pub fn mat_to_bytes(m: &ZMat) -> Vec<u8> {
@@ -89,6 +90,57 @@ pub fn bytes_to_mat_array<const N: usize>(
     bytes_to_mats(b)?
         .try_into()
         .map_err(|_| OmenError::Deserialize { context })
+}
+
+/// Allgathers per-block records over `comm`: each rank contributes the
+/// `(block index, encoded body)` pairs of the blocks it owns, and every rank
+/// returns all `nb` bodies, decoded, in block order — the closing exchange
+/// of the distributed eliminations.
+///
+/// # Errors
+///
+/// The collective's communicator faults; [`OmenError::Deserialize`] naming
+/// `context` when the gathered records are malformed or a block is missing,
+/// duplicated or out of range; `decode`'s error for a malformed body.
+pub fn allgather_block_records<T>(
+    comm: &Comm<'_>,
+    nb: usize,
+    mine: &[(usize, Vec<u8>)],
+    context: &'static str,
+    decode: impl Fn(&[u8]) -> OmenResult<T>,
+) -> OmenResult<Vec<T>> {
+    let mut e = Enc::new();
+    e.usize(mine.len());
+    for (block, body) in mine {
+        e.usize(*block);
+        e.bytes(body);
+    }
+    decode_block_records(&comm.allgather(e.finish())?, nb, context, decode)
+}
+
+/// The receiving half of [`allgather_block_records`]: one payload per rank.
+fn decode_block_records<T>(
+    parts: &[Vec<u8>],
+    nb: usize,
+    context: &'static str,
+    decode: impl Fn(&[u8]) -> OmenResult<T>,
+) -> OmenResult<Vec<T>> {
+    let mut out: Vec<Option<T>> = (0..nb).map(|_| None).collect();
+    for part in parts {
+        let mut d = Dec::new(part, context);
+        // Each record is a block index and a length-prefixed body.
+        for _ in 0..d.count(8 + 8)? {
+            let block = d.usize()?;
+            match out.get_mut(block) {
+                Some(slot @ None) => *slot = Some(decode(d.bytes()?)?),
+                _ => return Err(OmenError::Deserialize { context }),
+            }
+        }
+        d.finish()?;
+    }
+    out.into_iter()
+        .map(|o| o.ok_or(OmenError::Deserialize { context }))
+        .collect()
 }
 
 #[cfg(test)]
@@ -167,6 +219,47 @@ mod tests {
         e.u64(u64::MAX - 7);
         e.raw(&[0; 16]);
         assert_deserialize(bytes_to_mats(&e.finish()));
+    }
+
+    #[test]
+    fn block_records_reject_missing_duplicate_and_out_of_range_blocks() {
+        let record = |blocks: &[usize]| {
+            let mut e = Enc::new();
+            e.usize(blocks.len());
+            for &g in blocks {
+                e.usize(g);
+                e.bytes(&mat_to_bytes(&ZMat::eye(g + 1)));
+            }
+            e.finish()
+        };
+        let gather = |parts: &[Vec<u8>]| decode_block_records(parts, 3, "test", bytes_to_mat);
+        let sizes: Vec<usize> = gather(&[record(&[2]), record(&[]), record(&[0, 1])])
+            .unwrap()
+            .iter()
+            .map(ZMat::nrows)
+            .collect();
+        assert_eq!(sizes, [1, 2, 3], "bodies come back in block order");
+        assert_deserialize(gather(&[record(&[0, 1])]));
+        assert_deserialize(gather(&[record(&[0, 1, 2]), record(&[1])]));
+        assert_deserialize(gather(&[record(&[0, 1, 2, 3])]));
+        // A count the payload cannot hold, a body overrunning it, a
+        // malformed body, trailing bytes.
+        let mut e = Enc::new();
+        e.u64(1 << 60);
+        assert_deserialize(gather(&[e.finish()]));
+        let mut e = Enc::new();
+        e.u64(1);
+        e.u64(0);
+        e.u64(u64::MAX - 7);
+        assert_deserialize(gather(&[e.finish()]));
+        let mut e = Enc::new();
+        e.u64(1);
+        e.u64(0);
+        e.bytes(&[0; 15]);
+        assert_deserialize(gather(&[e.finish(), record(&[1, 2])]));
+        let mut trailing = record(&[0, 1, 2]);
+        trailing.push(0);
+        assert_deserialize(gather(&[trailing]));
     }
 
     #[test]

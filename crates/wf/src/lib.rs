@@ -10,11 +10,14 @@
 //! * [`injection`] — injected-mode bundles from the eigendecomposition of
 //!   the contact broadening `Γ = i(Σ−Σ†)` (spectrally equivalent to QTBM
 //!   lead-mode injection);
-//! * [`solver`] — sequential block-Thomas elimination and sequential block
-//!   cyclic reduction over the block-tridiagonal system;
-//! * [`splitsolve`] — block cyclic reduction distributed over `omen-parsim`
+//! * [`solver`] — sequential block-Thomas elimination, and block cyclic
+//!   reduction: the per-block arithmetic of the elimination tree and its
+//!   serial driver [`bcr_solve`];
+//! * [`splitsolve`] — that same arithmetic scheduled over `omen-parsim`
 //!   ranks: log₂(N) reduction levels with nearest-neighbor block exchanges,
-//!   the communication pattern of the paper's spatial-domain parallel level;
+//!   the communication pattern of the paper's spatial-domain parallel
+//!   level. It holds no factorisation or product of its own, so its
+//!   solution is `bcr_solve`'s bit for bit at every rank count;
 //! * [`transport`] — [`wf_point`]: per-energy wave-function transport on
 //!   the `(Σ_L, Σ_R)` pair the NEGF engines take, over any of the three
 //!   solvers ([`Solver`]), returning the same observables as `omen-negf`

@@ -3,13 +3,17 @@
 //!
 //! Both solve `A X = B` where `A` is block tridiagonal and `B` is a dense
 //! block column (one `ZMat` of RHS rows per slab). Thomas elimination is
-//! the minimal-flop sequential baseline; cyclic reduction performs ~2.5×
-//! the arithmetic but exposes the log-depth elimination tree that
-//! [`crate::splitsolve`] distributes over ranks.
+//! the minimal-flop sequential baseline; cyclic reduction counts 1.8× its
+//! flops at 8 slabs and 2.0× at 16 (`tab2_flops`, BCR/Thomas column) but
+//! exposes the log-depth elimination tree. The tree's block arithmetic
+//! lives here once (`Reduction`, `back_substitute`): [`bcr_solve`]
+//! applies it to every block in turn, [`crate::splitsolve`] schedules the
+//! same calls over the ranks that own the blocks.
 
-use omen_linalg::{lu::Lu, matmul, ZMat};
-use omen_num::OmenResult;
+use omen_linalg::{gemm, lu::Lu, matmul, Op, ZMat};
+use omen_num::{c64, OmenResult};
 use omen_sparse::BlockTridiag;
+use std::iter::once;
 
 /// Solves `A X = B` by block Thomas (forward elimination, back
 /// substitution). `b[i]` holds the RHS rows of slab `i` (all with the same
@@ -64,13 +68,119 @@ pub fn thomas_solve(a: &BlockTridiag, b: &[ZMat]) -> OmenResult<Vec<ZMat>> {
     Ok(x)
 }
 
+/// Factored products of one eliminated block: `(D⁻¹b, D⁻¹L, D⁻¹U)`, a
+/// coupling absent where the chain ends.
+pub(crate) type Bundle = (ZMat, Option<ZMat>, Option<ZMat>);
+
+/// The active system of a cyclic reduction, indexed by original slab: each
+/// surviving block's diagonal, right-hand side and couplings to its nearest
+/// surviving neighbours. At stride `s = 2^level` the survivors are the
+/// multiples of `s`; the odd multiples are eliminated, each between its
+/// neighbours `g ∓ s`, and slab 0 is the root. A rank of
+/// [`crate::splitsolve`] keeps only the blocks it owns current.
+pub(crate) struct Reduction {
+    diag: Vec<ZMat>,
+    /// Right-hand sides; [`bcr_solve`] overwrites them with the solution.
+    rhs: Vec<ZMat>,
+    lower: Vec<Option<ZMat>>,
+    upper: Vec<Option<ZMat>>,
+}
+
+impl Reduction {
+    pub(crate) fn new(a: &BlockTridiag, b: &[ZMat]) -> Self {
+        assert_eq!(b.len(), a.num_blocks(), "one RHS block per slab");
+        Reduction {
+            diag: a.diag.clone(),
+            rhs: b.to_vec(),
+            lower: once(None)
+                .chain(a.lower.iter().cloned().map(Some))
+                .collect(),
+            upper: a
+                .upper
+                .iter()
+                .cloned()
+                .map(Some)
+                .chain(once(None))
+                .collect(),
+        }
+    }
+
+    /// Factors block `g` and forms its bundle.
+    pub(crate) fn eliminate(&self, g: usize) -> OmenResult<Bundle> {
+        let f = Lu::factor(&self.diag[g]).map_err(|s| s.at_block(g))?;
+        Ok((
+            f.solve_mat(&self.rhs[g]),
+            self.lower[g].as_ref().map(|l| f.solve_mat(l)),
+            self.upper[g].as_ref().map(|u| f.solve_mat(u)),
+        ))
+    }
+
+    /// Folds the eliminated right neighbour of surviving block `g` into it.
+    pub(crate) fn absorb_right(&mut self, g: usize, (dib, dil, diu): &Bundle) {
+        if let Some(u) = self.upper[g].take() {
+            self.upper[g] = schur_update(&u, dib, dil, diu, &mut self.diag[g], &mut self.rhs[g]);
+        }
+    }
+
+    /// Folds the eliminated left neighbour of surviving block `g` into it.
+    pub(crate) fn absorb_left(&mut self, g: usize, (dib, dil, diu): &Bundle) {
+        if let Some(l) = self.lower[g].take() {
+            self.lower[g] = schur_update(&l, dib, diu, dil, &mut self.diag[g], &mut self.rhs[g]);
+        }
+    }
+
+    /// Solves the fully reduced slab 0.
+    pub(crate) fn solve_root(&self) -> OmenResult<ZMat> {
+        let f = Lu::factor(&self.diag[0]).map_err(|s| s.at_block(0))?;
+        Ok(f.solve_mat(&self.rhs[0]))
+    }
+}
+
+/// Schur update of a surviving block across its coupling `c` to an
+/// eliminated neighbour: `D −= c·D⁻¹(back)`, `b −= c·D⁻¹b`, fused into the
+/// accumulation (`gemm` with α = −1, β = 1). Returns the fill-in coupling
+/// `−c·D⁻¹(on)` to the survivor beyond the neighbour.
+fn schur_update(
+    c: &ZMat,
+    dib: &ZMat,
+    back: &Option<ZMat>,
+    on: &Option<ZMat>,
+    d: &mut ZMat,
+    b: &mut ZMat,
+) -> Option<ZMat> {
+    if let Some(back) = back {
+        gemm(-c64::ONE, c, Op::N, back, Op::N, c64::ONE, d);
+    }
+    gemm(-c64::ONE, c, Op::N, dib, Op::N, c64::ONE, b);
+    on.as_ref().map(|on| -&matmul(c, on))
+}
+
+/// Solution of an eliminated block from its bundle and its neighbours'
+/// solutions: `x = D⁻¹b − D⁻¹L·x_left − D⁻¹U·x_right`.
+pub(crate) fn back_substitute(
+    (dib, dil, diu): &Bundle,
+    x_left: Option<&ZMat>,
+    x_right: Option<&ZMat>,
+) -> ZMat {
+    let mut x = dib.clone();
+    if let (Some(dil), Some(xl)) = (dil, x_left) {
+        gemm(-c64::ONE, dil, Op::N, xl, Op::N, c64::ONE, &mut x);
+    }
+    if let (Some(diu), Some(xr)) = (diu, x_right) {
+        gemm(-c64::ONE, diu, Op::N, xr, Op::N, c64::ONE, &mut x);
+    }
+    x
+}
+
 /// Solves `A X = B` by sequential block cyclic reduction.
 ///
 /// Log-depth elimination: every level removes the odd-position blocks of
 /// the currently active index set, producing a half-size block-tridiagonal
 /// system among the survivors; back substitution then recovers the
 /// eliminated blocks level by level. Handles arbitrary (non-power-of-two)
-/// block counts and variable block sizes.
+/// block counts and variable block sizes. This is the serial driver over
+/// the block arithmetic [`crate::splitsolve_parallel`] schedules across
+/// ranks, and its bit reference at every rank count.
 ///
 /// # Errors
 ///
@@ -79,164 +189,57 @@ pub fn thomas_solve(a: &BlockTridiag, b: &[ZMat]) -> OmenResult<Vec<ZMat>> {
 /// index.
 pub fn bcr_solve(a: &BlockTridiag, b: &[ZMat]) -> OmenResult<Vec<ZMat>> {
     let nb = a.num_blocks();
-    assert_eq!(b.len(), nb);
-
-    // Mutable copies of the active system, indexed by original slab.
-    let mut diag: Vec<ZMat> = a.diag.clone();
-    let mut rhs: Vec<ZMat> = b.to_vec();
-
-    // Back-substitution records per elimination level.
-    struct Elim {
-        index: usize,
-        d_inv_b: ZMat,
-        d_inv_l: Option<(usize, ZMat)>,
-        d_inv_u: Option<(usize, ZMat)>,
+    let mut sys = Reduction::new(a, b);
+    // Per level, the bundles of its eliminated blocks in slab order.
+    let mut levels: Vec<Vec<Bundle>> = Vec::new();
+    let mut s = 1;
+    while s < nb {
+        let level = (s..nb)
+            .step_by(2 * s)
+            .map(|g| sys.eliminate(g))
+            .collect::<OmenResult<Vec<_>>>()?;
+        // Survivor `2js` sits between eliminated blocks `j − 1` and `j`.
+        for (j, g) in (0..nb).step_by(2 * s).enumerate() {
+            if let Some(right) = level.get(j) {
+                sys.absorb_right(g, right);
+            }
+            if let Some(left) = j.checked_sub(1).and_then(|j| level.get(j)) {
+                sys.absorb_left(g, left);
+            }
+        }
+        levels.push(level);
+        s *= 2;
     }
-    let mut elims: Vec<Vec<Elim>> = Vec::new();
-
-    let mut active: Vec<usize> = (0..nb).collect();
-    // coupling between consecutive active entries: cl[k] couples active[k]
-    // (rows) to active[k-1]; cu[k] couples active[k] to active[k+1].
-    // Maintain as maps per position for clarity.
-    let mut cl: Vec<Option<ZMat>> = std::iter::once(None)
-        .chain(a.lower.iter().cloned().map(Some))
-        .collect();
-    let mut cu: Vec<Option<ZMat>> = a
-        .upper
-        .iter()
-        .cloned()
-        .map(Some)
-        .chain(std::iter::once(None))
-        .collect();
-
-    while active.len() > 1 {
-        let mut level = Vec::new();
-        let m = active.len();
-        // Eliminate odd positions 1, 3, 5, …
-        // Precompute factorizations of odd blocks; odd position `k` lands
-        // at slot `k / 2`.
-        let mut fact: Vec<(ZMat, Option<ZMat>, Option<ZMat>)> = Vec::with_capacity(m / 2);
-        for k in (1..m).step_by(2) {
-            let f = Lu::factor(&diag[active[k]]).map_err(|s| s.at_block(active[k]))?;
-            let dib = f.solve_mat(&rhs[active[k]]);
-            let dil = cl[k].as_ref().map(|l| f.solve_mat(l));
-            let diu = cu[k].as_ref().map(|u| f.solve_mat(u));
-            fact.push((dib, dil, diu));
-        }
-        // Update even positions. A `None` coupling means the neighbors are
-        // decoupled: no Schur update flows across that edge.
-        let mut new_active = Vec::with_capacity(m / 2 + 1);
-        let mut new_cl: Vec<Option<ZMat>> = Vec::with_capacity(m / 2 + 1);
-        let mut new_cu: Vec<Option<ZMat>> = Vec::with_capacity(m / 2 + 1);
-        for k in (0..m).step_by(2) {
-            let g = active[k];
-            // Right odd neighbor k+1 (its factorization sits at slot k/2).
-            if k + 1 < m {
-                if let Some(u) = cu[k].as_ref() {
-                    let (dib, dil, _diu) = &fact[k / 2];
-                    // D_g -= U · D⁻¹L ; b_g -= U · D⁻¹b ; U' = −U · D⁻¹U
-                    if let Some(dil) = dil {
-                        let c = matmul(u, dil);
-                        diag[g] -= &c;
-                    }
-                    let cb = matmul(u, dib);
-                    rhs[g] -= &cb;
-                }
-            }
-            // Left odd neighbor k−1 (slot k/2 − 1).
-            if k >= 1 {
-                if let Some(l) = cl[k].as_ref() {
-                    let (dib, _dil, diu) = &fact[k / 2 - 1];
-                    if let Some(diu) = diu {
-                        let c = matmul(l, diu);
-                        diag[g] -= &c;
-                    }
-                    let cb = matmul(l, dib);
-                    rhs[g] -= &cb;
-                }
-            }
-            // New couplings between surviving evens k and k+2.
-            let ncl = if k >= 2 {
-                // L' (rows of g, cols of active[k-2]) = −L_k · D⁻¹L_{k-1}
-                let (_, dil, _) = &fact[k / 2 - 1];
-                match (cl[k].as_ref(), dil.as_ref()) {
-                    (Some(l), Some(dil)) => Some(-&matmul(l, dil)),
-                    _ => None,
-                }
-            } else {
-                None
-            };
-            let ncu = if k + 2 < m {
-                let (_, _, diu) = &fact[k / 2];
-                match (cu[k].as_ref(), diu.as_ref()) {
-                    (Some(u), Some(diu)) => Some(-&matmul(u, diu)),
-                    _ => None,
-                }
-            } else {
-                None
-            };
-            new_active.push(g);
-            new_cl.push(ncl);
-            new_cu.push(ncu);
-        }
-        // Record eliminations for back substitution.
-        for (slot, (dib, dil, diu)) in fact.into_iter().enumerate() {
-            let k = 2 * slot + 1;
-            level.push(Elim {
-                index: active[k],
-                d_inv_b: dib,
-                d_inv_l: dil.map(|m_| (active[k - 1], m_)),
-                d_inv_u: diu.map(|m_| (active[k + 1], m_)),
-            });
-        }
-        elims.push(level);
-        active = new_active;
-        cl = new_cl;
-        cu = new_cu;
-    }
-
-    // Solve the final 1×1 block system.
-    let root = active[0];
-    let nrhs = b[0].ncols();
-    let mut x: Vec<ZMat> = (0..nb)
-        .map(|i| ZMat::zeros(a.block_size(i), nrhs))
-        .collect();
-    x[root] = Lu::factor(&diag[root])
-        .map_err(|s| s.at_block(root))?
-        .solve_mat(&rhs[root]);
-
-    // Back substitution, reverse level order.
-    for level in elims.iter().rev() {
-        for e in level {
-            let mut xi = e.d_inv_b.clone();
-            if let Some((left, dil)) = &e.d_inv_l {
-                let c = matmul(dil, &x[*left]);
-                xi -= &c;
-            }
-            if let Some((right, diu)) = &e.d_inv_u {
-                let c = matmul(diu, &x[*right]);
-                xi -= &c;
-            }
-            x[e.index] = xi;
+    sys.rhs[0] = sys.solve_root()?;
+    for level in levels.iter().rev() {
+        s /= 2;
+        for (bundle, g) in level.iter().zip((s..nb).step_by(2 * s)) {
+            sys.rhs[g] = back_substitute(bundle, sys.rhs.get(g - s), sys.rhs.get(g + s));
         }
     }
-    Ok(x)
+    Ok(sys.rhs)
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use omen_num::c64;
 
-    fn rand_system(nb: usize, bs: usize, nrhs: usize, seed: u64) -> (BlockTridiag, Vec<ZMat>) {
+    /// Seeded random system with the given block sizes, diagonally shifted.
+    pub(crate) fn rand_blocks(
+        sizes: &[usize],
+        nrhs: usize,
+        seed: u64,
+    ) -> (BlockTridiag, Vec<ZMat>) {
         let mut s = seed.wrapping_mul(0x2545F4914F6CDD1D).wrapping_add(7);
         let mut next = move || {
             s = s.wrapping_mul(0x2545F4914F6CDD1D).wrapping_add(7);
             ((s >> 11) as f64 / (1u64 << 53) as f64) * 2.0 - 1.0
         };
         let mut rnd = |r: usize, c: usize| ZMat::from_fn(r, c, |_, _| c64::new(next(), next()));
-        let diag: Vec<ZMat> = (0..nb)
-            .map(|_| {
+        let diag: Vec<ZMat> = sizes
+            .iter()
+            .map(|&bs| {
                 let mut d = rnd(bs, bs);
                 for i in 0..bs {
                     d[(i, i)] += c64::real(6.0);
@@ -244,10 +247,19 @@ mod tests {
                 d
             })
             .collect();
-        let lower: Vec<ZMat> = (0..nb - 1).map(|_| rnd(bs, bs)).collect();
-        let upper: Vec<ZMat> = (0..nb - 1).map(|_| rnd(bs, bs)).collect();
-        let b: Vec<ZMat> = (0..nb).map(|_| rnd(bs, nrhs)).collect();
+        let lower: Vec<ZMat> = sizes.windows(2).map(|w| rnd(w[1], w[0])).collect();
+        let upper: Vec<ZMat> = sizes.windows(2).map(|w| rnd(w[0], w[1])).collect();
+        let b: Vec<ZMat> = sizes.iter().map(|&bs| rnd(bs, nrhs)).collect();
         (BlockTridiag::new(diag, lower, upper), b)
+    }
+
+    pub(crate) fn rand_system(
+        nb: usize,
+        bs: usize,
+        nrhs: usize,
+        seed: u64,
+    ) -> (BlockTridiag, Vec<ZMat>) {
+        rand_blocks(&vec![bs; nb], nrhs, seed)
     }
 
     fn dense_solve(a: &BlockTridiag, b: &[ZMat]) -> Vec<ZMat> {

@@ -8,10 +8,16 @@
 //! every level. Back substitution replays the tree downward, sending the
 //! solved even blocks to the owners of the eliminated odd blocks.
 //!
+//! This module is a schedule, not a solver: the block arithmetic is the
+//! serial cyclic reduction's (`crate::solver`), applied by each rank to the
+//! blocks it owns in the order [`bcr_solve`] applies it to all of them, so
+//! the solution equals `bcr_solve`'s bit for bit at every rank count. What
+//! lives here is ownership, message tags, the health barriers and the
+//! bundle / x-block traffic, executed and counted by `omen-parsim`.
+//!
 //! Every rank calls with the same assembled system (SPMD; in the full
 //! simulator each rank assembles its slabs deterministically) but only
-//! factors and updates the blocks it owns, so the arithmetic is genuinely
-//! distributed and the traffic is executed and counted by `omen-parsim`.
+//! factors and updates the blocks it owns.
 //!
 //! ## Failure protocol
 //!
@@ -19,42 +25,71 @@
 //! Each elimination level therefore factors all owned odd blocks *before*
 //! any point-to-point traffic and agrees on collective health with one
 //! [`Comm::agree`] round (the lowest failing rank's typed error on every
-//! member). Only an all-clear level exchanges bundles, so the SPMD
-//! communication schedule stays aligned and every rank returns the same
-//! typed [`OmenError`].
+//! member — the block the serial driver fails on). Only an all-clear level
+//! exchanges bundles, so the SPMD communication schedule stays aligned and
+//! every rank returns the same typed [`OmenError`].
 
-use omen_linalg::{gemm, lu::Lu, matmul, Op, ZMat};
-use omen_negf::serialize::{bytes_to_mat, bytes_to_mat_array, mat_to_bytes, mats_to_bytes};
-use omen_num::wire::{Dec, Enc};
-use omen_num::{c64, OmenError, OmenResult};
+use crate::solver::{back_substitute, bcr_solve, Bundle, Reduction};
+use omen_linalg::ZMat;
+use omen_negf::serialize::{
+    allgather_block_records, bytes_to_mat, bytes_to_mat_array, mat_to_bytes, mats_to_bytes,
+};
+use omen_num::{OmenError, OmenResult};
 use omen_parsim::Comm;
 use omen_sparse::BlockTridiag;
 use std::collections::HashSet;
 
-/// Tag layout: `[level:6][position:16][kind:2]` (fits the 24-bit comm tag).
-fn tag(level: usize, pos: usize, kind: u64) -> u64 {
-    assert!(level < 64 && pos < (1 << 16));
-    ((level as u64) << 18) | ((pos as u64) << 2) | kind
+/// Tag layout: `[level:6][block:16][kind:2]` (fits the 24-bit comm tag).
+fn tag(level: usize, block: usize, kind: u64) -> u64 {
+    assert!(level < 64 && block < (1 << 16));
+    ((level as u64) << 18) | ((block as u64) << 2) | kind
 }
 
 const KIND_BUNDLE: u64 = 0;
 const KIND_X: u64 = 1;
 
-/// Factored products of one eliminated odd block: `(D⁻¹B, D⁻¹L, D⁻¹U)`,
-/// with the couplings absent at the chain ends.
-type ElimBundle = (ZMat, Option<ZMat>, Option<ZMat>);
-/// Back-substitution schedule entry: (odd index, left, right neighbors).
-type ElimStep = (usize, Option<usize>, Option<usize>);
-
 /// Owner of original block `g` among `r` ranks for `n` blocks: contiguous
-/// ranges.
+/// ranges, monotone in `g`.
 fn owner(g: usize, n: usize, r: usize) -> usize {
     ((g * r) / n).min(r - 1)
 }
 
+/// Wire form of a bundle: three matrices, an absent coupling empty.
+fn encode_bundle((dib, dil, diu): &Bundle) -> Vec<u8> {
+    let empty = ZMat::zeros(0, 0);
+    mats_to_bytes(&[
+        dib,
+        dil.as_ref().unwrap_or(&empty),
+        diu.as_ref().unwrap_or(&empty),
+    ])
+}
+
+fn decode_bundle(data: &[u8]) -> OmenResult<Bundle> {
+    let [dib, dil, diu] = bytes_to_mat_array(data, "elimination bundle")?;
+    let opt = |m: ZMat| (m.nrows() != 0).then_some(m);
+    Ok((dib, opt(dil), opt(diu)))
+}
+
+/// The value in `slot`: this rank's own, or received from rank `from` and
+/// decoded on first use.
+fn fetched<'s, T>(
+    comm: &Comm,
+    from: usize,
+    tag: u64,
+    slot: &'s mut Option<T>,
+    decode: impl FnOnce(&[u8]) -> OmenResult<T>,
+) -> OmenResult<&'s T> {
+    Ok(match slot {
+        Some(value) => value,
+        None => slot.insert(decode(&comm.recv(from, tag)?)?),
+    })
+}
+
 /// Solves `A X = B` with rank-distributed block cyclic reduction. All
 /// members of `comm` must call with identical `a` and `b`; each returns the
-/// complete solution (one block per slab) or the same typed error.
+/// complete solution (one block per slab) or the same typed error. The
+/// solution is [`bcr_solve`]'s to the bit, whatever the rank count; a
+/// one-member communicator calls it directly.
 ///
 /// # Errors
 ///
@@ -64,68 +99,30 @@ fn owner(g: usize, n: usize, r: usize) -> usize {
 /// surface as [`omen_num::OmenError::ScheduleDivergence`] /
 /// [`omen_num::OmenError::RecvTimeout`].
 pub fn splitsolve_parallel(comm: &Comm, a: &BlockTridiag, b: &[ZMat]) -> OmenResult<Vec<ZMat>> {
-    let nb = a.num_blocks();
-    assert_eq!(b.len(), nb);
-    let nranks = comm.size();
-    let me = comm.rank();
-    let nrhs = b[0].ncols();
-
-    let own = |g: usize| owner(g, nb, nranks);
-
-    // Working copies (only owned entries are kept current).
-    let mut diag: Vec<ZMat> = a.diag.clone();
-    let mut rhs: Vec<ZMat> = b.to_vec();
-
-    // Eliminated-block records for back substitution, per level:
-    // (odd original index, left/right original indices, factored products).
-    struct Elim {
-        index: usize,
-        left: Option<usize>,
-        right: Option<usize>,
-        d_inv_b: ZMat,
-        d_inv_l: Option<ZMat>,
-        d_inv_u: Option<ZMat>,
+    if comm.size() == 1 {
+        return bcr_solve(a, b);
     }
-    let mut my_elims: Vec<Vec<Elim>> = Vec::new();
-    // Level structure replayed identically on every rank for back-sub
-    // scheduling: (odd index, left, right).
-    let mut schedule: Vec<Vec<ElimStep>> = Vec::new();
+    let nb = a.num_blocks();
+    let me = comm.rank();
+    let own = |g: usize| owner(g, nb, comm.size());
+    let mine = |g: &usize| own(*g) == me;
 
-    let mut active: Vec<usize> = (0..nb).collect();
-    let mut cl: Vec<Option<ZMat>> = std::iter::once(None)
-        .chain(a.lower.iter().cloned().map(Some))
-        .collect();
-    let mut cu: Vec<Option<ZMat>> = a
-        .upper
-        .iter()
-        .cloned()
-        .map(Some)
-        .chain(std::iter::once(None))
-        .collect();
+    // Only owned blocks of the active system are kept current.
+    let mut sys = Reduction::new(a, b);
+    // Bundles by eliminated slab: the owned ones, and those received from
+    // the eliminated neighbours of owned survivors.
+    let mut bundles: Vec<Option<Bundle>> = vec![None; nb];
 
-    let mut level = 0usize;
-    while active.len() > 1 {
-        let m = active.len();
-        let empty = ZMat::zeros(0, 0);
-
+    let (mut level, mut s) = (0, 1);
+    while s < nb {
         // 1a. Factor owned odd blocks (no traffic yet; a failure here must
         // first be agreed on collectively).
-        let mut local_fact: Vec<Option<ElimBundle>> = vec![None; m];
         let mut local_err: Option<OmenError> = None;
-        for k in (1..m).step_by(2) {
-            let g = active[k];
-            if own(g) != me {
-                continue;
-            }
-            match Lu::factor(&diag[g]) {
-                Ok(f) => {
-                    let dib = f.solve_mat(&rhs[g]);
-                    let dil = cl[k].as_ref().map(|l| f.solve_mat(l));
-                    let diu = cu[k].as_ref().map(|u| f.solve_mat(u));
-                    local_fact[k] = Some((dib, dil, diu));
-                }
-                Err(s) => {
-                    local_err = Some(s.at_block(g));
+        for g in (s..nb).step_by(2 * s).filter(mine) {
+            match sys.eliminate(g) {
+                Ok(bundle) => bundles[g] = Some(bundle),
+                Err(e) => {
+                    local_err = Some(e);
                     break;
                 }
             }
@@ -135,184 +132,78 @@ pub fn splitsolve_parallel(comm: &Comm, a: &BlockTridiag, b: &[ZMat]) -> OmenRes
         // returns the same error before any bundle is sent.
         comm.agree(local_err.as_ref())?;
 
-        // 1c. Ship bundles to even neighbors on other ranks; when one rank
-        // owns both neighbors it receives (and caches) the bundle once.
-        for k in (1..m).step_by(2) {
-            if let Some((dib, dil, diu)) = &local_fact[k] {
-                let payload = mats_to_bytes(&[
-                    dib,
-                    dil.as_ref().unwrap_or(&empty),
-                    diu.as_ref().unwrap_or(&empty),
-                ]);
-                let mut shipped: Option<usize> = None;
-                for nk in [k.wrapping_sub(1), k + 1] {
-                    if nk < m {
-                        let no = own(active[nk]);
-                        if no != me && shipped != Some(no) {
-                            comm.send(no, tag(level, k, KIND_BUNDLE), payload.clone());
-                            shipped = Some(no);
-                        }
+        // 1c. Ship bundles to the even neighbours on other ranks (ownership
+        // is monotone, so the two are never the same other rank).
+        for g in (s..nb).step_by(2 * s).filter(mine) {
+            if let Some(bundle) = &bundles[g] {
+                let payload = encode_bundle(bundle);
+                for to in [g - s, g + s].into_iter().filter(|&n| n < nb).map(own) {
+                    if to != me {
+                        comm.send(to, tag(level, g, KIND_BUNDLE), payload.clone());
                     }
                 }
             }
         }
 
-        // 2. Update owned even blocks, building the next level's couplings.
-        let mut new_active = Vec::with_capacity(m / 2 + 1);
-        let mut new_cl: Vec<Option<ZMat>> = Vec::with_capacity(m / 2 + 1);
-        let mut new_cu: Vec<Option<ZMat>> = Vec::with_capacity(m / 2 + 1);
-        // Cache of received bundles keyed by odd position.
-        let mut received: Vec<Option<ElimBundle>> = vec![None; m];
-        let get_bundle = |k: usize,
-                          local_fact: &[Option<ElimBundle>],
-                          received: &mut [Option<ElimBundle>]|
-         -> OmenResult<ElimBundle> {
-            if let Some(f) = &local_fact[k] {
-                return Ok(f.clone());
+        // 2. Update owned even blocks, right neighbour first.
+        for g in (0..nb).step_by(2 * s).filter(mine) {
+            if g + s < nb {
+                let (o, t) = (g + s, tag(level, g + s, KIND_BUNDLE));
+                sys.absorb_right(g, fetched(comm, own(o), t, &mut bundles[o], decode_bundle)?);
             }
-            if let Some(f) = &received[k] {
-                return Ok(f.clone());
-            }
-            let o = own(active[k]);
-            let data = comm.recv(o, tag(level, k, KIND_BUNDLE))?;
-            let [dib, dil, diu] = bytes_to_mat_array(&data, "elimination bundle")?;
-            let opt = |m_: ZMat| (m_.nrows() != 0).then_some(m_);
-            let f = (dib, opt(dil), opt(diu));
-            received[k] = Some(f.clone());
-            Ok(f)
-        };
-
-        for k in (0..m).step_by(2) {
-            let g = active[k];
-            let mine = own(g) == me;
-            let mut ncl = None;
-            let mut ncu = None;
-            if mine {
-                // Schur-complement updates fused into the accumulation
-                // (`gemm` with α=−1, β=1): no temporaries, and the dense
-                // work runs on the tiled multi-threaded kernel.
-                if k + 1 < m {
-                    if let Some(u) = cu[k].clone() {
-                        let (dib, dil, diu) = get_bundle(k + 1, &local_fact, &mut received)?;
-                        if let Some(dil) = &dil {
-                            gemm(-c64::ONE, &u, Op::N, dil, Op::N, c64::ONE, &mut diag[g]);
-                        }
-                        gemm(-c64::ONE, &u, Op::N, &dib, Op::N, c64::ONE, &mut rhs[g]);
-                        if k + 2 < m {
-                            if let Some(diu) = &diu {
-                                ncu = Some(-&matmul(&u, diu));
-                            }
-                        }
-                    }
-                }
-                if k >= 1 {
-                    if let Some(l) = cl[k].clone() {
-                        let (dib, dil, diu) = get_bundle(k - 1, &local_fact, &mut received)?;
-                        if let Some(diu) = &diu {
-                            gemm(-c64::ONE, &l, Op::N, diu, Op::N, c64::ONE, &mut diag[g]);
-                        }
-                        gemm(-c64::ONE, &l, Op::N, &dib, Op::N, c64::ONE, &mut rhs[g]);
-                        if k >= 2 {
-                            if let Some(dil) = &dil {
-                                ncl = Some(-&matmul(&l, dil));
-                            }
-                        }
-                    }
-                }
-            }
-            new_active.push(g);
-            new_cl.push(ncl);
-            new_cu.push(ncu);
-        }
-
-        // 3. Record eliminations and the global schedule.
-        let mut sched_level = Vec::new();
-        let mut elim_level = Vec::new();
-        for k in (1..m).step_by(2) {
-            let left = if k >= 1 { Some(active[k - 1]) } else { None };
-            let right = if k + 1 < m { Some(active[k + 1]) } else { None };
-            sched_level.push((active[k], left, right));
-            if let Some((dib, dil, diu)) = local_fact[k].take() {
-                elim_level.push(Elim {
-                    index: active[k],
-                    left,
-                    right,
-                    d_inv_b: dib,
-                    d_inv_l: dil,
-                    d_inv_u: diu,
-                });
+            if g >= s {
+                let (o, t) = (g - s, tag(level, g - s, KIND_BUNDLE));
+                sys.absorb_left(g, fetched(comm, own(o), t, &mut bundles[o], decode_bundle)?);
             }
         }
-        schedule.push(sched_level);
-        my_elims.push(elim_level);
-
-        active = new_active;
-        cl = new_cl;
-        cu = new_cu;
         level += 1;
+        s *= 2;
     }
 
-    // 4. Root solve on its owner; others learn the outcome through the
+    // 3. Root solve on its owner; others learn the outcome through the
     // same health barrier before back substitution starts.
-    let root = active[0];
     let mut x: Vec<Option<ZMat>> = vec![None; nb];
     let mut root_err: Option<OmenError> = None;
-    if own(root) == me {
-        match Lu::factor(&diag[root]) {
-            Ok(f) => x[root] = Some(f.solve_mat(&rhs[root])),
-            Err(s) => root_err = Some(s.at_block(root)),
+    if own(0) == me {
+        match sys.solve_root() {
+            Ok(x0) => x[0] = Some(x0),
+            Err(e) => root_err = Some(e),
         }
     }
     comm.agree(root_err.as_ref())?;
 
-    // 5. Back substitution down the tree, with x-block exchanges. Each
+    // 4. Back substitution down the tree, with x-block exchanges. Each
     // solved even block travels to a given rank at most once: the receiver
     // caches it across levels, so the sender dedupes on the
     // `(destination, block)` pair for the whole descent.
     let mut sent: HashSet<(usize, usize)> = HashSet::new();
-    for (lvl, sched_level) in schedule.iter().enumerate().rev() {
-        let my_level: &Vec<Elim> = &my_elims[lvl];
+    while level > 0 {
+        level -= 1;
+        s /= 2;
         // First: owners of needed even blocks send them to the odd owners.
-        for &(odd, left, right) in sched_level {
-            let odd_owner = own(odd);
-            for dep in [left, right].into_iter().flatten() {
-                let dep_owner = own(dep);
-                if dep_owner == me && odd_owner != me && sent.insert((odd_owner, dep)) {
+        for g in (s..nb).step_by(2 * s) {
+            let to = own(g);
+            for dep in [g - s, g + s].into_iter().filter(|&n| n < nb) {
+                if own(dep) == me && to != me && sent.insert((to, dep)) {
                     let xb = x[dep].as_ref().ok_or(OmenError::Deserialize {
                         context: "back-substitution dependency not yet solved",
                     })?;
-                    comm.send(odd_owner, tag(lvl, dep, KIND_X), mat_to_bytes(xb));
+                    comm.send(to, tag(level, dep, KIND_X), mat_to_bytes(xb));
                 }
             }
         }
-        // Then: owned odd blocks compute their solution. Dependencies are
-        // fetched by schedule position (mirroring the send side exactly,
-        // so the mailbox drains even for decoupled neighbors) and cached.
-        for e in my_level.iter() {
-            for dep in [e.left, e.right].into_iter().flatten() {
-                if x[dep].is_none() {
-                    let o = own(dep);
-                    if o == me {
-                        // analyze: allow(protocol-early-exit, internal-invariant breach: peers waiting on this rank's x-block hit their recv timeout and fail typed; the per-level health barrier then propagates one verdict to all ranks)
-                        return Err(OmenError::Deserialize {
-                            context: "back-substitution dependency not yet solved",
-                        });
-                    }
-                    x[dep] = Some(bytes_to_mat(&comm.recv(o, tag(lvl, dep, KIND_X))?)?);
-                }
+        // Then: owned odd blocks compute their solution from neighbours
+        // that are this rank's own (solved higher up the tree) or fetched
+        // once, mirroring the send side exactly so the mailbox drains.
+        for g in (s..nb).step_by(2 * s).filter(mine) {
+            for dep in [g - s, g + s].into_iter().filter(|&n| n < nb) {
+                let t = tag(level, dep, KIND_X);
+                fetched(comm, own(dep), t, &mut x[dep], bytes_to_mat)?;
             }
-            let mut xi = e.d_inv_b.clone();
-            if let (Some(left), Some(dil)) = (e.left, e.d_inv_l.as_ref()) {
-                if let Some(xl) = &x[left] {
-                    gemm(-c64::ONE, dil, Op::N, xl, Op::N, c64::ONE, &mut xi);
-                }
+            if let Some(bundle) = &bundles[g] {
+                let right = x.get(g + s).and_then(Option::as_ref);
+                x[g] = Some(back_substitute(bundle, x[g - s].as_ref(), right));
             }
-            if let (Some(right), Some(diu)) = (e.right, e.d_inv_u.as_ref()) {
-                if let Some(xr) = &x[right] {
-                    gemm(-c64::ONE, diu, Op::N, xr, Op::N, c64::ONE, &mut xi);
-                }
-            }
-            x[e.index] = Some(xi);
         }
     }
 
@@ -324,35 +215,18 @@ pub fn splitsolve_parallel(comm: &Comm, a: &BlockTridiag, b: &[ZMat]) -> OmenRes
         "back substitution must drain every x-block exchange"
     );
 
-    // 6. Allgather: everyone ends up with the complete block solution.
-    const CTX: &str = "solution allgather";
-    let mut mine = Enc::new();
-    let my_blocks: Vec<usize> = (0..nb).filter(|&g| own(g) == me).collect();
-    mine.usize(my_blocks.len());
-    for &g in &my_blocks {
-        let xb = x[g].as_ref().ok_or(OmenError::Deserialize {
-            context: "owned block unsolved after back substitution",
-        })?;
-        mine.usize(g);
-        mine.bytes(&mat_to_bytes(xb));
-    }
-    let mut out: Vec<Option<ZMat>> = vec![None; nb];
-    for part in comm.allgather(mine.finish())? {
-        let mut d = Dec::new(&part, CTX);
-        // Each record is a block index and a length-prefixed matrix.
-        for _ in 0..d.count(8 + 8 + 16)? {
-            let g = d.usize()?;
-            let slot = out
-                .get_mut(g)
-                .ok_or(OmenError::Deserialize { context: CTX })?;
-            *slot = Some(bytes_to_mat(d.bytes()?)?);
-        }
-        d.finish()?;
-    }
-    let blocks = out
-        .into_iter()
-        .map(|o| o.ok_or(OmenError::Deserialize { context: CTX }))
+    // 5. Allgather: everyone ends up with the complete block solution.
+    let solved = (0..nb)
+        .filter(mine)
+        .map(|g| match &x[g] {
+            Some(xb) => Ok((g, mat_to_bytes(xb))),
+            None => Err(OmenError::Deserialize {
+                context: "owned block unsolved after back substitution",
+            }),
+        })
         .collect::<OmenResult<Vec<_>>>()?;
+    let blocks = allgather_block_records(comm, nb, &solved, "solution allgather", bytes_to_mat)?;
+    let nrhs = b[0].ncols();
     for blk in &blocks {
         if blk.ncols() != nrhs {
             return Err(OmenError::ShapeMismatch {
@@ -368,31 +242,9 @@ pub fn splitsolve_parallel(comm: &Comm, a: &BlockTridiag, b: &[ZMat]) -> OmenRes
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::solver::tests::{rand_blocks, rand_system};
     use crate::solver::thomas_solve;
-    use omen_num::c64;
     use omen_parsim::{run_ranks, Comm};
-
-    fn rand_system(nb: usize, bs: usize, nrhs: usize, seed: u64) -> (BlockTridiag, Vec<ZMat>) {
-        let mut s = seed.wrapping_mul(0x2545F4914F6CDD1D).wrapping_add(7);
-        let mut next = move || {
-            s = s.wrapping_mul(0x2545F4914F6CDD1D).wrapping_add(7);
-            ((s >> 11) as f64 / (1u64 << 53) as f64) * 2.0 - 1.0
-        };
-        let mut rnd = |r: usize, c: usize| ZMat::from_fn(r, c, |_, _| c64::new(next(), next()));
-        let diag: Vec<ZMat> = (0..nb)
-            .map(|_| {
-                let mut d = rnd(bs, bs);
-                for i in 0..bs {
-                    d[(i, i)] += c64::real(6.0);
-                }
-                d
-            })
-            .collect();
-        let lower = (0..nb - 1).map(|_| rnd(bs, bs)).collect();
-        let upper = (0..nb - 1).map(|_| rnd(bs, bs)).collect();
-        let b = (0..nb).map(|_| rnd(bs, nrhs)).collect();
-        (BlockTridiag::new(diag, lower, upper), b)
-    }
 
     #[test]
     fn owner_partition_is_contiguous_and_complete() {
@@ -426,6 +278,44 @@ mod tests {
                         assert!(
                             d < 1e-8,
                             "ranks={nranks} nb={nb} rank {rank} block {i}: deviation {d}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// The module's contract: a schedule over the serial reduction returns
+    /// [`bcr_solve`]'s bits on every rank, whatever the rank count, block
+    /// count or block sizes — including blocks past the GEMM depth tile
+    /// (n = 90 > `KC`) and more ranks than blocks.
+    #[test]
+    fn every_rank_count_returns_the_serial_drivers_bits() {
+        let bits = |x: &[ZMat]| -> Vec<u64> {
+            x.iter()
+                .flat_map(|m| {
+                    m.data()
+                        .iter()
+                        .flat_map(|z| [z.re.to_bits(), z.im.to_bits()])
+                })
+                .collect()
+        };
+        let ragged = [5usize, 1, 7, 3, 2, 6, 4, 1, 3, 8, 2, 5, 4];
+        for nb in [1usize, 2, 8, 13] {
+            let uniform = [3usize, 32, 90].map(|n| vec![n; nb]);
+            for sizes in uniform.iter().chain([&ragged[..nb].to_vec()]) {
+                let (a, b) = rand_blocks(sizes, 3, (nb + sizes[0]) as u64);
+                let serial = bits(&bcr_solve(&a, &b).unwrap());
+                for nranks in [1, 2, 3, 4, nb + 3] {
+                    let out = run_ranks(nranks, |ctx| {
+                        let comm = Comm::world(ctx);
+                        splitsolve_parallel(&comm, &a, &b)
+                    })
+                    .flattened();
+                    for (rank, sol) in out.unwrap_all().iter().enumerate() {
+                        assert!(
+                            bits(sol) == serial,
+                            "blocks {sizes:?}, {nranks} ranks: rank {rank} left the serial bits"
                         );
                     }
                 }
@@ -476,30 +366,39 @@ mod tests {
     #[test]
     fn singular_block_fails_identically_on_every_rank() {
         use omen_num::OmenError;
-        // Zero couplings + a zero diagonal block: slab 5's pivot is
-        // provably singular. Every rank must return the same typed error —
-        // no deadlock, no panic, no divergent verdicts.
+        // Zero couplings + a zero diagonal block: that slab's pivot is
+        // provably singular, at the first level (5), a deeper one (4) or
+        // the root (0). Every rank must return the serial driver's typed
+        // error — no deadlock, no panic, no divergent verdicts.
         let (a0, b) = rand_system(8, 2, 2, 9);
-        let mut diag = a0.diag.clone();
-        diag[5] = ZMat::zeros(2, 2);
-        let a = BlockTridiag::new(
-            diag,
-            a0.lower.iter().map(|_| ZMat::zeros(2, 2)).collect(),
-            a0.upper.iter().map(|_| ZMat::zeros(2, 2)).collect(),
-        );
-        for &nranks in &[1usize, 3, 4] {
-            let out = run_ranks(nranks, |ctx| {
-                let comm = Comm::world(ctx);
-                splitsolve_parallel(&comm, &a, &b)
-            });
-            assert_eq!(out.results.len(), nranks);
-            for r in &out.results {
-                match r {
-                    Ok(inner) => match inner {
-                        Err(OmenError::SingularBlock { block: 5, .. }) => {}
-                        other => panic!("ranks={nranks}: expected SingularBlock 5, got {other:?}"),
-                    },
-                    Err(e) => panic!("ranks={nranks}: rank must not die: {e}"),
+        for singular in [5usize, 4, 0] {
+            let mut diag = a0.diag.clone();
+            diag[singular] = ZMat::zeros(2, 2);
+            let a = BlockTridiag::new(
+                diag,
+                a0.lower.iter().map(|_| ZMat::zeros(2, 2)).collect(),
+                a0.upper.iter().map(|_| ZMat::zeros(2, 2)).collect(),
+            );
+            match bcr_solve(&a, &b) {
+                Err(OmenError::SingularBlock { block, .. }) => assert_eq!(block, singular),
+                other => panic!("serial: expected SingularBlock {singular}, got {other:?}"),
+            }
+            for &nranks in &[1usize, 3, 4] {
+                let out = run_ranks(nranks, |ctx| {
+                    let comm = Comm::world(ctx);
+                    splitsolve_parallel(&comm, &a, &b)
+                });
+                assert_eq!(out.results.len(), nranks);
+                for r in &out.results {
+                    match r {
+                        Ok(Err(OmenError::SingularBlock { block, .. })) if *block == singular => {}
+                        Ok(other) => {
+                            panic!(
+                                "ranks={nranks}: expected SingularBlock {singular}, got {other:?}"
+                            )
+                        }
+                        Err(e) => panic!("ranks={nranks}: rank must not die: {e}"),
+                    }
                 }
             }
         }

@@ -278,37 +278,51 @@ mod tests {
 
     #[test]
     fn splitsolve_backend_matches_sequential() {
+        let bits = |d: &EnergyPointData| -> Vec<u64> {
+            std::iter::once(d.transmission)
+                .chain(d.ldos.iter().copied())
+                .chain(d.spectral_left_diag.iter().copied())
+                .chain(d.spectral_right_diag.iter().copied())
+                .map(f64::to_bits)
+                .collect()
+        };
+        // A 1 × 1 barrier chain and a full-band wire with unequal leads.
         let mut barrier = vec![0.0; 8];
         barrier[2] = 0.4;
         let (h, h00, h01) = chain(8, 0.0, -1.0, &barrier);
-        let e = 0.6;
-        let seq = wf_at(e, &h, (&h00, &h01), (&h00, &h01), Solver::Thomas);
-        for nranks in [1, 2, 3] {
-            let out = omen_parsim::run_ranks(nranks, |ctx| {
-                let comm = Comm::world(ctx);
-                let (sl, sr) =
-                    distributed_contacts(&comm, e, DEFAULT_ETA, (&h00, &h01), (&h00, &h01))?;
-                wf_point(e, DEFAULT_ETA, &h, &sl, &sr, Solver::SplitSolve(&comm))
-            })
-            .flattened()
-            .unwrap_all();
-            let bits = |d: &EnergyPointData| -> Vec<u64> {
-                std::iter::once(d.transmission)
-                    .chain(d.ldos.iter().copied())
-                    .chain(d.spectral_left_diag.iter().copied())
-                    .chain(d.spectral_right_diag.iter().copied())
-                    .map(f64::to_bits)
-                    .collect()
-            };
-            for d in &out {
-                assert_eq!(bits(d), bits(&out[0]), "{nranks} ranks disagree");
-                assert_eq!(d.retries, seq.retries);
-                assert!(
-                    (d.transmission - seq.transmission).abs() < 1e-8,
-                    "{nranks} ranks: {} vs {}",
-                    d.transmission,
-                    seq.transmission
-                );
+        let dev = Device::nanowire(Crystal::Zincblende { a: A_SI }, 5, 0.8, 0.8);
+        let ham = DeviceHamiltonian::new(&dev, TbParams::of(Material::SiSp3s), false);
+        let pot: Vec<f64> = dev
+            .atoms
+            .iter()
+            .map(|at| 0.05 * (at.pos.x / dev.length()))
+            .collect();
+        let (l, r) = (ham.lead_blocks(0.0, 0.0), ham.lead_blocks(0.05, 0.0));
+        for (e, h, lead_l, lead_r) in [
+            (0.6, &h, (&h00, &h01), (&h00, &h01)),
+            (2.1, &ham.assemble(&pot, 0.0), (&l.0, &l.1), (&r.0, &r.1)),
+        ] {
+            // The serial cyclic reduction is the bit reference of every
+            // rank count; Thomas differs by its elimination order only.
+            let bcr = wf_at(e, h, lead_l, lead_r, Solver::Bcr);
+            let thomas = wf_at(e, h, lead_l, lead_r, Solver::Thomas);
+            assert!((bcr.transmission - thomas.transmission).abs() < 1e-8);
+            for nranks in [1, 2, 3] {
+                let out = omen_parsim::run_ranks(nranks, |ctx| {
+                    let comm = Comm::world(ctx);
+                    let (sl, sr) = distributed_contacts(&comm, e, DEFAULT_ETA, lead_l, lead_r)?;
+                    wf_point(e, DEFAULT_ETA, h, &sl, &sr, Solver::SplitSolve(&comm))
+                })
+                .flattened()
+                .unwrap_all();
+                for d in &out {
+                    assert_eq!(
+                        bits(d),
+                        bits(&bcr),
+                        "E={e}, {nranks} ranks leave the serial bits"
+                    );
+                    assert_eq!(d.retries, bcr.retries);
+                }
             }
         }
     }
