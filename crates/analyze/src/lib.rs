@@ -8,7 +8,7 @@
 //! 1. **Syntactic** ([`parse`]): each file is lexed ([`lexer`]) and parsed
 //!    into a lightweight item model — fn items, call expressions, protocol
 //!    primitives, a control-flow skeleton of branches/`?`/early-`return`,
-//!    and `rank()`-conditioned regions. The six lexical rules run here.
+//!    and `rank()`-conditioned regions. The five lexical rules run here.
 //! 2. **Dataflow** ([`callgraph`], [`effects`]): a workspace call graph is
 //!    built and per-function *collective effect summaries* are propagated
 //!    bottom-up to a fixpoint. The three interprocedural rules run on the
@@ -23,7 +23,6 @@
 //! | `protocol-early-exit` | `?` / `return` between a send and its matching recv, or between epoch-open and epoch-close — the typed-error-era deadlock seed: the peer blocks until timeout |
 //! | `tag-conflict` | two concurrently-live call paths using the same reserved parsim tag in the same direction — concurrent rounds on one tag can cross-match messages |
 //! | `float-eq` | `==` / `!=` against a float literal in the solver crates — exact float comparison is almost always a tolerance bug |
-//! | `panic-backstop` | `panic!` / `todo!` / `unimplemented!` / `.unwrap()` / `.expect()` in non-test solver-crate code — the error taxonomy (`OmenResult`) exists so rank failures stay recoverable |
 //! | `print-in-lib` | `println!` / `eprintln!` (and `print!` / `eprint!`) in library targets — libraries must stay silent; drivers log through the sanctioned env-gated sink |
 //! | `errors-doc` | `pub fn` returning `OmenResult` without a `# Errors` doc section |
 //! | `tolerance-literal` | hard-coded scientific-notation tolerances (`1e-12`) compared in test targets — numeric bounds belong in the repo-root `TOLERANCES.toml` policy (DESIGN.md §12) |
@@ -131,12 +130,6 @@ pub const RULES: &[RuleInfo] = &[
         scope: "solver crates (num linalg sparse wf negf poisson phonon core), non-test code",
     },
     RuleInfo {
-        name: "panic-backstop",
-        summary: "panic!/todo!/unimplemented!/.unwrap()/.expect() outside tests",
-        scope:
-            "fault-isolated crates (linalg sparse wf negf parsim analyze serve), lib/bin non-test code",
-    },
-    RuleInfo {
         name: "print-in-lib",
         summary: "println!/eprintln!/print!/eprint! in library code",
         scope: "lib targets of every crate except omen-bench, non-test code",
@@ -156,14 +149,6 @@ pub const RULES: &[RuleInfo] = &[
 /// Crates whose numerics must never use exact float equality.
 const FLOAT_EQ_CRATES: &[&str] = &[
     "num", "linalg", "sparse", "wf", "negf", "poisson", "phonon", "core",
-];
-
-/// Crates whose non-test code must stay panic-free (mirrors the clippy
-/// `unwrap_used`/`expect_used`/`panic` CI gate). The analyzer holds itself
-/// to the same bar: a lint gate that can panic is a lint gate that can be
-/// knocked out by the code it lints.
-const PANIC_CRATES: &[&str] = &[
-    "linalg", "sparse", "wf", "negf", "parsim", "analyze", "serve",
 ];
 
 /// Collective operations whose call schedule must be rank-uniform.
@@ -260,11 +245,6 @@ pub fn analyze_source(path: &str, src: &str, class: &FileClass) -> Vec<Finding> 
         && matches!(class.kind, TargetKind::Lib | TargetKind::Bin)
     {
         rule_float_eq(&lexed.toks, &ctx, &mut findings);
-    }
-    if PANIC_CRATES.contains(&class.crate_name.as_str())
-        && matches!(class.kind, TargetKind::Lib | TargetKind::Bin)
-    {
-        rule_panic_backstop(&lexed.toks, &ctx, &mut findings);
     }
     if class.kind == TargetKind::Lib && class.crate_name != "bench" {
         rule_print_in_lib(&lexed.toks, &ctx, &mut findings);
@@ -427,42 +407,6 @@ fn rule_float_eq(toks: &[Tok], ctx: &FileCtx, findings: &mut Vec<Finding>) {
                 "exact float comparison `{}` against a literal: use a tolerance, or annotate \
                  an intentional exact guard",
                 t.text
-            ),
-        );
-    }
-}
-
-fn rule_panic_backstop(toks: &[Tok], ctx: &FileCtx, findings: &mut Vec<Finding>) {
-    for i in 0..toks.len() {
-        let t = &toks[i];
-        let hit = if t.kind == TokKind::Ident
-            && matches!(t.text.as_str(), "panic" | "todo" | "unimplemented")
-            && i + 1 < toks.len()
-            && is_punct(&toks[i + 1], "!")
-        {
-            Some(format!("{}!", t.text))
-        } else if i >= 1
-            && is_punct(&toks[i - 1], ".")
-            && t.kind == TokKind::Ident
-            && matches!(t.text.as_str(), "unwrap" | "expect")
-            && i + 1 < toks.len()
-            && is_punct(&toks[i + 1], "(")
-        {
-            Some(format!(".{}()", t.text))
-        } else {
-            None
-        };
-        let Some(what) = hit else { continue };
-        if ctx.in_test(t.line) || ctx.allowed("panic-backstop", t.line) {
-            continue;
-        }
-        push(
-            findings,
-            "panic-backstop",
-            t.line,
-            format!(
-                "`{what}` in non-test solver code: return a typed OmenError so rank faults \
-                 stay recoverable"
             ),
         );
     }

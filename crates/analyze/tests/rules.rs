@@ -83,44 +83,6 @@ fn float_eq_out_of_scope_crates_are_exempt() {
     assert!(f.iter().all(|x| x.rule != "float-eq"), "unexpected: {f:?}");
 }
 
-// --- panic-backstop --------------------------------------------------------
-
-#[test]
-fn panic_trip_fixture() {
-    let f = run(
-        include_str!("fixtures/panic_trip.rs"),
-        "negf",
-        TargetKind::Lib,
-    );
-    let hits: Vec<&Finding> = f.iter().filter(|x| x.rule == "panic-backstop").collect();
-    assert_eq!(hits.len(), 5, "findings: {f:?}");
-    for what in [
-        ".unwrap()",
-        ".expect()",
-        "panic!",
-        "todo!",
-        "unimplemented!",
-    ] {
-        assert!(
-            hits.iter().any(|x| x.message.contains(what)),
-            "missing {what}: {hits:?}"
-        );
-    }
-}
-
-#[test]
-fn panic_clean_fixture() {
-    let f = run(
-        include_str!("fixtures/panic_clean.rs"),
-        "negf",
-        TargetKind::Lib,
-    );
-    assert!(
-        f.iter().all(|x| x.rule != "panic-backstop"),
-        "unexpected: {f:?}"
-    );
-}
-
 // --- print-in-lib ----------------------------------------------------------
 
 #[test]
@@ -260,7 +222,7 @@ fn own_line_allow_covers_the_block_it_opens() {
 
 #[test]
 fn allow_for_one_rule_does_not_suppress_another() {
-    let src = "pub fn f(x: f64) -> bool {\n    // analyze: allow(panic-backstop, wrong rule)\n    x == 0.0\n}\n";
+    let src = "pub fn f(x: f64) -> bool {\n    // analyze: allow(print-in-lib, wrong rule)\n    x == 0.0\n}\n";
     let f = run(src, "linalg", TargetKind::Lib);
     assert_eq!(f.iter().filter(|x| x.rule == "float-eq").count(), 1);
 }
@@ -309,7 +271,6 @@ fn rule_table_is_complete() {
             "protocol-early-exit",
             "tag-conflict",
             "float-eq",
-            "panic-backstop",
             "print-in-lib",
             "errors-doc",
             "tolerance-literal"

@@ -178,7 +178,7 @@ fn bench_lu(sizes: &[usize], flagship: usize, smoke: bool, out: &mut Vec<KernelR
     }
 }
 
-/// Tree-parallel selected inversion on a synthetic block-tridiagonal
+/// Tree-structured selected inversion on a synthetic block-tridiagonal
 /// system. The flop count is taken from the instrumented kernels (one
 /// counted solve), so the reported Gflop/s stays honest as the algorithm
 /// evolves.

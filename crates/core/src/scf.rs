@@ -66,7 +66,8 @@ pub struct ScfResult {
 /// Runs the Schrödinger–Poisson loop at one bias point.
 ///
 /// `v_init` warm-starts the potential (e.g. from the previous bias in a
-/// sweep); otherwise a semiclassical equilibrium solve seeds the loop.
+/// sweep); otherwise a linear Poisson solve on the doping charge alone
+/// seeds the loop.
 pub fn self_consistent(
     tr: &mut NanoTransistor,
     bias: &Bias,

@@ -202,9 +202,7 @@ impl TransistorSpec {
             };
             cells.push(kind);
         }
-        let mut semi = Semiconductor::silicon();
-        semi.kt = KB * self.temperature;
-        PoissonProblem::new(grid, cells, semi)
+        PoissonProblem::new(grid, cells, Semiconductor::silicon())
     }
 }
 

@@ -52,10 +52,27 @@
 use omen_num::{OmenError, OmenResult};
 use std::sync::OnceLock;
 
-/// Smallest kernel (in complex multiply-adds, `m·n·k`) worth spawning
-/// threads for. 32³ ≈ 33 K MACs ≈ a few hundred microseconds of scalar
-/// work — comfortably above per-thread spawn/join cost.
-pub const PAR_MIN_WORK: u64 = 32 * 32 * 32;
+/// Smallest kernel (in complex multiply-adds, `m·n·k`) that fans out over
+/// threads. A scoped spawn + join costs 30–60 µs, and whether the second
+/// thread then lands on an idle core is a host state, so the crossover is
+/// a band, not a point. `gemm_threaded` on an `n`-cube, two threads over
+/// one on a 2-core host, best of 7; ranges over four AVX2 and two scalar
+/// sessions (EXPERIMENTS.md "Kernel fan-out crossover"):
+///
+/// | n | t1 AVX2 (µs) | t2/t1 AVX2 | t1 scalar (µs) | t2/t1 scalar |
+/// |---|---|---|---|---|
+/// | 32 | 10 | 3.1–7.0 | 38 | 1.9 |
+/// | 64 | 75 | 1.4–1.6 | 304 | 0.75–1.12 |
+/// | 90 | 212 | 0.97–1.22 | 878 | 0.62–1.09 |
+/// | 128 | 543 | 0.75–1.09 | 2 464 | 0.58–1.03 |
+/// | 256 | 4 313 | 0.61–1.02 | 19 102 | 0.52–1.01 |
+/// | 512 | 32 651 | 0.54–1.00 | 151 979 | 0.51–0.53 |
+///
+/// 128³ is the smallest measured cube that reaches t2/t1 ≤ 0.8 on the
+/// AVX2 leg and never loses by more than 9 % on either; everything under
+/// it loses or ties there — and that is every slab block a shipped device
+/// produces (18 … 113).
+pub const PAR_MIN_WORK: u64 = 128 * 128 * 128;
 
 /// Environment variable overriding the kernel thread count.
 pub const THREADS_ENV: &str = "OMEN_THREADS";
@@ -81,7 +98,6 @@ pub enum SimdPath {
 /// defaulting — the same policy as the dimension asserts.
 #[allow(clippy::panic)]
 fn reject(e: OmenError) -> ! {
-    // analyze: allow(panic-backstop, invalid OMEN_* env is operator error rejected at startup — silently defaulting would make bench records unattributable)
     panic!("{e}")
 }
 
@@ -248,6 +264,17 @@ mod tests {
     fn small_work_stays_serial() {
         assert_eq!(auto_threads(0), 1);
         assert_eq!(auto_threads(PAR_MIN_WORK - 1), 1);
+    }
+
+    /// The traffic the threshold was sized for: every slab-block size in
+    /// the kernel ledger's devices stays on the calling thread, and the
+    /// threshold cube itself fans out.
+    #[test]
+    fn no_shipped_block_size_fans_out() {
+        for n in [18u64, 32, 41, 72, 90, 113] {
+            assert_eq!(auto_threads(n * n * n), 1, "n={n}");
+        }
+        assert_eq!(auto_threads(PAR_MIN_WORK), configured_threads());
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! # omen-negf — ballistic non-equilibrium Green's function engines
 //!
 //! The Green's-function transport engines of the simulator: recursive
-//! Green's functions (RGF) and tree-parallel selected inversion over the
+//! Green's functions (RGF) and tree-structured selected inversion over the
 //! block-tridiagonal device Hamiltonian with semi-infinite contact
 //! self-energies.
 //!
@@ -14,10 +14,10 @@
 //!   diagonal blocks (density/LDOS), first/last block columns (contact
 //!   spectral functions) and the Caroli transmission; [`rgf_point`] is the
 //!   engine on a `(Σ_L, Σ_R)` pair;
-//! * [`selinv`] — tree-structured selected inversion recovering exactly
-//!   the same result surface with an `O(log N)` critical path, serial and
-//!   rank-parallel drivers, bit-identical across worker counts;
-//!   [`selinv_point`] is the engine on a `(Σ_L, Σ_R)` pair;
+//! * [`selinv`] — serial selected inversion over a binary elimination
+//!   tree recovering exactly the same result surface, the independently
+//!   derived third engine of the oracle batteries; [`selinv_point`] is the
+//!   engine on a `(Σ_L, Σ_R)` pair;
 //! * [`transport`] — the per-point result type every engine returns
 //!   ([`EnergyPointData`]), the packaging the two Green's-function engines
 //!   share, and a dense-matrix reference used for cross-validation;
@@ -39,5 +39,5 @@ pub mod transport;
 pub use contacts::{distributed_contacts, local_contacts};
 pub use rgf::{rgf_point, rgf_solve, RgfResult};
 pub use sancho::{surface_green_function, ContactSelfEnergy, Side};
-pub use selinv::{selinv_point, selinv_solve, selinv_solve_parallel, TreeShape};
+pub use selinv::{selinv_point, selinv_solve};
 pub use transport::{transmission_dense_reference, EnergyPointData};

@@ -1,13 +1,17 @@
-//! Tree-parallel selected inversion over the block-tridiagonal `A`.
+//! Selected inversion of the block-tridiagonal `A` on a binary
+//! elimination tree.
 //!
-//! The third transport engine. RGF walks the chain serially — `O(N)`
-//! critical path in the transport direction. Selected inversion builds a
-//! binary **elimination tree** over the block indices instead: every node
-//! owns one separator block and a contiguous interval of the chain, the
-//! upward pass Schur-eliminates separators bottom-up, and the downward
-//! pass propagates exact boundary Green's blocks top-down. The critical
-//! path is `O(log N)` block factorizations, and disjoint subtrees are
-//! independent — which is what the rank-parallel driver exploits.
+//! The third transport engine, serial like the other two. RGF walks the
+//! chain slab by slab; selected inversion builds a binary **elimination
+//! tree** over the block indices instead: every node owns one separator
+//! block and a contiguous interval of the chain, the upward pass
+//! Schur-eliminates separators bottom-up, and the downward pass propagates
+//! exact boundary Green's blocks top-down. It shares no recursion with
+//! RGF or the wave-function solvers, which is why it is kept: it is the
+//! independently derived third engine of the oracle and three-engine
+//! batteries (`engine.selinv_*`, `physics.selinv_*`, `selinv.vs_dense` in
+//! TOLERANCES.toml), not a fast path (`tab3_timetosol`). DESIGN.md §13
+//! records why the tree has no rank-parallel driver.
 //!
 //! **Upward pass.** For an interval `I = L ∪ {m} ∪ R` (children `L`, `R`,
 //! separator `m`) each node stores the four corner blocks of the
@@ -29,40 +33,16 @@
 //! block, both contact columns on their supports, and the Caroli
 //! transmission.
 //!
-//! **Determinism contract.** The numeric elimination DAG is *canonical*:
-//! balanced bisection over the block range, a pure function of the block
-//! count. [`TreeShape`] and the rank count select only the task schedule
-//! (which rank computes which node, in which wave); every node evaluates
-//! the same floating-point expressions on the same inputs, and rank
-//! messages round-trip `f64` bits exactly — so the output is bit-identical
-//! across 1/2/4 workers and across balanced vs path-shaped schedules,
-//! while agreement with RGF/WF is a cross-engine tolerance statement
-//! (`engine.selinv_*` in TOLERANCES.toml). See DESIGN.md §13.
+//! The elimination tree is balanced bisection over the block range, a
+//! pure function of the block count; agreement with RGF/WF is a
+//! cross-engine tolerance statement.
 
 use crate::rgf::{build_a_matrix, caroli, RgfResult, REGULARIZATION_ETA};
 use crate::sancho::ContactSelfEnergy;
-use crate::serialize::{allgather_block_records, bytes_to_mat_array, bytes_to_mats, mats_to_bytes};
 use crate::transport::{package, EnergyPointData};
 use omen_linalg::{gemm, lu, matmul, Op, ZMat};
-use omen_num::wire::{Dec, Enc};
-use omen_num::{c64, OmenError, OmenResult};
-use omen_parsim::Comm;
+use omen_num::{c64, OmenResult};
 use omen_sparse::BlockTridiag;
-
-/// Task-schedule shape for the parallel driver. This chooses *only* which
-/// rank computes which elimination-tree node and in how many waves — the
-/// numeric elimination DAG (and therefore every output bit) is identical
-/// for both shapes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TreeShape {
-    /// Subtree-recursive ownership, one wave per tree level: the
-    /// `O(log N)` critical-path schedule.
-    Balanced,
-    /// Degenerate path schedule: one node per wave in postorder,
-    /// round-robin ownership — the adversarial shape the bit-identity
-    /// battery pins against [`TreeShape::Balanced`].
-    Path,
-}
 
 /// One elimination-tree node: separator `sep` eliminating interval
 /// `[lo, hi]`. Nodes are stored indexed by separator (each block is the
@@ -74,134 +54,44 @@ struct Node {
     sep: usize,
     left: Option<usize>,
     right: Option<usize>,
-    parent: Option<usize>,
 }
 
-/// Canonical balanced-bisection elimination tree over `nb` blocks.
-/// Pure function of `nb` — this is the numeric DAG both drivers share.
-fn build_tree(nb: usize) -> Vec<Node> {
-    fn split(
-        nodes: &mut Vec<Option<Node>>,
-        lo: usize,
-        hi: usize,
-        parent: Option<usize>,
-    ) -> Option<usize> {
+/// Balanced-bisection elimination tree over `nb` blocks, a pure function
+/// of `nb`: the nodes, and their separators in children-before-parent
+/// order (left subtree, right subtree, separator).
+fn build_tree(nb: usize) -> (Vec<Node>, Vec<usize>) {
+    fn split(nodes: &mut [Node], order: &mut Vec<usize>, lo: usize, hi: usize) -> Option<usize> {
         if lo > hi {
             return None;
         }
         let sep = lo + (hi - lo) / 2;
-        nodes[sep] = Some(Node {
-            lo,
-            hi,
-            sep,
-            left: None,
-            right: None,
-            parent,
-        });
         let left = if sep > lo {
-            split(nodes, lo, sep - 1, Some(sep))
+            split(nodes, order, lo, sep - 1)
         } else {
             None
         };
-        let right = split(nodes, sep + 1, hi, Some(sep));
-        if let Some(n) = &mut nodes[sep] {
-            n.left = left;
-            n.right = right;
-        }
+        let right = split(nodes, order, sep + 1, hi);
+        nodes[sep] = Node {
+            lo,
+            hi,
+            sep,
+            left,
+            right,
+        };
+        order.push(sep);
         Some(sep)
     }
-    let mut nodes: Vec<Option<Node>> = vec![None; nb];
-    split(&mut nodes, 0, nb - 1, None);
-    nodes
-        .into_iter()
-        .enumerate()
-        .map(|(sep, n)| {
-            n.unwrap_or(Node {
-                lo: sep,
-                hi: sep,
-                sep,
-                left: None,
-                right: None,
-                parent: None,
-            })
-        })
-        .collect()
-}
-
-/// Children-before-parent traversal order (left, right, separator).
-fn postorder(nodes: &[Node]) -> Vec<usize> {
-    fn walk(nodes: &[Node], sep: usize, out: &mut Vec<usize>) {
-        if let Some(l) = nodes[sep].left {
-            walk(nodes, l, out);
-        }
-        if let Some(r) = nodes[sep].right {
-            walk(nodes, r, out);
-        }
-        out.push(sep);
-    }
-    let mut out = Vec::with_capacity(nodes.len());
-    if let Some(root) = nodes.iter().find(|n| n.parent.is_none()) {
-        walk(nodes, root.sep, &mut out);
-    }
-    out
-}
-
-/// Upward-pass waves: each wave's nodes depend only on earlier waves.
-/// Balanced: one wave per tree level (nodes grouped by height, ascending
-/// separator within a wave). Path: one node per wave in postorder.
-fn waves(nodes: &[Node], shape: TreeShape) -> Vec<Vec<usize>> {
-    let post = postorder(nodes);
-    match shape {
-        TreeShape::Path => post.into_iter().map(|s| vec![s]).collect(),
-        TreeShape::Balanced => {
-            let mut height = vec![0usize; nodes.len()];
-            let mut max_h = 0usize;
-            for &s in &post {
-                let hl = nodes[s].left.map_or(0, |c| height[c] + 1);
-                let hr = nodes[s].right.map_or(0, |c| height[c] + 1);
-                height[s] = hl.max(hr);
-                max_h = max_h.max(height[s]);
-            }
-            let mut out = vec![Vec::new(); max_h + 1];
-            for s in 0..nodes.len() {
-                out[height[s]].push(s);
-            }
-            out
-        }
-    }
-}
-
-/// Deterministic node → owning-rank map (pure function of tree, shape and
-/// rank count, so every rank computes it identically).
-fn owners(nodes: &[Node], shape: TreeShape, nranks: usize) -> Vec<usize> {
-    let mut own = vec![0usize; nodes.len()];
-    match shape {
-        TreeShape::Path => {
-            for (i, s) in postorder(nodes).into_iter().enumerate() {
-                own[s] = i % nranks;
-            }
-        }
-        TreeShape::Balanced => {
-            // Subtree-recursive rank ranges: a node is owned by the first
-            // rank of its range; the left child shares the parent's rank.
-            fn assign(nodes: &[Node], own: &mut [usize], sep: usize, r_lo: usize, r_hi: usize) {
-                own[sep] = r_lo;
-                let size = r_hi - r_lo;
-                let mid = if size >= 2 { r_lo + size / 2 } else { r_hi };
-                if let Some(l) = nodes[sep].left {
-                    assign(nodes, own, l, r_lo, mid.max(r_lo + 1));
-                }
-                if let Some(r) = nodes[sep].right {
-                    let (lo, hi) = if size >= 2 { (mid, r_hi) } else { (r_lo, r_hi) };
-                    assign(nodes, own, r, lo, hi);
-                }
-            }
-            if let Some(root) = nodes.iter().find(|n| n.parent.is_none()) {
-                assign(nodes, &mut own, root.sep, 0, nranks);
-            }
-        }
-    }
-    own
+    let unset = Node {
+        lo: 0,
+        hi: 0,
+        sep: 0,
+        left: None,
+        right: None,
+    };
+    let mut nodes = vec![unset; nb];
+    let mut order = Vec::with_capacity(nb);
+    split(&mut nodes, &mut order, 0, nb - 1);
+    (nodes, order)
 }
 
 /// Corner blocks of an interval-local inverse `Ĝ = (A_II)⁻¹`:
@@ -574,27 +464,55 @@ fn descend(
     (NodeResult { diag, col0, coln }, left_pay, right_pay)
 }
 
-/// Assembles the per-separator results into the [`RgfResult`] surface and
-/// evaluates the Caroli transmission from `G_{0,N−1}` exactly as
-/// [`crate::rgf::rgf_solve`] does.
-fn assemble(
-    results: Vec<Option<NodeResult>>,
-    retries: usize,
-    gamma_l: &ZMat,
-    gamma_r: &ZMat,
-    sup: Supports,
-) -> OmenResult<RgfResult> {
-    let mut g_diag = Vec::with_capacity(results.len());
-    let mut g_col_left = Vec::with_capacity(results.len());
-    let mut g_col_right = Vec::with_capacity(results.len());
-    for r in results {
-        let r = r.ok_or(OmenError::Deserialize {
-            context: "selinv result set is missing a block",
-        })?;
-        g_diag.push(r.diag);
-        g_col_left.push(r.col0);
-        g_col_right.push(r.coln);
+/// Tree-structured selected inversion of the prebuilt `A` matrix. Returns
+/// the same surface as [`crate::rgf::rgf_solve`]: diagonal blocks, both
+/// contact columns, the Caroli transmission (from `G_{0,N−1}`, exactly as
+/// RGF evaluates it) and the regularization retries.
+///
+/// # Errors
+///
+/// [`OmenError::SingularBlock`](omen_num::OmenError) carrying the
+/// separator index when pivot regularization is exhausted — the same
+/// failure surface as RGF.
+pub fn selinv_solve(a: &BlockTridiag, gamma_l: &ZMat, gamma_r: &ZMat) -> OmenResult<RgfResult> {
+    let nb = a.num_blocks();
+    let sup = Supports::of(gamma_l, gamma_r);
+    let (nodes, order) = build_tree(nb);
+
+    // Upward pass, children before parents: `up` is in postorder and
+    // `at[s]` is separator `s`'s position in it.
+    let mut at = vec![0usize; nb];
+    let mut up: Vec<UpNode> = Vec::with_capacity(nb);
+    let mut retries = 0usize;
+    for (i, &s) in order.iter().enumerate() {
+        at[s] = i;
+        let n = &nodes[s];
+        let corners = |child: Option<usize>| child.map(|c| &up[at[c]].corners);
+        let node = eliminate(a, n, corners(n.left), corners(n.right))?;
+        retries += node.retries;
+        up.push(node);
     }
+
+    // Downward pass, the same order reversed: a parent writes its
+    // children's payloads before they are reached (the root's is empty).
+    let mut payloads = vec![DownPayload::default(); nb];
+    let mut g_diag = vec![ZMat::zeros(0, 0); nb];
+    let mut g_col_left = g_diag.clone();
+    let mut g_col_right = g_diag.clone();
+    for (&s, u) in order.iter().zip(&up).rev() {
+        let n = &nodes[s];
+        let pay = std::mem::take(&mut payloads[s]);
+        let (res, pl, pr) = descend(a, &sup, n, u, &pay);
+        g_diag[s] = res.diag;
+        g_col_left[s] = res.col0;
+        g_col_right[s] = res.coln;
+        for (child, p) in [(n.left, pl), (n.right, pr)] {
+            if let (Some(c), Some(p)) = (child, p) {
+                payloads[c] = p;
+            }
+        }
+    }
+
     let transmission = caroli(gamma_l, gamma_r, &sup.left, &sup.right, &g_col_right[0]);
     Ok(RgfResult {
         g_diag,
@@ -607,271 +525,7 @@ fn assemble(
     })
 }
 
-/// Serial tree-structured selected inversion of the prebuilt `A` matrix.
-/// Returns the same surface as [`crate::rgf::rgf_solve`] (diagonal blocks,
-/// both contact columns, Caroli transmission, regularization retries) and
-/// is the bit-reference for [`selinv_solve_parallel`] at any rank count.
-///
-/// # Errors
-///
-/// [`OmenError::SingularBlock`](omen_num::OmenError) carrying the
-/// separator index when pivot regularization is exhausted — the same
-/// failure surface as RGF.
-pub fn selinv_solve(a: &BlockTridiag, gamma_l: &ZMat, gamma_r: &ZMat) -> OmenResult<RgfResult> {
-    let nb = a.num_blocks();
-    let sup = Supports::of(gamma_l, gamma_r);
-    let nodes = build_tree(nb);
-    let order = postorder(&nodes);
-
-    let mut up: Vec<Option<UpNode>> = (0..nb).map(|_| None).collect();
-    let mut retries = 0usize;
-    for &s in &order {
-        let n = &nodes[s];
-        let node = {
-            let lc = n.left.and_then(|c| up[c].as_ref()).map(|u| &u.corners);
-            let rc = n.right.and_then(|c| up[c].as_ref()).map(|u| &u.corners);
-            eliminate(a, n, lc, rc)?
-        };
-        retries += node.retries;
-        up[s] = Some(node);
-    }
-
-    let mut payloads: Vec<Option<DownPayload>> = (0..nb).map(|_| None).collect();
-    let mut results: Vec<Option<NodeResult>> = (0..nb).map(|_| None).collect();
-    for &s in order.iter().rev() {
-        let n = &nodes[s];
-        let pay = payloads[s].take().unwrap_or_default();
-        let u = up[s].as_ref().ok_or(OmenError::Deserialize {
-            context: "selinv upward pass skipped a node",
-        })?;
-        let (res, pl, pr) = descend(a, &sup, n, u, &pay);
-        results[s] = Some(res);
-        if let Some(c) = n.left {
-            payloads[c] = pl;
-        }
-        if let Some(c) = n.right {
-            payloads[c] = pr;
-        }
-    }
-    assemble(results, retries, gamma_l, gamma_r, sup)
-}
-
-// ---------------------------------------------------------------------------
-// Rank-parallel driver.
-// ---------------------------------------------------------------------------
-
-const KIND_UP: u64 = 0;
-const KIND_DOWN: u64 = 1;
-
-fn tag(sep: usize, kind: u64) -> u64 {
-    debug_assert!(sep < (1 << 16));
-    ((sep as u64) << 2) | kind
-}
-
-fn encode_corners(c: &Corners) -> Vec<u8> {
-    mats_to_bytes(&[&c.gll, &c.glh, &c.ghl, &c.ghh])
-}
-
-fn decode_corners(b: &[u8]) -> OmenResult<Corners> {
-    let [gll, glh, ghl, ghh] = bytes_to_mat_array(b, "selinv corner bundle")?;
-    Ok(Corners { gll, glh, ghl, ghh })
-}
-
-/// Wire format: one presence byte (bit0 = lo, bit1 = hi, bit2 = crosses)
-/// followed by the present matrices in a fixed order.
-fn encode_payload(p: &DownPayload) -> Vec<u8> {
-    let mut flags = 0u8;
-    let mut mats: Vec<&ZMat> = Vec::with_capacity(8);
-    if let Some(ext) = &p.lo {
-        flags |= 1;
-        mats.extend([&ext.diag, &ext.col0, &ext.coln]);
-    }
-    if let Some(ext) = &p.hi {
-        flags |= 2;
-        mats.extend([&ext.diag, &ext.col0, &ext.coln]);
-    }
-    if let (Some(lh), Some(hl)) = (&p.lo_hi, &p.hi_lo) {
-        flags |= 4;
-        mats.extend([lh, hl]);
-    }
-    let mut v = vec![flags];
-    v.extend_from_slice(&mats_to_bytes(&mats));
-    v
-}
-
-fn decode_payload(b: &[u8]) -> OmenResult<DownPayload> {
-    const CTX: &str = "selinv downward payload";
-    let mut d = Dec::new(b, CTX);
-    let flags = d.u8()?;
-    let mats = bytes_to_mats(d.rest())?;
-    let mut it = mats.into_iter();
-    let mut next = || it.next().ok_or(OmenError::Deserialize { context: CTX });
-    let mut take_ext = |on: bool| -> OmenResult<Option<ExtPoint>> {
-        if !on {
-            return Ok(None);
-        }
-        Ok(Some(ExtPoint {
-            diag: next()?,
-            col0: next()?,
-            coln: next()?,
-        }))
-    };
-    let lo = take_ext(flags & 1 != 0)?;
-    let hi = take_ext(flags & 2 != 0)?;
-    let (lo_hi, hi_lo) = if flags & 4 != 0 {
-        (Some(next()?), Some(next()?))
-    } else {
-        (None, None)
-    };
-    Ok(DownPayload {
-        lo,
-        hi,
-        lo_hi,
-        hi_lo,
-    })
-}
-
-/// Rank-parallel selected inversion. All members of `comm` must call
-/// collectively with identical arguments; each returns the complete
-/// [`RgfResult`], bit-identical to [`selinv_solve`] regardless of the
-/// rank count or [`TreeShape`] (the shape selects the task schedule, not
-/// the numeric DAG — see the module docs).
-///
-/// # Errors
-///
-/// An exhausted pivot regularization surfaces as the *same*
-/// [`OmenError::SingularBlock`](omen_num::OmenError) on every rank (the
-/// per-wave health barrier aligns the SPMD schedule); communicator faults
-/// surface typed ([`OmenError::RecvTimeout`] / [`OmenError::ChannelClosed`]
-/// / [`OmenError::ScheduleDivergence`]) — a dead worker mid-tree times out,
-/// it never hangs the healthy ranks.
-pub fn selinv_solve_parallel(
-    comm: &Comm,
-    a: &BlockTridiag,
-    gamma_l: &ZMat,
-    gamma_r: &ZMat,
-    shape: TreeShape,
-) -> OmenResult<RgfResult> {
-    let nb = a.num_blocks();
-    let sup = Supports::of(gamma_l, gamma_r);
-    let nodes = build_tree(nb);
-    let wave_list = waves(&nodes, shape);
-    let own = owners(&nodes, shape, comm.size());
-    let me = comm.rank();
-
-    // Upward pass: per wave — drain child corners, eliminate owned nodes,
-    // health-barrier, ship corners to remote parents.
-    let mut up: Vec<Option<UpNode>> = (0..nb).map(|_| None).collect();
-    let mut remote: Vec<Option<Corners>> = (0..nb).map(|_| None).collect();
-    for wave in &wave_list {
-        let mut local_err: Option<OmenError> = None;
-        for &s in wave {
-            if own[s] != me {
-                continue;
-            }
-            for c in [nodes[s].left, nodes[s].right].into_iter().flatten() {
-                if own[c] != me && remote[c].is_none() {
-                    let bytes = comm.recv(own[c], tag(c, KIND_UP))?;
-                    remote[c] = Some(decode_corners(&bytes)?);
-                }
-            }
-            if local_err.is_some() {
-                continue;
-            }
-            let res = {
-                let pick = |child: Option<usize>| {
-                    child.and_then(|c| up[c].as_ref().map(|u| &u.corners).or(remote[c].as_ref()))
-                };
-                let lc = pick(nodes[s].left);
-                let rc = pick(nodes[s].right);
-                eliminate(a, &nodes[s], lc, rc)
-            };
-            match res {
-                Ok(u) => up[s] = Some(u),
-                Err(e) => local_err = Some(e),
-            }
-        }
-        comm.agree(local_err.as_ref())?;
-        for &s in wave {
-            if own[s] != me {
-                continue;
-            }
-            if let (Some(par), Some(u)) = (nodes[s].parent, up[s].as_ref()) {
-                if own[par] != me {
-                    comm.send(own[par], tag(s, KIND_UP), encode_corners(&u.corners));
-                }
-            }
-        }
-    }
-
-    // Downward pass: reverse wave order (parents strictly precede
-    // children); payloads cross ranks as tagged point-to-point messages.
-    // No factorization happens here, so a fault can only be a typed
-    // communicator error.
-    let mut payloads: Vec<Option<DownPayload>> = (0..nb).map(|_| None).collect();
-    let mut results: Vec<Option<NodeResult>> = (0..nb).map(|_| None).collect();
-    for wave in wave_list.iter().rev() {
-        for &s in wave {
-            if own[s] != me {
-                continue;
-            }
-            let n = &nodes[s];
-            let pay = match n.parent {
-                None => DownPayload::default(),
-                Some(par) if own[par] == me => {
-                    // analyze: allow(protocol-early-exit, internal-invariant breach: a missing local payload means the wave order itself is broken; peers waiting on this rank's child payloads hit their recv timeout and fail typed rather than consuming garbage)
-                    payloads[s].take().ok_or(OmenError::Deserialize {
-                        context: "selinv local payload missing",
-                    })?
-                }
-                Some(par) => decode_payload(&comm.recv(own[par], tag(s, KIND_DOWN))?)?,
-            };
-            let u = up[s].as_ref().ok_or(OmenError::Deserialize {
-                context: "selinv upward node missing",
-            })?;
-            let (res, pl, pr) = descend(a, &sup, n, u, &pay);
-            results[s] = Some(res);
-            for (child, cp) in [(n.left, pl), (n.right, pr)] {
-                if let (Some(c), Some(cp)) = (child, cp) {
-                    if own[c] == me {
-                        payloads[c] = Some(cp);
-                    } else {
-                        comm.send(own[c], tag(c, KIND_DOWN), encode_payload(&cp));
-                    }
-                }
-            }
-        }
-    }
-
-    // Allgather the per-separator results; every rank assembles the same
-    // bits from the same records. A record body is the separator's
-    // regularization retries, then its three result blocks.
-    const CTX: &str = "selinv result record";
-    let mut mine = Vec::new();
-    for s in (0..nb).filter(|&s| own[s] == me) {
-        let r = results[s].take().ok_or(OmenError::Deserialize {
-            context: "selinv owned result missing",
-        })?;
-        let mut body = Enc::new();
-        body.usize(up[s].as_ref().map_or(0, |u| u.retries));
-        body.raw(&mats_to_bytes(&[&r.diag, &r.col0, &r.coln]));
-        mine.push((s, body.finish()));
-    }
-    let gathered = allgather_block_records(comm, nb, &mine, CTX, |body| {
-        let mut d = Dec::new(body, CTX);
-        let retries = d.usize()?;
-        let [diag, col0, coln] = bytes_to_mat_array(d.rest(), CTX)?;
-        Ok((retries, NodeResult { diag, col0, coln }))
-    })?;
-    let total_retries = gathered
-        .iter()
-        .fold(0usize, |total, (retries, _)| total.saturating_add(*retries));
-    let all_results = gathered.into_iter().map(|(_, r)| Some(r)).collect();
-    debug_assert_eq!(comm.pending_p2p_messages(), 0);
-    assemble(all_results, total_retries, gamma_l, gamma_r, sup)
-}
-
-/// One energy point with the serial selected-inversion engine, from the
+/// One energy point with the selected-inversion engine, from the
 /// contacts on — the tree-structured twin of
 /// [`rgf_point`](crate::rgf::rgf_point), same result surface.
 ///
@@ -919,22 +573,12 @@ mod tests {
     #[test]
     fn tree_covers_every_block_once() {
         for nb in 1..40 {
-            let nodes = build_tree(nb);
-            let post = postorder(&nodes);
-            assert_eq!(post.len(), nb, "nb={nb}");
+            let (nodes, order) = build_tree(nb);
+            assert_eq!(order.len(), nb, "nb={nb}");
             let mut seen = vec![false; nb];
-            for s in post {
-                assert!(!seen[s]);
+            for s in order {
+                assert!(!seen[s] && nodes[s].sep == s);
                 seen[s] = true;
-            }
-            for shape in [TreeShape::Balanced, TreeShape::Path] {
-                let w = waves(&nodes, shape);
-                assert_eq!(w.iter().map(Vec::len).sum::<usize>(), nb);
-                for nranks in [1usize, 3, 5] {
-                    for &o in &owners(&nodes, shape, nranks) {
-                        assert!(o < nranks);
-                    }
-                }
             }
         }
     }
@@ -967,40 +611,6 @@ mod tests {
                     );
                     assert!((&si.g_col_left[i] - &rgf.g_col_left[i]).max_abs() < 1e-10);
                     assert!((&si.g_col_right[i] - &rgf.g_col_right[i]).max_abs() < 1e-10);
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_is_bit_identical_to_serial() {
-        let (e0, t) = (0.0, -1.0);
-        let mut barrier = vec![0.0; 9];
-        barrier[4] = 0.5;
-        let h = chain(9, e0, t, &barrier);
-        let e = 0.45;
-        let (sl, sr) = chain_leads(e0, t, e);
-        let a = build_a_matrix(e, 1e-6, &h, &sl, &sr);
-        let serial = selinv_solve(&a, &sl.gamma, &sr.gamma).unwrap();
-        for shape in [TreeShape::Balanced, TreeShape::Path] {
-            for nranks in [1usize, 2, 4] {
-                let out = omen_parsim::run_ranks(nranks, |ctx| {
-                    let comm = Comm::world(ctx);
-                    selinv_solve_parallel(&comm, &a, &sl.gamma, &sr.gamma, shape)
-                })
-                .flattened();
-                for r in out.unwrap_all() {
-                    assert_eq!(
-                        r.transmission.to_bits(),
-                        serial.transmission.to_bits(),
-                        "{shape:?} nranks={nranks}"
-                    );
-                    for i in 0..9 {
-                        assert_eq!(r.g_diag[i], serial.g_diag[i]);
-                        assert_eq!(r.g_col_left[i], serial.g_col_left[i]);
-                        assert_eq!(r.g_col_right[i], serial.g_col_right[i]);
-                    }
-                    assert_eq!(r.retries, serial.retries);
                 }
             }
         }

@@ -1,9 +1,8 @@
 //! Byte (de)serialization of dense blocks for rank messages.
 //!
 //! Shared matrix wire format of the distributed solvers: the
-//! wave-function SplitSolve, the tree-parallel selected inversion
-//! ([`crate::selinv`]) and the distributed contact decimation
-//! ([`crate::contacts`]) all move blocks between ranks through these
+//! wave-function SplitSolve and the distributed contact decimation
+//! ([`crate::contacts`]) move blocks between ranks through these
 //! helpers. The primitive layout (little-endian integers, `f64` bit
 //! patterns, length prefixes) and the typed-error format that travels
 //! beside the blocks are declared once, in [`omen_num::wire`].
@@ -95,7 +94,7 @@ pub fn bytes_to_mat_array<const N: usize>(
 /// Allgathers per-block records over `comm`: each rank contributes the
 /// `(block index, encoded body)` pairs of the blocks it owns, and every rank
 /// returns all `nb` bodies, decoded, in block order — the closing exchange
-/// of the distributed eliminations.
+/// of SplitSolve's distributed elimination.
 ///
 /// # Errors
 ///

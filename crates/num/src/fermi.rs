@@ -46,19 +46,6 @@ pub fn dfermi_de(e: f64, mu: f64, kt: f64) -> f64 {
     -sech * sech / (4.0 * kt)
 }
 
-/// Fermi–Dirac integral of order 1/2 (normalized to the Gamma function,
-/// `F_{1/2}(η) = (2/√π) ∫₀^∞ √x/(1+e^{x-η}) dx`), used by the semiclassical
-/// charge model in the Poisson solver.
-///
-/// Uses the Bednarczyk–Bednarczyk analytic approximation, accurate to ~0.4%
-/// over all η — more than sufficient for an initial-guess charge model.
-pub fn fermi_half(eta: f64) -> f64 {
-    // F_{1/2}(η) ≈ 1/(e^{-η} + 3√π/4 · ν^{-3/8}),  ν = η⁴ + 33.6η(1 − 0.68 e^{-0.17(η+1)²}) + 50
-    let nu = eta.powi(4) + 33.6 * eta * (1.0 - 0.68 * (-0.17 * (eta + 1.0).powi(2)).exp()) + 50.0;
-    let a = 3.0 * std::f64::consts::PI.sqrt() / 4.0 * nu.powf(-0.375);
-    1.0 / ((-eta).exp() + a)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -188,18 +175,5 @@ mod tests {
         assert!((log1p_exp(100.0) - 100.0).abs() < 1e-12);
         assert!(log1p_exp(-100.0) < 1e-40);
         assert!(log1p_exp(-100.0) > 0.0);
-    }
-
-    #[test]
-    fn fermi_half_limits() {
-        // Non-degenerate limit: F_{1/2}(η) → e^η for η ≪ 0.
-        for &eta in &[-8.0, -6.0, -4.0] {
-            let f: f64 = fermi_half(eta);
-            assert!((f / eta.exp() - 1.0).abs() < 0.02, "eta={eta}");
-        }
-        // Degenerate limit: F_{1/2}(η) → (4/3√π) η^{3/2}.
-        let eta: f64 = 30.0;
-        let deg = 4.0 / (3.0 * std::f64::consts::PI.sqrt()) * eta.powf(1.5);
-        assert!((fermi_half(eta) / deg - 1.0).abs() < 0.02);
     }
 }

@@ -2,8 +2,8 @@
 //!
 //! Provides the double-precision complex scalar [`c64`] used by every other
 //! crate, physical constants in the simulator's unit system (energies in eV,
-//! lengths in nm, currents in µA), Fermi–Dirac statistics, and adaptive
-//! quadrature used for energy integration of transmission and charge.
+//! lengths in nm, currents in µA), Fermi–Dirac statistics, and the
+//! trapezoid rule used for energy integration of transmission and charge.
 //!
 //! The workspace deliberately owns its complex type instead of depending on
 //! `num-complex`: the dense kernels in `omen-linalg` instrument flop counts
@@ -24,5 +24,5 @@ pub use constants::*;
 pub use error::{FailedPoint, OmenError, OmenResult, SweepReport, ENERGY_UNKNOWN};
 pub use fermi::{dfermi_de, fermi, log1p_exp};
 pub use grid::linspace;
-pub use quad::{adaptive_simpson, trapezoid};
+pub use quad::trapezoid;
 pub use tolerance::{BoundKind, DispatchLeg, TolerancePolicy};

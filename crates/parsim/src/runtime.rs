@@ -564,7 +564,6 @@ impl<R> RunOutput<R> {
             .into_iter()
             .map(|r| match r {
                 Ok(v) => v,
-                // analyze: allow(panic-backstop, deliberate test/bench convenience that converts rank failures into panics)
                 Err(e) => panic!("{e}"),
             })
             .collect()

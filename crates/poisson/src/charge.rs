@@ -1,148 +1,19 @@
-//! Semiclassical carrier statistics.
+//! Dielectric constants of the semiconductor region.
 //!
-//! Used for the Poisson initial guess and the Gummel Jacobian; the
-//! self-consistent loop replaces the mobile charge with the quantum density
-//! from the transport engines.
+//! The Poisson assembly reads the permittivity; the mobile charge is never
+//! semiclassical — the SCF loop hands `solve_nonlinear` the quantum density
+//! from the transport engines with its exponential predictor.
 
-use omen_num::fermi::fermi_half;
-use omen_num::KT_ROOM;
-
-/// Bulk semiconductor parameters for semiclassical charge.
+/// Bulk semiconductor parameters the Poisson assembly reads.
 #[derive(Debug, Clone, Copy)]
 pub struct Semiconductor {
-    /// Conduction-band edge at zero potential (eV).
-    pub ec0: f64,
-    /// Valence-band edge at zero potential (eV).
-    pub ev0: f64,
-    /// Effective conduction DOS (nm⁻³).
-    pub nc: f64,
-    /// Effective valence DOS (nm⁻³).
-    pub nv: f64,
     /// Relative permittivity.
     pub eps_r: f64,
-    /// Temperature kT (eV).
-    pub kt: f64,
 }
 
 impl Semiconductor {
-    /// Room-temperature silicon (Nc = 2.8·10¹⁹ cm⁻³, Nv = 1.04·10¹⁹ cm⁻³,
-    /// Eg = 1.12 eV centered on 0).
+    /// Silicon.
     pub fn silicon() -> Semiconductor {
-        Semiconductor {
-            ec0: 0.56,
-            ev0: -0.56,
-            nc: 0.028,
-            nv: 0.0104,
-            eps_r: 11.7,
-            kt: KT_ROOM,
-        }
-    }
-
-    /// Electron density (nm⁻³) at potential `v` (V) and Fermi level `mu` (eV).
-    pub fn n(&self, v: f64, mu: f64) -> f64 {
-        let eta = (mu - (self.ec0 - v)) / self.kt;
-        self.nc * fermi_half(eta)
-    }
-
-    /// Hole density (nm⁻³).
-    pub fn p(&self, v: f64, mu: f64) -> f64 {
-        let eta = ((self.ev0 - v) - mu) / self.kt;
-        self.nv * fermi_half(eta)
-    }
-
-    /// Net semiclassical charge density (e/nm³): `p − n + N_D − N_A` with
-    /// `doping = N_D − N_A` fully ionized.
-    pub fn rho(&self, v: f64, mu: f64, doping: f64) -> f64 {
-        self.p(v, mu) - self.n(v, mu) + doping
-    }
-
-    /// `∂ρ/∂V` (e/nm³/V) — always negative; the Gummel damping term.
-    pub fn drho_dv(&self, v: f64, mu: f64) -> f64 {
-        // Boltzmann-limit derivative: accurate enough for a Jacobian and
-        // unconditionally stabilizing.
-        -(self.n(v, mu) + self.p(v, mu)) / self.kt
-    }
-
-    /// Intrinsic density (nm⁻³).
-    pub fn ni(&self) -> f64 {
-        let eg = self.ec0 - self.ev0;
-        (self.nc * self.nv).sqrt() * (-eg / (2.0 * self.kt)).exp()
-    }
-
-    /// Potential at which a region with net doping `doping` is neutral
-    /// (Boltzmann closed form, good beyond |doping| ≫ n_i).
-    pub fn neutral_potential(&self, mu: f64, doping: f64) -> f64 {
-        let ni = self.ni();
-        let x = doping / (2.0 * ni);
-        let mid = 0.5 * (self.ec0 + self.ev0) - self.kt * (self.nc / self.nv).ln() * 0.5;
-        // n − p = doping with Boltzmann stats ⇒ sinh form (asinh is the
-        // cancellation-safe evaluation for doping of either sign).
-        mid - mu + self.kt * x.asinh()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn silicon_intrinsic_density() {
-        let si = Semiconductor::silicon();
-        let ni_cm3 = si.ni() * 1e21;
-        // ~1e10 cm⁻³ at 300 K (accept the usual factor-of-few band).
-        assert!(ni_cm3 > 2e9 && ni_cm3 < 5e10, "ni = {ni_cm3:.3e} cm^-3");
-    }
-
-    #[test]
-    fn np_product_is_potential_independent_nondegenerate() {
-        let si = Semiconductor::silicon();
-        let mu = 0.0;
-        let p0 = si.n(0.0, mu) * si.p(0.0, mu);
-        for v in [-0.2, -0.1, 0.1, 0.2] {
-            let pv = si.n(v, mu) * si.p(v, mu);
-            assert!((pv / p0 - 1.0).abs() < 0.02, "np product drifted at V={v}");
-        }
-    }
-
-    #[test]
-    fn charge_decreases_with_potential() {
-        let si = Semiconductor::silicon();
-        // Raising V pulls in electrons → ρ decreases.
-        let r1 = si.rho(0.0, 0.0, 0.0);
-        let r2 = si.rho(0.3, 0.0, 0.0);
-        assert!(r2 < r1);
-        assert!(si.drho_dv(0.1, 0.0) < 0.0);
-    }
-
-    #[test]
-    fn neutral_potential_neutralizes() {
-        let si = Semiconductor::silicon();
-        let mu = 0.0;
-        for doping in [1e-3, 1e-4, -1e-3] {
-            // 1e-3 nm^-3 = 1e18 cm^-3
-            let v = si.neutral_potential(mu, doping);
-            // Boltzmann closed form with our sign convention: the potential
-            // where n − p = doping; check residual charge is ≪ |doping|.
-            let res = si.rho(v, mu, doping).abs();
-            assert!(
-                res < 0.05 * doping.abs(),
-                "doping {doping}: residual {res:.3e} at V={v:.3}"
-            );
-        }
-    }
-
-    #[test]
-    fn derivative_matches_finite_difference() {
-        let si = Semiconductor::silicon();
-        let (v, mu) = (0.15, 0.0);
-        let h = 1e-5;
-        let fd = (si.rho(v + h, mu, 0.0) - si.rho(v - h, mu, 0.0)) / (2.0 * h);
-        let an = si.drho_dv(v, mu);
-        // Boltzmann-limit Jacobian: same sign, right order of magnitude.
-        assert!(an < 0.0 && fd < 0.0);
-        assert!(
-            (an / fd) > 0.3 && (an / fd) < 3.0,
-            "an={an:.3e} fd={fd:.3e}"
-        );
+        Semiconductor { eps_r: 11.7 }
     }
 }

@@ -7,15 +7,16 @@
 //!
 //! * [`grid`] — the regular grid, atom↔grid charge/potential transfer
 //!   (cloud-in-cell deposition, trilinear sampling);
-//! * [`charge`] — semiclassical carrier statistics (Fermi–Dirac F₁/₂) used
-//!   for the initial guess and the Gummel Jacobian;
+//! * [`charge`] — the semiconductor region's dielectric constants;
 //! * [`solve`] — linear assembly (harmonic-mean face permittivity, SPD
 //!   system solved by preconditioned CG) and the damped Gummel–Newton
 //!   outer iteration.
 //!
-//! The quantum charge from the transport engines enters as a fixed charge
-//! density on the grid; `omen-core` alternates transport and Poisson
-//! solves with mixing until self-consistency.
+//! The quantum charge from the transport engines enters through
+//! `solve_nonlinear`'s charge closure (density plus its predictor
+//! derivative); `omen-core` seeds the loop with a linear solve on the
+//! doping charge and alternates transport and Poisson solves until
+//! self-consistency.
 
 pub mod charge;
 pub mod grid;

@@ -25,13 +25,13 @@ pub enum CellKind {
     },
 }
 
-/// A Poisson problem: grid + per-node material map + semiconductor model.
+/// A Poisson problem: grid + per-node material map + semiconductor constants.
 pub struct PoissonProblem {
     /// The grid.
     pub grid: Grid3,
     /// One [`CellKind`] per node.
     pub cells: Vec<CellKind>,
-    /// Carrier statistics for semiconductor nodes.
+    /// Dielectric constants of the semiconductor nodes.
     pub semi: Semiconductor,
 }
 
@@ -219,32 +219,6 @@ impl PoissonProblem {
             converged: last_update < tol,
         }
     }
-
-    /// Semiclassical equilibrium solve: mobile charge from the built-in
-    /// [`Semiconductor`] statistics at Fermi level `mu`, doping from the
-    /// cell map.
-    pub fn solve_semiclassical(&self, mu: f64, tol: f64, max_outer: usize) -> PoissonSolution {
-        // Neutral initial guess inside doped regions.
-        let mut v0 = vec![0.0; self.grid.len()];
-        for (n, c) in self.cells.iter().enumerate() {
-            if let CellKind::Semiconductor { doping } = *c {
-                if doping.abs() > 0.0 {
-                    v0[n] = self.semi.neutral_potential(mu, doping);
-                }
-            }
-        }
-        self.solve_nonlinear(
-            |n, v| match self.cells[n] {
-                CellKind::Semiconductor { doping } => {
-                    (self.semi.rho(v, mu, doping), self.semi.drho_dv(v, mu))
-                }
-                _ => (0.0, 0.0),
-            },
-            Some(&v0),
-            tol,
-            max_outer,
-        )
-    }
 }
 
 #[cfg(test)]
@@ -326,51 +300,12 @@ mod tests {
     }
 
     #[test]
-    fn semiclassical_neutral_region_converges() {
-        // n-doped bar between two contacts at the neutral potential: the
-        // solution should stay near-neutral and converge quickly.
-        let si = Semiconductor::silicon();
-        let doping = 1e-3; // 1e18 cm^-3 n-type
-        let vn = si.neutral_potential(0.0, doping);
-        let nx = 15;
-        let h = 0.5;
-        let grid = Grid3 {
-            nx,
-            ny: 2,
-            nz: 2,
-            h,
-            origin: Vec3::ZERO,
-        };
-        let mut cells = vec![CellKind::Semiconductor { doping }; grid.len()];
-        for j in 0..2 {
-            for k in 0..2 {
-                cells[grid.idx(0, j, k)] = CellKind::Dirichlet { v: vn };
-                cells[grid.idx(nx - 1, j, k)] = CellKind::Dirichlet { v: vn };
-            }
-        }
-        let p = PoissonProblem::new(grid, cells, si);
-        let sol = p.solve_semiclassical(0.0, 1e-8, 50);
-        assert!(
-            sol.converged,
-            "iterations {} residual {}",
-            sol.iterations, sol.residual
-        );
-        for n in 0..p.grid.len() {
-            assert!(
-                (sol.v[n] - vn).abs() < 1e-3,
-                "node {n}: {} vs neutral {vn}",
-                sol.v[n]
-            );
-        }
-    }
-
-    #[test]
     fn gated_bar_depletes() {
-        // An n-doped bar with a low gate on the far x end must show a
-        // monotonic potential drop toward the gate.
-        let si = Semiconductor::silicon();
-        let doping = 5e-4;
-        let vn = si.neutral_potential(0.0, doping);
+        // An n-doped bar, neutral at V = 0 under the exponential mobile
+        // charge the SCF predictor supplies, with a low gate on the far x
+        // end: the damped outer loop must converge to a monotonic
+        // potential drop toward the gate.
+        let (doping, kt) = (5e-4, omen_num::KT_ROOM);
         let nx = 17;
         let grid = Grid3 {
             nx,
@@ -382,12 +317,20 @@ mod tests {
         let mut cells = vec![CellKind::Semiconductor { doping }; grid.len()];
         for j in 0..2 {
             for k in 0..2 {
-                cells[grid.idx(0, j, k)] = CellKind::Dirichlet { v: vn };
-                cells[grid.idx(nx - 1, j, k)] = CellKind::Dirichlet { v: vn - 0.8 };
+                cells[grid.idx(0, j, k)] = CellKind::Dirichlet { v: 0.0 };
+                cells[grid.idx(nx - 1, j, k)] = CellKind::Dirichlet { v: -0.8 };
             }
         }
-        let p = PoissonProblem::new(grid, cells, si);
-        let sol = p.solve_semiclassical(0.0, 1e-7, 80);
+        let p = PoissonProblem::new(grid, cells, Semiconductor::silicon());
+        let sol = p.solve_nonlinear(
+            |_, v| {
+                let n = doping * (v / kt).exp();
+                (doping - n, -n / kt)
+            },
+            None,
+            1e-7,
+            80,
+        );
         assert!(sol.converged);
         // Monotone decrease along the bar (no oscillation).
         for i in 1..nx {
