@@ -19,7 +19,7 @@ use omen_bench::records::{publish, KernelRecord};
 use omen_bench::sample_secs;
 use omen_core::{solve_point, Engine};
 use omen_lattice::{Crystal, Device};
-use omen_linalg::{eigh, flops, gemm_threaded, lu::Lu, threads, Op, ZMat};
+use omen_linalg::{eigh, eigh_values, flops, gemm_threaded, lu::Lu, threads, Op, ZMat};
 use omen_num::{c64, A_SI};
 use omen_tb::{DeviceHamiltonian, Material, TbParams};
 
@@ -219,8 +219,18 @@ fn bench_selinv(smoke: bool, out: &mut Vec<KernelRecord>) {
     );
 }
 
+/// The eigen calls the transport path makes, at its sizes: eigenvalues of a
+/// lead's Bloch Hamiltonian under every transport window (block n = 32 and
+/// 90), and the full decomposition of Γ on its 7–20-orbital support under
+/// every injection bundle. Printed only: the eigen path has one scalar
+/// routine, so there is no SIMD/scalar pair for bench-gate to hold.
 fn bench_eigh() {
-    for &n in &[32usize, 64] {
+    for n in [32usize, 90] {
+        let a = randmat(n, 4).hermitian_part();
+        let name = format!("zheev_values/{n}");
+        report(&name, sample_secs(11, 0.02, || eigh_values(&a)));
+    }
+    for n in [8usize, 20] {
         let a = randmat(n, 4).hermitian_part();
         report(&format!("zheev/{n}"), sample_secs(11, 0.02, || eigh(&a)));
     }

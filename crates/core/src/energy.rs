@@ -281,4 +281,51 @@ mod tests {
             w2.e_min
         );
     }
+
+    #[test]
+    fn benchmark_lead_windows_match_the_recorded_edges() {
+        // The leads of the four repo-benchmark workloads at flat potential,
+        // under the window arguments `prepare_transport` passes. The lower
+        // edges are band minima, i.e. eigenvalues of the lead's Bloch
+        // Hamiltonian; the constants were recorded from the eigensolver of
+        // PR 23 (real 2n × 2n embedding) and bind its successors to the
+        // last places.
+        use crate::{momentum_grid, Geometry, NanoTransistor, TransistorSpec};
+        use omen_tb::Material;
+        let single = Material::SingleBand { t_mev: 1000 };
+        let wire = TransistorSpec::si_nanowire_nmos(single, 1.0, 8).build();
+        let sp3s = TransistorSpec::si_nanowire_nmos(Material::SiSp3s, 0.8, 8).build();
+        let mut film = TransistorSpec::si_nanowire_nmos(single, 1.0, 8);
+        film.geometry = Geometry::Utb { cells: 2, h: 1.0 };
+        let film = film.build();
+        let k: Vec<f64> = momentum_grid(&film, 3).iter().map(|k| k.0).collect();
+        let window = |tr: &NanoTransistor, ky: f64, mu: f64, vds: f64| {
+            let (h00, h01) = tr.hamiltonian().lead_blocks(0.0, ky);
+            let span = 30.0 * tr.kt;
+            let focus = (tr.e_midgap.min(mu - vds - span), tr.e_midgap.max(mu + span));
+            let w = transport_window(&[(&h00, &h01)], &[mu, mu - vds], tr.kt, 12.0, focus);
+            [w.e_min, w.e_max]
+        };
+        let cases = [
+            ("idvg-scf-wf", &wire, 0.0, -3.4, 0.2),
+            ("idvg-frozen-sp3s-rgf", &sp3s, 0.0, 1.6, 0.2),
+            ("ranks2-utb-k3 k0", &film, k[0], -3.4, 0.2),
+            ("ranks2-utb-k3 k1", &film, k[1], -3.4, 0.2),
+            ("ranks2-utb-k3 k2", &film, k[2], -3.4, 0.2),
+            ("serve-mixed", &wire, 0.0, -3.45, 0.15),
+        ];
+        let recorded = [
+            [-3.532089886237957, -3.0897750025679995],
+            [1.6034407097627206, 1.910224997432],
+            [-3.7507236670107496, -3.0897750025679995],
+            [-3.6865477622814162, -3.0897750025679995],
+            [-3.559294020345583, -3.0897750025679995],
+            [-3.532089886237957, -3.1397750025680002],
+        ];
+        for ((name, tr, ky, mu, vds), want) in cases.into_iter().zip(recorded) {
+            let got = window(tr, ky, mu, vds);
+            let off = (got[0] - want[0]).abs().max((got[1] - want[1]).abs());
+            assert!(off <= 1e-12, "{name}: {got:?} vs recorded {want:?}");
+        }
+    }
 }

@@ -1,24 +1,25 @@
 //! Hermitian eigensolver.
 //!
-//! Complex Hermitian problems `H v = λ v` are solved through the standard
-//! real-symmetric embedding: writing `H = A + iB` (A symmetric, B
-//! antisymmetric), the real `2n × 2n` matrix
+//! `H v = λ v` for a complex Hermitian `H` is solved on the `n × n` matrix
+//! itself, in three steps:
 //!
-//! ```text
-//!     M = [ A  -B ]
-//!         [ B   A ]
-//! ```
+//! 1. complex Householder reflections reduce `H` to a Hermitian tridiagonal
+//!    matrix (the EISPACK `htridi` shape: one reflector per column from the
+//!    crate's `reflector`, then a rank-2 update of the trailing block, on
+//!    one stored triangle), and a running diagonal of unit phases `D` makes
+//!    its subdiagonal real: `H = (Q D) T (Q D)†`;
+//! 2. implicit-shift QL iteration (`tql2`) diagonalizes the real symmetric
+//!    tridiagonal `T`;
+//! 3. for eigenvectors, the QL rotations are applied to `Q D` as they are
+//!    generated, so the result is unitary whatever the multiplicities —
+//!    degenerate levels (Kramers pairs, the zero cluster of a contact
+//!    broadening matrix) need no special handling.
 //!
-//! is symmetric and has every eigenvalue of `H` twice; a real eigenvector
-//! `(x, y)ᵀ` of `M` maps back to the complex eigenvector `x + iy` of `H`.
-//! The real solver is Householder tridiagonalization (`tred2`) followed by
-//! implicit-shift QL iteration (`tql2`), the classic EISPACK pair. Pair
-//! collapse back to `n` complex eigenvectors is done per eigenvalue cluster
-//! with modified Gram–Schmidt, which is robust against degeneracies: a
-//! duplicate direction (the `i·v` partner) projects to zero and is skipped.
+//! Nothing here dispatches on `OMEN_SIMD`: both legs run the same loops.
 
 use crate::flops;
 use crate::matrix::ZMat;
+use crate::vec_ops::reflector;
 use omen_num::c64;
 
 /// Eigenvalues (ascending) and matching orthonormal eigenvectors.
@@ -34,8 +35,7 @@ pub struct EighResult {
 ///
 /// Panics when `h` is not square; the Hermiticity defect is not checked
 /// (callers assemble Hamiltonians that are Hermitian by construction and
-/// assert it in tests) — only the Hermitian part participates through the
-/// embedding.
+/// assert it in tests) — only the Hermitian part `(h + h†)/2` participates.
 pub fn eigh(h: &ZMat) -> EighResult {
     let n = h.nrows();
     assert!(h.is_square(), "eigh needs a square matrix");
@@ -47,231 +47,134 @@ pub fn eigh(h: &ZMat) -> EighResult {
     }
     flops::add_flops(flops::eigh_flops(n));
 
-    let mut m = embed(h);
-    let (mut d, mut e) = tred2(&mut m, true);
-    tql2(&mut d, &mut e, Some(&mut m));
-
-    // Sort the 2n eigenpairs ascending.
-    let nn = 2 * n;
-    let mut order: Vec<usize> = (0..nn).collect();
+    let (mut d, mut e, mut qt) = tridiagonalize(h, true);
+    tql2(&mut d, &mut e, Some(&mut qt));
+    let mut order: Vec<usize> = (0..n).collect();
     order.sort_by(|&a, &b| d[a].total_cmp(&d[b]));
-
-    // Collapse the 2n real pairs to n complex eigenvectors. Every candidate
-    // is orthogonalized (two MGS passes) against *all* previously kept
-    // vectors — across exact eigenvalues this is a no-op up to rounding, and
-    // inside degenerate or numerically-split clusters it removes the `i·v`
-    // partner copies. Greedy acceptance with a descending threshold ladder
-    // guarantees exactly n survivors even when a cluster's candidates carry
-    // a needed direction with small amplitude.
-    let mut kept: Vec<(f64, Vec<c64>)> = Vec::with_capacity(n);
-    let mut candidates: Vec<(f64, Vec<c64>)> = order
-        .iter()
-        .map(|&idx| {
-            let v: Vec<c64> = (0..n)
-                .map(|r| c64::new(m[(r, idx)], m[(r + n, idx)]))
-                .collect();
-            (d[idx], v)
-        })
-        .collect();
-
-    for threshold in [1e-2, 1e-5, 1e-9, 1e-13] {
-        let mut remaining = Vec::new();
-        for (lambda, mut v) in candidates {
-            if kept.len() == n {
-                break;
-            }
-            for _pass in 0..2 {
-                for (_, vk) in &kept {
-                    let ip: c64 = vk.iter().zip(&v).map(|(&a, &b)| a.conj() * b).sum();
-                    if ip != c64::ZERO {
-                        for (vi, &ki) in v.iter_mut().zip(vk) {
-                            *vi -= ip * ki;
-                        }
-                    }
-                }
-            }
-            let nrm = v.iter().map(|z| z.norm_sqr()).sum::<f64>().sqrt();
-            if nrm > threshold {
-                let inv = 1.0 / nrm;
-                for vi in &mut v {
-                    *vi = vi.scale(inv);
-                }
-                kept.push((lambda, v));
-            } else {
-                remaining.push((lambda, v));
-            }
-        }
-        if kept.len() == n {
-            break;
-        }
-        candidates = remaining;
+    EighResult {
+        values: order.iter().map(|&k| d[k]).collect(),
+        // Row `k` of `qt` is the eigenvector of `d[k]`: sort and transpose
+        // in one copy.
+        vectors: ZMat::from_fn(n, n, |r, k| qt[(order[k], r)]),
     }
-    assert_eq!(kept.len(), n, "pair collapse must recover n eigenvectors");
-    kept.sort_by(|a, b| a.0.total_cmp(&b.0));
-
-    let mut values = Vec::with_capacity(n);
-    let mut vectors = ZMat::zeros(n, n);
-    for (k, (lambda, v)) in kept.into_iter().enumerate() {
-        values.push(lambda);
-        for (r, z) in v.into_iter().enumerate() {
-            vectors[(r, k)] = z;
-        }
-    }
-    EighResult { values, vectors }
 }
 
-/// Eigenvalues only (skips eigenvector accumulation — roughly 2–3× faster;
-/// used by bandstructure sweeps).
+/// Eigenvalues only (skips eigenvector accumulation — about 4× fewer
+/// flops; used by bandstructure sweeps).
 pub fn eigh_values(h: &ZMat) -> Vec<f64> {
     let n = h.nrows();
     assert!(h.is_square(), "eigh needs a square matrix");
     if n == 0 {
         return Vec::new();
     }
-    flops::add_flops(flops::eigh_flops(n) / 2);
-    let mut m = embed(h);
-    let (mut d, mut e) = tred2(&mut m, false);
+    flops::add_flops(flops::eigh_values_flops(n));
+    let (mut d, mut e, _) = tridiagonalize(h, false);
     tql2(&mut d, &mut e, None);
     d.sort_by(f64::total_cmp);
-    // Every eigenvalue of H appears exactly twice: take one per pair.
-    (0..n).map(|k| 0.5 * (d[2 * k] + d[2 * k + 1])).collect()
+    d
 }
 
-/// Builds the real-symmetric `2n×2n` embedding of the Hermitian part of `h`.
-fn embed(h: &ZMat) -> RMat {
+/// Householder reduction of the Hermitian part of `h` to a real symmetric
+/// tridiagonal matrix `T`, `H = (Q D) T (Q D)†` with `Q` the product of the
+/// reflectors and `D` a diagonal of unit phases. Returns `(d, e, qt)`: `d`
+/// the diagonal of `T`, `e[1..]` its subdiagonal (`e[i]` couples `i − 1`
+/// and `i`, the convention [`tql2`] takes), and `qt = (Q D)ᵀ` when
+/// `vectors` is set (an empty matrix otherwise) — transposed so that the
+/// QL rotations act on contiguous rows.
+fn tridiagonalize(h: &ZMat, vectors: bool) -> (Vec<f64>, Vec<f64>, ZMat) {
     let n = h.nrows();
-    let mut m = RMat::zeros(2 * n);
-    for i in 0..n {
-        for j in 0..n {
-            // Use the Hermitian average so tiny assembly asymmetries cancel.
-            let z = (h[(i, j)] + h[(j, i)].conj()).scale(0.5);
-            m[(i, j)] = z.re;
-            m[(i + n, j + n)] = z.re;
-            m[(i, j + n)] = -z.im;
-            m[(i + n, j)] = z.im;
-        }
-    }
-    m
-}
-
-/// Minimal square real matrix used only inside this module.
-struct RMat {
-    n: usize,
-    a: Vec<f64>,
-}
-
-impl RMat {
-    fn zeros(n: usize) -> Self {
-        RMat {
-            n,
-            a: vec![0.0; n * n],
-        }
-    }
-}
-
-impl std::ops::Index<(usize, usize)> for RMat {
-    type Output = f64;
-    #[inline(always)]
-    fn index(&self, (i, j): (usize, usize)) -> &f64 {
-        &self.a[i * self.n + j]
-    }
-}
-
-impl std::ops::IndexMut<(usize, usize)> for RMat {
-    #[inline(always)]
-    fn index_mut(&mut self, (i, j): (usize, usize)) -> &mut f64 {
-        &mut self.a[i * self.n + j]
-    }
-}
-
-/// Householder reduction of a real symmetric matrix to tridiagonal form
-/// (EISPACK `tred2`, 0-indexed). Returns `(d, e)` with `d` the diagonal and
-/// `e[1..]` the subdiagonal. When `accumulate` is true, `a` is overwritten
-/// with the orthogonal transformation matrix `Q`; otherwise its contents are
-/// scratch afterwards.
-fn tred2(a: &mut RMat, accumulate: bool) -> (Vec<f64>, Vec<f64>) {
-    let n = a.n;
-    let mut d = vec![0.0; n];
-    let mut e = vec![0.0; n];
-
-    for i in (1..n).rev() {
-        let l = i - 1;
-        let mut h = 0.0;
-        if l > 0 {
-            let scale: f64 = (0..=l).map(|k| a[(i, k)].abs()).sum();
-            // analyze: allow(float-eq, exact zero scale means a structurally zero row — skip the Householder step)
-            if scale == 0.0 {
-                e[i] = a[(i, l)];
-            } else {
-                for k in 0..=l {
-                    a[(i, k)] /= scale;
-                    h += a[(i, k)] * a[(i, k)];
-                }
-                let f = a[(i, l)];
-                let g = if f >= 0.0 { -h.sqrt() } else { h.sqrt() };
-                e[i] = scale * g;
-                h -= f * g;
-                a[(i, l)] = f - g;
-                let mut f_acc = 0.0;
-                for j in 0..=l {
-                    if accumulate {
-                        a[(j, i)] = a[(i, j)] / h;
-                    }
-                    let mut g = 0.0;
-                    for k in 0..=j {
-                        g += a[(j, k)] * a[(i, k)];
-                    }
-                    for k in j + 1..=l {
-                        g += a[(k, j)] * a[(i, k)];
-                    }
-                    e[j] = g / h;
-                    f_acc += e[j] * a[(i, j)];
-                }
-                let hh = f_acc / (h + h);
-                for j in 0..=l {
-                    let f = a[(i, j)];
-                    let gj = e[j] - hh * f;
-                    e[j] = gj;
-                    for k in 0..=j {
-                        a[(j, k)] -= f * e[k] + gj * a[(i, k)];
-                    }
-                }
-            }
+    // Only the upper triangle is stored and updated. The Hermitian average
+    // cancels tiny assembly asymmetries and makes the diagonal real.
+    let mut a = ZMat::from_fn(n, n, |i, j| {
+        if j < i {
+            c64::ZERO
         } else {
-            e[i] = a[(i, l)];
+            (h[(i, j)] + h[(j, i)].conj()).scale(0.5)
         }
-        d[i] = h;
+    });
+    let mut e = vec![0.0; n];
+    let mut tau = vec![0.0; n];
+    let mut phase = vec![c64::ONE; n];
+    let mut v = Vec::with_capacity(n);
+    let mut w = Vec::with_capacity(n);
+    for k in 0..n.saturating_sub(1) {
+        // Column `k` below the diagonal, read off row `k` by symmetry.
+        v.clear();
+        v.extend(a.row(k)[k + 1..].iter().map(|z| z.conj()));
+        // The last column is a single entry: nothing to annihilate. A
+        // column that is already exactly zero needs no reflector either.
+        let sub = if v.len() == 1 {
+            v[0]
+        } else if let Some((beta, t)) = reflector(&mut v) {
+            reflect_trailing(&mut a, k + 1, &v, t, &mut w);
+            a.row_mut(k)[k + 1..].copy_from_slice(&v);
+            tau[k] = t;
+            beta
+        } else {
+            c64::ZERO
+        };
+        e[k + 1] = sub.abs();
+        phase[k + 1] = if e[k + 1] > 0.0 {
+            phase[k] * c64::new(sub.re / e[k + 1], sub.im / e[k + 1])
+        } else {
+            phase[k]
+        };
     }
-    d[0] = 0.0;
-    e[0] = 0.0;
+    let d = (0..n).map(|i| a[(i, i)].re).collect();
+    if !vectors {
+        return (d, e, ZMat::zeros(0, 0));
+    }
 
-    if accumulate {
-        for i in 0..n {
-            // analyze: allow(float-eq, d[i] is set to exactly 0.0 by the skipped-row branch above)
-            if i > 0 && d[i] != 0.0 {
-                for j in 0..i {
-                    let mut g = 0.0;
-                    for k in 0..i {
-                        g += a[(i, k)] * a[(k, j)];
-                    }
-                    for k in 0..i {
-                        a[(k, j)] -= g * a[(k, i)];
-                    }
-                }
+    // (Q D)ᵀ = D · Hᵀ_{n−3} ⋯ Hᵀ_0, applied right to left so that reflector
+    // `k` (stored in row `k` of `a`, zero where none was needed) only
+    // touches the trailing block it acts on.
+    let mut qt = ZMat::from_diag(&phase);
+    for k in (0..n.saturating_sub(2)).rev() {
+        let v = &a.row(k)[k + 1..];
+        for i in k + 1..n {
+            let row = &mut qt.row_mut(i)[k + 1..];
+            let dot: c64 = row.iter().zip(v).map(|(&x, &vj)| x * vj.conj()).sum();
+            let f = dot.scale(tau[k]);
+            for (x, &vj) in row.iter_mut().zip(v) {
+                *x -= f * vj;
             }
-            d[i] = a[(i, i)];
-            a[(i, i)] = 1.0;
-            for j in 0..i {
-                a[(j, i)] = 0.0;
-                a[(i, j)] = 0.0;
-            }
-        }
-    } else {
-        for i in 0..n {
-            d[i] = a[(i, i)];
         }
     }
-    (d, e)
+    (d, e, qt)
+}
+
+/// `A₂₂ ← (I − τ v v†) A₂₂ (I − τ v v†)` on the trailing Hermitian block
+/// that starts at `(k0, k0)`, upper triangle only: with `p = τ A₂₂ v` and
+/// `w = p − (τ/2)(v†p) v` this is the rank-2 update `A₂₂ − v w† − w v†`.
+/// `w` is scratch.
+fn reflect_trailing(a: &mut ZMat, k0: usize, v: &[c64], tau: f64, w: &mut Vec<c64>) {
+    let m = v.len();
+    w.clear();
+    w.resize(m, c64::ZERO);
+    for i in 0..m {
+        // One pass over the stored part of row `i` feeds both triangles.
+        let row = &a.row(k0 + i)[k0 + i..];
+        let mut acc = v[i].scale(row[0].re);
+        for ((&aij, &vj), wj) in row[1..].iter().zip(&v[i + 1..]).zip(&mut w[i + 1..]) {
+            acc += aij * vj;
+            *wj += aij.conj() * v[i];
+        }
+        w[i] += acc;
+    }
+    // v†A₂₂v is real for a Hermitian block.
+    let vav: c64 = v.iter().zip(&*w).map(|(&vi, &wi)| vi.conj() * wi).sum();
+    let kappa = 0.5 * tau * tau * vav.re;
+    for (wi, &vi) in w.iter_mut().zip(v) {
+        *wi = wi.scale(tau) - vi.scale(kappa);
+    }
+    for i in 0..m {
+        let (vi, wi) = (v[i], w[i]);
+        let row = &mut a.row_mut(k0 + i)[k0 + i..];
+        row[0] = c64::real(row[0].re - 2.0 * (vi * wi.conj()).re);
+        for ((aij, &vj), &wj) in row[1..].iter_mut().zip(&v[i + 1..]).zip(&w[i + 1..]) {
+            *aij -= vi * wj.conj() + wi * vj.conj();
+        }
+    }
 }
 
 #[inline]
@@ -281,9 +184,10 @@ fn pythag(a: f64, b: f64) -> f64 {
 
 /// Implicit-shift QL iteration on a symmetric tridiagonal matrix (EISPACK
 /// `tql2`/NR `tqli`, 0-indexed). On return `d` holds eigenvalues (unsorted);
-/// when `z` is provided its columns are rotated into the eigenvectors of the
+/// when `zt` is provided its rows — the columns of the transformation that
+/// produced the tridiagonal — are rotated into the eigenvectors of the
 /// original matrix.
-fn tql2(d: &mut [f64], e: &mut [f64], mut z: Option<&mut RMat>) {
+fn tql2(d: &mut [f64], e: &mut [f64], mut zt: Option<&mut ZMat>) {
     let n = d.len();
     if n <= 1 {
         return;
@@ -321,7 +225,7 @@ fn tql2(d: &mut [f64], e: &mut [f64], mut z: Option<&mut RMat>) {
             let mut i = m as isize - 1;
             while i >= l as isize {
                 let iu = i as usize;
-                let mut f = s * e[iu];
+                let f = s * e[iu];
                 let b = c * e[iu];
                 r = pythag(f, g);
                 e[iu + 1] = r;
@@ -338,11 +242,12 @@ fn tql2(d: &mut [f64], e: &mut [f64], mut z: Option<&mut RMat>) {
                 p = s * r;
                 d[iu + 1] = g + p;
                 g = c * r - b;
-                if let Some(zm) = z.as_deref_mut() {
-                    for k in 0..n {
-                        f = zm[(k, iu + 1)];
-                        zm[(k, iu + 1)] = s * zm[(k, iu)] + c * f;
-                        zm[(k, iu)] = c * zm[(k, iu)] - s * f;
+                if let Some(zm) = zt.as_deref_mut() {
+                    let (lo, hi) = zm.data_mut().split_at_mut((iu + 1) * n);
+                    for (x, y) in lo[iu * n..].iter_mut().zip(&mut hi[..n]) {
+                        let t = *y;
+                        *y = x.scale(s) + t.scale(c);
+                        *x = x.scale(c) - t.scale(s);
                     }
                 }
                 i -= 1;
@@ -498,18 +403,26 @@ mod tests {
     fn broadening_like_spectrum_with_huge_zero_cluster() {
         // Regression: a PSD matrix with a large (near-)zero cluster plus a
         // few split tiny eigenvalues and a handful of large ones — the
-        // spectrum shape of a contact broadening matrix Γ. The embedding's
-        // duplicated eigenvalues must collapse to exactly n orthonormal
-        // complex vectors with the large eigenvalues intact.
+        // spectrum shape of a contact broadening matrix Γ. The cluster must
+        // come back as orthonormal vectors with the large eigenvalues
+        // intact.
         let n = 40;
-        // Random unitary from QR of a random complex matrix.
+        // Random unitary: a product of reflections I − 2uu†/‖u‖².
         let mut s = 0xABCDu64;
         let mut next = move || {
             s = s.wrapping_mul(0x9E3779B97F4A7C15).wrapping_add(0x1234567);
             ((s >> 11) as f64 / (1u64 << 53) as f64) * 2.0 - 1.0
         };
-        let a = ZMat::from_fn(n, n, |_, _| c64::new(next(), next()));
-        let (q, _) = crate::qr::qr_decompose(&a);
+        let mut q = ZMat::eye(n);
+        for _ in 0..4 {
+            let u: Vec<c64> = (0..n).map(|_| c64::new(next(), next())).collect();
+            let uu: f64 = u.iter().map(|z| z.norm_sqr()).sum();
+            let r = ZMat::from_fn(n, n, |i, j| {
+                let delta = if i == j { c64::ONE } else { c64::ZERO };
+                delta - (u[i] * u[j].conj()).scale(2.0 / uu)
+            });
+            q = matmul(&q, &r);
+        }
         let mut diag = vec![0.0; n];
         diag[n - 1] = 84.0;
         diag[n - 2] = 22.0;

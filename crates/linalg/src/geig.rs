@@ -10,6 +10,7 @@
 
 use crate::flops;
 use crate::matrix::ZMat;
+use crate::vec_ops::reflector;
 use omen_num::c64;
 
 /// Eigenvalues of a general square complex matrix, in no particular order.
@@ -22,7 +23,7 @@ pub fn eig_values_general(a: &ZMat) -> Vec<c64> {
     if n == 0 {
         return Vec::new();
     }
-    flops::add_flops(flops::eigh_flops(n)); // same order as the Hermitian path
+    flops::add_flops(flops::geig_flops(n));
     let mut balanced = a.clone();
     balance(&mut balanced);
     let mut h = hessenberg(&balanced);
@@ -156,55 +157,29 @@ fn hessenberg(a: &ZMat) -> ZMat {
     let mut h = a.clone();
     for k in 0..n.saturating_sub(2) {
         // Householder vector annihilating h[k+2.., k].
-        let mut norm2 = 0.0;
-        for i in k + 1..n {
-            norm2 += h[(i, k)].norm_sqr();
-        }
-        let alpha = h[(k + 1, k)];
-        let norm = norm2.sqrt();
-        if norm <= 1e-300 {
+        let mut v: Vec<c64> = (k + 1..n).map(|i| h[(i, k)]).collect();
+        let Some((beta, tau)) = reflector(&mut v) else {
             continue;
-        }
-        // beta = -e^{i arg(alpha)} * norm
-        let phase = if alpha.abs() > 0.0 {
-            alpha.scale(1.0 / alpha.abs())
-        } else {
-            c64::ONE
         };
-        let beta = -phase.scale(norm);
-        let mut v: Vec<c64> = vec![c64::ZERO; n];
-        v[k + 1] = alpha - beta;
-        for i in k + 2..n {
-            v[i] = h[(i, k)];
-        }
-        let vnorm2: f64 = v.iter().map(|z| z.norm_sqr()).sum();
-        if vnorm2 <= 1e-300 {
-            continue;
-        }
-        let tau = 2.0 / vnorm2;
         // H ← (I − τ v v†) H (I − τ v v†)
         // Left: for each column j, H[:,j] -= τ v (v† H[:,j])
         for j in 0..n {
             let mut dot = c64::ZERO;
-            for i in k + 1..n {
-                dot += v[i].conj() * h[(i, j)];
+            for (i, &vi) in (k + 1..n).zip(&v) {
+                dot += vi.conj() * h[(i, j)];
             }
             let f = dot.scale(tau);
-            for i in k + 1..n {
-                let d = v[i] * f;
-                h[(i, j)] -= d;
+            for (i, &vi) in (k + 1..n).zip(&v) {
+                h[(i, j)] -= vi * f;
             }
         }
         // Right: for each row i, H[i,:] -= τ (H[i,:] v) v†
         for i in 0..n {
-            let mut dot = c64::ZERO;
-            for j in k + 1..n {
-                dot += h[(i, j)] * v[j];
-            }
+            let row = &mut h.row_mut(i)[k + 1..];
+            let dot: c64 = row.iter().zip(&v).map(|(&x, &vj)| x * vj).sum();
             let f = dot.scale(tau);
-            for j in k + 1..n {
-                let d = f * v[j].conj();
-                h[(i, j)] -= d;
+            for (x, &vj) in row.iter_mut().zip(&v) {
+                *x -= f * vj.conj();
             }
         }
         h[(k + 1, k)] = beta;

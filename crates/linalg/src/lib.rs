@@ -15,9 +15,9 @@
 //!   pivoting, multi-RHS solves and explicit inverses (the workhorse of
 //!   the recursive Green's function); its trailing-matrix update runs on
 //!   the tiled GEMM;
-//! * [`eigh`] — Hermitian eigensolver (Householder tridiagonalization +
-//!   implicit-shift QL on the real-symmetric embedding), used for
-//!   bandstructures and contact-injection modes;
+//! * [`eigh`] — Hermitian eigensolver (complex Householder
+//!   tridiagonalization of the matrix as given + implicit-shift QL), used
+//!   for bandstructures and contact-injection modes;
 //! * [`flops`] — a global counter every kernel reports into, using the
 //!   Gordon-Bell convention (complex multiply-add = 8 real flops), so the
 //!   evaluation harness can reproduce the paper's sustained-performance
@@ -29,7 +29,6 @@ pub mod geig;
 pub mod gemm;
 pub mod lu;
 pub mod matrix;
-pub mod qr;
 mod simd;
 pub mod threads;
 pub mod vec_ops;
@@ -40,5 +39,4 @@ pub use geig::eig_values_general;
 pub use gemm::{gemm, gemm_threaded, matmul, matmul_h_n, matmul_n_h, Op};
 pub use lu::Lu;
 pub use matrix::ZMat;
-pub use qr::qr_decompose;
 pub use vec_ops::{axpy, dot, nrm2, scal};

@@ -1,7 +1,7 @@
 //! BLAS-1 style operations on complex vectors.
 //!
-//! `axpy` and `dot` sit under the block-tridiagonal matvec and the QR
-//! orthogonalization, so they get the same per-process SIMD dispatch as
+//! `axpy` and `dot` sit under the block-tridiagonal matvec and the LU row
+//! updates, so they get the same per-process SIMD dispatch as
 //! the GEMM microkernel ([`crate::threads::simd_path`], `OMEN_SIMD`): a
 //! scalar reference loop and an AVX2+FMA variant in `crate::simd`. The
 //! SIMD `axpy` is lane-local (element order unchanged); the SIMD `dot`
@@ -9,7 +9,8 @@
 //! it matches the scalar path only to rounding, never bit-for-bit — the
 //! per-path determinism contract of DESIGN.md §10 applies here too.
 //! `scal`/`nrm2` stay scalar: they are memory-bound and the autovectorizer
-//! already saturates them.
+//! already saturates them. `reflector`, the crate's one Householder vector,
+//! is scalar too: the eigensolvers that call it do not dispatch.
 
 use crate::flops::add_flops;
 use crate::threads::{self, SimdPath};
@@ -85,6 +86,41 @@ pub fn normalize(x: &mut [c64]) -> f64 {
         scal(c64::real(1.0 / n), x);
     }
     n
+}
+
+/// Householder reflector for `x` (LAPACK `zlarfg`'s job, EISPACK's
+/// scaling): overwrites `x` with `v` and returns `(β, τ)` such that
+/// `(I − τ v v†) x = β e₀` with `|β| = ‖x‖₂` and `β` opposite in phase to
+/// `x[0]`, so forming `v[0] = x[0] − β` never cancels. The entries are
+/// divided by their 1-norm first (`tred2`'s row scaling), so magnitudes
+/// near the overflow and underflow thresholds neither overflow nor vanish
+/// when squared; `v` is left in the scaled units, which `τ` absorbs.
+/// Returns `None` for an exactly zero `x`: nothing to annihilate. The one
+/// reflector of the crate — the Hermitian tridiagonalization in
+/// `crate::eig` and the Hessenberg reduction in `crate::geig` both build
+/// theirs here. Reports no flops; the callers book their whole reduction.
+pub(crate) fn reflector(x: &mut [c64]) -> Option<(c64, f64)> {
+    let scale: f64 = x.iter().map(|z| z.re.abs() + z.im.abs()).sum();
+    // analyze: allow(float-eq, exact zero scale means a structurally zero column — skip the Householder step)
+    if scale == 0.0 {
+        return None;
+    }
+    let mut h = 0.0;
+    for z in x.iter_mut() {
+        *z = c64::new(z.re / scale, z.im / scale);
+        h += z.norm_sqr();
+    }
+    let norm = h.sqrt();
+    let alpha = x[0];
+    let modulus = alpha.abs();
+    let beta = if modulus > 0.0 {
+        -alpha.scale(norm / modulus)
+    } else {
+        c64::real(-norm)
+    };
+    x[0] = alpha - beta;
+    // τ = 2 / ‖v‖² with ‖v‖² = 2 (‖x‖² + |x₀| ‖x‖).
+    Some((beta.scale(scale), 1.0 / (h + modulus * norm)))
 }
 
 #[cfg(test)]
@@ -167,5 +203,24 @@ mod tests {
         let mut z = vec![c64::ZERO; 3];
         assert_eq!(normalize(&mut z), 0.0);
         assert!(z.iter().all(|&v| v == c64::ZERO));
+    }
+
+    #[test]
+    fn reflector_annihilates_the_tail_at_every_magnitude() {
+        for scale in [1.0, 1e150, 1e-150] {
+            let x: Vec<c64> = [(0.3, -0.4), (0.0, 0.0), (-1.2, 0.7), (0.05, 2.0)]
+                .map(|(re, im)| c64::new(re, im).scale(scale))
+                .to_vec();
+            let mut v = x.clone();
+            let (beta, tau) = reflector(&mut v).expect("nonzero input");
+            // (I − τ v v†) x = β e₀, with β opposite in phase to x₀.
+            let vx: c64 = v.iter().zip(&x).map(|(&a, &b)| a.conj() * b).sum();
+            for (i, (&xi, &vi)) in x.iter().zip(&v).enumerate() {
+                let want = if i == 0 { beta } else { c64::ZERO };
+                assert!((xi - vi * vx.scale(tau) - want).abs() <= 1e-15 * scale);
+            }
+            assert!((beta * x[0].conj()).re < 0.0);
+        }
+        assert!(reflector(&mut [c64::ZERO; 3]).is_none());
     }
 }

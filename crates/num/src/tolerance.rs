@@ -45,8 +45,6 @@ pub const KNOWN_OPS: &[&str] = &[
     "lu.det_multiplicative",
     "eigh.reconstruction",
     "eigh.value_order",
-    "qr.reconstruction",
-    "qr.orthonormal",
     "geig.trace",
     "gemm.associativity",
     "gemm.adjoint",

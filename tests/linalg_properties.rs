@@ -6,7 +6,7 @@
 //! so every run exercises the identical case set and failures reproduce by
 //! case index.
 
-use omen::linalg::{eigh, lu::Lu, matmul, matmul_h_n, qr_decompose, ZMat};
+use omen::linalg::{eigh, eigh_values, lu::Lu, matmul, matmul_h_n, ZMat};
 use omen::num::c64;
 use omen::num::tolerance::test_bound;
 use omen::num::BoundKind;
@@ -112,33 +112,126 @@ fn eigh_reconstructs() {
     }
 }
 
+/// The eigensolver's whole contract on one input, in units of its largest
+/// entry (so inputs at 1e±150 neither overflow nor vanish in the checks):
+/// `‖HV − VΛ‖`, `‖V†V − I‖`, `Σλ = Re tr H`, `Σλ² = ‖H‖_F²`, ascending
+/// order, and `eigh_values` against `eigh`'s values. Returns the scaled
+/// spectrum.
+fn check_eigh(name: &str, h: &ZMat) -> Vec<f64> {
+    let rec_bound = tol("eigh.reconstruction", BoundKind::Absolute);
+    let order_slack = tol("eigh.value_order", BoundKind::Absolute);
+    let n = h.nrows();
+    let r = eigh(h);
+    let values = eigh_values(h);
+    assert_eq!((r.values.len(), values.len()), (n, n), "{name}");
+    assert_eq!((r.vectors.nrows(), r.vectors.ncols()), (n, n), "{name}");
+    if n == 0 {
+        return values;
+    }
+    let unit = if h.max_abs() > 0.0 { h.max_abs() } else { 1.0 };
+    let hs = h.scaled(c64::real(1.0 / unit));
+    let lam: Vec<f64> = r.values.iter().map(|&v| v / unit).collect();
+    let vl = matmul(
+        &r.vectors,
+        &ZMat::from_diag(&lam.iter().map(|&v| c64::real(v)).collect::<Vec<_>>()),
+    );
+    let resid = (&matmul(&hs, &r.vectors) - &vl).max_abs();
+    assert!(resid < rec_bound, "{name}: ‖HV − VΛ‖ = {resid}");
+    let orth = (&matmul_h_n(&r.vectors, &r.vectors) - &ZMat::eye(n)).max_abs();
+    assert!(orth < rec_bound, "{name}: ‖V†V − I‖ = {orth}");
+    let trace = lam.iter().sum::<f64>() - hs.trace().re;
+    assert!(trace.abs() < rec_bound, "{name}: Σλ − Re tr H = {trace}");
+    let fro = lam.iter().map(|v| v * v).sum::<f64>() - hs.norm_fro().powi(2);
+    assert!(fro.abs() < rec_bound, "{name}: Σλ² − ‖H‖_F² = {fro}");
+    assert!(
+        lam.windows(2).all(|w| w[0] <= w[1] + order_slack),
+        "{name}: not ascending"
+    );
+    for (k, (&a, &b)) in values.iter().zip(&r.values).enumerate() {
+        assert!(
+            ((a - b) / unit).abs() <= order_slack,
+            "{name}: eigh_values[{k}] = {a} vs eigh {b}"
+        );
+    }
+    lam
+}
+
+/// The inputs whose structure the eigensolver has to get right without
+/// being told about it: degenerate levels, large exact-zero regions,
+/// columns with nothing to annihilate, and magnitudes whose squares leave
+/// the double range.
 #[test]
-fn qr_orthonormal_and_reconstructs() {
-    let rec_bound = tol("qr.reconstruction", BoundKind::Absolute);
-    let orth_bound = tol("qr.orthonormal", BoundKind::Absolute);
-    for case in 0..32u64 {
-        let mut rng = Rng::new(0x4000 + case);
-        let a = rng.zmat(8, 4);
-        let (q, r) = qr_decompose(&a);
-        let qa = &matmul(&q, &r) - &a;
-        assert!(qa.max_abs() < rec_bound, "case {case}");
-        let qhq = matmul_h_n(&q, &q);
-        // Columns are orthonormal or exactly zero (rank deficiency).
-        for i in 0..4 {
-            for j in 0..4 {
-                let v = qhq[(i, j)];
-                let expect = if i == j && r[(i, i)] != c64::ZERO {
-                    1.0
-                } else {
-                    0.0
-                };
-                assert!(
-                    (v - c64::real(expect)).abs() < orth_bound || (i == j && v.abs() < orth_bound),
-                    "case {case}: Q†Q[{i},{j}] = {v:?}"
-                );
-            }
+fn eigh_structured_inputs() {
+    let order_slack = tol("eigh.value_order", BoundKind::Absolute);
+    let mut rng = Rng::new(0x4000);
+
+    // Bulk silicon with spin–orbit at a generic k: inversion and time
+    // reversal make every level a Kramers pair.
+    let si = omen::tb::TbParams::of(omen::tb::Material::SiSp3s);
+    let k = omen::lattice::Vec3::new(1.3, -0.7, 2.1);
+    let so = omen::tb::bulk::bulk_hamiltonian(&si, k, true);
+    let lam = check_eigh("spin-orbit bloch", &so);
+    assert_eq!(lam.len(), 20);
+    for pair in lam.chunks(2) {
+        assert!(
+            pair[1] - pair[0] <= order_slack,
+            "Kramers pair split: {pair:?}"
+        );
+    }
+
+    // Γ's shape: positive semidefinite on a 6-orbital support, exactly zero
+    // on the other 26 rows and columns.
+    let support = [3usize, 4, 11, 17, 18, 30];
+    let b = rng.zmat(6, 6);
+    let block = omen::linalg::matmul_n_h(&b, &b);
+    let mut gamma = ZMat::zeros(32, 32);
+    for (bi, &i) in support.iter().enumerate() {
+        for (bj, &j) in support.iter().enumerate() {
+            gamma[(i, j)] = block[(bi, bj)];
         }
     }
+    let lam = check_eigh("gamma support", &gamma);
+    assert!(lam[..26].iter().all(|v| v.abs() <= order_slack), "{lam:?}");
+
+    // Block diagonal: at the last column of the first block the sub-column
+    // is exactly zero and the reflector is skipped.
+    let mut blocks = ZMat::zeros(7, 7);
+    blocks.set_block(0, 0, &rng.zmat(3, 3).hermitian_part());
+    blocks.set_block(3, 3, &rng.zmat(4, 4).hermitian_part());
+    check_eigh("zero sub-column", &blocks);
+
+    // Already tridiagonal, complex subdiagonal: only the phases act.
+    let sub: Vec<c64> = (0..8).map(|_| c64::new(rng.f64(), rng.f64())).collect();
+    let tri = ZMat::from_fn(9, 9, |i, j| match (i, j) {
+        _ if i == j => c64::real(0.3 * i as f64 - 1.0),
+        _ if i == j + 1 => sub[j],
+        _ if j == i + 1 => sub[i].conj(),
+        _ => c64::ZERO,
+    });
+    check_eigh("tridiagonal", &tri);
+
+    // Squares of the entries overflow / underflow; the spectrum must be the
+    // unit-scale one, scaled.
+    let h = rng.zmat(6, 6).hermitian_part();
+    let unit_scale = check_eigh("unit scale", &h);
+    for scale in [1e150, 1e-150] {
+        let scaled = check_eigh(&format!("scale {scale:e}"), &h.scaled(c64::real(scale)));
+        for (a, b) in scaled.iter().zip(&unit_scale) {
+            assert!((a - b).abs() <= order_slack, "scale {scale:e}: {a} vs {b}");
+        }
+    }
+
+    // The smallest orders, and a genuinely complex 2 × 2.
+    check_eigh("n = 0", &ZMat::zeros(0, 0));
+    let one = check_eigh("n = 1", &ZMat::from_diag(&[c64::real(-2.5)]));
+    assert_eq!(one, [-1.0]);
+    check_eigh("n = 2", &rng.zmat(2, 2).hermitian_part());
+    let pauli_y = ZMat::from_rows(&[
+        vec![c64::ZERO, c64::new(0.0, -1.0)],
+        vec![c64::new(0.0, 1.0), c64::ZERO],
+    ]);
+    let lam = check_eigh("pauli y", &pauli_y);
+    assert!((lam[0] + 1.0).abs() <= order_slack && (lam[1] - 1.0).abs() <= order_slack);
 }
 
 #[test]
