@@ -5,7 +5,7 @@
 //! exhausted) is dropped from the grid and recorded in the result's
 //! [`SweepReport`] instead of aborting the bias point.
 
-use crate::energy::{EnergyWindow, LeadBandsMemo};
+use crate::energy::{ContactMemo, EnergyWindow, LeadBandsMemo};
 use crate::spec::{Bias, NanoTransistor};
 use omen_linalg::ZMat;
 use omen_negf::transport::{EnergyPointData, DEFAULT_ETA};
@@ -116,13 +116,15 @@ pub fn ballistic_solve(
     ky: f64,
 ) -> BallisticResult {
     let mut bands = LeadBandsMemo::default();
-    ballistic_solve_remembering(tr, v_atoms, bias, engine, n_energy, ky, &mut bands)
+    ballistic_solve_remembering(tr, v_atoms, bias, engine, n_energy, ky, &mut bands, None)
 }
 
-/// [`ballistic_solve`] for a sweep loop that owns a [`LeadBandsMemo`]:
-/// bias points whose lead blocks repeat exactly (the gate points of a
-/// frozen sweep) diagonalise the lead bands once. The result is
-/// [`ballistic_solve`]'s bit for bit.
+/// [`ballistic_solve`] for a sweep loop that owns a [`LeadBandsMemo`] and,
+/// optionally, a [`ContactMemo`]: bias points whose lead blocks repeat
+/// exactly (the gate points of a frozen sweep) diagonalise the lead bands
+/// once and decimate each `(lead, E)` once. The current and the
+/// [`SweepReport`] are [`ballistic_solve`]'s bit for bit.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn ballistic_solve_remembering(
     tr: &NanoTransistor,
     v_atoms: &[f64],
@@ -131,6 +133,7 @@ pub(crate) fn ballistic_solve_remembering(
     n_energy: usize,
     ky: f64,
     bands: &mut LeadBandsMemo,
+    contacts: Option<&mut ContactMemo>,
 ) -> BallisticResult {
     let s = prepare_transport(tr, v_atoms, bias, ky, bands);
     let (energies, points, report) = solve_sweep(
@@ -139,6 +142,7 @@ pub(crate) fn ballistic_solve_remembering(
         (&s.h00_l, &s.h01_l),
         (&s.h00_r, &s.h01_r),
         engine,
+        contacts,
     );
     integrate(tr, bias, v_atoms, &energies, points, &s.window, report)
 }
@@ -146,18 +150,27 @@ pub(crate) fn ballistic_solve_remembering(
 /// Solves every energy of a grid with per-point failure isolation: a point
 /// whose engines exhaust their recovery policies is dropped and recorded in
 /// the [`SweepReport`]; the surviving `(energies, points)` stay aligned.
+/// With a `contacts` memo each point's contacts are looked up there and
+/// decimated only on a miss; without one, every point is [`solve_point`].
 pub fn solve_sweep(
     energies: &[f64],
     h: &BlockTridiag,
     lead_l: (&omen_linalg::ZMat, &omen_linalg::ZMat),
     lead_r: (&omen_linalg::ZMat, &omen_linalg::ZMat),
     engine: Engine,
+    mut contacts: Option<&mut ContactMemo>,
 ) -> (Vec<f64>, Vec<EnergyPointData>, SweepReport) {
     let mut report = SweepReport::default();
     let mut kept = Vec::with_capacity(energies.len());
     let mut points = Vec::with_capacity(energies.len());
     for &e in energies {
-        match solve_point(e, h, lead_l, lead_r, engine) {
+        let solved = match contacts.as_deref_mut() {
+            Some(memo) => memo
+                .contacts(e, lead_l, lead_r)
+                .and_then(|(sl, sr)| engine_point(e, h, &sl, &sr, engine)),
+            None => solve_point(e, h, lead_l, lead_r, engine),
+        };
+        match solved {
             Ok(p) => {
                 report.record_solved(p.retries);
                 kept.push(e);
@@ -194,7 +207,7 @@ pub fn ballistic_solve_adaptive(
     // Initial grid with failed energies dropped before the adaptive grid is
     // built, so refinement only ever works on solved intervals.
     let (seed_energies, mut points, mut report) =
-        solve_sweep(&s.window.grid(n_init), &s.h, lead_l, lead_r, engine);
+        solve_sweep(&s.window.grid(n_init), &s.h, lead_l, lead_r, engine, None);
     if seed_energies.len() < 2 {
         // Not enough surviving points to define intervals; integrate what
         // is left (possibly nothing) without refinement.
@@ -685,8 +698,14 @@ mod tests {
 
         // The direct solvers have no pivot-recovery policy: the singular
         // point is dropped and recorded, the rest of the sweep survives.
-        let (kept, points, report) =
-            solve_sweep(&energies, &h, (&h00, &h01), (&h00, &h01), Engine::WfThomas);
+        let (kept, points, report) = solve_sweep(
+            &energies,
+            &h,
+            (&h00, &h01),
+            (&h00, &h01),
+            Engine::WfThomas,
+            None,
+        );
         assert_eq!(report.solved, 4);
         assert_eq!(kept.len(), 4);
         assert_eq!(points.len(), 4);
@@ -700,7 +719,8 @@ mod tests {
 
         // RGF regularizes the pivot instead: every point solves, the report
         // shows the recovery.
-        let (kept, _, report) = solve_sweep(&energies, &h, (&h00, &h01), (&h00, &h01), Engine::Rgf);
+        let (kept, _, report) =
+            solve_sweep(&energies, &h, (&h00, &h01), (&h00, &h01), Engine::Rgf, None);
         assert_eq!(kept.len(), 5);
         assert!(
             report.failed.is_empty(),
@@ -714,8 +734,14 @@ mod tests {
         // this left-only-decoupled system is regular on the SelInv path —
         // the whole sweep solves with no recovery at all. Pivot locations
         // are an elimination-order property, not a physics property.
-        let (kept, _, report) =
-            solve_sweep(&energies, &h, (&h00, &h01), (&h00, &h01), Engine::SelInv);
+        let (kept, _, report) = solve_sweep(
+            &energies,
+            &h,
+            (&h00, &h01),
+            (&h00, &h01),
+            Engine::SelInv,
+            None,
+        );
         assert_eq!(kept.len(), 5);
         assert!(report.failed.is_empty());
         assert_eq!(report.recovered, 0, "no pivot recovery needed");
@@ -733,8 +759,14 @@ mod tests {
 
         // The direct WF solver has no pivot recovery: the singular point is
         // isolated with the typed error naming the decoupled block.
-        let (kept, _, report) =
-            solve_sweep(&energies, &h, (&h00, &h01), (&h00, &h01), Engine::WfThomas);
+        let (kept, _, report) = solve_sweep(
+            &energies,
+            &h,
+            (&h00, &h01),
+            (&h00, &h01),
+            Engine::WfThomas,
+            None,
+        );
         assert_eq!(kept.len(), 4);
         assert_eq!(report.failed.len(), 1);
         assert_eq!(report.failed[0].energy, 0.0);
@@ -746,9 +778,15 @@ mod tests {
         // Both Green's-function engines regularize the identical pivot:
         // same kept grid, same empty failure list, same recovery accounting.
         let (kept_rgf, _, rep_rgf) =
-            solve_sweep(&energies, &h, (&h00, &h01), (&h00, &h01), Engine::Rgf);
-        let (kept_si, _, rep_si) =
-            solve_sweep(&energies, &h, (&h00, &h01), (&h00, &h01), Engine::SelInv);
+            solve_sweep(&energies, &h, (&h00, &h01), (&h00, &h01), Engine::Rgf, None);
+        let (kept_si, _, rep_si) = solve_sweep(
+            &energies,
+            &h,
+            (&h00, &h01),
+            (&h00, &h01),
+            Engine::SelInv,
+            None,
+        );
         assert_eq!(kept_rgf.len(), 5);
         assert_eq!(kept_si, kept_rgf);
         assert!(rep_rgf.failed.is_empty() && rep_si.failed.is_empty());
@@ -767,46 +805,70 @@ mod tests {
 
     #[test]
     fn frozen_sweep_contacts_are_reusable_across_gate_points() {
-        use std::collections::HashMap;
-        // The README wire at two gate points, contacts looked up by energy
-        // and decimated only on a miss: the sweep's currents bit for bit.
+        // The README wire at three gate points through one `ContactMemo`,
+        // as `frozen_field_sweep_observed` threads it: every point's current
+        // and report are the cold `ballistic_solve`'s bits.
         let tr = flat_device();
-        let (vgs, v_ds, mu_source, n_energy) = ([-0.1, 0.1], 0.15, -3.45, 21);
-        let want = crate::iv::frozen_field_sweep(&tr, &vgs, v_ds, mu_source, Engine::Rgf, n_energy);
-
-        let mut contacts: HashMap<u64, (ContactSelfEnergy, ContactSelfEnergy)> = HashMap::new();
+        let (vgs, v_ds, mu_source, n_energy) = ([-0.1, 0.0, 0.1], 0.15, -3.45, 21);
         let mut bands = LeadBandsMemo::default();
-        let mut leads = None;
-        for (&v_gate, want) in vgs.iter().zip(&want) {
+        let mut memo = ContactMemo::default();
+        let mut grid = None;
+        for &v_gate in &vgs {
             let v_atoms = crate::iv::frozen_potential(&tr, v_gate);
             let bias = Bias {
                 v_gate,
                 v_ds,
                 mu_source,
             };
-            let s = prepare_transport(&tr, &v_atoms, &bias, 0.0, &mut bands);
-            // The energy alone is the key because the leads never move:
-            // the extensions sit at zero potential at every gate point.
-            let here = [&s.h00_l, &s.h01_l, &s.h00_r, &s.h01_r].map(ZMat::clone);
-            assert_eq!(leads.get_or_insert(here.clone()), &here);
-
-            let energies = s.window.grid(n_energy);
-            let mut report = SweepReport::default();
-            let mut points = Vec::with_capacity(n_energy);
-            for &e in &energies {
-                let (sigma_l, sigma_r) = contacts.entry(e.to_bits()).or_insert_with(|| {
-                    let (lead_l, lead_r) = ((&s.h00_l, &s.h01_l), (&s.h00_r, &s.h01_r));
-                    omen_negf::local_contacts(e, DEFAULT_ETA, lead_l, lead_r).unwrap()
-                });
-                let p = engine_point(e, &s.h, sigma_l, sigma_r, Engine::Rgf).unwrap();
-                report.record_solved(p.retries);
-                points.push(p);
-            }
-            let got = integrate(&tr, &bias, &v_atoms, &energies, points, &s.window, report);
+            let got = ballistic_solve_remembering(
+                &tr,
+                &v_atoms,
+                &bias,
+                Engine::Rgf,
+                n_energy,
+                0.0,
+                &mut bands,
+                Some(&mut memo),
+            );
+            let want = ballistic_solve(&tr, &v_atoms, &bias, Engine::Rgf, n_energy, 0.0);
             assert_eq!(got.current_ua.to_bits(), want.current_ua.to_bits());
+            assert_eq!(got.report, want.report);
+            // One grid for every gate point: the window does not move.
+            assert_eq!(grid.get_or_insert(got.energies.clone()), &got.energies);
         }
-        // One grid for both gate points: the second decimates nothing.
-        assert_eq!(contacts.len(), n_energy);
+        // The first gate point decimates the grid, the others reuse it.
+        let tally = memo.take_tally();
+        assert_eq!(tally.decimated, n_energy);
+        assert_eq!(tally.reused, (vgs.len() - 1) * n_energy);
+
+        // What a hit serves is a cold `local_contacts` entry for entry —
+        // the exact zeros off Σ's support included, which the decimation's
+        // products leave as `+0.0`, the value the scatter writes.
+        let v_flat = vec![0.0; tr.device.num_atoms()];
+        let bias = Bias {
+            v_gate: 0.0,
+            v_ds,
+            mu_source,
+        };
+        let s = prepare_transport(&tr, &v_flat, &bias, 0.0, &mut bands);
+        let (lead_l, lead_r) = ((&s.h00_l, &s.h01_l), (&s.h00_r, &s.h01_r));
+        let raw = |m: &ZMat| -> Vec<(u64, u64)> {
+            m.data()
+                .iter()
+                .map(|z| (z.re.to_bits(), z.im.to_bits()))
+                .collect()
+        };
+        for &e in grid.as_ref().unwrap() {
+            let (hl, hr) = memo.contacts(e, lead_l, lead_r).unwrap();
+            let (cl, cr) = omen_negf::local_contacts(e, DEFAULT_ETA, lead_l, lead_r).unwrap();
+            for (hit, cold) in [(&hl, &cl), (&hr, &cr)] {
+                assert_eq!((hit.side, hit.retries), (cold.side, cold.retries));
+                assert!(hit.sigma.support().len() < hit.sigma.nrows(), "Σ is packed");
+                assert_eq!(raw(&hit.sigma), raw(&cold.sigma), "E={e}: Σ");
+                assert_eq!(raw(&hit.gamma), raw(&cold.gamma), "E={e}: Γ");
+            }
+        }
+        assert_eq!(memo.take_tally().reused, n_energy);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Voltage sweeps and figure-of-merit extraction.
 
 use crate::ballistic::{ballistic_solve_remembering, Engine};
-use crate::energy::LeadBandsMemo;
+use crate::energy::{ContactMemo, LeadBandsMemo};
 use crate::log::SweepSeq;
 use crate::scf::{self_consistent, ScfOptions};
 use crate::spec::{Bias, NanoTransistor};
@@ -194,7 +194,7 @@ pub fn on_off_ratio(points: &[IvPoint]) -> Option<f64> {
 
 /// The frozen-field potential: the gate value on the channel atoms, zero on
 /// the source/drain extensions.
-pub(crate) fn frozen_potential(tr: &NanoTransistor, v_gate: f64) -> Vec<f64> {
+pub fn frozen_potential(tr: &NanoTransistor, v_gate: f64) -> Vec<f64> {
     let lg_lo = tr.spec.source_slabs;
     let lg_hi = tr.spec.num_slabs - tr.spec.drain_slabs;
     tr.device
@@ -241,8 +241,10 @@ pub fn frozen_field_sweep_observed(
     let mut seq = SweepSeq::new();
     let mut out = Vec::with_capacity(v_gates.len());
     // The source/drain extensions sit at zero potential at every gate
-    // point: one set of lead blocks, one band diagonalisation per sweep.
+    // point: one set of lead blocks, one band diagonalisation per sweep,
+    // one decimation per energy of the shared grid.
     let mut bands = LeadBandsMemo::default();
+    let mut contacts = ContactMemo::default();
     for (index, &vg) in v_gates.iter().enumerate() {
         let v_atoms = frozen_potential(tr, vg);
         let bias = Bias {
@@ -250,7 +252,16 @@ pub fn frozen_field_sweep_observed(
             v_ds,
             mu_source,
         };
-        let r = ballistic_solve_remembering(tr, &v_atoms, &bias, engine, n_energy, 0.0, &mut bands);
+        let r = ballistic_solve_remembering(
+            tr,
+            &v_atoms,
+            &bias,
+            engine,
+            n_energy,
+            0.0,
+            &mut bands,
+            Some(&mut contacts),
+        );
         let point = IvPoint {
             v_gate: vg,
             v_ds,
@@ -265,7 +276,11 @@ pub fn frozen_field_sweep_observed(
             point: &point,
             report: &r.report,
         };
-        crate::log::emit(&point_line("frozen", &prog));
+        crate::log::emit(&format!(
+            "{}, contacts: {}",
+            point_line("frozen", &prog),
+            contacts.take_tally()
+        ));
         observer(prog);
         out.push(point);
     }
@@ -377,6 +392,7 @@ mod tests {
             (&h00, &h01),
             (&h00, &h01),
             Engine::WfThomas,
+            None,
         );
         assert_eq!(kept, vec![-0.5, 0.0, 0.5]);
         let failed: Vec<f64> = report.failed.iter().map(|f| f.energy).collect();

@@ -9,7 +9,8 @@
 //!   nanowire FETs, ultra-thin bodies, graphene-nanoribbon TFETs) compiled
 //!   into geometry + Hamiltonian + doping + Poisson problem;
 //! * [`energy`] — transport energy windows from lead subband edges and the
-//!   contact Fermi levels;
+//!   contact Fermi levels, and the sweep-owned memos of what depends on the
+//!   leads alone (their bands; their contacts per energy);
 //! * [`ballistic`] — the per-bias transport solve, one body per level:
 //!   `solve_sweep` (energy loop with per-point fault isolation, any
 //!   [`Engine`]) → `ballistic_solve` (one k) → `ballistic_solve_k`

@@ -1,7 +1,9 @@
 //! Properties of the global flop counter: totals are *exact* — not
 //! approximate — for GEMM and LU at every thread count, the Hermitian
 //! eigensolver's booked counts follow an independent tally of its
-//! algorithm, and concurrent reporting from many threads loses nothing.
+//! algorithm, a frozen sweep's later gate points cost exactly their engine
+//! solves (contacts, failures included, come from the sweep's memo), and
+//! concurrent reporting from many threads loses nothing.
 //!
 //! The counter backs the paper-reproduction harness (tab2/fig7 derive
 //! sustained-performance numbers from measured counts), so "roughly right"
@@ -13,6 +15,7 @@
 use omen::linalg::flops::{flop_count, gemm_flops, lu_flops, trsm_flops};
 use omen::linalg::{gemm_threaded, lu::Lu, FlopScope, Op, ZMat};
 use omen::num::c64;
+use omen::sparse::BlockTridiag;
 use std::sync::Mutex;
 
 /// Serializes counter-delta measurements within this test binary.
@@ -121,7 +124,6 @@ fn rgf_point_flops(
 fn rgf_energy_point_count_is_the_closed_form() {
     use omen::negf::contacts::local_contacts;
     use omen::negf::transport::DEFAULT_ETA;
-    use omen::sparse::BlockTridiag;
     let _guard = COUNTER_LOCK.lock().unwrap();
     // A redundant product — a second factorization sweep, a full-width
     // column, a full G·Γ·G†, a product against a coupling's zeros — shows
@@ -222,6 +224,152 @@ fn wf_energy_point_is_the_point_less_its_contacts() {
     let scope = FlopScope::new();
     wf_point(e, DEFAULT_ETA, &h, &sl, &sr, Solver::Thomas).expect("WF engine");
     assert_eq!(scope.take(), point - contacts);
+}
+
+#[test]
+fn a_frozen_gate_point_costs_one_grid_of_engine_points() {
+    use omen::core::iv::{frozen_field_sweep, frozen_potential};
+    use omen::core::parallel::frozen_system;
+    use omen::core::{ballistic_solve, engine_point, Bias, Engine, TransistorSpec};
+    use omen::negf::contacts::local_contacts;
+    use omen::negf::transport::DEFAULT_ETA;
+    use omen::tb::Material;
+    let _guard = COUNTER_LOCK.lock().unwrap();
+    // The README wire: a gate point after the first finds its lead bands
+    // and every contact of the shared grid remembered, so what it adds to
+    // the sweep is its engine solves — no decimation, no band.
+    let mut spec = TransistorSpec::si_nanowire_nmos(Material::SingleBand { t_mev: 1000 }, 1.0, 8);
+    spec.doping_sd = 0.0;
+    let tr = spec.build();
+    let (vgs, v_ds, mu_source, n_energy) = ([-0.1, 0.0, 0.1], 0.15, -3.45, 9);
+    let sweep = |gates: &[f64]| {
+        let scope = FlopScope::new();
+        frozen_field_sweep(&tr, gates, v_ds, mu_source, Engine::Rgf, n_energy);
+        scope.take()
+    };
+    let last = sweep(&vgs) - sweep(&vgs[..2]);
+
+    let v_gate = vgs[2];
+    let v_atoms = frozen_potential(&tr, v_gate);
+    let bias = Bias {
+        v_gate,
+        v_ds,
+        mu_source,
+    };
+    let grid = ballistic_solve(&tr, &v_atoms, &bias, Engine::Rgf, n_energy, 0.0).energies;
+    assert_eq!(grid.len(), n_energy);
+    let (h, h00, h01) = frozen_system(&tr, &v_atoms, 0.0);
+    let lead = (&h00, &h01);
+    let mut engine = 0;
+    for e in grid {
+        let (sl, sr) = local_contacts(e, DEFAULT_ETA, lead, lead).expect("contacts");
+        let scope = FlopScope::new();
+        engine_point(e, &h, &sl, &sr, Engine::Rgf).expect("RGF point");
+        engine += scope.take();
+    }
+    assert_eq!(last, engine);
+}
+
+/// A 1 × 1 chain lead (hopping −1) widened by decoupled trap orbitals at
+/// `E_trap + iη` and at every energy the nudge ladder tries after it: each
+/// trap cancels the decimation's broadening, so the first resolvent is
+/// exactly singular at `E_trap` and at each nudge — the lead fails there,
+/// typed, and converges everywhere else. Returns the lead and a device of
+/// `nb` slabs on the same orbitals (traps at a regular 5 eV, the chain
+/// orbital at `v` on the inner slabs).
+fn trapped_lead_and_device(e_trap: f64, nb: usize, v: f64) -> ((ZMat, ZMat), BlockTridiag) {
+    use omen::negf::sancho::{LEAD_NUDGE_FLOOR, MAX_LEAD_RETRIES};
+    use omen::negf::transport::DEFAULT_ETA;
+    let step = (4.0 * DEFAULT_ETA).max(LEAD_NUDGE_FLOOR);
+    let ladder = (0..=MAX_LEAD_RETRIES).map(|r| {
+        let sign = if r % 2 == 1 { 1.0 } else { -1.0 };
+        e_trap + sign * r.div_ceil(2) as f64 * step
+    });
+    let traps: Vec<c64> = ladder.map(|level| c64::new(level, DEFAULT_ETA)).collect();
+    let n = 1 + traps.len();
+    let lead_00 = ZMat::from_diag(&[&[c64::ZERO], &traps[..]].concat());
+    let hop = ZMat::from_fn(n, n, |i, j| c64::real(if i + j == 0 { -1.0 } else { 0.0 }));
+    let slab = |onsite: f64| {
+        ZMat::from_fn(n, n, |i, j| match (i, j) {
+            (0, 0) => c64::real(onsite),
+            _ if i == j => c64::real(5.0),
+            _ => c64::ZERO,
+        })
+    };
+    let diag = (0..nb)
+        .map(|i| slab(if i == 0 || i == nb - 1 { 0.0 } else { v }))
+        .collect();
+    let device = BlockTridiag::new(diag, vec![hop.clone(); nb - 1], vec![hop.clone(); nb - 1]);
+    ((lead_00, hop), device)
+}
+
+#[test]
+fn a_remembered_lead_failure_is_reported_alike_and_decimated_once() {
+    use omen::core::ballistic::solve_sweep;
+    use omen::core::energy::ContactMemo;
+    use omen::core::{engine_point, Engine};
+    use omen::negf::contacts::local_contacts;
+    use omen::negf::transport::DEFAULT_ETA;
+    use omen::num::OmenError;
+    let _guard = COUNTER_LOCK.lock().unwrap();
+    // Three "gate points" over one lead pair and one grid through one memo:
+    // each point's report is the cold sweep's — the same failed energy with
+    // the same typed error — and after the first, the memo decimates nothing
+    // (no contact flops: the point costs its engine solves, the failed
+    // energy nothing).
+    let energies = omen::num::linspace(-0.5, 0.5, 5);
+    let mut memo = ContactMemo::default();
+    for (gate, v) in [-0.1, 0.0, 0.1].into_iter().enumerate() {
+        let ((h00, h01), h) = trapped_lead_and_device(0.0, 4, v);
+        let lead = (&h00, &h01);
+        let (_, _, cold) = solve_sweep(&energies, &h, lead, lead, Engine::Rgf, None);
+        assert_eq!(cold.failed.len(), 1);
+        assert_eq!(cold.failed[0].energy, 0.0);
+        assert!(matches!(
+            cold.failed[0].error,
+            OmenError::SingularBlock { .. }
+        ));
+
+        let scope = FlopScope::new();
+        let (_, _, warm) = solve_sweep(&energies, &h, lead, lead, Engine::Rgf, Some(&mut memo));
+        let counted = scope.take();
+        assert_eq!(warm, cold, "gate point {gate}");
+        let tally = memo.take_tally();
+        let fresh = if gate == 0 { energies.len() } else { 0 };
+        assert_eq!(
+            (tally.decimated, tally.reused),
+            (fresh, energies.len() - fresh)
+        );
+        if gate > 0 {
+            let mut engine = 0;
+            for &e in energies.iter().filter(|&&e| e != 0.0) {
+                let (sl, sr) = local_contacts(e, DEFAULT_ETA, lead, lead).expect("contacts");
+                let scope = FlopScope::new();
+                engine_point(e, &h, &sl, &sr, Engine::Rgf).expect("RGF point");
+                engine += scope.take();
+            }
+            assert_eq!(counted, engine, "gate point {gate}: contact flops");
+        }
+    }
+
+    // A NaN entry never compares equal, so a poisoned lead never hits: it
+    // is decimated at every point of every sweep and fails typed, as cold.
+    let h00 = ZMat::from_diag(&[c64::new(f64::NAN, 0.0)]);
+    let h01 = ZMat::from_diag(&[c64::real(-1.0)]);
+    let h = BlockTridiag::new(
+        vec![h01.scaled(c64::ZERO); 3],
+        vec![h01.clone(); 2],
+        vec![h01.clone(); 2],
+    );
+    let lead = (&h00, &h01);
+    for _ in 0..2 {
+        let (_, _, cold) = solve_sweep(&energies, &h, lead, lead, Engine::Rgf, None);
+        let (_, _, warm) = solve_sweep(&energies, &h, lead, lead, Engine::Rgf, Some(&mut memo));
+        assert_eq!(cold.failed.len(), energies.len());
+        assert_eq!(warm, cold);
+        let tally = memo.take_tally();
+        assert_eq!((tally.decimated, tally.reused), (energies.len(), 0));
+    }
 }
 
 #[test]
