@@ -105,6 +105,17 @@ if sed '/#\[cfg(test)\]/,$d' crates/core/src/energy.rs | grep -nE '\b(static|thr
     exit 1
 fi
 
+# A scheduled unit has one holder at a time and is handed out again only
+# when that holder is declared dead. Straggler speculation, the heartbeat
+# that timed it and the brokering-only coordinator carried no traffic in
+# any record (EXPERIMENTS.md "One holder per unit"); speculative
+# re-execution needs a workload where it fires, so it comes back as a
+# reviewed decision.
+if sed -s '/#\[cfg(test)\]/,$d' crates/sched/src/*.rs | grep -nE 'Heartbeat|HeldCopy|predict_secs|straggler_(factor|min_ms)|coordinator_solves'; then
+    echo "ci: crates/sched/src hands each unit to one holder (no heartbeat, straggler copies or brokering-only coordinator)"
+    exit 1
+fi
+
 # Scheduler bench smoke: two skewed synthetic sweeps (sleeps for solves) and
 # one real one (`utb-k3`: the repo benchmark's UTB film through
 # parallel_transmission_k_banked on 2 ranks, dynamic asserted bit-identical

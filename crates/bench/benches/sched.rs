@@ -120,7 +120,7 @@ fn run_dynamic(w: &Workload, ranks: usize) -> (f64, f64, usize) {
         .unwrap();
     assert!(outcome.report.is_clean(), "synthetic solve never fails");
     assert_eq!(outcome.report.solved, w.units);
-    let reissued = outcome.stats.reissued_failed + outcome.stats.reissued_straggler;
+    let reissued = outcome.stats.reissued_failed;
     (wall, outcome.stats.imbalance(), reissued)
 }
 
@@ -234,8 +234,7 @@ fn run_iv_dynamic(w: &IvWorkload, ranks: usize) -> (f64, f64, usize) {
     // later one — the whole point of sweep-lifetime cost models.
     assert_eq!(counts.seeded, 1, "only the first bias point may seed");
     assert_eq!(counts.warmed, w.bias - 1);
-    let reissued = agg.reissued_failed + agg.reissued_straggler;
-    (wall, agg.imbalance(), reissued)
+    (wall, agg.imbalance(), agg.reissued_failed)
 }
 
 /// The real-solve workload: a frozen-field UTB film, `n_k` k-points ×
@@ -371,10 +370,7 @@ fn bench_utb(smoke: bool, records: &mut Vec<SchedRecord>) {
     // be told from outside it.
     let share = |r| assign(w.kys.len(), UTB_RANKS, r).len() as f64;
     let imb_s = imbalance_ratio(&[share(0), share(1)]);
-    let (imb_d, reissued) = (
-        sched.imbalance(),
-        sched.reissued_failed + sched.reissued_straggler,
-    );
+    let (imb_d, reissued) = (sched.imbalance(), sched.reissued_failed);
     println!("static   wall {wall_s:.3} s  imbalance {imb_s:.3}");
     println!(
         "dynamic  wall {wall_d:.3} s  imbalance {imb_d:.3}  reissued {reissued}  \

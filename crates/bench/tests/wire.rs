@@ -1,8 +1,10 @@
 //! Adversarial bytes (ROADMAP aim 3) against every decoder built on
-//! `omen_num::wire`: one encoded sample of each rank payload and of each
-//! `omen-serve` frame kind, mutated by the seeded generator the ledger
-//! battery uses. Every mutant must decode or fail with the decoder's
-//! typed error; a panic or a wire-sized allocation fails the test.
+//! `omen_num::wire`, and against the spec text the CLI and the daemon
+//! parse: one encoded sample of each rank payload, of each `omen-serve`
+//! frame kind and of a shipped spec file, mutated by the seeded generator
+//! the ledger battery uses. Every mutant must decode or fail with the
+//! decoder's typed error; a panic or a wire-sized allocation fails the
+//! test.
 
 mod common;
 
@@ -21,7 +23,7 @@ use omen_sched::proto::{
 };
 use omen_sched::{SchedStats, SweepOutcome};
 use omen_serve::protocol::{decode_result, encode_result, read_frame};
-use omen_serve::{Disposition, Frame, Progress, StatsSnapshot};
+use omen_serve::{Disposition, Frame, Progress, StatsSnapshot, SweepRequest};
 
 /// Runs `decode` over every mutant of `sample`; an `Err` must satisfy
 /// `typed`. Returns the number of mutants tried.
@@ -217,4 +219,24 @@ fn mutated_serve_frames_decode_or_fail_as_protocol() {
     let result = encode_result(&points, &SweepReport::default());
     tried += survives(&result, decode_result, protocol);
     assert!(tried > 500, "{tried} mutants");
+}
+
+#[test]
+fn mutated_spec_text_parses_or_fails_as_protocol() {
+    // A spec reaches the parser as text. A mutant that breaks the UTF-8
+    // encoding is parsed with the damage as replacement characters, which
+    // also puts multi-byte characters in front of every slicing site.
+    let spec = include_str!("../../../examples/specs/nanowire.omen");
+    let protocol = |e: &OmenError| matches!(e, OmenError::Protocol { .. });
+    let tried = survives(
+        spec.as_bytes(),
+        |b| {
+            let req = SweepRequest::parse(&String::from_utf8_lossy(b))?;
+            req.device_spec()?;
+            req.scf_options()?;
+            req.engine_kind()
+        },
+        protocol,
+    );
+    assert!(tried > 400, "{tried} mutants");
 }

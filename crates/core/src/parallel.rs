@@ -106,8 +106,8 @@ pub enum Schedule {
     #[default]
     Static,
     /// Pull-based self-scheduling through `omen-sched`: a coordinator
-    /// hands out cost-ordered chunks on demand, re-issues failed or
-    /// straggling units, and merges results in canonical order — values
+    /// hands out cost-ordered chunks on demand, reclaims what a dead
+    /// worker held, and merges results in canonical order — values
     /// bit-identical to [`Schedule::Static`].
     Dynamic(SchedOptions),
 }
@@ -345,18 +345,17 @@ fn dynamic_transmission(
     opts: &SchedOptions,
 ) -> OmenResult<TransmissionSweep> {
     let comm = &comms.momentum_group;
-    let mut model = CostModel::band_edge(energies.len().max(1), 2.0);
+    let mut model = CostModel::band_edge(energies.len(), 2.0);
     let outcome = dynamic_sweep(comm, energies, &mut model, opts, |id| {
         solve_unit(comms, energies[id], h, lead_l, lead_r)
     })?;
     if comm.rank() == 0 {
         crate::log::emit(&format!(
-            "sched dynamic sweep: {} units in {} chunks, reissued {}+{} \
-             (failed+straggler), {} stale msgs, imbalance {:.2}",
+            "sched dynamic sweep: {} units in {} chunks, reclaimed {}, \
+             {} stale msgs, imbalance {:.2}",
             outcome.stats.units,
             outcome.stats.chunks,
             outcome.stats.reissued_failed,
-            outcome.stats.reissued_straggler,
             outcome.stats.stale_msgs,
             outcome.stats.imbalance(),
         ));
@@ -423,13 +422,12 @@ fn whole_curve_dynamic(
     if comms.bias_group.rank() == 0 {
         crate::log::emit(&format!(
             "sched iv sweep: {} k × {} E units in {} chunks, coordinator solved {}, \
-             reissued {}+{} (failed+straggler), imbalance {:.2}",
+             reclaimed {}, imbalance {:.2}",
             nk,
             n_e,
             outcome.stats.chunks,
             outcome.stats.coordinator_units,
             outcome.stats.reissued_failed,
-            outcome.stats.reissued_straggler,
             outcome.stats.imbalance(),
         ));
     }
@@ -725,50 +723,53 @@ mod tests {
         // under the fixed round-robin partition and once self-scheduled.
         // Both paths evaluate each point through the identical SplitSolve
         // call (spatial == 1), and both reductions add each value to exact
-        // zeros, so the results must agree to the bit.
+        // zeros, so the results must agree to the bit. An empty grid is an
+        // empty sweep under either schedule, not an error.
         let mut spec =
             TransistorSpec::si_nanowire_nmos(Material::SingleBand { t_mev: 1000 }, 1.0, 6);
         spec.doping_sd = 0.0;
         let tr = spec.build();
         let v = vec![0.0; tr.device.num_atoms()];
         let (h, h00, h01) = frozen_system(&tr, &v, 0.0);
-        let energies = linspace(-3.4, -2.6, 9);
         let cfg = LevelConfig {
             bias: 1,
             momentum: 1,
             energy: 4,
             spatial: 1,
         };
-        let run = |schedule: Schedule| {
-            run_ranks(4, |ctx| {
-                let comms = split_levels(ctx, &cfg)?;
-                parallel_transmission(
-                    &comms,
-                    &cfg,
-                    &h,
-                    (&h00, &h01),
-                    (&h00, &h01),
-                    &energies,
-                    schedule,
-                )
-            })
-            .flattened()
-            .unwrap_all()
-        };
-        let stat = run(Schedule::Static);
-        let dyns = run(Schedule::Dynamic(SchedOptions::default()));
-        for (rank, (s, d)) in stat.iter().zip(&dyns).enumerate() {
-            assert!(s.report.is_clean() && d.report.is_clean());
-            assert_eq!(s.report.solved, energies.len());
-            assert_eq!(d.report.solved, energies.len());
-            let stats = d.sched.as_ref().expect("dynamic run reports stats");
-            assert_eq!(stats.units, energies.len());
-            for (i, (a, b)) in s.transmission.iter().zip(&d.transmission).enumerate() {
-                assert_eq!(
-                    a.to_bits(),
-                    b.to_bits(),
-                    "rank {rank} energy {i}: static {a} vs dynamic {b}"
-                );
+        for energies in [linspace(-3.4, -2.6, 9), Vec::new()] {
+            let run = |schedule: Schedule| {
+                run_ranks(4, |ctx| {
+                    let comms = split_levels(ctx, &cfg)?;
+                    parallel_transmission(
+                        &comms,
+                        &cfg,
+                        &h,
+                        (&h00, &h01),
+                        (&h00, &h01),
+                        &energies,
+                        schedule,
+                    )
+                })
+                .flattened()
+                .unwrap_all()
+            };
+            let stat = run(Schedule::Static);
+            let dyns = run(Schedule::Dynamic(SchedOptions::default()));
+            for (rank, (s, d)) in stat.iter().zip(&dyns).enumerate() {
+                assert!(s.report.is_clean() && d.report.is_clean());
+                assert_eq!(s.report.solved, energies.len());
+                assert_eq!(d.report.solved, energies.len());
+                assert_eq!(d.transmission.len(), energies.len());
+                let stats = d.sched.as_ref().expect("dynamic run reports stats");
+                assert_eq!(stats.units, energies.len());
+                for (i, (a, b)) in s.transmission.iter().zip(&d.transmission).enumerate() {
+                    assert_eq!(
+                        a.to_bits(),
+                        b.to_bits(),
+                        "rank {rank} energy {i}: static {a} vs dynamic {b}"
+                    );
+                }
             }
         }
     }
@@ -824,10 +825,10 @@ mod tests {
                 // failure entries.
                 assert_eq!(res.report.attempted(), energies.len());
             }
-            if let Schedule::Dynamic(opts) = schedule {
-                // The failing unit was re-issued the bounded count before
-                // being abandoned, and the re-issues reached CommStats.
-                assert_eq!(total.sched_reissues, opts.max_reissue as u64);
+            if let Schedule::Dynamic(_) = schedule {
+                // A typed failure is final on its first attempt: nothing
+                // was re-issued, and CommStats says so.
+                assert_eq!(total.sched_reissues, 0);
             }
         }
     }

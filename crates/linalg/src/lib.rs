@@ -39,4 +39,4 @@ pub use geig::eig_values_general;
 pub use gemm::{gemm, gemm_threaded, matmul, matmul_h_n, matmul_n_h, Op};
 pub use lu::Lu;
 pub use matrix::ZMat;
-pub use vec_ops::{axpy, dot, nrm2, scal};
+pub use vec_ops::{axpy, dot};

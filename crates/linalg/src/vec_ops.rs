@@ -8,9 +8,8 @@
 //! accumulates two interleaved partial sums, so like the GEMM microkernel
 //! it matches the scalar path only to rounding, never bit-for-bit — the
 //! per-path determinism contract of DESIGN.md §10 applies here too.
-//! `scal`/`nrm2` stay scalar: they are memory-bound and the autovectorizer
-//! already saturates them. `reflector`, the crate's one Householder vector,
-//! is scalar too: the eigensolvers that call it do not dispatch.
+//! `reflector`, the crate's one Householder vector, is scalar: the
+//! eigensolvers that call it do not dispatch.
 
 use crate::flops::add_flops;
 use crate::threads::{self, SimdPath};
@@ -29,12 +28,6 @@ pub fn dot(x: &[c64], y: &[c64]) -> c64 {
         #[cfg(not(target_arch = "x86_64"))]
         SimdPath::Avx2Fma => x.iter().zip(y).map(|(&a, &b)| a.conj() * b).sum(),
     }
-}
-
-/// Euclidean norm `‖x‖₂`.
-pub fn nrm2(x: &[c64]) -> f64 {
-    add_flops(3 * x.len() as u64);
-    x.iter().map(|z| z.norm_sqr()).sum::<f64>().sqrt()
 }
 
 /// `y ← y + α x`.
@@ -68,24 +61,6 @@ pub(crate) fn axpy_on(path: SimdPath, alpha: c64, x: &[c64], y: &mut [c64]) {
             }
         }
     }
-}
-
-/// `x ← α x`.
-pub fn scal(alpha: c64, x: &mut [c64]) {
-    add_flops(6 * x.len() as u64);
-    for xi in x.iter_mut() {
-        *xi *= alpha;
-    }
-}
-
-/// Normalizes `x` to unit Euclidean norm; returns the original norm.
-/// A zero vector is left untouched and 0 is returned.
-pub fn normalize(x: &mut [c64]) -> f64 {
-    let n = nrm2(x);
-    if n > 0.0 {
-        scal(c64::real(1.0 / n), x);
-    }
-    n
 }
 
 /// Householder reflector for `x` (LAPACK `zlarfg`'s job, EISPACK's
@@ -160,20 +135,12 @@ mod tests {
     }
 
     #[test]
-    fn nrm2_matches_dot() {
-        let x = vec![c64::new(1.0, 2.0), c64::new(-3.0, 0.5)];
-        assert!((nrm2(&x).powi(2) - dot(&x, &x).re).abs() < 1e-12);
-    }
-
-    #[test]
-    fn axpy_and_scal() {
+    fn axpy_basics() {
         let x = vec![c64::ONE, c64::I];
         let mut y = vec![c64::real(2.0), c64::real(-1.0)];
         axpy(c64::imag(1.0), &x, &mut y);
         assert_eq!(y[0], c64::new(2.0, 1.0));
         assert_eq!(y[1], c64::new(-2.0, 0.0));
-        scal(c64::real(0.5), &mut y);
-        assert_eq!(y[0], c64::new(1.0, 0.5));
     }
 
     #[test]
@@ -192,17 +159,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn normalize_unit_and_zero() {
-        let mut x = vec![c64::real(3.0), c64::real(4.0)];
-        let n = normalize(&mut x);
-        assert!((n - 5.0).abs() < 1e-14);
-        assert!((nrm2(&x) - 1.0).abs() < 1e-14);
-        let mut z = vec![c64::ZERO; 3];
-        assert_eq!(normalize(&mut z), 0.0);
-        assert!(z.iter().all(|&v| v == c64::ZERO));
     }
 
     #[test]

@@ -62,8 +62,8 @@ pub struct CommStats {
     /// Collective operations (allreduce/bcast/gather/allgather)
     /// participated in.
     pub collectives: u64,
-    /// Dynamic-scheduler work-unit re-issues (failure retries plus
-    /// speculative straggler copies) coordinated by this rank.
+    /// Dynamic-scheduler work units reclaimed from dead workers and
+    /// re-queued by this rank as coordinator.
     pub sched_reissues: u64,
     /// Dynamic-scheduler messages dropped or refused because they carried
     /// a superseded sweep epoch.
@@ -335,8 +335,8 @@ impl RankCtx {
     /// carrying `tag` from *any* rank, waiting at most `timeout` for one to
     /// arrive. `Ok(None)` means the poll window elapsed with no match — the
     /// caller keeps control instead of deadlocking, which is what lets a
-    /// work-scheduling coordinator interleave straggler detection with
-    /// message service. When several sources already have a matching
+    /// work-scheduling coordinator interleave its own solves and its
+    /// liveness scan with message service. When several sources already have a matching
     /// message buffered, the lowest source rank wins (deterministic drain
     /// order). Non-matching arrivals are parked in the out-of-order buffer
     /// exactly like [`Self::recv`].

@@ -9,8 +9,8 @@
 //! exponentially weighted moving average of measured seconds once the unit
 //! (or its recurrence in a later SCF/I–V iteration) has actually been
 //! solved. Seeds are unitless; the model keeps a running calibration
-//! (mean measured seconds per unit of seed) so predictions in *seconds* —
-//! needed by straggler detection — only exist after real measurements.
+//! (mean measured seconds per unit of seed) so that once real measurements
+//! exist, measured and unmeasured units are compared on one axis.
 
 use omen_num::{OmenError, OmenResult};
 use std::collections::BTreeMap;
@@ -135,17 +135,6 @@ impl CostModel {
         } else {
             e
         }
-    }
-
-    /// Predicted *seconds* for unit `id`, available only once at least one
-    /// real measurement calibrated the model. Straggler detection keys off
-    /// this — with no calibration there is no basis to call anything slow.
-    pub fn predict_secs(&self, id: usize) -> Option<f64> {
-        let e = self.ewma[id];
-        if !e.is_nan() {
-            return Some(e);
-        }
-        self.calibration().map(|c| self.seed[id] * c)
     }
 
     /// Mean measured seconds per unit of seed (first observations only).
@@ -275,12 +264,11 @@ mod tests {
     #[test]
     fn seed_then_ewma() {
         let mut m = CostModel::uniform(3);
-        assert_eq!(m.predict(0), 1.0);
-        assert!(m.predict_secs(0).is_none(), "uncalibrated model");
+        assert_eq!(m.predict(0), 1.0, "uncalibrated model predicts the seed");
         m.observe(1, 2.0).unwrap();
         assert_eq!(m.predict(1), 2.0);
         // Calibration: 2.0 s per 1.0 seed → unmeasured units predict 2 s.
-        assert!((m.predict_secs(0).unwrap() - 2.0).abs() < 1e-12);
+        assert!((m.predict(0) - 2.0).abs() < 1e-12);
         m.observe(1, 4.0).unwrap();
         // EWMA with alpha 0.4: 0.4·4 + 0.6·2 = 2.8.
         assert!((m.predict(1) - 2.8).abs() < 1e-12);
@@ -319,10 +307,10 @@ mod tests {
                 other => panic!("observe({bad}) returned {other:?}"),
             }
         }
-        // The ledger is untouched: no observations, prediction still seed.
+        // The ledger is untouched: no observations, prediction still the
+        // bare seed (rejects must not calibrate).
         assert_eq!(m.observations(), 0);
         assert_eq!(m.predict(0), 1.0);
-        assert!(m.predict_secs(0).is_none(), "rejects must not calibrate");
     }
 
     #[test]

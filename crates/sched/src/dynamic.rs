@@ -3,10 +3,9 @@
 //! One communicator member (local rank 0) acts as the coordinator: it owns
 //! the work queue, hands out chunks to workers that *pull* (send a
 //! [`crate::proto::WorkerMsg::Request`]), folds measured solve times back
-//! into the [`CostModel`], re-issues failed or straggling units a bounded
-//! number of times, and finally distributes one merged [`SweepOutcome`] to
-//! every worker. All other members are workers running the caller's solve
-//! closure.
+//! into the [`CostModel`], reclaims what a dead worker held, and finally
+//! distributes one merged [`SweepOutcome`] to every worker. All other
+//! members are workers running the caller's solve closure.
 //!
 //! No rank waits while a unit is queued. The coordinator alternates
 //! *drain the mailbox* (zero timeout) with *solve one unit*, popping the
@@ -20,34 +19,40 @@
 //! A request the queue cannot serve is *parked* at the coordinator and
 //! answered the moment a unit is re-queued or the sweep resolves; the
 //! worker meanwhile blocks in its receive. `poll_ms` paces housekeeping
-//! only (the liveness and straggler scan, which always follows a full
-//! drain so that a message waiting in the mailbox never reads as silence).
+//! only (the liveness scan, which always follows a full drain so that a
+//! message waiting in the mailbox never reads as silence).
 //!
 //! # Determinism
 //!
 //! The solve closure is pure in its unit id — a unit's payload is the same
-//! bytes no matter which worker computes it or how often it is duplicated —
-//! and the coordinator merges payloads into a dense vector indexed by
-//! canonical unit id, first result wins. The merged values are therefore
-//! *bit-identical* across runs, worker counts, and injected delays; only
-//! [`SchedStats`] (timings, re-issue counters) is timing-dependent.
+//! bytes no matter which rank computes it — and the coordinator merges
+//! payloads into a dense vector indexed by canonical unit id. The merged
+//! values are therefore *bit-identical* across runs, worker counts, and
+//! injected delays; only [`SchedStats`] (timings, reclamation counters) is
+//! timing-dependent.
 //!
 //! # Fault model
 //!
-//! A unit that fails with a typed solver error is re-queued up to
-//! `max_reissue` times, then recorded in the outcome's
-//! [`SweepReport::failed`] — the sweep continues. A worker silent past
-//! `dead_after_ms` is declared dead: everything it holds — the unit it was
-//! solving, the rest of its chunk and the chunk prefetched behind it — is
-//! re-issued (or failed once re-issue is exhausted) and its parked request
-//! is dropped. A worker whose request is parked and which holds nothing is
-//! silent by protocol, not by fault: at half of `dead_after_ms` the
-//! coordinator voids the request with an empty assignment and the worker
-//! proves itself with a fresh one. The terminal broadcast is point-to-point
-//! per worker rather than a collective precisely so a dead member cannot
-//! wedge the fan-out. `dead_after_ms` must comfortably exceed the slowest
-//! single unit, or a merely-slow worker is mistaken for a dead one and
-//! later fails itself on a receive timeout.
+//! Every unit has at most one holder at a time. A unit that fails with a
+//! typed solver error is final on its first attempt — the solve is pure,
+//! so a second attempt would fail the same way — and is recorded in the
+//! outcome's [`SweepReport::failed`]; the sweep continues. A worker silent
+//! past `dead_after_ms` is declared dead: everything it holds — the unit it
+//! was solving, the rest of its chunk and the chunk prefetched behind it —
+//! is re-queued (or failed once `max_reissue` reclamations are spent), its
+//! parked request is dropped, a later request from it is refused with
+//! [`crate::proto::CoordMsg::Stale`] and a late result from it is dropped.
+//! A worker's silence is timed from its last message or its last non-empty
+//! hand-out, whichever is later; every unit ends in a result, so a live
+//! worker is never silent longer than its slowest single unit.
+//! `dead_after_ms` must comfortably exceed that unit, or a merely-slow
+//! worker is mistaken for a dead one. A worker whose request is parked and
+//! which holds nothing is silent by protocol, not by fault: at half of
+//! `dead_after_ms` the coordinator voids the request with an empty
+//! assignment and the worker proves itself with a fresh one. The terminal
+//! broadcast is point-to-point per worker rather than a collective
+//! precisely so a dead member cannot wedge the fan-out. The coordinator
+//! solves, so a sweep finishes even when every worker dies.
 
 use crate::cost::CostModel;
 use crate::proto::{
@@ -65,30 +70,19 @@ use std::time::{Duration, Instant};
 pub struct SchedOptions {
     /// Upper bound on units per hand-out. Actual chunks shrink guided-style
     /// as the queue drains: `min(chunk_max, max(1, remaining / (2·C)))`
-    /// over the `C` members that pop from the queue (live workers, plus
-    /// the coordinator when it solves).
+    /// over the `C` members that pop from the queue (live workers plus the
+    /// coordinator).
     pub chunk_max: usize,
-    /// How many times one unit may be re-issued (failure or straggle)
-    /// before it is abandoned into [`SweepReport::failed`].
+    /// How many times one unit may be reclaimed from a dead worker before
+    /// it is abandoned into [`SweepReport::failed`].
     pub max_reissue: usize,
-    /// Cadence of the coordinator's liveness and straggler scan, and the
-    /// pause before a worker repeats a request answered with an empty
-    /// assignment, in milliseconds. Nothing on the fault-free path waits
-    /// for it.
+    /// Cadence of the coordinator's liveness scan, and the pause before a
+    /// worker repeats a request answered with an empty assignment, in
+    /// milliseconds. Nothing on the fault-free path waits for it.
     pub poll_ms: u64,
-    /// A unit is a straggler once in flight longer than
-    /// `straggler_min_ms + straggler_factor × predicted seconds`.
-    pub straggler_factor: f64,
-    /// Floor of the straggler bound, in milliseconds.
-    pub straggler_min_ms: u64,
     /// A worker silent this long is declared dead. Must exceed the
     /// slowest single unit's solve time.
     pub dead_after_ms: u64,
-    /// Whether the coordinator solves queued units itself between mailbox
-    /// drains (cheapest-first, so worker messages never wait long).
-    /// On by default; turned off only by tests that pin exact scheduling
-    /// behavior.
-    pub coordinator_solves: bool,
 }
 
 impl Default for SchedOptions {
@@ -97,10 +91,7 @@ impl Default for SchedOptions {
             chunk_max: 4,
             max_reissue: 2,
             poll_ms: 5,
-            straggler_factor: 8.0,
-            straggler_min_ms: 500,
             dead_after_ms: 30_000,
-            coordinator_solves: true,
         }
     }
 }
@@ -114,13 +105,12 @@ pub struct SchedStats {
     pub units: usize,
     /// Non-empty chunks handed out.
     pub chunks: usize,
-    /// Re-issues triggered by typed unit failures or dead workers.
+    /// Units reclaimed from dead workers and re-queued. Typed solver
+    /// failures are final on the first attempt and never count here.
     pub reissued_failed: usize,
-    /// Re-issues triggered by straggler detection.
+    /// Always 0: the scheduler does not speculate on slow units. Kept so
+    /// that existing readers of the field still compile.
     pub reissued_straggler: usize,
-    /// Results that arrived for already-resolved units (straggler copies
-    /// that lost the race; still folded into the cost ledger).
-    pub duplicate_results: usize,
     /// Workers declared dead during the sweep.
     pub workers_dead: usize,
     /// Messages dropped (or refused) because they carried a superseded
@@ -130,15 +120,15 @@ pub struct SchedStats {
     /// Units the coordinator solved itself between brokering rounds.
     pub coordinator_units: usize,
     /// Busy seconds per communicator member (index = local rank; entry 0
-    /// is the coordinator's own solve time, 0.0 when it only brokered).
+    /// is the coordinator's own solve time).
     pub worker_busy_s: Vec<f64>,
 }
 
 impl SchedStats {
     /// Load-imbalance ratio (max/mean busy seconds) over the solving
-    /// members. A coordinator that only brokered (entry 0 exactly 0.0) is
-    /// excluded; a solving coordinator counts like any other member. 1.0
-    /// is a perfect balance; also 1.0 for degenerate inputs.
+    /// members. A coordinator that solved nothing (entry 0 exactly 0.0) is
+    /// excluded; otherwise it counts like any other member. 1.0 is a
+    /// perfect balance; also 1.0 for degenerate inputs.
     pub fn imbalance(&self) -> f64 {
         let busy: &[f64] = if self.worker_busy_s.len() > 1 && self.worker_busy_s[0] == 0.0 {
             &self.worker_busy_s[1..]
@@ -156,7 +146,6 @@ impl SchedStats {
         self.chunks += o.chunks;
         self.reissued_failed += o.reissued_failed;
         self.reissued_straggler += o.reissued_straggler;
-        self.duplicate_results += o.duplicate_results;
         self.workers_dead += o.workers_dead;
         self.stale_msgs += o.stale_msgs;
         self.coordinator_units += o.coordinator_units;
@@ -195,11 +184,27 @@ pub struct SweepOutcome {
     pub stats: SchedStats,
 }
 
+/// The fault ledger in unit order: `errors[id]` failed at `energies[id]`,
+/// every other unit solved after `retried(id)` reclamations.
+fn ledger(
+    energies: &[f64],
+    errors: Vec<Option<OmenError>>,
+    retried: impl Fn(usize) -> usize,
+) -> SweepReport {
+    let mut report = SweepReport::default();
+    for (id, slot) in errors.into_iter().enumerate() {
+        match slot {
+            Some(e) => report.record_failed(energies[id], e),
+            None => report.record_solved(retried(id)),
+        }
+    }
+    report
+}
+
 /// The single-member arm of [`dynamic_sweep`]: runs the sweep on the
 /// calling thread in cost-descending order, feeding measured times back
 /// into `model`. Same canonical merge and per-unit fault isolation as the
-/// brokered arms, no re-issue (a deterministic solve that failed once
-/// would fail again).
+/// brokered arms.
 fn local_sweep(
     energies: &[f64],
     model: &mut CostModel,
@@ -226,16 +231,9 @@ fn local_sweep(
             Err(e) => errors[id] = Some(e),
         }
     }
-    let mut report = SweepReport::default();
-    for (id, slot) in errors.into_iter().enumerate() {
-        match slot {
-            Some(e) => report.record_failed(energies[id], e),
-            None => report.record_solved(0),
-        }
-    }
     SweepOutcome {
         values,
-        report,
+        report: ledger(energies, errors, |_| 0),
         stats: SchedStats {
             units: n,
             worker_busy_s: vec![busy_s],
@@ -245,8 +243,8 @@ fn local_sweep(
 }
 
 /// Runs a dynamically scheduled sweep over `energies.len()` units on
-/// `comm`. Local rank 0 coordinates; every other member runs `solve`
-/// (pure: unit id → payload). Every member returns the same
+/// `comm`. Local rank 0 coordinates and solves; every other member runs
+/// `solve` (pure: unit id → payload). Every member returns the same
 /// [`SweepOutcome`]. With a single-member communicator the sweep runs
 /// locally on the caller. `energies[id]` stamps failed units in the
 /// report; `model` must cover exactly as many units.
@@ -256,7 +254,8 @@ fn local_sweep(
 /// Communicator faults only — [`OmenError::RecvTimeout`] /
 /// [`OmenError::ChannelClosed`] when the coordinator (from a worker's view)
 /// or the runtime died, [`OmenError::Deserialize`] on a corrupt or
-/// misrouted scheduler message, [`OmenError::ShapeMismatch`] when `model`
+/// misrouted scheduler message, [`OmenError::RankFailed`] on a worker the
+/// coordinator declared dead, [`OmenError::ShapeMismatch`] when `model`
 /// and `energies` disagree on the unit count. Per-unit *solver* failures
 /// never surface here; they land in the outcome's [`SweepReport::failed`].
 pub fn dynamic_sweep(
@@ -291,38 +290,21 @@ pub fn dynamic_sweep(
 // Coordinator
 // ---------------------------------------------------------------------------
 
-/// One copy of a unit held by a worker — in progress, or handed out and
-/// waiting behind the units ahead of it. Tracking copies individually —
-/// instead of a single `inflight` count plus one `assigned_to` rank — is
-/// what makes dead-worker reclamation exact: a worker's death removes
-/// *its* copies only, and a unit is re-issued only when no live copy
-/// remains, so a late heartbeat can never re-attribute a straggler copy to
-/// the wrong holder and double-count the re-issue.
-#[derive(Debug, Clone)]
-struct HeldCopy {
-    /// Local rank of the worker holding this copy (never the coordinator:
-    /// its own solves are synchronous and need no bookkeeping).
-    holder: usize,
-    /// Hand-out time, refreshed when the holder's heartbeat lands.
-    started: Instant,
-}
-
-/// Lifecycle of one unit at the coordinator.
-#[derive(Debug, Clone)]
+/// A unit at the coordinator: queued, held by one worker, or resolved
+/// (its value or error recorded). Queue membership and resolution live in
+/// the coordinator's queue and merge slots; only the holder is kept here.
+#[derive(Debug, Clone, Default)]
 struct UnitState {
-    /// Final value or failure recorded; all later copies are duplicates.
-    resolved: bool,
-    /// Sitting in the queue awaiting (re-)hand-out.
-    queued: bool,
-    /// Copies held by workers, one entry per holder.
-    copies: Vec<HeldCopy>,
-    /// Re-issues spent (failures, stragglers, dead workers combined).
+    /// Local rank of the worker holding the unit — solving it, or holding
+    /// it behind the units ahead of it in its chunks. `None` while queued,
+    /// while the coordinator solves it, and once resolved.
+    holder: Option<usize>,
+    /// Reclamations from dead workers spent.
     reissues: usize,
-    /// Local rank of the most recent holder (stamps dead-worker errors).
-    last_holder: usize,
 }
 
 struct WorkerState {
+    /// Time of this worker's last message or last non-empty hand-out.
     last_seen: Instant,
     busy_s: f64,
     dead: bool,
@@ -339,12 +321,12 @@ struct Coordinator<'a, 'c> {
     epoch: u64,
     opts: &'a SchedOptions,
     model: &'a mut CostModel,
-    /// LPT order: workers pop the expensive front, the coordinator the
-    /// cheap back. May hold entries of units resolved or re-popped since.
+    /// Exactly the queued units, in LPT order: workers pop the expensive
+    /// front, the coordinator the cheap back.
     queue: VecDeque<usize>,
     state: Vec<UnitState>,
     values: Vec<Option<Vec<f64>>>,
-    last_err: Vec<Option<OmenError>>,
+    errors: Vec<Option<OmenError>>,
     /// Index = local rank − 1.
     workers: Vec<WorkerState>,
     stats: SchedStats,
@@ -379,7 +361,7 @@ fn coordinate(
         }
         // Solve the cheapest queued unit; wait for traffic only with
         // nothing to solve (the first message ends the wait).
-        if let Some(unit) = c.pop_cheapest() {
+        if let Some(unit) = c.queue.pop_back() {
             let t0 = Instant::now();
             let outcome = solve(unit);
             let elapsed_s = t0.elapsed().as_secs_f64();
@@ -409,17 +391,9 @@ impl<'a, 'c> Coordinator<'a, 'c> {
             opts,
             queue: model.descending_order(0..n).into_iter().collect(),
             model,
-            state: (0..n)
-                .map(|_| UnitState {
-                    resolved: false,
-                    queued: true,
-                    copies: Vec::new(),
-                    reissues: 0,
-                    last_holder: 0,
-                })
-                .collect(),
-            values: (0..n).map(|_| None).collect(),
-            last_err: vec![None; n],
+            state: vec![UnitState::default(); n],
+            values: vec![None; n],
+            errors: vec![None; n],
             workers: (1..comm.size())
                 .map(|_| WorkerState {
                     last_seen: now,
@@ -475,13 +449,10 @@ impl<'a, 'c> Coordinator<'a, 'c> {
     /// wait forever. A request from a *future* sweep (the worker already
     /// received FIN and re-entered while this coordinator still drains its
     /// termination phase) gets an empty assignment so it retries shortly.
-    /// Stale results and heartbeats are simply dropped. Returns true when
-    /// consumed here.
+    /// Stale results are simply dropped. Returns true when consumed here.
     fn filter_epoch(&mut self, from: usize, msg: &WorkerMsg) -> bool {
         let e = match msg {
-            WorkerMsg::Request { epoch }
-            | WorkerMsg::Heartbeat { epoch, .. }
-            | WorkerMsg::Result { epoch, .. } => *epoch,
+            WorkerMsg::Request { epoch } | WorkerMsg::Result { epoch, .. } => *epoch,
         };
         if e == self.epoch {
             return false;
@@ -514,26 +485,17 @@ impl<'a, 'c> Coordinator<'a, 'c> {
     fn on_message(&mut self, from: usize, msg: WorkerMsg) {
         match self.accept(from, msg) {
             None => {}
-            Some(WorkerMsg::Request { .. }) => self.assign_or_park(from),
-            Some(WorkerMsg::Heartbeat { unit, .. }) => {
-                // Only the heartbeat of a rank actually holding a copy
-                // refreshes the straggler clock: a late or spurious
-                // heartbeat from a non-holder must not re-attribute the
-                // copy (see [`HeldCopy`]).
-                if let Some(st) = self.state.get_mut(unit).filter(|st| !st.resolved) {
-                    if let Some(c) = st.copies.iter_mut().find(|c| c.holder == from) {
-                        c.started = Instant::now();
-                        st.last_holder = from;
-                    }
-                }
+            Some(WorkerMsg::Request { epoch }) if self.workers[from - 1].dead => {
+                // What it held was reclaimed; it holds nothing again.
+                self.tell(from, &CoordMsg::Stale { epoch });
             }
+            Some(WorkerMsg::Request { .. }) => self.assign_or_park(from),
             Some(WorkerMsg::Result {
                 unit,
                 elapsed_s,
                 outcome,
                 ..
             }) => {
-                self.state[unit].copies.retain(|c| c.holder != from);
                 // `elapsed_s` arrived off the wire and can be corrupt:
                 // keep non-finite/negative timings out of the busy ledger
                 // (they would poison the imbalance stats) and let the cost
@@ -542,17 +504,29 @@ impl<'a, 'c> Coordinator<'a, 'c> {
                 if elapsed_s.is_finite() && elapsed_s >= 0.0 {
                     self.workers[from - 1].busy_s += elapsed_s;
                 }
-                self.fold_outcome(unit, elapsed_s, outcome);
+                if self.state[unit].holder == Some(from) {
+                    self.state[unit].holder = None;
+                    self.fold_outcome(unit, elapsed_s, outcome);
+                } else {
+                    // From a worker declared dead after all: the unit went
+                    // to another holder; the timing still informs the
+                    // ledger.
+                    let _ = self.model.observe(unit, elapsed_s);
+                }
             }
         }
     }
 
     /// Answers `to`'s request with the next chunk, or parks it when the
-    /// queue holds nothing live.
+    /// queue is empty.
     fn assign_or_park(&mut self, to: usize) {
         let units = self.pop_chunk(to);
-        self.workers[to - 1].parked = units.is_empty();
+        let w = &mut self.workers[to - 1];
+        w.parked = units.is_empty();
         if !units.is_empty() {
+            // Time the assignee from this hand-out, not from a request
+            // that may have been parked for up to `dead_after_ms / 2`.
+            w.last_seen = Instant::now();
             self.stats.chunks += 1;
             let epoch = self.epoch;
             self.tell(to, &CoordMsg::Assign { epoch, units });
@@ -571,253 +545,119 @@ impl<'a, 'c> Coordinator<'a, 'c> {
         }
     }
 
-    fn is_live(&self, unit: usize) -> bool {
-        self.state[unit].queued && !self.state[unit].resolved
-    }
-
-    /// Pops the next guided-size chunk for `to` off the expensive end:
-    /// skips stale queue entries, marks popped units held.
+    /// Pops the next guided-size chunk for `to` off the expensive end and
+    /// makes `to` its holder.
     fn pop_chunk(&mut self, to: usize) -> Vec<usize> {
-        // Everyone who pops from this queue at full rate.
-        let consumers = self.workers.iter().filter(|w| !w.dead).count()
-            + usize::from(self.opts.coordinator_solves);
-        let mut live_queued = self.queue.iter().filter(|&&u| self.is_live(u)).count();
+        // Everyone who pops from this queue at full rate: the live workers
+        // and the coordinator.
+        let consumers = self.workers.iter().filter(|w| !w.dead).count() + 1;
+        let mut queued = self.queue.len();
         // Near the end — fewer units than consumers — nothing is handed
         // out ahead: a requester still busy would sit on a unit that a
         // rank running dry could start now.
-        if live_queued < consumers && self.holds_copy(to) {
-            live_queued = 0;
+        if queued < consumers && self.holds(to) {
+            queued = 0;
         }
         let want = self
             .opts
             .chunk_max
-            .min(live_queued.div_ceil(2 * consumers.max(1)))
-            .max(usize::from(live_queued > 0));
-        let mut chunk = Vec::with_capacity(want);
-        while chunk.len() < want {
-            let Some(u) = self.queue.pop_front() else {
-                break;
-            };
-            if !self.is_live(u) {
-                continue; // resolved by a straggler copy, or already re-popped
-            }
-            let st = &mut self.state[u];
-            st.queued = false;
-            st.copies.push(HeldCopy {
-                holder: to,
-                started: Instant::now(),
-            });
-            st.last_holder = to;
-            chunk.push(u);
+            .min(queued.div_ceil(2 * consumers))
+            .max(usize::from(queued > 0));
+        let chunk: Vec<usize> = self.queue.drain(..want).collect();
+        for &u in &chunk {
+            self.state[u].holder = Some(to);
         }
         chunk
     }
 
-    /// Pops the cheapest live unit off the back of the LPT queue for the
-    /// coordinator itself — short units keep the stretches during which
-    /// worker messages wait unserved short.
-    fn pop_cheapest(&mut self) -> Option<usize> {
-        if !self.opts.coordinator_solves {
-            return None;
-        }
-        while let Some(u) = self.queue.pop_back() {
-            if self.is_live(u) {
-                self.state[u].queued = false;
-                self.state[u].last_holder = 0;
-                return Some(u);
-            }
-        }
-        None
-    }
-
-    /// Folds one copy's outcome into the merge: first result wins, typed
-    /// failures are re-queued up to `max_reissue` times, and a unit is
-    /// abandoned only when no copy remains held or queued. Shared by the
-    /// wire path (worker results) and the solving coordinator's local path
-    /// so both honor the exact same lifecycle.
+    /// Records one unit's value or typed error. Shared by the wire path
+    /// (a holder's result) and the solving coordinator's local path.
     fn fold_outcome(&mut self, unit: usize, elapsed_s: f64, outcome: Result<Vec<f64>, OmenError>) {
-        let st = &mut self.state[unit];
-        // A wire-decoded timing may be corrupt; the ledger's typed
-        // rejection drops it, which costs prediction quality only.
-        if st.resolved {
-            self.stats.duplicate_results += 1;
-            let _ = self.model.observe(unit, elapsed_s);
-            return;
-        }
         match outcome {
             Ok(v) => {
+                // A wire-decoded timing may be corrupt; the ledger's typed
+                // rejection drops it, which costs prediction quality only.
                 let _ = self.model.observe(unit, elapsed_s);
                 self.values[unit] = Some(v);
-                st.resolved = true;
-                st.queued = false;
-                self.unresolved -= 1;
             }
-            Err(e) => {
-                self.last_err[unit] = Some(e);
-                if st.reissues < self.opts.max_reissue {
-                    st.reissues += 1;
-                    st.queued = true;
-                    self.queue.push_front(unit);
-                    self.stats.reissued_failed += 1;
-                } else if st.copies.is_empty() && !st.queued {
-                    st.resolved = true;
-                    self.unresolved -= 1;
-                }
-                // else: a straggler copy is still held or queued; it
-                // decides.
-            }
+            Err(e) => self.errors[unit] = Some(e),
         }
+        self.unresolved -= 1;
     }
 
-    fn holds_copy(&self, local: usize) -> bool {
-        self.state
-            .iter()
-            .any(|st| st.copies.iter().any(|c| c.holder == local))
+    fn holds(&self, local: usize) -> bool {
+        self.state.iter().any(|st| st.holder == Some(local))
     }
 
     /// Housekeeping on the `poll_ms` cadence, always right after a full
-    /// mailbox drain: declare silent workers dead (re-issuing what they
-    /// held), re-issue stragglers, and fail everything left if nobody
-    /// remains to solve it.
+    /// mailbox drain: void long-parked requests of workers that hold
+    /// nothing, and declare silent workers dead.
     fn scan_liveness(&mut self) {
         let now = Instant::now();
         let dead_after = Duration::from_millis(self.opts.dead_after_ms.max(1));
-        for i in 0..self.workers.len() {
-            let local = i + 1;
-            let w = &self.workers[i];
+        for local in 1..=self.workers.len() {
+            let w = &self.workers[local - 1];
             if w.dead {
                 continue;
             }
             let silent = now.duration_since(w.last_seen);
-            if w.parked && silent > dead_after / 2 && !self.holds_copy(local) {
+            if w.parked && silent > dead_after / 2 && !self.holds(local) {
                 // Silent by protocol, not by fault: it waits on a parked
                 // request with nothing to solve. Void the request so the
                 // worker proves itself with a fresh one, and its blocking
                 // receive never nears the runtime's receive bound.
                 self.void_request(local, self.epoch);
-                let w = &mut self.workers[i];
+                let w = &mut self.workers[local - 1];
                 w.parked = false;
                 w.last_seen = now;
-                continue;
-            }
-            if silent <= dead_after {
-                continue;
-            }
-            let w = &mut self.workers[i];
-            w.dead = true;
-            w.parked = false;
-            self.stats.workers_dead += 1;
-            for (u, st) in self.state.iter_mut().enumerate() {
-                if st.resolved {
-                    continue;
-                }
-                // Reclaim exactly the dead worker's copies — the unit it
-                // was solving and every unit prefetched behind it.
-                // Re-issue only when that leaves the unit with no live
-                // copy and no queue entry — a straggler copy on a live
-                // rank already covers it, and counting a second re-issue
-                // for a covered unit is the double-count race this
-                // structure exists to prevent.
-                let before = st.copies.len();
-                st.copies.retain(|c| c.holder != local);
-                if st.copies.len() == before || st.queued || !st.copies.is_empty() {
-                    continue;
-                }
-                if st.reissues < self.opts.max_reissue {
-                    st.reissues += 1;
-                    st.queued = true;
-                    self.queue.push_back(u);
-                    self.stats.reissued_failed += 1;
-                } else {
-                    st.resolved = true;
-                    self.unresolved -= 1;
-                    if self.last_err[u].is_none() {
-                        self.last_err[u] = Some(OmenError::RankFailed {
-                            rank: self.comm.global_rank(local),
-                            detail: format!(
-                                "worker silent past {} ms with unit in flight",
-                                self.opts.dead_after_ms
-                            ),
-                        });
-                    }
-                }
+            } else if silent > dead_after {
+                self.declare_dead(local);
             }
         }
+    }
 
-        // Stragglers: a unit held far past its predicted time is
-        // speculatively re-queued; whichever copy lands first wins. A
-        // copy's clock starts at hand-out or at the last word from its
-        // holder, whichever is later — a prefetched copy waiting behind
-        // the holder's current unit is *held*, not late, for as long as
-        // the holder keeps reporting — and the unit's clock is its
-        // *youngest* copy: only when every holder has gone quiet past the
-        // bound is another copy worth paying for.
-        let workers = &self.workers;
+    /// Marks `local` dead and reclaims exactly what it held — the unit it
+    /// was solving and every unit handed out behind it — re-queuing each
+    /// unit with reclamations left and failing the rest.
+    fn declare_dead(&mut self, local: usize) {
+        let w = &mut self.workers[local - 1];
+        w.dead = true;
+        w.parked = false;
+        self.stats.workers_dead += 1;
         for (u, st) in self.state.iter_mut().enumerate() {
-            if st.resolved || st.queued || st.reissues >= self.opts.max_reissue {
+            if st.holder != Some(local) {
                 continue;
             }
-            let youngest = st
-                .copies
-                .iter()
-                .map(|c| c.started.max(workers[c.holder - 1].last_seen))
-                .max();
-            let (Some(started), Some(pred)) = (youngest, self.model.predict_secs(u)) else {
-                continue;
-            };
-            let bound = Duration::from_millis(self.opts.straggler_min_ms).as_secs_f64()
-                + self.opts.straggler_factor * pred;
-            if now.duration_since(started).as_secs_f64() > bound {
+            st.holder = None;
+            if st.reissues < self.opts.max_reissue {
                 st.reissues += 1;
-                st.queued = true;
                 self.queue.push_back(u);
-                self.stats.reissued_straggler += 1;
+                self.stats.reissued_failed += 1;
+            } else {
+                self.errors[u] = Some(OmenError::RankFailed {
+                    rank: self.comm.global_rank(local),
+                    detail: format!(
+                        "worker silent past {} ms with unit in flight",
+                        self.opts.dead_after_ms
+                    ),
+                });
+                self.unresolved -= 1;
             }
-        }
-
-        // A solving coordinator finishes the sweep alone; a brokering one
-        // without workers cannot.
-        if !self.opts.coordinator_solves && self.workers.iter().all(|w| w.dead) {
-            for (u, st) in self.state.iter_mut().enumerate() {
-                if st.resolved {
-                    continue;
-                }
-                st.resolved = true;
-                if self.last_err[u].is_none() {
-                    self.last_err[u] = Some(OmenError::RankFailed {
-                        rank: self.comm.global_rank(0),
-                        detail: "every scheduler worker died before this unit resolved".to_string(),
-                    });
-                }
-            }
-            self.unresolved = 0;
         }
     }
 
     /// Builds the canonical merge and hands it to every worker.
     fn terminate(mut self, energies: &[f64], poll: Duration) -> OmenResult<SweepOutcome> {
         let comm = self.comm;
-        let values = std::mem::take(&mut self.values);
-        // The fault ledger, in unit order.
-        let mut report = SweepReport::default();
-        for (id, v) in values.iter().enumerate() {
-            if v.is_some() {
-                report.record_solved(self.state[id].reissues);
-            } else {
-                let err = self.last_err[id].take().unwrap_or(OmenError::RankFailed {
-                    rank: comm.global_rank(self.state[id].last_holder),
-                    detail: "unit lost to a dead worker with re-issue exhausted".to_string(),
-                });
-                report.record_failed(energies[id], err);
-            }
-        }
+        let errors = std::mem::take(&mut self.errors);
+        let report = ledger(energies, errors, |id| self.state[id].reissues);
         for (i, w) in self.workers.iter().enumerate() {
             self.stats.worker_busy_s[i + 1] = w.busy_s;
         }
         // Every member must return this exact outcome, so stale traffic
         // past this point is counted in `self.stats` only.
         let outcome = SweepOutcome {
-            values,
+            values: std::mem::take(&mut self.values),
             report,
             stats: self.stats.clone(),
         };
@@ -828,13 +668,12 @@ impl<'a, 'c> Coordinator<'a, 'c> {
 
         // Terminal fan-out: point-to-point FIN in answer to each worker's
         // request, never a collective, so dead workers cannot wedge
-        // termination. A request parked while its worker still holds a
-        // copy (a duplicate racing the resolution) is answered once that
-        // copy reported, so no result is left behind in the mailbox.
+        // termination. Every unit resolved through its holder's result,
+        // so a live worker holds nothing and has sent everything it will.
         let dead_after = Duration::from_millis(self.opts.dead_after_ms.max(1));
         loop {
             for to in 1..=self.workers.len() {
-                if self.workers[to - 1].parked && !self.holds_copy(to) {
+                if self.workers[to - 1].parked {
                     self.tell(to, &fin);
                     self.workers[to - 1].parked = false;
                     self.workers[to - 1].finned = true;
@@ -851,12 +690,11 @@ impl<'a, 'c> Coordinator<'a, 'c> {
                         Some(WorkerMsg::Result {
                             unit, elapsed_s, ..
                         }) => {
-                            // Straggler copy racing termination: keep the
-                            // ledger warm for the next sweep, nothing else.
-                            self.state[unit].copies.retain(|c| c.holder != from);
+                            // A dead worker's late result: keep the ledger
+                            // warm for the next sweep, nothing else.
                             let _ = self.model.observe(unit, elapsed_s);
                         }
-                        Some(WorkerMsg::Heartbeat { .. }) | None => {}
+                        None => {}
                     }
                 }
                 None => {
@@ -870,7 +708,7 @@ impl<'a, 'c> Coordinator<'a, 'c> {
             }
         }
         comm.record_sched(
-            (outcome.stats.reissued_failed + outcome.stats.reissued_straggler) as u64,
+            outcome.stats.reissued_failed as u64,
             self.stats.stale_msgs as u64,
         );
         Ok(outcome)
@@ -911,7 +749,6 @@ fn work(
                         // this chunk's last solve instead of following it.
                         send(WorkerMsg::Request { epoch });
                     }
-                    send(WorkerMsg::Heartbeat { epoch, unit });
                     let t0 = Instant::now();
                     let outcome = solve(unit);
                     let elapsed_s = t0.elapsed().as_secs_f64();
@@ -934,8 +771,8 @@ fn work(
             CoordMsg::Stale { .. } => {
                 return Err(OmenError::RankFailed {
                     rank: me,
-                    detail: "sweep epoch superseded: this worker was declared dead and \
-                             the sweep completed without it"
+                    detail: "declared dead by the scheduler coordinator: the sweep \
+                             completes without this worker"
                         .to_string(),
                 })
             }
@@ -968,8 +805,6 @@ pub fn encode_outcome(o: &SweepOutcome) -> Vec<u8> {
         o.stats.units,
         o.stats.chunks,
         o.stats.reissued_failed,
-        o.stats.reissued_straggler,
-        o.stats.duplicate_results,
         o.stats.workers_dead,
         o.stats.stale_msgs,
         o.stats.coordinator_units,
@@ -1008,8 +843,7 @@ pub fn decode_outcome(b: &[u8]) -> OmenResult<SweepOutcome> {
             units: d.usize()?,
             chunks: d.usize()?,
             reissued_failed: d.usize()?,
-            reissued_straggler: d.usize()?,
-            duplicate_results: d.usize()?,
+            reissued_straggler: 0,
             workers_dead: d.usize()?,
             stale_msgs: d.usize()?,
             coordinator_units: d.usize()?,
@@ -1043,8 +877,7 @@ mod tests {
                 units: 3,
                 chunks: 2,
                 reissued_failed: 3,
-                reissued_straggler: 1,
-                duplicate_results: 1,
+                reissued_straggler: 0,
                 workers_dead: 0,
                 stale_msgs: 2,
                 coordinator_units: 1,
@@ -1080,8 +913,8 @@ mod tests {
             worker_busy_s: vec![0.0, 2.0, 2.0, 4.0],
             ..SchedStats::default()
         };
-        // Broker-only coordinator (entry 0 exactly 0.0) excluded:
-        // mean 8/3, max 4 → 1.5.
+        // A coordinator that solved nothing (entry 0 exactly 0.0) is
+        // excluded: mean 8/3, max 4 → 1.5.
         assert!((s.imbalance() - 1.5).abs() < 1e-12);
         // A solving coordinator counts like any other member:
         // mean 12/4 = 3, max 4 → 4/3.

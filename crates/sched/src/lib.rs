@@ -12,27 +12,29 @@
 //!
 //! * [`CostModel`] — per-unit predictions: a grid-position seed (e.g.
 //!   [`CostModel::band_edge_grid`]) refined by an EWMA ledger of measured
-//!   solve seconds, with a seed→seconds calibration that gates straggler
-//!   detection.
+//!   solve seconds, with a seed→seconds calibration that puts measured and
+//!   unmeasured units on one axis.
 //! * [`ModelBank`] — sweep-lifetime persistence of those ledgers, one flat
 //!   model per bias step: SCF re-solves resume their own measurements
 //!   (*hits*), new bias points warm-start from the nearest earlier bias
 //!   (*warmed*), and only a cold grid falls back to seeds ([`BankCounts`]
 //!   is the witness).
 //! * [`dynamic_sweep`] — the pull-based coordinator/worker engine: chunked
-//!   hand-out over typed, fingerprinted messages ([`proto`]),
-//!   heartbeat-based liveness, bounded re-issue of failed or straggling
-//!   units, dead-worker isolation, and a deterministic canonical-order
-//!   merge distributed point-to-point so every member returns the same
-//!   [`SweepOutcome`] — bit-identical values to a static schedule of the
-//!   same pure solve. A single-member communicator runs the same sweep on
-//!   the caller: cost-descending execution, canonical merge, per-unit
-//!   fault isolation, no messages.
+//!   hand-out over typed, fingerprinted messages ([`proto`]) with one
+//!   holder per unit, a solving coordinator, liveness read off the results
+//!   every unit sends, bounded reclamation of what a dead worker held, and
+//!   a deterministic canonical-order merge distributed point-to-point so
+//!   every member returns the same [`SweepOutcome`] — bit-identical values
+//!   to a static schedule of the same pure solve. A single-member
+//!   communicator runs the same sweep on the caller: cost-descending
+//!   execution, canonical merge, per-unit fault isolation, no messages.
 //!
-//! Failed units never abort a sweep: after `max_reissue` attempts they are
-//! recorded as typed entries in the outcome's report (`values[id] = None`)
-//! and the remaining units proceed — the same per-point fault-tolerance
-//! contract the static solver stack already honors.
+//! Failed units never abort a sweep: a typed solver failure is recorded on
+//! its first attempt as a typed entry in the outcome's report
+//! (`values[id] = None`) and the remaining units proceed — the same
+//! per-point fault-tolerance contract the static solver stack already
+//! honors. A unit stranded on a dead worker is re-queued up to
+//! `max_reissue` times before it is recorded the same way.
 
 pub mod cost;
 pub mod dynamic;

@@ -18,7 +18,7 @@
 use omen_num::wire::{Dec, Enc};
 use omen_num::{FailedPoint, OmenError, OmenResult};
 
-/// Worker → coordinator tag (requests, heartbeats, results).
+/// Worker → coordinator tag (requests, results).
 pub const TAG_CTRL: u64 = 0x5C0;
 /// Coordinator → worker tag (assignments, termination).
 pub const TAG_WORK: u64 = 0x5C1;
@@ -28,11 +28,12 @@ const MAGIC: u8 = 0xC5;
 /// Protocol version carried in the second header byte. Version 2 added the
 /// solving coordinator's `coordinator_units` counter to the FIN-payload
 /// stats block; version 3 dropped the request's unused busy-seconds
-/// field. An older peer must reject rather than misparse either.
-const VERSION: u8 = 3;
+/// field; version 4 dropped the per-unit heartbeat and the FIN payload's
+/// straggler and duplicate counters. An older peer must reject rather
+/// than misparse any of them.
+const VERSION: u8 = 4;
 
 const KIND_REQUEST: u8 = 1;
-const KIND_HEARTBEAT: u8 = 2;
 const KIND_RESULT: u8 = 3;
 const KIND_ASSIGN: u8 = 4;
 const KIND_FIN: u8 = 5;
@@ -49,16 +50,7 @@ pub enum WorkerMsg {
         /// Sweep epoch this worker is participating in.
         epoch: u64,
     },
-    /// Sent immediately before starting a unit: doubles as a liveness
-    /// signal and starts the coordinator's straggler countdown at the
-    /// moment work actually begins rather than at hand-out.
-    Heartbeat {
-        /// Sweep epoch this worker is participating in.
-        epoch: u64,
-        /// Canonical unit id being started.
-        unit: usize,
-    },
-    /// Outcome of one unit.
+    /// Outcome of one unit; also the worker's sign of life.
     Result {
         /// Sweep epoch the unit belongs to — a late copy from a superseded
         /// sweep is dropped by the coordinator instead of being merged into
@@ -94,11 +86,12 @@ pub enum CoordMsg {
         /// Encoded [`crate::SweepOutcome`] (see [`crate::dynamic::encode_outcome`]).
         payload: Vec<u8>,
     },
-    /// The requester's sweep epoch was superseded (it was declared dead and
-    /// the sweep finished without it): the worker must abandon its sweep
-    /// with a typed error instead of waiting for work that will never come.
+    /// The requester was declared dead — in a sweep since superseded, or
+    /// in the current one, whose units it held were reclaimed: the worker
+    /// must abandon its sweep with a typed error instead of waiting for
+    /// work that will never come.
     Stale {
-        /// The superseded epoch being refused.
+        /// The requester's epoch being refused.
         epoch: u64,
     },
 }
@@ -183,12 +176,6 @@ pub fn encode_worker(msg: &WorkerMsg, origin_rank: usize) -> Vec<u8> {
             e.u64(*epoch);
             e
         }
-        WorkerMsg::Heartbeat { epoch, unit } => {
-            let mut e = header(KIND_HEARTBEAT);
-            e.u64(*epoch);
-            e.usize(*unit);
-            e
-        }
         WorkerMsg::Result {
             epoch,
             unit,
@@ -225,10 +212,6 @@ pub fn decode_worker(b: &[u8]) -> OmenResult<WorkerMsg> {
     let (kind, mut d) = open(b, "sched worker message")?;
     let msg = match kind {
         KIND_REQUEST => WorkerMsg::Request { epoch: d.u64()? },
-        KIND_HEARTBEAT => WorkerMsg::Heartbeat {
-            epoch: d.u64()?,
-            unit: d.usize()?,
-        },
         KIND_RESULT => WorkerMsg::Result {
             epoch: d.u64()?,
             unit: d.usize()?,
@@ -306,7 +289,6 @@ mod tests {
     fn worker_messages_roundtrip() {
         let msgs = [
             WorkerMsg::Request { epoch: 3 },
-            WorkerMsg::Heartbeat { epoch: 3, unit: 42 },
             WorkerMsg::Result {
                 epoch: 3,
                 unit: 7,

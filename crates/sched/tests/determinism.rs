@@ -2,13 +2,14 @@
 //!
 //! The contract under test: a dynamically scheduled sweep produces values
 //! *bit-identical* to the static/serial evaluation of the same pure solve,
-//! regardless of worker count, injected per-unit delays, stragglers or
-//! duplicated copies — and a persistently failing unit is re-issued a
-//! bounded number of times, then isolated as a typed entry in the
-//! outcome's `SweepReport` instead of failing the whole sweep.
+//! regardless of worker count, injected per-unit delays, slow workers or
+//! dead ones. Every unit has one holder at a time: a failing unit is
+//! attempted once and isolated as a typed entry in the outcome's
+//! `SweepReport` instead of failing the whole sweep, and a unit is handed
+//! out again only when its holder is declared dead — each stranded unit
+//! reclaimed exactly once, each unit solved once by the live ranks.
 
 use omen_parsim::{run_ranks, run_ranks_with_timeout, Comm};
-use omen_sched::proto::{encode_worker, WorkerMsg, TAG_CTRL};
 use omen_sched::{dynamic_sweep, BankCounts, CostModel, ModelBank, SchedOptions, SweepOutcome};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
@@ -47,11 +48,20 @@ fn opts_fast() -> SchedOptions {
         chunk_max: 3,
         max_reissue: 2,
         poll_ms: 2,
-        straggler_factor: 50.0,
-        straggler_min_ms: 5_000,
         dead_after_ms: 20_000,
-        coordinator_solves: true,
     }
+}
+
+/// Per-unit start counters, one slot per rank.
+fn start_counters<const R: usize>(n: usize) -> Vec<[AtomicUsize; R]> {
+    (0..n)
+        .map(|_| std::array::from_fn(|_| AtomicUsize::new(0)))
+        .collect()
+}
+
+/// Units `rank` started, over the whole sweep.
+fn starts<const R: usize>(started: &[[AtomicUsize; R]], rank: usize) -> usize {
+    started.iter().map(|s| s[rank].load(Ordering::SeqCst)).sum()
 }
 
 /// Runs a dynamic sweep over `ranks` threads-as-ranks, with an optional
@@ -177,15 +187,20 @@ fn repeated_sweeps_on_one_comm_stay_isolated_by_epoch() {
 }
 
 #[test]
-fn failing_unit_is_reissued_bounded_then_isolated() {
+fn failing_unit_is_attempted_once_then_isolated() {
+    // The solve is pure, so a typed failure is final: the bad unit runs
+    // exactly once, nothing is re-issued, and its typed error crosses the
+    // wire intact.
     const BAD: usize = 5;
     let es = energies();
     let opts = opts_fast();
+    let attempts = AtomicUsize::new(0);
     let out = run_ranks(3, |ctx| {
         let world = Comm::world(ctx);
         let mut model = CostModel::uniform(N_UNITS);
         dynamic_sweep(&world, &es, &mut model, &opts, |id| {
             if id == BAD {
+                attempts.fetch_add(1, Ordering::SeqCst);
                 Err(omen_num::OmenError::LeadNotConverged {
                     energy: energy(id),
                     iters: 123,
@@ -196,11 +211,15 @@ fn failing_unit_is_reissued_bounded_then_isolated() {
         })
         .unwrap()
     });
+    assert_eq!(
+        attempts.load(Ordering::SeqCst),
+        1,
+        "one attempt, no re-issue"
+    );
     for r in out.results {
         let o = r.unwrap();
-        // The bad unit was attempted 1 + max_reissue times, then abandoned
-        // — and only it.
-        assert_eq!(o.stats.reissued_failed, opts.max_reissue);
+        // The bad unit was abandoned on its first attempt — and only it.
+        assert_eq!(o.stats.reissued_failed, 0);
         assert_eq!(o.values[BAD], None);
         assert_eq!(o.report.solved, N_UNITS - 1);
         assert_eq!(o.report.failed.len(), 1);
@@ -231,16 +250,15 @@ fn dead_worker_is_isolated_and_its_units_rescheduled() {
         chunk_max: 2,
         max_reissue: 2,
         poll_ms: 2,
-        straggler_factor: 1_000.0,
-        straggler_min_ms: 60_000, // keep straggler logic out of this test
         dead_after_ms: 150,
-        coordinator_solves: false, // pin exact re-issue accounting
     };
     let wedge = Duration::from_secs(2);
+    let started = start_counters::<4>(N_UNITS);
     let out = run_ranks_with_timeout(4, Duration::from_millis(400), |ctx| {
         let world = Comm::world(ctx);
         let mut model = CostModel::uniform(N_UNITS);
         dynamic_sweep(&world, &es, &mut model, &opts, |id| {
+            started[id][ctx.rank()].fetch_add(1, Ordering::SeqCst);
             if ctx.rank() == 2 {
                 std::thread::sleep(wedge);
             } else {
@@ -274,58 +292,12 @@ fn dead_worker_is_isolated_and_its_units_rescheduled() {
         }
     }
     assert_eq!(healthy, 3);
-}
-
-#[test]
-fn straggler_copy_is_speculatively_reissued_first_result_wins() {
-    // Units are ~1 ms except unit 0, which wedges its first copy (and any
-    // re-issued copy) for 600 ms. With a tight straggler bound the
-    // coordinator speculatively re-issues unit 0 long before the first
-    // copy lands; late copies are duplicates. Nobody dies, values stay
-    // bit-identical.
-    let es = energies();
-    let opts = SchedOptions {
-        chunk_max: 1,
-        max_reissue: 2,
-        poll_ms: 2,
-        straggler_factor: 10.0,
-        straggler_min_ms: 60,
-        dead_after_ms: 30_000,
-        coordinator_solves: false, // the 600 ms wedge must stay on a worker
-    };
-    let out = run_ranks(4, |ctx| {
-        let world = Comm::world(ctx);
-        let mut model = CostModel::uniform(N_UNITS);
-        dynamic_sweep(&world, &es, &mut model, &opts, |id| {
-            if id == 0 {
-                std::thread::sleep(Duration::from_millis(600));
-            } else {
-                std::thread::sleep(Duration::from_millis(1));
-            }
-            let _ = ctx.rank();
-            Ok(payload(id))
-        })
-        .unwrap()
-    });
-    for r in out.results {
-        let o = r.unwrap();
-        assert_eq!(o.report.solved, N_UNITS);
-        assert!(o.report.failed.is_empty());
-        assert_eq!(o.stats.workers_dead, 0, "slow is not dead");
-        // LPT hand-out gives unit 0 to the first requester, so the wedge
-        // engages and must have triggered a speculative re-issue.
-        assert!(
-            o.stats.reissued_straggler + o.stats.duplicate_results >= 1,
-            "straggler path exercised: {:?}",
-            o.stats
-        );
-        for id in 0..N_UNITS {
-            let got = o.values[id].as_deref().unwrap();
-            for (a, b) in got.iter().zip(payload(id).iter()) {
-                assert_eq!(a.to_bits(), b.to_bits());
-            }
-        }
-    }
+    // One holder per unit: the live ranks solved every unit exactly once,
+    // the ones reclaimed from rank 2 included.
+    assert_eq!(
+        starts(&started, 0) + starts(&started, 1) + starts(&started, 3),
+        N_UNITS
+    );
 }
 
 #[test]
@@ -362,148 +334,28 @@ fn solving_coordinator_executes_units_and_stays_bit_identical() {
 }
 
 #[test]
-fn dead_worker_heartbeat_race_does_not_double_count_reissues() {
-    // Regression for the heartbeat/dead-worker race: a worker that
-    // heartbeats a unit it does not hold and then goes silent must not
-    // cause that unit to be re-issued when it is declared dead — only the
-    // dying rank's own in-flight copy is reclaimed. The old bookkeeping
-    // kept a single `assigned_to` rank per unit, so the spurious heartbeat
-    // re-attributed the covered unit to the dying rank and its death
-    // double-counted the re-issue (and spawned a duplicate copy).
-    //
-    // Workers request ahead, and with one-unit chunks that means before
-    // every unit: a rank that wedges holds the unit it started *and* the
-    // one-unit chunk prefetched behind it. Twelve units keep the queue
-    // non-empty at the wedge under any interleaving (at most ten hand-outs
-    // precede it), so the prefetched unit is always there.
-    const N: usize = 12;
-    let es: Vec<f64> = (0..N).map(|i| i as f64 * 0.1).collect();
-    let opts = SchedOptions {
-        chunk_max: 1,
-        max_reissue: 2,
-        poll_ms: 2,
-        straggler_factor: 1_000.0,
-        straggler_min_ms: 60_000, // keep straggler logic out of this test
-        dead_after_ms: 350,
-        coordinator_solves: false, // pin exact re-issue accounting
-    };
-    let attempts = AtomicUsize::new(0);
-    let second_holder = AtomicUsize::new(usize::MAX);
-    let wedger = AtomicUsize::new(usize::MAX);
-    let out = run_ranks_with_timeout(3, Duration::from_millis(400), |ctx| {
-        let world = Comm::world(ctx);
-        let me = ctx.rank();
-        let mut model = CostModel::uniform(N);
-        // First sweep on a fresh communicator: epoch 1 (what the injected
-        // heartbeats below must carry to pass the coordinator's gate).
-        dynamic_sweep(&world, &es, &mut model, &opts, |id| {
-            if id == 0 {
-                if attempts.fetch_add(1, Ordering::SeqCst) == 0 {
-                    // First copy fails fast: re-issue #1.
-                    std::thread::sleep(Duration::from_millis(50));
-                    return Err(omen_num::OmenError::LeadNotConverged {
-                        energy: es[0],
-                        iters: 1,
-                    });
-                }
-                // Second copy: a long solve that stays visibly alive by
-                // re-heartbeating its own unit (the legitimate refresh).
-                second_holder.store(me, Ordering::SeqCst);
-                for _ in 0..6 {
-                    std::thread::sleep(Duration::from_millis(100));
-                    world.send(
-                        0,
-                        TAG_CTRL,
-                        encode_worker(&WorkerMsg::Heartbeat { epoch: 1, unit: 0 }, me),
-                    );
-                }
-                return Ok(payload(0));
-            }
-            let holder = second_holder.load(Ordering::SeqCst);
-            if holder != usize::MAX
-                && holder != me
-                && wedger
-                    .compare_exchange(usize::MAX, me, Ordering::SeqCst, Ordering::SeqCst)
-                    .is_ok()
-            {
-                // Spurious heartbeat for a unit this rank does NOT hold,
-                // then permanent silence — this rank is declared dead while
-                // the true copy of unit 0 is still in flight.
-                world.send(
-                    0,
-                    TAG_CTRL,
-                    encode_worker(&WorkerMsg::Heartbeat { epoch: 1, unit: 0 }, me),
-                );
-                std::thread::sleep(Duration::from_millis(2_500));
-            } else {
-                std::thread::sleep(Duration::from_millis(30));
-            }
-            Ok(payload(id))
-        })
-        .unwrap()
-    });
-    let mut healthy = 0;
-    for (rank, r) in out.results.into_iter().enumerate() {
-        match r {
-            Ok(o) => {
-                healthy += 1;
-                assert_eq!(o.report.solved, N, "rank {rank}: all units solve");
-                assert!(o.report.failed.is_empty());
-                assert_eq!(o.stats.workers_dead, 1);
-                // Exactly three re-issues: the failed first copy of unit 0
-                // plus what the dead worker held — its in-progress unit
-                // and the unit prefetched behind it, once each. The
-                // spurious heartbeat must not add a fourth, and no
-                // duplicate copy of unit 0 may ever be spawned.
-                assert_eq!(o.stats.reissued_failed, 3, "rank {rank}: {:?}", o.stats);
-                assert_eq!(o.stats.reissued_straggler, 0, "rank {rank}: {:?}", o.stats);
-                assert_eq!(o.stats.duplicate_results, 0, "rank {rank}: {:?}", o.stats);
-                for id in 0..N {
-                    let got = o.values[id].as_deref().unwrap();
-                    for (a, b) in got.iter().zip(payload(id).iter()) {
-                        assert_eq!(a.to_bits(), b.to_bits());
-                    }
-                }
-            }
-            Err(e) => {
-                assert_eq!(
-                    rank,
-                    wedger.load(Ordering::SeqCst),
-                    "only the wedged worker may fail: {e}"
-                );
-            }
-        }
-    }
-    assert!(healthy >= 2, "coordinator and the true holder both finish");
-}
-
-#[test]
 fn dead_worker_prefetched_chunk_is_reclaimed_and_solved_elsewhere() {
     // Rank 2 wedges in the first unit it starts. With one-unit chunks its
     // request for the next chunk left before that unit began, and the
     // coordinator answers a rank's messages in order, so by the wedge it
     // holds a second, prefetched unit it never starts. Its death must
-    // reclaim both — each exactly once — and rank 1, parked on an empty
-    // queue since it ran out of work, must be handed them at once and
-    // solve them to the same bits.
+    // reclaim both — each exactly once — and the live ranks (rank 1 and
+    // the solving coordinator) must solve them to the same bits.
     let es = energies();
     let opts = SchedOptions {
         chunk_max: 1,
         max_reissue: 2,
         poll_ms: 2,
-        straggler_factor: 1_000.0,
-        straggler_min_ms: 60_000, // keep straggler logic out of this test
         dead_after_ms: 150,
-        coordinator_solves: false, // pin exact re-issue accounting
     };
-    let started: Vec<[AtomicUsize; 3]> = (0..N_UNITS).map(|_| Default::default()).collect();
+    let started = start_counters::<3>(N_UNITS);
     let out = run_ranks_with_timeout(3, Duration::from_millis(400), |ctx| {
         let world = Comm::world(ctx);
         let mut model = CostModel::uniform(N_UNITS);
         dynamic_sweep(&world, &es, &mut model, &opts, |id| {
             started[id][ctx.rank()].fetch_add(1, Ordering::SeqCst);
-            // The healthy worker is slow enough that rank 2 pulls its
-            // chunk before the queue is gone.
+            // The live ranks are slow enough that rank 2 pulls its chunk
+            // before the queue is gone.
             std::thread::sleep(if ctx.rank() == 2 {
                 Duration::from_secs(1)
             } else {
@@ -512,24 +364,19 @@ fn dead_worker_prefetched_chunk_is_reclaimed_and_solved_elsewhere() {
             Ok(payload(id))
         })
     });
-    let starts = |rank: usize| -> usize {
-        let per_unit = started.iter().map(|s| s[rank].load(Ordering::SeqCst));
-        per_unit.sum()
-    };
     for rank in 0..2 {
         let o = out.results[rank].as_ref().unwrap().as_ref().unwrap();
         assert_eq!(o.report.solved, N_UNITS);
         assert!(o.report.failed.is_empty());
         assert_eq!(o.stats.workers_dead, 1);
         assert_eq!(o.stats.reissued_failed, 2, "in-progress + prefetched");
-        assert_eq!(o.stats.reissued_straggler, 0);
-        assert_eq!(o.stats.duplicate_results, 0);
         assert_payload_bits(o);
     }
-    // Rank 1 solved every unit, the two stranded ones included; the sweep
-    // was over long before rank 2 woke up to start its prefetched unit.
-    assert_eq!(starts(1), N_UNITS);
-    assert!(starts(2) >= 1);
+    // The live ranks solved every unit once, the two stranded ones
+    // included; the sweep was over long before rank 2 woke up to start
+    // its prefetched unit.
+    assert_eq!(starts(&started, 0) + starts(&started, 1), N_UNITS);
+    assert!(starts(&started, 2) >= 1);
     assert!(out.results[2].as_ref().is_ok_and(|r| r.is_err()));
 }
 
@@ -566,6 +413,106 @@ fn solving_coordinator_finishes_alone_when_every_worker_dies() {
     assert!(o.stats.reissued_failed >= 1, "{:?}", o.stats);
     assert_eq!(o.stats.coordinator_units, N_UNITS);
     assert_payload_bits(o);
+}
+
+#[test]
+fn slow_worker_is_not_dead() {
+    // A worker's sign of life while it solves is the result that ends the
+    // unit. One unit on the worker runs 0.6 × `dead_after_ms`: slow, not
+    // dead — nobody is declared dead, nothing is reclaimed, and the bits
+    // are the pure map's.
+    const DEAD_AFTER_MS: u64 = 300;
+    let es = energies();
+    let opts = SchedOptions {
+        dead_after_ms: DEAD_AFTER_MS,
+        ..opts_fast()
+    };
+    let worker_starts = AtomicUsize::new(0);
+    let out = run_ranks(2, |ctx| {
+        let world = Comm::world(ctx);
+        let mut model = CostModel::uniform(N_UNITS);
+        dynamic_sweep(&world, &es, &mut model, &opts, |id| {
+            let slow = ctx.rank() == 1 && worker_starts.fetch_add(1, Ordering::SeqCst) == 0;
+            std::thread::sleep(Duration::from_millis(if slow {
+                DEAD_AFTER_MS * 6 / 10
+            } else {
+                1
+            }));
+            Ok(payload(id))
+        })
+        .unwrap()
+    });
+    assert!(
+        worker_starts.load(Ordering::SeqCst) >= 1,
+        "the worker solved"
+    );
+    for r in out.results {
+        let o = r.unwrap();
+        assert_eq!(o.report.solved, N_UNITS);
+        assert_eq!(o.stats.workers_dead, 0, "{:?}", o.stats);
+        assert_eq!(o.stats.reissued_failed, 0, "{:?}", o.stats);
+        assert_payload_bits(&o);
+    }
+}
+
+#[test]
+fn hand_out_restarts_the_assignee_liveness_clock() {
+    // Rank 2 wedges in the first unit of its first chunk and is declared
+    // dead. Rank 1 has sat parked on the empty queue since it ran dry; its
+    // last message is the re-request after the void probe at half of
+    // `dead_after_ms`. It is handed a two-unit chunk of what rank 2 held and
+    // starts with the unit rank 2 was solving, which runs 0.8 ×
+    // `dead_after_ms` on rank 1 with no message in between — longer than
+    // what is left of `dead_after_ms` since the re-request, shorter than
+    // `dead_after_ms` from the hand-out. Timed from the hand-out, rank 1 is
+    // slow, not dead. Rank 2 wakes before the sweep ends: its late results
+    // are dropped and its next request is refused.
+    const N: usize = 48;
+    const DEAD_AFTER_MS: u64 = 600;
+    let es: Vec<f64> = (0..N).map(|i| i as f64).collect();
+    let opts = SchedOptions {
+        chunk_max: 8,
+        max_reissue: 2,
+        poll_ms: 2,
+        dead_after_ms: DEAD_AFTER_MS,
+    };
+    let started = start_counters::<3>(N);
+    let long_runs = AtomicUsize::new(0);
+    let out = run_ranks_with_timeout(3, Duration::from_millis(2 * DEAD_AFTER_MS), |ctx| {
+        let world = Comm::world(ctx);
+        let mut model = CostModel::uniform(N);
+        dynamic_sweep(&world, &es, &mut model, &opts, |id| {
+            let me = ctx.rank();
+            started[id][me].fetch_add(1, Ordering::SeqCst);
+            let ms = if me == 2 && starts(&started, 2) == 1 {
+                DEAD_AFTER_MS * 5 / 4
+            } else if me == 1
+                && started[id][2].load(Ordering::SeqCst) > 0
+                && long_runs.fetch_add(1, Ordering::SeqCst) == 0
+            {
+                DEAD_AFTER_MS * 4 / 5
+            } else {
+                2
+            };
+            std::thread::sleep(Duration::from_millis(ms));
+            Ok(payload(id))
+        })
+    });
+    assert!(
+        long_runs.load(Ordering::SeqCst) >= 1,
+        "rank 1 ran the reclaimed unit"
+    );
+    for rank in 0..2 {
+        let o = out.results[rank].as_ref().unwrap().as_ref().unwrap();
+        assert_eq!(o.report.solved, N);
+        assert_eq!(o.stats.workers_dead, 1, "only rank 2 died: {:?}", o.stats);
+        assert!(o.stats.reissued_failed >= 2, "{:?}", o.stats);
+        assert_payload_bits(o);
+    }
+    assert!(matches!(
+        out.results[2].as_ref().unwrap(),
+        Err(omen_num::OmenError::RankFailed { .. })
+    ));
 }
 
 /// Spins the CPU for `d` — a unit that costs compute, not a sleep.
@@ -635,7 +582,7 @@ fn fault_free_wall_is_independent_of_poll_ms() {
         let o = r.unwrap();
         assert!(o.report.is_clean());
         let s = &o.stats;
-        assert_eq!(s.reissued_failed + s.reissued_straggler + s.stale_msgs, 0);
+        assert_eq!(s.reissued_failed + s.stale_msgs, 0);
     }
 }
 
