@@ -1,5 +1,5 @@
 //! Pass 2b: per-function *collective effect summaries* and the three
-//! interprocedural rules built on them.
+//! protocol rules built on them.
 //!
 //! A summary is the ordered sequence of protocol operations a function may
 //! perform — its own collectives/sends/recvs/epoch markers and early exits,
@@ -267,21 +267,40 @@ fn push_finding(
     });
 }
 
-/// `spmd-divergence-interproc`: a call under rank-divergent control flow
-/// whose callee may (transitively) perform a collective. The lexical
-/// `spmd-divergence` rule only sees collectives spelled inside the branch;
-/// this rule closes the one-helper-deep gap. Scope mirrors the lexical
-/// rule: all crates, all targets.
-pub fn rule_spmd_divergence_interproc(
+/// `spmd-divergence`: under rank-divergent control flow, either a
+/// collective event (recognized by name and arity, so `str::split` is not
+/// `Comm::split`) or a call whose callee may (transitively) perform one.
+/// Ranks taking the other branch never issue it and the schedule diverges.
+/// Scope: all crates, all targets.
+pub fn rule_spmd_divergence(
     models: &[FileModel],
     graph: &CallGraph,
     sums: &[Summary],
     findings: &mut Vec<Finding>,
 ) {
+    const RULE: &str = "spmd-divergence";
     for gid in 0..graph.fns.len() {
         let (fi, ki) = graph.fns[gid];
         let m = &models[fi];
         let f = &m.fns[ki];
+        for ev in &f.events {
+            let EventKind::Collective { name } = &ev.kind else {
+                continue;
+            };
+            if !ev.under_rank || m.allowed(RULE, ev.line) {
+                continue;
+            }
+            push_finding(
+                findings,
+                RULE,
+                &m.path,
+                ev.line,
+                format!(
+                    "collective `{name}` inside a rank()-conditioned branch: ranks taking the \
+                     other branch skip it and the schedule diverges"
+                ),
+            );
+        }
         let mut seen: HashSet<(u32, String)> = HashSet::new();
         for edge in &graph.calls[gid] {
             let ev = &f.events[edge.event];
@@ -298,16 +317,14 @@ pub fn rule_spmd_divergence_interproc(
             else {
                 continue;
             };
-            if m.allowed("spmd-divergence-interproc", ev.line)
-                || !seen.insert((ev.line, callee.clone()))
-            {
+            if m.allowed(RULE, ev.line) || !seen.insert((ev.line, callee.clone())) {
                 continue;
             }
             let mut via: Vec<String> = vec![format!("{callee}()")];
             via.extend(w.chain.iter().map(|c| format!("{c}()")));
             push_finding(
                 findings,
-                "spmd-divergence-interproc",
+                RULE,
                 &m.path,
                 ev.line,
                 format!(

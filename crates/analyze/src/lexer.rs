@@ -6,7 +6,7 @@
 //! `==`, `!=`, `->`, `=>`, `::`, `..`), integer vs float literals, strings
 //! (including raw/byte strings), chars vs lifetimes. Comments are collected
 //! on a side channel with an `own_line` flag so the rule engine can resolve
-//! `// analyze: allow(...)` annotations and `///` doc blocks.
+//! `// analyze: allow(...)` annotations.
 
 /// Token classification.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -4,7 +4,7 @@
 //! cargo run --release -p omen-analyze                # warn mode
 //! cargo run --release -p omen-analyze -- --deny-all  # CI gate: exit 1 on findings
 //! cargo run --release -p omen-analyze -- --list-rules
-//! cargo run --release -p omen-analyze -- --rule float-eq crates/linalg
+//! cargo run --release -p omen-analyze -- --rule spmd-divergence crates/parsim
 //! ```
 //!
 //! Exit codes: 0 clean (or findings in warn mode), 1 findings under
@@ -18,7 +18,6 @@ use std::time::Instant;
 struct Args {
     deny_all: bool,
     list_rules: bool,
-    budget_ms: Option<u128>,
     rules: Vec<String>,
     paths: Vec<PathBuf>,
 }
@@ -27,7 +26,6 @@ fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         deny_all: false,
         list_rules: false,
-        budget_ms: None,
         rules: Vec::new(),
         paths: Vec::new(),
     };
@@ -36,13 +34,6 @@ fn parse_args() -> Result<Args, String> {
         match a.as_str() {
             "--deny-all" => args.deny_all = true,
             "--list-rules" => args.list_rules = true,
-            "--budget-ms" => {
-                let n = it.next().ok_or("--budget-ms requires a number")?;
-                let n: u128 = n
-                    .parse()
-                    .map_err(|_| format!("--budget-ms: `{n}` is not a number"))?;
-                args.budget_ms = Some(n);
-            }
             "--rule" => {
                 let name = it.next().ok_or("--rule requires a rule name")?;
                 if !RULES.iter().any(|r| r.name == name) {
@@ -52,8 +43,7 @@ fn parse_args() -> Result<Args, String> {
             }
             "--help" | "-h" => {
                 println!(
-                    "usage: omen-analyze [--deny-all] [--list-rules] [--budget-ms N] \
-                     [--rule NAME]... [PATH]..."
+                    "usage: omen-analyze [--deny-all] [--list-rules] [--rule NAME]... [PATH]..."
                 );
                 std::process::exit(0);
             }
@@ -187,17 +177,6 @@ fn main() -> ExitCode {
         "omen-analyze: {} finding(s) in {scanned} file(s) in {wall_ms} ms — {verdict}",
         findings.len()
     );
-
-    if let Some(budget) = args.budget_ms {
-        if wall_ms > budget {
-            // Soft budget: a notice, never a failure — the analyzer must
-            // not become the slow gate, but speed is not correctness.
-            eprintln!(
-                "omen-analyze: NOTICE analyzer took {wall_ms} ms (soft budget {budget} ms) — \
-                 consider trimming the rule set or the walk"
-            );
-        }
-    }
 
     if args.deny_all && !findings.is_empty() {
         return ExitCode::FAILURE;

@@ -1,8 +1,8 @@
-//! Pass 1 of the two-pass engine: a lightweight syntactic item model on
-//! top of the token stream.
+//! The item model: the one place a file is lexed, and a lightweight
+//! syntactic model on top of its token stream.
 //!
 //! The parser does not build an AST — it extracts exactly what the
-//! dataflow pass needs, per file:
+//! dataflow pass and the rules need, per file:
 //!
 //! - **fn items** (and brace/expression-bodied closures, modeled as
 //!   anonymous sub-functions) with their body token ranges;
@@ -16,14 +16,16 @@
 //!   regions include a one-step dataflow extension: `let me = comm.rank();
 //!   … if me == 0 { … }` taints `me`, so the coordinator/worker idiom is
 //!   seen even when the `rank()` call is not spelled in the condition;
-//! - the `#[cfg(test)]`/`#[test]` spans and `analyze: allow` ranges the
-//!   rule layer shares.
+//! - the `#[cfg(test)]`/`#[test]` spans and `analyze: allow` ranges every
+//!   rule shares;
+//! - in test targets, the `tolerance-literal` candidates: negative-exponent
+//!   float literals on lines that make an ordered comparison.
 //!
 //! Everything stays line-addressed so findings anchor to real source
 //! lines and the allow escape hatch keeps working.
 
 use crate::lexer::{lex, Comment, Tok, TokKind};
-use crate::FileClass;
+use crate::{FileClass, TargetKind};
 use std::collections::{HashMap, HashSet};
 
 /// Collective operations whose call schedule must be rank-uniform, with
@@ -117,6 +119,10 @@ pub struct FileModel {
     pub allows: HashMap<String, Vec<(u32, u32)>>,
     /// Line ranges of `#[cfg(test)]` / `#[test]` spans.
     pub test_spans: Vec<(u32, u32)>,
+    /// Test targets only: `(line, literal)` of every scientific-notation
+    /// float literal with a negative exponent (`1e-12`) on a line that also
+    /// makes an ordered comparison (`<`, `<=`, `>`, `>=`).
+    pub tolerance_literals: Vec<(u32, String)>,
 }
 
 impl FileModel {
@@ -134,18 +140,18 @@ impl FileModel {
 }
 
 // ---------------------------------------------------------------------------
-// Token helpers shared with the lexical rule layer
+// Token helpers
 // ---------------------------------------------------------------------------
 
-pub(crate) fn is_punct(t: &Tok, s: &str) -> bool {
+fn is_punct(t: &Tok, s: &str) -> bool {
     t.kind == TokKind::Punct && t.text == s
 }
 
-pub(crate) fn is_ident(t: &Tok, s: &str) -> bool {
+fn is_ident(t: &Tok, s: &str) -> bool {
     t.kind == TokKind::Ident && t.text == s
 }
 
-pub(crate) fn match_braces(toks: &[Tok]) -> HashMap<usize, usize> {
+fn match_braces(toks: &[Tok]) -> HashMap<usize, usize> {
     let mut stack = Vec::new();
     let mut map = HashMap::new();
     for (i, t) in toks.iter().enumerate() {
@@ -164,7 +170,7 @@ pub(crate) fn match_braces(toks: &[Tok]) -> HashMap<usize, usize> {
 /// from the attribute, the next top-level `{` opens the span (a `;` first
 /// means the attribute decorated a braceless item — no span). `cfg(all(…))`
 /// and `cfg(any(…))` lists mentioning `test` count too.
-pub(crate) fn find_test_spans(toks: &[Tok], braces: &HashMap<usize, usize>) -> Vec<(u32, u32)> {
+fn find_test_spans(toks: &[Tok], braces: &HashMap<usize, usize>) -> Vec<(u32, u32)> {
     let mut spans = Vec::new();
     let mut i = 0;
     while i + 2 < toks.len() {
@@ -225,7 +231,7 @@ pub(crate) fn find_test_spans(toks: &[Tok], braces: &HashMap<usize, usize>) -> V
 /// Collects local bindings whose initializer calls `rank()` — the one-step
 /// dataflow that makes `let me = comm.rank(); if me == 0 { … }` a
 /// rank-conditioned region. Tuple/struct patterns are skipped (no taint).
-pub(crate) fn rank_tainted_idents(toks: &[Tok]) -> HashSet<String> {
+fn rank_tainted_idents(toks: &[Tok]) -> HashSet<String> {
     let mut out = HashSet::new();
     let mut i = 0;
     while i + 2 < toks.len() {
@@ -274,7 +280,7 @@ pub(crate) fn rank_tainted_idents(toks: &[Tok]) -> HashSet<String> {
 /// scrutinee calls `rank()` or mentions a rank-tainted binding, plus every
 /// `else` / `else if` block chained to such an `if` (the whole chain
 /// executes divergently across ranks).
-pub(crate) fn find_rank_spans(
+fn find_rank_spans(
     toks: &[Tok],
     braces: &HashMap<usize, usize>,
     tainted: &HashSet<String>,
@@ -381,7 +387,7 @@ fn find_branch_spans(toks: &[Tok], braces: &HashMap<usize, usize>) -> Vec<(usize
 
 /// Parses `analyze: allow(<rule>, <reason>)` annotations out of the comment
 /// stream and computes the line ranges each one covers.
-pub(crate) fn find_allows(
+fn find_allows(
     toks: &[Tok],
     comments: &[Comment],
     line_first_tok: &HashMap<u32, usize>,
@@ -435,7 +441,7 @@ pub(crate) fn find_allows(
 }
 
 /// Extracts the rule name from an `analyze: allow(rule, reason)` comment.
-pub(crate) fn parse_allow(comment: &str) -> Option<String> {
+fn parse_allow(comment: &str) -> Option<String> {
     let idx = comment.find("analyze: allow(")?;
     let rest = &comment[idx + "analyze: allow(".len()..];
     let end = rest.rfind(')')?;
@@ -868,19 +874,42 @@ pub fn parse_file(path: &str, src: &str, class: &FileClass) -> FileModel {
         })
         .collect();
 
+    let tolerance_literals = if class.kind == TargetKind::Test {
+        find_tolerance_literals(toks)
+    } else {
+        Vec::new()
+    };
+
     FileModel {
         path: path.to_string(),
         class: class.clone(),
         fns,
         allows,
         test_spans,
+        tolerance_literals,
     }
+}
+
+/// The `(line, literal)` pairs [`FileModel::tolerance_literals`] holds.
+fn find_tolerance_literals(toks: &[Tok]) -> Vec<(u32, String)> {
+    let cmp_lines: HashSet<u32> = toks
+        .iter()
+        .filter(|t| t.kind == TokKind::Punct && matches!(t.text.as_str(), "<" | "<=" | ">" | ">="))
+        .map(|t| t.line)
+        .collect();
+    toks.iter()
+        .filter(|t| {
+            t.kind == TokKind::Float
+                && (t.text.contains("e-") || t.text.contains("E-"))
+                && cmp_lines.contains(&t.line)
+        })
+        .map(|t| (t.line, t.text.clone()))
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::TargetKind;
 
     fn parse(src: &str) -> FileModel {
         parse_file(

@@ -1,6 +1,6 @@
 // Lint fixture: the one-round collectives `allgather` and `agree` under
-// rank-conditioned control flow — two lexical findings, and one that only
-// the call-graph pass sees (the barrier hidden behind `phase_health`).
+// rank-conditioned control flow — two direct findings, and one that only
+// the call-graph pass sees (the `agree` hidden behind `phase_health`).
 // Never compiled.
 
 pub fn root_only_exchange(comm: &Comm, mine: Vec<u8>) {

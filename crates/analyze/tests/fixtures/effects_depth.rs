@@ -1,6 +1,6 @@
 //! Effect-propagation depth fixture: a collective reached through free-fn
 //! chains one, two, and three calls deep. Each rank-branched call site must
-//! produce exactly one `spmd-divergence-interproc` finding whose witness
+//! produce exactly one `spmd-divergence` finding whose witness
 //! chain names every hop down to the collective.
 
 pub struct Comm;

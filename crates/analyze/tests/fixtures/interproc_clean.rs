@@ -1,7 +1,7 @@
 //! Clean twin of `interproc_trip.rs`: same helper, same collective, but the
 //! call sits outside every rank-conditioned region, so every rank executes
-//! it and the schedule stays uniform. Neither the lexical nor the
-//! interprocedural divergence rule may fire.
+//! it and the schedule stays uniform. `spmd-divergence` may fire neither
+//! directly nor through the call.
 
 pub struct Comm;
 

@@ -1,6 +1,6 @@
-//! Trip fixture for `spmd-divergence-interproc`: the collective is hidden
-//! behind a helper, so the lexical `spmd-divergence` rule cannot see it —
-//! only the call-graph pass connects the rank branch to the `bcast` inside
+//! Trip fixture for `spmd-divergence` through calls: the collective is
+//! hidden behind a helper, so no collective is spelled in the branch — only
+//! the call-graph pass connects the rank branch to the `bcast` inside
 //! `sync_halo`.
 
 pub struct Comm;
@@ -23,7 +23,7 @@ pub fn step(comm: &Comm) {
     let me = comm.rank();
     if me == 0 {
         // No literal collective name on any line inside this branch: the
-        // lexical rule stays silent, the interprocedural rule must fire.
+        // call into the helper is the finding.
         let _ = sync_halo(comm, Vec::new());
     }
 }

@@ -1,7 +1,7 @@
-//! Workspace-pass tests: the interprocedural rules (`spmd-divergence-interproc`,
-//! `protocol-early-exit`, `tag-conflict`) run through [`analyze_sources`] on
-//! seeded trip/clean fixture pairs, plus effect-propagation depth and
-//! recursive-cycle coverage.
+//! Call-graph tests: the rules that read effect summaries (`spmd-divergence`
+//! through calls, `protocol-early-exit`, `tag-conflict`) run through
+//! [`analyze_sources`] on seeded trip/clean fixture pairs, plus
+//! effect-propagation depth and recursive-cycle coverage.
 
 use omen_analyze::{analyze_sources, FileClass, Finding, TargetKind};
 
@@ -21,24 +21,21 @@ fn by_rule<'a>(f: &'a [Finding], rule: &str) -> Vec<&'a Finding> {
     f.iter().filter(|x| x.rule == rule).collect()
 }
 
-// --- spmd-divergence-interproc ---------------------------------------------
+// --- spmd-divergence through calls -----------------------------------------
 
 #[test]
-fn interproc_trip_fires_where_the_lexical_rule_is_blind() {
+fn interproc_trip_fires_through_the_helper() {
     let f = run_one(
         "crates/parsim/src/trip.rs",
         include_str!("fixtures/interproc_trip.rs"),
         "parsim",
         TargetKind::Lib,
     );
-    // The collective is behind `sync_halo`, so the lexical rule must stay
-    // silent — that silence is exactly the gap the workspace pass closes.
-    assert!(
-        by_rule(&f, "spmd-divergence").is_empty(),
-        "lexical rule should miss the hidden collective: {f:?}"
-    );
-    let hits = by_rule(&f, "spmd-divergence-interproc");
+    // The collective is behind `sync_halo`: the one finding is the call in
+    // the rank branch, with the helper on its witness chain.
+    let hits = by_rule(&f, "spmd-divergence");
     assert_eq!(hits.len(), 1, "findings: {f:?}");
+    assert_eq!(hits[0].line, 27, "{}", hits[0].message);
     assert!(hits[0].message.contains("`bcast`"), "{}", hits[0].message);
     assert!(
         hits[0].message.contains("sync_halo()"),
@@ -56,34 +53,29 @@ fn interproc_clean_twin_is_silent() {
         TargetKind::Lib,
     );
     assert!(
-        f.iter().all(|x| !x.rule.starts_with("spmd-divergence")),
+        by_rule(&f, "spmd-divergence").is_empty(),
         "unexpected: {f:?}"
     );
 }
 
 #[test]
-fn allgather_and_agree_are_collectives_to_both_rules() {
+fn allgather_and_agree_are_collectives_directly_and_through_calls() {
     let f = run_one(
         "crates/negf/src/trip.rs",
         include_str!("fixtures/allgather_trip.rs"),
         "negf",
         TargetKind::Lib,
     );
-    let lexical = by_rule(&f, "spmd-divergence");
-    assert_eq!(lexical.len(), 2, "findings: {f:?}");
-    assert!(lexical[0].message.contains("`allgather`"), "{lexical:?}");
-    assert!(lexical[1].message.contains("`agree`"), "{lexical:?}");
-    let hidden = by_rule(&f, "spmd-divergence-interproc");
-    assert_eq!(hidden.len(), 1, "findings: {f:?}");
+    let hits = by_rule(&f, "spmd-divergence");
+    assert_eq!(hits.len(), 3, "findings: {f:?}");
+    assert!(hits[0].message.contains("`allgather`"), "{hits:?}");
+    assert!(hits[1].message.contains("`agree`"), "{hits:?}");
+    // The third is hidden behind `phase_health`.
+    assert!(hits[2].message.contains("`agree`"), "{}", hits[2].message);
     assert!(
-        hidden[0].message.contains("`agree`"),
+        hits[2].message.contains("phase_health()"),
         "{}",
-        hidden[0].message
-    );
-    assert!(
-        hidden[0].message.contains("phase_health()"),
-        "{}",
-        hidden[0].message
+        hits[2].message
     );
 
     let f = run_one(
@@ -93,7 +85,7 @@ fn allgather_and_agree_are_collectives_to_both_rules() {
         TargetKind::Lib,
     );
     assert!(
-        f.iter().all(|x| !x.rule.starts_with("spmd-divergence")),
+        by_rule(&f, "spmd-divergence").is_empty(),
         "unexpected: {f:?}"
     );
 }
@@ -132,7 +124,7 @@ fn interproc_resolves_helpers_across_files_in_the_same_crate() {
         ),
     ];
     let f = analyze_sources(&files);
-    let hits = by_rule(&f, "spmd-divergence-interproc");
+    let hits = by_rule(&f, "spmd-divergence");
     assert_eq!(hits.len(), 1, "findings: {f:?}");
     assert_eq!(hits[0].path, "crates/negf/src/driver.rs");
     assert!(
@@ -152,7 +144,7 @@ fn collectives_propagate_one_two_and_three_calls_deep() {
         "parsim",
         TargetKind::Lib,
     );
-    let hits = by_rule(&f, "spmd-divergence-interproc");
+    let hits = by_rule(&f, "spmd-divergence");
     assert_eq!(hits.len(), 3, "findings: {f:?}");
     for chain in [
         "depth1()",
@@ -174,7 +166,7 @@ fn recursive_cycle_terminates_and_reports_conservatively() {
         "parsim",
         TargetKind::Lib,
     );
-    let hits = by_rule(&f, "spmd-divergence-interproc");
+    let hits = by_rule(&f, "spmd-divergence");
     assert_eq!(hits.len(), 1, "findings: {f:?}");
     assert!(
         hits[0].message.contains("ping()"),
@@ -258,17 +250,17 @@ fn tag_conflict_clean_twin_is_silent() {
     assert!(by_rule(&f, "tag-conflict").is_empty(), "unexpected: {f:?}");
 }
 
-// --- allow semantics reach the workspace pass --------------------------------
+// --- allow semantics reach the call-graph half --------------------------------
 
 #[test]
 fn interproc_findings_honor_allow_annotations() {
     let src = include_str!("fixtures/interproc_trip.rs").replace(
         "let _ = sync_halo(comm, Vec::new());",
-        "// analyze: allow(spmd-divergence-interproc, fixture: rank 0 re-syncs alone by design)\n        let _ = sync_halo(comm, Vec::new());",
+        "// analyze: allow(spmd-divergence, fixture: rank 0 re-syncs alone by design)\n        let _ = sync_halo(comm, Vec::new());",
     );
     let f = run_one("crates/parsim/src/trip.rs", &src, "parsim", TargetKind::Lib);
     assert!(
-        by_rule(&f, "spmd-divergence-interproc").is_empty(),
+        by_rule(&f, "spmd-divergence").is_empty(),
         "allow should suppress the finding: {f:?}"
     );
 }

@@ -1,7 +1,9 @@
-//! Fixture tests: one trip + one clean fixture per analyzer rule, plus
-//! classification and allow-annotation semantics.
+//! Fixture tests for the direct half of `spmd-divergence` and for
+//! `tolerance-literal` (one trip + one clean fixture each), plus
+//! classification and allow-annotation semantics. The call-graph rules
+//! have theirs in `interproc.rs`.
 
-use omen_analyze::{analyze_source, classify, FileClass, Finding, TargetKind, RULES};
+use omen_analyze::{analyze_sources, classify, FileClass, Finding, TargetKind, RULES};
 use std::path::Path;
 
 fn run(src: &str, crate_name: &str, kind: TargetKind) -> Vec<Finding> {
@@ -9,7 +11,7 @@ fn run(src: &str, crate_name: &str, kind: TargetKind) -> Vec<Finding> {
         crate_name: crate_name.to_string(),
         kind,
     };
-    analyze_source("fixture.rs", src, &class)
+    analyze_sources(&[("fixture.rs".to_string(), src.to_string(), class)])
 }
 
 // --- spmd-divergence -------------------------------------------------------
@@ -47,111 +49,14 @@ fn spmd_clean_fixture() {
     );
 }
 
-// --- float-eq --------------------------------------------------------------
-
 #[test]
-fn float_eq_trip_fixture() {
-    let f = run(
-        include_str!("fixtures/float_eq_trip.rs"),
-        "linalg",
-        TargetKind::Lib,
-    );
-    assert_eq!(
-        f.iter().filter(|x| x.rule == "float-eq").count(),
-        3,
-        "findings: {f:?}"
-    );
-}
-
-#[test]
-fn float_eq_clean_fixture() {
-    let f = run(
-        include_str!("fixtures/float_eq_clean.rs"),
-        "linalg",
-        TargetKind::Lib,
-    );
-    assert!(f.iter().all(|x| x.rule != "float-eq"), "unexpected: {f:?}");
-}
-
-#[test]
-fn float_eq_out_of_scope_crates_are_exempt() {
-    let f = run(
-        include_str!("fixtures/float_eq_trip.rs"),
-        "lattice",
-        TargetKind::Lib,
-    );
-    assert!(f.iter().all(|x| x.rule != "float-eq"), "unexpected: {f:?}");
-}
-
-// --- print-in-lib ----------------------------------------------------------
-
-#[test]
-fn print_trip_fixture() {
-    let f = run(
-        include_str!("fixtures/print_trip.rs"),
-        "wf",
-        TargetKind::Lib,
-    );
-    assert_eq!(
-        f.iter().filter(|x| x.rule == "print-in-lib").count(),
-        4,
-        "findings: {f:?}"
-    );
-}
-
-#[test]
-fn print_clean_fixture() {
-    let f = run(
-        include_str!("fixtures/print_clean.rs"),
-        "wf",
-        TargetKind::Lib,
-    );
+fn string_split_under_rank_is_not_a_collective() {
+    // `str::split(pat)` takes one argument, `Comm::split(color, key)` two:
+    // the arity table keeps a rank-0-only string split off the schedule.
+    let src = "pub fn f(comm: &Comm, s: &str) -> usize {\n    if comm.rank() == 0 {\n        return s.split(',').count();\n    }\n    0\n}\n";
+    let f = run(src, "parsim", TargetKind::Lib);
     assert!(
-        f.iter().all(|x| x.rule != "print-in-lib"),
-        "unexpected: {f:?}"
-    );
-}
-
-#[test]
-fn prints_are_fine_in_bins_and_bench_crate() {
-    let src = include_str!("fixtures/print_trip.rs");
-    for (crate_name, kind) in [
-        ("wf", TargetKind::Bin),
-        ("wf", TargetKind::Example),
-        ("bench", TargetKind::Lib),
-    ] {
-        let f = run(src, crate_name, kind);
-        assert!(
-            f.iter().all(|x| x.rule != "print-in-lib"),
-            "{crate_name}/{kind:?}: {f:?}"
-        );
-    }
-}
-
-// --- errors-doc ------------------------------------------------------------
-
-#[test]
-fn errors_doc_trip_fixture() {
-    let f = run(
-        include_str!("fixtures/errors_doc_trip.rs"),
-        "num",
-        TargetKind::Lib,
-    );
-    let hits: Vec<&Finding> = f.iter().filter(|x| x.rule == "errors-doc").collect();
-    assert_eq!(hits.len(), 2, "findings: {f:?}");
-    assert!(hits.iter().any(|x| x.message.contains("parse_header")));
-    assert!(hits.iter().any(|x| x.message.contains("bare_undocumented")));
-}
-
-#[test]
-fn errors_doc_clean_fixture() {
-    let f = run(
-        include_str!("fixtures/errors_doc_clean.rs"),
-        "num",
-        TargetKind::Lib,
-    );
-    assert!(
-        f.iter().all(|x| x.rule != "errors-doc"),
+        f.iter().all(|x| x.rule != "spmd-divergence"),
         "unexpected: {f:?}"
     );
 }
@@ -204,27 +109,30 @@ fn tolerance_literal_only_applies_to_test_targets() {
 
 #[test]
 fn trailing_allow_covers_its_own_line_only() {
-    let src = "pub fn f(x: f64) -> bool {\n    let a = x == 0.0; // analyze: allow(float-eq, trailing)\n    let b = x == 1.0;\n    a && b\n}\n";
-    let f = run(src, "linalg", TargetKind::Lib);
-    let hits: Vec<&Finding> = f.iter().filter(|x| x.rule == "float-eq").collect();
+    let src = "#[test]\nfn t() {\n    assert!(e() < 1e-9); // analyze: allow(tolerance-literal, trailing)\n    assert!(e() < 1e-9);\n}\n";
+    let f = run(src, "omen", TargetKind::Test);
+    let hits: Vec<&Finding> = f.iter().filter(|x| x.rule == "tolerance-literal").collect();
     assert_eq!(hits.len(), 1, "{f:?}");
-    assert_eq!(hits[0].line, 3);
+    assert_eq!(hits[0].line, 4);
 }
 
 #[test]
 fn own_line_allow_covers_the_block_it_opens() {
-    let src = "// analyze: allow(float-eq, whole fn)\npub fn f(x: f64) -> bool {\n    x == 0.0\n}\npub fn g(x: f64) -> bool {\n    x == 2.0\n}\n";
-    let f = run(src, "linalg", TargetKind::Lib);
-    let hits: Vec<&Finding> = f.iter().filter(|x| x.rule == "float-eq").collect();
+    let src = "// analyze: allow(tolerance-literal, whole fn)\n#[test]\nfn t() {\n    assert!(e() < 1e-9);\n}\n#[test]\nfn u() {\n    assert!(e() < 1e-9);\n}\n";
+    let f = run(src, "omen", TargetKind::Test);
+    let hits: Vec<&Finding> = f.iter().filter(|x| x.rule == "tolerance-literal").collect();
     assert_eq!(hits.len(), 1, "{f:?}");
-    assert_eq!(hits[0].line, 6);
+    assert_eq!(hits[0].line, 8);
 }
 
 #[test]
 fn allow_for_one_rule_does_not_suppress_another() {
-    let src = "pub fn f(x: f64) -> bool {\n    // analyze: allow(print-in-lib, wrong rule)\n    x == 0.0\n}\n";
-    let f = run(src, "linalg", TargetKind::Lib);
-    assert_eq!(f.iter().filter(|x| x.rule == "float-eq").count(), 1);
+    let src = "#[test]\nfn t() {\n    // analyze: allow(spmd-divergence, wrong rule)\n    assert!(e() < 1e-9);\n}\n";
+    let f = run(src, "omen", TargetKind::Test);
+    assert_eq!(
+        f.iter().filter(|x| x.rule == "tolerance-literal").count(),
+        1
+    );
 }
 
 // --- classification --------------------------------------------------------
@@ -267,12 +175,8 @@ fn rule_table_is_complete() {
         names,
         [
             "spmd-divergence",
-            "spmd-divergence-interproc",
             "protocol-early-exit",
             "tag-conflict",
-            "float-eq",
-            "print-in-lib",
-            "errors-doc",
             "tolerance-literal"
         ]
     );

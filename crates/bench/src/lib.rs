@@ -58,6 +58,8 @@ pub fn sample_secs<T>(samples: usize, target_s: f64, mut f: impl FnMut() -> T) -
 }
 
 /// Prints a fixed-width table.
+// The figure/table bins' stdout report: printing is this crate's job.
+#[allow(clippy::print_stdout)]
 pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
     println!("\n=== {title} ===");
     let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();

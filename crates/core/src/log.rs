@@ -27,9 +27,11 @@ pub fn enabled() -> bool {
 }
 
 /// Emits one progress line to stderr when `OMEN_LOG` is on.
+// The env-gated driver log sink: the one sanctioned stderr writer in
+// library code.
+#[allow(clippy::print_stderr)]
 pub fn emit(line: &str) {
     if enabled() {
-        // analyze: allow(print-in-lib, the env-gated driver log sink — the one sanctioned stderr writer in library code)
         eprintln!("[omen] {line}");
     }
 }

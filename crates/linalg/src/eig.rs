@@ -229,7 +229,6 @@ fn tql2(d: &mut [f64], e: &mut [f64], mut zt: Option<&mut ZMat>) {
                 let b = c * e[iu];
                 r = pythag(f, g);
                 e[iu + 1] = r;
-                // analyze: allow(float-eq, exact pythag underflow guard — the classic tql2 idiom)
                 if r == 0.0 {
                     d[iu + 1] -= p;
                     e[m] = 0.0;
@@ -252,7 +251,6 @@ fn tql2(d: &mut [f64], e: &mut [f64], mut zt: Option<&mut ZMat>) {
                 }
                 i -= 1;
             }
-            // analyze: allow(float-eq, exact pythag underflow guard — the classic tql2 idiom)
             if r == 0.0 && i >= l as isize {
                 continue;
             }

@@ -37,7 +37,6 @@ pub fn eig_values_general(a: &ZMat) -> Vec<c64> {
         let mut l = hi;
         while l > 0 {
             let s = h[(l - 1, l - 1)].abs() + h[(l, l)].abs();
-            // analyze: allow(float-eq, exact zero diagonal pair — substitute unit scale for the deflation threshold)
             let s = if s == 0.0 { 1.0 } else { s };
             if h[(l, l - 1)].abs() <= f64::EPSILON * s {
                 h[(l, l - 1)] = c64::ZERO;
@@ -118,7 +117,6 @@ fn balance(a: &mut ZMat) {
                     r += a[(i, j)].abs();
                 }
             }
-            // analyze: allow(float-eq, exact zero row/column norms mean this index needs no balancing)
             if c == 0.0 || r == 0.0 {
                 continue;
             }
@@ -195,12 +193,10 @@ fn hessenberg(a: &ZMat) -> ZMat {
 fn givens(x: c64, y: c64) -> (f64, c64) {
     let xn = x.abs();
     let yn = y.abs();
-    // analyze: allow(float-eq, Givens degenerate cases require the exact zero branches)
     if yn == 0.0 {
         return (1.0, c64::ZERO);
     }
     let r = (xn * xn + yn * yn).sqrt();
-    // analyze: allow(float-eq, Givens degenerate cases require the exact zero branches)
     if xn == 0.0 {
         // Rotate y straight into the first slot.
         return (0.0, y.conj().scale(1.0 / yn));

@@ -175,8 +175,12 @@ fn sub_product(lu: &ZMat, x: &mut ZMat, rows: Range<usize>, cols: Range<usize>) 
 }
 
 impl Lu {
-    /// Factorizes `a`. Returns [`Singular`] when a pivot column is entirely
-    /// below `1e-300` in magnitude.
+    /// Factorizes `a`.
+    ///
+    /// # Errors
+    ///
+    /// [`Singular`] when a pivot column is entirely below `1e-300` in
+    /// magnitude. A NaN entry is not detected here (see [`non_finite`]).
     pub fn factor(a: &ZMat) -> Result<Lu, Singular> {
         assert!(a.is_square(), "LU of non-square matrix");
         let n = a.nrows();
@@ -370,6 +374,12 @@ pub const MAX_REGULARIZE_RETRIES: usize = 3;
 /// perturbing observables beyond the broadening already present. Returns
 /// the factorization and the number of retries spent (`0` = clean factor),
 /// so callers can account recoveries in their sweep reports.
+///
+/// # Errors
+///
+/// [`Singular`] when `a` holds a non-finite entry, checked up front before
+/// any factorization; otherwise the unshifted factorization's failure when
+/// all [`MAX_REGULARIZE_RETRIES`] shifts are singular as well.
 pub fn factor_regularized(a: &ZMat, eta: f64) -> Result<(Lu, usize), Singular> {
     debug_assert!(eta > 0.0, "regularization shift must be positive");
     // The shift recovery keeps a NaN: fail typed up front.
@@ -397,11 +407,19 @@ pub fn factor_regularized(a: &ZMat, eta: f64) -> Result<(Lu, usize), Singular> {
 }
 
 /// One-shot solve `A x = b`.
+///
+/// # Errors
+///
+/// [`Singular`] when [`Lu::factor`] finds a zero pivot column.
 pub fn solve(a: &ZMat, b: &ZMat) -> Result<ZMat, Singular> {
     Ok(Lu::factor(a)?.solve_mat(b))
 }
 
 /// One-shot inverse.
+///
+/// # Errors
+///
+/// [`Singular`] when [`Lu::factor`] finds a zero pivot column.
 pub fn inverse(a: &ZMat) -> Result<ZMat, Singular> {
     Ok(Lu::factor(a)?.inverse())
 }

@@ -76,7 +76,6 @@ pub(crate) fn axpy_on(path: SimdPath, alpha: c64, x: &[c64], y: &mut [c64]) {
 /// theirs here. Reports no flops; the callers book their whole reduction.
 pub(crate) fn reflector(x: &mut [c64]) -> Option<(c64, f64)> {
     let scale: f64 = x.iter().map(|z| z.re.abs() + z.im.abs()).sum();
-    // analyze: allow(float-eq, exact zero scale means a structurally zero column — skip the Householder step)
     if scale == 0.0 {
         return None;
     }

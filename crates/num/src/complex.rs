@@ -101,7 +101,6 @@ impl c64 {
 
     /// Principal square root (branch cut along the negative real axis).
     pub fn sqrt(self) -> Self {
-        // analyze: allow(float-eq, exact-zero input must short-circuit before the half-angle sign transfer)
         if self.re == 0.0 && self.im == 0.0 {
             return c64::ZERO;
         }

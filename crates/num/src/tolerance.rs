@@ -331,7 +331,7 @@ impl Rule {
     /// The requirement `v` breaks, if any.
     fn broken_by(self, v: f64) -> Option<&'static str> {
         let positive = v.is_finite() && v > 0.0;
-        // analyze: allow(float-eq, exact integrality guard — a client count of 2.5 must be rejected, not rounded)
+        // Exact integrality guard: a client count of 2.5 must be rejected, not rounded.
         let count = positive && v.fract() == 0.0 && v <= 1e6;
         match self {
             Rule::Str | Rule::Bool => None,

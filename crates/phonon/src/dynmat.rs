@@ -96,7 +96,6 @@ impl PhononSystem {
             for (a, row) in blk.iter().enumerate() {
                 for (b, &fc) in row.iter().enumerate() {
                     let v = fc * w;
-                    // analyze: allow(float-eq, exact structural-zero sparsity filter on assembled force constants)
                     if v != 0.0 {
                         coo.push(3 * i + a, 3 * j + b, c64::real(v));
                     }
