@@ -105,13 +105,18 @@ if sed '/#\[cfg(test)\]/,$d' crates/linalg/src/eig.rs | grep -nE 'embed|2 \* n';
 fi
 
 # The lead memos (`LeadBandsMemo`, `ContactMemo`) are owned by one sweep
-# and die with it. A contact cache shared across sweeps or daemon requests
-# needs an eviction policy and evidence from real traffic, so it arrives
-# as a reviewed decision, not as process-wide state in this module.
-if sed '/#\[cfg(test)\]/,$d' crates/core/src/energy.rs | grep -nE '\b(static|thread_local|OnceLock|Mutex|Arc)\b'; then
-    echo "ci: crates/core/src/energy.rs holds sweep-owned memos only (no static, thread_local!, OnceLock, Mutex or Arc)"
-    exit 1
-fi
+# and die with it; the rank path's `ContactTable` is owned by one rank and
+# lives in that rank's `ModelBank` across the bias points of one curve. A
+# contact cache shared across sweeps, ranks or daemon requests needs an
+# eviction policy and evidence from real traffic, so it arrives as a
+# reviewed decision, not as process-wide state in these modules. Comment
+# lines are skipped: prose may say "static schedule".
+for f in crates/core/src/energy.rs crates/core/src/contacts.rs crates/sched/src/cost.rs; do
+    if sed '/#\[cfg(test)\]/,$d' "$f" | grep -vE '^\s*//' | grep -nE '\b(static|thread_local|OnceLock|Mutex|Arc)\b'; then
+        echo "ci: $f holds owner-held memos and tables only (no static, thread_local!, OnceLock, Mutex or Arc)"
+        exit 1
+    fi
+done
 
 # A scheduled unit has one holder at a time and is handed out again only
 # when that holder is declared dead. Straggler speculation, the heartbeat

@@ -143,7 +143,6 @@ fn bench_lu(sizes: &[usize], flagship: usize, smoke: bool, out: &mut Vec<KernelR
         let saved = std::env::var(threads::THREADS_ENV).ok();
         for t in thread_counts(n, flagship) {
             std::env::set_var(threads::THREADS_ENV, t.to_string());
-            let solve_work = flops::trsm_flops(n, n);
             let timing = sample_secs(samples, target, || {
                 Lu::factor(&a).expect("bench matrix is diagonally dominant")
             });
@@ -159,7 +158,7 @@ fn bench_lu(sizes: &[usize], flagship: usize, smoke: bool, out: &mut Vec<KernelR
                 out,
                 ("trsm", &format!("zgetrs/{n}/t{t}")),
                 (n, t),
-                solve_work,
+                flops::trsm_flops(n, n),
                 timing,
             );
             let timing = sample_secs(samples, target, || f.inverse());
@@ -167,7 +166,7 @@ fn bench_lu(sizes: &[usize], flagship: usize, smoke: bool, out: &mut Vec<KernelR
                 out,
                 ("inverse", &format!("zgetri/{n}/t{t}")),
                 (n, t),
-                solve_work,
+                flops::inverse_flops(n),
                 timing,
             );
         }

@@ -32,7 +32,10 @@
 //! `parallel_transmission_k_banked` on 2 ranks under both schedules, so
 //! the ledger holds what the benchmark's workload measures: units that
 //! cost compute, a coordinator that solves, and the per-unit brokering
-//! cost set against a ~4 ms solve instead of hidden under a sleep.
+//! cost set against a real solve instead of hidden under a sleep. Each
+//! bias point first fills the rank path's contact table over both ranks,
+//! so a unit is the engine alone (~1.6 ms: BCR and, on most units, a
+//! k-point rebuild) and the second bias point decimates nothing.
 //!
 //! `--smoke` shrinks the sleeps and publishes to the ledger's smoke twin
 //! under `target/` instead (`records::publish`) — the CI gate uses it to

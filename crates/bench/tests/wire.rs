@@ -9,10 +9,8 @@
 mod common;
 
 use common::mutants;
+use omen_core::contacts::{decode_entry, encode_entry, PackedContact};
 use omen_linalg::ZMat;
-use omen_negf::contacts::{
-    decode_contact, decode_contact_pair, encode_contact, encode_contact_pair,
-};
 use omen_negf::serialize::{bytes_to_mats, mats_to_bytes};
 use omen_negf::{ContactSelfEnergy, Side};
 use omen_num::{c64, FailedPoint, OmenError, OmenResult, SweepReport};
@@ -82,24 +80,29 @@ fn mutated_rank_payloads_decode_or_fail_as_deserialize() {
         deserialize,
     );
 
-    // A contact payload carries either the self-energy or the decimating
-    // rank's own failure, so a mutant may also decode *to* a lead error —
-    // one lead's contact, or both contacts of an equal-lead device.
-    let contact = |b: &[u8]| decode_contact(b, Side::Left);
+    // A contact-table entry carries either both contacts or the
+    // decimating rank's own failure, so a mutant may also decode *to* a
+    // lead error.
+    let entry = |b: &[u8]| decode_entry(b).and_then(|outcome| outcome.map(drop));
     let lead_error =
         |e: &OmenError| deserialize(e) || matches!(e, OmenError::LeadNotConverged { .. });
-    let se = |side| ContactSelfEnergy {
-        side,
-        sigma: block.clone(),
-        gamma: ZMat::eye(3),
-        retries: 1,
-    };
-    for outcome in [Ok(se(Side::Left)), Err(lead_failure())] {
-        tried += survives(&encode_contact(3, &outcome), contact, lead_error);
+    // Σ on a support of two orbitals of three.
+    let mut sigma = block.clone();
+    for k in 0..3 {
+        sigma[(1, k)] = c64::ZERO;
+        sigma[(k, 1)] = c64::ZERO;
     }
-    for outcome in [Ok((se(Side::Left), se(Side::Right))), Err(lead_failure())] {
-        let sample = encode_contact_pair(3, &outcome);
-        tried += survives(&sample, decode_contact_pair, lead_error);
+    let packed = |side| {
+        PackedContact::pack(&ContactSelfEnergy {
+            side,
+            sigma: sigma.clone(),
+            gamma: ZMat::eye(3),
+            retries: 1,
+        })
+    };
+    let pair = Ok([packed(Side::Left), packed(Side::Right)]);
+    for outcome in [pair, Err(lead_failure())] {
+        tried += survives(&encode_entry(3, &outcome), entry, lead_error);
     }
 
     let worker = [

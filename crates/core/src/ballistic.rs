@@ -5,7 +5,8 @@
 //! exhausted) is dropped from the grid and recorded in the result's
 //! [`SweepReport`] instead of aborting the bias point.
 
-use crate::energy::{ContactMemo, EnergyWindow, LeadBandsMemo};
+use crate::contacts::ContactMemo;
+use crate::energy::{EnergyWindow, LeadBandsMemo};
 use crate::spec::{Bias, NanoTransistor};
 use omen_linalg::ZMat;
 use omen_negf::transport::{EnergyPointData, DEFAULT_ETA};

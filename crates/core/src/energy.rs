@@ -1,14 +1,10 @@
-//! Transport energy windows and grids, and the two sweep-owned memos of
-//! what depends on the leads alone: their bands ([`LeadBandsMemo`]) and
-//! their contact self-energies per energy ([`ContactMemo`]).
+//! Transport energy windows and grids, and the sweep-owned memo of the
+//! leads' bands ([`LeadBandsMemo`]); their contact self-energies per
+//! energy are [`crate::contacts`]'.
 
 use omen_linalg::ZMat;
-use omen_negf::transport::DEFAULT_ETA;
-use omen_negf::{local_contacts, ContactSelfEnergy, Side};
-use omen_num::{linspace, OmenResult};
+use omen_num::linspace;
 use omen_tb::bands::{subband_edges, wire_bands};
-use std::collections::HashMap;
-use std::fmt;
 
 /// The energy interval(s) a ballistic solve must cover.
 #[derive(Debug, Clone, PartialEq)]
@@ -150,135 +146,6 @@ pub fn transport_window(
     LeadBandsMemo::default().window(leads, mus, kt, margin_kt, e_focus)
 }
 
-/// One contact kept on its support `S` ([`ZMat::support`]): `Σ =
-/// P·Σ[S,S]·Pᵀ` exactly, so the `s × s` core, `S` and the order `n` are
-/// all of `Σ`, and `Γ` follows from it.
-#[derive(Debug)]
-struct PackedContact {
-    side: Side,
-    n: usize,
-    support: Vec<usize>,
-    core: ZMat,
-    retries: usize,
-}
-
-impl PackedContact {
-    fn pack(c: &ContactSelfEnergy) -> Self {
-        let support = c.sigma.support();
-        PackedContact {
-            side: c.side,
-            n: c.sigma.nrows(),
-            core: c.sigma.principal(&support),
-            support,
-            retries: c.retries,
-        }
-    }
-
-    fn unpack(&self) -> ContactSelfEnergy {
-        let mut sigma = ZMat::zeros(self.n, self.n);
-        for (k, &i) in self.support.iter().enumerate() {
-            for (l, &j) in self.support.iter().enumerate() {
-                sigma[(i, j)] = self.core[(k, l)];
-            }
-        }
-        ContactSelfEnergy {
-            side: self.side,
-            gamma: sigma.gamma_of(),
-            sigma,
-            retries: self.retries,
-        }
-    }
-}
-
-/// How many contact pairs a [`ContactMemo`] decimated and how many it
-/// served from memory.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct ContactTally {
-    /// Energies whose contacts were decimated (misses).
-    pub decimated: usize,
-    /// Energies whose contacts were served from the memo (hits).
-    pub reused: usize,
-}
-
-impl fmt::Display for ContactTally {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{} decimated, {} reused", self.decimated, self.reused)
-    }
-}
-
-/// Outcome of one `local_contacts` call, each Σ on its support.
-type PackedOutcome = OmenResult<[PackedContact; 2]>;
-
-/// The `local_contacts` outcomes of the lead pair most recently asked for,
-/// one per energy: keyed on the exact `(lead_l, lead_r)` entries — the
-/// test [`LeadBandsMemo`] applies — and on `E`'s bits. The gate points of
-/// a frozen sweep share their leads and, where the window does not move,
-/// their grid, so a sweep loop that keeps one of these across its points
-/// decimates each `(lead, E)` once. A failure is remembered too: the same
-/// lead fails at the same energy the same way, so the nudge ladder is not
-/// climbed twice. A lead pair that does not compare equal entry for entry
-/// (a NaN entry never does) clears the entry and is decimated afresh.
-///
-/// Each Σ is kept on its support, `s × s` instead of `n × n`; a hit
-/// scatters it back into zeros and rebuilds Γ with [`ZMat::gamma_of`], as
-/// the decimation built it. That is a cold `local_contacts`' bits, retries
-/// included: the decimation's products leave the zeros off the support as
-/// `+0.0`, the value the scatter writes (`to_bits`-pinned on the README
-/// wire's lead by `core::ballistic`'s
-/// `frozen_sweep_contacts_are_reusable_across_gate_points`).
-///
-/// One sweep owns it; nothing shares it across sweeps or requests (a
-/// shared cache would need an eviction policy — `ci.sh` keeps this module
-/// free of process-wide state).
-#[derive(Debug, Default)]
-pub struct ContactMemo {
-    entry: Option<([ZMat; 4], HashMap<u64, PackedOutcome>)>,
-    tally: ContactTally,
-}
-
-impl ContactMemo {
-    /// `local_contacts(e, DEFAULT_ETA, lead_l, lead_r)`, decimated only
-    /// when this lead pair at this energy is not remembered.
-    ///
-    /// # Errors
-    ///
-    /// The decimation's typed lead failure, fresh or remembered.
-    pub fn contacts(
-        &mut self,
-        e: f64,
-        lead_l: (&ZMat, &ZMat),
-        lead_r: (&ZMat, &ZMat),
-    ) -> OmenResult<(ContactSelfEnergy, ContactSelfEnergy)> {
-        let key = [lead_l.0, lead_l.1, lead_r.0, lead_r.1];
-        if !matches!(&self.entry, Some((k, _)) if k.iter().zip(key).all(|(a, b)| a == b)) {
-            self.entry = None;
-        }
-        let (_, outcomes) = self
-            .entry
-            .get_or_insert_with(|| (key.map(ZMat::clone), HashMap::new()));
-        if let Some(known) = outcomes.get(&e.to_bits()) {
-            self.tally.reused += 1;
-            return match known {
-                Ok([l, r]) => Ok((l.unpack(), r.unpack())),
-                Err(err) => Err(err.clone()),
-            };
-        }
-        self.tally.decimated += 1;
-        let fresh = local_contacts(e, DEFAULT_ETA, lead_l, lead_r);
-        let packed = fresh
-            .as_ref()
-            .map(|(l, r)| [PackedContact::pack(l), PackedContact::pack(r)])
-            .map_err(Clone::clone);
-        outcomes.insert(e.to_bits(), packed);
-        fresh
-    }
-
-    /// The decimations and reuses since the previous call.
-    pub fn take_tally(&mut self) -> ContactTally {
-        std::mem::take(&mut self.tally)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -392,56 +259,6 @@ mod tests {
         assert!(doctored.e_min > honest.e_min + 0.2, "{doctored:?}");
         let miss = memo.window(&[(&b0, &b1)], &[-1.8], 0.025, 10.0, (-5.0, 5.0));
         assert_eq!(bits(miss), cold(&[(&b0, &b1)], &[-1.8]));
-    }
-
-    #[test]
-    fn contact_memo_hit_is_a_cold_decimation_and_other_leads_clear_it() {
-        use crate::TransistorSpec;
-        use omen_tb::Material;
-        // The README wire's lead as both contacts (one pair decimation),
-        // then beside itself shifted as a biased drain (two singles).
-        let single = Material::SingleBand { t_mev: 1000 };
-        let tr = TransistorSpec::si_nanowire_nmos(single, 1.0, 8).build();
-        let ham = tr.hamiltonian();
-        let (a0, a1) = ham.lead_blocks(0.0, 0.0);
-        let (b0, b1) = ham.lead_blocks(-0.15, 0.0);
-        let bits = |c: &ContactSelfEnergy| {
-            let raw = |m: &ZMat| -> Vec<_> {
-                m.data()
-                    .iter()
-                    .map(|z| (z.re.to_bits(), z.im.to_bits()))
-                    .collect()
-            };
-            (c.side, c.retries, raw(&c.sigma), raw(&c.gamma))
-        };
-        let energies = [-3.4, -3.3];
-        let pairs = [((&a0, &a1), (&a0, &a1)), ((&a0, &a1), (&b0, &b1))];
-        let mut memo = ContactMemo::default();
-        for (lead_l, lead_r) in pairs {
-            for want in [(2, 0), (0, 2)] {
-                for e in energies {
-                    let (l, r) = memo.contacts(e, lead_l, lead_r).unwrap();
-                    let (cl, cr) = local_contacts(e, DEFAULT_ETA, lead_l, lead_r).unwrap();
-                    assert_eq!((bits(&l), bits(&r)), (bits(&cl), bits(&cr)), "E={e}");
-                }
-                let t = memo.take_tally();
-                assert_eq!((t.decimated, t.reused), want);
-            }
-        }
-        // The second pair replaced the first: asking for it again misses.
-        let (lead_l, lead_r) = pairs[0];
-        memo.contacts(energies[0], lead_l, lead_r).unwrap();
-        let t = memo.take_tally();
-        assert_eq!((t.decimated, t.reused), (1, 0));
-
-        // A hit really is served from the memo: a doctored entry shows.
-        if let Some((_, outcomes)) = &mut memo.entry {
-            if let Some(Ok([l, _])) = outcomes.get_mut(&energies[0].to_bits()) {
-                l.retries = 7;
-            }
-        }
-        let (l, _) = memo.contacts(energies[0], lead_l, lead_r).unwrap();
-        assert_eq!(l.retries, 7);
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! Voltage sweeps and figure-of-merit extraction.
 
 use crate::ballistic::{ballistic_solve_remembering, Engine};
-use crate::energy::{ContactMemo, LeadBandsMemo};
+use crate::contacts::ContactMemo;
+use crate::energy::LeadBandsMemo;
 use crate::log::SweepSeq;
 use crate::scf::{self_consistent, ScfOptions};
 use crate::spec::{Bias, NanoTransistor};

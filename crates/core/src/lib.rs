@@ -9,8 +9,10 @@
 //!   nanowire FETs, ultra-thin bodies, graphene-nanoribbon TFETs) compiled
 //!   into geometry + Hamiltonian + doping + Poisson problem;
 //! * [`energy`] — transport energy windows from lead subband edges and the
-//!   contact Fermi levels, and the sweep-owned memos of what depends on the
-//!   leads alone (their bands; their contacts per energy);
+//!   contact Fermi levels, and the sweep-owned memo of the leads' bands;
+//! * [`contacts`] — the contacts a sweep keeps: the frozen sweep's memo per
+//!   energy and the rank path's table per `(k, E)`, filled once over a
+//!   communicator;
 //! * [`ballistic`] — the per-bias transport solve, one body per level:
 //!   `solve_sweep` (energy loop with per-point fault isolation, any
 //!   [`Engine`]) → `ballistic_solve` (one k) → `ballistic_solve_k`
@@ -30,6 +32,7 @@
 //!   order.
 
 pub mod ballistic;
+pub mod contacts;
 pub mod energy;
 pub mod iv;
 pub mod log;

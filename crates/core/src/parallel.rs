@@ -9,10 +9,10 @@
 //! and is therefore measured, not modeled.
 
 use crate::ballistic::Engine;
+use crate::contacts::{ContactTable, ContactTally};
 use crate::spec::NanoTransistor;
 use omen_linalg::ZMat;
-use omen_negf::distributed_contacts;
-use omen_negf::transport::{EnergyPointData, DEFAULT_ETA};
+use omen_negf::transport::DEFAULT_ETA;
 use omen_num::{FailedPoint, OmenError, OmenResult, SweepReport};
 use omen_parsim::{Comm, RankCtx};
 use omen_sched::{
@@ -123,6 +123,9 @@ pub struct TransmissionSweep {
     pub report: SweepReport,
     /// Scheduler diagnostics when the sweep ran dynamically.
     pub sched: Option<SchedStats>,
+    /// The `(k, E)` contact pairs this call decimated across its group and
+    /// those its contact table already held.
+    pub contacts: ContactTally,
 }
 
 /// Whether an error is a communicator/runtime fault that must propagate
@@ -196,6 +199,7 @@ fn reduce_level(
         transmission: red[..n].to_vec(),
         report,
         sched,
+        contacts: ContactTally::default(),
     })
 }
 
@@ -228,22 +232,26 @@ fn sweep_from_outcome(outcome: &SweepOutcome, units: std::ops::Range<usize>) -> 
         transmission,
         report,
         sched: None,
+        contacts: ContactTally::default(),
     }
 }
 
-/// Distributed transmission sweep over one bias point: the energy groups of
-/// this momentum group split the grid (statically via [`assign`] or
-/// dynamically via `omen-sched` per `schedule`), each energy point is
-/// solved with SplitSolve across the spatial group, and the full `T(E)`
-/// vector is reduced over the momentum group. Every rank returns the
-/// complete result.
+/// Distributed transmission sweep over one bias point. The momentum group
+/// first decimates the contacts of the whole grid once
+/// ([`ContactTable::fill`]: the energies split round-robin over its ranks,
+/// one allgather). Then its energy groups split the grid (statically via
+/// [`assign`] or dynamically via `omen-sched` per `schedule`), each energy
+/// point reads its contacts and is solved with SplitSolve across the
+/// spatial group, and the full `T(E)` vector is reduced over the momentum
+/// group. Every rank returns the complete result.
 ///
 /// A point whose solve fails with a typed solver error is *isolated*: its
 /// transmission stays `0.0` and the failure is recorded in the returned
-/// report on every rank, instead of aborting the group. SplitSolve's
-/// per-level status exchange guarantees the error is identical on every
-/// rank of the spatial group, so the SPMD control flow (including the
-/// reductions below) never diverges.
+/// report on every rank, instead of aborting the group. The table holds
+/// the same lead outcome on every rank, and SplitSolve's per-level status
+/// exchange makes an engine error identical on every rank of the spatial
+/// group, so the SPMD control flow (including the reductions below) never
+/// diverges.
 ///
 /// [`Schedule::Dynamic`] requires `spatial == 1` (each worker must solve a
 /// point alone); other layouts log a note and fall back to the static
@@ -264,9 +272,31 @@ pub fn parallel_transmission(
     energies: &[f64],
     schedule: Schedule,
 ) -> OmenResult<TransmissionSweep> {
+    let mut table = ContactTable::default();
+    let lead = [lead_l.0, lead_l.1, lead_r.0, lead_r.1];
+    let contacts = table.fill(&comms.momentum_group, &[lead], energies)?;
+    let mut sweep = k_transmission(comms, cfg, h, (&table, 0), energies, schedule)?;
+    sweep.contacts = contacts;
+    Ok(sweep)
+}
+
+/// Row `k` of a filled contact table: the contacts of one momentum's
+/// sweep.
+type KContacts<'t> = (&'t ContactTable, usize);
+
+/// One k-point's energy sweep over this momentum group, its contacts read
+/// from `contacts`.
+fn k_transmission(
+    comms: &LevelComms<'_>,
+    cfg: &LevelConfig,
+    h: &BlockTridiag,
+    contacts: KContacts<'_>,
+    energies: &[f64],
+    schedule: Schedule,
+) -> OmenResult<TransmissionSweep> {
     if let Schedule::Dynamic(opts) = schedule {
         if cfg.spatial == 1 {
-            return dynamic_transmission(comms, h, lead_l, lead_r, energies, &opts);
+            return dynamic_transmission(comms, h, contacts, energies, &opts);
         }
         crate::log::emit(&format!(
             "sched: dynamic schedule requires spatial == 1 (got {}), \
@@ -274,15 +304,14 @@ pub fn parallel_transmission(
             cfg.spatial
         ));
     }
-    static_transmission(comms, cfg, h, lead_l, lead_r, energies)
+    static_transmission(comms, cfg, h, contacts, energies)
 }
 
 fn static_transmission(
     comms: &LevelComms<'_>,
     cfg: &LevelConfig,
     h: &BlockTridiag,
-    lead_l: (&ZMat, &ZMat),
-    lead_r: (&ZMat, &ZMat),
+    contacts: KContacts<'_>,
     energies: &[f64],
 ) -> OmenResult<TransmissionSweep> {
     let n = energies.len();
@@ -290,10 +319,10 @@ fn static_transmission(
     let mut partial = vec![0.0; n];
     let mut local = SweepReport::default();
     for &ie in &mine {
-        match rank_point(comms, energies[ie], h, lead_l, lead_r) {
-            Ok(d) => {
-                local.record_solved(d.retries);
-                partial[ie] = d.transmission;
+        match solve_unit(comms, energies[ie], h, contacts) {
+            Ok([t, retries]) => {
+                local.record_solved(retries as usize);
+                partial[ie] = t;
             }
             Err(e) if is_comm_fault(&e) => return Err(e),
             Err(e) => local.record_failed(energies[ie], e),
@@ -305,49 +334,34 @@ fn static_transmission(
     reduce_level(&comms.momentum_group, sroot, partial, &local, None)
 }
 
-/// One energy point on this rank's spatial group — the rank-parallel twin
-/// of [`crate::ballistic::solve_point`]: each distinct lead decimated once
-/// across the group, then the wave-function engine over SplitSolve. All
-/// members of the group call collectively and return the same value, which
-/// is `solve_point(.., Engine::WfBcr)` bit for bit at every group size.
-fn rank_point(
-    comms: &LevelComms<'_>,
-    e: f64,
-    h: &BlockTridiag,
-    lead_l: (&ZMat, &ZMat),
-    lead_r: (&ZMat, &ZMat),
-) -> OmenResult<EnergyPointData> {
-    let group = &comms.spatial_group;
-    let (sigma_l, sigma_r) = distributed_contacts(group, e, DEFAULT_ETA, lead_l, lead_r)?;
-    let solver = Solver::SplitSolve(group);
-    omen_wf::wf_point(e, DEFAULT_ETA, h, &sigma_l, &sigma_r, solver)
-}
-
-/// One scheduler unit: the point the static leg runs, as the
-/// `[T, solver retries]` payload [`sweep_from_outcome`] reads back.
+/// One energy point on this rank's spatial group, as the `[T, solver
+/// retries]` payload [`sweep_from_outcome`] reads back: the contacts from
+/// the table, then the wave-function engine over SplitSolve. All members
+/// of the group call collectively and return the same value, which is
+/// `solve_point(.., Engine::WfBcr)` bit for bit at every group size.
 fn solve_unit(
     comms: &LevelComms<'_>,
     e: f64,
     h: &BlockTridiag,
-    lead_l: (&ZMat, &ZMat),
-    lead_r: (&ZMat, &ZMat),
-) -> OmenResult<Vec<f64>> {
-    let d = rank_point(comms, e, h, lead_l, lead_r)?;
-    Ok(vec![d.transmission, d.retries as f64])
+    (table, k): KContacts<'_>,
+) -> OmenResult<[f64; 2]> {
+    let (sigma_l, sigma_r) = table.contacts(k, e)?;
+    let solver = Solver::SplitSolve(&comms.spatial_group);
+    let d = omen_wf::wf_point(e, DEFAULT_ETA, h, &sigma_l, &sigma_r, solver)?;
+    Ok([d.transmission, d.retries as f64])
 }
 
 fn dynamic_transmission(
     comms: &LevelComms<'_>,
     h: &BlockTridiag,
-    lead_l: (&ZMat, &ZMat),
-    lead_r: (&ZMat, &ZMat),
+    contacts: KContacts<'_>,
     energies: &[f64],
     opts: &SchedOptions,
 ) -> OmenResult<TransmissionSweep> {
     let comm = &comms.momentum_group;
     let mut model = CostModel::band_edge(energies.len(), 2.0);
     let outcome = dynamic_sweep(comm, energies, &mut model, opts, |id| {
-        solve_unit(comms, energies[id], h, lead_l, lead_r)
+        solve_unit(comms, energies[id], h, contacts).map(Vec::from)
     })?;
     if comm.rank() == 0 {
         crate::log::emit(&format!(
@@ -373,16 +387,18 @@ fn dynamic_transmission(
 ///
 /// Bit-identity with the static nested split is by construction: the
 /// solve closure is the *same* pure per-(k, E) splitsolve the static leg
-/// runs, the canonical-order merge hands every member the identical
-/// value table, and each rank then rebuilds exactly the per-k curves its
-/// momentum group would have produced (the static leg's momentum-level
-/// allreduce is a bit-exact identity: one non-zero contributor per
-/// energy plus exact zeros) before replaying the static leg's bias-group
-/// reduction and failure exchange verbatim.
+/// runs, on contacts read from the same table, the canonical-order merge
+/// hands every member the identical value table, and each rank then
+/// rebuilds exactly the per-k curves its momentum group would have
+/// produced (the static leg's momentum-level allreduce is a bit-exact
+/// identity: one non-zero contributor per energy plus exact zeros) before
+/// replaying the static leg's bias-group reduction and failure exchange
+/// verbatim.
 #[allow(clippy::too_many_arguments)]
 fn whole_curve_dynamic(
     comms: &LevelComms<'_>,
     system_of: &impl Fn(f64) -> (BlockTridiag, ZMat, ZMat),
+    table: &ContactTable,
     kys: &[(f64, f64)],
     energies: &[f64],
     opts: &SchedOptions,
@@ -399,18 +415,17 @@ fn whole_curve_dynamic(
         CostModel::band_edge_grid(nk, n_e, 2.0)
     });
     let stamps: Vec<f64> = (0..nk * n_e).map(|id| energies[id % n_e]).collect();
-    // One k-point system per rank, rebuilt whenever the next unit belongs
-    // to another k. LPT order interleaves k, so that is most units (76–82
-    // rebuilds per 96-unit sweep on 2 ranks); k-coherent hand-outs are
-    // ROADMAP item 6(c).
-    let mut cached: Option<(usize, (BlockTridiag, ZMat, ZMat))> = None;
+    // One k-point device per rank, rebuilt whenever the next unit belongs
+    // to another k. LPT order interleaves k, so that is most units;
+    // k-coherent hand-outs are ROADMAP item 6(c).
+    let mut cached: Option<(usize, BlockTridiag)> = None;
     let outcome = dynamic_sweep(&comms.bias_group, &stamps, &mut model, opts, |id| {
         let ik = id / n_e;
         if cached.as_ref().map(|c| c.0) != Some(ik) {
-            cached = Some((ik, system_of(kys[ik].0)));
+            cached = Some((ik, system_of(kys[ik].0).0));
         }
-        let (_, (h, h00, h01)) = cached.as_ref().expect("cached above");
-        solve_unit(comms, energies[id % n_e], h, (h00, h01), (h00, h01))
+        let (_, h) = cached.as_ref().expect("cached above");
+        solve_unit(comms, energies[id % n_e], h, (table, ik)).map(Vec::from)
     })?;
     bank.commit(bias_step, model);
     // Rebuild the per-k sweeps my momentum group owns, exactly as the
@@ -438,11 +453,19 @@ fn whole_curve_dynamic(
 /// group split the `(k_y, weight)` list statically and the weighted
 /// k-average of `T(E)` is reduced over the bias group. Under
 /// [`Schedule::Static`] (or whenever `cfg.spatial > 1`) each group runs a
-/// per-k [`parallel_transmission`] energy sweep; under
+/// per-k energy sweep as [`parallel_transmission`] does; under
 /// [`Schedule::Dynamic`] with `cfg.spatial == 1` the whole `k × E` grid
 /// becomes one bias-group-wide dataflow (`whole_curve_dynamic`) with
 /// cross-momentum work stealing and a solving coordinator, bit-identical
 /// to the static nested split.
+///
+/// **Contacts once per curve**: before either leg, the bias group fills
+/// one [`ContactTable`] over the whole `k × E` grid — the `(k, E)` pairs
+/// it lacks split round-robin over every rank of the bias group, one
+/// allgather — and the units only read it. The table lives in `bank`
+/// between calls: a later bias point whose k-point keeps its lead blocks
+/// (compared entry for entry) decimates nothing for it, and a k-point
+/// whose lead changed re-decimates its own pairs only.
 ///
 /// **Momentum-level fault isolation**: a k-point whose *entire* energy
 /// sweep failed contributes one recorded [`FailedPoint`] (stamped with
@@ -455,8 +478,9 @@ fn whole_curve_dynamic(
 /// ledger back afterwards. Pass the same bank across SCF outer iterations
 /// and bias points (`bias_step` is the bank's bias key, e.g. the I–V point
 /// index) so from the second step onward every sweep is LPT-scheduled over
-/// *measured* costs instead of band-edge seeds; a one-off sweep passes a
-/// fresh bank. The bank never changes values — only execution order.
+/// *measured* costs instead of band-edge seeds, and its contacts come from
+/// the table; a one-off sweep passes a fresh bank. The bank never changes
+/// values — only execution order and how often a contact is decimated.
 ///
 /// # Errors
 ///
@@ -474,6 +498,22 @@ pub fn parallel_transmission_k_banked(
     bank: &mut ModelBank,
     bias_step: usize,
 ) -> OmenResult<TransmissionSweep> {
+    let mut table: ContactTable = bank.take_state();
+    let contacts = {
+        let leads: Vec<(ZMat, ZMat)> = kys
+            .iter()
+            .map(|&(ky, _)| {
+                let (_, h00, h01) = system_of(ky);
+                (h00, h01)
+            })
+            .collect();
+        let keys: Vec<_> = leads
+            .iter()
+            .map(|(h00, h01)| [h00, h01, h00, h01])
+            .collect();
+        table.fill(&comms.bias_group, &keys, energies)?
+    };
+
     let n = energies.len();
     let mine = assign(kys.len(), cfg.momentum, comms.momentum_index);
     // Per-k full curves (and per-k reports) for *my* momentum group's
@@ -482,24 +522,15 @@ pub fn parallel_transmission_k_banked(
     let (k_sweeps, sched) = match schedule {
         Schedule::Dynamic(opts) if cfg.spatial == 1 && !kys.is_empty() && n > 0 => {
             whole_curve_dynamic(
-                comms, &system_of, kys, energies, &opts, bank, bias_step, &mine,
+                comms, &system_of, &table, kys, energies, &opts, bank, bias_step, &mine,
             )?
         }
         _ => {
             let mut sweeps = Vec::with_capacity(mine.len());
             let mut sched: Option<SchedStats> = None;
             for &ik in &mine {
-                let (ky, _) = kys[ik];
-                let (h, h00, h01) = system_of(ky);
-                let sweep = parallel_transmission(
-                    comms,
-                    cfg,
-                    &h,
-                    (&h00, &h01),
-                    (&h00, &h01),
-                    energies,
-                    schedule,
-                )?;
+                let (h, _, _) = system_of(kys[ik].0);
+                let sweep = k_transmission(comms, cfg, &h, (&table, ik), energies, schedule)?;
                 if let Some(s) = &sweep.sched {
                     match &mut sched {
                         Some(acc) => acc.absorb(s),
@@ -511,6 +542,7 @@ pub fn parallel_transmission_k_banked(
             (sweeps, sched)
         }
     };
+    bank.put_state(table);
     let mut t_acc = vec![0.0; n];
     let mut local = SweepReport::default();
     for (&ik, sweep) in mine.iter().zip(&k_sweeps) {
@@ -529,7 +561,9 @@ pub fn parallel_transmission_k_banked(
     // contributes its group's weighted sum (everyone else adds exact
     // zeros), so each k-point is counted exactly once.
     let mroot = comms.momentum_group.rank() == 0;
-    reduce_level(&comms.bias_group, mroot, t_acc, &local, sched)
+    let mut sweep = reduce_level(&comms.bias_group, mroot, t_acc, &local, sched)?;
+    sweep.contacts = contacts;
+    Ok(sweep)
 }
 
 /// Sequential reference used by the equivalence tests and benches.
@@ -1017,6 +1051,214 @@ mod tests {
             assert_eq!(seen, [counts(0, 0, 1), counts(0, 1, 1), counts(1, 1, 1)]);
             for ((ts, _), (td, _)) in s.iter().zip(d) {
                 assert_eq!(bits(ts), bits(td));
+            }
+        }
+    }
+
+    /// The layouts the table tests run, as `(momentum, energy, spatial)`:
+    /// one rank; two split by momentum; three split by momentum and by
+    /// energy; two cooperating spatially.
+    const TABLE_LAYOUTS: [(usize, usize, usize); 5] =
+        [(1, 1, 1), (2, 1, 1), (3, 1, 1), (1, 3, 1), (1, 1, 2)];
+
+    fn layout((momentum, energy, spatial): (usize, usize, usize)) -> LevelConfig {
+        LevelConfig {
+            bias: 1,
+            momentum,
+            energy,
+            spatial,
+        }
+    }
+
+    /// A point's `to_bits` transmission and its report.
+    fn sweep_bits(s: &TransmissionSweep) -> (Vec<u64>, SweepReport) {
+        let t = s.transmission.iter().map(|t| t.to_bits()).collect();
+        (t, s.report.clone())
+    }
+
+    /// The `ranks2-utb-k3` film, grid and gate points: block n = 32 (the
+    /// contacts' support is 8 orbitals), 3 k-points × 32 energies, the
+    /// channel at −0.1 and 0.0 V and both leads at zero potential, so the
+    /// bias points share every lead.
+    struct Ranks2 {
+        tr: NanoTransistor,
+        kys: Vec<(f64, f64)>,
+        energies: Vec<f64>,
+        /// Per gate point, the potential on every atom.
+        biases: Vec<Vec<f64>>,
+    }
+
+    fn ranks2_inputs() -> Ranks2 {
+        let mut spec =
+            TransistorSpec::si_nanowire_nmos(Material::SingleBand { t_mev: 1000 }, 1.0, 16);
+        spec.geometry = crate::spec::Geometry::Utb { cells: 2, h: 1.0 };
+        spec.doping_sd = 0.0;
+        let tr = spec.build();
+        let (lo, hi) = (spec.source_slabs, spec.num_slabs - spec.drain_slabs);
+        let biases = [-0.1, 0.0]
+            .iter()
+            .map(|&v_gate| {
+                let on_channel = |slab| {
+                    if (lo..hi).contains(&slab) {
+                        v_gate
+                    } else {
+                        0.0
+                    }
+                };
+                tr.device.atoms.iter().map(|a| on_channel(a.slab)).collect()
+            })
+            .collect();
+        let kys = crate::ballistic::momentum_grid(&tr, 3);
+        Ranks2 {
+            tr,
+            kys,
+            energies: linspace(-3.75, -2.95, 32),
+            biases,
+        }
+    }
+
+    #[test]
+    fn contact_table_decimates_each_pair_once_per_curve_bit_for_bit() {
+        // Three steps through one bank: the two gate points of the
+        // benchmark curve, then the second again with k = 1's lead shifted.
+        // Against a cold run of each step (a fresh bank), every rank must
+        // hold the same bits and the same report, and the table must have
+        // decimated 96 pairs for the curve, none for the repeat of its
+        // leads, and 32 — k = 1's own — for the shifted lead.
+        let Ranks2 {
+            tr,
+            kys,
+            energies,
+            biases,
+        } = ranks2_inputs();
+        let shifted_k = kys[1].0;
+        let system = |step: usize, ky: f64| {
+            let (h, h00, h01) = frozen_system(&tr, &biases[step.min(1)], ky);
+            if step == 2 && ky == shifted_k {
+                let (s00, s01) = tr.hamiltonian().lead_blocks(0.01, ky);
+                return (h, s00, s01);
+            }
+            (h, h00, h01)
+        };
+        let tally = |decimated, reused| ContactTally { decimated, reused };
+        let want = [tally(96, 0), tally(0, 96), tally(32, 64)];
+        for shape in TABLE_LAYOUTS {
+            let cfg = layout(shape);
+            for schedule in [Schedule::Static, Schedule::Dynamic(SchedOptions::default())] {
+                let out = run_ranks(cfg.total(), |ctx| {
+                    let comms = split_levels(ctx, &cfg)?;
+                    let mut bank = ModelBank::new();
+                    let mut steps = Vec::new();
+                    for step in 0..3 {
+                        let run = |bank: &mut ModelBank| {
+                            parallel_transmission_k_banked(
+                                &comms,
+                                &cfg,
+                                |ky| system(step, ky),
+                                &kys,
+                                &energies,
+                                schedule,
+                                bank,
+                                step,
+                            )
+                        };
+                        let warm = run(&mut bank)?;
+                        let cold = run(&mut ModelBank::new())?;
+                        steps.push((warm, cold));
+                    }
+                    Ok(steps)
+                })
+                .flattened()
+                .unwrap_all();
+                let at = format!("{shape:?} {schedule:?}");
+                for (rank, steps) in out.iter().enumerate() {
+                    for (step, (warm, cold)) in steps.iter().enumerate() {
+                        let at = format!("{at}, rank {rank}, step {step}");
+                        assert_eq!(warm.contacts, want[step], "{at}");
+                        assert_eq!(cold.contacts, tally(96, 0), "{at}");
+                        assert_eq!(sweep_bits(warm), sweep_bits(cold), "{at}");
+                        assert_eq!(sweep_bits(warm), sweep_bits(&out[0][step].0), "{at}");
+                        assert!(warm.report.is_clean(), "{at}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// A lead whose every decimation fails at `E = 0`: its surface block
+    /// holds a level, shifted by `+iη`, at `E = 0` and at every energy of
+    /// the nudge ladder the recovery tries, beside a hopping orbital. The
+    /// device is four uncoupled levels around that orbital.
+    fn trapped_lead_system() -> (BlockTridiag, ZMat, ZMat) {
+        use omen_negf::sancho::{LEAD_NUDGE_FLOOR, MAX_LEAD_RETRIES};
+        use omen_num::c64;
+        let step = (4.0 * DEFAULT_ETA).max(LEAD_NUDGE_FLOOR);
+        let traps: Vec<c64> = (0..=MAX_LEAD_RETRIES)
+            .map(|r| {
+                let sign = if r % 2 == 1 { 1.0 } else { -1.0 };
+                c64::new(sign * r.div_ceil(2) as f64 * step, DEFAULT_ETA)
+            })
+            .collect();
+        let n = 1 + traps.len();
+        let h00 = ZMat::from_diag(&[&[c64::ZERO], &traps[..]].concat());
+        let hop = ZMat::from_fn(n, n, |i, j| c64::real(if i + j == 0 { -1.0 } else { 0.0 }));
+        let slab = ZMat::from_fn(n, n, |i, j| match (i, j) {
+            (0, 0) => c64::ZERO,
+            _ if i == j => c64::real(5.0),
+            _ => c64::ZERO,
+        });
+        let h = BlockTridiag::new(vec![slab; 4], vec![hop.clone(); 3], vec![hop.clone(); 3]);
+        (h, h00, hop)
+    }
+
+    #[test]
+    fn a_failing_lead_fails_alike_on_every_rank_and_is_remembered() {
+        // k = 0's lead fails at E = 0; k = 1 is a healthy chain. Over two
+        // steps through one bank, each rank reports the cold run's typed
+        // failure, and the second step decimates nothing: the failure is
+        // served from the table like any other outcome.
+        let energies = linspace(-0.5, 0.5, 5);
+        let kys = [(0.0, 0.5), (1.0, 0.5)];
+        let system = |ky: f64| {
+            if ky == 0.0 {
+                trapped_lead_system()
+            } else {
+                healthy_chain()
+            }
+        };
+        for shape in TABLE_LAYOUTS {
+            let cfg = layout(shape);
+            for schedule in [Schedule::Static, Schedule::Dynamic(SchedOptions::default())] {
+                let out = run_ranks(cfg.total(), |ctx| {
+                    let comms = split_levels(ctx, &cfg)?;
+                    let run = |bank: &mut ModelBank, step| {
+                        parallel_transmission_k_banked(
+                            &comms, &cfg, system, &kys, &energies, schedule, bank, step,
+                        )
+                    };
+                    let mut bank = ModelBank::new();
+                    let warm = [run(&mut bank, 0)?, run(&mut bank, 1)?];
+                    Ok((warm, run(&mut ModelBank::new(), 1)?))
+                })
+                .flattened()
+                .unwrap_all();
+                let at = format!("{shape:?} {schedule:?}");
+                for (rank, ([first, second], cold)) in out.iter().enumerate() {
+                    let at = format!("{at}, rank {rank}");
+                    assert_eq!(first.contacts.decimated, kys.len() * energies.len());
+                    assert_eq!(second.contacts.decimated, 0, "{at}");
+                    assert_eq!(sweep_bits(first), sweep_bits(cold), "{at}");
+                    assert_eq!(sweep_bits(second), sweep_bits(cold), "{at}");
+                    assert_eq!(sweep_bits(second), sweep_bits(&out[0].0[1]), "{at}");
+                    let failed = &second.report.failed;
+                    assert_eq!(failed.len(), 1, "{at}");
+                    assert_eq!(failed[0].energy, 0.0, "{at}");
+                    assert!(
+                        matches!(failed[0].error, OmenError::SingularBlock { .. }),
+                        "{at}: {:?}",
+                        failed[0].error
+                    );
+                }
             }
         }
     }

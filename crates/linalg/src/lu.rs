@@ -162,14 +162,14 @@ fn subtract_product(c: &mut ZMat, a: &ZMat, b: &ZMat) {
     );
 }
 
-/// `x[rows] ← x[rows] − lu[rows, cols]·x[cols]` for two disjoint row
-/// ranges of the right-hand-side matrix `x`. The copy-out/copy-in is
-/// O(n·nrhs) against the O(n·NB·nrhs) update it feeds.
-fn sub_product(lu: &ZMat, x: &mut ZMat, rows: Range<usize>, cols: Range<usize>) {
-    let nrhs = x.ncols();
+/// `x[rows, ..width] ← x[rows, ..width] − lu[rows, cols]·x[cols, ..width]`
+/// for two disjoint row ranges of the right-hand-side matrix `x`. The
+/// copy-out/copy-in is O(n·width) against the O(n·NB·width) update it
+/// feeds.
+fn sub_product(lu: &ZMat, x: &mut ZMat, rows: Range<usize>, cols: Range<usize>, width: usize) {
     let a = lu.block(rows.start, cols.start, rows.len(), cols.len());
-    let b = x.block(cols.start, 0, cols.len(), nrhs);
-    let mut c = x.block(rows.start, 0, rows.len(), nrhs);
+    let b = x.block(cols.start, 0, cols.len(), width);
+    let mut c = x.block(rows.start, 0, rows.len(), width);
     subtract_product(&mut c, &a, &b);
     x.set_block(rows.start, 0, &c);
 }
@@ -275,35 +275,50 @@ impl Lu {
         for i in 0..n {
             x.row_mut(i).copy_from_slice(b.row(self.perm[i]));
         }
-        self.substitute(&mut x);
+        self.forward(&mut x, false);
+        self.back(&mut x);
         x
     }
 
-    /// Explicit inverse `A⁻¹` (solves against the identity).
+    /// Explicit inverse `A⁻¹ = U⁻¹·L⁻¹·P`, in the shape of LAPACK's
+    /// `getri`: the forward solve runs on the identity, where row `i` of
+    /// `L⁻¹` lives on columns `0..=i`, so it skips the zeros to the right;
+    /// the back substitution runs on the dense `L⁻¹`; the row permutation
+    /// becomes one column permutation at the end. `16/3 n³` flops
+    /// ([`flops::inverse_flops`]) against the `8 n³` of two full
+    /// triangular solves against `P`.
     pub fn inverse(&self) -> ZMat {
         let n = self.n();
-        flops::add_flops(flops::trsm_flops(n, n));
-        // P·I written in place of a materialized identity.
-        let mut x = ZMat::zeros(n, n);
-        for (i, &p) in self.perm.iter().enumerate() {
-            x[(i, p)] = c64::ONE;
+        flops::add_flops(flops::inverse_flops(n));
+        let mut x = ZMat::eye(n);
+        self.forward(&mut x, true);
+        self.back(&mut x);
+        // A⁻¹ = X·P: column `perm[i]` of the inverse is column `i` of X.
+        let mut row = vec![c64::ZERO; n];
+        for r in 0..n {
+            row.copy_from_slice(x.row(r));
+            let dst = x.row_mut(r);
+            for (&v, &p) in row.iter().zip(&self.perm) {
+                dst[p] = v;
+            }
         }
-        self.substitute(&mut x);
         x
     }
 
-    /// `x ← U⁻¹ L⁻¹ x` for an already row-permuted right-hand side.
+    /// `x ← L⁻¹ x` (unit diagonal) for an already row-permuted right-hand
+    /// side. With `lower`, `x` is lower triangular on entry and stays so:
+    /// each row update then stops at the source row's diagonal.
     ///
     /// Blocked like [`Lu::factor`]: per `NB`-row diagonal block a
     /// row-wise triangular solve (one AXPY per eliminated entry), and
     /// between blocks one off-diagonal update through the tiled GEMM.
     /// Matrices up to `NB` are a single block, i.e. the plain
     /// substitution.
-    fn substitute(&self, x: &mut ZMat) {
+    fn forward(&self, x: &mut ZMat, lower: bool) {
         let n = self.n();
         let nrhs = x.ncols();
+        let width = |row: usize| if lower { row + 1 } else { nrhs };
         let path = threads::simd_path();
-        // Forward substitution L y = P b (unit diagonal), blocks ascending.
         for kk in (0..n).step_by(NB) {
             let k_hi = (kk + NB).min(n);
             for i in kk + 1..k_hi {
@@ -314,18 +329,25 @@ impl Lu {
                     if lij == c64::ZERO {
                         continue;
                     }
-                    axpy_on(path, -lij, &done[j * nrhs..(j + 1) * nrhs], xi);
+                    let w = width(j);
+                    axpy_on(path, -lij, &done[j * nrhs..j * nrhs + w], &mut xi[..w]);
                 }
             }
             if k_hi < n {
-                sub_product(&self.lu, x, k_hi..n, kk..k_hi);
+                sub_product(&self.lu, x, k_hi..n, kk..k_hi, width(k_hi - 1));
             }
         }
-        // Back substitution U x = y, blocks descending.
+    }
+
+    /// `x ← U⁻¹ x`, blocked like [`Lu::forward`], blocks descending.
+    fn back(&self, x: &mut ZMat) {
+        let n = self.n();
+        let nrhs = x.ncols();
+        let path = threads::simd_path();
         for kk in (0..n).step_by(NB).rev() {
             let k_hi = (kk + NB).min(n);
             if k_hi < n {
-                sub_product(&self.lu, x, kk..k_hi, k_hi..n);
+                sub_product(&self.lu, x, kk..k_hi, k_hi..n, nrhs);
             }
             for i in (kk..k_hi).rev() {
                 let (head, tail) = x.data_mut().split_at_mut((i + 1) * nrhs);

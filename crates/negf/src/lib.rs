@@ -8,8 +8,7 @@
 //! * [`sancho`] — Sancho–Rubio decimation for lead surface Green's
 //!   functions and the contact self-energies/broadenings `Σ`, `Γ`;
 //! * [`contacts`] — the first stage of a point: both contacts decimated
-//!   locally ([`local_contacts`]) or once per communicator and broadcast
-//!   ([`distributed_contacts`]), never redundantly per rank;
+//!   by [`local_contacts`], one pair decimation when the leads are one;
 //! * [`rgf`] — the forward/backward recursive Green's function returning
 //!   diagonal blocks (density/LDOS), first/last block columns (contact
 //!   spectral functions) and the Caroli transmission; [`rgf_point`] is the
@@ -36,7 +35,7 @@ pub mod selinv;
 pub mod serialize;
 pub mod transport;
 
-pub use contacts::{distributed_contacts, local_contacts};
+pub use contacts::local_contacts;
 pub use rgf::{rgf_point, rgf_solve, RgfResult};
 pub use sancho::{surface_green_function, ContactSelfEnergy, Side};
 pub use selinv::{selinv_point, selinv_solve};

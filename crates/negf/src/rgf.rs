@@ -43,11 +43,12 @@
 //! of a second, right-connected factorization sweep.
 //!
 //! Cost per slab of size `n` with coupling supports of `s` orbitals: one
-//! LU + inverse (`16/3 n³ + 8 n³` flops) and `8(n²s + 5ns² + 2s³)` for the
+//! LU + inverse (`16/3 n³ + 16/3 n³` flops: the inverse's forward solve
+//! skips the zeros of the identity) and `8(n²s + 5ns² + 2s³)` for the
 //! eight thin products (at `s_L = s_R = s`), plus the `O(n·s²)` spectral
-//! diagonals of [`crate::transport::package`] — `17.3 n³` at
-//! `s/n = 20/90`, three quarters of it the factorization, against
-//! `13.3 n³ + 5·8 n³` and three `n × n × s` column products when the
+//! diagonals of [`crate::transport::package`] — `14.6 n³` at
+//! `s/n = 20/90`, nearly three quarters of it the factorization, against
+//! `10.7 n³ + 5·8 n³` and three `n × n × s` column products when the
 //! coupling is dense (`s = n`). Still the `O(N·n³)` scaling the paper
 //! contrasts against its wave-function algorithm;
 //! `tests/flop_counter_props.rs` pins the count to the flop in both

@@ -1,8 +1,8 @@
 //! Byte (de)serialization of dense blocks for rank messages.
 //!
 //! Shared matrix wire format of the distributed solvers: the
-//! wave-function SplitSolve and the distributed contact decimation
-//! ([`crate::contacts`]) move blocks between ranks through these
+//! wave-function SplitSolve and the rank path's contact table
+//! (`omen_core::contacts`) move blocks between ranks through these
 //! helpers. The primitive layout (little-endian integers, `f64` bit
 //! patterns, length prefixes) and the typed-error format that travels
 //! beside the blocks are declared once, in [`omen_num::wire`].

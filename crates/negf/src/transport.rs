@@ -1,10 +1,10 @@
 //! What one (E, k) point hands the upper layers, and the dense reference.
 //!
 //! A point is contacts, then an engine. The contacts come from
-//! [`crate::contacts`] (`local_contacts`, or `distributed_contacts` on a
-//! communicator); the engines — [`crate::rgf::rgf_point`],
-//! [`crate::selinv::selinv_point`] and `omen_wf::wf_point` — take the
-//! `(Σ_L, Σ_R)` pair and return an [`EnergyPointData`].
+//! [`crate::contacts`] (`local_contacts`); the engines —
+//! [`crate::rgf::rgf_point`], [`crate::selinv::selinv_point`] and
+//! `omen_wf::wf_point` — take the `(Σ_L, Σ_R)` pair and return an
+//! [`EnergyPointData`].
 //! `omen_core::ballistic::solve_point` is the composition.
 
 use crate::contacts::local_contacts;

@@ -13,6 +13,7 @@
 //! exist, measured and unmeasured units are compared on one axis.
 
 use omen_num::{OmenError, OmenResult};
+use std::any::Any;
 use std::collections::BTreeMap;
 
 /// EWMA smoothing factor in `(0, 1]`: weight of the newest measurement.
@@ -201,10 +202,16 @@ pub struct BankCounts {
 /// bias clones the nearest earlier one (a *warm* start — the cost analogue
 /// of the potential warm start in `gate_sweep`). Only when neither exists
 /// does a checkout fall back to the caller's seed.
+///
+/// Beside the ledgers the bank carries one value of the caller's own type
+/// across the same sweeps ([`ModelBank::take_state`] /
+/// [`ModelBank::put_state`]) — `omen_core::parallel` keeps the curve's
+/// contact table there — without this crate knowing what it holds.
 #[derive(Debug, Default)]
 pub struct ModelBank {
     models: BTreeMap<usize, CostModel>,
     lifetime: BankCounts,
+    state: Option<Box<dyn Any + Send>>,
 }
 
 impl ModelBank {
@@ -255,11 +262,38 @@ impl ModelBank {
     pub fn lifetime_counts(&self) -> BankCounts {
         self.lifetime
     }
+
+    /// Takes out the caller state [`ModelBank::put_state`] stored, or
+    /// `T::default()` when the bank holds none of type `T`.
+    pub fn take_state<T: Any + Send + Default>(&mut self) -> T {
+        match self.state.take().map(|s| s.downcast::<T>()) {
+            Some(Ok(state)) => *state,
+            _ => T::default(),
+        }
+    }
+
+    /// Stores `state` until the next [`ModelBank::take_state`], replacing
+    /// whatever the bank held.
+    pub fn put_state<T: Any + Send>(&mut self, state: T) {
+        self.state = Some(Box::new(state));
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn state_round_trips_by_type() {
+        let mut bank = ModelBank::new();
+        assert_eq!(bank.take_state::<Vec<u8>>(), Vec::<u8>::new());
+        bank.put_state(vec![1u8, 2]);
+        assert_eq!(bank.take_state::<Vec<u8>>(), [1, 2]);
+        // Taken means gone; a different type reads as its default.
+        assert!(bank.take_state::<Vec<u8>>().is_empty());
+        bank.put_state(7usize);
+        assert_eq!(bank.take_state::<Vec<u8>>(), Vec::<u8>::new());
+    }
 
     #[test]
     fn seed_then_ewma() {

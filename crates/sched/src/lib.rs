@@ -18,7 +18,8 @@
 //!   model per bias step: SCF re-solves resume their own measurements
 //!   (*hits*), new bias points warm-start from the nearest earlier bias
 //!   (*warmed*), and only a cold grid falls back to seeds ([`BankCounts`]
-//!   is the witness).
+//!   is the witness). It carries one caller-typed value across the same
+//!   sweeps, opaque to this crate (the rank path's contact table).
 //! * [`dynamic_sweep`] — the pull-based coordinator/worker engine: chunked
 //!   hand-out over typed, fingerprinted messages ([`proto`]) with one
 //!   holder per unit, a solving coordinator, liveness read off the results

@@ -29,8 +29,8 @@ pub enum Solver<'a> {
     Bcr,
     /// Block cyclic reduction distributed over the communicator's ranks
     /// ([`splitsolve_parallel`]): all members call collectively with
-    /// identical contacts (`omen_negf::distributed_contacts` delivers
-    /// them) and receive the same result.
+    /// identical contacts (the rank path reads them from one table,
+    /// `omen_core::contacts::ContactTable`) and receive the same result.
     SplitSolve(&'a Comm<'a>),
 }
 
@@ -156,7 +156,7 @@ mod tests {
     use super::*;
     use omen_lattice::{Crystal, Device};
     use omen_negf::transport::DEFAULT_ETA;
-    use omen_negf::{distributed_contacts, local_contacts, rgf_point};
+    use omen_negf::{local_contacts, rgf_point};
     use omen_num::{c64, A_SI};
     use omen_tb::{DeviceHamiltonian, Material, TbParams};
 
@@ -310,7 +310,7 @@ mod tests {
             for nranks in [1, 2, 3] {
                 let out = omen_parsim::run_ranks(nranks, |ctx| {
                     let comm = Comm::world(ctx);
-                    let (sl, sr) = distributed_contacts(&comm, e, DEFAULT_ETA, lead_l, lead_r)?;
+                    let (sl, sr) = local_contacts(e, DEFAULT_ETA, lead_l, lead_r)?;
                     wf_point(e, DEFAULT_ETA, h, &sl, &sr, Solver::SplitSolve(&comm))
                 })
                 .flattened()

@@ -1,9 +1,10 @@
 //! Properties of the global flop counter: totals are *exact* — not
-//! approximate — for GEMM and LU at every thread count, the Hermitian
-//! eigensolver's booked counts follow an independent tally of its
-//! algorithm, a frozen sweep's later gate points cost exactly their engine
-//! solves (contacts, failures included, come from the sweep's memo), and
-//! concurrent reporting from many threads loses nothing.
+//! approximate — for GEMM and LU at every thread count, the booked counts
+//! of the Hermitian eigensolver and of the explicit inverse follow an
+//! independent tally of their algorithms, a frozen sweep's later gate
+//! points cost exactly their engine solves (contacts, failures included,
+//! come from the sweep's memo), and concurrent reporting from many threads
+//! loses nothing.
 //!
 //! The counter backs the paper-reproduction harness (tab2/fig7 derive
 //! sustained-performance numbers from measured counts), so "roughly right"
@@ -12,7 +13,7 @@
 //! every downstream figure. The tests serialize on a local mutex because
 //! the counter is process-global.
 
-use omen::linalg::flops::{flop_count, gemm_flops, lu_flops, trsm_flops};
+use omen::linalg::flops::{flop_count, gemm_flops, inverse_flops, lu_flops, trsm_flops};
 use omen::linalg::{gemm_threaded, lu::Lu, FlopScope, Op, ZMat};
 use omen::num::c64;
 use omen::sparse::BlockTridiag;
@@ -83,7 +84,78 @@ fn lu_total_is_exact_for_unblocked_and_blocked_paths() {
         assert_eq!(scope.take(), trsm_flops(n, 1), "solve_vec n={n}");
         let scope = FlopScope::new();
         let _ = f.inverse();
-        assert_eq!(scope.take(), trsm_flops(n, n), "inverse n={n}");
+        assert_eq!(scope.take(), inverse_flops(n), "inverse n={n}");
+    }
+}
+
+/// The explicit inverse run the plain way from `f`'s packed factors,
+/// tallying the real flops of every loop where they happen (complex
+/// multiply-add = 8, complex multiply = 6): the forward solve `L·Y = I`
+/// on the identity's lower triangle (row `i` of `L⁻¹` lives on columns
+/// `0..=i`), the back substitution `U·X = Y` on the dense `Y`, then
+/// `A⁻¹ = X·P`. Reads none of `omen::linalg::flops`' formulas.
+fn tallied_inverse(f: &Lu) -> (ZMat, u64) {
+    let (n, lu) = (f.n(), f.packed());
+    let mut tally = 0u64;
+    let mut y = ZMat::eye(n);
+    for i in 0..n {
+        for j in 0..i {
+            let l = lu[(i, j)];
+            for c in 0..=j {
+                let yjc = y[(j, c)];
+                y[(i, c)] -= l * yjc;
+                tally += 8;
+            }
+        }
+    }
+    for i in (0..n).rev() {
+        for j in i + 1..n {
+            let u = lu[(i, j)];
+            for c in 0..n {
+                let yjc = y[(j, c)];
+                y[(i, c)] -= u * yjc;
+                tally += 8;
+            }
+        }
+        let d = lu[(i, i)].inv();
+        for c in 0..n {
+            y[(i, c)] *= d;
+            tally += 6;
+        }
+    }
+    let inv = ZMat::from_fn(n, n, |r, c| {
+        let i = f
+            .perm()
+            .iter()
+            .position(|&p| p == c)
+            .expect("a permutation");
+        y[(r, i)]
+    });
+    (inv, tally)
+}
+
+#[test]
+fn inverse_books_what_the_algorithm_runs() {
+    use omen::num::{tolerance::test_bound, BoundKind};
+    let _guard = COUNTER_LOCK.lock().unwrap();
+    let tol = test_bound("lu.vs_oracle", BoundKind::Relative).expect("policy entry");
+    for n in [5usize, 16, 32, 33, 48, 60, 90, 97] {
+        let f = Lu::factor(&dd_mat(n, 70 + n as u64)).expect("diagonally dominant");
+        let (want, tally) = tallied_inverse(&f);
+        let scope = FlopScope::new();
+        let got = f.inverse();
+        let booked = scope.take();
+        // The tally ran the algorithm: same inverse.
+        let off = (&got - &want).max_abs();
+        assert!(off <= tol * want.max_abs(), "n={n}: off by {off}");
+        // The ledger books the two solves' cubic terms, (4/3)n³ + 4n³; what
+        // it leaves out — the diagonal scaling and the solves' quadratic
+        // terms — is 2n² − 4n/3 here.
+        let nn = (n * n) as u64;
+        assert!(
+            booked <= tally && tally - booked <= 2 * nn,
+            "n={n}: tallied {tally}, booked {booked}"
+        );
     }
 }
 
@@ -101,7 +173,7 @@ fn rgf_point_flops(
 ) -> u64 {
     let links = nb as u64 - 1;
     // Per slab: one LU and its explicit inverse.
-    nb as u64 * (lu_flops(n) + trsm_flops(n, n))
+    nb as u64 * (lu_flops(n) + inverse_flops(n))
         // Per link, forward: u_i = L_i·gL_i[C′,:] and the Schur update
         // u_i[:,R]·U_i on m[R′,C].
         + links * (gemm_flops(rl, n, cl) + gemm_flops(rl, cu, ru))
@@ -306,7 +378,7 @@ fn trapped_lead_and_device(e_trap: f64, nb: usize, v: f64) -> ((ZMat, ZMat), Blo
 #[test]
 fn a_remembered_lead_failure_is_reported_alike_and_decimated_once() {
     use omen::core::ballistic::solve_sweep;
-    use omen::core::energy::ContactMemo;
+    use omen::core::contacts::ContactMemo;
     use omen::core::{engine_point, Engine};
     use omen::negf::contacts::local_contacts;
     use omen::negf::transport::DEFAULT_ETA;
@@ -401,7 +473,7 @@ fn pair_decimation_counts_one_decimation_and_one_inverse() {
         let pair = counted(&|| {
             surface_green_function_pair(e, eta, &h00, &h01).expect("lead pair");
         });
-        assert_eq!(pair, single + lu_flops(n) + trsm_flops(n, n), "E={e}");
+        assert_eq!(pair, single + lu_flops(n) + inverse_flops(n), "E={e}");
 
         // What the engines call: both contacts of an equal-lead device for
         // barely more than one of the two standalone computations.
