@@ -12,6 +12,8 @@
 //!
 //! Both key a lead pair on its exact blocks: blocks that do not compare
 //! equal entry for entry (a NaN entry never does) drop the pair's outcomes.
+//! A table keys each slot once per fill, so a NaN lead's outcomes last
+//! for that fill's reads and are decimated again by the next.
 //! A failure is remembered too: the same lead fails at the same energy the
 //! same way, so the nudge ladder is not climbed twice. Each Σ is kept on
 //! its support ([`PackedContact`]); a read scatters it back into zeros and
@@ -204,6 +206,13 @@ impl LeadSlot {
         let fresh = || (key.iter().map(|&m| m.clone()).collect(), HashMap::new());
         &mut self.0.get_or_insert_with(fresh).1
     }
+
+    /// The outcomes [`LeadSlot::outcomes`] last keyed, without comparing
+    /// blocks again: a lead with a NaN entry never compares equal, so a
+    /// second comparison would drop what the first keyed.
+    fn keyed(&mut self) -> Option<&mut HashMap<u64, PackedOutcome>> {
+        self.0.as_mut().map(|(_, outcomes)| outcomes)
+    }
 }
 
 fn unpacked(known: &PackedOutcome) -> OmenResult<(ContactSelfEnergy, ContactSelfEnergy)> {
@@ -326,9 +335,11 @@ impl ContactTable {
             if outcome.as_ref().is_ok_and(|pair| !fits(pair)) {
                 return Err(OmenError::Deserialize { context: CTX });
             }
-            self.slots[ik]
-                .outcomes(leads[ik])
-                .insert(e.to_bits(), outcome);
+            // Keyed once above, this fill: a NaN lead stays in its slot
+            // for the fill's reads and misses on the next fill.
+            if let Some(known) = self.slots[ik].keyed() {
+                known.insert(e.to_bits(), outcome);
+            }
         }
         Ok(ContactTally {
             decimated: missing.len(),

@@ -498,7 +498,7 @@ pub fn parallel_transmission_k_banked(
     bank: &mut ModelBank,
     bias_step: usize,
 ) -> OmenResult<TransmissionSweep> {
-    let mut table: ContactTable = bank.take_state();
+    let mut table: ContactTable = bank.take_contacts();
     let contacts = {
         let leads: Vec<(ZMat, ZMat)> = kys
             .iter()
@@ -542,7 +542,7 @@ pub fn parallel_transmission_k_banked(
             (sweeps, sched)
         }
     };
-    bank.put_state(table);
+    bank.put_contacts(table);
     let mut t_acc = vec![0.0; n];
     let mut local = SweepReport::default();
     for (&ik, sweep) in mine.iter().zip(&k_sweeps) {
@@ -1211,53 +1211,74 @@ mod tests {
         (h, h00, hop)
     }
 
+    /// [`healthy_chain`] behind a lead whose surface block is NaN: no
+    /// decimation converges, at any energy.
+    fn poisoned_lead_system() -> (BlockTridiag, ZMat, ZMat) {
+        let (h, h00, h01) = healthy_chain();
+        let nan = ZMat::from_fn(h00.nrows(), h00.ncols(), |_, _| {
+            omen_num::c64::new(f64::NAN, 0.0)
+        });
+        (h, nan, h01)
+    }
+
     #[test]
     fn a_failing_lead_fails_alike_on_every_rank_and_is_remembered() {
-        // k = 0's lead fails at E = 0; k = 1 is a healthy chain. Over two
-        // steps through one bank, each rank reports the cold run's typed
-        // failure, and the second step decimates nothing: the failure is
-        // served from the table like any other outcome.
+        // k = 0's lead fails; k = 1 is a healthy chain. Over two steps
+        // through one bank, each rank reports the cold run's typed failure.
+        // The trapped lead fails at E = 0 only, and its second step
+        // decimates nothing: the failure is served from the table like any
+        // other outcome. The NaN lead fails at every energy, so k = 0 is
+        // lost as a whole; it never compares equal to itself, so each step
+        // decimates its pairs again, and no read may find them missing.
         let energies = linspace(-0.5, 0.5, 5);
         let kys = [(0.0, 0.5), (1.0, 0.5)];
-        let system = |ky: f64| {
-            if ky == 0.0 {
-                trapped_lead_system()
-            } else {
-                healthy_chain()
-            }
-        };
-        for shape in TABLE_LAYOUTS {
-            let cfg = layout(shape);
-            for schedule in [Schedule::Static, Schedule::Dynamic(SchedOptions::default())] {
-                let out = run_ranks(cfg.total(), |ctx| {
-                    let comms = split_levels(ctx, &cfg)?;
-                    let run = |bank: &mut ModelBank, step| {
-                        parallel_transmission_k_banked(
-                            &comms, &cfg, system, &kys, &energies, schedule, bank, step,
-                        )
-                    };
-                    let mut bank = ModelBank::new();
-                    let warm = [run(&mut bank, 0)?, run(&mut bank, 1)?];
-                    Ok((warm, run(&mut ModelBank::new(), 1)?))
-                })
-                .flattened()
-                .unwrap_all();
-                let at = format!("{shape:?} {schedule:?}");
-                for (rank, ([first, second], cold)) in out.iter().enumerate() {
-                    let at = format!("{at}, rank {rank}");
-                    assert_eq!(first.contacts.decimated, kys.len() * energies.len());
-                    assert_eq!(second.contacts.decimated, 0, "{at}");
-                    assert_eq!(sweep_bits(first), sweep_bits(cold), "{at}");
-                    assert_eq!(sweep_bits(second), sweep_bits(cold), "{at}");
-                    assert_eq!(sweep_bits(second), sweep_bits(&out[0].0[1]), "{at}");
-                    let failed = &second.report.failed;
-                    assert_eq!(failed.len(), 1, "{at}");
-                    assert_eq!(failed[0].energy, 0.0, "{at}");
-                    assert!(
-                        matches!(failed[0].error, OmenError::SingularBlock { .. }),
-                        "{at}: {:?}",
-                        failed[0].error
-                    );
+        let n_e = energies.len();
+        let trapped: fn() -> _ = trapped_lead_system;
+        let poisoned: fn() -> _ = poisoned_lead_system;
+        let singular: fn(&OmenError) -> bool = |e| matches!(e, OmenError::SingularBlock { .. });
+        let unconverged: fn(&OmenError) -> bool =
+            |e| matches!(e, OmenError::LeadNotConverged { .. });
+        let cases = [
+            (trapped, 0, 0.0, singular),
+            (poisoned, n_e, kys[0].0, unconverged),
+        ];
+        for (failing, redecimated, fails_at, typed) in cases {
+            let system = |ky: f64| {
+                if ky == 0.0 {
+                    failing()
+                } else {
+                    healthy_chain()
+                }
+            };
+            for shape in TABLE_LAYOUTS {
+                let cfg = layout(shape);
+                for schedule in [Schedule::Static, Schedule::Dynamic(SchedOptions::default())] {
+                    let out = run_ranks(cfg.total(), |ctx| {
+                        let comms = split_levels(ctx, &cfg)?;
+                        let run = |bank: &mut ModelBank, step| {
+                            parallel_transmission_k_banked(
+                                &comms, &cfg, system, &kys, &energies, schedule, bank, step,
+                            )
+                        };
+                        let mut bank = ModelBank::new();
+                        let warm = [run(&mut bank, 0)?, run(&mut bank, 1)?];
+                        Ok((warm, run(&mut ModelBank::new(), 1)?))
+                    })
+                    .flattened()
+                    .unwrap_all();
+                    let at = format!("{shape:?} {schedule:?}, redecimated {redecimated}");
+                    for (rank, ([first, second], cold)) in out.iter().enumerate() {
+                        let at = format!("{at}, rank {rank}");
+                        assert_eq!(first.contacts.decimated, kys.len() * n_e, "{at}");
+                        assert_eq!(second.contacts.decimated, redecimated, "{at}");
+                        assert_eq!(sweep_bits(first), sweep_bits(cold), "{at}");
+                        assert_eq!(sweep_bits(second), sweep_bits(cold), "{at}");
+                        assert_eq!(sweep_bits(second), sweep_bits(&out[0].0[1]), "{at}");
+                        let failed = &second.report.failed;
+                        assert_eq!(failed.len(), 1, "{at}");
+                        assert_eq!(failed[0].energy, fails_at, "{at}");
+                        assert!(typed(&failed[0].error), "{at}: {:?}", failed[0].error);
+                    }
                 }
             }
         }

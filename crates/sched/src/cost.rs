@@ -203,15 +203,16 @@ pub struct BankCounts {
 /// of the potential warm start in `gate_sweep`). Only when neither exists
 /// does a checkout fall back to the caller's seed.
 ///
-/// Beside the ledgers the bank carries one value of the caller's own type
-/// across the same sweeps ([`ModelBank::take_state`] /
-/// [`ModelBank::put_state`]) — `omen_core::parallel` keeps the curve's
-/// contact table there — without this crate knowing what it holds.
+/// Beside the ledgers the bank carries the rank path's contact table
+/// across the same sweeps ([`ModelBank::take_contacts`] /
+/// [`ModelBank::put_contacts`]: `omen_core::parallel` stores its
+/// `ContactTable` there), typed by the caller so this crate stays unaware
+/// of negf types.
 #[derive(Debug, Default)]
 pub struct ModelBank {
     models: BTreeMap<usize, CostModel>,
     lifetime: BankCounts,
-    state: Option<Box<dyn Any + Send>>,
+    contacts: Option<Box<dyn Any + Send>>,
 }
 
 impl ModelBank {
@@ -263,19 +264,25 @@ impl ModelBank {
         self.lifetime
     }
 
-    /// Takes out the caller state [`ModelBank::put_state`] stored, or
-    /// `T::default()` when the bank holds none of type `T`.
-    pub fn take_state<T: Any + Send + Default>(&mut self) -> T {
-        match self.state.take().map(|s| s.downcast::<T>()) {
-            Some(Ok(state)) => *state,
-            _ => T::default(),
+    /// Takes out the contact table [`ModelBank::put_contacts`] stored, or
+    /// `T::default()` (an empty table) when the bank holds none. The one
+    /// caller stores and takes one type; a table of another type is a
+    /// caller bug, caught in debug builds rather than read as a cold table.
+    pub fn take_contacts<T: Any + Send + Default>(&mut self) -> T {
+        match self.contacts.take().map(|s| s.downcast::<T>()) {
+            Some(Ok(table)) => *table,
+            Some(Err(_)) => {
+                debug_assert!(false, "the bank's contact table has another type");
+                T::default()
+            }
+            None => T::default(),
         }
     }
 
-    /// Stores `state` until the next [`ModelBank::take_state`], replacing
-    /// whatever the bank held.
-    pub fn put_state<T: Any + Send>(&mut self, state: T) {
-        self.state = Some(Box::new(state));
+    /// Stores `table` until the next [`ModelBank::take_contacts`],
+    /// replacing the table the bank held.
+    pub fn put_contacts<T: Any + Send>(&mut self, table: T) {
+        self.contacts = Some(Box::new(table));
     }
 }
 
@@ -284,15 +291,22 @@ mod tests {
     use super::*;
 
     #[test]
-    fn state_round_trips_by_type() {
+    fn contacts_round_trip() {
         let mut bank = ModelBank::new();
-        assert_eq!(bank.take_state::<Vec<u8>>(), Vec::<u8>::new());
-        bank.put_state(vec![1u8, 2]);
-        assert_eq!(bank.take_state::<Vec<u8>>(), [1, 2]);
-        // Taken means gone; a different type reads as its default.
-        assert!(bank.take_state::<Vec<u8>>().is_empty());
-        bank.put_state(7usize);
-        assert_eq!(bank.take_state::<Vec<u8>>(), Vec::<u8>::new());
+        assert_eq!(bank.take_contacts::<Vec<u8>>(), Vec::<u8>::new());
+        bank.put_contacts(vec![1u8, 2]);
+        assert_eq!(bank.take_contacts::<Vec<u8>>(), [1, 2]);
+        // Taken means gone.
+        assert!(bank.take_contacts::<Vec<u8>>().is_empty());
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "another type")]
+    fn contacts_of_another_type_are_a_caller_bug() {
+        let mut bank = ModelBank::new();
+        bank.put_contacts(7usize);
+        bank.take_contacts::<Vec<u8>>();
     }
 
     #[test]
