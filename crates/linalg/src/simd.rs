@@ -89,6 +89,7 @@ pub(crate) unsafe fn mk4x4(kc: usize, ap: *const c64, bp: *const c64, acc: &mut 
 /// # Safety
 ///
 /// Caller must ensure the CPU supports AVX2 and FMA.
+#[inline]
 #[target_feature(enable = "avx2,fma")]
 pub(crate) unsafe fn axpy(alpha: c64, x: &[c64], y: &mut [c64]) {
     let n = x.len();

@@ -36,11 +36,10 @@ pub fn axpy(alpha: c64, x: &[c64], y: &mut [c64]) {
     axpy_on(threads::simd_path(), alpha, x, y);
 }
 
-/// [`axpy`] on an already-resolved dispatch path, reporting **no** flops:
-/// the row update of the LU panel factor and of the triangular solves in
-/// `crate::lu`, which account their work once per call through
-/// `lu_flops` / `trsm_flops`. The scalar arm is the plain loop those
-/// kernels ran inline before they shared this entry.
+/// [`axpy`] on an already-resolved dispatch path, reporting **no** flops
+/// (the caller books them). `crate::lu` compiles its own row loops around
+/// the two arms instead, and its tests hold those loops to the bits of
+/// this entry.
 #[inline]
 pub(crate) fn axpy_on(path: SimdPath, alpha: c64, x: &[c64], y: &mut [c64]) {
     assert_eq!(x.len(), y.len(), "axpy length mismatch");

@@ -18,9 +18,10 @@
 //! device an off-diagonal block is non-zero on a few rows and columns only
 //! (20 × 20 of 90 on the sp3s* wire, 8 × 7 of 32 on the single-band one),
 //! so each one enters the recursion as `A_{i,i+1} = P_R·U_i·P_Cᵀ` and
-//! `A_{i+1,i} = P_R′·L_i·P_C′ᵀ`: the row/column supports are read off the
-//! block's exact zeros ([`ZMat::supports`]; rectangular, per link, upper
-//! and lower independent), the cores `U_i`, `L_i` are the `r × c`
+//! `A_{i+1,i} = P_R′·L_i·P_C′ᵀ`, an [`omen_sparse::Coupling`] — the form
+//! the wave-function engine's eliminations take too: the row/column
+//! supports are read off the block's exact zeros (rectangular, per link,
+//! upper and lower independent), the cores `U_i`, `L_i` are the `r × c`
 //! submatrices, and no product below takes an `n × n` off-diagonal block
 //! as an operand. A dense coupling is its own core and costs what the
 //! dense recursion costs, to the flop.
@@ -58,7 +59,7 @@ use crate::sancho::ContactSelfEnergy;
 use crate::transport::{package, EnergyPointData};
 use omen_linalg::{gemm, lu, matmul, matmul_n_h, Op, ZMat};
 use omen_num::{c64, OmenResult};
-use omen_sparse::BlockTridiag;
+use omen_sparse::{BlockTridiag, Coupling};
 
 /// Imaginary diagonal shift used to regularize a singular pivot block
 /// before giving up on the point. Matches the numerical broadening scale
@@ -130,31 +131,14 @@ fn neg_product(a: &ZMat, b: &ZMat) -> ZMat {
     out
 }
 
-/// One off-diagonal block on its support: `B = P_rows·core·P_colsᵀ`
-/// exactly, `rows` / `cols` read off `B`'s zeros.
-struct Coupling {
-    rows: Vec<usize>,
-    cols: Vec<usize>,
-    core: ZMat,
-}
-
-impl Coupling {
-    /// The couplings `sign·B` of a block list, `sign = −1` when `negate`
-    /// (the blocks are `H`'s and `A = … − H`): the sign lands on the core.
-    fn all(blocks: &[ZMat], negate: bool) -> Vec<Coupling> {
-        blocks
-            .iter()
-            .map(|b| {
-                let (rows, cols) = b.supports();
-                let core = b.submatrix(&rows, &cols);
-                Coupling {
-                    core: if negate { -core } else { core },
-                    rows,
-                    cols,
-                }
-            })
-            .collect()
-    }
+/// The couplings of a block list, negated when `negate` (the blocks are
+/// `H`'s and `A = … − H`): the sign lands on the core.
+fn couplings(blocks: &[ZMat], negate: bool) -> Vec<Coupling> {
+    blocks
+        .iter()
+        .map(Coupling::observe)
+        .map(|c| if negate { -c } else { c })
+        .collect()
 }
 
 /// `m[rows, cols] −= p`.
@@ -168,8 +152,9 @@ fn sub_scatter(m: &mut ZMat, rows: &[usize], cols: &[usize], p: &ZMat) {
 }
 
 /// Diagonal blocks of `A = (E + iη) I − H − Σ_L − Σ_R`, each built when
-/// the iterator reaches it.
-fn a_diagonal<'a>(
+/// the iterator reaches it. With `H`'s couplings negated on their cores,
+/// this is all of `A` an engine takes: no copy of `H` is made.
+pub fn a_diagonal<'a>(
     e: f64,
     eta: f64,
     h: &'a BlockTridiag,
@@ -191,8 +176,11 @@ fn a_diagonal<'a>(
     })
 }
 
-/// Builds `A = (E + iη) I − H − Σ_L − Σ_R` from the device Hamiltonian.
-pub fn build_a_matrix(
+/// Builds `A = (E + iη) I − H − Σ_L − Σ_R` from the device Hamiltonian:
+/// a negated copy of all of `H`, for selected inversion and the tests that
+/// hold an engine against it. [`rgf_point`] and the wave-function engine
+/// take [`a_diagonal`] and `H`'s couplings instead.
+pub(crate) fn build_a_matrix(
     e: f64,
     eta: f64,
     h: &BlockTridiag,
@@ -220,8 +208,8 @@ pub fn build_a_matrix(
 pub fn rgf_solve(a: &BlockTridiag, gamma_l: &ZMat, gamma_r: &ZMat) -> OmenResult<RgfResult> {
     recursion(
         a.diag.iter().cloned(),
-        &Coupling::all(&a.lower, false),
-        &Coupling::all(&a.upper, false),
+        &couplings(&a.lower, false),
+        &couplings(&a.upper, false),
         gamma_l,
         gamma_r,
     )
@@ -246,8 +234,8 @@ pub fn rgf_point(
 ) -> OmenResult<EnergyPointData> {
     let r = recursion(
         a_diagonal(e, eta, h, sigma_l, sigma_r),
-        &Coupling::all(&h.lower, true),
-        &Coupling::all(&h.upper, true),
+        &couplings(&h.lower, true),
+        &couplings(&h.upper, true),
         &sigma_l.gamma,
         &sigma_r.gamma,
     )
@@ -493,57 +481,10 @@ mod tests {
         }
     }
 
-    /// `(rows, cols)` a coupling block is confined to.
-    type Pattern = (Vec<usize>, Vec<usize>);
-
-    /// Random non-Hermitian block-tridiagonal system with block sizes
-    /// `sizes`, diagonally dominant so the dense oracle is well
-    /// conditioned. `lower[i]` / `upper[i]` say where the couplings of link
-    /// `i` are non-zero (`None`: everywhere), each on its own.
-    fn patterned_system(
-        sizes: &[usize],
-        lower: &[Option<Pattern>],
-        upper: &[Option<Pattern>],
-        seed: u64,
-    ) -> BlockTridiag {
-        let mut next = rng(seed);
-        let mut block = |nr: usize, nc: usize, pattern: Option<&Pattern>| {
-            let mut m = ZMat::from_fn(nr, nc, |_, _| c64::new(next(), next()));
-            if let Some((rows, cols)) = pattern {
-                m = ZMat::from_fn(nr, nc, |i, j| {
-                    if rows.contains(&i) && cols.contains(&j) {
-                        m[(i, j)]
-                    } else {
-                        c64::ZERO
-                    }
-                });
-            }
-            m
-        };
-        let diag: Vec<ZMat> = sizes
-            .iter()
-            .map(|&n| {
-                let mut m = block(n, n, None);
-                for k in 0..n {
-                    m[(k, k)] += c64::real(4.0 * n as f64);
-                }
-                m
-            })
-            .collect();
-        let links = sizes.len() - 1;
-        let lower: Vec<ZMat> = (0..links)
-            .map(|i| block(sizes[i + 1], sizes[i], lower[i].as_ref()))
-            .collect();
-        let upper: Vec<ZMat> = (0..links)
-            .map(|i| block(sizes[i], sizes[i + 1], upper[i].as_ref()))
-            .collect();
-        BlockTridiag::new(diag, lower, upper)
-    }
-
     /// Uniform blocks, dense couplings.
     fn random_system(nb: usize, bs: usize, seed: u64) -> BlockTridiag {
         let dense = vec![None; nb - 1];
-        patterned_system(&vec![bs; nb], &dense, &dense, seed)
+        BlockTridiag::patterned(&vec![bs; nb], &dense, &dense, seed)
     }
 
     /// Hermitian PSD broadening `W W†` that touches exactly `support`.
@@ -644,7 +585,7 @@ mod tests {
             on(&[0, 1], &[0, 2, 3, 4]),
             None,
         ];
-        let a = patterned_system(&sizes, &lower, &upper, 0xC0DE);
+        let a = BlockTridiag::patterned(&sizes, &lower, &upper, 0xC0DE);
         solve_against_dense(&a, &[0, 3], &[1, 2, 4], "patterned");
         solve_against_dense(&a, &[0, 1, 2, 3], &[], "patterned, dead right lead");
 
@@ -654,7 +595,7 @@ mod tests {
         let none = on(&[], &[]);
         let lower = [on(&[0, 5], &[1]), none.clone(), None, on(&[2], &[0, 1, 3])];
         let upper = [on(&[0, 2, 3], &[1, 4]), none, None, on(&[1], &[4])];
-        let a = patterned_system(&sizes, &lower, &upper, 0x5E7E);
+        let a = BlockTridiag::patterned(&sizes, &lower, &upper, 0x5E7E);
         let r = solve_against_dense(&a, &[0, 3], &[1, 2, 4], "severed");
         assert_eq!(r.transmission, 0.0);
         assert!((0..sizes.len()).all(|i| r.ldos(i).is_finite()));

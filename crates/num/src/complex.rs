@@ -78,11 +78,24 @@ impl c64 {
         self.im.atan2(self.re)
     }
 
-    /// Multiplicative inverse `1/z`.
+    /// Multiplicative inverse `1/z`. Where `|z|²` is not a normal number
+    /// — `|z|` below ≈ 1.5e-154 or above ≈ 1.3e154, where squaring under-
+    /// or overflows — `z` is first divided by its larger component, so the
+    /// inverse of any finite non-zero `z` is finite. In the normal range
+    /// the bits are those of the plain formula.
     #[inline]
     pub fn inv(self) -> Self {
         let d = self.norm_sqr();
-        c64::new(self.re / d, -self.im / d)
+        if d.is_normal() {
+            return c64::new(self.re / d, -self.im / d);
+        }
+        let m = self.re.abs().max(self.im.abs());
+        if m == 0.0 || !m.is_finite() {
+            return c64::new(self.re / d, -self.im / d);
+        }
+        let (re, im) = (self.re / m, self.im / m);
+        let d = re * re + im * im;
+        c64::new(re / d / m, -im / d / m)
     }
 
     /// Complex exponential `e^z = e^re (cos im + i sin im)`.
@@ -344,6 +357,20 @@ mod tests {
         assert!(close(z.powi(-1), z.inv(), 1e-14));
         assert!(close(z.powi(0), c64::ONE, 0.0));
         assert!(close(z.powi(5) * z.powi(-5), c64::ONE, 1e-13));
+    }
+
+    #[test]
+    fn inv_is_finite_where_the_square_under_or_overflows() {
+        for scale in [1e-200, 1e-160, 1e160, 1e300, 1e-305] {
+            let z = c64::new(3.0, -4.0).scale(scale);
+            let w = z.inv();
+            assert!(w.is_finite(), "1/{z:?} = {w:?}");
+            assert!(close(z * w, c64::ONE, 1e-15), "scale {scale}: {:?}", z * w);
+        }
+        // The normal range keeps the plain formula's bits.
+        let z = c64::new(0.3, -1.7);
+        let d = z.norm_sqr();
+        assert_eq!(z.inv(), c64::new(z.re / d, -z.im / d));
     }
 
     #[test]

@@ -66,6 +66,8 @@ pub const KNOWN_OPS: &[&str] = &[
     "selinv.vs_dense",
     // crates/negf/src/sancho.rs
     "contacts.pair_vs_single",
+    // crates/wf/src/solver.rs
+    "wf.thin_vs_dense",
     // tests/physics_invariants.rs
     "physics.unitarity_slack",
     "physics.reciprocity",

@@ -14,9 +14,58 @@
 //! the sequential block-Thomas solver, and the parallel SplitSolve-style
 //! cyclic reduction in `omen-wf`. Blocks may have differing sizes (surface
 //! slabs of a nanowire carry fewer atoms).
+//!
+//! Those kernels take each off-diagonal block as a [`Coupling`]: in a
+//! nearest-neighbour tight-binding device `Lᵢ` and `Uᵢ` are non-zero on a
+//! few rows and columns only, and no product needs the rest.
 
 use omen_linalg::ZMat;
 use omen_num::{c64, OmenError, OmenResult};
+use std::ops::Neg;
+
+/// One off-diagonal block on its support: `B = P_rows·core·P_colsᵀ`
+/// exactly, with `rows` / `cols` the ascending indices of `B`'s rows and
+/// columns that are not identically zero and `core = B[rows, cols]`.
+/// Rectangular, and observed per block: a link's lower block need not be
+/// the adjoint pattern of its upper one. A dense block is its own core.
+#[derive(Clone, Debug, PartialEq)]
+pub struct Coupling {
+    /// Row support of the block.
+    pub rows: Vec<usize>,
+    /// Column support of the block.
+    pub cols: Vec<usize>,
+    /// `B[rows, cols]`.
+    pub core: ZMat,
+}
+
+impl Coupling {
+    /// Reads the supports off `b`'s exact zeros ([`ZMat::supports`]; a NaN
+    /// is not a zero, so a poisoned entry stays in the core). Observed on
+    /// every call, never cached: the same slab pair may carry another
+    /// pattern at the next potential or momentum.
+    pub fn observe(b: &ZMat) -> Coupling {
+        let (rows, cols) = b.supports();
+        Coupling {
+            core: b.submatrix(&rows, &cols),
+            rows,
+            cols,
+        }
+    }
+}
+
+/// Where a block may be non-zero: `(rows, cols)`.
+pub type Support = (Vec<usize>, Vec<usize>);
+
+/// `−B`: the sign lands on the core (`A = … − H` takes `H`'s couplings).
+impl Neg for Coupling {
+    type Output = Coupling;
+    fn neg(self) -> Coupling {
+        Coupling {
+            core: -self.core,
+            ..self
+        }
+    }
+}
 
 /// A square block-tridiagonal complex matrix.
 #[derive(Clone)]
@@ -178,6 +227,55 @@ impl BlockTridiag {
             }
         }
         m
+    }
+
+    /// Seeded random non-Hermitian system (tests / reference computations
+    /// only) with block sizes `sizes`, diagonally dominant so a dense
+    /// oracle is well conditioned. `lower[i]` / `upper[i]` confine the
+    /// couplings of link `i` to `(rows, cols)` (`None`: dense), each on its
+    /// own.
+    pub fn patterned(
+        sizes: &[usize],
+        lower: &[Option<Support>],
+        upper: &[Option<Support>],
+        seed: u64,
+    ) -> BlockTridiag {
+        let mut s = seed.wrapping_mul(0x9E3779B97F4A7C15).wrapping_add(11);
+        let mut next = move || {
+            s = s.wrapping_mul(0x9E3779B97F4A7C15).wrapping_add(11);
+            ((s >> 11) as f64 / (1u64 << 53) as f64) * 2.0 - 1.0
+        };
+        let mut block = |nr: usize, nc: usize, pattern: Option<&Support>| {
+            let m = ZMat::from_fn(nr, nc, |_, _| c64::new(next(), next()));
+            match pattern {
+                None => m,
+                Some((rows, cols)) => ZMat::from_fn(nr, nc, |i, j| {
+                    if rows.contains(&i) && cols.contains(&j) {
+                        m[(i, j)]
+                    } else {
+                        c64::ZERO
+                    }
+                }),
+            }
+        };
+        let diag: Vec<ZMat> = sizes
+            .iter()
+            .map(|&n| {
+                let mut m = block(n, n, None);
+                for k in 0..n {
+                    m[(k, k)] += c64::real(4.0 * n as f64);
+                }
+                m
+            })
+            .collect();
+        let links = sizes.len() - 1;
+        let lower: Vec<ZMat> = (0..links)
+            .map(|i| block(sizes[i + 1], sizes[i], lower[i].as_ref()))
+            .collect();
+        let upper: Vec<ZMat> = (0..links)
+            .map(|i| block(sizes[i], sizes[i + 1], upper[i].as_ref()))
+            .collect();
+        BlockTridiag::new(diag, lower, upper)
     }
 
     /// Extracts a block-tridiagonal structure from a CSR matrix given slab

@@ -10,7 +10,7 @@
 //!
 //! This module is a schedule, not a solver: the block arithmetic is the
 //! serial cyclic reduction's (`crate::solver`), applied by each rank to the
-//! blocks it owns in the order [`bcr_solve`] applies it to all of them, so
+//! blocks it owns in the order [`bcr_solve`](crate::bcr_solve) applies it to all of them, so
 //! the solution equals `bcr_solve`'s bit for bit at every rank count. What
 //! lives here is ownership, message tags, the health barriers and the
 //! bundle / x-block traffic, executed and counted by `omen-parsim`.
@@ -29,11 +29,10 @@
 //! exchanges bundles, so the SPMD communication schedule stays aligned and
 //! every rank returns the same typed [`OmenError`].
 
-use crate::solver::{back_substitute, bcr_solve, Bundle, Reduction};
+use crate::solver::{back_substitute, Bundle, Reduction, System, Thin};
 use omen_linalg::ZMat;
-use omen_negf::serialize::{
-    allgather_block_records, bytes_to_mat, bytes_to_mat_array, mat_to_bytes, mats_to_bytes,
-};
+use omen_negf::serialize::{allgather_block_records, bytes_to_mat, mat_to_bytes};
+use omen_num::wire::{Dec, Enc};
 use omen_num::{OmenError, OmenResult};
 use omen_parsim::Comm;
 use omen_sparse::BlockTridiag;
@@ -54,20 +53,51 @@ fn owner(g: usize, n: usize, r: usize) -> usize {
     ((g * r) / n).min(r - 1)
 }
 
-/// Wire form of a bundle: three matrices, an absent coupling empty.
+/// Wire form of a bundle: `D⁻¹b`, then per coupling a presence byte and,
+/// when present, its column support and its `n × |C|` matrix. The supports
+/// travel with the blocks, so a receiving rank applies exactly the
+/// products its sender's serial twin would.
 fn encode_bundle((dib, dil, diu): &Bundle) -> Vec<u8> {
-    let empty = ZMat::zeros(0, 0);
-    mats_to_bytes(&[
-        dib,
-        dil.as_ref().unwrap_or(&empty),
-        diu.as_ref().unwrap_or(&empty),
-    ])
+    let mut e = Enc::new();
+    e.bytes(&mat_to_bytes(dib));
+    for side in [dil, diu] {
+        match side {
+            None => e.u8(0),
+            Some(t) => {
+                e.u8(1);
+                e.usize(t.cols.len());
+                for &j in &t.cols {
+                    e.usize(j);
+                }
+                e.bytes(&mat_to_bytes(&t.m));
+            }
+        }
+    }
+    e.finish()
 }
 
 fn decode_bundle(data: &[u8]) -> OmenResult<Bundle> {
-    let [dib, dil, diu] = bytes_to_mat_array(data, "elimination bundle")?;
-    let opt = |m: ZMat| (m.nrows() != 0).then_some(m);
-    Ok((dib, opt(dil), opt(diu)))
+    let mut d = Dec::new(data, "elimination bundle");
+    let dib = bytes_to_mat(d.bytes()?)?;
+    let mut side = || -> OmenResult<Option<Thin>> {
+        match d.u8()? {
+            0 => Ok(None),
+            1 => {
+                let cols = (0..d.count(8)?)
+                    .map(|_| d.usize())
+                    .collect::<OmenResult<Vec<_>>>()?;
+                let m = bytes_to_mat(d.bytes()?)?;
+                if m.ncols() != cols.len() || m.nrows() != dib.nrows() {
+                    return Err(d.invalid("coupling support disagrees with its block"));
+                }
+                Ok(Some(Thin { m, cols }))
+            }
+            _ => Err(d.invalid("coupling presence byte")),
+        }
+    };
+    let (dil, diu) = (side()?, side()?);
+    d.finish()?;
+    Ok((dib, dil, diu))
 }
 
 /// The value in `slot`: this rank's own, or received from rank `from` and
@@ -88,7 +118,7 @@ fn fetched<'s, T>(
 /// Solves `A X = B` with rank-distributed block cyclic reduction. All
 /// members of `comm` must call with identical `a` and `b`; each returns the
 /// complete solution (one block per slab) or the same typed error. The
-/// solution is [`bcr_solve`]'s to the bit, whatever the rank count; a
+/// solution is [`bcr_solve`](crate::bcr_solve)'s to the bit, whatever the rank count; a
 /// one-member communicator calls it directly.
 ///
 /// # Errors
@@ -99,16 +129,38 @@ fn fetched<'s, T>(
 /// surface as [`omen_num::OmenError::ScheduleDivergence`] /
 /// [`omen_num::OmenError::RecvTimeout`].
 pub fn splitsolve_parallel(comm: &Comm, a: &BlockTridiag, b: &[ZMat]) -> OmenResult<Vec<ZMat>> {
-    if comm.size() == 1 {
-        return bcr_solve(a, b);
+    System::observe(a).splitsolve(comm, b.to_vec())
+}
+
+impl System {
+    /// [`splitsolve_parallel`] on a system whose couplings are already on
+    /// their supports: [`System::bcr`]'s bits on every member of `comm`.
+    ///
+    /// # Errors
+    ///
+    /// [`splitsolve_parallel`]'s.
+    pub fn splitsolve(self, comm: &Comm, b: Vec<ZMat>) -> OmenResult<Vec<ZMat>> {
+        if comm.size() == 1 {
+            return self.bcr(b);
+        }
+        let nb = self.diag.len();
+        let nrhs = b[0].ncols();
+        // Only owned blocks of the active system are kept current.
+        splitsolve_reduction(comm, Reduction::new(self, b), nb, nrhs)
     }
-    let nb = a.num_blocks();
+}
+
+/// The distributed elimination of `sys` (`nb` slabs, `nrhs` columns).
+fn splitsolve_reduction(
+    comm: &Comm,
+    mut sys: Reduction,
+    nb: usize,
+    nrhs: usize,
+) -> OmenResult<Vec<ZMat>> {
     let me = comm.rank();
     let own = |g: usize| owner(g, nb, comm.size());
     let mine = |g: &usize| own(*g) == me;
 
-    // Only owned blocks of the active system are kept current.
-    let mut sys = Reduction::new(a, b);
     // Bundles by eliminated slab: the owned ones, and those received from
     // the eliminated neighbours of owned survivors.
     let mut bundles: Vec<Option<Bundle>> = vec![None; nb];
@@ -226,7 +278,6 @@ pub fn splitsolve_parallel(comm: &Comm, a: &BlockTridiag, b: &[ZMat]) -> OmenRes
         })
         .collect::<OmenResult<Vec<_>>>()?;
     let blocks = allgather_block_records(comm, nb, &solved, "solution allgather", bytes_to_mat)?;
-    let nrhs = b[0].ncols();
     for blk in &blocks {
         if blk.ncols() != nrhs {
             return Err(OmenError::ShapeMismatch {
@@ -243,7 +294,7 @@ pub fn splitsolve_parallel(comm: &Comm, a: &BlockTridiag, b: &[ZMat]) -> OmenRes
 mod tests {
     use super::*;
     use crate::solver::tests::{rand_blocks, rand_system};
-    use crate::solver::thomas_solve;
+    use crate::solver::{bcr_solve, thomas_solve};
     use omen_parsim::{run_ranks, Comm};
 
     #[test]

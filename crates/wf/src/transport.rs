@@ -1,24 +1,24 @@
 //! Per-energy wave-function transport.
 //!
 //! [`wf_point`] takes the contact self-energies the NEGF engines take,
-//! builds the open-boundary system `A·Ψ = B` ([`assemble`]: the open
-//! channels of both contacts injected as right-hand sides), solves that one
-//! block-tridiagonal system with the chosen [`Solver`], and evaluates
-//! transmission and spectral densities from the scattering states.
-//! Observables are bit-compatible with `omen-negf`'s [`EnergyPointData`],
-//! which is what makes the WF-vs-RGF experiments (tab1/tab3)
-//! apples-to-apples.
+//! builds the open-boundary system `A·Ψ = B` ([`assemble`]: `A`'s diagonal
+//! from [`a_diagonal`], its couplings from `H`'s negated on their cores —
+//! no copy of `H` — and the open channels of both contacts injected as
+//! right-hand sides), solves that one block-tridiagonal system with the
+//! chosen [`Solver`], and evaluates transmission and spectral densities
+//! from the scattering states. Observables are bit-compatible with
+//! `omen-negf`'s [`EnergyPointData`], which is what makes the WF-vs-RGF
+//! experiments (tab1/tab3) apples-to-apples.
 
 use crate::injection::injection_bundle;
-use crate::solver::{bcr_solve, thomas_solve};
-use crate::splitsolve::splitsolve_parallel;
+use crate::solver::System;
 use omen_linalg::{lu, matmul, matmul_h_n, ZMat};
-use omen_negf::rgf::build_a_matrix;
+use omen_negf::rgf::a_diagonal;
 use omen_negf::sancho::ContactSelfEnergy;
 use omen_negf::transport::EnergyPointData;
 use omen_num::OmenResult;
 use omen_parsim::Comm;
-use omen_sparse::BlockTridiag;
+use omen_sparse::{BlockTridiag, Coupling};
 
 /// Which linear solver backs the wave-function engine.
 #[derive(Clone, Copy)]
@@ -28,7 +28,7 @@ pub enum Solver<'a> {
     /// Sequential block cyclic reduction (the SplitSolve elimination tree).
     Bcr,
     /// Block cyclic reduction distributed over the communicator's ranks
-    /// ([`splitsolve_parallel`]): all members call collectively with
+    /// ([`System::splitsolve`]): all members call collectively with
     /// identical contacts (the rank path reads them from one table,
     /// `omen_core::contacts::ContactTable`) and receive the same result.
     SplitSolve(&'a Comm<'a>),
@@ -65,25 +65,33 @@ pub fn wf_point(
         }
     }
     let psi = match solver {
-        Solver::Thomas => thomas_solve(&a, &b),
-        Solver::Bcr => bcr_solve(&a, &b),
-        Solver::SplitSolve(comm) => splitsolve_parallel(comm, &a, &b),
+        Solver::Thomas => a.thomas(b),
+        Solver::Bcr => a.bcr(b),
+        Solver::SplitSolve(comm) => a.splitsolve(comm, b),
     }
     .map_err(|err| err.with_energy(e))?;
     Ok(observables(e, h, sigma_l, sigma_r, &psi, ml))
 }
 
-/// Assembles `A` and the injected right-hand side `B = [W_L at slab 0 |
-/// W_R at slab N−1]` from precomputed self-energies; returns the
-/// left-mode count alongside.
+/// Assembles `A = (E + iη) I − H − Σ_L − Σ_R` — its diagonal blocks, and
+/// `H`'s couplings negated on their supports — and the injected right-hand
+/// side `B = [W_L at slab 0 | W_R at slab N−1]` from precomputed
+/// self-energies; returns the left-mode count alongside.
 pub fn assemble(
     e: f64,
     eta: f64,
     h: &BlockTridiag,
     sl: &ContactSelfEnergy,
     sr: &ContactSelfEnergy,
-) -> (BlockTridiag, Vec<ZMat>, usize) {
-    let a = build_a_matrix(e, eta, h, sl, sr);
+) -> (System, Vec<ZMat>, usize) {
+    let negated = |blocks: &[ZMat]| -> Vec<Coupling> {
+        blocks.iter().map(|b| -Coupling::observe(b)).collect()
+    };
+    let a = System {
+        diag: a_diagonal(e, eta, h, sl, sr).collect(),
+        lower: negated(&h.lower),
+        upper: negated(&h.upper),
+    };
     let wl = injection_bundle(&sl.gamma, MODE_TOL);
     let wr = injection_bundle(&sr.gamma, MODE_TOL);
     let (ml, mr) = (wl.w.ncols(), wr.w.ncols());

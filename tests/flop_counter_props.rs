@@ -266,6 +266,112 @@ fn rgf_energy_point_count_is_the_closed_form() {
     }
 }
 
+/// Counted flops of block Thomas on `nb` slabs of size `n` with `m`
+/// right-hand sides, every `A_{i,i+1}` / `A_{i+1,i}` non-zero on
+/// `upper` / `lower` = (rows, columns) — the operation list of
+/// `omen::wf::solver`, term by term.
+fn thomas_flops(
+    nb: usize,
+    n: usize,
+    m: usize,
+    (_, cu): (usize, usize),
+    (rl, cl): (usize, usize),
+) -> u64 {
+    let links = nb as u64 - 1;
+    // Per slab: the pivot's LU and y_i = D̃_i⁻¹·r_i.
+    nb as u64 * (lu_flops(n) + trsm_flops(n, m))
+        // Per link: w_i = D̃_i⁻¹·A_{i,i+1} (an n × |C| solve), the |R′| × |C|
+        // patch of D̃_{i+1}, the |R′| rows of r_{i+1}, and x_i −= w_i·x_{i+1}[C].
+        + links * (trsm_flops(n, cu) + gemm_flops(rl, cu, cl) + gemm_flops(rl, m, cl) + gemm_flops(n, m, cu))
+}
+
+/// Counted flops of the block cyclic reduction on the same system, walked
+/// level by level: an eliminated block's LU and its three solves (`D⁻¹U`
+/// only where a survivor lies to its right), each survivor's patches of
+/// its diagonal and right-hand side and the fill-in coupling (on the
+/// coupling's rows and the bundle's columns), the root, and the back
+/// substitution.
+fn bcr_flops(
+    nb: usize,
+    n: usize,
+    m: usize,
+    (ru, cu): (usize, usize),
+    (rl, cl): (usize, usize),
+) -> u64 {
+    let mut total = lu_flops(n) + trsm_flops(n, m);
+    let mut s = 1;
+    while s < nb {
+        for g in (s..nb).step_by(2 * s) {
+            let right = g + s < nb;
+            total += lu_flops(n) + trsm_flops(n, m) + trsm_flops(n, cl);
+            total += gemm_flops(n, m, cl);
+            if right {
+                total += trsm_flops(n, cu) + gemm_flops(n, m, cu);
+            }
+        }
+        for g in (0..nb).step_by(2 * s) {
+            if g + s < nb {
+                total += gemm_flops(ru, cl, cu) + gemm_flops(ru, m, cu);
+                if g + 2 * s < nb {
+                    total += gemm_flops(ru, cu, cu);
+                }
+            }
+            if g >= s {
+                total += gemm_flops(rl, cu, cl) + gemm_flops(rl, m, cl) + gemm_flops(rl, cl, cl);
+            }
+        }
+        s *= 2;
+    }
+    total
+}
+
+#[test]
+fn thin_thomas_and_bcr_counts_are_the_closed_form() {
+    use omen::wf::{bcr_solve, thomas_solve};
+    let _guard = COUNTER_LOCK.lock().unwrap();
+    // A product against a coupling's zeros, or a solve wider than the
+    // coupling's column support, shows up here as an exact surplus. A dense
+    // coupling is its own core: at (n, n) the two forms are the dense
+    // eliminations' operation lists (an n × n solve per link, n × n × n
+    // Schur products), the count before the engines read supports.
+    let (n, m) = (7usize, 3usize);
+    let on = |rows: &[usize], cols: &[usize]| Some((rows.to_vec(), cols.to_vec()));
+    let regimes = [
+        (None, None, (n, n), (n, n)),
+        (
+            on(&[0, 2, 5], &[1, 6]),
+            on(&[3], &[0, 2, 4, 5]),
+            (3, 2),
+            (1, 4),
+        ),
+    ];
+    for (up, lo, upper_rc, lower_rc) in regimes {
+        for nb in [1usize, 2, 5, 8, 13] {
+            let a = BlockTridiag::patterned(
+                &vec![n; nb],
+                &vec![lo.clone(); nb - 1],
+                &vec![up.clone(); nb - 1],
+                0xF10 + nb as u64,
+            );
+            let b: Vec<ZMat> = (0..nb).map(|i| randmat(n, m, 90 + i as u64)).collect();
+            let scope = FlopScope::new();
+            thomas_solve(&a, &b).expect("Thomas");
+            assert_eq!(
+                scope.take(),
+                thomas_flops(nb, n, m, upper_rc, lower_rc),
+                "Thomas, nb={nb}, supports {upper_rc:?} / {lower_rc:?}"
+            );
+            let scope = FlopScope::new();
+            bcr_solve(&a, &b).expect("BCR");
+            assert_eq!(
+                scope.take(),
+                bcr_flops(nb, n, m, upper_rc, lower_rc),
+                "BCR, nb={nb}, supports {upper_rc:?} / {lower_rc:?}"
+            );
+        }
+    }
+}
+
 #[test]
 fn wf_energy_point_is_the_point_less_its_contacts() {
     use omen::core::{solve_point, Engine};

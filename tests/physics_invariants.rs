@@ -13,6 +13,7 @@
 use omen::core::{solve_point, Engine};
 use omen::lattice::{Crystal, Device};
 use omen::linalg::ZMat;
+use omen::negf::ContactSelfEnergy;
 use omen::num::tolerance::test_bound;
 use omen::num::{c64, BoundKind, A_SI};
 use omen::sparse::BlockTridiag;
@@ -46,6 +47,20 @@ impl Rng {
     fn range(&mut self, lo: usize, hi: usize) -> usize {
         lo + ((self.f64() + 1.0) / 2.0 * (hi - lo) as f64) as usize % (hi - lo)
     }
+}
+
+/// `A = (E + iη) I − H − Σ_L − Σ_R` as one block-tridiagonal matrix, the
+/// input of the engines' `*_solve` entry points.
+fn a_matrix(
+    e: f64,
+    eta: f64,
+    h: &BlockTridiag,
+    sl: &ContactSelfEnergy,
+    sr: &ContactSelfEnergy,
+) -> BlockTridiag {
+    let diag = omen::negf::rgf::a_diagonal(e, eta, h, sl, sr).collect();
+    let neg = |blocks: &[ZMat]| blocks.iter().map(|b| -b).collect();
+    BlockTridiag::new(diag, neg(&h.lower), neg(&h.upper))
 }
 
 fn chain(nb: usize, onsite: &[f64]) -> (BlockTridiag, ZMat, ZMat) {
@@ -130,7 +145,7 @@ fn spectral_sum_rule() {
             omen::negf::sancho::Side::Right,
         )
         .unwrap();
-        let a = omen::negf::rgf::build_a_matrix(e, 2e-6, &h, &sl, &sr);
+        let a = a_matrix(e, 2e-6, &h, &sl, &sr);
         let r = omen::negf::rgf::rgf_solve(&a, &sl.gamma, &sr.gamma).unwrap();
         for i in 0..6 {
             let spectral = r.g_diag[i].gamma_of();
@@ -397,7 +412,7 @@ fn selinv_current_conservation() {
             omen::negf::sancho::Side::Right,
         )
         .unwrap();
-        let a = omen::negf::rgf::build_a_matrix(e, 2e-6, &h, &sl, &sr);
+        let a = a_matrix(e, 2e-6, &h, &sl, &sr);
         let r = omen::negf::selinv::selinv_solve(&a, &sl.gamma, &sr.gamma).unwrap();
         let g0n = &r.g_col_right[0];
         let t_fwd = omen::linalg::matmul_n_h(
