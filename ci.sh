@@ -57,7 +57,10 @@ cargo clippy --workspace --lib -- -D warnings -D clippy::float_cmp -D clippy::pr
 # round-trip, then tab2_flops on its smallest device (contacts_point,
 # required per leg too, beside the RGF and WF energy-point records),
 # writing to target/ so the committed baseline at the repo
-# root is never touched (see DESIGN.md §10). The scalar leg is what keeps
+# root is never touched (see DESIGN.md §10), then fig6_multilevel: the
+# rank path's `parallel_transmission` against the serial sweep at
+# E = 4, E2 × S2 and S4, the one run that takes it to four spatial ranks
+# (under 1 s). The scalar leg is what keeps
 # the reference path from rotting on machines that auto-dispatch SIMD.
 leg() {
     OMEN_SIMD=$1 cargo test -q --release -p omen-linalg -p omen-negf -p omen-wf
@@ -65,6 +68,7 @@ leg() {
     OMEN_SIMD=$1 cargo test -q --release --test selinv_properties --test engine_equivalence --test physics_invariants --test flop_counter_props
     OMEN_SIMD=$1 cargo bench -p omen-bench --bench kernels -- --smoke
     OMEN_SIMD=$1 cargo run --release -p omen-bench --bin tab2_flops -- --json --smoke
+    OMEN_SIMD=$1 cargo run --release -p omen-bench --bin fig6_multilevel
 }
 # Smoke runs merge into their ledger, so a record left in a cached target/
 # by an earlier run would satisfy bench-gate's "fresh record for this leg"

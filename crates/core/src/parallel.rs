@@ -4,9 +4,11 @@
 //! 221k cores: the world communicator splits into bias groups, each bias
 //! group into momentum (k-point) groups, each of those into energy groups,
 //! and the ranks inside one energy group cooperate on the *spatial* solve
-//! of each energy point through the SplitSolve backend. All data movement
-//! — result reductions across levels included — runs over `omen-parsim`
-//! and is therefore measured, not modeled.
+//! of each energy point through the SplitSolve backend. The unit of work
+//! is one energy point at one k-point; a bias group solves its `k × E`
+//! grid of them under a [`Schedule`], which only decides who solves what.
+//! All data movement runs over `omen-parsim` and is therefore measured,
+//! not modeled.
 
 use crate::ballistic::Engine;
 use crate::contacts::{ContactTable, ContactTally};
@@ -20,6 +22,7 @@ use omen_sched::{
 };
 use omen_sparse::BlockTridiag;
 use omen_wf::Solver;
+use std::borrow::Cow;
 
 /// Rank counts per parallel level; the product must equal the world size.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -142,72 +145,11 @@ fn is_comm_fault(e: &OmenError) -> bool {
     )
 }
 
-/// Exchanges per-group failure lists over `comm` so every member returns
-/// the identical ledger: one allgather of the contributors' blobs, merged
-/// in rank order and sorted by energy on every member. The collective runs
-/// unconditionally — only the *payload* depends on `contribute` — so the
-/// SPMD schedule never diverges.
-fn exchange_failures(
-    comm: &Comm<'_>,
-    contribute: bool,
-    local: &[FailedPoint],
-) -> OmenResult<Vec<FailedPoint>> {
-    let payload = if contribute {
-        proto::encode_failures(local, comm.global_rank(comm.rank()))
-    } else {
-        Vec::new()
-    };
-    let mut all = Vec::new();
-    for blob in comm.allgather(payload)?.iter().filter(|b| !b.is_empty()) {
-        all.extend(proto::decode_failures(blob)?);
-    }
-    all.sort_by(|a, b| a.energy.total_cmp(&b.energy));
-    Ok(all)
-}
-
-/// Reduces one level's partial sweep over `comm` so every member returns
-/// the identical result. One allreduce carries the transmission and the
-/// integer counters; only `contribute` members add their values (the rest
-/// add exact zeros), so each point is counted exactly once and the sum is
-/// exact — with a single contributor per point the reduced vector is
-/// bit-identical to the serial sweep. The failure ledgers follow through
-/// [`exchange_failures`].
-fn reduce_level(
-    comm: &Comm<'_>,
-    contribute: bool,
-    partial: Vec<f64>,
-    local: &SweepReport,
-    sched: Option<SchedStats>,
-) -> OmenResult<TransmissionSweep> {
-    let n = partial.len();
-    let mut v = if contribute { partial } else { vec![0.0; n] };
-    for c in [local.solved, local.retried, local.recovered] {
-        v.push(if contribute { c as f64 } else { 0.0 });
-    }
-    let red = comm.allreduce_sum(&v)?;
-    let failed = exchange_failures(comm, contribute, &local.failed)?;
-    let mut report = SweepReport {
-        solved: red[n].round() as usize,
-        retried: red[n + 1].round() as usize,
-        recovered: red[n + 2].round() as usize,
-        failed: Vec::new(),
-    };
-    for f in failed {
-        report.record_failed(f.energy, f.error);
-    }
-    Ok(TransmissionSweep {
-        transmission: red[..n].to_vec(),
-        report,
-        sched,
-        contacts: ContactTally::default(),
-    })
-}
-
-/// Rebuilds the static-schedule view of the contiguous unit range `units`
-/// from a dynamic outcome. Payloads are `[T, solver retries]`, so the
-/// report counts solver retries like the static leg (the scheduler's own
-/// report counts *re-issues*); an unresolved unit takes its typed ledger
-/// entry, which the scheduler records in ascending unit order.
+/// Reads the contiguous unit range `units` of a grid outcome as one
+/// momentum's sweep. Payloads are `[T, solver retries]`, so the report
+/// counts solver retries (a dynamic outcome's own report counts
+/// *re-issues*); an unresolved unit takes its typed ledger entry, which
+/// the outcome records in ascending unit order.
 fn sweep_from_outcome(outcome: &SweepOutcome, units: std::ops::Range<usize>) -> TransmissionSweep {
     let mut next_fail = outcome.values[..units.start]
         .iter()
@@ -236,21 +178,20 @@ fn sweep_from_outcome(outcome: &SweepOutcome, units: std::ops::Range<usize>) -> 
     }
 }
 
-/// Distributed transmission sweep over one bias point. The momentum group
-/// first decimates the contacts of the whole grid once
-/// ([`ContactTable::fill`]: the energies split round-robin over its ranks,
-/// one allgather). Then its energy groups split the grid (statically via
-/// [`assign`] or dynamically via `omen-sched` per `schedule`), each energy
-/// point reads its contacts and is solved with SplitSolve across the
-/// spatial group, and the full `T(E)` vector is reduced over the momentum
-/// group. Every rank returns the complete result.
+/// Distributed transmission sweep over one bias point: the one-k grid of
+/// the bias group. Its ranks first decimate the contacts of the whole
+/// energy grid once ([`ContactTable::fill`]: the energies split
+/// round-robin over them, one allgather). Then the grid's energy points
+/// are solved under `schedule`: each reads its contacts from the table and
+/// is solved with SplitSolve across a spatial group. Every rank returns
+/// the complete result.
 ///
 /// A point whose solve fails with a typed solver error is *isolated*: its
 /// transmission stays `0.0` and the failure is recorded in the returned
 /// report on every rank, instead of aborting the group. The table holds
 /// the same lead outcome on every rank, and SplitSolve's per-level status
 /// exchange makes an engine error identical on every rank of the spatial
-/// group, so the SPMD control flow (including the reductions below) never
+/// group, so the SPMD control flow (including the closing exchange) never
 /// diverges.
 ///
 /// [`Schedule::Dynamic`] requires `spatial == 1` (each worker must solve a
@@ -274,76 +215,28 @@ pub fn parallel_transmission(
 ) -> OmenResult<TransmissionSweep> {
     let mut table = ContactTable::default();
     let lead = [lead_l.0, lead_l.1, lead_r.0, lead_r.1];
-    let contacts = table.fill(&comms.momentum_group, &[lead], energies)?;
-    let mut sweep = k_transmission(comms, cfg, h, (&table, 0), energies, schedule)?;
-    sweep.contacts = contacts;
-    Ok(sweep)
+    let contacts = table.fill(&comms.bias_group, &[lead], energies)?;
+    let (device, bank) = (|_| Cow::Borrowed(h), (&mut ModelBank::new(), 0));
+    let (grid, sched) = solve_grid(comms, cfg, device, &table, 1, energies, schedule, bank)?;
+    Ok(TransmissionSweep {
+        sched,
+        contacts,
+        ..sweep_from_outcome(&grid, 0..energies.len())
+    })
 }
 
-/// Row `k` of a filled contact table: the contacts of one momentum's
-/// sweep.
-type KContacts<'t> = (&'t ContactTable, usize);
-
-/// One k-point's energy sweep over this momentum group, its contacts read
-/// from `contacts`.
-fn k_transmission(
-    comms: &LevelComms<'_>,
-    cfg: &LevelConfig,
-    h: &BlockTridiag,
-    contacts: KContacts<'_>,
-    energies: &[f64],
-    schedule: Schedule,
-) -> OmenResult<TransmissionSweep> {
-    if let Schedule::Dynamic(opts) = schedule {
-        if cfg.spatial == 1 {
-            return dynamic_transmission(comms, h, contacts, energies, &opts);
-        }
-        crate::log::emit(&format!(
-            "sched: dynamic schedule requires spatial == 1 (got {}), \
-             falling back to static",
-            cfg.spatial
-        ));
-    }
-    static_transmission(comms, cfg, h, contacts, energies)
-}
-
-fn static_transmission(
-    comms: &LevelComms<'_>,
-    cfg: &LevelConfig,
-    h: &BlockTridiag,
-    contacts: KContacts<'_>,
-    energies: &[f64],
-) -> OmenResult<TransmissionSweep> {
-    let n = energies.len();
-    let mine = assign(n, cfg.energy, comms.energy_index);
-    let mut partial = vec![0.0; n];
-    let mut local = SweepReport::default();
-    for &ie in &mine {
-        match solve_unit(comms, energies[ie], h, contacts) {
-            Ok([t, retries]) => {
-                local.record_solved(retries as usize);
-                partial[ie] = t;
-            }
-            Err(e) if is_comm_fault(&e) => return Err(e),
-            Err(e) => local.record_failed(energies[ie], e),
-        }
-    }
-    // Only the spatial root of each energy group contributes, so there is
-    // no 1/spatial scaling error.
-    let sroot = comms.spatial_group.rank() == 0;
-    reduce_level(&comms.momentum_group, sroot, partial, &local, None)
-}
-
-/// One energy point on this rank's spatial group, as the `[T, solver
-/// retries]` payload [`sweep_from_outcome`] reads back: the contacts from
-/// the table, then the wave-function engine over SplitSolve. All members
-/// of the group call collectively and return the same value, which is
-/// `solve_point(.., Engine::WfBcr)` bit for bit at every group size.
+/// One energy point of momentum `k` on this rank's spatial group, as the
+/// `[T, solver retries]` payload [`sweep_from_outcome`] reads back: the
+/// contacts from the table, then the wave-function engine over SplitSolve.
+/// All members of the group call collectively and return the same value,
+/// which is `solve_point(.., Engine::WfBcr)` bit for bit at every group
+/// size.
 fn solve_unit(
     comms: &LevelComms<'_>,
     e: f64,
     h: &BlockTridiag,
-    (table, k): KContacts<'_>,
+    table: &ContactTable,
+    k: usize,
 ) -> OmenResult<[f64; 2]> {
     let (sigma_l, sigma_r) = table.contacts(k, e)?;
     let solver = Solver::SplitSolve(&comms.spatial_group);
@@ -351,113 +244,157 @@ fn solve_unit(
     Ok([d.transmission, d.retries as f64])
 }
 
-fn dynamic_transmission(
-    comms: &LevelComms<'_>,
-    h: &BlockTridiag,
-    contacts: KContacts<'_>,
-    energies: &[f64],
-    opts: &SchedOptions,
-) -> OmenResult<TransmissionSweep> {
-    let comm = &comms.momentum_group;
-    let mut model = CostModel::band_edge(energies.len(), 2.0);
-    let outcome = dynamic_sweep(comm, energies, &mut model, opts, |id| {
-        solve_unit(comms, energies[id], h, contacts).map(Vec::from)
-    })?;
-    if comm.rank() == 0 {
-        crate::log::emit(&format!(
-            "sched dynamic sweep: {} units in {} chunks, reclaimed {}, \
-             {} stale msgs, imbalance {:.2}",
-            outcome.stats.units,
-            outcome.stats.chunks,
-            outcome.stats.reissued_failed,
-            outcome.stats.stale_msgs,
-            outcome.stats.imbalance(),
-        ));
-    }
-    let mut sweep = sweep_from_outcome(&outcome, 0..energies.len());
-    sweep.sched = Some(outcome.stats);
-    Ok(sweep)
-}
-
-/// One unified dynamic dataflow across every momentum group of a bias
-/// point: a single [`dynamic_sweep`] over the bias group brokers the full
-/// `k × E` unit grid, so a rank whose k-group drains early steals units
-/// from a loaded one instead of idling at the gather barrier, and the
-/// coordinator rank solves units between brokering rounds.
+/// Solves the `k × E` unit grid of this bias group (`id = ik · n_e + ie`,
+/// momentum `ik`'s device built by `device`, its contacts read from
+/// `table`) under `schedule`. Every member returns the same outcome: one
+/// `[T, solver retries]` payload per solved unit, the failed units stamped
+/// with their energies in unit order, and the scheduler's diagnostics when
+/// the dynamic leg ran.
 ///
-/// Bit-identity with the static nested split is by construction: the
-/// solve closure is the *same* pure per-(k, E) splitsolve the static leg
-/// runs, on contacts read from the same table, the canonical-order merge
-/// hands every member the identical value table, and each rank then
-/// rebuilds exactly the per-k curves its momentum group would have
-/// produced (the static leg's momentum-level allreduce is a bit-exact
-/// identity: one non-zero contributor per energy plus exact zeros) before
-/// replaying the static leg's bias-group reduction and failure exchange
-/// verbatim.
+/// - **Dynamic** (`spatial == 1`): one [`dynamic_sweep`] over the bias
+///   group brokers the whole grid, so a rank whose momentum group drains
+///   early steals units from a loaded one, and the coordinator rank solves
+///   units between brokering rounds. The cost model is bias step
+///   `bias_step`'s, checked out of `bank` (hit → warm → band-edge seed)
+///   and committed back.
+/// - **Static**: the round-robin partition of [`assign`], k over the
+///   momentum groups and E over the energy groups, each unit solved by its
+///   spatial group. One allreduce of the payloads follows, to which only
+///   spatial roots add, so each unit has one contributor beside exact zeros
+///   and the sum is exact; then one allgather of the failed units' typed
+///   errors.
+///
+/// A unit is the same pure SplitSolve on the same contacts under either
+/// leg, so the two outcomes agree to the bit.
 #[allow(clippy::too_many_arguments)]
-fn whole_curve_dynamic(
+fn solve_grid<'h>(
     comms: &LevelComms<'_>,
-    system_of: &impl Fn(f64) -> (BlockTridiag, ZMat, ZMat),
+    cfg: &LevelConfig,
+    device: impl Fn(usize) -> Cow<'h, BlockTridiag>,
     table: &ContactTable,
-    kys: &[(f64, f64)],
+    n_k: usize,
     energies: &[f64],
-    opts: &SchedOptions,
-    bank: &mut ModelBank,
-    bias_step: usize,
-    mine: &[usize],
-) -> OmenResult<(Vec<TransmissionSweep>, Option<SchedStats>)> {
+    schedule: Schedule,
+    (bank, bias_step): (&mut ModelBank, usize),
+) -> OmenResult<(SweepOutcome, Option<SchedStats>)> {
     let n_e = energies.len();
-    let nk = kys.len();
-    // Sweep-lifetime cost model: one ledger over the unit grid
-    // `id = ik * n_e + ie`, checked out of the bank (hit → warm →
-    // band-edge seed).
-    let mut model = bank.checkout(bias_step, nk * n_e, || {
-        CostModel::band_edge_grid(nk, n_e, 2.0)
-    });
-    let stamps: Vec<f64> = (0..nk * n_e).map(|id| energies[id % n_e]).collect();
-    // One k-point device per rank, rebuilt whenever the next unit belongs
-    // to another k. LPT order interleaves k, so that is most units;
-    // k-coherent hand-outs are ROADMAP item 6(c).
-    let mut cached: Option<(usize, BlockTridiag)> = None;
-    let outcome = dynamic_sweep(&comms.bias_group, &stamps, &mut model, opts, |id| {
-        let ik = id / n_e;
-        if cached.as_ref().map(|c| c.0) != Some(ik) {
-            cached = Some((ik, system_of(kys[ik].0).0));
+    let stamps: Vec<f64> = (0..n_k * n_e).map(|id| energies[id % n_e]).collect();
+    let group = &comms.bias_group;
+    // Bound before the `if let`, not inside or after it: `omen-analyze`'s
+    // rank-taint scan reads `if let` as a binding, tainted by any `rank()`
+    // in its block or the statement after it.
+    let coordinator = group.rank() == 0;
+    let root = comms.spatial_group.rank() == 0;
+    if let Schedule::Dynamic(opts) = schedule {
+        if cfg.spatial == 1 {
+            let mut model = bank.checkout(bias_step, stamps.len(), || {
+                CostModel::band_edge_grid(n_k, n_e, 2.0)
+            });
+            // One k-point device per rank, rebuilt whenever the next unit
+            // belongs to another k. LPT order interleaves k, so that is most
+            // units; k-coherent hand-outs are ROADMAP item 6(c).
+            let mut cached: Option<(usize, Cow<'h, BlockTridiag>)> = None;
+            let outcome = dynamic_sweep(group, &stamps, &mut model, &opts, |id| {
+                let ik = id / n_e;
+                if cached.as_ref().map(|c| c.0) != Some(ik) {
+                    cached = Some((ik, device(ik)));
+                }
+                let (_, h) = cached.as_ref().expect("cached above");
+                solve_unit(comms, energies[id % n_e], h, table, ik).map(Vec::from)
+            })?;
+            bank.commit(bias_step, model);
+            if coordinator {
+                crate::log::emit(&format!(
+                    "sched iv sweep: {n_k} k × {n_e} E units in {} chunks, \
+                     coordinator solved {}, reclaimed {}, imbalance {:.2}",
+                    outcome.stats.chunks,
+                    outcome.stats.coordinator_units,
+                    outcome.stats.reissued_failed,
+                    outcome.stats.imbalance(),
+                ));
+            }
+            let stats = outcome.stats.clone();
+            return Ok((outcome, Some(stats)));
         }
-        let (_, h) = cached.as_ref().expect("cached above");
-        solve_unit(comms, energies[id % n_e], h, (table, ik)).map(Vec::from)
-    })?;
-    bank.commit(bias_step, model);
-    // Rebuild the per-k sweeps my momentum group owns, exactly as the
-    // static leg's momentum-level reduction would have produced them.
-    let sweeps = mine
-        .iter()
-        .map(|&ik| sweep_from_outcome(&outcome, ik * n_e..(ik + 1) * n_e))
-        .collect();
-    if comms.bias_group.rank() == 0 {
         crate::log::emit(&format!(
-            "sched iv sweep: {} k × {} E units in {} chunks, coordinator solved {}, \
-             reclaimed {}, imbalance {:.2}",
-            nk,
-            n_e,
-            outcome.stats.chunks,
-            outcome.stats.coordinator_units,
-            outcome.stats.reissued_failed,
-            outcome.stats.imbalance(),
+            "sched: dynamic schedule requires spatial == 1 (got {}), \
+             falling back to static",
+            cfg.spatial
         ));
     }
-    Ok((sweeps, Some(outcome.stats)))
+    let mut payloads = vec![0.0; 2 * stamps.len()];
+    let mut failed = Vec::new();
+    for ik in assign(n_k, cfg.momentum, comms.momentum_index) {
+        let h = device(ik);
+        for ie in assign(n_e, cfg.energy, comms.energy_index) {
+            let id = ik * n_e + ie;
+            match solve_unit(comms, energies[ie], &h, table, ik) {
+                Err(e) if is_comm_fault(&e) => return Err(e),
+                _ if !root => {}
+                Ok(p) => payloads[2 * id..2 * id + 2].copy_from_slice(&p),
+                Err(error) => failed.push(FailedPoint {
+                    energy: id as f64,
+                    error,
+                }),
+            }
+        }
+    }
+    let sums = group.allreduce_sum(&payloads)?;
+    let records = proto::encode_failures(&failed, group.global_rank(group.rank()));
+    let errors = unit_errors(&group.allgather(records)?, stamps.len())?;
+    let mut outcome = SweepOutcome {
+        values: Vec::with_capacity(stamps.len()),
+        report: SweepReport::default(),
+        stats: SchedStats::default(),
+    };
+    for (id, error) in errors.into_iter().enumerate() {
+        outcome.values.push(match error {
+            Some(e) => {
+                outcome.report.record_failed(stamps[id], e);
+                None
+            }
+            None => {
+                outcome.report.record_solved(0);
+                Some(sums[2 * id..2 * id + 2].to_vec())
+            }
+        });
+    }
+    Ok((outcome, None))
 }
 
-/// Momentum-resolved distributed sweep: the momentum groups of this bias
-/// group split the `(k_y, weight)` list statically and the weighted
-/// k-average of `T(E)` is reduced over the bias group. Under
-/// [`Schedule::Static`] (or whenever `cfg.spatial > 1`) each group runs a
-/// per-k energy sweep as [`parallel_transmission`] does; under
-/// [`Schedule::Dynamic`] with `cfg.spatial == 1` the whole `k × E` grid
-/// becomes one bias-group-wide dataflow (`whole_curve_dynamic`) with
+/// The failed units of the static leg's allgather, one slot per unit of an
+/// `n`-unit grid. Each member sends a [`proto::encode_failures`] list whose
+/// records are stamped with the unit id instead of an energy.
+///
+/// # Errors
+///
+/// [`OmenError::Deserialize`] when a list is malformed, or a stamp is not
+/// the id of a grid unit that no earlier record claimed.
+fn unit_errors(lists: &[Vec<u8>], n: usize) -> OmenResult<Vec<Option<OmenError>>> {
+    let mut errors = vec![None; n];
+    for list in lists {
+        for f in proto::decode_failures(list)? {
+            let id = f.energy as usize;
+            match errors.get_mut(id) {
+                Some(slot @ None) if (id as f64).to_bits() == f.energy.to_bits() => {
+                    *slot = Some(f.error);
+                }
+                _ => {
+                    return Err(OmenError::Deserialize {
+                        context: "rank-path failed-unit records",
+                    })
+                }
+            }
+        }
+    }
+    Ok(errors)
+}
+
+/// Momentum-resolved distributed sweep over one bias point: the bias
+/// group solves the `k × E` grid of the `(k_y, weight)` list under
+/// `schedule` — the static round-robin split, or one dynamic dataflow with
 /// cross-momentum work stealing and a solving coordinator, bit-identical
-/// to the static nested split.
+/// to it — and every rank returns the weighted k-average of `T(E)`.
 ///
 /// **Contacts once per curve**: before either leg, the bias group fills
 /// one [`ContactTable`] over the whole `k × E` grid — the `(k, E)` pairs
@@ -469,9 +406,9 @@ fn whole_curve_dynamic(
 ///
 /// **Momentum-level fault isolation**: a k-point whose *entire* energy
 /// sweep failed contributes one recorded [`FailedPoint`] (stamped with
-/// `k_y` in the energy field) and is excluded from the bias-group
-/// reduction; partially failed k-points keep their per-energy entries.
-/// Neither case fails the bias group.
+/// `k_y` in the energy field) and is excluded from the average; partially
+/// failed k-points keep their per-energy entries. Neither case fails the
+/// bias group.
 ///
 /// **Cost-model persistence**: the dynamic dataflow checks the bias step's
 /// cost model out of `bank` before the sweep and commits the measured
@@ -513,57 +450,45 @@ pub fn parallel_transmission_k_banked(
             .collect();
         table.fill(&comms.bias_group, &keys, energies)?
     };
-
-    let n = energies.len();
-    let mine = assign(kys.len(), cfg.momentum, comms.momentum_index);
-    // Per-k full curves (and per-k reports) for *my* momentum group's
-    // k-points: either the per-k static/fallback loop, or one unified
-    // dynamic sweep spanning every momentum group of the bias point.
-    let (k_sweeps, sched) = match schedule {
-        Schedule::Dynamic(opts) if cfg.spatial == 1 && !kys.is_empty() && n > 0 => {
-            whole_curve_dynamic(
-                comms, &system_of, &table, kys, energies, &opts, bank, bias_step, &mine,
-            )?
-        }
-        _ => {
-            let mut sweeps = Vec::with_capacity(mine.len());
-            let mut sched: Option<SchedStats> = None;
-            for &ik in &mine {
-                let (h, _, _) = system_of(kys[ik].0);
-                let sweep = k_transmission(comms, cfg, &h, (&table, ik), energies, schedule)?;
-                if let Some(s) = &sweep.sched {
-                    match &mut sched {
-                        Some(acc) => acc.absorb(s),
-                        None => sched = Some(s.clone()),
-                    }
-                }
-                sweeps.push(sweep);
-            }
-            (sweeps, sched)
-        }
-    };
+    let device = |ik: usize| Cow::Owned(system_of(kys[ik].0).0);
+    let (n_k, banked) = (kys.len(), (&mut *bank, bias_step));
+    let (grid, sched) = solve_grid(comms, cfg, device, &table, n_k, energies, schedule, banked)?;
     bank.put_contacts(table);
-    let mut t_acc = vec![0.0; n];
-    let mut local = SweepReport::default();
-    for (&ik, sweep) in mine.iter().zip(&k_sweeps) {
-        let (ky, w) = kys[ik];
-        if sweep.report.solved == 0 && !sweep.report.failed.is_empty() {
-            // The whole k-point is lost: one typed entry, zero contribution.
-            local.record_failed(ky, sweep.report.failed[0].error.clone());
-            continue;
+
+    // The weighted average is summed per momentum group in k order, then
+    // over the groups in group order, as groups that each add up their own
+    // k-points would: the curve's bits depend on the layout, never on the
+    // schedule.
+    let n = energies.len();
+    let mut transmission = vec![0.0; n];
+    let mut report = SweepReport::default();
+    for group in 0..cfg.momentum {
+        let mut partial = vec![0.0; n];
+        for ik in assign(n_k, cfg.momentum, group) {
+            let (ky, w) = kys[ik];
+            let k = sweep_from_outcome(&grid, ik * n..(ik + 1) * n);
+            if k.report.solved == 0 && !k.report.failed.is_empty() {
+                // The whole k-point is lost: one typed entry, zero contribution.
+                report.record_failed(ky, k.report.failed[0].error.clone());
+                continue;
+            }
+            for (t, s) in partial.iter_mut().zip(&k.transmission) {
+                *t += w * s;
+            }
+            report.merge(&k.report);
         }
-        for (t, s) in t_acc.iter_mut().zip(&sweep.transmission) {
-            *t += w * s;
+        for (t, p) in transmission.iter_mut().zip(partial) {
+            *t += p;
         }
-        local.merge(&sweep.report);
     }
-    // Bias-group reduction: the local rank 0 of each momentum group
-    // contributes its group's weighted sum (everyone else adds exact
-    // zeros), so each k-point is counted exactly once.
-    let mroot = comms.momentum_group.rank() == 0;
-    let mut sweep = reduce_level(&comms.bias_group, mroot, t_acc, &local, sched)?;
-    sweep.contacts = contacts;
-    Ok(sweep)
+    // By stamp: an energy, or `k_y` for a lost k-point.
+    report.failed.sort_by(|a, b| a.energy.total_cmp(&b.energy));
+    Ok(TransmissionSweep {
+        transmission,
+        report,
+        sched,
+        contacts,
+    })
 }
 
 /// Sequential reference used by the equivalence tests and benches.
@@ -1281,6 +1206,80 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    #[test]
+    fn a_static_curve_sends_as_many_messages_for_three_k_points_as_for_one() {
+        // Two ranks split every k-point's energies. The k-points are rows
+        // of one unit grid, so the static leg closes with one allreduce and
+        // one allgather over the bias group however many rows it holds.
+        let energies = linspace(-0.5, 0.5, 5);
+        let kys = [(0.0, 0.25), (1.0, 0.5), (2.0, 0.25)];
+        let cfg = layout((1, 2, 1));
+        let messages = |n_k: usize| {
+            let out = run_ranks(cfg.total(), |ctx| {
+                let comms = split_levels(ctx, &cfg)?;
+                parallel_transmission_k_banked(
+                    &comms,
+                    &cfg,
+                    |_| healthy_chain(),
+                    &kys[..n_k],
+                    &energies,
+                    Schedule::Static,
+                    &mut ModelBank::new(),
+                    0,
+                )
+            })
+            .flattened();
+            let sent = out.total_stats().messages_sent;
+            for res in out.unwrap_all() {
+                assert_eq!(res.report.solved, n_k * energies.len());
+            }
+            sent
+        };
+        assert_eq!(messages(3), messages(1));
+    }
+
+    #[test]
+    fn a_failed_unit_record_outside_the_grid_is_a_deserialize_error() {
+        let list = |ids: &[f64]| {
+            let failed: Vec<FailedPoint> = ids
+                .iter()
+                .map(|&energy| FailedPoint {
+                    energy,
+                    error: OmenError::SingularBlock {
+                        block: 2,
+                        energy: 0.0,
+                        pivot: 0,
+                        magnitude: 0.0,
+                    },
+                })
+                .collect();
+            proto::encode_failures(&failed, 0)
+        };
+        // Unit 4 of a six-unit grid lands in its own slot.
+        let errors = unit_errors(&[list(&[]), list(&[4.0])], 6).unwrap();
+        assert!(errors
+            .iter()
+            .enumerate()
+            .all(|(id, e)| e.is_some() == (id == 4)));
+        // An id past the grid, one that is not a whole number, one claimed
+        // twice and a truncated list are each a typed error, never an index
+        // out of bounds or a failure dropped.
+        let truncated = list(&[1.0])[..12].to_vec();
+        for lists in [
+            vec![list(&[6.0])],
+            vec![list(&[2.5])],
+            vec![list(&[-1.0])],
+            vec![list(&[f64::NAN])],
+            vec![list(&[1.0]), list(&[1.0])],
+            vec![truncated],
+        ] {
+            assert!(matches!(
+                unit_errors(&lists, 6),
+                Err(OmenError::Deserialize { .. })
+            ));
         }
     }
 }
