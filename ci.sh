@@ -48,7 +48,7 @@ cargo clippy --workspace --lib -- -D warnings -D clippy::float_cmp -D clippy::pr
 # counts must not depend on the dispatch path; a frozen sweep's gate point
 # after the first costs exactly one grid of engine solves, its contacts —
 # a remembered lead failure included — served from the sweep's
-# `ContactMemo`), and the kernel bench smoke
+# `ContactTable`), and the kernel bench smoke
 # each run once per leg —
 # tiny sizes, one sample, exercising the tiled GEMM, the blocked LU and
 # its blocked solve / inverse at 1/2/4 threads (gemm, lu, trsm, inverse
@@ -76,6 +76,11 @@ leg() {
 # they are written after this line).
 rm -f target/BENCH_*.smoke.json
 leg 0
+# The adaptive energy sweep asserts its headline: each adaptive grid beats
+# the largest uniform grid with no more points. It is the one binary that
+# reaches `ballistic_solve_adaptive`. A headline check needs one leg, so
+# it runs once, outside `leg()` (about 2 s).
+cargo run --release -p omen-bench --bin fig12_adaptive_grid
 if grep -q avx2 /proc/cpuinfo 2>/dev/null && grep -q fma /proc/cpuinfo 2>/dev/null; then
     leg 1
 else
@@ -108,9 +113,10 @@ if sed '/#\[cfg(test)\]/,$d' crates/linalg/src/eig.rs | grep -nE 'embed|2 \* n';
     exit 1
 fi
 
-# The lead memos (`LeadBandsMemo`, `ContactMemo`) are owned by one sweep
-# and die with it; the rank path's `ContactTable` is owned by one rank and
-# lives in that rank's `ModelBank` across the bias points of one curve. A
+# `LeadBandsMemo` and a serial sweep's `ContactTable` are owned by one
+# sweep and die with it; the rank path's `ContactTable` is owned by one
+# rank and lives in that rank's `ModelBank` across the bias points of one
+# curve. A
 # contact cache shared across sweeps, ranks or daemon requests needs an
 # eviction policy and evidence from real traffic, so it arrives as a
 # reviewed decision, not as process-wide state in these modules. Comment

@@ -235,7 +235,11 @@ fn rank_tainted_idents(toks: &[Tok]) -> HashSet<String> {
     let mut out = HashSet::new();
     let mut i = 0;
     while i + 2 < toks.len() {
-        if !is_ident(&toks[i], "let") {
+        // `if let` / `while let` is a pattern test, not a binding: its
+        // "initializer" would run through the block into the next statement.
+        let in_condition =
+            i > 0 && (is_ident(&toks[i - 1], "if") || is_ident(&toks[i - 1], "while"));
+        if !is_ident(&toks[i], "let") || in_condition {
             i += 1;
             continue;
         }

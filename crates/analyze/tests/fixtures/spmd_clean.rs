@@ -29,3 +29,14 @@ pub fn non_rank_condition(comm: &Comm, ready: bool) {
         comm.barrier();
     }
 }
+
+pub fn if_let_is_not_a_binding(comm: &Comm, schedule: Schedule) {
+    // `if let` tests a pattern; the `rank()` in its block taints nothing
+    // after it, so the later `Schedule` condition is schedule-uniform.
+    if let Schedule::Dynamic(opts) = schedule {
+        record(comm.rank(), opts);
+    }
+    if matches!(schedule, Schedule::Static) {
+        comm.barrier();
+    }
+}

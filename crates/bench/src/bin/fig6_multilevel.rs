@@ -15,6 +15,8 @@
 //! first and reserves spatial decomposition for memory-bound devices.
 
 use omen_bench::{print_table, timed};
+use omen_core::ballistic::solve_sweep;
+use omen_core::contacts::ContactTable;
 use omen_core::parallel::{
     frozen_system, parallel_transmission, split_levels, LevelConfig, Schedule,
 };
@@ -44,14 +46,14 @@ fn main() {
     // Sequential reference for correctness + projection baseline.
     reset_flops();
     let (reference, t_seq) = timed(|| {
-        omen_core::parallel::sequential_transmission(
-            &h,
-            (&h00, &h01),
-            (&h00, &h01),
-            &energies,
-            Engine::WfThomas,
-        )
-        .expect("sequential sweep failed")
+        let (lead, mut table) = ((&h00, &h01), ContactTable::default());
+        let (_, points, report) =
+            solve_sweep(&energies, &h, lead, lead, Engine::WfThomas, &mut table);
+        assert!(
+            report.failed.is_empty(),
+            "sequential sweep failed: {report}"
+        );
+        points.iter().map(|p| p.transmission).collect::<Vec<_>>()
     });
     let seq_flops = flop_count();
     let m = MachineModel::jaguar_xt5();

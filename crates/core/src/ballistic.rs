@@ -5,7 +5,7 @@
 //! exhausted) is dropped from the grid and recorded in the result's
 //! [`SweepReport`] instead of aborting the bias point.
 
-use crate::contacts::ContactMemo;
+use crate::contacts::ContactTable;
 use crate::energy::{EnergyWindow, LeadBandsMemo};
 use crate::spec::{Bias, NanoTransistor};
 use omen_linalg::ZMat;
@@ -116,15 +116,24 @@ pub fn ballistic_solve(
     n_energy: usize,
     ky: f64,
 ) -> BallisticResult {
-    let mut bands = LeadBandsMemo::default();
-    ballistic_solve_remembering(tr, v_atoms, bias, engine, n_energy, ky, &mut bands, None)
+    let (mut bands, mut contacts) = (LeadBandsMemo::default(), ContactTable::default());
+    ballistic_solve_remembering(
+        tr,
+        v_atoms,
+        bias,
+        engine,
+        n_energy,
+        ky,
+        &mut bands,
+        &mut contacts,
+    )
 }
 
-/// [`ballistic_solve`] for a sweep loop that owns a [`LeadBandsMemo`] and,
-/// optionally, a [`ContactMemo`]: bias points whose lead blocks repeat
-/// exactly (the gate points of a frozen sweep) diagonalise the lead bands
-/// once and decimate each `(lead, E)` once. The current and the
-/// [`SweepReport`] are [`ballistic_solve`]'s bit for bit.
+/// [`ballistic_solve`] for a sweep loop that owns a [`LeadBandsMemo`] and
+/// a [`ContactTable`]: bias points whose lead blocks repeat exactly (the
+/// gate points of a frozen sweep) diagonalise the lead bands once and
+/// decimate each `(lead, E)` once. The current and the [`SweepReport`] are
+/// [`ballistic_solve`]'s bit for bit.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn ballistic_solve_remembering(
     tr: &NanoTransistor,
@@ -134,7 +143,7 @@ pub(crate) fn ballistic_solve_remembering(
     n_energy: usize,
     ky: f64,
     bands: &mut LeadBandsMemo,
-    contacts: Option<&mut ContactMemo>,
+    contacts: &mut ContactTable,
 ) -> BallisticResult {
     let s = prepare_transport(tr, v_atoms, bias, ky, bands);
     let (energies, points, report) = solve_sweep(
@@ -148,29 +157,28 @@ pub(crate) fn ballistic_solve_remembering(
     integrate(tr, bias, v_atoms, &energies, points, &s.window, report)
 }
 
-/// Solves every energy of a grid with per-point failure isolation: a point
-/// whose engines exhaust their recovery policies is dropped and recorded in
-/// the [`SweepReport`]; the surviving `(energies, points)` stay aligned.
-/// With a `contacts` memo each point's contacts are looked up there and
-/// decimated only on a miss; without one, every point is [`solve_point`].
+/// The serial energy loop: fills momentum slot 0 of `contacts` for the
+/// grid, then solves every energy on the contacts it reads there, with
+/// per-point failure isolation: a point whose lead or engine exhausts its
+/// recovery policy is dropped and recorded in the [`SweepReport`]; the
+/// surviving `(energies, points)` stay aligned. A table kept across calls
+/// decimates only the `(lead, E)` it lacks.
 pub fn solve_sweep(
     energies: &[f64],
     h: &BlockTridiag,
-    lead_l: (&omen_linalg::ZMat, &omen_linalg::ZMat),
-    lead_r: (&omen_linalg::ZMat, &omen_linalg::ZMat),
+    lead_l: (&ZMat, &ZMat),
+    lead_r: (&ZMat, &ZMat),
     engine: Engine,
-    mut contacts: Option<&mut ContactMemo>,
+    contacts: &mut ContactTable,
 ) -> (Vec<f64>, Vec<EnergyPointData>, SweepReport) {
+    contacts.fill_serial(&[[lead_l.0, lead_l.1, lead_r.0, lead_r.1]], energies);
     let mut report = SweepReport::default();
     let mut kept = Vec::with_capacity(energies.len());
     let mut points = Vec::with_capacity(energies.len());
     for &e in energies {
-        let solved = match contacts.as_deref_mut() {
-            Some(memo) => memo
-                .contacts(e, lead_l, lead_r)
-                .and_then(|(sl, sr)| engine_point(e, h, &sl, &sr, engine)),
-            None => solve_point(e, h, lead_l, lead_r, engine),
-        };
+        let solved = contacts
+            .contacts(0, e)
+            .and_then(|(sl, sr)| engine_point(e, h, &sl, &sr, engine));
         match solved {
             Ok(p) => {
                 report.record_solved(p.retries);
@@ -190,6 +198,10 @@ pub fn solve_sweep(
 /// is reached. Resonances and subband onsets get resolved without paying
 /// for a uniformly fine grid — the production energy-grid strategy of
 /// adaptive quantum-transport codes.
+///
+/// The seed grid, then each round's midpoints, is one [`solve_sweep`] on
+/// one [`ContactTable`]; a failed energy is recorded and left out of the
+/// grid, so refinement only ever works on solved intervals.
 #[allow(clippy::too_many_arguments)]
 pub fn ballistic_solve_adaptive(
     tr: &NanoTransistor,
@@ -203,72 +215,36 @@ pub fn ballistic_solve_adaptive(
 ) -> BallisticResult {
     assert!(n_init >= 5 && max_points >= n_init);
     let s = prepare_transport(tr, v_atoms, bias, ky, &mut LeadBandsMemo::default());
-    let (lead_l, lead_r) = ((&s.h00_l, &s.h01_l), (&s.h00_r, &s.h01_r));
-
-    // Initial grid with failed energies dropped before the adaptive grid is
-    // built, so refinement only ever works on solved intervals.
-    let (seed_energies, mut points, mut report) =
-        solve_sweep(&s.window.grid(n_init), &s.h, lead_l, lead_r, engine, None);
-    if seed_energies.len() < 2 {
-        // Not enough surviving points to define intervals; integrate what
-        // is left (possibly nothing) without refinement.
-        return integrate(tr, bias, v_atoms, &seed_energies, points, &s.window, report);
-    }
-    let mut grid = omen_num::grid::AdaptiveGrid::from_points(seed_energies);
+    let mut table = ContactTable::default();
+    let mut sweep = |grid: &[f64]| {
+        let (lead_l, lead_r) = ((&s.h00_l, &s.h01_l), (&s.h00_r, &s.h01_r));
+        solve_sweep(grid, &s.h, lead_l, lead_r, engine, &mut table)
+    };
+    let (mut energies, mut points, mut report) = sweep(&s.window.grid(n_init));
     let (mu_s, mu_d) = (bias.mu_source, bias.mu_drain());
     for _round in 0..8 {
-        if grid.len() >= max_points {
+        // Fewer than two survivors define no interval to refine.
+        if energies.len() < 2 || energies.len() >= max_points {
             break;
         }
-        let f: Vec<f64> = grid
-            .points()
+        let f: Vec<f64> = energies
             .iter()
             .zip(&points)
             .map(|(&e, p)| p.transmission * (fermi(e, mu_s, tr.kt) - fermi(e, mu_d, tr.kt)))
             .collect();
+        let mut grid = omen_num::grid::AdaptiveGrid::from_points(energies.clone());
         let inserted = grid.refine(&f, tol);
         if inserted.is_empty() {
             break;
         }
-        // Solve the fresh points and splice them in (indices are into the
-        // refined grid, ascending). A fresh point that fails is recorded
-        // and removed from the grid again, keeping grid and points aligned.
-        let mut pending = inserted.iter().peekable();
-        let mut old = points.into_iter();
-        let mut kept = Vec::with_capacity(grid.len());
-        let mut next = Vec::with_capacity(grid.len());
-        let mut dropped = false;
-        for (idx, &e) in grid.points().iter().enumerate() {
-            if pending.peek() == Some(&&idx) {
-                pending.next();
-                match solve_point(e, &s.h, lead_l, lead_r, engine) {
-                    Ok(p) => {
-                        report.record_solved(p.retries);
-                        kept.push(e);
-                        next.push(p);
-                    }
-                    Err(err) => {
-                        report.record_failed(e, err);
-                        dropped = true;
-                    }
-                }
-            } else {
-                kept.push(e);
-                next.push(
-                    old.next()
-                        .expect("pre-refinement points align with the grid"),
-                );
-            }
-        }
-        points = next;
-        if dropped {
-            grid = omen_num::grid::AdaptiveGrid::from_points(kept);
-        }
-        if grid.len() > max_points {
-            break;
-        }
+        let midpoints: Vec<f64> = inserted.iter().map(|&i| grid.points()[i]).collect();
+        let (solved, fresh, round) = sweep(&midpoints);
+        report.merge(&round);
+        let mut merged: Vec<_> = energies.into_iter().zip(points).collect();
+        merged.extend(solved.into_iter().zip(fresh));
+        merged.sort_by(|a, b| a.0.total_cmp(&b.0));
+        (energies, points) = merged.into_iter().unzip();
     }
-    let energies = grid.points().to_vec();
     integrate(tr, bias, v_atoms, &energies, points, &s.window, report)
 }
 
@@ -705,7 +681,7 @@ mod tests {
             (&h00, &h01),
             (&h00, &h01),
             Engine::WfThomas,
-            None,
+            &mut ContactTable::default(),
         );
         assert_eq!(report.solved, 4);
         assert_eq!(kept.len(), 4);
@@ -720,8 +696,14 @@ mod tests {
 
         // RGF regularizes the pivot instead: every point solves, the report
         // shows the recovery.
-        let (kept, _, report) =
-            solve_sweep(&energies, &h, (&h00, &h01), (&h00, &h01), Engine::Rgf, None);
+        let (kept, _, report) = solve_sweep(
+            &energies,
+            &h,
+            (&h00, &h01),
+            (&h00, &h01),
+            Engine::Rgf,
+            &mut ContactTable::default(),
+        );
         assert_eq!(kept.len(), 5);
         assert!(
             report.failed.is_empty(),
@@ -741,7 +723,7 @@ mod tests {
             (&h00, &h01),
             (&h00, &h01),
             Engine::SelInv,
-            None,
+            &mut ContactTable::default(),
         );
         assert_eq!(kept.len(), 5);
         assert!(report.failed.is_empty());
@@ -766,7 +748,7 @@ mod tests {
             (&h00, &h01),
             (&h00, &h01),
             Engine::WfThomas,
-            None,
+            &mut ContactTable::default(),
         );
         assert_eq!(kept.len(), 4);
         assert_eq!(report.failed.len(), 1);
@@ -778,15 +760,21 @@ mod tests {
 
         // Both Green's-function engines regularize the identical pivot:
         // same kept grid, same empty failure list, same recovery accounting.
-        let (kept_rgf, _, rep_rgf) =
-            solve_sweep(&energies, &h, (&h00, &h01), (&h00, &h01), Engine::Rgf, None);
+        let (kept_rgf, _, rep_rgf) = solve_sweep(
+            &energies,
+            &h,
+            (&h00, &h01),
+            (&h00, &h01),
+            Engine::Rgf,
+            &mut ContactTable::default(),
+        );
         let (kept_si, _, rep_si) = solve_sweep(
             &energies,
             &h,
             (&h00, &h01),
             (&h00, &h01),
             Engine::SelInv,
-            None,
+            &mut ContactTable::default(),
         );
         assert_eq!(kept_rgf.len(), 5);
         assert_eq!(kept_si, kept_rgf);
@@ -806,13 +794,13 @@ mod tests {
 
     #[test]
     fn frozen_sweep_contacts_are_reusable_across_gate_points() {
-        // The README wire at three gate points through one `ContactMemo`,
+        // The README wire at three gate points through one `ContactTable`,
         // as `frozen_field_sweep_observed` threads it: every point's current
         // and report are the cold `ballistic_solve`'s bits.
         let tr = flat_device();
         let (vgs, v_ds, mu_source, n_energy) = ([-0.1, 0.0, 0.1], 0.15, -3.45, 21);
         let mut bands = LeadBandsMemo::default();
-        let mut memo = ContactMemo::default();
+        let mut table = ContactTable::default();
         let mut grid = None;
         for &v_gate in &vgs {
             let v_atoms = crate::iv::frozen_potential(&tr, v_gate);
@@ -829,7 +817,7 @@ mod tests {
                 n_energy,
                 0.0,
                 &mut bands,
-                Some(&mut memo),
+                &mut table,
             );
             let want = ballistic_solve(&tr, &v_atoms, &bias, Engine::Rgf, n_energy, 0.0);
             assert_eq!(got.current_ua.to_bits(), want.current_ua.to_bits());
@@ -838,7 +826,7 @@ mod tests {
             assert_eq!(grid.get_or_insert(got.energies.clone()), &got.energies);
         }
         // The first gate point decimates the grid, the others reuse it.
-        let tally = memo.take_tally();
+        let tally = table.take_tally();
         assert_eq!(tally.decimated, n_energy);
         assert_eq!(tally.reused, (vgs.len() - 1) * n_energy);
 
@@ -859,8 +847,10 @@ mod tests {
                 .map(|z| (z.re.to_bits(), z.im.to_bits()))
                 .collect()
         };
-        for &e in grid.as_ref().unwrap() {
-            let (hl, hr) = memo.contacts(e, lead_l, lead_r).unwrap();
+        let grid = grid.unwrap();
+        table.fill_serial(&[[lead_l.0, lead_l.1, lead_r.0, lead_r.1]], &grid);
+        for &e in &grid {
+            let (hl, hr) = table.contacts(0, e).unwrap();
             let (cl, cr) = omen_negf::local_contacts(e, DEFAULT_ETA, lead_l, lead_r).unwrap();
             for (hit, cold) in [(&hl, &cl), (&hr, &cr)] {
                 assert_eq!((hit.side, hit.retries), (cold.side, cold.retries));
@@ -869,7 +859,87 @@ mod tests {
                 assert_eq!(raw(&hit.gamma), raw(&cold.gamma), "E={e}: Γ");
             }
         }
-        assert_eq!(memo.take_tally().reused, n_energy);
+        assert_eq!(table.take_tally().reused, n_energy);
+    }
+
+    /// The README wire: the single-band 1 nm nanowire, 8 slabs, undoped.
+    fn readme_wire() -> NanoTransistor {
+        let mut spec =
+            TransistorSpec::si_nanowire_nmos(Material::SingleBand { t_mev: 1000 }, 1.0, 8);
+        spec.doping_sd = 0.0;
+        spec.build()
+    }
+
+    #[test]
+    fn adaptive_points_are_one_point_solves_bit_for_bit() {
+        // Seed grid and rounds read their contacts from one table: every
+        // returned energy carries `solve_point`'s transmission to the bit,
+        // and the report accounts for every energy the rounds attempted.
+        let tr = readme_wire();
+        let v = vec![0.0; tr.device.num_atoms()];
+        let bias = Bias {
+            v_gate: 0.0,
+            v_ds: 0.25,
+            mu_source: -3.4,
+        };
+        let engine = Engine::WfThomas;
+        let r = ballistic_solve_adaptive(&tr, &v, &bias, engine, 11, 200, 5e-3, 0.0);
+        assert!(
+            r.energies.len() > 11,
+            "refined: {} points",
+            r.energies.len()
+        );
+        assert_eq!(r.transmission.len(), r.energies.len());
+        assert_eq!(
+            r.report.attempted(),
+            r.energies.len() + r.report.failed.len()
+        );
+        let s = prepare_transport(&tr, &v, &bias, 0.0, &mut LeadBandsMemo::default());
+        let (lead_l, lead_r) = ((&s.h00_l, &s.h01_l), (&s.h00_r, &s.h01_r));
+        for (&e, t) in r.energies.iter().zip(&r.transmission) {
+            let cold = solve_point(e, &s.h, lead_l, lead_r, engine).unwrap();
+            assert_eq!(t.to_bits(), cold.transmission.to_bits(), "E={e}");
+        }
+    }
+
+    #[test]
+    fn a_biased_drain_solve_is_its_one_point_solves_integrated() {
+        // Unequal leads, the shape every SCF point has: the table's two
+        // single decimations per energy are `solve_point`'s, so the solve
+        // is the per-point composition under `to_bits`.
+        let tr = readme_wire();
+        let bias = Bias {
+            v_gate: 0.05,
+            v_ds: 0.2,
+            mu_source: -3.3,
+        };
+        // The gate's frozen field, and the drain extension at the drain's
+        // potential rather than the source's.
+        let drain = tr.spec.num_slabs - tr.spec.drain_slabs;
+        let gated = crate::iv::frozen_potential(&tr, bias.v_gate);
+        let v: Vec<f64> = (tr.device.atoms.iter().zip(gated))
+            .map(|(a, v)| if a.slab >= drain { bias.v_ds } else { v })
+            .collect();
+        let (engine, n_energy) = (Engine::Rgf, 21);
+        let got = ballistic_solve(&tr, &v, &bias, engine, n_energy, 0.0);
+        let s = prepare_transport(&tr, &v, &bias, 0.0, &mut LeadBandsMemo::default());
+        assert_ne!(s.h00_l, s.h00_r, "the drain lead is shifted");
+        let (lead_l, lead_r) = ((&s.h00_l, &s.h01_l), (&s.h00_r, &s.h01_r));
+        let energies = s.window.grid(n_energy);
+        let mut report = SweepReport::default();
+        let points: Vec<_> = energies
+            .iter()
+            .map(|&e| solve_point(e, &s.h, lead_l, lead_r, engine).unwrap())
+            .inspect(|p| report.record_solved(p.retries))
+            .collect();
+        let want = integrate(&tr, &bias, &v, &energies, points, &s.window, report);
+        let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(got.current_ua.to_bits(), want.current_ua.to_bits());
+        assert_eq!(bits(&got.energies), bits(&want.energies));
+        assert_eq!(bits(&got.transmission), bits(&want.transmission));
+        assert_eq!(bits(&got.electron_density), bits(&want.electron_density));
+        assert_eq!(bits(&got.hole_density), bits(&want.hole_density));
+        assert_eq!(got.report, want.report);
     }
 
     #[test]

@@ -1,19 +1,20 @@
 //! The contact self-energies a sweep keeps: what depends on the leads and
 //! the energy alone, decimated once and read back as often as asked for.
 //!
-//! * [`ContactMemo`] — one lead pair, its outcomes per energy: the gate
-//!   points of a frozen sweep share their leads, so each `(lead, E)` is
-//!   decimated once per sweep.
-//! * [`ContactTable`] — one lead pair per momentum index `k`, outcomes per
-//!   `(k, E)`: the rank path's table. [`ContactTable::fill`] decimates the
-//!   pairs it lacks in one phase balanced over a communicator and inserts
-//!   them on every member with one allgather, so every member holds the
-//!   same table and the units of a sweep only read it.
+//! [`ContactTable`] is the one place a sweep gets its contacts: one lead
+//! pair per momentum index `k`, outcomes per `(k, E)`. A fill keys each
+//! slot on its lead pair once, lists the pairs it lacks, decimates them
+//! and inserts them; only the decimation differs between its two callers.
+//! A serial sweep (`ballistic::solve_sweep`) decimates every missing pair
+//! on the calling thread; the rank path ([`ContactTable::fill`]) splits
+//! them round-robin over a communicator and inserts them on every member
+//! with one allgather, so every member holds the same table. The points
+//! of a sweep only read it.
 //!
-//! Both key a lead pair on its exact blocks: blocks that do not compare
-//! equal entry for entry (a NaN entry never does) drop the pair's outcomes.
-//! A table keys each slot once per fill, so a NaN lead's outcomes last
-//! for that fill's reads and are decimated again by the next.
+//! A slot keys its lead pair on the exact blocks: blocks that do not
+//! compare equal entry for entry (a NaN entry never does) drop the pair's
+//! outcomes. A table keys each slot once per fill, so a NaN lead's
+//! outcomes last for that fill's reads and are decimated again by the next.
 //! A failure is remembered too: the same lead fails at the same energy the
 //! same way, so the nudge ladder is not climbed twice. Each Σ is kept on
 //! its support ([`PackedContact`]); a read scatters it back into zeros and
@@ -24,10 +25,11 @@
 //! `core::ballistic`'s `frozen_sweep_contacts_are_reusable_across_gate_points`
 //! and on the UTB film's by `core::parallel`'s table tests).
 //!
-//! Each memo and table has one owner — a sweep, or a rank's `ModelBank`
-//! across the bias points of one curve; nothing shares one across sweeps
-//! or requests (a shared cache would need an eviction policy — `ci.sh`
-//! keeps this module free of process-wide state).
+//! Each table has one owner — a sweep (the frozen sweep keeps one across
+//! its gate points, the adaptive sweep one across its rounds), or a rank's
+//! `ModelBank` across the bias points of one curve; nothing shares one
+//! across sweeps or requests (a shared cache would need an eviction policy
+//! — `ci.sh` keeps this module free of process-wide state).
 
 use crate::parallel::assign;
 use omen_linalg::ZMat;
@@ -38,6 +40,7 @@ use omen_num::wire::{Dec, Enc};
 use omen_num::{OmenError, OmenResult};
 use omen_parsim::Comm;
 use std::collections::HashMap;
+use std::convert::Infallible;
 use std::fmt;
 
 /// One contact kept on its support `S` ([`ZMat::support`]): `Σ =
@@ -168,8 +171,8 @@ pub fn decode_entry(b: &[u8]) -> OmenResult<PackedOutcome> {
     Ok(outcome)
 }
 
-/// How many contact pairs a [`ContactMemo`] or a [`ContactTable`]
-/// decimated and how many it served from memory.
+/// How many contact pairs a [`ContactTable`] decimated and how many it
+/// served from memory.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct ContactTally {
     /// Pairs decimated (misses).
@@ -222,62 +225,71 @@ fn unpacked(known: &PackedOutcome) -> OmenResult<(ContactSelfEnergy, ContactSelf
     }
 }
 
-/// The `local_contacts` outcomes of the lead pair most recently asked for,
-/// one per energy. A sweep loop that keeps one of these across its gate
-/// points decimates each `(lead, E)` once; another lead pair replaces the
-/// one remembered.
-#[derive(Debug, Default)]
-pub struct ContactMemo {
-    slot: LeadSlot,
-    tally: ContactTally,
-}
-
-impl ContactMemo {
-    /// `local_contacts(e, DEFAULT_ETA, lead_l, lead_r)`, decimated only
-    /// when this lead pair at this energy is not remembered.
-    ///
-    /// # Errors
-    ///
-    /// The decimation's typed lead failure, fresh or remembered.
-    pub fn contacts(
-        &mut self,
-        e: f64,
-        lead_l: (&ZMat, &ZMat),
-        lead_r: (&ZMat, &ZMat),
-    ) -> OmenResult<(ContactSelfEnergy, ContactSelfEnergy)> {
-        let outcomes = self.slot.outcomes([lead_l.0, lead_l.1, lead_r.0, lead_r.1]);
-        if let Some(known) = outcomes.get(&e.to_bits()) {
-            self.tally.reused += 1;
-            return unpacked(known);
-        }
-        self.tally.decimated += 1;
-        let fresh = local_contacts(e, DEFAULT_ETA, lead_l, lead_r);
-        let packed = fresh
-            .as_ref()
-            .map(|(l, r)| [PackedContact::pack(l), PackedContact::pack(r)])
-            .map_err(Clone::clone);
-        outcomes.insert(e.to_bits(), packed);
-        fresh
-    }
-
-    /// The decimations and reuses since the previous call.
-    pub fn take_tally(&mut self) -> ContactTally {
-        std::mem::take(&mut self.tally)
-    }
+/// `local_contacts(e, DEFAULT_ETA, ..)` of the lead pair `key`, each Σ on
+/// its support: the one decimation a table runs.
+fn decimate([l0, l1, r0, r1]: LeadKey<'_>, e: f64) -> PackedOutcome {
+    local_contacts(e, DEFAULT_ETA, (l0, l1), (r0, r1))
+        .map(|(l, r)| [PackedContact::pack(&l), PackedContact::pack(&r)])
 }
 
 /// The `local_contacts` outcomes of one sweep per `(k, E)`: one lead pair
 /// per momentum index `k`, stored once and compared entry for entry on
-/// every [`ContactTable::fill`]; a `k` whose lead changed drops its
-/// entries and only its own. The rank path keeps one per rank across the
-/// bias points of a curve (in the rank's `ModelBank`), so pairs that
-/// repeat are decimated once per curve.
+/// every fill; a `k` whose lead changed drops its entries and only its
+/// own. A serial sweep fills slot 0 for its grid; the rank path keeps one
+/// per rank across the bias points of a curve (in the rank's `ModelBank`),
+/// so pairs that repeat are decimated once per curve.
 #[derive(Debug, Default)]
 pub struct ContactTable {
     slots: Vec<LeadSlot>,
+    tally: ContactTally,
 }
 
 impl ContactTable {
+    /// The one fill body, in canonical `(k, E)` order: keys each slot on
+    /// its lead pair once, lists the `(k, E)` of `leads × energies` the
+    /// table lacks, has `decimate_all` return their outcomes in that order,
+    /// and inserts them. Nothing is inserted when `decimate_all` fails.
+    fn fill_by<E>(
+        &mut self,
+        leads: &[LeadKey<'_>],
+        energies: &[f64],
+        decimate_all: impl FnOnce(&[(usize, f64)]) -> Result<Vec<PackedOutcome>, E>,
+    ) -> Result<(), E> {
+        if self.slots.len() < leads.len() {
+            self.slots.resize_with(leads.len(), LeadSlot::default);
+        }
+        let mut missing = Vec::new();
+        for (ik, (slot, &key)) in self.slots.iter_mut().zip(leads).enumerate() {
+            let known = slot.outcomes(key);
+            let absent = energies
+                .iter()
+                .filter(|e| !known.contains_key(&e.to_bits()));
+            missing.extend(absent.map(|&e| (ik, e)));
+        }
+        let outcomes = decimate_all(&missing)?;
+        for (&(ik, e), outcome) in missing.iter().zip(outcomes) {
+            // Keyed once above, this fill: a NaN lead stays in its slot
+            // for the fill's reads and misses on the next fill.
+            if let Some(known) = self.slots[ik].keyed() {
+                known.insert(e.to_bits(), outcome);
+            }
+        }
+        self.tally.decimated += missing.len();
+        self.tally.reused += leads.len() * energies.len() - missing.len();
+        Ok(())
+    }
+
+    /// Makes every `(k, E)` of `leads × energies` present, where `leads[k]`
+    /// is `k`'s lead pair, decimating the missing pairs on the calling
+    /// thread.
+    pub(crate) fn fill_serial(&mut self, leads: &[LeadKey<'_>], energies: &[f64]) {
+        let filled = self.fill_by(leads, energies, |missing| {
+            let outcomes = missing.iter().map(|&(ik, e)| decimate(leads[ik], e));
+            Ok::<_, Infallible>(outcomes.collect())
+        });
+        let Ok(()) = filled;
+    }
+
     /// Makes every `(k, E)` of `leads × energies` present, where `leads[k]`
     /// is `k`'s lead pair. The pairs missing from the table are split
     /// round-robin over `comm`, each member runs `local_contacts` on its
@@ -288,8 +300,8 @@ impl ContactTable {
     ///
     /// All members call collectively with the same arguments and a table
     /// with the same history (one `ModelBank` per rank, used on the same
-    /// communicator layout); every member then returns the same tally and
-    /// holds the same table.
+    /// communicator layout); every member then holds the same table and
+    /// the same [`ContactTable::take_tally`].
     ///
     /// # Errors
     ///
@@ -302,53 +314,38 @@ impl ContactTable {
         comm: &Comm<'_>,
         leads: &[LeadKey<'_>],
         energies: &[f64],
-    ) -> OmenResult<ContactTally> {
-        if self.slots.len() < leads.len() {
-            self.slots.resize_with(leads.len(), LeadSlot::default);
-        }
-        let mut missing = Vec::new();
-        for (ik, (slot, &key)) in self.slots.iter_mut().zip(leads).enumerate() {
-            let known = slot.outcomes(key);
-            let absent = energies
-                .iter()
-                .filter(|e| !known.contains_key(&e.to_bits()));
-            missing.extend(absent.map(|&e| (ik, e)));
-        }
-        let origin = comm.global_rank(comm.rank());
-        let mine: Vec<(usize, Vec<u8>)> = assign(missing.len(), comm.size(), comm.rank())
-            .into_iter()
-            .map(|i| {
-                let (ik, e) = missing[i];
-                let [l0, l1, r0, r1] = leads[ik];
-                let fresh = local_contacts(e, DEFAULT_ETA, (l0, l1), (r0, r1))
-                    .map(|(l, r)| [PackedContact::pack(&l), PackedContact::pack(&r)]);
-                (i, encode_entry(origin, &fresh))
-            })
-            .collect();
-        const CTX: &str = "contact table";
-        let outcomes = allgather_block_records(comm, missing.len(), &mine, CTX, decode_entry)?;
-        for (&(ik, e), outcome) in missing.iter().zip(outcomes) {
-            let [l0, _, r0, _] = leads[ik];
-            let fits = |[l, r]: &[PackedContact; 2]| {
-                (l.side, l.n, r.side, r.n) == (Side::Left, l0.nrows(), Side::Right, r0.nrows())
-            };
-            if outcome.as_ref().is_ok_and(|pair| !fits(pair)) {
-                return Err(OmenError::Deserialize { context: CTX });
+    ) -> OmenResult<()> {
+        self.fill_by(leads, energies, |missing| {
+            let origin = comm.global_rank(comm.rank());
+            let mine: Vec<(usize, Vec<u8>)> = assign(missing.len(), comm.size(), comm.rank())
+                .into_iter()
+                .map(|i| {
+                    let (ik, e) = missing[i];
+                    (i, encode_entry(origin, &decimate(leads[ik], e)))
+                })
+                .collect();
+            const CTX: &str = "contact table";
+            let outcomes = allgather_block_records(comm, missing.len(), &mine, CTX, decode_entry)?;
+            for (&(ik, _), outcome) in missing.iter().zip(&outcomes) {
+                let [l0, _, r0, _] = leads[ik];
+                let fits = |[l, r]: &[PackedContact; 2]| {
+                    (l.side, l.n, r.side, r.n) == (Side::Left, l0.nrows(), Side::Right, r0.nrows())
+                };
+                if outcome.as_ref().is_ok_and(|pair| !fits(pair)) {
+                    return Err(OmenError::Deserialize { context: CTX });
+                }
             }
-            // Keyed once above, this fill: a NaN lead stays in its slot
-            // for the fill's reads and misses on the next fill.
-            if let Some(known) = self.slots[ik].keyed() {
-                known.insert(e.to_bits(), outcome);
-            }
-        }
-        Ok(ContactTally {
-            decimated: missing.len(),
-            reused: leads.len() * energies.len() - missing.len(),
+            Ok(outcomes)
         })
     }
 
+    /// The pairs decimated and reused by the fills since the previous call.
+    pub fn take_tally(&mut self) -> ContactTally {
+        std::mem::take(&mut self.tally)
+    }
+
     /// `local_contacts(e, DEFAULT_ETA, ..)` for `k`'s lead pair, as the
-    /// last [`ContactTable::fill`] stored it.
+    /// last fill stored it.
     ///
     /// # Errors
     ///
@@ -362,7 +359,7 @@ impl ContactTable {
             .0
             .as_ref()
             .and_then(|(_, outcomes)| outcomes.get(&e.to_bits()))
-            .expect("ContactTable::fill covers every (k, E) a unit reads");
+            .expect("a fill covers every (k, E) a point reads");
         unpacked(known)
     }
 }
@@ -393,31 +390,37 @@ mod tests {
         };
         let energies = [-3.4, -3.3];
         let pairs = [((&a0, &a1), (&a0, &a1)), ((&a0, &a1), (&b0, &b1))];
-        let mut memo = ContactMemo::default();
+        // One energy of one lead pair through a serial fill, then a read.
+        type Lead<'a> = (&'a ZMat, &'a ZMat);
+        let contacts = |table: &mut ContactTable, e: f64, (l0, l1): Lead, (r0, r1): Lead| {
+            table.fill_serial(&[[l0, l1, r0, r1]], &[e]);
+            table.contacts(0, e)
+        };
+        let mut table = ContactTable::default();
         for (lead_l, lead_r) in pairs {
             for want in [(2, 0), (0, 2)] {
                 for e in energies {
-                    let (l, r) = memo.contacts(e, lead_l, lead_r).unwrap();
+                    let (l, r) = contacts(&mut table, e, lead_l, lead_r).unwrap();
                     let (cl, cr) = local_contacts(e, DEFAULT_ETA, lead_l, lead_r).unwrap();
                     assert_eq!((bits(&l), bits(&r)), (bits(&cl), bits(&cr)), "E={e}");
                 }
-                let t = memo.take_tally();
+                let t = table.take_tally();
                 assert_eq!((t.decimated, t.reused), want);
             }
         }
         // The second pair replaced the first: asking for it again misses.
         let (lead_l, lead_r) = pairs[0];
-        memo.contacts(energies[0], lead_l, lead_r).unwrap();
-        let t = memo.take_tally();
+        contacts(&mut table, energies[0], lead_l, lead_r).unwrap();
+        let t = table.take_tally();
         assert_eq!((t.decimated, t.reused), (1, 0));
 
-        // A hit really is served from the memo: a doctored entry shows.
-        if let Some((_, outcomes)) = &mut memo.slot.0 {
+        // A hit really is served from the table: a doctored entry shows.
+        if let Some((_, outcomes)) = &mut table.slots[0].0 {
             if let Some(Ok([l, _])) = outcomes.get_mut(&energies[0].to_bits()) {
                 l.retries = 7;
             }
         }
-        let (l, _) = memo.contacts(energies[0], lead_l, lead_r).unwrap();
+        let (l, _) = contacts(&mut table, energies[0], lead_l, lead_r).unwrap();
         assert_eq!(l.retries, 7);
     }
 

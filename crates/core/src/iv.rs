@@ -1,7 +1,7 @@
 //! Voltage sweeps and figure-of-merit extraction.
 
 use crate::ballistic::{ballistic_solve_remembering, Engine};
-use crate::contacts::ContactMemo;
+use crate::contacts::ContactTable;
 use crate::energy::LeadBandsMemo;
 use crate::log::SweepSeq;
 use crate::scf::{self_consistent, ScfOptions};
@@ -245,7 +245,7 @@ pub fn frozen_field_sweep_observed(
     // point: one set of lead blocks, one band diagonalisation per sweep,
     // one decimation per energy of the shared grid.
     let mut bands = LeadBandsMemo::default();
-    let mut contacts = ContactMemo::default();
+    let mut contacts = ContactTable::default();
     for (index, &vg) in v_gates.iter().enumerate() {
         let v_atoms = frozen_potential(tr, vg);
         let bias = Bias {
@@ -261,7 +261,7 @@ pub fn frozen_field_sweep_observed(
             n_energy,
             0.0,
             &mut bands,
-            Some(&mut contacts),
+            &mut contacts,
         );
         let point = IvPoint {
             v_gate: vg,
@@ -393,7 +393,7 @@ mod tests {
             (&h00, &h01),
             (&h00, &h01),
             Engine::WfThomas,
-            None,
+            &mut ContactTable::default(),
         );
         assert_eq!(kept, vec![-0.5, 0.0, 0.5]);
         let failed: Vec<f64> = report.failed.iter().map(|f| f.energy).collect();

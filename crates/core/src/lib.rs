@@ -10,14 +10,15 @@
 //!   into geometry + Hamiltonian + doping + Poisson problem;
 //! * [`energy`] — transport energy windows from lead subband edges and the
 //!   contact Fermi levels, and the sweep-owned memo of the leads' bands;
-//! * [`contacts`] — the contacts a sweep keeps: the frozen sweep's memo per
-//!   energy and the rank path's table per `(k, E)`, filled once over a
-//!   communicator;
+//! * [`contacts`] — the one place a sweep gets its contacts: a table per
+//!   `(k, E)`, filled on the calling thread by a serial sweep and over a
+//!   communicator by the rank path, with the same fill body;
 //! * [`ballistic`] — the per-bias transport solve, one body per level:
-//!   `solve_sweep` (energy loop with per-point fault isolation, any
-//!   [`Engine`]) → `ballistic_solve` (one k) → `ballistic_solve_k`
-//!   (momentum average), plus the adaptive-grid variant; Landauer current,
-//!   quantum electron and hole densities;
+//!   `solve_sweep` (the one serial energy loop: contacts from a table,
+//!   per-point fault isolation, any [`Engine`]) → `ballistic_solve` (one k)
+//!   → `ballistic_solve_k` (momentum average), plus the adaptive-grid
+//!   variant, whose seed grid and rounds are `solve_sweep` calls; Landauer
+//!   current, quantum electron and hole densities;
 //! * [`scf`] — the Schrödinger–Poisson loop with the exponential charge
 //!   predictor (Gummel-accelerated);
 //! * [`iv`] — gate/drain voltage sweeps (one SCF bias loop) and the

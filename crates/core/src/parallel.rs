@@ -10,7 +10,6 @@
 //! All data movement runs over `omen-parsim` and is therefore measured,
 //! not modeled.
 
-use crate::ballistic::Engine;
 use crate::contacts::{ContactTable, ContactTally};
 use crate::spec::NanoTransistor;
 use omen_linalg::ZMat;
@@ -215,7 +214,8 @@ pub fn parallel_transmission(
 ) -> OmenResult<TransmissionSweep> {
     let mut table = ContactTable::default();
     let lead = [lead_l.0, lead_l.1, lead_r.0, lead_r.1];
-    let contacts = table.fill(&comms.bias_group, &[lead], energies)?;
+    table.fill(&comms.bias_group, &[lead], energies)?;
+    let contacts = table.take_tally();
     let (device, bank) = (|_| Cow::Borrowed(h), (&mut ModelBank::new(), 0));
     let (grid, sched) = solve_grid(comms, cfg, device, &table, 1, energies, schedule, bank)?;
     Ok(TransmissionSweep {
@@ -280,9 +280,6 @@ fn solve_grid<'h>(
     let n_e = energies.len();
     let stamps: Vec<f64> = (0..n_k * n_e).map(|id| energies[id % n_e]).collect();
     let group = &comms.bias_group;
-    // Bound before the `if let`, not inside or after it: `omen-analyze`'s
-    // rank-taint scan reads `if let` as a binding, tainted by any `rank()`
-    // in its block or the statement after it.
     let coordinator = group.rank() == 0;
     let root = comms.spatial_group.rank() == 0;
     if let Schedule::Dynamic(opts) = schedule {
@@ -448,7 +445,8 @@ pub fn parallel_transmission_k_banked(
             .iter()
             .map(|(h00, h01)| [h00, h01, h00, h01])
             .collect();
-        table.fill(&comms.bias_group, &keys, energies)?
+        table.fill(&comms.bias_group, &keys, energies)?;
+        table.take_tally()
     };
     let device = |ik: usize| Cow::Owned(system_of(kys[ik].0).0);
     let (n_k, banked) = (kys.len(), (&mut *bank, bias_step));
@@ -491,26 +489,6 @@ pub fn parallel_transmission_k_banked(
     })
 }
 
-/// Sequential reference used by the equivalence tests and benches.
-///
-/// # Errors
-///
-/// Returns the first energy point's typed solver failure.
-pub fn sequential_transmission(
-    h: &BlockTridiag,
-    lead_l: (&ZMat, &ZMat),
-    lead_r: (&ZMat, &ZMat),
-    energies: &[f64],
-    engine: Engine,
-) -> OmenResult<Vec<f64>> {
-    energies
-        .iter()
-        .map(|&e| {
-            crate::ballistic::solve_point(e, h, lead_l, lead_r, engine).map(|p| p.transmission)
-        })
-        .collect()
-}
-
 /// Prepares the transport system of a transistor at a frozen potential —
 /// the shared setup for the distributed experiments.
 pub fn frozen_system(tr: &NanoTransistor, v_atoms: &[f64], ky: f64) -> (BlockTridiag, ZMat, ZMat) {
@@ -524,6 +502,7 @@ pub fn frozen_system(tr: &NanoTransistor, v_atoms: &[f64], ky: f64) -> (BlockTri
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ballistic::{solve_sweep, Engine};
     use crate::spec::TransistorSpec;
     use omen_num::linspace;
     use omen_parsim::run_ranks;
@@ -627,7 +606,11 @@ mod tests {
         let (h, h00, h01) = frozen_system(&tr, &v, 0.0);
         let energies = linspace(-3.4, -2.6, 7);
         let sequential = |engine| {
-            sequential_transmission(&h, (&h00, &h01), (&h00, &h01), &energies, engine).unwrap()
+            let lead = (&h00, &h01);
+            let mut table = ContactTable::default();
+            let (_, points, report) = solve_sweep(&energies, &h, lead, lead, engine, &mut table);
+            assert!(report.failed.is_empty(), "{report:?}");
+            points.iter().map(|p| p.transmission).collect::<Vec<_>>()
         };
         // The serial cyclic reduction is the rank path's bit reference;
         // Thomas differs from both by its elimination order.
@@ -808,8 +791,11 @@ mod tests {
         };
         let reference = {
             let (h, h00, h01) = healthy_chain();
-            sequential_transmission(&h, (&h00, &h01), (&h00, &h01), &energies, Engine::WfThomas)
-                .unwrap()
+            let (lead, mut table) = ((&h00, &h01), ContactTable::default());
+            let engine = Engine::WfThomas;
+            let (_, points, report) = solve_sweep(&energies, &h, lead, lead, engine, &mut table);
+            assert!(report.failed.is_empty(), "{report:?}");
+            points.iter().map(|p| p.transmission).collect::<Vec<_>>()
         };
         for schedule in [Schedule::Static, Schedule::Dynamic(SchedOptions::default())] {
             let out = run_ranks(2, |ctx| {

@@ -10,9 +10,10 @@
 //! communication counters, and (2) the projection of measured flop counts
 //! onto the Jaguar machine model up to the full 224k-core partition.
 
+use omen::core::ballistic::solve_sweep;
+use omen::core::contacts::ContactTable;
 use omen::core::parallel::{
-    frozen_system, parallel_transmission, sequential_transmission, split_levels, LevelConfig,
-    Schedule,
+    frozen_system, parallel_transmission, split_levels, LevelConfig, Schedule,
 };
 use omen::core::{Engine, TransistorSpec};
 use omen::linalg::{flop_count, reset_flops};
@@ -31,9 +32,13 @@ fn main() {
 
     reset_flops();
     let t0 = std::time::Instant::now();
-    let reference =
-        sequential_transmission(&h, (&h00, &h01), (&h00, &h01), &energies, Engine::WfThomas)
-            .expect("sequential sweep failed");
+    let (lead, mut table) = ((&h00, &h01), ContactTable::default());
+    let (_, points, report) = solve_sweep(&energies, &h, lead, lead, Engine::WfThomas, &mut table);
+    assert!(
+        report.failed.is_empty(),
+        "sequential sweep failed: {report}"
+    );
+    let reference: Vec<f64> = points.iter().map(|p| p.transmission).collect();
     let seq_time = t0.elapsed();
     let seq_flops = flop_count();
 

@@ -3,8 +3,8 @@
 //! of the Hermitian eigensolver and of the explicit inverse follow an
 //! independent tally of their algorithms, a frozen sweep's later gate
 //! points cost exactly their engine solves (contacts, failures included,
-//! come from the sweep's memo), and concurrent reporting from many threads
-//! loses nothing.
+//! come from the sweep's contact table), and concurrent reporting from
+//! many threads loses nothing.
 //!
 //! The counter backs the paper-reproduction harness (tab2/fig7 derive
 //! sustained-performance numbers from measured counts), so "roughly right"
@@ -484,23 +484,30 @@ fn trapped_lead_and_device(e_trap: f64, nb: usize, v: f64) -> ((ZMat, ZMat), Blo
 #[test]
 fn a_remembered_lead_failure_is_reported_alike_and_decimated_once() {
     use omen::core::ballistic::solve_sweep;
-    use omen::core::contacts::ContactMemo;
+    use omen::core::contacts::ContactTable;
     use omen::core::{engine_point, Engine};
     use omen::negf::contacts::local_contacts;
     use omen::negf::transport::DEFAULT_ETA;
     use omen::num::OmenError;
     let _guard = COUNTER_LOCK.lock().unwrap();
-    // Three "gate points" over one lead pair and one grid through one memo:
+    // Three "gate points" over one lead pair and one grid through one table:
     // each point's report is the cold sweep's — the same failed energy with
-    // the same typed error — and after the first, the memo decimates nothing
+    // the same typed error — and after the first, the table decimates nothing
     // (no contact flops: the point costs its engine solves, the failed
     // energy nothing).
     let energies = omen::num::linspace(-0.5, 0.5, 5);
-    let mut memo = ContactMemo::default();
+    let mut table = ContactTable::default();
     for (gate, v) in [-0.1, 0.0, 0.1].into_iter().enumerate() {
         let ((h00, h01), h) = trapped_lead_and_device(0.0, 4, v);
         let lead = (&h00, &h01);
-        let (_, _, cold) = solve_sweep(&energies, &h, lead, lead, Engine::Rgf, None);
+        let (_, _, cold) = solve_sweep(
+            &energies,
+            &h,
+            lead,
+            lead,
+            Engine::Rgf,
+            &mut ContactTable::default(),
+        );
         assert_eq!(cold.failed.len(), 1);
         assert_eq!(cold.failed[0].energy, 0.0);
         assert!(matches!(
@@ -509,10 +516,10 @@ fn a_remembered_lead_failure_is_reported_alike_and_decimated_once() {
         ));
 
         let scope = FlopScope::new();
-        let (_, _, warm) = solve_sweep(&energies, &h, lead, lead, Engine::Rgf, Some(&mut memo));
+        let (_, _, warm) = solve_sweep(&energies, &h, lead, lead, Engine::Rgf, &mut table);
         let counted = scope.take();
         assert_eq!(warm, cold, "gate point {gate}");
-        let tally = memo.take_tally();
+        let tally = table.take_tally();
         let fresh = if gate == 0 { energies.len() } else { 0 };
         assert_eq!(
             (tally.decimated, tally.reused),
@@ -530,8 +537,8 @@ fn a_remembered_lead_failure_is_reported_alike_and_decimated_once() {
         }
     }
 
-    // A NaN entry never compares equal, so a poisoned lead never hits: it
-    // is decimated at every point of every sweep and fails typed, as cold.
+    // A NaN entry never compares equal, so a poisoned lead never hits: each
+    // sweep's fill decimates its every point and fails typed, as cold.
     let h00 = ZMat::from_diag(&[c64::new(f64::NAN, 0.0)]);
     let h01 = ZMat::from_diag(&[c64::real(-1.0)]);
     let h = BlockTridiag::new(
@@ -541,11 +548,18 @@ fn a_remembered_lead_failure_is_reported_alike_and_decimated_once() {
     );
     let lead = (&h00, &h01);
     for _ in 0..2 {
-        let (_, _, cold) = solve_sweep(&energies, &h, lead, lead, Engine::Rgf, None);
-        let (_, _, warm) = solve_sweep(&energies, &h, lead, lead, Engine::Rgf, Some(&mut memo));
+        let (_, _, cold) = solve_sweep(
+            &energies,
+            &h,
+            lead,
+            lead,
+            Engine::Rgf,
+            &mut ContactTable::default(),
+        );
+        let (_, _, warm) = solve_sweep(&energies, &h, lead, lead, Engine::Rgf, &mut table);
         assert_eq!(cold.failed.len(), energies.len());
         assert_eq!(warm, cold);
-        let tally = memo.take_tally();
+        let tally = table.take_tally();
         assert_eq!((tally.decimated, tally.reused), (energies.len(), 0));
     }
 }
