@@ -81,6 +81,11 @@ leg 0
 # reaches `ballistic_solve_adaptive`. A headline check needs one leg, so
 # it runs once, outside `leg()` (about 2 s).
 cargo run --release -p omen-bench --bin fig12_adaptive_grid
+# The phonon headline: the universal thermal-conductance limit at 2 K,
+# |κ/(T·κ₀) − 4| < 0.5, asserted by the binary. It is the one binary that
+# reaches `PhononSystem::build` (force constants → slab assembly of the
+# dynamical matrix → phonon NEGF); one leg, outside `leg()` (about 6 s).
+cargo run --release -p omen-bench --bin fig13_phonon
 if grep -q avx2 /proc/cpuinfo 2>/dev/null && grep -q fma /proc/cpuinfo 2>/dev/null; then
     leg 1
 else

@@ -1,7 +1,8 @@
 //! BLAS-1 style operations on complex vectors.
 //!
-//! `axpy` and `dot` sit under the block-tridiagonal matvec and the LU row
-//! updates, so they get the same per-process SIMD dispatch as
+//! `dot` sits under the spectral diagonals of `omen-negf`'s transport
+//! observables and `axpy` under the LU row updates, so they get the same
+//! per-process SIMD dispatch as
 //! the GEMM microkernel ([`crate::threads::simd_path`], `OMEN_SIMD`): a
 //! scalar reference loop and an AVX2+FMA variant in `crate::simd`. The
 //! SIMD `axpy` is lane-local (element order unchanged); the SIMD `dot`

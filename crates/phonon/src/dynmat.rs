@@ -16,7 +16,8 @@ use crate::vff::{KeatingModel, VffSystem};
 use omen_lattice::Device;
 use omen_linalg::{eigh_values, ZMat};
 use omen_num::c64;
-use omen_sparse::{BlockTridiag, Coo};
+use omen_sparse::{BlockTridiag, SlabAssembly};
+use std::collections::BTreeMap;
 
 /// Conversion: (eV/nm²)/amu → (rad/ps)².
 pub const EV_NM2_AMU_TO_RADPS2: f64 = 96.485_332;
@@ -52,8 +53,7 @@ impl PhononSystem {
         // the acoustic sum rule and symmetrize them as well (the residual
         // sum-rule defect is the FD noise, ≪ any phonon scale).
         let n = device.num_atoms();
-        let mut phi: std::collections::HashMap<(usize, usize), [[f64; 3]; 3]> =
-            std::collections::HashMap::new();
+        let mut phi: BTreeMap<(usize, usize), [[f64; 3]; 3]> = BTreeMap::new();
         for (&(i, j), blk) in &phi_raw {
             if i == j {
                 continue;
@@ -69,9 +69,9 @@ impl PhononSystem {
             phi.insert((i, j), s);
         }
         for i in 0..n {
+            // Row i holds its off-diagonal blocks only, in column order.
             let mut diag = [[0.0; 3]; 3];
-            for ((r, _c), blk) in phi.iter().filter(|((r, c), _)| *r == i && *c != i) {
-                let _ = r;
+            for (_, blk) in phi.range((i, 0)..(i + 1, 0)) {
                 for a in 0..3 {
                     for b in 0..3 {
                         diag[a][b] -= blk[a][b];
@@ -89,21 +89,18 @@ impl PhononSystem {
         }
 
         // Assemble the full 3N × 3N matrix in slab-block form.
-        let dim = 3 * n;
-        let mut coo = Coo::new(dim, dim);
+        let offsets: Vec<usize> = device.slab_offsets().iter().map(|&o| 3 * o).collect();
+        let mut asm = SlabAssembly::new(&offsets);
         let w = EV_NM2_AMU_TO_RADPS2 / model.mass_amu;
         for (&(i, j), blk) in &phi {
             for (a, row) in blk.iter().enumerate() {
                 for (b, &fc) in row.iter().enumerate() {
-                    let v = fc * w;
-                    if v != 0.0 {
-                        coo.push(3 * i + a, 3 * j + b, c64::real(v));
-                    }
+                    asm.push(3 * i + a, 3 * j + b, c64::real(fc * w));
                 }
             }
         }
-        let offsets: Vec<usize> = device.slab_offsets().iter().map(|&o| 3 * o).collect();
-        let full = BlockTridiag::from_csr(&coo.to_csr(), &offsets)
+        let full = asm
+            .finish()
             .expect("nearest-neighbor force constants stay inside the slab partition");
 
         let nb = full.num_blocks();
@@ -186,6 +183,27 @@ mod tests {
         assert!(sys.d.is_hermitian(1e-6), "D must be Hermitian");
         assert!(sys.d00.is_hermitian(1e-6));
         assert_eq!(sys.d.num_blocks(), 3, "5 slabs → 3 interior blocks");
+    }
+
+    #[test]
+    fn build_is_reproducible_bit_for_bit() {
+        let bits = |m: &ZMat| -> Vec<(u64, u64)> {
+            m.data()
+                .iter()
+                .map(|z| (z.re.to_bits(), z.im.to_bits()))
+                .collect()
+        };
+        let all = |s: &PhononSystem| -> Vec<Vec<(u64, u64)>> {
+            let d = &s.d;
+            d.diag
+                .iter()
+                .chain(&d.lower)
+                .chain(&d.upper)
+                .chain([&s.d00, &s.d01])
+                .map(bits)
+                .collect()
+        };
+        assert_eq!(all(&system()), all(&system()));
     }
 
     #[test]

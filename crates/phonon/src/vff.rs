@@ -20,7 +20,7 @@
 //! afterwards.
 
 use omen_lattice::{Device, Vec3};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// Keating parameters for one material.
 #[derive(Debug, Clone, Copy)]
@@ -167,12 +167,13 @@ impl<'d> VffSystem<'d> {
     /// Force-constant blocks `Φ_ij` (3×3, eV/nm²) for all interacting atom
     /// pairs, from central differences of the analytic forces. The acoustic
     /// sum rule `Σ_j Φ_ij = 0` is enforced exactly by rebuilding the
-    /// diagonal blocks from the off-diagonal sums.
-    pub fn force_constants(&self) -> HashMap<(usize, usize), [[f64; 3]; 3]> {
+    /// diagonal blocks from the off-diagonal sums, each row summed in
+    /// column order.
+    pub fn force_constants(&self) -> BTreeMap<(usize, usize), [[f64; 3]; 3]> {
         let n = self.device.num_atoms();
         let h = 1e-5; // nm
         let mut u = vec![Vec3::ZERO; n];
-        let mut phi: HashMap<(usize, usize), [[f64; 3]; 3]> = HashMap::new();
+        let mut phi: BTreeMap<(usize, usize), [[f64; 3]; 3]> = BTreeMap::new();
 
         for i in 0..n {
             for (alpha, setter) in [(0usize, 0), (1, 1), (2, 2)] {
@@ -204,12 +205,10 @@ impl<'d> VffSystem<'d> {
         // Acoustic sum rule: Φ_ii = −Σ_{j≠i} Φ_ij exactly.
         for i in 0..n {
             let mut diag = [[0.0; 3]; 3];
-            for ((r, c), blk) in &phi {
-                if *r == i && *c != i {
-                    for a in 0..3 {
-                        for b in 0..3 {
-                            diag[a][b] -= blk[a][b];
-                        }
+            for (_, blk) in phi.range((i, 0)..(i + 1, 0)).filter(|((_, c), _)| *c != i) {
+                for a in 0..3 {
+                    for b in 0..3 {
+                        diag[a][b] -= blk[a][b];
                     }
                 }
             }

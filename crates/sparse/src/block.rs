@@ -127,89 +127,26 @@ impl BlockTridiag {
                 .all(|(l, u)| (&l.adjoint() - u).max_abs() <= tol)
     }
 
-    /// Computes output segment `i` into `yi`:
-    /// `y_i = D_i x_i + U_i x_{i+1} + L_{i-1} x_{i-1}`, always accumulated
-    /// in that fixed order so the result is identical however segments are
-    /// scheduled across threads.
-    fn matvec_segment(&self, i: usize, offsets: &[usize], x: &[c64], yi: &mut [c64]) {
-        let nb = self.num_blocks();
-        let ni = self.block_size(i);
-        let xi = &x[offsets[i]..offsets[i] + ni];
-        yi.copy_from_slice(&self.diag[i].matvec(xi));
-        if i + 1 < nb {
-            let nj = self.block_size(i + 1);
-            let xj = &x[offsets[i + 1]..offsets[i + 1] + nj];
-            for (a, v) in yi.iter_mut().zip(self.upper[i].matvec(xj)) {
-                *a += v;
-            }
-        }
-        if i > 0 {
-            let np = self.block_size(i - 1);
-            let xp = &x[offsets[i - 1]..offsets[i - 1] + np];
-            for (a, v) in yi.iter_mut().zip(self.lower[i - 1].matvec(xp)) {
-                *a += v;
-            }
-        }
-    }
-
-    /// Matrix–vector product over the flat ordering.
-    ///
-    /// Each output segment `y_i` depends only on `x_{i−1}, x_i, x_{i+1}`,
-    /// so segments are independent: large systems fan them out over
-    /// `std::thread::scope` using the kernel thread policy in
-    /// [`omen_linalg::threads`] (`OMEN_THREADS`, serial fallback below the
-    /// small-work threshold). The per-segment accumulation order is fixed,
-    /// so the parallel product is bit-identical to the serial one.
+    /// Matrix–vector product over the flat ordering (tests and reference
+    /// checks): `y_i = D_i x_i + U_i x_{i+1} + L_{i−1} x_{i−1}`, summed in
+    /// that order.
     pub fn matvec(&self, x: &[c64]) -> Vec<c64> {
         assert_eq!(x.len(), self.dim(), "matvec dimension mismatch");
         let nb = self.num_blocks();
-        let mut y = vec![c64::ZERO; x.len()];
-        let offsets: Vec<usize> = (0..nb).map(|i| self.offset(i)).collect();
-        // ~8·n_i² MACs per segment; thread when the whole product is big.
-        let work: u64 = (0..nb)
-            .map(|i| {
-                let ni = self.block_size(i) as u64;
-                3 * ni * ni
-            })
-            .sum();
-        let threads = omen_linalg::threads::auto_threads(work).clamp(1, nb);
-        if threads == 1 {
-            let mut segs: Vec<&mut [c64]> = Vec::with_capacity(nb);
-            let mut rest = y.as_mut_slice();
-            for i in 0..nb {
-                let (seg, tail) = rest.split_at_mut(self.block_size(i));
-                segs.push(seg);
-                rest = tail;
+        let offsets: Vec<usize> = (0..=nb).map(|i| self.offset(i)).collect();
+        let seg = |i: usize| &x[offsets[i]..offsets[i + 1]];
+        let mut y = Vec::with_capacity(x.len());
+        for i in 0..nb {
+            let mut yi = self.diag[i].matvec(seg(i));
+            let mut add = |v: Vec<c64>| yi.iter_mut().zip(v).for_each(|(a, v)| *a += v);
+            if i + 1 < nb {
+                add(self.upper[i].matvec(seg(i + 1)));
             }
-            for (i, seg) in segs.into_iter().enumerate() {
-                self.matvec_segment(i, &offsets, x, seg);
+            if i > 0 {
+                add(self.lower[i - 1].matvec(seg(i - 1)));
             }
-            return y;
+            y.extend(yi);
         }
-        // Contiguous runs of segments per worker, balanced by block count.
-        let base = nb / threads;
-        let rem = nb % threads;
-        std::thread::scope(|scope| {
-            let mut rest = y.as_mut_slice();
-            let mut seg0 = 0usize;
-            for t in 0..threads {
-                let count = base + usize::from(t < rem);
-                let rows: usize = (seg0..seg0 + count).map(|i| self.block_size(i)).sum();
-                let (chunk, tail) = rest.split_at_mut(rows);
-                rest = tail;
-                let first = seg0;
-                let offsets = &offsets;
-                scope.spawn(move || {
-                    let mut local = chunk;
-                    for i in first..first + count {
-                        let (seg, tail) = local.split_at_mut(self.block_size(i));
-                        local = tail;
-                        self.matvec_segment(i, offsets, x, seg);
-                    }
-                });
-                seg0 += count;
-            }
-        });
         y
     }
 
@@ -277,57 +214,94 @@ impl BlockTridiag {
             .collect();
         BlockTridiag::new(diag, lower, upper)
     }
+}
 
-    /// Extracts a block-tridiagonal structure from a CSR matrix given slab
-    /// boundaries (`offsets[i]..offsets[i+1]` is slab `i`).
+/// Assembles a slab-ordered matrix straight into its block-tridiagonal
+/// blocks — the one assembly form of the tight-binding Hamiltonian, its
+/// lead blocks and the phonon dynamical matrix.
+///
+/// Each entry is the left fold of its pushes in push order: the first push
+/// is stored as is and later pushes add to it. That is the sum order of a
+/// sorted triplet merge; a plain `+=` from `+0` would turn a real-phase
+/// hopping `(v, −0.0)` into `(v, +0.0)`.
+pub struct SlabAssembly {
+    offsets: Vec<usize>,
+    diag: Vec<Accumulator>,
+    lower: Vec<Accumulator>,
+    upper: Vec<Accumulator>,
+    outside: Option<OmenError>,
+}
+
+/// One block being assembled, and one bit per entry: has a push reached it.
+struct Accumulator(ZMat, Vec<u64>);
+
+impl SlabAssembly {
+    /// Empty matrix over the slab partition `offsets`
+    /// (`offsets[i]..offsets[i + 1]` is slab `i`).
+    pub fn new(offsets: &[usize]) -> Self {
+        let nb = offsets.len() - 1;
+        let zeros = |r: usize, c: usize| {
+            let (nr, nc) = (offsets[r + 1] - offsets[r], offsets[c + 1] - offsets[c]);
+            Accumulator(ZMat::zeros(nr, nc), vec![0; (nr * nc).div_ceil(64)])
+        };
+        SlabAssembly {
+            offsets: offsets.to_vec(),
+            diag: (0..nb).map(|i| zeros(i, i)).collect(),
+            lower: (1..nb).map(|i| zeros(i, i - 1)).collect(),
+            upper: (1..nb).map(|i| zeros(i - 1, i)).collect(),
+            outside: None,
+        }
+    }
+
+    /// Adds `v` at `(i, j)`; an exact zero is dropped. An entry outside the
+    /// block-tridiagonal envelope is kept aside for [`Self::finish`].
+    #[inline]
+    pub fn push(&mut self, i: usize, j: usize, v: c64) {
+        if v == c64::ZERO {
+            return;
+        }
+        let slab_of = |row: usize| self.offsets.partition_point(|&o| o <= row) - 1;
+        let (bi, bj) = (slab_of(i), slab_of(j));
+        let Accumulator(block, pushed) = if bi == bj {
+            &mut self.diag[bi]
+        } else if bj == bi + 1 {
+            &mut self.upper[bi]
+        } else if bi == bj + 1 {
+            &mut self.lower[bj]
+        } else {
+            self.outside.get_or_insert(OmenError::InvalidPartition {
+                row: i,
+                col: j,
+                slab_row: bi,
+                slab_col: bj,
+            });
+            return;
+        };
+        let k = (i - self.offsets[bi]) * block.ncols() + j - self.offsets[bj];
+        let e = &mut block.data_mut()[k];
+        let (word, bit) = (&mut pushed[k / 64], 1 << (k % 64));
+        let first = *word & bit == 0;
+        *word |= bit;
+        *e = if first { v } else { *e + v };
+    }
+
+    /// The assembled blocks.
     ///
     /// # Errors
     ///
-    /// Returns [`OmenError::InvalidPartition`] when the CSR has entries
-    /// outside the block-tridiagonal envelope — that means the slab
-    /// partition is invalid for nearest-neighbor coupling.
-    pub fn from_csr(csr: &crate::csr::CsrC, offsets: &[usize]) -> OmenResult<Self> {
-        let nb = offsets.len() - 1;
-        assert!(nb > 0);
-        assert_eq!(offsets[nb], csr.nrows(), "offsets must cover the matrix");
-        let sizes: Vec<usize> = (0..nb).map(|i| offsets[i + 1] - offsets[i]).collect();
-        let mut diag: Vec<ZMat> = sizes.iter().map(|&s| ZMat::zeros(s, s)).collect();
-        let mut lower: Vec<ZMat> = (0..nb - 1)
-            .map(|i| ZMat::zeros(sizes[i + 1], sizes[i]))
-            .collect();
-        let mut upper: Vec<ZMat> = (0..nb - 1)
-            .map(|i| ZMat::zeros(sizes[i], sizes[i + 1]))
-            .collect();
-
-        let slab_of = |row: usize| -> usize {
-            match offsets.binary_search(&row) {
-                Ok(k) => k.min(nb - 1),
-                Err(k) => k - 1,
-            }
-        };
-
-        for i in 0..csr.nrows() {
-            let bi = slab_of(i);
-            for (j, v) in csr.row_iter(i) {
-                let bj = slab_of(j);
-                let (ri, rj) = (i - offsets[bi], j - offsets[bj]);
-                if bi == bj {
-                    diag[bi][(ri, rj)] = v;
-                } else if bj == bi + 1 {
-                    upper[bi][(ri, rj)] = v;
-                } else if bi == bj + 1 {
-                    lower[bj][(ri, rj)] = v;
-                } else {
-                    return Err(OmenError::InvalidPartition {
-                        row: i,
-                        col: j,
-                        slab_row: bi,
-                        slab_col: bj,
-                    });
-                }
-            }
+    /// Returns [`OmenError::InvalidPartition`] for the first push outside
+    /// the block-tridiagonal envelope — the slab partition is invalid for
+    /// nearest-neighbor coupling.
+    pub fn finish(self) -> OmenResult<BlockTridiag> {
+        if let Some(e) = self.outside {
+            return Err(e);
         }
-        Ok(BlockTridiag::new(diag, lower, upper))
+        let blocks = |v: Vec<Accumulator>| v.into_iter().map(|a| a.0).collect();
+        Ok(BlockTridiag::new(
+            blocks(self.diag),
+            blocks(self.lower),
+            blocks(self.upper),
+        ))
     }
 }
 
@@ -395,30 +369,55 @@ mod tests {
     }
 
     #[test]
-    fn from_csr_roundtrip() {
+    fn slab_assembly_roundtrip() {
         let bt = sample(4, 3, 21);
         let dense = bt.to_dense();
-        // Rebuild CSR from dense.
-        let mut coo = crate::coo::Coo::new(12, 12);
+        let mut asm = SlabAssembly::new(&[0, 3, 6, 9, 12]);
         for i in 0..12 {
             for j in 0..12 {
-                coo.push(i, j, dense[(i, j)]);
+                asm.push(i, j, dense[(i, j)]);
             }
         }
-        let csr = coo.to_csr();
-        let bt2 = BlockTridiag::from_csr(&csr, &[0, 3, 6, 9, 12]).unwrap();
-        assert!((&bt2.to_dense() - &dense).max_abs() < 1e-14);
+        assert_eq!(asm.finish().unwrap().to_dense(), dense);
     }
 
     #[test]
-    fn from_csr_rejects_long_range_coupling() {
-        let mut coo = crate::coo::Coo::new(4, 4);
-        coo.push(0, 3, c64::ONE); // couples slab 0 to slab 3
-        for i in 0..4 {
-            coo.push(i, i, c64::ONE);
+    fn slab_assembly_entry_is_the_left_fold_of_its_pushes() {
+        let bits = |z: c64| (z.re.to_bits(), z.im.to_bits());
+        // Real-phase pushes: every imaginary part is −0, and so is their
+        // fold; `+=` from `+0` would have made it `+0`.
+        let pushes = [
+            c64::new(0.1, -0.0),
+            c64::ZERO,
+            c64::new(0.2, -0.0),
+            c64::new(-1e-17, -0.0),
+        ];
+        let mut asm = SlabAssembly::new(&[0, 2, 3]);
+        for &v in &pushes {
+            asm.push(1, 2, v);
         }
-        let csr = coo.to_csr();
-        match BlockTridiag::from_csr(&csr, &[0, 1, 2, 3, 4]) {
+        asm.push(0, 0, c64::new(0.5, -0.0));
+        asm.push(2, 1, c64::ZERO);
+        let bt = asm.finish().unwrap();
+        let kept: Vec<c64> = pushes.into_iter().filter(|&v| v != c64::ZERO).collect();
+        let fold = kept[1..].iter().fold(kept[0], |acc, &v| acc + v);
+        assert_eq!(bits(bt.upper[0][(1, 0)]), bits(fold));
+        assert!(fold.im.is_sign_negative());
+        assert_eq!(bits(bt.diag[0][(0, 0)]), bits(c64::new(0.5, -0.0)));
+        // Entries no push reached, or only an exact zero, are `+0 + 0i`.
+        assert_eq!(bits(bt.lower[0][(0, 1)]), bits(c64::ZERO));
+        assert_eq!(bits(bt.diag[1][(0, 0)]), bits(c64::ZERO));
+    }
+
+    #[test]
+    fn slab_assembly_rejects_long_range_coupling() {
+        let mut asm = SlabAssembly::new(&[0, 1, 2, 3, 4]);
+        for i in 0..4 {
+            asm.push(i, i, c64::ONE);
+        }
+        asm.push(0, 3, c64::ONE); // couples slab 0 to slab 3
+        asm.push(3, 1, c64::ONE); // a later offender is not the one named
+        match asm.finish() {
             Err(OmenError::InvalidPartition {
                 row,
                 col,

@@ -5,21 +5,19 @@
 //! **block tridiagonal** with dense-ish blocks coupling adjacent slabs.
 //! This crate provides:
 //!
-//! * [`Coo`]/[`CsrC`] — general complex triplet/compressed-row storage used
-//!   while assembling Hamiltonians;
 //! * [`BlockTridiag`] — the slab-ordered block view every transport kernel
 //!   (RGF, wave-function, SplitSolve) consumes, and [`Coupling`] — one of
 //!   its off-diagonal blocks on its row and column support, the form those
 //!   kernels multiply by;
+//! * [`SlabAssembly`] — the accumulator Hamiltonians and dynamical
+//!   matrices are assembled with, straight into those blocks;
 //! * [`CsrR`]/[`cg`] — real symmetric storage and a preconditioned conjugate
 //!   gradient solver for the Poisson substrate.
 
 pub mod block;
 pub mod cg;
-pub mod coo;
 pub mod csr;
 
-pub use block::{BlockTridiag, Coupling};
+pub use block::{BlockTridiag, Coupling, SlabAssembly};
 pub use cg::{cg_solve, CgReport};
-pub use coo::Coo;
-pub use csr::{CsrC, CsrR};
+pub use csr::CsrR;

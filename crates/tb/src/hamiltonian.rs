@@ -2,7 +2,10 @@
 //!
 //! Maps a [`Device`] geometry plus a [`TbParams`] parameterization onto the
 //! slab-ordered block-tridiagonal Hamiltonian consumed by the transport
-//! engines. Handles:
+//! engines. Every term is pushed straight into its slab block through a
+//! [`SlabAssembly`], in device order (onsite terms atom by atom, then the
+//! bonds), so the whole device and its two-slab lead prefix sum each entry
+//! in the same order. Handles:
 //!
 //! * onsite orbital energies with an arbitrary per-atom potential shift
 //!   (the electrostatic potential from `omen-poisson`);
@@ -24,7 +27,7 @@ use crate::spin_orbit::soc_p_block;
 use omen_lattice::{Device, DeviceKind};
 use omen_linalg::ZMat;
 use omen_num::c64;
-use omen_sparse::{BlockTridiag, Coo};
+use omen_sparse::{BlockTridiag, SlabAssembly};
 
 /// A device geometry bound to a tight-binding parameterization.
 pub struct DeviceHamiltonian<'d> {
@@ -131,14 +134,12 @@ impl<'d> DeviceHamiltonian<'d> {
             self.device.num_atoms(),
             "one potential per atom"
         );
-        let coo = self.assemble_coo(potential, ky);
-        let csr = coo.to_csr();
-        debug_assert!(
-            csr.hermiticity_defect() < 1e-12,
-            "assembled H must be Hermitian"
-        );
-        BlockTridiag::from_csr(&csr, &self.slab_orbital_offsets())
-            .expect("nearest-neighbor TB assembly stays inside the slab partition")
+        let h = self
+            .assemble_slabs(potential, ky, &self.slab_orbital_offsets())
+            .finish()
+            .expect("nearest-neighbor TB assembly stays inside the slab partition");
+        debug_assert!(h.is_hermitian(1e-12), "assembled H must be Hermitian");
+        h
     }
 
     /// Lead principal-layer blocks `(H00, H01)` for a contact held at
@@ -153,17 +154,19 @@ impl<'d> DeviceHamiltonian<'d> {
     pub fn lead_blocks(&self, contact_potential: f64, ky: f64) -> (ZMat, ZMat) {
         let offsets = &self.slab_orbital_offsets()[..3];
         let pot = vec![contact_potential; offsets[2] / self.orbitals_per_atom()];
-        let csr = self.assemble_coo(&pot, ky).to_csr();
-        let mut bt = BlockTridiag::from_csr(&csr, offsets)
+        let mut bt = self
+            .assemble_slabs(&pot, ky, offsets)
+            .finish()
             .expect("nearest-neighbor TB assembly stays inside the slab partition");
         (bt.diag.swap_remove(0), bt.upper.swap_remove(0))
     }
 
-    /// Triplets of the leading `potential.len()` atoms (atoms are stored
-    /// slab by slab): their onsite terms and the bonds with both ends
-    /// among them, pushed in device order — so a slab prefix holds, for
-    /// its own entries, the pushes of the whole device in the same order.
-    fn assemble_coo(&self, potential: &[f64], ky: f64) -> Coo {
+    /// The leading `potential.len()` atoms (atoms are stored slab by slab),
+    /// pushed into the slabs `offsets` covers: their onsite terms and the
+    /// bonds with both ends among them, in device order — so a slab prefix
+    /// holds, for its own entries, the pushes of the whole device in the
+    /// same order.
+    fn assemble_slabs(&self, potential: &[f64], ky: f64, offsets: &[usize]) -> SlabAssembly {
         let dev = self.device;
         let p = &self.params;
         let basis = p.basis;
@@ -171,8 +174,7 @@ impl<'d> DeviceHamiltonian<'d> {
         let spin = self.spin_factor();
         let per = norb * spin;
         let n_atoms = potential.len();
-        let dim = n_atoms * per;
-        let mut coo = Coo::new(dim, dim);
+        let mut asm = SlabAssembly::new(offsets);
 
         let period_y = match dev.kind {
             DeviceKind::Utb { period_y } => Some(period_y),
@@ -198,7 +200,7 @@ impl<'d> DeviceHamiltonian<'d> {
                 };
                 for s in 0..spin {
                     let r = base + oi * spin + s;
-                    coo.push(r, r, c64::real(e + potential[ai]));
+                    asm.push(r, r, c64::real(e + potential[ai]));
                 }
             }
             // Spin-orbit in the p shell.
@@ -210,7 +212,7 @@ impl<'d> DeviceHamiltonian<'d> {
                     for a in 0..6 {
                         for b in 0..6 {
                             if soc[(a, b)] != c64::ZERO {
-                                coo.push(base + px * spin + a, base + px * spin + b, soc[(a, b)]);
+                                asm.push(base + px * spin + a, base + px * spin + b, soc[(a, b)]);
                             }
                         }
                     }
@@ -243,7 +245,7 @@ impl<'d> DeviceHamiltonian<'d> {
                                 continue;
                             }
                             for s in 0..spin {
-                                coo.push(base + oa * spin + s, base + ob * spin + s, c64::real(v));
+                                asm.push(base + oa * spin + s, base + ob * spin + s, c64::real(v));
                             }
                         }
                     }
@@ -287,13 +289,13 @@ impl<'d> DeviceHamiltonian<'d> {
                     let h = phase.scale(v);
                     for s in 0..spin {
                         let (r, c) = (bi + oi * spin + s, bj + oj * spin + s);
-                        coo.push(r, c, h);
-                        coo.push(c, r, h.conj());
+                        asm.push(r, c, h);
+                        asm.push(c, r, h.conj());
                     }
                 }
             }
         }
-        coo
+        asm
     }
 }
 

@@ -10,7 +10,7 @@ use omen::linalg::{eigh, eigh_values, lu::Lu, matmul, matmul_h_n, ZMat};
 use omen::num::c64;
 use omen::num::tolerance::test_bound;
 use omen::num::BoundKind;
-use omen::sparse::{BlockTridiag, Coo};
+use omen::sparse::{BlockTridiag, SlabAssembly};
 
 /// Fetches one bound from the repo-root `TOLERANCES.toml` policy; every
 /// numeric tolerance in this battery resolves through it (DESIGN.md §12).
@@ -301,7 +301,7 @@ fn block_tridiag_matvec_matches_dense() {
 }
 
 #[test]
-fn coo_accumulation_order_invariant() {
+fn slab_assembly_order_invariant() {
     let bound = tol("sparse.assembly_order", BoundKind::Absolute);
     for case in 0..16u64 {
         let mut rng = Rng::new(0x9000 + case);
@@ -309,16 +309,18 @@ fn coo_accumulation_order_invariant() {
         let entries: Vec<(usize, usize, f64)> = (0..count)
             .map(|_| (rng.range(0, 5), rng.range(0, 5), rng.f64()))
             .collect();
-        let mut fwd = Coo::new(5, 5);
+        // Two slabs: every entry lies inside the envelope.
+        let offsets = [0, 2, 5];
+        let mut fwd = SlabAssembly::new(&offsets);
+        let mut rev = SlabAssembly::new(&offsets);
         for &(i, j, v) in &entries {
             fwd.push(i, j, c64::real(v));
         }
-        let mut rev = Coo::new(5, 5);
         for &(i, j, v) in entries.iter().rev() {
             rev.push(i, j, c64::real(v));
         }
-        let a = fwd.to_csr().to_dense();
-        let b = rev.to_csr().to_dense();
+        let a = fwd.finish().unwrap().to_dense();
+        let b = rev.finish().unwrap().to_dense();
         assert!(
             (&a - &b).max_abs() < bound,
             "case {case}: assembly must be order independent"
