@@ -144,6 +144,19 @@ if sed -s '/#\[cfg(test)\]/,$d' crates/sched/src/*.rs | grep -nE 'Heartbeat|Held
     exit 1
 fi
 
+# The rank runtime keeps only what the rank path sends: point-to-point
+# messages on `Comm` and two collectives rooted at local rank 0
+# (`allreduce_sum`, `allgather`), every receive bounded by a timeout.
+# A broadcast / gather with a movable root, a barrier no timeout can
+# release, and scheduler counters echoed into `CommStats` had no caller
+# outside tests and were deleted; a second collective shape, or a blocking
+# primitive without a timeout, arrives as a reviewed decision. Comment
+# lines are skipped: prose may name what is gone.
+if sed -s '/#\[cfg(test)\]/,$d' crates/parsim/src/*.rs | grep -vE '^\s*//' | grep -nE 'Barrier|fn bcast|fn gather|fn barrier|record_sched'; then
+    echo "ci: crates/parsim/src carries one collective shape and only bounded receives (no bcast, gather, barrier or scheduler echo)"
+    exit 1
+fi
+
 # Scheduler bench smoke: two skewed synthetic sweeps (sleeps for solves) and
 # one real one (`utb-k3`: the repo benchmark's UTB film through
 # parallel_transmission_k_banked on 2 ranks, dynamic asserted bit-identical

@@ -11,7 +11,7 @@ mod common;
 use common::mutants;
 use omen_core::contacts::{decode_entry, encode_entry, PackedContact};
 use omen_linalg::ZMat;
-use omen_negf::serialize::{bytes_to_mats, mats_to_bytes};
+use omen_negf::serialize::{bytes_to_mat, mat_to_bytes};
 use omen_negf::{ContactSelfEnergy, Side};
 use omen_num::{c64, FailedPoint, OmenError, OmenResult, SweepReport};
 use omen_sched::dynamic::{decode_outcome, encode_outcome};
@@ -74,11 +74,10 @@ fn failures() -> Vec<FailedPoint> {
 #[test]
 fn mutated_rank_payloads_decode_or_fail_as_deserialize() {
     let block = ZMat::from_fn(3, 3, |i, j| c64::new((i * j) as f64, 1.0));
-    let mut tried = survives(
-        &mats_to_bytes(&[&ZMat::eye(2), &ZMat::zeros(1, 4), &block]),
-        bytes_to_mats,
-        deserialize,
-    );
+    let mut tried = 0;
+    for m in [&ZMat::eye(2), &ZMat::zeros(1, 4), &block] {
+        tried += survives(&mat_to_bytes(m), bytes_to_mat, deserialize);
+    }
 
     // A contact-table entry carries either both contacts or the
     // decimating rank's own failure, so a mutant may also decode *to* a

@@ -752,7 +752,6 @@ mod tests {
                 )
             })
             .flattened();
-            let total = out.total_stats();
             for res in out.unwrap_all() {
                 assert_eq!(res.report.solved, 4, "{schedule:?}");
                 assert_eq!(res.report.failed.len(), 1);
@@ -766,11 +765,12 @@ mod tests {
                 // points *solved*: values are present (exact zeros), not
                 // failure entries.
                 assert_eq!(res.report.attempted(), energies.len());
-            }
-            if let Schedule::Dynamic(_) = schedule {
-                // A typed failure is final on its first attempt: nothing
-                // was re-issued, and CommStats says so.
-                assert_eq!(total.sched_reissues, 0);
+                if let Schedule::Dynamic(_) = schedule {
+                    // A typed failure is final on its first attempt:
+                    // nothing was re-issued, and the sweep's SchedStats
+                    // says so.
+                    assert_eq!(res.sched.map(|s| s.reissued_failed), Some(0));
+                }
             }
         }
     }

@@ -48,53 +48,11 @@ pub fn bytes_to_mat(b: &[u8]) -> OmenResult<ZMat> {
     Ok(ZMat::from_vec(nrows, ncols, data))
 }
 
-/// Serializes several matrices back-to-back: a count, then each matrix
-/// behind its byte length.
-pub fn mats_to_bytes(ms: &[&ZMat]) -> Vec<u8> {
-    let mut e = Enc::new();
-    e.usize(ms.len());
-    for m in ms {
-        e.bytes(&mat_to_bytes(m));
-    }
-    e.finish()
-}
-
-/// Inverse of [`mats_to_bytes`].
-///
-/// # Errors
-///
-/// Returns [`OmenError::Deserialize`](omen_num::OmenError) when the bundle
-/// header or any contained matrix is malformed.
-pub fn bytes_to_mats(b: &[u8]) -> OmenResult<Vec<ZMat>> {
-    let mut d = Dec::new(b, "matrix bundle");
-    // Each entry is at least a length prefix and an empty matrix header.
-    let count = d.count(8 + 16)?;
-    let out = (0..count)
-        .map(|_| bytes_to_mat(d.bytes()?))
-        .collect::<OmenResult<Vec<_>>>()?;
-    d.finish()?;
-    Ok(out)
-}
-
-/// [`bytes_to_mats`] for a bundle that must hold exactly `N` matrices.
-///
-/// # Errors
-///
-/// [`OmenError::Deserialize`](omen_num::OmenError) — from the bundle
-/// decoder, or naming `context` when the count is not `N`.
-pub fn bytes_to_mat_array<const N: usize>(
-    b: &[u8],
-    context: &'static str,
-) -> OmenResult<[ZMat; N]> {
-    bytes_to_mats(b)?
-        .try_into()
-        .map_err(|_| OmenError::Deserialize { context })
-}
-
 /// Allgathers per-block records over `comm`: each rank contributes the
 /// `(block index, encoded body)` pairs of the blocks it owns, and every rank
 /// returns all `nb` bodies, decoded, in block order — the closing exchange
-/// of SplitSolve's distributed elimination.
+/// of SplitSolve's distributed elimination and the rank path's contact-table
+/// fill.
 ///
 /// # Errors
 ///
@@ -155,19 +113,6 @@ mod tests {
     }
 
     #[test]
-    fn roundtrip_bundle() {
-        let a = ZMat::eye(2);
-        let b = ZMat::zeros(1, 4);
-        let c = ZMat::from_fn(3, 3, |i, j| c64::new((i * j) as f64, 1.0));
-        let bytes = mats_to_bytes(&[&a, &b, &c]);
-        let out = bytes_to_mats(&bytes).unwrap();
-        assert_eq!(out.len(), 3);
-        assert_eq!(out[0], a);
-        assert_eq!(out[1], b);
-        assert_eq!(out[2], c);
-    }
-
-    #[test]
     fn corrupt_payload_is_typed_error() {
         let m = ZMat::eye(2);
         let mut b = mat_to_bytes(&m);
@@ -179,13 +124,6 @@ mod tests {
         // Truncated header too short for the dims.
         assert!(matches!(
             bytes_to_mat(&[0u8; 7]),
-            Err(OmenError::Deserialize { .. })
-        ));
-        // Bundle whose inner length overruns the buffer.
-        let mut bundle = mats_to_bytes(&[&m]);
-        bundle.truncate(bundle.len() - 4);
-        assert!(matches!(
-            bytes_to_mats(&bundle),
             Err(OmenError::Deserialize { .. })
         ));
     }
@@ -205,19 +143,6 @@ mod tests {
         e.u64(1 << 63);
         e.u64(2);
         assert_deserialize(bytes_to_mat(&e.finish()));
-    }
-
-    #[test]
-    fn hostile_bundle_count_is_a_typed_error() {
-        let mut e = Enc::new();
-        e.u64(1 << 60);
-        assert_deserialize(bytes_to_mats(&e.finish()));
-        // An inner length that wraps `offset + len`.
-        let mut e = Enc::new();
-        e.u64(1);
-        e.u64(u64::MAX - 7);
-        e.raw(&[0; 16]);
-        assert_deserialize(bytes_to_mats(&e.finish()));
     }
 
     #[test]
@@ -259,17 +184,5 @@ mod tests {
         let mut trailing = record(&[0, 1, 2]);
         trailing.push(0);
         assert_deserialize(gather(&[trailing]));
-    }
-
-    #[test]
-    fn exact_bundles_reject_a_wrong_count() {
-        let m = ZMat::eye(2);
-        let bytes = mats_to_bytes(&[&m, &m]);
-        let [a, b] = bytes_to_mat_array(&bytes, "pair").unwrap();
-        assert_eq!((a, b), (m.clone(), m));
-        assert_eq!(
-            bytes_to_mat_array::<3>(&bytes, "triple").unwrap_err(),
-            OmenError::Deserialize { context: "triple" }
-        );
     }
 }

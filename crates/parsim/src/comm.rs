@@ -76,25 +76,22 @@ impl<'a> Comm<'a> {
         *c
     }
 
-    /// Folds dynamic-scheduler accounting into this rank's
-    /// [`crate::CommStats`]. Called once per sweep by the `omen-sched`
-    /// coordinator, so fleet-wide totals (`RunOutput::total_stats`) count
-    /// each re-issue exactly once.
-    pub fn record_sched(&self, reissues: u64, stale: u64) {
-        self.ctx.record_sched(reissues, stale);
-    }
-
     fn next_op(&self) -> u64 {
         let mut c = self.op_counter.borrow_mut();
         *c += 1;
         *c
     }
 
+    /// Wire tag of user tag `tag` on this communicator: bit 62 marks
+    /// point-to-point traffic, the comm id namespaces it.
+    fn p2p_tag(&self, tag: u64) -> u64 {
+        (1 << 62) | ((self.comm_id & 0x3FFF_FFFF) << 24) | (tag & 0xFF_FFFF)
+    }
+
     /// Point-to-point send to a *local* rank with a user tag.
     pub fn send(&self, to_local: usize, tag: u64, data: Vec<u8>) {
-        // Namespace user p2p under the comm id as well (bit 62 marks p2p).
-        let t = (1 << 62) | ((self.comm_id & 0x3FFF_FFFF) << 24) | (tag & 0xFF_FFFF);
-        self.ctx.send_internal(self.members[to_local], t, data);
+        self.ctx
+            .send(self.members[to_local], self.p2p_tag(tag), data);
     }
 
     /// Point-to-point receive from a *local* rank.
@@ -105,15 +102,14 @@ impl<'a> Comm<'a> {
     /// the runtime's receive bound, [`OmenError::ChannelClosed`] when the
     /// runtime is tearing down; both report the out-of-order buffer state.
     pub fn recv(&self, from_local: usize, tag: u64) -> OmenResult<Vec<u8>> {
-        let t = (1 << 62) | ((self.comm_id & 0x3FFF_FFFF) << 24) | (tag & 0xFF_FFFF);
-        self.ctx.recv_internal(self.members[from_local], t)
+        self.ctx.recv(self.members[from_local], self.p2p_tag(tag))
     }
 
     /// Any-source receive on this communicator: the next message carrying
     /// `tag` from *any* member, waiting at most `timeout`. Returns the
     /// sender's *local* rank with the payload, or `None` when the poll
-    /// window elapsed. Buffered matches drain lowest-sender-first (see
-    /// [`RankCtx::try_recv_any`]).
+    /// window elapsed. Buffered matches drain lowest-sender-first, and
+    /// non-matching arrivals are parked for later receives.
     ///
     /// # Errors
     ///
@@ -125,8 +121,7 @@ impl<'a> Comm<'a> {
         tag: u64,
         timeout: std::time::Duration,
     ) -> OmenResult<Option<(usize, Vec<u8>)>> {
-        let t = (1 << 62) | ((self.comm_id & 0x3FFF_FFFF) << 24) | (tag & 0xFF_FFFF);
-        match self.ctx.try_recv_any_internal(t, timeout)? {
+        match self.ctx.try_recv_any(self.p2p_tag(tag), timeout)? {
             None => Ok(None),
             Some((global, data)) => {
                 let local = self.members.iter().position(|&g| g == global).ok_or(
@@ -139,14 +134,10 @@ impl<'a> Comm<'a> {
         }
     }
 
-    /// Received-but-unconsumed messages in this rank's out-of-order buffer
-    /// (world-wide, not per-communicator). See [`RankCtx::pending_messages`].
-    pub fn pending_messages(&self) -> usize {
-        self.ctx.pending_messages()
-    }
-
-    /// Point-to-point subset of [`Self::pending_messages`] (messages from
-    /// in-flight collectives of faster ranks excluded).
+    /// Received-but-unconsumed point-to-point messages in this rank's
+    /// out-of-order buffer (world-wide, not per-communicator; messages from
+    /// in-flight collectives of faster ranks excluded). See
+    /// [`RankCtx::pending_p2p_messages`].
     pub fn pending_p2p_messages(&self) -> usize {
         self.ctx.pending_p2p_messages()
     }
@@ -166,7 +157,6 @@ impl<'a> Comm<'a> {
         let (_, down) = self.ctx.collective_round(
             &self.members,
             self.my_index,
-            0,
             self.comm_id,
             op,
             CollectiveKind::AllreduceSum,
@@ -175,53 +165,6 @@ impl<'a> Comm<'a> {
             sum_contributions,
         )?;
         Ok(decode_f64s(&down))
-    }
-
-    /// Broadcast from local `root`.
-    ///
-    /// # Errors
-    ///
-    /// [`OmenError::ScheduleDivergence`] when a member entered a different
-    /// collective this round; receive failures propagate as
-    /// [`OmenError::RecvTimeout`] / [`OmenError::ChannelClosed`].
-    pub fn bcast(&self, root: usize, data: Vec<u8>) -> OmenResult<Vec<u8>> {
-        let op = self.next_op();
-        let (_, down) = self.ctx.collective_round(
-            &self.members,
-            self.my_index,
-            root,
-            self.comm_id,
-            op,
-            CollectiveKind::Bcast,
-            0,
-            Vec::new(),
-            move |_| data,
-        )?;
-        Ok(down)
-    }
-
-    /// Gathers payloads to local `root` (ordered by local rank); returns
-    /// `Some(per-rank payloads)` on the root and `None` elsewhere.
-    ///
-    /// # Errors
-    ///
-    /// [`OmenError::ScheduleDivergence`] when a member entered a different
-    /// collective this round; receive failures propagate as
-    /// [`OmenError::RecvTimeout`] / [`OmenError::ChannelClosed`].
-    pub fn gather(&self, root: usize, data: Vec<u8>) -> OmenResult<Option<Vec<Vec<u8>>>> {
-        let op = self.next_op();
-        let (parts, _) = self.ctx.collective_round(
-            &self.members,
-            self.my_index,
-            root,
-            self.comm_id,
-            op,
-            CollectiveKind::Gather,
-            LEN_UNCHECKED,
-            data,
-            |_| Vec::new(),
-        )?;
-        Ok(parts)
     }
 
     /// Allgather: every member contributes one payload and receives all of
@@ -240,7 +183,6 @@ impl<'a> Comm<'a> {
         let (parts, down) = self.ctx.collective_round(
             &self.members,
             self.my_index,
-            0,
             self.comm_id,
             op,
             CollectiveKind::Allgather,
@@ -406,23 +348,6 @@ mod tests {
     }
 
     #[test]
-    fn sub_comm_bcast_and_gather() {
-        let out = run_ranks(4, |ctx| {
-            let w = Comm::world(ctx);
-            let sub = w.split((ctx.rank() / 2) as u64, 0).unwrap();
-            let data = sub.bcast(0, vec![sub.global_rank(0) as u8]).unwrap();
-            let g = sub.gather(1, data.clone()).unwrap();
-            if sub.rank() == 1 {
-                let g = g.unwrap();
-                assert_eq!(g.len(), 2);
-                assert_eq!(g[0], g[1]);
-            }
-            data[0] as usize
-        });
-        assert_eq!(out.unwrap_all(), vec![0, 0, 2, 2]);
-    }
-
-    #[test]
     fn comm_try_recv_any_reports_local_ranks() {
         use std::time::Duration;
         // 4 ranks split into pairs; the pair leader collects one any-source
@@ -565,13 +490,13 @@ mod tests {
     }
 
     #[test]
-    fn gather_against_allgather_is_one_round_divergence_on_all_ranks() {
+    fn allreduce_against_allgather_is_one_round_divergence_on_all_ranks() {
         let t0 = std::time::Instant::now();
         // What each rank enters as its first collective on the world comm.
         let entered: [fn(&Comm) -> OmenResult<()>; 3] = [
             |w| w.allgather(vec![1]).map(drop),
             |w| w.allgather(vec![1]).map(drop),
-            |w| w.gather(0, vec![1]).map(drop),
+            |w| w.allreduce_sum(&[1.0]).map(drop),
         ];
         let out = run_ranks(3, |ctx| entered[ctx.rank()](&Comm::world(ctx))).flattened();
         assert!(t0.elapsed() < std::time::Duration::from_secs(5));
@@ -584,7 +509,7 @@ mod tests {
                 }) => {
                     assert_eq!(*rank, 2);
                     assert!(expected.contains("allgather#1"), "expected fp: {expected}");
-                    assert!(got.starts_with("gather#1"), "got fp: {got}");
+                    assert!(got.starts_with("allreduce_sum#1"), "got fp: {got}");
                 }
                 other => panic!("expected ScheduleDivergence, got {other:?}"),
             }
@@ -595,27 +520,36 @@ mod tests {
     #[test]
     fn absent_member_turns_allgather_into_a_typed_timeout() {
         use crate::runtime::run_ranks_with_timeout;
-        let out = run_ranks_with_timeout(3, std::time::Duration::from_millis(100), |ctx| {
-            if ctx.rank() == 1 {
-                return Ok(Vec::new());
+        // Every collective the runtime has, entered by ranks 0 and 2 while
+        // rank 1 has already returned: both live ranks must get a typed
+        // timeout, never a hang.
+        let collectives: [fn(&Comm) -> OmenResult<()>; 2] = [
+            |w| w.allgather(vec![7]).map(drop),
+            |w| w.allreduce_sum(&[7.0]).map(drop),
+        ];
+        for (i, enter) in collectives.into_iter().enumerate() {
+            let out = run_ranks_with_timeout(3, std::time::Duration::from_millis(100), |ctx| {
+                if ctx.rank() == 1 {
+                    return Ok(());
+                }
+                enter(&Comm::world(ctx))
+            })
+            .flattened();
+            assert_eq!(out.results[1], Ok(()), "collective {i}");
+            for rank in [0, 2] {
+                assert!(
+                    matches!(out.results[rank], Err(OmenError::RecvTimeout { .. })),
+                    "collective {i}, rank {rank}: {:?}",
+                    out.results[rank]
+                );
             }
-            Comm::world(ctx).allgather(vec![7])
-        })
-        .flattened();
-        assert_eq!(out.results[1], Ok(Vec::new()));
-        for rank in [0, 2] {
-            assert!(
-                matches!(out.results[rank], Err(OmenError::RecvTimeout { .. })),
-                "rank {rank}: {:?}",
-                out.results[rank]
-            );
         }
     }
 
     #[test]
-    fn sub_comm_skipped_bcast_is_schedule_divergence() {
+    fn sub_comm_skipped_allgather_is_schedule_divergence() {
         // Four ranks split into two pairs; local rank 1 of the second pair
-        // skips a bcast on its sub-communicator and goes straight to the
+        // skips an allgather on its sub-communicator and goes straight to the
         // pair's allreduce. Both members of that pair must fail with the
         // same typed ScheduleDivergence; the healthy pair must be
         // untouched and reduce correctly.
@@ -624,7 +558,7 @@ mod tests {
             let sub = w.split((ctx.rank() / 2) as u64, 0)?;
             if ctx.rank() != 3 {
                 // analyze: allow(spmd-divergence, deliberately divergent schedule under test)
-                sub.bcast(0, vec![1])?;
+                sub.allgather(vec![1])?;
             }
             let s = sub.allreduce_sum(&[1.0])?;
             Ok(s[0])
@@ -640,7 +574,7 @@ mod tests {
                     got,
                 }) => {
                     assert_eq!(*divergent, 3);
-                    assert!(expected.contains("bcast#1"), "expected fp: {expected}");
+                    assert!(expected.contains("allgather#1"), "expected fp: {expected}");
                     assert!(got.contains("allreduce_sum#1"), "got fp: {got}");
                 }
                 other => panic!("rank {rank}: expected ScheduleDivergence, got {other:?}"),

@@ -5,12 +5,15 @@
 //! spatial domains). This crate substitutes both pieces:
 //!
 //! * [`runtime`] — OS threads act as MPI ranks. Tagged point-to-point
-//!   `send`/`recv`, barriers and collectives run over lock-free channels,
-//!   executing the *same communication pattern* (who talks to whom, message
-//!   sizes, reduction trees) the MPI code would. All traffic is counted per
-//!   rank ([`CommStats`]).
+//!   messages and the collective rounds built from them run over lock-free
+//!   channels, executing the *same communication pattern* (who talks to
+//!   whom, message sizes, reduction trees) the MPI code would. Every
+//!   receive is bounded by a timeout. All traffic is counted per rank
+//!   ([`CommStats`]: messages, bytes, collectives).
 //! * [`comm`] — MPI-style communicator splitting for the hierarchical
-//!   parallel levels, with collectives scoped to sub-communicators.
+//!   parallel levels. [`Comm`] is the one interface ranks talk through:
+//!   point-to-point `send`/`recv`/`try_recv_any` and two collectives,
+//!   `allreduce_sum` and `allgather`, scoped to sub-communicators.
 //! * [`machine`] — an analytic model of Jaguar (per-core peak, GEMM
 //!   efficiency, LogGP-style link parameters) that converts *measured* flop
 //!   counts and communication volumes into projected wall-clock time and

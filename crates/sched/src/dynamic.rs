@@ -707,10 +707,6 @@ impl<'a, 'c> Coordinator<'a, 'c> {
                 }
             }
         }
-        comm.record_sched(
-            outcome.stats.reissued_failed as u64,
-            self.stats.stale_msgs as u64,
-        );
         Ok(outcome)
     }
 }
