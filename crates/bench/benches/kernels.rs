@@ -5,7 +5,8 @@
 //! warm-up pass, then is sampled repeatedly with `std::time::Instant`; the
 //! median and minimum per-iteration times are reported, and the dense
 //! kernel measurements (GEMM and the LU family — factor, multi-RHS solve,
-//! inverse — across sizes and thread counts) are merged
+//! inverse — across sizes and thread counts, plus the n = 8 and 16
+//! blocks as the `*_small` kernels) are merged
 //! into the repo-root `BENCH_kernels.json` baseline (schema:
 //! `omen_bench::records`). Run with `cargo bench -p omen-bench`.
 //!
@@ -177,6 +178,46 @@ fn bench_lu(sizes: &[usize], flagship: usize, smoke: bool, out: &mut Vec<KernelR
     }
 }
 
+/// GEMM, factorization and inverse at n = 8 and 16, the blocks a
+/// decimation over a lead's coupling support would run (ROADMAP item 3).
+/// A 4 × 8 microkernel block on such operands is mostly ragged edge and
+/// call overhead, so the rows carry kernels of their own (`gemm_small`,
+/// `lu_small`, `inverse_small`) with their own floors, instead of pulling
+/// the n ≥ 32 groups' floors down. Every size here runs on one thread.
+fn bench_small(out: &mut Vec<KernelRecord>) {
+    for n in [8usize, 16] {
+        let a = randmat(n, 1);
+        let b = randmat(n, 2);
+        let mut c = ZMat::zeros(n, n);
+        let (samples, target) = plan(n, false);
+        let timing = sample_secs(samples, target, || {
+            gemm_threaded(c64::ONE, &a, Op::N, &b, Op::N, c64::ZERO, &mut c, 1);
+        });
+        let label = format!("zgemm/{n}");
+        let work = flops::gemm_flops(n, n, n);
+        record(out, ("gemm_small", &label), (n, 1), work, timing);
+        let mut d = randmat(n, 3);
+        for i in 0..n {
+            d[(i, i)] += c64::real(n as f64);
+        }
+        let factor = || Lu::factor(&d).expect("bench matrix is diagonally dominant");
+        let timing = sample_secs(samples, target, factor);
+        let label = format!("zgetrf/{n}");
+        record(
+            out,
+            ("lu_small", &label),
+            (n, 1),
+            flops::lu_flops(n),
+            timing,
+        );
+        let f = factor();
+        let timing = sample_secs(samples, target, || f.inverse());
+        let label = format!("zgetri/{n}");
+        let work = flops::inverse_flops(n);
+        record(out, ("inverse_small", &label), (n, 1), work, timing);
+    }
+}
+
 /// Tree-structured selected inversion on a synthetic block-tridiagonal
 /// system. The flop count is taken from the instrumented kernels (one
 /// counted solve), so the reported Gflop/s stays honest as the algorithm
@@ -290,6 +331,7 @@ fn main() {
     } else {
         // 32 and 90 are the block sizes the benchmark workloads run
         // (single-band 1 nm wire, sp3s* 0.8 nm wire).
+        bench_small(&mut records);
         bench_gemm(&[32, 64, 90, 128, 256, 512], 512, false, &mut records);
         bench_lu(&[32, 64, 90, 128, 256, 512], 512, false, &mut records);
         bench_selinv(false, &mut records);

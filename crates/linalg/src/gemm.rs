@@ -19,9 +19,12 @@
 //! The microkernel has two implementations behind the single dispatch
 //! point [`crate::threads::simd_path`] (`OMEN_SIMD`, resolved once per
 //! process): the portable scalar reference below and the `x86_64`
-//! AVX2+FMA variant in `crate::simd`. Both consume the same packed
-//! panels; zero padding at ragged edges lets one kernel shape serve every
-//! block, with the store loop masking the padded rows/columns.
+//! AVX2+FMA variant in `crate::simd`, which runs 256 or 512 bits wide
+//! (`threads::lanes`, by feature detection alone: both widths give the
+//! same bits). All consume the same packed panels and add a full block
+//! into C themselves; zero padding at ragged edges lets one kernel shape
+//! serve every block, with the edge block stored to a padded tile and
+//! masked-added from there.
 //!
 //! ## Parallelism and determinism
 //!
@@ -41,7 +44,7 @@
 
 use crate::flops;
 use crate::matrix::ZMat;
-use crate::threads::{self, SimdPath};
+use crate::threads::{self, Lanes};
 use omen_num::c64;
 use std::cell::RefCell;
 
@@ -164,50 +167,80 @@ fn pack_b(out: &mut [c64], b: &ZMat, opb: Op, k: usize, n: usize) {
 }
 
 /// Portable scalar `MR×NR` microkernel — the reference arithmetic order:
-/// `acc[ii·NR + jj] = Σ_p ap[p·MR + ii] · bp[p·NR + jj]` with `p`
-/// ascending and each product accumulated through one `c64` multiply-add.
-/// One column of the block per pass: `MR` live accumulators fit the
-/// baseline (SSE2) register file, where the full `MR·NR` set spills; the
-/// k-panels re-read on every pass stay in L1. Per output element the
-/// accumulation chain is its own, so loop nesting does not affect the
-/// result bit-wise.
+/// adds `Σ_p ap[p·MR + ii] · bp[p·NR + jj]` into `c[ii·ldc + jj]` (stores
+/// it there when not `add`), with `p` ascending and each product
+/// accumulated through one `c64` multiply-add. One column of the block per
+/// pass: `MR` live accumulators fit the baseline (SSE2) register file,
+/// where the full `MR·NR` set spills; the k-panels re-read on every pass
+/// stay in L1. Per output element the accumulation chain is its own, so
+/// loop nesting does not affect the result bit-wise.
 #[inline(always)]
-fn mk_scalar(kc: usize, ap: &[c64], bp: &[c64], acc: &mut [c64; MR * NR]) {
+fn mk_scalar(kc: usize, ap: &[c64], bp: &[c64], c: &mut [c64], ldc: usize, add: bool) {
     for jj in 0..NR {
-        let mut a0 = c64::ZERO;
-        let mut a1 = c64::ZERO;
-        let mut a2 = c64::ZERO;
-        let mut a3 = c64::ZERO;
+        let mut acc = [c64::ZERO; MR];
         for p in 0..kc {
             let b = bp[p * NR + jj];
-            let av = &ap[p * MR..(p + 1) * MR];
-            a0 += av[0] * b;
-            a1 += av[1] * b;
-            a2 += av[2] * b;
-            a3 += av[3] * b;
+            for (a, &av) in acc.iter_mut().zip(&ap[p * MR..(p + 1) * MR]) {
+                *a += av * b;
+            }
         }
-        acc[jj] = a0;
-        acc[NR + jj] = a1;
-        acc[2 * NR + jj] = a2;
-        acc[3 * NR + jj] = a3;
+        for (ii, a) in acc.into_iter().enumerate() {
+            let cv = &mut c[ii * ldc + jj];
+            *cv = if add { *cv + a } else { a };
+        }
     }
 }
 
-/// Runs the microkernel selected by `path` on one packed panel pair.
+/// Adds the product of one packed A panel `ap` and the `bp.len() / (kc·NR)`
+/// adjacent packed B panels `bp` (two only on [`Lanes::Avx512`], see
+/// [`Lanes::panels`]) into the `MR × panels·NR` block that starts at
+/// `c[0]`, row stride `ldc` — or, when not `add`, stores it there.
 #[inline(always)]
-fn run_microkernel(path: SimdPath, kc: usize, ap: &[c64], bp: &[c64], acc: &mut [c64; MR * NR]) {
-    match path {
-        SimdPath::Scalar => mk_scalar(kc, ap, bp, acc),
+fn run_microkernel(
+    lanes: Lanes,
+    kc: usize,
+    (ap, bp): (&[c64], &[c64]),
+    c: &mut [c64],
+    ldc: usize,
+    add: bool,
+) {
+    let panels = bp.len() / (kc * NR);
+    assert!(
+        (1..=lanes.panels()).contains(&panels)
+            && bp.len() == panels * kc * NR
+            && ap.len() == kc * MR
+            && c.len() >= (MR - 1) * ldc + panels * NR,
+        "microkernel operands do not match the block"
+    );
+    match lanes {
+        Lanes::Scalar => mk_scalar(kc, ap, bp, c, ldc, add),
+        // SAFETY (both arms): the lanes are only ever `Avx2` / `Avx512`
+        // once `is_x86_feature_detected!` confirmed the features (see
+        // `threads::Lanes`); the panels and the C block hold what the
+        // kernels read and write (asserted above).
         #[cfg(target_arch = "x86_64")]
-        SimdPath::Avx2Fma => {
-            // SAFETY: `Avx2Fma` is only ever selected by
-            // `threads::simd_path` after `is_x86_feature_detected!`
-            // confirmed avx2+fma, and the packed (padded) panels hold the
-            // full `kc·MR` / `kc·NR` values the kernel reads.
-            unsafe { crate::simd::mk4x4(kc, ap.as_ptr(), bp.as_ptr(), acc) }
-        }
+        Lanes::Avx2 => unsafe {
+            crate::simd::mk_avx2(kc, ap.as_ptr(), bp.as_ptr(), c.as_mut_ptr(), ldc, add)
+        },
+        #[cfg(target_arch = "x86_64")]
+        Lanes::Avx512 => unsafe {
+            let (b, cp) = (bp.as_ptr(), c.as_mut_ptr());
+            crate::simd::mk_avx512(kc, ap.as_ptr(), (b, panels), cp, ldc, add)
+        },
         #[cfg(not(target_arch = "x86_64"))]
-        SimdPath::Avx2Fma => mk_scalar(kc, ap, bp, acc),
+        Lanes::Avx2 | Lanes::Avx512 => mk_scalar(kc, ap, bp, c, ldc, add),
+    }
+}
+
+impl Lanes {
+    /// Adjacent B panels one microkernel call covers: the 512-bit kernel
+    /// takes two (`MR × 2NR`), the others one.
+    fn panels(self) -> usize {
+        if self == Lanes::Avx512 {
+            2
+        } else {
+            1
+        }
     }
 }
 
@@ -229,11 +262,14 @@ fn stripe_kernel(
     alpha: c64,
     k: usize,
     n: usize,
-    path: SimdPath,
+    lanes: Lanes,
 ) {
-    let padded_n = n.div_ceil(NR) * NR;
+    let npanels = n.div_ceil(NR);
+    let padded_n = npanels * NR;
     let apack = reserve(abuf, nrows.min(MC).div_ceil(MR) * MR * k.min(KC));
-    let mut acc = [c64::ZERO; MR * NR];
+    // The padded block a ragged edge is stored to before its own entries
+    // are added into C.
+    let mut tile = [c64::ZERO; MR * 2 * NR];
     for s0 in (0..nrows).step_by(MC) {
         let s_hi = (s0 + MC).min(nrows);
         let mc = s_hi - s0;
@@ -274,29 +310,42 @@ fn stripe_kernel(
                 let ap = &apack[rp * kc * MR..(rp + 1) * kc * MR];
                 let rbase = s0 + rp * MR;
                 let mr = (s_hi - rbase).min(MR);
-                for (jp, j0) in (0..n).step_by(NR).enumerate() {
-                    let nr = (n - j0).min(NR);
-                    let bp = &bblock[jp * kc * NR..(jp + 1) * kc * NR];
-                    run_microkernel(path, kc, ap, bp, &mut acc);
-                    // One store per k-block: the masked add keeps padded
-                    // rows/columns out of C without a separate edge kernel.
-                    for ii in 0..mr {
-                        let crow = &mut cdata[(rbase + ii) * n + j0..(rbase + ii) * n + j0 + nr];
-                        for (cv, &av) in crow.iter_mut().zip(&acc[ii * NR..ii * NR + nr]) {
-                            *cv += av;
+                let mut jp = 0;
+                while jp < npanels {
+                    let panels = lanes.panels().min(npanels - jp);
+                    let bp = &bblock[jp * kc * NR..(jp + panels) * kc * NR];
+                    let j0 = jp * NR;
+                    let (w, nr) = (panels * NR, (n - j0).min(panels * NR));
+                    if mr == MR && nr == w {
+                        // A full block: the kernel adds into C in place.
+                        let cblock = &mut cdata[rbase * n + j0..];
+                        run_microkernel(lanes, kc, (ap, bp), cblock, n, true);
+                    } else {
+                        // A ragged edge: the kernel stores the padded block
+                        // and the masked add keeps the padded rows/columns
+                        // out of C — the same one add per entry.
+                        run_microkernel(lanes, kc, (ap, bp), &mut tile, w, false);
+                        for ii in 0..mr {
+                            let crow = &mut cdata[(rbase + ii) * n + j0..][..nr];
+                            for (cv, &t) in crow.iter_mut().zip(&tile[ii * w..]) {
+                                *cv += t;
+                            }
                         }
                     }
+                    jp += panels;
                 }
             }
         }
     }
 }
 
-/// Shared core: beta scaling, operand packing, stripe fan-out.
-/// Counts no flops — the public entry points (and the blocked LU, which
-/// accounts its trailing updates inside `lu_flops`) decide what to report.
+/// Shared core: beta scaling, operand packing, stripe fan-out, on the
+/// kernels `lanes`. Counts no flops — the public entry points (and the
+/// blocked LU, which accounts its trailing updates inside `lu_flops`)
+/// decide what to report.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn gemm_core(
+    lanes: Lanes,
     alpha: c64,
     a: &ZMat,
     opa: Op,
@@ -321,8 +370,6 @@ pub(crate) fn gemm_core(
         return;
     }
 
-    let path = threads::simd_path();
-
     // Materialize the effective row-major left operand (`Op::N` is
     // borrowed as-is); op(B) folds its transform into the packing instead.
     let ae;
@@ -340,7 +387,7 @@ pub(crate) fn gemm_core(
         pack_b(bpack, b, opb, k, n);
         let bpack = &*bpack;
         if t == 1 {
-            stripe_kernel(c.data_mut(), 0, m, a_eff, abuf, bpack, alpha, k, n, path);
+            stripe_kernel(c.data_mut(), 0, m, a_eff, abuf, bpack, alpha, k, n, lanes);
             return;
         }
 
@@ -362,7 +409,7 @@ pub(crate) fn gemm_core(
                 scope.spawn(move || {
                     PACK.with_borrow_mut(|mine| {
                         let abuf = &mut mine.a;
-                        stripe_kernel(chunk, start, rows, a_eff, abuf, bpack, alpha, k, n, path)
+                        stripe_kernel(chunk, start, rows, a_eff, abuf, bpack, alpha, k, n, lanes)
                     })
                 });
                 row0 += rows;
@@ -406,7 +453,7 @@ pub fn gemm_threaded(
     let (m, k) = opa.dims(a);
     let (_, n) = opb.dims(b);
     flops::add_flops(flops::gemm_flops(m, n, k));
-    gemm_core(alpha, a, opa, b, opb, beta, c, threads);
+    gemm_core(threads::lanes(), alpha, a, opa, b, opb, beta, c, threads);
 }
 
 /// Convenience: `A · B`.

@@ -8,7 +8,9 @@
 //! * [`gemm()`] — tiled, packed, multi-threaded general matrix multiply with
 //!   `N`/`T`/`H` operand ops, running a register-blocked `MR×NR` complex
 //!   microkernel with scalar and `x86_64` AVX2+FMA implementations behind
-//!   one per-process dispatch point; for a fixed dispatch path, parallel
+//!   one per-process dispatch point — the AVX2+FMA one 512 bits wide on
+//!   AVX-512F hosts, with the 256-bit kernel's bits, so the width is no
+//!   dispatch leg; for a fixed dispatch path, parallel
 //!   output is bit-identical to serial ([`gemm_threaded`] pins the thread
 //!   count, [`threads`] holds the `OMEN_THREADS`/`OMEN_SIMD` policies);
 //! * [`Lu`] — blocked right-looking LU factorization with partial

@@ -18,29 +18,48 @@
 //! the register-blocked microkernel, and every row update
 //! `row ← row − m·pivot_row` of the panel factor, of the `U₁₂` solve and
 //! of the substitutions through one AXPY resolved per kernel call — on the
-//! SIMD path the loop nests are compiled once as `avx2,fma` functions so
-//! the AVX2 AXPY inlines into them. Pivot candidates on the SIMD path are
-//! therefore produced by FMA arithmetic: what holds is **per-path
-//! determinism** — the panel and substitution phases are serial and
-//! lane-local, the GEMM is bit-identical across thread counts for a fixed
-//! path, so factors, pivots and solutions are too — **pivot equality
-//! against an independent oracle on the conformance battery's matrices**
-//! under both paths, and **cross-path agreement to rounding** of factors
-//! and solutions (DESIGN.md §10). The scalar AXPY is the plain loop, so
-//! the reference path's factors are unchanged by the dispatch. The pivot
-//! search compares `norm_sqr` and falls back to `abs` on near-ties and
-//! outside the normal range, so it picks the row `abs` picks.
+//! SIMD path the loop nests are compiled once as `avx2,fma` functions and
+//! once as `avx512f` ones, so the AXPY of the host's register width
+//! inlines into them (both widths give the same bits; on rows shorter
+//! than `WIDE_MIN_N` the 256-bit nests are the faster ones and run).
+//! Pivot candidates on the SIMD path are therefore produced by FMA
+//! arithmetic: what holds is **per-path determinism** — the panel and
+//! substitution phases are serial and lane-local, the GEMM is
+//! bit-identical across thread counts for a fixed path, so factors,
+//! pivots and solutions are too — **pivot equality against an independent
+//! oracle on the conformance battery's matrices** under both paths, and
+//! **cross-path agreement to rounding** of factors and solutions
+//! (DESIGN.md §10). The scalar AXPY is the plain loop, so the reference
+//! path's factors are unchanged by the dispatch. The pivot search
+//! compares `norm_sqr` and falls back to `abs` on near-ties and outside
+//! the normal range, so it picks the row `abs` picks.
 
 use crate::flops;
 use crate::gemm::{gemm_core, Op};
 use crate::matrix::ZMat;
-use crate::threads::{self, SimdPath};
+use crate::threads::{self, Lanes};
 use omen_num::c64;
 use std::ops::Range;
 
 /// Panel width of the blocked right-looking factorization; matrices up to
 /// this size use the unblocked Doolittle path.
 const NB: usize = 48;
+
+/// Shortest row update — the order of a factorization, the width of a
+/// solve's right-hand side — that runs on 512-bit lanes where the host has
+/// them. Shorter rows are a handful of elements: at n = 8 the 512-bit loop
+/// nests lost to the 256-bit ones by 10–19 %; at n = 16 the factorization
+/// lost 2–6 % and the solves won 10–21 %; from n = 24 all won or tied
+/// (EXPERIMENTS.md "Wide lanes"). Both give the same bits.
+const WIDE_MIN_N: usize = 16;
+
+/// The loop nests for row updates up to `len` elements long on `lanes`.
+fn row_lanes(lanes: Lanes, len: usize) -> Lanes {
+    match lanes {
+        Lanes::Avx512 if len < WIDE_MIN_N => Lanes::Avx2,
+        lanes => lanes,
+    }
+}
 
 /// An LU factorization `P·A = L·U` of a square complex matrix.
 #[derive(Clone)]
@@ -52,6 +71,9 @@ pub struct Lu {
     perm: Vec<usize>,
     /// Sign of the permutation (for determinants).
     sign: f64,
+    /// The kernels the factorization was given; it and every solve narrow
+    /// them to their own row length (`row_lanes`).
+    lanes: Lanes,
 }
 
 /// Error raised when a pivot underflows — the matrix is singular to working
@@ -127,8 +149,9 @@ fn pivot_row(lu: &ZMat, j: usize) -> (usize, f64) {
 
 /// The row update `y ← y + α·x` the factorization and substitution loops
 /// are compiled around, resolved once per kernel call from the dispatch
-/// path: on the SIMD path the whole loop nest is one `avx2,fma` function,
-/// so `simd::axpy` inlines into it instead of being called per row.
+/// path: on the SIMD path the whole loop nest is one `avx2,fma` (or
+/// `avx512f`) function, so `simd::axpy` (`simd::axpy512`) inlines into it
+/// instead of being called per row.
 trait RowOps: Copy {
     fn axpy(self, alpha: c64, x: &[c64], y: &mut [c64]);
 
@@ -136,35 +159,38 @@ trait RowOps: Copy {
     fn pivot(self, lu: &ZMat, j: usize) -> (usize, f64) {
         pivot_row(lu, j)
     }
-}
 
-/// The reference path: the plain loop.
-#[derive(Clone, Copy)]
-struct ScalarOps;
-
-impl RowOps for ScalarOps {
-    #[inline(always)]
-    fn axpy(self, alpha: c64, x: &[c64], y: &mut [c64]) {
-        for (yi, &xi) in y.iter_mut().zip(x) {
-            *yi += alpha * xi;
-        }
+    /// The kernels the GEMM updates run on; by default the process's.
+    fn lanes(self) -> Lanes {
+        threads::lanes()
     }
 }
 
-/// The AVX2+FMA path. Only built inside the `avx2,fma` functions below,
-/// which are only called once `SimdPath::Avx2Fma` has been resolved.
-#[cfg(target_arch = "x86_64")]
-#[derive(Clone, Copy)]
-struct Avx2Ops;
-
-#[cfg(target_arch = "x86_64")]
-impl RowOps for Avx2Ops {
+/// The dispatched kernels: the plain loop on the scalar path, the AVX2 or
+/// AVX-512 `axpy` on the SIMD one. Inside the loop nests compiled for one
+/// width the lanes are a constant, so the match folds away and that
+/// width's `axpy` inlines.
+impl RowOps for Lanes {
     #[inline(always)]
     fn axpy(self, alpha: c64, x: &[c64], y: &mut [c64]) {
         assert_eq!(x.len(), y.len(), "axpy length mismatch");
-        // SAFETY: an `Avx2Ops` exists only inside a function compiled for
-        // and entered after detecting AVX2+FMA.
-        unsafe { crate::simd::axpy(alpha, x, y) }
+        match self {
+            // SAFETY (both arms): a SIMD `Lanes` exists only once its
+            // features were detected (see `threads::Lanes`).
+            #[cfg(target_arch = "x86_64")]
+            Lanes::Avx2 => unsafe { crate::simd::axpy(alpha, x, y) },
+            #[cfg(target_arch = "x86_64")]
+            Lanes::Avx512 => unsafe { crate::simd::axpy512(alpha, x, y) },
+            _ => {
+                for (yi, &xi) in y.iter_mut().zip(x) {
+                    *yi += alpha * xi;
+                }
+            }
+        }
+    }
+
+    fn lanes(self) -> Lanes {
+        self
     }
 }
 
@@ -254,7 +280,7 @@ fn factor_with<R: RowOps>(
         let l21 = lu.block(k_hi, kk, nt, nb);
         let u12 = lu.block(kk, k_hi, nb, nt);
         let mut a22 = lu.block(k_hi, k_hi, nt, nt);
-        subtract_product(&mut a22, &l21, &u12);
+        subtract_product(ops.lanes(), &mut a22, &l21, &u12);
         lu.set_block(k_hi, k_hi, &a22);
     }
     Ok(())
@@ -263,7 +289,13 @@ fn factor_with<R: RowOps>(
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma")]
 fn factor_avx2(lu: &mut ZMat, perm: &mut [usize], sign: &mut f64) -> Result<(), Singular> {
-    factor_with(lu, perm, sign, Avx2Ops)
+    factor_with(lu, perm, sign, Lanes::Avx2)
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx2,fma")]
+fn factor_avx512(lu: &mut ZMat, perm: &mut [usize], sign: &mut f64) -> Result<(), Singular> {
+    factor_with(lu, perm, sign, Lanes::Avx512)
 }
 
 /// `x ← L⁻¹ x` (unit diagonal) for an already row-permuted right-hand side,
@@ -296,13 +328,13 @@ fn substitute_with<R: RowOps>(lu: &ZMat, x: &mut ZMat, lower: bool, ops: R) {
             }
         }
         if k_hi < n {
-            sub_product(lu, x, k_hi..n, kk..k_hi, width(k_hi - 1));
+            sub_product(ops.lanes(), lu, x, k_hi..n, kk..k_hi, width(k_hi - 1));
         }
     }
     for kk in (0..n).step_by(NB).rev() {
         let k_hi = (kk + NB).min(n);
         if k_hi < n {
-            sub_product(lu, x, kk..k_hi, k_hi..n, nrhs);
+            sub_product(ops.lanes(), lu, x, kk..k_hi, k_hi..n, nrhs);
         }
         for i in (kk..k_hi).rev() {
             let (head, tail) = x.data_mut().split_at_mut((i + 1) * nrhs);
@@ -325,14 +357,22 @@ fn substitute_with<R: RowOps>(lu: &ZMat, x: &mut ZMat, lower: bool, ops: R) {
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma")]
 fn substitute_avx2(lu: &ZMat, x: &mut ZMat, lower: bool) {
-    substitute_with(lu, x, lower, Avx2Ops)
+    substitute_with(lu, x, lower, Lanes::Avx2)
 }
 
-/// `c ← c − a·b` through the tiled, multi-threaded GEMM core — uncounted:
-/// the caller reported `lu_flops` / `trsm_flops` for the whole kernel.
-fn subtract_product(c: &mut ZMat, a: &ZMat, b: &ZMat) {
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx2,fma")]
+fn substitute_avx512(lu: &ZMat, x: &mut ZMat, lower: bool) {
+    substitute_with(lu, x, lower, Lanes::Avx512)
+}
+
+/// `c ← c − a·b` through the tiled, multi-threaded GEMM core on the
+/// kernels `lanes` — uncounted: the caller reported `lu_flops` /
+/// `trsm_flops` for the whole kernel.
+fn subtract_product(lanes: Lanes, c: &mut ZMat, a: &ZMat, b: &ZMat) {
     let work = a.nrows() as u64 * b.ncols() as u64 * a.ncols() as u64;
     gemm_core(
+        lanes,
         -c64::ONE,
         a,
         Op::N,
@@ -348,11 +388,18 @@ fn subtract_product(c: &mut ZMat, a: &ZMat, b: &ZMat) {
 /// for two disjoint row ranges of the right-hand-side matrix `x`. The
 /// copy-out/copy-in is O(n·width) against the O(n·NB·width) update it
 /// feeds.
-fn sub_product(lu: &ZMat, x: &mut ZMat, rows: Range<usize>, cols: Range<usize>, width: usize) {
+fn sub_product(
+    lanes: Lanes,
+    lu: &ZMat,
+    x: &mut ZMat,
+    rows: Range<usize>,
+    cols: Range<usize>,
+    width: usize,
+) {
     let a = lu.block(rows.start, cols.start, rows.len(), cols.len());
     let b = x.block(cols.start, 0, cols.len(), width);
     let mut c = x.block(rows.start, 0, rows.len(), width);
-    subtract_product(&mut c, &a, &b);
+    subtract_product(lanes, &mut c, &a, &b);
     x.set_block(rows.start, 0, &c);
 }
 
@@ -365,21 +412,33 @@ impl Lu {
     /// magnitude. A NaN entry is not detected here (see [`non_finite`]).
     pub fn factor(a: &ZMat) -> Result<Lu, Singular> {
         assert!(a.is_square(), "LU of non-square matrix");
-        let n = a.nrows();
-        let mut lu = a.clone();
-        let mut perm: Vec<usize> = (0..n).collect();
-        let mut sign = 1.0;
         // One aggregate report covers panel, triangular-solve and trailing
         // GEMM work: the blocked path calls the *uncounted* GEMM core so
         // the total stays exactly `lu_flops(n)` per factorization.
-        flops::add_flops(flops::lu_flops(n));
-        match threads::simd_path() {
+        flops::add_flops(flops::lu_flops(a.nrows()));
+        Lu::factor_on(threads::lanes(), a)
+    }
+
+    /// [`Lu::factor`] on the kernels `lanes`, reporting no flops.
+    pub(crate) fn factor_on(lanes: Lanes, a: &ZMat) -> Result<Lu, Singular> {
+        let mut lu = a.clone();
+        let mut perm: Vec<usize> = (0..a.nrows()).collect();
+        let mut sign = 1.0;
+        match row_lanes(lanes, a.nrows()) {
+            // SAFETY (both arms): the SIMD lanes are only resolved after
+            // feature detection.
             #[cfg(target_arch = "x86_64")]
-            // SAFETY: `Avx2Fma` is only resolved after feature detection.
-            SimdPath::Avx2Fma => unsafe { factor_avx2(&mut lu, &mut perm, &mut sign) },
-            _ => factor_with(&mut lu, &mut perm, &mut sign, ScalarOps),
+            Lanes::Avx2 => unsafe { factor_avx2(&mut lu, &mut perm, &mut sign) },
+            #[cfg(target_arch = "x86_64")]
+            Lanes::Avx512 => unsafe { factor_avx512(&mut lu, &mut perm, &mut sign) },
+            _ => factor_with(&mut lu, &mut perm, &mut sign, Lanes::Scalar),
         }?;
-        Ok(Lu { lu, perm, sign })
+        Ok(Lu {
+            lu,
+            perm,
+            sign,
+            lanes,
+        })
     }
 
     /// Matrix dimension.
@@ -455,13 +514,16 @@ impl Lu {
         x
     }
 
-    /// `x ← U⁻¹·L⁻¹·x` on the dispatch path ([`substitute_with`]).
+    /// `x ← U⁻¹·L⁻¹·x` on the factors' kernels ([`substitute_with`]).
     fn substitute(&self, x: &mut ZMat, lower: bool) {
-        match threads::simd_path() {
+        match row_lanes(self.lanes, x.ncols()) {
+            // SAFETY (both arms): the SIMD lanes are only resolved after
+            // feature detection.
             #[cfg(target_arch = "x86_64")]
-            // SAFETY: `Avx2Fma` is only resolved after feature detection.
-            SimdPath::Avx2Fma => unsafe { substitute_avx2(&self.lu, x, lower) },
-            _ => substitute_with(&self.lu, x, lower, ScalarOps),
+            Lanes::Avx2 => unsafe { substitute_avx2(&self.lu, x, lower) },
+            #[cfg(target_arch = "x86_64")]
+            Lanes::Avx512 => unsafe { substitute_avx512(&self.lu, x, lower) },
+            _ => substitute_with(&self.lu, x, lower, Lanes::Scalar),
         }
     }
 }
@@ -548,6 +610,7 @@ pub fn inverse(a: &ZMat) -> Result<ZMat, Singular> {
 mod tests {
     use super::*;
     use crate::gemm::matmul;
+    use crate::threads::SimdPath;
 
     fn randmat(n: usize, seed: u64) -> ZMat {
         let mut s = seed

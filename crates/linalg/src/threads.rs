@@ -38,6 +38,12 @@
 //! see DESIGN.md §10), which is why the choice is pinned per process and
 //! surfaced through [`dispatch_summary`] / the `OMEN_LOG` sink.
 //!
+//! Next to the path, and once per process too, `lanes` resolves the SIMD
+//! path's register width: its GEMM microkernel and `axpy` run 512 bits
+//! wide on CPUs with AVX-512F. The two widths give the same bits, so the
+//! width is no dispatch leg and has no knob; [`dispatch_summary`] names
+//! it, because its timings differ.
+//!
 //! ## Strict parsing
 //!
 //! Both variables reject garbage with a typed
@@ -71,7 +77,9 @@ use std::sync::OnceLock;
 /// 128³ is the smallest measured cube that reaches t2/t1 ≤ 0.8 on the
 /// AVX2 leg and never loses by more than 9 % on either; everything under
 /// it loses or ties there — and that is every slab block a shipped device
-/// produces (18 … 113).
+/// produces (18 … 113). The table was measured on the 256-bit kernel; the
+/// 512-bit one shortens each serial product, which only moves the
+/// crossover up, so those blocks stay serial.
 pub const PAR_MIN_WORK: u64 = 128 * 128 * 128;
 
 /// Environment variable overriding the kernel thread count.
@@ -166,6 +174,47 @@ pub fn simd_supported() -> bool {
     }
 }
 
+/// True when the AVX2+FMA path can also run 512 bits wide: the CPU (and
+/// the OS, which must save `zmm` state) supports AVX-512F.
+pub(crate) fn avx512_supported() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    {
+        simd_supported() && std::is_x86_feature_detected!("avx512f")
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        false
+    }
+}
+
+/// The kernels [`simd_path`] runs on, down to the register width: the
+/// `Avx2Fma` path's GEMM microkernel and `axpy` run 512 bits wide where
+/// AVX-512F is present. Both widths give the same bits (`crate::simd`),
+/// so the width is an implementation detail, not a dispatch leg: no
+/// environment variable names it, and it shows only in
+/// [`dispatch_summary`]. The kernels' safety rests on one condition: a
+/// SIMD variant is only produced by [`lanes`] or, in tests, after the
+/// same feature check.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Lanes {
+    /// [`SimdPath::Scalar`].
+    Scalar,
+    /// [`SimdPath::Avx2Fma`] on 256-bit registers.
+    Avx2,
+    /// [`SimdPath::Avx2Fma`] on 512-bit registers.
+    Avx512,
+}
+
+/// [`simd_path`] resolved down to the register width, once per process.
+pub(crate) fn lanes() -> Lanes {
+    static LANES: OnceLock<Lanes> = OnceLock::new();
+    *LANES.get_or_init(|| match simd_path() {
+        SimdPath::Scalar => Lanes::Scalar,
+        SimdPath::Avx2Fma if avx512_supported() => Lanes::Avx512,
+        SimdPath::Avx2Fma => Lanes::Avx2,
+    })
+}
+
 fn resolve_simd() -> OmenResult<SimdPath> {
     match simd_policy()? {
         Some(false) => Ok(SimdPath::Scalar),
@@ -204,8 +253,9 @@ pub fn simd_path() -> SimdPath {
     }
 }
 
-/// One-line human summary of the resolved kernel dispatch — the SIMD path
-/// and why it was chosen, plus the thread policy — for the `OMEN_LOG`
+/// One-line human summary of the resolved kernel dispatch — the SIMD path,
+/// why it was chosen and, on the SIMD path, its register width (equal
+/// bits, unequal timings), plus the thread policy — for the `OMEN_LOG`
 /// sink (`omen-core::log`), so every benchmark record is attributable to
 /// a concrete code path.
 pub fn dispatch_summary() -> String {
@@ -216,16 +266,17 @@ pub fn dispatch_summary() -> String {
         Ok(None) => "auto: avx2+fma not available",
         Err(_) => "invalid OMEN_SIMD",
     };
-    let path = match simd_path() {
-        SimdPath::Scalar => "scalar",
-        SimdPath::Avx2Fma => "avx2+fma",
+    let (path, width) = match lanes() {
+        Lanes::Scalar => ("scalar", ""),
+        Lanes::Avx2 => ("avx2+fma", "; 256-bit lanes: avx512f not available"),
+        Lanes::Avx512 => ("avx2+fma", "; 512-bit lanes: avx512f detected"),
     };
     let threads = match thread_policy() {
         Ok(Some(n)) => format!("OMEN_THREADS={n}"),
         Ok(None) => format!("auto ({} available)", configured_threads()),
         Err(_) => "invalid OMEN_THREADS".to_string(),
     };
-    format!("kernel dispatch: simd={path} ({why}), threads={threads}")
+    format!("kernel dispatch: simd={path} ({why}{width}), threads={threads}")
 }
 
 /// Configured kernel thread width: `OMEN_THREADS` when set to a positive
@@ -364,6 +415,17 @@ mod tests {
         let s = dispatch_summary();
         assert!(s.contains("simd="));
         assert!(s.contains("threads="));
+        // The width shows exactly on the SIMD path, and it is the one the
+        // host can run.
+        let width = match simd_path() {
+            SimdPath::Scalar => None,
+            SimdPath::Avx2Fma if avx512_supported() => Some("512-bit lanes"),
+            SimdPath::Avx2Fma => Some("256-bit lanes"),
+        };
+        assert_eq!(s.contains("-bit lanes"), width.is_some(), "{s}");
+        if let Some(w) = width {
+            assert!(s.contains(w), "{s}");
+        }
     }
 
     #[test]
@@ -372,5 +434,10 @@ mod tests {
         if !simd_supported() {
             assert_eq!(simd_path(), SimdPath::Scalar);
         }
+        assert_eq!(lanes() == Lanes::Scalar, simd_path() == SimdPath::Scalar);
+        assert_eq!(
+            lanes() == Lanes::Avx512,
+            simd_path() == SimdPath::Avx2Fma && avx512_supported()
+        );
     }
 }

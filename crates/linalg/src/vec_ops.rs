@@ -5,15 +5,17 @@
 //! per-process SIMD dispatch as
 //! the GEMM microkernel ([`crate::threads::simd_path`], `OMEN_SIMD`): a
 //! scalar reference loop and an AVX2+FMA variant in `crate::simd`. The
-//! SIMD `axpy` is lane-local (element order unchanged); the SIMD `dot`
+//! SIMD `axpy` is lane-local (element order unchanged) and runs 512 bits
+//! wide on AVX-512F hosts with the 256-bit kernel's bits; the SIMD `dot`
 //! accumulates two interleaved partial sums, so like the GEMM microkernel
 //! it matches the scalar path only to rounding, never bit-for-bit — the
-//! per-path determinism contract of DESIGN.md §10 applies here too.
+//! per-path determinism contract of DESIGN.md §10 applies here too — and
+//! stays 256-bit, since a wider register would regroup those sums.
 //! `reflector`, the crate's one Householder vector, is scalar: the
 //! eigensolvers that call it do not dispatch.
 
 use crate::flops::add_flops;
-use crate::threads::{self, SimdPath};
+use crate::threads::{self, Lanes, SimdPath};
 use omen_num::c64;
 
 /// Conjugated inner product `⟨x, y⟩ = Σ x̄ᵢ yᵢ` (linear in the second slot,
@@ -50,9 +52,15 @@ pub(crate) fn axpy_on(path: SimdPath, alpha: c64, x: &[c64], y: &mut [c64]) {
                 *yi += alpha * xi;
             }
         }
+        // SAFETY (both arms): every caller passes the path
+        // `threads::simd_path` resolved, which is `Avx2Fma` only after
+        // feature detection, and `threads::lanes` is `Avx512` only after
+        // detecting AVX-512F too.
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: every caller passes the path `threads::simd_path`
-        // resolved, which is `Avx2Fma` only after feature detection.
+        SimdPath::Avx2Fma if threads::lanes() == Lanes::Avx512 => unsafe {
+            crate::simd::axpy512(alpha, x, y)
+        },
+        #[cfg(target_arch = "x86_64")]
         SimdPath::Avx2Fma => unsafe { crate::simd::axpy(alpha, x, y) },
         #[cfg(not(target_arch = "x86_64"))]
         SimdPath::Avx2Fma => {
