@@ -106,6 +106,14 @@ if sed '/#\[cfg(test)\]/,$d' crates/wf/src/splitsolve.rs | grep -nE 'Lu::factor|
     echo "ci: crates/wf/src/splitsolve.rs must call the block functions of solver.rs, not the kernels"
     exit 1
 fi
+# The GEMM microkernel has one body (crates/linalg/src/simd.rs `block`):
+# packed B panels and operands read in place are two stride sets of it,
+# which is why both drivers give the same bits. A second body would let
+# them drift apart.
+if [ "$(grep -c 'fn block<' crates/linalg/src/simd.rs)" -ne 1 ]; then
+    echo "ci: crates/linalg/src/simd.rs must hold exactly one microkernel body (fn block<)"
+    exit 1
+fi
 # SplitSolve is the rank path's one spatial protocol. Selected inversion
 # is a serial engine (its rank driver lost to serial RGF 6.5-10.6x at two
 # ranks and was deleted: EXPERIMENTS.md "SelInv verdict"); a second

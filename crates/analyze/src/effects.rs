@@ -8,7 +8,7 @@
 //! from the callee, not from the caller, so only the caller's own exits can
 //! abandon the caller's protocol. Each summary also carries a witness chain
 //! for the first transitively-reachable collective, which is what lets
-//! findings name the path (`helper → deep → bcast`).
+//! findings name the path (`helper → deep → allgather`).
 //!
 //! Propagation is a chaotic iteration to a fixpoint: recompute every
 //! summary from its callees' current summaries until nothing changes. The
@@ -567,7 +567,7 @@ mod tests {
     fn witness_chain_through_two_hops() {
         let ms = models(&[(
             "crates/x/src/a.rs",
-            "fn deep(c: &Comm) { c.bcast(buf, 0); }\n\
+            "fn deep(c: &Comm) { c.allgather(buf); }\n\
              fn mid(c: &Comm) { deep(c); }\n\
              fn top(c: &Comm) { mid(c); }\n",
         )]);
@@ -579,7 +579,7 @@ mod tests {
             .position(|&(_, ki)| ms[0].fns[ki].name == "top")
             .unwrap();
         let w = sums[top].collective_witness.as_ref().unwrap();
-        assert_eq!(w.name, "bcast");
+        assert_eq!(w.name, "allgather");
         assert_eq!(w.chain, vec!["mid".to_string(), "deep".to_string()]);
         assert_eq!(w.line, 1);
     }
@@ -589,7 +589,7 @@ mod tests {
         let ms = models(&[(
             "crates/x/src/a.rs",
             "fn ping(c: &Comm, d: u32) { if d > 0 { pong(c, d - 1); } }\n\
-             fn pong(c: &Comm, d: u32) { c.barrier(); ping(c, d); }\n",
+             fn pong(c: &Comm, d: u32) { c.allreduce_sum(x); ping(c, d); }\n",
         )]);
         let g = CallGraph::build(&ms);
         let sums = compute_summaries(&ms, &g);
@@ -597,7 +597,7 @@ mod tests {
         for s in &sums {
             assert!(
                 s.collective_witness.is_some(),
-                "both cycle members must report the reachable barrier"
+                "both cycle members must report the reachable allreduce_sum"
             );
         }
     }

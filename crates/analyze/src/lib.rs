@@ -20,7 +20,7 @@
 //!
 //! | rule | what it catches |
 //! |------|-----------------|
-//! | `spmd-divergence` | a collective (`allreduce_sum`, `bcast`, `gather`, `allgather`, `agree`, `barrier`, `split`) inside a `rank()`-conditioned branch, spelled there or reached through calls — the classic deadlock/divergence seed in SPMD code |
+//! | `spmd-divergence` | a collective (`allreduce_sum`, `allgather`, `agree`, `split`) inside a `rank()`-conditioned branch, spelled there or reached through calls — the classic deadlock/divergence seed in SPMD code |
 //! | `protocol-early-exit` | `?` / `return` between a send and its matching recv, or between epoch-open and epoch-close — the typed-error-era deadlock seed: the peer blocks until timeout |
 //! | `tag-conflict` | two concurrently-live call paths using the same reserved parsim tag in the same direction — concurrent rounds on one tag can cross-match messages |
 //! | `tolerance-literal` | hard-coded scientific-notation tolerances (`1e-12`) compared in test targets — numeric bounds belong in the repo-root `TOLERANCES.toml` policy (DESIGN.md §12) |

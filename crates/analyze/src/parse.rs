@@ -34,11 +34,8 @@ use std::collections::{HashMap, HashSet};
 /// (2 args).
 pub const COLLECTIVE_ARITY: &[(&str, usize)] = &[
     ("allreduce_sum", 1),
-    ("bcast", 2),
-    ("gather", 2),
     ("allgather", 1),
     ("agree", 1),
-    ("barrier", 0),
     ("split", 2),
 ];
 
@@ -686,11 +683,8 @@ const EPOCH_CLOSERS: &[&str] = &["epoch_close", "close_epoch", "end_epoch", "fin
 /// hand every string-splitting function a phantom collective.
 const PROTOCOL_NAMES: &[&str] = &[
     "allreduce_sum",
-    "bcast",
-    "gather",
     "allgather",
     "agree",
-    "barrier",
     "split",
     "send",
     "send_internal",

@@ -9,12 +9,12 @@ impl Comm {
     pub fn rank(&self) -> usize {
         0
     }
-    pub fn barrier(&self) {}
+    pub fn allreduce_sum(&self, x: &[f64]) {}
 }
 
 // Depth 1: the collective is directly inside the callee.
 fn depth1(comm: &Comm) {
-    comm.barrier();
+    comm.allreduce_sum(&[1.0]);
 }
 
 // Depth 2: one relay hop.

@@ -9,7 +9,7 @@ impl Comm {
     pub fn rank(&self) -> usize {
         0
     }
-    pub fn barrier(&self) {}
+    pub fn allreduce_sum(&self, x: &[f64]) {}
 }
 
 fn ping(comm: &Comm, depth: usize) {
@@ -19,7 +19,7 @@ fn ping(comm: &Comm, depth: usize) {
 }
 
 fn pong(comm: &Comm, depth: usize) {
-    comm.barrier();
+    comm.allreduce_sum(&[1.0]);
     ping(comm, depth);
 }
 

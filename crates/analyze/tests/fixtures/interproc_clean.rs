@@ -9,14 +9,14 @@ impl Comm {
     pub fn rank(&self) -> usize {
         0
     }
-    pub fn bcast(&self, root: usize, buf: Vec<u8>) -> Vec<u8> {
-        let _ = root;
+    pub fn allgather(&self, buf: Vec<u8>) -> Vec<u8> {
+        // One rank: its own part is the whole result.
         buf
     }
 }
 
 fn sync_halo(comm: &Comm, buf: Vec<u8>) -> Vec<u8> {
-    comm.bcast(0, buf)
+    comm.allgather(buf)
 }
 
 pub fn step(comm: &Comm) {

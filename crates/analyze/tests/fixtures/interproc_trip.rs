@@ -1,6 +1,6 @@
 //! Trip fixture for `spmd-divergence` through calls: the collective is
 //! hidden behind a helper, so no collective is spelled in the branch — only
-//! the call-graph pass connects the rank branch to the `bcast` inside
+//! the call-graph pass connects the rank branch to the `allgather` inside
 //! `sync_halo`.
 
 pub struct Comm;
@@ -9,14 +9,14 @@ impl Comm {
     pub fn rank(&self) -> usize {
         0
     }
-    pub fn bcast(&self, root: usize, buf: Vec<u8>) -> Vec<u8> {
-        let _ = root;
+    pub fn allgather(&self, buf: Vec<u8>) -> Vec<u8> {
+        // One rank: its own part is the whole result.
         buf
     }
 }
 
 fn sync_halo(comm: &Comm, buf: Vec<u8>) -> Vec<u8> {
-    comm.bcast(0, buf)
+    comm.allgather(buf)
 }
 
 pub fn step(comm: &Comm) {

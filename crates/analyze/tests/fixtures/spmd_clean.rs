@@ -2,31 +2,31 @@
 // spmd-divergence findings expected. Never compiled.
 
 pub fn uniform_schedule(comm: &Comm, payload: Vec<u8>) {
-    comm.bcast(0, payload);
+    comm.allgather(payload);
     if comm.rank() == 0 {
         record_root_side_effect();
     }
-    comm.barrier();
+    comm.agree(None);
 }
 
 pub fn rank_in_arguments_not_condition(ctx: &RankCtx, w: &Comm) {
     // Rank-derived *data* is the normal pattern; only rank-conditioned
     // *control flow* around a collective diverges the schedule.
     let sub = w.split((ctx.rank() / 2) as u64, ctx.rank() as u64);
-    let _ = ctx.gather(0, vec![ctx.rank() as u8]);
+    let _ = ctx.allgather(vec![ctx.rank() as u8]);
     let _ = sub;
 }
 
 pub fn annotated_divergence(comm: &Comm) {
     if comm.rank() != 1 {
         // analyze: allow(spmd-divergence, deliberately divergent schedule under test)
-        comm.bcast(0, vec![7]);
+        comm.allgather(vec![7]);
     }
 }
 
 pub fn non_rank_condition(comm: &Comm, ready: bool) {
     if ready {
-        comm.barrier();
+        comm.agree(None);
     }
 }
 
@@ -37,6 +37,6 @@ pub fn if_let_is_not_a_binding(comm: &Comm, schedule: Schedule) {
         record(comm.rank(), opts);
     }
     if matches!(schedule, Schedule::Static) {
-        comm.barrier();
+        comm.agree(None);
     }
 }

@@ -3,13 +3,13 @@
 
 pub fn root_only_broadcast(comm: &Comm, payload: Vec<u8>) {
     if comm.rank() == 0 {
-        comm.bcast(0, payload);
+        comm.allgather(payload);
     }
 }
 
 pub fn divergent_chain(comm: &Comm) {
     if comm.rank() % 2 == 0 {
-        comm.barrier();
+        comm.agree(None);
     } else {
         comm.allreduce_sum(&[1.0]);
     }
@@ -18,7 +18,7 @@ pub fn divergent_chain(comm: &Comm) {
 pub fn divergent_match(ctx: &RankCtx) {
     match ctx.rank() {
         0 => {
-            let _ = ctx.gather(0, vec![1]);
+            let _ = ctx.allgather(vec![1]);
         }
         _ => {}
     }

@@ -36,7 +36,11 @@ fn interproc_trip_fires_through_the_helper() {
     let hits = by_rule(&f, "spmd-divergence");
     assert_eq!(hits.len(), 1, "findings: {f:?}");
     assert_eq!(hits[0].line, 27, "{}", hits[0].message);
-    assert!(hits[0].message.contains("`bcast`"), "{}", hits[0].message);
+    assert!(
+        hits[0].message.contains("`allgather`"),
+        "{}",
+        hits[0].message
+    );
     assert!(
         hits[0].message.contains("sync_halo()"),
         "{}",
@@ -95,10 +99,10 @@ fn interproc_resolves_helpers_across_files_in_the_same_crate() {
     let helper = "pub struct Comm;\n\
          impl Comm {\n\
              pub fn rank(&self) -> usize { 0 }\n\
-             pub fn barrier(&self) {}\n\
+             pub fn agree(&self, e: Option<u8>) {}\n\
          }\n\
          pub fn quiesce(comm: &Comm) {\n\
-             comm.barrier();\n\
+             comm.agree(None);\n\
          }\n";
     let driver = "use crate::halo::{quiesce, Comm};\n\
          pub fn step(comm: &Comm) {\n\

@@ -24,10 +24,10 @@ fn spmd_trip_fixture() {
         TargetKind::Lib,
     );
     let spmd: Vec<&Finding> = f.iter().filter(|x| x.rule == "spmd-divergence").collect();
-    // bcast, barrier, allreduce_sum (else arm), gather (match arm), split
-    // (nested if) — five divergent collectives.
+    // allgather, agree, allreduce_sum (else arm), allgather (match arm),
+    // split (nested if) — five divergent collectives.
     assert_eq!(spmd.len(), 5, "findings: {f:?}");
-    for name in ["bcast", "barrier", "allreduce_sum", "gather", "split"] {
+    for name in ["allgather", "agree", "allreduce_sum", "split"] {
         assert!(
             spmd.iter()
                 .any(|x| x.message.contains(&format!("`{name}`"))),

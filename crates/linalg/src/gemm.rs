@@ -1,18 +1,34 @@
-//! Tiled, packed, multi-threaded complex GEMM with a register-blocked
+//! Tiled, multi-threaded complex GEMM with a register-blocked
 //! microkernel.
 //!
 //! `gemm` computes `C ← α·op(A)·op(B) + β·C` where each operand op is
-//! none, transpose, or conjugate-transpose. The kernel packs both operands
-//! into microkernel-friendly panels — op(B) once up front into `NR`-wide
-//! column panels per `KC`-deep k-block (the transpose/conjugate of
-//! `Op::T`/`Op::H` is folded into that single packing pass), and per
-//! `MC`-high output stripe the A tile into `MR`-interleaved row panels
-//! with α folded in — then walks `MR×NR` output blocks with an
-//! outer-product microkernel that keeps all `MR·NR` complex accumulators
-//! in registers across the k-loop. Both packs go into per-thread buffers
-//! that are reused from call to call (`PackBufs`), so at the block sizes
-//! the transport engines run (n = 32…90) the driver around the
-//! microkernel allocates and zero-fills nothing.
+//! none, transpose, or conjugate-transpose. The driver walks `MR×NR`
+//! output blocks (`MR × 2NR` on 512-bit lanes) per `KC`-deep k-block
+//! with an outer-product microkernel that keeps all of a block's complex
+//! accumulators in registers across the k-loop, and adds each block's
+//! sums into C once per k-block.
+//!
+//! ## Operands in place
+//!
+//! The microkernel reads row-major operands where they lie: each of a
+//! block's `MR` A rows is `kc` contiguous values of α·op(A), and each B
+//! row `kc` values of op(B) `n` apart. α·op(A) is `A` itself when
+//! `op = N` and α = 1; otherwise it is written row-major into a
+//! per-thread buffer first, α folded into each entry by one `c64`
+//! product. A ragged block — fewer than `MR` rows or than the block's
+//! columns left — repeats its last A row, loads and stores B and C under
+//! lane masks, and stores only its own rows, so no padded copy exists.
+//!
+//! op(B) is packed instead into `NR`-wide column panels per k-block (one
+//! pass that also folds `Op::T`/`Op::H`) when the product is one of the
+//! shapes where that measured faster (`packs`): a transposed B, which
+//! must be copied either way, and products with `m, n ≥ PACK_MIN_MN`,
+//! whose B rows are too far apart to stream. The panels are one more
+//! stride set of the same kernel body (`simd::block`), so both drivers
+//! give the same bits: every C entry gets the same products, `p`
+//! ascending inside a k-block, in the same split accumulators starting
+//! from +0, and one add into C per k-block. Which one runs is a
+//! performance decision only, like the thread count.
 //!
 //! ## Dispatch
 //!
@@ -21,10 +37,7 @@
 //! process): the portable scalar reference below and the `x86_64`
 //! AVX2+FMA variant in `crate::simd`, which runs 256 or 512 bits wide
 //! (`threads::lanes`, by feature detection alone: both widths give the
-//! same bits). All consume the same packed panels and add a full block
-//! into C themselves; zero padding at ragged edges lets one kernel shape
-//! serve every block, with the edge block stored to a padded tile and
-//! masked-added from there.
+//! same bits). All take one `Block` and add into C themselves.
 //!
 //! ## Parallelism and determinism
 //!
@@ -60,14 +73,6 @@ pub enum Op {
 }
 
 impl Op {
-    fn apply(self, a: &ZMat) -> ZMat {
-        match self {
-            Op::N => a.clone(),
-            Op::T => a.transpose(),
-            Op::H => a.adjoint(),
-        }
-    }
-
     fn dims(self, a: &ZMat) -> (usize, usize) {
         match self {
             Op::N => (a.nrows(), a.ncols()),
@@ -76,32 +81,82 @@ impl Op {
     }
 }
 
-/// Output stripe height (rows packed and processed per A panel).
+/// Output stripe height: C rows that run through every k-block before
+/// the next stripe starts.
 const MC: usize = 64;
 
-/// Panel depth (k-extent of a packed A tile / B panel); 64 complex
-/// values = 1 KiB per packed row.
-const KC: usize = 64;
+/// k-block depth: C gets one add of each entry's sums per `KC` products.
+pub(crate) const KC: usize = 64;
 
-/// Microkernel register-block height (C rows per A row-panel).
+/// Microkernel register-block height (C rows per block).
 pub(crate) const MR: usize = 4;
 
 /// Microkernel register-block width (C columns per B column-panel).
 pub(crate) const NR: usize = 4;
 
-/// The calling thread's packing buffers, kept across calls so the GEMM
+/// Smallest `m` and `n` at which an untransposed op(B) is packed. One
+/// process alternated the two drivers on `gemm_threaded` (β = 1, one
+/// thread unless noted, 512-bit lanes, median of 31 pairs; EXPERIMENTS.md
+/// "No-pack products"): in place over packed read 0.60 / 0.65 / 0.79 /
+/// 0.87 / 0.90 at n = 8 / 16 / 32 / 90 / 128, a tie at 256 (0.99–1.03)
+/// and 384 (1.02), and 1.07–1.13 at 512, where a k-block of B rows 8 KiB
+/// apart no longer streams. A transposed B is packed at every size: it
+/// is copied either way, and a row-major copy read in place took
+/// 0.93–1.22× the time of the copy into panels.
+const PACK_MIN_MN: usize = 512;
+
+/// Whether [`gemm_core`] packs op(B) for an `m×n` product (see
+/// [`PACK_MIN_MN`]).
+fn packs(m: usize, n: usize, opb: Op) -> bool {
+    opb != Op::N || m.min(n) >= PACK_MIN_MN
+}
+
+/// One `MR × panels·NR` block of the product as a microkernel reads it.
+///
+/// Validity (what the kernels' safety rests on, established by
+/// `stripe_kernel` from slices): every `a[ii]` is readable for `kc`
+/// values; B panel `r < panels` is readable at
+/// `r·b_panel + p·b_step + j` for `p < kc` and every column `j` the block
+/// stores; C is readable and writable at `ii·ldc + jj`, `ii < mr`,
+/// `jj < nr`.
+#[derive(Clone, Copy)]
+pub(crate) struct Block {
+    /// Depth of the k-block.
+    pub(crate) kc: usize,
+    /// Row `ii` of the A block, `kc` contiguous values; rows past `mr`
+    /// repeat row `mr − 1`.
+    pub(crate) a: [*const c64; MR],
+    /// Row 0 of the block's first B panel.
+    pub(crate) b: *const c64,
+    /// Distance between consecutive B rows: `n` in place, `NR` packed.
+    pub(crate) b_step: usize,
+    /// Distance between adjacent B panels: `NR` in place, `kc·NR` packed.
+    pub(crate) b_panel: usize,
+    /// B panels in the block: 1, or 2 on [`Lanes::Avx512`].
+    pub(crate) panels: usize,
+    /// The block's first C entry.
+    pub(crate) c: *mut c64,
+    /// C's row stride.
+    pub(crate) ldc: usize,
+    /// C rows the block adds into (≤ `MR`).
+    pub(crate) mr: usize,
+    /// C columns the block adds into (≤ `panels·NR`).
+    pub(crate) nr: usize,
+}
+
+/// The calling thread's operand buffers, kept across calls so the GEMM
 /// driver allocates only when a call needs more than any before it on
-/// this thread: `a` holds one stripe's A tile (at most `MC·KC` values),
-/// `b` the whole packed op(B). Stale contents are harmless — both packing
-/// passes write every slot the kernels read, zero padding included.
+/// this thread: `a` holds α·op(A) when that is not `A` itself, `b` the
+/// packed op(B). Stale contents are harmless: every slot a kernel reads
+/// is written first.
 #[derive(Default)]
-struct PackBufs {
+struct Scratch {
     a: Vec<c64>,
     b: Vec<c64>,
 }
 
 thread_local! {
-    static PACK: RefCell<PackBufs> = RefCell::default();
+    static SCRATCH: RefCell<Scratch> = RefCell::default();
 }
 
 /// Grows `buf` to at least `len` values and returns its first `len`.
@@ -112,12 +167,37 @@ fn reserve(buf: &mut Vec<c64>, len: usize) -> &mut [c64] {
     &mut buf[..len]
 }
 
+/// Writes α·op(A) row-major into `out`: op(A)'s entries at α = 1,
+/// otherwise `alpha * v` for each entry `v` of op(A).
+fn scaled_op(out: &mut [c64], a: &ZMat, opa: Op, alpha: c64) {
+    let f = |v: c64| {
+        let v = if opa == Op::H { v.conj() } else { v };
+        if alpha == c64::ONE {
+            v
+        } else {
+            alpha * v
+        }
+    };
+    if opa == Op::N {
+        for (o, &v) in out.iter_mut().zip(a.data()) {
+            *o = f(v);
+        }
+    } else {
+        // op(A)[i, p] = A[p, i]: read the stored rows contiguously.
+        let w = a.nrows();
+        for p in 0..w {
+            for (i, &v) in a.row(p).iter().enumerate() {
+                out[i * w + p] = f(v);
+            }
+        }
+    }
+}
+
 /// Packs op(B) (effective shape `k×n`) into `out` in the microkernel
 /// layout: per `KC`-deep k-block in ascending-k order, `NR`-wide column
 /// panels, each holding `kc·NR` contiguous values `op(B)[kk+p, j0+jj]` at
-/// `p·NR + jj`, zero-padded to `NR` when `n` is ragged. The
-/// transpose/conjugate of `Op::T`/`Op::H` is folded into this single
-/// pass, so op(B) is never materialized.
+/// `p·NR + jj`. The transpose/conjugate of `Op::T`/`Op::H` is folded into
+/// this single pass. A ragged last panel's unused slots are never read.
 fn pack_b(out: &mut [c64], b: &ZMat, opb: Op, k: usize, n: usize) {
     let padded_n = n.div_ceil(NR) * NR;
     for kk in (0..k).step_by(KC) {
@@ -130,9 +210,8 @@ fn pack_b(out: &mut [c64], b: &ZMat, opb: Op, k: usize, n: usize) {
                     let row = b.row(kk + p);
                     for (jp, j0) in (0..n).step_by(NR).enumerate() {
                         let nr = (n - j0).min(NR);
-                        let dst = &mut block[jp * kc * NR + p * NR..][..NR];
-                        dst[..nr].copy_from_slice(&row[j0..j0 + nr]);
-                        dst[nr..].fill(c64::ZERO);
+                        let dst = &mut block[jp * kc * NR + p * NR..][..nr];
+                        dst.copy_from_slice(&row[j0..j0 + nr]);
                     }
                 }
             }
@@ -145,19 +224,8 @@ fn pack_b(out: &mut [c64], b: &ZMat, opb: Op, k: usize, n: usize) {
                     let panel = &mut block[jp * kc * NR..(jp + 1) * kc * NR];
                     for jj in 0..nr {
                         let src = &b.row(j0 + jj)[kk..k_hi];
-                        if opb == Op::T {
-                            for (p, &v) in src.iter().enumerate() {
-                                panel[p * NR + jj] = v;
-                            }
-                        } else {
-                            for (p, &v) in src.iter().enumerate() {
-                                panel[p * NR + jj] = v.conj();
-                            }
-                        }
-                    }
-                    for jj in nr..NR {
-                        for p in 0..kc {
-                            panel[p * NR + jj] = c64::ZERO;
+                        for (p, &v) in src.iter().enumerate() {
+                            panel[p * NR + jj] = if opb == Op::H { v.conj() } else { v };
                         }
                     }
                 }
@@ -166,69 +234,52 @@ fn pack_b(out: &mut [c64], b: &ZMat, opb: Op, k: usize, n: usize) {
     }
 }
 
-/// Portable scalar `MR×NR` microkernel — the reference arithmetic order:
-/// adds `Σ_p ap[p·MR + ii] · bp[p·NR + jj]` into `c[ii·ldc + jj]` (stores
-/// it there when not `add`), with `p` ascending and each product
-/// accumulated through one `c64` multiply-add. One column of the block per
-/// pass: `MR` live accumulators fit the baseline (SSE2) register file,
-/// where the full `MR·NR` set spills; the k-panels re-read on every pass
-/// stay in L1. Per output element the accumulation chain is its own, so
-/// loop nesting does not affect the result bit-wise.
-#[inline(always)]
-fn mk_scalar(kc: usize, ap: &[c64], bp: &[c64], c: &mut [c64], ldc: usize, add: bool) {
-    for jj in 0..NR {
+/// Portable scalar microkernel — the reference arithmetic order: adds
+/// `Σ_p a(ii, p) · b(p, jj)` into C for every stored entry, with `p`
+/// ascending and each product accumulated through one `c64`
+/// multiply-add. One column of the block per pass: `MR` live
+/// accumulators fit the baseline (SSE2) register file, where the full
+/// `MR·NR` set spills. Per output element the accumulation chain is its
+/// own, so loop nesting does not affect the result bit-wise.
+///
+/// # Safety
+///
+/// `blk` describes valid operands (see [`Block`]).
+unsafe fn mk_scalar(blk: &Block) {
+    for jj in 0..blk.nr {
+        let b = blk.b.add(jj / NR * blk.b_panel + jj % NR);
         let mut acc = [c64::ZERO; MR];
-        for p in 0..kc {
-            let b = bp[p * NR + jj];
-            for (a, &av) in acc.iter_mut().zip(&ap[p * MR..(p + 1) * MR]) {
-                *a += av * b;
+        for p in 0..blk.kc {
+            let bv = *b.add(p * blk.b_step);
+            for (a, &row) in acc.iter_mut().zip(&blk.a) {
+                *a += *row.add(p) * bv;
             }
         }
-        for (ii, a) in acc.into_iter().enumerate() {
-            let cv = &mut c[ii * ldc + jj];
-            *cv = if add { *cv + a } else { a };
+        for (ii, a) in acc.into_iter().take(blk.mr).enumerate() {
+            *blk.c.add(ii * blk.ldc + jj) += a;
         }
     }
 }
 
-/// Adds the product of one packed A panel `ap` and the `bp.len() / (kc·NR)`
-/// adjacent packed B panels `bp` (two only on [`Lanes::Avx512`], see
-/// [`Lanes::panels`]) into the `MR × panels·NR` block that starts at
-/// `c[0]`, row stride `ldc` — or, when not `add`, stores it there.
+/// Adds one block of the product into C on the kernels `lanes`.
+///
+/// # Safety
+///
+/// `blk` describes valid operands (see [`Block`]) and at most
+/// `lanes.panels()` B panels.
 #[inline(always)]
-fn run_microkernel(
-    lanes: Lanes,
-    kc: usize,
-    (ap, bp): (&[c64], &[c64]),
-    c: &mut [c64],
-    ldc: usize,
-    add: bool,
-) {
-    let panels = bp.len() / (kc * NR);
-    assert!(
-        (1..=lanes.panels()).contains(&panels)
-            && bp.len() == panels * kc * NR
-            && ap.len() == kc * MR
-            && c.len() >= (MR - 1) * ldc + panels * NR,
-        "microkernel operands do not match the block"
-    );
+unsafe fn run_microkernel(lanes: Lanes, blk: &Block) {
     match lanes {
-        Lanes::Scalar => mk_scalar(kc, ap, bp, c, ldc, add),
+        Lanes::Scalar => mk_scalar(blk),
         // SAFETY (both arms): the lanes are only ever `Avx2` / `Avx512`
         // once `is_x86_feature_detected!` confirmed the features (see
-        // `threads::Lanes`); the panels and the C block hold what the
-        // kernels read and write (asserted above).
+        // `threads::Lanes`).
         #[cfg(target_arch = "x86_64")]
-        Lanes::Avx2 => unsafe {
-            crate::simd::mk_avx2(kc, ap.as_ptr(), bp.as_ptr(), c.as_mut_ptr(), ldc, add)
-        },
+        Lanes::Avx2 => crate::simd::mk_avx2(blk),
         #[cfg(target_arch = "x86_64")]
-        Lanes::Avx512 => unsafe {
-            let (b, cp) = (bp.as_ptr(), c.as_mut_ptr());
-            crate::simd::mk_avx512(kc, ap.as_ptr(), (b, panels), cp, ldc, add)
-        },
+        Lanes::Avx512 => crate::simd::mk_avx512(blk),
         #[cfg(not(target_arch = "x86_64"))]
-        Lanes::Avx2 | Lanes::Avx512 => mk_scalar(kc, ap, bp, c, ldc, add),
+        Lanes::Avx2 | Lanes::Avx512 => mk_scalar(blk),
     }
 }
 
@@ -244,94 +295,77 @@ impl Lanes {
     }
 }
 
+/// Where the stripe kernel reads op(B): row-major `k×n` in place, or
+/// packed by [`pack_b`].
+#[derive(Clone, Copy)]
+enum BSource<'a> {
+    InPlace(&'a [c64]),
+    Packed(&'a [c64]),
+}
+
 /// Runs the stripe kernel over rows `row0..row0 + nrows` of C, whose
 /// storage is the disjoint slice `cdata` (row-major, width `n`). `a` is
-/// the effective (already materialized) left operand; `bpack` is the
-/// packed op(B) built by [`pack_b`]; `abuf` is this thread's A-tile
-/// buffer. `row0` is always a multiple of `MR` (the thread split
-/// guarantees it), so row-panel membership — and with it every element's
-/// rounding sequence — is thread-count invariant.
+/// α·op(A), row-major `m×k`. `row0` is always a multiple of `MR` (the
+/// thread split guarantees it), so row-panel membership — and with it
+/// every element's rounding sequence — is thread-count invariant.
 #[allow(clippy::too_many_arguments)]
 fn stripe_kernel(
     cdata: &mut [c64],
     row0: usize,
     nrows: usize,
-    a: &ZMat,
-    abuf: &mut Vec<c64>,
-    bpack: &[c64],
-    alpha: c64,
+    a: &[c64],
+    b: BSource,
     k: usize,
     n: usize,
     lanes: Lanes,
 ) {
     let npanels = n.div_ceil(NR);
     let padded_n = npanels * NR;
-    let apack = reserve(abuf, nrows.min(MC).div_ceil(MR) * MR * k.min(KC));
-    // The padded block a ragged edge is stored to before its own entries
-    // are added into C.
-    let mut tile = [c64::ZERO; MR * 2 * NR];
+    let a_row = |r: usize, kk: usize, kc: usize| &a[(row0 + r) * k + kk..][..kc];
     for s0 in (0..nrows).step_by(MC) {
         let s_hi = (s0 + MC).min(nrows);
-        let mc = s_hi - s0;
-        let rpanels = mc.div_ceil(MR);
         for kk in (0..k).step_by(KC) {
             let k_hi = (kk + KC).min(k);
             let kc = k_hi - kk;
-            // Pack the A tile MR-interleaved with α folded in (a plain
-            // copy when α = 1): panel rp stores α·A[row0+s0+rp·MR+ii, kk+p]
-            // at rp·kc·MR + p·MR + ii, zero-padded when the stripe's rows
-            // run out. Row fragments of A are strided `k` apart in memory;
-            // the packed panel keeps the whole tile in cache across the
-            // stripe's column panels.
-            for rp in 0..rpanels {
-                let base = rp * kc * MR;
-                for ii in 0..MR {
-                    let r = s0 + rp * MR + ii;
-                    if r < s_hi {
-                        let src = &a.row(row0 + r)[kk..k_hi];
-                        if alpha == c64::ONE {
-                            for (p, &v) in src.iter().enumerate() {
-                                apack[base + p * MR + ii] = v;
-                            }
-                        } else {
-                            for (p, &v) in src.iter().enumerate() {
-                                apack[base + p * MR + ii] = alpha * v;
-                            }
-                        }
-                    } else {
-                        for p in 0..kc {
-                            apack[base + p * MR + ii] = c64::ZERO;
-                        }
-                    }
-                }
-            }
-            let bblock = &bpack[kk * padded_n..k_hi * padded_n];
-            for rp in 0..rpanels {
-                let ap = &apack[rp * kc * MR..(rp + 1) * kc * MR];
-                let rbase = s0 + rp * MR;
+            for rbase in (s0..s_hi).step_by(MR) {
                 let mr = (s_hi - rbase).min(MR);
+                let a_rows =
+                    std::array::from_fn(|ii| a_row(rbase + ii.min(mr - 1), kk, kc).as_ptr());
                 let mut jp = 0;
                 while jp < npanels {
                     let panels = lanes.panels().min(npanels - jp);
-                    let bp = &bblock[jp * kc * NR..(jp + panels) * kc * NR];
                     let j0 = jp * NR;
-                    let (w, nr) = (panels * NR, (n - j0).min(panels * NR));
-                    if mr == MR && nr == w {
-                        // A full block: the kernel adds into C in place.
-                        let cblock = &mut cdata[rbase * n + j0..];
-                        run_microkernel(lanes, kc, (ap, bp), cblock, n, true);
-                    } else {
-                        // A ragged edge: the kernel stores the padded block
-                        // and the masked add keeps the padded rows/columns
-                        // out of C — the same one add per entry.
-                        run_microkernel(lanes, kc, (ap, bp), &mut tile, w, false);
-                        for ii in 0..mr {
-                            let crow = &mut cdata[(rbase + ii) * n + j0..][..nr];
-                            for (cv, &t) in crow.iter_mut().zip(&tile[ii * w..]) {
-                                *cv += t;
-                            }
+                    let nr = (n - j0).min(panels * NR);
+                    let (bp, b_step, b_panel) = match b {
+                        BSource::Packed(bpack) => {
+                            let bp = &bpack[kk * padded_n + jp * kc * NR..][..panels * kc * NR];
+                            (bp.as_ptr(), NR, kc * NR)
                         }
-                    }
+                        BSource::InPlace(bm) => {
+                            let bp = &bm[kk * n + j0..(k_hi - 1) * n + j0 + nr];
+                            (bp.as_ptr(), n, NR)
+                        }
+                    };
+                    let c = &mut cdata[rbase * n + j0..(rbase + mr - 1) * n + j0 + nr];
+                    let blk = Block {
+                        kc,
+                        a: a_rows,
+                        b: bp,
+                        b_step,
+                        b_panel,
+                        panels,
+                        c: c.as_mut_ptr(),
+                        ldc: n,
+                        mr,
+                        nr,
+                    };
+                    // SAFETY: every pointer in `blk` comes from a slice
+                    // that covers what `Block` promises the kernel: `kc`
+                    // values of each A row, the B block through row
+                    // `kc − 1` and column `nr − 1` (of row-major op(B), or
+                    // of `panels` packed `kc×NR` panels), and the C block
+                    // through row `mr − 1` and column `nr − 1`.
+                    unsafe { run_microkernel(lanes, &blk) };
                     jp += panels;
                 }
             }
@@ -339,10 +373,10 @@ fn stripe_kernel(
     }
 }
 
-/// Shared core: beta scaling, operand packing, stripe fan-out, on the
-/// kernels `lanes`. Counts no flops — the public entry points (and the
-/// blocked LU, which accounts its trailing updates inside `lu_flops`)
-/// decide what to report.
+/// Shared core: beta scaling, operand preparation, stripe fan-out, on
+/// the kernels `lanes`. Counts no flops — the public entry points (and
+/// the blocked LU, which accounts its trailing updates inside
+/// `lu_flops`) decide what to report.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn gemm_core(
     lanes: Lanes,
@@ -355,10 +389,26 @@ pub(crate) fn gemm_core(
     c: &mut ZMat,
     threads: usize,
 ) {
+    let packed = packs(c.nrows(), c.ncols(), opb);
+    gemm_driver((lanes, packed), alpha, (a, opa), (b, opb), beta, c, threads);
+}
+
+/// [`gemm_core`] with the B operand's treatment chosen by the caller:
+/// packed, or (for `opb = N` only) read in place.
+pub(crate) fn gemm_driver(
+    (lanes, packed): (Lanes, bool),
+    alpha: c64,
+    (a, opa): (&ZMat, Op),
+    (b, opb): (&ZMat, Op),
+    beta: c64,
+    c: &mut ZMat,
+    threads: usize,
+) {
     let (m, ka) = opa.dims(a);
     let (kb, n) = opb.dims(b);
     assert_eq!(ka, kb, "gemm inner dimension mismatch: {ka} vs {kb}");
     assert_eq!((c.nrows(), c.ncols()), (m, n), "gemm output shape mismatch");
+    assert!(packed || opb == Op::N, "a transposed B is always packed");
     let k = ka;
 
     if beta == c64::ZERO {
@@ -370,31 +420,32 @@ pub(crate) fn gemm_core(
         return;
     }
 
-    // Materialize the effective row-major left operand (`Op::N` is
-    // borrowed as-is); op(B) folds its transform into the packing instead.
-    let ae;
-    let a_eff: &ZMat = if opa == Op::N {
-        a
-    } else {
-        ae = opa.apply(a);
-        &ae
-    };
     let blocks = m.div_ceil(MR);
     let t = threads.clamp(1, blocks);
-    PACK.with_borrow_mut(|pack| {
-        let PackBufs { a: abuf, b: bbuf } = pack;
-        let bpack = reserve(bbuf, k * n.div_ceil(NR) * NR);
-        pack_b(bpack, b, opb, k, n);
-        let bpack = &*bpack;
+    SCRATCH.with_borrow_mut(|scratch| {
+        let Scratch { a: abuf, b: bbuf } = scratch;
+        let a_eff: &[c64] = if opa == Op::N && alpha == c64::ONE {
+            a.data()
+        } else {
+            let out = reserve(abuf, m * k);
+            scaled_op(out, a, opa, alpha);
+            out
+        };
+        let b_src = if packed {
+            let out = reserve(bbuf, k * n.div_ceil(NR) * NR);
+            pack_b(out, b, opb, k, n);
+            BSource::Packed(out)
+        } else {
+            BSource::InPlace(b.data())
+        };
         if t == 1 {
-            stripe_kernel(c.data_mut(), 0, m, a_eff, abuf, bpack, alpha, k, n, lanes);
+            stripe_kernel(c.data_mut(), 0, m, a_eff, b_src, k, n, lanes);
             return;
         }
 
         // Contiguous row chunks, one per worker, split at multiples of MR
         // so every row keeps its microkernel row-panel regardless of the
-        // thread count (see module docs); balanced to ±MR rows. Each
-        // worker packs its A tiles into its own thread's buffer.
+        // thread count (see module docs); balanced to ±MR rows.
         let base = blocks / t;
         let rem = blocks % t;
         std::thread::scope(|scope| {
@@ -406,12 +457,7 @@ pub(crate) fn gemm_core(
                 let (chunk, tail) = rest.split_at_mut(rows * n);
                 rest = tail;
                 let start = row0;
-                scope.spawn(move || {
-                    PACK.with_borrow_mut(|mine| {
-                        let abuf = &mut mine.a;
-                        stripe_kernel(chunk, start, rows, a_eff, abuf, bpack, alpha, k, n, lanes)
-                    })
-                });
+                scope.spawn(move || stripe_kernel(chunk, start, rows, a_eff, b_src, k, n, lanes));
                 row0 += rows;
             }
         });
@@ -577,6 +623,102 @@ mod tests {
                     assert!(
                         x.re.to_bits() == y.re.to_bits() && x.im.to_bits() == y.im.to_bits(),
                         "threads={t} not bit-identical for {m}x{k}x{n}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// The kernels this host runs: scalar, and the SIMD widths it has.
+    fn host_lanes() -> Vec<Lanes> {
+        let mut lanes = vec![Lanes::Scalar];
+        if threads::simd_supported() {
+            lanes.push(Lanes::Avx2);
+        }
+        if threads::avx512_supported() {
+            lanes.push(Lanes::Avx512);
+        }
+        lanes
+    }
+
+    fn same_bits(a: &ZMat, b: &ZMat) -> bool {
+        a.data()
+            .iter()
+            .zip(b.data())
+            .all(|(x, y)| x.re.to_bits() == y.re.to_bits() && x.im.to_bits() == y.im.to_bits())
+    }
+
+    /// The no-pack driver gives the packed driver's bits on every kernel
+    /// the host runs (widths it lacks are skipped): the width battery's
+    /// shapes, then every residue of m, n modulo `MR` and `2·NR` at
+    /// k = 1, `KC`, `KC` + 1 and 2·`KC` + 3; all nine op pairs, α and β
+    /// each 1, −1 or 0, and general; 1 and 2 threads. A transposed B is
+    /// always packed, so its in-place run gets op(B) written out.
+    #[test]
+    fn in_place_operands_give_the_packed_bits() {
+        let mut shapes = vec![
+            (5, 7, 13),
+            (13, 67, 7),
+            (67, 13, 97),
+            (1, 130, 1),
+            (130, 1, 67),
+            (2, 97, 130),
+            (67, 97, 66),
+            (90, 20, 90),
+            (20, 20, 90),
+        ];
+        for m in 1..=2 * MR {
+            for n in 1..=2 * NR {
+                for k in [1, KC, KC + 1, 2 * KC + 3] {
+                    shapes.push((m, k, n));
+                }
+            }
+        }
+        let ops = [Op::N, Op::T, Op::H];
+        let mut runs = vec![];
+        for lanes in host_lanes() {
+            for alpha in [c64::ONE, -c64::ONE, c64::new(0.37, -0.82)] {
+                for beta in [c64::ZERO, c64::ONE, c64::new(-1.1, 0.25)] {
+                    for threads in [1, 2] {
+                        runs.push((lanes, alpha, beta, threads));
+                    }
+                }
+            }
+        }
+        for (si, &(m, k, n)) in shapes.iter().enumerate() {
+            let seed = 10 * si as u64;
+            let c0 = randmat(m, n, seed + 3);
+            for (opa, opb) in ops.iter().flat_map(|&x| ops.map(|y| (x, y))) {
+                let stored = |op: Op, r: usize, c: usize, seed: u64| {
+                    if op == Op::N {
+                        randmat(r, c, seed)
+                    } else {
+                        randmat(c, r, seed)
+                    }
+                };
+                let a = stored(opa, m, k, seed + 1);
+                let b = stored(opb, k, n, seed + 2);
+                let b_eff = match opb {
+                    Op::N => b.clone(),
+                    Op::T => b.transpose(),
+                    Op::H => b.adjoint(),
+                };
+                for &(lanes, alpha, beta, threads) in &runs {
+                    let (mut packed, mut in_place) = (c0.clone(), c0.clone());
+                    let (a, t) = ((&a, opa), threads);
+                    gemm_driver((lanes, true), alpha, a, (&b, opb), beta, &mut packed, t);
+                    gemm_driver(
+                        (lanes, false),
+                        alpha,
+                        a,
+                        (&b_eff, Op::N),
+                        beta,
+                        &mut in_place,
+                        t,
+                    );
+                    assert!(
+                        same_bits(&packed, &in_place),
+                        "{m}x{k}x{n} {opa:?}{opb:?} {lanes:?} alpha={alpha:?} beta={beta:?} t={t}"
                     );
                 }
             }

@@ -1,5 +1,5 @@
-//! AVX2+FMA and AVX-512F kernels for the packed GEMM hot path and the
-//! BLAS-1 ops.
+//! AVX2+FMA and AVX-512F kernels for the GEMM hot path and the BLAS-1
+//! ops.
 //!
 //! Everything here is the `SimdPath::Avx2Fma` half of the dispatch in
 //! [`crate::threads`]; the scalar reference implementations live next to
@@ -45,12 +45,13 @@
 //! succeed, and its 512-bit width only after `("avx512f")` does.
 #![cfg(target_arch = "x86_64")]
 
-use crate::gemm::{MR, NR};
+use crate::gemm::{Block, MR, NR};
 use core::arch::x86_64::{
-    __m256d, __m512d, _mm256_add_pd, _mm256_addsub_pd, _mm256_broadcast_sd, _mm256_fmadd_pd,
-    _mm256_loadu_pd, _mm256_mul_pd, _mm256_permute_pd, _mm256_setzero_pd, _mm256_storeu_pd,
-    _mm512_add_pd, _mm512_fmadd_pd, _mm512_fmaddsub_pd, _mm512_loadu_pd, _mm512_mul_pd,
-    _mm512_permute_pd, _mm512_set1_pd, _mm512_storeu_pd,
+    __m256d, __m256i, __m512d, __mmask8, _mm256_add_pd, _mm256_addsub_pd, _mm256_broadcast_sd,
+    _mm256_fmadd_pd, _mm256_loadu_pd, _mm256_maskload_pd, _mm256_maskstore_pd, _mm256_mul_pd,
+    _mm256_permute_pd, _mm256_setr_epi64x, _mm256_setzero_pd, _mm256_storeu_pd, _mm512_add_pd,
+    _mm512_fmadd_pd, _mm512_fmaddsub_pd, _mm512_loadu_pd, _mm512_mask_storeu_pd,
+    _mm512_maskz_loadu_pd, _mm512_mul_pd, _mm512_permute_pd, _mm512_set1_pd, _mm512_storeu_pd,
 };
 use omen_num::c64;
 
@@ -65,9 +66,17 @@ use omen_num::c64;
 trait Reg: Copy {
     /// `c64` values per register.
     const C64S: usize;
+    /// Selects the first `n ≤ C64S` complex values of a register.
+    type Mask: Copy;
+    unsafe fn mask(n: usize) -> Self::Mask;
     unsafe fn splat(x: f64) -> Self;
     unsafe fn load(p: *const f64) -> Self;
     unsafe fn store(self, p: *mut f64);
+    /// Loads the masked values; the others read as zero and their memory
+    /// is not touched.
+    unsafe fn load_masked(p: *const f64, m: Self::Mask) -> Self;
+    /// Stores the masked values; the memory of the others is not touched.
+    unsafe fn store_masked(self, p: *mut f64, m: Self::Mask);
     /// `a·b + c`, one rounding.
     unsafe fn fma(a: Self, b: Self, c: Self) -> Self;
     unsafe fn mul(self, b: Self) -> Self;
@@ -80,6 +89,12 @@ trait Reg: Copy {
 
 impl Reg for __m256d {
     const C64S: usize = 2;
+    type Mask = __m256i;
+    #[inline(always)]
+    unsafe fn mask(n: usize) -> __m256i {
+        let (lo, hi) = (-i64::from(n > 0), -i64::from(n > 1));
+        _mm256_setr_epi64x(lo, lo, hi, hi)
+    }
     #[inline(always)]
     unsafe fn splat(x: f64) -> Self {
         _mm256_broadcast_sd(&x)
@@ -91,6 +106,14 @@ impl Reg for __m256d {
     #[inline(always)]
     unsafe fn store(self, p: *mut f64) {
         _mm256_storeu_pd(p, self)
+    }
+    #[inline(always)]
+    unsafe fn load_masked(p: *const f64, m: __m256i) -> Self {
+        _mm256_maskload_pd(p, m)
+    }
+    #[inline(always)]
+    unsafe fn store_masked(self, p: *mut f64, m: __m256i) {
+        _mm256_maskstore_pd(p, m, self)
     }
     #[inline(always)]
     unsafe fn fma(a: Self, b: Self, c: Self) -> Self {
@@ -116,6 +139,11 @@ impl Reg for __m256d {
 
 impl Reg for __m512d {
     const C64S: usize = 4;
+    type Mask = __mmask8;
+    #[inline(always)]
+    unsafe fn mask(n: usize) -> __mmask8 {
+        ((1u16 << (2 * n)) - 1) as __mmask8
+    }
     #[inline(always)]
     unsafe fn splat(x: f64) -> Self {
         _mm512_set1_pd(x)
@@ -127,6 +155,14 @@ impl Reg for __m512d {
     #[inline(always)]
     unsafe fn store(self, p: *mut f64) {
         _mm512_storeu_pd(p, self)
+    }
+    #[inline(always)]
+    unsafe fn load_masked(p: *const f64, m: __mmask8) -> Self {
+        _mm512_maskz_loadu_pd(m, p)
+    }
+    #[inline(always)]
+    unsafe fn store_masked(self, p: *mut f64, m: __mmask8) {
+        _mm512_mask_storeu_pd(p, m, self)
     }
     #[inline(always)]
     unsafe fn fma(a: Self, b: Self, c: Self) -> Self {
@@ -158,112 +194,114 @@ fn as_f64(p: *const c64) -> *const f64 {
     p.cast::<f64>()
 }
 
-/// The microkernel body: adds `Σ_p ap[p·MR + ii] · b_r[p·NR + jj]` into
-/// row `ii`, columns `jj < V::C64S` of the C entries at `c[r]` (row stride
-/// `ldc` values), for `R` register columns at once, `p < kc` ascending —
-/// or, when not `add`, stores it there. `ap` is a packed `MR`-interleaved
-/// A panel with α folded in; `b[r]` points into a packed `NR`-wide B
-/// panel. A C entry gets one add of its combined accumulators, as in the
-/// scalar kernel.
+/// The microkernel body, the one in the crate: adds `Σ_p a(ii, p) ·
+/// b(p, jj)` into C row `ii < blk.mr`, the columns of register column `r`
+/// that `m[r]` selects, for `R` register columns at once, `p < blk.kc`
+/// ascending. `a(ii, ·)` is at `blk.a[ii]`, `b(p, ·)` at
+/// `b[r] + p·blk.b_step`, C row `ii` at `c[r] + ii·blk.ldc`. Row-major
+/// op(B) read in place and packed B panels are two stride sets of this
+/// one body, so a C entry gets the same products in the same order
+/// either way, and one add of its combined accumulators, as in the scalar
+/// kernel. On an `EDGE` block B and C go through the masks: masked-off
+/// lanes of B read as zero, and those of C are neither read nor written.
+/// An interior block (every mask full) loads and stores plainly: a masked
+/// load costs a shuffle-port µop, which the FMAs need.
 ///
 /// # Safety
 ///
-/// Inline only into a function compiled for `V`'s target features; `ap`
-/// valid for `kc·MR` reads, every `b[r]` for `(kc − 1)·NR + V::C64S`,
-/// every `c[r]` for `(MR − 1)·ldc + V::C64S` reads and writes.
+/// Inline only into a function compiled for `V`'s target features; `blk`
+/// describes valid operands (see [`Block`]), and `b`, `c` and `m` are its
+/// register columns.
 #[inline(always)]
-unsafe fn block<V: Reg, const R: usize>(
-    kc: usize,
-    ap: *const c64,
+unsafe fn block<V: Reg, const R: usize, const EDGE: bool>(
+    blk: &Block,
     b: [*const c64; R],
     c: [*mut c64; R],
-    ldc: usize,
-    add: bool,
+    m: [V::Mask; R],
 ) {
     let mut acc1 = [[V::splat(0.0); R]; MR];
     let mut acc2 = [[V::splat(0.0); R]; MR];
-    for p in 0..kc {
+    for p in 0..blk.kc {
         let mut bv = [V::splat(0.0); R];
         for r in 0..R {
-            bv[r] = V::load(as_f64(b[r].add(p * NR)));
+            let bp = as_f64(b[r].add(p * blk.b_step));
+            bv[r] = if EDGE {
+                V::load_masked(bp, m[r])
+            } else {
+                V::load(bp)
+            };
         }
-        let arow = as_f64(ap.add(p * MR));
         for ii in 0..MR {
-            let ar = V::splat(*arow.add(2 * ii));
-            let ai = V::splat(*arow.add(2 * ii + 1));
+            let a = as_f64(blk.a[ii].add(p));
+            let ar = V::splat(*a);
+            let ai = V::splat(*a.add(1));
             for r in 0..R {
                 acc1[ii][r] = V::fma(ar, bv[r], acc1[ii][r]);
                 acc2[ii][r] = V::fma(ai, bv[r], acc2[ii][r]);
             }
         }
     }
-    for ii in 0..MR {
+    for ii in 0..blk.mr {
         for r in 0..R {
-            let cp = c[r].add(ii * ldc).cast::<f64>();
+            let cp = c[r].add(ii * blk.ldc).cast::<f64>();
             let sum = acc1[ii][r].addsub(acc2[ii][r].swap());
-            if add {
-                V::load(cp).add(sum).store(cp);
+            if EDGE {
+                V::load_masked(cp, m[r]).add(sum).store_masked(cp, m[r]);
             } else {
-                sum.store(cp);
+                V::load(cp).add(sum).store(cp);
             }
         }
     }
 }
 
-/// 256-bit microkernel: adds the `MR×NR` product of one packed A panel
-/// and one packed B panel into C at `c` (row stride `ldc` values), or
-/// stores it there when not `add`. The
-/// block runs as two 4×2 column halves, each a full pass over the k-loop:
-/// 8 accumulator registers per half plus `b` and the two broadcasts stay
-/// inside the 16 `ymm` registers, and the B panel is re-read from L1 on
-/// the second pass.
+/// 256-bit microkernel: adds one `MR×NR` block of the product into C
+/// (one B panel: `blk.panels == 1`). The block runs as two 4×2 column
+/// halves, each a full pass over the k-loop: 8 accumulator registers per
+/// half plus `b` and the two broadcasts stay inside the 16 `ymm`
+/// registers, and the B rows are re-read from L1 on the second pass. A
+/// half with no stored column is skipped.
 ///
 /// # Safety
 ///
-/// Caller must ensure the CPU supports AVX2 and FMA, `ap` is valid for
-/// `kc·MR` reads, `bp` for `kc·NR`, and `c` for `(MR − 1)·ldc + NR` reads
-/// and writes.
+/// Caller must ensure the CPU supports AVX2 and FMA and `blk` describes
+/// valid operands.
 #[target_feature(enable = "avx2,fma")]
-pub(crate) unsafe fn mk_avx2(
-    kc: usize,
-    ap: *const c64,
-    bp: *const c64,
-    c: *mut c64,
-    ldc: usize,
-    add: bool,
-) {
-    for half in 0..2 {
-        let col = half * __m256d::C64S;
-        block::<__m256d, 1>(kc, ap, [bp.add(col)], [c.add(col)], ldc, add);
+pub(crate) unsafe fn mk_avx2(blk: &Block) {
+    for col in (0..blk.nr).step_by(__m256d::C64S) {
+        let (b, c) = ([blk.b.add(col)], [blk.c.add(col)]);
+        if blk.nr - col < __m256d::C64S {
+            block::<__m256d, 1, true>(blk, b, c, [__m256d::mask(blk.nr - col)]);
+        } else {
+            block::<__m256d, 1, false>(blk, b, c, [__m256d::mask(__m256d::C64S)]);
+        }
     }
 }
 
-/// 512-bit microkernel: the product of one packed A panel and `panels`
-/// (1 or 2) adjacent packed B panels — `MR×NR` or `MR×2NR` — added into C
-/// at `c` (row stride `ldc` values), or stored there when not `add`. One
-/// `zmm` holds one B panel row, so
-/// two panels keep 16 accumulator chains, the two B rows and the two
-/// broadcasts inside the 32 `zmm` registers in one k-pass.
+/// 512-bit microkernel: adds one `MR×NR` or `MR×2NR` block of the product
+/// (`blk.panels` B panels, `blk.b_panel` apart) into C. One `zmm` holds
+/// one B panel row, so two panels keep 16 accumulator chains, the two B
+/// rows and the two broadcasts inside the 32 `zmm` registers in one
+/// k-pass.
 ///
 /// # Safety
 ///
-/// Caller must ensure the CPU supports AVX-512F, AVX2 and FMA, `ap` is
-/// valid for `kc·MR` reads, `bp` for `panels·kc·NR`, and `c` for
-/// `(MR − 1)·ldc + panels·NR` reads and writes.
+/// Caller must ensure the CPU supports AVX-512F, AVX2 and FMA and `blk`
+/// describes valid operands.
 #[target_feature(enable = "avx512f,avx2,fma")]
-pub(crate) unsafe fn mk_avx512(
-    kc: usize,
-    ap: *const c64,
-    (bp, panels): (*const c64, usize),
-    c: *mut c64,
-    ldc: usize,
-    add: bool,
-) {
-    if panels == 2 {
-        let b = [bp, bp.add(kc * NR)];
-        block::<__m512d, 2>(kc, ap, b, [c, c.add(NR)], ldc, add);
+pub(crate) unsafe fn mk_avx512(blk: &Block) {
+    let m = |r: usize| __m512d::mask(blk.nr.saturating_sub(r * NR).min(NR));
+    let edge = blk.nr < blk.panels * NR;
+    if blk.panels == 2 {
+        let (b, c) = ([blk.b, blk.b.add(blk.b_panel)], [blk.c, blk.c.add(NR)]);
+        if edge {
+            block::<__m512d, 2, true>(blk, b, c, [m(0), m(1)]);
+        } else {
+            block::<__m512d, 2, false>(blk, b, c, [m(0), m(1)]);
+        }
+    } else if edge {
+        block::<__m512d, 1, true>(blk, [blk.b], [blk.c], [m(0)]);
     } else {
-        block::<__m512d, 1>(kc, ap, [bp], [c], ldc, add);
+        block::<__m512d, 1, false>(blk, [blk.b], [blk.c], [m(0)]);
     }
 }
 
@@ -419,24 +457,35 @@ mod tests {
         for (lanes, panels) in kernels {
             let cols = panels * NR;
             for kc in [1usize, 3, 63, 64, 65] {
-                let ap = vals(kc * MR, 1);
+                let ap = vals(MR * kc, 1);
                 let bp = vals(kc * cols, 2);
                 let mut c = vec![c64::ZERO; MR * cols];
+                let blk = Block {
+                    kc,
+                    a: std::array::from_fn(|ii| ap[ii * kc..].as_ptr()),
+                    b: bp.as_ptr(),
+                    b_step: NR,
+                    b_panel: kc * NR,
+                    panels,
+                    c: c.as_mut_ptr(),
+                    ldc: cols,
+                    mr: MR,
+                    nr: cols,
+                };
                 // SAFETY: guarded by the feature checks above; the panels
                 // and the block hold what the kernels read and write.
                 unsafe {
-                    let (a, b, cp) = (ap.as_ptr(), bp.as_ptr(), c.as_mut_ptr());
                     if lanes == Lanes::Avx2 {
-                        mk_avx2(kc, a, b, cp, cols, true);
+                        mk_avx2(&blk);
                     } else {
-                        mk_avx512(kc, a, (b, panels), cp, cols, true);
+                        mk_avx512(&blk);
                     }
                 }
                 for ii in 0..MR {
                     for jj in 0..cols {
                         let (jp, j) = (jj / NR, jj % NR);
                         let want: c64 = (0..kc)
-                            .map(|p| ap[p * MR + ii] * bp[jp * kc * NR + p * NR + j])
+                            .map(|p| ap[ii * kc + p] * bp[jp * kc * NR + p * NR + j])
                             .sum();
                         assert!(
                             (c[ii * cols + jj] - want).abs()
