@@ -114,6 +114,18 @@ if [ "$(grep -c 'fn block<' crates/linalg/src/simd.rs)" -ne 1 ]; then
     echo "ci: crates/linalg/src/simd.rs must hold exactly one microkernel body (fn block<)"
     exit 1
 fi
+# A coupling is observed once, at assembly (crates/sparse/src/block.rs):
+# `BlockTridiag` stores each off-diagonal block on its support, so the
+# stored form is the support. An engine that observes a dense block again
+# re-scans n² entries per energy point for what assembly already knows,
+# and a dense off-diagonal block kept next to the coupling is what it
+# would scan. Tests may observe a dense block to hold the stored one to it.
+for f in $(grep -rl --include='*.rs' 'Coupling::observe' crates src examples | grep -vE '^crates/sparse/src/|/tests/'); do
+    if sed '/#\[cfg(test)\]/,$d' "$f" | grep -n 'Coupling::observe'; then
+        echo "ci: $f observes a coupling outside crates/sparse/src and tests; read the stored BlockTridiag couplings"
+        exit 1
+    fi
+done
 # SplitSolve is the rank path's one spatial protocol. Selected inversion
 # is a serial engine (its rank driver lost to serial RGF 6.5-10.6x at two
 # ranks and was deleted: EXPERIMENTS.md "SelInv verdict"); a second

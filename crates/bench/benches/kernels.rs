@@ -239,7 +239,7 @@ fn bench_selinv(smoke: bool, out: &mut Vec<KernelRecord>) {
         .collect();
     let lower: Vec<ZMat> = (0..nb - 1).map(|i| randmat(bs, 100 + i as u64)).collect();
     let upper: Vec<ZMat> = (0..nb - 1).map(|i| randmat(bs, 200 + i as u64)).collect();
-    let a = omen_sparse::BlockTridiag::new(diag, lower, upper);
+    let a = omen_sparse::BlockTridiag::from_dense(diag, lower, upper);
     let gl = randmat(bs, 300).hermitian_part();
     let gr = randmat(bs, 301).hermitian_part();
 

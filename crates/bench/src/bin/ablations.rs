@@ -114,7 +114,7 @@ fn ablation_c_eta() {
     let off: Vec<ZMat> = (0..nb - 1)
         .map(|_| ZMat::from_diag(&[c64::real(-1.0)]))
         .collect();
-    let h = BlockTridiag::new(diag, off.clone(), off);
+    let h = BlockTridiag::from_dense(diag, off.clone(), off);
     let h00 = ZMat::from_diag(&[c64::ZERO]);
     let h01 = ZMat::from_diag(&[c64::real(-1.0)]);
 

@@ -41,7 +41,7 @@ fn system(nb: usize, bs: usize, nrhs: usize) -> (BlockTridiag, Vec<ZMat>) {
     let lower = (0..nb - 1).map(|_| rnd(bs, bs)).collect();
     let upper = (0..nb - 1).map(|_| rnd(bs, bs)).collect();
     let b = (0..nb).map(|_| rnd(bs, nrhs)).collect();
-    (BlockTridiag::new(diag, lower, upper), b)
+    (BlockTridiag::from_dense(diag, lower, upper), b)
 }
 
 fn main() {

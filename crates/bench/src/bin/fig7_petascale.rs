@@ -41,7 +41,7 @@ fn measure_alpha(w: f64, slabs: usize) -> (f64, usize, usize) {
     // Solver-only measurement: injected-mode solve on the prebuilt system.
     let (a, b, _) = omen_wf::transport::assemble(e, 2e-6, &h, &sl, &sr);
     reset_flops();
-    let _ = a.thomas(b).expect("Thomas solve failed");
+    let _ = omen_wf::thomas_solve(&a, &b).expect("Thomas solve failed");
     let flops = flop_count();
     let alpha = flops as f64 / (slabs as f64 * (n as f64).powi(3));
     (alpha, n, slabs)

@@ -66,7 +66,7 @@ fn main() {
     let off: Vec<omen_linalg::ZMat> = (0..nb - 1)
         .map(|_| omen_linalg::ZMat::from_diag(&[c64::real(t_hop)]))
         .collect();
-    let chain = BlockTridiag::new(diag, off.clone(), off);
+    let chain = BlockTridiag::from_dense(diag, off.clone(), off);
     let h00c = omen_linalg::ZMat::from_diag(&[c64::real(e0)]);
     let h01c = omen_linalg::ZMat::from_diag(&[c64::real(t_hop)]);
 

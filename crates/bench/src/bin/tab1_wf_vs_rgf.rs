@@ -33,7 +33,7 @@ fn chain_case() -> Case {
         .collect();
     Case {
         name: "1-band chain + barrier".into(),
-        h: BlockTridiag::new(diag, off.clone(), off),
+        h: BlockTridiag::from_dense(diag, off.clone(), off),
         lead: (
             omen_linalg::ZMat::from_diag(&[c64::ZERO]),
             omen_linalg::ZMat::from_diag(&[c64::real(-1.0)]),

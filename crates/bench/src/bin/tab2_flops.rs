@@ -85,10 +85,10 @@ fn main() {
         // pays over Thomas for its log-depth tree: the block solve alone.
         let (a, b, _) = omen_wf::transport::assemble(e, 2e-6, &h, &sl, &sr);
         let scope = FlopScope::new();
-        a.clone().thomas(b.clone()).expect("Thomas solve failed");
+        omen_wf::thomas_solve(&a, &b).expect("Thomas solve failed");
         let thomas_flops = scope.take();
         let scope = FlopScope::new();
-        a.bcr(b).expect("BCR solve failed");
+        omen_wf::bcr_solve(&a, &b).expect("BCR solve failed");
         let premium = scope.take() as f64 / thomas_flops as f64;
         premium_lo = premium_lo.min(premium);
         premium_hi = premium_hi.max(premium);

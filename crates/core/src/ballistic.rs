@@ -456,7 +456,7 @@ pub(crate) fn severed_chain(
     let hop: Vec<ZMat> = (0..n - 1)
         .map(|i| if cut.contains(&i) { z() } else { t() })
         .collect();
-    (BlockTridiag::new(diag, hop.clone(), hop), z(), t())
+    (BlockTridiag::from_dense(diag, hop.clone(), hop), z(), t())
 }
 
 #[cfg(test)]

@@ -1118,7 +1118,7 @@ mod tests {
             _ if i == j => c64::real(5.0),
             _ => c64::ZERO,
         });
-        let h = BlockTridiag::new(vec![slab; 4], vec![hop.clone(); 3], vec![hop.clone(); 3]);
+        let h = BlockTridiag::from_dense(vec![slab; 4], vec![hop.clone(); 3], vec![hop.clone(); 3]);
         (h, h00, hop)
     }
 

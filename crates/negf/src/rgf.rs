@@ -17,14 +17,14 @@
 //! **Couplings on their support.** In a nearest-neighbour tight-binding
 //! device an off-diagonal block is non-zero on a few rows and columns only
 //! (20 × 20 of 90 on the sp3s* wire, 8 × 7 of 32 on the single-band one),
-//! so each one enters the recursion as `A_{i,i+1} = P_R·U_i·P_Cᵀ` and
-//! `A_{i+1,i} = P_R′·L_i·P_C′ᵀ`, an [`omen_sparse::Coupling`] — the form
-//! the wave-function engine's eliminations take too: the row/column
-//! supports are read off the block's exact zeros (rectangular, per link,
-//! upper and lower independent), the cores `U_i`, `L_i` are the `r × c`
-//! submatrices, and no product below takes an `n × n` off-diagonal block
-//! as an operand. A dense coupling is its own core and costs what the
-//! dense recursion costs, to the flop.
+//! and [`BlockTridiag`] stores each one that way: `A_{i,i+1} = P_R·U_i·P_Cᵀ`
+//! and `A_{i+1,i} = P_R′·L_i·P_C′ᵀ`, an [`omen_sparse::Coupling`] whose
+//! supports were observed once, at assembly (rectangular, per link, upper
+//! and lower independent) — the form the wave-function engine's
+//! eliminations take too. The recursion reads the stored cores `U_i`,
+//! `L_i` (negated for `A = … − H`) and no product below takes an `n × n`
+//! off-diagonal block as an operand. A dense coupling is its own core and
+//! costs what the dense recursion costs, to the flop.
 //!
 //! **Forward sweep** (one factorization per slab): the left-connected
 //! `gL_i = (A_ii − A_{i,i−1}·gL_{i−1}·A_{i−1,i})⁻¹`, where the Schur term
@@ -60,6 +60,7 @@ use crate::transport::{package, EnergyPointData};
 use omen_linalg::{gemm, lu, matmul, matmul_n_h, Op, ZMat};
 use omen_num::{c64, OmenResult};
 use omen_sparse::{BlockTridiag, Coupling};
+use std::ops::Neg;
 
 /// Imaginary diagonal shift used to regularize a singular pivot block
 /// before giving up on the point. Matches the numerical broadening scale
@@ -131,14 +132,10 @@ fn neg_product(a: &ZMat, b: &ZMat) -> ZMat {
     out
 }
 
-/// The couplings of a block list, negated when `negate` (the blocks are
-/// `H`'s and `A = … − H`): the sign lands on the core.
-fn couplings(blocks: &[ZMat], negate: bool) -> Vec<Coupling> {
-    blocks
-        .iter()
-        .map(Coupling::observe)
-        .map(|c| if negate { -c } else { c })
-        .collect()
+/// `−B` for every coupling `B` of `blocks`: `A = … − H` takes `H`'s
+/// couplings with the sign on their cores.
+pub fn negated(blocks: &[Coupling]) -> Vec<Coupling> {
+    blocks.iter().map(Neg::neg).collect()
 }
 
 /// `m[rows, cols] −= p`.
@@ -178,8 +175,8 @@ pub fn a_diagonal<'a>(
 
 /// Builds `A = (E + iη) I − H − Σ_L − Σ_R` from the device Hamiltonian:
 /// a negated copy of all of `H`, for selected inversion and the tests that
-/// hold an engine against it. [`rgf_point`] and the wave-function engine
-/// take [`a_diagonal`] and `H`'s couplings instead.
+/// hold an engine against it. [`rgf_point`] takes [`a_diagonal`] and
+/// `H`'s couplings instead.
 pub(crate) fn build_a_matrix(
     e: f64,
     eta: f64,
@@ -188,9 +185,7 @@ pub(crate) fn build_a_matrix(
     sigma_r: &ContactSelfEnergy,
 ) -> BlockTridiag {
     let diag = a_diagonal(e, eta, h, sigma_l, sigma_r).collect();
-    let lower: Vec<ZMat> = h.lower.iter().map(|b| -b).collect();
-    let upper: Vec<ZMat> = h.upper.iter().map(|b| -b).collect();
-    BlockTridiag::new(diag, lower, upper)
+    BlockTridiag::new(diag, negated(&h.lower), negated(&h.upper))
 }
 
 /// Runs the RGF recursion on a prebuilt `A` matrix with the contact
@@ -206,20 +201,14 @@ pub(crate) fn build_a_matrix(
 /// [`OmenError::SingularBlock`](omen_num::OmenError) carrying the slab
 /// index.
 pub fn rgf_solve(a: &BlockTridiag, gamma_l: &ZMat, gamma_r: &ZMat) -> OmenResult<RgfResult> {
-    recursion(
-        a.diag.iter().cloned(),
-        &couplings(&a.lower, false),
-        &couplings(&a.upper, false),
-        gamma_l,
-        gamma_r,
-    )
+    recursion(a.diag.iter().cloned(), &a.lower, &a.upper, gamma_l, gamma_r)
 }
 
 /// One energy point with RGF, from the contacts on: [`rgf_solve`] on
 /// `A = (E + iη) I − H − Σ_L − Σ_R` without forming `A` — each diagonal
 /// block is built as the sweep reaches it and consumed there, the
-/// couplings are read from `H`'s off-diagonal blocks, negated on their
-/// cores — packaged into the flat per-orbital data the integrator reads.
+/// couplings are `H`'s stored ones, negated on their cores — packaged into
+/// the flat per-orbital data the integrator reads.
 ///
 /// # Errors
 ///
@@ -234,8 +223,8 @@ pub fn rgf_point(
 ) -> OmenResult<EnergyPointData> {
     let r = recursion(
         a_diagonal(e, eta, h, sigma_l, sigma_r),
-        &couplings(&h.lower, true),
-        &couplings(&h.upper, true),
+        &negated(&h.lower),
+        &negated(&h.upper),
         &sigma_l.gamma,
         &sigma_r.gamma,
     )
@@ -337,7 +326,7 @@ mod tests {
         let off: Vec<ZMat> = (0..nb - 1)
             .map(|_| ZMat::from_diag(&[c64::real(t)]))
             .collect();
-        BlockTridiag::new(diag, off.clone(), off)
+        BlockTridiag::from_dense(diag, off.clone(), off)
     }
 
     fn chain_leads(e0: f64, t: f64, e: f64) -> (ContactSelfEnergy, ContactSelfEnergy) {
@@ -611,7 +600,8 @@ mod tests {
             } else {
                 &mut a.lower[1]
             };
-            block[(2, 3)] = c64::new(f64::NAN, 0.0);
+            // A dense coupling is its own core.
+            block.core[(2, 3)] = c64::new(f64::NAN, 0.0);
             let err = rgf_solve(&a, &gamma_on(bs, &[1], 1), &gamma_on(bs, &[2], 2)).unwrap_err();
             assert!(
                 matches!(err, omen_num::OmenError::SingularBlock { block: 2, .. }),

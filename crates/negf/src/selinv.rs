@@ -44,6 +44,27 @@ use omen_linalg::{gemm, lu, matmul, Op, ZMat};
 use omen_num::{c64, OmenResult};
 use omen_sparse::BlockTridiag;
 
+/// `A` with its couplings scattered dense: the tree's products take the
+/// `n × n` off-diagonal blocks as operands.
+struct Blocks<'a> {
+    diag: &'a [ZMat],
+    /// `A_{i+1,i}`.
+    lower: Vec<ZMat>,
+    /// `A_{i,i+1}`.
+    upper: Vec<ZMat>,
+}
+
+impl<'a> Blocks<'a> {
+    fn of(a: &'a BlockTridiag) -> Self {
+        let links = 0..a.num_blocks() - 1;
+        Blocks {
+            diag: &a.diag,
+            lower: links.clone().map(|i| a.lower_dense(i)).collect(),
+            upper: links.map(|i| a.upper_dense(i)).collect(),
+        }
+    }
+}
+
 /// One elimination-tree node: separator `sep` eliminating interval
 /// `[lo, hi]`. Nodes are stored indexed by separator (each block is the
 /// separator of exactly one node).
@@ -126,7 +147,7 @@ struct UpNode {
 
 /// Schur-eliminates one separator given its children's corners.
 fn eliminate(
-    a: &BlockTridiag,
+    a: &Blocks,
     node: &Node,
     left: Option<&Corners>,
     right: Option<&Corners>,
@@ -298,13 +319,13 @@ impl Supports {
 /// Applies the exterior correction `G_II = Ĝ + Ĝ·C·G_EE·Cᵀ·Ĝ` at one
 /// node and assembles the payloads for its children.
 fn descend(
-    a: &BlockTridiag,
+    a: &Blocks,
     sup: &Supports,
     node: &Node,
     u: &UpNode,
     p: &DownPayload,
 ) -> (NodeResult, Option<DownPayload>, Option<DownPayload>) {
-    let nb = a.num_blocks();
+    let nb = a.diag.len();
     let (lo, hi) = (node.lo, node.hi);
     let neg = -c64::ONE;
     // Row wings W = Ĝ_{m,∂p}·A_{∂p,p} and column wings V = A_{p,∂p}·Ĝ_{∂p,m}
@@ -478,6 +499,7 @@ pub fn selinv_solve(a: &BlockTridiag, gamma_l: &ZMat, gamma_r: &ZMat) -> OmenRes
     let nb = a.num_blocks();
     let sup = Supports::of(gamma_l, gamma_r);
     let (nodes, order) = build_tree(nb);
+    let a = Blocks::of(a);
 
     // Upward pass, children before parents: `up` is in postorder and
     // `at[s]` is separator `s`'s position in it.
@@ -488,7 +510,7 @@ pub fn selinv_solve(a: &BlockTridiag, gamma_l: &ZMat, gamma_r: &ZMat) -> OmenRes
         at[s] = i;
         let n = &nodes[s];
         let corners = |child: Option<usize>| child.map(|c| &up[at[c]].corners);
-        let node = eliminate(a, n, corners(n.left), corners(n.right))?;
+        let node = eliminate(&a, n, corners(n.left), corners(n.right))?;
         retries += node.retries;
         up.push(node);
     }
@@ -502,7 +524,7 @@ pub fn selinv_solve(a: &BlockTridiag, gamma_l: &ZMat, gamma_r: &ZMat) -> OmenRes
     for (&s, u) in order.iter().zip(&up).rev() {
         let n = &nodes[s];
         let pay = std::mem::take(&mut payloads[s]);
-        let (res, pl, pr) = descend(a, &sup, n, u, &pay);
+        let (res, pl, pr) = descend(&a, &sup, n, u, &pay);
         g_diag[s] = res.diag;
         g_col_left[s] = res.col0;
         g_col_right[s] = res.coln;
@@ -558,7 +580,7 @@ mod tests {
         let off: Vec<ZMat> = (0..nb - 1)
             .map(|_| ZMat::from_diag(&[c64::real(t)]))
             .collect();
-        BlockTridiag::new(diag, off.clone(), off)
+        BlockTridiag::from_dense(diag, off.clone(), off)
     }
 
     fn chain_leads(e0: f64, t: f64, e: f64) -> (ContactSelfEnergy, ContactSelfEnergy) {

@@ -111,7 +111,7 @@ impl PhononSystem {
             full.upper[1..nb - 2].to_vec(),
         );
         let d00 = full.diag[1].clone();
-        let d01 = full.upper[1].clone();
+        let d01 = full.upper_dense(1);
 
         // Congruence sanity: interior diagonal blocks must match.
         debug_assert!(
@@ -193,15 +193,18 @@ mod tests {
                 .map(|z| (z.re.to_bits(), z.im.to_bits()))
                 .collect()
         };
-        let all = |s: &PhononSystem| -> Vec<Vec<(u64, u64)>> {
+        let all = |s: &PhononSystem| {
             let d = &s.d;
-            d.diag
-                .iter()
-                .chain(&d.lower)
-                .chain(&d.upper)
+            let couplings = d.lower.iter().chain(&d.upper);
+            let supports: Vec<_> = couplings
+                .clone()
+                .map(|c| (c.rows.clone(), c.cols.clone()))
+                .collect();
+            let blocks: Vec<_> = (d.diag.iter().chain(couplings.map(|c| &c.core)))
                 .chain([&s.d00, &s.d01])
                 .map(bits)
-                .collect()
+                .collect();
+            (blocks, supports)
         };
         assert_eq!(all(&system()), all(&system()));
     }

@@ -158,15 +158,29 @@ impl<'d> DeviceHamiltonian<'d> {
             .assemble_slabs(&pot, ky, offsets)
             .finish()
             .expect("nearest-neighbor TB assembly stays inside the slab partition");
-        (bt.diag.swap_remove(0), bt.upper.swap_remove(0))
+        let h01 = bt.upper_dense(0);
+        (bt.diag.swap_remove(0), h01)
     }
 
-    /// The leading `potential.len()` atoms (atoms are stored slab by slab),
-    /// pushed into the slabs `offsets` covers: their onsite terms and the
-    /// bonds with both ends among them, in device order — so a slab prefix
-    /// holds, for its own entries, the pushes of the whole device in the
-    /// same order.
+    /// The terms of the leading `potential.len()` atoms, pushed into the
+    /// slabs `offsets` covers.
     fn assemble_slabs(&self, potential: &[f64], ky: f64, offsets: &[usize]) -> SlabAssembly {
+        let mut asm = SlabAssembly::new(offsets);
+        self.for_each_term(potential, ky, |i, j, v| asm.push(i, j, v));
+        asm
+    }
+
+    /// Calls `push(row, col, value)` for every term [`Self::assemble`]
+    /// folds, in its order: the leading `potential.len()` atoms' onsite
+    /// terms (atoms are stored slab by slab), then the bonds with both ends
+    /// among them, in device order — so a slab prefix holds, for its own
+    /// entries, the pushes of the whole device in the same order.
+    pub fn for_each_term(
+        &self,
+        potential: &[f64],
+        ky: f64,
+        mut push: impl FnMut(usize, usize, c64),
+    ) {
         let dev = self.device;
         let p = &self.params;
         let basis = p.basis;
@@ -174,7 +188,6 @@ impl<'d> DeviceHamiltonian<'d> {
         let spin = self.spin_factor();
         let per = norb * spin;
         let n_atoms = potential.len();
-        let mut asm = SlabAssembly::new(offsets);
 
         let period_y = match dev.kind {
             DeviceKind::Utb { period_y } => Some(period_y),
@@ -200,7 +213,7 @@ impl<'d> DeviceHamiltonian<'d> {
                 };
                 for s in 0..spin {
                     let r = base + oi * spin + s;
-                    asm.push(r, r, c64::real(e + potential[ai]));
+                    push(r, r, c64::real(e + potential[ai]));
                 }
             }
             // Spin-orbit in the p shell.
@@ -212,7 +225,7 @@ impl<'d> DeviceHamiltonian<'d> {
                     for a in 0..6 {
                         for b in 0..6 {
                             if soc[(a, b)] != c64::ZERO {
-                                asm.push(base + px * spin + a, base + px * spin + b, soc[(a, b)]);
+                                push(base + px * spin + a, base + px * spin + b, soc[(a, b)]);
                             }
                         }
                     }
@@ -245,7 +258,7 @@ impl<'d> DeviceHamiltonian<'d> {
                                 continue;
                             }
                             for s in 0..spin {
-                                asm.push(base + oa * spin + s, base + ob * spin + s, c64::real(v));
+                                push(base + oa * spin + s, base + ob * spin + s, c64::real(v));
                             }
                         }
                     }
@@ -289,13 +302,12 @@ impl<'d> DeviceHamiltonian<'d> {
                     let h = phase.scale(v);
                     for s in 0..spin {
                         let (r, c) = (bi + oi * spin + s, bj + oj * spin + s);
-                        asm.push(r, c, h);
-                        asm.push(c, r, h.conj());
+                        push(r, c, h);
+                        push(c, r, h.conj());
                     }
                 }
             }
         }
-        asm
     }
 }
 
@@ -336,7 +348,7 @@ mod tests {
         // potential.
         let bt0 = h.assemble(&vec![0.0; dev.num_atoms()], 0.0);
         assert!((&bt0.diag[0] - &bt0.diag[1]).max_abs() < 1e-12);
-        assert!((&bt0.upper[0] - &bt0.upper[1]).max_abs() < 1e-12);
+        assert!((&bt0.upper_dense(0) - &bt0.upper_dense(1)).max_abs() < 1e-12);
     }
 
     #[test]
@@ -348,7 +360,7 @@ mod tests {
         let d = &bt1.diag[0] - &bt0.diag[0];
         // Uniform shift: difference is 0.25·I.
         assert!((&d - &ZMat::eye(d.nrows()).scaled(c64::real(0.25))).max_abs() < 1e-12);
-        assert!((&bt1.upper[0] - &bt0.upper[0]).max_abs() < 1e-14);
+        assert!((&bt1.upper_dense(0) - &bt0.upper_dense(0)).max_abs() < 1e-14);
     }
 
     #[test]
@@ -405,7 +417,7 @@ mod tests {
         };
         let bt2 = h.assemble(&pot, ky + 2.0 * std::f64::consts::PI / period);
         assert!((&bt.diag[0] - &bt2.diag[0]).max_abs() < 1e-10);
-        assert!((&bt.upper[0] - &bt2.upper[0]).max_abs() < 1e-10);
+        assert!((&bt.upper_dense(0) - &bt2.upper_dense(0)).max_abs() < 1e-10);
         // Time reversal without SO: H(-ky) = H(ky)*.
         let btm = h.assemble(&pot, -ky);
         assert!((&btm.diag[0] - &bt.diag[0].conj()).max_abs() < 1e-12);
@@ -441,7 +453,7 @@ mod tests {
                 let whole = h.assemble(&vec![v; h.device().num_atoms()], *ky);
                 let (h00, h01) = h.lead_blocks(v, *ky);
                 assert_eq!(h00, whole.diag[0], "{what}: H00 at v = {v}");
-                assert_eq!(h01, whole.upper[0], "{what}: H01 at v = {v}");
+                assert_eq!(h01, whole.upper_dense(0), "{what}: H01 at v = {v}");
             }
         }
     }

@@ -12,9 +12,9 @@
 //!   lead-mode injection);
 //! * [`solver`] — sequential block-Thomas elimination, and block cyclic
 //!   reduction: the per-block arithmetic of the elimination tree and its
-//!   serial driver [`bcr_solve`]. Both take `A` as a [`System`], every
-//!   slab coupling on its support (`omen_sparse::Coupling`, the form RGF
-//!   takes too);
+//!   serial driver [`bcr_solve`]. Both take `A` as `omen_sparse::BlockTridiag`
+//!   stores it, every slab coupling on its support (`omen_sparse::Coupling`,
+//!   the form RGF takes too);
 //! * [`splitsolve`] — that same arithmetic scheduled over `omen-parsim`
 //!   ranks: log₂(N) reduction levels with nearest-neighbor block exchanges,
 //!   the communication pattern of the paper's spatial-domain parallel
@@ -32,6 +32,6 @@ pub mod splitsolve;
 pub mod transport;
 
 pub use injection::{injection_bundle, InjectionBundle};
-pub use solver::{bcr_solve, thomas_solve, System};
+pub use solver::{bcr_solve, thomas_solve};
 pub use splitsolve::splitsolve_parallel;
 pub use transport::{wf_point, Solver};

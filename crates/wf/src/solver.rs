@@ -2,11 +2,11 @@
 //! reduction.
 //!
 //! Both solve `A X = B` where `A` is block tridiagonal and `B` is a dense
-//! block column (one `ZMat` of RHS rows per slab). Both take `A` as a
-//! [`System`]: the diagonal blocks, and every coupling on its support
-//! ([`Coupling`], `A_{i,i+1} = P_R·U·P_Cᵀ`) — in a tight-binding device
-//! 20–30 % of a slab's orbitals, so no product below runs over the
-//! coupling's zeros:
+//! block column (one `ZMat` of RHS rows per slab). Both take `A` as the
+//! [`BlockTridiag`] stores it: the diagonal blocks, and every coupling on
+//! the support observed at assembly ([`Coupling`],
+//! `A_{i,i+1} = P_R·U·P_Cᵀ`) — in a tight-binding device 20–30 % of a
+//! slab's orbitals, so no product below runs over the coupling's zeros:
 //!
 //! * **Block Thomas**, the minimal-flop sequential baseline: per slab one
 //!   LU of the effective pivot `D̃ᵢ`, the `n × |C|` solve
@@ -29,141 +29,107 @@ use omen_num::{c64, OmenResult};
 use omen_sparse::{BlockTridiag, Coupling};
 use std::iter::once;
 
-/// `A` of `A·X = B` as both eliminations take it: the diagonal blocks and
-/// the couplings `lower[i] = A_{i+1,i}`, `upper[i] = A_{i,i+1}` on their
-/// supports.
-#[derive(Clone)]
-pub struct System {
-    /// Diagonal blocks `A_{i,i}`.
-    pub diag: Vec<ZMat>,
-    /// `A_{i+1,i}` on its support.
-    pub lower: Vec<Coupling>,
-    /// `A_{i,i+1}` on its support.
-    pub upper: Vec<Coupling>,
-}
-
-impl System {
-    /// `a`'s blocks, each coupling observed on its support.
-    pub fn observe(a: &BlockTridiag) -> System {
-        System {
-            diag: a.diag.clone(),
-            lower: a.lower.iter().map(Coupling::observe).collect(),
-            upper: a.upper.iter().map(Coupling::observe).collect(),
-        }
-    }
-
-    /// Solves `A X = B` by block Thomas (forward elimination, back
-    /// substitution). `b[i]` holds the RHS rows of slab `i` (all with the
-    /// same column count).
-    ///
-    /// # Errors
-    ///
-    /// A singular or non-finite pivot block surfaces as
-    /// [`omen_num::OmenError::SingularBlock`] carrying the slab index.
-    pub fn thomas(self, b: Vec<ZMat>) -> OmenResult<Vec<ZMat>> {
-        let System { diag, lower, upper } = self;
-        let nb = diag.len();
-        assert_eq!(b.len(), nb, "one RHS block per slab");
-        let nrhs = b[0].ncols();
-        for (i, (bi, d)) in b.iter().zip(&diag).enumerate() {
-            assert_eq!(bi.nrows(), d.nrows(), "RHS block {i} row mismatch");
-            assert_eq!(bi.ncols(), nrhs, "ragged RHS");
-        }
-        let all_rhs: Vec<usize> = (0..nrhs).collect();
-
-        // Forward: w[i] = D̃_i⁻¹·A_{i,i+1} on its column support,
-        // y[i] = D̃_i⁻¹·(b_i − A_{i,i−1}·y_{i−1}), with
-        // D̃_i = D_i − A_{i,i−1}·w_{i−1} patched on the coupling's rows.
-        let mut w: Vec<Thin> = Vec::with_capacity(nb.saturating_sub(1));
-        let mut y: Vec<ZMat> = Vec::with_capacity(nb);
-        for (i, (mut d, mut r)) in diag.into_iter().zip(b).enumerate() {
-            if let (Some(wp), Some(yp)) = (w.last(), y.last()) {
-                let lo = &lower[i - 1];
-                sub_coupled(&mut d, lo, &wp.m, &wp.cols);
-                sub_coupled(&mut r, lo, yp, &all_rhs);
-            }
-            let f = factor(&d, i)?;
-            if let Some(up) = upper.get(i) {
-                w.push(Thin::solve(&f, up));
-            }
-            y.push(f.solve_mat(&r));
-        }
-
-        // Back substitution: x_{nb-1} = y_{nb-1}; x_i = y_i − w_i·x_{i+1}[C, :].
-        let mut x = y;
-        for (i, wi) in w.iter().enumerate().rev() {
-            let (head, tail) = x.split_at_mut(i + 1);
-            wi.sub_applied(&tail[0], &mut head[i]);
-        }
-        Ok(x)
-    }
-
-    /// Solves `A X = B` by sequential block cyclic reduction.
-    ///
-    /// Log-depth elimination: every level removes the odd-position blocks
-    /// of the currently active index set, producing a half-size
-    /// block-tridiagonal system among the survivors; back substitution
-    /// then recovers the eliminated blocks level by level. Handles
-    /// arbitrary (non-power-of-two) block counts and variable block sizes.
-    /// This is the serial driver over the block arithmetic
-    /// [`crate::splitsolve_parallel`] schedules across ranks, and its bit
-    /// reference at every rank count.
-    ///
-    /// # Errors
-    ///
-    /// A singular or non-finite pivot block surfaces as
-    /// [`omen_num::OmenError::SingularBlock`] carrying the original slab
-    /// index.
-    pub fn bcr(self, b: Vec<ZMat>) -> OmenResult<Vec<ZMat>> {
-        let nb = self.diag.len();
-        let mut sys = Reduction::new(self, b);
-        // Per level, the bundles of its eliminated blocks in slab order.
-        let mut levels: Vec<Vec<Bundle>> = Vec::new();
-        let mut s = 1;
-        while s < nb {
-            let level = (s..nb)
-                .step_by(2 * s)
-                .map(|g| sys.eliminate(g))
-                .collect::<OmenResult<Vec<_>>>()?;
-            // Survivor `2js` sits between eliminated blocks `j − 1` and `j`.
-            for (j, g) in (0..nb).step_by(2 * s).enumerate() {
-                if let Some(right) = level.get(j) {
-                    sys.absorb_right(g, right);
-                }
-                if let Some(left) = j.checked_sub(1).and_then(|j| level.get(j)) {
-                    sys.absorb_left(g, left);
-                }
-            }
-            levels.push(level);
-            s *= 2;
-        }
-        sys.rhs[0] = sys.solve_root()?;
-        for level in levels.iter().rev() {
-            s /= 2;
-            for (bundle, g) in level.iter().zip((s..nb).step_by(2 * s)) {
-                sys.rhs[g] = back_substitute(bundle, sys.rhs.get(g - s), sys.rhs.get(g + s));
-            }
-        }
-        Ok(sys.rhs)
-    }
-}
-
-/// [`System::thomas`] on `a` with its couplings observed on their supports.
+/// Solves `A X = B` by block Thomas (forward elimination, back
+/// substitution). `b[i]` holds the RHS rows of slab `i` (all with the same
+/// column count).
 ///
 /// # Errors
 ///
-/// [`System::thomas`]'s.
+/// A singular or non-finite pivot block surfaces as
+/// [`omen_num::OmenError::SingularBlock`] carrying the slab index.
 pub fn thomas_solve(a: &BlockTridiag, b: &[ZMat]) -> OmenResult<Vec<ZMat>> {
-    System::observe(a).thomas(b.to_vec())
+    thomas(a.clone(), b.to_vec())
 }
 
-/// [`System::bcr`] on `a` with its couplings observed on their supports.
+/// Solves `A X = B` by sequential block cyclic reduction.
+///
+/// Log-depth elimination: every level removes the odd-position blocks of
+/// the currently active index set, producing a half-size block-tridiagonal
+/// system among the survivors; back substitution then recovers the
+/// eliminated blocks level by level. Handles arbitrary (non-power-of-two)
+/// block counts and variable block sizes. This is the serial driver over
+/// the block arithmetic [`crate::splitsolve_parallel`] schedules across
+/// ranks, and its bit reference at every rank count.
 ///
 /// # Errors
 ///
-/// [`System::bcr`]'s.
+/// A singular or non-finite pivot block surfaces as
+/// [`omen_num::OmenError::SingularBlock`] carrying the original slab index.
 pub fn bcr_solve(a: &BlockTridiag, b: &[ZMat]) -> OmenResult<Vec<ZMat>> {
-    System::observe(a).bcr(b.to_vec())
+    bcr(a.clone(), b.to_vec())
+}
+
+/// [`thomas_solve`] on an owned `A` and `B`, which it consumes.
+pub(crate) fn thomas(a: BlockTridiag, b: Vec<ZMat>) -> OmenResult<Vec<ZMat>> {
+    let BlockTridiag { diag, lower, upper } = a;
+    let nb = diag.len();
+    assert_eq!(b.len(), nb, "one RHS block per slab");
+    let nrhs = b[0].ncols();
+    for (i, (bi, d)) in b.iter().zip(&diag).enumerate() {
+        assert_eq!(bi.nrows(), d.nrows(), "RHS block {i} row mismatch");
+        assert_eq!(bi.ncols(), nrhs, "ragged RHS");
+    }
+    let all_rhs: Vec<usize> = (0..nrhs).collect();
+
+    // Forward: w[i] = D̃_i⁻¹·A_{i,i+1} on its column support,
+    // y[i] = D̃_i⁻¹·(b_i − A_{i,i−1}·y_{i−1}), with
+    // D̃_i = D_i − A_{i,i−1}·w_{i−1} patched on the coupling's rows.
+    let mut w: Vec<Thin> = Vec::with_capacity(nb.saturating_sub(1));
+    let mut y: Vec<ZMat> = Vec::with_capacity(nb);
+    for (i, (mut d, mut r)) in diag.into_iter().zip(b).enumerate() {
+        if let (Some(wp), Some(yp)) = (w.last(), y.last()) {
+            let lo = &lower[i - 1];
+            sub_coupled(&mut d, lo, &wp.m, &wp.cols);
+            sub_coupled(&mut r, lo, yp, &all_rhs);
+        }
+        let f = factor(&d, i)?;
+        if let Some(up) = upper.get(i) {
+            w.push(Thin::solve(&f, up));
+        }
+        y.push(f.solve_mat(&r));
+    }
+
+    // Back substitution: x_{nb-1} = y_{nb-1}; x_i = y_i − w_i·x_{i+1}[C, :].
+    let mut x = y;
+    for (i, wi) in w.iter().enumerate().rev() {
+        let (head, tail) = x.split_at_mut(i + 1);
+        wi.sub_applied(&tail[0], &mut head[i]);
+    }
+    Ok(x)
+}
+
+/// [`bcr_solve`] on an owned `A` and `B`, which it consumes.
+pub(crate) fn bcr(a: BlockTridiag, b: Vec<ZMat>) -> OmenResult<Vec<ZMat>> {
+    let nb = a.num_blocks();
+    let mut sys = Reduction::new(a, b);
+    // Per level, the bundles of its eliminated blocks in slab order.
+    let mut levels: Vec<Vec<Bundle>> = Vec::new();
+    let mut s = 1;
+    while s < nb {
+        let level = (s..nb)
+            .step_by(2 * s)
+            .map(|g| sys.eliminate(g))
+            .collect::<OmenResult<Vec<_>>>()?;
+        // Survivor `2js` sits between eliminated blocks `j − 1` and `j`.
+        for (j, g) in (0..nb).step_by(2 * s).enumerate() {
+            if let Some(right) = level.get(j) {
+                sys.absorb_right(g, right);
+            }
+            if let Some(left) = j.checked_sub(1).and_then(|j| level.get(j)) {
+                sys.absorb_left(g, left);
+            }
+        }
+        levels.push(level);
+        s *= 2;
+    }
+    sys.rhs[0] = sys.solve_root()?;
+    for level in levels.iter().rev() {
+        s /= 2;
+        for (bundle, g) in level.iter().zip((s..nb).step_by(2 * s)) {
+            sys.rhs[g] = back_substitute(bundle, sys.rhs.get(g - s), sys.rhs.get(g + s));
+        }
+    }
+    Ok(sys.rhs)
 }
 
 /// Factors pivot block `i`. [`Lu::factor`] accepts a NaN (its pivot search
@@ -250,14 +216,14 @@ pub(crate) type Bundle = (ZMat, Option<Thin>, Option<Thin>);
 /// only the blocks it owns current.
 pub(crate) struct Reduction {
     diag: Vec<ZMat>,
-    /// Right-hand sides; [`System::bcr`] overwrites them with the solution.
+    /// Right-hand sides; [`bcr`] overwrites them with the solution.
     rhs: Vec<ZMat>,
     lower: Vec<Option<Coupling>>,
     upper: Vec<Option<Coupling>>,
 }
 
 impl Reduction {
-    pub(crate) fn new(a: System, b: Vec<ZMat>) -> Self {
+    pub(crate) fn new(a: BlockTridiag, b: Vec<ZMat>) -> Self {
         assert_eq!(b.len(), a.diag.len(), "one RHS block per slab");
         Reduction {
             diag: a.diag,
@@ -369,7 +335,7 @@ pub(crate) mod tests {
         let lower: Vec<ZMat> = sizes.windows(2).map(|w| rnd(w[1], w[0])).collect();
         let upper: Vec<ZMat> = sizes.windows(2).map(|w| rnd(w[0], w[1])).collect();
         let b: Vec<ZMat> = sizes.iter().map(|&bs| rnd(bs, nrhs)).collect();
-        (BlockTridiag::new(diag, lower, upper), b)
+        (BlockTridiag::from_dense(diag, lower, upper), b)
     }
 
     pub(crate) fn rand_system(
@@ -472,7 +438,7 @@ pub(crate) mod tests {
             d1[(i, i)] += c64::real(5.0);
         }
         d2[(0, 0)] += c64::real(5.0);
-        let a = BlockTridiag::new(
+        let a = BlockTridiag::from_dense(
             vec![d0, d1, d2],
             vec![mk(3, 2, 0.4), mk(1, 3, -0.3)],
             vec![mk(2, 3, 0.2), mk(3, 1, 0.6)],
@@ -604,7 +570,8 @@ pub(crate) mod tests {
             } else {
                 &mut a.lower[1]
             };
-            block[(2, 0)] = c64::new(f64::NAN, 0.0);
+            // A dense coupling is its own core.
+            block.core[(2, 0)] = c64::new(f64::NAN, 0.0);
             for (engine, r) in every_engine(&a, &b) {
                 assert!(
                     matches!(r, Err(OmenError::SingularBlock { block: 2, .. })),
@@ -621,7 +588,7 @@ pub(crate) mod tests {
         // A provably singular pivot in slab 1 of a 3-slab system: the
         // error must name that slab in both solvers, not panic.
         let (a0, b) = rand_system(3, 2, 1, 21);
-        let a = BlockTridiag::new(
+        let a = BlockTridiag::from_dense(
             vec![a0.diag[0].clone(), ZMat::zeros(2, 2), a0.diag[2].clone()],
             a0.lower.iter().map(|_| ZMat::zeros(2, 2)).collect(),
             a0.upper.iter().map(|_| ZMat::zeros(2, 2)).collect(),

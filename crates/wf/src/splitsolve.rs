@@ -29,7 +29,7 @@
 //! exchanges bundles, so the SPMD communication schedule stays aligned and
 //! every rank returns the same typed [`OmenError`].
 
-use crate::solver::{back_substitute, Bundle, Reduction, System, Thin};
+use crate::solver::{back_substitute, bcr, Bundle, Reduction, Thin};
 use omen_linalg::ZMat;
 use omen_negf::serialize::{allgather_block_records, bytes_to_mat, mat_to_bytes};
 use omen_num::wire::{Dec, Enc};
@@ -129,25 +129,19 @@ fn fetched<'s, T>(
 /// surface as [`omen_num::OmenError::ScheduleDivergence`] /
 /// [`omen_num::OmenError::RecvTimeout`].
 pub fn splitsolve_parallel(comm: &Comm, a: &BlockTridiag, b: &[ZMat]) -> OmenResult<Vec<ZMat>> {
-    System::observe(a).splitsolve(comm, b.to_vec())
+    splitsolve(comm, a.clone(), b.to_vec())
 }
 
-impl System {
-    /// [`splitsolve_parallel`] on a system whose couplings are already on
-    /// their supports: [`System::bcr`]'s bits on every member of `comm`.
-    ///
-    /// # Errors
-    ///
-    /// [`splitsolve_parallel`]'s.
-    pub fn splitsolve(self, comm: &Comm, b: Vec<ZMat>) -> OmenResult<Vec<ZMat>> {
-        if comm.size() == 1 {
-            return self.bcr(b);
-        }
-        let nb = self.diag.len();
-        let nrhs = b[0].ncols();
-        // Only owned blocks of the active system are kept current.
-        splitsolve_reduction(comm, Reduction::new(self, b), nb, nrhs)
+/// [`splitsolve_parallel`] on an owned `A` and `B`, which it consumes:
+/// [`bcr`]'s bits on every member of `comm`.
+pub(crate) fn splitsolve(comm: &Comm, a: BlockTridiag, b: Vec<ZMat>) -> OmenResult<Vec<ZMat>> {
+    if comm.size() == 1 {
+        return bcr(a, b);
     }
+    let nb = a.num_blocks();
+    let nrhs = b[0].ncols();
+    // Only owned blocks of the active system are kept current.
+    splitsolve_reduction(comm, Reduction::new(a, b), nb, nrhs)
 }
 
 /// The distributed elimination of `sys` (`nb` slabs, `nrhs` columns).
@@ -425,7 +419,7 @@ mod tests {
         for singular in [5usize, 4, 0] {
             let mut diag = a0.diag.clone();
             diag[singular] = ZMat::zeros(2, 2);
-            let a = BlockTridiag::new(
+            let a = BlockTridiag::from_dense(
                 diag,
                 a0.lower.iter().map(|_| ZMat::zeros(2, 2)).collect(),
                 a0.upper.iter().map(|_| ZMat::zeros(2, 2)).collect(),

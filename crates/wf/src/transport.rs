@@ -2,23 +2,24 @@
 //!
 //! [`wf_point`] takes the contact self-energies the NEGF engines take,
 //! builds the open-boundary system `A·Ψ = B` ([`assemble`]: `A`'s diagonal
-//! from [`a_diagonal`], its couplings from `H`'s negated on their cores —
-//! no copy of `H` — and the open channels of both contacts injected as
-//! right-hand sides), solves that one block-tridiagonal system with the
+//! from [`a_diagonal`], its couplings `H`'s stored ones negated on their
+//! cores — no dense copy of `H`, no support observed per point — and the
+//! open channels of both contacts injected as right-hand sides), solves that one block-tridiagonal system with the
 //! chosen [`Solver`], and evaluates transmission and spectral densities
 //! from the scattering states. Observables are bit-compatible with
 //! `omen-negf`'s [`EnergyPointData`], which is what makes the WF-vs-RGF
 //! experiments (tab1/tab3) apples-to-apples.
 
 use crate::injection::injection_bundle;
-use crate::solver::System;
+use crate::solver::{bcr, thomas};
+use crate::splitsolve::splitsolve;
 use omen_linalg::{lu, matmul, matmul_h_n, ZMat};
-use omen_negf::rgf::a_diagonal;
+use omen_negf::rgf::{a_diagonal, negated};
 use omen_negf::sancho::ContactSelfEnergy;
 use omen_negf::transport::EnergyPointData;
 use omen_num::OmenResult;
 use omen_parsim::Comm;
-use omen_sparse::{BlockTridiag, Coupling};
+use omen_sparse::BlockTridiag;
 
 /// Which linear solver backs the wave-function engine.
 #[derive(Clone, Copy)]
@@ -28,7 +29,7 @@ pub enum Solver<'a> {
     /// Sequential block cyclic reduction (the SplitSolve elimination tree).
     Bcr,
     /// Block cyclic reduction distributed over the communicator's ranks
-    /// ([`System::splitsolve`]): all members call collectively with
+    /// ([`crate::splitsolve_parallel`]): all members call collectively with
     /// identical contacts (the rank path reads them from one table,
     /// `omen_core::contacts::ContactTable`) and receive the same result.
     SplitSolve(&'a Comm<'a>),
@@ -65,16 +66,16 @@ pub fn wf_point(
         }
     }
     let psi = match solver {
-        Solver::Thomas => a.thomas(b),
-        Solver::Bcr => a.bcr(b),
-        Solver::SplitSolve(comm) => a.splitsolve(comm, b),
+        Solver::Thomas => thomas(a, b),
+        Solver::Bcr => bcr(a, b),
+        Solver::SplitSolve(comm) => splitsolve(comm, a, b),
     }
     .map_err(|err| err.with_energy(e))?;
     Ok(observables(e, h, sigma_l, sigma_r, &psi, ml))
 }
 
 /// Assembles `A = (E + iη) I − H − Σ_L − Σ_R` — its diagonal blocks, and
-/// `H`'s couplings negated on their supports — and the injected right-hand
+/// `H`'s stored couplings negated on their cores — and the injected right-hand
 /// side `B = [W_L at slab 0 | W_R at slab N−1]` from precomputed
 /// self-energies; returns the left-mode count alongside.
 pub fn assemble(
@@ -83,11 +84,8 @@ pub fn assemble(
     h: &BlockTridiag,
     sl: &ContactSelfEnergy,
     sr: &ContactSelfEnergy,
-) -> (System, Vec<ZMat>, usize) {
-    let negated = |blocks: &[ZMat]| -> Vec<Coupling> {
-        blocks.iter().map(|b| -Coupling::observe(b)).collect()
-    };
-    let a = System {
+) -> (BlockTridiag, Vec<ZMat>, usize) {
+    let a = BlockTridiag {
         diag: a_diagonal(e, eta, h, sl, sr).collect(),
         lower: negated(&h.lower),
         upper: negated(&h.upper),
@@ -175,7 +173,7 @@ mod tests {
         let off: Vec<ZMat> = (0..nb - 1)
             .map(|_| ZMat::from_diag(&[c64::real(t)]))
             .collect();
-        let h = BlockTridiag::new(diag, off.clone(), off);
+        let h = BlockTridiag::from_dense(diag, off.clone(), off);
         let h00 = ZMat::from_diag(&[c64::real(e0)]);
         let h01 = ZMat::from_diag(&[c64::real(t)]);
         (h, h00, h01)

@@ -106,7 +106,7 @@ fn chain_with_disorder() {
     let off: Vec<ZMat> = (0..nb - 1)
         .map(|_| ZMat::from_diag(&[c64::real(-1.0)]))
         .collect();
-    let h = BlockTridiag::new(diag, off.clone(), off);
+    let h = BlockTridiag::from_dense(diag, off.clone(), off);
     let h00 = ZMat::from_diag(&[c64::ZERO]);
     let h01 = ZMat::from_diag(&[c64::real(-1.0)]);
     check_equivalence(

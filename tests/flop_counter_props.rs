@@ -247,7 +247,7 @@ fn rgf_energy_point_count_is_the_closed_form() {
                 })
                 .collect();
             let lower: Vec<ZMat> = upper.iter().map(ZMat::adjoint).collect();
-            let h = BlockTridiag::new(diag, lower, upper);
+            let h = BlockTridiag::from_dense(diag, lower, upper);
             let e = 0.1;
 
             let (sl, sr) = local_contacts(e, DEFAULT_ETA, lead, lead).expect("contacts");
@@ -477,7 +477,8 @@ fn trapped_lead_and_device(e_trap: f64, nb: usize, v: f64) -> ((ZMat, ZMat), Blo
     let diag = (0..nb)
         .map(|i| slab(if i == 0 || i == nb - 1 { 0.0 } else { v }))
         .collect();
-    let device = BlockTridiag::new(diag, vec![hop.clone(); nb - 1], vec![hop.clone(); nb - 1]);
+    let device =
+        BlockTridiag::from_dense(diag, vec![hop.clone(); nb - 1], vec![hop.clone(); nb - 1]);
     ((lead_00, hop), device)
 }
 
@@ -541,7 +542,7 @@ fn a_remembered_lead_failure_is_reported_alike_and_decimated_once() {
     // sweep's fill decimates its every point and fails typed, as cold.
     let h00 = ZMat::from_diag(&[c64::new(f64::NAN, 0.0)]);
     let h01 = ZMat::from_diag(&[c64::real(-1.0)]);
-    let h = BlockTridiag::new(
+    let h = BlockTridiag::from_dense(
         vec![h01.scaled(c64::ZERO); 3],
         vec![h01.clone(); 2],
         vec![h01.clone(); 2],

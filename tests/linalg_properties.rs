@@ -6,11 +6,17 @@
 //! so every run exercises the identical case set and failures reproduce by
 //! case index.
 
+use omen::lattice::{Crystal, Device};
 use omen::linalg::{eigh, eigh_values, lu::Lu, matmul, matmul_h_n, ZMat};
+use omen::negf::transport::DEFAULT_ETA;
+use omen::negf::{local_contacts, rgf_point};
 use omen::num::c64;
 use omen::num::tolerance::test_bound;
 use omen::num::BoundKind;
-use omen::sparse::{BlockTridiag, SlabAssembly};
+use omen::num::A_SI;
+use omen::sparse::{BlockTridiag, Coupling, SlabAssembly};
+use omen::tb::{AlloyModel, DeviceHamiltonian, Material, TbParams};
+use omen::wf::{wf_point, Solver};
 
 /// Fetches one bound from the repo-root `TOLERANCES.toml` policy; every
 /// numeric tolerance in this battery resolves through it (DESIGN.md §12).
@@ -288,7 +294,7 @@ fn block_tridiag_matvec_matches_dense() {
         let diag: Vec<ZMat> = (0..nb).map(|_| rng.zmat(bs, bs)).collect();
         let lower: Vec<ZMat> = (0..nb - 1).map(|_| rng.zmat(bs, bs)).collect();
         let upper: Vec<ZMat> = (0..nb - 1).map(|_| rng.zmat(bs, bs)).collect();
-        let bt = BlockTridiag::new(diag, lower, upper);
+        let bt = BlockTridiag::from_dense(diag, lower, upper);
         let x: Vec<c64> = (0..bt.dim())
             .map(|_| c64::new(rng.f64(), rng.f64()))
             .collect();
@@ -325,5 +331,185 @@ fn slab_assembly_order_invariant() {
             (&a - &b).max_abs() < bound,
             "case {case}: assembly must be order independent"
         );
+    }
+}
+
+/// Every term the TB assembly pushes for `h` at `ky`, in push order.
+fn terms(h: &DeviceHamiltonian, pot: &[f64], ky: f64) -> Vec<(usize, usize, c64)> {
+    let mut out = Vec::new();
+    h.for_each_term(pot, ky, |i, j, v| out.push((i, j, v)));
+    out
+}
+
+/// The whole matrix folded dense, each entry the left fold of its pushes
+/// over `+0` (an exact-zero push dropped): the accumulator the assembly
+/// used before it stored couplings, kept here as the reference.
+fn dense_left_fold(n: usize, pushes: &[(usize, usize, c64)]) -> ZMat {
+    let mut m = ZMat::zeros(n, n);
+    let mut reached = vec![false; n * n];
+    for &(i, j, v) in pushes.iter().filter(|p| p.2 != c64::ZERO) {
+        let first = !std::mem::replace(&mut reached[i * n + j], true);
+        m[(i, j)] = if first { v } else { m[(i, j)] + v };
+    }
+    m
+}
+
+fn bit_pattern(m: &ZMat) -> Vec<(u64, u64)> {
+    m.data()
+        .iter()
+        .map(|z| (z.re.to_bits(), z.im.to_bits()))
+        .collect()
+}
+
+#[test]
+fn assembled_couplings_are_the_observed_dense_fold() {
+    // Every device family the tight-binding suite builds, at k = 0 and at
+    // one k ≠ 0 UTB point: each stored coupling must be, to the bit,
+    // `Coupling::observe` of its block of the dense left fold of the same
+    // pushes, and each diagonal block that block of the fold.
+    let zb = Crystal::Zincblende { a: A_SI };
+    let wire = Device::nanowire(zb, 4, 1.0, 1.0);
+    let utb = Device::utb(zb, 3, 1, 1.0);
+    let ribbon = Device::ribbon_agnr(0.142, 3, 5);
+    let si = TbParams::of(Material::SiSp3s);
+    let alloy = AlloyModel::random_channel(&wire, si, TbParams::of(Material::GeSp3s), 0.5, 7);
+    let single = TbParams::of(Material::SingleBand { t_mev: 1000 });
+    let cases = [
+        ("sp3s* wire", DeviceHamiltonian::new(&wire, si, false), 0.0),
+        (
+            "single-band wire",
+            DeviceHamiltonian::new(&wire, single, false),
+            0.0,
+        ),
+        ("utb, k = 0", DeviceHamiltonian::new(&utb, si, false), 0.0),
+        ("utb, k = 1.3", DeviceHamiltonian::new(&utb, si, false), 1.3),
+        (
+            "spin-orbit wire",
+            DeviceHamiltonian::new(&wire, si, true),
+            0.0,
+        ),
+        (
+            "alloy wire",
+            DeviceHamiltonian::new_alloy(&wire, alloy, false),
+            0.0,
+        ),
+        (
+            "graphene ribbon",
+            DeviceHamiltonian::new(&ribbon, TbParams::of(Material::GraphenePz), false),
+            0.0,
+        ),
+    ];
+    for (what, h, ky) in &cases {
+        let n_atoms = h.device().num_atoms();
+        let pot: Vec<f64> = (0..n_atoms)
+            .map(|i| 0.013 * (i % 5) as f64 - 0.02)
+            .collect();
+        let bt = h.assemble(&pot, *ky);
+        let fold = dense_left_fold(h.dim(), &terms(h, &pot, *ky));
+        let off = h.slab_orbital_offsets();
+        let block = |r: usize, c: usize| {
+            fold.block(off[r], off[c], off[r + 1] - off[r], off[c + 1] - off[c])
+        };
+        for (i, d) in bt.diag.iter().enumerate() {
+            assert_eq!(
+                bit_pattern(d),
+                bit_pattern(&block(i, i)),
+                "{what}: diag[{i}]"
+            );
+        }
+        for i in 0..bt.num_blocks() - 1 {
+            for (got, want, side) in [
+                (&bt.lower[i], Coupling::observe(&block(i + 1, i)), "lower"),
+                (&bt.upper[i], Coupling::observe(&block(i, i + 1)), "upper"),
+            ] {
+                assert_eq!(got.rows, want.rows, "{what}: {side}[{i}] rows");
+                assert_eq!(got.cols, want.cols, "{what}: {side}[{i}] cols");
+                assert_eq!(
+                    bit_pattern(&got.core),
+                    bit_pattern(&want.core),
+                    "{what}: {side}[{i}] core"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn couplings_are_stored_as_their_cores() {
+    // The footprint the engines rely on: an off-diagonal block is stored
+    // on its support, never dense. On the 0.8 nm sp3s* wire that is a
+    // 20 × 20 core of a 90 × 90 block; on the 1 nm single-band wire
+    // 8 × 7 and 7 × 8 cores of 32 × 32.
+    let zb = Crystal::Zincblende { a: A_SI };
+    for (what, width, params, n, cores) in [
+        (
+            "sp3s* 0.8 nm",
+            0.8,
+            TbParams::of(Material::SiSp3s),
+            90,
+            [(20, 20), (20, 20)],
+        ),
+        (
+            "single-band 1 nm",
+            1.0,
+            TbParams::of(Material::SingleBand { t_mev: 1000 }),
+            32,
+            [(7, 8), (8, 7)],
+        ),
+    ] {
+        let dev = Device::nanowire(zb, 8, width, width);
+        let h =
+            DeviceHamiltonian::new(&dev, params, false).assemble(&vec![0.0; dev.num_atoms()], 0.0);
+        assert_eq!(h.num_blocks(), 8, "{what}");
+        for i in 0..7 {
+            assert_eq!(h.block_size(i), n, "{what}: slab {i}");
+            for (c, side, want) in [
+                (&h.lower[i], "lower", cores[0]),
+                (&h.upper[i], "upper", cores[1]),
+            ] {
+                let got = (c.core.nrows(), c.core.ncols());
+                assert_eq!(got, want, "{what}: {side}[{i}] is stored as a {got:?} core");
+                assert_eq!(
+                    (c.rows.len(), c.cols.len()),
+                    want,
+                    "{what}: {side}[{i}] supports"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn engines_accept_a_link_with_no_pushes() {
+    // A four-site chain assembled with link 1 never pushed: its couplings
+    // have empty supports and 0 × 0 cores. Every engine takes them, nothing
+    // crosses the link, and the transmission is an exact zero.
+    let (onsite, hop) = (c64::real(0.1), c64::real(-1.0));
+    let mut asm = SlabAssembly::new(&[0, 1, 2, 3, 4]);
+    for i in 0..4 {
+        asm.push(i, i, onsite);
+    }
+    for i in [0, 2] {
+        asm.push(i, i + 1, hop);
+        asm.push(i + 1, i, hop);
+    }
+    let h = asm.finish().unwrap();
+    for c in [&h.lower[1], &h.upper[1]] {
+        assert!(c.rows.is_empty() && c.cols.is_empty());
+        assert_eq!((c.core.nrows(), c.core.ncols()), (0, 0));
+    }
+    let (h00, h01) = (ZMat::from_diag(&[onsite]), ZMat::from_diag(&[hop]));
+    let e = 0.3;
+    let (sl, sr) = local_contacts(e, DEFAULT_ETA, (&h00, &h01), (&h00, &h01)).unwrap();
+    let mut points = vec![("rgf", rgf_point(e, DEFAULT_ETA, &h, &sl, &sr).unwrap())];
+    for (what, solver) in [("wf thomas", Solver::Thomas), ("wf bcr", Solver::Bcr)] {
+        points.push((
+            what,
+            wf_point(e, DEFAULT_ETA, &h, &sl, &sr, solver).unwrap(),
+        ));
+    }
+    for (what, p) in points {
+        assert_eq!(p.transmission, 0.0, "{what}");
+        assert!(p.ldos.iter().all(|l| l.is_finite()), "{what}");
     }
 }

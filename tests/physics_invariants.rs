@@ -59,7 +59,7 @@ fn a_matrix(
     sr: &ContactSelfEnergy,
 ) -> BlockTridiag {
     let diag = omen::negf::rgf::a_diagonal(e, eta, h, sl, sr).collect();
-    let neg = |blocks: &[ZMat]| blocks.iter().map(|b| -b).collect();
+    let neg = omen::negf::rgf::negated;
     BlockTridiag::new(diag, neg(&h.lower), neg(&h.upper))
 }
 
@@ -71,7 +71,7 @@ fn chain(nb: usize, onsite: &[f64]) -> (BlockTridiag, ZMat, ZMat) {
         .map(|_| ZMat::from_diag(&[c64::real(-1.0)]))
         .collect();
     (
-        BlockTridiag::new(diag, off.clone(), off),
+        BlockTridiag::from_dense(diag, off.clone(), off),
         ZMat::from_diag(&[c64::ZERO]),
         ZMat::from_diag(&[c64::real(-1.0)]),
     )
@@ -489,7 +489,7 @@ fn splitsolve_matches_thomas_on_random_systems() {
         let b: Vec<ZMat> = (0..nb)
             .map(|_| ZMat::from_fn(bs, 2, |_, _| c64::new(rng.f64(), rng.f64())))
             .collect();
-        let a = BlockTridiag::new(diag, lower, upper);
+        let a = BlockTridiag::from_dense(diag, lower, upper);
         let x_ref = omen::wf::thomas_solve(&a, &b).unwrap();
         let out = omen::parsim::run_ranks(ranks, |ctx| {
             let comm = omen::parsim::Comm::world(ctx);

@@ -51,7 +51,7 @@ fn random_system(nb: usize, bs: usize, seed: u64) -> BlockTridiag {
     let upper: Vec<ZMat> = (0..nb.saturating_sub(1))
         .map(|_| ZMat::from_fn(bs, bs, |_, _| r.c()))
         .collect();
-    BlockTridiag::new(diag, lower, upper)
+    BlockTridiag::from_dense(diag, lower, upper)
 }
 
 /// Hermitian PSD stand-ins for the contact broadenings, so the Caroli
@@ -123,7 +123,7 @@ fn singular_pivot_is_regularized_and_accounted() {
         lower[i] = z();
         upper[i] = z();
     }
-    let a = BlockTridiag::new(diag, lower, upper);
+    let a = BlockTridiag::from_dense(diag, lower, upper);
     let (gl, gr) = gammas(1, 0x51);
 
     let r = selinv_solve(&a, &gl, &gr).expect("regularization must recover the zero pivot");
@@ -141,7 +141,7 @@ fn nan_block_fails_typed_at_the_poisoned_separator() {
     diag[2] = ZMat::from_diag(&[c64::new(f64::NAN, 0.0)]);
     let lower: Vec<ZMat> = (0..n - 1).map(|_| t()).collect();
     let upper: Vec<ZMat> = (0..n - 1).map(|_| t()).collect();
-    let a = BlockTridiag::new(diag, lower, upper);
+    let a = BlockTridiag::from_dense(diag, lower, upper);
     let (gl, gr) = gammas(1, 0x52);
 
     match selinv_solve(&a, &gl, &gr) {
