@@ -160,6 +160,18 @@ for f in crates/core/src/energy.rs crates/core/src/contacts.rs crates/sched/src/
     fi
 done
 
+# One core budget (crates/linalg/src/threads.rs `budget`): ranks, daemon
+# workers, fill threads and kernel threads all take their share of it, so
+# nested parallel levels never oversubscribe the host. A second reading of
+# the host's core count outside that module would be a second budget.
+# Tests may read it to check the budget against it.
+for f in $(grep -rl --include='*.rs' 'available_parallelism' crates src examples | grep -vE '^crates/linalg/src/threads\.rs$|/tests/'); do
+    if sed '/#\[cfg(test)\]/,$d' "$f" | grep -n 'available_parallelism'; then
+        echo "ci: $f reads the host's core count; take omen_linalg::threads::budget() instead"
+        exit 1
+    fi
+done
+
 # A scheduled unit has one holder at a time and is handed out again only
 # when that holder is declared dead. Straggler speculation, the heartbeat
 # that timed it and the brokering-only coordinator carried no traffic in

@@ -47,9 +47,7 @@ fn system(nb: usize, bs: usize, nrhs: usize) -> (BlockTridiag, Vec<ZMat>) {
 fn main() {
     let (nb, bs, nrhs) = (64usize, 64usize, 8usize);
     let (a, b) = system(nb, bs, nrhs);
-    let host_cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
+    let host_cores = omen_linalg::threads::budget();
     println!(
         "system: {nb} slabs × block {bs}, {nrhs} RHS columns (host parallelism: {host_cores})"
     );

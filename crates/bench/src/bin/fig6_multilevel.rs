@@ -33,9 +33,7 @@ fn main() {
     let v = vec![0.0; tr.device.num_atoms()];
     let (h, h00, h01) = frozen_system(&tr, &v, 0.0);
     let energies = linspace(-3.45, -2.4, 16);
-    let host_cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
+    let host_cores = omen_linalg::threads::budget();
     println!(
         "workload: {} energies × ({} slabs, block {}); host parallelism {host_cores}",
         energies.len(),

@@ -12,7 +12,7 @@ use common::mutants;
 use omen_core::contacts::{decode_entry, encode_entry, PackedContact};
 use omen_linalg::ZMat;
 use omen_negf::serialize::{bytes_to_mat, mat_to_bytes};
-use omen_negf::{ContactSelfEnergy, Side};
+use omen_negf::Side;
 use omen_num::{c64, FailedPoint, OmenError, OmenResult, SweepReport};
 use omen_sched::dynamic::{decode_outcome, encode_outcome};
 use omen_sched::proto::{
@@ -91,14 +91,7 @@ fn mutated_rank_payloads_decode_or_fail_as_deserialize() {
         sigma[(1, k)] = c64::ZERO;
         sigma[(k, 1)] = c64::ZERO;
     }
-    let packed = |side| {
-        PackedContact::pack(&ContactSelfEnergy {
-            side,
-            sigma: sigma.clone(),
-            gamma: ZMat::eye(3),
-            retries: 1,
-        })
-    };
+    let packed = |side| PackedContact::pack(side, &sigma, 1);
     let pair = Ok([packed(Side::Left), packed(Side::Right)]);
     for outcome in [pair, Err(lead_failure())] {
         tried += survives(&encode_entry(3, &outcome), entry, lead_error);

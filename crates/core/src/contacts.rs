@@ -6,10 +6,13 @@
 //! slot on its lead pair once, lists the pairs it lacks, decimates them
 //! and inserts them; only the decimation differs between its two callers.
 //! A serial sweep (`ballistic::solve_sweep`) decimates every missing pair
-//! on the calling thread; the rank path ([`ContactTable::fill`]) splits
-//! them round-robin over a communicator and inserts them on every member
-//! with one allgather, so every member holds the same table. The points
-//! of a sweep only read it.
+//! on the calling thread and the idle cores of its budget
+//! (`omen_linalg::threads::fan_out`: each thread claims the next pair,
+//! outcomes go back in `(k, E)` order, so every width gives the same
+//! table); the rank path ([`ContactTable::fill`]) splits them round-robin
+//! over a communicator, decimates each member's share the same way, and
+//! inserts them on every member with one allgather, so every member holds
+//! the same table. The points of a sweep only read it.
 //!
 //! A slot keys its lead pair on the exact blocks: blocks that do not
 //! compare equal entry for entry (a NaN entry never does) drop the pair's
@@ -32,10 +35,11 @@
 //! — `ci.sh` keeps this module free of process-wide state).
 
 use crate::parallel::assign;
+use omen_linalg::threads::{fan_out, fan_out_width};
 use omen_linalg::ZMat;
 use omen_negf::serialize::{allgather_block_records, bytes_to_mat, mat_to_bytes};
 use omen_negf::transport::DEFAULT_ETA;
-use omen_negf::{local_contacts, ContactSelfEnergy, Side};
+use omen_negf::{local_sigmas, ContactSelfEnergy, Side};
 use omen_num::wire::{Dec, Enc};
 use omen_num::{OmenError, OmenResult};
 use omen_parsim::Comm;
@@ -56,19 +60,21 @@ pub struct PackedContact {
 }
 
 impl PackedContact {
-    /// `c` on its support.
-    pub fn pack(c: &ContactSelfEnergy) -> Self {
-        let support = c.sigma.support();
+    /// The contact of `side` with self-energy `sigma`, on its support. `Γ`
+    /// is not asked for: [`PackedContact::unpack`] rebuilds it from `Σ`.
+    pub fn pack(side: Side, sigma: &ZMat, retries: usize) -> Self {
+        let support = sigma.support();
         PackedContact {
-            side: c.side,
-            n: c.sigma.nrows(),
-            core: c.sigma.principal(&support),
+            side,
+            n: sigma.nrows(),
+            core: sigma.principal(&support),
             support,
-            retries: c.retries,
+            retries,
         }
     }
 
-    /// The contact [`PackedContact::pack`] was given, bit for bit.
+    /// The contact [`PackedContact::pack`] was given, bit for bit, with
+    /// `Γ = i(Σ − Σ†)` built as the decimation builds it.
     pub fn unpack(&self) -> ContactSelfEnergy {
         let mut sigma = ZMat::zeros(self.n, self.n);
         for (k, &i) in self.support.iter().enumerate() {
@@ -225,11 +231,27 @@ fn unpacked(known: &PackedOutcome) -> OmenResult<(ContactSelfEnergy, ContactSelf
     }
 }
 
-/// `local_contacts(e, DEFAULT_ETA, ..)` of the lead pair `key`, each Σ on
-/// its support: the one decimation a table runs.
+/// `local_contacts(e, DEFAULT_ETA, ..)` of the lead pair `key`, each Σ
+/// packed on its support straight from the decimation: the one decimation
+/// a table runs.
 fn decimate([l0, l1, r0, r1]: LeadKey<'_>, e: f64) -> PackedOutcome {
-    local_contacts(e, DEFAULT_ETA, (l0, l1), (r0, r1))
-        .map(|(l, r)| [PackedContact::pack(&l), PackedContact::pack(&r)])
+    let [(sigma_l, retries_l), (sigma_r, retries_r)] =
+        local_sigmas(e, DEFAULT_ETA, (l0, l1), (r0, r1))?;
+    Ok([
+        PackedContact::pack(Side::Left, &sigma_l, retries_l),
+        PackedContact::pack(Side::Right, &sigma_r, retries_r),
+    ])
+}
+
+/// [`decimate`] of every `(k, E)` in `pairs`, in their order, on
+/// [`fan_out_width`] threads of this thread's core budget. Each
+/// decimation is independent and deterministic and the flop counter is
+/// one atomic, so every width gives the same outcomes and the same count.
+fn decimate_all(leads: &[LeadKey<'_>], pairs: &[(usize, f64)], width: usize) -> Vec<PackedOutcome> {
+    fan_out(pairs.len(), width, |i| {
+        let (ik, e) = pairs[i];
+        decimate(leads[ik], e)
+    })
 }
 
 /// The `local_contacts` outcomes of one sweep per `(k, E)`: one lead pair
@@ -281,11 +303,22 @@ impl ContactTable {
 
     /// Makes every `(k, E)` of `leads × energies` present, where `leads[k]`
     /// is `k`'s lead pair, decimating the missing pairs on the calling
-    /// thread.
+    /// thread and the idle cores of its budget ([`fan_out_width`]): the
+    /// same table at every width.
     pub(crate) fn fill_serial(&mut self, leads: &[LeadKey<'_>], energies: &[f64]) {
+        self.fill_wide(leads, energies, fan_out_width);
+    }
+
+    /// [`ContactTable::fill_serial`] on `width(missing)` threads.
+    fn fill_wide(
+        &mut self,
+        leads: &[LeadKey<'_>],
+        energies: &[f64],
+        width: impl FnOnce(usize) -> usize,
+    ) {
         let filled = self.fill_by(leads, energies, |missing| {
-            let outcomes = missing.iter().map(|&(ik, e)| decimate(leads[ik], e));
-            Ok::<_, Infallible>(outcomes.collect())
+            let width = width(missing.len());
+            Ok::<_, Infallible>(decimate_all(leads, missing, width))
         });
         let Ok(()) = filled;
     }
@@ -293,10 +326,11 @@ impl ContactTable {
     /// Makes every `(k, E)` of `leads × energies` present, where `leads[k]`
     /// is `k`'s lead pair. The pairs missing from the table are split
     /// round-robin over `comm`, each member runs `local_contacts` on its
-    /// share, and one allgather inserts every outcome on every member in
-    /// canonical `(k, E)` order. The allgather runs unconditionally, even
-    /// when nothing is missing, so the collective schedule is
-    /// rank-uniform.
+    /// share (on the idle cores of its budget, as
+    /// `ContactTable::fill_serial` does), and one allgather inserts every
+    /// outcome on every member in canonical `(k, E)` order. The allgather
+    /// runs unconditionally, even when nothing is missing, so the
+    /// collective schedule is rank-uniform.
     ///
     /// All members call collectively with the same arguments and a table
     /// with the same history (one `ModelBank` per rank, used on the same
@@ -317,12 +351,13 @@ impl ContactTable {
     ) -> OmenResult<()> {
         self.fill_by(leads, energies, |missing| {
             let origin = comm.global_rank(comm.rank());
-            let mine: Vec<(usize, Vec<u8>)> = assign(missing.len(), comm.size(), comm.rank())
+            let share = assign(missing.len(), comm.size(), comm.rank());
+            let pairs: Vec<(usize, f64)> = share.iter().map(|&i| missing[i]).collect();
+            let outcomes = decimate_all(leads, &pairs, fan_out_width(pairs.len()));
+            let mine: Vec<(usize, Vec<u8>)> = share
                 .into_iter()
-                .map(|i| {
-                    let (ik, e) = missing[i];
-                    (i, encode_entry(origin, &decimate(leads[ik], e)))
-                })
+                .zip(&outcomes)
+                .map(|(i, outcome)| (i, encode_entry(origin, outcome)))
                 .collect();
             const CTX: &str = "contact table";
             let outcomes = allgather_block_records(comm, missing.len(), &mine, CTX, decode_entry)?;
@@ -368,6 +403,8 @@ impl ContactTable {
 mod tests {
     use super::*;
     use crate::TransistorSpec;
+    use omen_linalg::threads::{fan_out_spawned, with_budget};
+    use omen_negf::local_contacts;
     use omen_tb::Material;
 
     #[test]
@@ -430,7 +467,8 @@ mod tests {
         let tr = TransistorSpec::si_nanowire_nmos(single, 1.0, 8).build();
         let (h00, h01) = tr.hamiltonian().lead_blocks(0.0, 0.0);
         let (l, r) = local_contacts(-3.3, DEFAULT_ETA, (&h00, &h01), (&h00, &h01)).unwrap();
-        let pair = Ok([PackedContact::pack(&l), PackedContact::pack(&r)]);
+        let pack = |c: &ContactSelfEnergy| PackedContact::pack(c.side, &c.sigma, c.retries);
+        let pair = Ok([pack(&l), pack(&r)]);
         let back = decode_entry(&encode_entry(0, &pair)).unwrap();
         let [bl, br] = back.as_ref().unwrap();
         for (got, want) in [(bl.unpack(), &l), (br.unpack(), &r)] {
@@ -450,12 +488,141 @@ mod tests {
         assert!(matches!(back, Err(e) if e == failure));
 
         // A support index past the order is malformed, not a panic later.
-        let mut bad = PackedContact::pack(&l);
+        let mut bad = pack(&l);
         bad.n = bad.support[bad.support.len() - 1];
-        let bytes = encode_entry(0, &Ok([bad, PackedContact::pack(&r)]));
+        let bytes = encode_entry(0, &Ok([bad, pack(&r)]));
         assert!(matches!(
             decode_entry(&bytes),
             Err(OmenError::Deserialize { .. })
         ));
+    }
+
+    /// A table's fingerprint after each of two fills of `leads × energies`:
+    /// the tally, then every `(k, E)` read back — the bits of Σ, Γ and the
+    /// retries of both contacts, or the typed failure.
+    fn fingerprint(
+        leads: &[LeadKey<'_>],
+        energies: &[f64],
+        mut fill: impl FnMut(&mut ContactTable),
+    ) -> Vec<String> {
+        let raw = |m: &ZMat| -> Vec<_> {
+            m.data()
+                .iter()
+                .map(|z| (z.re.to_bits(), z.im.to_bits()))
+                .collect()
+        };
+        let mut table = ContactTable::default();
+        let mut out = Vec::new();
+        for _ in 0..2 {
+            fill(&mut table);
+            out.push(format!("{:?}", table.take_tally()));
+            for k in 0..leads.len() {
+                for &e in energies {
+                    out.push(match table.contacts(k, e) {
+                        Ok((l, r)) => format!(
+                            "{:?}",
+                            [&l, &r].map(|c| (c.side, c.retries, raw(&c.sigma), raw(&c.gamma)))
+                        ),
+                        Err(err) => format!("{err:?}"),
+                    });
+                }
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn every_fill_width_gives_the_same_table() {
+        // The README wire's unequal SCF leads (a drain shifted by the
+        // bias), a NaN source (never keyed twice: decimated on every fill)
+        // and an infinite one (keyed, so its failure is remembered), each
+        // failure a typed `LeadNotConverged`.
+        let single = Material::SingleBand { t_mev: 1000 };
+        let tr = TransistorSpec::si_nanowire_nmos(single, 1.0, 8).build();
+        let ham = tr.hamiltonian();
+        let (s0, s1) = ham.lead_blocks(0.0, 0.0);
+        let (d0, d1) = ham.lead_blocks(-0.15, 0.0);
+        let poisoned = |x: f64| {
+            let mut m = s0.clone();
+            m[(0, 0)] = omen_num::c64::real(x);
+            m
+        };
+        let (nan, inf) = (poisoned(f64::NAN), poisoned(f64::INFINITY));
+        let leads = [
+            [&s0, &s1, &d0, &d1],
+            [&nan, &s1, &d0, &d1],
+            [&inf, &s1, &inf, &s1],
+        ];
+        let energies = [-3.6, -3.45, -3.3, -3.15, -3.0, -2.85, -2.7];
+        let want = fingerprint(&leads, &energies, |t| t.fill_wide(&leads, &energies, |_| 1));
+        let (n, m) = (leads.len() * energies.len(), energies.len());
+        assert_eq!(
+            want[0],
+            format!(
+                "{:?}",
+                ContactTally {
+                    decimated: n,
+                    reused: 0
+                }
+            )
+        );
+        let second = ContactTally {
+            decimated: m,
+            reused: n - m,
+        };
+        assert_eq!(want[1 + n], format!("{second:?}"));
+        for k in [1, 2] {
+            assert!(
+                want[1 + k * m].starts_with("LeadNotConverged"),
+                "{}",
+                want[1 + k * m]
+            );
+        }
+        assert!(want[1].starts_with('['), "{}", want[1]);
+        for width in [2, 3] {
+            let got = fingerprint(&leads, &energies, |t| {
+                t.fill_wide(&leads, &energies, |_| width)
+            });
+            assert_eq!(got, want, "width {width}");
+        }
+        // The budget picks the width; every budget gives the same table,
+        // and so does the rank path's fill, whose members decimate their
+        // shares on their own budgets.
+        for cores in 1..=3 {
+            let got = with_budget(cores, || {
+                fingerprint(&leads, &energies, |t| t.fill_serial(&leads, &energies))
+            });
+            assert_eq!(got, want, "budget {cores}");
+            for members in [1, 2] {
+                let run = with_budget(cores, || {
+                    omen_parsim::run_ranks(members, |ctx| {
+                        let comm = Comm::world(ctx);
+                        fingerprint(&leads, &energies, |t| {
+                            t.fill(&comm, &leads, &energies).unwrap()
+                        })
+                    })
+                });
+                for got in run.results {
+                    assert_eq!(got.unwrap(), want, "budget {cores}, {members} members");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_fill_at_budget_one_starts_no_thread() {
+        let single = Material::SingleBand { t_mev: 1000 };
+        let tr = TransistorSpec::si_nanowire_nmos(single, 1.0, 8).build();
+        let ham = tr.hamiltonian();
+        let (s0, s1) = ham.lead_blocks(0.0, 0.0);
+        let (d0, d1) = ham.lead_blocks(-0.15, 0.0);
+        let leads = [[&s0, &s1, &d0, &d1]];
+        let energies = [-3.4, -3.3, -3.2];
+        let before = fan_out_spawned();
+        with_budget(1, || ContactTable::default().fill_serial(&leads, &energies));
+        assert_eq!(fan_out_spawned(), before);
+        // The witness does count: three threads are the caller and two.
+        ContactTable::default().fill_wide(&leads, &energies, |_| 3);
+        assert_eq!(fan_out_spawned(), before + 2);
     }
 }

@@ -14,7 +14,8 @@
 //! 2. otherwise the **`OMEN_THREADS`** environment variable (a positive
 //!    integer) is honored, letting drivers and CI pick a width without
 //!    recompiling;
-//! 3. otherwise `std::thread::available_parallelism()` — the whole machine.
+//! 3. otherwise the calling thread's core [`budget`] — the whole machine
+//!    unless a rank, worker or fan-out share was set.
 //!
 //! Small problems never leave the calling thread: below
 //! [`PAR_MIN_WORK`] multiply-add operations the spawn cost exceeds the
@@ -24,6 +25,19 @@
 //! (see `crate::gemm`), the parallel result is bit-identical to the serial
 //! one — the fallback is a pure performance decision, never a numerical
 //! one.
+//!
+//! ## One core budget
+//!
+//! Ranks, daemon workers, fill threads and kernel threads share the host's
+//! cores under the paper's rule: ranks × kernel threads ≤ cores. The
+//! budget is a thread-local ([`budget`]): the cores this thread may keep
+//! busy, the host's available parallelism unless [`with_budget`] set it.
+//! Whoever starts threads hands each a share — the rank runtime
+//! `cores / ranks`, the daemon `cores / workers`, a fan-out
+//! `budget / width` — so nested parallel levels never oversubscribe.
+//! `OMEN_THREADS` is the kernel share of a budget (unset: all of it), and
+//! [`fan_out_width`] spends what is left on independent items: with
+//! `OMEN_THREADS=1` on an n-core host, n fill threads; unset, one.
 //!
 //! ## SIMD dispatch (`OMEN_SIMD`)
 //!
@@ -56,6 +70,8 @@
 //! kernels are infallible by contract, like their dimension asserts).
 
 use omen_num::{OmenError, OmenResult};
+use std::cell::Cell;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
 /// Smallest kernel (in complex multiply-adds, `m·n·k`) that fans out over
@@ -279,19 +295,119 @@ pub fn dispatch_summary() -> String {
     format!("kernel dispatch: simd={path} ({why}{width}), threads={threads}")
 }
 
+thread_local! {
+    /// [`with_budget`]'s setting on this thread; `None` is the host's cores.
+    static BUDGET: Cell<Option<usize>> = const { Cell::new(None) };
+    /// Workers [`fan_out`] has started from this thread.
+    static SPAWNED: Cell<usize> = const { Cell::new(0) };
+}
+
+/// The cores this thread may keep busy: what the innermost enclosing
+/// [`with_budget`] set, otherwise the host's available parallelism (1 when
+/// even that is unknown). This is the one place the host's core count is
+/// read, once per process: on Linux the read walks the cgroup files (about
+/// 25 µs on a 2-core x86_64 host), which every rank start and contact fill
+/// would otherwise pay.
+pub fn budget() -> usize {
+    static HOST: OnceLock<usize> = OnceLock::new();
+    BUDGET.with(Cell::get).unwrap_or_else(|| {
+        *HOST.get_or_init(|| {
+            std::thread::available_parallelism()
+                .map(|n| n.get())
+                .unwrap_or(1)
+        })
+    })
+}
+
+/// Runs `f` with this thread's [`budget`] set to `cores` (at least 1),
+/// restoring the previous setting afterwards, also when `f` unwinds. A
+/// thread starts at the host's cores: whoever spawns threads wraps each
+/// in its share.
+pub fn with_budget<R>(cores: usize, f: impl FnOnce() -> R) -> R {
+    struct Restore(Option<usize>);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            BUDGET.with(|b| b.set(self.0));
+        }
+    }
+    let _restore = Restore(BUDGET.with(|b| b.replace(Some(cores.max(1)))));
+    f()
+}
+
+/// Threads a fan-out over `items` independent items runs on under this
+/// thread's budget: the budget over the kernel share each thread keeps
+/// ([`configured_threads`]), at least 1 and at most `items`. Unset
+/// `OMEN_THREADS` gives the kernels the whole budget, so 1.
+pub fn fan_out_width(items: usize) -> usize {
+    (budget() / configured_threads()).min(items).max(1)
+}
+
+/// `f(0), …, f(n − 1)` in index order, computed on `width` threads: the
+/// calling thread and `width − 1` scoped workers, each claiming the next
+/// index from one counter, each under a `budget / width` share. Width 1
+/// (or `n ≤ 1`) is the same claim loop on the calling thread, with no
+/// spawn. Which thread runs an item never changes its result when `f` is
+/// deterministic and keeps no per-thread state between items, so the
+/// output is the serial one at every width.
+///
+/// A panic in `f` propagates to the caller once every worker has stopped.
+pub fn fan_out<T: Send>(n: usize, width: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
+    let width = width.clamp(1, n.max(1));
+    let share = budget() / width;
+    let next = AtomicUsize::new(0);
+    let claim = || {
+        with_budget(share, || {
+            let mut done = Vec::new();
+            loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                if i >= n {
+                    return done;
+                }
+                done.push((i, f(i)));
+            }
+        })
+    };
+    let mut slots: Vec<Option<T>> = (0..n).map(|_| None).collect();
+    let mut put = |done: Vec<(usize, T)>| {
+        for (i, x) in done {
+            slots[i] = Some(x);
+        }
+    };
+    if width == 1 {
+        put(claim());
+    } else {
+        SPAWNED.with(|s| s.set(s.get() + width - 1));
+        std::thread::scope(|scope| {
+            let workers: Vec<_> = (1..width).map(|_| scope.spawn(claim)).collect();
+            put(claim());
+            for w in workers {
+                match w.join() {
+                    Ok(done) => put(done),
+                    Err(p) => std::panic::resume_unwind(p),
+                }
+            }
+        });
+    }
+    slots.into_iter().flatten().collect()
+}
+
+/// Workers [`fan_out`] has started from the calling thread: the witness
+/// that a fan-out at width 1 starts no thread.
+pub fn fan_out_spawned() -> usize {
+    SPAWNED.with(Cell::get)
+}
+
 /// Configured kernel thread width: `OMEN_THREADS` when set to a positive
-/// integer, otherwise the machine's available parallelism (1 when even
-/// that is unknown). Re-read on every call so tests and drivers can change
-/// the policy at runtime; callers on hot paths gate on work size first.
+/// integer, otherwise the calling thread's whole core [`budget`].
+/// Re-read on every call so tests and drivers can change the policy at
+/// runtime; callers on hot paths gate on work size first.
 ///
 /// Panics with the typed [`OmenError::InvalidEnv`](omen_num::OmenError)
 /// message when `OMEN_THREADS` is set but not a positive integer.
 pub fn configured_threads() -> usize {
     match thread_policy() {
         Ok(Some(n)) => n,
-        Ok(None) => std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1),
+        Ok(None) => budget(),
         Err(e) => reject(e),
     }
 }
@@ -331,6 +447,75 @@ mod tests {
     #[test]
     fn configured_is_positive() {
         assert!(configured_threads() >= 1);
+    }
+
+    #[test]
+    fn with_budget_nests_and_restores_on_unwind() {
+        let outer = budget();
+        with_budget(3, || {
+            assert_eq!(budget(), 3);
+            with_budget(0, || assert_eq!(budget(), 1));
+            assert_eq!(budget(), 3);
+            let unwound = std::panic::catch_unwind(|| with_budget(5, || panic!("inside")));
+            assert!(unwound.is_err());
+            assert_eq!(budget(), 3);
+        });
+        assert_eq!(budget(), outer);
+        // A fresh thread starts at the host's cores, not at its parent's
+        // setting: whoever spawns hands the share on.
+        let host = std::thread::spawn(budget).join().unwrap();
+        with_budget(1, || {
+            assert_eq!(std::thread::spawn(budget).join().unwrap(), host);
+        });
+    }
+
+    #[test]
+    fn fan_out_width_is_the_budget_over_the_kernel_share() {
+        let pinned = thread_policy().unwrap();
+        for w in 1..=3 {
+            with_budget(w * pinned.unwrap_or(1), || {
+                // Unset, the kernels take the whole budget: one fan-out
+                // thread, whatever the budget.
+                let want = if pinned.is_some() { w } else { 1 };
+                assert_eq!(fan_out_width(10), want);
+                assert_eq!(fan_out_width(2), want.min(2));
+                assert_eq!(fan_out_width(0), 1);
+            });
+        }
+        with_budget(1, || assert_eq!(fan_out_width(10), 1));
+    }
+
+    #[test]
+    fn fan_out_keeps_index_order_and_spawns_width_minus_one() {
+        let want: Vec<u64> = (0..23u64).map(|i| i * i + 1).collect();
+        for width in 1..=4 {
+            let before = fan_out_spawned();
+            let got = with_budget(8, || {
+                fan_out(want.len(), width, |i| {
+                    // Each thread runs under its share of the budget.
+                    assert_eq!(budget(), 8 / width);
+                    want[i]
+                })
+            });
+            assert_eq!(got, want, "width {width}");
+            assert_eq!(fan_out_spawned() - before, width - 1, "width {width}");
+        }
+        // More threads than items are not started.
+        let before = fan_out_spawned();
+        assert_eq!(fan_out(2, 4, |i| i), vec![0, 1]);
+        assert_eq!(fan_out_spawned() - before, 1);
+        assert!(fan_out(0, 3, |i| i).is_empty());
+    }
+
+    #[test]
+    fn fan_out_propagates_a_worker_panic() {
+        let r = std::panic::catch_unwind(|| {
+            fan_out(8, 2, |i| {
+                assert!(i != 5, "item 5");
+                i
+            })
+        });
+        assert!(r.is_err());
     }
 
     #[test]

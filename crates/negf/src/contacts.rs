@@ -14,18 +14,18 @@
 //! `(k, E)` decimated once by [`local_contacts`] on one rank and
 //! allgathered, and its units read the table.
 
-use crate::sancho::{ContactSelfEnergy, Side};
+use crate::sancho::{lead_sigma, lead_sigma_pair, ContactSelfEnergy, Side};
 use omen_linalg::ZMat;
 use omen_num::OmenResult;
 
-/// One lead's self-energy, a failure stamped with the energy.
+/// One lead's `Σ` and retries, a failure stamped with the energy.
 fn lead_self_energy(
     e: f64,
     eta: f64,
     lead: (&ZMat, &ZMat),
     side: Side,
-) -> OmenResult<ContactSelfEnergy> {
-    ContactSelfEnergy::compute(e, eta, lead.0, lead.1, side).map_err(|err| err.with_energy(e))
+) -> OmenResult<(ZMat, usize)> {
+    lead_sigma(e, eta, lead.0, lead.1, side).map_err(|err| err.with_energy(e))
 }
 
 /// Whether both contacts are the same lead: the same blocks in memory, or
@@ -55,14 +55,35 @@ pub fn local_contacts(
     lead_l: (&ZMat, &ZMat),
     lead_r: (&ZMat, &ZMat),
 ) -> OmenResult<(ContactSelfEnergy, ContactSelfEnergy)> {
-    if same_lead(lead_l, lead_r) {
-        return ContactSelfEnergy::compute_pair(e, eta, lead_r.0, lead_r.1)
-            .map_err(|err| err.with_energy(e));
-    }
+    let [(sigma_l, retries_l), (sigma_r, retries_r)] = local_sigmas(e, eta, lead_l, lead_r)?;
     Ok((
+        ContactSelfEnergy::dress(Side::Left, sigma_l, retries_l),
+        ContactSelfEnergy::dress(Side::Right, sigma_r, retries_r),
+    ))
+}
+
+/// The `[(Σ_L, retries), (Σ_R, retries)]` of [`local_contacts`], bit for
+/// bit, without building either `Γ`: for a caller that keeps `Σ` alone and
+/// rebuilds `Γ` from it when it reads a contact back.
+///
+/// # Errors
+///
+/// As [`local_contacts`].
+pub fn local_sigmas(
+    e: f64,
+    eta: f64,
+    lead_l: (&ZMat, &ZMat),
+    lead_r: (&ZMat, &ZMat),
+) -> OmenResult<[(ZMat, usize); 2]> {
+    if same_lead(lead_l, lead_r) {
+        let ((sigma_l, sigma_r), retries) =
+            lead_sigma_pair(e, eta, lead_r.0, lead_r.1).map_err(|err| err.with_energy(e))?;
+        return Ok([(sigma_l, retries), (sigma_r, retries)]);
+    }
+    Ok([
         lead_self_energy(e, eta, lead_l, Side::Left)?,
         lead_self_energy(e, eta, lead_r, Side::Right)?,
-    ))
+    ])
 }
 
 #[cfg(test)]

@@ -35,7 +35,7 @@ pub mod selinv;
 pub mod serialize;
 pub mod transport;
 
-pub use contacts::local_contacts;
+pub use contacts::{local_contacts, local_sigmas};
 pub use rgf::{rgf_point, rgf_solve, RgfResult};
 pub use sancho::{surface_green_function, ContactSelfEnergy, Side};
 pub use selinv::{selinv_point, selinv_solve};

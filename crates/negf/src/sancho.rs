@@ -115,9 +115,10 @@ fn decimate(
     }
 
     // Work matrices held across iterations: the resolvent argument, the
-    // four products of one step and the next coupling.
+    // two half products of one step, and one buffer that holds each full
+    // product (`αgβ`, `βgα`, the next `α`, the next `β`) in turn.
     let mut a = ZMat::zeros(n, n);
-    let [mut ag, mut bg, mut agb, mut bga, mut next] = [(); 5].map(|()| ZMat::zeros(n, n));
+    let [mut ag, mut bg, mut t] = [(); 3].map(|()| ZMat::zeros(n, n));
     let mul =
         |x: &ZMat, y: &ZMat, out: &mut ZMat| gemm(c64::ONE, x, Op::N, y, Op::N, c64::ZERO, out);
     // out ← (E + iη)·I − m
@@ -138,21 +139,22 @@ fn decimate(
         };
 
         // ε_s += α g β ;  ε += α g β + β g α ;  α ← α g α ;  β ← β g β
-        // (mirror: ε_s' += β g α — its α is this β)
+        // (mirror: ε_s' += β g α — its α is this β). Every accumulator
+        // takes its terms in that order: ε gets αgβ before βgα.
         mul(&alpha, &g, &mut ag);
         mul(&beta, &g, &mut bg);
-        mul(&ag, &beta, &mut agb);
-        mul(&bg, &alpha, &mut bga);
-        eps_s += &agb;
+        mul(&ag, &beta, &mut t);
+        eps_s += &t;
+        eps += &t;
+        mul(&bg, &alpha, &mut t);
         if let Some(eps_m) = mirror.as_deref_mut() {
-            *eps_m += &bga;
+            *eps_m += &t;
         }
-        eps += &agb;
-        eps += &bga;
-        mul(&ag, &alpha, &mut next);
-        std::mem::swap(&mut alpha, &mut next);
-        mul(&bg, &beta, &mut next);
-        std::mem::swap(&mut beta, &mut next);
+        eps += &t;
+        mul(&ag, &alpha, &mut t);
+        std::mem::swap(&mut alpha, &mut t);
+        mul(&bg, &beta, &mut t);
+        std::mem::swap(&mut beta, &mut t);
 
         if contracted(&alpha, 1e-14) && contracted(&beta, 1e-14) {
             // (E − ε_s)⁻¹. A NaN-poisoned lead slips through the
@@ -308,8 +310,8 @@ impl ContactSelfEnergy {
     /// Propagates the lead solve's [`OmenError::LeadNotConverged`] /
     /// [`OmenError::SingularBlock`] once the nudge recovery is exhausted.
     pub fn compute(e: f64, eta: f64, h00: &ZMat, h01: &ZMat, side: Side) -> OmenResult<Self> {
-        let (g, retries) = surface_green_function(e, eta, h00, h01, side)?;
-        Ok(Self::from_surface_gf(&g, h01, side, retries))
+        let (sigma, retries) = lead_sigma(e, eta, h00, h01, side)?;
+        Ok(Self::dress(side, sigma, retries))
     }
 
     /// `(Σ_L, Σ_R)` of a device whose two contacts are the same lead, from
@@ -322,38 +324,70 @@ impl ContactSelfEnergy {
     ///
     /// As [`Self::compute`].
     pub fn compute_pair(e: f64, eta: f64, h00: &ZMat, h01: &ZMat) -> OmenResult<(Self, Self)> {
-        let (g_left, g_right, retries) = surface_green_function_pair(e, eta, h00, h01)?;
+        let ((sigma_l, sigma_r), retries) = lead_sigma_pair(e, eta, h00, h01)?;
         Ok((
-            Self::from_surface_gf(&g_left, h01, Side::Left, retries),
-            Self::from_surface_gf(&g_right, h01, Side::Right, retries),
+            Self::dress(Side::Left, sigma_l, retries),
+            Self::dress(Side::Right, sigma_r, retries),
         ))
     }
 
-    /// Dresses the surface GF `g` of `side` with the device coupling.
-    fn from_surface_gf(g: &ZMat, h01: &ZMat, side: Side, retries: usize) -> Self {
-        let sigma = match side {
-            // Σ_L = H01† g_L H01
-            Side::Left => {
-                let mut t = ZMat::zeros(h01.ncols(), g.ncols());
-                gemm(c64::ONE, h01, Op::H, g, Op::N, c64::ZERO, &mut t);
-                omen_linalg::matmul(&t, h01)
-            }
-            // Σ_R = H01 g_R H01†
-            Side::Right => {
-                let t = omen_linalg::matmul(h01, g);
-                let mut s = ZMat::zeros(t.nrows(), h01.nrows());
-                gemm(c64::ONE, &t, Op::N, h01, Op::H, c64::ZERO, &mut s);
-                s
-            }
-        };
-        let gamma = sigma.gamma_of();
+    /// `Σ` of `side` with its broadening `Γ = i(Σ − Σ†)` built from it.
+    pub(crate) fn dress(side: Side, sigma: ZMat, retries: usize) -> Self {
         ContactSelfEnergy {
             side,
+            gamma: sigma.gamma_of(),
             sigma,
-            gamma,
             retries,
         }
     }
+}
+
+/// Dresses the surface GF `g` of `side` with the device coupling.
+fn sigma_of(g: &ZMat, h01: &ZMat, side: Side) -> ZMat {
+    match side {
+        // Σ_L = H01† g_L H01
+        Side::Left => {
+            let mut t = ZMat::zeros(h01.ncols(), g.ncols());
+            gemm(c64::ONE, h01, Op::H, g, Op::N, c64::ZERO, &mut t);
+            omen_linalg::matmul(&t, h01)
+        }
+        // Σ_R = H01 g_R H01†
+        Side::Right => {
+            let t = omen_linalg::matmul(h01, g);
+            let mut s = ZMat::zeros(t.nrows(), h01.nrows());
+            gemm(c64::ONE, &t, Op::N, h01, Op::H, c64::ZERO, &mut s);
+            s
+        }
+    }
+}
+
+/// The `Σ` of [`ContactSelfEnergy::compute`] and its retries, without
+/// building `Γ`.
+pub(crate) fn lead_sigma(
+    e: f64,
+    eta: f64,
+    h00: &ZMat,
+    h01: &ZMat,
+    side: Side,
+) -> OmenResult<(ZMat, usize)> {
+    let (g, retries) = surface_green_function(e, eta, h00, h01, side)?;
+    Ok((sigma_of(&g, h01, side), retries))
+}
+
+/// The `(Σ_L, Σ_R)` of [`ContactSelfEnergy::compute_pair`] and their one
+/// retry count, without building `Γ`.
+pub(crate) fn lead_sigma_pair(
+    e: f64,
+    eta: f64,
+    h00: &ZMat,
+    h01: &ZMat,
+) -> OmenResult<((ZMat, ZMat), usize)> {
+    let (g_left, g_right, retries) = surface_green_function_pair(e, eta, h00, h01)?;
+    let sigmas = (
+        sigma_of(&g_left, h01, Side::Left),
+        sigma_of(&g_right, h01, Side::Right),
+    );
+    Ok((sigmas, retries))
 }
 
 #[cfg(test)]

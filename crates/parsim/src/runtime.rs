@@ -28,6 +28,7 @@
 //! would-be deadlock into a typed, attributable [`OmenError::RecvTimeout`]
 //! that also reports the out-of-order buffer state.
 
+use omen_linalg::threads::{budget, with_budget};
 use omen_num::wire::{Dec, Enc};
 use omen_num::{OmenError, OmenResult};
 use std::cell::RefCell;
@@ -580,6 +581,9 @@ where
     F: Fn(&RankCtx) -> R + Sync,
 {
     assert!(n > 0);
+    // Ranks × what each rank runs ≤ cores: every rank thread keeps its
+    // share of the caller's core budget.
+    let share = budget() / n;
     let (senders, receivers): (Vec<_>, Vec<_>) = (0..n).map(|_| channel::<Msg>()).unzip();
     let (results, stats) = std::thread::scope(|scope| {
         let handles: Vec<_> = receivers
@@ -598,7 +602,7 @@ where
                         pending: RefCell::new(HashMap::new()),
                         stats: RefCell::new(CommStats::default()),
                     };
-                    match catch_unwind(AssertUnwindSafe(|| f(&ctx))) {
+                    match catch_unwind(AssertUnwindSafe(|| with_budget(share, || f(&ctx)))) {
                         Ok(r) => (Ok(r), ctx.stats()),
                         Err(p) => panicked(rank, p),
                     }

@@ -149,30 +149,40 @@ impl PoissonProblem {
             }
         }
 
-        // Laplacian triplets (constant across Gummel iterations).
-        let mut lap_triplets: Vec<(usize, usize, f64)> = Vec::new();
-        for (u, &n) in nodes_of.iter().enumerate() {
+        // The Laplacian L (constant across Gummel iterations), assembled
+        // once, row by row, with the place of each diagonal entry in its
+        // values: the Jacobian A = L + diag(−∂ρ/∂V / ε0) has L's sparsity
+        // pattern.
+        let lap_rows = nodes_of.iter().enumerate().map(|(u, &n)| {
             let mut diag = 0.0;
+            let mut row = Vec::with_capacity(7);
             for nb in self.neighbors(n) {
                 let ef = self.face_eps(n, nb);
                 diag += ef / h2;
                 if unknown_of[nb] != usize::MAX {
-                    lap_triplets.push((u, unknown_of[nb], -ef / h2));
+                    row.push((unknown_of[nb], -ef / h2));
                 }
             }
-            lap_triplets.push((u, u, diag));
-        }
+            row.push((u, diag));
+            row
+        });
+        let mut a = CsrR::from_rows(n_unknowns, lap_rows);
+        let lap_values = a.values_mut().to_vec();
+        let diag_at: Vec<usize> = (0..n_unknowns)
+            .map(|u| a.position(u, u).expect("L stores every diagonal entry"))
+            .collect();
 
         let mut last_update = f64::INFINITY;
         let mut cg_x0: Option<Vec<f64>> = None;
         for outer in 1..=max_outer {
-            // Assemble A = L + diag(−∂ρ/∂V / ε0) and the Newton RHS.
-            let mut triplets = lap_triplets.clone();
+            // A = L + diag(−∂ρ/∂V / ε0), each diagonal entry L's plus one
+            // term, and the Newton RHS.
+            a.values_mut().copy_from_slice(&lap_values);
             let mut rhs = vec![0.0; n_unknowns];
             for (u, &n) in nodes_of.iter().enumerate() {
                 let (rho, drho) = charge(n, v[n]);
                 assert!(drho <= 0.0, "charge model must be non-increasing in V");
-                triplets.push((u, u, -drho / EPS0));
+                a.values_mut()[diag_at[u]] += -drho / EPS0;
                 // Residual: L·v − ρ/ε0 − (Dirichlet couplings); Newton RHS is
                 // its negative. Compute L·v on the fly including Dirichlet
                 // neighbors.
@@ -183,7 +193,6 @@ impl PoissonProblem {
                 }
                 rhs[u] = -(lv - rho / EPS0);
             }
-            let a = CsrR::from_triplets(n_unknowns, n_unknowns, &triplets);
             let (delta, rep) = cg_solve(&a, &rhs, cg_x0.as_deref(), 1e-10, 20 * n_unknowns);
             assert!(rep.converged, "inner CG failed: {rep:?}");
 

@@ -25,6 +25,7 @@
 use crate::protocol::{Disposition, Frame, Progress, StatsSnapshot};
 use crate::request::{Mode, SweepRequest};
 use omen_core::iv::{frozen_field_sweep_observed, gate_sweep_observed, PointProgress};
+use omen_linalg::threads::{budget, with_budget};
 use omen_num::{OmenError, OmenResult, SweepReport};
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::io::Write;
@@ -511,10 +512,13 @@ impl Server {
             work_cv: Condvar::new(),
             stop_accept: AtomicBool::new(false),
         });
+        // Workers × what each worker's solve runs ≤ cores: each keeps its
+        // share of the starting thread's core budget.
+        let share = budget() / cfg.workers.max(1);
         let workers = (0..cfg.workers.max(1))
             .map(|idx| {
                 let sh = Arc::clone(&shared);
-                std::thread::spawn(move || sh.worker_loop(idx))
+                std::thread::spawn(move || with_budget(share, || sh.worker_loop(idx)))
             })
             .collect();
         let accept_shared = Arc::clone(&shared);
