@@ -43,7 +43,9 @@ cargo clippy --workspace --lib -- -D warnings -D clippy::float_cmp -D clippy::pr
 # coupling-support shape; the three WF solvers behind `wf_point`,
 # SplitSolve bit-identical across rank counts and to the serial cyclic
 # reduction — blocks past the GEMM depth tile, ragged blocks, more ranks
-# than blocks),
+# than blocks; RGF's face-only point bit-identical to its full blocks),
+# the omen-core unit suite (the contact fill's and the sweep's energy
+# points' width batteries: the same bits at 1, 2 and 3 threads),
 # the exact flop counts (the pair's, the recursion's and the WF point's
 # counts must not depend on the dispatch path; a frozen sweep's gate point
 # after the first costs exactly one grid of engine solves, its contacts —
@@ -63,7 +65,7 @@ cargo clippy --workspace --lib -- -D warnings -D clippy::float_cmp -D clippy::pr
 # (under 1 s). The scalar leg is what keeps
 # the reference path from rotting on machines that auto-dispatch SIMD.
 leg() {
-    OMEN_SIMD=$1 cargo test -q --release -p omen-linalg -p omen-negf -p omen-wf
+    OMEN_SIMD=$1 cargo test -q --release -p omen-linalg -p omen-negf -p omen-wf -p omen-core
     OMEN_SIMD=$1 cargo test -q --release --test kernel_conformance --test linalg_properties
     OMEN_SIMD=$1 cargo test -q --release --test selinv_properties --test engine_equivalence --test physics_invariants --test flop_counter_props
     OMEN_SIMD=$1 cargo bench -p omen-bench --bench kernels -- --smoke

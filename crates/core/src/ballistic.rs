@@ -8,6 +8,7 @@
 use crate::contacts::ContactTable;
 use crate::energy::{EnergyWindow, LeadBandsMemo};
 use crate::spec::{Bias, NanoTransistor};
+use omen_linalg::threads::{fan_out, fan_out_width};
 use omen_linalg::ZMat;
 use omen_negf::transport::{EnergyPointData, DEFAULT_ETA};
 use omen_negf::ContactSelfEnergy;
@@ -157,12 +158,15 @@ pub(crate) fn ballistic_solve_remembering(
     integrate(tr, bias, v_atoms, &energies, points, &s.window, report)
 }
 
-/// The serial energy loop: fills momentum slot 0 of `contacts` for the
-/// grid, then solves every energy on the contacts it reads there, with
-/// per-point failure isolation: a point whose lead or engine exhausts its
-/// recovery policy is dropped and recorded in the [`SweepReport`]; the
-/// surviving `(energies, points)` stay aligned. A table kept across calls
-/// decimates only the `(lead, E)` it lacks.
+/// The energy loop: fills momentum slot 0 of `contacts` for the grid,
+/// then solves every energy on the contacts it reads there, on the
+/// calling thread and the idle cores of its budget
+/// ([`fan_out_width`]), like the fill. Per-point failure isolation: a
+/// point whose lead or engine exhausts its recovery policy is dropped and
+/// recorded in the [`SweepReport`]; the surviving `(energies, points)`
+/// stay aligned. Outcomes come back in energy order and are recorded on
+/// the calling thread, so every width gives the same bits. A table kept
+/// across calls decimates only the `(lead, E)` it lacks.
 pub fn solve_sweep(
     energies: &[f64],
     h: &BlockTridiag,
@@ -171,14 +175,31 @@ pub fn solve_sweep(
     engine: Engine,
     contacts: &mut ContactTable,
 ) -> (Vec<f64>, Vec<EnergyPointData>, SweepReport) {
+    let width = fan_out_width(energies.len());
+    sweep_on(energies, h, (lead_l, lead_r), engine, contacts, width)
+}
+
+/// [`solve_sweep`] with its points on `width` threads.
+fn sweep_on(
+    energies: &[f64],
+    h: &BlockTridiag,
+    (lead_l, lead_r): ((&ZMat, &ZMat), (&ZMat, &ZMat)),
+    engine: Engine,
+    contacts: &mut ContactTable,
+    width: usize,
+) -> (Vec<f64>, Vec<EnergyPointData>, SweepReport) {
     contacts.fill_serial(&[[lead_l.0, lead_l.1, lead_r.0, lead_r.1]], energies);
+    let table = &*contacts;
+    let outcomes = fan_out(energies.len(), width, |i| {
+        let e = energies[i];
+        table
+            .contacts(0, e)
+            .and_then(|(sl, sr)| engine_point(e, h, &sl, &sr, engine))
+    });
     let mut report = SweepReport::default();
     let mut kept = Vec::with_capacity(energies.len());
     let mut points = Vec::with_capacity(energies.len());
-    for &e in energies {
-        let solved = contacts
-            .contacts(0, e)
-            .and_then(|(sl, sr)| engine_point(e, h, &sl, &sr, engine));
+    for (&e, solved) in energies.iter().zip(outcomes) {
         match solved {
             Ok(p) => {
                 report.record_solved(p.retries);
@@ -470,6 +491,91 @@ mod tests {
             TransistorSpec::si_nanowire_nmos(Material::SingleBand { t_mev: 1000 }, 1.0, 6);
         spec.doping_sd = 0.0;
         spec.build()
+    }
+
+    /// Every bit of a sweep: the kept grid, each point's fields and the
+    /// report.
+    fn sweep_bits(
+        (energies, points, report): (Vec<f64>, Vec<EnergyPointData>, SweepReport),
+    ) -> (Vec<u64>, String) {
+        let mut bits: Vec<u64> = energies.iter().map(|e| e.to_bits()).collect();
+        for p in &points {
+            bits.extend([
+                p.energy.to_bits(),
+                p.transmission.to_bits(),
+                p.retries as u64,
+            ]);
+            for v in [&p.ldos, &p.spectral_left_diag, &p.spectral_right_diag] {
+                bits.extend(v.iter().map(|x| x.to_bits()));
+            }
+        }
+        (bits, format!("{report:?}"))
+    }
+
+    #[test]
+    fn every_point_width_gives_the_same_sweep() {
+        use omen_linalg::threads::{fan_out_spawned, with_budget};
+        use omen_num::linspace;
+        // The README wire under a barrier, and a chain with one exactly
+        // singular pivot at E = 0: WF drops that point, RGF and SelInv
+        // recover it.
+        let tr = flat_device();
+        let barrier: Vec<f64> = tr
+            .device
+            .atoms
+            .iter()
+            .map(|a| if a.slab == 3 { -0.2 } else { 0.0 })
+            .collect();
+        let (wire, w0, w1) = crate::parallel::frozen_system(&tr, &barrier, 0.0);
+        let (chain, c0, c1) = severed_chain(5, &[(2, 0.0)], &[1, 2]);
+        let cases = [
+            (&wire, (&w0, &w1), linspace(-3.45, -2.65, 7)),
+            (&chain, (&c0, &c1), linspace(-0.5, 0.5, 5)),
+        ];
+        let engines = [Engine::Rgf, Engine::WfThomas, Engine::WfBcr, Engine::SelInv];
+        for (h, lead, energies) in &cases {
+            for engine in engines {
+                let sweep = |width: usize| {
+                    let mut table = ContactTable::default();
+                    sweep_bits(sweep_on(
+                        energies,
+                        h,
+                        (*lead, *lead),
+                        engine,
+                        &mut table,
+                        width,
+                    ))
+                };
+                let want = sweep(1);
+                for width in [2, 3] {
+                    assert_eq!(sweep(width), want, "{engine:?} at width {width}");
+                }
+                // The budget picks the width; at budget 1 nothing spawns.
+                for cores in 1..=3 {
+                    let spawned = fan_out_spawned();
+                    let got = with_budget(cores, || {
+                        let mut table = ContactTable::default();
+                        sweep_bits(solve_sweep(energies, h, *lead, *lead, engine, &mut table))
+                    });
+                    assert_eq!(got, want, "{engine:?} on budget {cores}");
+                    if cores == 1 {
+                        assert_eq!(fan_out_spawned(), spawned, "{engine:?} on budget 1");
+                    }
+                }
+            }
+        }
+        // The chain's singular point is isolated, not the sweep failed.
+        let mut table = ContactTable::default();
+        let (_, _, report) = sweep_on(
+            &cases[1].2,
+            &chain,
+            ((&c0, &c1), (&c0, &c1)),
+            Engine::WfThomas,
+            &mut table,
+            3,
+        );
+        assert_eq!((report.solved, report.failed.len()), (4, 1));
+        assert_eq!(report.failed[0].energy, 0.0);
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //! Given `A(E) = (E + iη)·I − H − Σ_L − Σ_R` in block-tridiagonal form, the
 //! solver computes exactly what the observables read and nothing wider:
 //!
-//! * all diagonal blocks `G_{i,i}` of the retarded Green's function —
-//!   LDOS and charge;
+//! * the diagonal of every diagonal block `G_{i,i}` of the retarded
+//!   Green's function — its trace is the LDOS;
 //! * the first block column `G_{i,0}` and last block column `G_{i,N-1}`
 //!   **on the support of the contact broadening** — `Γ_L`, `Γ_R` are
 //!   identically zero outside the `s` orbitals the lead coupling touches,
@@ -24,7 +24,7 @@
 //! eliminations take too. The recursion reads the stored cores `U_i`,
 //! `L_i` (negated for `A = … − H`) and no product below takes an `n × n`
 //! off-diagonal block as an operand. A dense coupling is its own core and
-//! costs what the dense recursion costs, to the flop.
+//! costs what the dense recursion costs.
 //!
 //! **Forward sweep** (one factorization per slab): the left-connected
 //! `gL_i = (A_ii − A_{i,i−1}·gL_{i−1}·A_{i−1,i})⁻¹`, where the Schur term
@@ -34,29 +34,47 @@
 //! `A_{i+1,i}·gL_{i,0}[:, S_L] = P_R′·Z_{i+1}` with
 //! `Z_{i+1} = −u_i[:, R′_{i−1}]·Z_i` (`|R′| × s_L`; `Z_1 = u_0[:, S_L]`).
 //!
+//! **What is kept** of each `gL_i` once `u_i` is formed: its two faces and
+//! its diagonal. `R_i` is the row support of `A_{i,i+1}` (`S_R` on the
+//! last slab), the columns `t1` below reads; `K_i` is the row support `R′`
+//! of `A_{i,i−1}` (`S_L` on slab 0), the columns of `G_ii` the next
+//! backward step and the left column read. So a slab stores
+//! `gL_i[:, R_i]`, `gL_i[:, K_i]`, `diag(gL_i)` and the thin `u_i`, `Z_i`;
+//! at `s/n = 20/90` the faces and the diagonal are under half of the dense
+//! `gL_i` (3 690 of 8 100 entries).
+//! [`rgf_solve`] runs the same recursion keeping every column as `K_i`,
+//! and so returns each whole `G_ii`.
+//!
 //! **Backward pass**: `t1 = gL_i[:, R]·U_i` (`n × |C|`;
 //! `gL_i·A_{i,i+1} = t1·P_Cᵀ`) is formed once and serves both
-//! `G_ii = gL_i + (t1·G_{i+1,i+1}[C, R′])·u_i` (accumulated over `gL_i` in
-//! place) and the right column
+//! `G_ii = gL_i + t2·u_i`, `t2 = t1·G_{i+1,i+1}[C, R′]` — accumulated in
+//! place over the kept columns `K_i` of `gL_i` and, in `4 × 4` diagonal
+//! tiles of `t2·u_i`, over its diagonal — and the right column
 //! `G_{i,N−1}[:, S_R] = −t1·G_{i+1,N−1}[C, S_R]`; the left column comes
 //! from the Dyson form `G_{i+1,0}[:, S_L] = −G_{i+1,i+1}[:, R′]·Z_{i+1}`,
-//! which needs the full `G_{i+1,i+1}` the pass has just finished instead
-//! of a second, right-connected factorization sweep.
+//! which reads the face `K_{i+1} = R′` the pass has just finished instead
+//! of a second, right-connected factorization sweep. Each GEMM entry gets
+//! the same products in the same order whatever the product's shape, so
+//! the face columns and the diagonal tiles carry the bits of the whole
+//! `G_ii`. [`rgf_point`] hands each slab to the point's flat data (LDOS
+//! and spectral diagonals, as [`crate::transport::package`] forms them)
+//! as soon as it is finished, so no `n × s` column block outlives its
+//! slab.
 //!
 //! Cost per slab of size `n` with coupling supports of `s` orbitals: one
 //! LU + inverse (`16/3 n³ + 16/3 n³` flops: the inverse's forward solve
-//! skips the zeros of the identity) and `8(n²s + 5ns² + 2s³)` for the
-//! eight thin products (at `s_L = s_R = s`), plus the `O(n·s²)` spectral
-//! diagonals of [`crate::transport::package`] — `14.6 n³` at
-//! `s/n = 20/90`, nearly three quarters of it the factorization, against
-//! `10.7 n³ + 5·8 n³` and three `n × n × s` column products when the
-//! coupling is dense (`s = n`). Still the `O(N·n³)` scaling the paper
-//! contrasts against its wave-function algorithm;
-//! `tests/flop_counter_props.rs` pins the count to the flop in both
-//! regimes.
+//! skips the zeros of the identity), `8(6ns² + 2s³)` for the eight thin
+//! products (at `s_L = s_R = s`) and `≈ 32ns` for the diagonal tiles, plus
+//! the `O(n·s²)` spectral diagonals — `14.1 n³` counted on the sp3s* wire
+//! (`s/n = 20/90`), three quarters of it the factorization, where updating
+//! each `G_ii` whole cost `15.4 n³`. A dense coupling (`s = n`) keeps
+//! every column, so its `G_ii` update is the full `n × n × n` product.
+//! Still the `O(N·n³)` scaling the paper contrasts against its
+//! wave-function algorithm; `tests/flop_counter_props.rs` pins the count
+//! to the flop in both regimes.
 
 use crate::sancho::ContactSelfEnergy;
-use crate::transport::{package, EnergyPointData};
+use crate::transport::{EnergyPointData, PointAssembly};
 use omen_linalg::{gemm, lu, matmul, matmul_n_h, Op, ZMat};
 use omen_num::{c64, OmenResult};
 use omen_sparse::{BlockTridiag, Coupling};
@@ -68,7 +86,10 @@ use std::ops::Neg;
 /// within the resolution the solve already accepted.
 pub const REGULARIZATION_ETA: f64 = 1e-6;
 
-/// Output of one RGF solve at a single (energy, momentum) point.
+/// Output of one RGF solve at a single (energy, momentum) point, with
+/// every diagonal block whole: the surface the oracle batteries and
+/// selected inversion hold an engine against. [`rgf_point`] keeps only
+/// faces and hands each slab straight to its [`EnergyPointData`].
 #[derive(Debug, Clone)]
 pub struct RgfResult {
     /// Retarded diagonal blocks `G_{i,i}`.
@@ -189,8 +210,10 @@ pub(crate) fn build_a_matrix(
 }
 
 /// Runs the RGF recursion on a prebuilt `A` matrix with the contact
-/// broadenings `Γ_L`, `Γ_R` (see the module docs for what is kept and
-/// what is never formed).
+/// broadenings `Γ_L`, `Γ_R`, keeping every column of each `G_ii` (see the
+/// module docs for what is kept and what is never formed). This is the
+/// full result surface the oracle batteries and selected inversion hold
+/// an engine against; [`rgf_point`] runs the same recursion on the faces.
 ///
 /// A singular pivot block is first retried with the `i·eta` shift of
 /// [`REGULARIZATION_ETA`] (recorded in [`RgfResult::retries`]).
@@ -201,14 +224,48 @@ pub(crate) fn build_a_matrix(
 /// [`OmenError::SingularBlock`](omen_num::OmenError) carrying the slab
 /// index.
 pub fn rgf_solve(a: &BlockTridiag, gamma_l: &ZMat, gamma_r: &ZMat) -> OmenResult<RgfResult> {
-    recursion(a.diag.iter().cloned(), &a.lower, &a.upper, gamma_l, gamma_r)
+    let (support_left, support_right) = (gamma_l.support(), gamma_r.support());
+    let nb = a.num_blocks();
+    let mut g_diag = vec![ZMat::zeros(0, 0); nb];
+    let mut g_col_left = g_diag.clone();
+    let mut g_col_right = g_diag.clone();
+    let retries = recursion(
+        a.diag.iter().cloned(),
+        (&a.lower, &a.upper),
+        (&support_left, &support_right),
+        Keep::All,
+        |i, slab| {
+            g_diag[i] = slab.g;
+            g_col_left[i] = slab.left;
+            g_col_right[i] = slab.right;
+        },
+    )?;
+    let transmission = caroli(
+        gamma_l,
+        gamma_r,
+        &support_left,
+        &support_right,
+        &g_col_right[0],
+    );
+    Ok(RgfResult {
+        g_diag,
+        g_col_left,
+        g_col_right,
+        support_left,
+        support_right,
+        transmission,
+        retries,
+    })
 }
 
-/// One energy point with RGF, from the contacts on: [`rgf_solve`] on
-/// `A = (E + iη) I − H − Σ_L − Σ_R` without forming `A` — each diagonal
-/// block is built as the sweep reaches it and consumed there, the
-/// couplings are `H`'s stored ones, negated on their cores — packaged into
-/// the flat per-orbital data the integrator reads.
+/// One energy point with RGF, from the contacts on: the recursion of
+/// [`rgf_solve`] on `A = (E + iη) I − H − Σ_L − Σ_R` without forming `A` —
+/// each diagonal block is built as the sweep reaches it and consumed
+/// there, the couplings are `H`'s stored ones, negated on their cores —
+/// keeping only the faces of each `gL_i` and handing each slab to the
+/// flat per-orbital data the integrator reads as soon as the backward
+/// pass finishes it. Bit for bit [`crate::transport::package`] of
+/// [`rgf_solve`].
 ///
 /// # Errors
 ///
@@ -221,36 +278,137 @@ pub fn rgf_point(
     sigma_l: &ContactSelfEnergy,
     sigma_r: &ContactSelfEnergy,
 ) -> OmenResult<EnergyPointData> {
-    let r = recursion(
+    let (gamma_l, gamma_r) = (&sigma_l.gamma, &sigma_r.gamma);
+    let (support_left, support_right) = (gamma_l.support(), gamma_r.support());
+    let mut point = PointAssembly::new(h, gamma_l, gamma_r, &support_left, &support_right);
+    let mut transmission = 0.0;
+    let retries = recursion(
         a_diagonal(e, eta, h, sigma_l, sigma_r),
-        &negated(&h.lower),
-        &negated(&h.upper),
-        &sigma_l.gamma,
-        &sigma_r.gamma,
+        (&negated(&h.lower), &negated(&h.upper)),
+        (&support_left, &support_right),
+        Keep::Faces,
+        |i, slab| {
+            if i == 0 {
+                transmission = caroli(gamma_l, gamma_r, &support_left, &support_right, &slab.right);
+            }
+            point.slab(i, slab.diag.iter().sum(), &slab.left, &slab.right);
+        },
     )
     .map_err(|err| err.with_energy(e))?;
-    Ok(package(e, h, &r, sigma_l, sigma_r))
+    Ok(point.finish(e, transmission, retries + sigma_l.retries + sigma_r.retries))
+}
+
+/// Which columns of each `G_ii` the recursion keeps: the face `K_i` the
+/// backward pass reads ([`rgf_point`]), or every column ([`rgf_solve`]).
+#[derive(Clone, Copy)]
+enum Keep {
+    Faces,
+    All,
+}
+
+/// What the forward sweep keeps of one `gL_i`; the backward pass turns
+/// `g` and `diag` into the same parts of `G_ii` in place.
+struct Stored {
+    /// `gL_i[:, R_i]`, read once, by `t1`.
+    right: ZMat,
+    /// `gL_i` on the kept columns, then `G_ii` on them.
+    g: ZMat,
+    /// The kept columns: `K_i`, or all of them.
+    cols: Vec<usize>,
+    /// Where `K_i` sits among `cols`.
+    k_at: Vec<usize>,
+    /// `diag(gL_i)`, then `diag(G_ii)`.
+    diag: Vec<c64>,
+}
+
+impl Stored {
+    /// Keeps the `k` face (or all, under `Keep::All`), the `r` face and
+    /// the diagonal of `gl`.
+    fn new(gl: &ZMat, k: &[usize], r: &[usize], keep: Keep) -> Stored {
+        let (cols, k_at) = match keep {
+            Keep::Faces => (k.to_vec(), (0..k.len()).collect()),
+            Keep::All => ((0..gl.ncols()).collect(), k.to_vec()),
+        };
+        Stored {
+            right: gl.select_cols(r),
+            g: gl.select_cols(&cols),
+            diag: (0..gl.nrows()).map(|j| gl[(j, j)]).collect(),
+            cols,
+            k_at,
+        }
+    }
+}
+
+/// One slab as the backward pass finishes it.
+struct Finished {
+    /// `G_ii` on the kept columns.
+    g: ZMat,
+    /// `diag(G_ii)`.
+    diag: Vec<c64>,
+    /// `G_{i,0}[:, S_L]`.
+    left: ZMat,
+    /// `G_{i,N−1}[:, S_R]`.
+    right: ZMat,
+}
+
+/// Side of the diagonal tiles `add_diagonal` forms: one microkernel
+/// block of the GEMM (`MR × NR`).
+const TILE: usize = 4;
+
+/// `d[k] += (a·b)[k, k]` for every `k`, from the `TILE × TILE` diagonal
+/// tiles of the product, each accumulated over `d`'s entries. Every C
+/// entry of a GEMM gets the same products in the same order whatever the
+/// product's shape (`omen_linalg::gemm`'s module docs), so each `d[k]`
+/// carries the bits it has in `d + a·b` formed whole.
+fn add_diagonal(d: &mut [c64], a: &ZMat, b: &ZMat) {
+    let k = a.ncols();
+    for k0 in (0..d.len()).step_by(TILE) {
+        let t = TILE.min(d.len() - k0);
+        let tile = &mut d[k0..k0 + t];
+        let mut c = ZMat::from_diag(tile);
+        let (rows, cols) = (a.block(k0, 0, t, k), b.block(0, k0, k, t));
+        gemm(c64::ONE, &rows, Op::N, &cols, Op::N, c64::ONE, &mut c);
+        for (j, v) in tile.iter_mut().enumerate() {
+            *v = c[(j, j)];
+        }
+    }
 }
 
 /// The recursion of the module docs over `A`'s diagonal blocks (owned, in
 /// slab order) and its couplings `lower[i] = A_{i+1,i}`,
-/// `upper[i] = A_{i,i+1}`.
+/// `upper[i] = A_{i,i+1}`, with the broadenings on `S_L` / `S_R`. Hands
+/// each slab to `finish` as the backward pass completes it, last slab
+/// first, and returns the pivot-regularization retries.
 fn recursion(
     diag: impl ExactSizeIterator<Item = ZMat>,
-    lower: &[Coupling],
-    upper: &[Coupling],
-    gamma_l: &ZMat,
-    gamma_r: &ZMat,
-) -> OmenResult<RgfResult> {
+    (lower, upper): (&[Coupling], &[Coupling]),
+    (support_left, support_right): (&[usize], &[usize]),
+    keep: Keep,
+    mut finish: impl FnMut(usize, Finished),
+) -> OmenResult<usize> {
     let nb = diag.len();
-    let support_left = gamma_l.support();
-    let support_right = gamma_r.support();
+    // The faces of gL_i: K_i the columns of G_ii the next backward step
+    // (and slab 0's left column) reads, R_i the ones t1 reads.
+    let k_face = |i: usize| {
+        if i == 0 {
+            support_left
+        } else {
+            &lower[i - 1].rows[..]
+        }
+    };
+    let r_face = |i: usize| {
+        if i + 1 == nb {
+            support_right
+        } else {
+            &upper[i].rows[..]
+        }
+    };
     let mut retries = 0usize;
 
-    // Forward sweep. `g[i]` = gL_i, `u[i]` = L_i·gL_i[C′,:] and
-    // `z[i]` = Z_{i+1}, the left-connected column entering slab i+1 on the
-    // rows R′ of its lower coupling.
-    let mut g: Vec<ZMat> = Vec::with_capacity(nb);
+    // Forward sweep. `u[i]` = L_i·gL_i[C′,:] and `z[i]` = Z_{i+1}, the
+    // left-connected column entering slab i+1 on the rows R′ of its lower
+    // coupling; of gL_i itself only its faces and diagonal stay.
+    let mut stored: Vec<Stored> = Vec::with_capacity(nb);
     let mut u: Vec<ZMat> = Vec::with_capacity(nb);
     let mut z: Vec<ZMat> = Vec::with_capacity(nb);
     for (i, mut m) in diag.enumerate() {
@@ -265,52 +423,61 @@ fn recursion(
         if i + 1 < nb {
             let ui = matmul(&lower[i].core, &gl.select_rows(&lower[i].cols));
             z.push(match z.last() {
-                None => ui.select_cols(&support_left),
+                None => ui.select_cols(support_left),
                 Some(zi) => neg_product(&ui.select_cols(&lower[i - 1].rows), zi),
             });
             u.push(ui);
         }
-        g.push(gl);
+        stored.push(Stored::new(&gl, k_face(i), r_face(i), keep));
     }
 
-    // Backward pass from G_{N-1,N-1} = gL_{N-1}, slab i+1 finished before
-    // slab i; both columns are collected last slab first.
-    let mut x = g[nb - 1].select_cols(&support_right);
-    let mut g_col_left: Vec<ZMat> = Vec::with_capacity(nb);
-    let mut g_col_right: Vec<ZMat> = Vec::with_capacity(nb);
-    for (i, (ui, z_next)) in u.into_iter().zip(z).enumerate().rev() {
-        let (lo, up) = (&lower[i], &upper[i]);
-        let g_next = g[i + 1].select_cols(&lo.rows);
-        g_col_left.push(neg_product(&g_next, &z_next));
-        let t1 = matmul(&g[i].select_cols(&up.rows), &up.core);
+    // Backward pass from G_{N-1,N-1} = gL_{N-1}: step i finishes slab i+1
+    // and carries G_ii on the kept columns and the diagonal.
+    let mut slabs = stored.into_iter().rev();
+    let Some(mut next) = slabs.next() else {
+        return Ok(retries);
+    };
+    let mut x = next.right.clone();
+    for ((i, (ui, z_next)), mut cur) in u.into_iter().zip(z).enumerate().rev().zip(slabs) {
+        let up = &upper[i];
+        // G_{i+1,i+1}[:, R′]: K_{i+1} is R′.
+        let g_next = next.g.select_cols(&next.k_at);
+        let left = neg_product(&g_next, &z_next);
+        let t1 = matmul(&cur.right, &up.core);
         let t2 = matmul(&t1, &g_next.select_rows(&up.cols));
-        // G_ii over gL_i in place: nothing later reads gL_i.
-        gemm(c64::ONE, &t2, Op::N, &ui, Op::N, c64::ONE, &mut g[i]);
+        gemm(
+            c64::ONE,
+            &t2,
+            Op::N,
+            &ui.select_cols(&cur.cols),
+            Op::N,
+            c64::ONE,
+            &mut cur.g,
+        );
+        add_diagonal(&mut cur.diag, &t2, &ui);
         let xi = neg_product(&t1, &x.select_rows(&up.cols));
-        g_col_right.push(std::mem::replace(&mut x, xi));
+        finish(
+            i + 1,
+            Finished {
+                g: next.g,
+                diag: next.diag,
+                left,
+                right: std::mem::replace(&mut x, xi),
+            },
+        );
+        next = cur;
     }
-    g_col_left.push(g[0].select_cols(&support_left));
-    g_col_right.push(x);
-    g_col_left.reverse();
-    g_col_right.reverse();
-
-    let transmission = caroli(
-        gamma_l,
-        gamma_r,
-        &support_left,
-        &support_right,
-        &g_col_right[0],
+    let left = next.g.select_cols(&next.k_at);
+    finish(
+        0,
+        Finished {
+            g: next.g,
+            diag: next.diag,
+            left,
+            right: x,
+        },
     );
-
-    Ok(RgfResult {
-        g_diag: g,
-        g_col_left,
-        g_col_right,
-        support_left,
-        support_right,
-        transmission,
-        retries,
-    })
+    Ok(retries)
 }
 
 #[cfg(test)]
@@ -542,6 +709,106 @@ mod tests {
             r.transmission
         );
         r
+    }
+
+    /// A contact whose broadening is `gamma`: `Σ = −(i/2)·Γ`.
+    fn contact(side: Side, gamma: ZMat, retries: usize) -> ContactSelfEnergy {
+        ContactSelfEnergy {
+            side,
+            sigma: gamma.scaled(c64::new(0.0, -0.5)),
+            gamma,
+            retries,
+        }
+    }
+
+    /// `rgf_point`'s faces against `package` of `rgf_solve`'s full blocks,
+    /// on every bit of the point.
+    fn thin_is_full(
+        h: &BlockTridiag,
+        sup_l: &[usize],
+        sup_r: &[usize],
+        e: f64,
+        what: &str,
+    ) -> EnergyPointData {
+        use crate::transport::package;
+        let nb = h.num_blocks();
+        let (n0, nn) = (h.block_size(0), h.block_size(nb - 1));
+        let sl = contact(Side::Left, gamma_on(n0, sup_l, 0x1 ^ nb as u64), 1);
+        let sr = contact(Side::Right, gamma_on(nn, sup_r, 0x2 ^ nb as u64), 2);
+        let eta = 1e-3;
+        let thin = rgf_point(e, eta, h, &sl, &sr).unwrap();
+        let a = build_a_matrix(e, eta, h, &sl, &sr);
+        let full = package(
+            e,
+            h,
+            &rgf_solve(&a, &sl.gamma, &sr.gamma).unwrap(),
+            &sl,
+            &sr,
+        );
+        let bits = |p: &EnergyPointData| {
+            let raw = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            (
+                p.energy.to_bits(),
+                p.transmission.to_bits(),
+                raw(&p.ldos),
+                raw(&p.spectral_left_diag),
+                raw(&p.spectral_right_diag),
+                p.retries,
+            )
+        };
+        assert_eq!(bits(&thin), bits(&full), "{what}");
+        assert!(thin.retries >= 3, "{what}: the contacts' retries are added");
+        thin
+    }
+
+    #[test]
+    fn faces_give_the_full_blocks_bits() {
+        let bs = 5;
+        let all: Vec<usize> = (0..bs).collect();
+        // Dense couplings, so every face is all of the block (s = n), and
+        // broadenings dense or on random supports.
+        for nb in [1usize, 2, 3, 6] {
+            let h = random_system(nb, bs, 0xFACE ^ nb as u64);
+            for (sup_l, sup_r) in [
+                (all.clone(), all.clone()),
+                (vec![1, 3], vec![0, 2, 4]),
+                (vec![4], all.clone()),
+            ] {
+                thin_is_full(&h, &sup_l, &sup_r, 0.3, &format!("dense nb={nb}"));
+            }
+        }
+
+        // Faces on supports: R_i (upper rows) and K_{i+1} (lower rows)
+        // differ on every link, blocks of unequal sizes, one dense link.
+        let on = |rows: &[usize], cols: &[usize]| Some((rows.to_vec(), cols.to_vec()));
+        let sizes = [4usize, 6, 3, 5, 5];
+        let lower = [
+            on(&[0, 5], &[1]),
+            on(&[1, 2], &[0, 3, 4, 5]),
+            None,
+            on(&[2], &[0, 1, 3]),
+        ];
+        let upper = [
+            on(&[0, 2, 3], &[1, 4]),
+            on(&[5], &[0, 1, 2]),
+            on(&[0, 1], &[0, 2, 3, 4]),
+            None,
+        ];
+        let h = BlockTridiag::patterned(&sizes, &lower, &upper, 0xFACE5);
+        thin_is_full(&h, &[0, 3], &[1, 2, 4], -0.2, "patterned");
+        thin_is_full(&h, &[], &[0, 1, 2, 3, 4], -0.2, "patterned, dead left lead");
+        let h = BlockTridiag::patterned(&sizes[..2], &lower[..1], &upper[..1], 0xFACE2);
+        thin_is_full(&h, &[2], &[0, 1, 5], 0.7, "patterned nb=2");
+
+        // A severed link (0 × n thin products) and a slab whose pivot is
+        // exactly singular at E, recovered by regularization.
+        let e = 0.25;
+        let severed = [on(&[], &[]), on(&[0], &[0])];
+        let mut h = BlockTridiag::patterned(&[1, 1, 1], &severed, &severed, 0x5E7);
+        h.diag[1] = ZMat::from_diag(&[c64::new(e, 1e-3)]);
+        let p = thin_is_full(&h, &[0], &[0], e, "severed, singular pivot");
+        assert!(p.retries > 3, "the singular pivot is regularized");
+        assert_eq!(p.transmission, 0.0);
     }
 
     #[test]

@@ -36,10 +36,7 @@ pub const DEFAULT_ETA: f64 = 2e-6;
 
 /// Packages an [`RgfResult`] into the flat per-orbital data the density
 /// integrator consumes; `retries` adds the contacts' lead nudges to the
-/// solve's pivot regularizations. Only the *diagonals* of the contact
-/// spectral functions are read downstream, so they are taken as row dots
-/// of `C·Γ[S,S]` with `C` on the support-restricted column blocks —
-/// `O(n·s²)` per slab, never the `n × n` product `G Γ G†`.
+/// solve's pivot regularizations.
 pub fn package(
     e: f64,
     h: &BlockTridiag,
@@ -47,32 +44,90 @@ pub fn package(
     sigma_l: &ContactSelfEnergy,
     sigma_r: &ContactSelfEnergy,
 ) -> EnergyPointData {
-    let nb = h.num_blocks();
-    let gl = sigma_l.gamma.principal(&r.support_left);
-    let gr = sigma_r.gamma.principal(&r.support_right);
-    let mut ldos = Vec::with_capacity(nb);
-    let mut al = Vec::with_capacity(h.dim());
-    let mut ar = Vec::with_capacity(h.dim());
-    for i in 0..nb {
-        ldos.push(r.ldos(i));
-        push_spectral_diag(&mut al, &r.g_col_left[i], &gl);
-        push_spectral_diag(&mut ar, &r.g_col_right[i], &gr);
+    let (gamma_l, gamma_r) = (&sigma_l.gamma, &sigma_r.gamma);
+    let mut point = PointAssembly::new(h, gamma_l, gamma_r, &r.support_left, &r.support_right);
+    for i in 0..h.num_blocks() {
+        point.slab(i, r.g_diag[i].trace(), &r.g_col_left[i], &r.g_col_right[i]);
     }
-    EnergyPointData {
-        energy: e,
-        transmission: r.transmission,
-        ldos,
-        spectral_left_diag: al,
-        spectral_right_diag: ar,
-        retries: r.retries + sigma_l.retries + sigma_r.retries,
+    point.finish(
+        e,
+        r.transmission,
+        r.retries + sigma_l.retries + sigma_r.retries,
+    )
+}
+
+/// An [`EnergyPointData`] filled slab by slab, in any order, from what an
+/// engine holds of slab `i`: the trace of `G_ii` and the support columns
+/// `G_{i,0}[:, S_L]`, `G_{i,N−1}[:, S_R]`. Only the *diagonals* of the
+/// contact spectral functions are read downstream, so they are taken as
+/// row dots of `C·Γ[S,S]` with `C` a support column — `O(n·s²)` per slab,
+/// never the `n × n` product `G Γ G†`.
+pub(crate) struct PointAssembly {
+    /// `Γ_L[S_L, S_L]`.
+    gamma_l: ZMat,
+    /// `Γ_R[S_R, S_R]`.
+    gamma_r: ZMat,
+    /// First orbital of each slab.
+    offsets: Vec<usize>,
+    ldos: Vec<f64>,
+    left: Vec<f64>,
+    right: Vec<f64>,
+}
+
+impl PointAssembly {
+    /// An empty point on `h`'s slabs, for broadenings on `S_L` / `S_R`.
+    pub(crate) fn new(
+        h: &BlockTridiag,
+        gamma_l: &ZMat,
+        gamma_r: &ZMat,
+        support_left: &[usize],
+        support_right: &[usize],
+    ) -> Self {
+        let offsets = (0..h.num_blocks())
+            .scan(0, |at, i| {
+                let first = *at;
+                *at += h.block_size(i);
+                Some(first)
+            })
+            .collect();
+        PointAssembly {
+            gamma_l: gamma_l.principal(support_left),
+            gamma_r: gamma_r.principal(support_right),
+            offsets,
+            ldos: vec![0.0; h.num_blocks()],
+            left: vec![0.0; h.dim()],
+            right: vec![0.0; h.dim()],
+        }
+    }
+
+    /// Slab `i` from `Tr G_ii` and its two support columns.
+    pub(crate) fn slab(&mut self, i: usize, trace: c64, left: &ZMat, right: &ZMat) {
+        self.ldos[i] = -trace.im / std::f64::consts::PI;
+        let span = self.offsets[i]..self.offsets[i] + left.nrows();
+        spectral_diag(&mut self.left[span.clone()], left, &self.gamma_l);
+        spectral_diag(&mut self.right[span], right, &self.gamma_r);
+    }
+
+    /// The point, once every slab is in.
+    pub(crate) fn finish(self, e: f64, transmission: f64, retries: usize) -> EnergyPointData {
+        EnergyPointData {
+            energy: e,
+            transmission,
+            ldos: self.ldos,
+            spectral_left_diag: self.left,
+            spectral_right_diag: self.right,
+            retries,
+        }
     }
 }
 
-/// Appends `diag(C·γ·C†)`: entry `k` is row `k` of `C·γ` against the
+/// Writes `diag(C·γ·C†)`: entry `k` is row `k` of `C·γ` against the
 /// conjugate of row `k` of `C`.
-fn push_spectral_diag(out: &mut Vec<f64>, c: &ZMat, gamma_s: &ZMat) {
+fn spectral_diag(out: &mut [f64], c: &ZMat, gamma_s: &ZMat) {
     let t = matmul(c, gamma_s);
-    out.extend((0..c.nrows()).map(|k| dot(c.row(k), t.row(k)).re));
+    for (k, v) in out.iter_mut().enumerate() {
+        *v = dot(c.row(k), t.row(k)).re;
+    }
 }
 
 /// Dense reference: inverts the full `A` matrix and evaluates the Caroli

@@ -159,6 +159,18 @@ fn inverse_books_what_the_algorithm_runs() {
     }
 }
 
+/// Counted flops of `diag(a·b)` for `n × k` by `k × n` operands formed in
+/// the `4 × 4` diagonal tiles of the product (a ragged last one).
+fn diagonal_tiles(n: usize, k: usize) -> u64 {
+    (0..n)
+        .step_by(4)
+        .map(|k0| {
+            let t = (n - k0).min(4);
+            gemm_flops(t, t, k)
+        })
+        .sum()
+}
+
 /// Counted flops of one RGF energy point after its contacts, for `nb`
 /// slabs of size `n` whose broadenings touch `sl` / `sr` orbitals and
 /// whose couplings `A_{i,i+1}` / `A_{i+1,i}` are non-zero on `upper` /
@@ -177,9 +189,13 @@ fn rgf_point_flops(
         // Per link, forward: u_i = L_i·gL_i[C′,:] and the Schur update
         // u_i[:,R]·U_i on m[R′,C].
         + links * (gemm_flops(rl, n, cl) + gemm_flops(rl, cu, ru))
-        // Per link, backward: t1 = gL_i[:,R]·U_i, t1·G_{i+1}[C,R′], and
-        // (t1·G)·u_i accumulated into G_ii.
-        + links * (gemm_flops(n, cu, ru) + gemm_flops(n, rl, cu) + gemm_flops(n, n, rl))
+        // Per link, backward: t1 = gL_i[:,R]·U_i, t2 = t1·G_{i+1}[C,R′], and
+        // t2·u_i accumulated into G_ii on its diagonal, in 4 × 4 tiles …
+        + links * (gemm_flops(n, cu, ru) + gemm_flops(n, rl, cu) + diagonal_tiles(n, rl))
+        // … and on its face K_i, the columns the next step reads: S_L on
+        // slab 0, R′ of the link before on the others.
+        + links.min(1) * gemm_flops(n, sl, rl)
+        + links.saturating_sub(1) * gemm_flops(n, rl, rl)
         // Per link: the left (Dyson) and right column blocks on the supports.
         + links * (gemm_flops(n, sl, rl) + gemm_flops(n, sr, cu))
         // Z_{i+1} = −u_i[:,R′]·Z_i from the second link on (Z_1 is a column copy).
