@@ -8,8 +8,9 @@ cargo test -q --workspace
 cargo fmt --check
 cargo clippy --workspace --all-targets -- -D warnings
 # A doc that names a deleted or renamed item fails here instead of going
-# stale.
-RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" cargo doc --no-deps --workspace --offline
+# stale, and so does a public doc that links a private item (the link
+# renders dead; name it as a plain code span).
+RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links -D rustdoc::private_intra_doc_links" cargo doc --no-deps --workspace --offline
 
 # Panic-free solver stack — the one panic gate and the one crate list:
 # linalg/sparse/wf/negf/parsim/sched/analyze/serve must not grow
@@ -125,6 +126,18 @@ fi
 for f in $(grep -rl --include='*.rs' 'Coupling::observe' crates src examples | grep -vE '^crates/sparse/src/|/tests/'); do
     if sed '/#\[cfg(test)\]/,$d' "$f" | grep -n 'Coupling::observe'; then
         echo "ci: $f observes a coupling outside crates/sparse/src and tests; read the stored BlockTridiag couplings"
+        exit 1
+    fi
+done
+# A Hamiltonian's diagonal blocks are stored on the entries their assembly
+# pushed (crates/sparse/src/block.rs `SlabAssembly`, `DiagEntries`), so no
+# dense diagonal block of a device is ever built. `from_dense` turns dense
+# blocks into that stored form for tests, benches and the omen-bench
+# binaries; a library path that builds a device's blocks dense and
+# converts them is the slabs × n² store the entries replaced.
+for f in $(grep -rlE --include='*.rs' '::from_dense\b' crates src examples | grep -vE '^crates/sparse/src/|/tests/|^crates/bench/(benches|src/bin)/'); do
+    if sed '/#\[cfg(test)\]/,$d' "$f" | grep -nE '::from_dense\b'; then
+        echo "ci: $f builds a BlockTridiag from dense blocks outside crates/sparse/src, tests, benches and omen-bench bins; assemble it with SlabAssembly"
         exit 1
     fi
 done

@@ -22,7 +22,7 @@ use omen_parsim::{run_ranks, Comm, MachineModel};
 use omen_sparse::BlockTridiag;
 use omen_wf::{splitsolve_parallel, thomas_solve};
 
-fn system(nb: usize, bs: usize, nrhs: usize) -> (BlockTridiag, Vec<ZMat>) {
+fn system(nb: usize, bs: usize, nrhs: usize) -> (BlockTridiag<ZMat>, Vec<ZMat>) {
     let mut s = 0x1234_5678u64;
     let mut next = move || {
         s = s.wrapping_mul(0x2545F4914F6CDD1D).wrapping_add(7);

@@ -103,10 +103,11 @@ pub(crate) const fn eigh_values_flops(n: usize) -> u64 {
 }
 
 /// Approximate flop cost of a full Hermitian eigendecomposition of size
-/// `n`: the reduction of [`eigh_values_flops`], the same count again to
-/// accumulate the reflectors into the unitary, and the QL rotations of its
-/// complex rows — 12 real flops per entry per rotation, ≈ 1.2n² rotations on
-/// the spectra `tests/flop_counter_props.rs` tallies, ≈ 14n³ — 25n³ in all.
+/// `n`: the `(16/3)n³` Householder reduction the eigenvalues alone cost,
+/// the same count again to accumulate the reflectors into the unitary, and
+/// the QL rotations of its complex rows — 12 real flops per entry per
+/// rotation, ≈ 1.2n² rotations on the spectra `tests/flop_counter_props.rs`
+/// tallies, ≈ 14n³ — 25n³ in all.
 #[inline]
 pub const fn eigh_flops(n: usize) -> u64 {
     let n = n as u64;

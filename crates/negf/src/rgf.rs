@@ -170,8 +170,12 @@ fn sub_scatter(m: &mut ZMat, rows: &[usize], cols: &[usize], p: &ZMat) {
 }
 
 /// Diagonal blocks of `A = (E + iη) I − H − Σ_L − Σ_R`, each built when
-/// the iterator reaches it. With `H`'s couplings negated on their cores,
-/// this is all of `A` an engine takes: no copy of `H` is made.
+/// the iterator reaches it: the dense pivot `(E + iη) I`, `H`'s stored
+/// entries subtracted where they lie, then `Σ`. An entry of `D_i` no push
+/// reached is `+0`, and `x − (+0)` is `x` for every `x` (`−0` too), so
+/// skipping it gives the bits of the dense `(E + iη) I − D_i − Σ`. With
+/// `H`'s couplings negated on their cores, this is all of `A` an engine
+/// takes: no copy of `H` is made.
 pub fn a_diagonal<'a>(
     e: f64,
     eta: f64,
@@ -182,8 +186,11 @@ pub fn a_diagonal<'a>(
     let nb = h.num_blocks();
     let ec = c64::new(e, eta);
     h.diag.iter().enumerate().map(move |(i, d)| {
-        let mut a = ZMat::from_diag(&vec![ec; d.nrows()]);
-        a -= d;
+        let mut a = ZMat::from_diag(&vec![ec; d.n]);
+        let data = a.data_mut();
+        for &(k, v) in &d.entries {
+            data[k] -= v;
+        }
         if i == 0 {
             a -= &sigma_l.sigma;
         }
@@ -195,16 +202,16 @@ pub fn a_diagonal<'a>(
 }
 
 /// Builds `A = (E + iη) I − H − Σ_L − Σ_R` from the device Hamiltonian:
-/// a negated copy of all of `H`, for selected inversion and the tests that
-/// hold an engine against it. [`rgf_point`] takes [`a_diagonal`] and
-/// `H`'s couplings instead.
+/// [`a_diagonal`] and a negated copy of `H`'s couplings, for selected
+/// inversion and the tests that hold an engine against it. [`rgf_point`]
+/// takes [`a_diagonal`] and `H`'s couplings instead.
 pub(crate) fn build_a_matrix(
     e: f64,
     eta: f64,
     h: &BlockTridiag,
     sigma_l: &ContactSelfEnergy,
     sigma_r: &ContactSelfEnergy,
-) -> BlockTridiag {
+) -> BlockTridiag<ZMat> {
     let diag = a_diagonal(e, eta, h, sigma_l, sigma_r).collect();
     BlockTridiag::new(diag, negated(&h.lower), negated(&h.upper))
 }
@@ -223,7 +230,7 @@ pub(crate) fn build_a_matrix(
 /// Only when regularization is exhausted does the point fail, with
 /// [`OmenError::SingularBlock`](omen_num::OmenError) carrying the slab
 /// index.
-pub fn rgf_solve(a: &BlockTridiag, gamma_l: &ZMat, gamma_r: &ZMat) -> OmenResult<RgfResult> {
+pub fn rgf_solve(a: &BlockTridiag<ZMat>, gamma_l: &ZMat, gamma_r: &ZMat) -> OmenResult<RgfResult> {
     let (support_left, support_right) = (gamma_l.support(), gamma_r.support());
     let nb = a.num_blocks();
     let mut g_diag = vec![ZMat::zeros(0, 0); nb];
@@ -506,6 +513,65 @@ mod tests {
     }
 
     #[test]
+    fn a_diagonal_is_the_dense_pivot_to_the_bit() {
+        // `H`'s diagonal blocks hold only their pushed entries; the pivot
+        // must still be the dense `from_diag(ec) −= D −= Σ`, bit for
+        // bit: at E = −0 (whose diagonal an unpushed `+0` leaves alone),
+        // on an entry that folds to −0, a NaN push, and a slab with no
+        // pushes at all.
+        let mut asm = omen_sparse::SlabAssembly::new(&[0, 3, 5, 6, 9]);
+        let mut next = rng(0xD1A6);
+        for _ in 0..40 {
+            let slab = [(0, 3), (3, 5), (6, 9)][(next().abs() * 3.0) as usize % 3];
+            let at = |x: f64| slab.0 + (x.abs() * 7.0) as usize % (slab.1 - slab.0);
+            asm.push(at(next()), at(next()), c64::new(next(), next()));
+        }
+        asm.push(1, 1, c64::new(-0.0, 0.3));
+        asm.push(1, 1, c64::new(-0.0, -0.3)); // folds to (−0, +0)
+        asm.push(4, 4, c64::new(0.5, -0.0));
+        asm.push(4, 4, c64::new(-0.5, -0.0)); // folds to (+0, −0)
+        asm.push(7, 8, c64::new(f64::NAN, 0.0));
+        asm.push(0, 3, c64::real(-1.0));
+        asm.push(3, 0, c64::real(-1.0));
+        let h = asm.finish().unwrap();
+        assert!(h.diag[2].entries.is_empty());
+        let sigma = |n: usize, seed: u64| {
+            let mut next = rng(seed);
+            let mut s = ZMat::from_fn(n, n, |_, _| c64::new(next(), next()));
+            s[(0, 1)] = c64::new(-0.0, 0.0);
+            s
+        };
+        let contact = |side, n, seed| ContactSelfEnergy {
+            side,
+            sigma: sigma(n, seed),
+            gamma: ZMat::zeros(n, n),
+            retries: 0,
+        };
+        let (sl, sr) = (contact(Side::Left, 3, 1), contact(Side::Right, 3, 2));
+        let b = |m: &ZMat| {
+            m.data()
+                .iter()
+                .map(|z| (z.re.to_bits(), z.im.to_bits()))
+                .collect::<Vec<_>>()
+        };
+        for (e, eta) in [(-0.0, 1e-6), (0.0, 0.0), (0.37, -0.0), (-1.25, 1e-3)] {
+            let ec = c64::new(e, eta);
+            let got: Vec<ZMat> = a_diagonal(e, eta, &h, &sl, &sr).collect();
+            for (i, d) in h.diag.iter().enumerate() {
+                let mut want = ZMat::from_diag(&vec![ec; d.n]);
+                want -= &omen_sparse::DiagBlock::to_dense(d);
+                if i == 0 {
+                    want -= &sl.sigma;
+                }
+                if i == h.num_blocks() - 1 {
+                    want -= &sr.sigma;
+                }
+                assert_eq!(b(&got[i]), b(&want), "E = {e}, η = {eta}: slab {i}");
+            }
+        }
+    }
+
+    #[test]
     fn clean_chain_transmits_unity_in_band() {
         let (e0, t) = (0.0, -1.0);
         let h = chain(8, e0, t, &[]);
@@ -638,7 +704,11 @@ mod tests {
     }
 
     /// Uniform blocks, dense couplings.
-    fn random_system(nb: usize, bs: usize, seed: u64) -> BlockTridiag {
+    fn random_system<D: omen_sparse::DiagBlock>(
+        nb: usize,
+        bs: usize,
+        seed: u64,
+    ) -> BlockTridiag<D> {
         let dense = vec![None; nb - 1];
         BlockTridiag::patterned(&vec![bs; nb], &dense, &dense, seed)
     }
@@ -659,7 +729,7 @@ mod tests {
     /// block of the result, and the transmission, against the dense
     /// inverse within `selinv.vs_dense`.
     fn solve_against_dense(
-        a: &BlockTridiag,
+        a: &BlockTridiag<ZMat>,
         sup_l: &[usize],
         sup_r: &[usize],
         what: &str,
@@ -805,7 +875,10 @@ mod tests {
         let e = 0.25;
         let severed = [on(&[], &[]), on(&[0], &[0])];
         let mut h = BlockTridiag::patterned(&[1, 1, 1], &severed, &severed, 0x5E7);
-        h.diag[1] = ZMat::from_diag(&[c64::new(e, 1e-3)]);
+        h.diag[1] = omen_sparse::DiagEntries {
+            n: 1,
+            entries: vec![(0, c64::new(e, 1e-3))],
+        };
         let p = thin_is_full(&h, &[0], &[0], e, "severed, singular pivot");
         assert!(p.retries > 3, "the singular pivot is regularized");
         assert_eq!(p.transmission, 0.0);

@@ -55,7 +55,7 @@ struct Blocks<'a> {
 }
 
 impl<'a> Blocks<'a> {
-    fn of(a: &'a BlockTridiag) -> Self {
+    fn of(a: &'a BlockTridiag<ZMat>) -> Self {
         let links = 0..a.num_blocks() - 1;
         Blocks {
             diag: &a.diag,
@@ -495,7 +495,11 @@ fn descend(
 /// [`OmenError::SingularBlock`](omen_num::OmenError) carrying the
 /// separator index when pivot regularization is exhausted — the same
 /// failure surface as RGF.
-pub fn selinv_solve(a: &BlockTridiag, gamma_l: &ZMat, gamma_r: &ZMat) -> OmenResult<RgfResult> {
+pub fn selinv_solve(
+    a: &BlockTridiag<ZMat>,
+    gamma_l: &ZMat,
+    gamma_r: &ZMat,
+) -> OmenResult<RgfResult> {
     let nb = a.num_blocks();
     let sup = Supports::of(gamma_l, gamma_r);
     let (nodes, order) = build_tree(nb);

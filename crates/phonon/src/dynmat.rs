@@ -16,7 +16,7 @@ use crate::vff::{KeatingModel, VffSystem};
 use omen_lattice::Device;
 use omen_linalg::{eigh_values, ZMat};
 use omen_num::c64;
-use omen_sparse::{BlockTridiag, SlabAssembly};
+use omen_sparse::{BlockTridiag, DiagBlock, SlabAssembly};
 use std::collections::BTreeMap;
 
 /// Conversion: (eV/nm²)/amu → (rad/ps)².
@@ -110,12 +110,12 @@ impl PhononSystem {
             full.lower[1..nb - 2].to_vec(),
             full.upper[1..nb - 2].to_vec(),
         );
-        let d00 = full.diag[1].clone();
+        let d00 = full.diag[1].to_dense();
         let d01 = full.upper_dense(1);
 
         // Congruence sanity: interior diagonal blocks must match.
         debug_assert!(
-            (&full.diag[1] - &full.diag[2]).max_abs() < 1e-6 * full.diag[1].max_abs().max(1.0),
+            (&d00 - &full.diag[2].to_dense()).max_abs() < 1e-6 * d00.max_abs().max(1.0),
             "interior slabs must be congruent"
         );
 
@@ -200,9 +200,10 @@ mod tests {
                 .clone()
                 .map(|c| (c.rows.clone(), c.cols.clone()))
                 .collect();
-            let blocks: Vec<_> = (d.diag.iter().chain(couplings.map(|c| &c.core)))
-                .chain([&s.d00, &s.d01])
-                .map(bits)
+            let blocks: Vec<_> = (d.diag.iter().map(DiagBlock::to_dense))
+                .chain(couplings.map(|c| c.core.clone()))
+                .chain([s.d00.clone(), s.d01.clone()])
+                .map(|m| bits(&m))
                 .collect();
             (blocks, supports)
         };

@@ -15,13 +15,17 @@
 //! cyclic reduction in `omen-wf`. Blocks may have differing sizes (surface
 //! slabs of a nanowire carry fewer atoms).
 //!
-//! The diagonal blocks are stored dense; each off-diagonal block is stored
-//! as a [`Coupling`], on its support only: in a nearest-neighbour
-//! tight-binding device `Lᵢ` and `Uᵢ` are non-zero on a few rows and
-//! columns (20 × 20 of 90 on the sp3s* wire), and no product needs the
-//! rest. The supports are observed once, at assembly: the stored form *is*
-//! the support. A user that needs a dense block scatters the core
-//! ([`Coupling::to_dense`]).
+//! Every block is stored on what its assembly reached. A diagonal block
+//! is a [`DiagEntries`]: the entries a push reached, each with its fold —
+//! 13 % of a 90 × 90 block on the sp3s* wire. Each off-diagonal block is a
+//! [`Coupling`], on its support only: in a nearest-neighbour tight-binding
+//! device `Lᵢ` and `Uᵢ` are non-zero on a few rows and columns (20 × 20 of
+//! 90 on the sp3s* wire), and no product needs the rest. Both are read
+//! once, at assembly: the stored form *is* the pattern. The per-point
+//! system `A = (E + iη)I − H − Σ` an engine factors keeps its diagonal
+//! blocks dense (`BlockTridiag<ZMat>`), and a user that needs a dense
+//! block of `H` scatters it ([`DiagBlock::to_dense`],
+//! [`Coupling::to_dense`]).
 
 use omen_linalg::ZMat;
 use omen_num::{c64, OmenError, OmenResult};
@@ -86,11 +90,85 @@ impl Neg for &Coupling {
     }
 }
 
-/// A square block-tridiagonal complex matrix.
+/// One `n × n` diagonal block on the entries its assembly pushed: `value`
+/// at each `(k, value)` of `entries` (row-major index `k`) and `+0`
+/// everywhere else. A pushed entry is kept whatever its fold — an exact
+/// zero with its sign bits too — so the block is bit for bit the dense
+/// fold, and an engine subtracting it from a dense pivot skips the rest:
+/// `x − (+0)` is `x` for every `x`, `−0` included.
+#[derive(Clone, Debug, PartialEq)]
+pub struct DiagEntries {
+    /// Order of the block.
+    pub n: usize,
+    /// `(row-major index, value)`, one per stored entry, ascending.
+    pub entries: Vec<(usize, c64)>,
+}
+
+/// What a [`BlockTridiag`] stores of a diagonal block: [`DiagEntries`] for
+/// an assembled matrix, a dense [`ZMat`] for the per-point system the
+/// engines factor.
+pub trait DiagBlock: Clone {
+    /// Order of the square block.
+    fn size(&self) -> usize;
+    /// Square, and (for [`DiagEntries`]) ascending entries inside it.
+    fn well_formed(&self) -> bool;
+    /// The stored form of the dense block `m`.
+    fn from_dense(m: ZMat) -> Self;
+    /// The dense block.
+    fn to_dense(&self) -> ZMat;
+}
+
+impl DiagBlock for ZMat {
+    fn size(&self) -> usize {
+        self.nrows()
+    }
+    fn well_formed(&self) -> bool {
+        self.is_square()
+    }
+    fn from_dense(m: ZMat) -> Self {
+        m
+    }
+    fn to_dense(&self) -> ZMat {
+        self.clone()
+    }
+}
+
+impl DiagBlock for DiagEntries {
+    fn size(&self) -> usize {
+        self.n
+    }
+    fn well_formed(&self) -> bool {
+        self.entries.windows(2).all(|w| w[0].0 < w[1].0)
+            && self.entries.last().is_none_or(|e| e.0 < self.n * self.n)
+    }
+    /// Every entry of `m` but those whose bits are `+0`, which is what an
+    /// entry no push reached holds.
+    fn from_dense(m: ZMat) -> Self {
+        let entries = (m.data().iter().enumerate())
+            .filter(|&(_, &z)| (z.re.to_bits(), z.im.to_bits()) != (0, 0))
+            .map(|(k, &z)| (k, z))
+            .collect();
+        DiagEntries {
+            n: m.nrows(),
+            entries,
+        }
+    }
+    fn to_dense(&self) -> ZMat {
+        let mut m = ZMat::zeros(self.n, self.n);
+        for &(k, v) in &self.entries {
+            m.data_mut()[k] = v;
+        }
+        m
+    }
+}
+
+/// A square block-tridiagonal complex matrix whose diagonal blocks are
+/// stored as `D`: an assembled `H` on its entries (the default), or the
+/// per-point `A` with dense diagonal blocks (`BlockTridiag<ZMat>`).
 #[derive(Clone)]
-pub struct BlockTridiag {
+pub struct BlockTridiag<D = DiagEntries> {
     /// Diagonal blocks `D_i` (square, possibly differing sizes).
-    pub diag: Vec<ZMat>,
+    pub diag: Vec<D>,
     /// Sub-diagonal blocks `L_i = A[i+1, i]` (shape `(n_{i+1}, n_i)`) on
     /// their supports.
     pub lower: Vec<Coupling>,
@@ -99,16 +177,17 @@ pub struct BlockTridiag {
     pub upper: Vec<Coupling>,
 }
 
-impl BlockTridiag {
-    /// Builds and validates shapes: every coupling's supports are
-    /// ascending and inside its block, and its core is `|rows| × |cols|`.
-    pub fn new(diag: Vec<ZMat>, lower: Vec<Coupling>, upper: Vec<Coupling>) -> Self {
+impl<D: DiagBlock> BlockTridiag<D> {
+    /// Builds and validates shapes: every diagonal block is well formed,
+    /// every coupling's supports are ascending and inside its block, and
+    /// its core is `|rows| × |cols|`.
+    pub fn new(diag: Vec<D>, lower: Vec<Coupling>, upper: Vec<Coupling>) -> Self {
         let nb = diag.len();
         assert!(nb > 0, "need at least one block");
         assert_eq!(lower.len(), nb - 1, "lower block count");
         assert_eq!(upper.len(), nb - 1, "upper block count");
         for (i, d) in diag.iter().enumerate() {
-            assert!(d.is_square(), "diagonal block {i} not square");
+            assert!(d.well_formed(), "diagonal block {i} malformed");
         }
         let within = |idx: &[usize], n: usize| {
             idx.windows(2).all(|w| w[0] < w[1]) && idx.last().is_none_or(|&last| last < n)
@@ -120,15 +199,16 @@ impl BlockTridiag {
             assert_eq!(c.core.ncols(), c.cols.len(), "{what} core cols");
         };
         for i in 0..nb - 1 {
-            let (ni, nj) = (diag[i].nrows(), diag[i + 1].nrows());
+            let (ni, nj) = (diag[i].size(), diag[i + 1].size());
             check(&lower[i], nj, ni, &format!("lower[{i}]"));
             check(&upper[i], ni, nj, &format!("upper[{i}]"));
         }
         BlockTridiag { diag, lower, upper }
     }
 
-    /// [`Self::new`] from dense off-diagonal blocks, each observed on its
-    /// support once, here ([`Coupling::observe`]).
+    /// [`Self::new`] from dense blocks: each diagonal block in its stored
+    /// form ([`DiagBlock::from_dense`]), each off-diagonal one observed on
+    /// its support once, here ([`Coupling::observe`]).
     pub fn from_dense(diag: Vec<ZMat>, lower: Vec<ZMat>, upper: Vec<ZMat>) -> Self {
         for (i, (l, u)) in lower.iter().zip(&upper).enumerate() {
             let (ni, nj) = (diag[i].nrows(), diag[i + 1].nrows());
@@ -136,6 +216,7 @@ impl BlockTridiag {
             assert!(u.nrows() == ni && u.ncols() == nj, "upper[{i}] shape");
         }
         let observed = |blocks: Vec<ZMat>| blocks.iter().map(Coupling::observe).collect();
+        let diag = diag.into_iter().map(D::from_dense).collect();
         BlockTridiag::new(diag, observed(lower), observed(upper))
     }
 
@@ -146,17 +227,17 @@ impl BlockTridiag {
 
     /// Size of block `i`.
     pub fn block_size(&self, i: usize) -> usize {
-        self.diag[i].nrows()
+        self.diag[i].size()
     }
 
     /// Total matrix dimension.
     pub fn dim(&self) -> usize {
-        self.diag.iter().map(|d| d.nrows()).sum()
+        self.diag.iter().map(D::size).sum()
     }
 
     /// Row offset of block `i` in the flat ordering.
     pub fn offset(&self, i: usize) -> usize {
-        self.diag[..i].iter().map(|d| d.nrows()).sum()
+        self.diag[..i].iter().map(D::size).sum()
     }
 
     /// `L_i` as a dense `n_{i+1} × n_i` block.
@@ -171,7 +252,7 @@ impl BlockTridiag {
 
     /// Hermitian structural check: `L_i == U_i†` and `D_i` Hermitian.
     pub fn is_hermitian(&self, tol: f64) -> bool {
-        self.diag.iter().all(|d| d.is_hermitian(tol))
+        self.diag.iter().all(|d| d.to_dense().is_hermitian(tol))
             && (0..self.num_blocks() - 1)
                 .all(|i| (&self.lower_dense(i).adjoint() - &self.upper_dense(i)).max_abs() <= tol)
     }
@@ -186,7 +267,7 @@ impl BlockTridiag {
         let seg = |i: usize| &x[offsets[i]..offsets[i + 1]];
         let mut y = Vec::with_capacity(x.len());
         for i in 0..nb {
-            let mut yi = self.diag[i].matvec(seg(i));
+            let mut yi = self.diag[i].to_dense().matvec(seg(i));
             let mut add = |v: Vec<c64>| yi.iter_mut().zip(v).for_each(|(a, v)| *a += v);
             if i + 1 < nb {
                 add(self.upper_dense(i).matvec(seg(i + 1)));
@@ -205,7 +286,7 @@ impl BlockTridiag {
         let mut m = ZMat::zeros(n, n);
         for i in 0..self.num_blocks() {
             let o = self.offset(i);
-            m.set_block(o, o, &self.diag[i]);
+            m.set_block(o, o, &self.diag[i].to_dense());
             if i + 1 < self.num_blocks() {
                 let o2 = self.offset(i + 1);
                 m.set_block(o, o2, &self.upper_dense(i));
@@ -225,7 +306,7 @@ impl BlockTridiag {
         lower: &[Option<Support>],
         upper: &[Option<Support>],
         seed: u64,
-    ) -> BlockTridiag {
+    ) -> Self {
         let mut s = seed.wrapping_mul(0x9E3779B97F4A7C15).wrapping_add(11);
         let mut next = move || {
             s = s.wrapping_mul(0x9E3779B97F4A7C15).wrapping_add(11);
@@ -272,24 +353,19 @@ impl BlockTridiag {
 /// Each entry is the left fold of its pushes in push order: the first push
 /// is stored as is and later pushes add to it. That is the sum order of a
 /// sorted triplet merge; a plain `+=` from `+0` would turn a real-phase
-/// hopping `(v, −0.0)` into `(v, +0.0)`. A diagonal block is accumulated
-/// dense; an off-diagonal block keeps its pushes as entries and becomes
-/// its [`Coupling`] at [`Self::finish`], so no dense off-diagonal block is
-/// ever allocated.
+/// hopping `(v, −0.0)` into `(v, +0.0)`. Every block keeps its pushes as
+/// entries until [`Self::finish`] folds them: a diagonal block becomes its
+/// [`DiagEntries`], an off-diagonal one its [`Coupling`], so no dense block
+/// is ever allocated.
 pub struct SlabAssembly {
     offsets: Vec<usize>,
-    diag: Vec<Accumulator>,
+    diag: Vec<Vec<Push>>,
     lower: Vec<Vec<Push>>,
     upper: Vec<Vec<Push>>,
     outside: Option<OmenError>,
 }
 
-/// One diagonal block being assembled, and one bit per entry: has a push
-/// reached it.
-struct Accumulator(ZMat, Vec<u64>);
-
-/// One off-diagonal push: the row-major index of its entry in the block,
-/// and the value.
+/// One push: the row-major index of its entry in the block, and the value.
 type Push = (usize, c64);
 
 impl SlabAssembly {
@@ -297,13 +373,9 @@ impl SlabAssembly {
     /// (`offsets[i]..offsets[i + 1]` is slab `i`).
     pub fn new(offsets: &[usize]) -> Self {
         let nb = offsets.len() - 1;
-        let zeros = |i: usize| {
-            let n = offsets[i + 1] - offsets[i];
-            Accumulator(ZMat::zeros(n, n), vec![0; (n * n).div_ceil(64)])
-        };
         SlabAssembly {
             offsets: offsets.to_vec(),
-            diag: (0..nb).map(zeros).collect(),
+            diag: vec![Vec::new(); nb],
             lower: vec![Vec::new(); nb.saturating_sub(1)],
             upper: vec![Vec::new(); nb.saturating_sub(1)],
             outside: None,
@@ -321,17 +393,12 @@ impl SlabAssembly {
         let (bi, bj) = (slab_of(i), slab_of(j));
         let width = self.offsets[bj + 1] - self.offsets[bj];
         let k = (i - self.offsets[bi]) * width + j - self.offsets[bj];
-        if bi == bj {
-            let Accumulator(block, pushed) = &mut self.diag[bi];
-            let e = &mut block.data_mut()[k];
-            let (word, bit) = (&mut pushed[k / 64], 1 << (k % 64));
-            let first = *word & bit == 0;
-            *word |= bit;
-            *e = if first { v } else { *e + v };
+        let block = if bi == bj {
+            &mut self.diag[bi]
         } else if bj == bi + 1 {
-            self.upper[bi].push((k, v));
+            &mut self.upper[bi]
         } else if bi == bj + 1 {
-            self.lower[bj].push((k, v));
+            &mut self.lower[bj]
         } else {
             self.outside.get_or_insert(OmenError::InvalidPartition {
                 row: i,
@@ -339,7 +406,9 @@ impl SlabAssembly {
                 slab_row: bi,
                 slab_col: bj,
             });
-        }
+            return;
+        };
+        block.push((k, v));
     }
 
     /// The assembled blocks.
@@ -354,31 +423,45 @@ impl SlabAssembly {
             return Err(e);
         }
         let size = |i: usize| self.offsets[i + 1] - self.offsets[i];
+        let diag = (self.diag.into_iter().enumerate())
+            .map(|(i, pushes)| DiagEntries {
+                n: size(i),
+                entries: fold(pushes),
+            })
+            .collect();
         let lower = (self.lower.into_iter().enumerate())
             .map(|(i, pushes)| coupling(size(i + 1), size(i), pushes))
             .collect();
         let upper = (self.upper.into_iter().enumerate())
             .map(|(i, pushes)| coupling(size(i), size(i + 1), pushes))
             .collect();
-        let diag = self.diag.into_iter().map(|a| a.0).collect();
         Ok(BlockTridiag::new(diag, lower, upper))
     }
 }
 
-/// The coupling of an `nr × nc` block from its pushes: stable-sorted by
-/// entry, so each run holds one entry's pushes in push order, and folded
-/// left. The supports are the rows and columns with a non-zero fold, and
-/// the core holds every fold inside them (an exact-zero fold too, with its
-/// sign) over `+0` — what [`Coupling::observe`] reads off the dense fold.
-fn coupling(nr: usize, nc: usize, mut pushes: Vec<Push>) -> Coupling {
+/// One `(entry, fold)` per entry a push reached, ascending: the pushes
+/// stable-sorted by entry, so each run holds one entry's pushes in push
+/// order, and each run folded left in place.
+fn fold(mut pushes: Vec<Push>) -> Vec<Push> {
     pushes.sort_by_key(|&(k, _)| k);
-    let mut folds: Vec<Push> = Vec::with_capacity(pushes.len());
-    for (k, v) in pushes {
-        match folds.last_mut() {
-            Some((at, acc)) if *at == k => *acc += v,
-            _ => folds.push((k, v)),
+    // `dedup_by` hands each push with the run's first, kept one.
+    pushes.dedup_by(|(k, v), (at, acc)| {
+        let same = k == at;
+        if same {
+            *acc += *v;
         }
-    }
+        same
+    });
+    pushes.shrink_to_fit();
+    pushes
+}
+
+/// The coupling of an `nr × nc` block from its pushes' [`fold`]. The
+/// supports are the rows and columns with a non-zero fold, and the core
+/// holds every fold inside them (an exact-zero fold too, with its sign)
+/// over `+0` — what [`Coupling::observe`] reads off the dense fold.
+fn coupling(nr: usize, nc: usize, pushes: Vec<Push>) -> Coupling {
+    let folds = fold(pushes);
     let (mut row_hit, mut col_hit) = (vec![false; nr], vec![false; nc]);
     for &(k, v) in &folds {
         if v != c64::ZERO {
@@ -426,22 +509,24 @@ mod tests {
         (z.re.to_bits(), z.im.to_bits())
     }
 
-    /// What [`SlabAssembly`] stored before it kept couplings: every block
-    /// dense, each entry the left fold of its pushes over `+0`, an exact
-    /// zero push dropped. The reference the stored form is held to.
-    fn dense_fold(n: usize, pushes: &[(usize, usize, c64)]) -> ZMat {
+    /// What [`SlabAssembly`] stored before it kept blocks on their
+    /// entries and supports: every block dense, each entry the left fold of
+    /// its pushes over `+0`, an exact zero push dropped; and which entries
+    /// a push reached. The reference the stored form is held to.
+    fn dense_fold(n: usize, pushes: &[(usize, usize, c64)]) -> (ZMat, Vec<bool>) {
         let mut m = ZMat::zeros(n, n);
         let mut reached = vec![false; n * n];
         for &(i, j, v) in pushes.iter().filter(|p| p.2 != c64::ZERO) {
             let first = !std::mem::replace(&mut reached[i * n + j], true);
             m[(i, j)] = if first { v } else { m[(i, j)] + v };
         }
-        m
+        (m, reached)
     }
 
     /// `pushes` through a [`SlabAssembly`] over `offsets`, held to the bit
-    /// against the dense fold: every diagonal block is its block of the
-    /// fold, every coupling is [`Coupling::observe`] of its block.
+    /// against the dense fold: every diagonal block stores exactly the
+    /// entries a push reached, each with its fold, and every coupling is
+    /// [`Coupling::observe`] of its block.
     fn assert_stored_is_observed_fold(
         offsets: &[usize],
         pushes: &[(usize, usize, c64)],
@@ -451,22 +536,23 @@ mod tests {
             asm.push(i, j, v);
         }
         let bt = asm.finish().unwrap();
-        let fold = dense_fold(offsets[offsets.len() - 1], pushes);
+        let dim = offsets[offsets.len() - 1];
+        let (fold, reached) = dense_fold(dim, pushes);
         let block = |r: usize, c: usize| {
             let (o, p) = (offsets[r], offsets[c]);
             fold.block(o, p, offsets[r + 1] - o, offsets[c + 1] - p)
         };
-        let same = |got: &ZMat, want: &ZMat, what: &str| {
-            assert_eq!(
-                (got.nrows(), got.ncols()),
-                (want.nrows(), want.ncols()),
-                "{what}"
-            );
-            let b = |m: &ZMat| m.data().iter().map(|&z| bits(z)).collect::<Vec<_>>();
-            assert_eq!(b(got), b(want), "{what}");
-        };
+        let b = |m: &ZMat| m.data().iter().map(|&z| bits(z)).collect::<Vec<_>>();
         for (i, d) in bt.diag.iter().enumerate() {
-            same(d, &block(i, i), &format!("diag[{i}]"));
+            let (o, n) = (offsets[i], offsets[i + 1] - offsets[i]);
+            let want: Vec<_> = (0..n * n)
+                .filter(|k| reached[(o + k / n) * dim + o + k % n])
+                .map(|k| (k, bits(fold[(o + k / n, o + k % n)])))
+                .collect();
+            let got: Vec<_> = d.entries.iter().map(|&(k, v)| (k, bits(v))).collect();
+            assert_eq!(d.n, n, "diag[{i}] order");
+            assert_eq!(got, want, "diag[{i}] entries");
+            assert_eq!(b(&d.to_dense()), b(&block(i, i)), "diag[{i}] scattered");
         }
         for (i, (lo, up)) in bt.lower.iter().zip(&bt.upper).enumerate() {
             for (got, want, what) in [
@@ -475,7 +561,9 @@ mod tests {
             ] {
                 assert_eq!(got.rows, want.rows, "{what}[{i}] rows");
                 assert_eq!(got.cols, want.cols, "{what}[{i}] cols");
-                same(&got.core, &want.core, &format!("{what}[{i}] core"));
+                let shape = |m: &ZMat| (m.nrows(), m.ncols());
+                assert_eq!(shape(&got.core), shape(&want.core), "{what}[{i}] core");
+                assert_eq!(b(&got.core), b(&want.core), "{what}[{i}] core");
             }
         }
         bt
@@ -510,8 +598,12 @@ mod tests {
         let links = 0..bt.num_blocks() - 1;
         let upper: Vec<ZMat> = links.clone().map(|i| bt.upper_dense(i)).collect();
         let lower: Vec<ZMat> = upper.iter().map(ZMat::adjoint).collect();
-        let diag = bt.diag.iter().map(ZMat::hermitian_part).collect();
-        let mut bt = BlockTridiag::from_dense(diag, lower, upper);
+        let diag = bt
+            .diag
+            .iter()
+            .map(|d| d.to_dense().hermitian_part())
+            .collect();
+        let mut bt: BlockTridiag = BlockTridiag::from_dense(diag, lower, upper);
         assert!(bt.is_hermitian(1e-13));
         bt.upper[0].core[(0, 0)] += c64::real(1e-3);
         assert!(!bt.is_hermitian(1e-6));
@@ -572,10 +664,11 @@ mod tests {
             (bt.upper[0].rows.as_slice(), bt.upper[0].cols.as_slice()),
             (&[1][..], &[0][..])
         );
-        assert_eq!(bits(bt.diag[0][(0, 0)]), bits(c64::new(0.5, -0.0)));
+        assert_eq!(bt.diag[0].entries, [(0, c64::new(0.5, -0.0))]);
         // Entries no push reached, or only an exact zero, are `+0 + 0i`:
-        // the lower block has no support at all.
-        assert_eq!(bits(bt.diag[1][(0, 0)]), bits(c64::ZERO));
+        // slab 1 stores no entry, the lower block has no support at all.
+        assert!(bt.diag[1].entries.is_empty());
+        assert_eq!(bits(bt.diag[1].to_dense()[(0, 0)]), bits(c64::ZERO));
         assert!(bt.lower[0].rows.is_empty() && bt.lower[0].cols.is_empty());
     }
 
@@ -637,6 +730,114 @@ mod tests {
             (&[0, 1][..], &[0, 1][..])
         );
         assert!(lo.core[(1, 1)].re.is_nan());
+    }
+
+    #[test]
+    fn a_diagonal_block_keeps_every_pushed_fold() {
+        // Slabs 0..3, 3..5 and 5..6; every push below is in a diagonal
+        // block, and slab 2 gets none.
+        let (a, b) = (c64::new(0.1, -0.0), c64::new(0.7, 0.2));
+        let c = c64::new(-0.1, -0.0);
+        let nan = c64::new(f64::NAN, -0.0);
+        let pushes = [
+            // (0, 0) cancels to (+0, −0), (1, 2) to (+0, +0): both were
+            // reached, so both stay, with their sign bits.
+            (0, 0, a),
+            (0, 0, c),
+            (1, 2, b),
+            (1, 2, -b),
+            // A real-phase fold keeps its −0 imaginary part.
+            (2, 1, a),
+            (2, 1, c64::ZERO),
+            (2, 1, a),
+            // A NaN push poisons its entry's fold.
+            (3, 4, nan),
+            (3, 4, c64::ONE),
+            // Only an exact zero: not reached.
+            (4, 3, c64::new(-0.0, 0.0)),
+        ];
+        let bt = assert_stored_is_observed_fold(&[0, 3, 5, 6], &pushes);
+        let d0: Vec<_> = bt.diag[0]
+            .entries
+            .iter()
+            .map(|&(k, v)| (k, bits(v)))
+            .collect();
+        assert_eq!(
+            d0,
+            [
+                (0, bits(c64::new(0.0, -0.0))),
+                (5, bits(c64::ZERO)),
+                (7, bits(a + a)),
+            ]
+        );
+        assert!(bt.diag[0].entries[2].1.im.is_sign_negative());
+        assert_eq!(bt.diag[1].entries.len(), 1);
+        assert_eq!(bt.diag[1].entries[0].0, 1);
+        assert!(bt.diag[1].entries[0].1.re.is_nan());
+        assert!(bt.diag[2].entries.is_empty());
+        assert_eq!(
+            (bt.diag[2].n, bt.diag[2].to_dense()),
+            (1, ZMat::zeros(1, 1))
+        );
+    }
+
+    #[test]
+    fn stored_diagonal_blocks_are_the_dense_fold() {
+        // Random diagonal-block pushes with repeats, cancellations, signed
+        // zeros, exact-zero pushes and a rare NaN, in random order: dozens
+        // of pushes land on one entry, and their fold depends on the
+        // order, so an unstable sort or a dropped zero fold fails here.
+        let mut s = 0xD1A6_u64;
+        let mut next = move |n: usize| {
+            s = s.wrapping_mul(0x9E3779B97F4A7C15).wrapping_add(13);
+            ((s >> 33) % n as u64) as usize
+        };
+        let offsets = [0, 3, 4, 8, 10];
+        let values = [
+            c64::new(0.25, -0.0),
+            c64::new(-0.25, 0.0),
+            c64::new(1.5, -0.75),
+            c64::new(-1.5, 0.75),
+            c64::ZERO,
+            c64::new(-0.0, -0.0),
+            c64::new(3e-17, 0.5),
+            c64::new(0.0, -0.5),
+        ];
+        for case in 0..64 {
+            let count = 1 + next(300);
+            let pushes: Vec<(usize, usize, c64)> = (0..count)
+                .map(|_| {
+                    let i = next(10);
+                    let slab = offsets.partition_point(|&o| o <= i) - 1;
+                    let j = offsets[slab] + next(offsets[slab + 1] - offsets[slab]);
+                    let v = if next(500) == 0 {
+                        c64::new(f64::NAN, 0.0)
+                    } else {
+                        values[next(values.len())]
+                    };
+                    (i, j, v)
+                })
+                .collect();
+            let bt = assert_stored_is_observed_fold(&offsets, &pushes);
+            assert!(bt.lower.iter().all(|c| c.rows.is_empty()), "case {case}");
+        }
+    }
+
+    #[test]
+    fn dense_diagonal_input_drops_only_plus_zero_entries() {
+        let d = ZMat::from_fn(2, 2, |i, j| match (i, j) {
+            (0, 0) => c64::new(-0.0, 0.0),
+            (0, 1) => c64::new(0.0, -0.0),
+            (1, 0) => c64::ZERO,
+            _ => c64::new(2.0, 0.0),
+        });
+        let bt: BlockTridiag = BlockTridiag::from_dense(vec![d.clone()], vec![], vec![]);
+        let kept: Vec<usize> = bt.diag[0].entries.iter().map(|e| e.0).collect();
+        assert_eq!(kept, [0, 1, 3]);
+        let b = |m: &ZMat| m.data().iter().map(|&z| bits(z)).collect::<Vec<_>>();
+        assert_eq!(b(&bt.diag[0].to_dense()), b(&d));
+        let dense: BlockTridiag<ZMat> = BlockTridiag::from_dense(vec![d.clone()], vec![], vec![]);
+        assert_eq!(b(&dense.diag[0]), b(&d));
     }
 
     #[test]
@@ -705,7 +906,7 @@ mod tests {
         let d1 = ZMat::eye(3);
         let l0 = ZMat::zeros(3, 2);
         let u0 = ZMat::zeros(2, 3);
-        let bt = BlockTridiag::from_dense(vec![d0, d1], vec![l0], vec![u0]);
+        let bt: BlockTridiag = BlockTridiag::from_dense(vec![d0, d1], vec![l0], vec![u0]);
         assert_eq!(bt.dim(), 5);
         let x = vec![c64::ONE; 5];
         let y = bt.matvec(&x);

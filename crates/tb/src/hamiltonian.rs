@@ -27,7 +27,7 @@ use crate::spin_orbit::soc_p_block;
 use omen_lattice::{Device, DeviceKind};
 use omen_linalg::ZMat;
 use omen_num::c64;
-use omen_sparse::{BlockTridiag, SlabAssembly};
+use omen_sparse::{BlockTridiag, DiagBlock, SlabAssembly};
 
 /// A device geometry bound to a tight-binding parameterization.
 pub struct DeviceHamiltonian<'d> {
@@ -154,12 +154,11 @@ impl<'d> DeviceHamiltonian<'d> {
     pub fn lead_blocks(&self, contact_potential: f64, ky: f64) -> (ZMat, ZMat) {
         let offsets = &self.slab_orbital_offsets()[..3];
         let pot = vec![contact_potential; offsets[2] / self.orbitals_per_atom()];
-        let mut bt = self
+        let bt = self
             .assemble_slabs(&pot, ky, offsets)
             .finish()
             .expect("nearest-neighbor TB assembly stays inside the slab partition");
-        let h01 = bt.upper_dense(0);
-        (bt.diag.swap_remove(0), h01)
+        (bt.diag[0].to_dense(), bt.upper_dense(0))
     }
 
     /// The terms of the leading `potential.len()` atoms, pushed into the
@@ -347,7 +346,7 @@ mod tests {
         // Lead congruence: diag blocks of slabs 0 and 1 agree under uniform
         // potential.
         let bt0 = h.assemble(&vec![0.0; dev.num_atoms()], 0.0);
-        assert!((&bt0.diag[0] - &bt0.diag[1]).max_abs() < 1e-12);
+        assert!((&bt0.diag[0].to_dense() - &bt0.diag[1].to_dense()).max_abs() < 1e-12);
         assert!((&bt0.upper_dense(0) - &bt0.upper_dense(1)).max_abs() < 1e-12);
     }
 
@@ -357,7 +356,7 @@ mod tests {
         let h = DeviceHamiltonian::new(&dev, TbParams::of(Material::SiSp3s), false);
         let bt0 = h.assemble(&vec![0.0; dev.num_atoms()], 0.0);
         let bt1 = h.assemble(&vec![0.25; dev.num_atoms()], 0.0);
-        let d = &bt1.diag[0] - &bt0.diag[0];
+        let d = &bt1.diag[0].to_dense() - &bt0.diag[0].to_dense();
         // Uniform shift: difference is 0.25·I.
         assert!((&d - &ZMat::eye(d.nrows()).scaled(c64::real(0.25))).max_abs() < 1e-12);
         assert!((&bt1.upper_dense(0) - &bt0.upper_dense(0)).max_abs() < 1e-14);
@@ -416,11 +415,11 @@ mod tests {
             _ => unreachable!(),
         };
         let bt2 = h.assemble(&pot, ky + 2.0 * std::f64::consts::PI / period);
-        assert!((&bt.diag[0] - &bt2.diag[0]).max_abs() < 1e-10);
+        assert!((&bt.diag[0].to_dense() - &bt2.diag[0].to_dense()).max_abs() < 1e-10);
         assert!((&bt.upper_dense(0) - &bt2.upper_dense(0)).max_abs() < 1e-10);
         // Time reversal without SO: H(-ky) = H(ky)*.
         let btm = h.assemble(&pot, -ky);
-        assert!((&btm.diag[0] - &bt.diag[0].conj()).max_abs() < 1e-12);
+        assert!((&btm.diag[0].to_dense() - &bt.diag[0].to_dense().conj()).max_abs() < 1e-12);
     }
 
     #[test]
@@ -452,7 +451,7 @@ mod tests {
             for v in [0.0, -0.137] {
                 let whole = h.assemble(&vec![v; h.device().num_atoms()], *ky);
                 let (h00, h01) = h.lead_blocks(v, *ky);
-                assert_eq!(h00, whole.diag[0], "{what}: H00 at v = {v}");
+                assert_eq!(h00, whole.diag[0].to_dense(), "{what}: H00 at v = {v}");
                 assert_eq!(h01, whole.upper_dense(0), "{what}: H01 at v = {v}");
             }
         }

@@ -12,9 +12,10 @@
 //!   lead-mode injection);
 //! * [`solver`] — sequential block-Thomas elimination, and block cyclic
 //!   reduction: the per-block arithmetic of the elimination tree and its
-//!   serial driver [`bcr_solve`]. Both take `A` as `omen_sparse::BlockTridiag`
-//!   stores it, every slab coupling on its support (`omen_sparse::Coupling`,
-//!   the form RGF takes too);
+//!   serial driver [`bcr_solve`]. Both take `A` as a
+//!   `omen_sparse::BlockTridiag<ZMat>`: dense diagonal blocks, every slab
+//!   coupling on its support (`omen_sparse::Coupling`, the form RGF takes
+//!   too);
 //! * [`splitsolve`] — that same arithmetic scheduled over `omen-parsim`
 //!   ranks: log₂(N) reduction levels with nearest-neighbor block exchanges,
 //!   the communication pattern of the paper's spatial-domain parallel

@@ -2,9 +2,9 @@
 //! reduction.
 //!
 //! Both solve `A X = B` where `A` is block tridiagonal and `B` is a dense
-//! block column (one `ZMat` of RHS rows per slab). Both take `A` as the
-//! [`BlockTridiag`] stores it: the diagonal blocks, and every coupling on
-//! the support observed at assembly ([`Coupling`],
+//! block column (one `ZMat` of RHS rows per slab). Both take `A` as a
+//! [`BlockTridiag`] with dense diagonal blocks (the pivots they factor),
+//! and every coupling on the support observed at assembly ([`Coupling`],
 //! `A_{i,i+1} = P_R·U·P_Cᵀ`) — in a tight-binding device 20–30 % of a
 //! slab's orbitals, so no product below runs over the coupling's zeros:
 //!
@@ -37,7 +37,7 @@ use std::iter::once;
 ///
 /// A singular or non-finite pivot block surfaces as
 /// [`omen_num::OmenError::SingularBlock`] carrying the slab index.
-pub fn thomas_solve(a: &BlockTridiag, b: &[ZMat]) -> OmenResult<Vec<ZMat>> {
+pub fn thomas_solve(a: &BlockTridiag<ZMat>, b: &[ZMat]) -> OmenResult<Vec<ZMat>> {
     thomas(a.clone(), b.to_vec())
 }
 
@@ -55,12 +55,12 @@ pub fn thomas_solve(a: &BlockTridiag, b: &[ZMat]) -> OmenResult<Vec<ZMat>> {
 ///
 /// A singular or non-finite pivot block surfaces as
 /// [`omen_num::OmenError::SingularBlock`] carrying the original slab index.
-pub fn bcr_solve(a: &BlockTridiag, b: &[ZMat]) -> OmenResult<Vec<ZMat>> {
+pub fn bcr_solve(a: &BlockTridiag<ZMat>, b: &[ZMat]) -> OmenResult<Vec<ZMat>> {
     bcr(a.clone(), b.to_vec())
 }
 
 /// [`thomas_solve`] on an owned `A` and `B`, which it consumes.
-pub(crate) fn thomas(a: BlockTridiag, b: Vec<ZMat>) -> OmenResult<Vec<ZMat>> {
+pub(crate) fn thomas(a: BlockTridiag<ZMat>, b: Vec<ZMat>) -> OmenResult<Vec<ZMat>> {
     let BlockTridiag { diag, lower, upper } = a;
     let nb = diag.len();
     assert_eq!(b.len(), nb, "one RHS block per slab");
@@ -99,7 +99,7 @@ pub(crate) fn thomas(a: BlockTridiag, b: Vec<ZMat>) -> OmenResult<Vec<ZMat>> {
 }
 
 /// [`bcr_solve`] on an owned `A` and `B`, which it consumes.
-pub(crate) fn bcr(a: BlockTridiag, b: Vec<ZMat>) -> OmenResult<Vec<ZMat>> {
+pub(crate) fn bcr(a: BlockTridiag<ZMat>, b: Vec<ZMat>) -> OmenResult<Vec<ZMat>> {
     let nb = a.num_blocks();
     let mut sys = Reduction::new(a, b);
     // Per level, the bundles of its eliminated blocks in slab order.
@@ -223,7 +223,7 @@ pub(crate) struct Reduction {
 }
 
 impl Reduction {
-    pub(crate) fn new(a: BlockTridiag, b: Vec<ZMat>) -> Self {
+    pub(crate) fn new(a: BlockTridiag<ZMat>, b: Vec<ZMat>) -> Self {
         assert_eq!(b.len(), a.diag.len(), "one RHS block per slab");
         Reduction {
             diag: a.diag,
@@ -315,7 +315,7 @@ pub(crate) mod tests {
         sizes: &[usize],
         nrhs: usize,
         seed: u64,
-    ) -> (BlockTridiag, Vec<ZMat>) {
+    ) -> (BlockTridiag<ZMat>, Vec<ZMat>) {
         let mut s = seed.wrapping_mul(0x2545F4914F6CDD1D).wrapping_add(7);
         let mut next = move || {
             s = s.wrapping_mul(0x2545F4914F6CDD1D).wrapping_add(7);
@@ -343,11 +343,11 @@ pub(crate) mod tests {
         bs: usize,
         nrhs: usize,
         seed: u64,
-    ) -> (BlockTridiag, Vec<ZMat>) {
+    ) -> (BlockTridiag<ZMat>, Vec<ZMat>) {
         rand_blocks(&vec![bs; nb], nrhs, seed)
     }
 
-    fn dense_solve(a: &BlockTridiag, b: &[ZMat]) -> Vec<ZMat> {
+    fn dense_solve(a: &BlockTridiag<ZMat>, b: &[ZMat]) -> Vec<ZMat> {
         let n = a.dim();
         let nrhs = b[0].ncols();
         let mut bd = ZMat::zeros(n, nrhs);
@@ -453,7 +453,7 @@ pub(crate) mod tests {
     /// (|R| ≠ |C|), different on every link, the lower block's pattern not
     /// the adjoint of the upper's, one dense coupling each way, unequal
     /// block sizes. `severed` empties both couplings of that link.
-    fn patterned(seed: u64, severed: Option<usize>) -> BlockTridiag {
+    fn patterned(seed: u64, severed: Option<usize>) -> BlockTridiag<ZMat> {
         let on = |rows: &[usize], cols: &[usize]| Some((rows.to_vec(), cols.to_vec()));
         let sizes = [4usize, 6, 3, 5, 5, 2];
         let mut lower = vec![
@@ -478,13 +478,13 @@ pub(crate) mod tests {
     }
 
     /// Random right-hand sides, one block per slab of `a`.
-    fn rhs_for(a: &BlockTridiag, nrhs: usize, seed: u64) -> Vec<ZMat> {
+    fn rhs_for(a: &BlockTridiag<ZMat>, nrhs: usize, seed: u64) -> Vec<ZMat> {
         let sizes: Vec<usize> = (0..a.num_blocks()).map(|i| a.block_size(i)).collect();
         rand_blocks(&sizes, nrhs, seed).1
     }
 
     /// Thomas, the cyclic reduction and SplitSolve at 2 and 3 ranks on `a`.
-    fn every_engine(a: &BlockTridiag, b: &[ZMat]) -> Vec<(String, OmenResult<Vec<ZMat>>)> {
+    fn every_engine(a: &BlockTridiag<ZMat>, b: &[ZMat]) -> Vec<(String, OmenResult<Vec<ZMat>>)> {
         let mut out = vec![
             ("thomas".to_string(), thomas_solve(a, b)),
             ("bcr".to_string(), bcr_solve(a, b)),

@@ -128,13 +128,21 @@ fn fetched<'s, T>(
 /// status exchange keeps the SPMD schedule aligned); communicator faults
 /// surface as [`omen_num::OmenError::ScheduleDivergence`] /
 /// [`omen_num::OmenError::RecvTimeout`].
-pub fn splitsolve_parallel(comm: &Comm, a: &BlockTridiag, b: &[ZMat]) -> OmenResult<Vec<ZMat>> {
+pub fn splitsolve_parallel(
+    comm: &Comm,
+    a: &BlockTridiag<ZMat>,
+    b: &[ZMat],
+) -> OmenResult<Vec<ZMat>> {
     splitsolve(comm, a.clone(), b.to_vec())
 }
 
 /// [`splitsolve_parallel`] on an owned `A` and `B`, which it consumes:
 /// [`bcr`]'s bits on every member of `comm`.
-pub(crate) fn splitsolve(comm: &Comm, a: BlockTridiag, b: Vec<ZMat>) -> OmenResult<Vec<ZMat>> {
+pub(crate) fn splitsolve(
+    comm: &Comm,
+    a: BlockTridiag<ZMat>,
+    b: Vec<ZMat>,
+) -> OmenResult<Vec<ZMat>> {
     if comm.size() == 1 {
         return bcr(a, b);
     }

@@ -84,7 +84,7 @@ pub fn assemble(
     h: &BlockTridiag,
     sl: &ContactSelfEnergy,
     sr: &ContactSelfEnergy,
-) -> (BlockTridiag, Vec<ZMat>, usize) {
+) -> (BlockTridiag<ZMat>, Vec<ZMat>, usize) {
     let a = BlockTridiag {
         diag: a_diagonal(e, eta, h, sl, sr).collect(),
         lower: negated(&h.lower),

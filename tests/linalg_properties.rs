@@ -294,7 +294,7 @@ fn block_tridiag_matvec_matches_dense() {
         let diag: Vec<ZMat> = (0..nb).map(|_| rng.zmat(bs, bs)).collect();
         let lower: Vec<ZMat> = (0..nb - 1).map(|_| rng.zmat(bs, bs)).collect();
         let upper: Vec<ZMat> = (0..nb - 1).map(|_| rng.zmat(bs, bs)).collect();
-        let bt = BlockTridiag::from_dense(diag, lower, upper);
+        let bt: BlockTridiag = BlockTridiag::from_dense(diag, lower, upper);
         let x: Vec<c64> = (0..bt.dim())
             .map(|_| c64::new(rng.f64(), rng.f64()))
             .collect();
@@ -342,23 +342,25 @@ fn terms(h: &DeviceHamiltonian, pot: &[f64], ky: f64) -> Vec<(usize, usize, c64)
 }
 
 /// The whole matrix folded dense, each entry the left fold of its pushes
-/// over `+0` (an exact-zero push dropped): the accumulator the assembly
-/// used before it stored couplings, kept here as the reference.
-fn dense_left_fold(n: usize, pushes: &[(usize, usize, c64)]) -> ZMat {
+/// over `+0` (an exact-zero push dropped), and which entries a push
+/// reached: the accumulator the assembly used before it stored blocks on
+/// their entries and supports, kept here as the reference.
+fn dense_left_fold(n: usize, pushes: &[(usize, usize, c64)]) -> (ZMat, Vec<bool>) {
     let mut m = ZMat::zeros(n, n);
     let mut reached = vec![false; n * n];
     for &(i, j, v) in pushes.iter().filter(|p| p.2 != c64::ZERO) {
         let first = !std::mem::replace(&mut reached[i * n + j], true);
         m[(i, j)] = if first { v } else { m[(i, j)] + v };
     }
-    m
+    (m, reached)
+}
+
+fn bits(z: c64) -> (u64, u64) {
+    (z.re.to_bits(), z.im.to_bits())
 }
 
 fn bit_pattern(m: &ZMat) -> Vec<(u64, u64)> {
-    m.data()
-        .iter()
-        .map(|z| (z.re.to_bits(), z.im.to_bits()))
-        .collect()
+    m.data().iter().map(|&z| bits(z)).collect()
 }
 
 #[test]
@@ -366,7 +368,8 @@ fn assembled_couplings_are_the_observed_dense_fold() {
     // Every device family the tight-binding suite builds, at k = 0 and at
     // one k ≠ 0 UTB point: each stored coupling must be, to the bit,
     // `Coupling::observe` of its block of the dense left fold of the same
-    // pushes, and each diagonal block that block of the fold.
+    // pushes, and each diagonal block must store exactly the entries a
+    // push reached, each with its fold.
     let zb = Crystal::Zincblende { a: A_SI };
     let wire = Device::nanowire(zb, 4, 1.0, 1.0);
     let utb = Device::utb(zb, 3, 1, 1.0);
@@ -405,17 +408,23 @@ fn assembled_couplings_are_the_observed_dense_fold() {
             .map(|i| 0.013 * (i % 5) as f64 - 0.02)
             .collect();
         let bt = h.assemble(&pot, *ky);
-        let fold = dense_left_fold(h.dim(), &terms(h, &pot, *ky));
+        let dim = h.dim();
+        let (fold, reached) = dense_left_fold(dim, &terms(h, &pot, *ky));
         let off = h.slab_orbital_offsets();
         let block = |r: usize, c: usize| {
             fold.block(off[r], off[c], off[r + 1] - off[r], off[c + 1] - off[c])
         };
         for (i, d) in bt.diag.iter().enumerate() {
-            assert_eq!(
-                bit_pattern(d),
-                bit_pattern(&block(i, i)),
-                "{what}: diag[{i}]"
-            );
+            let (o, n) = (off[i], off[i + 1] - off[i]);
+            let want: Vec<(usize, (u64, u64))> = (0..n * n)
+                .map(|k| (k, o + k / n, o + k % n))
+                .filter(|&(_, r, c)| reached[r * dim + c])
+                .map(|(k, r, c)| (k, bits(fold[(r, c)])))
+                .collect();
+            let got: Vec<(usize, (u64, u64))> =
+                d.entries.iter().map(|&(k, v)| (k, bits(v))).collect();
+            assert_eq!(d.n, n, "{what}: diag[{i}] order");
+            assert_eq!(got, want, "{what}: diag[{i}] entries");
         }
         for i in 0..bt.num_blocks() - 1 {
             for (got, want, side) in [
@@ -430,6 +439,46 @@ fn assembled_couplings_are_the_observed_dense_fold() {
                     "{what}: {side}[{i}] core"
                 );
             }
+        }
+    }
+}
+
+#[test]
+fn diagonal_blocks_are_stored_as_their_entries() {
+    // The footprint of `H`'s diagonal: each block stores the entries its
+    // assembly pushed, never the dense block. On the 0.8 nm sp3s* wire
+    // that is 1 046 of 90² = 8 100 entries (12.9 %; 982 of them non-zero,
+    // the rest pushed folds that cancel to an exact zero); on the 1 nm
+    // single-band wire 74 of 32² = 1 024.
+    let zb = Crystal::Zincblende { a: A_SI };
+    for (what, width, params, n, stored, non_zero) in [
+        (
+            "sp3s* 0.8 nm",
+            0.8,
+            TbParams::of(Material::SiSp3s),
+            90,
+            1046,
+            982,
+        ),
+        (
+            "single-band 1 nm",
+            1.0,
+            TbParams::of(Material::SingleBand { t_mev: 1000 }),
+            32,
+            74,
+            74,
+        ),
+    ] {
+        let dev = Device::nanowire(zb, 8, width, width);
+        let h =
+            DeviceHamiltonian::new(&dev, params, false).assemble(&vec![0.0; dev.num_atoms()], 0.0);
+        assert_eq!(h.num_blocks(), 8, "{what}");
+        for (i, d) in h.diag.iter().enumerate() {
+            assert_eq!(d.n, n, "{what}: slab {i}");
+            let got = d.entries.len();
+            assert_eq!(got, stored, "{what}: diag[{i}] stores {got} entries");
+            let nz = d.entries.iter().filter(|e| e.1 != c64::ZERO).count();
+            assert_eq!(nz, non_zero, "{what}: diag[{i}] non-zero entries");
         }
     }
 }

@@ -33,7 +33,7 @@ impl Rng {
 /// Random diagonally dominant block-tridiagonal system: off-diagonal
 /// entries O(1), diagonal blocks shifted by ±(bs + 4) so every Schur
 /// pivot stays O(1)-conditioned under any elimination order.
-fn random_system(nb: usize, bs: usize, seed: u64) -> BlockTridiag {
+fn random_system(nb: usize, bs: usize, seed: u64) -> BlockTridiag<ZMat> {
     let mut r = Rng(seed);
     let dom = c64::new(bs as f64 + 4.0, 1.0);
     let diag: Vec<ZMat> = (0..nb)
