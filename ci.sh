@@ -51,7 +51,10 @@ cargo clippy --workspace --lib -- -D warnings -D clippy::float_cmp -D clippy::pr
 # counts must not depend on the dispatch path; a frozen sweep's gate point
 # after the first costs exactly one grid of engine solves, its contacts —
 # a remembered lead failure included — served from the sweep's
-# `ContactTable`), and the kernel bench smoke
+# `ContactTable`), the exact pins of three request curves
+# (tests/curve_pins.rs: every current, SCF count and report count of the
+# seed-0 `idvg-scf-wf` and `idvg-frozen-sp3s-rgf` requests and of a two-k
+# UTB SCF sweep, one set per dispatch path), and the kernel bench smoke
 # each run once per leg —
 # tiny sizes, one sample, exercising the tiled GEMM, the blocked LU and
 # its blocked solve / inverse at 1/2/4 threads (gemm, lu, trsm, inverse
@@ -69,6 +72,7 @@ leg() {
     OMEN_SIMD=$1 cargo test -q --release -p omen-linalg -p omen-negf -p omen-wf -p omen-core
     OMEN_SIMD=$1 cargo test -q --release --test kernel_conformance --test linalg_properties
     OMEN_SIMD=$1 cargo test -q --release --test selinv_properties --test engine_equivalence --test physics_invariants --test flop_counter_props
+    OMEN_SIMD=$1 cargo test -q --release --test curve_pins
     OMEN_SIMD=$1 cargo bench -p omen-bench --bench kernels -- --smoke
     OMEN_SIMD=$1 cargo run --release -p omen-bench --bin tab2_flops -- --json --smoke
     OMEN_SIMD=$1 cargo run --release -p omen-bench --bin fig6_multilevel
@@ -100,6 +104,22 @@ fi
 # the same bits and returns early on a CPU without AVX-512F. Say so.
 if ! grep -q avx512f /proc/cpuinfo 2>/dev/null; then
     echo "ci: NOTICE — CPU lacks AVX-512F: the 512-bit kernels' bit-equality with the 256-bit ones was not exercised"
+fi
+
+# DESIGN.md describes what is: every identifier it puts in backticks that
+# contains `_` or a capital (a `::` path is checked segment by segment)
+# must occur as a token in the code, this script or the records, so a
+# renamed or deleted item cannot stay named there. One `comm -23` of the
+# two token lists. Names that are not this tree's items pass by being
+# listed here: the serve verb Join, the socket option TCP_NODELAY, the
+# declined crate parking_lot, the symbol gR_i, and the binary-name
+# patterns figN and tabN.
+stale=$(LC_ALL=C comm -23 \
+    <(grep -o '`[^`]*`' DESIGN.md | grep -oE '[A-Za-z][A-Za-z0-9_]*' | grep -E '_|[a-z][A-Z]|^[A-Z][a-z]' | LC_ALL=C sort -u) \
+    <(grep -rhoIE '[A-Za-z][A-Za-z0-9_]*' crates src tests examples benchmark/src ci.sh TOLERANCES.toml BENCHMARK.json BENCH_*.json | LC_ALL=C sort -u))
+if [ -n "$stale" ]; then
+    echo "ci: DESIGN.md names identifiers the tree does not hold:" $stale
+    exit 1
 fi
 
 # SplitSolve is a schedule over the serial cyclic reduction
@@ -161,10 +181,10 @@ if sed '/#\[cfg(test)\]/,$d' crates/linalg/src/eig.rs | grep -nE 'embed|2 \* n';
 fi
 
 # `LeadBandsMemo` and a serial sweep's `ContactTable` are owned by one
-# sweep and die with it; the rank path's `ContactTable` is owned by one
-# rank and lives in that rank's `ModelBank` across the bias points of one
-# curve. A
-# contact cache shared across sweeps, ranks or daemon requests needs an
+# curve (its `LeadMemo`) and die with it; the rank path's `ContactTable`
+# is owned by one rank and lives in that rank's `ModelBank` across the
+# bias points of one curve. A
+# contact cache shared across curves, ranks or daemon requests needs an
 # eviction policy and evidence from real traffic, so it arrives as a
 # reviewed decision, not as process-wide state in these modules. Comment
 # lines are skipped: prose may say "static schedule".

@@ -9,7 +9,7 @@
 //! single-k calculation misrepresents a UTB.
 
 use omen_bench::print_table;
-use omen_core::ballistic::{ballistic_solve, ballistic_solve_k, momentum_grid, Engine};
+use omen_core::ballistic::{ballistic_solve, momentum_grid, Engine, LeadMemo};
 use omen_core::{Bias, Geometry, TransistorSpec};
 use omen_tb::Material;
 
@@ -31,12 +31,15 @@ fn main() {
         tr.device.cross.1
     );
 
+    // One device, one bias: every solve below reads the one memo.
+    let mut memo = LeadMemo::default();
     // Panel a: current vs number of k-points.
     let mut rows = Vec::new();
     let mut last = f64::NAN;
     let mut i_converged = 0.0;
     for &nk in &[1usize, 2, 4, 8, 16] {
-        let r = ballistic_solve_k(&tr, &v, &bias, Engine::WfThomas, 31, nk);
+        let ks = momentum_grid(&tr, nk);
+        let r = ballistic_solve(&tr, &v, &bias, Engine::WfThomas, 31, &ks, &mut memo);
         let delta = if last.is_nan() {
             "—".to_string()
         } else {
@@ -56,7 +59,15 @@ fn main() {
     let grid = momentum_grid(&tr, 8);
     let mut rows = Vec::new();
     for &(ky, w) in &grid {
-        let r = ballistic_solve(&tr, &v, &bias, Engine::WfThomas, 31, ky);
+        let r = ballistic_solve(
+            &tr,
+            &v,
+            &bias,
+            Engine::WfThomas,
+            31,
+            &[(ky, 1.0)],
+            &mut memo,
+        );
         rows.push(vec![
             format!("{:.3}", ky * tr.device.cross.0 / std::f64::consts::PI),
             format!("{:.5}", r.current_ua),

@@ -11,7 +11,7 @@
 //! so the saving multiplies into every level of the parallel hierarchy.
 
 use omen_bench::print_table;
-use omen_core::ballistic::{ballistic_solve, ballistic_solve_adaptive, Engine};
+use omen_core::ballistic::{ballistic_solve, ballistic_solve_adaptive, Engine, LeadMemo};
 use omen_core::{Bias, TransistorSpec};
 use omen_tb::Material;
 
@@ -26,15 +26,29 @@ fn main() {
         mu_source: -3.4,
     };
 
+    // One device, one bias: every solve below reads the one memo.
+    let mut memo = LeadMemo::default();
+    let mut uniform_solve = |n| {
+        ballistic_solve(
+            &tr,
+            &v,
+            &bias,
+            Engine::WfThomas,
+            n,
+            &[(0.0, 1.0)],
+            &mut memo,
+        )
+        .current_ua
+    };
     // Ground truth: dense uniform grid.
-    let truth = ballistic_solve(&tr, &v, &bias, Engine::WfThomas, 401, 0.0).current_ua;
+    let truth = uniform_solve(401);
     println!("reference current (401 uniform points): {truth:.6} µA");
 
     let mut rows = Vec::new();
     let percent_off = |i: f64| 100.0 * (i - truth).abs() / truth;
     let mut uniform = Vec::new();
     for &n in &[11usize, 21, 41, 81] {
-        let err = percent_off(ballistic_solve(&tr, &v, &bias, Engine::WfThomas, n, 0.0).current_ua);
+        let err = percent_off(uniform_solve(n));
         uniform.push((n, err));
         rows.push(vec![
             format!("uniform {n}"),
@@ -43,7 +57,17 @@ fn main() {
         ]);
     }
     for &(n0, tol) in &[(11usize, 2e-2), (11, 5e-3), (15, 1e-3)] {
-        let r = ballistic_solve_adaptive(&tr, &v, &bias, Engine::WfThomas, n0, 200, tol, 0.0);
+        let r = ballistic_solve_adaptive(
+            &tr,
+            &v,
+            &bias,
+            Engine::WfThomas,
+            n0,
+            200,
+            tol,
+            0.0,
+            &mut memo,
+        );
         let (points, err) = (r.energies.len(), percent_off(r.current_ua));
         // The headline: fewer points for the same accuracy, so the adaptive
         // grid beats the largest uniform grid it does not outnumber.

@@ -7,7 +7,7 @@
 //! source valence band, saturating when the full window is open.
 
 use omen_bench::print_table;
-use omen_core::ballistic::{ballistic_solve, Engine};
+use omen_core::ballistic::{ballistic_solve, Engine, LeadMemo};
 use omen_core::iv::{subthreshold_swing, IvPoint};
 use omen_core::{Bias, TransistorSpec};
 use omen_num::linspace;
@@ -35,6 +35,9 @@ fn main() {
 
     let vgs = linspace(0.5, 1.9, 15);
     let mut pts = Vec::new();
+    // The curve owns its leads: both extensions keep their potential at
+    // every gate point.
+    let mut memo = LeadMemo::default();
     for &vg in &vgs {
         let v_atoms: Vec<f64> = tr
             .device
@@ -55,7 +58,15 @@ fn main() {
             v_ds,
             mu_source,
         };
-        let r = ballistic_solve(&tr, &v_atoms, &bias, Engine::WfThomas, 81, 0.0);
+        let r = ballistic_solve(
+            &tr,
+            &v_atoms,
+            &bias,
+            Engine::WfThomas,
+            81,
+            &[(0.0, 1.0)],
+            &mut memo,
+        );
         pts.push(IvPoint {
             v_gate: vg,
             v_ds,

@@ -22,7 +22,7 @@
 //! recursion.
 
 use omen_bench::{print_table, sample_secs, timed};
-use omen_core::ballistic::{ballistic_solve, Engine};
+use omen_core::ballistic::{ballistic_solve, Engine, LeadMemo};
 use omen_core::{Bias, TransistorSpec};
 use omen_lattice::{Crystal, Device};
 use omen_num::A_SI;
@@ -76,9 +76,14 @@ fn main() {
         let v = vec![0.0; tr.device.num_atoms()];
         let block = tr.hamiltonian().dim() / tr.device.num_slabs;
 
-        let (r_rgf, t_rgf) = timed(|| ballistic_solve(&tr, &v, &bias, Engine::Rgf, 31, 0.0));
-        let (r_wf, t_wf) = timed(|| ballistic_solve(&tr, &v, &bias, Engine::WfThomas, 31, 0.0));
-        let (_, t_bcr) = timed(|| ballistic_solve(&tr, &v, &bias, Engine::WfBcr, 31, 0.0));
+        // Each engine's solve pays for its own leads: a fresh memo apiece.
+        let solve = |engine| {
+            let mut memo = LeadMemo::default();
+            ballistic_solve(&tr, &v, &bias, engine, 31, &[(0.0, 1.0)], &mut memo)
+        };
+        let (r_rgf, t_rgf) = timed(|| solve(Engine::Rgf));
+        let (r_wf, t_wf) = timed(|| solve(Engine::WfThomas));
+        let (_, t_bcr) = timed(|| solve(Engine::WfBcr));
         assert!(
             (r_rgf.current_ua - r_wf.current_ua).abs() < 1e-3 * r_rgf.current_ua.abs().max(1e-9),
             "engines must agree: {} vs {}",

@@ -48,8 +48,8 @@ pub struct BallisticResult {
 }
 
 /// Assembled device Hamiltonian, lead blocks and transport window for one
-/// `(bias, k)` transport problem — the shared setup of every ballistic
-/// solve variant.
+/// `(bias, k)` transport problem — the shared setup of the uniform and the
+/// adaptive solve.
 struct TransportSetup {
     h: BlockTridiag,
     h00_l: ZMat,
@@ -103,59 +103,74 @@ fn prepare_transport(
     }
 }
 
-/// Solves one (bias, k-point) transport problem on a prepared Hamiltonian.
+/// What a curve remembers of its leads across its solves: their bands and
+/// their contacts per energy, both keyed on the exact lead blocks, so a
+/// hit returns a cold computation's bits. The curve owns one and passes
+/// it to every [`ballistic_solve`].
+#[derive(Debug, Default)]
+pub struct LeadMemo {
+    /// The bands of the last lead asked for.
+    pub bands: LeadBandsMemo,
+    /// The contacts of the last lead pair, per energy.
+    pub contacts: ContactTable,
+}
+
+/// One bias point's ballistic transport: the `(k_y, weight)` average over
+/// `ks` of one energy sweep per momentum, with the leads' bands and
+/// contacts from the caller's `memo` (a lead that repeats across a curve
+/// is diagonalised and decimated once). `v_atoms` is the potential per
+/// atom (V); each lead is pinned to its terminal slab's mean potential,
+/// and each k's window follows its lead subbands around the Fermi levels.
 ///
-/// `v_atoms` is the electrostatic potential per atom (V); leads are pinned
-/// to the mean potential of the terminal slabs. The energy window is
-/// derived from the lead subbands around the contact Fermi levels
-/// (electron side above the device midgap, hole side below).
+/// The first k is scaled in place and each later one added as `+= w·x`
+/// in list order, so `[(k_y, 1.0)]` is the one-k solve bit for bit.
+/// `T(E)` averages only when every k shares one grid (the window follows
+/// the k-resolved subbands); otherwise it is the first k's, unweighted.
+///
+/// # Panics
+///
+/// When `ks` is empty.
 pub fn ballistic_solve(
     tr: &NanoTransistor,
     v_atoms: &[f64],
     bias: &Bias,
     engine: Engine,
     n_energy: usize,
-    ky: f64,
+    ks: &[(f64, f64)],
+    memo: &mut LeadMemo,
 ) -> BallisticResult {
-    let (mut bands, mut contacts) = (LeadBandsMemo::default(), ContactTable::default());
-    ballistic_solve_remembering(
-        tr,
-        v_atoms,
-        bias,
-        engine,
-        n_energy,
-        ky,
-        &mut bands,
-        &mut contacts,
-    )
-}
-
-/// [`ballistic_solve`] for a sweep loop that owns a [`LeadBandsMemo`] and
-/// a [`ContactTable`]: bias points whose lead blocks repeat exactly (the
-/// gate points of a frozen sweep) diagonalise the lead bands once and
-/// decimate each `(lead, E)` once. The current and the [`SweepReport`] are
-/// [`ballistic_solve`]'s bit for bit.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn ballistic_solve_remembering(
-    tr: &NanoTransistor,
-    v_atoms: &[f64],
-    bias: &Bias,
-    engine: Engine,
-    n_energy: usize,
-    ky: f64,
-    bands: &mut LeadBandsMemo,
-    contacts: &mut ContactTable,
-) -> BallisticResult {
-    let s = prepare_transport(tr, v_atoms, bias, ky, bands);
-    let (energies, points, report) = solve_sweep(
-        &s.window.grid(n_energy),
-        &s.h,
-        (&s.h00_l, &s.h01_l),
-        (&s.h00_r, &s.h01_r),
-        engine,
-        contacts,
-    );
-    integrate(tr, bias, v_atoms, &energies, points, &s.window, report)
+    let mut solves = ks.iter().map(|&(ky, w)| {
+        let s = prepare_transport(tr, v_atoms, bias, ky, &mut memo.bands);
+        let (lead_l, lead_r) = ((&s.h00_l, &s.h01_l), (&s.h00_r, &s.h01_r));
+        let grid = s.window.grid(n_energy);
+        let (energies, points, report) =
+            solve_sweep(&grid, &s.h, lead_l, lead_r, engine, &mut memo.contacts);
+        let r = integrate(tr, bias, v_atoms, &energies, points, &s.window, report);
+        (w, r)
+    });
+    let (w0, mut acc) = solves.next().expect("a momentum list is never empty");
+    let first_trace = acc.transmission.clone();
+    acc.current_ua *= w0;
+    let densities = acc.electron_density.iter_mut().chain(&mut acc.hole_density);
+    for v in densities.chain(&mut acc.transmission) {
+        *v *= w0;
+    }
+    let mut shared_grid = true;
+    for (w, r) in solves {
+        acc.report.merge(&r.report);
+        acc.current_ua += w * r.current_ua;
+        shared_grid &= acc.energies == r.energies;
+        let n = acc.electron_density.iter_mut().zip(&r.electron_density);
+        let p = acc.hole_density.iter_mut().zip(&r.hole_density);
+        let t = acc.transmission.iter_mut().zip(&r.transmission);
+        for (x, y) in n.chain(p).chain(t) {
+            *x += w * y;
+        }
+    }
+    if !shared_grid {
+        acc.transmission = first_trace;
+    }
+    acc
 }
 
 /// The energy loop: fills momentum slot 0 of `contacts` for the grid,
@@ -221,7 +236,7 @@ fn sweep_on(
 /// adaptive quantum-transport codes.
 ///
 /// The seed grid, then each round's midpoints, is one [`solve_sweep`] on
-/// one [`ContactTable`]; a failed energy is recorded and left out of the
+/// the caller's `memo`; a failed energy is recorded and left out of the
 /// grid, so refinement only ever works on solved intervals.
 #[allow(clippy::too_many_arguments)]
 pub fn ballistic_solve_adaptive(
@@ -233,13 +248,13 @@ pub fn ballistic_solve_adaptive(
     max_points: usize,
     tol: f64,
     ky: f64,
+    memo: &mut LeadMemo,
 ) -> BallisticResult {
     assert!(n_init >= 5 && max_points >= n_init);
-    let s = prepare_transport(tr, v_atoms, bias, ky, &mut LeadBandsMemo::default());
-    let mut table = ContactTable::default();
+    let s = prepare_transport(tr, v_atoms, bias, ky, &mut memo.bands);
     let mut sweep = |grid: &[f64]| {
         let (lead_l, lead_r) = ((&s.h00_l, &s.h01_l), (&s.h00_r, &s.h01_r));
-        solve_sweep(grid, &s.h, lead_l, lead_r, engine, &mut table)
+        solve_sweep(grid, &s.h, lead_l, lead_r, engine, &mut memo.contacts)
     };
     let (mut energies, mut points, mut report) = sweep(&s.window.grid(n_init));
     let (mu_s, mu_d) = (bias.mu_source, bias.mu_drain());
@@ -284,59 +299,6 @@ pub fn momentum_grid(tr: &NanoTransistor, n_k: usize) -> Vec<(f64, f64)> {
         }
         _ => vec![(0.0, 1.0)],
     }
-}
-
-/// Momentum-integrated ballistic solve: averages current and carrier
-/// densities over [`momentum_grid`] — the physical content of the paper's
-/// *momentum* parallel level. For non-periodic devices this reduces to a
-/// single [`ballistic_solve`] call.
-pub fn ballistic_solve_k(
-    tr: &NanoTransistor,
-    v_atoms: &[f64],
-    bias: &Bias,
-    engine: Engine,
-    n_energy: usize,
-    n_k: usize,
-) -> BallisticResult {
-    // Canonical k order keeps the weighted accumulation deterministic.
-    let mut solves = momentum_grid(tr, n_k)
-        .into_iter()
-        .map(|(ky, w)| (w, ballistic_solve(tr, v_atoms, bias, engine, n_energy, ky)));
-    let (w0, mut acc) = solves.next().expect("momentum grid is never empty");
-    let first_trace = acc.transmission.clone();
-    let mut shared_grid = true;
-    acc.current_ua *= w0;
-    for v in acc
-        .electron_density
-        .iter_mut()
-        .chain(acc.hole_density.iter_mut())
-        .chain(acc.transmission.iter_mut())
-    {
-        *v *= w0;
-    }
-    for (w, r) in solves {
-        acc.report.merge(&r.report);
-        acc.current_ua += w * r.current_ua;
-        for (x, y) in acc.electron_density.iter_mut().zip(&r.electron_density) {
-            *x += w * y;
-        }
-        for (x, y) in acc.hole_density.iter_mut().zip(&r.hole_density) {
-            *x += w * y;
-        }
-        // Energy grids can differ per k (the window follows the k-resolved
-        // subbands): T(E) averages only over one shared grid; otherwise the
-        // first k-point's trace stands as the representative, unweighted.
-        shared_grid &= acc.energies == r.energies;
-        if shared_grid {
-            for (t, u) in acc.transmission.iter_mut().zip(&r.transmission) {
-                *t += w * u;
-            }
-        }
-    }
-    if !shared_grid {
-        acc.transmission = first_trace;
-    }
-    acc
 }
 
 /// Evaluates one energy point: the contacts
@@ -480,6 +442,20 @@ pub(crate) fn severed_chain(
     (BlockTridiag::from_dense(diag, hop.clone(), hop), z(), t())
 }
 
+/// One k on a fresh memo: the cold solve a remembered one must equal.
+#[cfg(test)]
+pub(crate) fn cold(
+    tr: &NanoTransistor,
+    v_atoms: &[f64],
+    bias: &Bias,
+    engine: Engine,
+    n_energy: usize,
+    ky: f64,
+) -> BallisticResult {
+    let mut memo = LeadMemo::default();
+    ballistic_solve(tr, v_atoms, bias, engine, n_energy, &[(ky, 1.0)], &mut memo)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -587,8 +563,8 @@ mod tests {
             v_ds: 0.2,
             mu_source: -2.9,
         };
-        let rgf = ballistic_solve(&tr, &v, &bias, Engine::Rgf, 25, 0.0);
-        let wf = ballistic_solve(&tr, &v, &bias, Engine::WfThomas, 25, 0.0);
+        let rgf = cold(&tr, &v, &bias, Engine::Rgf, 25, 0.0);
+        let wf = cold(&tr, &v, &bias, Engine::WfThomas, 25, 0.0);
         assert!(
             rgf.current_ua > 0.0,
             "positive VDS must drive positive current"
@@ -614,7 +590,7 @@ mod tests {
             v_ds: 0.0,
             mu_source: -2.8,
         };
-        let r = ballistic_solve(&tr, &v, &bias, Engine::Rgf, 21, 0.0);
+        let r = cold(&tr, &v, &bias, Engine::Rgf, 21, 0.0);
         assert!(r.current_ua.abs() < 1e-10, "I(VDS=0) = {}", r.current_ua);
         // Equilibrium density is still finite.
         assert!(r.electron_density.iter().sum::<f64>() > 0.0);
@@ -634,8 +610,8 @@ mod tests {
             v_ds: 0.3,
             mu_source: -2.9,
         };
-        let i_lo = ballistic_solve(&tr, &v, &lo, Engine::Rgf, 31, 0.0).current_ua;
-        let i_hi = ballistic_solve(&tr, &v, &hi, Engine::Rgf, 31, 0.0).current_ua;
+        let i_lo = cold(&tr, &v, &lo, Engine::Rgf, 31, 0.0).current_ua;
+        let i_hi = cold(&tr, &v, &hi, Engine::Rgf, 31, 0.0).current_ua;
         assert!(i_hi > i_lo, "more drive, more current: {i_lo} vs {i_hi}");
     }
 
@@ -665,8 +641,8 @@ mod tests {
             v_ds: 0.2,
             mu_source: -2.9,
         };
-        let i_flat = ballistic_solve(&tr, &flat, &bias, Engine::Rgf, 31, 0.0).current_ua;
-        let i_barrier = ballistic_solve(&tr, &barrier, &bias, Engine::Rgf, 31, 0.0).current_ua;
+        let i_flat = cold(&tr, &flat, &bias, Engine::Rgf, 31, 0.0).current_ua;
+        let i_barrier = cold(&tr, &barrier, &bias, Engine::Rgf, 31, 0.0).current_ua;
         assert!(
             i_barrier < 0.05 * i_flat,
             "barrier must suppress current: {i_barrier} vs flat {i_flat}"
@@ -682,9 +658,19 @@ mod tests {
             v_ds: 0.25,
             mu_source: -3.4,
         };
-        let fine = ballistic_solve(&tr, &v, &bias, Engine::WfThomas, 201, 0.0);
-        let adaptive =
-            ballistic_solve_adaptive(&tr, &v, &bias, Engine::WfThomas, 15, 120, 5e-3, 0.0);
+        let fine = cold(&tr, &v, &bias, Engine::WfThomas, 201, 0.0);
+        let mut memo = LeadMemo::default();
+        let adaptive = ballistic_solve_adaptive(
+            &tr,
+            &v,
+            &bias,
+            Engine::WfThomas,
+            15,
+            120,
+            5e-3,
+            0.0,
+            &mut memo,
+        );
         assert!(
             adaptive.energies.len() < 140,
             "adaptive used {} points",
@@ -743,25 +729,21 @@ mod tests {
             v_ds: 0.2,
             mu_source: -3.2,
         };
-        let avg = ballistic_solve_k(&tr, &v, &bias, Engine::WfThomas, 21, 2);
         let grid = momentum_grid(&tr, 2);
+        let mut memo = LeadMemo::default();
+        let avg = ballistic_solve(&tr, &v, &bias, Engine::WfThomas, 21, &grid, &mut memo);
         let manual: f64 = grid
             .iter()
-            .map(|&(ky, w)| {
-                w * ballistic_solve(&tr, &v, &bias, Engine::WfThomas, 21, ky).current_ua
-            })
+            .map(|&(ky, w)| w * cold(&tr, &v, &bias, Engine::WfThomas, 21, ky).current_ua)
             .sum();
-        assert!(
-            (avg.current_ua - manual).abs() < 1e-10 * (1.0 + manual.abs()),
-            "{} vs {manual}",
-            avg.current_ua
-        );
+        // The same products summed in the same order.
+        assert_eq!(avg.current_ua.to_bits(), manual.to_bits());
         assert!(avg.current_ua > 0.0);
         // The windows follow the k-resolved subbands, so the two grids
         // differ at equal length: T(E) must be the first k-point's trace on
         // its own grid, not an index-wise blend across mismatched energies.
-        let first = ballistic_solve(&tr, &v, &bias, Engine::WfThomas, 21, grid[0].0);
-        let second = ballistic_solve(&tr, &v, &bias, Engine::WfThomas, 21, grid[1].0);
+        let first = cold(&tr, &v, &bias, Engine::WfThomas, 21, grid[0].0);
+        let second = cold(&tr, &v, &bias, Engine::WfThomas, 21, grid[1].0);
         assert_eq!(first.energies.len(), second.energies.len());
         assert_ne!(first.energies, second.energies);
         assert_eq!(avg.energies, first.energies);
@@ -900,13 +882,12 @@ mod tests {
 
     #[test]
     fn frozen_sweep_contacts_are_reusable_across_gate_points() {
-        // The README wire at three gate points through one `ContactTable`,
-        // as `frozen_field_sweep_observed` threads it: every point's current
-        // and report are the cold `ballistic_solve`'s bits.
+        // The README wire at three gate points through one `LeadMemo`, as
+        // `frozen_field_sweep_observed` threads it: every point's current
+        // and report are the cold solve's bits.
         let tr = flat_device();
         let (vgs, v_ds, mu_source, n_energy) = ([-0.1, 0.0, 0.1], 0.15, -3.45, 21);
-        let mut bands = LeadBandsMemo::default();
-        let mut table = ContactTable::default();
+        let mut memo = LeadMemo::default();
         let mut grid = None;
         for &v_gate in &vgs {
             let v_atoms = crate::iv::frozen_potential(&tr, v_gate);
@@ -915,23 +896,24 @@ mod tests {
                 v_ds,
                 mu_source,
             };
-            let got = ballistic_solve_remembering(
+            let gamma = [(0.0, 1.0)];
+            let got = ballistic_solve(
                 &tr,
                 &v_atoms,
                 &bias,
                 Engine::Rgf,
                 n_energy,
-                0.0,
-                &mut bands,
-                &mut table,
+                &gamma,
+                &mut memo,
             );
-            let want = ballistic_solve(&tr, &v_atoms, &bias, Engine::Rgf, n_energy, 0.0);
+            let want = cold(&tr, &v_atoms, &bias, Engine::Rgf, n_energy, 0.0);
             assert_eq!(got.current_ua.to_bits(), want.current_ua.to_bits());
             assert_eq!(got.report, want.report);
             // One grid for every gate point: the window does not move.
             assert_eq!(grid.get_or_insert(got.energies.clone()), &got.energies);
         }
         // The first gate point decimates the grid, the others reuse it.
+        let (mut bands, mut table) = (memo.bands, memo.contacts);
         let tally = table.take_tally();
         assert_eq!(tally.decimated, n_energy);
         assert_eq!(tally.reused, (vgs.len() - 1) * n_energy);
@@ -989,7 +971,8 @@ mod tests {
             mu_source: -3.4,
         };
         let engine = Engine::WfThomas;
-        let r = ballistic_solve_adaptive(&tr, &v, &bias, engine, 11, 200, 5e-3, 0.0);
+        let mut memo = LeadMemo::default();
+        let r = ballistic_solve_adaptive(&tr, &v, &bias, engine, 11, 200, 5e-3, 0.0, &mut memo);
         assert!(
             r.energies.len() > 11,
             "refined: {} points",
@@ -1027,7 +1010,7 @@ mod tests {
             .map(|(a, v)| if a.slab >= drain { bias.v_ds } else { v })
             .collect();
         let (engine, n_energy) = (Engine::Rgf, 21);
-        let got = ballistic_solve(&tr, &v, &bias, engine, n_energy, 0.0);
+        let got = cold(&tr, &v, &bias, engine, n_energy, 0.0);
         let s = prepare_transport(&tr, &v, &bias, 0.0, &mut LeadBandsMemo::default());
         assert_ne!(s.h00_l, s.h00_r, "the drain lead is shifted");
         let (lead_l, lead_r) = ((&s.h00_l, &s.h01_l), (&s.h00_r, &s.h01_r));
@@ -1057,7 +1040,7 @@ mod tests {
             v_ds: 0.4,
             mu_source: -2.9,
         };
-        let r = ballistic_solve(&tr, &v, &bias, Engine::Rgf, 31, 0.0);
+        let r = cold(&tr, &v, &bias, Engine::Rgf, 31, 0.0);
         assert!(r.electron_density.iter().all(|&n| n >= -1e-12));
         assert!(r.hole_density.iter().all(|&p| p >= -1e-12));
         // With mu_d lower, drain side holds less electron charge.

@@ -28,11 +28,14 @@
 //! `core::ballistic`'s `frozen_sweep_contacts_are_reusable_across_gate_points`
 //! and on the UTB film's by `core::parallel`'s table tests).
 //!
-//! Each table has one owner — a sweep (the frozen sweep keeps one across
-//! its gate points, the adaptive sweep one across its rounds), or a rank's
-//! `ModelBank` across the bias points of one curve; nothing shares one
-//! across sweeps or requests (a shared cache would need an eviction policy
-//! — `ci.sh` keeps this module free of process-wide state).
+//! Each table has one owner, and on both paths it is one curve: the
+//! serial I–V sweeps' bias loop keeps one in the curve's `LeadMemo`
+//! across every solve (the frozen sweep's gate points; the SCF sweeps'
+//! iterations and bias points, where the floating leads rarely hit), and a
+//! rank keeps one in its `ModelBank` across the bias points of one curve.
+//! Nothing shares one across curves or requests (a shared cache would
+//! need an eviction policy — `ci.sh` keeps this module free of
+//! process-wide state).
 
 use crate::parallel::assign;
 use omen_linalg::threads::{fan_out, fan_out_width};

@@ -1,4 +1,4 @@
-//! Transport energy windows and grids, and the sweep-owned memo of the
+//! Transport energy windows and grids, and the curve-owned memo of the
 //! leads' bands ([`LeadBandsMemo`]); their contact self-energies per
 //! energy are [`crate::contacts`]'.
 
@@ -51,11 +51,12 @@ impl LeadBands {
 }
 
 /// The [`LeadBands`] of the lead most recently asked for, keyed on the
-/// exact `(h00, h01)` entries. The gate points of a frozen sweep share
-/// their lead blocks, so a sweep loop that keeps one of these across its
-/// points diagonalises the lead once; a lead that does not compare equal
-/// entry for entry is a miss and is recomputed, so a hit returns exactly
-/// what a cold computation would.
+/// exact `(h00, h01)` entries. A curve keeps one, beside its contact
+/// table, in its `LeadMemo` (`crate::ballistic`): the gate points of a
+/// frozen sweep share their lead blocks, so the lead is diagonalised once
+/// per curve. A lead that does not compare equal entry for entry (every
+/// SCF iteration's, whose potential floats) is a miss and is recomputed,
+/// so a hit returns exactly what a cold computation would.
 #[derive(Debug, Default)]
 pub struct LeadBandsMemo(Option<(ZMat, ZMat, LeadBands)>);
 

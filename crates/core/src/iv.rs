@@ -1,8 +1,7 @@
 //! Voltage sweeps and figure-of-merit extraction.
 
-use crate::ballistic::{ballistic_solve_remembering, Engine};
-use crate::contacts::ContactTable;
-use crate::energy::LeadBandsMemo;
+use crate::ballistic::{ballistic_solve, BallisticResult, Engine, LeadMemo};
+use crate::contacts::ContactTally;
 use crate::log::SweepSeq;
 use crate::scf::{self_consistent, ScfOptions};
 use crate::spec::{Bias, NanoTransistor};
@@ -41,6 +40,9 @@ pub struct PointProgress<'a> {
     /// Energy-sweep fault ledger of this bias point (failed energy points
     /// surface here, not as a missing sequence number).
     pub report: &'a SweepReport,
+    /// Contact pairs this point's solves decimated and reused from the
+    /// curve's table.
+    pub contacts: ContactTally,
 }
 
 /// Formats the `OMEN_LOG` progress line of one swept bias point. Shared by
@@ -49,7 +51,7 @@ pub struct PointProgress<'a> {
 fn point_line(kind: &str, prog: &PointProgress<'_>) -> String {
     format!(
         "iv {kind} point seq={}/{} V_G={:+.3} V_DS={:+.3}: I={:.4e} µA \
-         ({} SCF iters, {}), energies: {}",
+         ({} SCF iters, {}), energies: {}, contacts: {}",
         prog.seq,
         prog.total,
         prog.point.v_gate,
@@ -62,12 +64,50 @@ fn point_line(kind: &str, prog: &PointProgress<'_>) -> String {
             "stalled"
         },
         prog.report,
+        prog.contacts,
     )
 }
 
-/// The SCF bias loop behind the gate and drain sweeps: solves `biases` in
-/// order, warm-starting each point from the previous one's potential, and
-/// logs every point before handing it to the observer.
+/// The one bias loop behind every sweep: solves `biases` in order with
+/// `solve` on the curve's one [`LeadMemo`], numbers each point, logs it
+/// with the contact tally of its solves and hands it to the observer.
+/// `solve` returns the point's final transport, its SCF iterations and
+/// whether it converged.
+fn bias_loop(
+    kind: &str,
+    biases: &[Bias],
+    observer: &mut dyn FnMut(PointProgress<'_>),
+    mut solve: impl FnMut(&Bias, &mut LeadMemo) -> (BallisticResult, usize, bool),
+) -> Vec<IvPoint> {
+    let mut memo = LeadMemo::default();
+    let mut seq = SweepSeq::new();
+    let mut out = Vec::with_capacity(biases.len());
+    for (index, bias) in biases.iter().enumerate() {
+        let (r, scf_iterations, converged) = solve(bias, &mut memo);
+        let point = IvPoint {
+            v_gate: bias.v_gate,
+            v_ds: bias.v_ds,
+            current_ua: r.current_ua,
+            scf_iterations,
+            converged,
+        };
+        let prog = PointProgress {
+            seq: seq.draw(),
+            index,
+            total: biases.len(),
+            point: &point,
+            report: &r.report,
+            contacts: memo.contacts.take_tally(),
+        };
+        crate::log::emit(&point_line(kind, &prog));
+        observer(prog);
+        out.push(point);
+    }
+    out
+}
+
+/// The SCF sweeps' way through the bias loop: each point warm-starts from
+/// the previous one's potential.
 fn scf_sweep(
     kind: &str,
     tr: &mut NanoTransistor,
@@ -75,31 +115,12 @@ fn scf_sweep(
     opts: &ScfOptions,
     observer: &mut dyn FnMut(PointProgress<'_>),
 ) -> Vec<IvPoint> {
-    let mut out = Vec::with_capacity(biases.len());
     let mut warm: Option<Vec<f64>> = None;
-    let mut seq = SweepSeq::new();
-    for (index, bias) in biases.iter().enumerate() {
-        let r = self_consistent(tr, bias, opts, warm.as_deref());
-        let point = IvPoint {
-            v_gate: bias.v_gate,
-            v_ds: bias.v_ds,
-            current_ua: r.transport.current_ua,
-            scf_iterations: r.iterations,
-            converged: r.converged,
-        };
-        let prog = PointProgress {
-            seq: seq.draw(),
-            index,
-            total: biases.len(),
-            point: &point,
-            report: &r.transport.report,
-        };
-        crate::log::emit(&point_line(kind, &prog));
-        observer(prog);
-        out.push(point);
+    bias_loop(kind, biases, observer, |bias, memo| {
+        let r = self_consistent(tr, bias, opts, warm.as_deref(), memo);
         warm = Some(r.v_grid);
-    }
-    out
+        (r.transport, r.iterations, r.converged)
+    })
 }
 
 /// Sweeps the gate at fixed `v_ds`, warm-starting each point from the
@@ -126,15 +147,20 @@ pub fn gate_sweep_observed(
     opts: &ScfOptions,
     observer: &mut dyn FnMut(PointProgress<'_>),
 ) -> Vec<IvPoint> {
-    let biases: Vec<Bias> = v_gates
-        .iter()
-        .map(|&v_gate| Bias {
-            v_gate,
-            v_ds,
-            mu_source,
-        })
-        .collect();
+    let biases = biases(v_gates, &[v_ds], mu_source);
     scf_sweep("gate", tr, &biases, opts, observer)
+}
+
+/// The bias points `v_gates × v_dss`, gate-major; every sweep holds one of
+/// the two voltages fixed.
+fn biases(v_gates: &[f64], v_dss: &[f64], mu_source: f64) -> Vec<Bias> {
+    let at = |v_gate, v_ds| Bias {
+        v_gate,
+        v_ds,
+        mu_source,
+    };
+    let pairs = |&v_gate: &f64| v_dss.iter().map(move |&v_ds| at(v_gate, v_ds));
+    v_gates.iter().flat_map(pairs).collect()
 }
 
 /// Sweeps the drain at fixed `v_gate` (output characteristic).
@@ -145,14 +171,7 @@ pub fn drain_sweep(
     mu_source: f64,
     opts: &ScfOptions,
 ) -> Vec<IvPoint> {
-    let biases: Vec<Bias> = v_dss
-        .iter()
-        .map(|&v_ds| Bias {
-            v_gate,
-            v_ds,
-            mu_source,
-        })
-        .collect();
+    let biases = biases(&[v_gate], v_dss, mu_source);
     scf_sweep("drain", tr, &biases, opts, &mut |_| {})
 }
 
@@ -211,9 +230,9 @@ pub fn frozen_potential(tr: &NanoTransistor, v_gate: f64) -> Vec<f64> {
         .collect()
 }
 
-/// A cheap non-self-consistent transfer sweep: the gate directly shifts the
-/// channel potential (frozen electrostatics). Used by unit tests and as a
-/// fast preview mode.
+/// A non-self-consistent transfer sweep: the gate directly shifts the
+/// channel potential (frozen electrostatics). It is the daemon's
+/// `mode = frozen` driver, and the cheap end of the tests and benches.
 pub fn frozen_field_sweep(
     tr: &NanoTransistor,
     v_gates: &[f64],
@@ -229,7 +248,9 @@ pub fn frozen_field_sweep(
 /// [`gate_sweep_observed`] for the contract). This is the driver the
 /// `omen-serve` daemon runs for `mode = frozen` jobs: each bias point is
 /// logged with its sequence number and handed to the observer for
-/// progress streaming.
+/// progress streaming. The source/drain extensions sit at zero potential
+/// at every gate point, so the curve's memo diagonalises the lead once and
+/// decimates each energy of the shared grid once.
 pub fn frozen_field_sweep_observed(
     tr: &NanoTransistor,
     v_gates: &[f64],
@@ -239,59 +260,20 @@ pub fn frozen_field_sweep_observed(
     n_energy: usize,
     observer: &mut dyn FnMut(PointProgress<'_>),
 ) -> Vec<IvPoint> {
-    let mut seq = SweepSeq::new();
-    let mut out = Vec::with_capacity(v_gates.len());
-    // The source/drain extensions sit at zero potential at every gate
-    // point: one set of lead blocks, one band diagonalisation per sweep,
-    // one decimation per energy of the shared grid.
-    let mut bands = LeadBandsMemo::default();
-    let mut contacts = ContactTable::default();
-    for (index, &vg) in v_gates.iter().enumerate() {
-        let v_atoms = frozen_potential(tr, vg);
-        let bias = Bias {
-            v_gate: vg,
-            v_ds,
-            mu_source,
-        };
-        let r = ballistic_solve_remembering(
-            tr,
-            &v_atoms,
-            &bias,
-            engine,
-            n_energy,
-            0.0,
-            &mut bands,
-            &mut contacts,
-        );
-        let point = IvPoint {
-            v_gate: vg,
-            v_ds,
-            current_ua: r.current_ua,
-            scf_iterations: 0,
-            converged: true,
-        };
-        let prog = PointProgress {
-            seq: seq.draw(),
-            index,
-            total: v_gates.len(),
-            point: &point,
-            report: &r.report,
-        };
-        crate::log::emit(&format!(
-            "{}, contacts: {}",
-            point_line("frozen", &prog),
-            contacts.take_tally()
-        ));
-        observer(prog);
-        out.push(point);
-    }
-    out
+    let biases = biases(v_gates, &[v_ds], mu_source);
+    bias_loop("frozen", &biases, observer, |bias, memo| {
+        let v_atoms = frozen_potential(tr, bias.v_gate);
+        let gamma = [(0.0, 1.0)];
+        let r = ballistic_solve(tr, &v_atoms, bias, engine, n_energy, &gamma, memo);
+        (r, 0, true)
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ballistic::ballistic_solve;
+    use crate::ballistic::cold;
+    use crate::contacts::ContactTable;
     use crate::spec::TransistorSpec;
     use omen_num::linspace;
     use omen_tb::Material;
@@ -373,8 +355,7 @@ mod tests {
                 v_ds: 0.15,
                 mu_source: -3.45,
             };
-            let want =
-                ballistic_solve(&tr, &frozen_potential(&tr, vg), &bias, Engine::Rgf, 21, 0.0);
+            let want = cold(&tr, &frozen_potential(&tr, vg), &bias, Engine::Rgf, 21, 0.0);
             assert_eq!(p.current_ua.to_bits(), want.current_ua.to_bits());
             assert_eq!(report, &want.report);
         }
@@ -445,6 +426,57 @@ mod tests {
         for (a, b) in pts.iter().zip(&again) {
             assert_eq!(a.current_ua.to_bits(), b.current_ua.to_bits());
         }
+    }
+
+    #[test]
+    fn a_point_reports_the_contacts_its_solves_decimated() {
+        // SCF: the leads float with the potential, so every solve of every
+        // point decimates its whole grid and nothing is reused.
+        let mut spec =
+            TransistorSpec::si_nanowire_nmos(Material::SingleBand { t_mev: 1000 }, 1.0, 6);
+        spec.doping_sd = 0.0;
+        let opts = ScfOptions {
+            n_energy: 15,
+            tol_v: 5e-3,
+            ..ScfOptions::default()
+        };
+        let mut tallies = Vec::new();
+        let pts = gate_sweep_observed(&mut spec.build(), &[0.0, 0.1], 0.1, -3.2, &opts, &mut |p| {
+            tallies.push(p.contacts)
+        });
+        assert_eq!(tallies.len(), 2);
+        for (p, tally) in pts.iter().zip(&tallies) {
+            assert!(p.converged && p.scf_iterations > 1, "{p:?}");
+            let decimated = p.scf_iterations * opts.n_energy;
+            assert_eq!(
+                *tally,
+                ContactTally {
+                    decimated,
+                    reused: 0
+                }
+            );
+        }
+
+        // Frozen: the gate points share their leads and their grid, so the
+        // points after the first decimate nothing.
+        let mut spec =
+            TransistorSpec::si_nanowire_nmos(Material::SingleBand { t_mev: 1000 }, 1.0, 8);
+        spec.doping_sd = 0.0;
+        let (vgs, n_energy) = (linspace(-0.1, 0.1, 3), 21);
+        let mut tallies = Vec::new();
+        let tr = spec.build();
+        frozen_field_sweep_observed(&tr, &vgs, 0.15, -3.45, Engine::Rgf, n_energy, &mut |p| {
+            tallies.push(p.contacts)
+        });
+        let first = ContactTally {
+            decimated: n_energy,
+            reused: 0,
+        };
+        let later = ContactTally {
+            decimated: 0,
+            reused: n_energy,
+        };
+        assert_eq!(tallies, [first, later, later]);
     }
 
     #[test]

@@ -15,15 +15,16 @@
 //!   communicator by the rank path, with the same fill body;
 //! * [`ballistic`] — the per-bias transport solve, one body per level:
 //!   `solve_sweep` (the one serial energy loop: contacts from a table,
-//!   per-point fault isolation, any [`Engine`]) → `ballistic_solve` (one k)
-//!   → `ballistic_solve_k` (momentum average), plus the adaptive-grid
-//!   variant, whose seed grid and rounds are `solve_sweep` calls; Landauer
-//!   current, quantum electron and hole densities;
+//!   per-point fault isolation, any [`Engine`]) → `ballistic_solve` (one
+//!   bias point: the weighted sum over a `(k_y, weight)` list, on the
+//!   caller's [`LeadMemo`]), plus the adaptive-grid variant, whose seed
+//!   grid and rounds are `solve_sweep` calls; Landauer current, quantum
+//!   electron and hole densities;
 //! * [`scf`] — the Schrödinger–Poisson loop with the exponential charge
 //!   predictor (Gummel-accelerated);
-//! * [`iv`] — gate/drain voltage sweeps (one SCF bias loop) and the
-//!   frozen-field preview sweep, with per-point observers, and
-//!   figure-of-merit extraction (subthreshold swing, on/off currents);
+//! * [`iv`] — gate/drain (SCF) and frozen-field voltage sweeps, one bias
+//!   loop that owns the curve's [`LeadMemo`], with per-point observers,
+//!   and figure-of-merit extraction (subthreshold swing, on/off currents);
 //! * [`log`] — the env-gated (`OMEN_LOG`) driver progress sink, reporting
 //!   per-bias-point convergence and energy-sweep fault-recovery counts;
 //! * [`parallel`] — hierarchical rank decomposition over `omen-parsim`,
@@ -42,8 +43,8 @@ pub mod scf;
 pub mod spec;
 
 pub use ballistic::{
-    ballistic_solve, ballistic_solve_adaptive, ballistic_solve_k, engine_point, momentum_grid,
-    solve_point, BallisticResult, Engine,
+    ballistic_solve, ballistic_solve_adaptive, engine_point, momentum_grid, solve_point,
+    BallisticResult, Engine, LeadMemo,
 };
 pub use iv::{
     drain_sweep, frozen_field_sweep, gate_sweep, on_off_ratio, subthreshold_swing, IvPoint,

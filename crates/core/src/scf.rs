@@ -9,7 +9,7 @@
 //! same device-simulation trick the original code relies on to converge
 //! I–V points in a handful of outer iterations.
 
-use crate::ballistic::{ballistic_solve_k, BallisticResult, Engine};
+use crate::ballistic::{ballistic_solve, momentum_grid, BallisticResult, Engine, LeadMemo};
 use crate::spec::{Bias, NanoTransistor};
 
 /// SCF control parameters.
@@ -67,12 +67,15 @@ pub struct ScfResult {
 ///
 /// `v_init` warm-starts the potential (e.g. from the previous bias in a
 /// sweep); otherwise a linear Poisson solve on the doping charge alone
-/// seeds the loop.
+/// seeds the loop. Every transport solve averages over
+/// [`momentum_grid`]`(tr, opts.n_k)` on the caller's `memo`, which a sweep
+/// keeps across its bias points.
 pub fn self_consistent(
     tr: &mut NanoTransistor,
     bias: &Bias,
     opts: &ScfOptions,
     v_init: Option<&[f64]>,
+    memo: &mut LeadMemo,
 ) -> ScfResult {
     // First log line of a run names the kernel dispatch (once per process),
     // so every convergence trace is attributable to a SIMD path.
@@ -100,8 +103,9 @@ pub fn self_consistent(
         }
     };
 
-    let solve = |tr: &NanoTransistor, v_atoms: &[f64]| {
-        ballistic_solve_k(tr, v_atoms, bias, opts.engine, opts.n_energy, opts.n_k)
+    let ks = momentum_grid(tr, opts.n_k);
+    let mut solve = |tr: &NanoTransistor, v_atoms: &[f64]| {
+        ballistic_solve(tr, v_atoms, bias, opts.engine, opts.n_energy, &ks, memo)
     };
 
     let mut last_transport: Option<BallisticResult> = None;
@@ -216,12 +220,13 @@ mod tests {
             TransistorSpec::si_nanowire_nmos(Material::SingleBand { t_mev: 1000 }, 1.0, 8);
         spec.doping_sd = 2e-3;
         let mut tr = spec.build();
+        let mut memo = LeadMemo::default();
         let bias = Bias {
             v_gate: 0.1,
             v_ds: 0.1,
             mu_source: -3.2,
         };
-        let r = self_consistent(&mut tr, &bias, &quick_opts(), None);
+        let r = self_consistent(&mut tr, &bias, &quick_opts(), None, &mut memo);
         assert!(
             r.converged,
             "SCF stalled: residual {} after {}",
@@ -241,20 +246,21 @@ mod tests {
             TransistorSpec::si_nanowire_nmos(Material::SingleBand { t_mev: 1000 }, 1.0, 8);
         spec.doping_sd = 2e-3;
         let mut tr = spec.build();
+        let mut memo = LeadMemo::default();
         let bias1 = Bias {
             v_gate: 0.10,
             v_ds: 0.1,
             mu_source: -3.2,
         };
-        let r1 = self_consistent(&mut tr, &bias1, &quick_opts(), None);
+        let r1 = self_consistent(&mut tr, &bias1, &quick_opts(), None, &mut memo);
         assert!(r1.converged);
         let bias2 = Bias {
             v_gate: 0.12,
             v_ds: 0.1,
             mu_source: -3.2,
         };
-        let warm = self_consistent(&mut tr, &bias2, &quick_opts(), Some(&r1.v_grid));
-        let cold = self_consistent(&mut tr, &bias2, &quick_opts(), None);
+        let warm = self_consistent(&mut tr, &bias2, &quick_opts(), Some(&r1.v_grid), &mut memo);
+        let cold = self_consistent(&mut tr, &bias2, &quick_opts(), None, &mut memo);
         assert!(warm.converged);
         assert!(
             warm.iterations <= cold.iterations + 1,
@@ -270,6 +276,7 @@ mod tests {
             TransistorSpec::si_nanowire_nmos(Material::SingleBand { t_mev: 1000 }, 1.0, 8);
         spec.doping_sd = 2e-3;
         let mut tr = spec.build();
+        let mut memo = LeadMemo::default();
         let opts = quick_opts();
         let off = Bias {
             v_gate: -0.4,
@@ -281,10 +288,10 @@ mod tests {
             v_ds: 0.2,
             mu_source: -3.2,
         };
-        let i_off = self_consistent(&mut tr, &off, &opts, None)
+        let i_off = self_consistent(&mut tr, &off, &opts, None, &mut memo)
             .transport
             .current_ua;
-        let i_on = self_consistent(&mut tr, &on, &opts, None)
+        let i_on = self_consistent(&mut tr, &on, &opts, None, &mut memo)
             .transport
             .current_ua;
         assert!(

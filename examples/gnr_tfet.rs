@@ -12,7 +12,7 @@
 //! source-valence/drain-conduction window — the band-to-band tunneling
 //! mechanism that lets TFETs beat the 60 mV/dec thermionic limit.
 
-use omen::core::ballistic::{ballistic_solve, Engine};
+use omen::core::ballistic::{ballistic_solve, Engine, LeadMemo};
 use omen::core::iv::{subthreshold_swing, IvPoint};
 use omen::core::{Bias, TransistorSpec};
 use omen::num::linspace;
@@ -53,6 +53,9 @@ fn main() {
     println!("\n  V_G (V)   I_D (µA)          channel CBM (eV)");
     let vgs = linspace(0.5, 1.9, 15);
     let mut pts: Vec<IvPoint> = Vec::new();
+    // The curve owns its leads: both extensions keep their potential at
+    // every gate point.
+    let mut memo = LeadMemo::default();
     for &vg in &vgs {
         let v_atoms: Vec<f64> = tr
             .device
@@ -73,7 +76,15 @@ fn main() {
             v_ds,
             mu_source,
         };
-        let r = ballistic_solve(&tr, &v_atoms, &bias, Engine::WfThomas, 81, 0.0);
+        let r = ballistic_solve(
+            &tr,
+            &v_atoms,
+            &bias,
+            Engine::WfThomas,
+            81,
+            &[(0.0, 1.0)],
+            &mut memo,
+        );
         println!(
             "  {:+.3}    {:12.5e}     {:+.3}",
             vg,

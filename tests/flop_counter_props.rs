@@ -424,7 +424,7 @@ fn wf_energy_point_is_the_point_less_its_contacts() {
 fn a_frozen_gate_point_costs_one_grid_of_engine_points() {
     use omen::core::iv::{frozen_field_sweep, frozen_potential};
     use omen::core::parallel::frozen_system;
-    use omen::core::{ballistic_solve, engine_point, Bias, Engine, TransistorSpec};
+    use omen::core::{ballistic_solve, engine_point, Bias, Engine, LeadMemo, TransistorSpec};
     use omen::negf::contacts::local_contacts;
     use omen::negf::transport::DEFAULT_ETA;
     use omen::tb::Material;
@@ -450,7 +450,18 @@ fn a_frozen_gate_point_costs_one_grid_of_engine_points() {
         v_ds,
         mu_source,
     };
-    let grid = ballistic_solve(&tr, &v_atoms, &bias, Engine::Rgf, n_energy, 0.0).energies;
+    let mut memo = LeadMemo::default();
+    let gamma = [(0.0, 1.0)];
+    let grid = ballistic_solve(
+        &tr,
+        &v_atoms,
+        &bias,
+        Engine::Rgf,
+        n_energy,
+        &gamma,
+        &mut memo,
+    )
+    .energies;
     assert_eq!(grid.len(), n_energy);
     let (h, h00, h01) = frozen_system(&tr, &v_atoms, 0.0);
     let lead = (&h00, &h01);

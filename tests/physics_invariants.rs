@@ -451,7 +451,9 @@ fn selinv_zero_bias_carries_no_current() {
         v_ds: 0.0,
         mu_source: -3.1,
     };
-    let r = omen::core::ballistic_solve(&tr, &v, &bias, Engine::SelInv, 25, 0.0);
+    let mut memo = omen::core::LeadMemo::default();
+    let r =
+        omen::core::ballistic_solve(&tr, &v, &bias, Engine::SelInv, 25, &[(0.0, 1.0)], &mut memo);
     assert!(
         r.report.failed.is_empty(),
         "zero-bias sweep must solve cleanly"
