@@ -51,10 +51,12 @@ cargo clippy --workspace --lib -- -D warnings -D clippy::float_cmp -D clippy::pr
 # counts must not depend on the dispatch path; a frozen sweep's gate point
 # after the first costs exactly one grid of engine solves, its contacts —
 # a remembered lead failure included — served from the sweep's
-# `ContactTable`), the exact pins of three request curves
+# `ContactTable`; a repeated solve with unequal leads or two k costs its
+# engine points alone), the exact pins of four request curves
 # (tests/curve_pins.rs: every current, SCF count and report count of the
-# seed-0 `idvg-scf-wf` and `idvg-frozen-sp3s-rgf` requests and of a two-k
-# UTB SCF sweep, one set per dispatch path), and the kernel bench smoke
+# seed-0 `idvg-scf-wf` and `idvg-frozen-sp3s-rgf` requests and of two two-k
+# UTB SCF sweeps, one stalled and one converging, one set per dispatch
+# path), and the kernel bench smoke
 # each run once per leg —
 # tiny sizes, one sample, exercising the tiled GEMM, the blocked LU and
 # its blocked solve / inverse at 1/2/4 threads (gemm, lu, trsm, inverse
@@ -108,15 +110,19 @@ fi
 
 # DESIGN.md describes what is: every identifier it puts in backticks that
 # contains `_` or a capital (a `::` path is checked segment by segment)
-# must occur as a token in the code, this script or the records, so a
-# renamed or deleted item cannot stay named there. One `comm -23` of the
-# two token lists. Names that are not this tree's items pass by being
-# listed here: the serve verb Join, the socket option TCP_NODELAY, the
-# declined crate parking_lot, the symbol gR_i, and the binary-name
-# patterns figN and tabN.
+# must occur as a token in the code, the commands of this script or the
+# records, so a renamed or deleted item cannot stay named there. One
+# `comm -23` of the two token lists. This script's comment lines are left
+# out, so a deleted name left in a comment here cannot mask it. Names that
+# are not this tree's items pass by being listed in not_items: the serve
+# verb, a socket option, a declined crate, a symbol and two binary-name
+# patterns.
+not_items="Join TCP_NODELAY parking_lot gR_i figN tabN"
 stale=$(LC_ALL=C comm -23 \
     <(grep -o '`[^`]*`' DESIGN.md | grep -oE '[A-Za-z][A-Za-z0-9_]*' | grep -E '_|[a-z][A-Z]|^[A-Z][a-z]' | LC_ALL=C sort -u) \
-    <(grep -rhoIE '[A-Za-z][A-Za-z0-9_]*' crates src tests examples benchmark/src ci.sh TOLERANCES.toml BENCHMARK.json BENCH_*.json | LC_ALL=C sort -u))
+    <({ grep -rhoIE '[A-Za-z][A-Za-z0-9_]*' crates src tests examples benchmark/src TOLERANCES.toml BENCHMARK.json BENCH_*.json
+        grep -vE '^\s*#' ci.sh | grep -oE '[A-Za-z][A-Za-z0-9_]*'
+        printf '%s\n' $not_items; } | LC_ALL=C sort -u))
 if [ -n "$stale" ]; then
     echo "ci: DESIGN.md names identifiers the tree does not hold:" $stale
     exit 1
@@ -180,14 +186,14 @@ if sed '/#\[cfg(test)\]/,$d' crates/linalg/src/eig.rs | grep -nE 'embed|2 \* n';
     exit 1
 fi
 
-# `LeadBandsMemo` and a serial sweep's `ContactTable` are owned by one
-# curve (its `LeadMemo`) and die with it; the rank path's `ContactTable`
-# is owned by one rank and lives in that rank's `ModelBank` across the
-# bias points of one curve. A
-# contact cache shared across curves, ranks or daemon requests needs an
-# eviction policy and evidence from real traffic, so it arrives as a
-# reviewed decision, not as process-wide state in these modules. Comment
-# lines are skipped: prose may say "static schedule".
+# A serial curve's `ContactTable` (per momentum slot: the lead pair's
+# blocks, bands and contacts) is owned by that curve and dies with it; the
+# rank path's `ContactTable` is owned by one rank and lives in that rank's
+# `ModelBank` across the bias points of one curve. A lead store shared
+# across curves, ranks or daemon requests needs an eviction policy and
+# evidence from real traffic, so it arrives as a reviewed decision, not as
+# process-wide state in these modules. Comment lines are skipped: prose
+# may say "static schedule".
 for f in crates/core/src/energy.rs crates/core/src/contacts.rs crates/sched/src/cost.rs; do
     if sed '/#\[cfg(test)\]/,$d' "$f" | grep -vE '^\s*//' | grep -nE '\b(static|thread_local|OnceLock|Mutex|Arc)\b'; then
         echo "ci: $f holds owner-held memos and tables only (no static, thread_local!, OnceLock, Mutex or Arc)"

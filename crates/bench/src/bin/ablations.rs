@@ -14,7 +14,7 @@
 //!   production `DEFAULT_ETA = 2e-6` balances the two.
 
 use omen_bench::print_table;
-use omen_core::{self_consistent, Bias, Engine, LeadMemo, ScfOptions, TransistorSpec};
+use omen_core::{self_consistent, Bias, ContactTable, Engine, ScfOptions, TransistorSpec};
 use omen_lattice::{Crystal, Device};
 use omen_linalg::ZMat;
 use omen_num::{c64, linspace, A_SI};
@@ -46,7 +46,7 @@ fn ablation_a_predictor() {
             predictor,
             n_k: 1,
         };
-        let r = self_consistent(&mut tr, &bias, &opts, None, &mut LeadMemo::default());
+        let r = self_consistent(&mut tr, &bias, &opts, None, &mut ContactTable::default());
         rows.push(vec![
             name.to_string(),
             format!("{}", r.iterations),

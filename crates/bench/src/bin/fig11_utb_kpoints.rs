@@ -9,8 +9,8 @@
 //! single-k calculation misrepresents a UTB.
 
 use omen_bench::print_table;
-use omen_core::ballistic::{ballistic_solve, momentum_grid, Engine, LeadMemo};
-use omen_core::{Bias, Geometry, TransistorSpec};
+use omen_core::ballistic::{ballistic_solve, momentum_grid, Engine};
+use omen_core::{Bias, ContactTable, Geometry, TransistorSpec};
 use omen_tb::Material;
 
 fn main() {
@@ -31,15 +31,15 @@ fn main() {
         tr.device.cross.1
     );
 
-    // One device, one bias: every solve below reads the one memo.
-    let mut memo = LeadMemo::default();
+    // One device, one bias: every solve below reads the one table.
+    let mut table = ContactTable::default();
     // Panel a: current vs number of k-points.
     let mut rows = Vec::new();
     let mut last = f64::NAN;
     let mut i_converged = 0.0;
     for &nk in &[1usize, 2, 4, 8, 16] {
         let ks = momentum_grid(&tr, nk);
-        let r = ballistic_solve(&tr, &v, &bias, Engine::WfThomas, 31, &ks, &mut memo);
+        let r = ballistic_solve(&tr, &v, &bias, Engine::WfThomas, 31, &ks, &mut table);
         let delta = if last.is_nan() {
             "—".to_string()
         } else {
@@ -66,7 +66,7 @@ fn main() {
             Engine::WfThomas,
             31,
             &[(ky, 1.0)],
-            &mut memo,
+            &mut table,
         );
         rows.push(vec![
             format!("{:.3}", ky * tr.device.cross.0 / std::f64::consts::PI),

@@ -11,8 +11,8 @@
 //! so the saving multiplies into every level of the parallel hierarchy.
 
 use omen_bench::print_table;
-use omen_core::ballistic::{ballistic_solve, ballistic_solve_adaptive, Engine, LeadMemo};
-use omen_core::{Bias, TransistorSpec};
+use omen_core::ballistic::{ballistic_solve, ballistic_solve_adaptive, Engine};
+use omen_core::{Bias, ContactTable, TransistorSpec};
 use omen_tb::Material;
 
 fn main() {
@@ -26,8 +26,8 @@ fn main() {
         mu_source: -3.4,
     };
 
-    // One device, one bias: every solve below reads the one memo.
-    let mut memo = LeadMemo::default();
+    // One device, one bias: every solve below reads the one table.
+    let mut table = ContactTable::default();
     let mut uniform_solve = |n| {
         ballistic_solve(
             &tr,
@@ -36,7 +36,7 @@ fn main() {
             Engine::WfThomas,
             n,
             &[(0.0, 1.0)],
-            &mut memo,
+            &mut table,
         )
         .current_ua
     };
@@ -66,7 +66,7 @@ fn main() {
             200,
             tol,
             0.0,
-            &mut memo,
+            &mut table,
         );
         let (points, err) = (r.energies.len(), percent_off(r.current_ua));
         // The headline: fewer points for the same accuracy, so the adaptive

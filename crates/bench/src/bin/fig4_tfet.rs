@@ -7,9 +7,9 @@
 //! source valence band, saturating when the full window is open.
 
 use omen_bench::print_table;
-use omen_core::ballistic::{ballistic_solve, Engine, LeadMemo};
+use omen_core::ballistic::{ballistic_solve, Engine};
 use omen_core::iv::{subthreshold_swing, IvPoint};
-use omen_core::{Bias, TransistorSpec};
+use omen_core::{Bias, ContactTable, TransistorSpec};
 use omen_num::linspace;
 use omen_tb::{bands, DeviceHamiltonian};
 
@@ -37,7 +37,7 @@ fn main() {
     let mut pts = Vec::new();
     // The curve owns its leads: both extensions keep their potential at
     // every gate point.
-    let mut memo = LeadMemo::default();
+    let mut table = ContactTable::default();
     for &vg in &vgs {
         let v_atoms: Vec<f64> = tr
             .device
@@ -65,7 +65,7 @@ fn main() {
             Engine::WfThomas,
             81,
             &[(0.0, 1.0)],
-            &mut memo,
+            &mut table,
         );
         pts.push(IvPoint {
             v_gate: vg,

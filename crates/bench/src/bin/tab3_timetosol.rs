@@ -22,8 +22,8 @@
 //! recursion.
 
 use omen_bench::{print_table, sample_secs, timed};
-use omen_core::ballistic::{ballistic_solve, Engine, LeadMemo};
-use omen_core::{Bias, TransistorSpec};
+use omen_core::ballistic::{ballistic_solve, Engine};
+use omen_core::{Bias, ContactTable, TransistorSpec};
 use omen_lattice::{Crystal, Device};
 use omen_num::A_SI;
 use omen_tb::{DeviceHamiltonian, Material, TbParams};
@@ -76,10 +76,10 @@ fn main() {
         let v = vec![0.0; tr.device.num_atoms()];
         let block = tr.hamiltonian().dim() / tr.device.num_slabs;
 
-        // Each engine's solve pays for its own leads: a fresh memo apiece.
+        // Each engine's solve pays for its own leads: a fresh table apiece.
         let solve = |engine| {
-            let mut memo = LeadMemo::default();
-            ballistic_solve(&tr, &v, &bias, engine, 31, &[(0.0, 1.0)], &mut memo)
+            let mut table = ContactTable::default();
+            ballistic_solve(&tr, &v, &bias, engine, 31, &[(0.0, 1.0)], &mut table)
         };
         let (r_rgf, t_rgf) = timed(|| solve(Engine::Rgf));
         let (r_wf, t_wf) = timed(|| solve(Engine::WfThomas));

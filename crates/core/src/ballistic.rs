@@ -6,7 +6,7 @@
 //! [`SweepReport`] instead of aborting the bias point.
 
 use crate::contacts::ContactTable;
-use crate::energy::{EnergyWindow, LeadBandsMemo};
+use crate::energy::{clip, EnergyWindow};
 use crate::spec::{Bias, NanoTransistor};
 use omen_linalg::threads::{fan_out, fan_out_width};
 use omen_linalg::ZMat;
@@ -62,13 +62,14 @@ struct TransportSetup {
 /// Assembles the device and lead operators at a potential and derives the
 /// transport energy window from the lead subbands around the contact Fermi
 /// levels (electron side above the device midgap, hole side below). The
-/// subbands of a lead `bands` remembers are not diagonalised again.
+/// subbands come from momentum slot `k` of `table`, which diagonalises a
+/// lead pair it does not hold.
 fn prepare_transport(
     tr: &NanoTransistor,
     v_atoms: &[f64],
     bias: &Bias,
-    ky: f64,
-    bands: &mut LeadBandsMemo,
+    (k, ky): (usize, f64),
+    table: &mut ContactTable,
 ) -> TransportSetup {
     assert_eq!(v_atoms.len(), tr.device.num_atoms());
     // Device and source lead as every frozen-potential driver builds them;
@@ -83,8 +84,8 @@ fn prepare_transport(
     let mid_lo = tr.e_midgap - v_atoms.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
     let mid_hi = tr.e_midgap - v_atoms.iter().cloned().fold(f64::INFINITY, f64::min);
     let span = 30.0 * tr.kt;
-    let window = bands.window(
-        &[(&h00_l, &h01_l), (&h00_r, &h01_r)],
+    let window = clip(
+        table.bands(k, [&h00_l, &h01_l, &h00_r, &h01_r]),
         &mus,
         tr.kt,
         12.0,
@@ -103,24 +104,13 @@ fn prepare_transport(
     }
 }
 
-/// What a curve remembers of its leads across its solves: their bands and
-/// their contacts per energy, both keyed on the exact lead blocks, so a
-/// hit returns a cold computation's bits. The curve owns one and passes
-/// it to every [`ballistic_solve`].
-#[derive(Debug, Default)]
-pub struct LeadMemo {
-    /// The bands of the last lead asked for.
-    pub bands: LeadBandsMemo,
-    /// The contacts of the last lead pair, per energy.
-    pub contacts: ContactTable,
-}
-
 /// One bias point's ballistic transport: the `(k_y, weight)` average over
-/// `ks` of one energy sweep per momentum, with the leads' bands and
-/// contacts from the caller's `memo` (a lead that repeats across a curve
-/// is diagonalised and decimated once). `v_atoms` is the potential per
-/// atom (V); each lead is pinned to its terminal slab's mean potential,
-/// and each k's window follows its lead subbands around the Fermi levels.
+/// `ks` of one energy sweep per momentum. The i-th momentum takes its
+/// leads' bands and contacts from slot i of the curve's `table`, so a lead
+/// pair that repeats at that position across the curve is diagonalised
+/// and decimated once. `v_atoms` is the potential per atom (V); each lead
+/// is pinned to its terminal slab's mean potential, and each k's window
+/// follows its lead subbands around the Fermi levels.
 ///
 /// The first k is scaled in place and each later one added as `+= w·x`
 /// in list order, so `[(k_y, 1.0)]` is the one-k solve bit for bit.
@@ -137,14 +127,14 @@ pub fn ballistic_solve(
     engine: Engine,
     n_energy: usize,
     ks: &[(f64, f64)],
-    memo: &mut LeadMemo,
+    table: &mut ContactTable,
 ) -> BallisticResult {
-    let mut solves = ks.iter().map(|&(ky, w)| {
-        let s = prepare_transport(tr, v_atoms, bias, ky, &mut memo.bands);
-        let (lead_l, lead_r) = ((&s.h00_l, &s.h01_l), (&s.h00_r, &s.h01_r));
+    let mut solves = ks.iter().enumerate().map(|(k, &(ky, w))| {
+        let s = prepare_transport(tr, v_atoms, bias, (k, ky), table);
+        let leads = ((&s.h00_l, &s.h01_l), (&s.h00_r, &s.h01_r));
         let grid = s.window.grid(n_energy);
-        let (energies, points, report) =
-            solve_sweep(&grid, &s.h, lead_l, lead_r, engine, &mut memo.contacts);
+        let width = fan_out_width(grid.len());
+        let (energies, points, report) = sweep_on(&grid, &s.h, leads, engine, table, k, width);
         let r = integrate(tr, bias, v_atoms, &energies, points, &s.window, report);
         (w, r)
     });
@@ -173,8 +163,8 @@ pub fn ballistic_solve(
     acc
 }
 
-/// The energy loop: fills momentum slot 0 of `contacts` for the grid,
-/// then solves every energy on the contacts it reads there, on the
+/// The energy loop of one momentum: fills slot 0 of `contacts` for the
+/// grid, then solves every energy on the contacts it reads there, on the
 /// calling thread and the idle cores of its budget
 /// ([`fan_out_width`]), like the fill. Per-point failure isolation: a
 /// point whose lead or engine exhausts its recovery policy is dropped and
@@ -191,24 +181,25 @@ pub fn solve_sweep(
     contacts: &mut ContactTable,
 ) -> (Vec<f64>, Vec<EnergyPointData>, SweepReport) {
     let width = fan_out_width(energies.len());
-    sweep_on(energies, h, (lead_l, lead_r), engine, contacts, width)
+    sweep_on(energies, h, (lead_l, lead_r), engine, contacts, 0, width)
 }
 
-/// [`solve_sweep`] with its points on `width` threads.
+/// [`solve_sweep`] on momentum slot `k`, its points on `width` threads.
 fn sweep_on(
     energies: &[f64],
     h: &BlockTridiag,
     (lead_l, lead_r): ((&ZMat, &ZMat), (&ZMat, &ZMat)),
     engine: Engine,
     contacts: &mut ContactTable,
+    k: usize,
     width: usize,
 ) -> (Vec<f64>, Vec<EnergyPointData>, SweepReport) {
-    contacts.fill_serial(&[[lead_l.0, lead_l.1, lead_r.0, lead_r.1]], energies);
+    contacts.fill_serial(k, &[[lead_l.0, lead_l.1, lead_r.0, lead_r.1]], energies);
     let table = &*contacts;
     let outcomes = fan_out(energies.len(), width, |i| {
         let e = energies[i];
         table
-            .contacts(0, e)
+            .contacts(k, e)
             .and_then(|(sl, sr)| engine_point(e, h, &sl, &sr, engine))
     });
     let mut report = SweepReport::default();
@@ -236,8 +227,8 @@ fn sweep_on(
 /// adaptive quantum-transport codes.
 ///
 /// The seed grid, then each round's midpoints, is one [`solve_sweep`] on
-/// the caller's `memo`; a failed energy is recorded and left out of the
-/// grid, so refinement only ever works on solved intervals.
+/// slot 0 of the curve's `table`; a failed energy is recorded and left out
+/// of the grid, so refinement only ever works on solved intervals.
 #[allow(clippy::too_many_arguments)]
 pub fn ballistic_solve_adaptive(
     tr: &NanoTransistor,
@@ -248,13 +239,13 @@ pub fn ballistic_solve_adaptive(
     max_points: usize,
     tol: f64,
     ky: f64,
-    memo: &mut LeadMemo,
+    table: &mut ContactTable,
 ) -> BallisticResult {
     assert!(n_init >= 5 && max_points >= n_init);
-    let s = prepare_transport(tr, v_atoms, bias, ky, &mut memo.bands);
+    let s = prepare_transport(tr, v_atoms, bias, (0, ky), table);
     let mut sweep = |grid: &[f64]| {
         let (lead_l, lead_r) = ((&s.h00_l, &s.h01_l), (&s.h00_r, &s.h01_r));
-        solve_sweep(grid, &s.h, lead_l, lead_r, engine, &mut memo.contacts)
+        solve_sweep(grid, &s.h, lead_l, lead_r, engine, table)
     };
     let (mut energies, mut points, mut report) = sweep(&s.window.grid(n_init));
     let (mu_s, mu_d) = (bias.mu_source, bias.mu_drain());
@@ -442,7 +433,7 @@ pub(crate) fn severed_chain(
     (BlockTridiag::from_dense(diag, hop.clone(), hop), z(), t())
 }
 
-/// One k on a fresh memo: the cold solve a remembered one must equal.
+/// One k on a fresh table: the cold solve a remembered one must equal.
 #[cfg(test)]
 pub(crate) fn cold(
     tr: &NanoTransistor,
@@ -452,8 +443,16 @@ pub(crate) fn cold(
     n_energy: usize,
     ky: f64,
 ) -> BallisticResult {
-    let mut memo = LeadMemo::default();
-    ballistic_solve(tr, v_atoms, bias, engine, n_energy, &[(ky, 1.0)], &mut memo)
+    let ks = [(ky, 1.0)];
+    ballistic_solve(
+        tr,
+        v_atoms,
+        bias,
+        engine,
+        n_energy,
+        &ks,
+        &mut ContactTable::default(),
+    )
 }
 
 #[cfg(test)]
@@ -519,6 +518,7 @@ mod tests {
                         (*lead, *lead),
                         engine,
                         &mut table,
+                        0,
                         width,
                     ))
                 };
@@ -548,6 +548,7 @@ mod tests {
             ((&c0, &c1), (&c0, &c1)),
             Engine::WfThomas,
             &mut table,
+            0,
             3,
         );
         assert_eq!((report.solved, report.failed.len()), (4, 1));
@@ -659,7 +660,7 @@ mod tests {
             mu_source: -3.4,
         };
         let fine = cold(&tr, &v, &bias, Engine::WfThomas, 201, 0.0);
-        let mut memo = LeadMemo::default();
+        let mut table = ContactTable::default();
         let adaptive = ballistic_solve_adaptive(
             &tr,
             &v,
@@ -669,7 +670,7 @@ mod tests {
             120,
             5e-3,
             0.0,
-            &mut memo,
+            &mut table,
         );
         assert!(
             adaptive.energies.len() < 140,
@@ -730,8 +731,8 @@ mod tests {
             mu_source: -3.2,
         };
         let grid = momentum_grid(&tr, 2);
-        let mut memo = LeadMemo::default();
-        let avg = ballistic_solve(&tr, &v, &bias, Engine::WfThomas, 21, &grid, &mut memo);
+        let mut table = ContactTable::default();
+        let avg = ballistic_solve(&tr, &v, &bias, Engine::WfThomas, 21, &grid, &mut table);
         let manual: f64 = grid
             .iter()
             .map(|&(ky, w)| w * cold(&tr, &v, &bias, Engine::WfThomas, 21, ky).current_ua)
@@ -882,12 +883,12 @@ mod tests {
 
     #[test]
     fn frozen_sweep_contacts_are_reusable_across_gate_points() {
-        // The README wire at three gate points through one `LeadMemo`, as
-        // `frozen_field_sweep_observed` threads it: every point's current
+        // The README wire at three gate points through one `ContactTable`,
+        // as `frozen_field_sweep_observed` threads it: every point's current
         // and report are the cold solve's bits.
         let tr = flat_device();
         let (vgs, v_ds, mu_source, n_energy) = ([-0.1, 0.0, 0.1], 0.15, -3.45, 21);
-        let mut memo = LeadMemo::default();
+        let mut table = ContactTable::default();
         let mut grid = None;
         for &v_gate in &vgs {
             let v_atoms = crate::iv::frozen_potential(&tr, v_gate);
@@ -904,7 +905,7 @@ mod tests {
                 Engine::Rgf,
                 n_energy,
                 &gamma,
-                &mut memo,
+                &mut table,
             );
             let want = cold(&tr, &v_atoms, &bias, Engine::Rgf, n_energy, 0.0);
             assert_eq!(got.current_ua.to_bits(), want.current_ua.to_bits());
@@ -913,7 +914,6 @@ mod tests {
             assert_eq!(grid.get_or_insert(got.energies.clone()), &got.energies);
         }
         // The first gate point decimates the grid, the others reuse it.
-        let (mut bands, mut table) = (memo.bands, memo.contacts);
         let tally = table.take_tally();
         assert_eq!(tally.decimated, n_energy);
         assert_eq!(tally.reused, (vgs.len() - 1) * n_energy);
@@ -927,7 +927,7 @@ mod tests {
             v_ds,
             mu_source,
         };
-        let s = prepare_transport(&tr, &v_flat, &bias, 0.0, &mut bands);
+        let s = prepare_transport(&tr, &v_flat, &bias, (0, 0.0), &mut table);
         let (lead_l, lead_r) = ((&s.h00_l, &s.h01_l), (&s.h00_r, &s.h01_r));
         let raw = |m: &ZMat| -> Vec<(u64, u64)> {
             m.data()
@@ -936,7 +936,7 @@ mod tests {
                 .collect()
         };
         let grid = grid.unwrap();
-        table.fill_serial(&[[lead_l.0, lead_l.1, lead_r.0, lead_r.1]], &grid);
+        table.fill_serial(0, &[[lead_l.0, lead_l.1, lead_r.0, lead_r.1]], &grid);
         for &e in &grid {
             let (hl, hr) = table.contacts(0, e).unwrap();
             let (cl, cr) = omen_negf::local_contacts(e, DEFAULT_ETA, lead_l, lead_r).unwrap();
@@ -971,8 +971,8 @@ mod tests {
             mu_source: -3.4,
         };
         let engine = Engine::WfThomas;
-        let mut memo = LeadMemo::default();
-        let r = ballistic_solve_adaptive(&tr, &v, &bias, engine, 11, 200, 5e-3, 0.0, &mut memo);
+        let mut table = ContactTable::default();
+        let r = ballistic_solve_adaptive(&tr, &v, &bias, engine, 11, 200, 5e-3, 0.0, &mut table);
         assert!(
             r.energies.len() > 11,
             "refined: {} points",
@@ -983,7 +983,7 @@ mod tests {
             r.report.attempted(),
             r.energies.len() + r.report.failed.len()
         );
-        let s = prepare_transport(&tr, &v, &bias, 0.0, &mut LeadBandsMemo::default());
+        let s = prepare_transport(&tr, &v, &bias, (0, 0.0), &mut ContactTable::default());
         let (lead_l, lead_r) = ((&s.h00_l, &s.h01_l), (&s.h00_r, &s.h01_r));
         for (&e, t) in r.energies.iter().zip(&r.transmission) {
             let cold = solve_point(e, &s.h, lead_l, lead_r, engine).unwrap();
@@ -1011,7 +1011,7 @@ mod tests {
             .collect();
         let (engine, n_energy) = (Engine::Rgf, 21);
         let got = cold(&tr, &v, &bias, engine, n_energy, 0.0);
-        let s = prepare_transport(&tr, &v, &bias, 0.0, &mut LeadBandsMemo::default());
+        let s = prepare_transport(&tr, &v, &bias, (0, 0.0), &mut ContactTable::default());
         assert_ne!(s.h00_l, s.h00_r, "the drain lead is shifted");
         let (lead_l, lead_r) = ((&s.h00_l, &s.h01_l), (&s.h00_r, &s.h01_r));
         let energies = s.window.grid(n_energy);

@@ -1,12 +1,14 @@
-//! The contact self-energies a sweep keeps: what depends on the leads and
-//! the energy alone, decimated once and read back as often as asked for.
+//! What a curve keeps of its leads: what depends on the leads (and the
+//! energy) alone — their bands and their contact self-energies — computed
+//! once and read back as often as asked for.
 //!
-//! [`ContactTable`] is the one place a sweep gets its contacts: one lead
-//! pair per momentum index `k`, outcomes per `(k, E)`. A fill keys each
-//! slot on its lead pair once, lists the pairs it lacks, decimates them
-//! and inserts them; only the decimation differs between its two callers.
-//! A serial sweep (`ballistic::solve_sweep`) decimates every missing pair
-//! on the calling thread and the idle cores of its budget
+//! [`ContactTable`] is the one place a sweep gets its contacts and a window
+//! its lead bands: one lead pair per momentum index `k`, its bands beside
+//! its outcomes per `(k, E)`. A fill keys each slot on its lead pair once,
+//! lists the pairs it lacks, decimates them and inserts them; only the
+//! decimation differs between its two callers. A serial sweep
+//! (`ballistic::solve_sweep`) decimates every missing pair on the calling
+//! thread and the idle cores of its budget
 //! (`omen_linalg::threads::fan_out`: each thread claims the next pair,
 //! outcomes go back in `(k, E)` order, so every width gives the same
 //! table); the rank path ([`ContactTable::fill`]) splits them round-robin
@@ -16,8 +18,9 @@
 //!
 //! A slot keys its lead pair on the exact blocks: blocks that do not
 //! compare equal entry for entry (a NaN entry never does) drop the pair's
-//! outcomes. A table keys each slot once per fill, so a NaN lead's
-//! outcomes last for that fill's reads and are decimated again by the next.
+//! bands and outcomes together. A table keys each slot once per fill and
+//! once per band request, so a NaN lead's bands and outcomes last for that
+//! window's or that fill's reads and are computed again by the next.
 //! A failure is remembered too: the same lead fails at the same energy the
 //! same way, so the nudge ladder is not climbed twice. Each Σ is kept on
 //! its support ([`PackedContact`]); a read scatters it back into zeros and
@@ -29,14 +32,16 @@
 //! and on the UTB film's by `core::parallel`'s table tests).
 //!
 //! Each table has one owner, and on both paths it is one curve: the
-//! serial I–V sweeps' bias loop keeps one in the curve's `LeadMemo`
-//! across every solve (the frozen sweep's gate points; the SCF sweeps'
-//! iterations and bias points, where the floating leads rarely hit), and a
-//! rank keeps one in its `ModelBank` across the bias points of one curve.
-//! Nothing shares one across curves or requests (a shared cache would
-//! need an eviction policy — `ci.sh` keeps this module free of
-//! process-wide state).
+//! serial I–V sweeps' bias loop keeps one across every solve of the curve
+//! (the frozen sweep's gate points; the SCF sweeps' iterations and bias
+//! points, where the floating leads rarely hit), the i-th momentum of a
+//! bias point on slot i, and a rank keeps one in its `ModelBank` across
+//! the bias points of one curve, whose fills never ask for bands. Nothing
+//! shares one across curves or requests (a shared cache would need an
+//! eviction policy — `ci.sh` keeps this module free of process-wide
+//! state).
 
+use crate::energy::LeadBands;
 use crate::parallel::assign;
 use omen_linalg::threads::{fan_out, fan_out_width};
 use omen_linalg::ZMat;
@@ -199,32 +204,15 @@ impl fmt::Display for ContactTally {
 /// `(lead_l, lead_r)` as the four blocks a slot is keyed on.
 pub type LeadKey<'a> = [&'a ZMat; 4];
 
-/// The outcomes of one lead pair, keyed on `E`'s bits, beside the blocks
-/// of the pair they belong to: the left lead's, and the right lead's only
-/// where they differ.
-#[derive(Debug, Default)]
-struct LeadSlot(Option<(Vec<ZMat>, HashMap<u64, PackedOutcome>)>);
-
-impl LeadSlot {
-    /// The outcomes of the lead pair `key`: this slot's when its blocks
-    /// compare equal entry for entry, else a fresh, empty map.
-    fn outcomes(&mut self, key: LeadKey<'_>) -> &mut HashMap<u64, PackedOutcome> {
-        let [l0, l1, r0, r1] = key;
-        let key = &key[..if l0 == r0 && l1 == r1 { 2 } else { 4 }];
-        let same = |k: &[ZMat]| k.len() == key.len() && k.iter().zip(key).all(|(a, &b)| a == b);
-        if !matches!(&self.0, Some((k, _)) if same(k)) {
-            self.0 = None;
-        }
-        let fresh = || (key.iter().map(|&m| m.clone()).collect(), HashMap::new());
-        &mut self.0.get_or_insert_with(fresh).1
-    }
-
-    /// The outcomes [`LeadSlot::outcomes`] last keyed, without comparing
-    /// blocks again: a lead with a NaN entry never compares equal, so a
-    /// second comparison would drop what the first keyed.
-    fn keyed(&mut self) -> Option<&mut HashMap<u64, PackedOutcome>> {
-        self.0.as_mut().map(|(_, outcomes)| outcomes)
-    }
+/// What one slot knows of its lead pair: the blocks it is keyed on (the
+/// left lead's, and the right lead's only where they differ), the bands of
+/// each of those leads once a window has asked for them, and the outcomes
+/// keyed on `E`'s bits.
+#[derive(Debug)]
+struct Leads {
+    blocks: Vec<ZMat>,
+    bands: Option<Vec<LeadBands>>,
+    outcomes: HashMap<u64, PackedOutcome>,
 }
 
 fn unpacked(known: &PackedOutcome) -> OmenResult<(ContactSelfEnergy, ContactSelfEnergy)> {
@@ -257,35 +245,57 @@ fn decimate_all(leads: &[LeadKey<'_>], pairs: &[(usize, f64)], width: usize) -> 
     })
 }
 
-/// The `local_contacts` outcomes of one sweep per `(k, E)`: one lead pair
-/// per momentum index `k`, stored once and compared entry for entry on
-/// every fill; a `k` whose lead changed drops its entries and only its
-/// own. A serial sweep fills slot 0 for its grid; the rank path keeps one
-/// per rank across the bias points of a curve (in the rank's `ModelBank`),
-/// so pairs that repeat are decimated once per curve.
+/// What a curve knows of its leads per momentum index `k`: one lead pair,
+/// stored once and compared entry for entry on every fill and band
+/// request, its [`LeadBands`] and its `local_contacts` outcomes per
+/// `(k, E)`; a `k` whose lead changed drops its entries and only its own.
+/// A serial solve's i-th momentum fills slot i (`solve_sweep` slot 0); the
+/// rank path keeps one per rank across the bias points of a curve (in the
+/// rank's `ModelBank`). Either way a lead pair that repeats at its slot is
+/// diagonalised and decimated once per curve.
 #[derive(Debug, Default)]
 pub struct ContactTable {
-    slots: Vec<LeadSlot>,
+    slots: Vec<Option<Leads>>,
     tally: ContactTally,
 }
 
 impl ContactTable {
-    /// The one fill body, in canonical `(k, E)` order: keys each slot on
-    /// its lead pair once, lists the `(k, E)` of `leads × energies` the
-    /// table lacks, has `decimate_all` return their outcomes in that order,
-    /// and inserts them. Nothing is inserted when `decimate_all` fails.
+    /// What slot `k` knows of the lead pair `key`: all of it when its
+    /// blocks compare equal entry for entry, else nothing — the one rule
+    /// that drops a slot's bands and outcomes together.
+    fn keyed_on(&mut self, k: usize, key: LeadKey<'_>) -> &mut Leads {
+        if self.slots.len() <= k {
+            self.slots.resize_with(k + 1, || None);
+        }
+        let [l0, l1, r0, r1] = key;
+        let key = &key[..if l0 == r0 && l1 == r1 { 2 } else { 4 }];
+        let same = |b: &[ZMat]| b.len() == key.len() && b.iter().zip(key).all(|(a, &b)| a == b);
+        let slot = &mut self.slots[k];
+        if !matches!(slot, Some(leads) if same(&leads.blocks)) {
+            *slot = None;
+        }
+        slot.get_or_insert_with(|| Leads {
+            blocks: key.iter().map(|&m| m.clone()).collect(),
+            bands: None,
+            outcomes: HashMap::new(),
+        })
+    }
+
+    /// The one fill body, in canonical `(k, E)` order: keys slots `first..`
+    /// on `leads` once, lists the `(k, E)` of `leads × energies` the table
+    /// lacks (`k` counted from `first`), has `decimate_all` return their
+    /// outcomes in that order, and inserts them. Nothing is inserted when
+    /// `decimate_all` fails.
     fn fill_by<E>(
         &mut self,
+        first: usize,
         leads: &[LeadKey<'_>],
         energies: &[f64],
         decimate_all: impl FnOnce(&[(usize, f64)]) -> Result<Vec<PackedOutcome>, E>,
     ) -> Result<(), E> {
-        if self.slots.len() < leads.len() {
-            self.slots.resize_with(leads.len(), LeadSlot::default);
-        }
         let mut missing = Vec::new();
-        for (ik, (slot, &key)) in self.slots.iter_mut().zip(leads).enumerate() {
-            let known = slot.outcomes(key);
+        for (ik, &key) in leads.iter().enumerate() {
+            let known = &self.keyed_on(first + ik, key).outcomes;
             let absent = energies
                 .iter()
                 .filter(|e| !known.contains_key(&e.to_bits()));
@@ -293,10 +303,11 @@ impl ContactTable {
         }
         let outcomes = decimate_all(&missing)?;
         for (&(ik, e), outcome) in missing.iter().zip(outcomes) {
-            // Keyed once above, this fill: a NaN lead stays in its slot
-            // for the fill's reads and misses on the next fill.
-            if let Some(known) = self.slots[ik].keyed() {
-                known.insert(e.to_bits(), outcome);
+            // Keyed once above, this fill, so no comparison here: a NaN
+            // lead never compares equal, and stays in its slot for the
+            // fill's reads only.
+            if let Some(leads) = &mut self.slots[first + ik] {
+                leads.outcomes.insert(e.to_bits(), outcome);
             }
         }
         self.tally.decimated += missing.len();
@@ -304,22 +315,23 @@ impl ContactTable {
         Ok(())
     }
 
-    /// Makes every `(k, E)` of `leads × energies` present, where `leads[k]`
-    /// is `k`'s lead pair, decimating the missing pairs on the calling
-    /// thread and the idle cores of its budget ([`fan_out_width`]): the
-    /// same table at every width.
-    pub(crate) fn fill_serial(&mut self, leads: &[LeadKey<'_>], energies: &[f64]) {
-        self.fill_wide(leads, energies, fan_out_width);
+    /// Makes every `(k, E)` of `leads × energies` present, where `leads[i]`
+    /// is the lead pair of slot `first + i`, decimating the missing pairs on
+    /// the calling thread and the idle cores of its budget
+    /// ([`fan_out_width`]): the same table at every width.
+    pub(crate) fn fill_serial(&mut self, first: usize, leads: &[LeadKey<'_>], energies: &[f64]) {
+        self.fill_wide(first, leads, energies, fan_out_width);
     }
 
     /// [`ContactTable::fill_serial`] on `width(missing)` threads.
     fn fill_wide(
         &mut self,
+        first: usize,
         leads: &[LeadKey<'_>],
         energies: &[f64],
         width: impl FnOnce(usize) -> usize,
     ) {
-        let filled = self.fill_by(leads, energies, |missing| {
+        let filled = self.fill_by(first, leads, energies, |missing| {
             let width = width(missing.len());
             Ok::<_, Infallible>(decimate_all(leads, missing, width))
         });
@@ -352,7 +364,7 @@ impl ContactTable {
         leads: &[LeadKey<'_>],
         energies: &[f64],
     ) -> OmenResult<()> {
-        self.fill_by(leads, energies, |missing| {
+        self.fill_by(0, leads, energies, |missing| {
             let origin = comm.global_rank(comm.rank());
             let share = assign(missing.len(), comm.size(), comm.rank());
             let pairs: Vec<(usize, f64)> = share.iter().map(|&i| missing[i]).collect();
@@ -382,6 +394,16 @@ impl ContactTable {
         std::mem::take(&mut self.tally)
     }
 
+    /// The [`LeadBands`] of slot `k`'s lead pair `key`, one per lead it
+    /// stores (the left, then the right where it differs), diagonalised
+    /// the first time a window asks for them: what
+    /// [`crate::energy::transport_window`] computes for that pair.
+    pub(crate) fn bands(&mut self, k: usize, key: LeadKey<'_>) -> &[LeadBands] {
+        let Leads { blocks, bands, .. } = self.keyed_on(k, key);
+        let of = |b: &[ZMat]| LeadBands::of(&b[0], &b[1]);
+        bands.get_or_insert_with(|| blocks.chunks(2).map(of).collect())
+    }
+
     /// `local_contacts(e, DEFAULT_ETA, ..)` for `k`'s lead pair, as the
     /// last fill stored it.
     ///
@@ -394,9 +416,8 @@ impl ContactTable {
     /// When `(k, e)` was not in the last fill.
     pub fn contacts(&self, k: usize, e: f64) -> OmenResult<(ContactSelfEnergy, ContactSelfEnergy)> {
         let known = self.slots[k]
-            .0
             .as_ref()
-            .and_then(|(_, outcomes)| outcomes.get(&e.to_bits()))
+            .and_then(|leads| leads.outcomes.get(&e.to_bits()))
             .expect("a fill covers every (k, E) a point reads");
         unpacked(known)
     }
@@ -433,7 +454,7 @@ mod tests {
         // One energy of one lead pair through a serial fill, then a read.
         type Lead<'a> = (&'a ZMat, &'a ZMat);
         let contacts = |table: &mut ContactTable, e: f64, (l0, l1): Lead, (r0, r1): Lead| {
-            table.fill_serial(&[[l0, l1, r0, r1]], &[e]);
+            table.fill_serial(0, &[[l0, l1, r0, r1]], &[e]);
             table.contacts(0, e)
         };
         let mut table = ContactTable::default();
@@ -455,13 +476,76 @@ mod tests {
         assert_eq!((t.decimated, t.reused), (1, 0));
 
         // A hit really is served from the table: a doctored entry shows.
-        if let Some((_, outcomes)) = &mut table.slots[0].0 {
-            if let Some(Ok([l, _])) = outcomes.get_mut(&energies[0].to_bits()) {
+        if let Some(leads) = &mut table.slots[0] {
+            if let Some(Ok([l, _])) = leads.outcomes.get_mut(&energies[0].to_bits()) {
                 l.retries = 7;
             }
         }
         let (l, _) = contacts(&mut table, energies[0], lead_l, lead_r).unwrap();
         assert_eq!(l.retries, 7);
+    }
+
+    #[test]
+    fn slot_bands_give_the_cold_window_and_keep_both_leads() {
+        use crate::energy::{clip, transport_window, EnergyWindow};
+        // The README wire's lead, and the same lead as a biased drain.
+        let single = Material::SingleBand { t_mev: 1000 };
+        let tr = TransistorSpec::si_nanowire_nmos(single, 1.0, 8).build();
+        let ham = tr.hamiltonian();
+        let (a0, a1) = ham.lead_blocks(0.0, 0.0);
+        let (b0, b1) = ham.lead_blocks(-0.15, 0.0);
+        let (kt, margin_kt, focus) = (0.025, 12.0, (-5.0, 5.0));
+        let bits = |w: EnergyWindow| (w.e_min.to_bits(), w.e_max.to_bits());
+        let cold = |[l0, l1, r0, r1]: LeadKey<'_>, mus: &[f64]| {
+            bits(transport_window(
+                &[(l0, l1), (r0, r1)],
+                mus,
+                kt,
+                margin_kt,
+                focus,
+            ))
+        };
+        // Moving Fermi levels over one pair (a frozen sweep's gate points),
+        // then an unequal pair on the same slot and on a second one, then
+        // the first pair again.
+        let (equal, unequal, swapped) = (
+            [&a0, &a1, &a0, &a1],
+            [&a0, &a1, &b0, &b1],
+            [&b0, &b1, &a0, &a1],
+        );
+        let calls = [
+            (0, equal, [-3.45, -3.6]),
+            (0, equal, [-3.3, -3.45]),
+            (0, unequal, [-3.45, -3.6]),
+            (0, unequal, [-3.3, -3.45]),
+            (1, swapped, [-3.45, -3.6]),
+            (0, equal, [-3.45, -3.6]),
+        ];
+        let mut table = ContactTable::default();
+        for (i, (k, key, mus)) in calls.into_iter().enumerate() {
+            let warm = clip(table.bands(k, key), &mus, kt, margin_kt, focus);
+            assert_eq!(bits(warm), cold(key, &mus), "call {i}");
+        }
+        // An equal pair keeps one lead's bands, an unequal pair both.
+        let kept = |t: &ContactTable, k: usize| t.slots[k].as_ref().and_then(|l| l.bands.clone());
+        assert_eq!(kept(&table, 0).map(|b| b.len()), Some(1));
+        assert_eq!(kept(&table, 1).map(|b| b.len()), Some(2));
+
+        // A hit really is served from the slot: a doctored band of either
+        // lead shows in the window.
+        let mus = [-3.45, -3.6];
+        let honest = clip(table.bands(1, swapped), &mus, kt, margin_kt, focus);
+        for lead in 0..2 {
+            let doctor = |t: &mut ContactTable, by: f64| {
+                if let Some(Some(bands)) = t.slots[1].as_mut().map(|l| l.bands.as_mut()) {
+                    bands[lead].mins[0] += by;
+                }
+            };
+            doctor(&mut table, -1.0);
+            let w = clip(table.bands(1, swapped), &mus, kt, margin_kt, focus);
+            assert!(w.e_min < honest.e_min - 0.2, "lead {lead}: {w:?}");
+            doctor(&mut table, 1.0);
+        }
     }
 
     #[test]
@@ -557,7 +641,9 @@ mod tests {
             [&inf, &s1, &inf, &s1],
         ];
         let energies = [-3.6, -3.45, -3.3, -3.15, -3.0, -2.85, -2.7];
-        let want = fingerprint(&leads, &energies, |t| t.fill_wide(&leads, &energies, |_| 1));
+        let want = fingerprint(&leads, &energies, |t| {
+            t.fill_wide(0, &leads, &energies, |_| 1)
+        });
         let (n, m) = (leads.len() * energies.len(), energies.len());
         assert_eq!(
             want[0],
@@ -584,7 +670,7 @@ mod tests {
         assert!(want[1].starts_with('['), "{}", want[1]);
         for width in [2, 3] {
             let got = fingerprint(&leads, &energies, |t| {
-                t.fill_wide(&leads, &energies, |_| width)
+                t.fill_wide(0, &leads, &energies, |_| width)
             });
             assert_eq!(got, want, "width {width}");
         }
@@ -593,7 +679,7 @@ mod tests {
         // shares on their own budgets.
         for cores in 1..=3 {
             let got = with_budget(cores, || {
-                fingerprint(&leads, &energies, |t| t.fill_serial(&leads, &energies))
+                fingerprint(&leads, &energies, |t| t.fill_serial(0, &leads, &energies))
             });
             assert_eq!(got, want, "budget {cores}");
             for members in [1, 2] {
@@ -622,10 +708,12 @@ mod tests {
         let leads = [[&s0, &s1, &d0, &d1]];
         let energies = [-3.4, -3.3, -3.2];
         let before = fan_out_spawned();
-        with_budget(1, || ContactTable::default().fill_serial(&leads, &energies));
+        with_budget(1, || {
+            ContactTable::default().fill_serial(0, &leads, &energies)
+        });
         assert_eq!(fan_out_spawned(), before);
         // The witness does count: three threads are the caller and two.
-        ContactTable::default().fill_wide(&leads, &energies, |_| 3);
+        ContactTable::default().fill_wide(0, &leads, &energies, |_| 3);
         assert_eq!(fan_out_spawned(), before + 2);
     }
 }

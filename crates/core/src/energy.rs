@@ -1,6 +1,5 @@
-//! Transport energy windows and grids, and the curve-owned memo of the
-//! leads' bands ([`LeadBandsMemo`]); their contact self-energies per
-//! energy are [`crate::contacts`]'.
+//! Transport energy windows and grids. A curve remembers its leads' bands
+//! beside their contacts, in its [`crate::contacts::ContactTable`].
 
 use omen_linalg::ZMat;
 use omen_num::linspace;
@@ -50,79 +49,51 @@ impl LeadBands {
     }
 }
 
-/// The [`LeadBands`] of the lead most recently asked for, keyed on the
-/// exact `(h00, h01)` entries. A curve keeps one, beside its contact
-/// table, in its `LeadMemo` (`crate::ballistic`): the gate points of a
-/// frozen sweep share their lead blocks, so the lead is diagonalised once
-/// per curve. A lead that does not compare equal entry for entry (every
-/// SCF iteration's, whose potential floats) is a miss and is recomputed,
-/// so a hit returns exactly what a cold computation would.
-#[derive(Debug, Default)]
-pub struct LeadBandsMemo(Option<(ZMat, ZMat, LeadBands)>);
+/// The cheap half of a transport window: the union of `bands` (one per
+/// distinct lead) inside `e_focus`, clipped against the Fermi levels `mus`.
+/// [`transport_window`] and a curve's `ContactTable` slots feed it.
+pub(crate) fn clip(
+    bands: &[LeadBands],
+    mus: &[f64],
+    kt: f64,
+    margin_kt: f64,
+    e_focus: (f64, f64),
+) -> EnergyWindow {
+    assert!(!bands.is_empty() && !mus.is_empty());
+    let margin = margin_kt * kt;
 
-impl LeadBandsMemo {
-    fn bands(&mut self, h00: &ZMat, h01: &ZMat) -> &LeadBands {
-        if !matches!(&self.0, Some((k00, k01, _)) if k00 == h00 && k01 == h01) {
-            self.0 = None;
-        }
-        let entry = || (h00.clone(), h01.clone(), LeadBands::of(h00, h01));
-        &self.0.get_or_insert_with(entry).2
-    }
-
-    /// [`transport_window`] with this memo standing in for the band
-    /// computation of a remembered lead — same arguments, same bits.
-    pub fn window(
-        &mut self,
-        leads: &[(&ZMat, &ZMat)],
-        mus: &[f64],
-        kt: f64,
-        margin_kt: f64,
-        e_focus: (f64, f64),
-    ) -> EnergyWindow {
-        assert!(!leads.is_empty() && !mus.is_empty());
-        let margin = margin_kt * kt;
-
-        // Collect subband intervals of all leads restricted to the focus range.
-        let mut lo = f64::INFINITY;
-        let mut hi = f64::NEG_INFINITY;
-        for (i, (h00, h01)) in leads.iter().enumerate() {
-            // `lo`/`hi` are a min/max over the band union, and the union over
-            // identical lead blocks is the one set: a lead equal to an earlier
-            // one (source and drain extensions at the same potential) cannot
-            // move either edge, so it is skipped.
-            if leads[..i].iter().any(|(p00, p01)| p00 == h00 && p01 == h01) {
+    // Collect subband intervals of all leads restricted to the focus range.
+    let mut lo = f64::INFINITY;
+    let mut hi = f64::NEG_INFINITY;
+    for LeadBands { mins, maxs } in bands {
+        for (&min, &max) in mins.iter().zip(maxs) {
+            // The band spans [min, max]; keep what intersects focus.
+            if max < e_focus.0 || min > e_focus.1 {
                 continue;
             }
-            let LeadBands { mins, maxs } = self.bands(h00, h01);
-            for (&min, &max) in mins.iter().zip(maxs) {
-                // The band spans [min, max]; keep what intersects focus.
-                if max < e_focus.0 || min > e_focus.1 {
-                    continue;
-                }
-                lo = lo.min(min.max(e_focus.0));
-                hi = hi.max(max.min(e_focus.1));
-            }
+            lo = lo.min(min.max(e_focus.0));
+            hi = hi.max(max.min(e_focus.1));
         }
-        let mu_lo = mus.iter().cloned().fold(f64::INFINITY, f64::min);
-        let mu_hi = mus.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-        if !lo.is_finite() {
-            // No lead states in focus: fall back to the Fermi window.
-            return EnergyWindow {
-                e_min: mu_lo - margin,
-                e_max: mu_hi + margin,
-            };
-        }
-        // States only matter where occupations differ from 0/1 relative to the
-        // band content: clip the band union against the Fermi window. The lower
-        // clip is deeper (2.5× margin) because degenerate source/drain stacks
-        // hold *charge* well below the Fermi level even where they carry no
-        // current.
-        let e_min = lo.max(mu_lo - 2.5 * margin).min(mu_hi + margin);
-        let e_max = hi.min(mu_hi + margin).max(e_min);
-        EnergyWindow {
-            e_min: e_min - 1e-6,
-            e_max: e_max + 1e-6,
-        }
+    }
+    let mu_lo = mus.iter().cloned().fold(f64::INFINITY, f64::min);
+    let mu_hi = mus.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
+    if !lo.is_finite() {
+        // No lead states in focus: fall back to the Fermi window.
+        return EnergyWindow {
+            e_min: mu_lo - margin,
+            e_max: mu_hi + margin,
+        };
+    }
+    // States only matter where occupations differ from 0/1 relative to the
+    // band content: clip the band union against the Fermi window. The lower
+    // clip is deeper (2.5× margin) because degenerate source/drain stacks
+    // hold *charge* well below the Fermi level even where they carry no
+    // current.
+    let e_min = lo.max(mu_lo - 2.5 * margin).min(mu_hi + margin);
+    let e_max = hi.min(mu_hi + margin).max(e_min);
+    EnergyWindow {
+        e_min: e_min - 1e-6,
+        e_max: e_max + 1e-6,
     }
 }
 
@@ -135,8 +106,9 @@ impl LeadBandsMemo {
 /// same margin so no flops are spent where `T(E) = 0`.
 ///
 /// The composition of the two halves: [`LeadBands::of`] per distinct lead,
-/// then the cheap clip against `mus` / `e_focus` — what
-/// [`LeadBandsMemo::window`] does starting from an empty memo.
+/// then the cheap clip against `mus` / `e_focus`. A lead equal to an
+/// earlier one (source and drain extensions at the same potential) cannot
+/// move the band union, so it is skipped.
 pub fn transport_window(
     leads: &[(&ZMat, &ZMat)],
     mus: &[f64],
@@ -144,7 +116,14 @@ pub fn transport_window(
     margin_kt: f64,
     e_focus: (f64, f64),
 ) -> EnergyWindow {
-    LeadBandsMemo::default().window(leads, mus, kt, margin_kt, e_focus)
+    let distinct = leads
+        .iter()
+        .enumerate()
+        .filter(|&(i, (h00, h01))| !leads[..i].iter().any(|(p00, p01)| p00 == h00 && p01 == h01));
+    let bands: Vec<LeadBands> = distinct
+        .map(|(_, (h00, h01))| LeadBands::of(h00, h01))
+        .collect();
+    clip(&bands, mus, kt, margin_kt, e_focus)
 }
 
 #[cfg(test)]
@@ -219,47 +198,6 @@ mod tests {
         assert_ne!(ab, window(&[(&b0, &b1)]));
         assert_eq!(window(&[(&a0, &a1), (&b0, &b1), (&a0_copy, &a1_copy)]), ab);
         assert_eq!(window(&[(&b0, &b1), (&a0, &a1)]), ab);
-    }
-
-    #[test]
-    fn memo_hit_returns_the_bits_of_a_cold_window() {
-        let (a0, a1) = chain_lead(0.0, -1.0);
-        let (b0, b1) = chain_lead(0.5, -1.0);
-        let bits = |w: EnergyWindow| (w.e_min.to_bits(), w.e_max.to_bits());
-        let cold = |leads: &[(&ZMat, &ZMat)], mus: &[f64]| {
-            bits(transport_window(leads, mus, 0.025, 10.0, (-5.0, 5.0)))
-        };
-        let mut memo = LeadBandsMemo::default();
-        let mut warm = |leads: &[(&ZMat, &ZMat)], mus: &[f64]| {
-            bits(memo.window(leads, mus, 0.025, 10.0, (-5.0, 5.0)))
-        };
-        // Same lead under moving Fermi levels (the gate points of a frozen
-        // sweep), then another lead (a miss), then both (the SCF shape:
-        // every call replaces the one entry), then the first again.
-        let (a0_copy, a1_copy) = (a0.clone(), a1.clone());
-        type Lead<'a> = (&'a ZMat, &'a ZMat);
-        let calls: [(&[Lead<'_>], &[f64]); 6] = [
-            (&[(&a0, &a1), (&a0, &a1)], &[-1.8, -1.7]),
-            (&[(&a0_copy, &a1_copy), (&a0, &a1)], &[0.3, 2.3]),
-            (&[(&b0, &b1)], &[0.3, 2.3]),
-            (&[(&a0, &a1), (&b0, &b1)], &[-1.8, 2.3]),
-            (&[(&a0, &a1), (&b0, &b1)], &[-1.9, 2.4]),
-            (&[(&a0, &a1)], &[-1.8, -1.7]),
-        ];
-        for (i, (leads, mus)) in calls.into_iter().enumerate() {
-            assert_eq!(warm(leads, mus), cold(leads, mus), "call {i}");
-        }
-
-        // A hit really is served from the memo: a doctored entry shows.
-        let mut memo = LeadBandsMemo::default();
-        let honest = memo.window(&[(&a0, &a1)], &[-1.8], 0.025, 10.0, (-5.0, 5.0));
-        if let Some((_, _, bands)) = &mut memo.0 {
-            bands.mins[0] += 0.25;
-        }
-        let doctored = memo.window(&[(&a0_copy, &a1_copy)], &[-1.8], 0.025, 10.0, (-5.0, 5.0));
-        assert!(doctored.e_min > honest.e_min + 0.2, "{doctored:?}");
-        let miss = memo.window(&[(&b0, &b1)], &[-1.8], 0.025, 10.0, (-5.0, 5.0));
-        assert_eq!(bits(miss), cold(&[(&b0, &b1)], &[-1.8]));
     }
 
     #[test]

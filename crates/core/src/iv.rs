@@ -1,7 +1,7 @@
 //! Voltage sweeps and figure-of-merit extraction.
 
-use crate::ballistic::{ballistic_solve, BallisticResult, Engine, LeadMemo};
-use crate::contacts::ContactTally;
+use crate::ballistic::{ballistic_solve, BallisticResult, Engine};
+use crate::contacts::{ContactTable, ContactTally};
 use crate::log::SweepSeq;
 use crate::scf::{self_consistent, ScfOptions};
 use crate::spec::{Bias, NanoTransistor};
@@ -69,7 +69,7 @@ fn point_line(kind: &str, prog: &PointProgress<'_>) -> String {
 }
 
 /// The one bias loop behind every sweep: solves `biases` in order with
-/// `solve` on the curve's one [`LeadMemo`], numbers each point, logs it
+/// `solve` on the curve's one [`ContactTable`], numbers each point, logs it
 /// with the contact tally of its solves and hands it to the observer.
 /// `solve` returns the point's final transport, its SCF iterations and
 /// whether it converged.
@@ -77,13 +77,13 @@ fn bias_loop(
     kind: &str,
     biases: &[Bias],
     observer: &mut dyn FnMut(PointProgress<'_>),
-    mut solve: impl FnMut(&Bias, &mut LeadMemo) -> (BallisticResult, usize, bool),
+    mut solve: impl FnMut(&Bias, &mut ContactTable) -> (BallisticResult, usize, bool),
 ) -> Vec<IvPoint> {
-    let mut memo = LeadMemo::default();
+    let mut table = ContactTable::default();
     let mut seq = SweepSeq::new();
     let mut out = Vec::with_capacity(biases.len());
     for (index, bias) in biases.iter().enumerate() {
-        let (r, scf_iterations, converged) = solve(bias, &mut memo);
+        let (r, scf_iterations, converged) = solve(bias, &mut table);
         let point = IvPoint {
             v_gate: bias.v_gate,
             v_ds: bias.v_ds,
@@ -97,7 +97,7 @@ fn bias_loop(
             total: biases.len(),
             point: &point,
             report: &r.report,
-            contacts: memo.contacts.take_tally(),
+            contacts: table.take_tally(),
         };
         crate::log::emit(&point_line(kind, &prog));
         observer(prog);
@@ -116,8 +116,8 @@ fn scf_sweep(
     observer: &mut dyn FnMut(PointProgress<'_>),
 ) -> Vec<IvPoint> {
     let mut warm: Option<Vec<f64>> = None;
-    bias_loop(kind, biases, observer, |bias, memo| {
-        let r = self_consistent(tr, bias, opts, warm.as_deref(), memo);
+    bias_loop(kind, biases, observer, |bias, table| {
+        let r = self_consistent(tr, bias, opts, warm.as_deref(), table);
         warm = Some(r.v_grid);
         (r.transport, r.iterations, r.converged)
     })
@@ -249,7 +249,7 @@ pub fn frozen_field_sweep(
 /// `omen-serve` daemon runs for `mode = frozen` jobs: each bias point is
 /// logged with its sequence number and handed to the observer for
 /// progress streaming. The source/drain extensions sit at zero potential
-/// at every gate point, so the curve's memo diagonalises the lead once and
+/// at every gate point, so the curve's table diagonalises the lead once and
 /// decimates each energy of the shared grid once.
 pub fn frozen_field_sweep_observed(
     tr: &NanoTransistor,
@@ -261,10 +261,10 @@ pub fn frozen_field_sweep_observed(
     observer: &mut dyn FnMut(PointProgress<'_>),
 ) -> Vec<IvPoint> {
     let biases = biases(v_gates, &[v_ds], mu_source);
-    bias_loop("frozen", &biases, observer, |bias, memo| {
+    bias_loop("frozen", &biases, observer, |bias, table| {
         let v_atoms = frozen_potential(tr, bias.v_gate);
         let gamma = [(0.0, 1.0)];
-        let r = ballistic_solve(tr, &v_atoms, bias, engine, n_energy, &gamma, memo);
+        let r = ballistic_solve(tr, &v_atoms, bias, engine, n_energy, &gamma, table);
         (r, 0, true)
     })
 }
@@ -273,7 +273,6 @@ pub fn frozen_field_sweep_observed(
 mod tests {
     use super::*;
     use crate::ballistic::cold;
-    use crate::contacts::ContactTable;
     use crate::spec::TransistorSpec;
     use omen_num::linspace;
     use omen_tb::Material;
@@ -477,6 +476,42 @@ mod tests {
             reused: n_energy,
         };
         assert_eq!(tallies, [first, later, later]);
+
+        // The daemon's k-grid request (a UTB film, 11 energies): its first
+        // point stalls at `max_iter` and ends on one more solve, so the
+        // second point starts by repeating that solve — same potential,
+        // same leads — and finds every k's grid in that k's slot. At
+        // n_k = 2 the second point reads 550 decimated / 22 reused.
+        let mut spec =
+            TransistorSpec::si_nanowire_nmos(Material::SingleBand { t_mev: 1000 }, 1.0, 6);
+        spec.geometry = crate::spec::Geometry::Utb { cells: 1, h: 1.0 };
+        spec.doping_sd = 2e-3;
+        for n_k in [1, 2] {
+            let opts = ScfOptions {
+                n_energy: 11,
+                n_k,
+                ..ScfOptions::default()
+            };
+            let mut tallies = Vec::new();
+            let pts =
+                gate_sweep_observed(&mut spec.build(), &[0.0, 0.1], 0.2, -3.2, &opts, &mut |p| {
+                    tallies.push(p.contacts)
+                });
+            assert!(!pts[0].converged, "{pts:?}");
+            let grid = n_k * opts.n_energy;
+            let pairs = |p: &IvPoint| (p.scf_iterations + usize::from(!p.converged)) * grid;
+            let want = [
+                ContactTally {
+                    decimated: pairs(&pts[0]),
+                    reused: 0,
+                },
+                ContactTally {
+                    decimated: pairs(&pts[1]) - grid,
+                    reused: grid,
+                },
+            ];
+            assert_eq!(tallies, want, "n_k = {n_k}: {pts:?}");
+        }
     }
 
     #[test]

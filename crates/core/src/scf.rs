@@ -9,7 +9,8 @@
 //! same device-simulation trick the original code relies on to converge
 //! I–V points in a handful of outer iterations.
 
-use crate::ballistic::{ballistic_solve, momentum_grid, BallisticResult, Engine, LeadMemo};
+use crate::ballistic::{ballistic_solve, momentum_grid, BallisticResult, Engine};
+use crate::contacts::ContactTable;
 use crate::spec::{Bias, NanoTransistor};
 
 /// SCF control parameters.
@@ -68,14 +69,14 @@ pub struct ScfResult {
 /// `v_init` warm-starts the potential (e.g. from the previous bias in a
 /// sweep); otherwise a linear Poisson solve on the doping charge alone
 /// seeds the loop. Every transport solve averages over
-/// [`momentum_grid`]`(tr, opts.n_k)` on the caller's `memo`, which a sweep
-/// keeps across its bias points.
+/// [`momentum_grid`]`(tr, opts.n_k)` on the caller's `table`, one slot
+/// per k, which a sweep keeps across its bias points.
 pub fn self_consistent(
     tr: &mut NanoTransistor,
     bias: &Bias,
     opts: &ScfOptions,
     v_init: Option<&[f64]>,
-    memo: &mut LeadMemo,
+    table: &mut ContactTable,
 ) -> ScfResult {
     // First log line of a run names the kernel dispatch (once per process),
     // so every convergence trace is attributable to a SIMD path.
@@ -105,7 +106,7 @@ pub fn self_consistent(
 
     let ks = momentum_grid(tr, opts.n_k);
     let mut solve = |tr: &NanoTransistor, v_atoms: &[f64]| {
-        ballistic_solve(tr, v_atoms, bias, opts.engine, opts.n_energy, &ks, memo)
+        ballistic_solve(tr, v_atoms, bias, opts.engine, opts.n_energy, &ks, table)
     };
 
     let mut last_transport: Option<BallisticResult> = None;
@@ -220,13 +221,13 @@ mod tests {
             TransistorSpec::si_nanowire_nmos(Material::SingleBand { t_mev: 1000 }, 1.0, 8);
         spec.doping_sd = 2e-3;
         let mut tr = spec.build();
-        let mut memo = LeadMemo::default();
+        let mut table = ContactTable::default();
         let bias = Bias {
             v_gate: 0.1,
             v_ds: 0.1,
             mu_source: -3.2,
         };
-        let r = self_consistent(&mut tr, &bias, &quick_opts(), None, &mut memo);
+        let r = self_consistent(&mut tr, &bias, &quick_opts(), None, &mut table);
         assert!(
             r.converged,
             "SCF stalled: residual {} after {}",
@@ -246,21 +247,21 @@ mod tests {
             TransistorSpec::si_nanowire_nmos(Material::SingleBand { t_mev: 1000 }, 1.0, 8);
         spec.doping_sd = 2e-3;
         let mut tr = spec.build();
-        let mut memo = LeadMemo::default();
+        let mut table = ContactTable::default();
         let bias1 = Bias {
             v_gate: 0.10,
             v_ds: 0.1,
             mu_source: -3.2,
         };
-        let r1 = self_consistent(&mut tr, &bias1, &quick_opts(), None, &mut memo);
+        let r1 = self_consistent(&mut tr, &bias1, &quick_opts(), None, &mut table);
         assert!(r1.converged);
         let bias2 = Bias {
             v_gate: 0.12,
             v_ds: 0.1,
             mu_source: -3.2,
         };
-        let warm = self_consistent(&mut tr, &bias2, &quick_opts(), Some(&r1.v_grid), &mut memo);
-        let cold = self_consistent(&mut tr, &bias2, &quick_opts(), None, &mut memo);
+        let warm = self_consistent(&mut tr, &bias2, &quick_opts(), Some(&r1.v_grid), &mut table);
+        let cold = self_consistent(&mut tr, &bias2, &quick_opts(), None, &mut table);
         assert!(warm.converged);
         assert!(
             warm.iterations <= cold.iterations + 1,
@@ -276,7 +277,7 @@ mod tests {
             TransistorSpec::si_nanowire_nmos(Material::SingleBand { t_mev: 1000 }, 1.0, 8);
         spec.doping_sd = 2e-3;
         let mut tr = spec.build();
-        let mut memo = LeadMemo::default();
+        let mut table = ContactTable::default();
         let opts = quick_opts();
         let off = Bias {
             v_gate: -0.4,
@@ -288,10 +289,10 @@ mod tests {
             v_ds: 0.2,
             mu_source: -3.2,
         };
-        let i_off = self_consistent(&mut tr, &off, &opts, None, &mut memo)
+        let i_off = self_consistent(&mut tr, &off, &opts, None, &mut table)
             .transport
             .current_ua;
-        let i_on = self_consistent(&mut tr, &on, &opts, None, &mut memo)
+        let i_on = self_consistent(&mut tr, &on, &opts, None, &mut table)
             .transport
             .current_ua;
         assert!(

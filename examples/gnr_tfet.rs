@@ -12,9 +12,9 @@
 //! source-valence/drain-conduction window — the band-to-band tunneling
 //! mechanism that lets TFETs beat the 60 mV/dec thermionic limit.
 
-use omen::core::ballistic::{ballistic_solve, Engine, LeadMemo};
+use omen::core::ballistic::{ballistic_solve, Engine};
 use omen::core::iv::{subthreshold_swing, IvPoint};
-use omen::core::{Bias, TransistorSpec};
+use omen::core::{Bias, ContactTable, TransistorSpec};
 use omen::num::linspace;
 use omen::tb::{bands, DeviceHamiltonian};
 
@@ -55,7 +55,7 @@ fn main() {
     let mut pts: Vec<IvPoint> = Vec::new();
     // The curve owns its leads: both extensions keep their potential at
     // every gate point.
-    let mut memo = LeadMemo::default();
+    let mut table = ContactTable::default();
     for &vg in &vgs {
         let v_atoms: Vec<f64> = tr
             .device
@@ -83,7 +83,7 @@ fn main() {
             Engine::WfThomas,
             81,
             &[(0.0, 1.0)],
-            &mut memo,
+            &mut table,
         );
         println!(
             "  {:+.3}    {:12.5e}     {:+.3}",

@@ -1,4 +1,4 @@
-//! Exact pins of the I–V paths a request runs: every current of three
+//! Exact pins of the I–V paths a request runs: every current of four
 //! curves as `to_bits`, with each point's SCF iteration count and the
 //! counts of its `SweepReport`. A refactor of the bias loop, the k-average
 //! or the contact table must leave every bit where it is; a change that
@@ -6,8 +6,8 @@
 //!
 //! The curves are the seed-0 `idvg-scf-wf` request (the README nanowire,
 //! self-consistent), the seed-0 `idvg-frozen-sp3s-rgf` request (the sp3s*
-//! wire, frozen field) and a two-k UTB SCF sweep (the k-average). The
-//! bits depend on the kernel dispatch path, so each path keeps its own
+//! wire, frozen field) and two two-k UTB SCF sweeps (the k-average), one
+//! stopping at `max_iter` and one converging. The bits depend on the kernel dispatch path, so each path keeps its own
 //! set; the 256- and 512-bit SIMD kernels give the same bits.
 
 use omen::core::iv::{frozen_field_sweep_observed, gate_sweep_observed, PointProgress};
@@ -32,6 +32,11 @@ const FROZEN_SP3S: &str = "material = si_sp3s\ngeometry = nanowire\nwidth = 0.8\
 /// A two-k UTB SCF sweep: the k-average under the SCF loop.
 const UTB_K2: &str = "geometry = utb\nmode = scf\nslabs = 6\nn_energy = 11\nn_k = 2\n\
     vg_points = 2\nvg_start = 0.0\nvg_stop = 0.1\nmu_source = -3.2\n";
+
+/// The same film swept where the loop converges, so the k-average's
+/// accepted-transport path is pinned too.
+const UTB_K2_CONVERGING: &str = "geometry = utb\nmode = scf\nslabs = 6\nn_energy = 11\nn_k = 2\n\
+    vg_points = 2\nvg_start = -0.2\nvg_stop = -0.1\nmu_source = -3.2\n";
 
 /// Runs `text` the way the daemon's executor does and returns its pins.
 fn curve(text: &str) -> Vec<Pin> {
@@ -113,5 +118,18 @@ fn two_k_utb_scf_sweep_keeps_its_bits() {
         UTB_K2,
         &[(0x4016ec3fbd56d084, 25, r), (0x4018dd414b881d68, 25, r)],
         &[(0x4016ec3fbd56d051, 25, r), (0x4018dd414b881d81, 25, r)],
+    );
+}
+
+#[test]
+fn converging_two_k_utb_scf_sweep_keeps_its_bits() {
+    // Both points meet `tol_v` (17 and 8 iterations): the final transport
+    // is the last iteration's accepted k-average, not a repeat solve.
+    let r = [22, 0, 0, 0];
+    check(
+        "converging two-k UTB SCF sweep",
+        UTB_K2_CONVERGING,
+        &[(0x400967eb1992a67b, 17, r), (0x4011a2fd2a02ff8f, 8, r)],
+        &[(0x400967eb19929d65, 17, r), (0x4011a2fd2a02ffd3, 8, r)],
     );
 }

@@ -161,7 +161,7 @@ fn frozen_and_scf_agree_in_the_far_on_state() {
         },
         &quick_opts(),
         None,
-        &mut omen::core::LeadMemo::default(),
+        &mut omen::core::ContactTable::default(),
     )
     .transport
     .current_ua;

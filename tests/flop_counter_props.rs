@@ -2,9 +2,9 @@
 //! approximate — for GEMM and LU at every thread count, the booked counts
 //! of the Hermitian eigensolver and of the explicit inverse follow an
 //! independent tally of their algorithms, a frozen sweep's later gate
-//! points cost exactly their engine solves (contacts, failures included,
-//! come from the sweep's contact table), and concurrent reporting from
-//! many threads loses nothing.
+//! points and a repeated solve cost exactly their engine solves (bands
+//! and contacts, failures included, come from the curve's contact table),
+//! and concurrent reporting from many threads loses nothing.
 //!
 //! The counter backs the paper-reproduction harness (tab2/fig7 derive
 //! sustained-performance numbers from measured counts), so "roughly right"
@@ -420,13 +420,47 @@ fn wf_energy_point_is_the_point_less_its_contacts() {
     assert_eq!(scope.take(), point - contacts);
 }
 
+/// The flops of one grid of engine points per momentum of
+/// `ballistic_solve(tr, v_atoms, .., ks)`: each k's device and leads as the
+/// solve builds them, its grid from a cold one-k solve, and its contacts
+/// computed outside the count.
+fn engine_points_flops(
+    tr: &omen::core::NanoTransistor,
+    v_atoms: &[f64],
+    bias: &omen::core::Bias,
+    n_energy: usize,
+    ks: &[(f64, f64)],
+) -> u64 {
+    use omen::core::parallel::frozen_system;
+    use omen::core::{ballistic_solve, engine_point, ContactTable, Engine};
+    use omen::negf::contacts::local_contacts;
+    use omen::negf::transport::DEFAULT_ETA;
+    let drain = tr.slab_mean_potential(v_atoms, tr.device.num_slabs - 1);
+    let mut engine = 0;
+    for &(ky, _) in ks {
+        let mut cold = ContactTable::default();
+        let one_k = [(ky, 1.0)];
+        let grid =
+            ballistic_solve(tr, v_atoms, bias, Engine::Rgf, n_energy, &one_k, &mut cold).energies;
+        assert_eq!(grid.len(), n_energy);
+        let (h, h00, h01) = frozen_system(tr, v_atoms, ky);
+        let (d00, d01) = tr.hamiltonian().lead_blocks(-drain, ky);
+        for e in grid {
+            let (sl, sr) =
+                local_contacts(e, DEFAULT_ETA, (&h00, &h01), (&d00, &d01)).expect("contacts");
+            let scope = FlopScope::new();
+            engine_point(e, &h, &sl, &sr, Engine::Rgf).expect("RGF point");
+            engine += scope.take();
+        }
+    }
+    engine
+}
+
 #[test]
 fn a_frozen_gate_point_costs_one_grid_of_engine_points() {
     use omen::core::iv::{frozen_field_sweep, frozen_potential};
-    use omen::core::parallel::frozen_system;
-    use omen::core::{ballistic_solve, engine_point, Bias, Engine, LeadMemo, TransistorSpec};
-    use omen::negf::contacts::local_contacts;
-    use omen::negf::transport::DEFAULT_ETA;
+    use omen::core::{ballistic_solve, momentum_grid, Bias, ContactTable, Engine, Geometry};
+    use omen::core::{NanoTransistor, TransistorSpec};
     use omen::tb::Material;
     let _guard = COUNTER_LOCK.lock().unwrap();
     // The README wire: a gate point after the first finds its lead bands
@@ -442,37 +476,46 @@ fn a_frozen_gate_point_costs_one_grid_of_engine_points() {
         scope.take()
     };
     let last = sweep(&vgs) - sweep(&vgs[..2]);
-
-    let v_gate = vgs[2];
-    let v_atoms = frozen_potential(&tr, v_gate);
-    let bias = Bias {
+    let bias = |v_gate| Bias {
         v_gate,
         v_ds,
         mu_source,
     };
-    let mut memo = LeadMemo::default();
     let gamma = [(0.0, 1.0)];
-    let grid = ballistic_solve(
-        &tr,
-        &v_atoms,
-        &bias,
-        Engine::Rgf,
-        n_energy,
-        &gamma,
-        &mut memo,
-    )
-    .energies;
-    assert_eq!(grid.len(), n_energy);
-    let (h, h00, h01) = frozen_system(&tr, &v_atoms, 0.0);
-    let lead = (&h00, &h01);
-    let mut engine = 0;
-    for e in grid {
-        let (sl, sr) = local_contacts(e, DEFAULT_ETA, lead, lead).expect("contacts");
-        let scope = FlopScope::new();
-        engine_point(e, &h, &sl, &sr, Engine::Rgf).expect("RGF point");
-        engine += scope.take();
-    }
+    let at_last_gate = frozen_potential(&tr, vgs[2]);
+    let engine = engine_points_flops(&tr, &at_last_gate, &bias(vgs[2]), n_energy, &gamma);
     assert_eq!(last, engine);
+
+    // A solve repeated at one potential on the curve's table costs its
+    // engine points alone, in the two shapes where one remembered lead per
+    // table is not enough: (a) unequal leads, here the drain extension at
+    // the drain's potential, whose two leads' bands are both kept; (b) two
+    // momenta on a UTB film, each on its own slot.
+    let repeat = |tr: &NanoTransistor, v_atoms: &[f64], bias: &Bias, ks: &[(f64, f64)]| {
+        let mut table = ContactTable::default();
+        ballistic_solve(tr, v_atoms, bias, Engine::Rgf, n_energy, ks, &mut table);
+        let scope = FlopScope::new();
+        ballistic_solve(tr, v_atoms, bias, Engine::Rgf, n_energy, ks, &mut table);
+        let flops = scope.take();
+        assert_eq!(table.take_tally().reused, ks.len() * n_energy);
+        flops
+    };
+    let drain = tr.spec.num_slabs - tr.spec.drain_slabs;
+    let biased: Vec<f64> = (tr.device.atoms.iter().zip(frozen_potential(&tr, 0.05)))
+        .map(|(a, v)| if a.slab >= drain { v_ds } else { v })
+        .collect();
+    let want = engine_points_flops(&tr, &biased, &bias(0.05), n_energy, &gamma);
+    assert_eq!(
+        repeat(&tr, &biased, &bias(0.05), &gamma),
+        want,
+        "unequal leads"
+    );
+
+    spec.geometry = Geometry::Utb { cells: 1, h: 1.0 };
+    let film = spec.build();
+    let (flat, ks) = (vec![0.0; film.device.num_atoms()], momentum_grid(&film, 2));
+    let want = engine_points_flops(&film, &flat, &bias(0.0), n_energy, &ks);
+    assert_eq!(repeat(&film, &flat, &bias(0.0), &ks), want, "two momenta");
 }
 
 /// A 1 × 1 chain lead (hopping −1) widened by decoupled trap orbitals at

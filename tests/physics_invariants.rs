@@ -451,9 +451,16 @@ fn selinv_zero_bias_carries_no_current() {
         v_ds: 0.0,
         mu_source: -3.1,
     };
-    let mut memo = omen::core::LeadMemo::default();
-    let r =
-        omen::core::ballistic_solve(&tr, &v, &bias, Engine::SelInv, 25, &[(0.0, 1.0)], &mut memo);
+    let mut table = omen::core::ContactTable::default();
+    let r = omen::core::ballistic_solve(
+        &tr,
+        &v,
+        &bias,
+        Engine::SelInv,
+        25,
+        &[(0.0, 1.0)],
+        &mut table,
+    );
     assert!(
         r.report.failed.is_empty(),
         "zero-bias sweep must solve cleanly"
