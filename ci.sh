@@ -46,7 +46,8 @@ cargo clippy --workspace --lib -- -D warnings -D clippy::float_cmp -D clippy::pr
 # reduction — blocks past the GEMM depth tile, ragged blocks, more ranks
 # than blocks; RGF's face-only point bit-identical to its full blocks),
 # the omen-core unit suite (the contact fill's and the sweep's energy
-# points' width batteries: the same bits at 1, 2 and 3 threads),
+# points' width batteries: the same bits at 1, 2 and 3 threads, and a
+# budget of two cores fans both out with no OMEN_* set),
 # the exact flop counts (the pair's, the recursion's and the WF point's
 # counts must not depend on the dispatch path; a frozen sweep's gate point
 # after the first costs exactly one grid of engine solves, its contacts —
@@ -59,8 +60,8 @@ cargo clippy --workspace --lib -- -D warnings -D clippy::float_cmp -D clippy::pr
 # path), and the kernel bench smoke
 # each run once per leg —
 # tiny sizes, one sample, exercising the tiled GEMM, the blocked LU and
-# its blocked solve / inverse at 1/2/4 threads (gemm, lu, trsm, inverse
-# and selinv records, all required per leg by bench-gate --smoke) plus
+# its blocked solve / inverse (gemm, lu, trsm, inverse and selinv
+# records, all required per leg by bench-gate --smoke) plus
 # the BENCH_kernels.json emitter and parser
 # round-trip, then tab2_flops on its smallest device (contacts_point,
 # required per leg too, beside the RGF and WF energy-point records),
@@ -212,6 +213,25 @@ for f in $(grep -rl --include='*.rs' 'available_parallelism' crates src examples
         exit 1
     fi
 done
+
+# One thread policy: the core budget. The dense kernels run on the calling
+# thread; threads are the parallel levels above them (ranks, daemon
+# workers, and crates/linalg/src/threads.rs `fan_out` over contacts and
+# energy points). The GEMM's row split over scoped threads fired on no
+# shipped product, and its knob, OMEN_THREADS, cost the default
+# environment 1.6x on the SCF request (EXPERIMENTS.md "One thread
+# policy"). A second kernel-level thread path, or a reader of that
+# variable, arrives as a reviewed decision. Comment lines are skipped.
+for f in crates/linalg/src/*.rs; do
+    if sed -e '/#\[cfg(test)\]/,$d' -e '/^pub fn fan_out</,/^}/d' "$f" | grep -vE '^\s*//' | grep -nE 'thread::(scope|spawn|Builder)'; then
+        echo "ci: $f starts threads outside threads::fan_out; the dense kernels run on the calling thread"
+        exit 1
+    fi
+done
+if grep -rnI 'OMEN_THREADS' crates src tests examples; then
+    echo "ci: OMEN_THREADS is read by nothing; the core budget (omen_linalg::threads::budget) is the one thread policy"
+    exit 1
+fi
 
 # A scheduled unit has one holder at a time and is handed out again only
 # when that holder is declared dead. Straggler speculation, the heartbeat

@@ -5,7 +5,7 @@
 //! warm-up pass, then is sampled repeatedly with `std::time::Instant`; the
 //! median and minimum per-iteration times are reported, and the dense
 //! kernel measurements (GEMM and the LU family — factor, multi-RHS solve,
-//! inverse — across sizes and thread counts, plus the n = 8 and 16
+//! inverse — across sizes on the calling thread, plus the n = 8 and 16
 //! blocks as the `*_small` kernels) are merged
 //! into the repo-root `BENCH_kernels.json` baseline (schema:
 //! `omen_bench::records`). Run with `cargo bench -p omen-bench`.
@@ -13,14 +13,14 @@
 //! `--smoke` runs tiny sizes with a single sample and publishes to the
 //! ledger's smoke twin under `target/` instead (`records::publish`),
 //! round-tripping it through the parser — the CI gate uses this to
-//! exercise the parallel kernels and the emitter on every run without
+//! exercise the kernels and the emitter on every run without
 //! touching the committed baseline.
 
 use omen_bench::records::{publish, KernelRecord};
 use omen_bench::sample_secs;
 use omen_core::{solve_point, Engine};
 use omen_lattice::{Crystal, Device};
-use omen_linalg::{eigh, eigh_values, flops, gemm_threaded, lu::Lu, threads, Op, ZMat};
+use omen_linalg::{eigh, eigh_values, flops, gemm, lu::Lu, threads, Op, ZMat};
 use omen_num::{c64, A_SI};
 use omen_tb::{DeviceHamiltonian, Material, TbParams};
 
@@ -62,22 +62,6 @@ fn plan(n: usize, smoke: bool) -> (usize, f64) {
     }
 }
 
-/// Thread counts measured for one size: the baseline trajectory pins 1, 2
-/// and 4 threads at the flagship size so speedup is read straight from the
-/// JSON, plus the machine's configured width when it differs.
-fn thread_counts(n: usize, flagship: usize) -> Vec<usize> {
-    let mut ts = vec![1usize];
-    if n >= flagship {
-        ts.extend([2, 4]);
-        let conf = threads::configured_threads();
-        if !ts.contains(&conf) {
-            ts.push(conf);
-        }
-        ts.sort_unstable();
-    }
-    ts
-}
-
 /// True when this process dispatches the AVX2+FMA microkernel — stamped
 /// into every record so scalar and SIMD measurements stay separate rows.
 fn simd_flag() -> bool {
@@ -85,11 +69,12 @@ fn simd_flag() -> bool {
 }
 
 /// Prints one timing and appends its ledger record; `work` is the counted
-/// flops of one call.
+/// flops of one call. Every kernel runs on the calling thread, so every
+/// record says `threads: 1`.
 fn record(
     out: &mut Vec<KernelRecord>,
     (kernel, label): (&str, &str),
-    (n, threads): (usize, usize),
+    n: usize,
     work: u64,
     (median, min): (f64, f64),
 ) {
@@ -97,7 +82,7 @@ fn record(
     out.push(KernelRecord {
         kernel: kernel.into(),
         n,
-        threads,
+        threads: 1,
         simd: simd_flag(),
         median_s: median,
         min_s: min,
@@ -105,24 +90,17 @@ fn record(
     });
 }
 
-fn bench_gemm(sizes: &[usize], flagship: usize, smoke: bool, out: &mut Vec<KernelRecord>) {
+fn bench_gemm(sizes: &[usize], smoke: bool, out: &mut Vec<KernelRecord>) {
     for &n in sizes {
         let a = randmat(n, 1);
         let b = randmat(n, 2);
         let mut c = ZMat::zeros(n, n);
         let (samples, target) = plan(n, smoke);
-        for t in thread_counts(n, flagship) {
-            let timing = sample_secs(samples, target, || {
-                gemm_threaded(c64::ONE, &a, Op::N, &b, Op::N, c64::ZERO, &mut c, t);
-            });
-            record(
-                out,
-                ("gemm", "zgemm"),
-                (n, t),
-                flops::gemm_flops(n, n, n),
-                timing,
-            );
-        }
+        let timing = sample_secs(samples, target, || {
+            gemm(c64::ONE, &a, Op::N, &b, Op::N, c64::ZERO, &mut c);
+        });
+        let work = flops::gemm_flops(n, n, n);
+        record(out, ("gemm", &format!("zgemm/{n}")), n, work, timing);
     }
 }
 
@@ -130,7 +108,7 @@ fn bench_gemm(sizes: &[usize], flagship: usize, smoke: bool, out: &mut Vec<Kerne
 /// triangular solve with `n` right-hand sides (`trsm`) and the explicit
 /// inverse (`inverse`) — the three calls a contact decimation, a Thomas
 /// elimination and an RGF slab make per block.
-fn bench_lu(sizes: &[usize], flagship: usize, smoke: bool, out: &mut Vec<KernelRecord>) {
+fn bench_lu(sizes: &[usize], smoke: bool, out: &mut Vec<KernelRecord>) {
     for &n in sizes {
         let mut a = randmat(n, 3);
         for i in 0..n {
@@ -139,42 +117,17 @@ fn bench_lu(sizes: &[usize], flagship: usize, smoke: bool, out: &mut Vec<KernelR
         let b = randmat(n, 4);
         let f = Lu::factor(&a).expect("bench matrix is diagonally dominant");
         let (samples, target) = plan(n, smoke);
-        // The trailing and off-diagonal updates pick their width from the
-        // ambient policy, so pin it through OMEN_THREADS for the measurement.
-        let saved = std::env::var(threads::THREADS_ENV).ok();
-        for t in thread_counts(n, flagship) {
-            std::env::set_var(threads::THREADS_ENV, t.to_string());
-            let timing = sample_secs(samples, target, || {
-                Lu::factor(&a).expect("bench matrix is diagonally dominant")
-            });
-            record(
-                out,
-                ("lu", &format!("zgetrf/{n}/t{t}")),
-                (n, t),
-                flops::lu_flops(n),
-                timing,
-            );
-            let timing = sample_secs(samples, target, || f.solve_mat(&b));
-            record(
-                out,
-                ("trsm", &format!("zgetrs/{n}/t{t}")),
-                (n, t),
-                flops::trsm_flops(n, n),
-                timing,
-            );
-            let timing = sample_secs(samples, target, || f.inverse());
-            record(
-                out,
-                ("inverse", &format!("zgetri/{n}/t{t}")),
-                (n, t),
-                flops::inverse_flops(n),
-                timing,
-            );
-        }
-        match saved {
-            Some(v) => std::env::set_var(threads::THREADS_ENV, v),
-            None => std::env::remove_var(threads::THREADS_ENV),
-        }
+        let timing = sample_secs(samples, target, || {
+            Lu::factor(&a).expect("bench matrix is diagonally dominant")
+        });
+        let work = flops::lu_flops(n);
+        record(out, ("lu", &format!("zgetrf/{n}")), n, work, timing);
+        let timing = sample_secs(samples, target, || f.solve_mat(&b));
+        let work = flops::trsm_flops(n, n);
+        record(out, ("trsm", &format!("zgetrs/{n}")), n, work, timing);
+        let timing = sample_secs(samples, target, || f.inverse());
+        let work = flops::inverse_flops(n);
+        record(out, ("inverse", &format!("zgetri/{n}")), n, work, timing);
     }
 }
 
@@ -183,7 +136,7 @@ fn bench_lu(sizes: &[usize], flagship: usize, smoke: bool, out: &mut Vec<KernelR
 /// A 4 × 8 microkernel block on such operands is mostly ragged edge and
 /// call overhead, so the rows carry kernels of their own (`gemm_small`,
 /// `lu_small`, `inverse_small`) with their own floors, instead of pulling
-/// the n ≥ 32 groups' floors down. Every size here runs on one thread.
+/// the n ≥ 32 groups' floors down.
 fn bench_small(out: &mut Vec<KernelRecord>) {
     for n in [8usize, 16] {
         let a = randmat(n, 1);
@@ -191,11 +144,11 @@ fn bench_small(out: &mut Vec<KernelRecord>) {
         let mut c = ZMat::zeros(n, n);
         let (samples, target) = plan(n, false);
         let timing = sample_secs(samples, target, || {
-            gemm_threaded(c64::ONE, &a, Op::N, &b, Op::N, c64::ZERO, &mut c, 1);
+            gemm(c64::ONE, &a, Op::N, &b, Op::N, c64::ZERO, &mut c);
         });
         let label = format!("zgemm/{n}");
         let work = flops::gemm_flops(n, n, n);
-        record(out, ("gemm_small", &label), (n, 1), work, timing);
+        record(out, ("gemm_small", &label), n, work, timing);
         let mut d = randmat(n, 3);
         for i in 0..n {
             d[(i, i)] += c64::real(n as f64);
@@ -203,18 +156,12 @@ fn bench_small(out: &mut Vec<KernelRecord>) {
         let factor = || Lu::factor(&d).expect("bench matrix is diagonally dominant");
         let timing = sample_secs(samples, target, factor);
         let label = format!("zgetrf/{n}");
-        record(
-            out,
-            ("lu_small", &label),
-            (n, 1),
-            flops::lu_flops(n),
-            timing,
-        );
+        record(out, ("lu_small", &label), n, flops::lu_flops(n), timing);
         let f = factor();
         let timing = sample_secs(samples, target, || f.inverse());
         let label = format!("zgetri/{n}");
         let work = flops::inverse_flops(n);
-        record(out, ("inverse_small", &label), (n, 1), work, timing);
+        record(out, ("inverse_small", &label), n, work, timing);
     }
 }
 
@@ -253,7 +200,7 @@ fn bench_selinv(smoke: bool, out: &mut Vec<KernelRecord>) {
     record(
         out,
         ("selinv", &format!("selinv/{nb}x{bs}")),
-        (nb * bs, 1),
+        nb * bs,
         work,
         timing,
     );
@@ -311,29 +258,28 @@ fn main() {
     // every printed number and JSON record is attributable to a path.
     omen_core::log::emit_kernel_dispatch();
     println!(
-        "omen-bench kernels ({}, {} host threads, {})",
+        "omen-bench kernels ({}, {})",
         if smoke {
             "smoke: tiny sizes, 1 sample"
         } else {
             "median/min over samples"
         },
-        threads::configured_threads(),
         threads::dispatch_summary()
     );
 
     let mut records = Vec::new();
     if smoke {
         // Tiny but structurally honest: 60 > the LU panel width, so the
-        // blocked path and its threaded trailing GEMM both run.
-        bench_gemm(&[24, 40], 40, true, &mut records);
-        bench_lu(&[24, 60], 60, true, &mut records);
+        // blocked path and its trailing GEMM both run.
+        bench_gemm(&[24, 40], true, &mut records);
+        bench_lu(&[24, 60], true, &mut records);
         bench_selinv(true, &mut records);
     } else {
         // 32 and 90 are the block sizes the benchmark workloads run
         // (single-band 1 nm wire, sp3s* 0.8 nm wire).
         bench_small(&mut records);
-        bench_gemm(&[32, 64, 90, 128, 256, 512], 512, false, &mut records);
-        bench_lu(&[32, 64, 90, 128, 256, 512], 512, false, &mut records);
+        bench_gemm(&[32, 64, 90, 128, 256, 512], false, &mut records);
+        bench_lu(&[32, 64, 90, 128, 256, 512], false, &mut records);
         bench_selinv(false, &mut records);
         bench_eigh();
         bench_transport();

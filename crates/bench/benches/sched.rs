@@ -49,7 +49,6 @@ use omen_core::parallel::{
     TransmissionSweep,
 };
 use omen_core::{Geometry, NanoTransistor, TransistorSpec};
-use omen_linalg::threads::THREADS_ENV;
 use omen_parsim::{run_ranks, Comm};
 use omen_sched::{dynamic_sweep, imbalance_ratio, CostModel, ModelBank, SchedOptions, SchedStats};
 use omen_tb::Material;
@@ -338,9 +337,6 @@ fn bench_utb(smoke: bool, records: &mut Vec<SchedRecord>) {
         w.energies.len(),
         w.units(),
     );
-    // One kernel thread per rank, as a multi-rank deployment runs.
-    let saved = std::env::var(THREADS_ENV).ok();
-    std::env::set_var(THREADS_ENV, "1");
     let dynamic = Schedule::Dynamic(SchedOptions::default());
     let (mut wall_s, mut wall_d) = (f64::INFINITY, f64::INFINITY);
     let mut sched = SchedStats::default();
@@ -363,10 +359,6 @@ fn bench_utb(smoke: bool, records: &mut Vec<SchedRecord>) {
                 sched.absorb(s);
             }
         }
-    }
-    match saved {
-        Some(v) => std::env::set_var(THREADS_ENV, v),
-        None => std::env::remove_var(THREADS_ENV),
     }
     // The static split's balance is its k-point count per rank: units
     // cost alike, and what a rank waits for inside the reduction cannot

@@ -16,7 +16,7 @@
 //! {
 //!   "schema": "omen-bench-kernels-v1",
 //!   "records": [
-//!     {"kernel": "gemm", "n": 512, "threads": 4, "simd": true,
+//!     {"kernel": "gemm", "n": 512, "threads": 1, "simd": true,
 //!      "median_s": 1.234560e0, "min_s": 1.200000e0, "gflops": 0.870}
 //!   ]
 //! }

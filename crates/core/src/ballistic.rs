@@ -540,6 +540,17 @@ mod tests {
                 }
             }
         }
+        // The default environment fans out: a budget of two fills the
+        // three energies' contacts on two threads and solves the three
+        // points on two, one worker each.
+        let before = fan_out_spawned();
+        with_budget(2, || {
+            let mut table = ContactTable::default();
+            let energies = linspace(-3.45, -2.65, 3);
+            let lead = (&w0, &w1);
+            solve_sweep(&energies, &wire, lead, lead, Engine::Rgf, &mut table)
+        });
+        assert_eq!(fan_out_spawned() - before, 2, "fill and points on budget 2");
         // The chain's singular point is isolated, not the sweep failed.
         let mut table = ContactTable::default();
         let (_, _, report) = sweep_on(

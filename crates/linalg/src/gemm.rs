@@ -1,5 +1,4 @@
-//! Tiled, multi-threaded complex GEMM with a register-blocked
-//! microkernel.
+//! Tiled complex GEMM with a register-blocked microkernel.
 //!
 //! `gemm` computes `C ← α·op(A)·op(B) + β·C` where each operand op is
 //! none, transpose, or conjugate-transpose. The driver walks `MR×NR`
@@ -28,7 +27,7 @@
 //! give the same bits: every C entry gets the same products, `p`
 //! ascending inside a k-block, in the same split accumulators starting
 //! from +0, and one add into C per k-block. Which one runs is a
-//! performance decision only, like the thread count.
+//! performance decision only.
 //!
 //! ## Dispatch
 //!
@@ -39,21 +38,16 @@
 //! (`threads::lanes`, by feature detection alone: both widths give the
 //! same bits). All take one `Block` and add into C themselves.
 //!
-//! ## Parallelism and determinism
+//! ## Determinism
 //!
-//! Stripes are distributed over `std::thread::scope` workers, each owning
-//! a disjoint contiguous row range of C **split at multiples of `MR`**, so
-//! a row's microkernel row-panel — and with it every rounding step of its
-//! k-accumulation (k-blocks ascending, entries ascending inside a block,
-//! one register accumulation per block) — is independent of the thread
-//! count. For a fixed dispatch path the parallel result is therefore
-//! **bit-identical** to the serial one. Across dispatch paths results
-//! agree only to rounding: FMA and split accumulators legitimately change
-//! the rounding sequence (DESIGN.md §10), so cross-path agreement is an
-//! oracle-tolerance contract, never bit equality. The thread count comes
-//! from [`crate::threads`] (`OMEN_THREADS`, default: available
-//! parallelism, serial below [`crate::threads::PAR_MIN_WORK`]);
-//! `gemm_threaded` pins it explicitly.
+//! The product runs on the calling thread (the parallel levels are above
+//! the kernels, `crate::threads`), so for a fixed dispatch path every
+//! output element's rounding sequence — k-blocks ascending, entries
+//! ascending inside a block, one register accumulation per block — is
+//! fixed by the shapes alone. Across dispatch paths results agree only to
+//! rounding: FMA and split accumulators legitimately change the rounding
+//! sequence (DESIGN.md §10), so cross-path agreement is an
+//! oracle-tolerance contract, never bit equality.
 
 use crate::flops;
 use crate::matrix::ZMat;
@@ -95,12 +89,11 @@ pub(crate) const MR: usize = 4;
 pub(crate) const NR: usize = 4;
 
 /// Smallest `m` and `n` at which an untransposed op(B) is packed. One
-/// process alternated the two drivers on `gemm_threaded` (β = 1, one
-/// thread unless noted, 512-bit lanes, median of 31 pairs; EXPERIMENTS.md
-/// "No-pack products"): in place over packed read 0.60 / 0.65 / 0.79 /
-/// 0.87 / 0.90 at n = 8 / 16 / 32 / 90 / 128, a tie at 256 (0.99–1.03)
-/// and 384 (1.02), and 1.07–1.13 at 512, where a k-block of B rows 8 KiB
-/// apart no longer streams. A transposed B is packed at every size: it
+/// process alternated the two drivers on `gemm` (β = 1, 512-bit lanes,
+/// median of 31 pairs; EXPERIMENTS.md "No-pack products"): in place over
+/// packed read 0.60 / 0.65 / 0.79 / 0.87 / 0.90 at n = 8 / 16 / 32 / 90 /
+/// 128, a tie at 256 (0.99–1.03) and 384 (1.02), and 1.07–1.13 at 512,
+/// where a k-block of B rows 8 KiB apart no longer streams. A transposed B is packed at every size: it
 /// is copied either way, and a row-major copy read in place took
 /// 0.93–1.22× the time of the copy into panels.
 const PACK_MIN_MN: usize = 512;
@@ -303,25 +296,19 @@ enum BSource<'a> {
     Packed(&'a [c64]),
 }
 
-/// Runs the stripe kernel over rows `row0..row0 + nrows` of C, whose
-/// storage is the disjoint slice `cdata` (row-major, width `n`). `a` is
-/// α·op(A), row-major `m×k`. `row0` is always a multiple of `MR` (the
-/// thread split guarantees it), so row-panel membership — and with it
-/// every element's rounding sequence — is thread-count invariant.
-#[allow(clippy::too_many_arguments)]
+/// Runs the stripe kernel over the `nrows` rows of C, whose storage is
+/// `cdata` (row-major, width `n`). `a` is α·op(A), row-major `nrows×k`.
 fn stripe_kernel(
     cdata: &mut [c64],
-    row0: usize,
     nrows: usize,
     a: &[c64],
     b: BSource,
-    k: usize,
-    n: usize,
+    (k, n): (usize, usize),
     lanes: Lanes,
 ) {
     let npanels = n.div_ceil(NR);
     let padded_n = npanels * NR;
-    let a_row = |r: usize, kk: usize, kc: usize| &a[(row0 + r) * k + kk..][..kc];
+    let a_row = |r: usize, kk: usize, kc: usize| &a[r * k + kk..][..kc];
     for s0 in (0..nrows).step_by(MC) {
         let s_hi = (s0 + MC).min(nrows);
         for kk in (0..k).step_by(KC) {
@@ -373,7 +360,7 @@ fn stripe_kernel(
     }
 }
 
-/// Shared core: beta scaling, operand preparation, stripe fan-out, on
+/// Shared core: beta scaling, operand preparation and the stripes, on
 /// the kernels `lanes`. Counts no flops — the public entry points (and
 /// the blocked LU, which accounts its trailing updates inside
 /// `lu_flops`) decide what to report.
@@ -387,10 +374,9 @@ pub(crate) fn gemm_core(
     opb: Op,
     beta: c64,
     c: &mut ZMat,
-    threads: usize,
 ) {
     let packed = packs(c.nrows(), c.ncols(), opb);
-    gemm_driver((lanes, packed), alpha, (a, opa), (b, opb), beta, c, threads);
+    gemm_driver((lanes, packed), alpha, (a, opa), (b, opb), beta, c);
 }
 
 /// [`gemm_core`] with the B operand's treatment chosen by the caller:
@@ -402,7 +388,6 @@ pub(crate) fn gemm_driver(
     (b, opb): (&ZMat, Op),
     beta: c64,
     c: &mut ZMat,
-    threads: usize,
 ) {
     let (m, ka) = opa.dims(a);
     let (kb, n) = opb.dims(b);
@@ -420,8 +405,6 @@ pub(crate) fn gemm_driver(
         return;
     }
 
-    let blocks = m.div_ceil(MR);
-    let t = threads.clamp(1, blocks);
     SCRATCH.with_borrow_mut(|scratch| {
         let Scratch { a: abuf, b: bbuf } = scratch;
         let a_eff: &[c64] = if opa == Op::N && alpha == c64::ONE {
@@ -438,53 +421,26 @@ pub(crate) fn gemm_driver(
         } else {
             BSource::InPlace(b.data())
         };
-        if t == 1 {
-            stripe_kernel(c.data_mut(), 0, m, a_eff, b_src, k, n, lanes);
-            return;
-        }
-
-        // Contiguous row chunks, one per worker, split at multiples of MR
-        // so every row keeps its microkernel row-panel regardless of the
-        // thread count (see module docs); balanced to ±MR rows.
-        let base = blocks / t;
-        let rem = blocks % t;
-        std::thread::scope(|scope| {
-            let mut rest = c.data_mut();
-            let mut row0 = 0usize;
-            for ti in 0..t {
-                let nblocks = base + usize::from(ti < rem);
-                let rows = (nblocks * MR).min(m - row0);
-                let (chunk, tail) = rest.split_at_mut(rows * n);
-                rest = tail;
-                let start = row0;
-                scope.spawn(move || stripe_kernel(chunk, start, rows, a_eff, b_src, k, n, lanes));
-                row0 += rows;
-            }
-        });
+        stripe_kernel(c.data_mut(), m, a_eff, b_src, (k, n), lanes);
     });
 }
 
-/// General matrix multiply-accumulate `C ← α·op(A)·op(B) + β·C`, run with
-/// the automatic thread policy of [`crate::threads`] (`OMEN_THREADS`,
-/// default available parallelism, serial fallback for small problems) and
-/// the microkernel selected by [`crate::threads::simd_path`] (`OMEN_SIMD`).
-///
-/// Panics on dimension mismatch or invalid `OMEN_THREADS`/`OMEN_SIMD`.
-/// Reports `8·m·n·k` real flops.
-pub fn gemm(alpha: c64, a: &ZMat, opa: Op, b: &ZMat, opb: Op, beta: c64, c: &mut ZMat) {
-    let (m, k) = opa.dims(a);
-    let (_, n) = opb.dims(b);
-    let work = m as u64 * n as u64 * k as u64;
-    gemm_threaded(alpha, a, opa, b, opb, beta, c, threads::auto_threads(work));
-}
-
-/// [`gemm`] with an explicitly pinned thread count (`threads ≥ 1`; clamped
-/// to the row-panel count). For a fixed dispatch path the output is
-/// bit-identical for every `threads` value — the conformance battery
-/// relies on this to compare serial and parallel runs exactly.
+/// General matrix multiply-accumulate `C ← α·op(A)·op(B) + β·C` on the
+/// calling thread, with the microkernel selected by
+/// [`crate::threads::simd_path`] (`OMEN_SIMD`).
 ///
 /// Panics on dimension mismatch or invalid `OMEN_SIMD`. Reports `8·m·n·k`
 /// real flops.
+pub fn gemm(alpha: c64, a: &ZMat, opa: Op, b: &ZMat, opb: Op, beta: c64, c: &mut ZMat) {
+    let (m, k) = opa.dims(a);
+    let (_, n) = opb.dims(b);
+    flops::add_flops(flops::gemm_flops(m, n, k));
+    gemm_core(threads::lanes(), alpha, a, opa, b, opb, beta, c);
+}
+
+/// [`gemm`]. `_threads` is unused (every product runs on the calling
+/// thread); the function stays because the `benchmark/` kernel probes call
+/// this signature.
 #[allow(clippy::too_many_arguments)]
 pub fn gemm_threaded(
     alpha: c64,
@@ -494,12 +450,9 @@ pub fn gemm_threaded(
     opb: Op,
     beta: c64,
     c: &mut ZMat,
-    threads: usize,
+    _threads: usize,
 ) {
-    let (m, k) = opa.dims(a);
-    let (_, n) = opb.dims(b);
-    flops::add_flops(flops::gemm_flops(m, n, k));
-    gemm_core(threads::lanes(), alpha, a, opa, b, opb, beta, c, threads);
+    gemm(alpha, a, opa, b, opb, beta, c);
 }
 
 /// Convenience: `A · B`.
@@ -604,31 +557,6 @@ mod tests {
         assert!((&matmul(&e, &a) - &a).max_abs() < 1e-14);
     }
 
-    #[test]
-    fn parallel_is_bit_identical_to_serial() {
-        // Shapes chosen to cross the MC/KC tile boundaries, leave ragged
-        // remainder tiles, and leave ragged MR/NR microkernel edges.
-        for (m, k, n) in [(1, 130, 3), (67, 97, 81), (130, 64, 65)] {
-            let a = randmat(m, k, 41);
-            let b = randmat(k, n, 42);
-            let c0 = randmat(m, n, 43);
-            let alpha = c64::new(0.7, -0.3);
-            let beta = c64::new(-1.0, 0.1);
-            let mut serial = c0.clone();
-            gemm_threaded(alpha, &a, Op::N, &b, Op::N, beta, &mut serial, 1);
-            for t in [2usize, 3, 8, 16] {
-                let mut par = c0.clone();
-                gemm_threaded(alpha, &a, Op::N, &b, Op::N, beta, &mut par, t);
-                for (x, y) in par.data().iter().zip(serial.data()) {
-                    assert!(
-                        x.re.to_bits() == y.re.to_bits() && x.im.to_bits() == y.im.to_bits(),
-                        "threads={t} not bit-identical for {m}x{k}x{n}"
-                    );
-                }
-            }
-        }
-    }
-
     /// The kernels this host runs: scalar, and the SIMD widths it has.
     fn host_lanes() -> Vec<Lanes> {
         let mut lanes = vec![Lanes::Scalar];
@@ -652,7 +580,7 @@ mod tests {
     /// the host runs (widths it lacks are skipped): the width battery's
     /// shapes, then every residue of m, n modulo `MR` and `2·NR` at
     /// k = 1, `KC`, `KC` + 1 and 2·`KC` + 3; all nine op pairs, α and β
-    /// each 1, −1 or 0, and general; 1 and 2 threads. A transposed B is
+    /// each 1, −1 or 0, and general. A transposed B is
     /// always packed, so its in-place run gets op(B) written out.
     #[test]
     fn in_place_operands_give_the_packed_bits() {
@@ -679,9 +607,7 @@ mod tests {
         for lanes in host_lanes() {
             for alpha in [c64::ONE, -c64::ONE, c64::new(0.37, -0.82)] {
                 for beta in [c64::ZERO, c64::ONE, c64::new(-1.1, 0.25)] {
-                    for threads in [1, 2] {
-                        runs.push((lanes, alpha, beta, threads));
-                    }
+                    runs.push((lanes, alpha, beta));
                 }
             }
         }
@@ -703,10 +629,10 @@ mod tests {
                     Op::T => b.transpose(),
                     Op::H => b.adjoint(),
                 };
-                for &(lanes, alpha, beta, threads) in &runs {
+                for &(lanes, alpha, beta) in &runs {
                     let (mut packed, mut in_place) = (c0.clone(), c0.clone());
-                    let (a, t) = ((&a, opa), threads);
-                    gemm_driver((lanes, true), alpha, a, (&b, opb), beta, &mut packed, t);
+                    let a = (&a, opa);
+                    gemm_driver((lanes, true), alpha, a, (&b, opb), beta, &mut packed);
                     gemm_driver(
                         (lanes, false),
                         alpha,
@@ -714,11 +640,10 @@ mod tests {
                         (&b_eff, Op::N),
                         beta,
                         &mut in_place,
-                        t,
                     );
                     assert!(
                         same_bits(&packed, &in_place),
-                        "{m}x{k}x{n} {opa:?}{opb:?} {lanes:?} alpha={alpha:?} beta={beta:?} t={t}"
+                        "{m}x{k}x{n} {opa:?}{opb:?} {lanes:?} alpha={alpha:?} beta={beta:?}"
                     );
                 }
             }

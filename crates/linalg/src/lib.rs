@@ -5,14 +5,13 @@
 //! transport needs:
 //!
 //! * [`ZMat`] — dense, row-major, double-precision complex matrices;
-//! * [`gemm()`] — tiled, packed, multi-threaded general matrix multiply with
-//!   `N`/`T`/`H` operand ops, running a register-blocked `MR×NR` complex
+//! * [`gemm()`] — tiled general matrix multiply with `N`/`T`/`H` operand
+//!   ops on the calling thread, running a register-blocked `MR×NR` complex
 //!   microkernel with scalar and `x86_64` AVX2+FMA implementations behind
-//!   one per-process dispatch point — the AVX2+FMA one 512 bits wide on
-//!   AVX-512F hosts, with the 256-bit kernel's bits, so the width is no
-//!   dispatch leg; for a fixed dispatch path, parallel
-//!   output is bit-identical to serial ([`gemm_threaded`] pins the thread
-//!   count, [`threads`] holds the `OMEN_THREADS`/`OMEN_SIMD` policies);
+//!   one per-process dispatch point (`OMEN_SIMD`) — the AVX2+FMA one 512
+//!   bits wide on AVX-512F hosts, with the 256-bit kernel's bits, so the
+//!   width is no dispatch leg; [`threads`] holds that dispatch and the one
+//!   core budget the parallel levels above the kernels share;
 //! * [`Lu`] — blocked right-looking LU factorization with partial
 //!   pivoting, multi-RHS solves and explicit inverses (the workhorse of
 //!   the recursive Green's function); its trailing-matrix update runs on

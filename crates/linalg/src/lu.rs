@@ -8,8 +8,8 @@
 //! per `NB`-wide panel, (1) unblocked panel factor with partial pivoting
 //! and immediate full-width row swaps, (2) unit-lower triangular solve for
 //! the `U₁₂` block row, (3) trailing-matrix update
-//! `A₂₂ ← A₂₂ − L₂₁·U₁₂` through the tiled multi-threaded GEMM — which is
-//! where ~`1 − 1/NB` of the O(n³) work lands. The solves are blocked the
+//! `A₂₂ ← A₂₂ − L₂₁·U₁₂` through the tiled GEMM — which is where
+//! ~`1 − 1/NB` of the O(n³) work lands. The solves are blocked the
 //! same way ([`Lu::solve_mat`]): a row-wise substitution inside each
 //! `NB`-row diagonal block, one GEMM update between blocks.
 //!
@@ -23,10 +23,9 @@
 //! inlines into them (both widths give the same bits; on rows shorter
 //! than `WIDE_MIN_N` the 256-bit nests are the faster ones and run).
 //! Pivot candidates on the SIMD path are therefore produced by FMA
-//! arithmetic: what holds is **per-path determinism** — the panel and
-//! substitution phases are serial and lane-local, the GEMM is
-//! bit-identical across thread counts for a fixed path, so factors,
-//! pivots and solutions are too — **pivot equality against an independent
+//! arithmetic: what holds is **per-path determinism** — every phase runs
+//! on the calling thread and is lane-local, so factors, pivots and
+//! solutions are fixed by the path — **pivot equality against an independent
 //! oracle on the conformance battery's matrices** under both paths, and
 //! **cross-path agreement to rounding** of factors and solutions
 //! (DESIGN.md §10). The scalar AXPY is the plain loop, so the reference
@@ -272,9 +271,9 @@ fn factor_with<R: RowOps>(
                 ops.axpy(-lip, prow, &mut irow[k_hi..]);
             }
         }
-        // 3. Trailing update A22 ← A22 − L21·U12 through the tiled,
-        //    multi-threaded GEMM (copy-out/copy-in of the trailing block is
-        //    O(n²) against the O(n²·NB) update it feeds).
+        // 3. Trailing update A22 ← A22 − L21·U12 through the tiled GEMM
+        //    (copy-out/copy-in of the trailing block is O(n²) against the
+        //    O(n²·NB) update it feeds).
         let nt = n - k_hi;
         let nb = k_hi - kk;
         let l21 = lu.block(k_hi, kk, nt, nb);
@@ -366,22 +365,11 @@ fn substitute_avx512(lu: &ZMat, x: &mut ZMat, lower: bool) {
     substitute_with(lu, x, lower, Lanes::Avx512)
 }
 
-/// `c ← c − a·b` through the tiled, multi-threaded GEMM core on the
-/// kernels `lanes` — uncounted: the caller reported `lu_flops` /
-/// `trsm_flops` for the whole kernel.
+/// `c ← c − a·b` through the tiled GEMM core on the kernels `lanes` —
+/// uncounted: the caller reported `lu_flops` / `trsm_flops` for the whole
+/// kernel.
 fn subtract_product(lanes: Lanes, c: &mut ZMat, a: &ZMat, b: &ZMat) {
-    let work = a.nrows() as u64 * b.ncols() as u64 * a.ncols() as u64;
-    gemm_core(
-        lanes,
-        -c64::ONE,
-        a,
-        Op::N,
-        b,
-        Op::N,
-        c64::ONE,
-        c,
-        threads::auto_threads(work),
-    );
+    gemm_core(lanes, -c64::ONE, a, Op::N, b, Op::N, c64::ONE, c);
 }
 
 /// `x[rows, ..width] ← x[rows, ..width] − lu[rows, cols]·x[cols, ..width]`

@@ -23,8 +23,8 @@
 //! no longer rounded through a single `c64` multiply), which is exactly
 //! why the SIMD/scalar contract is oracle-tolerance agreement, not bit
 //! equality (DESIGN.md §10). Within this path all arithmetic is
-//! per-element deterministic, so thread-count bit-identity holds just as
-//! it does for the scalar path.
+//! per-element deterministic, so the path's bits are fixed by the shapes,
+//! as the scalar path's are.
 //!
 //! **Two widths, one set of bits.** The GEMM microkernel and `axpy` are
 //! each one `#[inline(always)]` body over the [`Reg`] operations,
@@ -621,18 +621,16 @@ mod tests {
                     (c64::ONE, c64::ONE),
                 ];
                 for (alpha, beta) in scalars {
-                    for threads in [1, 2] {
-                        let run = |lanes| {
-                            let mut c = c0.clone();
-                            gemm_core(lanes, alpha, &a, opa, &b, opb, beta, &mut c, threads);
-                            c
-                        };
-                        let (narrow, wide) = (run(Lanes::Avx2), run(Lanes::Avx512));
-                        assert!(
-                            same_bits(narrow.data(), wide.data()),
-                            "gemm {m}x{k}x{n} {opa:?}{opb:?} alpha={alpha:?} t={threads}"
-                        );
-                    }
+                    let run = |lanes| {
+                        let mut c = c0.clone();
+                        gemm_core(lanes, alpha, &a, opa, &b, opb, beta, &mut c);
+                        c
+                    };
+                    let (narrow, wide) = (run(Lanes::Avx2), run(Lanes::Avx512));
+                    assert!(
+                        same_bits(narrow.data(), wide.data()),
+                        "gemm {m}x{k}x{n} {opa:?}{opb:?} alpha={alpha:?}"
+                    );
                 }
             }
         }

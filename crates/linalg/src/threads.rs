@@ -1,43 +1,23 @@
-//! Thread-count and SIMD-dispatch policy for the parallel dense kernels.
-//!
-//! The tiled GEMM (and through it the blocked LU trailing update) fan work
-//! out over `std::thread::scope` stripes whose inner loops run a
-//! register-blocked microkernel. Two runtime policies are decided here, in
-//! one place:
-//!
-//! ## Thread count (`OMEN_THREADS`)
-//!
-//! 1. an **explicit count** passed by the caller
-//!    ([`gemm_threaded`](crate::gemm::gemm_threaded)) always wins — the
-//!    conformance battery uses this to pin serial-vs-parallel equality at
-//!    fixed thread counts;
-//! 2. otherwise the **`OMEN_THREADS`** environment variable (a positive
-//!    integer) is honored, letting drivers and CI pick a width without
-//!    recompiling;
-//! 3. otherwise the calling thread's core [`budget`] — the whole machine
-//!    unless a rank, worker or fan-out share was set.
-//!
-//! Small problems never leave the calling thread: below
-//! [`PAR_MIN_WORK`] multiply-add operations the spawn cost exceeds the
-//! kernel cost, so the auto policy returns 1 and the kernel runs the
-//! identical stripe code serially. Because every output element accumulates
-//! its `k`-products in the same fixed order no matter how rows are split
-//! (see `crate::gemm`), the parallel result is bit-identical to the serial
-//! one — the fallback is a pure performance decision, never a numerical
-//! one.
+//! Thread and SIMD-dispatch policy.
 //!
 //! ## One core budget
 //!
-//! Ranks, daemon workers, fill threads and kernel threads share the host's
-//! cores under the paper's rule: ranks × kernel threads ≤ cores. The
-//! budget is a thread-local ([`budget`]): the cores this thread may keep
-//! busy, the host's available parallelism unless [`with_budget`] set it.
-//! Whoever starts threads hands each a share — the rank runtime
+//! The dense kernels — GEMM, the LU and its solves — run on the calling
+//! thread. The threads are the paper's parallel levels above them: ranks,
+//! daemon workers, and the fan-out over contacts and energy points. They
+//! share the host's cores under the paper's rule, one kernel thread per
+//! core. The budget is a thread-local ([`budget`]): the cores this thread
+//! may keep busy, the host's available parallelism unless [`with_budget`]
+//! set it. Whoever starts threads hands each a share — the rank runtime
 //! `cores / ranks`, the daemon `cores / workers`, a fan-out
-//! `budget / width` — so nested parallel levels never oversubscribe.
-//! `OMEN_THREADS` is the kernel share of a budget (unset: all of it), and
-//! [`fan_out_width`] spends what is left on independent items: with
-//! `OMEN_THREADS=1` on an n-core host, n fill threads; unset, one.
+//! `budget / width` — so nested parallel levels never oversubscribe, and
+//! [`fan_out_width`] spends a budget on independent items: one thread per
+//! core, at most one per item.
+//!
+//! No kernel splits its rows over threads: every slab block a shipped
+//! device produces (18 … 113) is a product too small for a thread spawn to
+//! pay for itself, and a row split would take cores from the fan-out
+//! levels, which scale (EXPERIMENTS.md "One thread policy").
 //!
 //! ## SIMD dispatch (`OMEN_SIMD`)
 //!
@@ -46,10 +26,10 @@
 //! resolved **once per process** by [`simd_path`]: `OMEN_SIMD=0` forces
 //! scalar, `OMEN_SIMD=1` demands the SIMD path (and is rejected when the
 //! CPU lacks AVX2+FMA — never a silent downgrade), unset auto-detects via
-//! `is_x86_feature_detected!`. For a fixed path, output is bit-identical
-//! across thread counts; across paths, results agree only to rounding
-//! (FMA and split accumulators legitimately change the rounding sequence —
-//! see DESIGN.md §10), which is why the choice is pinned per process and
+//! `is_x86_feature_detected!`. For a fixed path, output is deterministic;
+//! across paths, results agree only to rounding (FMA and split
+//! accumulators legitimately change the rounding sequence — see
+//! DESIGN.md §10), which is why the choice is pinned per process and
 //! surfaced through [`dispatch_summary`] / the `OMEN_LOG` sink.
 //!
 //! Next to the path, and once per process too, `lanes` resolves the SIMD
@@ -60,46 +40,19 @@
 //!
 //! ## Strict parsing
 //!
-//! Both variables reject garbage with a typed
+//! `OMEN_SIMD` rejects garbage with a typed
 //! [`OmenError::InvalidEnv`](omen_num::OmenError) instead of silently
-//! defaulting: a typo'd `OMEN_THREADS=fuor` or `OMEN_SIMD=yes` would
-//! otherwise produce unattributable benchmark records. The fallible
-//! parsers ([`thread_policy`], [`simd_policy`]) are public for drivers
-//! that want to validate at startup; the infallible kernel-facing
-//! accessors reject by panicking with the typed error's message (the
-//! kernels are infallible by contract, like their dimension asserts).
+//! defaulting: a typo'd `OMEN_SIMD=yes` would otherwise produce
+//! unattributable benchmark records. The fallible parser ([`simd_policy`])
+//! is public for drivers that want to validate at startup; the infallible
+//! kernel-facing [`simd_path`] rejects by panicking with the typed error's
+//! message (the kernels are infallible by contract, like their dimension
+//! asserts).
 
 use omen_num::{OmenError, OmenResult};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
-
-/// Smallest kernel (in complex multiply-adds, `m·n·k`) that fans out over
-/// threads. A scoped spawn + join costs 30–60 µs, and whether the second
-/// thread then lands on an idle core is a host state, so the crossover is
-/// a band, not a point. `gemm_threaded` on an `n`-cube, two threads over
-/// one on a 2-core host, best of 7; ranges over four AVX2 and two scalar
-/// sessions (EXPERIMENTS.md "Kernel fan-out crossover"):
-///
-/// | n | t1 AVX2 (µs) | t2/t1 AVX2 | t1 scalar (µs) | t2/t1 scalar |
-/// |---|---|---|---|---|
-/// | 32 | 10 | 3.1–7.0 | 38 | 1.9 |
-/// | 64 | 75 | 1.4–1.6 | 304 | 0.75–1.12 |
-/// | 90 | 212 | 0.97–1.22 | 878 | 0.62–1.09 |
-/// | 128 | 543 | 0.75–1.09 | 2 464 | 0.58–1.03 |
-/// | 256 | 4 313 | 0.61–1.02 | 19 102 | 0.52–1.01 |
-/// | 512 | 32 651 | 0.54–1.00 | 151 979 | 0.51–0.53 |
-///
-/// 128³ is the smallest measured cube that reaches t2/t1 ≤ 0.8 on the
-/// AVX2 leg and never loses by more than 9 % on either; everything under
-/// it loses or ties there — and that is every slab block a shipped device
-/// produces (18 … 113). The table was measured on the 256-bit kernel; the
-/// 512-bit one shortens each serial product, which only moves the
-/// crossover up, so those blocks stay serial.
-pub const PAR_MIN_WORK: u64 = 128 * 128 * 128;
-
-/// Environment variable overriding the kernel thread count.
-pub const THREADS_ENV: &str = "OMEN_THREADS";
 
 /// Environment variable overriding the SIMD dispatch: `0` forces the
 /// scalar microkernel, `1` demands the AVX2+FMA one, unset auto-detects.
@@ -125,20 +78,6 @@ fn reject(e: OmenError) -> ! {
     panic!("{e}")
 }
 
-/// Parses a raw `OMEN_THREADS` value: `Ok(None)` when unset, `Ok(Some(n))`
-/// for a positive integer, a typed error otherwise (including `0`).
-fn parse_threads(raw: Option<&str>) -> OmenResult<Option<usize>> {
-    let Some(v) = raw else { return Ok(None) };
-    match v.trim().parse::<usize>() {
-        Ok(n) if n >= 1 => Ok(Some(n)),
-        _ => Err(OmenError::InvalidEnv {
-            var: THREADS_ENV,
-            value: v.to_string(),
-            expected: "a positive integer thread count, or unset",
-        }),
-    }
-}
-
 /// Parses a raw `OMEN_SIMD` value: `Ok(None)` when unset (auto-detect),
 /// `Ok(Some(false))` for `0`, `Ok(Some(true))` for `1`, a typed error for
 /// anything else.
@@ -153,18 +92,6 @@ fn parse_simd(raw: Option<&str>) -> OmenResult<Option<bool>> {
             expected: "0 (force scalar), 1 (force SIMD), or unset (auto)",
         }),
     }
-}
-
-/// The `OMEN_THREADS` policy, parsed strictly: `Ok(None)` when unset
-/// (use available parallelism), `Ok(Some(n))` when set to a positive
-/// integer.
-///
-/// # Errors
-///
-/// Returns [`OmenError::InvalidEnv`] when the variable is set but not a
-/// positive integer.
-pub fn thread_policy() -> OmenResult<Option<usize>> {
-    parse_threads(std::env::var(THREADS_ENV).ok().as_deref())
 }
 
 /// The `OMEN_SIMD` policy, parsed strictly: `Ok(None)` when unset (auto),
@@ -271,9 +198,9 @@ pub fn simd_path() -> SimdPath {
 
 /// One-line human summary of the resolved kernel dispatch — the SIMD path,
 /// why it was chosen and, on the SIMD path, its register width (equal
-/// bits, unequal timings), plus the thread policy — for the `OMEN_LOG`
-/// sink (`omen-core::log`), so every benchmark record is attributable to
-/// a concrete code path.
+/// bits, unequal timings), plus the calling thread's core [`budget`] — for
+/// the `OMEN_LOG` sink (`omen-core::log`), so every benchmark record is
+/// attributable to a concrete code path.
 pub fn dispatch_summary() -> String {
     let why = match simd_policy() {
         Ok(Some(false)) => "OMEN_SIMD=0 forced",
@@ -287,12 +214,10 @@ pub fn dispatch_summary() -> String {
         Lanes::Avx2 => ("avx2+fma", "; 256-bit lanes: avx512f not available"),
         Lanes::Avx512 => ("avx2+fma", "; 512-bit lanes: avx512f detected"),
     };
-    let threads = match thread_policy() {
-        Ok(Some(n)) => format!("OMEN_THREADS={n}"),
-        Ok(None) => format!("auto ({} available)", configured_threads()),
-        Err(_) => "invalid OMEN_THREADS".to_string(),
-    };
-    format!("kernel dispatch: simd={path} ({why}{width}), threads={threads}")
+    format!(
+        "kernel dispatch: simd={path} ({why}{width}), budget={}",
+        budget()
+    )
 }
 
 thread_local! {
@@ -335,11 +260,9 @@ pub fn with_budget<R>(cores: usize, f: impl FnOnce() -> R) -> R {
 }
 
 /// Threads a fan-out over `items` independent items runs on under this
-/// thread's budget: the budget over the kernel share each thread keeps
-/// ([`configured_threads`]), at least 1 and at most `items`. Unset
-/// `OMEN_THREADS` gives the kernels the whole budget, so 1.
+/// thread's [`budget`]: one per core, at least 1 and at most `items`.
 pub fn fan_out_width(items: usize) -> usize {
-    (budget() / configured_threads()).min(items).max(1)
+    budget().min(items).max(1)
 }
 
 /// `f(0), …, f(n − 1)` in index order, computed on `width` threads: the
@@ -397,57 +320,9 @@ pub fn fan_out_spawned() -> usize {
     SPAWNED.with(Cell::get)
 }
 
-/// Configured kernel thread width: `OMEN_THREADS` when set to a positive
-/// integer, otherwise the calling thread's whole core [`budget`].
-/// Re-read on every call so tests and drivers can change the policy at
-/// runtime; callers on hot paths gate on work size first.
-///
-/// Panics with the typed [`OmenError::InvalidEnv`](omen_num::OmenError)
-/// message when `OMEN_THREADS` is set but not a positive integer.
-pub fn configured_threads() -> usize {
-    match thread_policy() {
-        Ok(Some(n)) => n,
-        Ok(None) => budget(),
-        Err(e) => reject(e),
-    }
-}
-
-/// Auto thread count for a kernel performing `work` complex multiply-adds:
-/// 1 below [`PAR_MIN_WORK`] (serial fallback), else
-/// [`configured_threads`].
-pub fn auto_threads(work: u64) -> usize {
-    if work < PAR_MIN_WORK {
-        1
-    } else {
-        configured_threads()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn small_work_stays_serial() {
-        assert_eq!(auto_threads(0), 1);
-        assert_eq!(auto_threads(PAR_MIN_WORK - 1), 1);
-    }
-
-    /// The traffic the threshold was sized for: every slab-block size in
-    /// the kernel ledger's devices stays on the calling thread, and the
-    /// threshold cube itself fans out.
-    #[test]
-    fn no_shipped_block_size_fans_out() {
-        for n in [18u64, 32, 41, 72, 90, 113] {
-            assert_eq!(auto_threads(n * n * n), 1, "n={n}");
-        }
-        assert_eq!(auto_threads(PAR_MIN_WORK), configured_threads());
-    }
-
-    #[test]
-    fn configured_is_positive() {
-        assert!(configured_threads() >= 1);
-    }
 
     #[test]
     fn with_budget_nests_and_restores_on_unwind() {
@@ -470,19 +345,14 @@ mod tests {
     }
 
     #[test]
-    fn fan_out_width_is_the_budget_over_the_kernel_share() {
-        let pinned = thread_policy().unwrap();
-        for w in 1..=3 {
-            with_budget(w * pinned.unwrap_or(1), || {
-                // Unset, the kernels take the whole budget: one fan-out
-                // thread, whatever the budget.
-                let want = if pinned.is_some() { w } else { 1 };
-                assert_eq!(fan_out_width(10), want);
-                assert_eq!(fan_out_width(2), want.min(2));
+    fn fan_out_width_is_the_budget_capped_by_the_items() {
+        for cores in 1..=3 {
+            with_budget(cores, || {
+                assert_eq!(fan_out_width(10), cores);
+                assert_eq!(fan_out_width(2), cores.min(2));
                 assert_eq!(fan_out_width(0), 1);
             });
         }
-        with_budget(1, || assert_eq!(fan_out_width(10), 1));
     }
 
     #[test]
@@ -516,49 +386,6 @@ mod tests {
             })
         });
         assert!(r.is_err());
-    }
-
-    #[test]
-    fn threads_parse_accepts_positive_rejects_garbage() {
-        // (raw OMEN_THREADS value, parsed count) — whitespace trims away
-        // and a leading zero is still the same strict integer.
-        let good: &[(Option<&str>, Option<usize>)] = &[
-            (None, None),
-            (Some("1"), Some(1)),
-            (Some(" 4 "), Some(4)),
-            (Some("01"), Some(1)),
-            (Some("128"), Some(128)),
-        ];
-        for &(raw, want) in good {
-            assert_eq!(parse_threads(raw).unwrap(), want, "OMEN_THREADS={raw:?}");
-        }
-        // Empty, whitespace-only, zero, negative, fractional, textual and
-        // overflowing counts all surface the exact typed error — never a
-        // silent default.
-        let bad = [
-            "",
-            "   ",
-            "0",
-            " 0 ",
-            "-2",
-            "1.5",
-            "four",
-            "18446744073709551616",
-        ];
-        for raw in bad {
-            match parse_threads(Some(raw)) {
-                Err(OmenError::InvalidEnv {
-                    var,
-                    value,
-                    expected,
-                }) => {
-                    assert_eq!(var, THREADS_ENV, "{raw:?}");
-                    assert_eq!(value, raw, "{raw:?}");
-                    assert_eq!(expected, "a positive integer thread count, or unset");
-                }
-                other => panic!("{raw:?} must be rejected, got {other:?}"),
-            }
-        }
     }
 
     #[test]
@@ -596,10 +423,10 @@ mod tests {
     }
 
     #[test]
-    fn dispatch_summary_names_path_and_threads() {
+    fn dispatch_summary_names_path_and_budget() {
         let s = dispatch_summary();
         assert!(s.contains("simd="));
-        assert!(s.contains("threads="));
+        assert!(with_budget(3, dispatch_summary).ends_with("budget=3"));
         // The width shows exactly on the SIMD path, and it is the one the
         // host can run.
         let width = match simd_path() {

@@ -99,12 +99,12 @@ pub enum OmenError {
         /// Which decoder rejected the payload.
         context: &'static str,
     },
-    /// An `OMEN_*` environment variable held a value the policy layer
-    /// cannot honor — unparsable, out of range, or requesting hardware the
-    /// machine does not have. Raised instead of silently defaulting, so a
-    /// typo'd `OMEN_THREADS=fuor` never ships an unattributable benchmark.
+    /// The `OMEN_SIMD` environment variable held a value the dispatch
+    /// policy cannot honor — unparsable, or requesting hardware the machine
+    /// does not have. Raised instead of silently defaulting, so a typo'd
+    /// `OMEN_SIMD=yes` never ships an unattributable benchmark.
     InvalidEnv {
-        /// Variable name (`OMEN_THREADS`, `OMEN_SIMD`).
+        /// Variable name (`OMEN_SIMD`).
         var: &'static str,
         /// The rejected raw value.
         value: String,

@@ -1,5 +1,5 @@
 //! Properties of the global flop counter: totals are *exact* — not
-//! approximate — for GEMM and LU at every thread count, the booked counts
+//! approximate — for GEMM and LU on every shape and path, the booked counts
 //! of the Hermitian eigensolver and of the explicit inverse follow an
 //! independent tally of their algorithms, a frozen sweep's later gate
 //! points and a repeated solve cost exactly their engine solves (bands
@@ -8,13 +8,13 @@
 //!
 //! The counter backs the paper-reproduction harness (tab2/fig7 derive
 //! sustained-performance numbers from measured counts), so "roughly right"
-//! is not good enough: a parallel kernel that double-counted its trailing
+//! is not good enough: a blocked kernel that double-counted its trailing
 //! updates or dropped increments under contention would silently corrupt
 //! every downstream figure. The tests serialize on a local mutex because
 //! the counter is process-global.
 
 use omen::linalg::flops::{flop_count, gemm_flops, inverse_flops, lu_flops, trsm_flops};
-use omen::linalg::{gemm_threaded, lu::Lu, FlopScope, Op, ZMat};
+use omen::linalg::{gemm, lu::Lu, FlopScope, Op, ZMat};
 use omen::num::c64;
 use omen::sparse::BlockTridiag;
 use std::sync::Mutex;
@@ -41,22 +41,29 @@ fn dd_mat(n: usize, seed: u64) -> ZMat {
 }
 
 #[test]
-fn gemm_total_is_exact_at_every_thread_count() {
+fn gemm_total_is_exact_across_shapes_and_ops() {
     let _guard = COUNTER_LOCK.lock().unwrap();
     // Mixed shapes and ops; the count must be 8·m·n·k per call, once —
-    // independent of tiling, thread fan-out, or transposition copies.
+    // independent of tiling, packing or transposition copies.
     let cases = [(3usize, 4usize, 5usize), (13, 67, 9), (70, 70, 70)];
-    for t in [1usize, 2, 8] {
+    let stored = |op: Op, r: usize, c: usize, seed: u64| {
+        if op == Op::N {
+            randmat(r, c, seed)
+        } else {
+            randmat(c, r, seed)
+        }
+    };
+    for (opa, opb) in [(Op::N, Op::N), (Op::H, Op::N), (Op::N, Op::T)] {
         let scope = FlopScope::new();
         let mut expected = 0u64;
         for &(m, k, n) in &cases {
-            let a = randmat(m, k, 1);
-            let b = randmat(k, n, 2);
+            let a = stored(opa, m, k, 1);
+            let b = stored(opb, k, n, 2);
             let mut c = ZMat::zeros(m, n);
-            gemm_threaded(c64::ONE, &a, Op::N, &b, Op::N, c64::ZERO, &mut c, t);
+            gemm(c64::ONE, &a, opa, &b, opb, c64::ZERO, &mut c);
             expected += gemm_flops(m, n, k);
         }
-        assert_eq!(scope.take(), expected, "threads={t}");
+        assert_eq!(scope.take(), expected, "{opa:?}{opb:?}");
     }
 }
 
@@ -832,7 +839,7 @@ fn counter_is_race_free_under_concurrent_kernels() {
                 let d = dd_mat(lu_n, 200 + w as u64);
                 for _ in 0..REPS {
                     let mut c = ZMat::zeros(m, n);
-                    gemm_threaded(c64::ONE, &a, Op::N, &b, Op::N, c64::ZERO, &mut c, 2);
+                    gemm(c64::ONE, &a, Op::N, &b, Op::N, c64::ZERO, &mut c);
                     let _ = Lu::factor(&d).expect("diagonally dominant");
                 }
             });
