@@ -216,15 +216,15 @@ done
 
 # One thread policy: the core budget. The dense kernels run on the calling
 # thread; threads are the parallel levels above them (ranks, daemon
-# workers, and crates/linalg/src/threads.rs `fan_out` over contacts and
+# workers, and crates/linalg/src/threads.rs `fan_out_each` over contacts and
 # energy points). The GEMM's row split over scoped threads fired on no
 # shipped product, and its knob, OMEN_THREADS, cost the default
 # environment 1.6x on the SCF request (EXPERIMENTS.md "One thread
 # policy"). A second kernel-level thread path, or a reader of that
 # variable, arrives as a reviewed decision. Comment lines are skipped.
 for f in crates/linalg/src/*.rs; do
-    if sed -e '/#\[cfg(test)\]/,$d' -e '/^pub fn fan_out</,/^}/d' "$f" | grep -vE '^\s*//' | grep -nE 'thread::(scope|spawn|Builder)'; then
-        echo "ci: $f starts threads outside threads::fan_out; the dense kernels run on the calling thread"
+    if sed -e '/#\[cfg(test)\]/,$d' -e '/^pub fn fan_out_each</,/^}/d' "$f" | grep -vE '^\s*//' | grep -nE 'thread::(scope|spawn|Builder)'; then
+        echo "ci: $f starts threads outside threads::fan_out_each; the dense kernels run on the calling thread"
         exit 1
     fi
 done
@@ -232,6 +232,21 @@ if grep -rnI 'OMEN_THREADS' crates src tests examples; then
     echo "ci: OMEN_THREADS is read by nothing; the core budget (omen_linalg::threads::budget) is the one thread policy"
     exit 1
 fi
+
+# One Hamiltonian per curve and momentum: a curve's ContactTable assembles
+# the device's H₀ = H(V = 0) once per k_y (crates/core/src/contacts.rs
+# `zero_potential_hamiltonian`) and the engines add each potential where
+# they form A (omen_negf::rgf::a_diagonal). `parallel::frozen_system`
+# folds a potential into H for the rank path's callers and the replays;
+# nothing in the library calls it. Any other assembly in crates/core/src,
+# or a call of frozen_system, is the per-point re-assembly H₀ replaced.
+# Comment lines are skipped.
+for f in crates/core/src/*.rs; do
+    if sed -e '/#\[cfg(test)\]/,$d' -e '/^fn zero_potential_hamiltonian(/,/^}/d' -e '/^pub fn frozen_system(/,/^}/d' "$f" | grep -vE '^\s*//' | grep -nE '\.assemble\(|frozen_system\('; then
+        echo "ci: $f assembles a device Hamiltonian; read the curve's H₀ from its ContactTable and hand the potential to the engine"
+        exit 1
+    fi
+done
 
 # A scheduled unit has one holder at a time and is handed out again only
 # when that holder is declared dead. Straggler speculation, the heartbeat

@@ -125,7 +125,7 @@ fn ablation_c_eta() {
             let lead = (&h00, &h01);
             let (sl, sr) = omen_negf::contacts::local_contacts(e, eta, lead, lead)
                 .expect("lead decimation failed");
-            let r = omen_negf::rgf_point(e, eta, &h, &sl, &sr).expect("RGF solve failed");
+            let r = omen_negf::rgf_point(e, eta, &h, &[], &sl, &sr).expect("RGF solve failed");
             worst = worst.max((r.transmission - 1.0).abs());
         }
         rows.push(vec![format!("{eta:.0e}"), format!("{worst:.2e}")]);

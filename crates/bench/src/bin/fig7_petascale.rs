@@ -39,7 +39,7 @@ fn measure_alpha(w: f64, slabs: usize) -> (f64, usize, usize) {
     let (sl, sr) =
         omen_negf::contacts::local_contacts(e, 2e-6, lead, lead).expect("lead decimation failed");
     // Solver-only measurement: injected-mode solve on the prebuilt system.
-    let (a, b, _) = omen_wf::transport::assemble(e, 2e-6, &h, &sl, &sr);
+    let (a, b, _) = omen_wf::transport::assemble(e, 2e-6, &h, &[], &sl, &sr);
     reset_flops();
     let _ = omen_wf::thomas_solve(&a, &b).expect("Thomas solve failed");
     let flops = flop_count();

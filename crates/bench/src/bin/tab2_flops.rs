@@ -69,12 +69,12 @@ fn main() {
         // Each engine on those contacts, as `solve_point` runs it.
         let scope = FlopScope::new();
         let (r, rgf_s) =
-            timed(|| omen_negf::rgf_point(e, 2e-6, &h, &sl, &sr).expect("RGF solve failed"));
+            timed(|| omen_negf::rgf_point(e, 2e-6, &h, &[], &sl, &sr).expect("RGF solve failed"));
         let rgf_flops = scope.take();
 
         let scope = FlopScope::new();
         let (wf, wf_s) = timed(|| {
-            omen_wf::wf_point(e, 2e-6, &h, &sl, &sr, omen_wf::Solver::Thomas)
+            omen_wf::wf_point(e, 2e-6, &h, &[], &sl, &sr, omen_wf::Solver::Thomas)
                 .expect("WF solve failed")
         });
         let wf_flops = scope.take();
@@ -83,7 +83,7 @@ fn main() {
 
         // What cyclic reduction — serial, or SplitSolve's schedule of it —
         // pays over Thomas for its log-depth tree: the block solve alone.
-        let (a, b, _) = omen_wf::transport::assemble(e, 2e-6, &h, &sl, &sr);
+        let (a, b, _) = omen_wf::transport::assemble(e, 2e-6, &h, &[], &sl, &sr);
         let scope = FlopScope::new();
         omen_wf::thomas_solve(&a, &b).expect("Thomas solve failed");
         let thomas_flops = scope.take();

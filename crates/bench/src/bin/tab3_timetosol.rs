@@ -42,8 +42,8 @@ fn long_wire_rows() -> Vec<Vec<String>> {
         let lead = ham.lead_blocks(0.0, 0.0);
         let lead = (&lead.0, &lead.1);
         let (sl, sr) = omen_negf::local_contacts(e, 2e-6, lead, lead).expect("lead decimation");
-        let rgf = || omen_negf::rgf_point(e, 2e-6, &h, &sl, &sr).expect("RGF point");
-        let tree = || omen_negf::selinv_point(e, 2e-6, &h, &sl, &sr).expect("SelInv point");
+        let rgf = || omen_negf::rgf_point(e, 2e-6, &h, &[], &sl, &sr).expect("RGF point");
+        let tree = || omen_negf::selinv_point(e, 2e-6, &h, &[], &sl, &sr).expect("SelInv point");
         let (t_rgf, t_tree) = (rgf().transmission, tree().transmission);
         assert!(
             (t_rgf - t_tree).abs() < 1e-6 * (1.0 + t_rgf),

@@ -4,11 +4,22 @@
 //! a typed [`omen_num::OmenError`] (after the lower-level recovery policies are
 //! exhausted) is dropped from the grid and recorded in the result's
 //! [`SweepReport`] instead of aborting the bias point.
+//!
+//! A curve assembles its device Hamiltonian once per momentum: the
+//! curve's [`ContactTable`] keeps `H₀ = H(V = 0)` per `k_y`, and every
+//! solve here hands the engines `H₀` and the potential energy `−v` per
+//! orbital, which they add where they form `A`
+//! (`omen_negf::rgf::a_diagonal`). `omen_tb`'s `H(V) = H₀ ⊕ V` makes that
+//! the folded `H(V)` bit for bit, so [`solve_point`] on
+//! `parallel::frozen_system`'s `H` replays any point here exactly. A
+//! frozen sweep solves all its gate points as one energy fan-out
+//! (`frozen_gate_points`), handing each point on as its last energy
+//! arrives.
 
-use crate::contacts::ContactTable;
+use crate::contacts::{ContactTable, ContactTally};
 use crate::energy::{clip, EnergyWindow};
 use crate::spec::{Bias, NanoTransistor};
-use omen_linalg::threads::{fan_out, fan_out_width};
+use omen_linalg::threads::{fan_out_each, fan_out_width};
 use omen_linalg::ZMat;
 use omen_negf::transport::{EnergyPointData, DEFAULT_ETA};
 use omen_negf::ContactSelfEnergy;
@@ -47,23 +58,69 @@ pub struct BallisticResult {
     pub report: SweepReport,
 }
 
-/// Assembled device Hamiltonian, lead blocks and transport window for one
-/// `(bias, k)` transport problem — the shared setup of the uniform and the
-/// adaptive solve.
+/// Lead blocks, transport window and potential of one `(bias, k)`
+/// transport problem — the shared setup of the uniform and the adaptive
+/// solve. The device operator is the curve's `H₀` at that momentum, kept in
+/// its table; the potential enters where the engines form `A`.
 struct TransportSetup {
-    h: BlockTridiag,
-    h00_l: ZMat,
-    h01_l: ZMat,
-    h00_r: ZMat,
-    h01_r: ZMat,
+    /// `[h00_l, h01_l, h00_r, h01_r]`.
+    leads: [ZMat; 4],
     window: EnergyWindow,
+    /// The potential energy `−v` of each orbital.
+    potential: Vec<f64>,
 }
 
-/// Assembles the device and lead operators at a potential and derives the
-/// transport energy window from the lead subbands around the contact Fermi
-/// levels (electron side above the device midgap, hole side below). The
-/// subbands come from momentum slot `k` of `table`, which diagonalises a
-/// lead pair it does not hold.
+/// The potential energy `−v_atoms[a]` on each orbital of atom `a`: what
+/// `parallel::frozen_system` folds into `H` and what the engines add to
+/// `H₀` where they form `A`.
+fn orbital_potential(tr: &NanoTransistor, v_atoms: &[f64]) -> Vec<f64> {
+    let per = tr.hamiltonian().orbitals_per_atom();
+    let spread = |&v: &f64| std::iter::repeat_n(-v, per);
+    v_atoms.iter().flat_map(spread).collect()
+}
+
+/// The lead blocks at a potential: the source lead as every frozen-potential
+/// driver builds it, and the drain lead pinned to its own terminal slab.
+fn leads_at(tr: &NanoTransistor, v_atoms: &[f64], ky: f64) -> [ZMat; 4] {
+    let ham = tr.hamiltonian();
+    let last = tr.device.num_slabs - 1;
+    let (h00_l, h01_l) = ham.lead_blocks(-tr.slab_mean_potential(v_atoms, 0), ky);
+    let (h00_r, h01_r) = ham.lead_blocks(-tr.slab_mean_potential(v_atoms, last), ky);
+    [h00_l, h01_l, h00_r, h01_r]
+}
+
+/// The transport energy window from the lead subbands around the contact
+/// Fermi levels (electron side above the device midgap, hole side below).
+/// The subbands come from momentum slot `k` of `table`, which diagonalises
+/// a lead pair it does not hold and assembles the `H₀` of `ky` it lacks.
+fn window_at(
+    tr: &NanoTransistor,
+    v_atoms: &[f64],
+    bias: &Bias,
+    (k, ky): (usize, f64),
+    leads: &[ZMat; 4],
+    table: &mut ContactTable,
+) -> EnergyWindow {
+    let mus = [bias.mu_source, bias.mu_drain()];
+    // Focus windows around the (potential-shifted) band structure: electron
+    // window above local midgap, hole window below; take a generous range.
+    let mid_lo = tr.e_midgap - v_atoms.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
+    let mid_hi = tr.e_midgap - v_atoms.iter().cloned().fold(f64::INFINITY, f64::min);
+    let span = 30.0 * tr.kt;
+    clip(
+        table.bands(k, leads.each_ref(), &tr.hamiltonian(), ky),
+        &mus,
+        tr.kt,
+        12.0,
+        (
+            mid_lo.min(mus[0].min(mus[1]) - span),
+            mid_hi.max(mus[0].max(mus[1]) + span),
+        ),
+    )
+}
+
+/// The leads, window and orbital potential of one `(bias, k)` problem, with
+/// the `H₀` of `ky` present in `table`.
 fn prepare_transport(
     tr: &NanoTransistor,
     v_atoms: &[f64],
@@ -72,35 +129,12 @@ fn prepare_transport(
     table: &mut ContactTable,
 ) -> TransportSetup {
     assert_eq!(v_atoms.len(), tr.device.num_atoms());
-    // Device and source lead as every frozen-potential driver builds them;
-    // the drain lead is pinned to its own terminal slab.
-    let (h, h00_l, h01_l) = crate::parallel::frozen_system(tr, v_atoms, ky);
-    let v_drn = tr.slab_mean_potential(v_atoms, tr.device.num_slabs - 1);
-    let (h00_r, h01_r) = tr.hamiltonian().lead_blocks(-v_drn, ky);
-
-    let mus = [bias.mu_source, bias.mu_drain()];
-    // Focus windows around the (potential-shifted) band structure: electron
-    // window above local midgap, hole window below; take a generous range.
-    let mid_lo = tr.e_midgap - v_atoms.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-    let mid_hi = tr.e_midgap - v_atoms.iter().cloned().fold(f64::INFINITY, f64::min);
-    let span = 30.0 * tr.kt;
-    let window = clip(
-        table.bands(k, [&h00_l, &h01_l, &h00_r, &h01_r]),
-        &mus,
-        tr.kt,
-        12.0,
-        (
-            mid_lo.min(mus[0].min(mus[1]) - span),
-            mid_hi.max(mus[0].max(mus[1]) + span),
-        ),
-    );
+    let leads = leads_at(tr, v_atoms, ky);
+    let window = window_at(tr, v_atoms, bias, (k, ky), &leads, table);
     TransportSetup {
-        h,
-        h00_l,
-        h01_l,
-        h00_r,
-        h01_r,
+        leads,
         window,
+        potential: orbital_potential(tr, v_atoms),
     }
 }
 
@@ -108,9 +142,11 @@ fn prepare_transport(
 /// `ks` of one energy sweep per momentum. The i-th momentum takes its
 /// leads' bands and contacts from slot i of the curve's `table`, so a lead
 /// pair that repeats at that position across the curve is diagonalised
-/// and decimated once. `v_atoms` is the potential per atom (V); each lead
-/// is pinned to its terminal slab's mean potential, and each k's window
-/// follows its lead subbands around the Fermi levels.
+/// and decimated once, and its device operator is the table's `H₀` at
+/// `k_y` with the potential added where the engines form `A`, so the
+/// curve assembles `H` once per momentum. `v_atoms` is the potential per
+/// atom (V); each lead is pinned to its terminal slab's mean potential, and
+/// each k's window follows its lead subbands around the Fermi levels.
 ///
 /// The first k is scaled in place and each later one added as `+= w·x`
 /// in list order, so `[(k_y, 1.0)]` is the one-k solve bit for bit.
@@ -131,10 +167,13 @@ pub fn ballistic_solve(
 ) -> BallisticResult {
     let mut solves = ks.iter().enumerate().map(|(k, &(ky, w))| {
         let s = prepare_transport(tr, v_atoms, bias, (k, ky), table);
-        let leads = ((&s.h00_l, &s.h01_l), (&s.h00_r, &s.h01_r));
         let grid = s.window.grid(n_energy);
+        table.fill_serial(k, &[s.leads.each_ref()], &grid);
+        let table = &*table;
+        let h0 = table.hamiltonian(ky);
         let width = fan_out_width(grid.len());
-        let (energies, points, report) = sweep_on(&grid, &s.h, leads, engine, table, k, width);
+        let (energies, points, report) =
+            sweep_on(&grid, (h0, &s.potential), engine, table, k, width);
         let r = integrate(tr, bias, v_atoms, &energies, points, &s.window, report);
         (w, r)
     });
@@ -163,6 +202,141 @@ pub fn ballistic_solve(
     acc
 }
 
+/// The gate points of a frozen-field sweep at `k_y = 0`, each at
+/// `iv::frozen_potential` of its gate voltage, solved as one energy
+/// fan-out: `done(i, result, tally)` receives point i's
+/// [`ballistic_solve`] (bit for bit, its report included) and the contacts
+/// it decimated and reused, in bias order, on the calling thread, as soon
+/// as its last energy is in.
+///
+/// The extensions of a frozen potential keep their potential, so the leads
+/// are the same at every gate point: each point's window is worked out
+/// first, one fill decimates the union of the grids, and one
+/// `fan_out_each` solves every `(point, E)` unit on the budget's cores.
+/// A point's tally reads as if the points had been filled one after the
+/// other. Only the point being collected keeps its energy points, beside
+/// the fan-out's out-of-order buffer. Consecutive points whose leads
+/// differ (a channel reaching a terminal slab) start a fan-out of their
+/// own.
+pub(crate) fn frozen_gate_points(
+    tr: &NanoTransistor,
+    biases: &[Bias],
+    engine: Engine,
+    n_energy: usize,
+    table: &mut ContactTable,
+    mut done: impl FnMut(usize, BallisticResult, ContactTally),
+) {
+    let potential = |bias: &Bias| crate::iv::frozen_potential(tr, bias.v_gate);
+    let leads = |bias: &Bias| leads_at(tr, &potential(bias), 0.0);
+    let mut first = 0;
+    while first < biases.len() {
+        let run_leads = leads(&biases[first]);
+        let mut end = first + 1;
+        while end < biases.len() && leads(&biases[end]) == run_leads {
+            end += 1;
+        }
+        let run = &biases[first..end];
+        let windows: Vec<EnergyWindow> = run
+            .iter()
+            .map(|bias| window_at(tr, &potential(bias), bias, (0, 0.0), &run_leads, table))
+            .collect();
+        let grids: Vec<Vec<f64>> = windows.iter().map(|w| w.grid(n_energy)).collect();
+        let tallies = table.fill_grids(0, run_leads.each_ref(), &grids);
+        let sizes: Vec<usize> = grids.iter().map(Vec::len).collect();
+        let table = &*table;
+        let h0 = table.hamiltonian(0.0);
+        fan_out_groups(
+            &sizes,
+            fan_out_width(sizes.iter().sum()),
+            |g, i| {
+                let e = grids[g][i];
+                let potential = orbital_potential(tr, &potential(&run[g]));
+                let point = |(sl, sr)| engine_point(e, h0, &potential, &sl, &sr, engine);
+                table.contacts(0, e).and_then(point)
+            },
+            |g, outcomes| {
+                let mut sweep = Sweep::default();
+                for (&e, solved) in grids[g].iter().zip(outcomes) {
+                    sweep.record(e, solved);
+                }
+                let (bias, v_atoms) = (&run[g], potential(&run[g]));
+                let Sweep {
+                    kept,
+                    points,
+                    report,
+                } = sweep;
+                let r = integrate(tr, bias, &v_atoms, &kept, points, &windows[g], report);
+                done(first + g, r, tallies[g]);
+            },
+        );
+        first = end;
+    }
+}
+
+/// `f(g, i)` for item `i` of each group `g` (`sizes[g]` items), as one
+/// `fan_out_each` over every item on `width` threads. Each group is handed
+/// whole to `finish(g, items)` on the calling thread, in group order, as
+/// soon as its last item is in (an empty group as soon as the groups
+/// before it are). Only the group being collected is kept, beside the
+/// fan-out's out-of-order buffer.
+fn fan_out_groups<T: Send>(
+    sizes: &[usize],
+    width: usize,
+    f: impl Fn(usize, usize) -> T + Sync,
+    mut finish: impl FnMut(usize, Vec<T>),
+) {
+    // Item u is item u − starts[g] of group g.
+    let starts: Vec<usize> = (sizes.iter())
+        .scan(0, |at, &n| Some(std::mem::replace(at, *at + n)))
+        .collect();
+    let group_of = |u: usize| starts.partition_point(|&s| s <= u) - 1;
+    let mut next = 0;
+    let mut hand_on = |collecting: &mut Vec<T>| {
+        while next < sizes.len() && collecting.len() == sizes[next] {
+            finish(next, std::mem::take(collecting));
+            next += 1;
+        }
+    };
+    let mut collecting = Vec::new();
+    hand_on(&mut collecting);
+    fan_out_each(
+        sizes.iter().sum(),
+        width,
+        |u| {
+            let g = group_of(u);
+            f(g, u - starts[g])
+        },
+        |_, x| {
+            collecting.push(x);
+            hand_on(&mut collecting);
+        },
+    );
+}
+
+/// A sweep's surviving energies and points and its ledger, recorded in
+/// energy order.
+#[derive(Default)]
+struct Sweep {
+    kept: Vec<f64>,
+    points: Vec<EnergyPointData>,
+    report: SweepReport,
+}
+
+impl Sweep {
+    /// Records one energy's outcome: a point whose lead or engine exhausted
+    /// its recovery policy is dropped and recorded in the report.
+    fn record(&mut self, e: f64, solved: OmenResult<EnergyPointData>) {
+        match solved {
+            Ok(p) => {
+                self.report.record_solved(p.retries);
+                self.kept.push(e);
+                self.points.push(p);
+            }
+            Err(err) => self.report.record_failed(e, err),
+        }
+    }
+}
+
 /// The energy loop of one momentum: fills slot 0 of `contacts` for the
 /// grid, then solves every energy on the contacts it reads there, on the
 /// calling thread and the idle cores of its budget
@@ -180,42 +354,34 @@ pub fn solve_sweep(
     engine: Engine,
     contacts: &mut ContactTable,
 ) -> (Vec<f64>, Vec<EnergyPointData>, SweepReport) {
+    contacts.fill_serial(0, &[[lead_l.0, lead_l.1, lead_r.0, lead_r.1]], energies);
     let width = fan_out_width(energies.len());
-    sweep_on(energies, h, (lead_l, lead_r), engine, contacts, 0, width)
+    sweep_on(energies, (h, &[]), engine, contacts, 0, width)
 }
 
-/// [`solve_sweep`] on momentum slot `k`, its points on `width` threads.
+/// The points of [`solve_sweep`] on momentum slot `k` of a filled table,
+/// on `width` threads: `H₀` and the potential per orbital (empty for none)
+/// of each, handed in energy order to the calling thread.
 fn sweep_on(
     energies: &[f64],
-    h: &BlockTridiag,
-    (lead_l, lead_r): ((&ZMat, &ZMat), (&ZMat, &ZMat)),
+    (h, potential): (&BlockTridiag, &[f64]),
     engine: Engine,
-    contacts: &mut ContactTable,
+    table: &ContactTable,
     k: usize,
     width: usize,
 ) -> (Vec<f64>, Vec<EnergyPointData>, SweepReport) {
-    contacts.fill_serial(k, &[[lead_l.0, lead_l.1, lead_r.0, lead_r.1]], energies);
-    let table = &*contacts;
-    let outcomes = fan_out(energies.len(), width, |i| {
-        let e = energies[i];
-        table
-            .contacts(k, e)
-            .and_then(|(sl, sr)| engine_point(e, h, &sl, &sr, engine))
-    });
-    let mut report = SweepReport::default();
-    let mut kept = Vec::with_capacity(energies.len());
-    let mut points = Vec::with_capacity(energies.len());
-    for (&e, solved) in energies.iter().zip(outcomes) {
-        match solved {
-            Ok(p) => {
-                report.record_solved(p.retries);
-                kept.push(e);
-                points.push(p);
-            }
-            Err(err) => report.record_failed(e, err),
-        }
-    }
-    (kept, points, report)
+    let mut sweep = Sweep::default();
+    fan_out_each(
+        energies.len(),
+        width,
+        |i| {
+            let e = energies[i];
+            let point = |(sl, sr)| engine_point(e, h, potential, &sl, &sr, engine);
+            table.contacts(k, e).and_then(point)
+        },
+        |i, solved| sweep.record(energies[i], solved),
+    );
+    (sweep.kept, sweep.points, sweep.report)
 }
 
 /// Adaptive-grid ballistic solve: starts from `n_init` uniform energy
@@ -226,9 +392,10 @@ fn sweep_on(
 /// for a uniformly fine grid — the production energy-grid strategy of
 /// adaptive quantum-transport codes.
 ///
-/// The seed grid, then each round's midpoints, is one [`solve_sweep`] on
-/// slot 0 of the curve's `table`; a failed energy is recorded and left out
-/// of the grid, so refinement only ever works on solved intervals.
+/// The seed grid, then each round's midpoints, is one fill and sweep on
+/// slot 0 of the curve's `table`, on its `H₀` at `ky`; a failed energy is
+/// recorded and left out of the grid, so refinement only ever works on
+/// solved intervals.
 #[allow(clippy::too_many_arguments)]
 pub fn ballistic_solve_adaptive(
     tr: &NanoTransistor,
@@ -244,8 +411,17 @@ pub fn ballistic_solve_adaptive(
     assert!(n_init >= 5 && max_points >= n_init);
     let s = prepare_transport(tr, v_atoms, bias, (0, ky), table);
     let mut sweep = |grid: &[f64]| {
-        let (lead_l, lead_r) = ((&s.h00_l, &s.h01_l), (&s.h00_r, &s.h01_r));
-        solve_sweep(grid, &s.h, lead_l, lead_r, engine, table)
+        table.fill_serial(0, &[s.leads.each_ref()], grid);
+        let table = &*table;
+        let h0 = table.hamiltonian(ky);
+        sweep_on(
+            grid,
+            (h0, &s.potential),
+            engine,
+            table,
+            0,
+            fan_out_width(grid.len()),
+        )
     };
     let (mut energies, mut points, mut report) = sweep(&s.window.grid(n_init));
     let (mu_s, mu_d) = (bias.mu_source, bias.mu_drain());
@@ -312,11 +488,14 @@ pub fn solve_point(
     engine: Engine,
 ) -> OmenResult<EnergyPointData> {
     let (sigma_l, sigma_r) = omen_negf::local_contacts(e, DEFAULT_ETA, lead_l, lead_r)?;
-    engine_point(e, h, &sigma_l, &sigma_r, engine)
+    engine_point(e, h, &[], &sigma_l, &sigma_r, engine)
 }
 
 /// The second stage of [`solve_point`]: one energy point on contacts the
-/// caller already holds — the one place an [`Engine`] is dispatched.
+/// caller already holds — the one place an [`Engine`] is dispatched. `h`
+/// is `H₀` and `potential` the potential energy per orbital the engine adds
+/// where it forms `A` (`omen_negf::rgf::a_diagonal`); an empty potential
+/// takes `h` as the whole device Hamiltonian.
 ///
 /// # Errors
 ///
@@ -325,15 +504,17 @@ pub fn solve_point(
 pub fn engine_point(
     e: f64,
     h: &BlockTridiag,
+    potential: &[f64],
     sigma_l: &ContactSelfEnergy,
     sigma_r: &ContactSelfEnergy,
     engine: Engine,
 ) -> OmenResult<EnergyPointData> {
+    let (v, sl, sr) = (potential, sigma_l, sigma_r);
     match engine {
-        Engine::Rgf => omen_negf::rgf_point(e, DEFAULT_ETA, h, sigma_l, sigma_r),
-        Engine::WfThomas => omen_wf::wf_point(e, DEFAULT_ETA, h, sigma_l, sigma_r, Solver::Thomas),
-        Engine::WfBcr => omen_wf::wf_point(e, DEFAULT_ETA, h, sigma_l, sigma_r, Solver::Bcr),
-        Engine::SelInv => omen_negf::selinv_point(e, DEFAULT_ETA, h, sigma_l, sigma_r),
+        Engine::Rgf => omen_negf::rgf_point(e, DEFAULT_ETA, h, v, sl, sr),
+        Engine::WfThomas => omen_wf::wf_point(e, DEFAULT_ETA, h, v, sl, sr, Solver::Thomas),
+        Engine::WfBcr => omen_wf::wf_point(e, DEFAULT_ETA, h, v, sl, sr, Solver::Bcr),
+        Engine::SelInv => omen_negf::selinv_point(e, DEFAULT_ETA, h, v, sl, sr),
     }
 }
 
@@ -487,6 +668,20 @@ mod tests {
         (bits, format!("{report:?}"))
     }
 
+    /// `sweep_on` at `width` on a fresh table filled for `energies`, with
+    /// `lead` on both sides and no potential.
+    fn filled_sweep(
+        energies: &[f64],
+        h: &BlockTridiag,
+        (l0, l1): (&ZMat, &ZMat),
+        engine: Engine,
+        width: usize,
+    ) -> (Vec<f64>, Vec<EnergyPointData>, SweepReport) {
+        let mut table = ContactTable::default();
+        table.fill_serial(0, &[[l0, l1, l0, l1]], energies);
+        sweep_on(energies, (h, &[]), engine, &table, 0, width)
+    }
+
     #[test]
     fn every_point_width_gives_the_same_sweep() {
         use omen_linalg::threads::{fan_out_spawned, with_budget};
@@ -510,18 +705,8 @@ mod tests {
         let engines = [Engine::Rgf, Engine::WfThomas, Engine::WfBcr, Engine::SelInv];
         for (h, lead, energies) in &cases {
             for engine in engines {
-                let sweep = |width: usize| {
-                    let mut table = ContactTable::default();
-                    sweep_bits(sweep_on(
-                        energies,
-                        h,
-                        (*lead, *lead),
-                        engine,
-                        &mut table,
-                        0,
-                        width,
-                    ))
-                };
+                let sweep =
+                    |width: usize| sweep_bits(filled_sweep(energies, h, *lead, engine, width));
                 let want = sweep(1);
                 for width in [2, 3] {
                     assert_eq!(sweep(width), want, "{engine:?} at width {width}");
@@ -552,18 +737,52 @@ mod tests {
         });
         assert_eq!(fan_out_spawned() - before, 2, "fill and points on budget 2");
         // The chain's singular point is isolated, not the sweep failed.
-        let mut table = ContactTable::default();
-        let (_, _, report) = sweep_on(
-            &cases[1].2,
-            &chain,
-            ((&c0, &c1), (&c0, &c1)),
-            Engine::WfThomas,
-            &mut table,
-            0,
-            3,
-        );
+        let (_, _, report) = filled_sweep(&cases[1].2, &chain, (&c0, &c1), Engine::WfThomas, 3);
         assert_eq!((report.solved, report.failed.len()), (4, 1));
         assert_eq!(report.failed[0].energy, 0.0);
+    }
+
+    #[test]
+    fn a_group_fan_out_keeps_only_the_group_being_collected() {
+        use std::sync::atomic::{AtomicUsize, Ordering::SeqCst};
+        struct Token<'a>(&'a AtomicUsize);
+        impl Drop for Token<'_> {
+            fn drop(&mut self) {
+                self.0.fetch_sub(1, SeqCst);
+            }
+        }
+        let sizes = [3, 0, 4, 1, 5, 2, 0];
+        for width in 1..=3 {
+            let live = AtomicUsize::new(0);
+            let made: Vec<AtomicUsize> = sizes.iter().map(|_| AtomicUsize::new(0)).collect();
+            let mut handed = Vec::new();
+            fan_out_groups(
+                &sizes,
+                width,
+                |g, i| {
+                    made[g].fetch_add(1, SeqCst);
+                    live.fetch_add(1, SeqCst);
+                    (g, i, Token(&live))
+                },
+                |g, items| {
+                    // Alive now: this group's items, and later groups' that
+                    // finished ahead of it or are being made — never an
+                    // earlier group's.
+                    let alive = live.load(SeqCst);
+                    let later: usize = made[g + 1..].iter().map(|m| m.load(SeqCst)).sum();
+                    assert!(alive <= items.len() + later, "width {width}, group {g}");
+                    if width == 1 {
+                        assert_eq!(alive, items.len(), "group {g}");
+                    }
+                    handed.push((g, items.iter().map(|&(g, i, _)| (g, i)).collect::<Vec<_>>()));
+                },
+            );
+            let want: Vec<_> = (sizes.iter().enumerate())
+                .map(|(g, &n)| (g, (0..n).map(|i| (g, i)).collect::<Vec<_>>()))
+                .collect();
+            assert_eq!(handed, want, "width {width}");
+            assert_eq!(live.load(SeqCst), 0);
+        }
     }
 
     #[test]
@@ -939,7 +1158,8 @@ mod tests {
             mu_source,
         };
         let s = prepare_transport(&tr, &v_flat, &bias, (0, 0.0), &mut table);
-        let (lead_l, lead_r) = ((&s.h00_l, &s.h01_l), (&s.h00_r, &s.h01_r));
+        let [h00_l, h01_l, h00_r, h01_r] = &s.leads;
+        let (lead_l, lead_r) = ((h00_l, h01_l), (h00_r, h01_r));
         let raw = |m: &ZMat| -> Vec<(u64, u64)> {
             m.data()
                 .iter()
@@ -994,10 +1214,14 @@ mod tests {
             r.report.attempted(),
             r.energies.len() + r.report.failed.len()
         );
+        // `solve_point` on the folded `H(V)` the replay assembles: the
+        // engines' `H₀ ⊕ V` is its bits.
         let s = prepare_transport(&tr, &v, &bias, (0, 0.0), &mut ContactTable::default());
-        let (lead_l, lead_r) = ((&s.h00_l, &s.h01_l), (&s.h00_r, &s.h01_r));
+        let [h00_l, h01_l, h00_r, h01_r] = &s.leads;
+        let (lead_l, lead_r) = ((h00_l, h01_l), (h00_r, h01_r));
+        let (h, _, _) = crate::parallel::frozen_system(&tr, &v, 0.0);
         for (&e, t) in r.energies.iter().zip(&r.transmission) {
-            let cold = solve_point(e, &s.h, lead_l, lead_r, engine).unwrap();
+            let cold = solve_point(e, &h, lead_l, lead_r, engine).unwrap();
             assert_eq!(t.to_bits(), cold.transmission.to_bits(), "E={e}");
         }
     }
@@ -1023,13 +1247,15 @@ mod tests {
         let (engine, n_energy) = (Engine::Rgf, 21);
         let got = cold(&tr, &v, &bias, engine, n_energy, 0.0);
         let s = prepare_transport(&tr, &v, &bias, (0, 0.0), &mut ContactTable::default());
-        assert_ne!(s.h00_l, s.h00_r, "the drain lead is shifted");
-        let (lead_l, lead_r) = ((&s.h00_l, &s.h01_l), (&s.h00_r, &s.h01_r));
+        let [h00_l, h01_l, h00_r, h01_r] = &s.leads;
+        assert_ne!(h00_l, h00_r, "the drain lead is shifted");
+        let (lead_l, lead_r) = ((h00_l, h01_l), (h00_r, h01_r));
+        let (h, _, _) = crate::parallel::frozen_system(&tr, &v, 0.0);
         let energies = s.window.grid(n_energy);
         let mut report = SweepReport::default();
         let points: Vec<_> = energies
             .iter()
-            .map(|&e| solve_point(e, &s.h, lead_l, lead_r, engine).unwrap())
+            .map(|&e| solve_point(e, &h, lead_l, lead_r, engine).unwrap())
             .inspect(|p| report.record_solved(p.retries))
             .collect();
         let want = integrate(&tr, &bias, &v, &energies, points, &s.window, report);

@@ -1,6 +1,10 @@
 //! What a curve keeps of its leads: what depends on the leads (and the
 //! energy) alone — their bands and their contact self-energies — computed
-//! once and read back as often as asked for.
+//! once and read back as often as asked for; and, beside them, what does
+//! not depend on the potential at all: the device's `H₀ = H(V = 0)` per
+//! momentum, assembled by the first band request of that `k_y` (in one
+//! fan-out with the bands when both are missing) and read by every sweep
+//! of the curve, which hands the engines the potential separately.
 //!
 //! [`ContactTable`] is the one place a sweep gets its contacts and a window
 //! its lead bands: one lead pair per momentum index `k`, its bands beside
@@ -51,7 +55,9 @@ use omen_negf::{local_sigmas, ContactSelfEnergy, Side};
 use omen_num::wire::{Dec, Enc};
 use omen_num::{OmenError, OmenResult};
 use omen_parsim::Comm;
-use std::collections::HashMap;
+use omen_sparse::BlockTridiag;
+use omen_tb::DeviceHamiltonian;
+use std::collections::{HashMap, HashSet};
 use std::convert::Infallible;
 use std::fmt;
 
@@ -245,6 +251,13 @@ fn decimate_all(leads: &[LeadKey<'_>], pairs: &[(usize, f64)], width: usize) -> 
     })
 }
 
+/// `H₀ = H(V = 0)` of the device at `ky`: the one assembly of a curve's
+/// device Hamiltonian, once per momentum. Every potential the curve solves
+/// at enters where the engines form `A`, bit for bit `H(V) = H₀ ⊕ V`.
+fn zero_potential_hamiltonian(ham: &DeviceHamiltonian<'_>, ky: f64) -> BlockTridiag {
+    ham.assemble(&vec![0.0; ham.device().num_atoms()], ky)
+}
+
 /// What a curve knows of its leads per momentum index `k`: one lead pair,
 /// stored once and compared entry for entry on every fill and band
 /// request, its [`LeadBands`] and its `local_contacts` outcomes per
@@ -253,9 +266,16 @@ fn decimate_all(leads: &[LeadKey<'_>], pairs: &[(usize, f64)], width: usize) -> 
 /// rank path keeps one per rank across the bias points of a curve (in the
 /// rank's `ModelBank`). Either way a lead pair that repeats at its slot is
 /// diagonalised and decimated once per curve.
+///
+/// Beside the slots, and not inside them, a serial curve keeps its
+/// device's `H₀` per momentum, keyed on `k_y`'s bits: floating leads drop
+/// their slot on every SCF iteration, but `H₀` does not depend on the
+/// potential. A table therefore belongs to one transistor. The rank path
+/// assembles its own systems and never asks for one.
 #[derive(Debug, Default)]
 pub struct ContactTable {
     slots: Vec<Option<Leads>>,
+    hamiltonians: HashMap<u64, BlockTridiag>,
     tally: ContactTally,
 }
 
@@ -397,11 +417,94 @@ impl ContactTable {
     /// The [`LeadBands`] of slot `k`'s lead pair `key`, one per lead it
     /// stores (the left, then the right where it differs), diagonalised
     /// the first time a window asks for them: what
-    /// [`crate::energy::transport_window`] computes for that pair.
-    pub(crate) fn bands(&mut self, k: usize, key: LeadKey<'_>) -> &[LeadBands] {
+    /// [`crate::energy::transport_window`] computes for that pair. The
+    /// device's `H₀` at `ky` is made present too ([`ContactTable::hamiltonian`]);
+    /// when the table lacks both, they are two items of one fan-out.
+    pub(crate) fn bands(
+        &mut self,
+        k: usize,
+        key: LeadKey<'_>,
+        ham: &DeviceHamiltonian<'_>,
+        ky: f64,
+    ) -> &[LeadBands] {
+        enum Made {
+            Bands(Vec<LeadBands>),
+            H0(BlockTridiag),
+        }
+        let h0_missing = !self.hamiltonians.contains_key(&ky.to_bits());
         let Leads { blocks, bands, .. } = self.keyed_on(k, key);
-        let of = |b: &[ZMat]| LeadBands::of(&b[0], &b[1]);
-        bands.get_or_insert_with(|| blocks.chunks(2).map(of).collect())
+        // Job 0 diagonalises the leads, job 1 assembles H₀.
+        let wanted = [bands.is_none(), h0_missing];
+        let jobs: Vec<usize> = (0..2).filter(|&j| wanted[j]).collect();
+        let blocks = &*blocks;
+        let made = fan_out(jobs.len(), fan_out_width(jobs.len()), |i| match jobs[i] {
+            0 => Made::Bands(
+                blocks
+                    .chunks(2)
+                    .map(|b| LeadBands::of(&b[0], &b[1]))
+                    .collect(),
+            ),
+            _ => Made::H0(zero_potential_hamiltonian(ham, ky)),
+        });
+        let mut h0 = None;
+        for m in made {
+            match m {
+                Made::Bands(b) => *bands = Some(b),
+                Made::H0(h) => h0 = Some(h),
+            }
+        }
+        if let Some(h) = h0 {
+            self.hamiltonians.insert(ky.to_bits(), h);
+        }
+        let kept = self.slots[k]
+            .as_ref()
+            .and_then(|leads| leads.bands.as_deref());
+        kept.unwrap_or_default()
+    }
+
+    /// The device's `H₀ = H(V = 0)` at `ky`, as the band request of that
+    /// momentum assembled it.
+    ///
+    /// # Panics
+    ///
+    /// When no band request at `ky` came first.
+    pub(crate) fn hamiltonian(&self, ky: f64) -> &BlockTridiag {
+        self.hamiltonians
+            .get(&ky.to_bits())
+            .expect("a band request assembles H₀ before a sweep reads it")
+    }
+
+    /// One fill of slot `k`'s lead pair `key` over the union of `grids`,
+    /// and each grid's tally as if the grids had been filled one after the
+    /// other: an energy the table or an earlier grid holds is reused. The
+    /// table's own tally is left as it was.
+    pub(crate) fn fill_grids(
+        &mut self,
+        k: usize,
+        key: LeadKey<'_>,
+        grids: &[Vec<f64>],
+    ) -> Vec<ContactTally> {
+        let known = &self.keyed_on(k, key).outcomes;
+        let mut listed = HashSet::new();
+        let mut union = Vec::new();
+        let tallies = (grids.iter())
+            .map(|grid| {
+                let mut tally = ContactTally::default();
+                for &e in grid {
+                    if !known.contains_key(&e.to_bits()) && listed.insert(e.to_bits()) {
+                        union.push(e);
+                        tally.decimated += 1;
+                    } else {
+                        tally.reused += 1;
+                    }
+                }
+                tally
+            })
+            .collect();
+        let before = self.take_tally();
+        self.fill_serial(k, &[key], &union);
+        self.tally = before;
+        tallies
     }
 
     /// `local_contacts(e, DEFAULT_ETA, ..)` for `k`'s lead pair, as the
@@ -523,7 +626,7 @@ mod tests {
         ];
         let mut table = ContactTable::default();
         for (i, (k, key, mus)) in calls.into_iter().enumerate() {
-            let warm = clip(table.bands(k, key), &mus, kt, margin_kt, focus);
+            let warm = clip(table.bands(k, key, &ham, 0.0), &mus, kt, margin_kt, focus);
             assert_eq!(bits(warm), cold(key, &mus), "call {i}");
         }
         // An equal pair keeps one lead's bands, an unequal pair both.
@@ -534,7 +637,13 @@ mod tests {
         // A hit really is served from the slot: a doctored band of either
         // lead shows in the window.
         let mus = [-3.45, -3.6];
-        let honest = clip(table.bands(1, swapped), &mus, kt, margin_kt, focus);
+        let honest = clip(
+            table.bands(1, swapped, &ham, 0.0),
+            &mus,
+            kt,
+            margin_kt,
+            focus,
+        );
         for lead in 0..2 {
             let doctor = |t: &mut ContactTable, by: f64| {
                 if let Some(Some(bands)) = t.slots[1].as_mut().map(|l| l.bands.as_mut()) {
@@ -542,7 +651,13 @@ mod tests {
                 }
             };
             doctor(&mut table, -1.0);
-            let w = clip(table.bands(1, swapped), &mus, kt, margin_kt, focus);
+            let w = clip(
+                table.bands(1, swapped, &ham, 0.0),
+                &mus,
+                kt,
+                margin_kt,
+                focus,
+            );
             assert!(w.e_min < honest.e_min - 0.2, "lead {lead}: {w:?}");
             doctor(&mut table, 1.0);
         }

@@ -1,6 +1,14 @@
 //! Voltage sweeps and figure-of-merit extraction.
+//!
+//! Every sweep owns one [`ContactTable`] for its curve: its leads' bands
+//! and contacts and the device's `H₀` per momentum. The SCF sweeps solve
+//! their bias points one after another, each warm-started from the last;
+//! the frozen sweep solves all its gate points as one fan-out over
+//! `(gate, E)` and records each point, in gate order, as soon as its last
+//! energy is in. Either way each point is numbered, logged and handed to
+//! the observer in bias order.
 
-use crate::ballistic::{ballistic_solve, BallisticResult, Engine};
+use crate::ballistic::{frozen_gate_points, BallisticResult, Engine};
 use crate::contacts::{ContactTable, ContactTally};
 use crate::log::SweepSeq;
 use crate::scf::{self_consistent, ScfOptions};
@@ -68,46 +76,62 @@ fn point_line(kind: &str, prog: &PointProgress<'_>) -> String {
     )
 }
 
-/// The one bias loop behind every sweep: solves `biases` in order with
-/// `solve` on the curve's one [`ContactTable`], numbers each point, logs it
-/// with the contact tally of its solves and hands it to the observer.
-/// `solve` returns the point's final transport, its SCF iterations and
-/// whether it converged.
-fn bias_loop(
-    kind: &str,
-    biases: &[Bias],
-    observer: &mut dyn FnMut(PointProgress<'_>),
-    mut solve: impl FnMut(&Bias, &mut ContactTable) -> (BallisticResult, usize, bool),
-) -> Vec<IvPoint> {
-    let mut table = ContactTable::default();
-    let mut seq = SweepSeq::new();
-    let mut out = Vec::with_capacity(biases.len());
-    for (index, bias) in biases.iter().enumerate() {
-        let (r, scf_iterations, converged) = solve(bias, &mut table);
+/// What every sweep does with its solved bias points, in bias order:
+/// numbers each, logs it with the contact tally of its solves and hands it
+/// to the observer.
+struct Curve<'a> {
+    kind: &'a str,
+    total: usize,
+    seq: SweepSeq,
+    observer: &'a mut dyn FnMut(PointProgress<'_>),
+    points: Vec<IvPoint>,
+}
+
+impl<'a> Curve<'a> {
+    fn new(kind: &'a str, total: usize, observer: &'a mut dyn FnMut(PointProgress<'_>)) -> Self {
+        Curve {
+            kind,
+            total,
+            seq: SweepSeq::new(),
+            observer,
+            points: Vec::with_capacity(total),
+        }
+    }
+
+    /// The next bias point: its final transport, SCF iterations, whether
+    /// it converged and the contacts its solves decimated and reused.
+    fn record(
+        &mut self,
+        bias: &Bias,
+        r: &BallisticResult,
+        iters: usize,
+        converged: bool,
+        contacts: ContactTally,
+    ) {
         let point = IvPoint {
             v_gate: bias.v_gate,
             v_ds: bias.v_ds,
             current_ua: r.current_ua,
-            scf_iterations,
+            scf_iterations: iters,
             converged,
         };
         let prog = PointProgress {
-            seq: seq.draw(),
-            index,
-            total: biases.len(),
+            seq: self.seq.draw(),
+            index: self.points.len(),
+            total: self.total,
             point: &point,
             report: &r.report,
-            contacts: table.take_tally(),
+            contacts,
         };
-        crate::log::emit(&point_line(kind, &prog));
-        observer(prog);
-        out.push(point);
+        crate::log::emit(&point_line(self.kind, &prog));
+        (self.observer)(prog);
+        self.points.push(point);
     }
-    out
 }
 
-/// The SCF sweeps' way through the bias loop: each point warm-starts from
-/// the previous one's potential.
+/// The SCF sweeps' bias loop: solves `biases` in order on the curve's one
+/// [`ContactTable`], each point warm-started from the previous one's
+/// potential, and records each point.
 fn scf_sweep(
     kind: &str,
     tr: &mut NanoTransistor,
@@ -115,12 +139,16 @@ fn scf_sweep(
     opts: &ScfOptions,
     observer: &mut dyn FnMut(PointProgress<'_>),
 ) -> Vec<IvPoint> {
+    let mut table = ContactTable::default();
+    let mut curve = Curve::new(kind, biases.len(), observer);
     let mut warm: Option<Vec<f64>> = None;
-    bias_loop(kind, biases, observer, |bias, table| {
-        let r = self_consistent(tr, bias, opts, warm.as_deref(), table);
+    for bias in biases {
+        let r = self_consistent(tr, bias, opts, warm.as_deref(), &mut table);
+        let tally = table.take_tally();
+        curve.record(bias, &r.transport, r.iterations, r.converged, tally);
         warm = Some(r.v_grid);
-        (r.transport, r.iterations, r.converged)
-    })
+    }
+    curve.points
 }
 
 /// Sweeps the gate at fixed `v_ds`, warm-starting each point from the
@@ -249,8 +277,12 @@ pub fn frozen_field_sweep(
 /// `omen-serve` daemon runs for `mode = frozen` jobs: each bias point is
 /// logged with its sequence number and handed to the observer for
 /// progress streaming. The source/drain extensions sit at zero potential
-/// at every gate point, so the curve's table diagonalises the lead once and
-/// decimates each energy of the shared grid once.
+/// at every gate point, so the curve's table diagonalises the lead once,
+/// assembles `H₀` once and decimates each energy of the shared grid once,
+/// and every `(gate, E)` of the sweep is one unit of a single fan-out
+/// (`ballistic::frozen_gate_points`). Each point is integrated, logged
+/// and observed, in gate order, as soon as its last energy is in; every
+/// point is the one-k [`crate::ballistic::ballistic_solve`] bit for bit.
 pub fn frozen_field_sweep_observed(
     tr: &NanoTransistor,
     v_gates: &[f64],
@@ -261,12 +293,16 @@ pub fn frozen_field_sweep_observed(
     observer: &mut dyn FnMut(PointProgress<'_>),
 ) -> Vec<IvPoint> {
     let biases = biases(v_gates, &[v_ds], mu_source);
-    bias_loop("frozen", &biases, observer, |bias, table| {
-        let v_atoms = frozen_potential(tr, bias.v_gate);
-        let gamma = [(0.0, 1.0)];
-        let r = ballistic_solve(tr, &v_atoms, bias, engine, n_energy, &gamma, table);
-        (r, 0, true)
-    })
+    let mut curve = Curve::new("frozen", biases.len(), observer);
+    frozen_gate_points(
+        tr,
+        &biases,
+        engine,
+        n_energy,
+        &mut ContactTable::default(),
+        |i, r, contacts| curve.record(&biases[i], &r, 0, true, contacts),
+    );
+    curve.points
 }
 
 #[cfg(test)]
@@ -378,6 +414,126 @@ mod tests {
         assert_eq!(kept, vec![-0.5, 0.0, 0.5]);
         let failed: Vec<f64> = report.failed.iter().map(|f| f.energy).collect();
         assert_eq!(failed, vec![-0.25, 0.25], "failures in grid order");
+    }
+
+    /// The README wire: the single-band 1 nm nanowire, 8 slabs, undoped.
+    fn readme_wire() -> NanoTransistor {
+        let mut spec =
+            TransistorSpec::si_nanowire_nmos(Material::SingleBand { t_mev: 1000 }, 1.0, 8);
+        spec.doping_sd = 0.0;
+        spec.build()
+    }
+
+    #[test]
+    fn a_frozen_sweep_is_its_gate_points_solved_cold_at_every_budget() {
+        use omen_linalg::threads::with_budget;
+        // Three gate points, each the one-k solve on a fresh table to the
+        // bit — current and report — numbered in gate order. The README
+        // wire's extensions keep their potential, so its points share the
+        // leads: the first decimates the shared grid and the others reuse
+        // it. A three-slab wire has no extension (the channel reaches both
+        // terminal slabs), so each point brings its own leads and grid.
+        // The fan-out's width is the budget (capped by the units), so
+        // budgets 1–3 are widths 1–3.
+        let mut short =
+            TransistorSpec::si_nanowire_nmos(Material::SingleBand { t_mev: 1000 }, 1.0, 3);
+        short.doping_sd = 0.0;
+        assert_eq!((short.source_slabs, short.drain_slabs), (0, 0));
+        let (vgs, v_ds, mu, n_energy) = (linspace(-0.1, 0.1, 3), 0.15, -3.45, 21);
+        let first = ContactTally {
+            decimated: n_energy,
+            reused: 0,
+        };
+        let later = ContactTally {
+            decimated: 0,
+            reused: n_energy,
+        };
+        for (tr, shared) in [(readme_wire(), true), (short.build(), false)] {
+            for engine in [Engine::Rgf, Engine::WfThomas, Engine::WfBcr] {
+                let want: Vec<_> = (vgs.iter().enumerate())
+                    .map(|(i, &v_gate)| {
+                        let bias = Bias {
+                            v_gate,
+                            v_ds,
+                            mu_source: mu,
+                        };
+                        let v = frozen_potential(&tr, v_gate);
+                        let r = cold(&tr, &v, &bias, engine, n_energy, 0.0);
+                        let tally = if i == 0 || !shared { first } else { later };
+                        (i as u64, i, r.current_ua.to_bits(), r.report, tally)
+                    })
+                    .collect();
+                for cores in 1..=3 {
+                    let mut seen = Vec::new();
+                    let pts = with_budget(cores, || {
+                        frozen_field_sweep_observed(
+                            &tr,
+                            &vgs,
+                            v_ds,
+                            mu,
+                            engine,
+                            n_energy,
+                            &mut |p| {
+                                let current = p.point.current_ua.to_bits();
+                                seen.push((p.seq, p.index, current, p.report.clone(), p.contacts));
+                            },
+                        )
+                    });
+                    let what = format!("{engine:?} on budget {cores}, shared leads {shared}");
+                    assert_eq!(seen, want, "{what}");
+                    let currents: Vec<u64> = pts.iter().map(|p| p.current_ua.to_bits()).collect();
+                    let want_currents: Vec<u64> = want.iter().map(|w| w.2).collect();
+                    assert_eq!(currents, want_currents, "{what}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_curve_assembles_h_once_per_momentum_and_fans_its_gate_points_out_once() {
+        use omen_linalg::threads::{fan_out_spawned, with_budget};
+        use omen_tb::hamiltonian::assembled;
+        // At budget 2 a frozen sweep of three gate points starts one worker
+        // for the lead bands beside H₀, one for the fill of the shared grid
+        // and one for all 3 × 21 (gate, E) units, where a loop over the
+        // gate points would start one per point for its energies.
+        let tr = readme_wire();
+        let vgs = linspace(-0.1, 0.1, 3);
+        let before = fan_out_spawned();
+        with_budget(2, || {
+            frozen_field_sweep(&tr, &vgs, 0.15, -3.45, Engine::Rgf, 21)
+        });
+        assert_eq!(fan_out_spawned() - before, 3);
+
+        // At budget 1 everything runs on this thread, where the assemblies
+        // are counted: one H₀ for the frozen curve ...
+        let before = assembled();
+        with_budget(1, || {
+            frozen_field_sweep(&tr, &vgs, 0.15, -3.45, Engine::Rgf, 21)
+        });
+        assert_eq!(assembled() - before, 1, "frozen");
+
+        // ... and one per momentum for an SCF curve, whatever its
+        // iterations: the UTB film at n_k = 2 over two gate points.
+        let mut spec =
+            TransistorSpec::si_nanowire_nmos(Material::SingleBand { t_mev: 1000 }, 1.0, 6);
+        spec.geometry = crate::spec::Geometry::Utb { cells: 1, h: 1.0 };
+        spec.doping_sd = 2e-3;
+        let opts = ScfOptions {
+            n_energy: 11,
+            n_k: 2,
+            max_iter: 4,
+            ..ScfOptions::default()
+        };
+        let before = assembled();
+        let pts = with_budget(1, || {
+            gate_sweep(&mut spec.build(), &[0.0, 0.1], 0.2, -3.2, &opts)
+        });
+        assert!(
+            pts.iter().map(|p| p.scf_iterations).sum::<usize>() > 2,
+            "{pts:?}"
+        );
+        assert_eq!(assembled() - before, 2, "SCF, two momenta");
     }
 
     #[test]

@@ -240,7 +240,7 @@ fn solve_unit(
 ) -> OmenResult<[f64; 2]> {
     let (sigma_l, sigma_r) = table.contacts(k, e)?;
     let solver = Solver::SplitSolve(&comms.spatial_group);
-    let d = omen_wf::wf_point(e, DEFAULT_ETA, h, &sigma_l, &sigma_r, solver)?;
+    let d = omen_wf::wf_point(e, DEFAULT_ETA, h, &[], &sigma_l, &sigma_r, solver)?;
     Ok([d.transmission, d.retries as f64])
 }
 

@@ -14,6 +14,12 @@
 //! [`fan_out_width`] spends a budget on independent items: one thread per
 //! core, at most one per item.
 //!
+//! [`fan_out_each`] hands each item's result to a consumer on the calling
+//! thread in index order, as soon as every lower index is in, so a caller
+//! can fold results in as they arrive (a frozen sweep integrates each gate
+//! point when its last energy is in) and keeps only the out-of-order
+//! buffer beside them; [`fan_out`] collects them.
+//!
 //! No kernel splits its rows over threads: every slab block a shipped
 //! device produces (18 … 113) is a product too small for a thread spawn to
 //! pay for itself, and a row split would take cores from the fan-out
@@ -271,47 +277,101 @@ pub fn fan_out_width(items: usize) -> usize {
 /// (or `n ≤ 1`) is the same claim loop on the calling thread, with no
 /// spawn. Which thread runs an item never changes its result when `f` is
 /// deterministic and keeps no per-thread state between items, so the
-/// output is the serial one at every width.
+/// output is the serial one at every width. It is [`fan_out_each`]
+/// collecting what it hands on.
 ///
 /// A panic in `f` propagates to the caller once every worker has stopped.
 pub fn fan_out<T: Send>(n: usize, width: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
+    let mut out = Vec::with_capacity(n);
+    fan_out_each(n, width, f, |_, x| out.push(x));
+    out
+}
+
+/// [`fan_out`]'s items, each handed to `consume(i, f(i))` on the calling
+/// thread in index order as soon as every lower index is in. The calling
+/// thread claims items like a worker and, after each of its own items and
+/// after the last claim, takes what the workers sent. A result that
+/// finishes ahead of a lower index waits in an out-of-order buffer and
+/// nothing else is kept, so a consumer that folds each result in holds
+/// one item beyond that buffer. Width 1 is `consume(i, f(i))` for `i` in
+/// order on the calling thread, with no spawn.
+///
+/// A panic in `f` or in `consume` stops the claims and propagates to the
+/// caller once every worker has stopped.
+pub fn fan_out_each<T: Send>(
+    n: usize,
+    width: usize,
+    f: impl Fn(usize) -> T + Sync,
+    mut consume: impl FnMut(usize, T),
+) {
     let width = width.clamp(1, n.max(1));
     let share = budget() / width;
     let next = AtomicUsize::new(0);
     let claim = || {
-        with_budget(share, || {
-            let mut done = Vec::new();
-            loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    return done;
-                }
-                done.push((i, f(i)));
-            }
-        })
+        let i = next.fetch_add(1, Ordering::Relaxed);
+        (i < n).then_some(i)
     };
-    let mut slots: Vec<Option<T>> = (0..n).map(|_| None).collect();
-    let mut put = |done: Vec<(usize, T)>| {
-        for (i, x) in done {
-            slots[i] = Some(x);
-        }
-    };
+    let solve = |i| with_budget(share, || f(i));
     if width == 1 {
-        put(claim());
-    } else {
-        SPAWNED.with(|s| s.set(s.get() + width - 1));
-        std::thread::scope(|scope| {
-            let workers: Vec<_> = (1..width).map(|_| scope.spawn(claim)).collect();
-            put(claim());
-            for w in workers {
-                match w.join() {
-                    Ok(done) => put(done),
-                    Err(p) => std::panic::resume_unwind(p),
-                }
-            }
-        });
+        while let Some(i) = claim() {
+            consume(i, solve(i));
+        }
+        return;
     }
-    slots.into_iter().flatten().collect()
+    // A thread that unwinds takes the remaining claims with it.
+    struct StopOnUnwind<'a>(&'a AtomicUsize, usize);
+    impl Drop for StopOnUnwind<'_> {
+        fn drop(&mut self) {
+            if std::thread::panicking() {
+                self.0.store(self.1, Ordering::Relaxed);
+            }
+        }
+    }
+    SPAWNED.with(|s| s.set(s.get() + width - 1));
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::scope(|scope| {
+        let workers: Vec<_> = (1..width)
+            .map(|_| {
+                let (tx, next, claim, solve) = (tx.clone(), &next, &claim, &solve);
+                scope.spawn(move || {
+                    let _stop = StopOnUnwind(next, n);
+                    // A closed channel is a caller that unwound.
+                    while let Some(i) = claim() {
+                        if tx.send((i, solve(i))).is_err() {
+                            return;
+                        }
+                    }
+                })
+            })
+            .collect();
+        drop(tx);
+        let _stop = StopOnUnwind(&next, n);
+        let mut ahead = std::collections::BTreeMap::new();
+        let mut due = 0;
+        let mut deliver = |i: usize, x: T| {
+            ahead.insert(i, x);
+            while let Some(x) = ahead.remove(&due) {
+                consume(due, x);
+                due += 1;
+            }
+        };
+        while let Some(i) = claim() {
+            deliver(i, solve(i));
+            while let Ok((i, x)) = rx.try_recv() {
+                deliver(i, x);
+            }
+        }
+        // Until every worker has stopped; one that panicked leaves a gap
+        // nothing past is delivered across, and its join says why.
+        while let Ok((i, x)) = rx.recv() {
+            deliver(i, x);
+        }
+        for w in workers {
+            if let Err(p) = w.join() {
+                std::panic::resume_unwind(p);
+            }
+        }
+    });
 }
 
 /// Workers [`fan_out`] has started from the calling thread: the witness
@@ -386,6 +446,83 @@ mod tests {
             })
         });
         assert!(r.is_err());
+    }
+
+    #[test]
+    fn fan_out_each_delivers_in_index_order_on_the_calling_thread() {
+        let caller = std::thread::current().id();
+        for width in 1..=4 {
+            let mut seen = Vec::new();
+            fan_out_each(
+                23,
+                width,
+                |i| i * 3,
+                |i, x| {
+                    assert_eq!(std::thread::current().id(), caller);
+                    seen.push((i, x));
+                },
+            );
+            let want: Vec<_> = (0..23).map(|i| (i, i * 3)).collect();
+            assert_eq!(seen, want, "width {width}");
+        }
+    }
+
+    #[test]
+    fn a_slow_first_item_delays_delivery_but_loses_nothing() {
+        // Item 0 waits until every other item has finished, which the other
+        // threads do meanwhile; their results wait for it, and none is lost.
+        let n = 12;
+        for width in 2..=4 {
+            let (done, finished) = std::sync::mpsc::channel();
+            let finished = std::sync::Mutex::new(finished);
+            let mut seen = Vec::new();
+            fan_out_each(
+                n,
+                width,
+                |i| {
+                    if i == 0 {
+                        let finished = finished.lock().expect("no item panics");
+                        for _ in 1..n {
+                            finished.recv().expect("every other item reports");
+                        }
+                    } else {
+                        done.send(i).expect("item 0 listens");
+                    }
+                    i
+                },
+                |i, x| seen.push((i, x)),
+            );
+            let want: Vec<_> = (0..n).map(|i| (i, i)).collect();
+            assert_eq!(seen, want, "width {width}");
+        }
+    }
+
+    #[test]
+    fn a_panic_in_an_item_propagates_after_every_worker_stops() {
+        for width in 1..=3 {
+            let running = AtomicUsize::new(0);
+            let mut seen = Vec::new();
+            let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                fan_out_each(
+                    40,
+                    width,
+                    |i| {
+                        running.fetch_add(1, Ordering::SeqCst);
+                        assert!(i != 7, "item 7");
+                        running.fetch_sub(1, Ordering::SeqCst);
+                        i
+                    },
+                    |i, _| seen.push(i),
+                )
+            }));
+            assert!(r.is_err(), "width {width}");
+            // Only the item that panicked is still counted as running:
+            // every other thread finished its item and stopped before the
+            // panic reached the caller, and nothing past the gap was
+            // delivered.
+            assert_eq!(running.load(Ordering::SeqCst), 1, "width {width}");
+            assert!(seen.iter().all(|&i| i < 7), "width {width}: {seen:?}");
+        }
     }
 
     #[test]

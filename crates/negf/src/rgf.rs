@@ -169,27 +169,68 @@ fn sub_scatter(m: &mut ZMat, rows: &[usize], cols: &[usize], p: &ZMat) {
     }
 }
 
-/// Diagonal blocks of `A = (E + iη) I − H − Σ_L − Σ_R`, each built when
-/// the iterator reaches it: the dense pivot `(E + iη) I`, `H`'s stored
-/// entries subtracted where they lie, then `Σ`. An entry of `D_i` no push
-/// reached is `+0`, and `x − (+0)` is `x` for every `x` (`−0` too), so
-/// skipping it gives the bits of the dense `(E + iη) I − D_i − Σ`. With
-/// `H`'s couplings negated on their cores, this is all of `A` an engine
-/// takes: no copy of `H` is made.
+/// Diagonal blocks of `A = (E + iη) I − H₀ − diag(V) − Σ_L − Σ_R`, each
+/// built when the iterator reaches it: the dense pivot `(E + iη) I`, `H₀`'s
+/// stored entries subtracted where they lie, then `Σ`. This is the one
+/// place an engine forms its diagonal blocks, and so the one place the
+/// potential enters: `potential` is `V` per orbital (row of `H₀`), or empty
+/// for none. A diagonal entry subtracts `h₀ᵣᵣ + V_r` — `V_r` alone where
+/// no push reached `h₀ᵣᵣ`, `h₀ᵣᵣ` alone where `V_r` is an exact zero — so
+/// with `H₀ = assemble(0)` the blocks are those of `H = assemble(V)` with
+/// an empty potential, bit for bit (`omen_tb`'s `H(V) = H₀ ⊕ V`).
+///
+/// An entry of `D_i` no push reached is `+0`, and `x − (+0)` is `x` for
+/// every `x` (`−0` too), so skipping it gives the bits of the dense
+/// `(E + iη) I − D_i − Σ`. With `H`'s couplings negated on their cores,
+/// this is all of `A` an engine takes: no copy of `H` is made.
+///
+/// # Panics
+///
+/// When `potential` is neither empty nor one entry per row of `h`.
 pub fn a_diagonal<'a>(
     e: f64,
     eta: f64,
     h: &'a BlockTridiag,
+    potential: &'a [f64],
     sigma_l: &'a ContactSelfEnergy,
     sigma_r: &'a ContactSelfEnergy,
 ) -> impl ExactSizeIterator<Item = ZMat> + 'a {
+    assert!(
+        potential.is_empty() || potential.len() == h.dim(),
+        "one potential per orbital, or none"
+    );
     let nb = h.num_blocks();
     let ec = c64::new(e, eta);
+    let mut first = 0;
     h.diag.iter().enumerate().map(move |(i, d)| {
-        let mut a = ZMat::from_diag(&vec![ec; d.n]);
+        let n = d.n;
+        let v = potential.get(first..first + n).unwrap_or_default();
+        first += n;
+        let mut a = ZMat::from_diag(&vec![ec; n]);
         let data = a.data_mut();
-        for &(k, v) in &d.entries {
-            data[k] -= v;
+        // `V_r` on the diagonal entry of row `r`, alone where `H₀` has none.
+        let shift = |data: &mut [c64], r: usize| {
+            if let Some(&v_r) = v.get(r).filter(|&&v_r| v_r != 0.0) {
+                data[r * (n + 1)] -= c64::real(v_r);
+            }
+        };
+        // Rows below `due` have had their diagonal entry handled.
+        let mut due = 0;
+        for &(k, h0) in &d.entries {
+            while due < n && due * (n + 1) < k {
+                shift(data, due);
+                due += 1;
+            }
+            data[k] -= match v.get(due).filter(|&&v_r| v_r != 0.0 && k == due * (n + 1)) {
+                Some(&v_r) => h0 + c64::real(v_r),
+                None => h0,
+            };
+            if k == due * (n + 1) {
+                due += 1;
+            }
+        }
+        for r in due..n {
+            shift(data, r);
         }
         if i == 0 {
             a -= &sigma_l.sigma;
@@ -201,18 +242,19 @@ pub fn a_diagonal<'a>(
     })
 }
 
-/// Builds `A = (E + iη) I − H − Σ_L − Σ_R` from the device Hamiltonian:
-/// [`a_diagonal`] and a negated copy of `H`'s couplings, for selected
-/// inversion and the tests that hold an engine against it. [`rgf_point`]
-/// takes [`a_diagonal`] and `H`'s couplings instead.
+/// Builds `A = (E + iη) I − H₀ − diag(V) − Σ_L − Σ_R` from the device
+/// Hamiltonian: [`a_diagonal`] and a negated copy of `H₀`'s couplings, for
+/// selected inversion and the tests that hold an engine against it.
+/// [`rgf_point`] takes [`a_diagonal`] and `H₀`'s couplings instead.
 pub(crate) fn build_a_matrix(
     e: f64,
     eta: f64,
     h: &BlockTridiag,
+    potential: &[f64],
     sigma_l: &ContactSelfEnergy,
     sigma_r: &ContactSelfEnergy,
 ) -> BlockTridiag<ZMat> {
-    let diag = a_diagonal(e, eta, h, sigma_l, sigma_r).collect();
+    let diag = a_diagonal(e, eta, h, potential, sigma_l, sigma_r).collect();
     BlockTridiag::new(diag, negated(&h.lower), negated(&h.upper))
 }
 
@@ -266,7 +308,8 @@ pub fn rgf_solve(a: &BlockTridiag<ZMat>, gamma_l: &ZMat, gamma_r: &ZMat) -> Omen
 }
 
 /// One energy point with RGF, from the contacts on: the recursion of
-/// [`rgf_solve`] on `A = (E + iη) I − H − Σ_L − Σ_R` without forming `A` —
+/// [`rgf_solve`] on `A = (E + iη) I − H − diag(V) − Σ_L − Σ_R` (`V` per
+/// orbital, empty for none: [`a_diagonal`]) without forming `A` —
 /// each diagonal block is built as the sweep reaches it and consumed
 /// there, the couplings are `H`'s stored ones, negated on their cores —
 /// keeping only the faces of each `gL_i` and handing each slab to the
@@ -282,6 +325,7 @@ pub fn rgf_point(
     e: f64,
     eta: f64,
     h: &BlockTridiag,
+    potential: &[f64],
     sigma_l: &ContactSelfEnergy,
     sigma_r: &ContactSelfEnergy,
 ) -> OmenResult<EnergyPointData> {
@@ -290,7 +334,7 @@ pub fn rgf_point(
     let mut point = PointAssembly::new(h, gamma_l, gamma_r, &support_left, &support_right);
     let mut transmission = 0.0;
     let retries = recursion(
-        a_diagonal(e, eta, h, sigma_l, sigma_r),
+        a_diagonal(e, eta, h, potential, sigma_l, sigma_r),
         (&negated(&h.lower), &negated(&h.upper)),
         (&support_left, &support_right),
         Keep::Faces,
@@ -556,7 +600,7 @@ mod tests {
         };
         for (e, eta) in [(-0.0, 1e-6), (0.0, 0.0), (0.37, -0.0), (-1.25, 1e-3)] {
             let ec = c64::new(e, eta);
-            let got: Vec<ZMat> = a_diagonal(e, eta, &h, &sl, &sr).collect();
+            let got: Vec<ZMat> = a_diagonal(e, eta, &h, &[], &sl, &sr).collect();
             for (i, d) in h.diag.iter().enumerate() {
                 let mut want = ZMat::from_diag(&vec![ec; d.n]);
                 want -= &omen_sparse::DiagBlock::to_dense(d);
@@ -577,7 +621,7 @@ mod tests {
         let h = chain(8, e0, t, &[]);
         for &e in &[-1.7, -0.9, 0.05, 0.8, 1.6] {
             let (sl, sr) = chain_leads(e0, t, e);
-            let a = build_a_matrix(e, 1e-6, &h, &sl, &sr);
+            let a = build_a_matrix(e, 1e-6, &h, &[], &sl, &sr);
             let r = rgf_solve(&a, &sl.gamma, &sr.gamma).unwrap();
             assert!(
                 (r.transmission - 1.0).abs() < 1e-4,
@@ -593,7 +637,7 @@ mod tests {
         let h = chain(8, e0, t, &[]);
         for &e in &[-2.5, 2.5, 4.0] {
             let (sl, sr) = chain_leads(e0, t, e);
-            let a = build_a_matrix(e, 1e-6, &h, &sl, &sr);
+            let a = build_a_matrix(e, 1e-6, &h, &[], &sl, &sr);
             let r = rgf_solve(&a, &sl.gamma, &sr.gamma).unwrap();
             assert!(r.transmission.abs() < 1e-6, "E={e}: T={}", r.transmission);
         }
@@ -613,7 +657,7 @@ mod tests {
             let sink = (1.0 - cosk * cosk).sqrt();
             let expect = 1.0 / (1.0 + (u / (2.0 * t.abs() * sink)).powi(2));
             let (sl, sr) = chain_leads(e0, t, e);
-            let a = build_a_matrix(e, 1e-6, &h, &sl, &sr);
+            let a = build_a_matrix(e, 1e-6, &h, &[], &sl, &sr);
             let r = rgf_solve(&a, &sl.gamma, &sr.gamma).unwrap();
             assert!(
                 (r.transmission - expect).abs() < 1e-4,
@@ -633,7 +677,7 @@ mod tests {
         let h = chain(6, e0, t, &barrier);
         let e = 0.5;
         let (sl, sr) = chain_leads(e0, t, e);
-        let a = build_a_matrix(e, 1e-6, &h, &sl, &sr);
+        let a = build_a_matrix(e, 1e-6, &h, &[], &sl, &sr);
         let r = rgf_solve(&a, &sl.gamma, &sr.gamma).unwrap();
         for i in 0..6 {
             let g = &r.g_diag[i];
@@ -655,7 +699,7 @@ mod tests {
         let h = chain(5, e0, t, &[]);
         let e = 0.4;
         let (sl, sr) = chain_leads(e0, t, e);
-        let a = build_a_matrix(e, 1e-6, &h, &sl, &sr);
+        let a = build_a_matrix(e, 1e-6, &h, &[], &sl, &sr);
         let r = rgf_solve(&a, &sl.gamma, &sr.gamma).unwrap();
         for i in 0..5 {
             assert!(
@@ -680,7 +724,7 @@ mod tests {
         let h = chain(6, e0, t, &barrier);
         let e = 0.7;
         let (sl, sr) = chain_leads(e0, t, e);
-        let a = build_a_matrix(e, 1e-6, &h, &sl, &sr);
+        let a = build_a_matrix(e, 1e-6, &h, &[], &sl, &sr);
         let r = rgf_solve(&a, &sl.gamma, &sr.gamma).unwrap();
         let gn0 = &r.g_col_left[5];
         let t1 = omen_linalg::matmul(&sr.gamma, gn0);
@@ -806,8 +850,8 @@ mod tests {
         let sl = contact(Side::Left, gamma_on(n0, sup_l, 0x1 ^ nb as u64), 1);
         let sr = contact(Side::Right, gamma_on(nn, sup_r, 0x2 ^ nb as u64), 2);
         let eta = 1e-3;
-        let thin = rgf_point(e, eta, h, &sl, &sr).unwrap();
-        let a = build_a_matrix(e, eta, h, &sl, &sr);
+        let thin = rgf_point(e, eta, h, &[], &sl, &sr).unwrap();
+        let a = build_a_matrix(e, eta, h, &[], &sl, &sr);
         let full = package(
             e,
             h,

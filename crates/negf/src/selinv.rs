@@ -553,7 +553,8 @@ pub fn selinv_solve(
 
 /// One energy point with the selected-inversion engine, from the
 /// contacts on — the tree-structured twin of
-/// [`rgf_point`](crate::rgf::rgf_point), same result surface.
+/// [`rgf_point`](crate::rgf::rgf_point), same result surface and the same
+/// per-orbital `potential` (empty for none).
 ///
 /// # Errors
 ///
@@ -563,10 +564,11 @@ pub fn selinv_point(
     e: f64,
     eta: f64,
     h: &BlockTridiag,
+    potential: &[f64],
     sigma_l: &ContactSelfEnergy,
     sigma_r: &ContactSelfEnergy,
 ) -> OmenResult<EnergyPointData> {
-    let a = build_a_matrix(e, eta, h, sigma_l, sigma_r);
+    let a = build_a_matrix(e, eta, h, potential, sigma_l, sigma_r);
     let r = selinv_solve(&a, &sigma_l.gamma, &sigma_r.gamma).map_err(|err| err.with_energy(e))?;
     Ok(package(e, h, &r, sigma_l, sigma_r))
 }
@@ -620,7 +622,7 @@ mod tests {
             let h = chain(nb, e0, t, &barrier);
             for &e in &[-1.3_f64, 0.25, 1.1] {
                 let (sl, sr) = chain_leads(e0, t, e);
-                let a = build_a_matrix(e, 1e-6, &h, &sl, &sr);
+                let a = build_a_matrix(e, 1e-6, &h, &[], &sl, &sr);
                 let rgf = rgf_solve(&a, &sl.gamma, &sr.gamma).unwrap();
                 let si = selinv_solve(&a, &sl.gamma, &sr.gamma).unwrap();
                 assert!(

@@ -201,7 +201,7 @@ mod tests {
         lead_r: (&ZMat, &ZMat),
     ) -> EnergyPointData {
         let (sl, sr) = local_contacts(e, DEFAULT_ETA, lead_l, lead_r).unwrap();
-        rgf_point(e, DEFAULT_ETA, h, &sl, &sr).unwrap()
+        rgf_point(e, DEFAULT_ETA, h, &[], &sl, &sr).unwrap()
     }
 
     #[test]
@@ -273,7 +273,7 @@ mod tests {
         let e = -0.51;
 
         let (sl, sr) = local_contacts(e, DEFAULT_ETA, (&h00, &dead), (&h00, &h01)).unwrap();
-        let a = build_a_matrix(e, DEFAULT_ETA, &bt, &sl, &sr);
+        let a = build_a_matrix(e, DEFAULT_ETA, &bt, &[], &sl, &sr);
         let r = rgf_solve(&a, &sl.gamma, &sr.gamma).unwrap();
         assert!(r.support_left.is_empty() && !r.support_right.is_empty());
         for c in &r.g_col_left {
@@ -281,13 +281,13 @@ mod tests {
         }
         assert_eq!(r.spectral_left(&sl.gamma, 1), ZMat::zeros(n, n));
 
-        let one_dead = rgf_point(e, DEFAULT_ETA, &bt, &sl, &sr).unwrap();
+        let one_dead = rgf_point(e, DEFAULT_ETA, &bt, &[], &sl, &sr).unwrap();
         assert_eq!(one_dead.transmission, 0.0);
         assert_eq!(one_dead.spectral_left_diag, vec![0.0; bt.dim()]);
         assert!(one_dead.spectral_right_diag.iter().any(|&v| v > 0.0));
 
         // The tree engine carries the same n × 0 columns into `package`.
-        let si = selinv_point(e, DEFAULT_ETA, &bt, &sl, &sr).unwrap();
+        let si = selinv_point(e, DEFAULT_ETA, &bt, &[], &sl, &sr).unwrap();
         assert_eq!(si.transmission, 0.0);
         assert_eq!(si.spectral_left_diag, vec![0.0; bt.dim()]);
 

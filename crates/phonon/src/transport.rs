@@ -39,7 +39,7 @@ pub fn phonon_transmission(sys: &PhononSystem, omega: f64) -> OmenResult<f64> {
     let eta = (1e-4 * e).max(PHONON_ETA);
     let lead = (&sys.d00, &sys.d01);
     let (sl, sr) = local_contacts(e, eta, lead, lead)?;
-    Ok(rgf_point(e, eta, &sys.d, &sl, &sr)?.transmission)
+    Ok(rgf_point(e, eta, &sys.d, &[], &sl, &sr)?.transmission)
 }
 
 /// Landauer thermal conductance at temperature `t_kelvin` (W/K), with

@@ -165,7 +165,7 @@ impl DiagBlock for DiagEntries {
 /// A square block-tridiagonal complex matrix whose diagonal blocks are
 /// stored as `D`: an assembled `H` on its entries (the default), or the
 /// per-point `A` with dense diagonal blocks (`BlockTridiag<ZMat>`).
-#[derive(Clone)]
+#[derive(Clone, Debug)]
 pub struct BlockTridiag<D = DiagEntries> {
     /// Diagonal blocks `D_i` (square, possibly differing sizes).
     pub diag: Vec<D>,

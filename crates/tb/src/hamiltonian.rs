@@ -4,8 +4,8 @@
 //! slab-ordered block-tridiagonal Hamiltonian consumed by the transport
 //! engines. Every term is pushed straight into its slab block through a
 //! [`SlabAssembly`], in device order (onsite terms atom by atom, then the
-//! bonds), so the whole device and its two-slab lead prefix sum each entry
-//! in the same order. Handles:
+//! bonds, then the potential), so the whole device and its two-slab lead
+//! prefix sum each entry in the same order. Handles:
 //!
 //! * onsite orbital energies with an arbitrary per-atom potential shift
 //!   (the electrostatic potential from `omen-poisson`);
@@ -18,6 +18,16 @@
 //!   boundary of ultra-thin-body devices;
 //! * Harrison strain scaling `V(d) = V(d₀)(d₀/d)^η` for bond-length
 //!   deviations.
+//!
+//! **`H(V) = H₀ ⊕ V`, bit for bit.** The potential is the last push on
+//! each diagonal entry, after every other term (bonds included), so an
+//! entry of `H(V)` is the fold of `H₀ = H(V = 0)` with `V_r` added once at
+//! the end: `h₀ᵣᵣ + V_r` where a push reached `h₀ᵣᵣ`, `V_r` alone where
+//! none did, and `h₀ᵣᵣ` untouched where `V_r` is an exact zero (a zero
+//! push is dropped). The couplings do not depend on `V` at all. That is
+//! what lets a curve assemble `H₀` once per momentum and let the engines
+//! add the potential where they form `A` (`omen_negf::rgf::a_diagonal`),
+//! with the bits of this assembly.
 
 use crate::alloy::AlloyModel;
 use crate::orbitals::Basis;
@@ -28,6 +38,20 @@ use omen_lattice::{Device, DeviceKind};
 use omen_linalg::ZMat;
 use omen_num::c64;
 use omen_sparse::{BlockTridiag, DiagBlock, SlabAssembly};
+use std::cell::Cell;
+
+thread_local! {
+    /// Device Hamiltonians [`DeviceHamiltonian::assemble`] built on this
+    /// thread.
+    static ASSEMBLED: Cell<usize> = const { Cell::new(0) };
+}
+
+/// Device Hamiltonians [`DeviceHamiltonian::assemble`] has built on the
+/// calling thread: the witness that a curve assembles `H` once per
+/// momentum (lead blocks are not counted).
+pub fn assembled() -> usize {
+    ASSEMBLED.with(Cell::get)
+}
 
 /// A device geometry bound to a tight-binding parameterization.
 pub struct DeviceHamiltonian<'d> {
@@ -127,13 +151,16 @@ impl<'d> DeviceHamiltonian<'d> {
     ///
     /// `potential[i]` is the electrostatic energy shift (eV) of atom `i`
     /// (applied to all its orbitals); `ky` is the transverse Bloch vector in
-    /// rad/nm (ignored unless the device is periodic).
+    /// rad/nm (ignored unless the device is periodic). The result is
+    /// `assemble(0, ky)` with `potential[i]` added to each diagonal entry of
+    /// atom `i`'s orbitals, bit for bit (module docs: `H(V) = H₀ ⊕ V`).
     pub fn assemble(&self, potential: &[f64], ky: f64) -> BlockTridiag {
         assert_eq!(
             potential.len(),
             self.device.num_atoms(),
             "one potential per atom"
         );
+        ASSEMBLED.with(|a| a.set(a.get() + 1));
         let h = self
             .assemble_slabs(potential, ky, &self.slab_orbital_offsets())
             .finish()
@@ -150,7 +177,9 @@ impl<'d> DeviceHamiltonian<'d> {
     ///
     /// These are the first diagonal and super-diagonal blocks of
     /// [`Self::assemble`] at a uniform potential, bit for bit, assembled
-    /// from the first two slabs alone.
+    /// from the first two slabs alone; so `lead_blocks(U)` is
+    /// `lead_blocks(0)` with `U` added to each diagonal entry of `H00`
+    /// (`H₀ ⊕ U`), bit for bit, and `H01` does not depend on `U`.
     pub fn lead_blocks(&self, contact_potential: f64, ky: f64) -> (ZMat, ZMat) {
         let offsets = &self.slab_orbital_offsets()[..3];
         let pot = vec![contact_potential; offsets[2] / self.orbitals_per_atom()];
@@ -172,8 +201,10 @@ impl<'d> DeviceHamiltonian<'d> {
     /// Calls `push(row, col, value)` for every term [`Self::assemble`]
     /// folds, in its order: the leading `potential.len()` atoms' onsite
     /// terms (atoms are stored slab by slab), then the bonds with both ends
-    /// among them, in device order — so a slab prefix holds, for its own
-    /// entries, the pushes of the whole device in the same order.
+    /// among them, in device order, then each of those atoms' potential on
+    /// its orbitals' diagonal — so a slab prefix holds, for its own
+    /// entries, the pushes of the whole device in the same order, and the
+    /// potential is the last push on every entry it reaches.
     pub fn for_each_term(
         &self,
         potential: &[f64],
@@ -212,7 +243,7 @@ impl<'d> DeviceHamiltonian<'d> {
                 };
                 for s in 0..spin {
                     let r = base + oi * spin + s;
-                    push(r, r, c64::real(e + potential[ai]));
+                    push(r, r, c64::real(e));
                 }
             }
             // Spin-orbit in the p shell.
@@ -305,6 +336,13 @@ impl<'d> DeviceHamiltonian<'d> {
                         push(c, r, h.conj());
                     }
                 }
+            }
+        }
+
+        // --- Potential, last on every diagonal entry ----------------------
+        for (ai, &v) in potential.iter().enumerate() {
+            for r in ai * per..(ai + 1) * per {
+                push(r, r, c64::real(v));
             }
         }
     }
@@ -453,6 +491,93 @@ mod tests {
                 let (h00, h01) = h.lead_blocks(v, *ky);
                 assert_eq!(h00, whole.diag[0].to_dense(), "{what}: H00 at v = {v}");
                 assert_eq!(h01, whole.upper_dense(0), "{what}: H01 at v = {v}");
+            }
+        }
+    }
+
+    #[test]
+    fn the_potential_is_added_last_to_the_zero_potential_hamiltonian() {
+        // `H(V) = H(0) ⊕ V` to the bit: every diagonal entry of `H(V)` is
+        // `H(0)`'s fold plus `V_r` (`V_r` alone where `H(0)` has no entry,
+        // `H(0)`'s untouched where `V_r` is an exact zero), and the
+        // couplings are `H(0)`'s. The sp3s* wire's passivated surface
+        // atoms fold several terms on one entry, so there the order shows;
+        // the UTB film's bonds wrap the periodic boundary.
+        let zb = Crystal::Zincblende { a: A_SI };
+        let wire = si_wire(3, 1.0);
+        let utb = Device::utb(zb, 3, 1, 1.0);
+        let si = TbParams::of(Material::SiSp3s);
+        assert!(
+            si.passivation_shift != 0.0,
+            "the sp3s* case must be passivated"
+        );
+        let single = TbParams::of(Material::SingleBand { t_mev: 1000 });
+        let cases = [
+            ("sp3s* wire", DeviceHamiltonian::new(&wire, si, false), 0.0),
+            (
+                "single-band wire",
+                DeviceHamiltonian::new(&wire, single, false),
+                0.0,
+            ),
+            ("utb, k = 0.4", DeviceHamiltonian::new(&utb, si, false), 0.4),
+            ("utb, k = 1.3", DeviceHamiltonian::new(&utb, si, false), 1.3),
+            (
+                "spin-orbit wire",
+                DeviceHamiltonian::new(&wire, si, true),
+                0.0,
+            ),
+        ];
+        let bits = |z: c64| (z.re.to_bits(), z.im.to_bits());
+        let entries = |d: &omen_sparse::DiagEntries| -> Vec<(usize, (u64, u64))> {
+            d.entries.iter().map(|&(k, v)| (k, bits(v))).collect()
+        };
+        let profiles: [fn(usize) -> f64; 3] = [
+            |i| 0.013 * (i % 5) as f64 - 0.02,
+            |i| {
+                if i % 7 == 0 {
+                    -0.0
+                } else {
+                    -0.3 + 1e-3 * i as f64
+                }
+            },
+            |i| 0.1 * ((i as f64) * 0.37).sin(),
+        ];
+        for (what, h, ky) in &cases {
+            let n_atoms = h.device().num_atoms();
+            let per = h.orbitals_per_atom();
+            let h0 = h.assemble(&vec![0.0; n_atoms], *ky);
+            for (p, profile) in profiles.iter().enumerate() {
+                let pot: Vec<f64> = (0..n_atoms).map(profile).collect();
+                let hv = h.assemble(&pot, *ky);
+                for (i, (got, d0)) in hv.diag.iter().zip(&h0.diag).enumerate() {
+                    let (o, n) = (hv.offset(i), d0.n);
+                    let mut want: std::collections::BTreeMap<usize, c64> =
+                        d0.entries.iter().copied().collect();
+                    for r in 0..n {
+                        let v = pot[(o + r) / per];
+                        if v != 0.0 {
+                            want.entry(r * n + r)
+                                .and_modify(|x| *x += c64::real(v))
+                                .or_insert(c64::real(v));
+                        }
+                    }
+                    let want: Vec<_> = want.into_iter().map(|(k, v)| (k, bits(v))).collect();
+                    assert_eq!(entries(got), want, "{what}, profile {p}: block {i}");
+                }
+                for (a, b) in hv
+                    .upper
+                    .iter()
+                    .chain(&hv.lower)
+                    .zip(h0.upper.iter().chain(&h0.lower))
+                {
+                    assert_eq!(
+                        (&a.rows, &a.cols),
+                        (&b.rows, &b.cols),
+                        "{what}, profile {p}"
+                    );
+                    let core = |m: &ZMat| m.data().iter().map(|&z| bits(z)).collect::<Vec<_>>();
+                    assert_eq!(core(&a.core), core(&b.core), "{what}, profile {p}");
+                }
             }
         }
     }

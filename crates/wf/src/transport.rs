@@ -38,7 +38,9 @@ pub enum Solver<'a> {
 /// Relative eigenvalue cutoff below which a Γ channel counts as closed.
 pub const MODE_TOL: f64 = 1e-9;
 
-/// Wave-function transport at one energy, from the contacts on.
+/// Wave-function transport at one energy, from the contacts on, with `V`
+/// per orbital in `potential` (empty for none) added where [`a_diagonal`]
+/// forms `A`.
 ///
 /// # Errors
 ///
@@ -51,11 +53,12 @@ pub fn wf_point(
     e: f64,
     eta: f64,
     h: &BlockTridiag,
+    potential: &[f64],
     sigma_l: &ContactSelfEnergy,
     sigma_r: &ContactSelfEnergy,
     solver: Solver<'_>,
 ) -> OmenResult<EnergyPointData> {
-    let (a, b, ml) = assemble(e, eta, h, sigma_l, sigma_r);
+    let (a, b, ml) = assemble(e, eta, h, potential, sigma_l, sigma_r);
     // The direct solvers have no regularization pass to reject a poisoned
     // pivot block, and the contacts are the caller's: a NaN in `Σ` fails
     // typed here (alike on every rank, before any collective) instead of
@@ -74,7 +77,8 @@ pub fn wf_point(
     Ok(observables(e, h, sigma_l, sigma_r, &psi, ml))
 }
 
-/// Assembles `A = (E + iη) I − H − Σ_L − Σ_R` — its diagonal blocks, and
+/// Assembles `A = (E + iη) I − H − diag(V) − Σ_L − Σ_R` — its diagonal
+/// blocks ([`a_diagonal`], `V` per orbital in `potential`, empty for none), and
 /// `H`'s stored couplings negated on their cores — and the injected right-hand
 /// side `B = [W_L at slab 0 | W_R at slab N−1]` from precomputed
 /// self-energies; returns the left-mode count alongside.
@@ -82,11 +86,12 @@ pub fn assemble(
     e: f64,
     eta: f64,
     h: &BlockTridiag,
+    potential: &[f64],
     sl: &ContactSelfEnergy,
     sr: &ContactSelfEnergy,
 ) -> (BlockTridiag<ZMat>, Vec<ZMat>, usize) {
     let a = BlockTridiag {
-        diag: a_diagonal(e, eta, h, sl, sr).collect(),
+        diag: a_diagonal(e, eta, h, potential, sl, sr).collect(),
         lower: negated(&h.lower),
         upper: negated(&h.upper),
     };
@@ -189,7 +194,7 @@ mod tests {
         solver: Solver<'_>,
     ) -> EnergyPointData {
         let (sl, sr) = local_contacts(e, DEFAULT_ETA, lead_l, lead_r).unwrap();
-        wf_point(e, DEFAULT_ETA, h, &sl, &sr, solver).unwrap()
+        wf_point(e, DEFAULT_ETA, h, &[], &sl, &sr, solver).unwrap()
     }
 
     #[test]
@@ -213,8 +218,8 @@ mod tests {
         let (h, h00, h01) = chain(8, 0.0, -1.0, &barrier);
         for &e in &[-1.3_f64, -0.2, 0.45, 1.2] {
             let (sl, sr) = local_contacts(e, DEFAULT_ETA, (&h00, &h01), (&h00, &h01)).unwrap();
-            let wf = wf_point(e, DEFAULT_ETA, &h, &sl, &sr, Solver::Thomas).unwrap();
-            let ng = rgf_point(e, DEFAULT_ETA, &h, &sl, &sr).unwrap();
+            let wf = wf_point(e, DEFAULT_ETA, &h, &[], &sl, &sr, Solver::Thomas).unwrap();
+            let ng = rgf_point(e, DEFAULT_ETA, &h, &[], &sl, &sr).unwrap();
             assert!(
                 (wf.transmission - ng.transmission).abs() < 1e-6 * (1.0 + ng.transmission),
                 "E={e}: WF {} vs RGF {}",
@@ -271,8 +276,8 @@ mod tests {
         let (h00r, h01r) = ham.lead_blocks(0.05, 0.0);
         for &e in &[1.7_f64, 2.1] {
             let (sl, sr) = local_contacts(e, DEFAULT_ETA, (&h00, &h01), (&h00r, &h01r)).unwrap();
-            let wf = wf_point(e, DEFAULT_ETA, &h, &sl, &sr, Solver::Thomas).unwrap();
-            let ng = rgf_point(e, DEFAULT_ETA, &h, &sl, &sr).unwrap();
+            let wf = wf_point(e, DEFAULT_ETA, &h, &[], &sl, &sr, Solver::Thomas).unwrap();
+            let ng = rgf_point(e, DEFAULT_ETA, &h, &[], &sl, &sr).unwrap();
             assert!(
                 (wf.transmission - ng.transmission).abs() < 1e-5 * (1.0 + ng.transmission),
                 "E={e}: WF {} vs RGF {}",
@@ -317,7 +322,7 @@ mod tests {
                 let out = omen_parsim::run_ranks(nranks, |ctx| {
                     let comm = Comm::world(ctx);
                     let (sl, sr) = local_contacts(e, DEFAULT_ETA, lead_l, lead_r)?;
-                    wf_point(e, DEFAULT_ETA, h, &sl, &sr, Solver::SplitSolve(&comm))
+                    wf_point(e, DEFAULT_ETA, h, &[], &sl, &sr, Solver::SplitSolve(&comm))
                 })
                 .flattened()
                 .unwrap_all();

@@ -158,7 +158,7 @@ fn one_contact_pair_feeds_all_four_engines() {
 
     // The composition is exactly its two stages.
     let whole = solve_point(e, &h, lead_l, lead_r, Engine::Rgf).expect("point");
-    let staged = engine_point(e, &h, &sl, &sr, Engine::Rgf).expect("engine");
+    let staged = engine_point(e, &h, &[], &sl, &sr, Engine::Rgf).expect("engine");
     assert_eq!(whole.transmission.to_bits(), staged.transmission.to_bits());
     assert_eq!(whole.retries, staged.retries);
 
@@ -166,7 +166,7 @@ fn one_contact_pair_feeds_all_four_engines() {
     // a clean 0 instead of the share it was handed.
     (sl.retries, sr.retries) = (2, 5);
     let points = ENGINES.map(|engine| {
-        engine_point(e, &h, &sl, &sr, engine)
+        engine_point(e, &h, &[], &sl, &sr, engine)
             .unwrap_or_else(|err| panic!("{engine:?} failed: {err}"))
     });
     for (engine, p) in ENGINES.iter().zip(&points) {
@@ -283,13 +283,24 @@ fn poisoned_contact_fails_typed_in_every_engine() {
     sl.sigma[(1, 2)] = c64::new(f64::NAN, 0.0);
     let eta = DEFAULT_ETA;
     let mut outcomes = vec![
-        ("rgf", rgf_point(e, eta, &h, &sl, &sr)),
-        ("selinv", selinv_point(e, eta, &h, &sl, &sr)),
-        ("wf thomas", wf_point(e, eta, &h, &sl, &sr, Solver::Thomas)),
-        ("wf bcr", wf_point(e, eta, &h, &sl, &sr, Solver::Bcr)),
+        ("rgf", rgf_point(e, eta, &h, &[], &sl, &sr)),
+        ("selinv", selinv_point(e, eta, &h, &[], &sl, &sr)),
+        (
+            "wf thomas",
+            wf_point(e, eta, &h, &[], &sl, &sr, Solver::Thomas),
+        ),
+        ("wf bcr", wf_point(e, eta, &h, &[], &sl, &sr, Solver::Bcr)),
     ];
     let per_rank = run_ranks(2, |ctx| {
-        wf_point(e, eta, &h, &sl, &sr, Solver::SplitSolve(&Comm::world(ctx)))
+        wf_point(
+            e,
+            eta,
+            &h,
+            &[],
+            &sl,
+            &sr,
+            Solver::SplitSolve(&Comm::world(ctx)),
+        )
     });
     outcomes.extend(
         per_rank

@@ -279,7 +279,7 @@ fn rgf_energy_point_count_is_the_closed_form() {
 
             // The engine alone: one that decimates a lead again fails this.
             let scope = FlopScope::new();
-            omen::negf::rgf_point(e, DEFAULT_ETA, &h, &sl, &sr).expect("RGF point");
+            omen::negf::rgf_point(e, DEFAULT_ETA, &h, &[], &sl, &sr).expect("RGF point");
             assert_eq!(
                 scope.take(),
                 rgf_point_flops(nb, n, (s_l, s_r), upper_rc, lower_rc),
@@ -423,7 +423,7 @@ fn wf_energy_point_is_the_point_less_its_contacts() {
     let (sl, sr) = local_contacts(e, DEFAULT_ETA, lead, lead).expect("contacts");
     let contacts = scope.take();
     let scope = FlopScope::new();
-    wf_point(e, DEFAULT_ETA, &h, &sl, &sr, Solver::Thomas).expect("WF engine");
+    wf_point(e, DEFAULT_ETA, &h, &[], &sl, &sr, Solver::Thomas).expect("WF engine");
     assert_eq!(scope.take(), point - contacts);
 }
 
@@ -456,7 +456,7 @@ fn engine_points_flops(
             let (sl, sr) =
                 local_contacts(e, DEFAULT_ETA, (&h00, &h01), (&d00, &d01)).expect("contacts");
             let scope = FlopScope::new();
-            engine_point(e, &h, &sl, &sr, Engine::Rgf).expect("RGF point");
+            engine_point(e, &h, &[], &sl, &sr, Engine::Rgf).expect("RGF point");
             engine += scope.take();
         }
     }
@@ -608,7 +608,7 @@ fn a_remembered_lead_failure_is_reported_alike_and_decimated_once() {
             for &e in energies.iter().filter(|&&e| e != 0.0) {
                 let (sl, sr) = local_contacts(e, DEFAULT_ETA, lead, lead).expect("contacts");
                 let scope = FlopScope::new();
-                engine_point(e, &h, &sl, &sr, Engine::Rgf).expect("RGF point");
+                engine_point(e, &h, &[], &sl, &sr, Engine::Rgf).expect("RGF point");
                 engine += scope.take();
             }
             assert_eq!(counted, engine, "gate point {gate}: contact flops");

@@ -550,11 +550,11 @@ fn engines_accept_a_link_with_no_pushes() {
     let (h00, h01) = (ZMat::from_diag(&[onsite]), ZMat::from_diag(&[hop]));
     let e = 0.3;
     let (sl, sr) = local_contacts(e, DEFAULT_ETA, (&h00, &h01), (&h00, &h01)).unwrap();
-    let mut points = vec![("rgf", rgf_point(e, DEFAULT_ETA, &h, &sl, &sr).unwrap())];
+    let mut points = vec![("rgf", rgf_point(e, DEFAULT_ETA, &h, &[], &sl, &sr).unwrap())];
     for (what, solver) in [("wf thomas", Solver::Thomas), ("wf bcr", Solver::Bcr)] {
         points.push((
             what,
-            wf_point(e, DEFAULT_ETA, &h, &sl, &sr, solver).unwrap(),
+            wf_point(e, DEFAULT_ETA, &h, &[], &sl, &sr, solver).unwrap(),
         ));
     }
     for (what, p) in points {

@@ -58,7 +58,7 @@ fn a_matrix(
     sl: &ContactSelfEnergy,
     sr: &ContactSelfEnergy,
 ) -> BlockTridiag<ZMat> {
-    let diag = omen::negf::rgf::a_diagonal(e, eta, h, sl, sr).collect();
+    let diag = omen::negf::rgf::a_diagonal(e, eta, h, &[], sl, sr).collect();
     let neg = omen::negf::rgf::negated;
     BlockTridiag::new(diag, neg(&h.lower), neg(&h.upper))
 }
