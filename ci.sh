@@ -248,6 +248,18 @@ for f in crates/core/src/*.rs; do
     fi
 done
 
+# One sweep body (crates/core/src/ballistic.rs `solve_problems`): a bias
+# point's momenta, a frozen sweep's gate points, each adaptive round and
+# `solve_sweep` are problems of one contact fill and one fan-out over every
+# (problem, E). A second `fan_out_each` call site in the library is a
+# second energy loop beside it, like the per-k and per-gate loops it
+# replaced. Comment lines are skipped.
+sites=$(sed -s '/#\[cfg(test)\]/,$d' crates/core/src/*.rs | grep -vE '^\s*//' | { grep -o 'fan_out_each(' || true; } | wc -l)
+if [ "$sites" -gt 1 ]; then
+    echo "ci: crates/core/src has $sites fan_out_each call sites outside tests; hand the energy units to ballistic's one sweep body (solve_problems)"
+    exit 1
+fi
+
 # A scheduled unit has one holder at a time and is handed out again only
 # when that holder is declared dead. Straggler speculation, the heartbeat
 # that timed it and the brokering-only coordinator carried no traffic in

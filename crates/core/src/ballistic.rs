@@ -5,18 +5,22 @@
 //! exhausted) is dropped from the grid and recorded in the result's
 //! [`SweepReport`] instead of aborting the bias point.
 //!
+//! Every energy loop here is one body, `solve_problems`: a list of sweep
+//! problems — a momentum slot, its lead pair, its grid and its device — is
+//! one contact fill ([`ContactTable`]) and one fan-out over every
+//! `(problem, E)`, each problem handed on in order as its last energy
+//! arrives. A bias point's momenta ([`ballistic_solve`]), a frozen sweep's
+//! gate points, each adaptive round and [`solve_sweep`] are its callers.
+//!
 //! A curve assembles its device Hamiltonian once per momentum: the
 //! curve's [`ContactTable`] keeps `H₀ = H(V = 0)` per `k_y`, and every
 //! solve here hands the engines `H₀` and the potential energy `−v` per
 //! orbital, which they add where they form `A`
 //! (`omen_negf::rgf::a_diagonal`). `omen_tb`'s `H(V) = H₀ ⊕ V` makes that
 //! the folded `H(V)` bit for bit, so [`solve_point`] on
-//! `parallel::frozen_system`'s `H` replays any point here exactly. A
-//! frozen sweep solves all its gate points as one energy fan-out
-//! (`frozen_gate_points`), handing each point on as its last energy
-//! arrives.
+//! `parallel::frozen_system`'s `H` replays any point here exactly.
 
-use crate::contacts::{ContactTable, ContactTally};
+use crate::contacts::{ContactTable, ContactTally, LeadKey};
 use crate::energy::{clip, EnergyWindow};
 use crate::spec::{Bias, NanoTransistor};
 use omen_linalg::threads::{fan_out_each, fan_out_width};
@@ -36,8 +40,9 @@ pub enum Engine {
     WfThomas,
     /// Wave-function with sequential block cyclic reduction.
     WfBcr,
-    /// Tree-structured selected inversion (same result surface as RGF,
-    /// `O(log N)` critical path).
+    /// Serial tree-structured selected inversion (the same result surface
+    /// as RGF): the independently derived third engine of the oracle and
+    /// three-engine batteries, not a fast path.
     SelInv,
 }
 
@@ -56,18 +61,6 @@ pub struct BallisticResult {
     pub hole_density: Vec<f64>,
     /// Per-point solve/retry/failure accounting for the sweep.
     pub report: SweepReport,
-}
-
-/// Lead blocks, transport window and potential of one `(bias, k)`
-/// transport problem — the shared setup of the uniform and the adaptive
-/// solve. The device operator is the curve's `H₀` at that momentum, kept in
-/// its table; the potential enters where the engines form `A`.
-struct TransportSetup {
-    /// `[h00_l, h01_l, h00_r, h01_r]`.
-    leads: [ZMat; 4],
-    window: EnergyWindow,
-    /// The potential energy `−v` of each orbital.
-    potential: Vec<f64>,
 }
 
 /// The potential energy `−v_atoms[a]` on each orbital of atom `a`: what
@@ -101,6 +94,7 @@ fn window_at(
     leads: &[ZMat; 4],
     table: &mut ContactTable,
 ) -> EnergyWindow {
+    assert_eq!(v_atoms.len(), tr.device.num_atoms());
     let mus = [bias.mu_source, bias.mu_drain()];
     // Focus windows around the (potential-shifted) band structure: electron
     // window above local midgap, hole window below; take a generous range.
@@ -119,25 +113,6 @@ fn window_at(
     )
 }
 
-/// The leads, window and orbital potential of one `(bias, k)` problem, with
-/// the `H₀` of `ky` present in `table`.
-fn prepare_transport(
-    tr: &NanoTransistor,
-    v_atoms: &[f64],
-    bias: &Bias,
-    (k, ky): (usize, f64),
-    table: &mut ContactTable,
-) -> TransportSetup {
-    assert_eq!(v_atoms.len(), tr.device.num_atoms());
-    let leads = leads_at(tr, v_atoms, ky);
-    let window = window_at(tr, v_atoms, bias, (k, ky), &leads, table);
-    TransportSetup {
-        leads,
-        window,
-        potential: orbital_potential(tr, v_atoms),
-    }
-}
-
 /// One bias point's ballistic transport: the `(k_y, weight)` average over
 /// `ks` of one energy sweep per momentum. The i-th momentum takes its
 /// leads' bands and contacts from slot i of the curve's `table`, so a lead
@@ -146,7 +121,9 @@ fn prepare_transport(
 /// `k_y` with the potential added where the engines form `A`, so the
 /// curve assembles `H` once per momentum. `v_atoms` is the potential per
 /// atom (V); each lead is pinned to its terminal slab's mean potential, and
-/// each k's window follows its lead subbands around the Fermi levels.
+/// each k's window follows its lead subbands around the Fermi levels. The
+/// momenta are the problems of one `solve_problems`: one contact fill and
+/// one fan-out over every `(k, E)`.
 ///
 /// The first k is scaled in place and each later one added as `+= w·x`
 /// in list order, so `[(k_y, 1.0)]` is the one-k solve bit for bit.
@@ -165,18 +142,14 @@ pub fn ballistic_solve(
     ks: &[(f64, f64)],
     table: &mut ContactTable,
 ) -> BallisticResult {
-    let mut solves = ks.iter().enumerate().map(|(k, &(ky, w))| {
-        let s = prepare_transport(tr, v_atoms, bias, (k, ky), table);
-        let grid = s.window.grid(n_energy);
-        table.fill_serial(k, &[s.leads.each_ref()], &grid);
-        let table = &*table;
-        let h0 = table.hamiltonian(ky);
-        let width = fan_out_width(grid.len());
-        let (energies, points, report) =
-            sweep_on(&grid, (h0, &s.potential), engine, table, k, width);
-        let r = integrate(tr, bias, v_atoms, &energies, points, &s.window, report);
-        (w, r)
+    let points: Vec<_> = (ks.iter().enumerate())
+        .map(|(k, &(ky, _))| (v_atoms, bias, (k, ky)))
+        .collect();
+    let mut results = Vec::with_capacity(ks.len());
+    ballistic_points(tr, &points, engine, n_energy, table, |k, r, _| {
+        results.push((ks[k].1, r))
     });
+    let mut solves = results.into_iter();
     let (w0, mut acc) = solves.next().expect("a momentum list is never empty");
     let first_trace = acc.transmission.clone();
     acc.current_ua *= w0;
@@ -202,115 +175,148 @@ pub fn ballistic_solve(
     acc
 }
 
-/// The gate points of a frozen-field sweep at `k_y = 0`, each at
-/// `iv::frozen_potential` of its gate voltage, solved as one energy
-/// fan-out: `done(i, result, tally)` receives point i's
-/// [`ballistic_solve`] (bit for bit, its report included) and the contacts
-/// it decimated and reused, in bias order, on the calling thread, as soon
-/// as its last energy is in.
+/// The bias problems `(v_atoms, bias, (k, k_y))`, each on slot `k` of
+/// `table` with its leads pinned to `v_atoms`' terminal slabs and its grid
+/// of `n_energy` points on its window, solved by one `solve_problems`:
+/// `done(i, result, tally)` receives problem i integrated — the one-k
+/// [`ballistic_solve`] of its potential and bias on a fresh slot, bit for
+/// bit — and the contacts it decimated and reused, in problem order, as
+/// soon as its last energy is in. This serves a bias point's momenta and a
+/// frozen sweep's gate points (`iv::frozen_field_sweep_observed`, every
+/// point on slot 0 at `k_y = 0`).
 ///
-/// The extensions of a frozen potential keep their potential, so the leads
-/// are the same at every gate point: each point's window is worked out
-/// first, one fill decimates the union of the grids, and one
-/// `fan_out_each` solves every `(point, E)` unit on the budget's cores.
-/// A point's tally reads as if the points had been filled one after the
-/// other. Only the point being collected keeps its energy points, beside
-/// the fan-out's out-of-order buffer. Consecutive points whose leads
-/// differ (a channel reaching a terminal slab) start a fan-out of their
-/// own.
-pub(crate) fn frozen_gate_points(
+/// Every window is worked out before the fill. Consecutive problems whose
+/// leads compare equal (the gate points of a frozen sweep, whose extensions
+/// keep their potential) share one copy of them.
+pub(crate) fn ballistic_points(
     tr: &NanoTransistor,
-    biases: &[Bias],
+    points: &[(&[f64], &Bias, (usize, f64))],
     engine: Engine,
     n_energy: usize,
     table: &mut ContactTable,
     mut done: impl FnMut(usize, BallisticResult, ContactTally),
 ) {
-    let potential = |bias: &Bias| crate::iv::frozen_potential(tr, bias.v_gate);
-    let leads = |bias: &Bias| leads_at(tr, &potential(bias), 0.0);
+    let mut leads: Vec<[ZMat; 4]> = Vec::new();
+    let mut lead_of = Vec::with_capacity(points.len());
+    for &(v_atoms, _, (_, ky)) in points {
+        let pair = leads_at(tr, v_atoms, ky);
+        if leads.last() != Some(&pair) {
+            leads.push(pair);
+        }
+        lead_of.push(leads.len() - 1);
+    }
+    let windows: Vec<EnergyWindow> = (points.iter().zip(&lead_of))
+        .map(|(&(v_atoms, bias, kk), &j)| window_at(tr, v_atoms, bias, kk, &leads[j], table))
+        .collect();
+    let problems: Vec<Problem<'_>> = (points.iter().zip(&lead_of).zip(&windows))
+        .map(|((&(v_atoms, _, (k, ky)), &j), window)| Problem {
+            k,
+            leads: leads[j].each_ref(),
+            grid: window.grid(n_energy),
+            device: Device::Curve(ky, orbital_potential(tr, v_atoms)),
+        })
+        .collect();
+    solve_problems(&problems, engine, table, |i, sweep, tally| {
+        let (v_atoms, bias, _) = points[i];
+        let (kept, solved, report) = sweep.into_parts();
+        let r = integrate(tr, bias, v_atoms, &kept, solved, &windows[i], report);
+        done(i, r, tally);
+    });
+}
+
+/// The device of a sweep problem.
+enum Device<'a> {
+    /// The curve table's `H₀` at `k_y`, and the potential energy per
+    /// orbital the engines add to it where they form `A`.
+    Curve(f64, Vec<f64>),
+    /// A whole `H`, with no potential.
+    Given(&'a BlockTridiag),
+}
+
+/// One energy sweep: momentum slot `k` keyed on `leads`, the energies of
+/// `grid`, and the device they are solved on.
+struct Problem<'a> {
+    k: usize,
+    leads: LeadKey<'a>,
+    grid: Vec<f64>,
+    device: Device<'a>,
+}
+
+/// The one sweep body: solves every `(problem, E)` on the contacts of its
+/// slot and hands `done(i, sweep, tally)` problem i's [`Sweep`] and the
+/// contacts its energies decimated and reused, in problem order, on the
+/// calling thread, as soon as its last energy is in (a problem without
+/// energies as soon as the ones before it are).
+///
+/// The problems are solved in runs: a run ends where a problem would re-key
+/// a slot that an earlier problem of the run holds with other leads. Each
+/// run is one [`ContactTable::fill_serial`] of its `(slot, leads, grid)`
+/// entries, whose tallies read as if the problems had been filled one
+/// after the other, then one [`fan_out_each`] over every `(problem, E)` on
+/// the budget's cores ([`fan_out_width`]). Outcomes arrive in unit order
+/// and are recorded on the calling thread, so every width gives the same
+/// bits; only the problem being collected keeps its points, beside the
+/// fan-out's out-of-order buffer.
+fn solve_problems(
+    problems: &[Problem<'_>],
+    engine: Engine,
+    table: &mut ContactTable,
+    mut done: impl FnMut(usize, Sweep, ContactTally),
+) {
     let mut first = 0;
-    while first < biases.len() {
-        let run_leads = leads(&biases[first]);
-        let mut end = first + 1;
-        while end < biases.len() && leads(&biases[end]) == run_leads {
+    while first < problems.len() {
+        let mut end = first;
+        // The lead pair each slot of the run is keyed on.
+        let mut held: Vec<(usize, LeadKey<'_>)> = Vec::new();
+        while let Some(p) = problems.get(end) {
+            match held.iter().find(|&&(k, _)| k == p.k) {
+                Some(&(_, leads)) if leads != p.leads => break,
+                Some(_) => {}
+                None => held.push((p.k, p.leads)),
+            }
             end += 1;
         }
-        let run = &biases[first..end];
-        let windows: Vec<EnergyWindow> = run
-            .iter()
-            .map(|bias| window_at(tr, &potential(bias), bias, (0, 0.0), &run_leads, table))
-            .collect();
-        let grids: Vec<Vec<f64>> = windows.iter().map(|w| w.grid(n_energy)).collect();
-        let tallies = table.fill_grids(0, run_leads.each_ref(), &grids);
-        let sizes: Vec<usize> = grids.iter().map(Vec::len).collect();
+        let run = &problems[first..end];
+        let entries: Vec<_> = run.iter().map(|p| (p.k, p.leads, &p.grid[..])).collect();
+        let tallies = table.fill_serial(&entries);
         let table = &*table;
-        let h0 = table.hamiltonian(0.0);
-        fan_out_groups(
-            &sizes,
-            fan_out_width(sizes.iter().sum()),
-            |g, i| {
-                let e = grids[g][i];
-                let potential = orbital_potential(tr, &potential(&run[g]));
-                let point = |(sl, sr)| engine_point(e, h0, &potential, &sl, &sr, engine);
-                table.contacts(0, e).and_then(point)
+        // Unit u is energy u − starts[p] of problem p.
+        let starts: Vec<usize> = (run.iter())
+            .scan(0, |at, p| Some(std::mem::replace(at, *at + p.grid.len())))
+            .collect();
+        let units = run.iter().map(|p| p.grid.len()).sum();
+        let unit = |u: usize| {
+            let p = starts.partition_point(|&s| s <= u) - 1;
+            (p, run[p].grid[u - starts[p]])
+        };
+        let mut next = 0;
+        let mut hand_on = |sweep: &mut Sweep| {
+            while next < run.len() && sweep.report.attempted() == run[next].grid.len() {
+                done(first + next, std::mem::take(sweep), tallies[next]);
+                next += 1;
+            }
+        };
+        let mut sweep = Sweep::default();
+        hand_on(&mut sweep);
+        fan_out_each(
+            units,
+            fan_out_width(units),
+            |u| {
+                let (p, e) = unit(u);
+                let (h, potential) = match &run[p].device {
+                    Device::Curve(ky, potential) => (table.hamiltonian(*ky), &potential[..]),
+                    Device::Given(h) => (*h, &[][..]),
+                };
+                let point = |(sl, sr)| engine_point(e, h, potential, &sl, &sr, engine);
+                table.contacts(run[p].k, e).and_then(point)
             },
-            |g, outcomes| {
-                let mut sweep = Sweep::default();
-                for (&e, solved) in grids[g].iter().zip(outcomes) {
-                    sweep.record(e, solved);
-                }
-                let (bias, v_atoms) = (&run[g], potential(&run[g]));
-                let Sweep {
-                    kept,
-                    points,
-                    report,
-                } = sweep;
-                let r = integrate(tr, bias, &v_atoms, &kept, points, &windows[g], report);
-                done(first + g, r, tallies[g]);
+            |u, solved| {
+                sweep.record(unit(u).1, solved);
+                hand_on(&mut sweep);
             },
         );
         first = end;
     }
-}
-
-/// `f(g, i)` for item `i` of each group `g` (`sizes[g]` items), as one
-/// `fan_out_each` over every item on `width` threads. Each group is handed
-/// whole to `finish(g, items)` on the calling thread, in group order, as
-/// soon as its last item is in (an empty group as soon as the groups
-/// before it are). Only the group being collected is kept, beside the
-/// fan-out's out-of-order buffer.
-fn fan_out_groups<T: Send>(
-    sizes: &[usize],
-    width: usize,
-    f: impl Fn(usize, usize) -> T + Sync,
-    mut finish: impl FnMut(usize, Vec<T>),
-) {
-    // Item u is item u − starts[g] of group g.
-    let starts: Vec<usize> = (sizes.iter())
-        .scan(0, |at, &n| Some(std::mem::replace(at, *at + n)))
-        .collect();
-    let group_of = |u: usize| starts.partition_point(|&s| s <= u) - 1;
-    let mut next = 0;
-    let mut hand_on = |collecting: &mut Vec<T>| {
-        while next < sizes.len() && collecting.len() == sizes[next] {
-            finish(next, std::mem::take(collecting));
-            next += 1;
-        }
-    };
-    let mut collecting = Vec::new();
-    hand_on(&mut collecting);
-    fan_out_each(
-        sizes.iter().sum(),
-        width,
-        |u| {
-            let g = group_of(u);
-            f(g, u - starts[g])
-        },
-        |_, x| {
-            collecting.push(x);
-            hand_on(&mut collecting);
-        },
-    );
 }
 
 /// A sweep's surviving energies and points and its ledger, recorded in
@@ -335,17 +341,29 @@ impl Sweep {
             Err(err) => self.report.record_failed(e, err),
         }
     }
+
+    /// The surviving energies, their points and the ledger.
+    fn into_parts(self) -> (Vec<f64>, Vec<EnergyPointData>, SweepReport) {
+        (self.kept, self.points, self.report)
+    }
 }
 
-/// The energy loop of one momentum: fills slot 0 of `contacts` for the
+/// `solve_problems` of one problem.
+fn solve_one(problem: Problem<'_>, engine: Engine, table: &mut ContactTable) -> Sweep {
+    let mut out = Sweep::default();
+    solve_problems(&[problem], engine, table, |_, sweep, _| out = sweep);
+    out
+}
+
+/// The energy loop of one device: fills slot 0 of `contacts` for the
 /// grid, then solves every energy on the contacts it reads there, on the
-/// calling thread and the idle cores of its budget
-/// ([`fan_out_width`]), like the fill. Per-point failure isolation: a
-/// point whose lead or engine exhausts its recovery policy is dropped and
-/// recorded in the [`SweepReport`]; the surviving `(energies, points)`
-/// stay aligned. Outcomes come back in energy order and are recorded on
-/// the calling thread, so every width gives the same bits. A table kept
-/// across calls decimates only the `(lead, E)` it lacks.
+/// calling thread and the idle cores of its budget ([`fan_out_width`]),
+/// like the fill — the one-problem `solve_problems`. Per-point failure
+/// isolation: a point whose lead or engine exhausts its recovery policy is
+/// dropped and recorded in the [`SweepReport`]; the surviving
+/// `(energies, points)` stay aligned. Outcomes come back in energy order
+/// and are recorded on the calling thread, so every width gives the same
+/// bits. A table kept across calls decimates only the `(lead, E)` it lacks.
 pub fn solve_sweep(
     energies: &[f64],
     h: &BlockTridiag,
@@ -354,34 +372,13 @@ pub fn solve_sweep(
     engine: Engine,
     contacts: &mut ContactTable,
 ) -> (Vec<f64>, Vec<EnergyPointData>, SweepReport) {
-    contacts.fill_serial(0, &[[lead_l.0, lead_l.1, lead_r.0, lead_r.1]], energies);
-    let width = fan_out_width(energies.len());
-    sweep_on(energies, (h, &[]), engine, contacts, 0, width)
-}
-
-/// The points of [`solve_sweep`] on momentum slot `k` of a filled table,
-/// on `width` threads: `H₀` and the potential per orbital (empty for none)
-/// of each, handed in energy order to the calling thread.
-fn sweep_on(
-    energies: &[f64],
-    (h, potential): (&BlockTridiag, &[f64]),
-    engine: Engine,
-    table: &ContactTable,
-    k: usize,
-    width: usize,
-) -> (Vec<f64>, Vec<EnergyPointData>, SweepReport) {
-    let mut sweep = Sweep::default();
-    fan_out_each(
-        energies.len(),
-        width,
-        |i| {
-            let e = energies[i];
-            let point = |(sl, sr)| engine_point(e, h, potential, &sl, &sr, engine);
-            table.contacts(k, e).and_then(point)
-        },
-        |i, solved| sweep.record(energies[i], solved),
-    );
-    (sweep.kept, sweep.points, sweep.report)
+    let problem = Problem {
+        k: 0,
+        leads: [lead_l.0, lead_l.1, lead_r.0, lead_r.1],
+        grid: energies.to_vec(),
+        device: Device::Given(h),
+    };
+    solve_one(problem, engine, contacts).into_parts()
 }
 
 /// Adaptive-grid ballistic solve: starts from `n_init` uniform energy
@@ -392,10 +389,10 @@ fn sweep_on(
 /// for a uniformly fine grid — the production energy-grid strategy of
 /// adaptive quantum-transport codes.
 ///
-/// The seed grid, then each round's midpoints, is one fill and sweep on
-/// slot 0 of the curve's `table`, on its `H₀` at `ky`; a failed energy is
-/// recorded and left out of the grid, so refinement only ever works on
-/// solved intervals.
+/// The seed grid, then each round's midpoints, is one problem of the sweep
+/// body on slot 0 of the curve's `table`, on its `H₀` at `ky`; a failed
+/// energy is recorded and left out of the grid, so refinement only ever
+/// works on solved intervals.
 #[allow(clippy::too_many_arguments)]
 pub fn ballistic_solve_adaptive(
     tr: &NanoTransistor,
@@ -409,21 +406,19 @@ pub fn ballistic_solve_adaptive(
     table: &mut ContactTable,
 ) -> BallisticResult {
     assert!(n_init >= 5 && max_points >= n_init);
-    let s = prepare_transport(tr, v_atoms, bias, (0, ky), table);
-    let mut sweep = |grid: &[f64]| {
-        table.fill_serial(0, &[s.leads.each_ref()], grid);
-        let table = &*table;
-        let h0 = table.hamiltonian(ky);
-        sweep_on(
+    let leads = leads_at(tr, v_atoms, ky);
+    let window = window_at(tr, v_atoms, bias, (0, ky), &leads, table);
+    let potential = orbital_potential(tr, v_atoms);
+    let mut sweep = |grid: Vec<f64>| {
+        let problem = Problem {
+            k: 0,
+            leads: leads.each_ref(),
             grid,
-            (h0, &s.potential),
-            engine,
-            table,
-            0,
-            fan_out_width(grid.len()),
-        )
+            device: Device::Curve(ky, potential.clone()),
+        };
+        solve_one(problem, engine, table)
     };
-    let (mut energies, mut points, mut report) = sweep(&s.window.grid(n_init));
+    let (mut energies, mut points, mut report) = sweep(window.grid(n_init)).into_parts();
     let (mu_s, mu_d) = (bias.mu_source, bias.mu_drain());
     for _round in 0..8 {
         // Fewer than two survivors define no interval to refine.
@@ -441,14 +436,14 @@ pub fn ballistic_solve_adaptive(
             break;
         }
         let midpoints: Vec<f64> = inserted.iter().map(|&i| grid.points()[i]).collect();
-        let (solved, fresh, round) = sweep(&midpoints);
+        let (solved, fresh, round) = sweep(midpoints).into_parts();
         report.merge(&round);
         let mut merged: Vec<_> = energies.into_iter().zip(points).collect();
         merged.extend(solved.into_iter().zip(fresh));
         merged.sort_by(|a, b| a.0.total_cmp(&b.0));
         (energies, points) = merged.into_iter().unzip();
     }
-    integrate(tr, bias, v_atoms, &energies, points, &s.window, report)
+    integrate(tr, bias, v_atoms, &energies, points, &window, report)
 }
 
 /// Transverse momentum samples `(k_y, weight)` for a periodic device:
@@ -668,20 +663,6 @@ mod tests {
         (bits, format!("{report:?}"))
     }
 
-    /// `sweep_on` at `width` on a fresh table filled for `energies`, with
-    /// `lead` on both sides and no potential.
-    fn filled_sweep(
-        energies: &[f64],
-        h: &BlockTridiag,
-        (l0, l1): (&ZMat, &ZMat),
-        engine: Engine,
-        width: usize,
-    ) -> (Vec<f64>, Vec<EnergyPointData>, SweepReport) {
-        let mut table = ContactTable::default();
-        table.fill_serial(0, &[[l0, l1, l0, l1]], energies);
-        sweep_on(energies, (h, &[]), engine, &table, 0, width)
-    }
-
     #[test]
     fn every_point_width_gives_the_same_sweep() {
         use omen_linalg::threads::{fan_out_spawned, with_budget};
@@ -703,25 +684,22 @@ mod tests {
             (&chain, (&c0, &c1), linspace(-0.5, 0.5, 5)),
         ];
         let engines = [Engine::Rgf, Engine::WfThomas, Engine::WfBcr, Engine::SelInv];
+        // A sweep on a fresh table on `cores` cores: the budget picks the
+        // width of the fill and of the points.
+        let sweep = |energies: &[f64], h, lead, engine, cores| {
+            let mut table = ContactTable::default();
+            with_budget(cores, || {
+                sweep_bits(solve_sweep(energies, h, lead, lead, engine, &mut table))
+            })
+        };
         for (h, lead, energies) in &cases {
             for engine in engines {
-                let sweep =
-                    |width: usize| sweep_bits(filled_sweep(energies, h, *lead, engine, width));
-                let want = sweep(1);
-                for width in [2, 3] {
-                    assert_eq!(sweep(width), want, "{engine:?} at width {width}");
-                }
-                // The budget picks the width; at budget 1 nothing spawns.
-                for cores in 1..=3 {
-                    let spawned = fan_out_spawned();
-                    let got = with_budget(cores, || {
-                        let mut table = ContactTable::default();
-                        sweep_bits(solve_sweep(energies, h, *lead, *lead, engine, &mut table))
-                    });
+                let spawned = fan_out_spawned();
+                let want = sweep(energies, h, *lead, engine, 1);
+                assert_eq!(fan_out_spawned(), spawned, "{engine:?} on budget 1");
+                for cores in [2, 3] {
+                    let got = sweep(energies, h, *lead, engine, cores);
                     assert_eq!(got, want, "{engine:?} on budget {cores}");
-                    if cores == 1 {
-                        assert_eq!(fan_out_spawned(), spawned, "{engine:?} on budget 1");
-                    }
                 }
             }
         }
@@ -729,59 +707,77 @@ mod tests {
         // three energies' contacts on two threads and solves the three
         // points on two, one worker each.
         let before = fan_out_spawned();
-        with_budget(2, || {
-            let mut table = ContactTable::default();
-            let energies = linspace(-3.45, -2.65, 3);
-            let lead = (&w0, &w1);
-            solve_sweep(&energies, &wire, lead, lead, Engine::Rgf, &mut table)
-        });
+        sweep(
+            &linspace(-3.45, -2.65, 3),
+            &wire,
+            (&w0, &w1),
+            Engine::Rgf,
+            2,
+        );
         assert_eq!(fan_out_spawned() - before, 2, "fill and points on budget 2");
         // The chain's singular point is isolated, not the sweep failed.
-        let (_, _, report) = filled_sweep(&cases[1].2, &chain, (&c0, &c1), Engine::WfThomas, 3);
+        let energies = &cases[1].2;
+        let mut table = ContactTable::default();
+        let lead = (&c0, &c1);
+        let (_, _, report) = with_budget(3, || {
+            solve_sweep(energies, &chain, lead, lead, Engine::WfThomas, &mut table)
+        });
         assert_eq!((report.solved, report.failed.len()), (4, 1));
         assert_eq!(report.failed[0].energy, 0.0);
     }
 
     #[test]
-    fn a_group_fan_out_keeps_only_the_group_being_collected() {
-        use std::sync::atomic::{AtomicUsize, Ordering::SeqCst};
-        struct Token<'a>(&'a AtomicUsize);
-        impl Drop for Token<'_> {
-            fn drop(&mut self) {
-                self.0.fetch_sub(1, SeqCst);
-            }
-        }
-        let sizes = [3, 0, 4, 1, 5, 2, 0];
-        for width in 1..=3 {
-            let live = AtomicUsize::new(0);
-            let made: Vec<AtomicUsize> = sizes.iter().map(|_| AtomicUsize::new(0)).collect();
-            let mut handed = Vec::new();
-            fan_out_groups(
-                &sizes,
-                width,
-                |g, i| {
-                    made[g].fetch_add(1, SeqCst);
-                    live.fetch_add(1, SeqCst);
-                    (g, i, Token(&live))
-                },
-                |g, items| {
-                    // Alive now: this group's items, and later groups' that
-                    // finished ahead of it or are being made — never an
-                    // earlier group's.
-                    let alive = live.load(SeqCst);
-                    let later: usize = made[g + 1..].iter().map(|m| m.load(SeqCst)).sum();
-                    assert!(alive <= items.len() + later, "width {width}, group {g}");
-                    if width == 1 {
-                        assert_eq!(alive, items.len(), "group {g}");
-                    }
-                    handed.push((g, items.iter().map(|&(g, i, _)| (g, i)).collect::<Vec<_>>()));
-                },
-            );
-            let want: Vec<_> = (sizes.iter().enumerate())
-                .map(|(g, &n)| (g, (0..n).map(|i| (g, i)).collect::<Vec<_>>()))
+    fn a_list_of_problems_is_its_problems_solved_one_by_one() {
+        use omen_linalg::threads::with_budget;
+        use omen_num::linspace;
+        // Chain problems on two slots with two lead pairs, one without
+        // energies, in an order that re-keys slot 0 mid-list (a second
+        // run). Each is handed on in order, on every budget, with the sweep
+        // and tally it gets alone after the problems before it.
+        let (h, a0, a1) = severed_chain(5, &[(2, 0.0)], &[1, 2]);
+        let (b0, b1) = (
+            a0.clone(),
+            ZMat::from_vec(1, 1, vec![omen_num::c64::real(-0.9)]),
+        );
+        let (a, b) = ([&a0, &a1, &a0, &a1], [&b0, &b1, &a0, &a1]);
+        let list = [
+            (0, a, linspace(-0.5, 0.5, 5)),
+            (1, b, linspace(-0.4, 0.4, 3)),
+            (0, a, vec![]),
+            (0, a, linspace(-0.5, 0.5, 9)),
+            (0, b, linspace(-0.5, 0.5, 3)),
+        ];
+        // Each slot's problems in order through `solve_sweep`, whose
+        // slot 0 stands for that slot on a table of its own.
+        let per_slot = |slot: usize| {
+            let mut table = ContactTable::default();
+            (list.iter().enumerate())
+                .filter(|(_, p)| p.0 == slot)
+                .map(|(i, (_, [l0, l1, r0, r1], grid))| {
+                    let s = solve_sweep(grid, &h, (l0, l1), (r0, r1), Engine::Rgf, &mut table);
+                    (i, sweep_bits(s), table.take_tally())
+                })
+                .collect::<Vec<_>>()
+        };
+        let mut want = [per_slot(0), per_slot(1)].concat();
+        want.sort_by_key(|w| w.0);
+        for cores in 1..=3 {
+            let problems: Vec<Problem<'_>> = (list.iter())
+                .map(|(k, leads, grid)| Problem {
+                    k: *k,
+                    leads: *leads,
+                    grid: grid.clone(),
+                    device: Device::Given(&h),
+                })
                 .collect();
-            assert_eq!(handed, want, "width {width}");
-            assert_eq!(live.load(SeqCst), 0);
+            let mut table = ContactTable::default();
+            let mut got = Vec::new();
+            with_budget(cores, || {
+                solve_problems(&problems, Engine::Rgf, &mut table, |i, s, tally| {
+                    got.push((i, sweep_bits(s.into_parts()), tally))
+                })
+            });
+            assert_eq!(got, want, "budget {cores}");
         }
     }
 
@@ -1151,14 +1147,8 @@ mod tests {
         // What a hit serves is a cold `local_contacts` entry for entry —
         // the exact zeros off Σ's support included, which the decimation's
         // products leave as `+0.0`, the value the scatter writes.
-        let v_flat = vec![0.0; tr.device.num_atoms()];
-        let bias = Bias {
-            v_gate: 0.0,
-            v_ds,
-            mu_source,
-        };
-        let s = prepare_transport(&tr, &v_flat, &bias, (0, 0.0), &mut table);
-        let [h00_l, h01_l, h00_r, h01_r] = &s.leads;
+        let leads = leads_at(&tr, &vec![0.0; tr.device.num_atoms()], 0.0);
+        let [h00_l, h01_l, h00_r, h01_r] = &leads;
         let (lead_l, lead_r) = ((h00_l, h01_l), (h00_r, h01_r));
         let raw = |m: &ZMat| -> Vec<(u64, u64)> {
             m.data()
@@ -1167,7 +1157,7 @@ mod tests {
                 .collect()
         };
         let grid = grid.unwrap();
-        table.fill_serial(0, &[[lead_l.0, lead_l.1, lead_r.0, lead_r.1]], &grid);
+        table.fill_serial(&[(0, leads.each_ref(), &grid)]);
         for &e in &grid {
             let (hl, hr) = table.contacts(0, e).unwrap();
             let (cl, cr) = omen_negf::local_contacts(e, DEFAULT_ETA, lead_l, lead_r).unwrap();
@@ -1216,8 +1206,7 @@ mod tests {
         );
         // `solve_point` on the folded `H(V)` the replay assembles: the
         // engines' `H₀ ⊕ V` is its bits.
-        let s = prepare_transport(&tr, &v, &bias, (0, 0.0), &mut ContactTable::default());
-        let [h00_l, h01_l, h00_r, h01_r] = &s.leads;
+        let [h00_l, h01_l, h00_r, h01_r] = &leads_at(&tr, &v, 0.0);
         let (lead_l, lead_r) = ((h00_l, h01_l), (h00_r, h01_r));
         let (h, _, _) = crate::parallel::frozen_system(&tr, &v, 0.0);
         for (&e, t) in r.energies.iter().zip(&r.transmission) {
@@ -1246,19 +1235,27 @@ mod tests {
             .collect();
         let (engine, n_energy) = (Engine::Rgf, 21);
         let got = cold(&tr, &v, &bias, engine, n_energy, 0.0);
-        let s = prepare_transport(&tr, &v, &bias, (0, 0.0), &mut ContactTable::default());
-        let [h00_l, h01_l, h00_r, h01_r] = &s.leads;
+        let leads = leads_at(&tr, &v, 0.0);
+        let window = window_at(
+            &tr,
+            &v,
+            &bias,
+            (0, 0.0),
+            &leads,
+            &mut ContactTable::default(),
+        );
+        let [h00_l, h01_l, h00_r, h01_r] = &leads;
         assert_ne!(h00_l, h00_r, "the drain lead is shifted");
         let (lead_l, lead_r) = ((h00_l, h01_l), (h00_r, h01_r));
         let (h, _, _) = crate::parallel::frozen_system(&tr, &v, 0.0);
-        let energies = s.window.grid(n_energy);
+        let energies = window.grid(n_energy);
         let mut report = SweepReport::default();
         let points: Vec<_> = energies
             .iter()
             .map(|&e| solve_point(e, &h, lead_l, lead_r, engine).unwrap())
             .inspect(|p| report.record_solved(p.retries))
             .collect();
-        let want = integrate(&tr, &bias, &v, &energies, points, &s.window, report);
+        let want = integrate(&tr, &bias, &v, &energies, points, &window, report);
         let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
         assert_eq!(got.current_ua.to_bits(), want.current_ua.to_bits());
         assert_eq!(bits(&got.energies), bits(&want.energies));

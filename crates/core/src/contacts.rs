@@ -8,23 +8,26 @@
 //!
 //! [`ContactTable`] is the one place a sweep gets its contacts and a window
 //! its lead bands: one lead pair per momentum index `k`, its bands beside
-//! its outcomes per `(k, E)`. A fill keys each slot on its lead pair once,
-//! lists the pairs it lacks, decimates them and inserts them; only the
-//! decimation differs between its two callers. A serial sweep
-//! (`ballistic::solve_sweep`) decimates every missing pair on the calling
-//! thread and the idle cores of its budget
+//! its outcomes per `(k, E)`. A fill takes a list of `(slot, lead pair,
+//! grid)` entries, keys each slot on its lead pair, lists the pairs it
+//! lacks, decimates them and inserts them, and tallies each entry as if
+//! the entries had been filled one after the other; only the decimation
+//! differs between its two callers. The serial sweep body
+//! (`ballistic::solve_problems`, one entry per problem) decimates every
+//! missing pair on the calling thread and the idle cores of its budget
 //! (`omen_linalg::threads::fan_out`: each thread claims the next pair,
-//! outcomes go back in `(k, E)` order, so every width gives the same
-//! table); the rank path ([`ContactTable::fill`]) splits them round-robin
-//! over a communicator, decimates each member's share the same way, and
-//! inserts them on every member with one allgather, so every member holds
-//! the same table. The points of a sweep only read it.
+//! outcomes go back in entry order, so every width gives the same table);
+//! the rank path ([`ContactTable::fill`], one entry per momentum over one
+//! grid) splits them round-robin over a communicator, decimates each
+//! member's share the same way, and inserts them on every member with one
+//! allgather, so every member holds the same table. The points of a sweep
+//! only read it.
 //!
 //! A slot keys its lead pair on the exact blocks: blocks that do not
 //! compare equal entry for entry (a NaN entry never does) drop the pair's
-//! bands and outcomes together. A table keys each slot once per fill and
-//! once per band request, so a NaN lead's bands and outcomes last for that
-//! window's or that fill's reads and are computed again by the next.
+//! bands and outcomes together. A table keys a slot once per fill entry
+//! and once per band request, so a NaN lead's bands and outcomes last for
+//! that window's or that fill's reads and are computed again by the next.
 //! A failure is remembered too: the same lead fails at the same energy the
 //! same way, so the nudge ladder is not climbed twice. Each Σ is kept on
 //! its support ([`PackedContact`]); a read scatters it back into zeros and
@@ -210,6 +213,10 @@ impl fmt::Display for ContactTally {
 /// `(lead_l, lead_r)` as the four blocks a slot is keyed on.
 pub type LeadKey<'a> = [&'a ZMat; 4];
 
+/// One entry of a fill: momentum slot `k`, the lead pair it is keyed on
+/// and the energies it needs.
+pub(crate) type FillEntry<'a> = (usize, LeadKey<'a>, &'a [f64]);
+
 /// What one slot knows of its lead pair: the blocks it is keyed on (the
 /// left lead's, and the right lead's only where they differ), the bands of
 /// each of those leads once a window has asked for them, and the outcomes
@@ -240,15 +247,46 @@ fn decimate([l0, l1, r0, r1]: LeadKey<'_>, e: f64) -> PackedOutcome {
     ])
 }
 
-/// [`decimate`] of every `(k, E)` in `pairs`, in their order, on
+/// [`decimate`] of every `(entry, E)` in `pairs`, in their order, on
 /// [`fan_out_width`] threads of this thread's core budget. Each
 /// decimation is independent and deterministic and the flop counter is
 /// one atomic, so every width gives the same outcomes and the same count.
-fn decimate_all(leads: &[LeadKey<'_>], pairs: &[(usize, f64)], width: usize) -> Vec<PackedOutcome> {
-    fan_out(pairs.len(), width, |i| {
-        let (ik, e) = pairs[i];
-        decimate(leads[ik], e)
+fn decimate_all(entries: &[FillEntry<'_>], pairs: &[(usize, f64)]) -> Vec<PackedOutcome> {
+    fan_out(pairs.len(), fan_out_width(pairs.len()), |i| {
+        let (entry, e) = pairs[i];
+        decimate(entries[entry].1, e)
     })
+}
+
+/// The rank path's decimation of the `(entry, E)` pairs `missing`: split
+/// round-robin over `comm`, each member's share through [`decimate_all`],
+/// and one allgather that hands every member every outcome in their order.
+fn decimate_shared(
+    comm: &Comm<'_>,
+    entries: &[FillEntry<'_>],
+    missing: &[(usize, f64)],
+) -> OmenResult<Vec<PackedOutcome>> {
+    let origin = comm.global_rank(comm.rank());
+    let share = assign(missing.len(), comm.size(), comm.rank());
+    let pairs: Vec<(usize, f64)> = share.iter().map(|&i| missing[i]).collect();
+    let outcomes = decimate_all(entries, &pairs);
+    let mine: Vec<(usize, Vec<u8>)> = share
+        .into_iter()
+        .zip(&outcomes)
+        .map(|(i, outcome)| (i, encode_entry(origin, outcome)))
+        .collect();
+    const CTX: &str = "contact table";
+    let outcomes = allgather_block_records(comm, missing.len(), &mine, CTX, decode_entry)?;
+    for (&(entry, _), outcome) in missing.iter().zip(&outcomes) {
+        let [l0, _, r0, _] = entries[entry].1;
+        let fits = |[l, r]: &[PackedContact; 2]| {
+            (l.side, l.n, r.side, r.n) == (Side::Left, l0.nrows(), Side::Right, r0.nrows())
+        };
+        if outcome.as_ref().is_ok_and(|pair| !fits(pair)) {
+            return Err(OmenError::Deserialize { context: CTX });
+        }
+    }
+    Ok(outcomes)
 }
 
 /// `H₀ = H(V = 0)` of the device at `ky`: the one assembly of a curve's
@@ -301,70 +339,70 @@ impl ContactTable {
         })
     }
 
-    /// The one fill body, in canonical `(k, E)` order: keys slots `first..`
-    /// on `leads` once, lists the `(k, E)` of `leads × energies` the table
-    /// lacks (`k` counted from `first`), has `decimate_all` return their
-    /// outcomes in that order, and inserts them. Nothing is inserted when
-    /// `decimate_all` fails.
+    /// The one fill body: keys each entry's slot on its lead pair (entries
+    /// of one slot share it), lists the `(entry, E)` the table lacks in
+    /// entry order, each energy of a slot once, has `decimate_all` return
+    /// their outcomes in that order and inserts them. Each entry's tally
+    /// reads as if the entries had been filled one after the other (an
+    /// energy the table or an earlier entry of its slot holds is reused),
+    /// and their sum is added to the table's. Nothing is inserted or
+    /// counted when `decimate_all` fails.
     fn fill_by<E>(
         &mut self,
-        first: usize,
-        leads: &[LeadKey<'_>],
-        energies: &[f64],
+        entries: &[FillEntry<'_>],
         decimate_all: impl FnOnce(&[(usize, f64)]) -> Result<Vec<PackedOutcome>, E>,
-    ) -> Result<(), E> {
+    ) -> Result<Vec<ContactTally>, E> {
+        let mut listed = HashSet::new();
         let mut missing = Vec::new();
-        for (ik, &key) in leads.iter().enumerate() {
-            let known = &self.keyed_on(first + ik, key).outcomes;
-            let absent = energies
-                .iter()
-                .filter(|e| !known.contains_key(&e.to_bits()));
-            missing.extend(absent.map(|&e| (ik, e)));
+        let mut tallies = Vec::with_capacity(entries.len());
+        for (i, &(k, key, energies)) in entries.iter().enumerate() {
+            let known = &self.keyed_on(k, key).outcomes;
+            let mut tally = ContactTally::default();
+            for &e in energies {
+                if !known.contains_key(&e.to_bits()) && listed.insert((k, e.to_bits())) {
+                    missing.push((i, e));
+                    tally.decimated += 1;
+                } else {
+                    tally.reused += 1;
+                }
+            }
+            tallies.push(tally);
         }
         let outcomes = decimate_all(&missing)?;
-        for (&(ik, e), outcome) in missing.iter().zip(outcomes) {
+        for (&(i, e), outcome) in missing.iter().zip(outcomes) {
             // Keyed once above, this fill, so no comparison here: a NaN
             // lead never compares equal, and stays in its slot for the
             // fill's reads only.
-            if let Some(leads) = &mut self.slots[first + ik] {
+            if let Some(leads) = &mut self.slots[entries[i].0] {
                 leads.outcomes.insert(e.to_bits(), outcome);
             }
         }
-        self.tally.decimated += missing.len();
-        self.tally.reused += leads.len() * energies.len() - missing.len();
-        Ok(())
+        for t in &tallies {
+            self.tally.decimated += t.decimated;
+            self.tally.reused += t.reused;
+        }
+        Ok(tallies)
     }
 
-    /// Makes every `(k, E)` of `leads × energies` present, where `leads[i]`
-    /// is the lead pair of slot `first + i`, decimating the missing pairs on
-    /// the calling thread and the idle cores of its budget
-    /// ([`fan_out_width`]): the same table at every width.
-    pub(crate) fn fill_serial(&mut self, first: usize, leads: &[LeadKey<'_>], energies: &[f64]) {
-        self.fill_wide(first, leads, energies, fan_out_width);
-    }
-
-    /// [`ContactTable::fill_serial`] on `width(missing)` threads.
-    fn fill_wide(
-        &mut self,
-        first: usize,
-        leads: &[LeadKey<'_>],
-        energies: &[f64],
-        width: impl FnOnce(usize) -> usize,
-    ) {
-        let filled = self.fill_by(first, leads, energies, |missing| {
-            let width = width(missing.len());
-            Ok::<_, Infallible>(decimate_all(leads, missing, width))
+    /// Makes every `(k, E)` of the `entries` present, decimating the missing
+    /// pairs on the calling thread and the idle cores of its budget
+    /// ([`fan_out_width`]): the same table at every width. Returns each
+    /// entry's tally as if the entries had been filled one after the other.
+    pub(crate) fn fill_serial(&mut self, entries: &[FillEntry<'_>]) -> Vec<ContactTally> {
+        let filled = self.fill_by(entries, |missing| {
+            Ok::<_, Infallible>(decimate_all(entries, missing))
         });
-        let Ok(()) = filled;
+        let Ok(tallies) = filled;
+        tallies
     }
 
     /// Makes every `(k, E)` of `leads × energies` present, where `leads[k]`
-    /// is `k`'s lead pair. The pairs missing from the table are split
-    /// round-robin over `comm`, each member runs `local_contacts` on its
-    /// share (on the idle cores of its budget, as
-    /// `ContactTable::fill_serial` does), and one allgather inserts every
-    /// outcome on every member in canonical `(k, E)` order. The allgather
-    /// runs unconditionally, even when nothing is missing, so the
+    /// is `k`'s lead pair: the entries `(k, leads[k], energies)` of
+    /// `ContactTable::fill_serial`, whose missing pairs are split
+    /// round-robin over `comm`. Each member runs `local_contacts` on its
+    /// share (on the idle cores of its budget), and one allgather inserts
+    /// every outcome on every member in canonical `(k, E)` order. The
+    /// allgather runs unconditionally, even when nothing is missing, so the
     /// collective schedule is rank-uniform.
     ///
     /// All members call collectively with the same arguments and a table
@@ -384,29 +422,11 @@ impl ContactTable {
         leads: &[LeadKey<'_>],
         energies: &[f64],
     ) -> OmenResult<()> {
-        self.fill_by(0, leads, energies, |missing| {
-            let origin = comm.global_rank(comm.rank());
-            let share = assign(missing.len(), comm.size(), comm.rank());
-            let pairs: Vec<(usize, f64)> = share.iter().map(|&i| missing[i]).collect();
-            let outcomes = decimate_all(leads, &pairs, fan_out_width(pairs.len()));
-            let mine: Vec<(usize, Vec<u8>)> = share
-                .into_iter()
-                .zip(&outcomes)
-                .map(|(i, outcome)| (i, encode_entry(origin, outcome)))
-                .collect();
-            const CTX: &str = "contact table";
-            let outcomes = allgather_block_records(comm, missing.len(), &mine, CTX, decode_entry)?;
-            for (&(ik, _), outcome) in missing.iter().zip(&outcomes) {
-                let [l0, _, r0, _] = leads[ik];
-                let fits = |[l, r]: &[PackedContact; 2]| {
-                    (l.side, l.n, r.side, r.n) == (Side::Left, l0.nrows(), Side::Right, r0.nrows())
-                };
-                if outcome.as_ref().is_ok_and(|pair| !fits(pair)) {
-                    return Err(OmenError::Deserialize { context: CTX });
-                }
-            }
-            Ok(outcomes)
-        })
+        let entries: Vec<FillEntry<'_>> = (leads.iter().enumerate())
+            .map(|(k, &key)| (k, key, energies))
+            .collect();
+        self.fill_by(&entries, |missing| decimate_shared(comm, &entries, missing))
+            .map(drop)
     }
 
     /// The pairs decimated and reused by the fills since the previous call.
@@ -474,39 +494,6 @@ impl ContactTable {
             .expect("a band request assembles H₀ before a sweep reads it")
     }
 
-    /// One fill of slot `k`'s lead pair `key` over the union of `grids`,
-    /// and each grid's tally as if the grids had been filled one after the
-    /// other: an energy the table or an earlier grid holds is reused. The
-    /// table's own tally is left as it was.
-    pub(crate) fn fill_grids(
-        &mut self,
-        k: usize,
-        key: LeadKey<'_>,
-        grids: &[Vec<f64>],
-    ) -> Vec<ContactTally> {
-        let known = &self.keyed_on(k, key).outcomes;
-        let mut listed = HashSet::new();
-        let mut union = Vec::new();
-        let tallies = (grids.iter())
-            .map(|grid| {
-                let mut tally = ContactTally::default();
-                for &e in grid {
-                    if !known.contains_key(&e.to_bits()) && listed.insert(e.to_bits()) {
-                        union.push(e);
-                        tally.decimated += 1;
-                    } else {
-                        tally.reused += 1;
-                    }
-                }
-                tally
-            })
-            .collect();
-        let before = self.take_tally();
-        self.fill_serial(k, &[key], &union);
-        self.tally = before;
-        tallies
-    }
-
     /// `local_contacts(e, DEFAULT_ETA, ..)` for `k`'s lead pair, as the
     /// last fill stored it.
     ///
@@ -557,7 +544,7 @@ mod tests {
         // One energy of one lead pair through a serial fill, then a read.
         type Lead<'a> = (&'a ZMat, &'a ZMat);
         let contacts = |table: &mut ContactTable, e: f64, (l0, l1): Lead, (r0, r1): Lead| {
-            table.fill_serial(0, &[[l0, l1, r0, r1]], &[e]);
+            table.fill_serial(&[(0, [l0, l1, r0, r1], &[e])]);
             table.contacts(0, e)
         };
         let mut table = ContactTable::default();
@@ -699,13 +686,13 @@ mod tests {
         ));
     }
 
-    /// A table's fingerprint after each of two fills of `leads × energies`:
-    /// the tally, then every `(k, E)` read back — the bits of Σ, Γ and the
-    /// retries of both contacts, or the typed failure.
+    /// A table's fingerprint after each of two fills of `entries`: each
+    /// entry's tally and the table's, then every `(k, E)` of every entry
+    /// read back — the bits of Σ, Γ and the retries of both contacts, or
+    /// the typed failure.
     fn fingerprint(
-        leads: &[LeadKey<'_>],
-        energies: &[f64],
-        mut fill: impl FnMut(&mut ContactTable),
+        entries: &[FillEntry<'_>],
+        mut fill: impl FnMut(&mut ContactTable) -> Vec<ContactTally>,
     ) -> Vec<String> {
         let raw = |m: &ZMat| -> Vec<_> {
             m.data()
@@ -716,9 +703,9 @@ mod tests {
         let mut table = ContactTable::default();
         let mut out = Vec::new();
         for _ in 0..2 {
-            fill(&mut table);
-            out.push(format!("{:?}", table.take_tally()));
-            for k in 0..leads.len() {
+            let tallies = fill(&mut table);
+            out.push(format!("{tallies:?} {:?}", table.take_tally()));
+            for &(k, _, energies) in entries {
                 for &e in energies {
                     out.push(match table.contacts(k, e) {
                         Ok((l, r)) => format!(
@@ -738,7 +725,9 @@ mod tests {
         // The README wire's unequal SCF leads (a drain shifted by the
         // bias), a NaN source (never keyed twice: decimated on every fill)
         // and an infinite one (keyed, so its failure is remembered), each
-        // failure a typed `LeadNotConverged`.
+        // failure a typed `LeadNotConverged`, over one grid; then two
+        // slots whose grids differ, and two entries of one slot whose grids
+        // overlap (a frozen sweep's gate points).
         let single = Material::SingleBand { t_mev: 1000 };
         let tr = TransistorSpec::si_nanowire_nmos(single, 1.0, 8).build();
         let ham = tr.hamiltonian();
@@ -750,66 +739,77 @@ mod tests {
             m
         };
         let (nan, inf) = (poisoned(f64::NAN), poisoned(f64::INFINITY));
-        let leads = [
-            [&s0, &s1, &d0, &d1],
-            [&nan, &s1, &d0, &d1],
-            [&inf, &s1, &inf, &s1],
-        ];
+        let (biased, equal) = ([&s0, &s1, &d0, &d1], [&s0, &s1, &s0, &s1]);
         let energies = [-3.6, -3.45, -3.3, -3.15, -3.0, -2.85, -2.7];
-        let want = fingerprint(&leads, &energies, |t| {
-            t.fill_wide(0, &leads, &energies, |_| 1)
-        });
-        let (n, m) = (leads.len() * energies.len(), energies.len());
-        assert_eq!(
-            want[0],
-            format!(
-                "{:?}",
-                ContactTally {
-                    decimated: n,
-                    reused: 0
+        let (low, high) = (&energies[..4], &energies[2..]);
+        let cases: [Vec<FillEntry<'_>>; 3] = [
+            vec![
+                (0, biased, &energies),
+                (1, [&nan, &s1, &d0, &d1], &energies),
+                (2, [&inf, &s1, &inf, &s1], &energies),
+            ],
+            vec![(0, biased, low), (1, equal, high)],
+            vec![(0, equal, low), (0, equal, high)],
+        ];
+        let tally = |decimated, reused| ContactTally { decimated, reused };
+        let (n, m) = (3 * energies.len(), energies.len());
+        let first_fills = [
+            format!("{:?} {:?}", [tally(m, 0); 3], tally(n, 0)),
+            format!("{:?} {:?}", [tally(4, 0), tally(5, 0)], tally(9, 0)),
+            format!("{:?} {:?}", [tally(4, 0), tally(3, 2)], tally(7, 2)),
+        ];
+        for (entries, first_fill) in cases.iter().zip(first_fills) {
+            let serial = |t: &mut ContactTable| t.fill_serial(entries);
+            let want = with_budget(1, || fingerprint(entries, serial));
+            assert_eq!(want[0], first_fill);
+            // The budget picks the width; every budget gives the same
+            // table, and so does the rank path's fill, whose members
+            // decimate their shares on their own budgets.
+            for cores in 1..=3 {
+                if cores > 1 {
+                    let got = with_budget(cores, || fingerprint(entries, serial));
+                    assert_eq!(got, want, "budget {cores}");
                 }
-            )
-        );
-        let second = ContactTally {
-            decimated: m,
-            reused: n - m,
-        };
-        assert_eq!(want[1 + n], format!("{second:?}"));
-        for k in [1, 2] {
-            assert!(
-                want[1 + k * m].starts_with("LeadNotConverged"),
-                "{}",
-                want[1 + k * m]
-            );
-        }
-        assert!(want[1].starts_with('['), "{}", want[1]);
-        for width in [2, 3] {
-            let got = fingerprint(&leads, &energies, |t| {
-                t.fill_wide(0, &leads, &energies, |_| width)
-            });
-            assert_eq!(got, want, "width {width}");
-        }
-        // The budget picks the width; every budget gives the same table,
-        // and so does the rank path's fill, whose members decimate their
-        // shares on their own budgets.
-        for cores in 1..=3 {
-            let got = with_budget(cores, || {
-                fingerprint(&leads, &energies, |t| t.fill_serial(0, &leads, &energies))
-            });
-            assert_eq!(got, want, "budget {cores}");
-            for members in [1, 2] {
-                let run = with_budget(cores, || {
-                    omen_parsim::run_ranks(members, |ctx| {
-                        let comm = Comm::world(ctx);
-                        fingerprint(&leads, &energies, |t| {
-                            t.fill(&comm, &leads, &energies).unwrap()
+                for members in [1, 2] {
+                    let run = with_budget(cores, || {
+                        omen_parsim::run_ranks(members, |ctx| {
+                            let comm = Comm::world(ctx);
+                            let shared = |m: &[(usize, f64)]| decimate_shared(&comm, entries, m);
+                            fingerprint(entries, |t| t.fill_by(entries, shared).unwrap())
                         })
-                    })
-                });
-                for got in run.results {
-                    assert_eq!(got.unwrap(), want, "budget {cores}, {members} members");
+                    });
+                    for got in run.results {
+                        assert_eq!(got.unwrap(), want, "budget {cores}, {members} members");
+                    }
                 }
             }
+        }
+        // The first case: a second fill decimates the NaN lead again and
+        // reuses the rest; both poisoned leads fail typed.
+        let want = fingerprint(&cases[0], |t| t.fill_serial(&cases[0]));
+        let second = [tally(0, m), tally(m, 0), tally(0, m)];
+        assert_eq!(want[1 + n], format!("{second:?} {:?}", tally(m, n - m)));
+        for k in [1, 2] {
+            let read = &want[1 + k * m];
+            assert!(read.starts_with("LeadNotConverged"), "{read}");
+        }
+        assert!(want[1].starts_with('['), "{}", want[1]);
+        // The public rank fill is the first case's entry list: the same
+        // table tally and reads (it returns no per-entry tallies).
+        let table_tallies = |f: Vec<String>| -> Vec<String> {
+            let strip = |l: String| l.rsplit_once("] ").map_or(l.clone(), |(_, t)| t.into());
+            f.into_iter().map(strip).collect()
+        };
+        let leads: Vec<LeadKey<'_>> = cases[0].iter().map(|e| e.1).collect();
+        let run = omen_parsim::run_ranks(2, |ctx| {
+            let comm = Comm::world(ctx);
+            fingerprint(&cases[0], |t| {
+                t.fill(&comm, &leads, &energies).unwrap();
+                Vec::new()
+            })
+        });
+        for got in run.results {
+            assert_eq!(table_tallies(got.unwrap()), table_tallies(want.clone()));
         }
     }
 
@@ -820,15 +820,12 @@ mod tests {
         let ham = tr.hamiltonian();
         let (s0, s1) = ham.lead_blocks(0.0, 0.0);
         let (d0, d1) = ham.lead_blocks(-0.15, 0.0);
-        let leads = [[&s0, &s1, &d0, &d1]];
-        let energies = [-3.4, -3.3, -3.2];
+        let entries = [(0, [&s0, &s1, &d0, &d1], &[-3.4, -3.3, -3.2][..])];
         let before = fan_out_spawned();
-        with_budget(1, || {
-            ContactTable::default().fill_serial(0, &leads, &energies)
-        });
+        with_budget(1, || ContactTable::default().fill_serial(&entries));
         assert_eq!(fan_out_spawned(), before);
         // The witness does count: three threads are the caller and two.
-        ContactTable::default().fill_wide(0, &leads, &energies, |_| 3);
+        with_budget(3, || ContactTable::default().fill_serial(&entries));
         assert_eq!(fan_out_spawned(), before + 2);
     }
 }

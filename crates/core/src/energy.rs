@@ -226,7 +226,7 @@ mod tests {
     #[test]
     fn benchmark_lead_windows_match_the_recorded_edges() {
         // The leads of the four repo-benchmark workloads at flat potential,
-        // under the window arguments `prepare_transport` passes. The lower
+        // under the window arguments `ballistic::window_at` passes. The lower
         // edges are band minima, i.e. eigenvalues of the lead's Bloch
         // Hamiltonian; the constants were recorded from the eigensolver of
         // PR 23 (real 2n × 2n embedding) and bind its successors to the

@@ -3,12 +3,13 @@
 //! Every sweep owns one [`ContactTable`] for its curve: its leads' bands
 //! and contacts and the device's `H₀` per momentum. The SCF sweeps solve
 //! their bias points one after another, each warm-started from the last;
-//! the frozen sweep solves all its gate points as one fan-out over
-//! `(gate, E)` and records each point, in gate order, as soon as its last
-//! energy is in. Either way each point is numbered, logged and handed to
-//! the observer in bias order.
+//! the frozen sweep hands all its gate points to `ballistic`'s one sweep
+//! body as one problem each (one fill, one fan-out over `(gate, E)`) and
+//! records each point, in gate order, as soon as its last energy is in.
+//! Either way each point is numbered, logged and handed to the observer in
+//! bias order.
 
-use crate::ballistic::{frozen_gate_points, BallisticResult, Engine};
+use crate::ballistic::{ballistic_points, BallisticResult, Engine};
 use crate::contacts::{ContactTable, ContactTally};
 use crate::log::SweepSeq;
 use crate::scf::{self_consistent, ScfOptions};
@@ -279,10 +280,11 @@ pub fn frozen_field_sweep(
 /// progress streaming. The source/drain extensions sit at zero potential
 /// at every gate point, so the curve's table diagonalises the lead once,
 /// assembles `H₀` once and decimates each energy of the shared grid once,
-/// and every `(gate, E)` of the sweep is one unit of a single fan-out
-/// (`ballistic::frozen_gate_points`). Each point is integrated, logged
-/// and observed, in gate order, as soon as its last energy is in; every
-/// point is the one-k [`crate::ballistic::ballistic_solve`] bit for bit.
+/// and every `(gate, E)` of the sweep is one unit of a single fan-out: each
+/// gate point is one problem of `ballistic`'s sweep body, on slot 0. Each
+/// point is integrated, logged and observed, in gate order, as soon as its
+/// last energy is in; every point is the one-k
+/// [`crate::ballistic::ballistic_solve`] bit for bit.
 pub fn frozen_field_sweep_observed(
     tr: &NanoTransistor,
     v_gates: &[f64],
@@ -293,15 +295,17 @@ pub fn frozen_field_sweep_observed(
     observer: &mut dyn FnMut(PointProgress<'_>),
 ) -> Vec<IvPoint> {
     let biases = biases(v_gates, &[v_ds], mu_source);
+    let potentials: Vec<Vec<f64>> = (biases.iter())
+        .map(|bias| frozen_potential(tr, bias.v_gate))
+        .collect();
+    let points: Vec<_> = (potentials.iter().zip(&biases))
+        .map(|(v, bias)| (&v[..], bias, (0, 0.0)))
+        .collect();
     let mut curve = Curve::new("frozen", biases.len(), observer);
-    frozen_gate_points(
-        tr,
-        &biases,
-        engine,
-        n_energy,
-        &mut ContactTable::default(),
-        |i, r, contacts| curve.record(&biases[i], &r, 0, true, contacts),
-    );
+    let table = &mut ContactTable::default();
+    ballistic_points(tr, &points, engine, n_energy, table, |i, r, tally| {
+        curve.record(&biases[i], &r, 0, true, tally)
+    });
     curve.points
 }
 
@@ -534,6 +538,80 @@ mod tests {
             "{pts:?}"
         );
         assert_eq!(assembled() - before, 2, "SCF, two momenta");
+
+        // A bias point's momenta are one fill and one fan-out too: on the
+        // UTB film at n_k = 2 and 3, budget 2 starts one worker per k for
+        // its lead bands beside H₀, one for the fill and one for every
+        // (k, E), and every budget gives the per-k cold solves folded in k
+        // order, bit for bit.
+        use crate::ballistic::{ballistic_solve, momentum_grid};
+        let mut spec =
+            TransistorSpec::si_nanowire_nmos(Material::SingleBand { t_mev: 1000 }, 1.0, 6);
+        spec.geometry = crate::spec::Geometry::Utb { cells: 1, h: 1.0 };
+        spec.doping_sd = 0.0;
+        let tr = spec.build();
+        let v = frozen_potential(&tr, 0.05);
+        let bias = Bias {
+            v_gate: 0.05,
+            v_ds: 0.2,
+            mu_source: -3.2,
+        };
+        let (engine, n_energy) = (Engine::WfThomas, 11);
+        let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let fingerprint = |r: &BallisticResult| {
+            let fields = [&r.energies, &r.transmission];
+            let densities = [&r.electron_density, &r.hole_density];
+            let all = fields.into_iter().chain(densities).map(|x| bits(x));
+            (
+                r.current_ua.to_bits(),
+                all.collect::<Vec<_>>(),
+                r.report.clone(),
+            )
+        };
+        for n_k in [2, 3] {
+            let ks = momentum_grid(&tr, n_k);
+            let colds: Vec<BallisticResult> = (ks.iter())
+                .map(|&(ky, _)| cold(&tr, &v, &bias, engine, n_energy, ky))
+                .collect();
+            let weighted = |field: fn(&BallisticResult) -> &Vec<f64>| -> Vec<f64> {
+                (0..field(&colds[0]).len())
+                    .map(|i| {
+                        (ks.iter().zip(&colds))
+                            .map(|(&(_, w), r)| w * field(r)[i])
+                            .sum()
+                    })
+                    .collect()
+            };
+            let mut report = colds[0].report.clone();
+            for r in &colds[1..] {
+                report.merge(&r.report);
+            }
+            // The windows follow the k-resolved subbands, so T(E) is the
+            // first k's trace on its grid.
+            assert_ne!(colds[0].energies, colds[1].energies);
+            let want = fingerprint(&BallisticResult {
+                energies: colds[0].energies.clone(),
+                transmission: colds[0].transmission.clone(),
+                current_ua: (ks.iter().zip(&colds))
+                    .map(|(&(_, w), r)| w * r.current_ua)
+                    .sum(),
+                electron_density: weighted(|r| &r.electron_density),
+                hole_density: weighted(|r| &r.hole_density),
+                report,
+            });
+            for cores in 1..=3 {
+                let spawned = fan_out_spawned();
+                let got = with_budget(cores, || {
+                    let mut table = ContactTable::default();
+                    ballistic_solve(&tr, &v, &bias, engine, n_energy, &ks, &mut table)
+                });
+                assert_eq!(fingerprint(&got), want, "n_k = {n_k}, budget {cores}");
+                if cores == 2 {
+                    let workers = fan_out_spawned() - spawned;
+                    assert_eq!(workers, n_k + 2, "n_k = {n_k}: bands, one fill, one points");
+                }
+            }
+        }
     }
 
     #[test]

@@ -14,13 +14,15 @@
 //!   slot per momentum holds a lead pair's blocks, their bands and their
 //!   contacts per `E`, filled on the calling thread by a serial sweep and
 //!   over a communicator by the rank path, with the same fill body;
-//! * [`ballistic`] — the per-bias transport solve, one body per level:
-//!   `solve_sweep` (the one serial energy loop: contacts from a table,
-//!   per-point fault isolation, any [`Engine`]) → `ballistic_solve` (one
-//!   bias point: the weighted sum over a `(k_y, weight)` list, the i-th k
-//!   on slot i of the curve's [`ContactTable`]), plus the adaptive-grid
-//!   variant, whose seed grid and rounds are `solve_sweep` calls; Landauer
-//!   current, quantum electron and hole densities;
+//! * [`ballistic`] — the per-bias transport solve around one serial sweep
+//!   body: a list of energy sweeps (slot, leads, grid, device) is one
+//!   contact fill and one fan-out over every `(sweep, E)`, with per-point
+//!   fault isolation on any [`Engine`]. `solve_sweep` is one such sweep,
+//!   `ballistic_solve` one bias point (the weighted sum over a
+//!   `(k_y, weight)` list, the i-th k on slot i of the curve's
+//!   [`ContactTable`]), the frozen sweep one per gate point, and each round
+//!   of the adaptive-grid variant one; Landauer current, quantum electron
+//!   and hole densities;
 //! * [`scf`] — the Schrödinger–Poisson loop with the exponential charge
 //!   predictor (Gummel-accelerated);
 //! * [`iv`] — gate/drain (SCF) and frozen-field voltage sweeps, one bias
