@@ -125,8 +125,9 @@ fn window_at(
 /// momenta are the problems of one `solve_problems`: one contact fill and
 /// one fan-out over every `(k, E)`.
 ///
-/// The first k is scaled in place and each later one added as `+= w·x`
-/// in list order, so `[(k_y, 1.0)]` is the one-k solve bit for bit.
+/// Each k is folded in as it is handed on: the first scaled in place and
+/// each later one added as `+= w·x` in list order, so `[(k_y, 1.0)]` is
+/// the one-k solve bit for bit.
 /// `T(E)` averages only when every k shares one grid (the window follows
 /// the k-resolved subbands); otherwise it is the first k's, unweighted.
 ///
@@ -145,30 +146,26 @@ pub fn ballistic_solve(
     let points: Vec<_> = (ks.iter().enumerate())
         .map(|(k, &(ky, _))| (v_atoms, bias, (k, ky)))
         .collect();
-    let mut results = Vec::with_capacity(ks.len());
-    ballistic_points(tr, &points, engine, n_energy, table, |k, r, _| {
-        results.push((ks[k].1, r))
-    });
-    let mut solves = results.into_iter();
-    let (w0, mut acc) = solves.next().expect("a momentum list is never empty");
-    let first_trace = acc.transmission.clone();
-    acc.current_ua *= w0;
-    let densities = acc.electron_density.iter_mut().chain(&mut acc.hole_density);
-    for v in densities.chain(&mut acc.transmission) {
-        *v *= w0;
-    }
-    let mut shared_grid = true;
-    for (w, r) in solves {
+    let (mut acc, mut first_trace, mut shared_grid) = (None, Vec::new(), true);
+    ballistic_points(tr, &points, engine, n_energy, table, |k, mut r, _| {
+        let w = ks[k].1;
+        let Some(acc) = &mut acc else {
+            first_trace = r.transmission.clone();
+            r.current_ua *= w;
+            let densities = r.electron_density.iter_mut().chain(&mut r.hole_density);
+            densities.chain(&mut r.transmission).for_each(|v| *v *= w);
+            acc = Some(r);
+            return;
+        };
         acc.report.merge(&r.report);
         acc.current_ua += w * r.current_ua;
         shared_grid &= acc.energies == r.energies;
         let n = acc.electron_density.iter_mut().zip(&r.electron_density);
         let p = acc.hole_density.iter_mut().zip(&r.hole_density);
         let t = acc.transmission.iter_mut().zip(&r.transmission);
-        for (x, y) in n.chain(p).chain(t) {
-            *x += w * y;
-        }
-    }
+        n.chain(p).chain(t).for_each(|(x, y)| *x += w * y);
+    });
+    let mut acc = acc.expect("a momentum list is never empty");
     if !shared_grid {
         acc.transmission = first_trace;
     }
@@ -208,12 +205,16 @@ pub(crate) fn ballistic_points(
     let windows: Vec<EnergyWindow> = (points.iter().zip(&lead_of))
         .map(|(&(v_atoms, bias, kk), &j)| window_at(tr, v_atoms, bias, kk, &leads[j], table))
         .collect();
-    let problems: Vec<Problem<'_>> = (points.iter().zip(&lead_of).zip(&windows))
-        .map(|((&(v_atoms, _, (k, ky)), &j), window)| Problem {
+    let potentials: Vec<Vec<f64>> = (points.iter())
+        .map(|&(v_atoms, _, _)| orbital_potential(tr, v_atoms))
+        .collect();
+    let problems: Vec<Problem<'_>> = (points.iter().zip(&lead_of))
+        .zip(windows.iter().zip(&potentials))
+        .map(|((&(_, _, (k, ky)), &j), (window, potential))| Problem {
             k,
             leads: leads[j].each_ref(),
             grid: window.grid(n_energy),
-            device: Device::Curve(ky, orbital_potential(tr, v_atoms)),
+            device: Device::Curve(ky, potential),
         })
         .collect();
     solve_problems(&problems, engine, table, |i, sweep, tally| {
@@ -228,9 +229,12 @@ pub(crate) fn ballistic_points(
 enum Device<'a> {
     /// The curve table's `H₀` at `k_y`, and the potential energy per
     /// orbital the engines add to it where they form `A`.
-    Curve(f64, Vec<f64>),
+    Curve(f64, &'a [f64]),
     /// A whole `H`, with no potential.
     Given(&'a BlockTridiag),
+    /// A whole `H` that counts the units solved on it.
+    #[cfg(test)]
+    Counted(&'a BlockTridiag, &'a std::sync::atomic::AtomicUsize),
 }
 
 /// One energy sweep: momentum slot `k` keyed on `leads`, the energies of
@@ -304,8 +308,13 @@ fn solve_problems(
             |u| {
                 let (p, e) = unit(u);
                 let (h, potential) = match &run[p].device {
-                    Device::Curve(ky, potential) => (table.hamiltonian(*ky), &potential[..]),
+                    Device::Curve(ky, potential) => (table.hamiltonian(*ky), *potential),
                     Device::Given(h) => (*h, &[][..]),
+                    #[cfg(test)]
+                    Device::Counted(h, solved) => {
+                        solved.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+                        (*h, &[][..])
+                    }
                 };
                 let point = |(sl, sr)| engine_point(e, h, potential, &sl, &sr, engine);
                 table.contacts(run[p].k, e).and_then(point)
@@ -414,7 +423,7 @@ pub fn ballistic_solve_adaptive(
             k: 0,
             leads: leads.each_ref(),
             grid,
-            device: Device::Curve(ky, potential.clone()),
+            device: Device::Curve(ky, &potential),
         };
         solve_one(problem, engine, table)
     };
@@ -730,10 +739,12 @@ mod tests {
     fn a_list_of_problems_is_its_problems_solved_one_by_one() {
         use omen_linalg::threads::with_budget;
         use omen_num::linspace;
-        // Chain problems on two slots with two lead pairs, one without
-        // energies, in an order that re-keys slot 0 mid-list (a second
-        // run). Each is handed on in order, on every budget, with the sweep
-        // and tally it gets alone after the problems before it.
+        use std::sync::atomic::{AtomicUsize, Ordering::SeqCst};
+        // Chain problems on two slots with two lead pairs, three without
+        // energies (first, mid-list and last), in an order that re-keys
+        // slot 0 mid-list (a second run). Each is handed on in order, on
+        // every budget, with the sweep and tally it gets alone after the
+        // problems before it.
         let (h, a0, a1) = severed_chain(5, &[(2, 0.0)], &[1, 2]);
         let (b0, b1) = (
             a0.clone(),
@@ -741,11 +752,13 @@ mod tests {
         );
         let (a, b) = ([&a0, &a1, &a0, &a1], [&b0, &b1, &a0, &a1]);
         let list = [
+            (1, b, vec![]),
             (0, a, linspace(-0.5, 0.5, 5)),
             (1, b, linspace(-0.4, 0.4, 3)),
             (0, a, vec![]),
             (0, a, linspace(-0.5, 0.5, 9)),
             (0, b, linspace(-0.5, 0.5, 3)),
+            (0, b, vec![]),
         ];
         // Each slot's problems in order through `solve_sweep`, whose
         // slot 0 stands for that slot on a table of its own.
@@ -762,22 +775,37 @@ mod tests {
         let mut want = [per_slot(0), per_slot(1)].concat();
         want.sort_by_key(|w| w.0);
         for cores in 1..=3 {
+            let solved = AtomicUsize::new(0);
             let problems: Vec<Problem<'_>> = (list.iter())
                 .map(|(k, leads, grid)| Problem {
                     k: *k,
                     leads: *leads,
                     grid: grid.clone(),
-                    device: Device::Given(&h),
+                    device: Device::Counted(&h, &solved),
                 })
                 .collect();
             let mut table = ContactTable::default();
             let mut got = Vec::new();
             with_budget(cores, || {
                 solve_problems(&problems, Engine::Rgf, &mut table, |i, s, tally| {
+                    // Problem i is handed on once its units are solved. On
+                    // one core no unit of a later problem is solved yet, so
+                    // problem i's points are all that is held; wider, the
+                    // workers may have run ahead into the fan-out's
+                    // out-of-order buffer, by as many units as the calling
+                    // thread's own unit took them.
+                    let through: usize = list[..=i].iter().map(|p| p.2.len()).sum();
+                    let now = solved.load(SeqCst);
+                    assert!(now >= through, "budget {cores}, problem {i}");
+                    if cores == 1 {
+                        assert_eq!(now, through, "problem {i}");
+                    }
                     got.push((i, sweep_bits(s.into_parts()), tally))
                 })
             });
             assert_eq!(got, want, "budget {cores}");
+            let units: usize = list.iter().map(|p| p.2.len()).sum();
+            assert_eq!(solved.load(SeqCst), units, "budget {cores}");
         }
     }
 

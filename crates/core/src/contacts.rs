@@ -339,10 +339,10 @@ impl ContactTable {
         })
     }
 
-    /// The one fill body: keys each entry's slot on its lead pair (entries
-    /// of one slot share it), lists the `(entry, E)` the table lacks in
-    /// entry order, each energy of a slot once, has `decimate_all` return
-    /// their outcomes in that order and inserts them. Each entry's tally
+    /// The one fill body: keys each entry's slot on its lead pair (one pair
+    /// per slot), lists the `(entry, E)` the table lacks in entry order,
+    /// each energy of a slot once, has `decimate_all` return their
+    /// outcomes in that order and inserts them. Each entry's tally
     /// reads as if the entries had been filled one after the other (an
     /// energy the table or an earlier entry of its slot holds is reused),
     /// and their sum is added to the table's. Nothing is inserted or
@@ -355,7 +355,15 @@ impl ContactTable {
         let mut listed = HashSet::new();
         let mut missing = Vec::new();
         let mut tallies = Vec::with_capacity(entries.len());
+        let mut keyed = HashMap::new();
         for (i, &(k, key, energies)) in entries.iter().enumerate() {
+            // A NaN block is the same pair only as the same block.
+            let first: LeadKey<'_> = *keyed.entry(k).or_insert(key);
+            let same = first
+                .iter()
+                .zip(key)
+                .all(|(&a, b)| std::ptr::eq(a, b) || a == b);
+            assert!(same, "slot {k} is keyed on two lead pairs in one fill");
             let known = &self.keyed_on(k, key).outcomes;
             let mut tally = ContactTally::default();
             for &e in energies {
@@ -388,6 +396,8 @@ impl ContactTable {
     /// pairs on the calling thread and the idle cores of its budget
     /// ([`fan_out_width`]): the same table at every width. Returns each
     /// entry's tally as if the entries had been filled one after the other.
+    /// Entries of one slot share one lead pair: a fill keys each slot on one
+    /// pair, and panics when another entry of it brings a pair that differs.
     pub(crate) fn fill_serial(&mut self, entries: &[FillEntry<'_>]) -> Vec<ContactTally> {
         let filled = self.fill_by(entries, |missing| {
             Ok::<_, Infallible>(decimate_all(entries, missing))
@@ -827,5 +837,19 @@ mod tests {
         // The witness does count: three threads are the caller and two.
         with_budget(3, || ContactTable::default().fill_serial(&entries));
         assert_eq!(fan_out_spawned(), before + 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "slot 0 is keyed on two lead pairs in one fill")]
+    fn a_fill_keys_a_slot_on_one_lead_pair() {
+        let single = Material::SingleBand { t_mev: 1000 };
+        let tr = TransistorSpec::si_nanowire_nmos(single, 1.0, 8).build();
+        let ham = tr.hamiltonian();
+        let (s0, s1) = ham.lead_blocks(0.0, 0.0);
+        let (d0, d1) = ham.lead_blocks(-0.15, 0.0);
+        ContactTable::default().fill_serial(&[
+            (0, [&s0, &s1, &s0, &s1], &[-3.4][..]),
+            (0, [&s0, &s1, &d0, &d1], &[-3.3][..]),
+        ]);
     }
 }
